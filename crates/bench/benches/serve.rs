@@ -10,9 +10,11 @@
 //! `crates/bench/README.md` for the workflow.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use selnet_bench::servebench::{json_number, model_fixture, query_batch, time_ms, BATCH};
+use selnet_bench::servebench::{
+    json_number, model_fixture, point_queries, query_batch, time_ms, BATCH,
+};
 use selnet_core::PlanPrecision;
-use selnet_eval::SelectivityEstimator;
+use selnet_eval::{EvalOpts, SelectivityEstimator};
 use selnet_serve::engine::{Engine, EngineConfig, Request};
 use selnet_serve::registry::ModelRegistry;
 use std::hint::black_box;
@@ -22,6 +24,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
     let (ds, model) = model_fixture();
     let (xs, ts) = query_batch(&ds, model.tmax());
     let x_refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
+    let queries = point_queries(&xs, &ts);
 
     let mut group = c.benchmark_group("serve_throughput");
     group.sample_size(20);
@@ -45,7 +48,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
     group.bench_function(format!("plan_batched/{BATCH}"), |b| {
         let mut out = Vec::with_capacity(BATCH);
         b.iter(|| {
-            model.predict_batch_into(&x_refs, &ts, &mut out);
+            model.estimate_into(&queries, EvalOpts::default(), &mut out);
             black_box(out.last().copied())
         })
     });
@@ -55,7 +58,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
     group.bench_function(format!("plan_many/{BATCH}"), |b| {
         let mut out = Vec::with_capacity(BATCH);
         b.iter(|| {
-            model.predict_many_into(&xs[0], &ts, &mut out);
+            model.estimate_into(&[(&xs[0], &ts)], EvalOpts::default(), &mut out);
             black_box(out.last().copied())
         })
     });
@@ -112,6 +115,7 @@ fn bench_record(_c: &mut Criterion) {
     let (ds, model) = model_fixture();
     let (xs, ts) = query_batch(&ds, model.tmax());
     let x_refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
+    let queries = point_queries(&xs, &ts);
 
     let single = time_ms(10, 10, || {
         for i in 0..BATCH {
@@ -126,7 +130,7 @@ fn bench_record(_c: &mut Criterion) {
     });
     let mut out = Vec::with_capacity(BATCH);
     let plan_many = time_ms(10, 10, || {
-        model.predict_many_into(&xs[0], &ts, &mut out);
+        model.estimate_into(&[(&xs[0], &ts)], EvalOpts::default(), &mut out);
         black_box(out.last().copied());
     });
     let tape_many = time_ms(10, 10, || {
@@ -135,77 +139,48 @@ fn bench_record(_c: &mut Criterion) {
 
     // precision-lowered batched serving: the same rows through each
     // lowered plan (warm calls first so compile+lowering is off the
-    // clock). All four modes are timed back-to-back within each round;
-    // the recorded `int8_vs_exact` is the median of the per-round
-    // exact/int8 ratios, which cancels the drift that independent
-    // best-of-N timings of each mode cannot (the same estimator
-    // `serve_bench_guard` checks the floor with).
+    // clock). All modes are timed back-to-back within each round; the
+    // recorded `int8_vs_exact` is the median of the per-round exact/int8
+    // ratios, which cancels the drift that independent best-of-N timings
+    // of each mode cannot (the same estimator `serve_bench_guard` checks
+    // the floor with).
     let mut pout = Vec::with_capacity(BATCH);
+    let mut wave = |precision: PlanPrecision, threads: usize| {
+        model.estimate_into(&queries, EvalOpts { precision, threads }, &mut pout);
+        black_box(pout.last().copied());
+    };
     let modes = [
         PlanPrecision::Exact,
-        PlanPrecision::Bf16,
         PlanPrecision::Int8,
         PlanPrecision::Pruned { threshold: 0.05 },
     ];
     for mode in modes {
-        model.predict_batch_into_at(&x_refs, &ts, mode, &mut pout);
+        wave(mode, 1);
     }
-    let mut mode_ms = [f64::INFINITY; 4];
+    let mut mode_ms = [f64::INFINITY; 3];
     let mut ratios = Vec::with_capacity(96);
     for _ in 0..96 {
-        let mut round = [0.0f64; 4];
+        let mut round = [0.0f64; 3];
         for (slot, mode) in round.iter_mut().zip(modes) {
-            *slot = time_ms(1, 5, || {
-                model.predict_batch_into_at(&x_refs, &ts, mode, &mut pout);
-                black_box(pout.last().copied());
-            });
+            *slot = time_ms(1, 5, || wave(mode, 1));
         }
         for (best, r) in mode_ms.iter_mut().zip(round) {
             *best = best.min(r);
         }
-        ratios.push(round[0] / round[2]);
+        ratios.push(round[0] / round[1]);
     }
     ratios.sort_by(f64::total_cmp);
     let int8_vs_exact_paired = ratios[ratios.len() / 2];
-    let [p_exact, p_bf16, p_int8, p_pruned] = mode_ms;
+    let [p_exact, p_int8, p_pruned] = mode_ms;
 
-    // row-chunked parallel replay: the same wave through
-    // `predict_batch_into_at_threaded` at 1/2/4/8 threads (on a 1-vCPU
-    // box the curve is flat by construction — answers are bit-identical
-    // either way, so the numbers are still honest)
-    let mut sout = Vec::with_capacity(BATCH);
+    // row-chunked parallel replay: the same wave at `EvalOpts.threads` =
+    // 1/2/4/8 (on a 1-vCPU box the curve is flat by construction —
+    // answers are bit-identical either way, so the numbers are still
+    // honest)
     let scaling_ms: Vec<f64> = [1usize, 2, 4, 8]
         .iter()
-        .map(|&threads| {
-            time_ms(10, 10, || {
-                model.predict_batch_into_at_threaded(
-                    &x_refs,
-                    &ts,
-                    PlanPrecision::Exact,
-                    threads,
-                    &mut sout,
-                );
-                black_box(sout.last().copied());
-            })
-        })
+        .map(|&threads| time_ms(10, 10, || wave(PlanPrecision::Exact, threads)))
         .collect();
-    // 1-thread-vs-current guard estimator: median of per-round paired
-    // serial/1t ratios (same drift-cancelling shape as int8_vs_exact) —
-    // ≥ 1.0 means chunk plumbing costs nothing when it doesn't engage
-    let mut paired = Vec::with_capacity(96);
-    for _ in 0..96 {
-        let serial = time_ms(1, 5, || {
-            model.predict_batch_into_at(&x_refs, &ts, PlanPrecision::Exact, &mut sout);
-            black_box(sout.last().copied());
-        });
-        let one_t = time_ms(1, 5, || {
-            model.predict_batch_into_at_threaded(&x_refs, &ts, PlanPrecision::Exact, 1, &mut sout);
-            black_box(sout.last().copied());
-        });
-        paired.push(serial / one_t);
-    }
-    paired.sort_by(f64::total_cmp);
-    let replay_1t_vs_current = paired[paired.len() / 2];
 
     let sweep_model = model.clone();
     let engine = Engine::start(
@@ -312,14 +287,13 @@ fn bench_record(_c: &mut Criterion) {
     let floor_int8 = json_number(floors_blob, "int8_vs_exact").unwrap_or(1.0);
     let floor_obs = json_number(floors_blob, "obs_overhead_max").unwrap_or(1.03);
     let floor_obs_slow = json_number(floors_blob, "obs_slowpath_max").unwrap_or(1.25);
-    let floor_replay_1t = json_number(floors_blob, "replay_1t_vs_current").unwrap_or(1.0);
 
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let json = format!(
         r#"{{
-  "description": "Serving throughput at batch {BATCH} on a tiny()-architecture partitioned SelNet (K=3): one_query_per_call = {BATCH} separate single-query evaluations; batched_coalesced = one predict_batch plan replay over all {BATCH} rows; engine_submit_collect = the same through the full engine (queue + worker thread + reply channels, cache off). The plan block compares the compiled grad-free inference plan against the reference autodiff-tape forward on identical inputs. Times in milliseconds per {BATCH}-query wave (best-of-samples mean); recorded by SELNET_BENCH_RECORD=1 cargo bench -p selnet-bench --bench serve.",
+  "description": "Serving throughput at batch {BATCH} on a tiny()-architecture partitioned SelNet (K=3): one_query_per_call = {BATCH} separate single-query evaluations; batched_coalesced = one predict_batch curve-plan replay over all {BATCH} rows; engine_submit_collect = the same through the full engine (queue + worker thread + reply channels, cache off). The plan block compares the compiled grad-free inference plan against the reference autodiff-tape forward on identical inputs. Times in milliseconds per {BATCH}-query wave (best-of-samples mean); recorded by SELNET_BENCH_RECORD=1 cargo bench -p selnet-bench --bench serve.",
   "baseline_pr4": {{
     "machine_cpus": 1,
     "one_query_per_call_{BATCH}_ms": 0.3047,
@@ -354,15 +328,13 @@ fn bench_record(_c: &mut Criterion) {
   }},
   "precision": {{
     "exact_batched_{BATCH}_ms": {p_exact:.4},
-    "bf16_batched_{BATCH}_ms": {p_bf16:.4},
     "int8_batched_{BATCH}_ms": {p_int8:.4},
     "pruned005_batched_{BATCH}_ms": {p_pruned:.4},
     "queries_per_sec_exact": {qps_exact:.0},
-    "queries_per_sec_bf16": {qps_bf16:.0},
     "queries_per_sec_int8": {qps_int8:.0},
     "queries_per_sec_pruned005": {qps_pruned:.0},
     "int8_vs_exact": {int8_vs_exact:.2},
-    "note": "predict_batch_into_at over the same {BATCH} rows, one row per precision-lowered plan; int8_vs_exact is the median of per-round paired exact/int8 ratios (drift-cancelling, same estimator as serve_bench_guard); accuracy contract for the lossy modes lives in crates/core/tests/plan_precision.rs"
+    "note": "estimate_into over the same {BATCH} point queries, one row per precision-lowered plan; int8_vs_exact is the median of per-round paired exact/int8 ratios (drift-cancelling, same estimator as serve_bench_guard); accuracy contract for the lossy modes lives in crates/core/tests/plan_precision.rs"
   }},
   "scaling": {{
     "machine_cpus": {cpus},
@@ -371,8 +343,7 @@ fn bench_record(_c: &mut Criterion) {
     "batched_replay_4t_ms": {s4:.4},
     "batched_replay_8t_ms": {s8:.4},
     "speedup_4t_vs_1t": {s_speedup:.2},
-    "replay_1t_vs_current": {replay_1t_vs_current:.2},
-    "note": "predict_batch_into_at_threaded over the same {BATCH} rows at 1/2/4/8 replay threads (row-chunked parallel plan replay, bit-identical answers at every count). replay_1t_vs_current is the median paired serial/1-thread ratio — the chunked entry point at 1 thread must not cost over the plain serial path. speedup_4t_vs_1t only shows a parallel win when machine_cpus >= 4; on a 1-vCPU recorder the curve is flat and the guard skips the 4t floor."
+    "note": "estimate_into over the same {BATCH} point queries at EvalOpts.threads = 1/2/4/8 (row-chunked parallel plan replay, bit-identical answers at every count; one thread is the serial path itself). speedup_4t_vs_1t only shows a parallel win when machine_cpus >= 4; on a smaller recorder the curve is flat and the guard skips the 4t floor."
   }},
   "client_sweep": {{
 {sweep_block},
@@ -388,8 +359,7 @@ fn bench_record(_c: &mut Criterion) {
     "int8_vs_exact": {floor_int8:.2},
     "obs_overhead_max": {floor_obs:.2},
     "obs_slowpath_max": {floor_obs_slow:.2},
-    "replay_1t_vs_current": {floor_replay_1t:.2},
-    "note": "CI floors enforced by serve_bench_guard; conservative next to the recorded figures to ride out machine noise. obs_overhead_max bounds the median paired-round ratio of obs-armed (span ring + slow-query log at a tail-calibrated threshold) over obs-disabled engine submit/collect waves: the always-on observability cost of untraced traffic must stay under 3% on the batched hot path (per-request spans are sampled, paid only by trace-ID-carrying requests). obs_slowpath_max separately bounds the pathological every-request-slow configuration (1us threshold, one bounded log push per request at 600k+ req/s) so the slow path can never silently grow a syscall, an allocation, or an O(n) push. replay_1t_vs_current floors the recorded scaling.replay_1t_vs_current ratio (guard applies a small noise grace) so single-thread replay can never regress while chasing multi-core scaling."
+    "note": "CI floors enforced by serve_bench_guard; conservative next to the recorded figures to ride out machine noise. obs_overhead_max bounds the median paired-round ratio of obs-armed (span ring + slow-query log at a tail-calibrated threshold) over obs-disabled engine submit/collect waves: the always-on observability cost of untraced traffic must stay under 3% on the batched hot path (per-request spans are sampled, paid only by trace-ID-carrying requests). obs_slowpath_max separately bounds the pathological every-request-slow configuration (1us threshold, one bounded log push per request at 600k+ req/s) so the slow path can never silently grow a syscall, an allocation, or an O(n) push."
   }},
   "notes": "speedup_batched_vs_single is the coalescing win the serving engine exists for: a batch amortizes the forward pass and turns {BATCH} skinny 1-row matmuls into one {BATCH}-row matmul. plan_vs_tape_batched is the compiled-plan win on top: no grad buffers, no per-call parameter injection, fused affine+activation steps. engine_vs_batched is the remaining queue/channel overhead per request (1.0 = free)."
 }}
@@ -403,7 +373,6 @@ fn bench_record(_c: &mut Criterion) {
         plan_vs_tape = tape_batched / batched,
         plan_vs_tape_many = tape_many / plan_many,
         qps_exact = BATCH as f64 / (p_exact / 1e3),
-        qps_bf16 = BATCH as f64 / (p_bf16 / 1e3),
         qps_int8 = BATCH as f64 / (p_int8 / 1e3),
         qps_pruned = BATCH as f64 / (p_pruned / 1e3),
         int8_vs_exact = int8_vs_exact_paired,

@@ -13,10 +13,9 @@
 //!
 //! It also bounds the flight recorder (`obs_overhead_max` /
 //! `obs_slowpath_max`, see [`check_obs_overhead`]), validates the
-//! recorded multi-core `scaling` block (shape + single-thread floor +
-//! the ≥1.5x@4t requirement when recorded on a ≥4-core host, see
-//! [`check_scaling_artifact`]) with a live re-time of the 1-thread
-//! ratio, and validates the recorded `BENCH_drift.json` (when present):
+//! recorded multi-core `scaling` block (shape + the ≥1.5x@4t requirement
+//! when recorded on a ≥4-core host, see [`check_scaling_artifact`]), and
+//! validates the recorded `BENCH_drift.json` (when present):
 //! every schedule block must satisfy the floors the artifact itself
 //! carries — zero monotonicity violations, zero bit mismatches, at least
 //! one hot swap, and a bounded post-swap MAPE ratio. That check is pure
@@ -26,9 +25,11 @@
 //! Run manually: `cargo run --release -p selnet-bench --bin serve_bench_guard`
 
 use selnet_bench::driftbench::{check_drift_block, json_section, DriftFloors, ScheduleSpec};
-use selnet_bench::servebench::{json_number, model_fixture, query_batch, time_ms, BATCH};
+use selnet_bench::servebench::{
+    json_number, model_fixture, point_queries, query_batch, time_ms, BATCH,
+};
 use selnet_core::{PartitionedSelNet, PlanPrecision};
-use selnet_eval::SelectivityEstimator;
+use selnet_eval::{EvalOpts, SelectivityEstimator};
 use selnet_serve::engine::{Engine, EngineConfig, Request};
 use selnet_serve::registry::ModelRegistry;
 use std::hint::black_box;
@@ -88,21 +89,13 @@ fn check_drift_artifact() -> Result<(), ()> {
     }
 }
 
-/// Noise grace applied to the recorded `replay_1t_vs_current` ratio: the
-/// floor is 1.0 (single-thread replay must not regress), but the ratio
-/// compares two near-identical code paths, so a few percent of timing
-/// noise on the recording host must not read as a regression.
-const SCALING_NOISE_GRACE: f64 = 0.05;
-
 /// Validates the recorded `scaling` block in `BENCH_serve.json`: the
 /// 1/2/4/8-thread batched-replay entries must all be present and
-/// positive, the recorded single-thread ratio must clear its floor (with
-/// [`SCALING_NOISE_GRACE`]), and — when the block was recorded on a host
-/// with ≥ 4 cores — the 4-thread speedup must reach 1.5x. Pure artifact
-/// check (no re-run), same shape as [`check_drift_artifact`]: the live
-/// re-proof of bit-identity is the test suite, and the live 1-thread
-/// floor is re-timed in `main`.
-fn check_scaling_artifact(blob: &str, floor_replay_1t: f64) -> Result<(), ()> {
+/// positive and — when the block was recorded on a host with ≥ 4 cores —
+/// the 4-thread speedup must reach 1.5x. Pure artifact check (no re-run),
+/// same shape as [`check_drift_artifact`]: the live re-proof of
+/// bit-identity is the test suite.
+fn check_scaling_artifact(blob: &str) -> Result<(), ()> {
     let Some(block) = json_section(blob, "scaling") else {
         eprintln!("serve_bench_guard: FAIL BENCH_serve.json is missing the scaling block");
         return Err(());
@@ -128,10 +121,6 @@ fn check_scaling_artifact(blob: &str, floor_replay_1t: f64) -> Result<(), ()> {
         eprintln!("serve_bench_guard: FAIL scaling block lacks speedup_4t_vs_1t");
         return Err(());
     };
-    let Some(ratio_1t) = json_number(block, "replay_1t_vs_current") else {
-        eprintln!("serve_bench_guard: FAIL scaling block lacks replay_1t_vs_current");
-        return Err(());
-    };
     if ok && entries[3] > 0.0 {
         // internal consistency: the recorded speedup must match the
         // recorded times (a hand-edited artifact shouldn't pass)
@@ -143,13 +132,6 @@ fn check_scaling_artifact(blob: &str, floor_replay_1t: f64) -> Result<(), ()> {
             );
             ok = false;
         }
-    }
-    if ratio_1t < floor_replay_1t - SCALING_NOISE_GRACE {
-        eprintln!(
-            "serve_bench_guard: FAIL recorded replay_1t_vs_current {ratio_1t:.2} \
-             < floor {floor_replay_1t:.2} - grace {SCALING_NOISE_GRACE:.2}"
-        );
-        ok = false;
     }
     if cpus >= 4.0 && speedup_4t < 1.5 {
         eprintln!(
@@ -164,10 +146,7 @@ fn check_scaling_artifact(blob: &str, floor_replay_1t: f64) -> Result<(), ()> {
         } else {
             "recorded on < 4 cores; 4t floor not applicable"
         };
-        println!(
-            "serve_bench_guard: scaling block OK (1t ratio {ratio_1t:.2}, \
-             4t speedup {speedup_4t:.2}, {scale_note})"
-        );
+        println!("serve_bench_guard: scaling block OK (4t speedup {speedup_4t:.2}, {scale_note})");
         Ok(())
     } else {
         Err(())
@@ -286,8 +265,7 @@ fn main() -> ExitCode {
     let floor_int8 = json_number(floors, "int8_vs_exact").unwrap_or(1.0);
     let floor_obs = json_number(floors, "obs_overhead_max").unwrap_or(1.03);
     let floor_slowpath = json_number(floors, "obs_slowpath_max").unwrap_or(1.25);
-    let floor_replay_1t = json_number(floors, "replay_1t_vs_current").unwrap_or(1.0);
-    let scaling_ok = check_scaling_artifact(&blob, floor_replay_1t).is_ok();
+    let scaling_ok = check_scaling_artifact(&blob).is_ok();
 
     eprintln!("serve_bench_guard: training fixture...");
     let (ds, model) = model_fixture();
@@ -305,28 +283,31 @@ fn main() -> ExitCode {
     let tape_batched = time_ms(8, 8, || {
         black_box(model.tape_predict_batch(&x_refs, &ts));
     });
-    // apples-to-apples for the quantization floor: the same `_into_at`
-    // entry point at both precisions, lowering warmed off the clock. The
-    // two precisions are timed back-to-back within each round and the
-    // guard takes the median of the per-round ratios: frequency/thermal
-    // drift and scheduler luck are common-mode within a round (the plans
-    // even share the pooled buffer arena), so pairing cancels what
-    // independent best-of-N timings of each precision cannot.
+    // apples-to-apples for the quantization floor: the same
+    // `estimate_into` wave at both precisions, lowering warmed off the
+    // clock. The two precisions are timed back-to-back within each round
+    // and the guard takes the median of the per-round ratios:
+    // frequency/thermal drift and scheduler luck are common-mode within a
+    // round (the plans even share the pooled buffer arena), so pairing
+    // cancels what independent best-of-N timings of each precision cannot.
+    let queries = point_queries(&xs, &ts);
     let mut pout = Vec::with_capacity(BATCH);
+    let mut wave = |precision: PlanPrecision| {
+        let opts = EvalOpts {
+            precision,
+            threads: 1,
+        };
+        model.estimate_into(&queries, opts, &mut pout);
+        black_box(pout.last().copied());
+    };
     for _ in 0..64 {
-        model.predict_batch_into_at(&x_refs, &ts, PlanPrecision::Exact, &mut pout);
-        model.predict_batch_into_at(&x_refs, &ts, PlanPrecision::Int8, &mut pout);
+        wave(PlanPrecision::Exact);
+        wave(PlanPrecision::Int8);
     }
     let mut rounds = Vec::with_capacity(96);
     for _ in 0..96 {
-        let e = time_ms(1, 5, || {
-            model.predict_batch_into_at(&x_refs, &ts, PlanPrecision::Exact, &mut pout);
-            black_box(pout.last().copied());
-        });
-        let q = time_ms(1, 5, || {
-            model.predict_batch_into_at(&x_refs, &ts, PlanPrecision::Int8, &mut pout);
-            black_box(pout.last().copied());
-        });
+        let e = time_ms(1, 5, || wave(PlanPrecision::Exact));
+        let q = time_ms(1, 5, || wave(PlanPrecision::Int8));
         rounds.push((e, q));
     }
     let mut ratios: Vec<f64> = rounds.iter().map(|(e, q)| e / q).collect();
@@ -345,37 +326,7 @@ fn main() -> ExitCode {
          int8_vs_exact={int8_vs_exact:.2} (floor {floor_int8:.2})"
     );
 
-    // live single-thread floor for the chunked entry point: the paired
-    // serial / 1-thread-chunked median on this machine (not just the
-    // recorded artifact) — catches a plumbing regression the moment it
-    // lands, with the same noise grace as the artifact check
-    let mut replay_rounds = Vec::with_capacity(96);
-    for _ in 0..96 {
-        let serial = time_ms(1, 5, || {
-            model.predict_batch_into_at(&x_refs, &ts, PlanPrecision::Exact, &mut pout);
-            black_box(pout.last().copied());
-        });
-        let one_t = time_ms(1, 5, || {
-            model.predict_batch_into_at_threaded(&x_refs, &ts, PlanPrecision::Exact, 1, &mut pout);
-            black_box(pout.last().copied());
-        });
-        replay_rounds.push(serial / one_t);
-    }
-    replay_rounds.sort_by(f64::total_cmp);
-    let live_replay_1t = replay_rounds[replay_rounds.len() / 2];
-    println!(
-        "serve_bench_guard: live replay_1t_vs_current={live_replay_1t:.4} \
-         (floor {floor_replay_1t:.2} - grace {SCALING_NOISE_GRACE:.2})"
-    );
-
     let mut ok = drift_ok && scaling_ok;
-    if live_replay_1t < floor_replay_1t - SCALING_NOISE_GRACE {
-        eprintln!(
-            "serve_bench_guard: FAIL live replay_1t_vs_current {live_replay_1t:.2} \
-             < floor {floor_replay_1t:.2} - grace {SCALING_NOISE_GRACE:.2}"
-        );
-        ok = false;
-    }
     if speedup_batched < floor_batched {
         eprintln!(
             "serve_bench_guard: FAIL speedup_batched_vs_single {speedup_batched:.2} \

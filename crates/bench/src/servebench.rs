@@ -41,6 +41,15 @@ pub fn query_batch(ds: &Dataset, tmax: f32) -> (Vec<Vec<f32>>, Vec<f32>) {
     (xs, ts)
 }
 
+/// The wave as the serving hook (`estimate_into`) takes it: one
+/// `(x, [t])` point query per row.
+pub fn point_queries<'a>(xs: &'a [Vec<f32>], ts: &'a [f32]) -> Vec<(&'a [f32], &'a [f32])> {
+    xs.iter()
+        .zip(ts)
+        .map(|(x, t)| (x.as_slice(), std::slice::from_ref(t)))
+        .collect()
+}
+
 /// Best-of-`samples` mean wall-clock milliseconds of `iters` runs of `f`.
 pub fn time_ms(samples: usize, iters: usize, mut f: impl FnMut()) -> f64 {
     f(); // warm up

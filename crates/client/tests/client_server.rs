@@ -7,7 +7,7 @@
 use selnet_client::{ClientConfig, Connection, Reply};
 use selnet_core::{fit_partitioned, PartitionConfig, PartitionedSelNet, SelNetConfig};
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
-use selnet_eval::SelectivityEstimator;
+use selnet_eval::{EvalOpts, SelectivityEstimator};
 use selnet_metric::DistanceKind;
 use selnet_serve::protocol::ErrorCode;
 use selnet_serve::registry::ModelRegistry;
@@ -160,12 +160,13 @@ impl SelectivityEstimator for Slow {
         f64::from(x[0]) + f64::from(t)
     }
 
-    fn estimate_batch(&self, xs: &[&[f32]], ts: &[f32]) -> Vec<f64> {
+    /// Sleeps once per wave, not once per threshold.
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], _: EvalOpts, out: &mut Vec<f64>) {
         std::thread::sleep(std::time::Duration::from_millis(2));
-        xs.iter()
-            .zip(ts)
-            .map(|(x, &t)| f64::from(x[0]) + f64::from(t))
-            .collect()
+        out.clear();
+        for &(x, ts) in queries {
+            out.extend(ts.iter().map(|&t| f64::from(x[0]) + f64::from(t)));
+        }
     }
 
     fn query_dim(&self) -> Option<usize> {

@@ -5,11 +5,11 @@
 
 use crate::autoencoder::Autoencoder;
 use crate::config::{SelNetConfig, TauNormalization};
-use crate::plans::PlanCell;
+use crate::plans::{control_points, replay_curves, PlanCell};
 use rand::Rng;
-use selnet_eval::SelectivityEstimator;
+use selnet_eval::{EvalOpts, SelectivityEstimator};
 use selnet_tensor::{
-    Activation, Graph, InferencePlan, Matrix, Mlp, ParamId, ParamStore, PlanBuffers, Var,
+    Activation, Graph, InferencePlan, Matrix, Mlp, ParamId, ParamStore, PlanPrecision, Var,
 };
 use std::sync::Arc;
 
@@ -150,43 +150,28 @@ pub struct SelNetModel {
     /// Validation MAE recorded when the model was (re)trained; the §5.4
     /// update rule compares fresh MAE against this.
     pub(crate) reference_val_mae: f64,
-    /// Compiled inference plan, keyed on the parameter-store version (see
-    /// [`crate::plans::PlanCell`]). Rebuilt lazily after any retrain.
-    pub(crate) plans: PlanCell<SelNetPlans>,
-}
-
-/// The compiled forward program of a [`SelNetModel`]: inputs
-/// `(x [1 x d, fixed], t [batch x 1])`, outputs `(y, tau, p)`. One plan
-/// serves `predict_many` (reads `y`) and `control_points_for` (reads
-/// `tau`/`p` with a dummy threshold).
-pub(crate) struct SelNetPlans {
-    many: InferencePlan,
+    /// The compiled curve plan, keyed on the parameter-store version (see
+    /// [`crate::plans`]). Rebuilt lazily after any retrain.
+    pub(crate) plans: PlanCell<InferencePlan>,
 }
 
 impl SelNetModel {
-    /// Compiles the inference plan from the current parameters.
-    fn compile_plans(&self) -> SelNetPlans {
-        let mut g = Graph::new();
-        let xv = g.leaf_with(1, self.dim, |_| {});
-        let (tau, p, _z) = self.forward_control_points(&mut g, &self.store, xv);
-        // probe with two threshold rows so batch scaling is unambiguous
-        let tv = g.leaf_with(2, 1, |d| d.copy_from_slice(&[0.0, 1.0]));
-        let y = g.pwl_interp(tau, p, tv);
-        let many = InferencePlan::compile(&g, &[(xv, false), (tv, true)], &[y, tau, p])
-            .expect("the SelNet forward pass is plan-compilable");
-        SelNetPlans { many }
+    /// The curve plan `x [B × d] → (τ, p)` for the current parameters
+    /// (compiled on first use or after a parameter mutation). The
+    /// single-model path always serves exact plans; precision lowering is
+    /// a partitioned-serving feature.
+    fn plan(&self) -> Arc<InferencePlan> {
+        self.plans
+            .get_or(self.store.version(), PlanPrecision::Exact, || {
+                // probe with two rows so batch scaling is unambiguous
+                let mut g = Graph::new();
+                let xv = g.leaf_with(2, self.dim, |_| {});
+                let (tau, p, _z) = self.forward_control_points(&mut g, &self.store, xv);
+                InferencePlan::compile(&g, &[(xv, true)], &[tau, p])
+                    .expect("the SelNet control-point forward is plan-compilable")
+            })
     }
 
-    /// The plan bundle for the current parameters (compiling on first use
-    /// or after a parameter mutation). The single-model path always serves
-    /// exact plans; precision lowering is a partitioned-serving feature.
-    fn plans(&self) -> Arc<SelNetPlans> {
-        self.plans.get_or(
-            self.store.version(),
-            selnet_tensor::PlanPrecision::Exact,
-            || self.compile_plans(),
-        )
-    }
     /// Records the full forward pass for a batch of query vectors.
     /// Returns `(tau, p, z)`.
     pub(crate) fn forward_control_points(
@@ -205,19 +190,9 @@ impl SelNetModel {
 
     /// The learned control points for a single query — used by the
     /// Figure 4 experiment to visualize where the model places them.
-    /// Replays the compiled plan (τ and p are plan outputs; the threshold
-    /// input is irrelevant to them and bound to a dummy row).
     pub fn control_points_for(&self, x: &[f32]) -> (Vec<f32>, Vec<f32>) {
         assert_eq!(x.len(), self.dim, "query dimension mismatch");
-        let plans = self.plans();
-        PlanBuffers::with_pooled(|bufs| {
-            let out = plans.many.run(bufs, 1, |k, m| {
-                if k == 0 {
-                    m.data_mut().copy_from_slice(x);
-                }
-            });
-            (out.output(1).row(0).to_vec(), out.output(2).row(0).to_vec())
-        })
+        control_points(&self.plan(), x).swap_remove(0)
     }
 
     /// Reference tape implementation of [`SelNetModel::control_points_for`]
@@ -252,28 +227,12 @@ impl SelNetModel {
     }
 
     /// Predicts selectivities for one query at many thresholds with a
-    /// single network evaluation (control points are query-only). Replays
-    /// the compiled grad-free plan on thread-local buffers — no tape, no
-    /// parameter injection, no allocation beyond the returned `Vec`.
+    /// single network evaluation (control points are query-only): one row
+    /// of the compiled curve plan, one interpolation per threshold.
     pub fn predict_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
         let mut out = Vec::with_capacity(ts.len());
-        self.predict_many_into(x, ts, &mut out);
+        self.estimate_into(&[(x, ts)], EvalOpts::default(), &mut out);
         out
-    }
-
-    /// [`SelNetModel::predict_many`] writing into a caller-provided buffer
-    /// (cleared first) — the allocation-free serving entry point.
-    pub fn predict_many_into(&self, x: &[f32], ts: &[f32], out: &mut Vec<f64>) {
-        assert_eq!(x.len(), self.dim, "query dimension mismatch");
-        out.clear();
-        let plans = self.plans();
-        PlanBuffers::with_pooled(|bufs| {
-            let run = plans.many.run(bufs, ts.len(), |k, m| match k {
-                0 => m.data_mut().copy_from_slice(x),
-                _ => m.data_mut().copy_from_slice(ts),
-            });
-            out.extend(run.output(0).data().iter().map(|&v| v as f64));
-        });
     }
 
     /// Reference tape implementation of [`SelNetModel::predict_many`] —
@@ -300,8 +259,10 @@ impl SelectivityEstimator for SelNetModel {
         self.predict_many(x, ts)
     }
 
-    fn estimate_many_into(&self, x: &[f32], ts: &[f32], out: &mut Vec<f64>) {
-        self.predict_many_into(x, ts, out)
+    /// One network pass over the wave's query objects. Always exact (see
+    /// [`SelNetModel`]'s plan); `opts.threads` never changes a bit.
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], opts: EvalOpts, out: &mut Vec<f64>) {
+        replay_curves(&self.plan(), self.dim, queries, opts.threads, None, out)
     }
 
     fn query_dim(&self) -> Option<usize> {

@@ -12,15 +12,15 @@
 use crate::autoencoder::Autoencoder;
 use crate::config::{PartitionConfig, SelNetConfig};
 use crate::model::ControlPointNets;
-use crate::plans::PlanCell;
+use crate::plans::{control_points, replay_curves, PlanCell};
 use crate::train::TrainReport;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selnet_data::Dataset;
-use selnet_eval::SelectivityEstimator;
+use selnet_eval::{EvalOpts, SelectivityEstimator};
 use selnet_index::Partitioning;
 use selnet_tensor::{
-    Adam, Graph, InferencePlan, Matrix, Optimizer, ParamStore, PlanBuffers, PlanPrecision, Var,
+    pwl_interp_row, Adam, Graph, InferencePlan, Matrix, Optimizer, ParamStore, PlanPrecision, Var,
 };
 use selnet_workload::{label_partitions, LabeledQuery, Workload};
 use std::sync::Arc;
@@ -41,69 +41,30 @@ pub struct PartitionedSelNet {
     /// The serving precision this model's trainer (or operator) endorses —
     /// persisted in v2 snapshots, used as the default when a tenant is
     /// registered without an explicit `--precision` override. Purely
-    /// advisory: it never changes what `predict_*` compute unless a caller
-    /// passes it to an `_at` entry point.
+    /// advisory: it never changes an answer unless a caller passes it in
+    /// [`EvalOpts`].
     pub(crate) recommended_precision: PlanPrecision,
-    /// Compiled inference plans, keyed on `(parameter-store version,
-    /// precision)` (see [`crate::plans::PlanCell`]). Rebuilt lazily after
-    /// any retrain; a clone (the hot-swap `spawn_update` path) starts with
-    /// an empty cell.
-    pub(crate) plans: PlanCell<PartitionedPlans>,
-}
-
-/// The compiled forward programs of a [`PartitionedSelNet`]. Both plans
-/// share the structure "AE encode once → per-partition control points →
-/// PWL head", with all `K` local predictions as outputs:
-///
-/// * `batch` — inputs `(x [batch x d], t [batch x 1])`: one row per
-///   distinct `(x, t)` query, the shape `predict_batch` coalesces the
-///   serving engine's requests into;
-/// * `many` — inputs `(x [1 x d, fixed], t [batch x 1])`: one query at
-///   many thresholds, with τ/p broadcasting from one row (also serves
-///   `local_estimates` at a single row).
-pub(crate) struct PartitionedPlans {
-    batch: InferencePlan,
-    many: InferencePlan,
+    /// The compiled curve plan, keyed on `(parameter-store version,
+    /// precision)` (see [`crate::plans`]). Rebuilt lazily after any
+    /// retrain; a clone (the hot-swap `spawn_update` path) starts with an
+    /// empty cell.
+    pub(crate) plans: PlanCell<InferencePlan>,
 }
 
 impl PartitionedSelNet {
-    /// Compiles both inference plans from the current parameters at the
-    /// given precision (the pass pipeline's precision-lowering stage runs
-    /// after the shared capture/DCE/fusion passes).
-    fn compile_plans(&self, precision: PlanPrecision) -> PartitionedPlans {
-        // probe with 2 rows so batch scaling is unambiguous (a constant
-        // leaf with probe-batch rows is broadcast; see InferencePlan docs)
-        let batch = {
+    /// The curve plan `x [B × d] → (τ_k, p_k)` over all `K` local models,
+    /// lowered to `precision`, for the current parameters — compiled on
+    /// first use or after a parameter mutation, once per `(version,
+    /// precision)`.
+    fn plan(&self, precision: PlanPrecision) -> Arc<InferencePlan> {
+        self.plans.get_or(self.store.version(), precision, || {
+            // probe with 2 rows so batch scaling is unambiguous (a constant
+            // leaf with probe-batch rows is broadcast; see InferencePlan docs)
             let mut g = Graph::new();
             let xv = g.leaf_with(2, self.dim, |_| {});
-            let tv = g.leaf_with(2, 1, |d| d.copy_from_slice(&[0.0, 1.0]));
-            let (_z, preds) = self.forward_locals(&mut g, xv, tv);
-            InferencePlan::compile_with(&g, &[(xv, true), (tv, true)], &preds, precision)
-                .expect("the partitioned SelNet batch forward is plan-compilable")
-        };
-        let many = {
-            let mut g = Graph::new();
-            let xv = g.leaf_with(1, self.dim, |_| {});
-            let tv = g.leaf_with(2, 1, |d| d.copy_from_slice(&[0.0, 1.0]));
-            let (_z, preds) = self.forward_locals(&mut g, xv, tv);
-            InferencePlan::compile_with(&g, &[(xv, false), (tv, true)], &preds, precision)
-                .expect("the partitioned SelNet one-query forward is plan-compilable")
-        };
-        PartitionedPlans { batch, many }
-    }
-
-    /// The exact plan bundle for the current parameters (compiling on
-    /// first use or after a parameter mutation).
-    fn plans(&self) -> Arc<PartitionedPlans> {
-        self.plans_at(PlanPrecision::Exact)
-    }
-
-    /// The plan bundle lowered to `precision` for the current parameters.
-    /// Bundles are cached per `(version, precision)`, so a fleet serving
-    /// the same generation at several precisions compiles each mode once.
-    fn plans_at(&self, precision: PlanPrecision) -> Arc<PartitionedPlans> {
-        self.plans.get_or(self.store.version(), precision, || {
-            self.compile_plans(precision)
+            let (_z, knots) = self.forward_locals(&mut g, xv, |_, tau, p| [tau, p]);
+            InferencePlan::compile_with(&g, &[(xv, true)], &knots.concat(), precision)
+                .expect("the partitioned SelNet control-point forward is plan-compilable")
         })
     }
 
@@ -118,6 +79,7 @@ impl PartitionedSelNet {
     pub fn set_recommended_precision(&mut self, precision: PlanPrecision) {
         self.recommended_precision = precision;
     }
+
     /// Number of partitions.
     pub fn k(&self) -> usize {
         self.locals.len()
@@ -133,12 +95,20 @@ impl PartitionedSelNet {
         self.tmax
     }
 
-    /// Records forward passes of every local model for a batch.
-    /// Returns `(z, [yhat_i])`.
-    fn forward_locals(&self, g: &mut Graph, x: Var, t: Var) -> (Var, Vec<Var>) {
+    /// Records the shared encoder and every local model's control points
+    /// for a batch; `head` is recorded right after each model's `(τ, p)`
+    /// and chooses what the caller keeps of it (training interpolates at
+    /// the batch's thresholds, plan compilation keeps the knots).
+    /// Returns `(z, [head_i])`.
+    fn forward_locals<T>(
+        &self,
+        g: &mut Graph,
+        x: Var,
+        mut head: impl FnMut(&mut Graph, Var, Var) -> T,
+    ) -> (Var, Vec<T>) {
         let z = self.ae.encode(g, &self.store, x);
         let input = g.concat_cols(x, z);
-        let mut preds = Vec::with_capacity(self.locals.len());
+        let mut heads = Vec::with_capacity(self.locals.len());
         for nets in &self.locals {
             let (tau, p) = nets.control_points(
                 g,
@@ -147,120 +117,18 @@ impl PartitionedSelNet {
                 self.tmax,
                 self.cfg.query_dependent_tau,
             );
-            preds.push(g.pwl_interp(tau, p, t));
+            heads.push(head(g, tau, p));
         }
-        (z, preds)
+        (z, heads)
     }
 
     /// Predicts selectivities for one query at many thresholds, applying
-    /// the intersection indicator per threshold. Replays the compiled
-    /// grad-free `many` plan on thread-local buffers — no tape, no
-    /// per-call parameter injection.
+    /// the intersection indicator per threshold: one network row, one
+    /// interpolation per threshold (see "The curve plan" in `ARCHITECTURE.md`).
     pub fn predict_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
         let mut out = Vec::with_capacity(ts.len());
-        self.predict_many_into(x, ts, &mut out);
+        self.estimate_into(&[(x, ts)], EvalOpts::default(), &mut out);
         out
-    }
-
-    /// [`PartitionedSelNet::predict_many`] writing into a caller-provided
-    /// buffer (cleared first) — the allocation-free serving entry point.
-    pub fn predict_many_into(&self, x: &[f32], ts: &[f32], out: &mut Vec<f64>) {
-        self.predict_many_into_at(x, ts, PlanPrecision::Exact, out)
-    }
-
-    /// [`PartitionedSelNet::predict_many_into`] replayed on the plan
-    /// bundle lowered to `precision`. `Exact` is bit-identical to
-    /// `predict_many_into`; the lossy modes trade the pinned accuracy
-    /// drift (property-tested in `plan_precision.rs`) for cheaper
-    /// arithmetic, and all of them preserve monotonicity in `t` — the
-    /// lowering passes perturb weights, not the cumsum-of-nonnegatives
-    /// structure §4's consistency rests on.
-    pub fn predict_many_into_at(
-        &self,
-        x: &[f32],
-        ts: &[f32],
-        precision: PlanPrecision,
-        out: &mut Vec<f64>,
-    ) {
-        assert_eq!(x.len(), self.dim, "query dimension mismatch");
-        out.clear();
-        let plans = self.plans_at(precision);
-        PlanBuffers::with_pooled(|bufs| {
-            let run = plans.many.run(bufs, ts.len(), |k, m| match k {
-                0 => m.data_mut().copy_from_slice(x),
-                _ => m.data_mut().copy_from_slice(ts),
-            });
-            // indicator per threshold; the sum replicates the tape path's
-            // arithmetic exactly (masked-out parts contribute a 0.0 term)
-            let parts: Vec<&[f32]> = (0..self.locals.len())
-                .map(|part| run.output(part).data())
-                .collect();
-            let mut ind: Vec<bool> = Vec::with_capacity(parts.len());
-            for (j, &t) in ts.iter().enumerate() {
-                self.partitioning.indicator_into(x, t, &mut ind);
-                let sum: f64 = parts
-                    .iter()
-                    .zip(&ind)
-                    .map(|(pred, &on)| if on { pred[j] as f64 } else { 0.0 })
-                    .sum();
-                out.push(sum);
-            }
-        });
-    }
-
-    /// [`PartitionedSelNet::predict_many_into_at`] with the replay split
-    /// into threshold-row chunks across up to `threads` worker threads
-    /// (`0` = the process-wide `selnet_tensor::parallel` configuration,
-    /// `1` = the serial path). **Bit-identical to the serial entry point
-    /// at every thread count**: the `many` plan is row-independent over
-    /// its threshold rows, chunk boundaries are deterministic, and each
-    /// chunk replays the same per-row kernels — see
-    /// [`InferencePlan::run_chunked`]. The engagement threshold derived
-    /// from the plan's counted FLOPs keeps tiny threshold grids serial.
-    pub fn predict_many_into_at_threaded(
-        &self,
-        x: &[f32],
-        ts: &[f32],
-        precision: PlanPrecision,
-        threads: usize,
-        out: &mut Vec<f64>,
-    ) {
-        assert_eq!(x.len(), self.dim, "query dimension mismatch");
-        out.clear();
-        if ts.is_empty() {
-            return;
-        }
-        let parts = self.locals.len();
-        let plans = self.plans_at(precision);
-        out.resize(ts.len(), 0.0);
-        plans.many.run_chunked(
-            ts.len(),
-            threads,
-            out.as_mut_slice(),
-            |k, first_row, m| match k {
-                // the query vector is a fixed (1-row) input: every chunk
-                // fills it identically
-                0 => m.data_mut().copy_from_slice(x),
-                _ => {
-                    let rows = m.rows();
-                    m.data_mut()
-                        .copy_from_slice(&ts[first_row..first_row + rows]);
-                }
-            },
-            |first_row, run, chunk| {
-                let preds: Vec<&[f32]> = (0..parts).map(|p| run.output(p).data()).collect();
-                let mut ind: Vec<bool> = Vec::with_capacity(parts);
-                for (j, o) in chunk.iter_mut().enumerate() {
-                    let t = ts[first_row + j];
-                    self.partitioning.indicator_into(x, t, &mut ind);
-                    *o = preds
-                        .iter()
-                        .zip(&ind)
-                        .map(|(pred, &on)| if on { pred[j] as f64 } else { 0.0 })
-                        .sum();
-                }
-            },
-        );
     }
 
     /// Reference tape implementation of
@@ -305,143 +173,18 @@ impl PartitionedSelNet {
             .collect()
     }
 
-    /// Predicts selectivities for **many distinct queries in one tape
-    /// pass**: query `i` is `(xs[i], ts[i])`. This is the batched entry
-    /// point the `selnet-serve` engine coalesces concurrent requests into —
-    /// all queries become rows of a single batch matrix, so the networks
-    /// run once over `B` rows instead of `B` times over one row.
+    /// Predicts selectivities for **many distinct queries in one network
+    /// pass**: query `i` is `(xs[i], ts[i])`, all query objects become rows
+    /// of a single batch matrix.
     ///
     /// Every forward op is row-wise (the blocked matmul kernels accumulate
     /// each output row independently and in a fixed order), so the result
     /// for query `i` is **bit-identical** to
     /// `predict_many(xs[i], &[ts[i]])[0]` — the property that lets the
-    /// serving engine batch opportunistically without changing any answer
-    /// (pinned by `predict_batch_matches_predict_many`).
+    /// serving engine coalesce opportunistically without changing any
+    /// answer (pinned by `predict_batch_matches_predict_many`).
     pub fn predict_batch(&self, xs: &[&[f32]], ts: &[f32]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(xs.len());
-        self.predict_batch_into(xs, ts, &mut out);
-        out
-    }
-
-    /// [`PartitionedSelNet::predict_batch`] writing into a caller-provided
-    /// buffer (cleared first). This is what the serving engine calls with
-    /// a per-worker scratch `Vec`: the plan replay itself is
-    /// allocation-free, so a steady-state coalesced batch costs exactly
-    /// the network arithmetic plus the indicator checks.
-    pub fn predict_batch_into(&self, xs: &[&[f32]], ts: &[f32], out: &mut Vec<f64>) {
-        self.predict_batch_into_at(xs, ts, PlanPrecision::Exact, out)
-    }
-
-    /// [`PartitionedSelNet::predict_batch_into`] replayed on the plan
-    /// bundle lowered to `precision` — the entry point the serving engine
-    /// binds a tenant's configured precision to per coalesced batch. Same
-    /// contract as [`PartitionedSelNet::predict_many_into_at`].
-    pub fn predict_batch_into_at(
-        &self,
-        xs: &[&[f32]],
-        ts: &[f32],
-        precision: PlanPrecision,
-        out: &mut Vec<f64>,
-    ) {
-        assert_eq!(xs.len(), ts.len(), "one threshold per query object");
-        out.clear();
-        if xs.is_empty() {
-            return;
-        }
-        for x in xs {
-            assert_eq!(x.len(), self.dim, "query dimension mismatch");
-        }
-        let b = xs.len();
-        let threads = selnet_tensor::parallel::configured_threads();
-        let plans = self.plans_at(precision);
-        PlanBuffers::with_pooled(|bufs| {
-            let run = plans.batch.run(bufs, b, |k, m| match k {
-                0 => selnet_tensor::parallel::par_fill_rows(
-                    m.data_mut(),
-                    self.dim,
-                    threads,
-                    |i, row| row.copy_from_slice(xs[i]),
-                ),
-                _ => m.data_mut().copy_from_slice(ts),
-            });
-            let parts: Vec<&[f32]> = (0..self.locals.len())
-                .map(|part| run.output(part).data())
-                .collect();
-            let mut ind: Vec<bool> = Vec::with_capacity(parts.len());
-            for i in 0..b {
-                self.partitioning.indicator_into(xs[i], ts[i], &mut ind);
-                let sum: f64 = parts
-                    .iter()
-                    .zip(&ind)
-                    .map(|(pred, &on)| if on { pred[i] as f64 } else { 0.0 })
-                    .sum();
-                out.push(sum);
-            }
-        });
-    }
-
-    /// [`PartitionedSelNet::predict_batch_into_at`] with the replay split
-    /// into row chunks across up to `threads` worker threads (`0` = the
-    /// process-wide `selnet_tensor::parallel` configuration, `1` = the
-    /// serial path). **Bit-identical to the serial entry point at every
-    /// thread count**: each batch row flows through the same per-row
-    /// kernels regardless of which chunk it lands in, chunk boundaries
-    /// are deterministic, and the indicator/summation stage is per-row —
-    /// see [`InferencePlan::run_chunked`]. An engine worker draining a
-    /// large coalesced batch calls this to fan the replay across idle
-    /// cores.
-    pub fn predict_batch_into_at_threaded(
-        &self,
-        xs: &[&[f32]],
-        ts: &[f32],
-        precision: PlanPrecision,
-        threads: usize,
-        out: &mut Vec<f64>,
-    ) {
-        assert_eq!(xs.len(), ts.len(), "one threshold per query object");
-        out.clear();
-        if xs.is_empty() {
-            return;
-        }
-        for x in xs {
-            assert_eq!(x.len(), self.dim, "query dimension mismatch");
-        }
-        let b = xs.len();
-        let parts = self.locals.len();
-        let plans = self.plans_at(precision);
-        out.resize(b, 0.0);
-        plans.batch.run_chunked(
-            b,
-            threads,
-            out.as_mut_slice(),
-            |k, first_row, m| match k {
-                0 => {
-                    let rows = m.rows();
-                    for (off, row) in m.data_mut().chunks_exact_mut(self.dim).enumerate() {
-                        debug_assert!(off < rows);
-                        row.copy_from_slice(xs[first_row + off]);
-                    }
-                }
-                _ => {
-                    let rows = m.rows();
-                    m.data_mut()
-                        .copy_from_slice(&ts[first_row..first_row + rows]);
-                }
-            },
-            |first_row, run, chunk| {
-                let preds: Vec<&[f32]> = (0..parts).map(|p| run.output(p).data()).collect();
-                let mut ind: Vec<bool> = Vec::with_capacity(parts);
-                for (j, o) in chunk.iter_mut().enumerate() {
-                    let g = first_row + j;
-                    self.partitioning.indicator_into(xs[g], ts[g], &mut ind);
-                    *o = preds
-                        .iter()
-                        .zip(&ind)
-                        .map(|(pred, &on)| if on { pred[j] as f64 } else { 0.0 })
-                        .sum();
-                }
-            },
-        );
+        self.estimate_batch(xs, ts)
     }
 
     /// Reference tape implementation of
@@ -490,27 +233,14 @@ impl PartitionedSelNet {
             .collect()
     }
 
-    /// Per-part predictions for one `(x, t)` (diagnostics / tests).
+    /// Per-part predictions for one `(x, t)`, before the indicator
+    /// (diagnostics / tests).
     pub fn local_estimates(&self, x: &[f32], t: f32) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.locals.len());
-        self.local_estimates_into(x, t, &mut out);
-        out
-    }
-
-    /// [`PartitionedSelNet::local_estimates`] writing into a
-    /// caller-provided buffer (cleared first) — rides the compiled `many`
-    /// plan at a single row instead of building a tape per call.
-    pub fn local_estimates_into(&self, x: &[f32], t: f32, out: &mut Vec<f64>) {
         assert_eq!(x.len(), self.dim, "query dimension mismatch");
-        out.clear();
-        let plans = self.plans();
-        PlanBuffers::with_pooled(|bufs| {
-            let run = plans.many.run(bufs, 1, |k, m| match k {
-                0 => m.data_mut().copy_from_slice(x),
-                _ => m.data_mut()[0] = t,
-            });
-            out.extend((0..self.locals.len()).map(|part| run.output(part).get(0, 0) as f64));
-        });
+        control_points(&self.plan(PlanPrecision::Exact), x)
+            .iter()
+            .map(|(tau, p)| pwl_interp_row(tau, p, t) as f64)
+            .collect()
     }
 }
 
@@ -523,58 +253,21 @@ impl SelectivityEstimator for PartitionedSelNet {
         self.predict_many(x, ts)
     }
 
-    fn estimate_many_into(&self, x: &[f32], ts: &[f32], out: &mut Vec<f64>) {
-        self.predict_many_into(x, ts, out)
-    }
-
-    fn estimate_batch(&self, xs: &[&[f32]], ts: &[f32]) -> Vec<f64> {
-        self.predict_batch(xs, ts)
-    }
-
-    fn estimate_batch_into(&self, xs: &[&[f32]], ts: &[f32], out: &mut Vec<f64>) {
-        self.predict_batch_into(xs, ts, out)
-    }
-
-    fn estimate_many_into_at(
-        &self,
-        x: &[f32],
-        ts: &[f32],
-        precision: PlanPrecision,
-        out: &mut Vec<f64>,
-    ) {
-        self.predict_many_into_at(x, ts, precision, out)
-    }
-
-    fn estimate_batch_into_at(
-        &self,
-        xs: &[&[f32]],
-        ts: &[f32],
-        precision: PlanPrecision,
-        out: &mut Vec<f64>,
-    ) {
-        self.predict_batch_into_at(xs, ts, precision, out)
-    }
-
-    fn estimate_batch_into_at_threaded(
-        &self,
-        xs: &[&[f32]],
-        ts: &[f32],
-        precision: PlanPrecision,
-        threads: usize,
-        out: &mut Vec<f64>,
-    ) {
-        self.predict_batch_into_at_threaded(xs, ts, precision, threads, out)
-    }
-
-    fn estimate_many_into_at_threaded(
-        &self,
-        x: &[f32],
-        ts: &[f32],
-        precision: PlanPrecision,
-        threads: usize,
-        out: &mut Vec<f64>,
-    ) {
-        self.predict_many_into_at_threaded(x, ts, precision, threads, out)
+    /// One network pass over the wave's query objects on the plan lowered
+    /// to `opts.precision`, fanned across up to `opts.threads` workers.
+    /// `Exact` reproduces the tape forward bit for bit; the lossy modes
+    /// trade the pinned accuracy drift (`plan_precision.rs`) for cheaper
+    /// arithmetic and stay monotone in `t`; the thread count never changes
+    /// a bit.
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], opts: EvalOpts, out: &mut Vec<f64>) {
+        replay_curves(
+            &self.plan(opts.precision),
+            self.dim,
+            queries,
+            opts.threads,
+            Some(&self.partitioning),
+            out,
+        )
     }
 
     fn query_dim(&self) -> Option<usize> {
@@ -720,7 +413,7 @@ fn joint_step<'g>(
     let xv = g.leaf_ref(x);
     let tv = g.leaf_ref(t);
     let yv = gather_leaf(g, &pairs.ylog, chunk);
-    let (z, local_preds) = model.forward_locals(g, xv, tv);
+    let (z, local_preds) = model.forward_locals(g, xv, |g, tau, p| g.pwl_interp(tau, p, tv));
 
     // local losses: beta * sum_i J_est(f^(i))
     let mut loss_acc: Option<Var> = None;
@@ -1111,6 +804,57 @@ mod tests {
         // consistency is structural
         let score = selnet_eval::empirical_monotonicity(&model, &w.test, 10, 40, w.tmax);
         assert_eq!(score, 100.0);
+        // ... from thresholds far below zero too (the wire accepts any f32)
+        let ts: Vec<f32> = (0..=44).map(|i| (i as f32 / 4.0 - 10.0) * w.tmax).collect();
+        for q in w.test.iter().take(10) {
+            let preds = model.predict_many(&q.x, &ts);
+            assert!(preds.windows(2).all(|p| p[0] <= p[1]), "{preds:?}");
+        }
+    }
+
+    /// Every entry point rides the one curve plan: whatever mix of calls
+    /// arrives, a `(version, precision)` is compiled exactly once, and a
+    /// retrain's version bump replaces the stale entries.
+    #[test]
+    fn one_plan_compile_per_version_and_precision() {
+        let (ds, w) = fixture();
+        let mut cfg = SelNetConfig::tiny();
+        cfg.epochs = 2;
+        let (mut model, _) = fit_partitioned(&ds, &w, &cfg, &tiny_pcfg());
+        let q = &w.test[0];
+        let int8 = EvalOpts {
+            precision: PlanPrecision::Int8,
+            threads: 4,
+        };
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            model.estimate(&q.x, q.thresholds[0]);
+            model.predict_many(&q.x, &q.thresholds);
+            model.predict_batch(&[&q.x, &q.x], &q.thresholds[..2]);
+            model.local_estimates(&q.x, q.thresholds[0]);
+            assert_eq!(model.plans.entries(), 1);
+        }
+        for _ in 0..2 {
+            model.estimate_into(&[(&q.x, &q.thresholds)], int8, &mut out);
+            assert_eq!(model.plans.entries(), 2);
+        }
+        assert_eq!(
+            model.clone().plans.entries(),
+            0,
+            "a clone starts uncompiled"
+        );
+        let exact = model.plan(PlanPrecision::Exact);
+        assert!(Arc::ptr_eq(&exact, &model.plan(PlanPrecision::Exact)));
+        // a parameter mutation bumps the version: next use recompiles once
+        let first = model
+            .store
+            .ids()
+            .next()
+            .expect("a trained model has parameters");
+        model.store.value_mut(first);
+        model.predict_many(&q.x, &q.thresholds);
+        assert_eq!(model.plans.entries(), 1);
+        assert!(!Arc::ptr_eq(&exact, &model.plan(PlanPrecision::Exact)));
     }
 
     #[test]

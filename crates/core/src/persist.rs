@@ -592,6 +592,13 @@ mod tests {
         let err = load_err(&bad);
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("precision"), "got: {err}");
+
+        // the retired bf16 code (1 << 32, never reused) still loads, as
+        // Exact: that mode always served f32 weights
+        let mut retired = buf.clone();
+        retired[cut..cut + 8].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        let old = PartitionedSelNet::load(&mut retired.as_slice()).unwrap();
+        assert_eq!(old.recommended_precision(), PlanPrecision::Exact);
     }
 
     #[test]

@@ -1,22 +1,132 @@
-//! Version-keyed caching of compiled inference plans.
+//! Curve plans: the compiled half of a SelNet model, the one replay body
+//! that turns it into estimates, and the version-keyed plan cache.
 //!
-//! A model caches the [`InferencePlan`](selnet_tensor::InferencePlan)s
-//! compiled from its current parameters in a [`PlanCell`], keyed by
-//! `(`[`ParamStore::version`](selnet_tensor::ParamStore::version)`,`
+//! The paper's estimator is a query-dependent piece-wise linear function
+//! (§4–§5.1): the networks map **`x` alone** to control points `(τ, p)`,
+//! and the threshold `t` enters only at the interpolation of Eq. (1) and
+//! at the partition indicator. The compiled program is split at exactly
+//! that boundary. A model compiles **one** plan per `(version,
+//! precision)`, `x [B × d] → (τ_k, p_k)` for each of its `K` curves (one
+//! for the single model, one per partition otherwise) — no threshold
+//! input, no interpolation instruction — and [`replay_curves`] applies
+//! the rest with [`selnet_tensor::pwl_interp_row`], the row body of the
+//! tape's own `pwl_interp` op. Bit-identity with the tape and
+//! monotonicity in `t` under lossy precision are structural (lowering
+//! only rewrites affine weights inside the plan; `t` never enters it) —
+//! see "The curve plan" in `ARCHITECTURE.md`.
+//!
+//! A model caches its compiled [`InferencePlan`] in a [`PlanCell`], keyed
+//! by `(`[`ParamStore::version`](selnet_tensor::ParamStore::version)`,`
 //! [`PlanPrecision`]`)`. Any mutation of the store (an optimizer step
 //! during a §5.4 retrain, a checkpoint restore) bumps the version, so the
 //! next prediction recompiles automatically — there is no invalidation
 //! call to forget — while a fleet serving the same generation at several
-//! precisions keeps one lowered plan bundle per mode alive concurrently.
+//! precisions keeps one lowered plan per mode alive concurrently.
 //! A version bump drops every precision's entry (they all baked the stale
 //! parameters). Cloning a model (the hot-swap registry's `spawn_update`
 //! path) clones an **empty** cell: plans bake parameter values, and the
 //! clone builds its own on first use.
 
-use selnet_tensor::PlanPrecision;
+use selnet_index::Partitioning;
+use selnet_tensor::{pwl_interp_row, InferencePlan, PlanBuffers, PlanPrecision};
 use std::sync::{Arc, RwLock};
 
-/// A lazily-built slot map for compiled plan bundles `T`, keyed on
+/// The one replay body: answers every `(x, ts)` query into `out` (cleared
+/// first; flat, query order) from a curve plan whose outputs are
+/// `[τ_0, p_0, τ_1, p_1, …]`.
+///
+/// The plan runs once over the queries' objects — row-chunked across up
+/// to `threads` workers by [`InferencePlan::run_chunked`], each chunk
+/// owning the output slots of its rows' thresholds — then every `(x_i,
+/// t_ij)` interpolates its row's curves. With `mask`, the estimate is the
+/// partitioned model's `Σ_k f_c(x, t)[k] · f^(k)(x, t)`: curves the
+/// indicator switches off are never interpolated and contribute the same
+/// `0.0` term the tape sums. Without it the plan has one curve, which is
+/// the estimate.
+pub(crate) fn replay_curves(
+    plan: &InferencePlan,
+    dim: usize,
+    queries: &[(&[f32], &[f32])],
+    threads: usize,
+    mask: Option<&Partitioning>,
+    out: &mut Vec<f64>,
+) {
+    let mut offsets = Vec::with_capacity(queries.len() + 1);
+    offsets.push(0usize);
+    for (x, ts) in queries {
+        assert_eq!(x.len(), dim, "query dimension mismatch");
+        offsets.push(offsets[offsets.len() - 1] + ts.len());
+    }
+    out.clear();
+    out.resize(offsets[queries.len()], 0.0);
+    let curves = plan.num_outputs() / 2;
+    plan.run_chunked(
+        &offsets,
+        threads,
+        out.as_mut_slice(),
+        |_, first_row, m| {
+            let rows = m.data_mut().chunks_exact_mut(dim);
+            for (row, (x, _)) in rows.zip(&queries[first_row..]) {
+                row.copy_from_slice(x);
+            }
+        },
+        |first_row, run, chunk| {
+            // τ is one shared row when the model was trained without
+            // query-dependent knots
+            let row_of = |output: usize, j: usize| {
+                let m = run.output(output);
+                m.row(if m.rows() == 1 { 0 } else { j })
+            };
+            let mut knots: Vec<(&[f32], &[f32])> = Vec::with_capacity(curves);
+            let mut on: Vec<bool> = Vec::with_capacity(curves);
+            let mut slot = 0;
+            let chunk_queries = &queries[first_row..first_row + run.rows()];
+            for (j, &(x, ts)) in chunk_queries.iter().enumerate() {
+                knots.clear();
+                knots.extend((0..curves).map(|k| (row_of(2 * k, j), row_of(2 * k + 1, j))));
+                for &t in ts {
+                    chunk[slot] = match mask {
+                        None => pwl_interp_row(knots[0].0, knots[0].1, t) as f64,
+                        Some(partitioning) => {
+                            partitioning.indicator_into(x, t, &mut on);
+                            knots
+                                .iter()
+                                .zip(&on)
+                                .map(|(&(tau, p), &on)| {
+                                    if on {
+                                        pwl_interp_row(tau, p, t) as f64
+                                    } else {
+                                        0.0
+                                    }
+                                })
+                                .sum()
+                        }
+                    };
+                    slot += 1;
+                }
+            }
+        },
+    );
+}
+
+/// The control points `(τ_k, p_k)` a curve plan places for one query —
+/// what the Figure 4 experiment plots and the per-partition diagnostics
+/// interpolate.
+pub(crate) fn control_points(plan: &InferencePlan, x: &[f32]) -> Vec<(Vec<f32>, Vec<f32>)> {
+    PlanBuffers::with_pooled(|bufs| {
+        let run = plan.run(bufs, 1, |_, m| m.data_mut().copy_from_slice(x));
+        (0..plan.num_outputs() / 2)
+            .map(|k| {
+                (
+                    run.output(2 * k).row(0).to_vec(),
+                    run.output(2 * k + 1).row(0).to_vec(),
+                )
+            })
+            .collect()
+    })
+}
+
+/// A lazily-built slot map for compiled plans `T`, keyed on
 /// `(version, precision)`.
 pub(crate) struct PlanCell<T> {
     slot: RwLock<Vec<(u64, PlanPrecision, Arc<T>)>>,
@@ -60,6 +170,14 @@ impl<T> PlanCell<T> {
         let plans = Arc::new(build());
         slot.push((version, precision, Arc::clone(&plans)));
         plans
+    }
+}
+
+#[cfg(test)]
+impl<T> PlanCell<T> {
+    /// Resident entries (one per compile still cached).
+    pub(crate) fn entries(&self) -> usize {
+        self.slot.read().expect("plan cell poisoned").len()
     }
 }
 

@@ -1,21 +1,31 @@
-//! Property tests pinning the **plan-vs-tape bit-identity contract** at
-//! the estimator level: for randomly drawn data seeds, partition counts,
-//! methods, and τ variants, the compiled-plan prediction paths
-//! (`predict_many`, `predict_batch`, `control_points_for`,
-//! `local_estimates`) produce exactly the bits of the reference tape
-//! implementations — before a retrain, after a §5.4 `check_and_update`
-//! retrain (plan cache invalidated by the parameter-version bump), and
-//! after a snapshot round-trip.
+//! Property tests pinning the **one evaluation path** against the
+//! untouched tape oracles: for randomly drawn data seeds, partition
+//! counts, methods and τ variants, `estimate_into` over random ragged
+//! query sets (empty grids, single thresholds, 40-point grids, repeated
+//! query objects) produces exactly the bits of `tape_predict_many` /
+//! `tape_predict_batch` and of per-query `estimate_many`, at every thread
+//! count — before a retrain, after a §5.4 `check_and_update` retrain
+//! (plan cache invalidated by the parameter-version bump), and after a
+//! snapshot round-trip. At the lossy precisions the wave is pinned
+//! against per-query evaluation at the same precision.
 
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use selnet_core::{
-    fit, fit_partitioned, PartitionConfig, PartitionedSelNet, SelNetConfig, UpdatePolicy,
+    fit, fit_partitioned, PartitionConfig, PartitionedSelNet, PlanPrecision, SelNetConfig,
+    UpdatePolicy,
 };
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
 use selnet_data::Dataset;
+use selnet_eval::{EvalOpts, SelectivityEstimator};
 use selnet_index::PartitionMethod;
 use selnet_metric::DistanceKind;
 use selnet_workload::{generate_workload, Workload, WorkloadConfig};
+
+const LOSSY: [PlanPrecision; 2] = [
+    PlanPrecision::Int8,
+    PlanPrecision::Pruned { threshold: 0.05 },
+];
 
 fn fixture(seed: u64) -> (Dataset, Workload) {
     let ds = fasttext_like(&GeneratorConfig::new(150, 4, 2, seed));
@@ -25,90 +35,121 @@ fn fixture(seed: u64) -> (Dataset, Workload) {
     (ds, w)
 }
 
-fn assert_model_paths_match(model: &PartitionedSelNet, w: &Workload, label: &str) {
-    // predict_many over every test query's grid
-    for q in w.test.iter().chain(w.valid.iter()) {
-        let plan = model.predict_many(&q.x, &q.thresholds);
-        let tape = model.tape_predict_many(&q.x, &q.thresholds);
-        assert_eq!(plan, tape, "{label}: predict_many diverged");
-        // local estimates at the last threshold: the indicator-masked sum
-        // must equal the global estimate bit for bit (the per-part values
-        // come from the same compiled plan `predict_many` just verified,
-        // and the sum replicates the tape path's arithmetic order)
-        if let Some(&t) = q.thresholds.last() {
-            let got = model.local_estimates(&q.x, t);
-            assert_eq!(got.len(), model.k(), "{label}: local_estimates arity");
-            let ind = model.partitioning().indicator(&q.x, t);
-            let expected: f64 = got
-                .iter()
-                .zip(&ind)
-                .map(|(&l, &on)| if on { l } else { 0.0 })
-                .sum();
-            let global = model.predict_many(&q.x, &[t])[0];
+/// A ragged wave over the workload's query objects: each query draws an
+/// empty grid, one threshold, its labelled ladder or a 40-point grid that
+/// starts below zero and ends past `tmax`; objects repeat.
+fn ragged_wave(w: &Workload, seed: u64) -> Vec<(Vec<f32>, Vec<f32>)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pool: Vec<_> = w.test.iter().chain(&w.valid).collect();
+    (0..24)
+        .map(|_| {
+            let q = pool[rng.gen_range(0..pool.len())];
+            let ts = match rng.gen_range(0..4) {
+                0 => Vec::new(),
+                1 => vec![rng.gen_range(0.0..w.tmax)],
+                2 => q.thresholds.clone(),
+                _ => (0..40).map(|i| w.tmax * (i as f32 / 32.0 - 0.1)).collect(),
+            };
+            (q.x.clone(), ts)
+        })
+        .collect()
+}
+
+fn wave_at<M: SelectivityEstimator>(
+    model: &M,
+    queries: &[(&[f32], &[f32])],
+    precision: PlanPrecision,
+    threads: usize,
+) -> Vec<f64> {
+    let mut out = vec![f64::NAN; 3]; // stale contents must be cleared
+    model.estimate_into(queries, EvalOpts { precision, threads }, &mut out);
+    out
+}
+
+fn assert_one_path(model: &PartitionedSelNet, w: &Workload, seed: u64, label: &str) {
+    let wave = ragged_wave(w, seed);
+    let queries: Vec<(&[f32], &[f32])> = wave
+        .iter()
+        .map(|(x, ts)| (x.as_slice(), ts.as_slice()))
+        .collect();
+    let exact = wave_at(model, &queries, PlanPrecision::Exact, 1);
+
+    // the tape oracles: one query at many thresholds, and the flattened
+    // (x, t) rows in one batch
+    let tape: Vec<f64> = queries
+        .iter()
+        .flat_map(|&(x, ts)| model.tape_predict_many(x, ts))
+        .collect();
+    assert_eq!(exact, tape, "{label}: wave vs tape_predict_many");
+    let (xs, ts): (Vec<&[f32]>, Vec<f32>) = queries
+        .iter()
+        .flat_map(|&(x, ts)| ts.iter().map(move |&t| (x, t)))
+        .unzip();
+    assert_eq!(
+        exact,
+        model.tape_predict_batch(&xs, &ts),
+        "{label}: wave vs tape_predict_batch"
+    );
+
+    // the conveniences are the same path
+    let per_query: Vec<f64> = queries
+        .iter()
+        .flat_map(|&(x, ts)| model.estimate_many(x, ts))
+        .collect();
+    assert_eq!(exact, per_query, "{label}: wave vs estimate_many");
+    assert_eq!(
+        exact,
+        model.estimate_batch(&xs, &ts),
+        "{label}: wave vs estimate_batch"
+    );
+    assert_eq!(
+        wave_at(model, &[], PlanPrecision::Exact, 4),
+        Vec::<f64>::new()
+    );
+
+    // threads never change a bit, at any precision; a lossy wave equals
+    // per-query evaluation at the same precision
+    for precision in [PlanPrecision::Exact].into_iter().chain(LOSSY) {
+        let serial = wave_at(model, &queries, precision, 1);
+        for threads in [2usize, 4, 8] {
             assert_eq!(
-                global.to_bits(),
-                expected.to_bits(),
-                "{label}: local/global sum"
+                serial,
+                wave_at(model, &queries, precision, threads),
+                "{label}: {precision} at {threads} threads"
             );
         }
+        let per_query: Vec<f64> = queries
+            .iter()
+            .flat_map(|q| wave_at(model, &[*q], precision, 1))
+            .collect();
+        assert_eq!(serial, per_query, "{label}: {precision} wave vs per query");
     }
-    // predict_batch over a flattened mixed batch
-    let mut xs: Vec<&[f32]> = Vec::new();
-    let mut ts: Vec<f32> = Vec::new();
-    for q in &w.test {
-        for &t in &q.thresholds {
-            xs.push(&q.x);
-            ts.push(t);
-        }
-    }
-    for &b in &[1usize, 3, 17, xs.len()] {
-        let b = b.min(xs.len());
-        let plan = model.predict_batch(&xs[..b], &ts[..b]);
-        let tape = model.tape_predict_batch(&xs[..b], &ts[..b]);
-        assert_eq!(plan, tape, "{label}: predict_batch diverged at b={b}");
-        // row-chunked parallel replay: bit-identical to the serial path at
-        // every thread count, including threads > rows
-        for &threads in &[1usize, 2, 4, 8] {
-            let mut threaded = Vec::new();
-            model.predict_batch_into_at_threaded(
-                &xs[..b],
-                &ts[..b],
-                selnet_tensor::PlanPrecision::Exact,
-                threads,
-                &mut threaded,
-            );
-            assert_eq!(
-                plan, threaded,
-                "{label}: chunked predict_batch diverged at b={b} threads={threads}"
-            );
-        }
-    }
-    // the many-path threaded variant against its serial twin
-    if let Some(q) = w.test.first() {
-        let serial = model.predict_many(&q.x, &q.thresholds);
-        for &threads in &[1usize, 2, 4, 8] {
-            let mut threaded = Vec::new();
-            model.predict_many_into_at_threaded(
-                &q.x,
-                &q.thresholds,
-                selnet_tensor::PlanPrecision::Exact,
-                threads,
-                &mut threaded,
-            );
-            assert_eq!(
-                serial, threaded,
-                "{label}: chunked predict_many diverged at threads={threads}"
-            );
-        }
+
+    // local estimates: the indicator-masked sum of the per-part values
+    // equals the global estimate bit for bit
+    for &(x, ts) in &queries {
+        let Some(&t) = ts.last() else { continue };
+        let locals = model.local_estimates(x, t);
+        assert_eq!(locals.len(), model.k(), "{label}: local_estimates arity");
+        let expected: f64 = locals
+            .iter()
+            .zip(model.partitioning().indicator(x, t))
+            .map(|(&l, on)| if on { l } else { 0.0 })
+            .sum();
+        assert_eq!(
+            model.estimate(x, t).to_bits(),
+            expected.to_bits(),
+            "{label}: local/global sum"
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// Partitioned model: every prediction path rides the plan and matches
-    /// the tape bit for bit — including after a retrain (version-keyed
-    /// recompile) and after a snapshot round-trip (fresh plan cell).
+    /// Partitioned model: the one hook matches the tape bit for bit —
+    /// including after a retrain (version-keyed recompile) and after a
+    /// snapshot round-trip (fresh plan cell).
     #[test]
     fn partitioned_plan_paths_are_bit_identical(
         seed in 0u64..1000,
@@ -130,21 +171,21 @@ proptest! {
         let pcfg = PartitionConfig { k, method, pretrain_epochs: 1, beta: 0.1 };
         let (mut model, _) = fit_partitioned(&ds, &w, &cfg, &pcfg);
 
-        assert_model_paths_match(&model, &w, "fresh");
+        assert_one_path(&model, &w, seed, "fresh");
 
         // §5.4 retrain mutates the store; the version bump must invalidate
         // the cached plans so post-retrain predictions still match the tape
         let policy = UpdatePolicy { mae_tolerance: -1.0, patience: 1, max_epochs: 1 };
         let decision = model.check_and_update(&ds, w.kind, &w.train, &w.valid, &policy);
         prop_assert!(decision.retrained(), "negative tolerance must retrain");
-        assert_model_paths_match(&model, &w, "after retrain");
+        assert_one_path(&model, &w, seed ^ 1, "after retrain");
 
-        // snapshot round-trip: the loaded model compiles its own plans and
+        // snapshot round-trip: the loaded model compiles its own plan and
         // must agree with the original bit for bit
         let mut buf = Vec::new();
         model.save(&mut buf).expect("save");
         let loaded = PartitionedSelNet::load(&mut buf.as_slice()).expect("load");
-        assert_model_paths_match(&loaded, &w, "after snapshot round-trip");
+        assert_one_path(&loaded, &w, seed ^ 2, "after snapshot round-trip");
         for q in &w.test {
             prop_assert_eq!(
                 loaded.predict_many(&q.x, &q.thresholds),
@@ -153,9 +194,9 @@ proptest! {
         }
     }
 
-    /// Single (non-partitioned) model: `predict_many` and
+    /// Single (non-partitioned) model: the hook, `predict_many` and
     /// `control_points_for` ride one plan and match the tape bit for bit,
-    /// for both τ normalizations.
+    /// for both τ variants.
     #[test]
     fn single_model_plan_paths_are_bit_identical(
         seed in 0u64..1000,
@@ -168,17 +209,19 @@ proptest! {
         cfg.seed = seed;
         cfg.query_dependent_tau = query_dependent == 1;
         let (model, _) = fit(&ds, &w, &cfg);
-        for q in w.test.iter().chain(w.valid.iter()) {
-            prop_assert_eq!(
-                model.predict_many(&q.x, &q.thresholds),
-                model.tape_predict_many(&q.x, &q.thresholds)
-            );
-            let (tau_p, p_p) = model.control_points_for(&q.x);
-            let (tau_t, p_t) = model.tape_control_points_for(&q.x);
-            prop_assert_eq!(tau_p, tau_t);
-            prop_assert_eq!(p_p, p_t);
-            // empty threshold grid: zero-row replay is well-defined
-            prop_assert_eq!(model.predict_many(&q.x, &[]), Vec::<f64>::new());
+        let wave = ragged_wave(&w, seed);
+        let queries: Vec<(&[f32], &[f32])> =
+            wave.iter().map(|(x, ts)| (x.as_slice(), ts.as_slice())).collect();
+        let tape: Vec<f64> = queries
+            .iter()
+            .flat_map(|&(x, ts)| model.tape_predict_many(x, ts))
+            .collect();
+        for threads in [1usize, 2, 4, 8] {
+            prop_assert_eq!(&wave_at(&model, &queries, PlanPrecision::Exact, threads), &tape);
+        }
+        for &(x, ts) in &queries {
+            prop_assert_eq!(model.predict_many(x, ts), model.tape_predict_many(x, ts));
+            prop_assert_eq!(model.control_points_for(x), model.tape_control_points_for(x));
         }
     }
 }

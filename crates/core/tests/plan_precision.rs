@@ -2,9 +2,9 @@
 //! the estimator level on fixed trained fixtures:
 //!
 //! * `Exact` is bit-identical to the default prediction paths;
-//! * `Bf16` stays within 0.5% mean absolute percentage drift of the
-//!   exact plan, `Int8` within 5%, and pruning's drift grows
-//!   monotonically-boundedly with its threshold (swept and recorded);
+//! * `Int8` stays within 5% mean absolute percentage drift of the exact
+//!   plan, and pruning's drift grows monotonically-boundedly with its
+//!   threshold (swept and recorded);
 //! * **every** precision preserves monotonicity in `t` (Lemma 1 / §4's
 //!   consistency) on the same (x, ascending-t) probes the serve binary's
 //!   `check-monotone` subcommand verifies — a lossy plan that tears
@@ -15,7 +15,7 @@ use selnet_core::{
 };
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
 use selnet_data::Dataset;
-use selnet_eval::SelectivityEstimator;
+use selnet_eval::{EvalOpts, SelectivityEstimator};
 use selnet_metric::DistanceKind;
 use selnet_workload::{generate_workload, Workload, WorkloadConfig};
 
@@ -54,10 +54,14 @@ fn predict_at(
     pool: &[(Vec<f32>, Vec<f32>)],
     precision: PlanPrecision,
 ) -> Vec<Vec<f64>> {
+    let opts = EvalOpts {
+        precision,
+        threads: 1,
+    };
     let mut out = Vec::new();
     pool.iter()
         .map(|(x, ts)| {
-            model.predict_many_into_at(x, ts, precision, &mut out);
+            model.estimate_into(&[(x, ts)], opts, &mut out);
             out.clone()
         })
         .collect()
@@ -79,9 +83,8 @@ fn mape_drift(exact: &[Vec<f64>], lossy: &[Vec<f64>]) -> f64 {
     sum / n as f64
 }
 
-/// The exact mode of the `_at` entry points is bit-identical to the
-/// default paths — the refactor changed the compiler's structure, not the
-/// exact plans it emits.
+/// `EvalOpts { precision: Exact, .. }` is bit-identical to the default
+/// paths — naming the precision changes nothing.
 #[test]
 fn exact_at_is_bit_identical_to_default_paths() {
     let (ds, _w, model) = fixture(91);
@@ -91,30 +94,22 @@ fn exact_at_is_bit_identical_to_default_paths() {
         .map(|(x, ts)| model.estimate_many(x, ts))
         .collect();
     let at = predict_at(&model, &pool, PlanPrecision::Exact);
-    assert_eq!(direct, at, "Exact _at path must be bit-identical");
+    assert_eq!(direct, at, "explicit Exact must be bit-identical");
 
-    // batch entry point too
+    // one row per query too
     let xs: Vec<&[f32]> = pool.iter().map(|(x, _)| x.as_slice()).collect();
     let ts: Vec<f32> = pool.iter().map(|(_, ts)| ts[0]).collect();
-    let mut batch_at = Vec::new();
-    model.predict_batch_into_at(&xs, &ts, PlanPrecision::Exact, &mut batch_at);
-    assert_eq!(batch_at, model.predict_batch(&xs, &ts));
+    let firsts: Vec<f64> = direct.iter().map(|row| row[0]).collect();
+    assert_eq!(firsts, model.predict_batch(&xs, &ts));
 }
 
-/// bf16 weight truncation drifts ≤ 0.5% MAPE; int8 ≤ 5% — the contract
-/// numbers documented in `crates/serve/README.md`.
+/// int8 drifts ≤ 5% MAPE — the contract number documented in
+/// `crates/serve/README.md`.
 #[test]
 fn lossy_modes_stay_within_pinned_drift_bounds() {
     let (ds, _w, model) = fixture(92);
     let pool = probes(&ds, model.tmax(), 16);
     let exact = predict_at(&model, &pool, PlanPrecision::Exact);
-
-    let bf16 = predict_at(&model, &pool, PlanPrecision::Bf16);
-    let bf16_drift = mape_drift(&exact, &bf16);
-    assert!(
-        bf16_drift <= 0.005,
-        "bf16 MAPE drift {bf16_drift:.5} exceeds the 0.5% contract"
-    );
 
     let int8 = predict_at(&model, &pool, PlanPrecision::Int8);
     let int8_drift = mape_drift(&exact, &int8);
@@ -149,9 +144,9 @@ fn pruning_threshold_sweep_is_recorded_and_bounded() {
 }
 
 /// Monotonicity in `t` (the paper's consistency guarantee) survives every
-/// precision: lowering perturbs weights, never the
-/// cumsum-of-non-negative-increments structure that makes each local
-/// estimate non-decreasing in `t`. Estimates are checked on ascending
+/// precision: lowering perturbs weights inside the curve plan, never the
+/// cumsum-of-non-negative-increments structure, and the interpolation and
+/// indicator run outside it in exact arithmetic. Estimates are checked on ascending
 /// grids, per precision, for non-decreasing order up to f64 noise —
 /// exactly what `check-monotone --expect non-decreasing` asserts over a
 /// serving connection.
@@ -161,7 +156,6 @@ fn every_precision_preserves_monotonicity_in_t() {
     let pool = probes(&ds, model.tmax(), 16);
     let modes = [
         PlanPrecision::Exact,
-        PlanPrecision::Bf16,
         PlanPrecision::Int8,
         PlanPrecision::Pruned { threshold: 0.05 },
         PlanPrecision::Pruned { threshold: 0.10 },

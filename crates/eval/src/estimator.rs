@@ -2,6 +2,28 @@
 
 use selnet_tensor::PlanPrecision;
 
+/// How a wave of queries is evaluated by
+/// [`SelectivityEstimator::estimate_into`]: the plan precision to replay
+/// at and the worker budget for row-chunked replay (`0` = the process-wide
+/// `selnet_tensor::parallel` configuration, `1` = serial).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EvalOpts {
+    /// Precision of the compiled plan to replay.
+    pub precision: PlanPrecision,
+    /// Worker threads one wave may fan its replay across.
+    pub threads: usize,
+}
+
+impl Default for EvalOpts {
+    /// Exact arithmetic on the calling thread.
+    fn default() -> Self {
+        EvalOpts {
+            precision: PlanPrecision::Exact,
+            threads: 1,
+        }
+    }
+}
+
 /// A trained selectivity estimator: answers "how many database objects are
 /// within distance `t` of `x`?" (Definition 1 of the paper).
 pub trait SelectivityEstimator {
@@ -16,107 +38,40 @@ pub trait SelectivityEstimator {
         ts.iter().map(|&t| self.estimate(x, t)).collect()
     }
 
-    /// [`SelectivityEstimator::estimate_many`] writing into a
-    /// caller-provided buffer (cleared first) — the allocation-free
-    /// variant serving loops and repeated-evaluation metrics ride.
-    /// Implementations must produce exactly the values `estimate_many`
-    /// returns.
-    fn estimate_many_into(&self, x: &[f32], ts: &[f32], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.estimate_many(x, ts));
-    }
-
     /// Estimates selectivities of many **distinct** queries at once:
-    /// query `i` is `(xs[i], ts[i])`.
-    ///
-    /// The default loops over [`SelectivityEstimator::estimate`]; batched
-    /// models (the partitioned SelNet) override this with one network
-    /// evaluation over all queries, which is what the serving engine's
-    /// request coalescing rides on.
+    /// query `i` is `(xs[i], ts[i])`. Provided on top of
+    /// [`SelectivityEstimator::estimate_into`].
     fn estimate_batch(&self, xs: &[&[f32]], ts: &[f32]) -> Vec<f64> {
         assert_eq!(xs.len(), ts.len(), "one threshold per query object");
-        xs.iter()
+        let queries: Vec<(&[f32], &[f32])> = xs
+            .iter()
             .zip(ts)
-            .map(|(x, &t)| self.estimate(x, t))
-            .collect()
+            .map(|(x, t)| (*x, std::slice::from_ref(t)))
+            .collect();
+        let mut out = Vec::with_capacity(queries.len());
+        self.estimate_into(&queries, EvalOpts::default(), &mut out);
+        out
     }
 
-    /// [`SelectivityEstimator::estimate_batch`] writing into a
-    /// caller-provided buffer (cleared first). The serving engine calls
-    /// this once per coalesced batch with a per-worker scratch `Vec`, so
-    /// steady-state batches allocate nothing on the result path.
-    /// Implementations must produce exactly the values `estimate_batch`
-    /// returns.
-    fn estimate_batch_into(&self, xs: &[&[f32]], ts: &[f32], out: &mut Vec<f64>) {
+    /// The serving hook: answers every `(x, ts)` query of a wave into
+    /// `out` (cleared first), flat in query order — query `i`'s estimates
+    /// follow query `i - 1`'s, one per threshold.
+    ///
+    /// The default ignores `opts` and loops
+    /// [`SelectivityEstimator::estimate_many`] — correct for estimators
+    /// without compiled plans (histograms, samplers, reference tapes),
+    /// which have nothing to lower or fan out. Plan-backed models override
+    /// it with one network pass over the wave's query objects; at
+    /// `EvalOpts::default()` an override must produce exactly the values
+    /// `estimate_many` returns per query, and `opts.threads` must never
+    /// change a bit (parallelism is a latency knob, never an accuracy
+    /// knob).
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], opts: EvalOpts, out: &mut Vec<f64>) {
+        let _ = opts;
         out.clear();
-        out.extend(self.estimate_batch(xs, ts));
-    }
-
-    /// [`SelectivityEstimator::estimate_many_into`] evaluated at an
-    /// explicit plan precision. The default ignores the precision and
-    /// answers exactly — correct for estimators without compiled plans
-    /// (histograms, samplers, reference tapes), which have nothing to
-    /// quantize. Plan-backed models override this to select the lowered
-    /// plan; [`PlanPrecision::Exact`] must stay bit-identical to
-    /// `estimate_many_into`.
-    fn estimate_many_into_at(
-        &self,
-        x: &[f32],
-        ts: &[f32],
-        precision: PlanPrecision,
-        out: &mut Vec<f64>,
-    ) {
-        let _ = precision;
-        self.estimate_many_into(x, ts, out);
-    }
-
-    /// [`SelectivityEstimator::estimate_batch_into`] evaluated at an
-    /// explicit plan precision; same contract as
-    /// [`SelectivityEstimator::estimate_many_into_at`].
-    fn estimate_batch_into_at(
-        &self,
-        xs: &[&[f32]],
-        ts: &[f32],
-        precision: PlanPrecision,
-        out: &mut Vec<f64>,
-    ) {
-        let _ = precision;
-        self.estimate_batch_into(xs, ts, out);
-    }
-
-    /// [`SelectivityEstimator::estimate_batch_into_at`] with a worker
-    /// budget: implementations backed by row-chunkable compiled plans may
-    /// split the batch's rows across up to `threads` threads (`0` = the
-    /// process-wide configuration, `1` = serial). The default ignores the
-    /// budget and runs serially — correct for every estimator, since
-    /// overrides **must stay bit-identical to the serial entry point at
-    /// every thread count** (parallelism here is a latency knob, never an
-    /// accuracy knob).
-    fn estimate_batch_into_at_threaded(
-        &self,
-        xs: &[&[f32]],
-        ts: &[f32],
-        precision: PlanPrecision,
-        threads: usize,
-        out: &mut Vec<f64>,
-    ) {
-        let _ = threads;
-        self.estimate_batch_into_at(xs, ts, precision, out);
-    }
-
-    /// [`SelectivityEstimator::estimate_many_into_at`] with a worker
-    /// budget; same contract as
-    /// [`SelectivityEstimator::estimate_batch_into_at_threaded`].
-    fn estimate_many_into_at_threaded(
-        &self,
-        x: &[f32],
-        ts: &[f32],
-        precision: PlanPrecision,
-        threads: usize,
-        out: &mut Vec<f64>,
-    ) {
-        let _ = threads;
-        self.estimate_many_into_at(x, ts, precision, out);
+        for &(x, ts) in queries {
+            out.extend(self.estimate_many(x, ts));
+        }
     }
 
     /// The query dimensionality this estimator accepts, when it has a
@@ -174,58 +129,12 @@ impl<T: SelectivityEstimator + ?Sized> SelectivityEstimator for Box<T> {
         (**self).estimate_many(x, ts)
     }
 
-    fn estimate_many_into(&self, x: &[f32], ts: &[f32], out: &mut Vec<f64>) {
-        (**self).estimate_many_into(x, ts, out)
-    }
-
     fn estimate_batch(&self, xs: &[&[f32]], ts: &[f32]) -> Vec<f64> {
         (**self).estimate_batch(xs, ts)
     }
 
-    fn estimate_batch_into(&self, xs: &[&[f32]], ts: &[f32], out: &mut Vec<f64>) {
-        (**self).estimate_batch_into(xs, ts, out)
-    }
-
-    fn estimate_many_into_at(
-        &self,
-        x: &[f32],
-        ts: &[f32],
-        precision: PlanPrecision,
-        out: &mut Vec<f64>,
-    ) {
-        (**self).estimate_many_into_at(x, ts, precision, out)
-    }
-
-    fn estimate_batch_into_at(
-        &self,
-        xs: &[&[f32]],
-        ts: &[f32],
-        precision: PlanPrecision,
-        out: &mut Vec<f64>,
-    ) {
-        (**self).estimate_batch_into_at(xs, ts, precision, out)
-    }
-
-    fn estimate_batch_into_at_threaded(
-        &self,
-        xs: &[&[f32]],
-        ts: &[f32],
-        precision: PlanPrecision,
-        threads: usize,
-        out: &mut Vec<f64>,
-    ) {
-        (**self).estimate_batch_into_at_threaded(xs, ts, precision, threads, out)
-    }
-
-    fn estimate_many_into_at_threaded(
-        &self,
-        x: &[f32],
-        ts: &[f32],
-        precision: PlanPrecision,
-        threads: usize,
-        out: &mut Vec<f64>,
-    ) {
-        (**self).estimate_many_into_at_threaded(x, ts, precision, threads, out)
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], opts: EvalOpts, out: &mut Vec<f64>) {
+        (**self).estimate_into(queries, opts, out)
     }
 
     fn query_dim(&self) -> Option<usize> {

@@ -381,9 +381,12 @@ impl Partitioning {
     /// (cleared first). For Euclidean partitionings this evaluates with no
     /// allocation at all, so per-row indicator checks on serving hot paths
     /// reuse one buffer across an entire batch. The ball test compares
-    /// **squared** distances (`‖x−c‖² ≤ (t_e + r + ε)²`, both sides
-    /// non-negative, so exactly the same balls match) — one fewer `sqrt`
-    /// per region on the hot path.
+    /// **squared** distances (`‖x−c‖² ≤ (t_e + r + ε)²`) — one fewer
+    /// `sqrt` per region on the hot path. Squaring is only order-preserving
+    /// while the bound is non-negative: a threshold below `−(r + ε)` (the
+    /// wire accepts any f32) reaches no ball at all, so it matches none —
+    /// without that guard its large square would switch *more* partitions
+    /// on than `t = 0` and break Lemma 1's monotonicity.
     pub fn indicator_into(&self, x: &[f32], t: f32, out: &mut Vec<bool>) {
         out.clear();
         if self.regions.is_empty() {
@@ -405,7 +408,7 @@ impl Partitioning {
         out.extend(self.regions.iter().map(|cluster| {
             cluster.iter().any(|r| {
                 let bound = te + r.radius + 1e-6;
-                vectors::squared_euclidean(q, &r.center) <= bound * bound
+                bound >= 0.0 && vectors::squared_euclidean(q, &r.center) <= bound * bound
             })
         }));
     }
@@ -646,6 +649,66 @@ mod tests {
                         assert!(ind[p.assignments()[i]]);
                     }
                 }
+            }
+        }
+    }
+
+    /// Lemma 1 from the wire: the active-partition count never drops as
+    /// the threshold rises, including over thresholds far below zero
+    /// (whose squared bound used to switch every partition on).
+    #[test]
+    fn indicator_is_monotone_from_far_below_zero() {
+        let ds = fasttext_like(&GeneratorConfig::new(600, 6, 5, 1));
+        let p = Partitioning::build(
+            &ds,
+            DistanceKind::Euclidean,
+            PartitionMethod::CoverTree { ratio: 0.05 },
+            3,
+            0,
+        );
+        let far = [40.0f32; 6];
+        let grid = [
+            -1000.0f32, -100.0, -10.0, -1.0, 0.0, 1.0, 10.0, 100.0, 1000.0,
+        ];
+        for q in [ds.row(0), ds.row(300), &far] {
+            let active: Vec<usize> = grid
+                .iter()
+                .map(|&t| p.indicator(q, t).iter().filter(|&&on| on).count())
+                .collect();
+            assert_eq!(active[0], 0, "t = -1000 reaches no ball: {active:?}");
+            assert!(active.windows(2).all(|w| w[0] <= w[1]), "{active:?}");
+            assert_eq!(*active.last().unwrap(), p.k());
+        }
+    }
+
+    /// The negative-threshold guard changes no flag for any `t ≥ 0`: the
+    /// fixed predicate agrees with the old one (kept here verbatim) on
+    /// random queries and thresholds up to `2·tmax`.
+    #[test]
+    fn indicator_is_unchanged_for_nonnegative_thresholds() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let ds = fasttext_like(&GeneratorConfig::new(500, 5, 4, 8));
+        let tmax = 6.0f32;
+        let mut rng = StdRng::seed_from_u64(11);
+        for method in [
+            PartitionMethod::CoverTree { ratio: 0.05 },
+            PartitionMethod::KMeans,
+        ] {
+            let p = Partitioning::build(&ds, DistanceKind::Euclidean, method, 3, 5);
+            for _ in 0..400 {
+                let x: Vec<f32> = (0..5).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
+                let t = rng.gen_range(0.0f32..2.0 * tmax);
+                let old: Vec<bool> = p
+                    .regions
+                    .iter()
+                    .map(|cluster| {
+                        cluster.iter().any(|r| {
+                            let bound = t + r.radius + 1e-6;
+                            vectors::squared_euclidean(&x, &r.center) <= bound * bound
+                        })
+                    })
+                    .collect();
+                assert_eq!(p.indicator(&x, t), old, "x {x:?} t {t}");
             }
         }
     }

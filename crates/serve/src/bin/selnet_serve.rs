@@ -30,7 +30,7 @@ const USAGE: &str = "usage:
                           [--epochs E] [--seed S] [--thresholds M] [--order desc|asc]
   selnet-serve serve (--snapshot SNAPSHOT | --model NAME=SNAPSHOT ...)
                      (--stdin | --addr HOST:PORT)
-                     [--precision NAME=exact|bf16|int8|pruned:T ...]
+                     [--precision NAME=exact|int8|pruned:T ...]
                      [--workers N] [--shards N] [--batch ROWS] [--cache ENTRIES]
                      [--auto-batch-min ROWS] [--queue ROWS]
                      [--slow-query-us MICROS] [--trace-buffer SPANS]
@@ -275,7 +275,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
 
     // per-tenant serving precision: repeated --precision NAME=MODE
-    // (exact | bf16 | int8 | pruned:T). Tenants without a flag fall back
+    // (exact | int8 | pruned:T). Tenants without a flag fall back
     // to the precision their snapshot recommends (v1 snapshots: exact).
     let mut precisions: Vec<(String, PlanPrecision)> = Vec::new();
     for spec in opts.get_all("precision") {

@@ -237,7 +237,6 @@ mod tests {
         let mut c = LruCache::new(8);
         let modes = [
             PlanPrecision::Exact,
-            PlanPrecision::Bf16,
             PlanPrecision::Int8,
             PlanPrecision::Pruned { threshold: 0.05 },
             PlanPrecision::Pruned { threshold: 0.10 },

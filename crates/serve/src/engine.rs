@@ -1,6 +1,6 @@
 //! The batched inference engine: a sharded request queue drained by
 //! worker threads that coalesce concurrent queries into single batched
-//! tape evaluations, routed across a multi-tenant model registry.
+//! plan replays, routed across a multi-tenant model registry.
 //!
 //! ## Request lifecycle
 //!
@@ -21,11 +21,13 @@
 //! 3. the worker groups the drained requests **per tenant**, binds each
 //!    tenant's model generation **and its
 //!    [`PlanPrecision`]** once, answers
-//!    cache hits, flattens the misses into one
-//!    [`estimate_batch_into_at`](selnet_eval::SelectivityEstimator::estimate_batch_into_at)
-//!    call over that tenant's compiled (and precision-lowered) inference
-//!    plan, writing into per-worker scratch buffers, scatters the rows
-//!    back per request, fills the LRU cache (keyed by tenant id +
+//!    cache hits, hands the misses — un-expanded, one `(x, ts)` per
+//!    request — to one
+//!    [`estimate_into`](selnet_eval::SelectivityEstimator::estimate_into)
+//!    call over that tenant's compiled (and precision-lowered) curve
+//!    plan (a request costs one network row however many thresholds it
+//!    carries), writing into a per-worker scratch buffer, scatters the
+//!    estimates back per request, fills the LRU cache (keyed by tenant id +
 //!    generation + precision), and replies; latency samples land in both
 //!    the fleet record and the tenant's own record under one lock per
 //!    batch.
@@ -34,7 +36,8 @@
 //! and the TCP/stdin connection loops) additionally get a **same-thread
 //! fast path**: when every queue is idle there is nothing to coalesce
 //! with, so the submitting thread binds a generation and evaluates the
-//! single request itself. Blocking callers are also never shed — when
+//! single request itself, through the same `estimate_into` hook. Blocking
+//! callers are also never shed — when
 //! the queues are saturated they evaluate inline as well, which *is*
 //! backpressure (one in-flight request per caller); only the pipelined
 //! [`Engine::submit`] path sheds.
@@ -52,7 +55,7 @@
 use crate::cache::{CacheShardStats, LruCache, QueryKey};
 use crate::registry::{ModelRegistry, Tenant};
 use crate::stats::{ServeStats, StatsSnapshot};
-use selnet_eval::SelectivityEstimator;
+use selnet_eval::{EvalOpts, SelectivityEstimator};
 use selnet_obs::{expo, next_trace_id, MetricsRegistry, SlowQuery, Span, SpanRecorder};
 use selnet_tensor::PlanPrecision;
 use std::collections::VecDeque;
@@ -306,8 +309,8 @@ pub struct EngineConfig {
     /// coalesced batch (`1` = serial replay, the default; `0` = the
     /// tensor dispatcher's configured thread count; `n > 1` = up to `n`
     /// threads). When a worker drains a large batch it fans the compiled
-    /// plan's replay across idle cores via
-    /// `estimate_batch_into_at_threaded`; the model's FLOP-derived
+    /// plan's replay across idle cores via `EvalOpts::threads`; the
+    /// model's FLOP-derived
     /// engagement threshold keeps small batches serial, and answers are
     /// bit-identical at every setting. Worth raising when workers are few
     /// and cores are many; with one engine worker per core, leave at 1.
@@ -365,12 +368,10 @@ fn auto_batch_cap(ewma_rows: f64, min: usize, max: usize) -> usize {
     (ewma_rows.round() as usize).clamp(min.min(max), max)
 }
 
-/// Per-worker scratch reused across batches: the flattened threshold
-/// column, the batched-evaluation output, and the latency samples — none
-/// of them re-allocate once warm.
+/// Per-worker scratch reused across batches: the wave's flat estimates
+/// and the latency samples — neither re-allocates once warm.
 #[derive(Default)]
 struct BatchScratch {
-    ts: Vec<f32>,
     flat: Vec<f64>,
     served: Vec<(u64, u64)>,
 }
@@ -786,7 +787,7 @@ where
             }
         }
         let mut values = Vec::new();
-        model.estimate_many_into_at(x, ts, precision, &mut values);
+        model.estimate_into(&[(x, ts)], self.eval_opts(precision), &mut values);
         if let Some(key) = key {
             self.caches[self.cache_shard(&key)]
                 .lock()
@@ -1192,6 +1193,16 @@ where
         Some(batch)
     }
 
+    /// How both evaluation sites ([`Engine::serve_inline`] and
+    /// [`Engine::serve_tenant_batch`]) call the model: the tenant's bound
+    /// precision, the engine's replay-thread budget.
+    fn eval_opts(&self, precision: PlanPrecision) -> EvalOpts {
+        EvalOpts {
+            precision,
+            threads: self.replay_threads,
+        }
+    }
+
     fn cache_shard(&self, key: &QueryKey) -> usize {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
@@ -1221,8 +1232,8 @@ where
     /// Answers one tenant's share of a batch from **one** generation of
     /// that tenant's model, lowered to **one** bound precision: cache
     /// hits first (skipped wholesale when caching is disabled), then a
-    /// single coalesced `estimate_batch_into_at` over every remaining
-    /// `(x, t)` row, written into the worker's reusable scratch.
+    /// single coalesced `estimate_into` over every remaining request,
+    /// written into the worker's reusable scratch.
     fn serve_tenant_batch(
         &self,
         tenant: &Arc<Tenant<M>>,
@@ -1287,26 +1298,16 @@ where
         }
         let total_rows: usize = pending.iter().map(|(r, _)| r.ts.len()).sum();
         coalesce.set_detail(pending.len() as u64, total_rows as u64);
-        let mut xs: Vec<&[f32]> = Vec::with_capacity(total_rows);
-        scratch.ts.clear();
-        for (req, _) in &pending {
-            for &t in &req.ts {
-                xs.push(&req.x);
-                scratch.ts.push(t);
-            }
-        }
         {
+            let queries: Vec<(&[f32], &[f32])> = pending
+                .iter()
+                .map(|(req, _)| (req.x.as_slice(), req.ts.as_slice()))
+                .collect();
             let _replay = self
                 .recorder
                 .span("plan_replay", 0)
                 .detail(total_rows as u64, generation);
-            model.estimate_batch_into_at_threaded(
-                &xs,
-                &scratch.ts,
-                precision,
-                self.replay_threads,
-                &mut scratch.flat,
-            );
+            model.estimate_into(&queries, self.eval_opts(precision), &mut scratch.flat);
         }
         self.stats.record_batch(total_rows as u64);
         tenant.stats().record_batch(total_rows as u64);
@@ -1958,7 +1959,7 @@ mod tests {
         assert!(eng.stats().snapshot().cache_hits > hits_before);
         // flip the serving precision: the same query must be recomputed,
         // not replayed from the exact-mode entry
-        tenant.set_precision(PlanPrecision::Bf16);
+        tenant.set_precision(PlanPrecision::Int8);
         let hits_flip = eng.stats().snapshot().cache_hits;
         let _ = eng.estimate_many(&[0.5], &[1.0]);
         assert_eq!(

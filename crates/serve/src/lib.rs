@@ -15,9 +15,9 @@
 //!   requests;
 //! * [`engine`] — a sharded, multi-threaded request queue that resolves
 //!   each [`Request`] to its tenant up front, coalesces
-//!   concurrent `(x, t)` queries into **batched** tape evaluations
-//!   (grouped per tenant; `estimate_batch` is bit-identical to per-query
-//!   evaluation), keeps a small per-shard LRU [`cache`] keyed by tenant
+//!   concurrent queries into **batched** plan replays (grouped per
+//!   tenant, one `estimate_into` call per group, bit-identical to
+//!   per-query evaluation), keeps a small per-shard LRU [`cache`] keyed by tenant
 //!   and generation, and **sheds load** with
 //!   [`SubmitError::Overloaded`] when
 //!   its bounded queues saturate;

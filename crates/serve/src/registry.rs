@@ -489,10 +489,10 @@ mod tests {
             "tenants are independent"
         );
         // publish_with_precision swaps both model and mode
-        let generation = beta.publish_with_precision(3, PlanPrecision::Bf16);
+        let generation = beta.publish_with_precision(3, PlanPrecision::Int8);
         assert_eq!(generation, 1);
         assert_eq!(*beta.current().1, 3);
-        assert_eq!(beta.precision(), PlanPrecision::Bf16);
+        assert_eq!(beta.precision(), PlanPrecision::Int8);
         // a plain publish leaves the mode alone
         alpha.publish(4);
         assert_eq!(alpha.precision(), PlanPrecision::Int8);
@@ -562,7 +562,7 @@ mod tests {
     fn poisoned_precision_lock_recovers() {
         let reg = Arc::new(ModelRegistry::new(1u32));
         let tenant = reg.default_tenant().unwrap();
-        tenant.set_precision(PlanPrecision::Bf16);
+        tenant.set_precision(PlanPrecision::Int8);
         let t2 = Arc::clone(&tenant);
         let _ = std::thread::spawn(move || {
             let _guard = t2.precision.write().unwrap();
@@ -571,12 +571,15 @@ mod tests {
         .join();
         // the critical section is a single store, so a poisoned lock
         // still holds the last fully-written mode
-        assert_eq!(tenant.precision(), PlanPrecision::Bf16);
-        assert_eq!(
-            tenant.set_precision(PlanPrecision::Int8),
-            PlanPrecision::Bf16
-        );
         assert_eq!(tenant.precision(), PlanPrecision::Int8);
+        assert_eq!(
+            tenant.set_precision(PlanPrecision::Pruned { threshold: 0.05 }),
+            PlanPrecision::Int8
+        );
+        assert_eq!(
+            tenant.precision(),
+            PlanPrecision::Pruned { threshold: 0.05 }
+        );
         // and the composite publish path works on the recovered lock
         let generation = tenant.publish_with_precision(2, PlanPrecision::Exact);
         assert_eq!(generation, 1);

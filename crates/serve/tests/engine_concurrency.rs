@@ -384,3 +384,63 @@ fn background_update_publishes_without_blocking_serving() {
     let _ = before;
     engine.shutdown();
 }
+
+/// The engine evaluates a model at two sites, both through the one
+/// `estimate_into` hook on un-expanded requests: a multi-threshold request
+/// answered by a worker (pipelined `submit`, coalesced with its
+/// neighbours) equals the same request answered inline (blocking caller
+/// on an idle engine), bit for bit — and both equal the tape oracle.
+#[test]
+fn worker_and_inline_answers_are_bit_identical() {
+    let (ds, _, model) = fixture(95, 2);
+    let tmax = model.tmax();
+    let pool: Vec<(Vec<f32>, Vec<f32>)> = (0..12)
+        .map(|i| {
+            let ts = (0..40).map(|j| tmax * (j as f32 / 32.0 - 0.1)).collect();
+            (ds.row(i * 7).to_vec(), ts)
+        })
+        .collect();
+    let tape: Vec<Vec<f64>> = pool
+        .iter()
+        .map(|(x, ts)| model.tape_predict_many(x, ts))
+        .collect();
+    let engine = Engine::start(
+        Arc::new(ModelRegistry::new(model)),
+        &EngineConfig {
+            workers: 2,
+            // no reply cache: both paths must evaluate
+            cache_entries: 0,
+            max_batch_rows: 256,
+            ..Default::default()
+        },
+    );
+    let inline: Vec<Vec<f64>> = pool
+        .iter()
+        .map(|(x, ts)| engine.estimate_many(x, ts))
+        .collect();
+    let stats = engine.stats_snapshot();
+    assert_eq!(
+        stats.inline_requests,
+        pool.len() as u64,
+        "idle engine serves inline"
+    );
+    let handles: Vec<_> = pool
+        .iter()
+        .map(|(x, ts)| {
+            engine
+                .submit(Request::new(x.clone()).thresholds(ts.clone()))
+                .expect("engine running")
+        })
+        .collect();
+    let queued: Vec<Vec<f64>> = handles
+        .into_iter()
+        .map(|h| h.wait().expect("served"))
+        .collect();
+    assert!(
+        engine.stats_snapshot().batches > stats.batches,
+        "workers served the burst"
+    );
+    assert_eq!(queued, inline);
+    assert_eq!(queued, tape);
+    engine.shutdown();
+}

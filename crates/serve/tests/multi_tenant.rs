@@ -9,7 +9,7 @@ use selnet_core::{
 };
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
 use selnet_data::Dataset;
-use selnet_eval::SelectivityEstimator;
+use selnet_eval::{EvalOpts, SelectivityEstimator};
 use selnet_metric::DistanceKind;
 use selnet_serve::engine::{Engine, EngineConfig, Request};
 use selnet_serve::registry::ModelRegistry;
@@ -381,11 +381,15 @@ fn mixed_precision_fleet_serves_each_tenant_at_its_own_mode() {
         .iter()
         .map(|(x, ts)| model_a.estimate_many(x, ts))
         .collect();
+    let int8 = EvalOpts {
+        precision: PlanPrecision::Int8,
+        threads: 1,
+    };
     let int8_answers = |m: &PartitionedSelNet| -> Vec<Vec<f64>> {
         let mut out = Vec::new();
         pool.iter()
             .map(|(x, ts)| {
-                m.predict_many_into_at(x, ts, PlanPrecision::Int8, &mut out);
+                m.estimate_into(&[(x, ts)], int8, &mut out);
                 out.clone()
             })
             .collect()

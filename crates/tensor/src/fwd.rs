@@ -172,10 +172,50 @@ pub(crate) fn norml2(a: &Matrix, eps: f32, out: &mut Matrix) {
     }
 }
 
-/// Piece-wise linear interpolation of Eq. (1). `tau` / `p` broadcast from
-/// one row when they have a single row. When `seg` is provided (the tape's
-/// backward sweep replays it), the per-row segment choice is recorded:
-/// `-1` below range, `-2` at/above range, else the segment index.
+/// Eq. (1) for one row: the value of the piece-wise linear curve through
+/// `(tau[i], p[i])` at `t`, plus the segment choice the tape's backward
+/// sweep replays (`-1` below range, `-2` at/above range, else the segment
+/// index). `tau` is non-decreasing with at least two knots.
+#[inline]
+fn pwl_row(tau: &[f32], p: &[f32], t: f32) -> (f32, i64) {
+    let m = tau.len();
+    if t < tau[0] {
+        return (p[0], -1);
+    }
+    if t >= tau[m - 1] {
+        return (p[m - 1], -2);
+    }
+    // binary search for the segment i with tau[i] <= t < tau[i+1]
+    let mut lo = 0usize;
+    let mut hi = m - 1;
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        if tau[mid] <= t {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    let denom = (tau[lo + 1] - tau[lo]).max(1e-12);
+    let alpha = (t - tau[lo]) / denom;
+    (p[lo] + alpha * (p[lo + 1] - p[lo]), lo as i64)
+}
+
+/// The paper's estimator head, Eq. (1), for one query: interpolates the
+/// control points `(tau, p)` at threshold `t`, clamping to `p[0]` below
+/// `tau[0]` and to the last ordinate at or above the last knot. This is
+/// the row body of the tape's `pwl_interp` op, exported so serving code
+/// that holds a query's control points applies the *same* arithmetic to
+/// any threshold — bit-identity with the tape is by construction.
+#[inline]
+pub fn pwl_interp_row(tau: &[f32], p: &[f32], t: f32) -> f32 {
+    pwl_row(tau, p, t).0
+}
+
+/// Piece-wise linear interpolation of Eq. (1) over a column of
+/// thresholds. `tau` / `p` broadcast from one row when they have a single
+/// row. When `seg` is provided (the tape's backward sweep replays it), the
+/// per-row segment choice of [`pwl_row`] is recorded.
 pub(crate) fn pwl_interp(
     tau: &Matrix,
     p: &Matrix,
@@ -184,46 +224,18 @@ pub(crate) fn pwl_interp(
     mut seg: Option<&mut Vec<i64>>,
 ) {
     let rows = t.rows();
-    let m = tau.cols();
     if let Some(seg) = seg.as_deref_mut() {
         seg.clear();
         seg.resize(rows, 0);
     }
-    // index-driven on purpose: three parallel row-broadcast matrices
-    #[allow(clippy::needless_range_loop)]
     for r in 0..rows {
-        let tr = t.get(r, 0);
         let taur = tau.row(if tau.rows() == 1 { 0 } else { r });
         let pr = p.row(if p.rows() == 1 { 0 } else { r });
-        if tr < taur[0] {
-            if let Some(seg) = seg.as_deref_mut() {
-                seg[r] = -1;
-            }
-            out.set(r, 0, pr[0]);
-        } else if tr >= taur[m - 1] {
-            if let Some(seg) = seg.as_deref_mut() {
-                seg[r] = -2;
-            }
-            out.set(r, 0, pr[m - 1]);
-        } else {
-            // binary search for the segment i with taur[i] <= tr < taur[i+1]
-            let mut lo = 0usize;
-            let mut hi = m - 1;
-            while hi - lo > 1 {
-                let mid = (lo + hi) / 2;
-                if taur[mid] <= tr {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            let denom = (taur[lo + 1] - taur[lo]).max(1e-12);
-            let alpha = (tr - taur[lo]) / denom;
-            if let Some(seg) = seg.as_deref_mut() {
-                seg[r] = lo as i64;
-            }
-            out.set(r, 0, pr[lo] + alpha * (pr[lo + 1] - pr[lo]));
+        let (y, s) = pwl_row(taur, pr, t.get(r, 0));
+        if let Some(seg) = seg.as_deref_mut() {
+            seg[r] = s;
         }
+        out.set(r, 0, y);
     }
 }
 

@@ -34,9 +34,9 @@
 //! forward pass (both execute the same shared kernels). See the
 //! [`InferencePlan`] docs for the compile/replay lifecycle. Compilation
 //! is a pass pipeline, and [`InferencePlan::compile_with`] selects a
-//! [`PlanPrecision`] lowering — bf16 weight truncation, per-channel int8
-//! quantization, or magnitude pruning — trading pinned, tested accuracy
-//! drift for arithmetic savings on the serving path.
+//! [`PlanPrecision`] lowering — per-channel int8 quantization or
+//! magnitude pruning — trading pinned, tested accuracy drift for
+//! arithmetic savings on the serving path.
 //!
 //! ## Kernels and threading
 //!
@@ -92,6 +92,7 @@ pub mod layers;
 pub mod optim;
 pub mod parallel;
 
+pub use fwd::pwl_interp_row;
 pub use graph::{Graph, ParamId, Var};
 pub use layers::{Activation, Linear, Mlp};
 pub use matrix::Matrix;

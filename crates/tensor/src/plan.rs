@@ -34,8 +34,8 @@
 //! `matmul → add_row_vec → activation` chains; **buffer assignment**
 //! resolves node ids to dense arena slots; and finally the
 //! **precision-lowering** passes rewrite baked weights according to a
-//! [`PlanPrecision`] — bf16 truncation, fused int8 per-channel
-//! quantization, or magnitude pruning into CSR sparse instructions.
+//! [`PlanPrecision`] — fused int8 per-channel quantization or magnitude
+//! pruning into CSR sparse instructions.
 //! `PlanPrecision::Exact` skips the lossy passes entirely, so it is
 //! bit-identical to the tape by construction; the lossy modes keep the
 //! paper's §4 monotonicity-in-`t` guarantee structurally (the perturbed
@@ -93,10 +93,6 @@ pub enum PlanPrecision {
     /// Full f32 — bit-identical to the tape forward pass.
     #[default]
     Exact,
-    /// Baked affine / block-linear weights truncated to bfloat16 (the 8
-    /// exponent bits survive, the low 16 mantissa bits are dropped),
-    /// widened back to f32 so the replay kernels are unchanged.
-    Bf16,
     /// Symmetric int8 per-channel quantization of baked affine weights
     /// (one scale per output channel, `scale_j = max_i |w[i][j]| / 127`)
     /// with f32 accumulation, executed by a fused dot-product kernel.
@@ -114,23 +110,26 @@ pub enum PlanPrecision {
 impl PlanPrecision {
     /// A canonical 64-bit code: the variant tag in the high 32 bits, the
     /// pruning threshold's f32 bit pattern in the low 32. Stable across
-    /// runs and processes — the form cache keys and snapshots store.
+    /// runs and processes — the form cache keys and snapshots store. Tag
+    /// `1` belonged to the deleted `bf16` mode and is retired, never
+    /// reused.
     pub fn code(self) -> u64 {
         match self {
             PlanPrecision::Exact => 0,
-            PlanPrecision::Bf16 => 1 << 32,
             PlanPrecision::Int8 => 2 << 32,
             PlanPrecision::Pruned { threshold } => (3 << 32) | u64::from(threshold.to_bits()),
         }
     }
 
     /// Inverse of [`PlanPrecision::code`]; `None` for codes no variant
-    /// produces (e.g. read from a corrupt snapshot).
+    /// produces (e.g. read from a corrupt snapshot). The retired `bf16`
+    /// code `1 << 32` reads back as `Exact`: that mode stored and streamed
+    /// f32 weights, so exact replay is what an old snapshot asking for it
+    /// gets.
     pub fn from_code(code: u64) -> Option<PlanPrecision> {
         let low = (code & 0xFFFF_FFFF) as u32;
         match (code >> 32, low) {
-            (0, 0) => Some(PlanPrecision::Exact),
-            (1, 0) => Some(PlanPrecision::Bf16),
+            (0, 0) | (1, 0) => Some(PlanPrecision::Exact),
             (2, 0) => Some(PlanPrecision::Int8),
             (3, bits) => Some(PlanPrecision::Pruned {
                 threshold: f32::from_bits(bits),
@@ -156,11 +155,10 @@ impl std::hash::Hash for PlanPrecision {
 
 impl std::fmt::Display for PlanPrecision {
     /// Renders the token [`std::str::FromStr`] parses back: `exact`,
-    /// `bf16`, `int8`, or `pruned:<threshold>`.
+    /// `int8`, or `pruned:<threshold>`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlanPrecision::Exact => write!(f, "exact"),
-            PlanPrecision::Bf16 => write!(f, "bf16"),
             PlanPrecision::Int8 => write!(f, "int8"),
             PlanPrecision::Pruned { threshold } => write!(f, "pruned:{threshold}"),
         }
@@ -173,7 +171,6 @@ impl std::str::FromStr for PlanPrecision {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "exact" => Ok(PlanPrecision::Exact),
-            "bf16" => Ok(PlanPrecision::Bf16),
             "int8" => Ok(PlanPrecision::Int8),
             other => match other.strip_prefix("pruned:") {
                 Some(t) => {
@@ -186,7 +183,7 @@ impl std::str::FromStr for PlanPrecision {
                     Ok(PlanPrecision::Pruned { threshold })
                 }
                 None => Err(format!(
-                    "unknown precision {other:?} (expected exact|bf16|int8|pruned:THRESHOLD)"
+                    "unknown precision {other:?} (expected exact|int8|pruned:THRESHOLD)"
                 )),
             },
         }
@@ -863,9 +860,16 @@ impl PlanBuffers {
 pub struct PlanOutputs<'a> {
     plan: &'a InferencePlan,
     bufs: &'a PlanBuffers,
+    rows: usize,
 }
 
 impl PlanOutputs<'_> {
+    /// The batch row count this replay ran at (a chunk's rows under
+    /// [`InferencePlan::run_chunked`]).
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
     /// The `i`-th output matrix (same order as the `outputs` slice given
     /// to [`InferencePlan::compile`]).
     pub fn output(&self, i: usize) -> &Matrix {
@@ -1070,7 +1074,11 @@ impl InferencePlan {
         for instr in &self.instrs {
             self.exec(instr, &mut bufs.bufs, rows);
         }
-        PlanOutputs { plan: self, bufs }
+        PlanOutputs {
+            plan: self,
+            bufs,
+            rows,
+        }
     }
 
     /// Whether this plan's replay may be split into batch-row chunks: no
@@ -1118,15 +1126,18 @@ impl InferencePlan {
     /// recomputed per chunk from identical inputs — redundant arithmetic,
     /// identical bits.
     ///
-    /// * `out` — one slot per batch row (`out.len() == rows`); each chunk
-    ///   writes its disjoint sub-slice.
+    /// * `offsets` — `rows + 1` non-decreasing prefix offsets into `out`:
+    ///   batch row `r` owns `out[offsets[r]..offsets[r + 1]]` (a query row
+    ///   owns one slot per threshold; `0..=rows` gives one slot per row).
+    ///   Each chunk writes the disjoint sub-slice of its rows.
     /// * `fill(input, first_row, m)` — like [`InferencePlan::run`]'s fill
     ///   but with the chunk's first global row, so batch-scaled inputs
     ///   copy rows `first_row..first_row + m.rows()`; fixed inputs must
     ///   ignore `first_row` and fill identically for every chunk.
     /// * `consume(first_row, outputs, chunk)` — scatter the chunk's
     ///   replay outputs (row `j` of a batch output is global row
-    ///   `first_row + j`) into `chunk`.
+    ///   `first_row + j`) into `chunk`, which starts at
+    ///   `offsets[first_row]`.
     ///
     /// With one engaged thread this *is* the serial path:
     /// [`PlanBuffers::with_pooled`] arena, one `run`, one consume — the
@@ -1136,7 +1147,7 @@ impl InferencePlan {
     /// at wave end and thread-local arenas would never be reused.
     pub fn run_chunked<O, Fill, Consume>(
         &self,
-        rows: usize,
+        offsets: &[usize],
         threads: usize,
         out: &mut [O],
         fill: Fill,
@@ -1146,10 +1157,15 @@ impl InferencePlan {
         Fill: Fn(usize, usize, &mut Matrix) + Sync,
         Consume: Fn(usize, PlanOutputs<'_>, &mut [O]) + Sync,
     {
-        assert_eq!(out.len(), rows, "run_chunked: one out slot per row");
+        let rows = offsets.len().saturating_sub(1);
         if rows == 0 {
             return;
         }
+        assert_eq!(
+            out.len(),
+            offsets[rows] - offsets[0],
+            "run_chunked: out must span the rows' offsets"
+        );
         let engaged = self.replay_threads(rows, threads);
         let ranges = crate::parallel::chunk_ranges(rows, engaged, 1);
         if ranges.len() <= 1 {
@@ -1162,7 +1178,7 @@ impl InferencePlan {
         std::thread::scope(|scope| {
             let mut rest = out;
             for &(start, end) in &ranges {
-                let (head, tail) = rest.split_at_mut(end - start);
+                let (head, tail) = rest.split_at_mut(offsets[end] - offsets[start]);
                 rest = tail;
                 let (fill, consume) = (&fill, &consume);
                 scope.spawn(move || {
@@ -1815,52 +1831,8 @@ fn pass_cost(
 fn pass_precision(plan: &mut InferencePlan) {
     match plan.precision {
         PlanPrecision::Exact => {}
-        PlanPrecision::Bf16 => pass_bf16(plan),
         PlanPrecision::Int8 => pass_int8(plan),
         PlanPrecision::Pruned { threshold } => pass_pruned(plan, threshold),
-    }
-}
-
-/// Rounds an f32 to the nearest bf16-representable value (round to
-/// nearest, ties to even — the IEEE conversion). Plain truncation would
-/// bias every weight toward zero, and that bias accumulates through the
-/// models' prefix sums; RNE keeps the per-weight error unbiased and half
-/// the truncation ulp.
-fn bf16_round(v: f32) -> f32 {
-    let bits = v.to_bits();
-    let rounded = bits.wrapping_add(0x7FFF + ((bits >> 16) & 1));
-    f32::from_bits(rounded & 0xFFFF_0000)
-}
-
-/// bf16 pass: rounds every baked *weight* matrix (affine and
-/// block-linear) to bf16 via [`bf16_round`], leaving biases at full
-/// precision (they are added once per output, not multiplied `in` times,
-/// so shrinking them buys nothing and costs accuracy). A weight shared by
-/// several instructions is rounded once.
-fn pass_bf16(plan: &mut InferencePlan) {
-    let mut truncated: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-    let consts = &mut plan.consts;
-    let mut relink = |c: u32, consts: &mut Vec<Matrix>| -> u32 {
-        *truncated.entry(c).or_insert_with(|| {
-            let mut m = consts[c as usize].clone();
-            for v in m.data_mut() {
-                *v = bf16_round(*v);
-            }
-            consts.push(m);
-            (consts.len() - 1) as u32
-        })
-    };
-    for instr in &mut plan.instrs {
-        match instr {
-            Instr::Affine {
-                w: Arg::Const(c), ..
-            } => *c = relink(*c, consts),
-            Instr::BlockLinear {
-                weight: Arg::Const(c),
-                ..
-            } => *c = relink(*c, consts),
-            _ => {}
-        }
     }
 }
 
@@ -2302,7 +2274,6 @@ mod tests {
     fn precision_round_trips() {
         let modes = [
             PlanPrecision::Exact,
-            PlanPrecision::Bf16,
             PlanPrecision::Int8,
             PlanPrecision::Pruned { threshold: 0.25 },
         ];
@@ -2312,6 +2283,13 @@ mod tests {
         }
         assert_eq!(PlanPrecision::default(), PlanPrecision::Exact);
         assert!("fp64".parse::<PlanPrecision>().is_err());
+        // the deleted bf16 mode: its token is gone, its retired code
+        // reads back as Exact
+        assert!("bf16".parse::<PlanPrecision>().is_err());
+        assert_eq!(
+            PlanPrecision::from_code(1 << 32),
+            Some(PlanPrecision::Exact)
+        );
         assert!("pruned:1.5".parse::<PlanPrecision>().is_err());
         assert!("pruned:x".parse::<PlanPrecision>().is_err());
         assert!(PlanPrecision::from_code(99 << 32).is_none());
@@ -2366,39 +2344,6 @@ mod tests {
         assert_eq!(exact.num_quantized() + exact.num_sparse(), 0);
         let x = Matrix::from_fn(9, 6, |i, j| ((i * 6 + j) as f32).sin());
         assert_eq!(run_plan(&base, &x), run_plan(&exact, &x));
-    }
-
-    /// The bf16 pass truncates weight mantissas (every surviving weight
-    /// value has a clean low half) while replay stays close to exact.
-    #[test]
-    fn bf16_pass_truncates_weights_only() {
-        let (g, xv, y) = mlp_fixture();
-        let exact = InferencePlan::compile(&g, &[(xv, true)], &[y]).unwrap();
-        let bf16 =
-            InferencePlan::compile_with(&g, &[(xv, true)], &[y], PlanPrecision::Bf16).unwrap();
-        assert_eq!(bf16.precision(), PlanPrecision::Bf16);
-        // the relinked weight consts are bf16-clean
-        let mut saw_truncated = false;
-        for instr in &bf16.instrs {
-            if let Instr::Affine {
-                w: Arg::Const(c), ..
-            } = instr
-            {
-                for v in bf16.consts[*c as usize].data() {
-                    assert_eq!(v.to_bits() & 0xFFFF, 0, "weight not truncated to bf16");
-                }
-                saw_truncated = true;
-            }
-        }
-        assert!(saw_truncated, "fixture must bake affine weights");
-        let x = Matrix::from_fn(9, 6, |i, j| ((i * 6 + j) as f32).cos());
-        let (e, b) = (run_plan(&exact, &x), run_plan(&bf16, &x));
-        for (ev, bv) in e.iter().zip(&b) {
-            assert!(
-                (ev - bv).abs() <= 0.01 * ev.abs().max(1.0),
-                "bf16 drifted: {ev} vs {bv}"
-            );
-        }
     }
 
     /// The int8 pass lowers every baked affine to `QuantAffine`, reports

@@ -238,10 +238,19 @@ proptest! {
                 });
                 out.output(0).data().to_vec()
             };
+            // ragged ownership: row r owns 1 + r % 3 output slots (a query
+            // row owns one slot per threshold), each holding the row's value
+            let mut offsets = vec![0usize];
+            for r in 0..rows {
+                offsets.push(offsets[r] + 1 + r % 3);
+            }
+            let want: Vec<f32> = (0..rows)
+                .flat_map(|r| std::iter::repeat_n(reference[r], 1 + r % 3))
+                .collect();
             for threads in [1usize, 2, 4, 8] {
-                let mut got = vec![0.0f32; rows];
+                let mut got = vec![0.0f32; want.len()];
                 plan.run_chunked(
-                    rows,
+                    &offsets,
                     threads,
                     &mut got,
                     |k, first_row, m| match k {
@@ -255,10 +264,16 @@ proptest! {
                             m.data_mut().copy_from_slice(&ts[first_row..first_row + take]);
                         }
                     },
-                    |_, run, chunk| chunk.copy_from_slice(run.output(0).data()),
+                    |first_row, run, chunk| {
+                        let base = offsets[first_row];
+                        for (j, &v) in run.output(0).data().iter().enumerate() {
+                            let r = first_row + j;
+                            chunk[offsets[r] - base..offsets[r + 1] - base].fill(v);
+                        }
+                    },
                 );
                 prop_assert_eq!(
-                    &got, &reference,
+                    &got, &want,
                     "rows {} threads {} diverged", rows, threads
                 );
             }
@@ -296,7 +311,7 @@ proptest! {
             // a scalar: consume sees the whole (single) chunk
             let mut got = vec![f32::NAN; rows];
             plan.run_chunked(
-                rows,
+                &(0..=rows).collect::<Vec<_>>(),
                 8,
                 &mut got,
                 |_, first_row, m| {

@@ -48,7 +48,10 @@ fn one_batch_fit_partitioned_is_monotone() {
     // even for an undertrained model.
     let q = ds.row(0);
     let tmax = model.tmax();
-    let ts: Vec<f32> = (0..=32).map(|i| i as f32 / 32.0 * tmax * 1.1).collect();
+    // the grid starts far below zero: the wire accepts any threshold
+    let ts: Vec<f32> = (0..=32)
+        .map(|i| (i as f32 / 32.0 * 11.1 - 10.0) * tmax)
+        .collect();
     let preds = model.estimate_many(q, &ts);
     assert!(preds.iter().all(|p| p.is_finite() && *p >= 0.0));
     for pair in preds.windows(2) {
