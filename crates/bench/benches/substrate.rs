@@ -1,8 +1,9 @@
 //! Microbenchmarks of the substrates: tensor matmul (naive reference vs
 //! blocked vs blocked+threads), the tape itself (fresh graph per step vs
-//! arena reuse — the allocation-sensitive benchmark), cover-tree
-//! construction and range counting, PWL head evaluation, workload
-//! ground-truth labeling, and one end-to-end training epoch.
+//! arena reuse — the allocation-sensitive benchmark), the distance layer
+//! (pair kernel against the 16-lane block kernel, in cache and streamed),
+//! cover-tree construction and range counting, PWL head evaluation,
+//! workload ground-truth labeling, and one end-to-end training epoch.
 //!
 //! With `SELNET_BENCH_RECORD=1` the run re-times the key kernels with a
 //! plain `Instant` loop and rewrites `BENCH_substrate.json` at the repo
@@ -13,6 +14,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use selnet_core::PiecewiseLinear;
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
 use selnet_index::CoverTree;
+use selnet_metric::vectors::{squared_euclidean, LaneBlocks, LANES};
 use selnet_metric::DistanceKind;
 use selnet_tensor::{Activation, Graph, Matrix, Mlp, Optimizer, ParamStore, Sgd};
 use std::hint::black_box;
@@ -147,6 +149,60 @@ fn bench_gemm(c: &mut Criterion) {
         });
         group.bench_function(format!("{m}x{k}x{n}_naive"), |bench| {
             bench.iter(|| black_box(a.matmul_naive(&b)))
+        });
+    }
+    group.finish();
+}
+
+/// `count` pseudo-random vectors of dimension `dim`, row-major for the
+/// pair kernel and lane-major for the block kernel, and a query.
+fn distance_fixture(dim: usize, count: usize) -> (Vec<f32>, LaneBlocks, Vec<f32>) {
+    let value = |i: usize| ((i * 2_654_435_761) % 1_000_003) as f32 / 1_000_003.0 - 0.5;
+    let rows: Vec<f32> = (0..count * dim).map(value).collect();
+    let mut blocks = LaneBlocks::new(dim);
+    rows.chunks_exact(dim).for_each(|v| blocks.push(v));
+    (rows, blocks, (0..dim).map(|i| value(i + 7)).collect())
+}
+
+/// One query against every vector, pair by pair.
+fn pair_scan(rows: &[f32], x: &[f32]) -> f32 {
+    rows.chunks_exact(x.len())
+        .map(|v| squared_euclidean(x, v))
+        .sum()
+}
+
+/// One query against every vector, sixteen per kernel call.
+fn block_scan(blocks: &LaneBlocks, x: &[f32]) -> f32 {
+    let mut sq = [0.0f32; LANES];
+    (0..blocks.blocks())
+        .map(|b| {
+            blocks.sqdist_into(b, x, &mut sq);
+            sq.iter().sum::<f32>()
+        })
+        .sum()
+}
+
+/// The shapes of the `distance` group: the two fixture dimensions of
+/// `benchmark/`, each over 32 vectors (in cache) and over 60 MB of them
+/// (streamed from memory, as a labelling pass or an indicator sweep over
+/// the paper fixture's region centres is).
+const DISTANCE_SHAPES: [(usize, &str, usize); 4] = [
+    (24, "cached", 32),
+    (24, "streamed", 60_000_000 / (24 * 4)),
+    (300, "cached", 32),
+    (300, "streamed", 60_000_000 / (300 * 4)),
+];
+
+fn bench_distance(c: &mut Criterion) {
+    let mut group = c.benchmark_group("distance");
+    group.sample_size(10);
+    for (dim, residency, count) in DISTANCE_SHAPES {
+        let (rows, blocks, x) = distance_fixture(dim, count);
+        group.bench_function(format!("pair_d{dim}_{residency}_x{count}"), |b| {
+            b.iter(|| black_box(pair_scan(black_box(&rows), black_box(&x))))
+        });
+        group.bench_function(format!("block_d{dim}_{residency}_x{count}"), |b| {
+            b.iter(|| black_box(block_scan(black_box(&blocks), black_box(&x))))
         });
     }
     group.finish();
@@ -334,6 +390,32 @@ fn bench_record(_c: &mut Criterion) {
         .collect();
     let gemm_block = gemm_lines.join(",\n");
 
+    // distance layer: nanoseconds per distance, pair kernel (the "before"
+    // of every scan that moved onto blocks) against the block kernel
+    let distance_lines: Vec<String> = DISTANCE_SHAPES
+        .iter()
+        .map(|&(dim, residency, count)| {
+            let (rows, blocks, x) = distance_fixture(dim, count);
+            let iters = (4_000_000 / (dim * count)).max(1);
+            let per_distance = |ms: f64| ms * 1e6 / count as f64;
+            let pair = per_distance(time_ms(5, iters, || {
+                black_box(pair_scan(black_box(&rows), &x));
+            }));
+            let block = per_distance(time_ms(5, iters, || {
+                black_box(block_scan(black_box(&blocks), &x));
+            }));
+            format!(
+                r#"    "d{dim}_{residency}": {{ "vectors": {count}, "pair_ns": {pair:.2}, "block_ns": {block:.2}, "pair_vs_block": {ratio:.2} }}"#,
+                ratio = pair / block
+            )
+        })
+        .collect();
+    let distance_block = distance_lines.join(",\n");
+    let ds5k = fasttext_like(&GeneratorConfig::new(5000, 16, 8, 1));
+    let build_5k = time_ms(10, 2, || {
+        black_box(CoverTree::build(&ds5k));
+    });
+
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -383,7 +465,15 @@ fn bench_record(_c: &mut Criterion) {
   "gemm": {{
 {gemm_block}
   }},
-  "notes": "seed/pr2 numbers were taken on a single-vCPU container; the 4t entries only show parallel gains on multi-core hosts (the kernels are bit-identical across thread counts either way). The tape_* pair isolates per-step tape overhead: same model, same data, fresh Graph per step vs one reused arena. The scaling block is the parallel matmul dispatcher's per-thread curve at the 256² control shape; the gemm block is the hand-tiled kernel vs the naive ikj reference per serving shape (hand_vs_naive > 1 means the hand kernel wins), recorded on machine_cpus cores."
+  "distance": {{
+{distance_block}
+  }},
+  "cover_tree": {{
+    "build_5k_insertion_ms": 4.1826,
+    "build_5k_ms": {build_5k:.4},
+    "speedup_vs_insertion": {speedup_ct:.2}
+  }},
+  "notes": "seed/pr2 numbers were taken on a single-vCPU container; the 4t entries only show parallel gains on multi-core hosts (the kernels are bit-identical across thread counts either way). The tape_* pair isolates per-step tape overhead: same model, same data, fresh Graph per step vs one reused arena. The scaling block is the parallel matmul dispatcher's per-thread curve at the 256² control shape; the gemm block is the hand-tiled kernel vs the naive ikj reference per serving shape (hand_vs_naive > 1 means the hand kernel wins), recorded on machine_cpus cores. The distance block is nanoseconds per distance of one query against `vectors` vectors, `vectors::squared_euclidean` pair by pair vs `LaneBlocks::sqdist_into` sixteen at a time (bit-identical lanes), over 32 vectors (cached) and over 60 MB of them (streamed). cover_tree.build_5k_insertion_ms is frozen: sequential insertion on the pair kernel, the build before PR 14, best of 10 on the host that recorded build_5k_ms."
 }}
 "#,
         mm1 = mm_scaling[0],
@@ -395,6 +485,7 @@ fn bench_record(_c: &mut Criterion) {
         speedup_te = 3.3017 / train_epoch,
         speedup_pr2 = 1.3914 / train_epoch,
         speedup_tape = tape_fresh / tape_reused,
+        speedup_ct = 4.1826 / build_5k,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_substrate.json");
     std::fs::write(path, json).expect("write BENCH_substrate.json");
@@ -406,6 +497,7 @@ criterion_group!(
     bench_matmul,
     bench_gemm,
     bench_tape,
+    bench_distance,
     bench_cover_tree,
     bench_pwl,
     bench_train_epoch,

@@ -308,15 +308,16 @@ fn build_joint_pairs<'a>(
         ylog_local: vec![Vec::new(); k],
         indicator: vec![Vec::new(); k],
     };
+    let mut on = Vec::new();
     for (qi, q) in train.iter().enumerate() {
-        for (j, &t) in q.thresholds.iter().enumerate() {
+        partitioning.indicator_many_into(&q.x, &q.thresholds, &mut on);
+        for (j, (&t, on)) in q.thresholds.iter().zip(on.chunks_exact(k)).enumerate() {
             out.x.push(q.x.as_slice());
             out.t.push(t);
             out.ylog.push((q.selectivities[j] as f32 + log_eps).ln());
-            let ind = partitioning.indicator(&q.x, t);
             for part in 0..k {
                 out.ylog_local[part].push((part_labels[qi][part][j] as f32 + log_eps).ln());
-                out.indicator[part].push(if ind[part] { 1.0 } else { 0.0 });
+                out.indicator[part].push(if on[part] { 1.0 } else { 0.0 });
             }
         }
     }

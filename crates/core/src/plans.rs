@@ -78,29 +78,31 @@ pub(crate) fn replay_curves(
                 m.row(if m.rows() == 1 { 0 } else { j })
             };
             let mut knots: Vec<(&[f32], &[f32])> = Vec::with_capacity(curves);
-            let mut on: Vec<bool> = Vec::with_capacity(curves);
+            let mut on: Vec<bool> = Vec::new();
             let mut slot = 0;
             let chunk_queries = &queries[first_row..first_row + run.rows()];
             for (j, &(x, ts)) in chunk_queries.iter().enumerate() {
                 knots.clear();
                 knots.extend((0..curves).map(|k| (row_of(2 * k, j), row_of(2 * k + 1, j))));
-                for &t in ts {
+                // one indicator pass per query object: the distances to
+                // the region centres do not depend on the threshold
+                if let Some(partitioning) = mask {
+                    partitioning.indicator_many_into(x, ts, &mut on);
+                }
+                for (i, &t) in ts.iter().enumerate() {
                     chunk[slot] = match mask {
                         None => pwl_interp_row(knots[0].0, knots[0].1, t) as f64,
-                        Some(partitioning) => {
-                            partitioning.indicator_into(x, t, &mut on);
-                            knots
-                                .iter()
-                                .zip(&on)
-                                .map(|(&(tau, p), &on)| {
-                                    if on {
-                                        pwl_interp_row(tau, p, t) as f64
-                                    } else {
-                                        0.0
-                                    }
-                                })
-                                .sum()
-                        }
+                        Some(_) => knots
+                            .iter()
+                            .zip(&on[i * curves..(i + 1) * curves])
+                            .map(|(&(tau, p), &on)| {
+                                if on {
+                                    pwl_interp_row(tau, p, t) as f64
+                                } else {
+                                    0.0
+                                }
+                            })
+                            .sum(),
                     };
                     slot += 1;
                 }

@@ -13,4 +13,4 @@ pub mod partition;
 
 pub use covertree::{CoverTree, Region};
 pub use kmeans::{kmeans, KMeansResult};
-pub use partition::{BallRegion, PartitionMethod, Partitioning};
+pub use partition::{PartitionMethod, Partitioning};

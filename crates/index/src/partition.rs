@@ -15,12 +15,13 @@
 //! converted to Euclidean (`‖u−v‖ = sqrt(2 t_cos)`), exactly the unit-vector
 //! equivalence the paper invokes.
 
-use crate::covertree::CoverTree;
+use crate::covertree::{CoverTree, Region};
 use crate::kmeans::kmeans;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selnet_data::Dataset;
-use selnet_metric::{vectors, DistanceKind};
+use selnet_metric::vectors::{self, LaneBlocks, LANES};
+use selnet_metric::DistanceKind;
 use std::io::{self, Read, Write};
 
 /// Partitioning strategy.
@@ -38,13 +39,59 @@ pub enum PartitionMethod {
     KMeans,
 }
 
-/// A ball `(center, radius)` used by the intersection test.
+/// One cluster's ball regions for the intersection test, probed biggest
+/// ball first: `radii[i]` (Euclidean space, non-increasing) belongs to
+/// centre `i` of the lane-major block store (already normalized for cosine
+/// workloads).
 #[derive(Clone, Debug)]
-pub struct BallRegion {
-    /// Region center (already normalized for cosine workloads).
-    pub center: Vec<f32>,
-    /// Covering radius in Euclidean space.
-    pub radius: f32,
+struct Cluster {
+    radii: Vec<f32>,
+    centres: LaneBlocks,
+}
+
+impl Cluster {
+    /// An empty cluster with room for exactly `regions` balls.
+    fn with_capacity(dim: usize, regions: usize) -> Self {
+        Cluster {
+            radii: Vec::with_capacity(regions),
+            centres: LaneBlocks::with_capacity(dim, regions),
+        }
+    }
+
+    fn push(&mut self, centre: &[f32], radius: f32) {
+        self.centres.push(centre);
+        self.radii.push(radius);
+    }
+
+    /// Restores the probe order after `load` (snapshots written before
+    /// the ordering existed) or after a refresh has grown radii, permuting
+    /// the balls in place.
+    fn sort_for_probing(&mut self) {
+        // ball `order[at]` belongs at `at`
+        let mut order: Vec<usize> = (0..self.radii.len()).collect();
+        order.sort_by(|&a, &b| probe_order(self.radii[a], self.radii[b]));
+        for start in 0..order.len() {
+            // walk the cycle through `start`, settling one place per swap
+            let mut at = start;
+            while order[at] != start {
+                let from = order[at];
+                self.radii.swap(at, from);
+                self.centres.swap(at, from);
+                order[at] = at;
+                at = from;
+            }
+            order[at] = at;
+        }
+    }
+}
+
+/// The order a cluster's balls are probed in: **decreasing radius** under
+/// a stable sort (ties keep their build order). The indicator then usually
+/// hits in the first block — the biggest balls are the likeliest
+/// intersectors — which matters on the serving hot path. Pure reordering
+/// of an OR: the indicator result is identical for every ordering.
+fn probe_order(a: f32, b: f32) -> std::cmp::Ordering {
+    b.partial_cmp(&a).unwrap_or(std::cmp::Ordering::Equal)
 }
 
 /// The result of partitioning a dataset into `K` disjoint parts.
@@ -54,8 +101,8 @@ pub struct Partitioning {
     kind: DistanceKind,
     method: PartitionMethod,
     assignments: Vec<usize>,
-    /// Ball regions per cluster; empty outer vec = indicator always true.
-    regions: Vec<Vec<BallRegion>>,
+    /// Ball regions per cluster; empty = indicator always true.
+    regions: Vec<Cluster>,
 }
 
 impl Partitioning {
@@ -99,9 +146,9 @@ impl Partitioning {
         regions.sort_by_key(|r| std::cmp::Reverse(r.members.len()));
         let k = k.min(regions.len().max(1));
         let mut cluster_sizes = vec![0usize; k];
-        let mut cluster_regions: Vec<Vec<BallRegion>> = vec![Vec::new(); k];
+        let mut cluster_regions: Vec<Vec<&Region>> = vec![Vec::new(); k];
         let mut assignments = vec![0usize; geo.len()];
-        for region in regions {
+        for region in &regions {
             let target = cluster_sizes
                 .iter()
                 .enumerate()
@@ -112,18 +159,26 @@ impl Partitioning {
             for &m in &region.members {
                 assignments[m] = target;
             }
-            cluster_regions[target].push(BallRegion {
-                center: geo.row(region.center).to_vec(),
-                radius: region.radius,
-            });
+            cluster_regions[target].push(region);
         }
-        sort_regions_for_probing(&mut cluster_regions);
+        // every centre is copied once, into a store sized for its cluster
+        let clusters = cluster_regions
+            .into_iter()
+            .map(|mut regions| {
+                regions.sort_by(|a, b| probe_order(a.radius, b.radius));
+                let mut cluster = Cluster::with_capacity(geo.dim(), regions.len());
+                for region in regions {
+                    cluster.push(geo.row(region.center), region.radius);
+                }
+                cluster
+            })
+            .collect();
         Partitioning {
             k,
             kind,
             method: PartitionMethod::CoverTree { ratio },
             assignments,
-            regions: cluster_regions,
+            regions: clusters,
         }
     }
 
@@ -152,11 +207,10 @@ impl Partitioning {
             .centroids
             .iter()
             .zip(&radius)
-            .map(|(c, &r)| {
-                vec![BallRegion {
-                    center: c.clone(),
-                    radius: r,
-                }]
+            .map(|(centroid, &r)| {
+                let mut cluster = Cluster::with_capacity(geo.dim(), 1);
+                cluster.push(centroid, r);
+                cluster
             })
             .collect();
         Partitioning {
@@ -225,13 +279,13 @@ impl Partitioning {
         }
         write_u64(w, self.regions.len() as u64)?;
         for cluster in &self.regions {
-            write_u64(w, cluster.len() as u64)?;
-            for region in cluster {
-                write_u64(w, region.center.len() as u64)?;
-                for &c in &region.center {
+            write_u64(w, cluster.radii.len() as u64)?;
+            for (i, radius) in cluster.radii.iter().enumerate() {
+                write_u64(w, cluster.centres.dim() as u64)?;
+                for c in cluster.centres.vector(i) {
                     w.write_all(&c.to_le_bytes())?;
                 }
-                w.write_all(&region.radius.to_le_bytes())?;
+                w.write_all(&radius.to_le_bytes())?;
             }
         }
         Ok(())
@@ -241,8 +295,9 @@ impl Partitioning {
     ///
     /// Returns a typed [`io::Error`] (never panics) on truncated input or
     /// structurally invalid data: unknown distance/method tags, assignments
-    /// out of range, or a region table whose length matches neither `k`
-    /// (per-cluster regions) nor `0` (the all-ones indicator).
+    /// out of range, a region table whose length matches neither `k`
+    /// (per-cluster regions) nor `0` (the all-ones indicator), or region
+    /// centres that disagree in dimension.
     pub fn load(r: &mut impl Read) -> io::Result<Partitioning> {
         let k = read_checked_len(r, MAX_PARTS, "partition count")?;
         if k == 0 {
@@ -285,27 +340,38 @@ impl Partitioning {
                 "region table has {clusters} clusters, expected {k} or 0"
             )));
         }
-        let mut regions = Vec::with_capacity(clusters.min(1 << 12));
+        let mut regions: Vec<Cluster> = Vec::with_capacity(clusters.min(1 << 12));
+        // every centre must have the dimension of the first one read
+        let mut centre: Option<Vec<f32>> = None;
         for _ in 0..clusters {
             let m = read_checked_len(r, MAX_POINTS, "region count")?;
-            let mut cluster = Vec::with_capacity(m.min(1 << 12));
-            for _ in 0..m {
+            let mut cluster = Cluster::with_capacity(0, 0);
+            for i in 0..m {
                 let dim = read_checked_len(r, MAX_DIM, "region dimension")?;
-                let mut center = vec![0.0f32; dim];
+                let centre = centre.get_or_insert_with(|| vec![0.0f32; dim]);
+                if dim != centre.len() {
+                    return Err(invalid(format!(
+                        "region centre of dimension {dim}, expected {}",
+                        centre.len()
+                    )));
+                }
+                if i == 0 {
+                    // sized for the cluster, up to what a corrupted count
+                    // may make this allocate before the stream runs dry
+                    let room = m.min(MAX_PREALLOC_FLOATS / dim.max(1));
+                    cluster = Cluster::with_capacity(dim, room);
+                }
                 let mut b = [0u8; 4];
-                for c in &mut center {
+                for c in centre.iter_mut() {
                     r.read_exact(&mut b)?;
                     *c = f32::from_le_bytes(b);
                 }
                 r.read_exact(&mut b)?;
-                cluster.push(BallRegion {
-                    center,
-                    radius: f32::from_le_bytes(b),
-                });
+                cluster.push(centre, f32::from_le_bytes(b));
             }
+            cluster.sort_for_probing();
             regions.push(cluster);
         }
-        sort_regions_for_probing(&mut regions);
         Ok(Partitioning {
             k,
             kind,
@@ -349,24 +415,28 @@ impl Partitioning {
         };
         self.assignments.clear();
         self.assignments.reserve(geo_ref.len());
+        let mut sq = [0.0f32; LANES];
         for row in geo_ref.iter() {
             let mut best: Option<(usize, usize, f32, f32)> = None;
             for (c, cluster) in self.regions.iter().enumerate() {
-                for (j, region) in cluster.iter().enumerate() {
-                    let d = vectors::squared_euclidean(row, &region.center).sqrt();
-                    let slack = d - region.radius;
-                    if best.map(|(.., s)| slack < s).unwrap_or(true) {
-                        best = Some((c, j, d, slack));
+                for (b, radii) in cluster.radii.chunks(LANES).enumerate() {
+                    cluster.centres.sqdist_into(b, row, &mut sq);
+                    for (l, &radius) in radii.iter().enumerate() {
+                        let d = sq[l].sqrt();
+                        let slack = d - radius;
+                        if best.map(|(.., s)| slack < s).unwrap_or(true) {
+                            best = Some((c, b * LANES + l, d, slack));
+                        }
                     }
                 }
             }
             let (c, j, d, _) = best.expect("ball partitionings have at least one region");
-            let region = &mut self.regions[c][j];
-            region.radius = region.radius.max(d);
+            let radius = &mut self.regions[c].radii[j];
+            *radius = radius.max(d);
             self.assignments.push(c);
         }
         // radii may have grown: restore the big-ball-first probe order
-        sort_regions_for_probing(&mut self.regions);
+        self.regions.iter_mut().for_each(Cluster::sort_for_probing);
     }
 
     /// The intersection indicator `f_c(x, t)`: `true` for every cluster the
@@ -378,56 +448,75 @@ impl Partitioning {
     }
 
     /// [`Partitioning::indicator`] writing into a caller-provided buffer
-    /// (cleared first). For Euclidean partitionings this evaluates with no
-    /// allocation at all, so per-row indicator checks on serving hot paths
-    /// reuse one buffer across an entire batch. The ball test compares
-    /// **squared** distances (`‖x−c‖² ≤ (t_e + r + ε)²`) — one fewer
-    /// `sqrt` per region on the hot path. Squaring is only order-preserving
-    /// while the bound is non-negative: a threshold below `−(r + ε)` (the
-    /// wire accepts any f32) reaches no ball at all, so it matches none —
-    /// without that guard its large square would switch *more* partitions
-    /// on than `t = 0` and break Lemma 1's monotonicity.
+    /// (cleared first): the one-threshold case of
+    /// [`Partitioning::indicator_many_into`].
     pub fn indicator_into(&self, x: &[f32], t: f32, out: &mut Vec<bool>) {
-        out.clear();
+        self.indicator_many_into(x, &[t], out);
+    }
+
+    /// The indicator of one query object at every threshold of `ts` (any
+    /// order): `flags` is cleared and filled threshold-major, the `K`
+    /// flags of `ts[j]` at `flags[j * K..(j + 1) * K]`.
+    ///
+    /// Each block of sixteen region centres has its squared distances to
+    /// `x` computed once, whatever the number of thresholds, and a cluster
+    /// is left as soon as every threshold has found an intersecting ball.
+    /// For Euclidean partitionings this evaluates with no allocation at
+    /// all, so serving hot paths reuse one buffer across an entire batch.
+    /// The ball test compares **squared** distances
+    /// (`‖x−c‖² ≤ (t_e + r + ε)²`) — no `sqrt` per region. Squaring is
+    /// only order-preserving while the bound is non-negative: a threshold
+    /// below `−(r + ε)` (the wire accepts any f32) reaches no ball at all,
+    /// so it matches none — without that guard its large square would
+    /// switch *more* partitions on than `t = 0` and break Lemma 1's
+    /// monotonicity.
+    pub fn indicator_many_into(&self, x: &[f32], ts: &[f32], flags: &mut Vec<bool>) {
+        flags.clear();
         if self.regions.is_empty() {
-            out.resize(self.k, true);
+            flags.resize(ts.len() * self.k, true);
             return;
         }
+        flags.resize(ts.len() * self.k, false);
         // convert to Euclidean geometry; Euclidean queries borrow `x`
         // directly instead of cloning it
         let normalized;
-        let (q, te): (&[f32], f32) = match self.kind {
-            DistanceKind::Euclidean => (x, t),
+        let q: &[f32] = match self.kind {
+            DistanceKind::Euclidean => x,
             DistanceKind::Cosine => {
                 let mut q = x.to_vec();
                 vectors::normalize(&mut q);
                 normalized = q;
-                (&normalized, self.kind.to_euclidean_threshold(t))
+                &normalized
             }
         };
-        out.extend(self.regions.iter().map(|cluster| {
-            cluster.iter().any(|r| {
-                let bound = te + r.radius + 1e-6;
-                bound >= 0.0 && vectors::squared_euclidean(q, &r.center) <= bound * bound
-            })
-        }));
-    }
-}
-
-/// Orders each cluster's regions by **decreasing radius** (stable; ties
-/// keep their build order). The indicator's `any` probe then usually hits
-/// on the first region — the biggest ball is the likeliest intersector —
-/// which matters on the serving hot path where the indicator runs once
-/// per `(x, t)` row. Pure reordering of an OR: the indicator result is
-/// identical for every ordering. Applied at build and after load, so
-/// snapshots written before this ordering existed still probe fast.
-fn sort_regions_for_probing(regions: &mut [Vec<BallRegion>]) {
-    for cluster in regions.iter_mut() {
-        cluster.sort_by(|a, b| {
-            b.radius
-                .partial_cmp(&a.radius)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        let mut sq = [0.0f32; LANES];
+        for (c, cluster) in self.regions.iter().enumerate() {
+            let mut open = ts.len();
+            for (b, chunk) in cluster.radii.chunks(LANES).enumerate() {
+                if open == 0 {
+                    break;
+                }
+                cluster.centres.sqdist_into(b, q, &mut sq);
+                // a lane past the end of the last block has no ball: its
+                // bound is −∞, which the guard below rejects
+                let mut radii = [f32::NEG_INFINITY; LANES];
+                radii[..chunk.len()].copy_from_slice(chunk);
+                for (j, &t) in ts.iter().enumerate() {
+                    let flag = &mut flags[j * self.k + c];
+                    if *flag {
+                        continue;
+                    }
+                    let te = self.kind.to_euclidean_threshold(t);
+                    // all sixteen lanes, no early exit: branch-free, so the
+                    // compiler keeps the test in vector registers
+                    *flag = radii.iter().zip(&sq).fold(false, |hit, (&r, &d2)| {
+                        let bound = te + r + 1e-6;
+                        hit | (bound >= 0.0 && d2 <= bound * bound)
+                    });
+                    open -= usize::from(*flag);
+                }
+            }
+        }
     }
 }
 
@@ -450,6 +539,7 @@ fn hash_row(row: &[f32]) -> u64 {
 const MAX_PARTS: usize = 1 << 20;
 const MAX_POINTS: usize = 1 << 31;
 const MAX_DIM: usize = 1 << 20;
+const MAX_PREALLOC_FLOATS: usize = 1 << 24;
 
 fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -477,6 +567,21 @@ fn read_checked_len(r: &mut impl Read, max: usize, what: &str) -> io::Result<usi
 mod tests {
     use super::*;
     use selnet_data::generators::{face_like, fasttext_like, GeneratorConfig};
+
+    /// Each cluster's `(centre, radius)` balls, in probe order.
+    fn balls(p: &Partitioning) -> Vec<Vec<(Vec<f32>, f32)>> {
+        let ball = |c: &Cluster, i: usize| (c.centres.vector(i).collect(), c.radii[i]);
+        p.regions
+            .iter()
+            .map(|c| (0..c.radii.len()).map(|i| ball(c, i)).collect())
+            .collect()
+    }
+
+    fn saved(p: &Partitioning) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        p.save(&mut bytes).expect("write to memory");
+        bytes
+    }
 
     fn check_valid_partitioning(p: &Partitioning, n: usize) {
         assert_eq!(p.assignments().len(), n);
@@ -698,19 +803,200 @@ mod tests {
             for _ in 0..400 {
                 let x: Vec<f32> = (0..5).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
                 let t = rng.gen_range(0.0f32..2.0 * tmax);
-                let old: Vec<bool> = p
-                    .regions
+                let old: Vec<bool> = balls(&p)
                     .iter()
                     .map(|cluster| {
-                        cluster.iter().any(|r| {
-                            let bound = t + r.radius + 1e-6;
-                            vectors::squared_euclidean(&x, &r.center) <= bound * bound
+                        cluster.iter().any(|(center, radius)| {
+                            let bound = t + radius + 1e-6;
+                            vectors::squared_euclidean(&x, center) <= bound * bound
                         })
                     })
                     .collect();
                 assert_eq!(p.indicator(&x, t), old, "x {x:?} t {t}");
             }
         }
+    }
+
+    /// `indicator_many_into` ≡ one `indicator` call per threshold ≡ the
+    /// per-region predicate this crate evaluated pair by pair before the
+    /// block store (kept here verbatim), over unsorted thresholds that
+    /// reach far below zero, on every method and both distances.
+    #[test]
+    fn indicator_many_equals_per_threshold_and_per_region_predicate() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        let ds = fasttext_like(&GeneratorConfig::new(900, 7, 5, 12));
+        for (kind, method, k) in [
+            // more regions per cluster than one block holds, and fewer
+            (
+                DistanceKind::Euclidean,
+                PartitionMethod::CoverTree { ratio: 0.002 },
+                4,
+            ),
+            (
+                DistanceKind::Euclidean,
+                PartitionMethod::CoverTree { ratio: 0.2 },
+                3,
+            ),
+            (DistanceKind::Euclidean, PartitionMethod::KMeans, 5),
+            (
+                DistanceKind::Cosine,
+                PartitionMethod::CoverTree { ratio: 0.01 },
+                3,
+            ),
+            (DistanceKind::Euclidean, PartitionMethod::Random, 3),
+        ] {
+            let p = Partitioning::build(&ds, kind, method, k, 4);
+            let balls = balls(&p);
+            let mut flags = Vec::new();
+            for round in 0..120 {
+                let x: Vec<f32> = match round % 3 {
+                    0 => ds.row(rng.gen_range(0..ds.len())).to_vec(),
+                    _ => (0..7).map(|_| rng.gen_range(-4.0f32..4.0)).collect(),
+                };
+                let mut ts: Vec<f32> = (0..rng.gen_range(0..9))
+                    .map(|_| rng.gen_range(-1.0f32..8.0))
+                    .collect();
+                ts.extend([-1e6, 0.0, -0.5, 1e6].iter().take(round % 5));
+                p.indicator_many_into(&x, &ts, &mut flags);
+                assert_eq!(flags.len(), ts.len() * p.k());
+                for (&t, got) in ts.iter().zip(flags.chunks(p.k())) {
+                    assert_eq!(got, p.indicator(&x, t), "{method:?} x {x:?} t {t}");
+                    if balls.is_empty() {
+                        assert!(got.iter().all(|&on| on));
+                        continue;
+                    }
+                    let mut q = x.clone();
+                    if kind == DistanceKind::Cosine {
+                        vectors::normalize(&mut q);
+                    }
+                    let te = kind.to_euclidean_threshold(t);
+                    let want: Vec<bool> = balls
+                        .iter()
+                        .map(|cluster| {
+                            cluster.iter().any(|(center, radius)| {
+                                let bound = te + radius + 1e-6;
+                                bound >= 0.0
+                                    && vectors::squared_euclidean(&q, center) <= bound * bound
+                            })
+                        })
+                        .collect();
+                    assert_eq!(got, want, "{method:?} x {x:?} t {t}");
+                }
+            }
+        }
+    }
+
+    /// `refresh_assignments` runs its arg-min over blocks; the pair-by-pair
+    /// scan it replaced (kept here verbatim over the same balls) must give
+    /// the same assignments, the same grown radii and the same probe order
+    /// bit for bit.
+    #[test]
+    fn refresh_assignments_equals_the_per_pair_scan() {
+        let mut ds = fasttext_like(&GeneratorConfig::new(500, 6, 4, 13));
+        for method in [
+            PartitionMethod::CoverTree { ratio: 0.004 },
+            PartitionMethod::KMeans,
+        ] {
+            let mut p = Partitioning::build(&ds, DistanceKind::Euclidean, method, 3, 5);
+            for i in 0..60 {
+                let mut row = ds.row(i * 3).to_vec();
+                row.iter_mut().for_each(|v| *v += 0.01 * i as f32);
+                ds.push(&row);
+                ds.swap_remove(i);
+            }
+            let mut regions = balls(&p);
+            let mut assignments = Vec::new();
+            for row in ds.iter() {
+                let mut best: Option<(usize, usize, f32, f32)> = None;
+                for (c, cluster) in regions.iter().enumerate() {
+                    for (j, (center, radius)) in cluster.iter().enumerate() {
+                        let d = vectors::squared_euclidean(row, center).sqrt();
+                        let slack = d - radius;
+                        if best.map(|(.., s)| slack < s).unwrap_or(true) {
+                            best = Some((c, j, d, slack));
+                        }
+                    }
+                }
+                let (c, j, d, _) = best.expect("at least one region");
+                let radius = &mut regions[c][j].1;
+                *radius = radius.max(d);
+                assignments.push(c);
+            }
+            for cluster in &mut regions {
+                cluster.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite radii"));
+            }
+            p.refresh_assignments(&ds);
+            assert_eq!(p.assignments(), assignments);
+            let bits = |balls: Vec<Vec<(Vec<f32>, f32)>>| -> Vec<Vec<(Vec<u32>, u32)>> {
+                let ball = |(c, r): (Vec<f32>, f32)| {
+                    (c.into_iter().map(f32::to_bits).collect(), r.to_bits())
+                };
+                let cluster = |c: Vec<(Vec<f32>, f32)>| c.into_iter().map(ball).collect();
+                balls.into_iter().map(cluster).collect()
+            };
+            assert_eq!(bits(balls(&p)), bits(regions), "{method:?}");
+        }
+    }
+
+    /// A region stream in any radius order (snapshots older than the probe
+    /// order) loads into decreasing radii with ties in stream order, and
+    /// from then on `save` and `load` are inverse byte for byte.
+    #[test]
+    fn load_sorts_for_probing_and_resaves_the_same_bytes() {
+        let ds = fasttext_like(&GeneratorConfig::new(400, 5, 4, 21));
+        let p = Partitioning::build(
+            &ds,
+            DistanceKind::Euclidean,
+            PartitionMethod::CoverTree { ratio: 0.005 },
+            3,
+            0,
+        );
+        let bytes = saved(&p);
+        let loaded = Partitioning::load(&mut bytes.as_slice()).expect("own bytes load");
+        assert_eq!(saved(&loaded), bytes);
+        assert_eq!(loaded.assignments(), p.assignments());
+
+        let stream = region_stream(&[
+            (vec![1.0, 0.0], 0.5),
+            (vec![2.0, 0.0], 2.0),
+            (vec![3.0, 0.0], 0.5),
+        ]);
+        let loaded = Partitioning::load(&mut stream.as_slice()).expect("well-formed stream");
+        let want = vec![
+            (vec![2.0, 0.0], 2.0),
+            (vec![1.0, 0.0], 0.5),
+            (vec![3.0, 0.0], 0.5),
+        ];
+        assert_eq!(balls(&loaded), vec![want.clone()]);
+        assert_eq!(saved(&loaded), region_stream(&want));
+    }
+
+    /// A one-cluster K-means partitioning over no points, as `save` lays
+    /// it out, with the given `(centre, radius)` regions.
+    fn region_stream(regions: &[(Vec<f32>, f32)]) -> Vec<u8> {
+        let mut s = Vec::new();
+        s.extend(1u64.to_le_bytes()); // k
+        s.extend([0u8, 2u8]); // Euclidean, KMeans
+        s.extend(0u64.to_le_bytes()); // assignments
+        s.extend(1u64.to_le_bytes()); // clusters
+        s.extend((regions.len() as u64).to_le_bytes());
+        for (centre, radius) in regions {
+            s.extend((centre.len() as u64).to_le_bytes());
+            centre.iter().for_each(|c| s.extend(c.to_le_bytes()));
+            s.extend(radius.to_le_bytes());
+        }
+        s
+    }
+
+    /// Centres of different lengths used to load, and the release-build
+    /// distance then silently compared prefixes.
+    #[test]
+    fn load_rejects_centres_that_disagree_in_dimension() {
+        let stream = region_stream(&[(vec![1.0, 0.0, 0.0], 1.0), (vec![2.0, 0.0], 1.0)]);
+        let err = Partitioning::load(&mut stream.as_slice()).expect_err("mixed dimensions");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("dimension 2, expected 3"), "{err}");
     }
 
     #[test]

@@ -9,10 +9,12 @@
 
 use crate::query::{LabeledQuery, Workload};
 use crate::rand_ext::sample_beta;
+use crate::scan::{scan_distances, sort_distances, SortedColumns};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selnet_data::Dataset;
 use selnet_metric::DistanceKind;
+use selnet_tensor::parallel::effective_threads;
 
 /// How thresholds are drawn for each query.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -61,8 +63,6 @@ impl WorkloadConfig {
     }
 }
 
-use selnet_tensor::parallel::effective_threads;
-
 /// The geometric selectivity ladder: `w` values spaced geometrically in
 /// `[1, n/100]`.
 pub fn selectivity_ladder(n: usize, w: usize) -> Vec<f64> {
@@ -71,10 +71,11 @@ pub fn selectivity_ladder(n: usize, w: usize) -> Vec<f64> {
     (0..w).map(|j| hi.powf(j as f64 / (w - 1) as f64)).collect()
 }
 
-/// Computes sorted distances from `x` to every point of `ds`.
+/// Computes sorted distances from `x` to every point of `ds`, pair by
+/// pair: the single-query reference the labelling scan is tested against.
 pub fn sorted_distances(ds: &Dataset, x: &[f32], kind: DistanceKind) -> Vec<f32> {
     let mut d: Vec<f32> = ds.iter().map(|row| kind.eval(x, row)).collect();
-    d.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+    sort_distances(&mut d);
     d
 }
 
@@ -84,9 +85,9 @@ pub fn selectivity_from_sorted(sorted: &[f32], t: f32) -> f64 {
     sorted.partition_point(|&d| d <= t) as f64
 }
 
-/// Labels one query under the geometric-selectivity scheme.
-fn label_geometric(ds: &Dataset, x: &[f32], kind: DistanceKind, ladder: &[f64]) -> LabeledQuery {
-    let sorted = sorted_distances(ds, x, kind);
+/// Labels one query under the geometric-selectivity scheme, given its
+/// sorted distances to every record.
+fn label_geometric(x: &[f32], sorted: &[f32], ladder: &[f64]) -> LabeledQuery {
     let n = sorted.len();
     let mut thresholds = Vec::with_capacity(ladder.len());
     let mut selectivities = Vec::with_capacity(ladder.len());
@@ -94,7 +95,7 @@ fn label_geometric(ds: &Dataset, x: &[f32], kind: DistanceKind, ladder: &[f64]) 
         let rank = (s.ceil() as usize).clamp(1, n);
         let t = sorted[rank - 1];
         thresholds.push(t);
-        selectivities.push(selectivity_from_sorted(&sorted, t));
+        selectivities.push(selectivity_from_sorted(sorted, t));
     }
     // thresholds are non-decreasing by construction (sorted array ranks)
     LabeledQuery {
@@ -104,17 +105,12 @@ fn label_geometric(ds: &Dataset, x: &[f32], kind: DistanceKind, ladder: &[f64]) 
     }
 }
 
-/// Labels one query with externally chosen thresholds.
-fn label_fixed_thresholds(
-    ds: &Dataset,
-    x: &[f32],
-    kind: DistanceKind,
-    thresholds: Vec<f32>,
-) -> LabeledQuery {
-    let sorted = sorted_distances(ds, x, kind);
+/// Labels one query with externally chosen thresholds, given its sorted
+/// distances to every record.
+fn label_fixed_thresholds(x: &[f32], sorted: &[f32], thresholds: Vec<f32>) -> LabeledQuery {
     let selectivities = thresholds
         .iter()
-        .map(|&t| selectivity_from_sorted(&sorted, t))
+        .map(|&t| selectivity_from_sorted(sorted, t))
         .collect();
     LabeledQuery {
         x: x.to_vec(),
@@ -125,8 +121,8 @@ fn label_fixed_thresholds(
 
 /// Generates a fully-labeled workload with an 80:10:10 query split.
 ///
-/// Ground truth is exact (multi-threaded brute force over sorted distance
-/// arrays).
+/// Ground truth is exact: a multi-threaded brute-force scan (the dataset
+/// streamed once per sixteen queries) over sorted distance arrays.
 pub fn generate_workload(ds: &Dataset, cfg: &WorkloadConfig) -> Workload {
     assert!(ds.len() >= 2, "dataset too small");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -138,6 +134,8 @@ pub fn generate_workload(ds: &Dataset, cfg: &WorkloadConfig) -> Workload {
         indices.swap(i, j);
     }
     indices.truncate(num_queries);
+    let xs: Vec<&[f32]> = indices.iter().map(|&qi| ds.row(qi)).collect();
+    let workers = effective_threads(cfg.threads);
 
     // Beta thresholds need tmax: use the ladder's top rank distance sampled
     // over a few queries as the scale, mirroring the default workload range.
@@ -146,15 +144,14 @@ pub fn generate_workload(ds: &Dataset, cfg: &WorkloadConfig) -> Workload {
     let scale_t = match cfg.scheme {
         ThresholdScheme::GeometricSelectivity => 0.0,
         ThresholdScheme::Beta { .. } => {
-            let probes = indices.iter().take(16);
+            let probes = &xs[..xs.len().min(16)];
             let top_rank =
                 (ladder.last().copied().unwrap_or(1.0).ceil() as usize).clamp(1, ds.len());
-            let mut t = 0.0f32;
-            for &qi in probes {
-                let sorted = sorted_distances(ds, ds.row(qi), cfg.kind);
-                t = t.max(sorted[top_rank - 1]);
-            }
-            t
+            let top_distance =
+                || SortedColumns::new(ds.len(), |_, sorted: &[f32]| sorted[top_rank - 1]);
+            scan_distances(ds, probes, cfg.kind, workers, top_distance)
+                .into_iter()
+                .fold(0.0f32, f32::max)
         }
     };
 
@@ -172,46 +169,14 @@ pub fn generate_workload(ds: &Dataset, cfg: &WorkloadConfig) -> Workload {
             .collect(),
     };
 
-    // parallel labeling
-    let threads = effective_threads(cfg.threads).min(num_queries.max(1));
-    let mut labeled: Vec<Option<LabeledQuery>> = vec![None; num_queries];
-    std::thread::scope(|scope| {
-        let chunk = num_queries.div_ceil(threads);
-        let mut rest: &mut [Option<LabeledQuery>] = &mut labeled;
-        let mut start = 0usize;
-        for _ in 0..threads {
-            let take = chunk.min(rest.len());
-            if take == 0 {
-                break;
-            }
-            let (head, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let indices = &indices;
-            let ladder = &ladder;
-            let beta_thresholds = &beta_thresholds;
-            let scheme = cfg.scheme;
-            let kind = cfg.kind;
-            scope.spawn(move || {
-                for (off, slot) in head.iter_mut().enumerate() {
-                    let qi = indices[start + off];
-                    let x = ds.row(qi);
-                    *slot = Some(match scheme {
-                        ThresholdScheme::GeometricSelectivity => {
-                            label_geometric(ds, x, kind, ladder)
-                        }
-                        ThresholdScheme::Beta { .. } => label_fixed_thresholds(
-                            ds,
-                            x,
-                            kind,
-                            beta_thresholds[start + off].clone(),
-                        ),
-                    });
-                }
-            });
-            start += take;
+    let label = |q: usize, sorted: &[f32]| match cfg.scheme {
+        ThresholdScheme::GeometricSelectivity => label_geometric(xs[q], sorted, &ladder),
+        ThresholdScheme::Beta { .. } => {
+            label_fixed_thresholds(xs[q], sorted, beta_thresholds[q].clone())
         }
-    });
-    let labeled: Vec<LabeledQuery> = labeled.into_iter().map(|q| q.expect("labeled")).collect();
+    };
+    let labeller = || SortedColumns::new(ds.len(), label);
+    let labeled = scan_distances(ds, &xs, cfg.kind, workers, labeller);
 
     // tmax: cover all generated thresholds with a small margin
     let tmax = labeled
@@ -334,6 +299,62 @@ mod tests {
                 assert!(q.selectivities[i] >= q.selectivities[i - 1]);
             }
             assert!(q.thresholds.iter().all(|&t| t >= 0.0));
+        }
+    }
+
+    /// The blocked scan labels exactly as pair-by-pair evaluation does:
+    /// thresholds, selectivities and `tmax` bit for bit, across group and
+    /// worker boundaries, under both schemes and both distances.
+    #[test]
+    fn labels_equal_the_per_pair_reference_bit_for_bit() {
+        let ds = small_ds();
+        for (kind, scheme, threads) in [
+            (
+                DistanceKind::Euclidean,
+                ThresholdScheme::GeometricSelectivity,
+                1,
+            ),
+            (
+                DistanceKind::Euclidean,
+                ThresholdScheme::Beta {
+                    alpha: 3.0,
+                    beta: 2.5,
+                },
+                3,
+            ),
+            (
+                DistanceKind::Cosine,
+                ThresholdScheme::GeometricSelectivity,
+                2,
+            ),
+        ] {
+            let cfg = WorkloadConfig {
+                num_queries: 53,
+                thresholds_per_query: 9,
+                kind,
+                scheme,
+                seed: 13,
+                threads,
+            };
+            let w = generate_workload(&ds, &cfg);
+            let ladder = selectivity_ladder(ds.len(), 9);
+            let mut top = 0.0f32;
+            for q in w.train.iter().chain(&w.valid).chain(&w.test) {
+                let sorted = sorted_distances(&ds, &q.x, kind);
+                let want = match scheme {
+                    ThresholdScheme::GeometricSelectivity => {
+                        label_geometric(&q.x, &sorted, &ladder)
+                    }
+                    ThresholdScheme::Beta { .. } => {
+                        label_fixed_thresholds(&q.x, &sorted, q.thresholds.clone())
+                    }
+                };
+                let bits = |ts: &[f32]| ts.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&q.thresholds), bits(&want.thresholds), "{kind:?}");
+                assert_eq!(q.selectivities, want.selectivities, "{kind:?} {scheme:?}");
+                top = q.thresholds.iter().copied().fold(top, f32::max);
+            }
+            assert_eq!(w.tmax.to_bits(), (top * 1.01 + 1e-6).to_bits());
         }
     }
 

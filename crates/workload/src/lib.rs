@@ -19,6 +19,7 @@ pub mod generate;
 pub mod partition_labels;
 pub mod query;
 pub mod rand_ext;
+mod scan;
 pub mod update;
 
 pub use drift::{unit_direction, DriftFamily, DriftSchedule, DriftStep, Placement};

@@ -3,13 +3,22 @@
 //! `f_i(x, t, D_i)` for every partition `D_i`.
 
 use crate::query::{LabeledQuery, PartitionedLabels};
+use crate::scan::{scan_distances, Labeller};
 use selnet_data::Dataset;
 use selnet_index::Partitioning;
 use selnet_metric::DistanceKind;
+use selnet_tensor::parallel::effective_threads;
+
+/// Coordinate differences (`records × dim × queries`) per worker before a
+/// further labelling thread is worth spawning: about 30 ms of kernel time.
+/// A §5.4 retrain on a small dataset relabels in less, on the thread that
+/// called.
+const WORKER_MIN_WORK: usize = 1 << 28;
 
 /// Computes `labels[query][part][threshold]` — the exact selectivity of
 /// each query/threshold pair restricted to each partition. The per-part
 /// counts always sum to the global label (Observation 1 of the paper).
+/// `threads` caps the labelling workers (0 = all cores).
 pub fn label_partitions(
     ds: &Dataset,
     partitioning: &Partitioning,
@@ -17,52 +26,64 @@ pub fn label_partitions(
     kind: DistanceKind,
     threads: usize,
 ) -> PartitionedLabels {
-    let k = partitioning.k();
-    let threads = selnet_tensor::parallel::effective_threads(threads).min(queries.len().max(1));
-
-    let mut labels: Vec<Option<Vec<Vec<f64>>>> = vec![None; queries.len()];
-    std::thread::scope(|scope| {
-        let chunk = queries.len().div_ceil(threads);
-        let mut rest: &mut [Option<Vec<Vec<f64>>>] = &mut labels;
-        let mut start = 0usize;
-        for _ in 0..threads {
-            let take = chunk.min(rest.len());
-            if take == 0 {
-                break;
-            }
-            let (head, tail) = rest.split_at_mut(take);
-            rest = tail;
-            scope.spawn(move || {
-                // per-thread scratch: distances grouped by partition
-                let mut per_part: Vec<Vec<f32>> = vec![Vec::new(); k];
-                for (off, slot) in head.iter_mut().enumerate() {
-                    let q = &queries[start + off];
-                    for p in &mut per_part {
-                        p.clear();
-                    }
-                    for (i, row) in ds.iter().enumerate() {
-                        per_part[partitioning.assignments()[i]].push(kind.eval(&q.x, row));
-                    }
-                    for p in &mut per_part {
-                        p.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
-                    }
-                    let mut rows = Vec::with_capacity(k);
-                    for p in &per_part {
-                        let counts: Vec<f64> = q
-                            .thresholds
-                            .iter()
-                            .map(|&t| p.partition_point(|&d| d <= t) as f64)
-                            .collect();
-                        rows.push(counts);
-                    }
-                    *slot = Some(rows);
-                }
-            });
-            start += take;
-        }
-    });
+    let assignments = partitioning.assignments();
+    assert_eq!(assignments.len(), ds.len(), "one assignment per record");
+    let xs: Vec<&[f32]> = queries.iter().map(|q| q.x.as_slice()).collect();
+    let counter = || PartCounts {
+        assignments,
+        queries,
+        k: partitioning.k(),
+        lanes: Vec::new(),
+    };
+    let work = ds.len() * ds.dim() * queries.len();
+    let workers = effective_threads(threads).min(work / WORKER_MIN_WORK);
     PartitionedLabels {
-        labels: labels.into_iter().map(|l| l.expect("labeled")).collect(),
+        labels: scan_distances(ds, &xs, kind, workers, counter),
+    }
+}
+
+/// Counts, as the records stream by, how many of each partition lie within
+/// each threshold of each lane's query: no distance is stored.
+struct PartCounts<'a> {
+    assignments: &'a [usize],
+    queries: &'a [LabeledQuery],
+    k: usize,
+    /// Per lane: its query's thresholds and `counts[part * w + j]`.
+    lanes: Vec<(&'a [f32], Vec<u64>)>,
+}
+
+impl Labeller for PartCounts<'_> {
+    type Label = Vec<Vec<f64>>;
+
+    fn begin(&mut self, l: usize, q: usize) {
+        let thresholds = self.queries[q].thresholds.as_slice();
+        self.lanes
+            .resize(self.lanes.len().max(l + 1), (&[], Vec::new()));
+        let (ts, counts) = &mut self.lanes[l];
+        *ts = thresholds;
+        counts.clear();
+        counts.resize(self.k * thresholds.len(), 0);
+    }
+
+    fn record(&mut self, i: usize, dists: &[f32]) {
+        let part = self.assignments[i];
+        for ((ts, counts), &d) in self.lanes.iter_mut().zip(dists) {
+            let counts = &mut counts[part * ts.len()..(part + 1) * ts.len()];
+            for (count, &t) in counts.iter_mut().zip(ts.iter()) {
+                *count += u64::from(d <= t);
+            }
+        }
+    }
+
+    fn finish(&mut self, l: usize) -> Self::Label {
+        let (ts, counts) = &self.lanes[l];
+        if ts.is_empty() {
+            return vec![Vec::new(); self.k];
+        }
+        counts
+            .chunks(ts.len())
+            .map(|part| part.iter().map(|&c| c as f64).collect())
+            .collect()
     }
 }
 
@@ -99,6 +120,36 @@ mod tests {
             for (j, &global) in q.selectivities.iter().enumerate() {
                 let sum: f64 = parts.iter().map(|row| row[j]).sum();
                 assert_eq!(sum, global, "Observation 1 violated");
+            }
+        }
+    }
+
+    /// Every per-partition label equals a pair-by-pair count over the
+    /// partition's records, under both distances.
+    #[test]
+    fn partition_labels_equal_the_per_pair_count() {
+        let ds = fasttext_like(&GeneratorConfig::new(300, 6, 3, 8));
+        for kind in [DistanceKind::Euclidean, DistanceKind::Cosine] {
+            let mut cfg = WorkloadConfig::new(30, kind, 4);
+            cfg.thresholds_per_query = 7;
+            let w = generate_workload(&ds, &cfg);
+            let p =
+                Partitioning::build(&ds, kind, PartitionMethod::CoverTree { ratio: 0.05 }, 4, 0);
+            let pl = label_partitions(&ds, &p, &w.train, kind, 2);
+            for (q, parts) in w.train.iter().zip(&pl.labels) {
+                for (part, row) in parts.iter().enumerate() {
+                    let want: Vec<f64> = q
+                        .thresholds
+                        .iter()
+                        .map(|&t| {
+                            let inside =
+                                |&(i, _): &(usize, &usize)| kind.eval(&q.x, ds.row(i)) <= t;
+                            let members = p.assignments().iter().enumerate();
+                            members.filter(|(_, &a)| a == part).filter(inside).count() as f64
+                        })
+                        .collect();
+                    assert_eq!(row, &want, "{kind:?} part {part}");
+                }
             }
         }
     }
