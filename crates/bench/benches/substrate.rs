@@ -2,8 +2,10 @@
 //! blocked vs blocked+threads), the tape itself (fresh graph per step vs
 //! arena reuse — the allocation-sensitive benchmark), the distance layer
 //! (pair kernel against the 16-lane block kernel, in cache and streamed),
-//! cover-tree construction and range counting, PWL head evaluation,
-//! workload ground-truth labeling, and one end-to-end training epoch.
+//! cover-tree construction (one and two build workers) and range
+//! counting, the fork-join primitive itself, a label column fully sorted
+//! against rank-selected, PWL head evaluation, workload ground-truth
+//! labeling, and one end-to-end training epoch.
 //!
 //! With `SELNET_BENCH_RECORD=1` the run re-times the key kernels with a
 //! plain `Instant` loop and rewrites `BENCH_substrate.json` at the repo
@@ -212,7 +214,11 @@ fn bench_cover_tree(c: &mut Criterion) {
     let ds = fasttext_like(&GeneratorConfig::new(5000, 16, 8, 1));
     let mut group = c.benchmark_group("cover_tree");
     group.sample_size(10);
-    group.bench_function("build_5k", |b| b.iter(|| black_box(CoverTree::build(&ds))));
+    for workers in [1usize, 2] {
+        group.bench_function(format!("build_5k_{workers}w"), |b| {
+            b.iter(|| black_box(CoverTree::build_with_workers(&ds, workers)))
+        });
+    }
     let tree = CoverTree::build(&ds);
     let q = ds.row(17).to_vec();
     group.bench_function("range_count", |b| {
@@ -220,6 +226,74 @@ fn bench_cover_tree(c: &mut Criterion) {
     });
     group.bench_function("nearest", |b| {
         b.iter(|| black_box(tree.nearest(black_box(&q))))
+    });
+    group.finish();
+}
+
+/// One empty two-way fork-join: a scope, one spawn, one join — the cost
+/// `selnet_tensor::parallel::FORK_MIN_WORK` is derived from.
+fn fork_join_once() {
+    selnet_tensor::parallel::fork_join(vec![0u8, 1], |part| {
+        black_box(part);
+    });
+}
+
+fn bench_parallel(c: &mut Criterion) {
+    let mut group = c.benchmark_group("parallel");
+    group.sample_size(20);
+    group.bench_function("fork_join_2way_empty", |b| b.iter(fork_join_once));
+    group.finish();
+}
+
+/// Records per label column and the rank the paper fixture's ladder tops
+/// out at (`N / 100`).
+const LABEL_COLUMN: (usize, usize) = (50_000, 500);
+
+/// A column of distances as the labelling scan leaves it: unsorted, with
+/// runs of equal values.
+fn label_column() -> Vec<f32> {
+    let (n, _) = LABEL_COLUMN;
+    (0..n)
+        .map(|i| ((i * 7919) % 10_007) as f32 * 0.013 + 1.0)
+        .collect()
+}
+
+fn by_distance(a: &f32, b: &f32) -> std::cmp::Ordering {
+    a.partial_cmp(b).expect("finite distances")
+}
+
+/// What labelling did with a column before this PR: sort all of it.
+fn column_sort(column: &mut [f32]) -> f32 {
+    column.sort_unstable_by(by_distance);
+    column[LABEL_COLUMN.1 - 1]
+}
+
+/// What `NearestColumns::finish` does with it: select the top rank, sort
+/// that prefix, count the ties of the rank's value among the rest.
+fn column_select(column: &mut [f32]) -> (f32, usize) {
+    let rank = LABEL_COLUMN.1;
+    let (_, &mut top, beyond) = column.select_nth_unstable_by(rank - 1, by_distance);
+    let ties = beyond.iter().filter(|&&d| d == top).count();
+    column[..rank].sort_unstable_by(by_distance);
+    (column[rank - 1], ties)
+}
+
+fn bench_label_column(c: &mut Criterion) {
+    let column = label_column();
+    let mut scratch = column.clone();
+    let mut group = c.benchmark_group("label_column");
+    group.sample_size(10);
+    group.bench_function("sort_50k", |b| {
+        b.iter(|| {
+            scratch.copy_from_slice(&column);
+            black_box(column_sort(&mut scratch))
+        })
+    });
+    group.bench_function("select_50k_rank500", |b| {
+        b.iter(|| {
+            scratch.copy_from_slice(&column);
+            black_box(column_select(&mut scratch))
+        })
     });
     group.finish();
 }
@@ -361,7 +435,8 @@ fn bench_record(_c: &mut Criterion) {
     });
 
     // the parallel matmul dispatcher's scaling curve at the 256² control
-    // shape (per-thread times; equal on a 1-vCPU box by construction)
+    // shape (2^24 multiply-adds: below the fork gate's two workers' worth,
+    // so flat at every thread count) and at 512² (eight workers' worth)
     let mm_scaling: Vec<f64> = [1usize, 2, 4, 8]
         .iter()
         .map(|&t| {
@@ -370,6 +445,47 @@ fn bench_record(_c: &mut Criterion) {
             })
         })
         .collect();
+    let a512 = Matrix::from_fn(512, 512, |i, j| ((i * 31 + j * 17) % 97) as f32 * 0.01);
+    let b512 = Matrix::from_fn(512, 512, |i, j| ((i * 13 + j * 29) % 89) as f32 * 0.01);
+    let mm512_scaling: Vec<f64> = [1usize, 2, 4]
+        .iter()
+        .map(|&t| {
+            time_ms(10, 4, || {
+                black_box(a512.matmul_threaded(&b512, t));
+            })
+        })
+        .collect();
+
+    // one empty two-way fork-join, back to back (the second core awake)
+    // and after 2 ms of sleep each (the vCPU has to be woken): the number
+    // `parallel::FORK_MIN_WORK` is derived from
+    let fork_join_us = time_ms(10, 200, fork_join_once) * 1e3;
+    let fork_join_idle_us = (0..40)
+        .map(|_| {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            let t = Instant::now();
+            fork_join_once();
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .sum::<f64>()
+        / 40.0;
+
+    // a label column of 50 000 distances: fully sorted against selected
+    // at the ladder's top rank
+    let column = label_column();
+    let mut scratch = column.clone();
+    let column_copy = time_ms(5, 20, || {
+        scratch.copy_from_slice(&column);
+        black_box(&scratch);
+    });
+    let sort_ms = time_ms(5, 20, || {
+        scratch.copy_from_slice(&column);
+        black_box(column_sort(&mut scratch));
+    }) - column_copy;
+    let select_ms = time_ms(5, 20, || {
+        scratch.copy_from_slice(&column);
+        black_box(column_select(&mut scratch));
+    }) - column_copy;
 
     // gemm yardstick: hand kernel vs naive reference per serving shape
     let gemm_lines: Vec<String> = GEMM_SHAPES
@@ -413,7 +529,10 @@ fn bench_record(_c: &mut Criterion) {
     let distance_block = distance_lines.join(",\n");
     let ds5k = fasttext_like(&GeneratorConfig::new(5000, 16, 8, 1));
     let build_5k = time_ms(10, 2, || {
-        black_box(CoverTree::build(&ds5k));
+        black_box(CoverTree::build_with_workers(&ds5k, 1));
+    });
+    let build_5k_2w = time_ms(10, 2, || {
+        black_box(CoverTree::build_with_workers(&ds5k, 2));
     });
 
     let cpus = std::thread::available_parallelism()
@@ -460,7 +579,17 @@ fn bench_record(_c: &mut Criterion) {
     "matmul_256_2t_ms": {mm2:.4},
     "matmul_256_4t_ms": {mm4:.4},
     "matmul_256_8t_ms": {mm8:.4},
-    "speedup_4t_vs_1t": {mm_speedup:.2}
+    "speedup_4t_vs_1t": {mm_speedup:.2},
+    "matmul_512_1t_ms": {mm512_1:.4},
+    "matmul_512_2t_ms": {mm512_2:.4},
+    "matmul_512_4t_ms": {mm512_4:.4},
+    "speedup_512_2t_vs_1t": {mm512_speedup:.2}
+  }},
+  "parallel": {{
+    "machine_cpus": {cpus},
+    "fork_join_us": {fork_join_us:.1},
+    "fork_join_idle_us": {fork_join_idle_us:.1},
+    "fork_min_work": {fork_min_work}
   }},
   "gemm": {{
 {gemm_block}
@@ -471,9 +600,17 @@ fn bench_record(_c: &mut Criterion) {
   "cover_tree": {{
     "build_5k_insertion_ms": 4.1826,
     "build_5k_ms": {build_5k:.4},
+    "build_5k_2w_ms": {build_5k_2w:.4},
     "speedup_vs_insertion": {speedup_ct:.2}
   }},
-  "notes": "seed/pr2 numbers were taken on a single-vCPU container; the 4t entries only show parallel gains on multi-core hosts (the kernels are bit-identical across thread counts either way). The tape_* pair isolates per-step tape overhead: same model, same data, fresh Graph per step vs one reused arena. The scaling block is the parallel matmul dispatcher's per-thread curve at the 256² control shape; the gemm block is the hand-tiled kernel vs the naive ikj reference per serving shape (hand_vs_naive > 1 means the hand kernel wins), recorded on machine_cpus cores. The distance block is nanoseconds per distance of one query against `vectors` vectors, `vectors::squared_euclidean` pair by pair vs `LaneBlocks::sqdist_into` sixteen at a time (bit-identical lanes), over 32 vectors (cached) and over 60 MB of them (streamed). cover_tree.build_5k_insertion_ms is frozen: sequential insertion on the pair kernel, the build before PR 14, best of 10 on the host that recorded build_5k_ms."
+  "label_column": {{
+    "records": {column_n},
+    "rank": {column_rank},
+    "sort_ms": {sort_ms:.4},
+    "select_ms": {select_ms:.4},
+    "sort_vs_select": {sort_vs_select:.2}
+  }},
+  "notes": "seed/pr2 numbers were taken on a single-vCPU container; the 4t entries only show parallel gains on multi-core hosts (the kernels are bit-identical across thread counts either way). The tape_* pair isolates per-step tape overhead: same model, same data, fresh Graph per step vs one reused arena. The scaling block is the parallel matmul dispatcher's per-thread curve at the 256² control shape; the gemm block is the hand-tiled kernel vs the naive ikj reference per serving shape (hand_vs_naive > 1 means the hand kernel wins), recorded on machine_cpus cores. The distance block is nanoseconds per distance of one query against `vectors` vectors, `vectors::squared_euclidean` pair by pair vs `LaneBlocks::sqdist_into` sixteen at a time (bit-identical lanes), over 32 vectors (cached) and over 60 MB of them (streamed). cover_tree.build_5k_insertion_ms is frozen: sequential insertion on the pair kernel, the build before PR 14, best of 10 on the host that recorded build_5k_ms; build_5k_ms is the batch build on one worker, build_5k_2w_ms the same tree routed by two (80 000 coordinates: far below the size `CoverTree::build` goes parallel at). The parallel block is one empty two-way `parallel::fork_join` (a scope, one spawn, one join) in microseconds, back to back and after 2 ms of sleep each (the second vCPU has to be woken), beside the gate derived from it: `parallel::FORK_MIN_WORK` elementary operations per engaged worker. Under it the 256² scaling curve (2^24 multiply-adds in all) never forks and is flat by construction; 512² is eight workers' worth and does fork — where speedup_512_2t_vs_1t reads about 1.0 the recording host's two vCPUs share one core's vector units, so a compute-bound kernel gains nothing from the second while a latency-bound scan (the N=50 000 cover-tree build, 1.25 → 0.67 s) halves. The label_column block is one column of `records` distances fully sorted (labelling before PR 15) against `select_nth_unstable` at `rank`, a sort of that prefix and a tie count over the rest (`NearestColumns::finish`), the copy that refills the column subtracted from both."
 }}
 "#,
         mm1 = mm_scaling[0],
@@ -481,6 +618,14 @@ fn bench_record(_c: &mut Criterion) {
         mm4 = mm_scaling[2],
         mm8 = mm_scaling[3],
         mm_speedup = mm_scaling[0] / mm_scaling[2],
+        mm512_1 = mm512_scaling[0],
+        mm512_2 = mm512_scaling[1],
+        mm512_4 = mm512_scaling[2],
+        mm512_speedup = mm512_scaling[0] / mm512_scaling[1],
+        fork_min_work = selnet_tensor::parallel::FORK_MIN_WORK,
+        column_n = LABEL_COLUMN.0,
+        column_rank = LABEL_COLUMN.1,
+        sort_vs_select = sort_ms / select_ms,
         speedup_mm = 2.0667 / blocked_1t.min(blocked_4t),
         speedup_te = 3.3017 / train_epoch,
         speedup_pr2 = 1.3914 / train_epoch,
@@ -499,6 +644,8 @@ criterion_group!(
     bench_tape,
     bench_distance,
     bench_cover_tree,
+    bench_parallel,
+    bench_label_column,
     bench_pwl,
     bench_train_epoch,
     bench_ground_truth,

@@ -22,7 +22,7 @@ use selnet_index::Partitioning;
 use selnet_tensor::{
     pwl_interp_row, Adam, Graph, InferencePlan, Matrix, Optimizer, ParamStore, PlanPrecision, Var,
 };
-use selnet_workload::{label_partitions, LabeledQuery, Workload};
+use selnet_workload::{label_partitions, LabeledQuery, PartitionedLabels, Workload};
 use std::sync::Arc;
 
 /// A trained partitioned SelNet (the paper's headline model).
@@ -324,6 +324,21 @@ fn build_joint_pairs<'a>(
     out
 }
 
+/// [`label_partitions`] under a `label_partitions` span on the global
+/// recorder (inert until armed): a = labelling workers engaged, b =
+/// queries labelled.
+fn label_partitions_traced(
+    ds: &Dataset,
+    partitioning: &Partitioning,
+    queries: &[LabeledQuery],
+    kind: selnet_metric::DistanceKind,
+) -> PartitionedLabels {
+    let mut span = selnet_obs::trace::global().span("label_partitions", 0);
+    let labels = label_partitions(ds, partitioning, queries, kind, 0);
+    span.set_detail(labels.workers as u64, queries.len() as u64);
+    labels
+}
+
 /// Records a column-vector leaf gathering `values[order[i]]` directly into
 /// the tape's recycled buffer.
 fn gather_leaf(g: &mut Graph, values: &[f32], order: &[usize]) -> Var {
@@ -484,6 +499,18 @@ pub(crate) fn run_training_phase(
     rng: &mut StdRng,
     report: &mut TrainReport,
 ) {
+    // flight-recorder hook (inert unless the global recorder is armed):
+    // a = epochs run, b = threads the phase's steps fan out over (the
+    // pretraining jobs ride `par_map_states`; a joint step is one tape)
+    let mut span = selnet_obs::trace::global().span(
+        if joint {
+            "joint_phase"
+        } else {
+            "pretrain_phase"
+        },
+        0,
+    );
+    let epochs_before = report.epoch_val_mae.len();
     let cfg = model.cfg.clone();
     let n = pairs.t.len();
     let mut order: Vec<usize> = (0..n).collect();
@@ -585,6 +612,15 @@ pub(crate) fn run_training_phase(
             model.reference_val_mae = best_mae;
         }
     }
+    let fan_out = if joint {
+        1
+    } else {
+        selnet_tensor::parallel::configured_threads().min(k + 1)
+    };
+    span.set_detail(
+        (report.epoch_val_mae.len() - epochs_before) as u64,
+        fan_out as u64,
+    );
 }
 
 /// Validation MAE of the partitioned model (see
@@ -604,7 +640,14 @@ pub fn fit_partitioned(
 ) -> (PartitionedSelNet, TrainReport) {
     let dim = ds.dim();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let partitioning = Partitioning::build(ds, workload.kind, pcfg.method, pcfg.k, cfg.seed);
+    let partitioning = {
+        // flight-recorder hook: a = build workers, b = subtree jobs
+        let mut span = selnet_obs::trace::global().span("partition_build", 0);
+        let (partitioning, built) =
+            Partitioning::build_reporting(ds, workload.kind, pcfg.method, pcfg.k, cfg.seed);
+        span.set_detail(built.workers as u64, built.subtree_jobs as u64);
+        partitioning
+    };
     let k = partitioning.k();
 
     let mut store = ParamStore::new();
@@ -674,7 +717,8 @@ pub fn fit_partitioned(
     };
 
     // per-partition ground truth (precomputed, as in the paper)
-    let part_labels = label_partitions(ds, &model.partitioning, &workload.train, workload.kind, 0);
+    let part_labels =
+        label_partitions_traced(ds, &model.partitioning, &workload.train, workload.kind);
     let pairs = build_joint_pairs(
         &workload.train,
         &part_labels.labels,
@@ -729,7 +773,7 @@ pub(crate) fn continue_training(
     // positional assignments are stale (and too short after inserts).
     // Re-derive them for the current records before labeling.
     model.partitioning.refresh_assignments(ds);
-    let part_labels = label_partitions(ds, &model.partitioning, train, kind, 0);
+    let part_labels = label_partitions_traced(ds, &model.partitioning, train, kind);
     let pairs = build_joint_pairs(
         train,
         &part_labels.labels,
@@ -897,6 +941,49 @@ mod tests {
         assert_eq!(
             m1.predict_many(&q.x, &q.thresholds),
             m2.predict_many(&q.x, &q.thresholds)
+        );
+    }
+
+    /// The fork gate keeps every test-sized wave on one thread, so the
+    /// chunked replay's bookkeeping (a chunk's first row, its slice of the
+    /// ragged output, the indicator on the chunk's own queries) would go
+    /// unexercised: build the smallest wave the gate splits three ways
+    /// and compare it with the serial replay bit for bit.
+    #[test]
+    fn a_wave_past_the_fork_gate_is_chunked_and_bit_identical() {
+        let (ds, w) = fixture();
+        let mut cfg = SelNetConfig::tiny();
+        cfg.epochs = 2;
+        let (model, _) = fit_partitioned(&ds, &w, &cfg, &tiny_pcfg());
+        let plan = model.plan(PlanPrecision::Exact);
+        let rows = (3 * selnet_tensor::parallel::FORK_MIN_WORK).div_ceil(plan.flops_per_row());
+        assert_eq!(plan.replay_threads(rows, 3), 3);
+        assert_eq!(plan.replay_threads(rows - 1, 3), 2);
+        assert_eq!(plan.replay_threads(64, 8), 1, "a serving wave stays serial");
+        let queries: Vec<(&[f32], &[f32])> = (0..rows)
+            .map(|i| {
+                let q = &w.train[i % w.train.len()];
+                (q.x.as_slice(), &q.thresholds[i % 4..i % 4 + 1 + i % 3])
+            })
+            .collect();
+        let wave = |threads: usize| {
+            let mut out = Vec::new();
+            let opts = EvalOpts {
+                precision: PlanPrecision::Exact,
+                threads,
+            };
+            model.estimate_into(&queries, opts, &mut out);
+            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let serial = wave(1);
+        assert_eq!(serial.len(), queries.iter().map(|(_, ts)| ts.len()).sum());
+        assert!(
+            wave(3) == serial,
+            "three chunks diverged from the serial replay"
+        );
+        assert!(
+            wave(2) == serial,
+            "two chunks diverged from the serial replay"
         );
     }
 

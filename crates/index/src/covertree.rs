@@ -11,6 +11,8 @@
 use selnet_data::Dataset;
 use selnet_metric::vectors::{LaneBlocks, LANES};
 use selnet_metric::DistanceKind;
+use std::collections::BinaryHeap;
+use std::sync::{Condvar, Mutex, OnceLock};
 
 /// One tree node. Node `i` holds dataset point `i`: every point becomes
 /// exactly one node, in dataset order.
@@ -56,6 +58,28 @@ pub struct Region {
 pub struct CoverTree<'a> {
     ds: &'a Dataset,
     nodes: Vec<CtNode>,
+    stats: BuildStats,
+}
+
+/// How a tree was built: for instrumentation, never for results — the
+/// tree is the same for every worker count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BuildStats {
+    /// Threads the build ran on below the root, the calling one
+    /// included: the count asked for, or the number of root children with
+    /// a subtree if that is smaller.
+    pub workers: usize,
+    /// Nodes below the root whose subtree was routed as a job of its own.
+    pub subtree_jobs: usize,
+}
+
+impl BuildStats {
+    /// One thread, nothing routed below a root: an empty tree, or an index
+    /// that is not a cover tree.
+    pub const SERIAL: BuildStats = BuildStats {
+        workers: 1,
+        subtree_jobs: 0,
+    };
 }
 
 fn covdist(level: i32) -> f32 {
@@ -80,6 +104,16 @@ struct Routing {
     centres: LaneBlocks,
     cover: Vec<f32>,
     children: Vec<Child>,
+}
+
+impl Routing {
+    fn new(dim: usize) -> Self {
+        Routing {
+            centres: LaneBlocks::new(dim),
+            cover: Vec::new(),
+            children: Vec::new(),
+        }
+    }
 }
 
 /// Routes `points` (in dataset order) below one node: each goes to the
@@ -128,28 +162,133 @@ fn route_below(
     }
 }
 
+/// A node whose subtree is still to be routed below it: everything a
+/// worker needs to do so. Ordered by size, so the shared list hands out
+/// the largest job first and the build does not end on one worker
+/// finishing a big subtree alone.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Job {
+    /// `points.len()`: the sort key.
+    size: usize,
+    node: u32,
+    /// The level the node's new children get: one below its own.
+    child_level: i32,
+    /// The node's subtree without the node, in dataset order.
+    points: Vec<u32>,
+}
+
+/// The tree under construction and the jobs not yet taken, shared by the
+/// build's workers.
+struct Building {
+    nodes: Vec<CtNode>,
+    jobs: BinaryHeap<Job>,
+    /// Jobs taken and not yet adopted; the build is over when there are
+    /// none of these and none in `jobs`.
+    in_flight: usize,
+    /// Jobs adopted so far.
+    adopted: usize,
+    /// Workers asleep until a job is adopted.
+    waiting: usize,
+}
+
+impl Building {
+    /// Records the children [`route_below`] created under `node` and
+    /// queues those that received points of their own.
+    fn adopt(&mut self, node: u32, routing: &mut Routing) {
+        self.nodes[node as usize].children = routing.children.iter().map(|c| c.point).collect();
+        for child in routing.children.drain(..) {
+            self.nodes[child.point as usize] = CtNode {
+                level: child.level,
+                children: Vec::new(),
+                subtree_size: 1 + child.below.len(),
+                max_dist: child.max_dist,
+            };
+            if !child.below.is_empty() {
+                self.jobs.push(Job {
+                    size: child.below.len(),
+                    node: child.point,
+                    child_level: child.level - 1,
+                    points: child.below,
+                });
+            }
+        }
+        self.adopted += 1;
+    }
+}
+
+/// Dataset coordinates (`n × dim`) below which [`CoverTree::build`] stays
+/// on the calling thread: a tree over fewer builds in a few tens of
+/// milliseconds and is typically one of several things a caller does at
+/// once (the small benchmark fixture, N = 20 000 × d = 24, is below; the
+/// paper-shaped one, 50 000 × 300, far above).
+const PARALLEL_MIN_COORDS: usize = 1 << 21;
+
+/// The worker count [`CoverTree::build`] uses when it is not told one:
+/// `SELNET_THREADS` if set to a positive number, else
+/// [`std::thread::available_parallelism`] — the order
+/// `selnet_tensor::parallel` resolves its default in, restated here
+/// because this crate sits below that one (the workspace test
+/// `index_and_tensor_agree_on_default_workers` holds the two together).
+/// Read once.
+pub fn default_workers() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::env::var("SELNET_THREADS")
+            .ok()
+            .and_then(|s| s.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
+}
+
 impl<'a> CoverTree<'a> {
+    /// [`CoverTree::build_with_workers`] on [`default_workers`] threads,
+    /// or on the calling thread alone for a small dataset.
+    pub fn build(ds: &'a Dataset) -> Self {
+        Self::build_with_workers(ds, Self::workers_for(ds))
+    }
+
+    fn workers_for(ds: &Dataset) -> usize {
+        if ds.len() * ds.dim() < PARALLEL_MIN_COORDS {
+            1
+        } else {
+            default_workers()
+        }
+    }
+
     /// Builds the tree that inserting the dataset's points one at a time,
     /// in order, would build — the same children in the same order, the
-    /// same levels, sizes and `max_dist` bits — top-down: a node receives
-    /// all the points of its subtree at once and `route_below` hands
-    /// them on to its children. Each point's distance to the node it is
-    /// routed into is computed on the way, so subtree sizes and the exact
-    /// `max_dist` need no second pass.
-    pub fn build(ds: &'a Dataset) -> Self {
+    /// same levels, sizes and `max_dist` bits, for every `workers` —
+    /// top-down: a node receives all the points of its subtree at once
+    /// and `route_below` hands them on to its children. Each point's
+    /// distance to the node it is routed into is computed on the way, so
+    /// subtree sizes and the exact `max_dist` need no second pass.
+    ///
+    /// The root is routed on the calling thread. Below it, what a node's
+    /// routing produces depends on nothing but the node's level and its
+    /// point list, and it writes nothing but that node's child list and
+    /// those children: the pending nodes are independent jobs, taken
+    /// largest first from one shared list by `workers` threads (the
+    /// caller is one of them), each adopting its result under the list's
+    /// lock. Which thread routes a node, and when, cannot show in the
+    /// tree.
+    pub fn build_with_workers(ds: &'a Dataset, workers: usize) -> Self {
         let n = u32::try_from(ds.len()).expect("cover tree indexes at most 2^32 points");
-        let mut nodes = vec![CtNode::leaf(0); ds.len()];
-        if nodes.is_empty() {
-            return CoverTree { ds, nodes };
-        }
-        let mut routing = Routing {
-            centres: LaneBlocks::new(ds.dim()),
-            cover: Vec::new(),
-            children: Vec::new(),
+        let mut building = Building {
+            nodes: vec![CtNode::leaf(0); ds.len()],
+            jobs: BinaryHeap::new(),
+            in_flight: 0,
+            adopted: 0,
+            waiting: 0,
         };
-        // nodes whose subtree is still to be routed below them; the lists
-        // are disjoint, so together they never hold more than `n` ids
-        let mut pending: Vec<(u32, Vec<u32>)> = Vec::new();
+        if n == 0 {
+            return CoverTree {
+                ds,
+                nodes: building.nodes,
+                stats: BuildStats::SERIAL,
+            };
+        }
+        let mut routing = Routing::new(ds.dim());
 
         // The root is point 0. Its level rises until its ball covers each
         // arriving point, and a child created on the way sits one below
@@ -158,7 +297,7 @@ impl<'a> CoverTree<'a> {
         root.push(ds.row(0));
         let rest: Vec<u32> = (1..n).collect();
         let mut sq = [0.0f32; LANES];
-        let root_node = &mut nodes[0];
+        let root_node = &mut building.nodes[0];
         root_node.subtree_size = ds.len();
         let below_root = |x: &[f32]| {
             root.sqdist_into(0, x, &mut sq);
@@ -170,36 +309,57 @@ impl<'a> CoverTree<'a> {
             root_node.level - 1
         };
         route_below(ds, &rest, below_root, &mut routing);
-        Self::adopt(&mut nodes, 0, &mut routing, &mut pending);
+        building.adopt(0, &mut routing);
 
-        while let Some((node, points)) = pending.pop() {
-            let level = nodes[node as usize].level - 1;
-            route_below(ds, &points, |_| level, &mut routing);
-            Self::adopt(&mut nodes, node, &mut routing, &mut pending);
+        // no more threads than there are jobs to start them on
+        let workers = workers.clamp(1, building.jobs.len().max(1));
+        let shared = (Mutex::new(building), Condvar::new());
+        let work = |mut routing: Routing| {
+            let (building, wake) = &shared;
+            let mut guard = building.lock().expect("a build worker panicked");
+            loop {
+                let Some(job) = guard.jobs.pop() else {
+                    if guard.in_flight == 0 {
+                        // nothing left and nobody who could add to it
+                        wake.notify_all();
+                        return;
+                    }
+                    guard.waiting += 1;
+                    guard = wake.wait(guard).expect("a build worker panicked");
+                    guard.waiting -= 1;
+                    continue;
+                };
+                guard.in_flight += 1;
+                drop(guard);
+                route_below(ds, &job.points, |_| job.child_level, &mut routing);
+                guard = building.lock().expect("a build worker panicked");
+                guard.in_flight -= 1;
+                guard.adopt(job.node, &mut routing);
+                if guard.waiting > 0 {
+                    wake.notify_all();
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(|| work(Routing::new(ds.dim())));
+            }
+            work(routing);
+        });
+        let building = shared.0.into_inner().expect("a build worker panicked");
+        CoverTree {
+            ds,
+            nodes: building.nodes,
+            stats: BuildStats {
+                workers,
+                subtree_jobs: building.adopted - 1,
+            },
         }
-        CoverTree { ds, nodes }
     }
 
-    /// Records the children [`route_below`] created under `node` and
-    /// queues those that received points of their own.
-    fn adopt(
-        nodes: &mut [CtNode],
-        node: u32,
-        routing: &mut Routing,
-        pending: &mut Vec<(u32, Vec<u32>)>,
-    ) {
-        nodes[node as usize].children = routing.children.iter().map(|c| c.point).collect();
-        for child in routing.children.drain(..) {
-            nodes[child.point as usize] = CtNode {
-                level: child.level,
-                children: Vec::new(),
-                subtree_size: 1 + child.below.len(),
-                max_dist: child.max_dist,
-            };
-            if !child.below.is_empty() {
-                pending.push((child.point, child.below));
-            }
-        }
+    /// How [`CoverTree::build`] went about it.
+    pub fn build_stats(&self) -> BuildStats {
+        self.stats
     }
 
     fn dist(&self, a: usize, b: usize) -> f32 {
@@ -470,27 +630,40 @@ mod tests {
         }
     }
 
-    /// Structure, levels, sizes, `max_dist` bits and the exported regions.
+    /// Structure, levels, sizes, `max_dist` bits and the exported regions,
+    /// whatever the number of build workers.
     fn assert_same_tree_as_insertion(ds: &Dataset, what: &str) {
-        let tree = CoverTree::build(ds);
         let oracle = InsertionOracle::build(ds);
-        assert_eq!(tree.nodes.len(), oracle.len(), "{what}");
-        for (i, (got, want)) in tree.nodes.iter().zip(&oracle).enumerate() {
-            assert_eq!(got, want, "{what}: node {i}");
-            assert_eq!(
-                got.max_dist.to_bits(),
-                want.max_dist.to_bits(),
-                "{what}: node {i}"
-            );
-        }
-        assert!(tree.check_invariants(), "{what}");
-        let reference = CoverTree { ds, nodes: oracle };
-        for max_region in [1, 3, ds.len() / 20 + 1, ds.len()] {
-            assert_eq!(
-                tree.regions(max_region),
-                reference.regions(max_region),
-                "{what}: regions({max_region})"
-            );
+        let reference = CoverTree {
+            ds,
+            nodes: oracle,
+            stats: BuildStats::SERIAL,
+        };
+        for workers in [1, 2, 3, 8] {
+            let what = format!("{what}, {workers} workers");
+            let tree = CoverTree::build_with_workers(ds, workers);
+            assert_eq!(tree.nodes.len(), reference.nodes.len(), "{what}");
+            for (i, (got, want)) in tree.nodes.iter().zip(&reference.nodes).enumerate() {
+                assert_eq!(got, want, "{what}: node {i}");
+                assert_eq!(
+                    got.max_dist.to_bits(),
+                    want.max_dist.to_bits(),
+                    "{what}: node {i}"
+                );
+            }
+            assert!(tree.check_invariants(), "{what}");
+            for max_region in [1, 3, ds.len() / 20 + 1, ds.len()] {
+                assert_eq!(
+                    tree.regions(max_region),
+                    reference.regions(max_region),
+                    "{what}: regions({max_region})"
+                );
+            }
+            // one job per node with a subtree below it, the root's aside
+            let parents = tree.nodes.iter().filter(|n| !n.children.is_empty()).count();
+            let stats = tree.build_stats();
+            assert_eq!(stats.subtree_jobs, parents.saturating_sub(1), "{what}");
+            assert!((1..=workers).contains(&stats.workers), "{what}");
         }
     }
 
@@ -526,6 +699,42 @@ mod tests {
     }
 
     #[test]
+    fn build_stays_on_the_caller_below_the_size_gate() {
+        let zeros = |n: usize, dim: usize| Dataset::from_flat(dim, vec![0.0; n * dim]);
+        assert_eq!(CoverTree::workers_for(&zeros(20_000, 24)), 1);
+        assert_eq!(CoverTree::workers_for(&zeros(8191, 256)), 1);
+        assert_eq!(CoverTree::workers_for(&zeros(8192, 256)), default_workers());
+        assert_eq!(
+            CoverTree::workers_for(&zeros(50_000, 300)),
+            default_workers()
+        );
+        assert!(default_workers() >= 1);
+    }
+
+    /// `build` takes the parallel path by itself once the dataset is large
+    /// enough, on as many workers as `SELNET_THREADS` or the machine give
+    /// (CI runs this with `SELNET_THREADS=3`), and the tree is the
+    /// one-worker tree.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "two 8192 x 256 builds take ~15 s unoptimized; CI runs the release tests"
+    )]
+    fn build_goes_parallel_by_itself_on_a_large_dataset() {
+        let large = fasttext_like(&GeneratorConfig::new(8192, 256, 6, 11));
+        let tree = CoverTree::build(&large);
+        let serial = CoverTree::build_with_workers(&large, 1);
+        assert!(tree.nodes == serial.nodes);
+        assert_eq!(
+            tree.build_stats().subtree_jobs,
+            serial.build_stats().subtree_jobs
+        );
+        assert_eq!(serial.build_stats().workers, 1);
+        // enough root children here that every default worker gets a job
+        assert_eq!(tree.build_stats().workers, default_workers());
+    }
+
+    #[test]
     fn check_invariants_rejects_a_broken_cover_size_or_bound() {
         let ds = fasttext_like(&GeneratorConfig::new(200, 4, 3, 6));
         let tree = CoverTree::build(&ds);
@@ -541,7 +750,13 @@ mod tests {
         for break_it in breakages {
             let mut nodes = tree.nodes.clone();
             break_it(&mut nodes[parent]);
-            assert!(!CoverTree { ds: &ds, nodes }.check_invariants());
+            let stats = tree.stats;
+            assert!(!CoverTree {
+                ds: &ds,
+                nodes,
+                stats
+            }
+            .check_invariants());
         }
     }
 

@@ -11,6 +11,6 @@ pub mod covertree;
 pub mod kmeans;
 pub mod partition;
 
-pub use covertree::{CoverTree, Region};
+pub use covertree::{default_workers, BuildStats, CoverTree, Region};
 pub use kmeans::{kmeans, KMeansResult};
 pub use partition::{PartitionMethod, Partitioning};

@@ -15,7 +15,7 @@
 //! converted to Euclidean (`‖u−v‖ = sqrt(2 t_cos)`), exactly the unit-vector
 //! equivalence the paper invokes.
 
-use crate::covertree::{CoverTree, Region};
+use crate::covertree::{BuildStats, CoverTree, Region};
 use crate::kmeans::kmeans;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -117,6 +117,20 @@ impl Partitioning {
         k: usize,
         seed: u64,
     ) -> Partitioning {
+        Self::build_reporting(ds, kind, method, k, seed).0
+    }
+
+    /// [`Partitioning::build`], also reporting how the cover tree under a
+    /// [`PartitionMethod::CoverTree`] partitioning was built (one worker
+    /// and no jobs for the other methods): what a caller's
+    /// instrumentation records beside the build's wall time.
+    pub fn build_reporting(
+        ds: &Dataset,
+        kind: DistanceKind,
+        method: PartitionMethod,
+        k: usize,
+        seed: u64,
+    ) -> (Partitioning, BuildStats) {
         assert!(k > 0, "k must be positive");
         assert!(!ds.is_empty(), "dataset must be non-empty");
         // geometry dataset: normalized copy for cosine
@@ -131,14 +145,31 @@ impl Partitioning {
             }
         };
         match method {
-            PartitionMethod::CoverTree { ratio } => Self::build_cover_tree(geo_ref, kind, k, ratio),
-            PartitionMethod::Random => Self::build_random(ds.len(), kind, k, seed),
-            PartitionMethod::KMeans => Self::build_kmeans(geo_ref, kind, k, seed),
+            PartitionMethod::CoverTree { ratio } => {
+                let tree = CoverTree::build(geo_ref);
+                (
+                    Self::from_cover_tree(&tree, geo_ref, kind, k, ratio),
+                    tree.build_stats(),
+                )
+            }
+            PartitionMethod::Random => (
+                Self::build_random(ds.len(), kind, k, seed),
+                BuildStats::SERIAL,
+            ),
+            PartitionMethod::KMeans => (
+                Self::build_kmeans(geo_ref, kind, k, seed),
+                BuildStats::SERIAL,
+            ),
         }
     }
 
-    fn build_cover_tree(geo: &Dataset, kind: DistanceKind, k: usize, ratio: f64) -> Partitioning {
-        let tree = CoverTree::build(geo);
+    fn from_cover_tree(
+        tree: &CoverTree<'_>,
+        geo: &Dataset,
+        kind: DistanceKind,
+        k: usize,
+        ratio: f64,
+    ) -> Partitioning {
         let max_region = ((geo.len() as f64 * ratio).ceil() as usize).max(1);
         let mut regions = tree.regions(max_region);
         // Greedy merge (§5.3): sort regions by decreasing size, then assign
@@ -588,6 +619,32 @@ mod tests {
         assert!(p.assignments().iter().all(|&a| a < p.k()));
         let total: usize = p.sizes().iter().sum();
         assert_eq!(total, n);
+    }
+
+    /// The snapshot of a cover-tree partitioning does not depend on how
+    /// many workers built the tree, under either distance.
+    #[test]
+    fn snapshot_bytes_are_equal_across_build_workers() {
+        let ds = fasttext_like(&GeneratorConfig::new(900, 7, 5, 3));
+        for kind in [DistanceKind::Euclidean, DistanceKind::Cosine] {
+            let mut geo = ds.clone();
+            if kind == DistanceKind::Cosine {
+                geo.normalize_rows();
+            }
+            let built = |workers: usize| {
+                let tree = CoverTree::build_with_workers(&geo, workers);
+                // the parallel path is taken, not just asked for
+                assert!((workers.min(2)..=workers).contains(&tree.build_stats().workers));
+                saved(&Partitioning::from_cover_tree(&tree, &geo, kind, 4, 0.03))
+            };
+            let one = built(1);
+            for workers in [2, 3, 8] {
+                assert!(built(workers) == one, "{kind:?}, {workers} workers");
+            }
+            let method = PartitionMethod::CoverTree { ratio: 0.03 };
+            let whole = Partitioning::build(&ds, kind, method, 4, 0);
+            assert!(saved(&whole) == one, "{kind:?}, the default build");
+        }
     }
 
     #[test]

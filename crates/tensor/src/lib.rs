@@ -98,6 +98,4 @@ pub use layers::{Activation, Linear, Mlp};
 pub use matrix::Matrix;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::ParamStore;
-pub use plan::{
-    InferencePlan, PlanBuffers, PlanError, PlanOutputs, PlanPrecision, REPLAY_CHUNK_MIN_FLOPS,
-};
+pub use plan::{InferencePlan, PlanBuffers, PlanError, PlanOutputs, PlanPrecision};

@@ -21,11 +21,11 @@
 //! element, which makes every variant bit-identical to the naive `ikj`
 //! reference ([`Matrix::matmul_naive`]) on the equivalent operands.
 //!
-//! Above [`PAR_MIN_MULADDS`] multiply-adds the kernels split the output
-//! rows across scoped threads (see [`crate::parallel`]). Each output
-//! element is written by exactly one thread with the same in-kernel
-//! arithmetic order as the serial path, so results are bit-identical for
-//! any thread count.
+//! Products with at least [`parallel::FORK_MIN_WORK`] multiply-adds per
+//! engaged worker split their output rows across workers (see the
+//! threading rule in [`crate::parallel`]). Each output element is written
+//! by exactly one thread with the same in-kernel arithmetic order as the
+//! serial path, so results are bit-identical for any thread count.
 
 use crate::parallel;
 use std::fmt;
@@ -39,10 +39,6 @@ const VW: usize = 16;
 const NR: usize = 2 * VW;
 /// Edge length of one blocked-transpose tile.
 const TR: usize = 32;
-/// Minimum multiply-add count before a kernel splits across threads;
-/// smaller products stay on the serial path (scoped-thread spawns would
-/// dominate).
-const PAR_MIN_MULADDS: usize = 1 << 21;
 
 /// One `R x NR` register tile of `out[i][j] += Σ_s a[i][s] * b[s*n + j]`
 /// for `i` in `[i0, i0+R)`, including the `< NR` column tail. The
@@ -203,9 +199,9 @@ fn saxpy_kernel(
     if w == 0 {
         run(None);
     } else {
-        // nested saxpy_kernel calls on one thread don't exist (the
-        // threaded dispatcher hands disjoint row chunks to *other*
-        // threads), so the borrow is exclusive for the whole call
+        // nested saxpy_kernel calls on one thread don't exist (a thread
+        // runs the row chunks the dispatcher hands it one after the
+        // other), so the borrow is exclusive for the whole call
         TAIL_PACK.with(|cell| {
             let mut p = cell.borrow_mut();
             p.clear();
@@ -218,8 +214,8 @@ fn saxpy_kernel(
     }
 }
 
-/// Row-parallel dispatcher: splits the output rows across scoped threads
-/// above the size threshold.
+/// Row-parallel dispatcher: splits the output rows across the workers
+/// the fork gate allows.
 #[allow(clippy::too_many_arguments)]
 fn saxpy_dispatch(
     a: &[f32],
@@ -234,8 +230,9 @@ fn saxpy_dispatch(
     if n == 0 || m == 0 {
         return;
     }
-    let t = parallel::effective_threads(threads);
-    if t <= 1 || m.saturating_mul(steps).saturating_mul(n) < PAR_MIN_MULADDS {
+    let work = m.saturating_mul(steps).saturating_mul(n);
+    let t = parallel::gated_threads(threads, work);
+    if t <= 1 {
         saxpy_kernel(a, lda, b, out, m, steps, n);
         return;
     }

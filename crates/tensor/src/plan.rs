@@ -935,19 +935,6 @@ enum NodeVal {
     Node,
 }
 
-/// Minimum counted multiply-adds of replay work per engaged worker
-/// thread (see [`InferencePlan::replay_threads`]).
-///
-/// Derived from the plan's own counted FLOPs rather than the matmul
-/// dispatcher's blanket `2^21`-muladd gate: a serving wave is a *whole
-/// plan* of skinny products (64×d×width), so per-instruction gates never
-/// fire, but the wave's total — e.g. 64 rows × ~5k muladds ≈ 320k — is
-/// plenty to amortize a handful of scoped-thread spawns. `2^15` muladds
-/// per worker keeps the 64-row serving wave engaging 4–8 threads while a
-/// few-row replay (where spawn latency would dominate the math) stays
-/// serial.
-pub const REPLAY_CHUNK_MIN_FLOPS: usize = 1 << 15;
-
 impl InferencePlan {
     /// Compiles the live tape of `g` into a plan.
     ///
@@ -1098,16 +1085,18 @@ impl InferencePlan {
 
     /// Worker threads a chunked replay of `rows` batch rows would engage:
     /// the resolved thread count (`requested` through
-    /// [`crate::parallel::effective_threads`]), capped so every engaged
-    /// worker has at least [`REPLAY_CHUNK_MIN_FLOPS`] counted muladds of
-    /// work and at least one row. Non-chunkable plans always answer 1.
+    /// [`crate::parallel::gated_threads`]: 1 inside a parallel region),
+    /// capped so every engaged worker has at least
+    /// [`crate::parallel::FORK_MIN_WORK`] counted muladds of work — the
+    /// wave's total, since a wave is a whole plan of skinny products none
+    /// of which would pass the gate alone — and at least one row.
+    /// Non-chunkable plans always answer 1.
     pub fn replay_threads(&self, rows: usize, requested: usize) -> usize {
         if !self.chunkable || rows < 2 {
             return 1;
         }
-        let resolved = crate::parallel::effective_threads(requested);
-        let budget = rows.saturating_mul(self.flops_per_row.max(1)) / REPLAY_CHUNK_MIN_FLOPS;
-        resolved.min(budget).clamp(1, rows)
+        let work = rows.saturating_mul(self.flops_per_row.max(1));
+        crate::parallel::gated_threads(requested, work).min(rows)
     }
 
     /// Replays the plan with the batch rows split into contiguous chunks
@@ -1142,13 +1131,33 @@ impl InferencePlan {
     /// With one engaged thread this *is* the serial path:
     /// [`PlanBuffers::with_pooled`] arena, one `run`, one consume — the
     /// single-thread floors in `BENCH_serve.json` time this exact route.
-    /// Engaged chunks draw arenas from the plan-keyed
+    /// Engaged chunks (the first on the calling thread, see
+    /// [`crate::parallel::fork_join`]) draw arenas from the plan-keyed
     /// [`PlanBuffers::with_keyed`] pool instead, since scoped workers die
     /// at wave end and thread-local arenas would never be reused.
     pub fn run_chunked<O, Fill, Consume>(
         &self,
         offsets: &[usize],
         threads: usize,
+        out: &mut [O],
+        fill: Fill,
+        consume: Consume,
+    ) where
+        O: Send,
+        Fill: Fn(usize, usize, &mut Matrix) + Sync,
+        Consume: Fn(usize, PlanOutputs<'_>, &mut [O]) + Sync,
+    {
+        let rows = offsets.len().saturating_sub(1);
+        let engaged = self.replay_threads(rows, threads);
+        self.run_in_chunks(offsets, engaged, out, fill, consume)
+    }
+
+    /// [`InferencePlan::run_chunked`] on exactly `chunks` row chunks
+    /// (fewer when there are fewer rows), whatever the gate would say.
+    fn run_in_chunks<O, Fill, Consume>(
+        &self,
+        offsets: &[usize],
+        chunks: usize,
         out: &mut [O],
         fill: Fill,
         consume: Consume,
@@ -1166,8 +1175,7 @@ impl InferencePlan {
             offsets[rows] - offsets[0],
             "run_chunked: out must span the rows' offsets"
         );
-        let engaged = self.replay_threads(rows, threads);
-        let ranges = crate::parallel::chunk_ranges(rows, engaged, 1);
+        let ranges = crate::parallel::chunk_ranges(rows, chunks, 1);
         if ranges.len() <= 1 {
             PlanBuffers::with_pooled(|bufs| {
                 let run = self.run(bufs, rows, |k, m| fill(k, 0, m));
@@ -1175,19 +1183,21 @@ impl InferencePlan {
             });
             return;
         }
-        std::thread::scope(|scope| {
-            let mut rest = out;
-            for &(start, end) in &ranges {
-                let (head, tail) = rest.split_at_mut(offsets[end] - offsets[start]);
+        let mut rest = out;
+        let chunks: Vec<_> = ranges
+            .iter()
+            .map(|&(start, end)| {
+                let (head, tail) =
+                    std::mem::take(&mut rest).split_at_mut(offsets[end] - offsets[start]);
                 rest = tail;
-                let (fill, consume) = (&fill, &consume);
-                scope.spawn(move || {
-                    PlanBuffers::with_keyed(self.arena_key, |bufs| {
-                        let run = self.run(bufs, end - start, |k, m| fill(k, start, m));
-                        consume(start, run, head);
-                    });
-                });
-            }
+                (start, end, head)
+            })
+            .collect();
+        crate::parallel::fork_join(chunks, |(start, end, head)| {
+            PlanBuffers::with_keyed(self.arena_key, |bufs| {
+                let run = self.run(bufs, end - start, |k, m| fill(k, start, m));
+                consume(start, run, head);
+            });
         });
     }
 
@@ -2330,6 +2340,62 @@ mod tests {
             m.data_mut().copy_from_slice(x.data())
         });
         out.output(0).data().to_vec()
+    }
+
+    /// The fork gate keeps small waves serial, so `run_chunked` on a test
+    /// plan never splits; forced to 1, 2, 3, 5 and more-than-rows chunks,
+    /// the replay is the serial one bit for bit, every row's outputs
+    /// landing in its own ragged slice of `out`, and the first chunk runs
+    /// on the calling thread.
+    #[test]
+    fn forced_chunks_replay_bit_identically_with_chunk_zero_on_the_caller() {
+        let (g, xv, y) = mlp_fixture();
+        let plan = InferencePlan::compile(&g, &[(xv, true)], &[y]).unwrap();
+        assert!(plan.chunkable());
+        assert_eq!(plan.replay_threads(64, 8), 1, "a tiny wave stays serial");
+        let caller = std::thread::current().id();
+        for rows in [1usize, 2, 7, 64] {
+            let x = Matrix::from_fn(rows, 6, |i, j| ((i * 6 + j) as f32).sin());
+            let serial = run_plan(&plan, &x);
+            // row r owns its 3 outputs, 1 + r % 2 times over
+            let mut offsets = vec![0usize];
+            for r in 0..rows {
+                offsets.push(offsets[r] + 3 * (1 + r % 2));
+            }
+            let want: Vec<f32> = (0..rows)
+                .flat_map(|r| serial[r * 3..r * 3 + 3].repeat(1 + r % 2))
+                .collect();
+            for chunks in [1usize, 2, 3, 5, 100] {
+                let mut got = vec![0.0f32; want.len()];
+                plan.run_in_chunks(
+                    &offsets,
+                    chunks,
+                    &mut got,
+                    |_, first_row, m| {
+                        let take = m.rows() * 6;
+                        m.data_mut()
+                            .copy_from_slice(&x.data()[first_row * 6..first_row * 6 + take]);
+                    },
+                    |first_row, run, chunk| {
+                        if first_row == 0 {
+                            assert_eq!(std::thread::current().id(), caller);
+                        }
+                        let base = offsets[first_row];
+                        for j in 0..run.rows() {
+                            let r = first_row + j;
+                            let values = &run.output(0).data()[j * 3..j * 3 + 3];
+                            for copy in
+                                chunk[offsets[r] - base..offsets[r + 1] - base].chunks_exact_mut(3)
+                            {
+                                copy.copy_from_slice(values);
+                            }
+                        }
+                    },
+                );
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "rows {rows} chunks {chunks}");
+            }
+        }
     }
 
     /// `compile_with(Exact)` is the same compiler as `compile`: identical

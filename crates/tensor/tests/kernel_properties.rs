@@ -78,24 +78,25 @@ proptest! {
     }
 }
 
-/// The parallel path must also engage for matrices above the dispatch
-/// threshold (the proptest shapes above all stay on the serial path, so
-/// force a large product once).
+/// The parallel path must also engage for matrices above the fork gate
+/// (the proptest shapes above all stay on the serial path, so force a
+/// large product once).
 #[test]
 fn large_parallel_matmul_bit_identical_to_serial() {
-    let a = Matrix::from_fn(192, 160, |i, j| {
+    let a = Matrix::from_fn(288, 400, |i, j| {
         ((i * 31 + j * 17) % 97) as f32 * 0.01 - 0.5
     });
-    let b = Matrix::from_fn(160, 192, |i, j| {
+    let b = Matrix::from_fn(400, 296, |i, j| {
         ((i * 13 + j * 29) % 89) as f32 * 0.01 - 0.4
     });
-    // 192*160*192 ≈ 5.9M mul-adds: above the 2^21 threshold, so the
-    // 4-thread run splits rows across workers
+    // 288*400*296 ≈ 34.1M mul-adds: two workers' worth under the gate, so
+    // the 4-thread run splits its rows in two
+    const { assert!(288 * 400 * 296 >= 2 * selnet_tensor::parallel::FORK_MIN_WORK) };
     let serial = a.matmul_threaded(&b, 1);
     assert_eq!(serial, a.matmul_threaded(&b, 4));
     assert_eq!(serial, a.matmul_naive(&b));
-    let c = b.transpose(); // 192 rows, matching a's
-    let atb = a.matmul_at_b_threaded(&c, 1);
+    let c = Matrix::from_fn(288, 296, |i, j| ((i * 7 + j * 3) % 83) as f32 * 0.01 - 0.3);
+    let atb = a.matmul_at_b_threaded(&c, 1); // 400 x 296 over 288 steps
     assert_eq!(atb, a.matmul_at_b_threaded(&c, 4));
     let abt = a.matmul_a_bt_threaded(&b.transpose(), 1);
     assert_eq!(abt, a.matmul_a_bt_threaded(&b.transpose(), 4));

@@ -9,12 +9,12 @@
 
 use crate::query::{LabeledQuery, Workload};
 use crate::rand_ext::sample_beta;
-use crate::scan::{scan_distances, sort_distances, SortedColumns};
+use crate::scan::{scan_distances, sort_distances, Nearest, NearestColumns, ThresholdCounts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selnet_data::Dataset;
 use selnet_metric::DistanceKind;
-use selnet_tensor::parallel::effective_threads;
+use selnet_tensor::parallel::fork_threads;
 
 /// How thresholds are drawn for each query.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -85,32 +85,21 @@ pub fn selectivity_from_sorted(sorted: &[f32], t: f32) -> f64 {
     sorted.partition_point(|&d| d <= t) as f64
 }
 
-/// Labels one query under the geometric-selectivity scheme, given its
-/// sorted distances to every record.
-fn label_geometric(x: &[f32], sorted: &[f32], ladder: &[f64]) -> LabeledQuery {
-    let n = sorted.len();
-    let mut thresholds = Vec::with_capacity(ladder.len());
-    let mut selectivities = Vec::with_capacity(ladder.len());
-    for &s in ladder {
-        let rank = (s.ceil() as usize).clamp(1, n);
-        let t = sorted[rank - 1];
-        thresholds.push(t);
-        selectivities.push(selectivity_from_sorted(sorted, t));
-    }
-    // thresholds are non-decreasing by construction (sorted array ranks)
-    LabeledQuery {
-        x: x.to_vec(),
-        thresholds,
-        selectivities,
-    }
+/// The rank each rung of the ladder reads among `n` sorted distances.
+fn ladder_ranks(ladder: &[f64], n: usize) -> impl Iterator<Item = usize> + '_ {
+    ladder.iter().map(move |&s| (s.ceil() as usize).clamp(1, n))
 }
 
-/// Labels one query with externally chosen thresholds, given its sorted
-/// distances to every record.
-fn label_fixed_thresholds(x: &[f32], sorted: &[f32], thresholds: Vec<f32>) -> LabeledQuery {
+/// Labels one query under the geometric-selectivity scheme, given its
+/// nearest distances up to the ladder's top rank among `n` records.
+fn label_geometric(x: &[f32], nearest: &Nearest<'_>, ladder: &[f64], n: usize) -> LabeledQuery {
+    // thresholds are non-decreasing by construction (sorted array ranks)
+    let thresholds: Vec<f32> = ladder_ranks(ladder, n)
+        .map(|rank| nearest.sorted[rank - 1])
+        .collect();
     let selectivities = thresholds
         .iter()
-        .map(|&t| selectivity_from_sorted(sorted, t))
+        .map(|&t| nearest.count_within(t) as f64)
         .collect();
     LabeledQuery {
         x: x.to_vec(),
@@ -122,7 +111,10 @@ fn label_fixed_thresholds(x: &[f32], sorted: &[f32], thresholds: Vec<f32>) -> La
 /// Generates a fully-labeled workload with an 80:10:10 query split.
 ///
 /// Ground truth is exact: a multi-threaded brute-force scan (the dataset
-/// streamed once per sixteen queries) over sorted distance arrays.
+/// streamed once per sixteen queries). The geometric ladder reads each
+/// query's distances up to its top rank only, so a column is
+/// rank-selected there and just that prefix sorted; Beta thresholds are
+/// counted on the fly. Either way the labels are those of a full sort.
 pub fn generate_workload(ds: &Dataset, cfg: &WorkloadConfig) -> Workload {
     assert!(ds.len() >= 2, "dataset too small");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -135,48 +127,56 @@ pub fn generate_workload(ds: &Dataset, cfg: &WorkloadConfig) -> Workload {
     }
     indices.truncate(num_queries);
     let xs: Vec<&[f32]> = indices.iter().map(|&qi| ds.row(qi)).collect();
-    let workers = effective_threads(cfg.threads);
+    let workers = fork_threads(cfg.threads);
 
-    // Beta thresholds need tmax: use the ladder's top rank distance sampled
-    // over a few queries as the scale, mirroring the default workload range.
     let w = cfg.thresholds_per_query;
     let ladder = selectivity_ladder(ds.len(), w);
-    let scale_t = match cfg.scheme {
-        ThresholdScheme::GeometricSelectivity => 0.0,
-        ThresholdScheme::Beta { .. } => {
+    let top_rank = ladder_ranks(&ladder, ds.len()).max().unwrap_or(1);
+    let labeled = match cfg.scheme {
+        // every label is a rank no higher than the ladder's top
+        ThresholdScheme::GeometricSelectivity => {
+            let label = |q: usize, nearest: Nearest<'_>| {
+                label_geometric(xs[q], &nearest, &ladder, ds.len())
+            };
+            let labeller = || NearestColumns::new(ds.len(), top_rank, label);
+            scan_distances(ds, &xs, cfg.kind, workers, labeller)
+        }
+        ThresholdScheme::Beta { alpha, beta } => {
+            // Beta thresholds need tmax: use the ladder's top rank distance
+            // sampled over a few queries as the scale, mirroring the default
+            // workload range.
             let probes = &xs[..xs.len().min(16)];
-            let top_rank =
-                (ladder.last().copied().unwrap_or(1.0).ceil() as usize).clamp(1, ds.len());
-            let top_distance =
-                || SortedColumns::new(ds.len(), |_, sorted: &[f32]| sorted[top_rank - 1]);
-            scan_distances(ds, probes, cfg.kind, workers, top_distance)
+            let top_distance = || {
+                NearestColumns::new(ds.len(), top_rank, |_, nearest: Nearest<'_>| {
+                    nearest.sorted[top_rank - 1]
+                })
+            };
+            let scale_t = scan_distances(ds, probes, cfg.kind, workers, top_distance)
                 .into_iter()
-                .fold(0.0f32, f32::max)
+                .fold(0.0f32, f32::max);
+            // pre-draw per-query thresholds (deterministic), then count
+            // `d <= t` as the records stream by
+            let thresholds: Vec<Vec<f32>> = (0..num_queries)
+                .map(|_| {
+                    let mut ts: Vec<f32> = (0..w)
+                        .map(|_| (sample_beta(alpha, beta, &mut rng) as f32) * scale_t)
+                        .collect();
+                    sort_distances(&mut ts);
+                    ts
+                })
+                .collect();
+            let by_query: Vec<&[f32]> = thresholds.iter().map(Vec::as_slice).collect();
+            let counter = || ThresholdCounts::global(&by_query);
+            let counts = scan_distances(ds, &xs, cfg.kind, workers, counter);
+            (xs.iter().zip(thresholds).zip(counts))
+                .map(|((x, thresholds), mut counts)| LabeledQuery {
+                    x: x.to_vec(),
+                    thresholds,
+                    selectivities: counts.swap_remove(0),
+                })
+                .collect()
         }
     };
-
-    // pre-draw per-query thresholds for the beta scheme (deterministic)
-    let beta_thresholds: Vec<Vec<f32>> = match cfg.scheme {
-        ThresholdScheme::GeometricSelectivity => Vec::new(),
-        ThresholdScheme::Beta { alpha, beta } => (0..num_queries)
-            .map(|_| {
-                let mut ts: Vec<f32> = (0..w)
-                    .map(|_| (sample_beta(alpha, beta, &mut rng) as f32) * scale_t)
-                    .collect();
-                ts.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
-                ts
-            })
-            .collect(),
-    };
-
-    let label = |q: usize, sorted: &[f32]| match cfg.scheme {
-        ThresholdScheme::GeometricSelectivity => label_geometric(xs[q], sorted, &ladder),
-        ThresholdScheme::Beta { .. } => {
-            label_fixed_thresholds(xs[q], sorted, beta_thresholds[q].clone())
-        }
-    };
-    let labeller = || SortedColumns::new(ds.len(), label);
-    let labeled = scan_distances(ds, &xs, cfg.kind, workers, labeller);
 
     // tmax: cover all generated thresholds with a small margin
     let tmax = labeled
@@ -302,60 +302,77 @@ mod tests {
         }
     }
 
-    /// The blocked scan labels exactly as pair-by-pair evaluation does:
-    /// thresholds, selectivities and `tmax` bit for bit, across group and
-    /// worker boundaries, under both schemes and both distances.
+    /// Every row four times over, copies apart: with 520 records the
+    /// ladder's top rank is 6, inside the second run of four equal
+    /// distances of a query that is itself a record.
+    fn duplicated_ds() -> Dataset {
+        let base = fasttext_like(&GeneratorConfig::new(130, 6, 4, 2));
+        let rows: Vec<Vec<f32>> = (0..520).map(|i| base.row(i % 130).to_vec()).collect();
+        Dataset::from_rows(6, &rows)
+    }
+
+    /// The labels are those a full sort of every query's pair-by-pair
+    /// distances gives — thresholds, selectivities (ties included) and
+    /// `tmax` bit for bit — across group and worker boundaries, under both
+    /// schemes and both distances, with and without runs of equal
+    /// distances across the ladder's top rank.
     #[test]
     fn labels_equal_the_per_pair_reference_bit_for_bit() {
-        let ds = small_ds();
-        for (kind, scheme, threads) in [
-            (
-                DistanceKind::Euclidean,
-                ThresholdScheme::GeometricSelectivity,
-                1,
-            ),
-            (
-                DistanceKind::Euclidean,
-                ThresholdScheme::Beta {
-                    alpha: 3.0,
-                    beta: 2.5,
-                },
-                3,
-            ),
-            (
-                DistanceKind::Cosine,
-                ThresholdScheme::GeometricSelectivity,
-                2,
-            ),
-        ] {
-            let cfg = WorkloadConfig {
-                num_queries: 53,
-                thresholds_per_query: 9,
-                kind,
-                scheme,
-                seed: 13,
-                threads,
-            };
-            let w = generate_workload(&ds, &cfg);
-            let ladder = selectivity_ladder(ds.len(), 9);
-            let mut top = 0.0f32;
-            for q in w.train.iter().chain(&w.valid).chain(&w.test) {
-                let sorted = sorted_distances(&ds, &q.x, kind);
-                let want = match scheme {
-                    ThresholdScheme::GeometricSelectivity => {
-                        label_geometric(&q.x, &sorted, &ladder)
+        let beta = ThresholdScheme::Beta {
+            alpha: 3.0,
+            beta: 2.5,
+        };
+        let geometric = ThresholdScheme::GeometricSelectivity;
+        for (ds, what) in [(small_ds(), "distinct"), (duplicated_ds(), "duplicated")] {
+            for (kind, scheme, threads) in [
+                (DistanceKind::Euclidean, geometric, 1),
+                (DistanceKind::Euclidean, geometric, 3),
+                (DistanceKind::Euclidean, beta, 3),
+                (DistanceKind::Cosine, geometric, 2),
+                (DistanceKind::Cosine, beta, 1),
+            ] {
+                for num_queries in [1, 16, 17, 37, 53] {
+                    let cfg = WorkloadConfig {
+                        num_queries,
+                        thresholds_per_query: 9,
+                        kind,
+                        scheme,
+                        seed: 13,
+                        threads,
+                    };
+                    let w = generate_workload(&ds, &cfg);
+                    let ladder = selectivity_ladder(ds.len(), 9);
+                    let labeled = || w.train.iter().chain(&w.valid).chain(&w.test);
+                    assert_eq!(labeled().count(), num_queries);
+                    let mut top = 0.0f32;
+                    for q in labeled() {
+                        let sorted = sorted_distances(&ds, &q.x, kind);
+                        let thresholds: Vec<f32> = match scheme {
+                            ThresholdScheme::GeometricSelectivity => ladder
+                                .iter()
+                                .map(|s| sorted[(s.ceil() as usize).clamp(1, ds.len()) - 1])
+                                .collect(),
+                            ThresholdScheme::Beta { .. } => q.thresholds.clone(),
+                        };
+                        let selectivities: Vec<f64> = thresholds
+                            .iter()
+                            .map(|&t| selectivity_from_sorted(&sorted, t))
+                            .collect();
+                        let bits = |ts: &[f32]| ts.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+                        let case = format!("{what} {kind:?} {scheme:?} {num_queries} queries");
+                        assert_eq!(bits(&q.thresholds), bits(&thresholds), "{case}");
+                        assert_eq!(q.selectivities, selectivities, "{case}");
+                        top = q.thresholds.iter().copied().fold(top, f32::max);
                     }
-                    ThresholdScheme::Beta { .. } => {
-                        label_fixed_thresholds(&q.x, &sorted, q.thresholds.clone())
-                    }
-                };
-                let bits = |ts: &[f32]| ts.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&q.thresholds), bits(&want.thresholds), "{kind:?}");
-                assert_eq!(q.selectivities, want.selectivities, "{kind:?} {scheme:?}");
-                top = q.thresholds.iter().copied().fold(top, f32::max);
+                    assert_eq!(w.tmax.to_bits(), (top * 1.01 + 1e-6).to_bits());
+                }
             }
-            assert_eq!(w.tmax.to_bits(), (top * 1.01 + 1e-6).to_bits());
         }
+        // the duplicated data does put ties across the top rank (6 of 520)
+        let ds = duplicated_ds();
+        let sorted = sorted_distances(&ds, ds.row(0), DistanceKind::Euclidean);
+        assert_eq!(sorted[5], sorted[6]);
+        assert!(selectivity_from_sorted(&sorted, sorted[5]) > 6.0);
     }
 
     #[test]

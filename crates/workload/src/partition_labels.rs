@@ -3,16 +3,17 @@
 //! `f_i(x, t, D_i)` for every partition `D_i`.
 
 use crate::query::{LabeledQuery, PartitionedLabels};
-use crate::scan::{scan_distances, Labeller};
+use crate::scan::{scan_distances, ThresholdCounts};
 use selnet_data::Dataset;
 use selnet_index::Partitioning;
 use selnet_metric::DistanceKind;
-use selnet_tensor::parallel::effective_threads;
+use selnet_tensor::parallel::fork_threads;
 
 /// Coordinate differences (`records × dim × queries`) per worker before a
-/// further labelling thread is worth spawning: about 30 ms of kernel time.
-/// A §5.4 retrain on a small dataset relabels in less, on the thread that
-/// called.
+/// further labelling thread is engaged: about 30 ms of kernel time, far
+/// above what a fork costs. This is a policy, not the fork gate: a §5.4
+/// retrain on a small dataset relabels in less, and does so on the thread
+/// that called, beside the engine workers serving the tenant.
 const WORKER_MIN_WORK: usize = 1 << 28;
 
 /// Computes `labels[query][part][threshold]` — the exact selectivity of
@@ -29,61 +30,13 @@ pub fn label_partitions(
     let assignments = partitioning.assignments();
     assert_eq!(assignments.len(), ds.len(), "one assignment per record");
     let xs: Vec<&[f32]> = queries.iter().map(|q| q.x.as_slice()).collect();
-    let counter = || PartCounts {
-        assignments,
-        queries,
-        k: partitioning.k(),
-        lanes: Vec::new(),
-    };
+    let thresholds: Vec<&[f32]> = queries.iter().map(|q| q.thresholds.as_slice()).collect();
+    let counter = || ThresholdCounts::per_part(assignments, partitioning.k(), &thresholds);
     let work = ds.len() * ds.dim() * queries.len();
-    let workers = effective_threads(threads).min(work / WORKER_MIN_WORK);
+    let workers = fork_threads(threads).min(work / WORKER_MIN_WORK).max(1);
     PartitionedLabels {
         labels: scan_distances(ds, &xs, kind, workers, counter),
-    }
-}
-
-/// Counts, as the records stream by, how many of each partition lie within
-/// each threshold of each lane's query: no distance is stored.
-struct PartCounts<'a> {
-    assignments: &'a [usize],
-    queries: &'a [LabeledQuery],
-    k: usize,
-    /// Per lane: its query's thresholds and `counts[part * w + j]`.
-    lanes: Vec<(&'a [f32], Vec<u64>)>,
-}
-
-impl Labeller for PartCounts<'_> {
-    type Label = Vec<Vec<f64>>;
-
-    fn begin(&mut self, l: usize, q: usize) {
-        let thresholds = self.queries[q].thresholds.as_slice();
-        self.lanes
-            .resize(self.lanes.len().max(l + 1), (&[], Vec::new()));
-        let (ts, counts) = &mut self.lanes[l];
-        *ts = thresholds;
-        counts.clear();
-        counts.resize(self.k * thresholds.len(), 0);
-    }
-
-    fn record(&mut self, i: usize, dists: &[f32]) {
-        let part = self.assignments[i];
-        for ((ts, counts), &d) in self.lanes.iter_mut().zip(dists) {
-            let counts = &mut counts[part * ts.len()..(part + 1) * ts.len()];
-            for (count, &t) in counts.iter_mut().zip(ts.iter()) {
-                *count += u64::from(d <= t);
-            }
-        }
-    }
-
-    fn finish(&mut self, l: usize) -> Self::Label {
-        let (ts, counts) = &self.lanes[l];
-        if ts.is_empty() {
-            return vec![Vec::new(); self.k];
-        }
-        counts
-            .chunks(ts.len())
-            .map(|part| part.iter().map(|&c| c as f64).collect())
-            .collect()
+        workers,
     }
 }
 

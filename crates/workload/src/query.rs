@@ -69,6 +69,8 @@ impl Workload {
 pub struct PartitionedLabels {
     /// `labels[query][part][threshold]`.
     pub labels: Vec<Vec<Vec<f64>>>,
+    /// Labelling workers the pass engaged (the calling thread included).
+    pub workers: usize,
 }
 
 #[cfg(test)]

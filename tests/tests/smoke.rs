@@ -63,3 +63,16 @@ fn one_batch_fit_partitioned_is_monotone() {
         );
     }
 }
+
+/// `selnet-index` sits below `selnet-tensor` and restates how the default
+/// worker count is resolved (`SELNET_THREADS`, else the machine's
+/// parallelism); the cover-tree build and the tensor helpers must read
+/// the same number. No test in this binary overrides it with
+/// `parallel::set_threads`.
+#[test]
+fn index_and_tensor_agree_on_default_workers() {
+    assert_eq!(
+        selnet_index::default_workers(),
+        selnet_tensor::parallel::configured_threads()
+    );
+}
