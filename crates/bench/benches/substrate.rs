@@ -5,7 +5,9 @@
 //! cover-tree construction (one and two build workers) and range
 //! counting, the fork-join primitive itself, a label column fully sorted
 //! against rank-selected, PWL head evaluation, workload ground-truth
-//! labeling, and one end-to-end training epoch.
+//! labeling, one end-to-end training epoch, and the §5.3 joint training
+//! step (full backward sweep against the parameters-only one, the scalar
+//! Adam loop against the vectorised one).
 //!
 //! With `SELNET_BENCH_RECORD=1` the run re-times the key kernels with a
 //! plain `Instant` loop and rewrites `BENCH_substrate.json` at the repo
@@ -18,7 +20,7 @@ use selnet_data::generators::{fasttext_like, GeneratorConfig};
 use selnet_index::CoverTree;
 use selnet_metric::vectors::{squared_euclidean, LaneBlocks, LANES};
 use selnet_metric::DistanceKind;
-use selnet_tensor::{Activation, Graph, Matrix, Mlp, Optimizer, ParamStore, Sgd};
+use selnet_tensor::{Activation, Adam, Graph, Matrix, Mlp, Optimizer, ParamStore, Sgd, Var};
 use std::hint::black_box;
 
 /// One forward+backward+step of a small MLP regression — the op mix of
@@ -342,6 +344,233 @@ fn bench_train_epoch(c: &mut Criterion) {
     group.finish();
 }
 
+/// The tape of one §5.3 joint step, rebuilt from the public parts
+/// (`core::partitioned::joint_step` is private): the shared code `z_x`,
+/// `K = 3` control-point networks on `[x; z_x]`, the PWL heads, the local
+/// losses, the indicator-masked global loss and the reconstruction term.
+struct JointStep {
+    cfg: selnet_core::SelNetConfig,
+    store: ParamStore,
+    ae: selnet_core::Autoencoder,
+    locals: Vec<selnet_core::ControlPointNets>,
+    x: Matrix,
+    /// Thresholds, log labels and one indicator column per partition.
+    columns: Vec<Matrix>,
+}
+
+const JOINT_K: usize = 3;
+const JOINT_TMAX: f32 = 4.0;
+
+impl JointStep {
+    fn new(cfg: selnet_core::SelNetConfig, dim: usize) -> Self {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut store = ParamStore::new();
+        let ae = selnet_core::Autoencoder::new(
+            &mut store,
+            "ae",
+            dim,
+            &cfg.ae_hidden,
+            cfg.latent_dim,
+            &mut rng,
+        );
+        let locals = (0..JOINT_K)
+            .map(|i| {
+                selnet_core::ControlPointNets::new(
+                    &mut store,
+                    &format!("local{i}"),
+                    dim + cfg.latent_dim,
+                    &cfg,
+                    &mut rng,
+                )
+            })
+            .collect();
+        let rows = cfg.batch_size;
+        let x = Matrix::from_fn(rows, dim, |i, j| {
+            ((i * 7 + j * 13) % 31) as f32 * 0.05 - 0.7
+        });
+        let column = |scale: f32| Matrix::from_fn(rows, 1, |i, _| (i % 17) as f32 * scale);
+        let mut columns = vec![column(JOINT_TMAX / 17.0), column(0.3)];
+        columns.extend((0..JOINT_K).map(|k| Matrix::from_fn(rows, 1, |i, _| ((i + k) % 2) as f32)));
+        JointStep {
+            cfg,
+            store,
+            ae,
+            locals,
+            x,
+            columns,
+        }
+    }
+
+    fn record(&self, g: &mut Graph) -> Var {
+        let cfg = &self.cfg;
+        g.reset();
+        let xv = g.leaf_ref(&self.x);
+        let tv = g.leaf_ref(&self.columns[0]);
+        let yv = g.leaf_ref(&self.columns[1]);
+        let z = self.ae.encode(g, &self.store, xv);
+        let input = g.concat_cols(xv, z);
+        let log_residual_loss = |g: &mut Graph, pred: Var| {
+            let pl = g.ln_eps(pred, cfg.log_eps);
+            let r = g.sub(pl, yv);
+            let h = g.huber(r, cfg.huber_delta);
+            g.mean(h)
+        };
+        let mut loss: Option<Var> = None;
+        let mut global: Option<Var> = None;
+        for (nets, ind) in self.locals.iter().zip(&self.columns[2..]) {
+            let (tau, p) = nets.control_points(g, &self.store, input, JOINT_TMAX, true);
+            let pred = g.pwl_interp(tau, p, tv);
+            let local = log_residual_loss(g, pred);
+            loss = Some(loss.map_or(local, |acc| g.add(acc, local)));
+            let iv = g.leaf_ref(ind);
+            let masked = g.mul(pred, iv);
+            global = Some(global.map_or(masked, |acc| g.add(acc, masked)));
+        }
+        let global_loss = log_residual_loss(g, global.expect("k > 0"));
+        let mut loss = g.add(global_loss, loss.expect("k > 0"));
+        let recon = self.ae.decode(g, &self.store, z);
+        let dx = g.sub(recon, xv);
+        let sq = g.square(dx);
+        let ae = g.mean(sq);
+        let ae = g.scale(ae, cfg.lambda_ae);
+        loss = g.add(loss, ae);
+        loss
+    }
+
+    /// Forward, one of the two sweeps, Adam.
+    fn step(&mut self, g: &mut Graph, opt: &mut Adam, params_only: bool) -> f32 {
+        let loss = self.record(g);
+        if params_only {
+            g.backward_params(loss);
+        } else {
+            g.backward(loss);
+        }
+        let val = g.value(loss).get(0, 0);
+        let grads = g.param_grad_refs();
+        opt.step_refs(&mut self.store, &grads);
+        val
+    }
+}
+
+/// `(name, fixture)`: the benchmark's paper-shaped model (d = 300, default
+/// widths, 256 rows) and its small one (d = 24, `tiny()`, 96 rows).
+fn joint_fixtures() -> [(&'static str, JointStep); 2] {
+    use selnet_core::SelNetConfig;
+    [
+        ("paper", JointStep::new(SelNetConfig::default(), 300)),
+        ("tiny", JointStep::new(SelNetConfig::tiny(), 24)),
+    ]
+}
+
+/// The Adam update as it stood before PR 16, kept as the "before" of
+/// `adam_ns_per_param`: a four-way `zip` that reads the hyper-parameters
+/// and the clip decision through `self` per element. The moment stores
+/// may alias those fields for all the compiler knows, so they are reloaded
+/// every iteration and the loop stays scalar.
+struct ZipAdam {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    clip: Option<f32>,
+    t: u64,
+    m: Vec<Option<Matrix>>,
+    v: Vec<Option<Matrix>>,
+}
+
+impl ZipAdam {
+    fn new(lr: f32, clip: f32) -> Self {
+        ZipAdam {
+            lr,
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
+            clip: Some(clip),
+            t: 0,
+            m: Vec::new(),
+            v: Vec::new(),
+        }
+    }
+
+    fn ensure_state(&mut self, id: usize, shape: (usize, usize)) {
+        if self.m.len() <= id {
+            self.m.resize_with(id + 1, || None);
+            self.v.resize_with(id + 1, || None);
+        }
+        if self.m[id].is_none() {
+            self.m[id] = Some(Matrix::zeros(shape.0, shape.1));
+            self.v[id] = Some(Matrix::zeros(shape.0, shape.1));
+        }
+    }
+
+    fn step_refs(&mut self, store: &mut ParamStore, grads: &[(selnet_tensor::ParamId, &Matrix)]) {
+        self.t += 1;
+        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
+        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        for &(id, g) in grads {
+            self.ensure_state(id.index(), g.shape());
+            let m = self.m[id.index()].as_mut().expect("state ensured");
+            let v = self.v[id.index()].as_mut().expect("state ensured");
+            let p = store.value_mut(id);
+            for (((pv, mv), vv), &graw) in p
+                .data_mut()
+                .iter_mut()
+                .zip(m.data_mut())
+                .zip(v.data_mut())
+                .zip(g.data())
+            {
+                let gv = match self.clip {
+                    Some(c) => graw.clamp(-c, c),
+                    None => graw,
+                };
+                *mv = self.beta1 * *mv + (1.0 - self.beta1) * gv;
+                *vv = self.beta2 * *vv + (1.0 - self.beta2) * gv * gv;
+                let mhat = *mv / bc1;
+                let vhat = *vv / bc2;
+                *pv -= self.lr * mhat / (vhat.sqrt() + self.eps);
+            }
+        }
+    }
+}
+
+/// Parameters in the Adam fixture: about one paper-shaped local model.
+const ADAM_PARAMS: usize = 1 << 17;
+
+fn adam_fixture() -> (ParamStore, selnet_tensor::ParamId, Matrix) {
+    let value = |i: usize, j: usize| ((i * 31 + j * 17) % 97) as f32 * 0.01 - 0.5;
+    let mut store = ParamStore::new();
+    let id = store.add("p", Matrix::from_fn(256, ADAM_PARAMS / 256, value));
+    let grad = Matrix::from_fn(256, ADAM_PARAMS / 256, |i, j| 3.0 * value(j, i));
+    (store, id, grad)
+}
+
+fn bench_train_step(c: &mut Criterion) {
+    let mut group = c.benchmark_group("train_step");
+    group.sample_size(10);
+    for (name, mut fx) in joint_fixtures() {
+        for (sweep, params_only) in [("full_sweep", false), ("params_only", true)] {
+            let mut g = Graph::new();
+            let mut opt = Adam::new(1e-3).with_clip(1.0);
+            group.bench_function(format!("joint_{name}_{sweep}"), |b| {
+                b.iter(|| black_box(fx.step(&mut g, &mut opt, params_only)))
+            });
+        }
+    }
+    let (mut store, id, grad) = adam_fixture();
+    let mut zip_store = store.clone();
+    let mut zip = ZipAdam::new(1e-3, 1.0);
+    group.bench_function("adam_128k_zip_before", |b| {
+        b.iter(|| zip.step_refs(black_box(&mut zip_store), &[(id, &grad)]))
+    });
+    let mut opt = Adam::new(1e-3).with_clip(1.0);
+    group.bench_function("adam_128k_indexed", |b| {
+        b.iter(|| opt.step_refs(black_box(&mut store), &[(id, &grad)]))
+    });
+    group.finish();
+}
+
 fn bench_ground_truth(c: &mut Criterion) {
     let ds = fasttext_like(&GeneratorConfig::new(10_000, 24, 8, 2));
     let q = ds.row(3).to_vec();
@@ -535,6 +764,40 @@ fn bench_record(_c: &mut Criterion) {
         black_box(CoverTree::build_with_workers(&ds5k, 2));
     });
 
+    // the §5.3 joint step: full sweep vs parameters-only, in microseconds,
+    // and the Adam loop per parameter, before (zip) and after (indexed)
+    let train_step_lines: Vec<String> = joint_fixtures()
+        .into_iter()
+        .map(|(name, mut fx)| {
+            let iters = if name == "paper" { 5 } else { 200 };
+            let [full, only] = [false, true].map(|params_only| {
+                let mut g = Graph::new();
+                let mut opt = Adam::new(1e-3).with_clip(1.0);
+                time_ms(7, iters, || {
+                    black_box(fx.step(&mut g, &mut opt, params_only));
+                }) * 1e3
+            });
+            format!(
+                r#"    "joint_{name}_k3": {{ "rows": {rows}, "params": {params}, "full_sweep_us": {full:.1}, "params_only_us": {only:.1}, "full_vs_params_only": {ratio:.2} }}"#,
+                rows = fx.cfg.batch_size,
+                params = fx.store.num_scalars(),
+                ratio = full / only
+            )
+        })
+        .collect();
+    let train_step_block = train_step_lines.join(",\n");
+    let (mut adam_store, adam_id, adam_grad) = adam_fixture();
+    let mut zip_store = adam_store.clone();
+    let mut zip = ZipAdam::new(1e-3, 1.0);
+    let per_param = |ms: f64| ms * 1e6 / ADAM_PARAMS as f64;
+    let adam_before = per_param(time_ms(10, 20, || {
+        zip.step_refs(black_box(&mut zip_store), &[(adam_id, &adam_grad)]);
+    }));
+    let mut adam = Adam::new(1e-3).with_clip(1.0);
+    let adam_after = per_param(time_ms(10, 20, || {
+        adam.step_refs(black_box(&mut adam_store), &[(adam_id, &adam_grad)]);
+    }));
+
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -610,7 +873,11 @@ fn bench_record(_c: &mut Criterion) {
     "select_ms": {select_ms:.4},
     "sort_vs_select": {sort_vs_select:.2}
   }},
-  "notes": "seed/pr2 numbers were taken on a single-vCPU container; the 4t entries only show parallel gains on multi-core hosts (the kernels are bit-identical across thread counts either way). The tape_* pair isolates per-step tape overhead: same model, same data, fresh Graph per step vs one reused arena. The scaling block is the parallel matmul dispatcher's per-thread curve at the 256² control shape; the gemm block is the hand-tiled kernel vs the naive ikj reference per serving shape (hand_vs_naive > 1 means the hand kernel wins), recorded on machine_cpus cores. The distance block is nanoseconds per distance of one query against `vectors` vectors, `vectors::squared_euclidean` pair by pair vs `LaneBlocks::sqdist_into` sixteen at a time (bit-identical lanes), over 32 vectors (cached) and over 60 MB of them (streamed). cover_tree.build_5k_insertion_ms is frozen: sequential insertion on the pair kernel, the build before PR 14, best of 10 on the host that recorded build_5k_ms; build_5k_ms is the batch build on one worker, build_5k_2w_ms the same tree routed by two (80 000 coordinates: far below the size `CoverTree::build` goes parallel at). The parallel block is one empty two-way `parallel::fork_join` (a scope, one spawn, one join) in microseconds, back to back and after 2 ms of sleep each (the second vCPU has to be woken), beside the gate derived from it: `parallel::FORK_MIN_WORK` elementary operations per engaged worker. Under it the 256² scaling curve (2^24 multiply-adds in all) never forks and is flat by construction; 512² is eight workers' worth and does fork — where speedup_512_2t_vs_1t reads about 1.0 the recording host's two vCPUs share one core's vector units, so a compute-bound kernel gains nothing from the second while a latency-bound scan (the N=50 000 cover-tree build, 1.25 → 0.67 s) halves. The label_column block is one column of `records` distances fully sorted (labelling before PR 15) against `select_nth_unstable` at `rank`, a sort of that prefix and a tie count over the rest (`NearestColumns::finish`), the copy that refills the column subtracted from both."
+  "train_step": {{
+{train_step_block},
+    "adam_ns_per_param": {{ "params": {adam_params}, "zip_before": {adam_before:.2}, "indexed": {adam_after:.2}, "before_vs_after": {adam_ratio:.2} }}
+  }},
+  "notes": "seed/pr2 numbers were taken on a single-vCPU container; the 4t entries only show parallel gains on multi-core hosts (the kernels are bit-identical across thread counts either way). The tape_* pair isolates per-step tape overhead: same model, same data, fresh Graph per step vs one reused arena. The scaling block is the parallel matmul dispatcher's per-thread curve at the 256² control shape; the gemm block is the hand-tiled kernel vs the naive ikj reference per serving shape (hand_vs_naive > 1 means the hand kernel wins), recorded on machine_cpus cores. The distance block is nanoseconds per distance of one query against `vectors` vectors, `vectors::squared_euclidean` pair by pair vs `LaneBlocks::sqdist_into` sixteen at a time (bit-identical lanes), over 32 vectors (cached) and over 60 MB of them (streamed). cover_tree.build_5k_insertion_ms is frozen: sequential insertion on the pair kernel, the build before PR 14, best of 10 on the host that recorded build_5k_ms; build_5k_ms is the batch build on one worker, build_5k_2w_ms the same tree routed by two (80 000 coordinates: far below the size `CoverTree::build` goes parallel at). The parallel block is one empty two-way `parallel::fork_join` (a scope, one spawn, one join) in microseconds, back to back and after 2 ms of sleep each (the second vCPU has to be woken), beside the gate derived from it: `parallel::FORK_MIN_WORK` elementary operations per engaged worker. Under it the 256² scaling curve (2^24 multiply-adds in all) never forks and is flat by construction; 512² is eight workers' worth and does fork — where speedup_512_2t_vs_1t reads about 1.0 the recording host's two vCPUs share one core's vector units, so a compute-bound kernel gains nothing from the second while a latency-bound scan (the N=50 000 cover-tree build, 1.25 → 0.67 s) halves. The label_column block is one column of `records` distances fully sorted (labelling before PR 15) against `select_nth_unstable` at `rank`, a sort of that prefix and a tie count over the rest (`NearestColumns::finish`), the copy that refills the column subtracted from both. The train_step block is one §5.3 joint step (forward, backward sweep, Adam with clip) on a reused tape, K = 3 local models, at the benchmark's paper shape (d = 300, default widths, 256 rows) and its small one (d = 24, tiny(), 96 rows), in microseconds: `Graph::backward` (every leaf live — what training ran before PR 16) against `Graph::backward_params` (only what a parameter needs; same parameter bits); adam_ns_per_param is one clipped Adam update of `params` parameters per parameter, the four-way zip that reads its hyper-parameters and the clip decision through `self` per element (before, kept verbatim in the bench) against the indexed loop (after; same bits)."
 }}
 "#,
         mm1 = mm_scaling[0],
@@ -623,6 +890,8 @@ fn bench_record(_c: &mut Criterion) {
         mm512_4 = mm512_scaling[2],
         mm512_speedup = mm512_scaling[0] / mm512_scaling[1],
         fork_min_work = selnet_tensor::parallel::FORK_MIN_WORK,
+        adam_params = ADAM_PARAMS,
+        adam_ratio = adam_before / adam_after,
         column_n = LABEL_COLUMN.0,
         column_rank = LABEL_COLUMN.1,
         sort_vs_select = sort_ms / select_ms,
@@ -648,6 +917,7 @@ criterion_group!(
     bench_label_column,
     bench_pwl,
     bench_train_epoch,
+    bench_train_step,
     bench_ground_truth,
     bench_record
 );

@@ -128,7 +128,7 @@ impl Autoencoder {
                     });
                 });
                 let loss = self.reconstruction_loss(&mut g, store, x);
-                g.backward(loss);
+                g.backward_params(loss);
                 last = g.value(loss).get(0, 0) as f64;
                 let grads = g.param_grad_refs();
                 opt.step_refs(store, &grads);

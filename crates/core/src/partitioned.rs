@@ -400,12 +400,12 @@ fn local_pretrain_step(
             let r = g.sub(pl, yl);
             let h = crate::train::apply_loss(g, r, cfg.loss, cfg.huber_delta);
             let m = g.mean(h);
-            g.backward(m);
+            g.backward_params(m);
             g.value(m).get(0, 0) as f64
         } else {
             let loss = model.ae.reconstruction_loss(g, &model.store, xv);
             let scaled = g.scale(loss, cfg.lambda_ae);
-            g.backward(scaled);
+            g.backward_params(scaled);
             g.value(scaled).get(0, 0) as f64
         }
     })
@@ -472,7 +472,7 @@ fn joint_step<'g>(
     let ae_scaled = g.scale(ae, cfg.lambda_ae);
     loss = g.add(loss, ae_scaled);
 
-    g.backward(loss);
+    g.backward_params(loss);
     let loss_val = g.value(loss).get(0, 0) as f64;
     (loss_val, g.param_grad_refs())
 }

@@ -263,7 +263,7 @@ pub(crate) fn train_loop(
             let ae_loss = g.mean(sq);
             let ae_scaled = g.scale(ae_loss, cfg.lambda_ae);
             let loss = g.add(est_loss, ae_scaled);
-            g.backward(loss);
+            g.backward_params(loss);
             epoch_loss += g.value(loss).get(0, 0) as f64;
             batches += 1;
             let grads = g.param_grad_refs();

@@ -36,7 +36,7 @@ pub(crate) fn arena_train_step(
     let r = g.sub(pred_log, yv);
     let h = g.huber(r, cfg.huber_delta);
     let loss = g.mean(h);
-    g.backward(loss);
+    g.backward_params(loss);
     let grads = g.param_grad_refs();
     opt.step_refs(store, &grads);
 }

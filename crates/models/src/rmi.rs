@@ -216,7 +216,7 @@ fn train_pairs_subset(
             let r = g.sub(pred, yv);
             let h = g.huber(r, cfg.huber_delta);
             let loss = g.mean(h);
-            g.backward(loss);
+            g.backward_params(loss);
             let grads = g.param_grad_refs();
             opt.step_refs(store, &grads);
         }

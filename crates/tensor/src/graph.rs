@@ -4,7 +4,9 @@
 //! A [`Graph`] is a tape of nodes recorded in topological order. Operations
 //! evaluate eagerly (values are computed when the op is recorded) and record
 //! enough information for the backward sweep. [`Graph::backward`] walks the
-//! tape in reverse, accumulating gradients into every node.
+//! tape in reverse, accumulating gradients into every node;
+//! [`Graph::backward_params`] is the same sweep restricted to the nodes a
+//! parameter feeds — what a training step needs, bit for bit.
 //!
 //! ## Tape lifecycle: build → forward → backward → [`Graph::reset`]
 //!
@@ -136,6 +138,67 @@ pub(crate) enum Op {
     },
 }
 
+impl Op {
+    /// Visits the tape-node inputs of the op, operands in declaration
+    /// order. The one enumerator behind the plan compiler's DCE / use-count
+    /// passes and the backward sweep's liveness pass, so a new op cannot be
+    /// known to one and not the other.
+    pub(crate) fn for_each_input(&self, mut f: impl FnMut(usize)) {
+        match *self {
+            Op::Leaf => {}
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::AddRowVec(a, b)
+            | Op::MulColVec(a, b)
+            | Op::ConcatCols(a, b) => {
+                f(a);
+                f(b);
+            }
+            Op::Scale(a, _)
+            | Op::AddScalar(a, _)
+            | Op::Relu(a)
+            | Op::LeakyRelu(a, _)
+            | Op::EluPlusOne(a)
+            | Op::Softplus(a)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::Exp(a)
+            | Op::LnEps(a, _)
+            | Op::Abs(a)
+            | Op::Square(a)
+            | Op::SoftmaxRows(a)
+            | Op::Sum(a)
+            | Op::Mean(a)
+            | Op::RowSum(a)
+            | Op::SliceCols(a, _, _)
+            | Op::CumsumCols(a)
+            | Op::Norml2(a, _)
+            | Op::Huber(a, _) => f(a),
+            Op::PwlInterp { tau, p, t } => {
+                f(tau);
+                f(p);
+                f(t);
+            }
+            Op::BlockLinear {
+                input,
+                weight,
+                bias,
+                ..
+            } => {
+                f(input);
+                f(weight);
+                f(bias);
+            }
+            Op::Lattice { input, params } => {
+                f(input);
+                f(params);
+            }
+        }
+    }
+}
+
 /// One tape slot. `value` and `grad` keep their allocations across
 /// [`Graph::reset`] so later batches recycle them.
 pub(crate) struct Node {
@@ -144,6 +207,15 @@ pub(crate) struct Node {
     grad: Matrix,
     /// Whether `grad` holds this backward sweep's accumulated gradient.
     grad_seen: bool,
+    /// Whether the current sweep wants a gradient here: some live leaf
+    /// feeds the node (see [`Graph::mark_live`]). Dead nodes are never
+    /// accumulated into, hence never visited.
+    live: bool,
+    /// Leading gradient columns the sweep does not keep: `grad` holds
+    /// columns `dead_cols..` of the node's full gradient. Non-zero only on
+    /// a `ConcatCols(dead, live)` whose every consumer is a `MatMul` left
+    /// operand.
+    dead_cols: usize,
     pub(crate) op: Op,
     pub(crate) param: Option<ParamId>,
     /// Per-row segment chosen by a `PwlInterp` forward pass (`-1` below
@@ -214,6 +286,7 @@ impl Graph {
             let n = &mut self.nodes[idx];
             n.value.reset_shape(rows, cols);
             n.grad_seen = false;
+            n.dead_cols = 0;
             n.op = op;
             n.param = None;
         } else {
@@ -223,6 +296,8 @@ impl Graph {
                 value,
                 grad: Matrix::default(),
                 grad_seen: false,
+                live: false,
+                dead_cols: 0,
                 op,
                 param: None,
                 seg: Vec::new(),
@@ -319,19 +394,33 @@ impl Graph {
         &self.nodes[v.0].value
     }
 
-    /// The gradient accumulated at `v` (cloned); zeros if backward never
-    /// reached it.
+    /// The gradient accumulated at `v` (copied out); zeros if backward never
+    /// reached it — which after [`Graph::backward_params`] includes every
+    /// node no parameter feeds, and the columns a narrow concat gradient
+    /// does not keep.
     ///
     /// # Panics
     /// Panics if `v` is stale (recorded before the last [`Graph::reset`]).
     pub fn grad(&self, v: Var) -> Matrix {
         assert!(v.0 < self.live, "stale Var used after Graph::reset()");
         let n = &self.nodes[v.0];
+        let mut out = Matrix::zeros(n.value.rows(), n.value.cols());
         if n.grad_seen {
-            n.grad.clone()
-        } else {
-            Matrix::zeros(n.value.rows(), n.value.cols())
+            for i in 0..out.rows() {
+                out.row_mut(i)[n.dead_cols..].copy_from_slice(n.grad.row(i));
+            }
         }
+        out
+    }
+
+    /// Whether the last sweep accumulated a gradient at `v`. A
+    /// parameters-only sweep reaches no node that no parameter feeds.
+    ///
+    /// # Panics
+    /// Panics if `v` is stale (recorded before the last [`Graph::reset`]).
+    pub fn grad_reached(&self, v: Var) -> bool {
+        assert!(v.0 < self.live, "stale Var used after Graph::reset()");
+        self.nodes[v.0].grad_seen
     }
 
     /// Number of nodes recorded since the last [`Graph::reset`].
@@ -753,11 +842,31 @@ impl Graph {
 
     // ---- backward ----
 
-    /// Runs the reverse sweep from `loss`, which must be `1 x 1`. Gradients
-    /// accumulate **in place** into every reachable node's recycled buffer
-    /// and can be read with [`Graph::grad`] / [`Graph::param_grads`] /
-    /// [`Graph::param_grad_refs`].
+    /// Runs the reverse sweep from `loss`, which must be `1 x 1`, with
+    /// **every leaf live**: gradients accumulate **in place** into every
+    /// reachable node's recycled buffer and can be read with
+    /// [`Graph::grad`] / [`Graph::param_grads`] /
+    /// [`Graph::param_grad_refs`]. Training loops, which only read the
+    /// parameter gradients, call [`Graph::backward_params`] instead.
     pub fn backward(&mut self, loss: Var) {
+        self.sweep(loss, true);
+    }
+
+    /// The same sweep with **only parameter leaves live**: a node gets a
+    /// gradient iff a parameter feeds it, so nothing is computed for
+    /// constant inputs (the batch `x` behind a first layer, targets,
+    /// masks). Parameter gradients are **bit-identical** to
+    /// [`Graph::backward`]'s: every kept element is the same reduction, and
+    /// contributions reach each buffer in the same order — skipping work
+    /// never reorders work. The one place a kept gradient changes shape: a
+    /// `concat_cols(constant, live)` read only by `matmul` left operands
+    /// keeps just its live columns ("What the sweep computes" in
+    /// `ARCHITECTURE.md`).
+    pub fn backward_params(&mut self, loss: Var) {
+        self.sweep(loss, false);
+    }
+
+    fn sweep(&mut self, loss: Var, every_leaf: bool) {
         assert!(loss.0 < self.live, "stale Var used after Graph::reset()");
         assert_eq!(
             self.nodes[loss.0].value.shape(),
@@ -767,6 +876,7 @@ impl Graph {
         for n in &mut self.nodes[..self.live] {
             n.grad_seen = false;
         }
+        self.mark_live(loss.0, every_leaf);
         {
             let n = &mut self.nodes[loss.0];
             n.grad.reset_shape(1, 1);
@@ -781,6 +891,45 @@ impl Graph {
         }
     }
 
+    /// The liveness pass: one forward walk over `nodes[..=upto]`. A leaf is
+    /// live if it is a parameter (or `every_leaf`); any other node is live
+    /// iff one of its inputs is. The reverse sweep accumulates only into
+    /// live nodes, so dead ones are never visited.
+    ///
+    /// It also decides where a gradient may be kept **narrow**. The
+    /// gradient of `c = ConcatCols(dead, live)` is only ever read by `c`'s
+    /// own backward, which drops the dead columns — so when every consumer
+    /// of `c` is a `MatMul` with `c` as its left operand, those consumers
+    /// form only the kept columns (`gout · (w[dead_cols.., :])ᵀ`) and
+    /// `c.grad` holds columns `dead_cols..`. The consumer rule is the
+    /// soundness condition: a `MatMul` computes each gradient element as an
+    /// independent index-ordered reduction, so leaving columns out moves no
+    /// bit of the others, while any other consumer hands `c` a full-width
+    /// contribution that a narrow buffer cannot take. With every leaf live
+    /// no concat has a dead half and `dead_cols` is 0 everywhere.
+    fn mark_live(&mut self, upto: usize, every_leaf: bool) {
+        for idx in 0..=upto {
+            let (pre, rest) = self.nodes.split_at_mut(idx);
+            let node = &mut rest[0];
+            let op = node.op;
+            node.live = matches!(op, Op::Leaf) && (every_leaf || node.param.is_some());
+            node.dead_cols = 0;
+            op.for_each_input(|j| {
+                node.live |= pre[j].live;
+                if !matches!(op, Op::MatMul(a, b) if a == j && b != j) {
+                    pre[j].dead_cols = 0;
+                }
+            });
+            if let Op::ConcatCols(a, b) = op {
+                if !pre[a].live && pre[b].live {
+                    node.dead_cols = pre[a].value.cols();
+                }
+            }
+        }
+        // the seed gradient is a full-width contribution too
+        self.nodes[upto].dead_cols = 0;
+    }
+
     fn apply_backward(&mut self, idx: usize) {
         let op = self.nodes[idx].op;
         match op {
@@ -790,14 +939,13 @@ impl Graph {
                 let mut tmp = self.take_scratch();
                 let (pre, rest) = self.nodes.split_at_mut(idx);
                 let gout = &rest[0].grad;
-                {
-                    let (grad, seen, vb) = grad_and_value(pre, a, b);
+                let skip = pre[a].dead_cols;
+                if let Some((grad, seen, vb)) = live_grad_and_value(pre, a, b) {
                     acc_with(grad, seen, &mut tmp, |out| {
-                        gout.matmul_a_bt_into(vb, out, &mut pack)
+                        gout.matmul_a_bt_rows_into(vb, skip, out, &mut pack)
                     });
                 }
-                {
-                    let (grad, seen, va) = grad_and_value(pre, b, a);
+                if let Some((grad, seen, va)) = live_grad_and_value(pre, b, a) {
                     acc_with(grad, seen, &mut tmp, |out| {
                         va.matmul_at_b_into(gout, out, &mut pack)
                     });
@@ -815,18 +963,17 @@ impl Graph {
                 let (pre, rest) = self.nodes.split_at_mut(idx);
                 let gout = &rest[0].grad;
                 acc_matrix(pre, a, gout);
-                let (grad, seen) = grad_mut(pre, b);
-                acc_map(grad, seen, gout, |g| -g);
+                if let Some((grad, seen)) = live_grad(pre, b) {
+                    acc_map(grad, seen, gout, |g| -g);
+                }
             }
             Op::Mul(a, b) => {
                 let (pre, rest) = self.nodes.split_at_mut(idx);
                 let gout = &rest[0].grad;
-                {
-                    let (grad, seen, vb) = grad_and_value(pre, a, b);
+                if let Some((grad, seen, vb)) = live_grad_and_value(pre, a, b) {
                     acc_zip(grad, seen, gout, vb, |g, y| g * y);
                 }
-                {
-                    let (grad, seen, va) = grad_and_value(pre, b, a);
+                if let Some((grad, seen, va)) = live_grad_and_value(pre, b, a) {
                     acc_zip(grad, seen, gout, va, |g, x| g * x);
                 }
             }
@@ -835,24 +982,24 @@ impl Graph {
                 let (pre, rest) = self.nodes.split_at_mut(idx);
                 let gout = &rest[0].grad;
                 acc_matrix(pre, m, gout);
-                let (grad, seen) = grad_mut(pre, row);
-                acc_with(grad, seen, &mut tmp, |out| {
-                    // column sums of gout, accumulated row by row
-                    out.reset_zero(1, gout.cols());
-                    for i in 0..gout.rows() {
-                        for (o, &g) in out.row_mut(0).iter_mut().zip(gout.row(i)) {
-                            *o += g;
+                if let Some((grad, seen)) = live_grad(pre, row) {
+                    acc_with(grad, seen, &mut tmp, |out| {
+                        // column sums of gout, accumulated row by row
+                        out.reset_zero(1, gout.cols());
+                        for i in 0..gout.rows() {
+                            for (o, &g) in out.row_mut(0).iter_mut().zip(gout.row(i)) {
+                                *o += g;
+                            }
                         }
-                    }
-                });
+                    });
+                }
                 self.put_scratch(tmp);
             }
             Op::MulColVec(m, col) => {
                 let mut tmp = self.take_scratch();
                 let (pre, rest) = self.nodes.split_at_mut(idx);
                 let gout = &rest[0].grad;
-                {
-                    let (grad, seen, vcol) = grad_and_value(pre, m, col);
+                if let Some((grad, seen, vcol)) = live_grad_and_value(pre, m, col) {
                     acc_with(grad, seen, &mut tmp, |out| {
                         out.reset_shape(gout.rows(), gout.cols());
                         for i in 0..gout.rows() {
@@ -863,8 +1010,7 @@ impl Graph {
                         }
                     });
                 }
-                {
-                    let (grad, seen, vm) = grad_and_value(pre, col, m);
+                if let Some((grad, seen, vm)) = live_grad_and_value(pre, col, m) {
                     acc_with(grad, seen, &mut tmp, |out| {
                         out.reset_shape(gout.rows(), 1);
                         for i in 0..gout.rows() {
@@ -1081,8 +1227,10 @@ impl Graph {
                 let ca = pre[a].value.cols();
                 let cb = pre[b].value.cols();
                 let rows = gout.rows();
-                {
-                    let (grad, seen) = grad_mut(pre, a);
+                // `gout` holds columns `dead_cols..` of the full gradient:
+                // all of them, or (narrow) exactly `b`'s
+                let b0 = ca - rest[0].dead_cols;
+                if let Some((grad, seen)) = live_grad(pre, a) {
                     acc_with(grad, seen, &mut tmp, |out| {
                         out.reset_shape(rows, ca);
                         for i in 0..rows {
@@ -1090,12 +1238,11 @@ impl Graph {
                         }
                     });
                 }
-                {
-                    let (grad, seen) = grad_mut(pre, b);
+                if let Some((grad, seen)) = live_grad(pre, b) {
                     acc_with(grad, seen, &mut tmp, |out| {
                         out.reset_shape(rows, cb);
                         for i in 0..rows {
-                            out.row_mut(i).copy_from_slice(&gout.row(i)[ca..]);
+                            out.row_mut(i).copy_from_slice(&gout.row(i)[b0..]);
                         }
                     });
                 }
@@ -1332,17 +1479,32 @@ impl Graph {
 // (copy), every later one performs `existing += update` elementwise, in the
 // same visit order.
 
-/// Mutable access to a node's gradient accumulator.
+/// Mutable access to a node's gradient accumulator — for single-input ops,
+/// whose input is live whenever the op itself was reached.
 fn grad_mut(pre: &mut [Node], t: usize) -> (&mut Matrix, &mut bool) {
     let n = &mut pre[t];
     (&mut n.grad, &mut n.grad_seen)
 }
 
-/// Gradient accumulator of node `t` together with the *value* of node `s`,
-/// handling `t == s` (gradient and value of one node are disjoint fields).
-fn grad_and_value(pre: &mut [Node], t: usize, s: usize) -> (&mut Matrix, &mut bool, &Matrix) {
+/// [`grad_mut`] for one input of a multi-input op: `None` when the sweep
+/// wants no gradient at `t`.
+fn live_grad(pre: &mut [Node], t: usize) -> Option<(&mut Matrix, &mut bool)> {
+    pre[t].live.then(|| grad_mut(pre, t))
+}
+
+/// Gradient accumulator of node `t` (`None` when `t` is dead) together with
+/// the *value* of node `s`, handling `t == s` (gradient and value of one
+/// node are disjoint fields).
+fn live_grad_and_value(
+    pre: &mut [Node],
+    t: usize,
+    s: usize,
+) -> Option<(&mut Matrix, &mut bool, &Matrix)> {
     use std::cmp::Ordering;
-    match t.cmp(&s) {
+    if !pre[t].live {
+        return None;
+    }
+    Some(match t.cmp(&s) {
         Ordering::Equal => {
             let n = &mut pre[t];
             (&mut n.grad, &mut n.grad_seen, &n.value)
@@ -1357,12 +1519,16 @@ fn grad_and_value(pre: &mut [Node], t: usize, s: usize) -> (&mut Matrix, &mut bo
             let n = &mut hi[0];
             (&mut n.grad, &mut n.grad_seen, &lo[s].value)
         }
-    }
+    })
 }
 
-/// Accumulates a fully-formed gradient matrix into node `t`.
+/// Accumulates a fully-formed gradient matrix into node `t`, if the sweep
+/// wants one there.
 fn acc_matrix(pre: &mut [Node], t: usize, src: &Matrix) {
     let n = &mut pre[t];
+    if !n.live {
+        return;
+    }
     if n.grad_seen {
         n.grad.add_assign(src);
     } else {
@@ -1585,6 +1751,42 @@ mod tests {
             assert_eq!(g.grad(x).data(), &[2.0, 4.0, 6.0, 8.0]);
             assert_eq!(g.node_capacity(), cap, "arena must not grow on reuse");
         }
+    }
+
+    /// The liveness pass keeps `concat(constant, live)`'s gradient narrow
+    /// exactly when every consumer is a `MatMul` left operand, and only on
+    /// the parameters-only sweep.
+    #[test]
+    fn concat_gradient_is_narrow_only_under_matmul_left_operands() {
+        let mut g = Graph::new();
+        let x = g.leaf(Matrix::from_fn(3, 5, |i, j| (i + j) as f32 * 0.1));
+        let w = g.param_leaf(ParamId(0), &Matrix::full(1, 2, 0.5));
+        let ones = g.leaf(Matrix::full(3, 1, 1.0));
+        let z = g.matmul(ones, w);
+        let narrow = g.concat_cols(x, z);
+        let wide = g.concat_cols(x, z);
+        let m = g.param_leaf(ParamId(1), &Matrix::full(7, 2, 0.25));
+        let a = g.matmul(narrow, m);
+        let b = g.matmul(wide, m);
+        let ab = g.add(a, b);
+        let s1 = g.sum(ab);
+        let s2 = g.sum(wide); // a second, non-MatMul consumer
+        let loss = g.add(s1, s2);
+
+        g.backward_params(loss);
+        assert_eq!(g.nodes[narrow.0].dead_cols, 5);
+        assert_eq!(g.nodes[narrow.0].grad.shape(), (3, 2));
+        assert_eq!(g.nodes[wide.0].dead_cols, 0);
+        assert_eq!(g.nodes[wide.0].grad.shape(), (3, 7));
+        assert!(!g.grad_reached(x) && !g.grad_reached(ones));
+        assert_eq!(g.grad(narrow).shape(), (3, 7));
+        let gw = g.grad(w);
+
+        g.backward(loss);
+        assert_eq!(g.nodes[narrow.0].dead_cols, 0);
+        assert_eq!(g.nodes[narrow.0].grad.shape(), (3, 7));
+        assert!(g.grad_reached(x) && g.grad_reached(ones));
+        assert_eq!(g.grad(w), gw);
     }
 
     #[test]

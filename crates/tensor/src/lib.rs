@@ -14,7 +14,8 @@
 //! one tape, then [`Graph::reset`]s it each batch instead of rebuilding
 //! it. Forward ops write into recycled value buffers,
 //! [`ParamStore::inject`] rebinds parameter values by copy instead of
-//! cloning, the backward sweep accumulates gradients in place, and
+//! cloning, the backward sweep accumulates gradients in place — and, as
+//! [`Graph::backward_params`], only into nodes a parameter feeds — and
 //! [`Graph::param_grad_refs`] + [`Optimizer::step_refs`] carry borrowed
 //! gradients to the optimizer — after the first batch a training step
 //! performs **no per-op matrix allocations** (only a few small
@@ -71,7 +72,7 @@
 //!     let d = g.sub(pred, yv);
 //!     let sq = g.square(d);
 //!     let loss = g.mean(sq);
-//!     g.backward(loss);
+//!     g.backward_params(loss); // gradients only where a parameter needs one
 //!     let grads = g.param_grad_refs(); // borrowed, nothing cloned
 //!     opt.step_refs(&mut store, &grads);
 //! }

@@ -619,12 +619,29 @@ impl Matrix {
     /// overwritten, reusing their allocations). Bit-identical to
     /// [`Matrix::matmul_a_bt`].
     pub fn matmul_a_bt_into(&self, other: &Matrix, out: &mut Matrix, pack: &mut Matrix) {
+        self.matmul_a_bt_rows_into(other, 0, out, pack);
+    }
+
+    /// [`Matrix::matmul_a_bt_into`] against rows `first_row..` of `other`
+    /// only: `out = self * (other[first_row.., :])^T`, i.e. columns
+    /// `first_row..` of the full product. Each kept element is the same
+    /// index-ordered reduction as in the full product, so the result is
+    /// bit-identical to slicing those columns out of
+    /// [`Matrix::matmul_a_bt`] — the backward sweep uses it to form only
+    /// the gradient columns a parameter needs.
+    pub fn matmul_a_bt_rows_into(
+        &self,
+        other: &Matrix,
+        first_row: usize,
+        out: &mut Matrix,
+        pack: &mut Matrix,
+    ) {
         assert_eq!(
             self.cols, other.cols,
             "matmul_a_bt shape mismatch: {}x{} * ({}x{})^T",
             self.rows, self.cols, other.rows, other.cols
         );
-        other.transpose_into(pack);
+        other.transpose_rows_into(first_row, pack);
         self.matmul_into(pack, out);
     }
 
@@ -639,16 +656,25 @@ impl Matrix {
     /// Writes the transpose of `self` into `out`, reusing `out`'s
     /// allocation (`out` is reshaped and fully overwritten).
     pub fn transpose_into(&self, out: &mut Matrix) {
-        out.reset_shape(self.cols, self.rows);
+        self.transpose_rows_into(0, out);
+    }
+
+    /// Writes the transpose of rows `first_row..` of `self` into `out`
+    /// (reshaped to `cols x (rows - first_row)` and fully overwritten).
+    fn transpose_rows_into(&self, first_row: usize, out: &mut Matrix) {
+        assert!(first_row <= self.rows, "transpose: first row out of range");
+        let rows = self.rows - first_row;
+        let src = &self.data[first_row * self.cols..];
+        out.reset_shape(self.cols, rows);
         let mut i0 = 0;
-        while i0 < self.rows {
-            let iend = (i0 + TR).min(self.rows);
+        while i0 < rows {
+            let iend = (i0 + TR).min(rows);
             let mut j0 = 0;
             while j0 < self.cols {
                 let jend = (j0 + TR).min(self.cols);
                 for i in i0..iend {
                     for j in j0..jend {
-                        out.data[j * self.rows + i] = self.data[i * self.cols + j];
+                        out.data[j * rows + i] = src[i * self.cols + j];
                     }
                 }
                 j0 = jend;
@@ -1014,6 +1040,30 @@ mod tests {
         let d = Matrix::from_fn(5, 23, |i, j| ((i + 2 * j) % 13) as f32 * 0.09);
         a.matmul_a_bt_into(&d, &mut out, &mut pack);
         assert_eq!(out, a.matmul_a_bt(&d));
+    }
+
+    /// The row-range `a·bᵀ` is the full product with leading columns cut
+    /// off, bit for bit — across the tile, bank and tail boundaries.
+    #[test]
+    fn a_bt_over_a_row_range_equals_the_sliced_full_product() {
+        let a = Matrix::from_fn(19, 23, |i, j| ((i * 31 + j * 17) % 97) as f32 * 0.013 - 0.5);
+        let b = Matrix::from_fn(71, 23, |i, j| ((i * 13 + j * 29) % 89) as f32 * 0.011 - 0.4);
+        let full = a.matmul_a_bt(&b);
+        let mut out = Matrix::full(3, 50, f32::NAN);
+        let mut pack = Matrix::full(7, 2, f32::NAN);
+        for first in [0, 1, 7, 23, 38, 39, 55, 70, 71] {
+            a.matmul_a_bt_rows_into(&b, first, &mut out, &mut pack);
+            assert_eq!(out.shape(), (19, 71 - first));
+            for i in 0..19 {
+                let (got, want) = (out.row(i), &full.row(i)[first..]);
+                assert!(
+                    got.iter()
+                        .zip(want)
+                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "first_row {first}, row {i}"
+                );
+            }
+        }
     }
 
     #[test]

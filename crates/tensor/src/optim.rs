@@ -45,14 +45,10 @@ impl Sgd {
 impl Optimizer for Sgd {
     fn step_refs(&mut self, store: &mut ParamStore, grads: &[(ParamId, &Matrix)]) {
         for &(id, g) in grads {
-            let p = store.value_mut(id);
+            let p = store.value_mut(id).data_mut();
             match self.clip {
-                Some(c) => {
-                    for (pv, &gv) in p.data_mut().iter_mut().zip(g.data()) {
-                        *pv -= self.lr * gv.clamp(-c, c);
-                    }
-                }
-                None => p.scaled_add(-self.lr, g),
+                Some(c) => sgd_update(p, g.data(), self.lr, |gv| gv.clamp(-c, c)),
+                None => sgd_update(p, g.data(), self.lr, |gv| gv),
             }
         }
     }
@@ -63,6 +59,16 @@ impl Optimizer for Sgd {
 
     fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
+    }
+}
+
+/// The SGD update of one parameter. See [`adam_update`] for the loop's
+/// shape.
+fn sgd_update(p: &mut [f32], g: &[f32], lr: f32, clip: impl Fn(f32) -> f32) {
+    let n = p.len();
+    let g = &g[..n];
+    for i in 0..n {
+        p[i] -= lr * clip(g[i]);
     }
 }
 
@@ -114,29 +120,22 @@ impl Adam {
 impl Optimizer for Adam {
     fn step_refs(&mut self, store: &mut ParamStore, grads: &[(ParamId, &Matrix)]) {
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let k = AdamStep {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            bc1: 1.0 - self.beta1.powi(self.t as i32),
+            bc2: 1.0 - self.beta2.powi(self.t as i32),
+        };
         for &(id, g) in grads {
             self.ensure_state(id, g.shape());
-            let m = self.m[id.0].as_mut().expect("state ensured");
-            let v = self.v[id.0].as_mut().expect("state ensured");
-            let p = store.value_mut(id);
-            for (((pv, mv), vv), &graw) in p
-                .data_mut()
-                .iter_mut()
-                .zip(m.data_mut())
-                .zip(v.data_mut())
-                .zip(g.data())
-            {
-                let gv = match self.clip {
-                    Some(c) => graw.clamp(-c, c),
-                    None => graw,
-                };
-                *mv = self.beta1 * *mv + (1.0 - self.beta1) * gv;
-                *vv = self.beta2 * *vv + (1.0 - self.beta2) * gv * gv;
-                let mhat = *mv / bc1;
-                let vhat = *vv / bc2;
-                *pv -= self.lr * mhat / (vhat.sqrt() + self.eps);
+            let m = self.m[id.0].as_mut().expect("state ensured").data_mut();
+            let v = self.v[id.0].as_mut().expect("state ensured").data_mut();
+            let p = store.value_mut(id).data_mut();
+            match self.clip {
+                Some(c) => adam_update(p, m, v, g.data(), &k, |gv| gv.clamp(-c, c)),
+                None => adam_update(p, m, v, g.data(), &k, |gv| gv),
             }
         }
     }
@@ -147,6 +146,45 @@ impl Optimizer for Adam {
 
     fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
+    }
+}
+
+/// The per-step constants of one Adam update.
+struct AdamStep {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    /// Bias corrections `1 - βᵗ`.
+    bc1: f32,
+    bc2: f32,
+}
+
+/// The Adam update of one parameter: an indexed loop over four slices cut
+/// to one length, the clip decision taken by the caller (`clip` is the
+/// identity or a clamp — one loop body, monomorphised per choice), so the
+/// compiler vectorises it. Per element it performs the textbook operations
+/// in the textbook order; the bias corrections and the final quotient stay
+/// *divisions* (IEEE division and square root are correctly rounded, so a
+/// vector lane produces the scalar bits — multiplying by a reciprocal
+/// would not).
+fn adam_update(
+    p: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    g: &[f32],
+    k: &AdamStep,
+    clip: impl Fn(f32) -> f32,
+) {
+    let n = p.len();
+    let (m, v, g) = (&mut m[..n], &mut v[..n], &g[..n]);
+    for i in 0..n {
+        let gv = clip(g[i]);
+        m[i] = k.beta1 * m[i] + (1.0 - k.beta1) * gv;
+        v[i] = k.beta2 * v[i] + (1.0 - k.beta2) * gv * gv;
+        let mhat = m[i] / k.bc1;
+        let vhat = v[i] / k.bc2;
+        p[i] -= k.lr * mhat / (vhat.sqrt() + k.eps);
     }
 }
 

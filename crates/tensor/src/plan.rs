@@ -1517,12 +1517,12 @@ fn pass_dce(nodes: &[Node], outputs: &[Var]) -> Dce {
             continue;
         }
         reachable[i] = true;
-        for_each_input(&nodes[i].op, |j| stack.push(j));
+        nodes[i].op.for_each_input(|j| stack.push(j));
     }
     let mut uses = vec![0usize; n];
     for (i, node) in nodes.iter().enumerate() {
         if reachable[i] {
-            for_each_input(&node.op, |j| uses[j] += 1);
+            node.op.for_each_input(|j| uses[j] += 1);
         }
     }
     let mut is_output = vec![false; n];
@@ -1934,62 +1934,6 @@ fn pass_pruned(plan: &mut InferencePlan, threshold: f32) {
                 act,
                 out,
             };
-        }
-    }
-}
-
-/// Visits the tape-node inputs of an op.
-fn for_each_input(op: &Op, mut f: impl FnMut(usize)) {
-    match *op {
-        Op::Leaf => {}
-        Op::MatMul(a, b)
-        | Op::Add(a, b)
-        | Op::Sub(a, b)
-        | Op::Mul(a, b)
-        | Op::AddRowVec(a, b)
-        | Op::MulColVec(a, b)
-        | Op::ConcatCols(a, b) => {
-            f(a);
-            f(b);
-        }
-        Op::Scale(a, _)
-        | Op::AddScalar(a, _)
-        | Op::Relu(a)
-        | Op::LeakyRelu(a, _)
-        | Op::EluPlusOne(a)
-        | Op::Softplus(a)
-        | Op::Sigmoid(a)
-        | Op::Tanh(a)
-        | Op::Exp(a)
-        | Op::LnEps(a, _)
-        | Op::Abs(a)
-        | Op::Square(a)
-        | Op::SoftmaxRows(a)
-        | Op::Sum(a)
-        | Op::Mean(a)
-        | Op::RowSum(a)
-        | Op::SliceCols(a, _, _)
-        | Op::CumsumCols(a)
-        | Op::Norml2(a, _)
-        | Op::Huber(a, _) => f(a),
-        Op::PwlInterp { tau, p, t } => {
-            f(tau);
-            f(p);
-            f(t);
-        }
-        Op::BlockLinear {
-            input,
-            weight,
-            bias,
-            ..
-        } => {
-            f(input);
-            f(weight);
-            f(bias);
-        }
-        Op::Lattice { input, params } => {
-            f(input);
-            f(params);
         }
     }
 }

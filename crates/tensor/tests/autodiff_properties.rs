@@ -232,3 +232,202 @@ proptest! {
         }
     }
 }
+
+// ---- the parameters-only sweep against the full sweep ----
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use selnet_tensor::{ParamId, ParamStore, Var};
+
+fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
+    Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0f32..1.0))
+}
+
+/// Shapes of one random MLP tape: `b` rows, a constant `dx`-wide batch, a
+/// `dz`-wide learned code, hidden width `h`, `k` constant columns in the
+/// mixed-consumer concat.
+#[derive(Clone, Copy, Debug)]
+struct Dims {
+    b: usize,
+    dx: usize,
+    dz: usize,
+    h: usize,
+    k: usize,
+}
+
+struct LivenessFixture {
+    store: ParamStore,
+    /// In registration order: enc.w, enc.b, w1, b1, w2, sq, w3, w3b, w4, w5, w6.
+    ids: Vec<ParamId>,
+    /// x, c2, other, t, y, csq — the constant leaves.
+    consts: Vec<Matrix>,
+}
+
+impl LivenessFixture {
+    fn new(d: Dims, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut store = ParamStore::new();
+        let shapes = [
+            (d.dx, d.dz),
+            (1, d.dz),
+            (d.dx + d.dz, d.h),
+            (1, d.h),
+            (d.dx + d.dz, d.h),
+            (d.h, d.h),
+            (d.k + d.h, d.h + 1),
+            (d.k + d.h, d.h + 1),
+            (d.h + 1, 1),
+            (d.dz, d.b - 1),
+            (d.dz, d.dx),
+        ];
+        let ids = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &(r, c))| store.add(format!("p{i}"), random_matrix(&mut rng, r, c)))
+            .collect();
+        let mut consts: Vec<Matrix> = [
+            (d.b, d.dx),
+            (d.b, d.k),
+            (d.b, d.k + d.h),
+            (d.b, 1),
+            (d.b, 1),
+            (d.b, 1),
+        ]
+        .iter()
+        .map(|&(r, c)| random_matrix(&mut rng, r, c))
+        .collect();
+        // evaluation points inside the curve's range
+        for t in consts[3].data_mut() {
+            *t = t.abs() * d.h as f32 * 0.5;
+        }
+        LivenessFixture { store, ids, consts }
+    }
+
+    /// Records the tape. Returns the loss, the nodes no parameter feeds,
+    /// and the `concat(x, z)` whose consumers are all `MatMul` left
+    /// operands. With `add_consumer` the second concat also feeds an `Add`.
+    fn record(&self, g: &mut Graph, d: Dims, add_consumer: bool) -> (Var, Vec<Var>, Var) {
+        let p: Vec<Var> = self
+            .ids
+            .iter()
+            .map(|&id| self.store.inject(g, id))
+            .collect();
+        let c: Vec<Var> = self.consts.iter().map(|m| g.leaf_ref(m)).collect();
+        let (x, c2, other, t, y, csq) = (c[0], c[1], c[2], c[3], c[4], c[5]);
+
+        // z = tanh(x·W + b): the constant batch under a first layer
+        let xw = g.matmul(x, p[0]);
+        let xwb = g.add_row_vec(xw, p[1]);
+        let z = g.tanh(xwb);
+        // concat(constant, live) read by MatMul left operands only — one
+        // parameter leaf used twice among them
+        let input = g.concat_cols(x, z);
+        let a1 = g.matmul(input, p[2]);
+        let a1b = g.add_row_vec(a1, p[3]);
+        let h1 = g.relu(a1b);
+        let h2 = g.matmul(input, p[2]);
+        let h3 = g.matmul(input, p[4]);
+        // MatMul(a, a)
+        let sq2 = g.matmul(p[5], p[5]);
+        let h4 = g.matmul(h1, sq2);
+        let h23 = g.add(h2, h3);
+        let sum = g.add(h23, h4);
+        // concat(constant, live) with mixed consumers: MatMul and Add
+        let mixed = g.concat_cols(c2, sum);
+        let mut enc = g.matmul(mixed, p[6]);
+        if add_consumer {
+            let shifted = g.add(mixed, other);
+            let more = g.matmul(shifted, p[7]);
+            enc = g.add(enc, more);
+        }
+        // ... and the SelNet head's: PwlInterp and MatMul
+        let inc = g.softplus(sum);
+        let tail = g.cumsum_cols(inc);
+        let zeros = g.leaf_with(d.b, 1, |_| {});
+        let tau = g.concat_cols(zeros, tail);
+        let k = g.relu(enc);
+        let pv = g.cumsum_cols(k);
+        let pred = g.pwl_interp(tau, pv, t);
+        let tau_lin = g.matmul(tau, p[8]);
+        let mut out = g.add(pred, tau_lin);
+        // a concat that is both operands of one MatMul
+        let zw = g.matmul(z, p[9]);
+        let square = g.concat_cols(csq, zw);
+        let ss = g.matmul(square, square);
+        let ssr = g.row_sum(ss);
+        out = g.add(out, ssr);
+        let r = g.sub(out, y);
+        let h = g.huber(r, 1.0);
+        let est = g.mean(h);
+        // reconstruction against a node computed from constants only
+        let target = g.tanh(x);
+        let recon = g.matmul(z, p[10]);
+        let dxv = g.sub(recon, target);
+        let sqd = g.square(dxv);
+        let ae = g.mean(sqd);
+        let ae = g.scale(ae, 0.3);
+        let loss = g.add(est, ae);
+
+        let mut dead = vec![x, c2, t, y, csq, zeros, target];
+        if add_consumer {
+            dead.push(other);
+        }
+        (loss, dead, input)
+    }
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `backward_params` hands the optimizer the bits `backward` does —
+    /// through a narrow `concat(constant, live)` gradient, concats whose
+    /// other consumers forbid one, a parameter leaf used twice and
+    /// `MatMul(a, a)` — and reaches no node that no parameter feeds.
+    #[test]
+    fn parameters_only_sweep_equals_the_full_sweep_bit_for_bit(
+        dims in (2usize..10, 0usize..40, 1usize..40, 1usize..40),
+        k in 1usize..6,
+        seed in 0u64..u64::MAX,
+        add_consumer in 0usize..2,
+    ) {
+        let d = Dims { b: dims.0, dx: dims.1, dz: dims.2, h: dims.3, k };
+        let fx = LivenessFixture::new(d, seed);
+        let mut full = Graph::new();
+        let (loss_f, dead_f, input_f) = fx.record(&mut full, d, add_consumer == 1);
+        full.backward(loss_f);
+        let mut only = Graph::new();
+        let (loss_p, dead_p, input_p) = fx.record(&mut only, d, add_consumer == 1);
+        only.backward_params(loss_p);
+
+        // the full sweep visits every constant; the parameters-only none
+        let reached = |g: &Graph, vars: &[Var]| vars.iter().filter(|&&v| g.grad_reached(v)).count();
+        prop_assert_eq!(reached(&full, &dead_f), dead_f.len());
+        prop_assert_eq!(reached(&only, &dead_p), 0, "{d:?}");
+
+        // the narrow gradient reads back as the full one with the constant
+        // columns zeroed
+        let (gi_f, gi_p) = (full.grad(input_f), only.grad(input_p));
+        prop_assert_eq!(gi_p.shape(), gi_f.shape());
+        for i in 0..d.b {
+            prop_assert!(gi_p.row(i)[..d.dx].iter().all(|&v| v.to_bits() == 0));
+            prop_assert_eq!(bits(&gi_p.row(i)[d.dx..]), bits(&gi_f.row(i)[d.dx..]));
+        }
+
+        let (gf, gp) = (full.param_grad_refs(), only.param_grad_refs());
+        prop_assert_eq!(gf.len(), gp.len());
+        prop_assert_eq!(gf.len(), fx.ids.len());
+        for ((id_f, m_f), (id_p, m_p)) in gf.iter().zip(&gp) {
+            prop_assert_eq!(id_f, id_p);
+            prop_assert_eq!(m_f.shape(), m_p.shape());
+            prop_assert_eq!(bits(m_f.data()), bits(m_p.data()), "{d:?} parameter {}", id_f.index());
+        }
+
+        // and a full sweep on the tape the narrow one ran on widens again
+        only.backward(loss_p);
+        prop_assert_eq!(bits(only.grad(input_p).data()), bits(gi_f.data()));
+    }
+}

@@ -184,10 +184,22 @@ pub(crate) struct ThresholdCounts<'a> {
     /// Record `i` belongs to part `assignments[i]` of `k`.
     assignments: Option<&'a [usize]>,
     k: usize,
-    /// Ascending thresholds per query.
+    /// Thresholds per query (ascending from the workload generator; the
+    /// counts do not depend on the order).
     thresholds: &'a [&'a [f32]],
-    /// Per lane: its query's thresholds and `counts[part * w + j]`.
-    lanes: Vec<(&'a [f32], Vec<u64>)>,
+    lanes: Vec<Lane<'a>>,
+}
+
+/// One lane's query: its thresholds, the largest of them and
+/// `counts[part * w + j]`.
+#[derive(Clone, Default)]
+struct Lane<'a> {
+    thresholds: &'a [f32],
+    /// A record farther than this is within no threshold (`-∞` for an
+    /// empty ladder): nearly every record of a selectivity ladder, so
+    /// [`ThresholdCounts::record`] tests it before walking the thresholds.
+    top: f32,
+    counts: Vec<u64>,
 }
 
 impl<'a> ThresholdCounts<'a> {
@@ -223,17 +235,23 @@ impl Labeller for ThresholdCounts<'_> {
     fn begin(&mut self, l: usize, q: usize) {
         let thresholds = self.thresholds[q];
         self.lanes
-            .resize(self.lanes.len().max(l + 1), (&[], Vec::new()));
-        let (ts, counts) = &mut self.lanes[l];
-        *ts = thresholds;
-        counts.clear();
-        counts.resize(self.k * thresholds.len(), 0);
+            .resize(self.lanes.len().max(l + 1), Lane::default());
+        let lane = &mut self.lanes[l];
+        lane.thresholds = thresholds;
+        // the maximum, not `last()`: nothing here requires a sorted ladder
+        lane.top = thresholds.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        lane.counts.clear();
+        lane.counts.resize(self.k * thresholds.len(), 0);
     }
 
     fn record(&mut self, i: usize, dists: &[f32]) {
         let part = self.assignments.map_or(0, |a| a[i]);
-        for ((ts, counts), &d) in self.lanes.iter_mut().zip(dists) {
-            let counts = &mut counts[part * ts.len()..(part + 1) * ts.len()];
+        for (lane, &d) in self.lanes.iter_mut().zip(dists) {
+            if d > lane.top {
+                continue;
+            }
+            let ts = lane.thresholds;
+            let counts = &mut lane.counts[part * ts.len()..(part + 1) * ts.len()];
             for (count, &t) in counts.iter_mut().zip(ts.iter()) {
                 *count += u64::from(d <= t);
             }
@@ -241,12 +259,12 @@ impl Labeller for ThresholdCounts<'_> {
     }
 
     fn finish(&mut self, l: usize) -> Self::Label {
-        let (ts, counts) = &self.lanes[l];
-        if ts.is_empty() {
+        let lane = &self.lanes[l];
+        if lane.thresholds.is_empty() {
             return vec![Vec::new(); self.k];
         }
-        counts
-            .chunks(ts.len())
+        lane.counts
+            .chunks(lane.thresholds.len())
             .map(|part| part.iter().map(|&c| c as f64).collect())
             .collect()
     }
@@ -352,13 +370,20 @@ mod tests {
         let ds = duplicated_rows();
         let xs: Vec<&[f32]> = (0..19).map(|i| ds.row(i * 5)).collect();
         let kind = DistanceKind::Euclidean;
-        // thresholds that are distances themselves: `<=` must count ties
+        // thresholds that are distances themselves: `<=` must count ties,
+        // and the largest one has records exactly at it (every row comes
+        // four times over). One ladder in three is descending, one empty.
         let thresholds: Vec<Vec<f32>> = xs
             .iter()
-            .map(|x| {
+            .enumerate()
+            .map(|(q, x)| {
                 let mut ts: Vec<f32> = (0..7).map(|j| kind.eval(x, ds.row(j * 9))).collect();
                 sort_distances(&mut ts);
-                ts
+                match q % 3 {
+                    0 => ts,
+                    1 => ts.into_iter().rev().collect(),
+                    _ => Vec::new(),
+                }
             })
             .collect();
         let by_query: Vec<&[f32]> = thresholds.iter().map(Vec::as_slice).collect();
