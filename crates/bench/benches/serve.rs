@@ -13,8 +13,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use selnet_bench::servebench::{
     json_number, model_fixture, point_queries, query_batch, time_ms, BATCH,
 };
-use selnet_core::PlanPrecision;
-use selnet_eval::{EvalOpts, SelectivityEstimator};
+use selnet_eval::SelectivityEstimator;
 use selnet_serve::engine::{Engine, EngineConfig, Request};
 use selnet_serve::registry::ModelRegistry;
 use std::hint::black_box;
@@ -48,7 +47,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
     group.bench_function(format!("plan_batched/{BATCH}"), |b| {
         let mut out = Vec::with_capacity(BATCH);
         b.iter(|| {
-            model.estimate_into(&queries, EvalOpts::default(), &mut out);
+            model.estimate_into(&queries, 1, &mut out);
             black_box(out.last().copied())
         })
     });
@@ -58,7 +57,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
     group.bench_function(format!("plan_many/{BATCH}"), |b| {
         let mut out = Vec::with_capacity(BATCH);
         b.iter(|| {
-            model.estimate_into(&[(&xs[0], &ts)], EvalOpts::default(), &mut out);
+            model.estimate_into(&[(&xs[0], &ts)], 1, &mut out);
             black_box(out.last().copied())
         })
     });
@@ -130,56 +129,26 @@ fn bench_record(_c: &mut Criterion) {
     });
     let mut out = Vec::with_capacity(BATCH);
     let plan_many = time_ms(10, 10, || {
-        model.estimate_into(&[(&xs[0], &ts)], EvalOpts::default(), &mut out);
+        model.estimate_into(&[(&xs[0], &ts)], 1, &mut out);
         black_box(out.last().copied());
     });
     let tape_many = time_ms(10, 10, || {
         black_box(model.tape_predict_many(&xs[0], &ts));
     });
 
-    // precision-lowered batched serving: the same rows through each
-    // lowered plan (warm calls first so compile+lowering is off the
-    // clock). All modes are timed back-to-back within each round; the
-    // recorded `int8_vs_exact` is the median of the per-round exact/int8
-    // ratios, which cancels the drift that independent best-of-N timings
-    // of each mode cannot (the same estimator `serve_bench_guard` checks
-    // the floor with).
-    let mut pout = Vec::with_capacity(BATCH);
-    let mut wave = |precision: PlanPrecision, threads: usize| {
-        model.estimate_into(&queries, EvalOpts { precision, threads }, &mut pout);
-        black_box(pout.last().copied());
-    };
-    let modes = [
-        PlanPrecision::Exact,
-        PlanPrecision::Int8,
-        PlanPrecision::Pruned { threshold: 0.05 },
-    ];
-    for mode in modes {
-        wave(mode, 1);
-    }
-    let mut mode_ms = [f64::INFINITY; 3];
-    let mut ratios = Vec::with_capacity(96);
-    for _ in 0..96 {
-        let mut round = [0.0f64; 3];
-        for (slot, mode) in round.iter_mut().zip(modes) {
-            *slot = time_ms(1, 5, || wave(mode, 1));
-        }
-        for (best, r) in mode_ms.iter_mut().zip(round) {
-            *best = best.min(r);
-        }
-        ratios.push(round[0] / round[1]);
-    }
-    ratios.sort_by(f64::total_cmp);
-    let int8_vs_exact_paired = ratios[ratios.len() / 2];
-    let [p_exact, p_int8, p_pruned] = mode_ms;
-
-    // row-chunked parallel replay: the same wave at `EvalOpts.threads` =
-    // 1/2/4/8 (on a 1-vCPU box the curve is flat by construction —
+    // row-chunked parallel replay: the same wave at 1/2/4/8 replay
+    // threads (on a 1-vCPU box the curve is flat by construction —
     // answers are bit-identical either way, so the numbers are still
     // honest)
+    let mut pout = Vec::with_capacity(BATCH);
     let scaling_ms: Vec<f64> = [1usize, 2, 4, 8]
         .iter()
-        .map(|&threads| time_ms(10, 10, || wave(PlanPrecision::Exact, threads)))
+        .map(|&threads| {
+            time_ms(10, 10, || {
+                model.estimate_into(&queries, threads, &mut pout);
+                black_box(pout.last().copied());
+            })
+        })
         .collect();
 
     let sweep_model = model.clone();
@@ -284,7 +253,6 @@ fn bench_record(_c: &mut Criterion) {
         .unwrap_or("");
     let floor_batched = json_number(floors_blob, "speedup_batched_vs_single").unwrap_or(2.0);
     let floor_plan = json_number(floors_blob, "plan_vs_tape").unwrap_or(1.05);
-    let floor_int8 = json_number(floors_blob, "int8_vs_exact").unwrap_or(1.0);
     let floor_obs = json_number(floors_blob, "obs_overhead_max").unwrap_or(1.03);
     let floor_obs_slow = json_number(floors_blob, "obs_slowpath_max").unwrap_or(1.25);
 
@@ -326,16 +294,6 @@ fn bench_record(_c: &mut Criterion) {
     "tape_many_{BATCH}_ms": {tape_many:.4},
     "plan_vs_tape_many": {plan_vs_tape_many:.2}
   }},
-  "precision": {{
-    "exact_batched_{BATCH}_ms": {p_exact:.4},
-    "int8_batched_{BATCH}_ms": {p_int8:.4},
-    "pruned005_batched_{BATCH}_ms": {p_pruned:.4},
-    "queries_per_sec_exact": {qps_exact:.0},
-    "queries_per_sec_int8": {qps_int8:.0},
-    "queries_per_sec_pruned005": {qps_pruned:.0},
-    "int8_vs_exact": {int8_vs_exact:.2},
-    "note": "estimate_into over the same {BATCH} point queries, one row per precision-lowered plan; int8_vs_exact is the median of per-round paired exact/int8 ratios (drift-cancelling, same estimator as serve_bench_guard); accuracy contract for the lossy modes lives in crates/core/tests/plan_precision.rs"
-  }},
   "scaling": {{
     "machine_cpus": {cpus},
     "batched_replay_1t_ms": {s1:.4},
@@ -343,7 +301,7 @@ fn bench_record(_c: &mut Criterion) {
     "batched_replay_4t_ms": {s4:.4},
     "batched_replay_8t_ms": {s8:.4},
     "speedup_4t_vs_1t": {s_speedup:.2},
-    "note": "estimate_into over the same {BATCH} point queries at EvalOpts.threads = 1/2/4/8 (row-chunked parallel plan replay, bit-identical answers at every count; one thread is the serial path itself). speedup_4t_vs_1t only shows a parallel win when machine_cpus >= 4; on a smaller recorder the curve is flat and the guard skips the 4t floor."
+    "note": "estimate_into over the same {BATCH} point queries at threads = 1/2/4/8 (row-chunked parallel plan replay, bit-identical answers at every count; one thread is the serial path itself). speedup_4t_vs_1t only shows a parallel win when machine_cpus >= 4; on a smaller recorder the curve is flat and the guard skips the 4t floor."
   }},
   "client_sweep": {{
 {sweep_block},
@@ -356,7 +314,6 @@ fn bench_record(_c: &mut Criterion) {
   "floors": {{
     "speedup_batched_vs_single": {floor_batched:.2},
     "plan_vs_tape": {floor_plan:.2},
-    "int8_vs_exact": {floor_int8:.2},
     "obs_overhead_max": {floor_obs:.2},
     "obs_slowpath_max": {floor_obs_slow:.2},
     "note": "CI floors enforced by serve_bench_guard; conservative next to the recorded figures to ride out machine noise. obs_overhead_max bounds the median paired-round ratio of obs-armed (span ring + slow-query log at a tail-calibrated threshold) over obs-disabled engine submit/collect waves: the always-on observability cost of untraced traffic must stay under 3% on the batched hot path (per-request spans are sampled, paid only by trace-ID-carrying requests). obs_slowpath_max separately bounds the pathological every-request-slow configuration (1us threshold, one bounded log push per request at 600k+ req/s) so the slow path can never silently grow a syscall, an allocation, or an O(n) push."
@@ -372,10 +329,6 @@ fn bench_record(_c: &mut Criterion) {
         engine_vs_batched = engine_batch / batched,
         plan_vs_tape = tape_batched / batched,
         plan_vs_tape_many = tape_many / plan_many,
-        qps_exact = BATCH as f64 / (p_exact / 1e3),
-        qps_int8 = BATCH as f64 / (p_int8 / 1e3),
-        qps_pruned = BATCH as f64 / (p_pruned / 1e3),
-        int8_vs_exact = int8_vs_exact_paired,
         s1 = scaling_ms[0],
         s2 = scaling_ms[1],
         s4 = scaling_ms[2],

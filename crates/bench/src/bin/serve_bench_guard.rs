@@ -1,15 +1,13 @@
 //! CI bench-regression guard for the serving hot path.
 //!
-//! Re-times the three ratios the serving layer's performance story rests
-//! on — `speedup_batched_vs_single` (coalescing), `plan_vs_tape`
-//! (compiled inference plans), and `int8_vs_exact` (quantized plans must
-//! at least match the exact plan they approximate) — on the same fixture
-//! the serve benchmark uses, and fails (exit 1) if any falls below the
-//! floor checked into `BENCH_serve.json`. Floors are deliberately
-//! conservative next to the recorded figures, so machine noise doesn't
-//! flake CI while a real regression (a plan silently falling back to the
-//! tape, a batching pessimization, a quantized kernel slower than what it
-//! replaces) still trips it.
+//! Re-times the two ratios the serving layer's performance story rests
+//! on — `speedup_batched_vs_single` (coalescing) and `plan_vs_tape`
+//! (compiled inference plans) — on the same fixture the serve benchmark
+//! uses, and fails (exit 1) if either falls below the floor checked into
+//! `BENCH_serve.json`. Floors are deliberately conservative next to the
+//! recorded figures, so machine noise doesn't flake CI while a real
+//! regression (a plan silently falling back to the tape, a batching
+//! pessimization) still trips it.
 //!
 //! It also bounds the flight recorder (`obs_overhead_max` /
 //! `obs_slowpath_max`, see [`check_obs_overhead`]), validates the
@@ -25,11 +23,9 @@
 //! Run manually: `cargo run --release -p selnet-bench --bin serve_bench_guard`
 
 use selnet_bench::driftbench::{check_drift_block, json_section, DriftFloors, ScheduleSpec};
-use selnet_bench::servebench::{
-    json_number, model_fixture, point_queries, query_batch, time_ms, BATCH,
-};
-use selnet_core::{PartitionedSelNet, PlanPrecision};
-use selnet_eval::{EvalOpts, SelectivityEstimator};
+use selnet_bench::servebench::{json_number, model_fixture, query_batch, time_ms, BATCH};
+use selnet_core::PartitionedSelNet;
+use selnet_eval::SelectivityEstimator;
 use selnet_serve::engine::{Engine, EngineConfig, Request};
 use selnet_serve::registry::ModelRegistry;
 use std::hint::black_box;
@@ -262,7 +258,6 @@ fn main() -> ExitCode {
     let floors = blob.find("\"floors\"").map(|i| &blob[i..]).unwrap_or("");
     let floor_batched = json_number(floors, "speedup_batched_vs_single").unwrap_or(2.0);
     let floor_plan = json_number(floors, "plan_vs_tape").unwrap_or(1.05);
-    let floor_int8 = json_number(floors, "int8_vs_exact").unwrap_or(1.0);
     let floor_obs = json_number(floors, "obs_overhead_max").unwrap_or(1.03);
     let floor_slowpath = json_number(floors, "obs_slowpath_max").unwrap_or(1.25);
     let scaling_ok = check_scaling_artifact(&blob).is_ok();
@@ -283,47 +278,13 @@ fn main() -> ExitCode {
     let tape_batched = time_ms(8, 8, || {
         black_box(model.tape_predict_batch(&x_refs, &ts));
     });
-    // apples-to-apples for the quantization floor: the same
-    // `estimate_into` wave at both precisions, lowering warmed off the
-    // clock. The two precisions are timed back-to-back within each round
-    // and the guard takes the median of the per-round ratios:
-    // frequency/thermal drift and scheduler luck are common-mode within a
-    // round (the plans even share the pooled buffer arena), so pairing
-    // cancels what independent best-of-N timings of each precision cannot.
-    let queries = point_queries(&xs, &ts);
-    let mut pout = Vec::with_capacity(BATCH);
-    let mut wave = |precision: PlanPrecision| {
-        let opts = EvalOpts {
-            precision,
-            threads: 1,
-        };
-        model.estimate_into(&queries, opts, &mut pout);
-        black_box(pout.last().copied());
-    };
-    for _ in 0..64 {
-        wave(PlanPrecision::Exact);
-        wave(PlanPrecision::Int8);
-    }
-    let mut rounds = Vec::with_capacity(96);
-    for _ in 0..96 {
-        let e = time_ms(1, 5, || wave(PlanPrecision::Exact));
-        let q = time_ms(1, 5, || wave(PlanPrecision::Int8));
-        rounds.push((e, q));
-    }
-    let mut ratios: Vec<f64> = rounds.iter().map(|(e, q)| e / q).collect();
-    ratios.sort_by(f64::total_cmp);
-    let exact = rounds.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
-    let int8 = rounds.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);
-
     let speedup_batched = single / batched;
     let plan_vs_tape = tape_batched / batched;
-    let int8_vs_exact = ratios[ratios.len() / 2];
     println!(
         "serve_bench_guard: single={single:.4}ms batched={batched:.4}ms \
-         tape_batched={tape_batched:.4}ms exact={exact:.4}ms int8={int8:.4}ms \
+         tape_batched={tape_batched:.4}ms \
          -> speedup_batched_vs_single={speedup_batched:.2} (floor {floor_batched:.2}), \
-         plan_vs_tape={plan_vs_tape:.2} (floor {floor_plan:.2}), \
-         int8_vs_exact={int8_vs_exact:.2} (floor {floor_int8:.2})"
+         plan_vs_tape={plan_vs_tape:.2} (floor {floor_plan:.2})"
     );
 
     let mut ok = drift_ok && scaling_ok;
@@ -336,12 +297,6 @@ fn main() -> ExitCode {
     }
     if plan_vs_tape < floor_plan {
         eprintln!("serve_bench_guard: FAIL plan_vs_tape {plan_vs_tape:.2} < floor {floor_plan:.2}");
-        ok = false;
-    }
-    if int8_vs_exact < floor_int8 {
-        eprintln!(
-            "serve_bench_guard: FAIL int8_vs_exact {int8_vs_exact:.2} < floor {floor_int8:.2}"
-        );
         ok = false;
     }
     ok &= check_obs_overhead(&model, &xs, &ts, floor_obs, floor_slowpath).is_ok();

@@ -7,7 +7,7 @@
 use selnet_client::{ClientConfig, Connection, Reply};
 use selnet_core::{fit_partitioned, PartitionConfig, PartitionedSelNet, SelNetConfig};
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
-use selnet_eval::{EvalOpts, SelectivityEstimator};
+use selnet_eval::SelectivityEstimator;
 use selnet_metric::DistanceKind;
 use selnet_serve::protocol::ErrorCode;
 use selnet_serve::registry::ModelRegistry;
@@ -161,7 +161,7 @@ impl SelectivityEstimator for Slow {
     }
 
     /// Sleeps once per wave, not once per threshold.
-    fn estimate_into(&self, queries: &[(&[f32], &[f32])], _: EvalOpts, out: &mut Vec<f64>) {
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], _: usize, out: &mut Vec<f64>) {
         std::thread::sleep(std::time::Duration::from_millis(2));
         out.clear();
         for &(x, ts) in queries {

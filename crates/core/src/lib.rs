@@ -53,6 +53,5 @@ pub use config::{LossKind, PartitionConfig, SelNetConfig, TauNormalization};
 pub use model::{ControlPointNets, SelNetModel};
 pub use partitioned::{fit_partitioned, PartitionedSelNet};
 pub use pwl::{fit_fixed_grid, fit_selnet_head, PiecewiseLinear, PwlFit};
-pub use selnet_tensor::PlanPrecision;
 pub use train::{fit, fit_named, TrainReport};
 pub use update::{UpdateDecision, UpdatePolicy};

@@ -7,10 +7,8 @@ use crate::autoencoder::Autoencoder;
 use crate::config::{SelNetConfig, TauNormalization};
 use crate::plans::{control_points, replay_curves, PlanCell};
 use rand::Rng;
-use selnet_eval::{EvalOpts, SelectivityEstimator};
-use selnet_tensor::{
-    Activation, Graph, InferencePlan, Matrix, Mlp, ParamId, ParamStore, PlanPrecision, Var,
-};
+use selnet_eval::SelectivityEstimator;
+use selnet_tensor::{Activation, Graph, InferencePlan, Matrix, Mlp, ParamId, ParamStore, Var};
 use std::sync::Arc;
 
 /// The per-model networks that generate the control points for one
@@ -157,19 +155,16 @@ pub struct SelNetModel {
 
 impl SelNetModel {
     /// The curve plan `x [B × d] → (τ, p)` for the current parameters
-    /// (compiled on first use or after a parameter mutation). The
-    /// single-model path always serves exact plans; precision lowering is
-    /// a partitioned-serving feature.
+    /// (compiled on first use or after a parameter mutation).
     fn plan(&self) -> Arc<InferencePlan> {
-        self.plans
-            .get_or(self.store.version(), PlanPrecision::Exact, || {
-                // probe with two rows so batch scaling is unambiguous
-                let mut g = Graph::new();
-                let xv = g.leaf_with(2, self.dim, |_| {});
-                let (tau, p, _z) = self.forward_control_points(&mut g, &self.store, xv);
-                InferencePlan::compile(&g, &[(xv, true)], &[tau, p])
-                    .expect("the SelNet control-point forward is plan-compilable")
-            })
+        self.plans.get_or(self.store.version(), || {
+            // probe with two rows so batch scaling is unambiguous
+            let mut g = Graph::new();
+            let xv = g.leaf_with(2, self.dim, |_| {});
+            let (tau, p, _z) = self.forward_control_points(&mut g, &self.store, xv);
+            InferencePlan::compile(&g, &[xv], &[tau, p])
+                .expect("the SelNet control-point forward is plan-compilable")
+        })
     }
 
     /// Records the full forward pass for a batch of query vectors.
@@ -231,7 +226,7 @@ impl SelNetModel {
     /// of the compiled curve plan, one interpolation per threshold.
     pub fn predict_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
         let mut out = Vec::with_capacity(ts.len());
-        self.estimate_into(&[(x, ts)], EvalOpts::default(), &mut out);
+        self.estimate_into(&[(x, ts)], 1, &mut out);
         out
     }
 
@@ -259,10 +254,10 @@ impl SelectivityEstimator for SelNetModel {
         self.predict_many(x, ts)
     }
 
-    /// One network pass over the wave's query objects. Always exact (see
-    /// [`SelNetModel`]'s plan); `opts.threads` never changes a bit.
-    fn estimate_into(&self, queries: &[(&[f32], &[f32])], opts: EvalOpts, out: &mut Vec<f64>) {
-        replay_curves(&self.plan(), self.dim, queries, opts.threads, None, out)
+    /// One network pass over the wave's query objects; `threads` never
+    /// changes a bit.
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], threads: usize, out: &mut Vec<f64>) {
+        replay_curves(&self.plan(), self.dim, queries, threads, None, out)
     }
 
     fn query_dim(&self) -> Option<usize> {

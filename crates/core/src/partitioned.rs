@@ -17,10 +17,10 @@ use crate::train::TrainReport;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selnet_data::Dataset;
-use selnet_eval::{EvalOpts, SelectivityEstimator};
+use selnet_eval::SelectivityEstimator;
 use selnet_index::Partitioning;
 use selnet_tensor::{
-    pwl_interp_row, Adam, Graph, InferencePlan, Matrix, Optimizer, ParamStore, PlanPrecision, Var,
+    pwl_interp_row, Adam, Graph, InferencePlan, Matrix, Optimizer, ParamStore, Var,
 };
 use selnet_workload::{label_partitions, LabeledQuery, PartitionedLabels, Workload};
 use std::sync::Arc;
@@ -38,46 +38,26 @@ pub struct PartitionedSelNet {
     pub(crate) partitioning: Partitioning,
     pub(crate) name: String,
     pub(crate) reference_val_mae: f64,
-    /// The serving precision this model's trainer (or operator) endorses —
-    /// persisted in v2 snapshots, used as the default when a tenant is
-    /// registered without an explicit `--precision` override. Purely
-    /// advisory: it never changes an answer unless a caller passes it in
-    /// [`EvalOpts`].
-    pub(crate) recommended_precision: PlanPrecision,
-    /// The compiled curve plan, keyed on `(parameter-store version,
-    /// precision)` (see [`crate::plans`]). Rebuilt lazily after any
-    /// retrain; a clone (the hot-swap `spawn_update` path) starts with an
-    /// empty cell.
+    /// The compiled curve plan, keyed on the parameter-store version (see
+    /// [`crate::plans`]). Rebuilt lazily after any retrain; a clone (the
+    /// hot-swap `spawn_update` path) starts with an empty cell.
     pub(crate) plans: PlanCell<InferencePlan>,
 }
 
 impl PartitionedSelNet {
-    /// The curve plan `x [B × d] → (τ_k, p_k)` over all `K` local models,
-    /// lowered to `precision`, for the current parameters — compiled on
-    /// first use or after a parameter mutation, once per `(version,
-    /// precision)`.
-    fn plan(&self, precision: PlanPrecision) -> Arc<InferencePlan> {
-        self.plans.get_or(self.store.version(), precision, || {
+    /// The curve plan `x [B × d] → (τ_k, p_k)` over all `K` local models
+    /// for the current parameters — compiled on first use or after a
+    /// parameter mutation, once per version.
+    fn plan(&self) -> Arc<InferencePlan> {
+        self.plans.get_or(self.store.version(), || {
             // probe with 2 rows so batch scaling is unambiguous (a constant
             // leaf with probe-batch rows is broadcast; see InferencePlan docs)
             let mut g = Graph::new();
             let xv = g.leaf_with(2, self.dim, |_| {});
             let (_z, knots) = self.forward_locals(&mut g, xv, |_, tau, p| [tau, p]);
-            InferencePlan::compile_with(&g, &[(xv, true)], &knots.concat(), precision)
+            InferencePlan::compile(&g, &[xv], &knots.concat())
                 .expect("the partitioned SelNet control-point forward is plan-compilable")
         })
-    }
-
-    /// The serving precision this model recommends (persisted in v2
-    /// snapshots; `Exact` for fresh or v1-loaded models).
-    pub fn recommended_precision(&self) -> PlanPrecision {
-        self.recommended_precision
-    }
-
-    /// Sets the recommended serving precision carried by future
-    /// [`PartitionedSelNet::save`] snapshots.
-    pub fn set_recommended_precision(&mut self, precision: PlanPrecision) {
-        self.recommended_precision = precision;
     }
 
     /// Number of partitions.
@@ -127,7 +107,7 @@ impl PartitionedSelNet {
     /// interpolation per threshold (see "The curve plan" in `ARCHITECTURE.md`).
     pub fn predict_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
         let mut out = Vec::with_capacity(ts.len());
-        self.estimate_into(&[(x, ts)], EvalOpts::default(), &mut out);
+        self.estimate_into(&[(x, ts)], 1, &mut out);
         out
     }
 
@@ -237,7 +217,7 @@ impl PartitionedSelNet {
     /// (diagnostics / tests).
     pub fn local_estimates(&self, x: &[f32], t: f32) -> Vec<f64> {
         assert_eq!(x.len(), self.dim, "query dimension mismatch");
-        control_points(&self.plan(PlanPrecision::Exact), x)
+        control_points(&self.plan(), x)
             .iter()
             .map(|(tau, p)| pwl_interp_row(tau, p, t) as f64)
             .collect()
@@ -253,18 +233,15 @@ impl SelectivityEstimator for PartitionedSelNet {
         self.predict_many(x, ts)
     }
 
-    /// One network pass over the wave's query objects on the plan lowered
-    /// to `opts.precision`, fanned across up to `opts.threads` workers.
-    /// `Exact` reproduces the tape forward bit for bit; the lossy modes
-    /// trade the pinned accuracy drift (`plan_precision.rs`) for cheaper
-    /// arithmetic and stay monotone in `t`; the thread count never changes
-    /// a bit.
-    fn estimate_into(&self, queries: &[(&[f32], &[f32])], opts: EvalOpts, out: &mut Vec<f64>) {
+    /// One network pass over the wave's query objects, fanned across up
+    /// to `threads` workers: the tape forward bit for bit, at every thread
+    /// count.
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], threads: usize, out: &mut Vec<f64>) {
         replay_curves(
-            &self.plan(opts.precision),
+            &self.plan(),
             self.dim,
             queries,
-            opts.threads,
+            threads,
             Some(&self.partitioning),
             out,
         )
@@ -712,7 +689,6 @@ pub fn fit_partitioned(
         partitioning,
         name: "SelNet".into(),
         reference_val_mae: f64::MAX,
-        recommended_precision: PlanPrecision::Exact,
         plans: PlanCell::new(),
     };
 
@@ -858,38 +834,29 @@ mod tests {
     }
 
     /// Every entry point rides the one curve plan: whatever mix of calls
-    /// arrives, a `(version, precision)` is compiled exactly once, and a
-    /// retrain's version bump replaces the stale entries.
+    /// arrives, a version is compiled exactly once, and a retrain's
+    /// version bump replaces the stale plan.
     #[test]
-    fn one_plan_compile_per_version_and_precision() {
+    fn one_plan_compile_per_version() {
         let (ds, w) = fixture();
         let mut cfg = SelNetConfig::tiny();
         cfg.epochs = 2;
         let (mut model, _) = fit_partitioned(&ds, &w, &cfg, &tiny_pcfg());
         let q = &w.test[0];
-        let int8 = EvalOpts {
-            precision: PlanPrecision::Int8,
-            threads: 4,
-        };
+        let first_plan = model.plan();
         let mut out = Vec::new();
         for _ in 0..2 {
             model.estimate(&q.x, q.thresholds[0]);
             model.predict_many(&q.x, &q.thresholds);
             model.predict_batch(&[&q.x, &q.x], &q.thresholds[..2]);
             model.local_estimates(&q.x, q.thresholds[0]);
-            assert_eq!(model.plans.entries(), 1);
+            model.estimate_into(&[(&q.x, &q.thresholds)], 4, &mut out);
+            assert!(Arc::ptr_eq(&first_plan, &model.plan()));
         }
-        for _ in 0..2 {
-            model.estimate_into(&[(&q.x, &q.thresholds)], int8, &mut out);
-            assert_eq!(model.plans.entries(), 2);
-        }
-        assert_eq!(
-            model.clone().plans.entries(),
-            0,
-            "a clone starts uncompiled"
+        assert!(
+            !Arc::ptr_eq(&first_plan, &model.clone().plan()),
+            "a clone compiles its own plan"
         );
-        let exact = model.plan(PlanPrecision::Exact);
-        assert!(Arc::ptr_eq(&exact, &model.plan(PlanPrecision::Exact)));
         // a parameter mutation bumps the version: next use recompiles once
         let first = model
             .store
@@ -898,8 +865,9 @@ mod tests {
             .expect("a trained model has parameters");
         model.store.value_mut(first);
         model.predict_many(&q.x, &q.thresholds);
-        assert_eq!(model.plans.entries(), 1);
-        assert!(!Arc::ptr_eq(&exact, &model.plan(PlanPrecision::Exact)));
+        let second_plan = model.plan();
+        assert!(!Arc::ptr_eq(&first_plan, &second_plan));
+        assert!(Arc::ptr_eq(&second_plan, &model.plan()));
     }
 
     #[test]
@@ -955,7 +923,7 @@ mod tests {
         let mut cfg = SelNetConfig::tiny();
         cfg.epochs = 2;
         let (model, _) = fit_partitioned(&ds, &w, &cfg, &tiny_pcfg());
-        let plan = model.plan(PlanPrecision::Exact);
+        let plan = model.plan();
         let rows = (3 * selnet_tensor::parallel::FORK_MIN_WORK).div_ceil(plan.flops_per_row());
         assert_eq!(plan.replay_threads(rows, 3), 3);
         assert_eq!(plan.replay_threads(rows - 1, 3), 2);
@@ -968,11 +936,7 @@ mod tests {
             .collect();
         let wave = |threads: usize| {
             let mut out = Vec::new();
-            let opts = EvalOpts {
-                precision: PlanPrecision::Exact,
-                threads,
-            };
-            model.estimate_into(&queries, opts, &mut out);
+            model.estimate_into(&queries, threads, &mut out);
             out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         };
         let serial = wave(1);

@@ -25,15 +25,14 @@ use selnet_index::Partitioning;
 use selnet_tensor::bytes::{
     read_f32, read_f64, read_u32, read_u64, write_f32, write_f64, write_u32, write_u64,
 };
-use selnet_tensor::{ParamStore, PlanPrecision};
+use selnet_tensor::ParamStore;
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 8] = b"SELNETM1";
 const PARTITIONED_MAGIC: &[u8; 8] = b"SELNETP1";
 /// Current `SELNETP1` snapshot version. Bump when the layout changes; the
-/// loader accepts `1..=SNAPSHOT_VERSION` (v2 added the recommended
-/// serving precision; v1 snapshots load with `Exact`) and rejects
-/// anything newer with a typed error.
+/// loader accepts `1..=SNAPSHOT_VERSION` (v2 added one reserved 64-bit
+/// word, written as zero) and rejects anything newer with a typed error.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Caps on length fields read from untrusted bytes (see the loaders).
@@ -87,6 +86,21 @@ fn read_string(r: &mut impl Read) -> io::Result<String> {
     let mut buf = vec![0u8; len];
     r.read_exact(&mut buf)?;
     String::from_utf8(buf).map_err(|_| invalid("bad utf8 string"))
+}
+
+/// Validates the v2 reserved word. [`PartitionedSelNet::save`] writes `0`;
+/// earlier builds stored a serving-precision recommendation there (tag in
+/// the high half: 0 exact, 1 `bf16`, 2 `int8`, 3 `pruned` with the f32
+/// threshold bits in the low half). Every model serves exact now, so a
+/// word one of those builds could have written is accepted and ignored;
+/// anything else is corruption.
+fn check_reserved_word(word: u64) -> io::Result<()> {
+    match (word >> 32, word as u32) {
+        (0..=2, 0) | (3, _) => Ok(()),
+        _ => Err(invalid(format!(
+            "bad reserved word {word:#x} (no build wrote this precision code)"
+        ))),
+    }
 }
 
 fn write_config(w: &mut impl Write, c: &SelNetConfig) -> io::Result<()> {
@@ -299,8 +313,8 @@ impl PartitionedSelNet {
         write_f32(w, self.tmax)?;
         write_f64(w, self.reference_val_mae)?;
         write_string(w, &self.name)?;
-        // v2: the trainer-endorsed serving precision, as its canonical code
-        write_u64(w, self.recommended_precision.code())?;
+        // v2: reserved
+        write_u64(w, 0)?;
         write_usize(w, self.locals.len())?;
         self.partitioning.save(w)?;
         self.store.save(w)
@@ -333,14 +347,10 @@ impl PartitionedSelNet {
         let tmax = read_f32(r)?;
         let reference_val_mae = read_f64(r)?;
         let name = read_string(r)?;
-        // v1 snapshots predate the recommended-precision field
-        let recommended_precision = if version >= 2 {
-            let code = read_u64(r)?;
-            PlanPrecision::from_code(code)
-                .ok_or_else(|| invalid(format!("bad recommended precision code {code:#x}")))?
-        } else {
-            PlanPrecision::Exact
-        };
+        // v1 snapshots predate the reserved word
+        if version >= 2 {
+            check_reserved_word(read_u64(r)?)?;
+        }
         let k = read_len(r, MAX_LOCALS, "local model count")?;
         let partitioning = Partitioning::load(r)?;
         if partitioning.k() != k {
@@ -387,7 +397,6 @@ impl PartitionedSelNet {
             partitioning,
             name,
             reference_val_mae,
-            recommended_precision,
             plans: crate::plans::PlanCell::new(),
         })
     }
@@ -549,21 +558,18 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
-    /// The v2 recommended-precision field round-trips, and a legacy v1
-    /// stream (no precision field) still loads — with `Exact` as the
-    /// default — producing bit-identical predictions.
+    /// The v2 reserved word: `save` writes zero; the codes earlier builds
+    /// stored there (`int8`, `pruned:0.05`, the retired `bf16`) still load
+    /// and answer exactly like the zero word; a word no build wrote is
+    /// refused; a v1 stream (no word at all) loads; and whatever loaded
+    /// saves back to the same bytes.
     #[test]
-    fn recommended_precision_round_trips_and_v1_defaults_to_exact() {
-        let (mut model, w) = partitioned_fixture(49);
-        model.set_recommended_precision(PlanPrecision::Int8);
+    fn reserved_word_accepts_old_codes_refuses_garbage_and_v1_still_loads() {
+        let (model, w) = partitioned_fixture(49);
         let mut buf = Vec::new();
         model.save(&mut buf).unwrap();
-        let loaded = PartitionedSelNet::load(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded.recommended_precision(), PlanPrecision::Int8);
 
-        // rebuild the exact v1 layout: re-serialize the prefix that
-        // precedes the v2 precision field to find its offset, then drop
-        // those 8 bytes and stamp version 1
+        // re-serialize the prefix that precedes the word to find its offset
         let mut prefix = Vec::new();
         prefix.extend_from_slice(PARTITIONED_MAGIC);
         write_u32(&mut prefix, SNAPSHOT_VERSION).unwrap();
@@ -574,31 +580,46 @@ mod tests {
         write_f64(&mut prefix, model.reference_val_mae()).unwrap();
         write_string(&mut prefix, model.name()).unwrap();
         let cut = prefix.len();
+        assert_eq!(buf[cut..cut + 8], [0u8; 8], "save writes a zero word");
+
+        let same_model = |bytes: &[u8], what: &str| {
+            let loaded = PartitionedSelNet::load(&mut &*bytes)
+                .unwrap_or_else(|e| panic!("{what} must load: {e}"));
+            for q in &w.test {
+                assert_eq!(
+                    loaded.estimate_many(&q.x, &q.thresholds),
+                    model.estimate_many(&q.x, &q.thresholds),
+                    "{what} must answer like the model that was saved"
+                );
+            }
+            let mut again = Vec::new();
+            loaded.save(&mut again).unwrap();
+            assert!(again == buf, "{what}: save → load → save changed bytes");
+        };
+        same_model(&buf, "the zero word");
+        let with_word = |word: u64| {
+            let mut bytes = buf.clone();
+            bytes[cut..cut + 8].copy_from_slice(&word.to_le_bytes());
+            bytes
+        };
+        for (what, word) in [
+            ("int8", 2u64 << 32),
+            ("pruned:0.05", (3 << 32) | u64::from(0.05f32.to_bits())),
+            ("retired bf16", 1 << 32),
+        ] {
+            same_model(&with_word(word), what);
+        }
+        for word in [u64::MAX, 99 << 32, (2 << 32) | 1, 1] {
+            let err = load_err(&with_word(word));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{word:#x}");
+            assert!(err.to_string().contains("reserved word"), "got: {err}");
+        }
+
+        // the exact v1 layout: no word, version stamped 1
         let mut v1 = buf.clone();
         v1.drain(cut..cut + 8);
         v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let legacy = PartitionedSelNet::load(&mut v1.as_slice()).unwrap();
-        assert_eq!(legacy.recommended_precision(), PlanPrecision::Exact);
-        let q = &w.test[0];
-        assert_eq!(
-            legacy.estimate_many(&q.x, &q.thresholds),
-            model.estimate_many(&q.x, &q.thresholds),
-            "a v1 snapshot must load to the same model"
-        );
-
-        // a v2 stream with an unknown precision code is rejected
-        let mut bad = buf.clone();
-        bad[cut..cut + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = load_err(&bad);
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("precision"), "got: {err}");
-
-        // the retired bf16 code (1 << 32, never reused) still loads, as
-        // Exact: that mode always served f32 weights
-        let mut retired = buf.clone();
-        retired[cut..cut + 8].copy_from_slice(&(1u64 << 32).to_le_bytes());
-        let old = PartitionedSelNet::load(&mut retired.as_slice()).unwrap();
-        assert_eq!(old.recommended_precision(), PlanPrecision::Exact);
+        same_model(&v1, "a v1 snapshot");
     }
 
     #[test]

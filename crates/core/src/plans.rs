@@ -5,30 +5,25 @@
 //! (§4–§5.1): the networks map **`x` alone** to control points `(τ, p)`,
 //! and the threshold `t` enters only at the interpolation of Eq. (1) and
 //! at the partition indicator. The compiled program is split at exactly
-//! that boundary. A model compiles **one** plan per `(version,
-//! precision)`, `x [B × d] → (τ_k, p_k)` for each of its `K` curves (one
-//! for the single model, one per partition otherwise) — no threshold
-//! input, no interpolation instruction — and [`replay_curves`] applies
-//! the rest with [`selnet_tensor::pwl_interp_row`], the row body of the
-//! tape's own `pwl_interp` op. Bit-identity with the tape and
-//! monotonicity in `t` under lossy precision are structural (lowering
-//! only rewrites affine weights inside the plan; `t` never enters it) —
-//! see "The curve plan" in `ARCHITECTURE.md`.
+//! that boundary. A model compiles **one** plan per parameter version,
+//! `x [B × d] → (τ_k, p_k)` for each of its `K` curves (one for the
+//! single model, one per partition otherwise) — no threshold input, no
+//! interpolation instruction — and [`replay_curves`] applies the rest
+//! with [`selnet_tensor::pwl_interp_row`], the row body of the tape's own
+//! `pwl_interp` op, so bit-identity with the tape is structural — see
+//! "The curve plan" in `ARCHITECTURE.md`.
 //!
 //! A model caches its compiled [`InferencePlan`] in a [`PlanCell`], keyed
-//! by `(`[`ParamStore::version`](selnet_tensor::ParamStore::version)`,`
-//! [`PlanPrecision`]`)`. Any mutation of the store (an optimizer step
-//! during a §5.4 retrain, a checkpoint restore) bumps the version, so the
-//! next prediction recompiles automatically — there is no invalidation
-//! call to forget — while a fleet serving the same generation at several
-//! precisions keeps one lowered plan per mode alive concurrently.
-//! A version bump drops every precision's entry (they all baked the stale
-//! parameters). Cloning a model (the hot-swap registry's `spawn_update`
-//! path) clones an **empty** cell: plans bake parameter values, and the
-//! clone builds its own on first use.
+//! by [`ParamStore::version`](selnet_tensor::ParamStore::version). Any
+//! mutation of the store (an optimizer step during a §5.4 retrain, a
+//! checkpoint restore) bumps the version, so the next prediction
+//! recompiles automatically — there is no invalidation call to forget.
+//! Cloning a model (the hot-swap registry's `spawn_update` path) clones an
+//! **empty** cell: plans bake parameter values, and the clone builds its
+//! own on first use.
 
 use selnet_index::Partitioning;
-use selnet_tensor::{pwl_interp_row, InferencePlan, PlanBuffers, PlanPrecision};
+use selnet_tensor::{pwl_interp_row, InferencePlan, PlanBuffers};
 use std::sync::{Arc, RwLock};
 
 /// The one replay body: answers every `(x, ts)` query into `out` (cleared
@@ -128,58 +123,37 @@ pub(crate) fn control_points(plan: &InferencePlan, x: &[f32]) -> Vec<(Vec<f32>, 
     })
 }
 
-/// A lazily-built slot map for compiled plans `T`, keyed on
-/// `(version, precision)`.
+/// A lazily-built slot for a compiled plan `T`, keyed on the parameter
+/// version.
 pub(crate) struct PlanCell<T> {
-    slot: RwLock<Vec<(u64, PlanPrecision, Arc<T>)>>,
+    slot: RwLock<Option<(u64, Arc<T>)>>,
 }
 
 impl<T> PlanCell<T> {
     pub(crate) fn new() -> Self {
         PlanCell {
-            slot: RwLock::new(Vec::new()),
+            slot: RwLock::new(None),
         }
     }
 
-    /// The cached bundle for `(version, precision)`, building (and
-    /// caching) it with `build` when absent. Readers share the slot; a
-    /// rebuild takes the write lock briefly. Entries from older versions
-    /// are dropped on rebuild — only the current generation's lowered
-    /// plans stay resident.
-    pub(crate) fn get_or(
-        &self,
-        version: u64,
-        precision: PlanPrecision,
-        build: impl FnOnce() -> T,
-    ) -> Arc<T> {
-        {
-            let slot = self.slot.read().expect("plan cell poisoned");
-            if let Some((_, _, plans)) = slot
-                .iter()
-                .find(|(v, p, _)| *v == version && *p == precision)
-            {
-                return Arc::clone(plans);
-            }
+    /// The cached plan for `version`, building (and caching) it with
+    /// `build` when absent or stale. Readers share the slot; a rebuild
+    /// takes the write lock briefly and replaces the older version's plan.
+    pub(crate) fn get_or(&self, version: u64, build: impl FnOnce() -> T) -> Arc<T> {
+        let current = |slot: &Option<(u64, Arc<T>)>| match slot {
+            Some((v, plan)) if *v == version => Some(Arc::clone(plan)),
+            _ => None,
+        };
+        if let Some(plan) = current(&self.slot.read().expect("plan cell poisoned")) {
+            return plan;
         }
         let mut slot = self.slot.write().expect("plan cell poisoned");
-        if let Some((_, _, plans)) = slot
-            .iter()
-            .find(|(v, p, _)| *v == version && *p == precision)
-        {
-            return Arc::clone(plans);
+        if let Some(plan) = current(&slot) {
+            return plan;
         }
-        slot.retain(|(v, _, _)| *v == version);
-        let plans = Arc::new(build());
-        slot.push((version, precision, Arc::clone(&plans)));
-        plans
-    }
-}
-
-#[cfg(test)]
-impl<T> PlanCell<T> {
-    /// Resident entries (one per compile still cached).
-    pub(crate) fn entries(&self) -> usize {
-        self.slot.read().expect("plan cell poisoned").len()
+        let plan = Arc::new(build());
+        *slot = Some((version, Arc::clone(&plan)));
+        plan
     }
 }
 
@@ -201,22 +175,20 @@ impl<T> Default for PlanCell<T> {
 mod tests {
     use super::*;
 
-    const EXACT: PlanPrecision = PlanPrecision::Exact;
-
     #[test]
     fn rebuilds_only_on_version_change() {
         let cell: PlanCell<u32> = PlanCell::new();
         let mut builds = 0;
-        let a = cell.get_or(1, EXACT, || {
+        let a = cell.get_or(1, || {
             builds += 1;
             10
         });
-        let b = cell.get_or(1, EXACT, || {
+        let b = cell.get_or(1, || {
             builds += 1;
             11
         });
         assert_eq!((*a, *b, builds), (10, 10, 1));
-        let c = cell.get_or(2, EXACT, || {
+        let c = cell.get_or(2, || {
             builds += 1;
             12
         });
@@ -224,57 +196,11 @@ mod tests {
     }
 
     #[test]
-    fn precisions_cache_independently_within_a_version() {
-        let cell: PlanCell<u32> = PlanCell::new();
-        let mut builds = 0;
-        let exact = cell.get_or(1, EXACT, || {
-            builds += 1;
-            10
-        });
-        let int8 = cell.get_or(1, PlanPrecision::Int8, || {
-            builds += 1;
-            20
-        });
-        // both entries stay resident: re-reading either rebuilds nothing
-        let exact2 = cell.get_or(1, EXACT, || {
-            builds += 1;
-            99
-        });
-        let int8_2 = cell.get_or(1, PlanPrecision::Int8, || {
-            builds += 1;
-            99
-        });
-        assert_eq!(
-            (*exact, *int8, *exact2, *int8_2, builds),
-            (10, 20, 10, 20, 2)
-        );
-        // a version bump invalidates every precision
-        let int8_v2 = cell.get_or(2, PlanPrecision::Int8, || {
-            builds += 1;
-            30
-        });
-        let exact_v2 = cell.get_or(2, EXACT, || {
-            builds += 1;
-            40
-        });
-        assert_eq!((*int8_v2, *exact_v2, builds), (30, 40, 4));
-    }
-
-    #[test]
-    fn pruned_thresholds_are_distinct_keys() {
-        let cell: PlanCell<u32> = PlanCell::new();
-        let a = cell.get_or(1, PlanPrecision::Pruned { threshold: 0.1 }, || 1);
-        let b = cell.get_or(1, PlanPrecision::Pruned { threshold: 0.2 }, || 2);
-        let a2 = cell.get_or(1, PlanPrecision::Pruned { threshold: 0.1 }, || 3);
-        assert_eq!((*a, *b, *a2), (1, 2, 1));
-    }
-
-    #[test]
     fn clone_is_empty() {
         let cell: PlanCell<u32> = PlanCell::new();
-        let _ = cell.get_or(7, EXACT, || 1);
+        let _ = cell.get_or(7, || 1);
         let clone = cell.clone();
-        let v = clone.get_or(7, EXACT, || 2);
+        let v = clone.get_or(7, || 2);
         assert_eq!(*v, 2, "cloned cell must rebuild, not share");
     }
 }

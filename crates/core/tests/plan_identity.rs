@@ -6,26 +6,37 @@
 //! `tape_predict_batch` and of per-query `estimate_many`, at every thread
 //! count — before a retrain, after a §5.4 `check_and_update` retrain
 //! (plan cache invalidated by the parameter-version bump), and after a
-//! snapshot round-trip. At the lossy precisions the wave is pinned
-//! against per-query evaluation at the same precision.
+//! snapshot round-trip.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use selnet_core::{
-    fit, fit_partitioned, PartitionConfig, PartitionedSelNet, PlanPrecision, SelNetConfig,
+    fit, fit_partitioned, PartitionConfig, PartitionedSelNet, SelNetConfig, TauNormalization,
     UpdatePolicy,
 };
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
 use selnet_data::Dataset;
-use selnet_eval::{EvalOpts, SelectivityEstimator};
+use selnet_eval::SelectivityEstimator;
 use selnet_index::PartitionMethod;
 use selnet_metric::DistanceKind;
 use selnet_workload::{generate_workload, Workload, WorkloadConfig};
 
-const LOSSY: [PlanPrecision; 2] = [
-    PlanPrecision::Int8,
-    PlanPrecision::Pruned { threshold: 0.05 },
-];
+/// The network variants every `repro_*` binary's `SelNetConfig` is drawn
+/// from: τ shared or query-dependent, normalized by `Norml2` or softmax.
+fn net_config(seed: u64, query_dependent: usize, softmax: usize) -> SelNetConfig {
+    SelNetConfig {
+        epochs: 1,
+        ae_pretrain_epochs: 1,
+        seed,
+        query_dependent_tau: query_dependent == 1,
+        tau_normalization: if softmax == 1 {
+            TauNormalization::Softmax
+        } else {
+            TauNormalization::Norml2
+        },
+        ..SelNetConfig::tiny()
+    }
+}
 
 fn fixture(seed: u64) -> (Dataset, Workload) {
     let ds = fasttext_like(&GeneratorConfig::new(150, 4, 2, seed));
@@ -58,11 +69,10 @@ fn ragged_wave(w: &Workload, seed: u64) -> Vec<(Vec<f32>, Vec<f32>)> {
 fn wave_at<M: SelectivityEstimator>(
     model: &M,
     queries: &[(&[f32], &[f32])],
-    precision: PlanPrecision,
     threads: usize,
 ) -> Vec<f64> {
     let mut out = vec![f64::NAN; 3]; // stale contents must be cleared
-    model.estimate_into(queries, EvalOpts { precision, threads }, &mut out);
+    model.estimate_into(queries, threads, &mut out);
     out
 }
 
@@ -72,7 +82,7 @@ fn assert_one_path(model: &PartitionedSelNet, w: &Workload, seed: u64, label: &s
         .iter()
         .map(|(x, ts)| (x.as_slice(), ts.as_slice()))
         .collect();
-    let exact = wave_at(model, &queries, PlanPrecision::Exact, 1);
+    let exact = wave_at(model, &queries, 1);
 
     // the tape oracles: one query at many thresholds, and the flattened
     // (x, t) rows in one batch
@@ -102,27 +112,15 @@ fn assert_one_path(model: &PartitionedSelNet, w: &Workload, seed: u64, label: &s
         model.estimate_batch(&xs, &ts),
         "{label}: wave vs estimate_batch"
     );
-    assert_eq!(
-        wave_at(model, &[], PlanPrecision::Exact, 4),
-        Vec::<f64>::new()
-    );
+    assert_eq!(wave_at(model, &[], 4), Vec::<f64>::new());
 
-    // threads never change a bit, at any precision; a lossy wave equals
-    // per-query evaluation at the same precision
-    for precision in [PlanPrecision::Exact].into_iter().chain(LOSSY) {
-        let serial = wave_at(model, &queries, precision, 1);
-        for threads in [2usize, 4, 8] {
-            assert_eq!(
-                serial,
-                wave_at(model, &queries, precision, threads),
-                "{label}: {precision} at {threads} threads"
-            );
-        }
-        let per_query: Vec<f64> = queries
-            .iter()
-            .flat_map(|q| wave_at(model, &[*q], precision, 1))
-            .collect();
-        assert_eq!(serial, per_query, "{label}: {precision} wave vs per query");
+    // threads never change a bit
+    for threads in [2usize, 4, 8] {
+        assert_eq!(
+            exact,
+            wave_at(model, &queries, threads),
+            "{label}: at {threads} threads"
+        );
     }
 
     // local estimates: the indicator-masked sum of the per-part values
@@ -156,6 +154,7 @@ proptest! {
         k in 1usize..4,
         method_tag in 0usize..3,
         query_dependent in 0usize..2,
+        softmax in 0usize..2,
     ) {
         let method = match method_tag {
             0 => PartitionMethod::CoverTree { ratio: 0.1 },
@@ -163,11 +162,7 @@ proptest! {
             _ => PartitionMethod::KMeans,
         };
         let (ds, w) = fixture(seed);
-        let mut cfg = SelNetConfig::tiny();
-        cfg.epochs = 1;
-        cfg.ae_pretrain_epochs = 1;
-        cfg.seed = seed;
-        cfg.query_dependent_tau = query_dependent == 1;
+        let cfg = net_config(seed, query_dependent, softmax);
         let pcfg = PartitionConfig { k, method, pretrain_epochs: 1, beta: 0.1 };
         let (mut model, _) = fit_partitioned(&ds, &w, &cfg, &pcfg);
 
@@ -196,19 +191,15 @@ proptest! {
 
     /// Single (non-partitioned) model: the hook, `predict_many` and
     /// `control_points_for` ride one plan and match the tape bit for bit,
-    /// for both τ variants.
+    /// for every τ variant.
     #[test]
     fn single_model_plan_paths_are_bit_identical(
         seed in 0u64..1000,
         query_dependent in 0usize..2,
+        softmax in 0usize..2,
     ) {
         let (ds, w) = fixture(seed ^ 0x51);
-        let mut cfg = SelNetConfig::tiny();
-        cfg.epochs = 1;
-        cfg.ae_pretrain_epochs = 1;
-        cfg.seed = seed;
-        cfg.query_dependent_tau = query_dependent == 1;
-        let (model, _) = fit(&ds, &w, &cfg);
+        let (model, _) = fit(&ds, &w, &net_config(seed, query_dependent, softmax));
         let wave = ragged_wave(&w, seed);
         let queries: Vec<(&[f32], &[f32])> =
             wave.iter().map(|(x, ts)| (x.as_slice(), ts.as_slice())).collect();
@@ -217,7 +208,7 @@ proptest! {
             .flat_map(|&(x, ts)| model.tape_predict_many(x, ts))
             .collect();
         for threads in [1usize, 2, 4, 8] {
-            prop_assert_eq!(&wave_at(&model, &queries, PlanPrecision::Exact, threads), &tape);
+            prop_assert_eq!(&wave_at(&model, &queries, threads), &tape);
         }
         for &(x, ts) in &queries {
             prop_assert_eq!(model.predict_many(x, ts), model.tape_predict_many(x, ts));

@@ -1,29 +1,5 @@
 //! The estimator interface every model in this workspace implements.
 
-use selnet_tensor::PlanPrecision;
-
-/// How a wave of queries is evaluated by
-/// [`SelectivityEstimator::estimate_into`]: the plan precision to replay
-/// at and the worker budget for row-chunked replay (`0` = the process-wide
-/// `selnet_tensor::parallel` configuration, `1` = serial).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EvalOpts {
-    /// Precision of the compiled plan to replay.
-    pub precision: PlanPrecision,
-    /// Worker threads one wave may fan its replay across.
-    pub threads: usize,
-}
-
-impl Default for EvalOpts {
-    /// Exact arithmetic on the calling thread.
-    fn default() -> Self {
-        EvalOpts {
-            precision: PlanPrecision::Exact,
-            threads: 1,
-        }
-    }
-}
-
 /// A trained selectivity estimator: answers "how many database objects are
 /// within distance `t` of `x`?" (Definition 1 of the paper).
 pub trait SelectivityEstimator {
@@ -49,25 +25,27 @@ pub trait SelectivityEstimator {
             .map(|(x, t)| (*x, std::slice::from_ref(t)))
             .collect();
         let mut out = Vec::with_capacity(queries.len());
-        self.estimate_into(&queries, EvalOpts::default(), &mut out);
+        self.estimate_into(&queries, 1, &mut out);
         out
     }
 
     /// The serving hook: answers every `(x, ts)` query of a wave into
     /// `out` (cleared first), flat in query order — query `i`'s estimates
-    /// follow query `i - 1`'s, one per threshold.
+    /// follow query `i - 1`'s, one per threshold. `threads` is the worker
+    /// budget one wave may fan its evaluation across (`0` = the
+    /// process-wide `selnet_tensor::parallel` configuration, `1` =
+    /// serial).
     ///
-    /// The default ignores `opts` and loops
+    /// The default ignores `threads` and loops
     /// [`SelectivityEstimator::estimate_many`] — correct for estimators
     /// without compiled plans (histograms, samplers, reference tapes),
-    /// which have nothing to lower or fan out. Plan-backed models override
-    /// it with one network pass over the wave's query objects; at
-    /// `EvalOpts::default()` an override must produce exactly the values
-    /// `estimate_many` returns per query, and `opts.threads` must never
-    /// change a bit (parallelism is a latency knob, never an accuracy
-    /// knob).
-    fn estimate_into(&self, queries: &[(&[f32], &[f32])], opts: EvalOpts, out: &mut Vec<f64>) {
-        let _ = opts;
+    /// which have nothing to fan out. Plan-backed models override it with
+    /// one network pass over the wave's query objects; an override must
+    /// produce exactly the values `estimate_many` returns per query, and
+    /// `threads` must never change a bit (parallelism is a latency knob,
+    /// never an accuracy knob).
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], threads: usize, out: &mut Vec<f64>) {
+        let _ = threads;
         out.clear();
         for &(x, ts) in queries {
             out.extend(self.estimate_many(x, ts));
@@ -133,8 +111,8 @@ impl<T: SelectivityEstimator + ?Sized> SelectivityEstimator for Box<T> {
         (**self).estimate_batch(xs, ts)
     }
 
-    fn estimate_into(&self, queries: &[(&[f32], &[f32])], opts: EvalOpts, out: &mut Vec<f64>) {
-        (**self).estimate_into(queries, opts, out)
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], threads: usize, out: &mut Vec<f64>) {
+        (**self).estimate_into(queries, threads, out)
     }
 
     fn query_dim(&self) -> Option<usize> {

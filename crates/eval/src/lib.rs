@@ -12,7 +12,7 @@ pub mod metrics;
 pub mod table;
 pub mod timing;
 
-pub use estimator::{EvalOpts, SelectivityEstimator, SimilarityView};
+pub use estimator::{SelectivityEstimator, SimilarityView};
 pub use metrics::{empirical_monotonicity, evaluate, ErrorMetrics, MetricsAccumulator};
 pub use table::{accuracy_csv, render_accuracy_table, AccuracyRow};
 pub use timing::average_estimate_ms;

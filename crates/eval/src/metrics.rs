@@ -1,7 +1,7 @@
 //! Error metrics (Appendix B.3) and the empirical monotonicity measure
 //! (§7.3).
 
-use crate::estimator::{EvalOpts, SelectivityEstimator};
+use crate::estimator::SelectivityEstimator;
 use selnet_workload::LabeledQuery;
 
 /// MSE / MAE / MAPE over one evaluation split.
@@ -93,7 +93,7 @@ pub fn empirical_monotonicity(
         .collect();
     let mut preds = Vec::with_capacity(num_thresholds);
     for q in queries.iter().take(take) {
-        model.estimate_into(&[(&q.x, &ts)], EvalOpts::default(), &mut preds);
+        model.estimate_into(&[(&q.x, &ts)], 1, &mut preds);
         let mut ok = 0usize;
         let mut pairs = 0usize;
         for i in 0..preds.len() {

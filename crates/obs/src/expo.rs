@@ -1,9 +1,8 @@
 //! Prometheus text exposition format helpers.
 //!
 //! Free functions so both the [`MetricsRegistry`](crate::MetricsRegistry)
-//! and callers with ad-hoc scrape-time values (per-tenant generation and
-//! precision, queue depth) render through one escaping and formatting
-//! path.
+//! and callers with ad-hoc scrape-time values (per-tenant generation,
+//! queue depth) render through one escaping and formatting path.
 
 use crate::hist::HistogramSnapshot;
 use std::fmt::Write;

@@ -10,9 +10,7 @@
 //! selnet-serve check-monotone --expect non-increasing < responses.txt
 //! ```
 
-use selnet_core::{
-    fit_partitioned, PartitionConfig, PartitionedSelNet, PlanPrecision, SelNetConfig,
-};
+use selnet_core::{fit_partitioned, PartitionConfig, PartitionedSelNet, SelNetConfig};
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
 use selnet_metric::DistanceKind;
 use selnet_serve::engine::{Engine, EngineConfig};
@@ -30,7 +28,6 @@ const USAGE: &str = "usage:
                           [--epochs E] [--seed S] [--thresholds M] [--order desc|asc]
   selnet-serve serve (--snapshot SNAPSHOT | --model NAME=SNAPSHOT ...)
                      (--stdin | --addr HOST:PORT)
-                     [--precision NAME=exact|int8|pruned:T ...]
                      [--workers N] [--shards N] [--batch ROWS] [--cache ENTRIES]
                      [--auto-batch-min ROWS] [--queue ROWS]
                      [--slow-query-us MICROS] [--trace-buffer SPANS]
@@ -58,15 +55,20 @@ fn main() -> ExitCode {
     }
 }
 
-/// Tiny positional-free flag parser: every option is `--key value` except
-/// boolean flags, which are listed in `flags`.
+/// Tiny positional-free flag parser: every option is `--key value` with
+/// `key` one of the subcommand's `value_names`, except boolean flags,
+/// which are listed in `flag_names`. Anything else is refused.
 struct Options {
     pairs: Vec<(String, String)>,
     flags: Vec<String>,
 }
 
 impl Options {
-    fn parse(args: &[String], flag_names: &[&str]) -> Result<Options, String> {
+    fn parse(
+        args: &[String],
+        value_names: &[&str],
+        flag_names: &[&str],
+    ) -> Result<Options, String> {
         let mut pairs = Vec::new();
         let mut flags = Vec::new();
         let mut it = args.iter();
@@ -76,9 +78,11 @@ impl Options {
                 .ok_or_else(|| format!("expected --option, got {arg:?}"))?;
             if flag_names.contains(&key) {
                 flags.push(key.to_string());
-            } else {
+            } else if value_names.contains(&key) {
                 let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
                 pairs.push((key.to_string(), value.clone()));
+            } else {
+                return Err(format!("unknown option --{key}\n{USAGE}"));
             }
         }
         Ok(Options { pairs, flags })
@@ -113,8 +117,38 @@ impl Options {
     }
 }
 
+const TRAIN_TINY_OPTIONS: &[&str] = &[
+    "out",
+    "replay-out",
+    "replay-count",
+    "replay-model",
+    "n",
+    "dim",
+    "queries",
+    "epochs",
+    "seed",
+    "thresholds",
+    "order",
+];
+
+const SERVE_OPTIONS: &[&str] = &[
+    "snapshot",
+    "model",
+    "addr",
+    "workers",
+    "shards",
+    "batch",
+    "cache",
+    "auto-batch-min",
+    "queue",
+    "slow-query-us",
+    "trace-buffer",
+    "replay-threads",
+    "inflight",
+];
+
 fn cmd_train_tiny(args: &[String]) -> Result<(), String> {
-    let opts = Options::parse(args, &[])?;
+    let opts = Options::parse(args, TRAIN_TINY_OPTIONS, &[])?;
     let out = opts.get("out").ok_or("train-tiny needs --out")?;
     let n: usize = opts.num("n", 600)?;
     let dim: usize = opts.num("dim", 5)?;
@@ -226,7 +260,7 @@ fn load_snapshot(path: &str) -> Result<PartitionedSelNet, String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let opts = Options::parse(args, &["stdin"])?;
+    let opts = Options::parse(args, SERVE_OPTIONS, &["stdin"])?;
     let cfg = EngineConfig {
         workers: opts.num("workers", 0)?,
         shards: opts.num("shards", 0)?,
@@ -272,35 +306,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     if registry.is_empty() {
         return Err("serve needs --snapshot or at least one --model NAME=PATH".into());
-    }
-
-    // per-tenant serving precision: repeated --precision NAME=MODE
-    // (exact | int8 | pruned:T). Tenants without a flag fall back
-    // to the precision their snapshot recommends (v1 snapshots: exact).
-    let mut precisions: Vec<(String, PlanPrecision)> = Vec::new();
-    for spec in opts.get_all("precision") {
-        let (name, mode) = spec
-            .split_once('=')
-            .ok_or_else(|| format!("bad --precision {spec:?} (want NAME=MODE)"))?;
-        let mode: PlanPrecision = mode
-            .parse()
-            .map_err(|e| format!("bad --precision {spec:?}: {e}"))?;
-        if registry.get(name).is_none() {
-            return Err(format!("--precision names unknown tenant {name:?}"));
-        }
-        precisions.push((name.to_string(), mode));
-    }
-    for tenant in registry.tenants() {
-        let requested = precisions
-            .iter()
-            .rev()
-            .find(|(n, _)| n == tenant.name())
-            .map(|(_, p)| *p);
-        let mode = requested.unwrap_or_else(|| tenant.current().1.recommended_precision());
-        if mode != PlanPrecision::Exact {
-            eprintln!("tenant {}: serving precision {mode}", tenant.name());
-        }
-        tenant.set_precision(mode);
     }
 
     // per-connection pipelining depth for the TCP loops (0 keeps the
@@ -379,7 +384,7 @@ fn dump_flight_recorder(engine: &Engine<PartitionedSelNet>) {
 }
 
 fn cmd_check_monotone(args: &[String]) -> Result<(), String> {
-    let opts = Options::parse(args, &[])?;
+    let opts = Options::parse(args, &["expect"], &[])?;
     let expect = opts.get("expect").unwrap_or("non-increasing");
     let non_increasing = match expect {
         "non-increasing" => true,
@@ -429,4 +434,54 @@ fn cmd_check_monotone(args: &[String]) -> Result<(), String> {
     }
     println!("OK: {lines} response streams are monotone {expect} in t");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_serve(args: &[&str]) -> Result<Options, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Options::parse(&args, SERVE_OPTIONS, &["stdin"])
+    }
+
+    /// A misspelt or retired option is refused with the usage text, not
+    /// filed away and ignored.
+    #[test]
+    fn unknown_options_are_refused_with_usage() {
+        for (args, key) in [
+            (&["--replay-thread", "4"][..], "--replay-thread"),
+            (
+                &["--snapshot", "a", "--precision", "beta=int8"][..],
+                "--precision",
+            ),
+            (&["--stdinn"][..], "--stdinn"),
+        ] {
+            let err = parse_serve(args).err().expect("must be refused");
+            assert!(err.starts_with(&format!("unknown option {key}\n")), "{err}");
+            assert!(err.ends_with(USAGE), "{err}");
+        }
+    }
+
+    #[test]
+    fn known_options_parse_and_the_last_value_wins() {
+        let opts = parse_serve(&["--replay-threads", "4", "--stdin", "--replay-threads", "2"])
+            .expect("known options");
+        assert_eq!(opts.num("replay-threads", 1usize), Ok(2));
+        assert_eq!(opts.num("workers", 7usize), Ok(7), "absent: the default");
+        assert!(opts.flag("stdin"));
+        assert!(parse_serve(&["--workers"]).is_err(), "a value is required");
+        // every documented option is one its subcommand accepts
+        for key in SERVE_OPTIONS.iter().chain(TRAIN_TINY_OPTIONS) {
+            assert!(USAGE.contains(&format!("--{key} ")), "--{key} undocumented");
+        }
+    }
+
+    #[test]
+    fn repeated_model_options_are_all_kept_in_order() {
+        let opts = parse_serve(&["--model", "alpha=a", "--addr", "x:1", "--model", "beta=b"])
+            .expect("known options");
+        assert_eq!(opts.get_all("model"), ["alpha=a", "beta=b"]);
+        assert_eq!(opts.get("model"), Some("beta=b"));
+    }
 }

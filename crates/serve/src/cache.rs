@@ -13,42 +13,29 @@
 //! `O(capacity)` eviction scan on insert. Capacities are small (hundreds),
 //! so the scan is noise next to a single network forward.
 
-use selnet_tensor::PlanPrecision;
 use std::collections::HashMap;
 
-/// Cache key: tenant id, model generation, the plan precision the answer
-/// was computed under, plus the exact bit patterns of the query object
-/// and its threshold grid. Generations are per-tenant counters (every
-/// tenant starts at 0), so the tenant id is a load-bearing key component
-/// — without it two tenants' generation-0 entries would alias. The
-/// precision is keyed by its canonical [`PlanPrecision::code`] so
-/// flipping a tenant between exact and quantized serving never replays a
-/// stale answer computed under the other mode. Bit-exact keying means
-/// NaN payloads and `-0.0` never alias, and a float that differs in the
-/// last ulp is a miss — correctness over hit rate. The split between `x`
-/// and `ts` is encoded as an explicit length prefix (a float-valued
-/// separator would itself be a valid NaN bit pattern and could alias).
+/// Cache key: tenant id, model generation, plus the exact bit patterns of
+/// the query object and its threshold grid. Generations are per-tenant
+/// counters (every tenant starts at 0), so the tenant id is a
+/// load-bearing key component — without it two tenants' generation-0
+/// entries would alias. Bit-exact keying means NaN payloads and `-0.0`
+/// never alias, and a float that differs in the last ulp is a miss —
+/// correctness over hit rate. The split between `x` and `ts` is encoded
+/// as an explicit length prefix (a float-valued separator would itself be
+/// a valid NaN bit pattern and could alias).
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct QueryKey {
     tenant: u64,
     generation: u64,
-    /// [`PlanPrecision::code`] of the mode the answer was computed under.
-    precision: u64,
     /// `x.len()`, then `x` bits, then threshold bits.
     bits: Vec<u32>,
 }
 
 impl QueryKey {
     /// Builds the key for query object `x` under threshold grid `ts`,
-    /// served by generation `generation` of tenant `tenant`, lowered with
-    /// `precision`.
-    pub fn new(
-        tenant: u64,
-        generation: u64,
-        precision: PlanPrecision,
-        x: &[f32],
-        ts: &[f32],
-    ) -> Self {
+    /// served by generation `generation` of tenant `tenant`.
+    pub fn new(tenant: u64, generation: u64, x: &[f32], ts: &[f32]) -> Self {
         let mut bits = Vec::with_capacity(x.len() + ts.len() + 1);
         bits.push(u32::try_from(x.len()).expect("query dimension fits u32"));
         bits.extend(x.iter().map(|v| v.to_bits()));
@@ -56,7 +43,6 @@ impl QueryKey {
         QueryKey {
             tenant,
             generation,
-            precision: precision.code(),
             bits,
         }
     }
@@ -183,37 +169,19 @@ mod tests {
     #[test]
     fn hit_returns_exact_value_and_miss_on_different_bits() {
         let mut c = LruCache::new(4);
-        let k = QueryKey::new(0, 0, PlanPrecision::Exact, &[1.0, 2.0], &[0.5]);
+        let k = QueryKey::new(0, 0, &[1.0, 2.0], &[0.5]);
         assert!(c.get(&k).is_none());
         c.insert(k.clone(), vec![42.0]);
         assert_eq!(c.get(&k), Some(vec![42.0]));
         // same floats, different generation: miss
-        assert!(c
-            .get(&QueryKey::new(
-                0,
-                1,
-                PlanPrecision::Exact,
-                &[1.0, 2.0],
-                &[0.5]
-            ))
-            .is_none());
+        assert!(c.get(&QueryKey::new(0, 1, &[1.0, 2.0], &[0.5])).is_none());
         // last-ulp difference: miss
         let near = f32::from_bits(0.5f32.to_bits() + 1);
-        assert!(c
-            .get(&QueryKey::new(
-                0,
-                0,
-                PlanPrecision::Exact,
-                &[1.0, 2.0],
-                &[near]
-            ))
-            .is_none());
+        assert!(c.get(&QueryKey::new(0, 0, &[1.0, 2.0], &[near])).is_none());
         // -0.0 vs 0.0 never alias
-        let kz = QueryKey::new(0, 0, PlanPrecision::Exact, &[0.0], &[0.5]);
+        let kz = QueryKey::new(0, 0, &[0.0], &[0.5]);
         c.insert(kz.clone(), vec![1.0]);
-        assert!(c
-            .get(&QueryKey::new(0, 0, PlanPrecision::Exact, &[-0.0], &[0.5]))
-            .is_none());
+        assert!(c.get(&QueryKey::new(0, 0, &[-0.0], &[0.5])).is_none());
     }
 
     #[test]
@@ -221,8 +189,8 @@ mod tests {
         // same generation number, same query bits, different tenant:
         // distinct keys (generations are per-tenant counters)
         let mut c = LruCache::new(4);
-        let alpha = QueryKey::new(1, 0, PlanPrecision::Exact, &[1.0], &[0.5]);
-        let beta = QueryKey::new(2, 0, PlanPrecision::Exact, &[1.0], &[0.5]);
+        let alpha = QueryKey::new(1, 0, &[1.0], &[0.5]);
+        let beta = QueryKey::new(2, 0, &[1.0], &[0.5]);
         assert_ne!(alpha, beta);
         c.insert(alpha.clone(), vec![1.0]);
         assert!(c.get(&beta).is_none());
@@ -230,43 +198,18 @@ mod tests {
     }
 
     #[test]
-    fn precisions_never_alias() {
-        // same tenant, generation, and query bits, different precision:
-        // distinct keys — flipping a tenant's mode must never replay an
-        // answer computed under the other mode
-        let mut c = LruCache::new(8);
-        let modes = [
-            PlanPrecision::Exact,
-            PlanPrecision::Int8,
-            PlanPrecision::Pruned { threshold: 0.05 },
-            PlanPrecision::Pruned { threshold: 0.10 },
-        ];
-        for (i, mode) in modes.iter().enumerate() {
-            let k = QueryKey::new(0, 0, *mode, &[1.0], &[0.5]);
-            for other in &modes[..i] {
-                assert_ne!(k, QueryKey::new(0, 0, *other, &[1.0], &[0.5]));
-            }
-            c.insert(k, vec![i as f64]);
-        }
-        for (i, mode) in modes.iter().enumerate() {
-            let k = QueryKey::new(0, 0, *mode, &[1.0], &[0.5]);
-            assert_eq!(c.get(&k), Some(vec![i as f64]));
-        }
-    }
-
-    #[test]
     fn x_and_threshold_bits_never_alias() {
         // [a] | [b, c]  vs  [a, b] | [c] must be different keys
-        let k1 = QueryKey::new(0, 0, PlanPrecision::Exact, &[1.0], &[2.0, 3.0]);
-        let k2 = QueryKey::new(0, 0, PlanPrecision::Exact, &[1.0, 2.0], &[3.0]);
+        let k1 = QueryKey::new(0, 0, &[1.0], &[2.0, 3.0]);
+        let k2 = QueryKey::new(0, 0, &[1.0, 2.0], &[3.0]);
         assert_ne!(k1, k2);
         // and a NaN whose bits spell out a would-be separator cannot fake
         // the x/ts boundary (regression: the key once used a u32::MAX
         // sentinel, which is exactly this NaN's bit pattern)
         let evil = f32::from_bits(u32::MAX);
-        let k3 = QueryKey::new(0, 0, PlanPrecision::Exact, &[evil], &[1.0]);
-        let k4 = QueryKey::new(0, 0, PlanPrecision::Exact, &[evil, evil], &[1.0]);
-        let k5 = QueryKey::new(0, 0, PlanPrecision::Exact, &[evil], &[evil, 1.0]);
+        let k3 = QueryKey::new(0, 0, &[evil], &[1.0]);
+        let k4 = QueryKey::new(0, 0, &[evil, evil], &[1.0]);
+        let k5 = QueryKey::new(0, 0, &[evil], &[evil, 1.0]);
         assert_ne!(k3, k4);
         assert_ne!(k3, k5);
         assert_ne!(k4, k5);
@@ -275,9 +218,9 @@ mod tests {
     #[test]
     fn evicts_least_recently_used() {
         let mut c = LruCache::new(2);
-        let a = QueryKey::new(0, 0, PlanPrecision::Exact, &[1.0], &[0.1]);
-        let b = QueryKey::new(0, 0, PlanPrecision::Exact, &[2.0], &[0.1]);
-        let d = QueryKey::new(0, 0, PlanPrecision::Exact, &[3.0], &[0.1]);
+        let a = QueryKey::new(0, 0, &[1.0], &[0.1]);
+        let b = QueryKey::new(0, 0, &[2.0], &[0.1]);
+        let d = QueryKey::new(0, 0, &[3.0], &[0.1]);
         c.insert(a.clone(), vec![1.0]);
         c.insert(b.clone(), vec![2.0]);
         assert!(c.get(&a).is_some()); // refresh a; b is now LRU
@@ -291,7 +234,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let mut c = LruCache::new(0);
-        let k = QueryKey::new(0, 0, PlanPrecision::Exact, &[1.0], &[0.1]);
+        let k = QueryKey::new(0, 0, &[1.0], &[0.1]);
         c.insert(k.clone(), vec![1.0]);
         assert!(c.get(&k).is_none());
         assert!(c.is_empty());

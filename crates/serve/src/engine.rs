@@ -19,18 +19,15 @@
 //!    EWMA of the observed queue depth, so light load gets small
 //!    low-latency batches and heavy load fills up to `max_batch_rows`;
 //! 3. the worker groups the drained requests **per tenant**, binds each
-//!    tenant's model generation **and its
-//!    [`PlanPrecision`]** once, answers
-//!    cache hits, hands the misses — un-expanded, one `(x, ts)` per
-//!    request — to one
+//!    tenant's model generation once, answers cache hits, hands the
+//!    misses — un-expanded, one `(x, ts)` per request — to one
 //!    [`estimate_into`](selnet_eval::SelectivityEstimator::estimate_into)
-//!    call over that tenant's compiled (and precision-lowered) curve
-//!    plan (a request costs one network row however many thresholds it
-//!    carries), writing into a per-worker scratch buffer, scatters the
-//!    estimates back per request, fills the LRU cache (keyed by tenant id +
-//!    generation + precision), and replies; latency samples land in both
-//!    the fleet record and the tenant's own record under one lock per
-//!    batch.
+//!    call over that tenant's compiled curve plan (a request costs one
+//!    network row however many thresholds it carries), writing into a
+//!    per-worker scratch buffer, scatters the estimates back per request,
+//!    fills the LRU cache (keyed by tenant id + generation), and replies;
+//!    latency samples land in both the fleet record and the tenant's own
+//!    record under one lock per batch.
 //!
 //! Blocking callers ([`Engine::serve_blocking`] / [`Engine::estimate_many`]
 //! and the TCP/stdin connection loops) additionally get a **same-thread
@@ -46,18 +43,16 @@
 //! evaluation, coalescing never changes an answer — any interleaving of
 //! client threads yields exactly the results of a sequential
 //! `estimate_many` (pinned by the `engine_concurrency` stress test). And
-//! because a request is answered entirely by the one generation and one
-//! precision its tenant group bound (inline serving binds both too, and
-//! the cache is keyed on tenant, generation, and precision), a hot swap
-//! or a precision flip can never tear a response, replay a stale answer
-//! from the other mode, or bleed across tenants.
+//! because a request is answered entirely by the one generation its
+//! tenant group bound (inline serving binds one too, and the cache is
+//! keyed on tenant and generation), a hot swap can never tear a response,
+//! replay a stale answer, or bleed across tenants.
 
 use crate::cache::{CacheShardStats, LruCache, QueryKey};
 use crate::registry::{ModelRegistry, Tenant};
 use crate::stats::{ServeStats, StatsSnapshot};
-use selnet_eval::{EvalOpts, SelectivityEstimator};
+use selnet_eval::SelectivityEstimator;
 use selnet_obs::{expo, next_trace_id, MetricsRegistry, SlowQuery, Span, SpanRecorder};
-use selnet_tensor::PlanPrecision;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -309,8 +304,8 @@ pub struct EngineConfig {
     /// coalesced batch (`1` = serial replay, the default; `0` = the
     /// tensor dispatcher's configured thread count; `n > 1` = up to `n`
     /// threads). When a worker drains a large batch it fans the compiled
-    /// plan's replay across idle cores via `EvalOpts::threads`; the
-    /// model's FLOP-derived
+    /// plan's replay across idle cores (the `threads` argument of
+    /// `estimate_into`); the model's FLOP-derived
     /// engagement threshold keeps small batches serial, and answers are
     /// bit-identical at every setting. Worth raising when workers are few
     /// and cores are many; with one engine worker per core, leave at 1.
@@ -460,18 +455,14 @@ struct Shard<M> {
     rows: AtomicUsize,
 }
 
-/// Per-tenant stats view: name, served generation, active plan precision,
-/// and this tenant's own counters — the scrapeable unit of fleet
-/// telemetry.
+/// Per-tenant stats view: name, served generation, and this tenant's own
+/// counters — the scrapeable unit of fleet telemetry.
 #[derive(Clone, Debug)]
 pub struct TenantStats {
     /// The tenant's registered name.
     pub name: String,
     /// The generation currently being served.
     pub generation: u64,
-    /// The plan precision the tenant's queries are currently lowered
-    /// with.
-    pub precision: PlanPrecision,
     /// The tenant's counters (requests, p50/p99, hit rate, batch-row
     /// mean, shed count).
     pub stats: StatsSnapshot,
@@ -481,8 +472,8 @@ impl std::fmt::Display for TenantStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "tenant={} generation={} precision={} {}",
-            self.name, self.generation, self.precision, self.stats
+            "tenant={} generation={} {}",
+            self.name, self.generation, self.stats
         )
     }
 }
@@ -749,8 +740,7 @@ where
     }
 
     /// Evaluates one request synchronously against one bound generation
-    /// (and precision) of its tenant, with the same cache semantics as
-    /// the worker path.
+    /// of its tenant, with the same cache semantics as the worker path.
     fn serve_inline(
         &self,
         tenant: &Tenant<M>,
@@ -766,10 +756,9 @@ where
                 .detail(ts.len() as u64, 0)
         });
         let (generation, model) = tenant.current();
-        let precision = tenant.precision();
         let key = self
             .cache_enabled
-            .then(|| QueryKey::new(tenant.id(), generation, precision, x, ts));
+            .then(|| QueryKey::new(tenant.id(), generation, x, ts));
         if let Some(key) = &key {
             let cached = self.caches[self.cache_shard(key)]
                 .lock()
@@ -787,7 +776,7 @@ where
             }
         }
         let mut values = Vec::new();
-        model.estimate_into(&[(x, ts)], self.eval_opts(precision), &mut values);
+        model.estimate_into(&[(x, ts)], self.replay_threads, &mut values);
         if let Some(key) = key {
             self.caches[self.cache_shard(&key)]
                 .lock()
@@ -857,7 +846,6 @@ where
             .map(|t| TenantStats {
                 name: t.name().to_string(),
                 generation: t.generation(),
-                precision: t.precision(),
                 stats: t.stats().snapshot(),
             })
             .collect()
@@ -875,7 +863,6 @@ where
                     TenantStats {
                         name: tenant.name().to_string(),
                         generation: tenant.generation(),
-                        precision: tenant.precision(),
                         stats: tenant.stats().snapshot(),
                     }
                     .to_string(),
@@ -995,8 +982,8 @@ where
     /// Renders the whole fleet's telemetry in Prometheus text exposition
     /// format: fleet-wide families (unlabeled), every tenant's families
     /// (`tenant="<name>"`), and scrape-time gauges (queue depth,
-    /// per-tenant generation and precision). Served by the v2 `Metrics`
-    /// frame and the `?metrics` text command.
+    /// per-tenant generation). Served by the v2 `Metrics` frame and the
+    /// `?metrics` text command.
     pub fn metrics_text(&self) -> String {
         self.link_stats(&self.stats, &[]);
         let tenants = self.registry.tenants();
@@ -1005,8 +992,7 @@ where
         }
         let mut out = self.metrics.render();
         // volatile values are rendered at scrape time rather than kept in
-        // registered gauges, so a precision flip can never leave a stale
-        // series behind
+        // registered gauges
         expo::write_header(
             &mut out,
             "selnet_queue_rows",
@@ -1031,23 +1017,6 @@ where
                 "selnet_tenant_generation",
                 &[("tenant".to_string(), t.name().to_string())],
                 &t.generation().to_string(),
-            );
-        }
-        expo::write_header(
-            &mut out,
-            "selnet_tenant_precision_info",
-            "Active plan precision, per tenant (value is always 1).",
-            "gauge",
-        );
-        for t in tenants.iter() {
-            expo::write_sample(
-                &mut out,
-                "selnet_tenant_precision_info",
-                &[
-                    ("tenant".to_string(), t.name().to_string()),
-                    ("precision".to_string(), t.precision().to_string()),
-                ],
-                "1",
             );
         }
         out
@@ -1193,16 +1162,6 @@ where
         Some(batch)
     }
 
-    /// How both evaluation sites ([`Engine::serve_inline`] and
-    /// [`Engine::serve_tenant_batch`]) call the model: the tenant's bound
-    /// precision, the engine's replay-thread budget.
-    fn eval_opts(&self, precision: PlanPrecision) -> EvalOpts {
-        EvalOpts {
-            precision,
-            threads: self.replay_threads,
-        }
-    }
-
     fn cache_shard(&self, key: &QueryKey) -> usize {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
@@ -1230,10 +1189,10 @@ where
     }
 
     /// Answers one tenant's share of a batch from **one** generation of
-    /// that tenant's model, lowered to **one** bound precision: cache
-    /// hits first (skipped wholesale when caching is disabled), then a
-    /// single coalesced `estimate_into` over every remaining request,
-    /// written into the worker's reusable scratch.
+    /// that tenant's model: cache hits first (skipped wholesale when
+    /// caching is disabled), then a single coalesced `estimate_into` over
+    /// every remaining request, written into the worker's reusable
+    /// scratch.
     fn serve_tenant_batch(
         &self,
         tenant: &Arc<Tenant<M>>,
@@ -1264,12 +1223,11 @@ where
             let _bind = self.recorder.span("generation_bind", 0);
             tenant.current()
         };
-        let precision = tenant.precision();
         scratch.served.clear();
         let mut pending: Vec<(Queued<M>, Option<QueryKey>)> = Vec::with_capacity(requests.len());
         if self.cache_enabled {
             for req in requests {
-                let key = QueryKey::new(tenant.id(), generation, precision, &req.x, &req.ts);
+                let key = QueryKey::new(tenant.id(), generation, &req.x, &req.ts);
                 let cached = self.caches[self.cache_shard(&key)]
                     .lock()
                     .expect("cache lock poisoned")
@@ -1307,7 +1265,7 @@ where
                 .recorder
                 .span("plan_replay", 0)
                 .detail(total_rows as u64, generation);
-            model.estimate_into(&queries, self.eval_opts(precision), &mut scratch.flat);
+            model.estimate_into(&queries, self.replay_threads, &mut scratch.flat);
         }
         self.stats.record_batch(total_rows as u64);
         tenant.stats().record_batch(total_rows as u64);
@@ -1781,19 +1739,19 @@ mod tests {
             .unwrap();
         let fleet = eng.stats_report(None).unwrap();
         assert!(fleet.starts_with("fleet "), "fleet report: {fleet}");
-        assert!(fleet.contains("tenant=alpha generation=0 precision=exact"));
-        assert!(fleet.contains("tenant=beta generation=0 precision=exact"));
+        assert!(fleet.contains("tenant=alpha generation=0 requests=1"));
+        assert!(fleet.contains("tenant=beta generation=0 requests=0"));
         let alpha = eng.stats_report(Some("alpha")).unwrap();
         assert!(alpha.starts_with("tenant=alpha"), "tenant report: {alpha}");
         assert!(alpha.contains("requests=1"), "tenant report: {alpha}");
         assert_eq!(eng.stats_report(Some("gamma")), None);
-        // flipping a tenant's precision shows up in the next report
-        registry
-            .get("beta")
-            .unwrap()
-            .set_precision(PlanPrecision::Int8);
+        // a hot swap shows up in the next report
+        registry.get("beta").unwrap().publish(Affine { scale: 3.0 });
         let beta = eng.stats_report(Some("beta")).unwrap();
-        assert!(beta.contains("precision=int8"), "tenant report: {beta}");
+        assert!(
+            beta.starts_with("tenant=beta generation=1 "),
+            "tenant report: {beta}"
+        );
         eng.shutdown();
     }
 
@@ -1896,10 +1854,6 @@ mod tests {
         let _ = eng
             .serve_blocking(&req(vec![0.0], vec![1.0, 2.0]).model("alpha"))
             .unwrap();
-        registry
-            .get("beta")
-            .unwrap()
-            .set_precision(PlanPrecision::Int8);
         let text = eng.metrics_text();
         assert!(
             text.contains("# TYPE selnet_requests_total counter"),
@@ -1926,10 +1880,6 @@ mod tests {
             text.contains("selnet_tenant_generation{tenant=\"alpha\"} 0"),
             "{text}"
         );
-        assert!(
-            text.contains("selnet_tenant_precision_info{tenant=\"beta\",precision=\"int8\"} 1"),
-            "{text}"
-        );
         assert!(text.contains("selnet_queue_rows 0"), "{text}");
         // scraping twice neither duplicates families nor double-counts
         let again = eng.metrics_text();
@@ -1939,37 +1889,6 @@ mod tests {
                 .count(),
             1
         );
-        eng.shutdown();
-    }
-
-    #[test]
-    fn precision_flip_invalidates_cached_answers() {
-        let eng = engine(
-            2.0,
-            &EngineConfig {
-                workers: 1,
-                shards: 1,
-                ..Default::default()
-            },
-        );
-        let tenant = eng.registry().default_tenant().unwrap();
-        let _ = eng.estimate_many(&[0.5], &[1.0]);
-        let hits_before = eng.stats().snapshot().cache_hits;
-        let _ = eng.estimate_many(&[0.5], &[1.0]);
-        assert!(eng.stats().snapshot().cache_hits > hits_before);
-        // flip the serving precision: the same query must be recomputed,
-        // not replayed from the exact-mode entry
-        tenant.set_precision(PlanPrecision::Int8);
-        let hits_flip = eng.stats().snapshot().cache_hits;
-        let _ = eng.estimate_many(&[0.5], &[1.0]);
-        assert_eq!(
-            eng.stats().snapshot().cache_hits,
-            hits_flip,
-            "a precision flip must miss the cache"
-        );
-        // and the new mode caches independently
-        let _ = eng.estimate_many(&[0.5], &[1.0]);
-        assert!(eng.stats().snapshot().cache_hits > hits_flip);
         eng.shutdown();
     }
 }

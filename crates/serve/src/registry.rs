@@ -22,7 +22,6 @@
 //! the last fully-published `(generation, model)` pair.
 
 use crate::stats::ServeStats;
-use selnet_tensor::PlanPrecision;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
@@ -74,10 +73,6 @@ pub struct Tenant<M> {
     /// are not unique across tenants).
     id: u64,
     slot: RwLock<(u64, Arc<M>)>,
-    /// The plan precision this tenant's queries are lowered with. Held in
-    /// its own lock so an operator can flip it without touching the model
-    /// slot; readers bind it once per batch, like the generation.
-    precision: RwLock<PlanPrecision>,
     stats: Arc<ServeStats>,
     /// Generation lineage: one [`SwapRecord`] per traced publish, newest
     /// last, capped at [`SWAP_LOG_CAP`].
@@ -90,7 +85,6 @@ impl<M> Tenant<M> {
             name,
             id,
             slot: RwLock::new((0, Arc::new(model))),
-            precision: RwLock::new(PlanPrecision::Exact),
             stats: Arc::new(ServeStats::new()),
             swap_log: RwLock::new(Vec::new()),
         }
@@ -121,26 +115,6 @@ impl<M> Tenant<M> {
     /// The current generation number (0 until the first publish).
     pub fn generation(&self) -> u64 {
         read_recover(&self.slot).0
-    }
-
-    /// The precision this tenant's inference plans are lowered with.
-    pub fn precision(&self) -> PlanPrecision {
-        *read_recover(&self.precision)
-    }
-
-    /// Sets the serving precision. Takes effect on the next drained
-    /// batch: in-flight batches keep the precision they bound, exactly
-    /// like a generation swap. Returns the previous mode.
-    pub fn set_precision(&self, precision: PlanPrecision) -> PlanPrecision {
-        std::mem::replace(&mut *write_recover(&self.precision), precision)
-    }
-
-    /// [`Tenant::publish`] plus an atomic precision switch — the shape a
-    /// snapshot reload uses when the new snapshot recommends a serving
-    /// precision. Returns the new generation.
-    pub fn publish_with_precision(&self, model: M, precision: PlanPrecision) -> u64 {
-        self.set_precision(precision);
-        self.publish(model)
     }
 
     /// Atomically replaces the served model, returning the new
@@ -473,32 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn precision_is_per_tenant_and_swappable() {
-        let reg = ModelRegistry::empty();
-        let alpha = reg.register("alpha", 1u32).unwrap();
-        let beta = reg.register("beta", 2u32).unwrap();
-        assert_eq!(alpha.precision(), PlanPrecision::Exact);
-        assert_eq!(
-            alpha.set_precision(PlanPrecision::Int8),
-            PlanPrecision::Exact
-        );
-        assert_eq!(alpha.precision(), PlanPrecision::Int8);
-        assert_eq!(
-            beta.precision(),
-            PlanPrecision::Exact,
-            "tenants are independent"
-        );
-        // publish_with_precision swaps both model and mode
-        let generation = beta.publish_with_precision(3, PlanPrecision::Int8);
-        assert_eq!(generation, 1);
-        assert_eq!(*beta.current().1, 3);
-        assert_eq!(beta.precision(), PlanPrecision::Int8);
-        // a plain publish leaves the mode alone
-        alpha.publish(4);
-        assert_eq!(alpha.precision(), PlanPrecision::Int8);
-    }
-
-    #[test]
     fn register_rejects_duplicates_and_bad_names() {
         let reg = ModelRegistry::empty();
         reg.register("alpha", 1u32).unwrap();
@@ -553,37 +501,6 @@ mod tests {
         // and publishing still works on the recovered slot
         assert_eq!(tenant.publish(9), 2);
         assert_eq!(*tenant.current().1, 9);
-    }
-
-    /// Direct regression for the precision-lock recovery path: a panic
-    /// while holding the precision guard must leave the tenant readable,
-    /// flippable, and still serving the last fully-written mode.
-    #[test]
-    fn poisoned_precision_lock_recovers() {
-        let reg = Arc::new(ModelRegistry::new(1u32));
-        let tenant = reg.default_tenant().unwrap();
-        tenant.set_precision(PlanPrecision::Int8);
-        let t2 = Arc::clone(&tenant);
-        let _ = std::thread::spawn(move || {
-            let _guard = t2.precision.write().unwrap();
-            panic!("poison the precision lock");
-        })
-        .join();
-        // the critical section is a single store, so a poisoned lock
-        // still holds the last fully-written mode
-        assert_eq!(tenant.precision(), PlanPrecision::Int8);
-        assert_eq!(
-            tenant.set_precision(PlanPrecision::Pruned { threshold: 0.05 }),
-            PlanPrecision::Int8
-        );
-        assert_eq!(
-            tenant.precision(),
-            PlanPrecision::Pruned { threshold: 0.05 }
-        );
-        // and the composite publish path works on the recovered lock
-        let generation = tenant.publish_with_precision(2, PlanPrecision::Exact);
-        assert_eq!(generation, 1);
-        assert_eq!(tenant.precision(), PlanPrecision::Exact);
     }
 
     #[test]

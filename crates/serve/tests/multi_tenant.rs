@@ -4,12 +4,10 @@
 //! one tenant mid-traffic must not perturb the other tenant by a single
 //! bit (or bump its generation).
 
-use selnet_core::{
-    fit_partitioned, PartitionConfig, PartitionedSelNet, PlanPrecision, SelNetConfig,
-};
+use selnet_core::{fit_partitioned, PartitionConfig, PartitionedSelNet, SelNetConfig};
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
 use selnet_data::Dataset;
-use selnet_eval::{EvalOpts, SelectivityEstimator};
+use selnet_eval::SelectivityEstimator;
 use selnet_metric::DistanceKind;
 use selnet_serve::engine::{Engine, EngineConfig, Request};
 use selnet_serve::registry::ModelRegistry;
@@ -359,147 +357,6 @@ fn hot_swapping_one_tenant_never_perturbs_the_other() {
     // tenant's never moved
     assert_eq!(hot_tenant.generation(), 30);
     assert_eq!(registry.get("cold").unwrap().generation(), 0);
-    engine.shutdown();
-}
-
-/// A mixed-precision fleet: tenant `alpha` serves exact, tenant `beta`
-/// serves int8-quantized plans — concurrently, through the same queues
-/// and batches. `alpha` must stay bit-identical to its model served
-/// alone (a neighbour's lossy mode must never leak), `beta` must be
-/// bit-identical to its own model's int8 lowering (and within the 5%
-/// drift contract of its exact plan), and hot-swapping `beta` must
-/// re-derive the quantized plan for the new generation while keeping the
-/// tenant's precision setting.
-#[test]
-fn mixed_precision_fleet_serves_each_tenant_at_its_own_mode() {
-    let (ds, w) = data_fixture(77);
-    let model_a = train(&ds, &w, 77, 2);
-    let model_b = train(&ds, &w, 178, 3);
-    let model_b2 = train(&ds, &w, 211, 2);
-    let pool = query_pool(&ds, model_a.tmax(), 24);
-    let expected_a: Vec<Vec<f64>> = pool
-        .iter()
-        .map(|(x, ts)| model_a.estimate_many(x, ts))
-        .collect();
-    let int8 = EvalOpts {
-        precision: PlanPrecision::Int8,
-        threads: 1,
-    };
-    let int8_answers = |m: &PartitionedSelNet| -> Vec<Vec<f64>> {
-        let mut out = Vec::new();
-        pool.iter()
-            .map(|(x, ts)| {
-                m.estimate_into(&[(x, ts)], int8, &mut out);
-                out.clone()
-            })
-            .collect()
-    };
-    let expected_b = int8_answers(&model_b);
-    let exact_b: Vec<Vec<f64>> = pool
-        .iter()
-        .map(|(x, ts)| model_b.estimate_many(x, ts))
-        .collect();
-    assert!(
-        expected_b != exact_b,
-        "int8 lowering must actually change beta's answers for the test to see mode leaks"
-    );
-    let expected_b2 = int8_answers(&model_b2);
-
-    let registry = Arc::new(ModelRegistry::empty());
-    registry.register("alpha", model_a).unwrap();
-    let beta = registry.register("beta", model_b).unwrap();
-    beta.set_precision(PlanPrecision::Int8);
-    let engine = Engine::start(
-        Arc::clone(&registry),
-        &EngineConfig {
-            workers: 3,
-            shards: 2,
-            max_batch_rows: 16,
-            cache_entries: 32,
-            auto_batch_min_rows: 0,
-            max_queue_rows: 0,
-            slow_query_us: 0,
-            trace_buffer: 0,
-            replay_threads: 1,
-        },
-    );
-    std::thread::scope(|scope| {
-        for c in 0..4usize {
-            let engine = &engine;
-            let pool = &pool;
-            let expected_a = &expected_a;
-            let expected_b = &expected_b;
-            scope.spawn(move || {
-                let mut burst = Vec::new();
-                for r in 0..3usize {
-                    for i in 0..pool.len() {
-                        let idx = (i + c * 7 + r * 11) % pool.len();
-                        let (x, ts) = &pool[idx];
-                        let (name, expected) = if (idx + c).is_multiple_of(2) {
-                            ("alpha", expected_a)
-                        } else {
-                            ("beta", expected_b)
-                        };
-                        if (i + c) % 2 == 0 {
-                            let got = engine
-                                .serve_blocking(&req(name, x, ts))
-                                .expect("engine running");
-                            assert_eq!(
-                                got, expected[idx],
-                                "client {c} round {r} query {idx}: tenant {name} must serve \
-                                 exactly its own precision's answers"
-                            );
-                        } else {
-                            let handle = engine.submit(req(name, x, ts)).expect("engine running");
-                            burst.push((idx, name, handle));
-                        }
-                    }
-                    for (idx, name, handle) in burst.drain(..) {
-                        let expected = if name == "alpha" {
-                            expected_a
-                        } else {
-                            expected_b
-                        };
-                        assert_eq!(
-                            handle.wait().expect("served"),
-                            expected[idx],
-                            "client {c} round {r} query {idx}: pipelined answer for tenant \
-                             {name} must match its own precision"
-                        );
-                    }
-                }
-            });
-        }
-    });
-    // beta's served (int8) answers respect the 5% MAPE drift contract of
-    // its exact plan — the same bound plan_precision.rs pins model-side
-    let mut drift_sum = 0.0f64;
-    let mut cells = 0usize;
-    for (e_row, l_row) in exact_b.iter().zip(&expected_b) {
-        for (&e, &l) in e_row.iter().zip(l_row) {
-            drift_sum += (e - l).abs() / e.abs().max(1.0);
-            cells += 1;
-        }
-    }
-    let drift = drift_sum / cells as f64;
-    assert!(
-        drift <= 0.05,
-        "beta int8 drift {drift:.5} breaks the contract"
-    );
-
-    // hot swap beta: the new generation must re-derive its quantized plan
-    // and the tenant must keep serving int8
-    beta.publish(model_b2);
-    assert_eq!(beta.precision(), PlanPrecision::Int8);
-    for (idx, (x, ts)) in pool.iter().enumerate() {
-        let got = engine
-            .serve_blocking(&req("beta", x, ts))
-            .expect("engine running");
-        assert_eq!(
-            got, expected_b2[idx],
-            "query {idx}: post-swap beta must serve the new model's int8 plan"
-        );
-    }
     engine.shutdown();
 }
 

@@ -33,11 +33,12 @@
 //! [`InferencePlan::run`] replays it allocation-free into a reusable
 //! [`PlanBuffers`] arena for any batch size — bit-identical to the tape
 //! forward pass (both execute the same shared kernels). See the
-//! [`InferencePlan`] docs for the compile/replay lifecycle. Compilation
-//! is a pass pipeline, and [`InferencePlan::compile_with`] selects a
-//! [`PlanPrecision`] lowering — per-channel int8 quantization or
-//! magnitude pruning — trading pinned, tested accuracy drift for
-//! arithmetic savings on the serving path.
+//! [`InferencePlan`] docs for the compile/replay lifecycle. Every plan
+//! input is batch-scaled and every instruction is row-independent, so
+//! [`InferencePlan::run_chunked`] may split a wave's rows across threads
+//! without changing a bit; tape ops outside that contract (`pwl_interp`,
+//! `lattice`, `sum`, `mean`) are refused at compile time with a
+//! [`PlanError`].
 //!
 //! ## Kernels and threading
 //!
@@ -99,4 +100,4 @@ pub use layers::{Activation, Linear, Mlp};
 pub use matrix::Matrix;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::ParamStore;
-pub use plan::{InferencePlan, PlanBuffers, PlanError, PlanOutputs, PlanPrecision};
+pub use plan::{InferencePlan, PlanBuffers, PlanError, PlanOutputs};

@@ -173,11 +173,10 @@ fn saxpy_kernel(
         // historical row-at-a-time walk re-streamed the whole `b` panel
         // per leftover row for two FMAs a step — load-bound, and paid on
         // most calls since the skinny serving shapes (m <= 64) are rarely
-        // multiples of the band height (64 = 10·6 + 4). Sharing one `b`
-        // stream across all leftover rows mirrors the quantized replay's
-        // remainder schedule. Bit-identical to the row-at-a-time walk:
-        // each output element's reduction still runs strictly in `s`
-        // order, and bands never combine rows.
+        // multiples of the band height (64 = 10·6 + 4). One band shares
+        // one `b` stream across all leftover rows. Bit-identical to the
+        // row-at-a-time walk: each output element's reduction still runs
+        // strictly in `s` order, and bands never combine rows.
         macro_rules! remainder_band {
             ($r:literal) => {{
                 saxpy_tile::<$r>(a, lda, b, out, i0, steps, n);

@@ -26,30 +26,32 @@
 //!
 //! ## The pass pipeline
 //!
-//! Compilation is a sequence of passes over one lowering state (see
-//! [`InferencePlan::compile_with`]): **capture** validates the declared
-//! inputs against the probe tape; **DCE** computes reachability and use
-//! counts from the outputs; **lower/fuse** emits one symbolic instruction
-//! per surviving node, baking parameters and fusing
+//! Compilation is four passes over one lowering state (see
+//! [`InferencePlan::compile`]): **capture** validates the declared inputs
+//! against the probe tape; **DCE** computes reachability and use counts
+//! from the outputs; **lower/fuse** emits one symbolic instruction per
+//! surviving node, baking parameters and fusing
 //! `matmul → add_row_vec → activation` chains; **buffer assignment**
-//! resolves node ids to dense arena slots; and finally the
-//! **precision-lowering** passes rewrite baked weights according to a
-//! [`PlanPrecision`] — fused int8 per-channel quantization or magnitude
-//! pruning into CSR sparse instructions.
-//! `PlanPrecision::Exact` skips the lossy passes entirely, so it is
-//! bit-identical to the tape by construction; the lossy modes keep the
-//! paper's §4 monotonicity-in-`t` guarantee structurally (the perturbed
-//! weights still feed non-negative increment activations ahead of the
-//! prefix sum) and their drift is pinned by accuracy-contract tests in
-//! `selnet-core`.
+//! resolves node ids to dense arena slots and counts the per-row work the
+//! replay-thread gate reads.
+//!
+//! Every instruction is **row-independent** over the batch dimension, which
+//! is what lets [`InferencePlan::run_chunked`] split a wave anywhere. The
+//! tape ops that are not — the `sum` / `mean` batch reductions — have no
+//! instruction, and neither do `pwl_interp` (the served program stops at
+//! the control points; interpolation runs outside the plan on
+//! [`crate::pwl_interp_row`]) and `lattice` (no served model has one):
+//! compiling a tape that reaches one of them is a [`PlanError`] naming the
+//! op.
 //!
 //! ## Row scaling
 //!
 //! A plan is compiled from a probe tape recorded at some **probe batch
 //! size** `B0` and replayed at any row count: every slot is classified as
 //! *batch-scaled* (rows follow the run's row count) or *fixed* (rows are
-//! whatever the probe recorded). Classification propagates from the
-//! declared inputs through the op semantics; a constant leaf whose row
+//! whatever the probe recorded). Every declared input is batch-scaled;
+//! classification propagates from there through the op semantics, baked
+//! parameters and constants are fixed, and a constant leaf whose row
 //! count equals `B0` (with `B0 >= 2`) is treated as a batch-broadcast
 //! constant — its rows must be bit-identical, and the plan replicates the
 //! single stored row to the run's row count. Compile with `B0 >= 2` so
@@ -73,121 +75,6 @@ impl std::error::Error for PlanError {}
 
 fn err<T>(msg: impl Into<String>) -> Result<T, PlanError> {
     Err(PlanError(msg.into()))
-}
-
-/// Numeric precision a plan is lowered to by the compiler's
-/// precision-lowering passes (see [`InferencePlan::compile_with`]).
-///
-/// `Exact` replays the tape arithmetic bit for bit; the lossy modes trade
-/// accuracy for arithmetic. All modes preserve the §4 monotonicity-in-`t`
-/// guarantee structurally: lowering only perturbs baked weights, and the
-/// control-point increments those weights produce still pass through
-/// non-negative activations ahead of the prefix sum, so ordinates stay
-/// non-decreasing under any weight perturbation.
-///
-/// Equality and hashing go through the canonical [`PlanPrecision::code`],
-/// so `Pruned` thresholds compare by bit pattern (usable as a cache-key
-/// component).
-#[derive(Clone, Copy, Debug, Default)]
-pub enum PlanPrecision {
-    /// Full f32 — bit-identical to the tape forward pass.
-    #[default]
-    Exact,
-    /// Symmetric int8 per-channel quantization of baked affine weights
-    /// (one scale per output channel, `scale_j = max_i |w[i][j]| / 127`)
-    /// with f32 accumulation, executed by a fused dot-product kernel.
-    Int8,
-    /// Magnitude pruning: weights with `|w| < threshold * max|w|` (per
-    /// matrix) are zeroed; sufficiently sparse results lower to a CSR
-    /// sparse-affine instruction, the rest stay dense.
-    Pruned {
-        /// Relative magnitude cut-off in `[0, 1)`, as a fraction of the
-        /// matrix's largest absolute weight.
-        threshold: f32,
-    },
-}
-
-impl PlanPrecision {
-    /// A canonical 64-bit code: the variant tag in the high 32 bits, the
-    /// pruning threshold's f32 bit pattern in the low 32. Stable across
-    /// runs and processes — the form cache keys and snapshots store. Tag
-    /// `1` belonged to the deleted `bf16` mode and is retired, never
-    /// reused.
-    pub fn code(self) -> u64 {
-        match self {
-            PlanPrecision::Exact => 0,
-            PlanPrecision::Int8 => 2 << 32,
-            PlanPrecision::Pruned { threshold } => (3 << 32) | u64::from(threshold.to_bits()),
-        }
-    }
-
-    /// Inverse of [`PlanPrecision::code`]; `None` for codes no variant
-    /// produces (e.g. read from a corrupt snapshot). The retired `bf16`
-    /// code `1 << 32` reads back as `Exact`: that mode stored and streamed
-    /// f32 weights, so exact replay is what an old snapshot asking for it
-    /// gets.
-    pub fn from_code(code: u64) -> Option<PlanPrecision> {
-        let low = (code & 0xFFFF_FFFF) as u32;
-        match (code >> 32, low) {
-            (0, 0) | (1, 0) => Some(PlanPrecision::Exact),
-            (2, 0) => Some(PlanPrecision::Int8),
-            (3, bits) => Some(PlanPrecision::Pruned {
-                threshold: f32::from_bits(bits),
-            }),
-            _ => None,
-        }
-    }
-}
-
-impl PartialEq for PlanPrecision {
-    fn eq(&self, other: &Self) -> bool {
-        self.code() == other.code()
-    }
-}
-
-impl Eq for PlanPrecision {}
-
-impl std::hash::Hash for PlanPrecision {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.code().hash(state);
-    }
-}
-
-impl std::fmt::Display for PlanPrecision {
-    /// Renders the token [`std::str::FromStr`] parses back: `exact`,
-    /// `int8`, or `pruned:<threshold>`.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanPrecision::Exact => write!(f, "exact"),
-            PlanPrecision::Int8 => write!(f, "int8"),
-            PlanPrecision::Pruned { threshold } => write!(f, "pruned:{threshold}"),
-        }
-    }
-}
-
-impl std::str::FromStr for PlanPrecision {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "exact" => Ok(PlanPrecision::Exact),
-            "int8" => Ok(PlanPrecision::Int8),
-            other => match other.strip_prefix("pruned:") {
-                Some(t) => {
-                    let threshold: f32 = t
-                        .parse()
-                        .map_err(|_| format!("bad pruning threshold {t:?}"))?;
-                    if !(0.0..1.0).contains(&threshold) {
-                        return Err(format!("pruning threshold {threshold} outside [0, 1)"));
-                    }
-                    Ok(PlanPrecision::Pruned { threshold })
-                }
-                None => Err(format!(
-                    "unknown precision {other:?} (expected exact|int8|pruned:THRESHOLD)"
-                )),
-            },
-        }
-    }
 }
 
 /// How a slot's row count behaves across runs.
@@ -258,12 +145,8 @@ impl UnOp {
     }
 
     /// In-place `out[i][j] = f(out[i][j] + bias[j])` — the fused affine
-    /// tail, monomorphized per variant like [`UnOp::run`]. The exact path
-    /// keeps this as a separate cache-hot pass after `matmul_into` (its
-    /// output is bit-pinned by the plan-identity suite and the pass costs
-    /// little); the quantized replay instead folds the same arithmetic
-    /// into its own padded microkernel's writeback ([`quant_axpy_band`]),
-    /// which is where its throughput edge over exact comes from.
+    /// tail, monomorphized per variant like [`UnOp::run`]: a separate
+    /// cache-hot pass after `matmul_into`.
     fn run_bias_act(self, bias: &Matrix, out: &mut Matrix) {
         match self {
             UnOp::Relu => bias_act(bias, out, fwd::relu),
@@ -292,343 +175,6 @@ fn bias_act(bias: &Matrix, out: &mut Matrix, f: impl Fn(f32) -> f32) {
         for (o, &bv) in row.iter_mut().zip(b) {
             *o = f(*o + bv);
         }
-    }
-}
-
-/// Accumulator bank width of the quantized-affine microkernel (one
-/// AVX-512 register of `f32`, matching the shared tile kernel's lane
-/// count); padded replay rows are multiples of this.
-const QVW: usize = 16;
-/// Rows per band of the quantized-affine microkernel (same height as the
-/// shared tile kernel's row bands).
-const QMR: usize = 6;
-/// Widest output dimension the padded replay is kept for; wider affines
-/// fall back to the shared (row-parallel) matmul.
-const QUANT_PAD_MAX: usize = 128;
-
-/// A baked weight matrix quantized to symmetric int8 with one scale per
-/// output channel. `q` (row-major `in × out`) plus `scales` is the
-/// canonical representation; `deq` is the f32 replay mirror in the same
-/// `in × out` row-major orientation as the exact weight (entry
-/// `[i][j] = q[i·out+j] · scales[j]`) — scalar CPUs have no i8 dot
-/// product, so the dequantization happens once at lowering time and
-/// execution keeps the f32 accumulation the mode promises.
-///
-/// `padded` is the performance trick the quantized path gets for free:
-/// because the lowering *owns* its weight mirror (unlike the exact path,
-/// whose shared baked constants are bit-pinned), it can repack `deq` with
-/// each input-channel row zero-padded to the next multiple of [`QVW`].
-/// The replay kernel then runs full-width register banks with the
-/// bias+activation epilogue fused at writeback — the shared kernel's
-/// per-call column-tail packing never runs and the separate epilogue
-/// pass disappears — which is what keeps int8 throughput above exact on
-/// the skinny serving shapes.
-#[derive(Debug)]
-struct QuantMatrix {
-    q: Vec<i8>,
-    scales: Vec<f32>,
-    deq: Matrix,
-    /// `(padded width, element offset, rows padded to that width)` when
-    /// the output dimension is at most [`QUANT_PAD_MAX`]; `None` falls
-    /// back to [`Matrix::matmul_into`] over `deq`. The offset cache-line-
-    /// aligns the first weight row within the over-allocated buffer (a
-    /// `Vec`'s natural alignment varies allocation to allocation, and a
-    /// line-splitting weight stream slows every band of every replay for
-    /// the life of the plan); it is fixed at quantization time so the
-    /// packed rows stay addressable even if the buffer is later moved to
-    /// memory with different alignment.
-    padded: Option<(usize, usize, Vec<f32>)>,
-}
-
-impl QuantMatrix {
-    fn quantize(w: &Matrix) -> QuantMatrix {
-        let (rows, cols) = w.shape();
-        let mut scales = vec![0.0f32; cols];
-        for row in w.data().chunks_exact(cols) {
-            for (s, &v) in scales.iter_mut().zip(row) {
-                *s = s.max(v.abs());
-            }
-        }
-        for s in &mut scales {
-            *s /= 127.0;
-        }
-        let mut q = vec![0i8; rows * cols];
-        for (qrow, row) in q.chunks_exact_mut(cols).zip(w.data().chunks_exact(cols)) {
-            for ((qv, &v), &s) in qrow.iter_mut().zip(row).zip(&scales) {
-                // an all-zero column has scale 0; its weights stay 0
-                if s > 0.0 {
-                    *qv = (v / s).round().clamp(-127.0, 127.0) as i8;
-                }
-            }
-        }
-        let mut deq = Matrix::default();
-        deq.reset_shape(rows, cols);
-        let d = deq.data_mut();
-        for ((dv, &qv), &s) in d.iter_mut().zip(&q).zip(scales.iter().cycle()) {
-            *dv = f32::from(qv) * s;
-        }
-        let padded = (cols <= QUANT_PAD_MAX).then(|| {
-            let np = cols.next_multiple_of(QVW);
-            let mut p = vec![0.0f32; rows * np + QVW - 1];
-            let off = p.as_ptr().align_offset(64).min(QVW - 1);
-            for (prow, drow) in p[off..off + rows * np]
-                .chunks_exact_mut(np)
-                .zip(d.chunks_exact(cols))
-            {
-                prow[..cols].copy_from_slice(drow);
-            }
-            (np, off, p)
-        });
-        QuantMatrix {
-            q,
-            scales,
-            deq,
-            padded,
-        }
-    }
-}
-
-/// Fused store of one accumulator bank: `out[i0+r][j0 + c] =
-/// f(acc[r][c] + bias[j0 + c])` for the `min(QVW, n - j0)` real columns
-/// the bank covers (trailing padding lanes are simply never written).
-fn quant_store<const R: usize>(
-    acc: &[[f32; QVW]; R],
-    od: &mut [f32],
-    n: usize,
-    i0: usize,
-    j0: usize,
-    b: &[f32],
-    f: &impl Fn(f32) -> f32,
-) {
-    let w = QVW.min(n - j0);
-    for (r, acc_row) in acc.iter().enumerate() {
-        let orow = &mut od[(i0 + r) * n + j0..(i0 + r) * n + j0 + w];
-        for ((o, &a), &bv) in orow.iter_mut().zip(acc_row).zip(&b[j0..j0 + w]) {
-            *o = f(a + bv);
-        }
-    }
-}
-
-/// One `R`-row band of the padded quantized-affine microkernel — the same
-/// two-bank register tiling as the shared matmul kernel (two separate
-/// `QVW`-wide accumulator arrays per row, reduction innermost, each
-/// padded weight row loaded once per band and reused across all `R`
-/// batch rows), with two differences the padded layout buys: the
-/// column-tail packing never runs (the padded width is a multiple of
-/// [`QVW`] by construction), and the bias+activation epilogue is applied
-/// straight off the accumulators at writeback instead of in a separate
-/// output pass. Per output element the reduction runs strictly in input
-/// order — the same order as [`Matrix::matmul_into`] — so the result is
-/// bit-identical to the fallback `matmul_into` + epilogue sequence;
-/// padding lanes accumulate `x · 0` and are never written back.
-#[allow(clippy::too_many_arguments)]
-fn quant_axpy_band<const R: usize>(
-    xd: &[f32],
-    inner: usize,
-    wp: &[f32],
-    np: usize,
-    b: &[f32],
-    od: &mut [f32],
-    n: usize,
-    i0: usize,
-    f: &impl Fn(f32) -> f32,
-) {
-    let mut xrows = [&xd[0..0]; R];
-    for (r, row) in xrows.iter_mut().enumerate() {
-        *row = &xd[(i0 + r) * inner..(i0 + r) * inner + inner];
-    }
-    let mut j0 = 0;
-    while j0 + 2 * QVW <= np {
-        let mut acc0 = [[0.0f32; QVW]; R];
-        let mut acc1 = [[0.0f32; QVW]; R];
-        for s in 0..inner {
-            let row = &wp[s * np + j0..s * np + j0 + 2 * QVW];
-            let b0: &[f32; QVW] = row[..QVW].try_into().expect("bank 0");
-            let b1: &[f32; QVW] = row[QVW..].try_into().expect("bank 1");
-            for r in 0..R {
-                let xv = xrows[r][s];
-                for c in 0..QVW {
-                    acc0[r][c] += xv * b0[c];
-                }
-                for c in 0..QVW {
-                    acc1[r][c] += xv * b1[c];
-                }
-            }
-        }
-        quant_store(&acc0, od, n, i0, j0, b, f);
-        if j0 + QVW < n {
-            quant_store(&acc1, od, n, i0, j0 + QVW, b, f);
-        }
-        j0 += 2 * QVW;
-    }
-    if j0 + QVW <= np && j0 < n {
-        let mut acc = [[0.0f32; QVW]; R];
-        for s in 0..inner {
-            let bk: &[f32; QVW] = wp[s * np + j0..s * np + j0 + QVW]
-                .try_into()
-                .expect("single bank");
-            for r in 0..R {
-                let xv = xrows[r][s];
-                for c in 0..QVW {
-                    acc[r][c] += xv * bk[c];
-                }
-            }
-        }
-        quant_store(&acc, od, n, i0, j0, b, f);
-    }
-}
-
-/// Runs the banded microkernel over all batch rows: full-height bands,
-/// then ONE monomorphized band sized to the row remainder — sharing one
-/// weight stream across all leftover rows instead of re-streaming the
-/// whole weight matrix per row, worth ~10% on the serving plans, whose
-/// batch sizes are rarely multiples of the band height. (The shared tile
-/// kernel has since adopted the same remainder schedule — see
-/// `saxpy_kernel` — which is bit-safe there too: banding never changes
-/// any output element's reduction order.)
-fn quant_axpy_fused(
-    x: &Matrix,
-    wp: &[f32],
-    np: usize,
-    bias: &Matrix,
-    out: &mut Matrix,
-    f: impl Fn(f32) -> f32,
-) {
-    let (m, inner) = x.shape();
-    let n = bias.cols();
-    let b = bias.data();
-    let xd = x.data();
-    let od = out.data_mut();
-    let mut i0 = 0;
-    while i0 + QMR <= m {
-        quant_axpy_band::<QMR>(xd, inner, wp, np, b, od, n, i0, &f);
-        i0 += QMR;
-    }
-    match m - i0 {
-        0 => {}
-        1 => quant_axpy_band::<1>(xd, inner, wp, np, b, od, n, i0, &f),
-        2 => quant_axpy_band::<2>(xd, inner, wp, np, b, od, n, i0, &f),
-        3 => quant_axpy_band::<3>(xd, inner, wp, np, b, od, n, i0, &f),
-        4 => quant_axpy_band::<4>(xd, inner, wp, np, b, od, n, i0, &f),
-        5 => quant_axpy_band::<5>(xd, inner, wp, np, b, od, n, i0, &f),
-        _ => unreachable!("remainder bounded by QMR"),
-    }
-}
-
-/// `act(x @ deq + b)` with the activation already resolved to a scalar
-/// closure: the padded microkernel when the output width is at most
-/// [`QUANT_PAD_MAX`], otherwise the same register-tiled matmul +
-/// cache-hot epilogue sequence the exact [`Instr::Affine`] arm runs.
-/// (Two designs measured and rejected on the serving shapes: a
-/// hand-rolled per-output dot-product kernel ran ~4x slower than the
-/// tiled matmul, and folding the epilogue into the *shared* tile
-/// kernel's writeback lost ~20% by bloating its codegen. The padded
-/// layout plus a quant-only clone of the tile kernel is what buys the
-/// honest edge — see [`QuantMatrix`].)
-fn quant_affine_fused(
-    x: &Matrix,
-    w: &QuantMatrix,
-    bias: &Matrix,
-    out: &mut Matrix,
-    f: impl Fn(f32) -> f32,
-) {
-    match &w.padded {
-        Some((np, off, p)) => quant_axpy_fused(x, &p[*off..], *np, bias, out, f),
-        None => {
-            x.matmul_into(&w.deq, out);
-            bias_act(bias, out, f);
-        }
-    }
-}
-
-/// Dispatches [`quant_affine_fused`] with the activation resolved once
-/// per instruction, monomorphizing the kernel per variant exactly like
-/// [`UnOp::run_bias_act`].
-fn quant_affine(x: &Matrix, w: &QuantMatrix, bias: &Matrix, act: Option<UnOp>, out: &mut Matrix) {
-    match act {
-        None => quant_affine_fused(x, w, bias, out, |v| v),
-        Some(UnOp::Relu) => quant_affine_fused(x, w, bias, out, fwd::relu),
-        Some(UnOp::LeakyRelu(al)) => {
-            quant_affine_fused(x, w, bias, out, |v| fwd::leaky_relu(v, al))
-        }
-        Some(UnOp::EluPlusOne) => quant_affine_fused(x, w, bias, out, fwd::elu_plus_one),
-        Some(UnOp::Softplus) => quant_affine_fused(x, w, bias, out, fwd::softplus),
-        Some(UnOp::Sigmoid) => quant_affine_fused(x, w, bias, out, fwd::sigmoid),
-        Some(UnOp::Tanh) => quant_affine_fused(x, w, bias, out, f32::tanh),
-        Some(UnOp::Exp) => quant_affine_fused(x, w, bias, out, fwd::exp_clamped),
-        Some(UnOp::LnEps(eps)) => quant_affine_fused(x, w, bias, out, |v| fwd::ln_eps(v, eps)),
-        Some(UnOp::Abs) => quant_affine_fused(x, w, bias, out, f32::abs),
-        Some(UnOp::Square) => quant_affine_fused(x, w, bias, out, |v| v * v),
-        Some(UnOp::Scale(al)) => quant_affine_fused(x, w, bias, out, |v| v * al),
-        Some(UnOp::AddScalar(c)) => quant_affine_fused(x, w, bias, out, |v| v + c),
-        Some(UnOp::Huber(d)) => quant_affine_fused(x, w, bias, out, |v| fwd::huber(v, d)),
-    }
-}
-
-/// CSR-over-input-channels form of a magnitude-pruned weight matrix: row
-/// `k` holds the surviving `(output column, value)` pairs of input
-/// channel `k`, so the kernel streams `out[i][·] += x[i][k] · row_k` like
-/// the dense axpy it replaces, touching only the survivors.
-#[derive(Debug)]
-struct SparseMatrix {
-    /// `row_ptr[k]..row_ptr[k+1]` spans input channel `k`'s entries.
-    row_ptr: Vec<u32>,
-    col_idx: Vec<u32>,
-    vals: Vec<f32>,
-}
-
-impl SparseMatrix {
-    /// Builds the CSR form keeping entries with `|w| >= cut`.
-    fn prune(w: &Matrix, cut: f32) -> SparseMatrix {
-        let (rows, cols) = w.shape();
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        let mut col_idx = Vec::new();
-        let mut vals = Vec::new();
-        row_ptr.push(0);
-        for row in w.data().chunks_exact(cols) {
-            for (j, &v) in row.iter().enumerate() {
-                if v.abs() >= cut {
-                    col_idx.push(j as u32);
-                    vals.push(v);
-                }
-            }
-            row_ptr.push(col_idx.len() as u32);
-        }
-        SparseMatrix {
-            row_ptr,
-            col_idx,
-            vals,
-        }
-    }
-
-    /// Surviving (non-pruned) entry count.
-    fn nnz(&self) -> usize {
-        self.vals.len()
-    }
-}
-
-/// `act(x @ w + b)` with a CSR weight: per batch row, zero the output
-/// row, accumulate the surviving axpy terms, then run the same
-/// bias+activation epilogue as the dense affine.
-fn sparse_affine(x: &Matrix, w: &SparseMatrix, bias: &Matrix, act: Option<UnOp>, out: &mut Matrix) {
-    let inner = x.cols();
-    let cols = bias.cols();
-    for (orow, xrow) in out
-        .data_mut()
-        .chunks_exact_mut(cols)
-        .zip(x.data().chunks_exact(inner))
-    {
-        orow.fill(0.0);
-        for (k, &xv) in xrow.iter().enumerate() {
-            let span = w.row_ptr[k] as usize..w.row_ptr[k + 1] as usize;
-            for (&j, &v) in w.col_idx[span.clone()].iter().zip(&w.vals[span]) {
-                orow[j as usize] += xv * v;
-            }
-        }
-    }
-    match act {
-        None => bias_act(bias, out, |v| v),
-        Some(a) => a.run_bias_act(bias, out),
     }
 }
 
@@ -689,14 +235,6 @@ enum Instr {
         a: Arg,
         out: u32,
     },
-    Sum {
-        a: Arg,
-        out: u32,
-    },
-    Mean {
-        a: Arg,
-        out: u32,
-    },
     RowSum {
         a: Arg,
         out: u32,
@@ -721,41 +259,10 @@ enum Instr {
         eps: f32,
         out: u32,
     },
-    PwlInterp {
-        tau: Arg,
-        p: Arg,
-        t: Arg,
-        out: u32,
-    },
     BlockLinear {
         input: Arg,
         weight: Arg,
         bias: Arg,
-        out: u32,
-    },
-    Lattice {
-        input: Arg,
-        params: Arg,
-        out: u32,
-    },
-    /// Fused `act(x @ deq(w) + b)` over an int8-quantized baked weight;
-    /// `w` indexes the plan's quantized-constant table and accumulation
-    /// stays f32. Produced only by the int8 precision pass.
-    QuantAffine {
-        x: Arg,
-        w: u32,
-        b: Arg,
-        act: Option<UnOp>,
-        out: u32,
-    },
-    /// `act(x @ w + b)` over a magnitude-pruned CSR weight; `w` indexes
-    /// the plan's sparse-constant table. Produced only by the pruning
-    /// precision pass when enough weights die to make CSR pay.
-    SparseAffine {
-        x: Arg,
-        w: u32,
-        b: Arg,
-        act: Option<UnOp>,
         out: u32,
     },
 }
@@ -771,18 +278,12 @@ impl Instr {
             | Instr::Binary { out, .. }
             | Instr::Unary { out, .. }
             | Instr::SoftmaxRows { out, .. }
-            | Instr::Sum { out, .. }
-            | Instr::Mean { out, .. }
             | Instr::RowSum { out, .. }
             | Instr::ConcatCols { out, .. }
             | Instr::SliceCols { out, .. }
             | Instr::CumsumCols { out, .. }
             | Instr::Norml2 { out, .. }
-            | Instr::PwlInterp { out, .. }
-            | Instr::BlockLinear { out, .. }
-            | Instr::Lattice { out, .. }
-            | Instr::QuantAffine { out, .. }
-            | Instr::SparseAffine { out, .. } => out,
+            | Instr::BlockLinear { out, .. } => out,
         }
     }
 }
@@ -818,43 +319,39 @@ impl PlanBuffers {
         })
     }
 
-    /// Runs `f` with an arena drawn from a **process-global keyed free
-    /// list** — the arena pool behind [`InferencePlan::run_chunked`].
+    /// Runs `f` with an arena drawn from the **process-global free list**
+    /// behind [`InferencePlan::run_chunked`].
     ///
     /// Chunked replay workers are `std::thread::scope` threads that die at
     /// the end of every wave, so [`PlanBuffers::with_pooled`]'s
     /// thread-local arenas can never survive from one wave to the next.
     /// This pool survives instead: an arena is popped under a brief lock
-    /// (or freshly created when the key's list is empty), used lock-free
-    /// for the whole replay, and pushed back afterwards. Keying by plan
-    /// (see [`InferencePlan::run_chunked`]) gives capacity affinity — a
-    /// worker usually receives an arena whose matrices were last shaped by
-    /// the same plan, so steady-state chunk replays stay allocation-free
-    /// just like the thread-local path. If `f` panics the arena is simply
-    /// dropped, never returned poisoned.
-    pub fn with_keyed<R>(key: u64, f: impl FnOnce(&mut PlanBuffers) -> R) -> R {
-        use std::collections::HashMap;
-        use std::sync::{Mutex, OnceLock};
-        /// Arenas retained per key; beyond this, returns are dropped so a
-        /// one-off wide fan-out can't pin memory forever.
-        const KEYED_ARENA_CAP: usize = 64;
-        static POOL: OnceLock<Mutex<HashMap<u64, Vec<PlanBuffers>>>> = OnceLock::new();
-        let pool = POOL.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut arena = pool
+    /// (or freshly created when the list is empty), used lock-free for the
+    /// whole replay, and pushed back afterwards. Any arena serves any plan
+    /// ([`InferencePlan::run`] reshapes the buffers and keeps their
+    /// capacity), so the list is one `Vec` for the whole process: a plan
+    /// retired by a hot swap leaves nothing behind, and steady-state chunk
+    /// replays stay allocation-free like the thread-local path. If `f`
+    /// panics the arena is simply dropped, never returned poisoned.
+    fn with_shared<R>(f: impl FnOnce(&mut PlanBuffers) -> R) -> R {
+        let mut arena = SHARED_ARENAS
             .lock()
-            .expect("keyed arena pool poisoned")
-            .get_mut(&key)
-            .and_then(Vec::pop)
+            .expect("arena pool poisoned")
+            .pop()
             .unwrap_or_default();
         let r = f(&mut arena);
-        let mut map = pool.lock().expect("keyed arena pool poisoned");
-        let slot = map.entry(key).or_default();
-        if slot.len() < KEYED_ARENA_CAP {
-            slot.push(arena);
+        let mut pool = SHARED_ARENAS.lock().expect("arena pool poisoned");
+        if pool.len() < SHARED_ARENA_CAP {
+            pool.push(arena);
         }
         r
     }
 }
+
+/// Arenas [`PlanBuffers::with_shared`] retains; beyond this, returns are
+/// dropped so a one-off wide fan-out can't pin memory forever.
+const SHARED_ARENA_CAP: usize = 64;
+static SHARED_ARENAS: std::sync::Mutex<Vec<PlanBuffers>> = std::sync::Mutex::new(Vec::new());
 
 /// Read-only view of a finished replay's outputs, borrowing the arena.
 pub struct PlanOutputs<'a> {
@@ -895,32 +392,15 @@ pub struct InferencePlan {
     consts: Vec<Matrix>,
     /// `(RowSpec, cols)` per buffer slot, indexed by buffer id.
     buf_shapes: Vec<(RowSpec, usize)>,
-    /// Buffer ids of the run-time inputs, in `compile`'s `inputs` order.
+    /// Buffer ids of the run-time inputs (all batch-scaled), in
+    /// `compile`'s `inputs` order.
     input_bufs: Vec<u32>,
-    /// `(RowSpec, cols)` per input, for shaping before the fill callback.
-    input_shapes: Vec<(RowSpec, usize)>,
     outputs: Vec<Arg>,
-    /// Int8-quantized weights produced by the precision-lowering pass;
-    /// indexed by `Instr::QuantAffine`'s weight id.
-    qconsts: Vec<QuantMatrix>,
-    /// CSR weights produced by the pruning pass; indexed by
-    /// `Instr::SparseAffine`'s weight id.
-    sparse_consts: Vec<SparseMatrix>,
-    /// The precision this plan was lowered to.
-    precision: PlanPrecision,
-    /// Whether every instruction is row-independent over the batch
-    /// dimension — no instruction reduces batch-scaled data into a fixed
-    /// shape — so replay may be split into row chunks bit-safely. Computed
-    /// by the buffer-assignment pass.
-    chunkable: bool,
     /// Counted multiply-add estimate **per batch row** of one replay
     /// (matmul/affine inner products dominate; elementwise ops count one
     /// per output element). Drives the chunked-replay engagement
     /// threshold — see [`InferencePlan::replay_threads`].
     flops_per_row: usize,
-    /// Process-unique id keying this plan's arenas in
-    /// [`PlanBuffers::with_keyed`] (capacity affinity across waves).
-    arena_key: u64,
 }
 
 /// Per-node classification produced during compilation.
@@ -936,38 +416,21 @@ enum NodeVal {
 }
 
 impl InferencePlan {
-    /// Compiles the live tape of `g` into a plan.
+    /// Compiles the live tape of `g` into a plan: capture → DCE →
+    /// lower/fuse → buffer assignment.
     ///
-    /// * `inputs` — leaves to re-bind on every run, each with a flag:
-    ///   `true` = batch-scaled (rows follow the run's row count; all such
-    ///   inputs must share the probe row count `B0`), `false` = fixed rows
-    ///   as recorded on the probe tape.
+    /// * `inputs` — leaves to re-bind on every run. Every input is
+    ///   batch-scaled (rows follow the run's row count); all must share
+    ///   the probe row count `B0`.
     /// * `outputs` — the nodes whose values [`PlanOutputs::output`]
     ///   exposes. Nodes no output depends on are eliminated.
     ///
     /// Errors when a referenced `Var` is stale, an input is not a plain
-    /// constant leaf, batch inputs disagree on the probe row count, or row
-    /// scaling cannot be propagated consistently (e.g. an elementwise op
-    /// mixing a batch-scaled and a fixed operand).
-    pub fn compile(
-        g: &Graph,
-        inputs: &[(Var, bool)],
-        outputs: &[Var],
-    ) -> Result<InferencePlan, PlanError> {
-        InferencePlan::compile_with(g, inputs, outputs, PlanPrecision::Exact)
-    }
-
-    /// [`compile`](InferencePlan::compile) with an explicit precision:
-    /// runs the shared pipeline (capture → DCE → lower/fuse → buffer
-    /// assignment), then the precision-lowering pass `precision` selects.
-    /// `PlanPrecision::Exact` skips the lowering pass entirely, so it is
-    /// bit-identical to [`compile`](InferencePlan::compile).
-    pub fn compile_with(
-        g: &Graph,
-        inputs: &[(Var, bool)],
-        outputs: &[Var],
-        precision: PlanPrecision,
-    ) -> Result<InferencePlan, PlanError> {
+    /// constant leaf, inputs disagree on the probe row count, a reachable
+    /// op has no instruction (`pwl_interp`, `lattice`, `sum`, `mean`), or
+    /// row scaling cannot be propagated consistently (e.g. an elementwise
+    /// op mixing a batch-scaled and a fixed operand).
+    pub fn compile(g: &Graph, inputs: &[Var], outputs: &[Var]) -> Result<InferencePlan, PlanError> {
         // flight-recorder hook: inert unless the process-global recorder
         // was armed (e.g. selnet-serve --trace-buffer)
         let mut span = selnet_obs::trace::global().span("plan_compile", 0);
@@ -975,8 +438,7 @@ impl InferencePlan {
         let b0 = pass_capture(nodes, inputs, outputs)?;
         let dce = pass_dce(nodes, outputs);
         let lowered = pass_lower(nodes, inputs, b0, &dce)?;
-        let mut plan = pass_assign_buffers(nodes, inputs, outputs, precision, lowered)?;
-        pass_precision(&mut plan);
+        let plan = pass_assign_buffers(nodes, inputs, outputs, lowered)?;
         span.set_detail(plan.instrs.len() as u64, plan.outputs.len() as u64);
         Ok(plan)
     }
@@ -995,42 +457,6 @@ impl InferencePlan {
     /// affine fusion) — diagnostics for tests and benches.
     pub fn num_instructions(&self) -> usize {
         self.instrs.len()
-    }
-
-    /// The precision this plan was lowered to.
-    pub fn precision(&self) -> PlanPrecision {
-        self.precision
-    }
-
-    /// Number of affines the int8 pass lowered to quantized kernels.
-    pub fn num_quantized(&self) -> usize {
-        self.instrs
-            .iter()
-            .filter(|i| matches!(i, Instr::QuantAffine { .. }))
-            .count()
-    }
-
-    /// Number of affines the pruning pass lowered to CSR kernels.
-    pub fn num_sparse(&self) -> usize {
-        self.instrs
-            .iter()
-            .filter(|i| matches!(i, Instr::SparseAffine { .. }))
-            .count()
-    }
-
-    /// Bytes held by the canonical int8 representation (quantized weights
-    /// plus per-channel scales) — the compressed footprint an int8
-    /// snapshot would ship, reported for diagnostics.
-    pub fn quantized_weight_bytes(&self) -> usize {
-        self.qconsts
-            .iter()
-            .map(|q| q.q.len() + 4 * q.scales.len())
-            .sum()
-    }
-
-    /// Surviving nonzero weight entries across all CSR-lowered affines.
-    pub fn sparse_nnz(&self) -> usize {
-        self.sparse_consts.iter().map(SparseMatrix::nnz).sum()
     }
 
     /// Replays the plan at `rows` batch rows.
@@ -1053,9 +479,8 @@ impl InferencePlan {
                 .resize_with(self.buf_shapes.len(), Matrix::default);
         }
         for (k, &b) in self.input_bufs.iter().enumerate() {
-            let (rspec, cols) = self.input_shapes[k];
             let m = &mut bufs.bufs[b as usize];
-            m.reset_zero(rspec.resolve(rows), cols);
+            m.reset_zero(rows, self.buf_shapes[b as usize].1);
             fill(k, m);
         }
         for instr in &self.instrs {
@@ -1066,14 +491,6 @@ impl InferencePlan {
             bufs,
             rows,
         }
-    }
-
-    /// Whether this plan's replay may be split into batch-row chunks: no
-    /// instruction reduces batch-scaled data into a fixed shape (the
-    /// `Sum`/`Mean` tape reductions are the only ops that do), so every
-    /// batch row's bits are computed independently of every other row.
-    pub fn chunkable(&self) -> bool {
-        self.chunkable
     }
 
     /// Counted multiply-add estimate per batch row of one replay — the
@@ -1090,9 +507,8 @@ impl InferencePlan {
     /// [`crate::parallel::FORK_MIN_WORK`] counted muladds of work — the
     /// wave's total, since a wave is a whole plan of skinny products none
     /// of which would pass the gate alone — and at least one row.
-    /// Non-chunkable plans always answer 1.
     pub fn replay_threads(&self, rows: usize, requested: usize) -> usize {
-        if !self.chunkable || rows < 2 {
+        if rows < 2 {
             return 1;
         }
         let work = rows.saturating_mul(self.flops_per_row.max(1));
@@ -1109,20 +525,18 @@ impl InferencePlan {
     /// engaged threads)`; every chunk runs the same per-row kernels the
     /// serial replay runs (each output element's reduction order is
     /// unchanged — the kernels accumulate strictly in index order and
-    /// never across rows); and plans where *any* instruction crosses rows
-    /// are [`not chunkable`](InferencePlan::chunkable) and fall back to
-    /// the serial path here. Fixed-shape (non-batch) instructions are
-    /// recomputed per chunk from identical inputs — redundant arithmetic,
-    /// identical bits.
+    /// never across rows); and no instruction crosses rows (the tape's
+    /// batch reductions do not compile). Fixed-shape (non-batch)
+    /// instructions are recomputed per chunk from identical inputs —
+    /// redundant arithmetic, identical bits.
     ///
     /// * `offsets` — `rows + 1` non-decreasing prefix offsets into `out`:
     ///   batch row `r` owns `out[offsets[r]..offsets[r + 1]]` (a query row
     ///   owns one slot per threshold; `0..=rows` gives one slot per row).
     ///   Each chunk writes the disjoint sub-slice of its rows.
     /// * `fill(input, first_row, m)` — like [`InferencePlan::run`]'s fill
-    ///   but with the chunk's first global row, so batch-scaled inputs
-    ///   copy rows `first_row..first_row + m.rows()`; fixed inputs must
-    ///   ignore `first_row` and fill identically for every chunk.
+    ///   but with the chunk's first global row: copy rows
+    ///   `first_row..first_row + m.rows()`.
     /// * `consume(first_row, outputs, chunk)` — scatter the chunk's
     ///   replay outputs (row `j` of a batch output is global row
     ///   `first_row + j`) into `chunk`, which starts at
@@ -1132,9 +546,9 @@ impl InferencePlan {
     /// [`PlanBuffers::with_pooled`] arena, one `run`, one consume — the
     /// single-thread floors in `BENCH_serve.json` time this exact route.
     /// Engaged chunks (the first on the calling thread, see
-    /// [`crate::parallel::fork_join`]) draw arenas from the plan-keyed
-    /// [`PlanBuffers::with_keyed`] pool instead, since scoped workers die
-    /// at wave end and thread-local arenas would never be reused.
+    /// [`crate::parallel::fork_join`]) draw arenas from the process-wide
+    /// free list instead, since scoped workers die at wave end and
+    /// thread-local arenas would never be reused.
     pub fn run_chunked<O, Fill, Consume>(
         &self,
         offsets: &[usize],
@@ -1194,7 +608,7 @@ impl InferencePlan {
             })
             .collect();
         crate::parallel::fork_join(chunks, |(start, end, head)| {
-            PlanBuffers::with_keyed(self.arena_key, |bufs| {
+            PlanBuffers::with_shared(|bufs| {
                 let run = self.run(bufs, end - start, |k, m| fill(k, start, m));
                 consume(start, run, head);
             });
@@ -1248,14 +662,6 @@ impl InferencePlan {
             }
             Instr::Unary { op, a, .. } => op.run(val(a), out),
             Instr::SoftmaxRows { a, .. } => fwd::softmax_rows(val(a), out),
-            Instr::Sum { a, .. } => {
-                let s = val(a).sum() as f32;
-                out.data_mut()[0] = s;
-            }
-            Instr::Mean { a, .. } => {
-                let m = val(a).mean() as f32;
-                out.data_mut()[0] = m;
-            }
             Instr::RowSum { a, .. } => fwd::row_sum(val(a), out),
             Instr::ConcatCols { a, b, .. } => fwd::concat_cols(val(a), val(b), out),
             Instr::SliceCols { a, start, end, .. } => {
@@ -1263,22 +669,12 @@ impl InferencePlan {
             }
             Instr::CumsumCols { a, .. } => fwd::cumsum_cols(val(a), out),
             Instr::Norml2 { a, eps, .. } => fwd::norml2(val(a), eps, out),
-            Instr::PwlInterp { tau, p, t, .. } => {
-                fwd::pwl_interp(val(tau), val(p), val(t), out, None)
-            }
             Instr::BlockLinear {
                 input,
                 weight,
                 bias,
                 ..
             } => fwd::block_linear(val(input), val(weight), val(bias), out),
-            Instr::Lattice { input, params, .. } => fwd::lattice(val(input), val(params), out),
-            Instr::QuantAffine { x, w, b, act, .. } => {
-                quant_affine(val(x), &self.qconsts[w as usize], val(b), act, out)
-            }
-            Instr::SparseAffine { x, w, b, act, .. } => {
-                sparse_affine(val(x), &self.sparse_consts[w as usize], val(b), act, out)
-            }
         }
     }
 }
@@ -1320,12 +716,6 @@ enum SymInstr {
     SoftmaxRows {
         a: usize,
     },
-    Sum {
-        a: usize,
-    },
-    Mean {
-        a: usize,
-    },
     RowSum {
         a: usize,
     },
@@ -1345,19 +735,10 @@ enum SymInstr {
         a: usize,
         eps: f32,
     },
-    PwlInterp {
-        tau: usize,
-        p: usize,
-        t: usize,
-    },
     BlockLinear {
         input: usize,
         weight: usize,
         bias: usize,
-    },
-    Lattice {
-        input: usize,
-        params: usize,
     },
 }
 
@@ -1395,8 +776,6 @@ impl SymInstr {
             },
             SymInstr::Unary { op, a } => Instr::Unary { op, a: arg(a), out },
             SymInstr::SoftmaxRows { a } => Instr::SoftmaxRows { a: arg(a), out },
-            SymInstr::Sum { a } => Instr::Sum { a: arg(a), out },
-            SymInstr::Mean { a } => Instr::Mean { a: arg(a), out },
             SymInstr::RowSum { a } => Instr::RowSum { a: arg(a), out },
             SymInstr::ConcatCols { a, b } => Instr::ConcatCols {
                 a: arg(a),
@@ -1415,12 +794,6 @@ impl SymInstr {
                 eps,
                 out,
             },
-            SymInstr::PwlInterp { tau, p, t } => Instr::PwlInterp {
-                tau: arg(tau),
-                p: arg(p),
-                t: arg(t),
-                out,
-            },
             SymInstr::BlockLinear {
                 input,
                 weight,
@@ -1431,18 +804,13 @@ impl SymInstr {
                 bias: arg(bias),
                 out,
             },
-            SymInstr::Lattice { input, params } => Instr::Lattice {
-                input: arg(input),
-                params: arg(params),
-                out,
-            },
         }
     }
 }
 
 // ---------------------------------------------------------------------
 // The pass pipeline. Each pass is a free function over the probe tape
-// (`&[Node]`) or the partially-built plan; `compile_with` chains them.
+// (`&[Node]`) or the partially-built plan; `compile` chains them.
 // ---------------------------------------------------------------------
 
 /// DCE facts shared by the later passes: which nodes any output depends
@@ -1461,45 +829,38 @@ struct Lowered {
     vals: Vec<NodeVal>,
     consts: Vec<Matrix>,
     sym: Vec<Option<(SymInstr, usize)>>,
-    input_nodes: Vec<Option<usize>>,
 }
 
 /// Capture pass: validates the probe tape against the requested
 /// interface (live `Var`s, inputs are plain constant leaves) and reads
-/// the probe batch row count `B0` off the batch-scaled inputs.
+/// the probe batch row count `B0` off the inputs.
 fn pass_capture(
     nodes: &[Node],
-    inputs: &[(Var, bool)],
+    inputs: &[Var],
     outputs: &[Var],
 ) -> Result<Option<usize>, PlanError> {
     let n = nodes.len();
-    for v in inputs
-        .iter()
-        .map(|(v, _)| *v)
-        .chain(outputs.iter().copied())
-    {
+    for v in inputs.iter().chain(outputs) {
         if v.0 >= n {
             return err("stale Var (recorded before the last reset?)");
         }
     }
     let mut b0: Option<usize> = None;
-    for &(v, batch) in inputs {
+    for v in inputs {
         if !matches!(nodes[v.0].op, Op::Leaf) {
             return err("plan inputs must be constant leaves");
         }
         if nodes[v.0].param.is_some() {
             return err("a parameter leaf cannot be a plan input");
         }
-        if batch {
-            let rows = nodes[v.0].value.rows();
-            match b0 {
-                None => b0 = Some(rows),
-                Some(r) if r == rows => {}
-                Some(r) => {
-                    return err(format!(
-                        "batch inputs disagree on probe rows: {r} vs {rows}"
-                    ))
-                }
+        let rows = nodes[v.0].value.rows();
+        match b0 {
+            None => b0 = Some(rows),
+            Some(r) if r == rows => {}
+            Some(r) => {
+                return err(format!(
+                    "batch inputs disagree on probe rows: {r} vs {rows}"
+                ))
             }
         }
     }
@@ -1542,7 +903,7 @@ fn pass_dce(nodes: &[Node], outputs: &[Var]) -> Dce {
 /// map the fusion peephole needs is local to this pass.
 fn pass_lower(
     nodes: &[Node],
-    inputs: &[(Var, bool)],
+    inputs: &[Var],
     b0: Option<usize>,
     dce: &Dce,
 ) -> Result<Lowered, PlanError> {
@@ -1555,12 +916,10 @@ fn pass_lower(
     let mut sym: Vec<Option<(SymInstr, usize)>> = Vec::new();
     // node id -> index into `sym` (for fusion lookups)
     let mut producer: Vec<Option<usize>> = vec![None; n];
-    let input_pos: std::collections::HashMap<usize, (usize, bool)> = inputs
-        .iter()
-        .enumerate()
-        .map(|(k, &(v, batch))| (v.0, (k, batch)))
-        .collect();
-    let mut input_nodes: Vec<Option<usize>> = vec![None; inputs.len()];
+    let mut is_input = vec![false; n];
+    for v in inputs {
+        is_input[v.0] = true;
+    }
 
     for i in 0..n {
         if !dce.reachable[i] {
@@ -1570,14 +929,9 @@ fn pass_lower(
         let (rows, cols) = node.value.shape();
         match node.op {
             Op::Leaf => {
-                if let Some(&(k, batch)) = input_pos.get(&i) {
-                    spec[i] = Some(if batch {
-                        RowSpec::Batch
-                    } else {
-                        RowSpec::Fixed(rows)
-                    });
+                if is_input[i] {
+                    spec[i] = Some(RowSpec::Batch);
                     vals[i] = NodeVal::Node;
-                    input_nodes[k] = Some(i);
                 } else if node.param.is_some() || Some(rows) != b0 || rows <= 1 {
                     // parameter or genuine fixed constant: bake it
                     spec[i] = Some(RowSpec::Fixed(rows));
@@ -1627,7 +981,6 @@ fn pass_lower(
         vals,
         consts,
         sym,
-        input_nodes,
     })
 }
 
@@ -1636,9 +989,8 @@ fn pass_lower(
 /// resolves the symbolic program into the final [`InferencePlan`].
 fn pass_assign_buffers(
     nodes: &[Node],
-    inputs: &[(Var, bool)],
+    inputs: &[Var],
     outputs: &[Var],
-    precision: PlanPrecision,
     lowered: Lowered,
 ) -> Result<InferencePlan, PlanError> {
     let Lowered {
@@ -1646,22 +998,19 @@ fn pass_assign_buffers(
         vals,
         consts,
         sym,
-        input_nodes,
     } = lowered;
     let n = nodes.len();
     let mut buf_of: Vec<Option<u32>> = vec![None; n];
     let mut buf_shapes: Vec<(RowSpec, usize)> = Vec::new();
     let mut input_bufs = Vec::with_capacity(inputs.len());
-    let mut input_shapes = Vec::with_capacity(inputs.len());
-    for (k, node) in input_nodes.iter().enumerate() {
-        let i = node
-            .ok_or_else(|| PlanError(format!("input {k} is unreachable from the plan outputs")))?;
+    for (k, v) in inputs.iter().enumerate() {
+        if matches!(vals[v.0], NodeVal::None) {
+            return err(format!("input {k} is unreachable from the plan outputs"));
+        }
         let id = buf_shapes.len() as u32;
-        buf_of[i] = Some(id);
-        let shape = (spec[i].expect("input classified"), nodes[i].value.cols());
-        buf_shapes.push(shape);
+        buf_of[v.0] = Some(id);
+        buf_shapes.push((RowSpec::Batch, nodes[v.0].value.cols()));
         input_bufs.push(id);
-        input_shapes.push(shape);
     }
     let mut instrs = Vec::with_capacity(sym.len());
     let arg_of = |i: usize, vals: &[NodeVal], buf_of: &[Option<u32>]| -> Arg {
@@ -1686,110 +1035,25 @@ fn pass_assign_buffers(
         .map(|v| arg_of(v.0, &vals, &buf_of))
         .collect();
 
-    let (chunkable, flops_per_row) = pass_cost(&instrs, &buf_shapes, &consts);
+    let flops_per_row = pass_cost(&instrs, &buf_shapes, &consts);
     Ok(InferencePlan {
         instrs,
         consts,
         buf_shapes,
         input_bufs,
-        input_shapes,
         outputs,
-        qconsts: Vec::new(),
-        sparse_consts: Vec::new(),
-        precision,
-        chunkable,
         flops_per_row,
-        arena_key: next_arena_key(),
     })
 }
 
-/// Hands out process-unique arena-pool keys, one per compiled plan (see
-/// [`PlanBuffers::with_keyed`]). Monotonic, never reused.
-fn next_arena_key() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Visits every operand [`Arg`] of an instruction (weights living in the
-/// quantized/sparse side tables are baked constants, not args).
-fn for_each_arg(instr: &Instr, mut f: impl FnMut(Arg)) {
-    match *instr {
-        Instr::Broadcast { .. } => {}
-        Instr::Affine { x, w, b, .. } => {
-            f(x);
-            f(w);
-            f(b);
-        }
-        Instr::MatMul { a, b, .. }
-        | Instr::Binary { a, b, .. }
-        | Instr::ConcatCols { a, b, .. } => {
-            f(a);
-            f(b);
-        }
-        Instr::AddRowVec { m, row, .. } => {
-            f(m);
-            f(row);
-        }
-        Instr::MulColVec { m, col, .. } => {
-            f(m);
-            f(col);
-        }
-        Instr::Unary { a, .. }
-        | Instr::SoftmaxRows { a, .. }
-        | Instr::Sum { a, .. }
-        | Instr::Mean { a, .. }
-        | Instr::RowSum { a, .. }
-        | Instr::SliceCols { a, .. }
-        | Instr::CumsumCols { a, .. }
-        | Instr::Norml2 { a, .. } => f(a),
-        Instr::PwlInterp { tau, p, t, .. } => {
-            f(tau);
-            f(p);
-            f(t);
-        }
-        Instr::BlockLinear {
-            input,
-            weight,
-            bias,
-            ..
-        } => {
-            f(input);
-            f(weight);
-            f(bias);
-        }
-        Instr::Lattice { input, params, .. } => {
-            f(input);
-            f(params);
-        }
-        Instr::QuantAffine { x, b, .. } | Instr::SparseAffine { x, b, .. } => {
-            f(x);
-            f(b);
-        }
-    }
-}
-
-/// Cost/chunkability analysis over the resolved instruction stream.
-///
-/// **Chunkable** means every instruction is row-independent over the
-/// batch dimension: an instruction whose output is `Fixed`-shaped while
-/// any buffer operand is batch-scaled (the `Sum`/`Mean` reductions are
-/// the only emitters of that shape) collapses rows across the chunk
-/// boundary, so its plan must replay serially. Fixed-from-fixed
-/// instructions are fine — each chunk recomputes them from identical
-/// inputs and gets identical bits.
-///
-/// **flops_per_row** is the counted multiply-add estimate of one batch
-/// row: inner-product ops count `inner × out_cols`, block-linear its
-/// weight elements, PWL its knot scan, everything elementwise one per
-/// output element. It is an engagement heuristic (the replay-threads
-/// derivation below), not an exact FLOP audit — constants chosen so the
-/// skinny serving shapes land where measurement says they should.
-fn pass_cost(
-    instrs: &[Instr],
-    buf_shapes: &[(RowSpec, usize)],
-    consts: &[Matrix],
-) -> (bool, usize) {
+/// Cost analysis over the resolved instruction stream: the counted
+/// multiply-add estimate of one batch row. Inner-product ops count
+/// `inner × out_cols`, block-linear its weight elements, everything
+/// elementwise one per output element. It is an engagement heuristic (the
+/// replay-threads derivation above), not an exact FLOP audit — constants
+/// chosen so the skinny serving shapes land where measurement says they
+/// should.
+fn pass_cost(instrs: &[Instr], buf_shapes: &[(RowSpec, usize)], consts: &[Matrix]) -> usize {
     let arg_cols = |a: Arg| match a {
         Arg::Buf(b) => buf_shapes[b as usize].1,
         Arg::Const(c) => consts[c as usize].cols(),
@@ -1807,135 +1071,23 @@ fn pass_cost(
             r * cl
         }
     };
-    let batch_buf = |a: Arg| matches!(a, Arg::Buf(b) if buf_shapes[b as usize].0 == RowSpec::Batch);
-    let mut chunkable = true;
     let mut flops = 0usize;
     for instr in instrs {
         let (out_spec, out_cols) = buf_shapes[instr.out() as usize];
-        let mut reads_batch = false;
-        for_each_arg(instr, |a| reads_batch |= batch_buf(a));
-        if matches!(out_spec, RowSpec::Fixed(_)) && reads_batch {
-            chunkable = false;
-        }
         if out_spec == RowSpec::Batch {
             flops += match *instr {
-                Instr::Affine { x, .. }
-                | Instr::QuantAffine { x, .. }
-                | Instr::SparseAffine { x, .. } => arg_cols(x) * out_cols,
+                Instr::Affine { x, .. } => arg_cols(x) * out_cols,
                 Instr::MatMul { a, .. } => arg_cols(a) * out_cols,
                 Instr::BlockLinear { weight, .. } => arg_elems(weight),
-                Instr::Lattice { params, .. } => arg_elems(params).max(out_cols),
-                Instr::PwlInterp { tau, .. } => arg_cols(tau) + out_cols,
                 _ => out_cols,
             };
         }
     }
-    (chunkable, flops)
+    flops
 }
 
-/// Precision-lowering pass dispatcher: rewrites the resolved instruction
-/// stream according to the plan's requested [`PlanPrecision`]. `Exact` is
-/// the identity — the plan is left exactly as the shared pipeline built
-/// it, which is what keeps `Exact` bit-identical to the historical
-/// monolithic compiler.
-fn pass_precision(plan: &mut InferencePlan) {
-    match plan.precision {
-        PlanPrecision::Exact => {}
-        PlanPrecision::Int8 => pass_int8(plan),
-        PlanPrecision::Pruned { threshold } => pass_pruned(plan, threshold),
-    }
-}
-
-/// int8 pass: rewrites every affine with a baked weight into a
-/// [`Instr::QuantAffine`] over a per-output-channel symmetric int8
-/// [`QuantMatrix`], keeping accumulation in f32. Batch-bound or broadcast
-/// weights (none exist in practice — weights are parameters) are left
-/// alone, as are the non-affine ops.
-fn pass_int8(plan: &mut InferencePlan) {
-    for instr in &mut plan.instrs {
-        let Instr::Affine {
-            x,
-            w: Arg::Const(c),
-            b,
-            act,
-            out,
-        } = *instr
-        else {
-            continue;
-        };
-        let q = QuantMatrix::quantize(&plan.consts[c as usize]);
-        let id = plan.qconsts.len() as u32;
-        plan.qconsts.push(q);
-        *instr = Instr::QuantAffine {
-            x,
-            w: id,
-            b,
-            act,
-            out,
-        };
-    }
-}
-
-/// Minimum zeroed-entry fraction for the pruning pass to lower a weight
-/// into the CSR [`Instr::SparseAffine`] form; below it, a sparse replay
-/// would be slower than the dense matmul it replaces, so the pass keeps
-/// the dense kernel and just zeroes the pruned entries in a baked copy.
-const SPARSE_LOWER_BAR: f32 = 0.5;
-
-/// Magnitude-pruning pass: zeroes affine-weight entries with
-/// `|w| < threshold · max|w|`; weights that come out sufficiently sparse
-/// (≥ [`SPARSE_LOWER_BAR`] zeroed) are lowered into CSR
-/// [`Instr::SparseAffine`] instructions, the rest stay dense with the
-/// pruned entries zeroed in place.
-fn pass_pruned(plan: &mut InferencePlan, threshold: f32) {
-    for instr in &mut plan.instrs {
-        let Instr::Affine {
-            x,
-            w: Arg::Const(c),
-            b,
-            act,
-            out,
-        } = *instr
-        else {
-            continue;
-        };
-        let w = &plan.consts[c as usize];
-        let max_abs = w.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        let cut = threshold * max_abs;
-        let total = w.data().len();
-        let zeroed = w.data().iter().filter(|v| v.abs() < cut).count();
-        if total == 0 || (zeroed as f32) < SPARSE_LOWER_BAR * total as f32 {
-            // not sparse enough to win with CSR: prune in a dense copy
-            if zeroed > 0 {
-                let mut pruned = w.clone();
-                for v in pruned.data_mut() {
-                    if v.abs() < cut {
-                        *v = 0.0;
-                    }
-                }
-                let id = plan.consts.len() as u32;
-                plan.consts.push(pruned);
-                *instr = Instr::Affine {
-                    x,
-                    w: Arg::Const(id),
-                    b,
-                    act,
-                    out,
-                };
-            }
-        } else {
-            let sparse = SparseMatrix::prune(w, cut);
-            let id = plan.sparse_consts.len() as u32;
-            plan.sparse_consts.push(sparse);
-            *instr = Instr::SparseAffine {
-                x,
-                w: id,
-                b,
-                act,
-                out,
-            };
-        }
-    }
+fn no_instruction<T>(op: &str) -> Result<T, PlanError> {
+    err(format!("tape op `{op}` has no plan instruction"))
 }
 
 /// The unary-op template for a tape op, if it is elementwise.
@@ -2082,8 +1234,6 @@ fn emit_op(
         }
         Op::MulColVec(m, col) => (SymInstr::MulColVec { m, col }, same(m, col)?),
         Op::SoftmaxRows(a) => (SymInstr::SoftmaxRows { a }, sp(a)?),
-        Op::Sum(a) => (SymInstr::Sum { a }, RowSpec::Fixed(1)),
-        Op::Mean(a) => (SymInstr::Mean { a }, RowSpec::Fixed(1)),
         Op::RowSum(a) => (SymInstr::RowSum { a }, sp(a)?),
         Op::ConcatCols(a, b) => (SymInstr::ConcatCols { a, b }, same(a, b)?),
         Op::SliceCols(a, start, end) => (
@@ -2096,19 +1246,6 @@ fn emit_op(
         ),
         Op::CumsumCols(a) => (SymInstr::CumsumCols { a }, sp(a)?),
         Op::Norml2(a, eps) => (SymInstr::Norml2 { a, eps }, sp(a)?),
-        Op::PwlInterp { tau, p, t } => {
-            let st = sp(t)?;
-            for (name, v) in [("tau", tau), ("p", p)] {
-                let s = sp(v)?;
-                let broadcast = matches!(s, RowSpec::Fixed(1));
-                if !broadcast && s != st {
-                    return err(format!(
-                        "pwl_interp {name} must broadcast from one row or match t's scaling"
-                    ));
-                }
-            }
-            (SymInstr::PwlInterp { tau, p, t }, st)
-        }
         Op::BlockLinear {
             input,
             weight,
@@ -2127,12 +1264,14 @@ fn emit_op(
                 sp(input)?,
             )
         }
-        Op::Lattice { input, params } => {
-            if sp(params)? == RowSpec::Batch {
-                return err("lattice params cannot be batch-scaled");
-            }
-            (SymInstr::Lattice { input, params }, sp(input)?)
-        }
+        // No instruction: the served program stops at the control points
+        // (interpolation runs outside the plan), no served model has a
+        // lattice, and a batch reduction would tie together rows that
+        // `run_chunked` splits.
+        Op::PwlInterp { .. } => return no_instruction("pwl_interp"),
+        Op::Lattice { .. } => return no_instruction("lattice"),
+        Op::Sum(_) => return no_instruction("sum"),
+        Op::Mean(_) => return no_instruction("mean"),
         // every elementwise unary was handled by `unop_of` above
         _ => unreachable!("unary ops handled above"),
     };
@@ -2159,7 +1298,7 @@ mod tests {
         let mm = g.matmul(xv, wv);
         let aff = g.add_row_vec(mm, bv);
         let y = g.relu(aff);
-        let plan = InferencePlan::compile(&g, &[(xv, true)], &[y]).expect("compilable");
+        let plan = InferencePlan::compile(&g, &[xv], &[y]).expect("compilable");
         assert_eq!(plan.num_instructions(), 1, "matmul+bias+relu must fuse");
 
         let mut bufs = PlanBuffers::new();
@@ -2179,34 +1318,38 @@ mod tests {
         }
     }
 
-    /// A fixed (non-batch) input keeps its probe rows across runs.
+    /// The two constant shapes of the curve plan: a one-row constant stays
+    /// one row at every batch size (the shared τ of
+    /// `query_dependent_tau = false`), a constant with the probe's row
+    /// count follows the batch (the zeros column of the query-dependent τ).
     #[test]
-    fn fixed_input_and_broadcast_const() {
+    fn fixed_const_and_broadcast_const() {
+        let record = |g: &mut Graph, x: &Matrix| {
+            let xv = g.leaf_ref(x);
+            let ones = g.leaf_with(1, 3, |d| d.fill(1.0));
+            let shared_tau = g.cumsum_cols(ones);
+            let zeros = g.leaf_with(x.rows(), 1, |_| {});
+            let tau = g.concat_cols(zeros, xv);
+            (xv, shared_tau, tau)
+        };
         let mut g = Graph::new();
-        // x: fixed single row input; t: batch column; zeros: batch const
-        let xv = g.leaf_with(1, 2, |d| d.copy_from_slice(&[0.5, -0.5]));
-        let tv = g.leaf_with(3, 1, |d| d.copy_from_slice(&[0.1, 0.2, 0.3]));
-        let zeros = g.leaf_with(3, 1, |_| {});
-        let tz = g.add(tv, zeros);
-        let tau = g.cumsum_cols(xv);
-        let y = g.pwl_interp(tau, xv, tz);
-        let plan = InferencePlan::compile(&g, &[(xv, false), (tv, true)], &[y]).expect("compiles");
+        let probe = Matrix::from_fn(2, 2, |i, j| (i + 2 * j) as f32);
+        let (xv, shared_tau, tau) = record(&mut g, &probe);
+        let plan = InferencePlan::compile(&g, &[xv], &[shared_tau, tau]).expect("compiles");
 
         let mut bufs = PlanBuffers::new();
-        let ts = [0.05f32, 0.15, 0.25, 0.35, 0.45];
-        let out = plan.run(&mut bufs, ts.len(), |k, m| match k {
-            0 => m.data_mut().copy_from_slice(&[0.5, -0.5]),
-            _ => m.data_mut().copy_from_slice(&ts),
-        });
-        // reference on a fresh tape
-        let mut fresh = Graph::new();
-        let xv = fresh.leaf_with(1, 2, |d| d.copy_from_slice(&[0.5, -0.5]));
-        let tv = fresh.leaf_with(5, 1, |d| d.copy_from_slice(&ts));
-        let zeros = fresh.leaf_with(5, 1, |_| {});
-        let tz = fresh.add(tv, zeros);
-        let tau = fresh.cumsum_cols(xv);
-        let y = fresh.pwl_interp(tau, xv, tz);
-        assert_eq!(out.output(0).data(), fresh.value(y).data());
+        for rows in [1usize, 2, 5] {
+            let x = Matrix::from_fn(rows, 2, |i, j| ((i * 2 + j) as f32).cos());
+            let out = plan.run(&mut bufs, rows, |_, m| {
+                m.data_mut().copy_from_slice(x.data())
+            });
+            let mut fresh = Graph::new();
+            let (_, fshared, ftau) = record(&mut fresh, &x);
+            assert_eq!(out.output(0).shape(), (1, 3), "rows {rows}");
+            assert_eq!(out.output(0).data(), fresh.value(fshared).data());
+            assert_eq!(out.output(1).shape(), (rows, 3));
+            assert_eq!(out.output(1).data(), fresh.value(ftau).data());
+        }
     }
 
     #[test]
@@ -2218,40 +1361,48 @@ mod tests {
                                                      // rows differ => no broadcast
         });
         let c = g.add(a, b);
-        let e = InferencePlan::compile(&g, &[(a, true)], &[c]).unwrap_err();
+        let e = InferencePlan::compile(&g, &[a], &[c]).unwrap_err();
         assert!(e.to_string().contains("cannot"), "{e}");
     }
 
-    /// Every precision mode survives the `code()`/`from_code` and
-    /// `Display`/`FromStr` round trips; bad tokens are rejected.
-    #[test]
-    fn precision_round_trips() {
-        let modes = [
-            PlanPrecision::Exact,
-            PlanPrecision::Int8,
-            PlanPrecision::Pruned { threshold: 0.25 },
-        ];
-        for m in modes {
-            assert_eq!(PlanPrecision::from_code(m.code()), Some(m));
-            assert_eq!(m.to_string().parse::<PlanPrecision>(), Ok(m));
-        }
-        assert_eq!(PlanPrecision::default(), PlanPrecision::Exact);
-        assert!("fp64".parse::<PlanPrecision>().is_err());
-        // the deleted bf16 mode: its token is gone, its retired code
-        // reads back as Exact
-        assert!("bf16".parse::<PlanPrecision>().is_err());
-        assert_eq!(
-            PlanPrecision::from_code(1 << 32),
-            Some(PlanPrecision::Exact)
-        );
-        assert!("pruned:1.5".parse::<PlanPrecision>().is_err());
-        assert!("pruned:x".parse::<PlanPrecision>().is_err());
-        assert!(PlanPrecision::from_code(99 << 32).is_none());
+    /// Compiling `op(x)` must be refused with an error naming `name`.
+    fn assert_refused(name: &str, op: impl FnOnce(&mut Graph, Var) -> Var) {
+        let mut g = Graph::new();
+        let xv = g.leaf_with(2, 3, |d| d.fill(0.25));
+        let y = op(&mut g, xv);
+        let e = InferencePlan::compile(&g, &[xv], &[y]).unwrap_err();
+        assert!(e.to_string().contains(&format!("`{name}`")), "{e}");
     }
 
-    /// Shared tape fixture for the precision-lowering tests: a two-layer
-    /// MLP `relu(x@w1+b1)@w2+b2` whose weights span a wide magnitude
-    /// range, so pruning and quantization both have work to do.
+    #[test]
+    fn pwl_interp_is_refused_by_name() {
+        assert_refused("pwl_interp", |g, x| {
+            let tau = g.cumsum_cols(x);
+            let t = g.leaf_with(2, 1, |d| d.fill(0.3));
+            g.pwl_interp(tau, x, t)
+        });
+    }
+
+    #[test]
+    fn lattice_is_refused_by_name() {
+        assert_refused("lattice", |g, x| {
+            let params = g.leaf_with(1, 8, |d| d.fill(0.5));
+            g.lattice(x, params)
+        });
+    }
+
+    #[test]
+    fn sum_is_refused_by_name() {
+        assert_refused("sum", |g, x| g.sum(x));
+    }
+
+    #[test]
+    fn mean_is_refused_by_name() {
+        assert_refused("mean", |g, x| g.mean(x));
+    }
+
+    /// Shared tape fixture for the chunked-replay tests: a two-layer MLP
+    /// `relu(x@w1+b1)@w2+b2`.
     fn mlp_fixture() -> (Graph, Var, Var) {
         let mut g = Graph::new();
         let xv = g.leaf_with(4, 6, |d| {
@@ -2294,8 +1445,7 @@ mod tests {
     #[test]
     fn forced_chunks_replay_bit_identically_with_chunk_zero_on_the_caller() {
         let (g, xv, y) = mlp_fixture();
-        let plan = InferencePlan::compile(&g, &[(xv, true)], &[y]).unwrap();
-        assert!(plan.chunkable());
+        let plan = InferencePlan::compile(&g, &[xv], &[y]).unwrap();
         assert_eq!(plan.replay_threads(64, 8), 1, "a tiny wave stays serial");
         let caller = std::thread::current().id();
         for rows in [1usize, 2, 7, 64] {
@@ -2342,93 +1492,65 @@ mod tests {
         }
     }
 
-    /// `compile_with(Exact)` is the same compiler as `compile`: identical
-    /// instruction stream, bit-identical replay.
-    #[test]
-    fn exact_precision_is_bit_identical_to_compile() {
-        let (g, xv, y) = mlp_fixture();
-        let base = InferencePlan::compile(&g, &[(xv, true)], &[y]).unwrap();
-        let exact =
-            InferencePlan::compile_with(&g, &[(xv, true)], &[y], PlanPrecision::Exact).unwrap();
-        assert_eq!(base.num_instructions(), exact.num_instructions());
-        assert_eq!(exact.num_quantized() + exact.num_sparse(), 0);
-        let x = Matrix::from_fn(9, 6, |i, j| ((i * 6 + j) as f32).sin());
-        assert_eq!(run_plan(&base, &x), run_plan(&exact, &x));
-    }
-
-    /// The int8 pass lowers every baked affine to `QuantAffine`, reports
-    /// its compressed footprint, and replays within quantization error.
-    #[test]
-    fn int8_pass_lowers_affines() {
-        let (g, xv, y) = mlp_fixture();
-        let exact = InferencePlan::compile(&g, &[(xv, true)], &[y]).unwrap();
-        let int8 =
-            InferencePlan::compile_with(&g, &[(xv, true)], &[y], PlanPrecision::Int8).unwrap();
-        assert_eq!(int8.num_quantized(), 2, "both MLP layers lower");
-        // 6*8 + 8*3 int8 weights, 8 + 3 f32 scales
-        assert_eq!(int8.quantized_weight_bytes(), 48 + 24 + 4 * 11);
-        let x = Matrix::from_fn(9, 6, |i, j| ((i * 6 + j) as f32 * 0.9).sin());
-        let (e, q) = (run_plan(&exact, &x), run_plan(&int8, &x));
-        for (ev, qv) in e.iter().zip(&q) {
-            assert!(
-                (ev - qv).abs() <= 0.05 * ev.abs().max(1.0),
-                "int8 drifted: {ev} vs {qv}"
-            );
-        }
-    }
-
-    /// Int8 quantization round-trips each weight within half a step of
-    /// its per-channel scale.
-    #[test]
-    fn quantize_error_is_bounded_by_scale() {
-        let w = Matrix::from_fn(7, 5, |i, j| ((i * 5 + j) as f32 * 0.13).sin() * 3.0);
-        let q = QuantMatrix::quantize(&w);
-        let (rows, cols) = w.shape();
-        for i in 0..rows {
-            for j in 0..cols {
-                let deq = q.deq.get(i, j);
-                assert!(
-                    (w.get(i, j) - deq).abs() <= 0.5 * q.scales[j] + 1e-6,
-                    "({i},{j}): {} vs {deq}",
-                    w.get(i, j)
-                );
-            }
-        }
-    }
-
-    /// An aggressive threshold lowers to CSR (`SparseAffine`); replay
-    /// equals the dense replay of the same zeroed weights bit for bit.
-    #[test]
-    fn pruning_pass_lowers_sparse_affines() {
-        let (g, xv, y) = mlp_fixture();
-        let pruned = InferencePlan::compile_with(
-            &g,
-            &[(xv, true)],
-            &[y],
-            PlanPrecision::Pruned { threshold: 0.5 },
-        )
-        .unwrap();
-        assert!(
-            pruned.num_sparse() >= 1,
-            "first layer (mostly tiny weights) must lower to CSR"
+    /// Replays `x` through `plan` in `chunks` forced row chunks, one output
+    /// row (3 values) per batch row; `held` runs in every chunk while it
+    /// still holds its arena.
+    fn run_forced(
+        plan: &InferencePlan,
+        x: &Matrix,
+        chunks: usize,
+        held: impl Fn() + Sync,
+    ) -> Vec<f32> {
+        let offsets: Vec<usize> = (0..=x.rows()).map(|r| 3 * r).collect();
+        let mut got = vec![0.0f32; 3 * x.rows()];
+        plan.run_in_chunks(
+            &offsets,
+            chunks,
+            &mut got,
+            |_, first_row, m| {
+                let take = m.rows() * 6;
+                m.data_mut()
+                    .copy_from_slice(&x.data()[first_row * 6..first_row * 6 + take]);
+            },
+            |_, run, chunk| {
+                held();
+                chunk.copy_from_slice(run.output(0).data());
+            },
         );
-        assert!(pruned.sparse_nnz() > 0);
-        // reference: dense plan over manually-pruned weights must agree
-        // exactly (the CSR kernel reorders nothing: it streams input
-        // channels in order, like the dense row-major matmul)
-        let x = Matrix::from_fn(6, 6, |i, j| ((i + j) as f32 * 0.31).cos());
-        let got = run_plan(&pruned, &x);
-        for v in &got {
-            assert!(v.is_finite());
+        got
+    }
+
+    /// A hot swap compiles a new plan; the arenas the retired one used must
+    /// not pile up behind it. 200 plans chunk-replayed in turn share one
+    /// free list that never outgrows its cap — not even after a wave that
+    /// holds more arenas at once than the cap — and every chunked answer
+    /// is the serial one bit for bit.
+    #[test]
+    fn arena_pool_stays_bounded_across_many_plans() {
+        let pooled = || SHARED_ARENAS.lock().expect("arena pool poisoned").len();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let compile = || {
+            let (g, xv, y) = mlp_fixture();
+            InferencePlan::compile(&g, &[xv], &[y]).unwrap()
+        };
+        let x = Matrix::from_fn(7, 6, |i, j| ((i * 6 + j) as f32).sin());
+        for _ in 0..200 {
+            let plan = compile();
+            assert_eq!(
+                bits(&run_forced(&plan, &x, 3, || {})),
+                bits(&run_plan(&plan, &x))
+            );
+            assert!(pooled() <= SHARED_ARENA_CAP);
         }
-        // a gentle threshold stays dense but still zeroes entries
-        let gentle = InferencePlan::compile_with(
-            &g,
-            &[(xv, true)],
-            &[y],
-            PlanPrecision::Pruned { threshold: 0.01 },
-        )
-        .unwrap();
-        assert_eq!(gentle.num_sparse(), 0, "1% cut must stay dense");
+        // every chunk waits for all the others with its arena in hand
+        let wide = SHARED_ARENA_CAP + 8;
+        let plan = compile();
+        let x = Matrix::from_fn(wide, 6, |i, j| ((i * 6 + j) as f32).cos());
+        let all_out = std::sync::Barrier::new(wide);
+        let got = run_forced(&plan, &x, wide, || {
+            all_out.wait();
+        });
+        assert_eq!(bits(&got), bits(&run_plan(&plan, &x)));
+        assert!(pooled() <= SHARED_ARENA_CAP);
     }
 }

@@ -3,12 +3,18 @@
 //! to the tape forward pass it was compiled from — including across
 //! [`PlanBuffers`] reuse at changing row counts, affine fusion, and
 //! interleaved use of the pooled tape.
+//!
+//! The recorded program is the shape the models compile: batch-scaled `x`
+//! in, control points `(τ, p)` out, the threshold applied outside the plan
+//! by [`pwl_interp_row`]. The tape — which interpolates with its own
+//! `pwl_interp` op — is the oracle for all three.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selnet_tensor::{
-    Activation, Graph, InferencePlan, Matrix, Mlp, ParamId, ParamStore, PlanBuffers, Var,
+    pwl_interp_row, Activation, Graph, InferencePlan, Matrix, Mlp, ParamId, ParamStore,
+    PlanBuffers, PlanOutputs, Var,
 };
 
 fn matrix_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -46,24 +52,30 @@ fn fixture(seed: u64) -> Fixture {
     }
 }
 
-/// Records a small SelNet-shaped forward pass: an MLP trunk (whose
-/// matmul+bias+relu layers exercise affine fusion), a `Norml2`-or-softmax
-/// → scale → cumsum τ-head, a block-linear + relu + cumsum p-head, and a
-/// PWL head over a batch of thresholds. `x` is a fixed single-row input,
-/// `t` is batch-scaled — exactly the structure `predict_many` compiles.
-/// Returns `(xv, tv, y, tau, p)`.
-fn record_selnet_like(
+/// Records a small SelNet-shaped control-point forward over a batch `x`:
+/// an MLP trunk (whose matmul+bias+relu layers exercise affine fusion), a
+/// `Norml2`-or-softmax → scale → cumsum τ head behind a zeros column, and
+/// a block-linear + relu + cumsum p head. With `query_dependent_tau` the τ
+/// head reads the batch and its zeros column has the batch's rows (a
+/// batch-broadcast constant); without, it reads a constant one-row vector
+/// and τ is one shared row behind a one-row zero. Returns `(xv, tau, p)`.
+fn record_curves(
     g: &mut Graph,
     f: &Fixture,
     x: &Matrix,
-    ts: &Matrix,
     softmax_tau: bool,
-) -> (Var, Var, Var, Var, Var) {
+    query_dependent_tau: bool,
+) -> (Var, Var, Var) {
     let xv = g.leaf_ref(x);
-    let tv = g.leaf_ref(ts);
     let h = f.net.forward(g, &f.store, xv);
-    let cols = g.value(h).cols();
-    let tau_raw = g.slice_cols(h, 0, cols / 2 - 1);
+    let (tau_h, tau_rows) = if query_dependent_tau {
+        (h, x.rows())
+    } else {
+        let ones = g.leaf_with(1, x.cols(), |d| d.fill(1.0));
+        (f.net.forward(g, &f.store, ones), 1)
+    };
+    let cols = g.value(tau_h).cols();
+    let tau_raw = g.slice_cols(tau_h, 0, cols / 2 - 1);
     let norm = if softmax_tau {
         g.softmax_rows(tau_raw)
     } else {
@@ -71,104 +83,110 @@ fn record_selnet_like(
     };
     let scaled = g.scale(norm, 2.0);
     let tail = g.cumsum_cols(scaled);
-    let zeros = g.leaf_with(1, 1, |_| {});
+    let zeros = g.leaf_with(tau_rows, 1, |_| {});
     let tau = g.concat_cols(zeros, tail);
     let w = f.store.inject(g, f.dec_w);
     let b = f.store.inject(g, f.dec_b);
     let k_raw = g.block_linear(h, w, b);
     let k = g.relu(k_raw);
     let p = g.cumsum_cols(k);
-    let y = g.pwl_interp(tau, p, tv);
-    (xv, tv, y, tau, p)
+    (xv, tau, p)
 }
 
-/// Records a batch-everything forward (both `x` rows and `t` rows scale),
-/// with a batch-broadcast zeros constant — the structure `predict_batch`
-/// compiles. Returns `(xv, tv, y)`.
-fn record_batch_like(g: &mut Graph, f: &Fixture, x: &Matrix, ts: &Matrix) -> (Var, Var, Var) {
-    let rows = x.rows();
-    let xv = g.leaf_ref(x);
-    let tv = g.leaf_ref(ts);
-    let h = f.net.forward(g, &f.store, xv);
-    let cols = g.value(h).cols();
-    let tau_raw = g.slice_cols(h, 0, cols / 2 - 1);
-    let norm = g.norml2(tau_raw, 1e-6);
-    let scaled = g.scale(norm, 2.0);
-    let tail = g.cumsum_cols(scaled);
-    let zeros = g.leaf_with(rows, 1, |_| {});
-    let tau = g.concat_cols(zeros, tail);
-    let w = f.store.inject(g, f.dec_w);
-    let b = f.store.inject(g, f.dec_b);
-    let k_raw = g.block_linear(h, w, b);
-    let k = g.relu(k_raw);
-    let p = g.cumsum_cols(k);
+/// A threshold per batch row, spread over and a little past `[0, 2]`.
+fn thresholds(rows: usize) -> Vec<f32> {
+    (0..rows).map(|i| 2.2 * i as f32 / rows as f32).collect()
+}
+
+/// Row `j`'s estimate from a replay's `(τ, p)` outputs — τ is one shared
+/// row when it is not query-dependent.
+fn interpolate(run: &PlanOutputs<'_>, j: usize, t: f32) -> f32 {
+    let tau = run.output(0);
+    let tau_row = if tau.rows() == 1 { 0 } else { j };
+    pwl_interp_row(tau.row(tau_row), run.output(1).row(j), t)
+}
+
+/// What the tape answers for `x` at `ts`: `(τ, p, pwl_interp(τ, p, ts))`.
+fn tape_oracle(
+    f: &Fixture,
+    x: &Matrix,
+    ts: &[f32],
+    softmax_tau: bool,
+    query_dependent_tau: bool,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let mut g = Graph::new();
+    let (_, tau, p) = record_curves(&mut g, f, x, softmax_tau, query_dependent_tau);
+    let tv = g.leaf_ref(&Matrix::col_vector(ts));
     let y = g.pwl_interp(tau, p, tv);
-    (xv, tv, y)
+    (
+        g.value(tau).data().to_vec(),
+        g.value(p).data().to_vec(),
+        g.value(y).data().to_vec(),
+    )
+}
+
+fn probe_x() -> Matrix {
+    Matrix::from_fn(2, 5, |i, j| ((i * 5 + j) as f32).cos())
+}
+
+fn batch_x(seed: u64, rows: usize) -> Matrix {
+    Matrix::from_fn(rows, 5, |i, j| ((seed as usize + i * 5 + j) as f32).sin())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Plan replay of a SelNet-shaped network equals the tape forward pass
-    /// bit for bit, for every probed batch size — with one `PlanBuffers`
-    /// arena reused across all runs (capacity recycling must not change a
-    /// bit).
+    /// bit for bit — control points and the interpolated estimates — for
+    /// both τ normalizations, shared and query-dependent τ, and every
+    /// probed batch size, with one `PlanBuffers` arena reused across all
+    /// runs (capacity recycling must not change a bit).
     #[test]
     fn selnet_like_plan_matches_tape(
         seed in 0u64..10_000,
         softmax_pick in 0usize..2,
-        x in matrix_strategy(1, 5),
+        query_dependent_pick in 0usize..2,
+        probe in matrix_strategy(2, 5),
     ) {
-        let softmax_tau = softmax_pick == 1;
+        let (softmax_tau, query_dependent_tau) = (softmax_pick == 1, query_dependent_pick == 1);
         let f = fixture(seed);
-        let probe_ts = Matrix::col_vector(&[0.2, 0.9, 1.7]);
         let mut g = Graph::new();
-        let (xv, tv, y, tau, p) = record_selnet_like(&mut g, &f, &x, &probe_ts, softmax_tau);
-        let plan = InferencePlan::compile(&g, &[(xv, false), (tv, true)], &[y, tau, p])
+        let (xv, tau, p) = record_curves(&mut g, &f, &probe, softmax_tau, query_dependent_tau);
+        let plan = InferencePlan::compile(&g, &[xv], &[tau, p])
             .expect("SelNet-shaped tape must compile");
 
         let mut bufs = PlanBuffers::new();
         for rows in [1usize, 2, 3, 9, 33] {
-            let ts: Vec<f32> = (0..rows).map(|i| 2.2 * i as f32 / rows as f32).collect();
-            let tm = Matrix::col_vector(&ts);
-            let out = plan.run(&mut bufs, rows, |k, m| match k {
-                0 => m.data_mut().copy_from_slice(x.data()),
-                _ => m.data_mut().copy_from_slice(&ts),
-            });
-
-            let mut fresh = Graph::new();
-            let (_, _, fy, ftau, fp) = record_selnet_like(&mut fresh, &f, &x, &tm, softmax_tau);
-            prop_assert_eq!(out.output(0).data(), fresh.value(fy).data());
-            prop_assert_eq!(out.output(1).data(), fresh.value(ftau).data());
-            prop_assert_eq!(out.output(2).data(), fresh.value(fp).data());
+            let x = batch_x(seed, rows);
+            let ts = thresholds(rows);
+            let out = plan.run(&mut bufs, rows, |_, m| m.data_mut().copy_from_slice(x.data()));
+            let (ftau, fp, fy) = tape_oracle(&f, &x, &ts, softmax_tau, query_dependent_tau);
+            prop_assert_eq!(out.output(0).data(), ftau.as_slice());
+            prop_assert_eq!(out.output(1).data(), fp.as_slice());
+            let y: Vec<f32> = (0..rows).map(|j| interpolate(&out, j, ts[j])).collect();
+            prop_assert_eq!(y, fy);
         }
     }
 
-    /// Batch-everything plans (distinct `(x, t)` per row, batch-broadcast
-    /// zeros constant) also replay bit-identically, at row counts on both
-    /// sides of the probe size.
+    /// The batch-broadcast zeros constant replays bit-identically at row
+    /// counts on both sides of the probe size.
     #[test]
     fn batch_plan_matches_tape(seed in 0u64..10_000) {
         let f = fixture(seed ^ 0xb47c4);
-        let probe_x = Matrix::from_fn(2, 5, |i, j| ((i * 5 + j) as f32).cos());
-        let probe_t = Matrix::col_vector(&[0.4, 1.2]);
         let mut g = Graph::new();
-        let (xv, tv, y) = record_batch_like(&mut g, &f, &probe_x, &probe_t);
-        let plan = InferencePlan::compile(&g, &[(xv, true), (tv, true)], &[y])
+        let (xv, tau, p) = record_curves(&mut g, &f, &probe_x(), false, true);
+        let plan = InferencePlan::compile(&g, &[xv], &[tau, p])
             .expect("batch tape must compile");
 
         let mut bufs = PlanBuffers::new();
         for rows in [1usize, 2, 7, 64] {
-            let x = Matrix::from_fn(rows, 5, |i, j| ((seed as usize + i * 5 + j) as f32).sin());
-            let ts: Vec<f32> = (0..rows).map(|i| 2.0 * (i as f32 + 0.3) / rows as f32).collect();
-            let tm = Matrix::col_vector(&ts);
-            let out = plan.run(&mut bufs, rows, |k, m| match k {
-                0 => m.data_mut().copy_from_slice(x.data()),
-                _ => m.data_mut().copy_from_slice(&ts),
-            });
-            let mut fresh = Graph::new();
-            let (_, _, fy) = record_batch_like(&mut fresh, &f, &x, &tm);
-            prop_assert_eq!(out.output(0).data(), fresh.value(fy).data());
+            let x = batch_x(seed, rows);
+            let ts = thresholds(rows);
+            let out = plan.run(&mut bufs, rows, |_, m| m.data_mut().copy_from_slice(x.data()));
+            let (ftau, _, fy) = tape_oracle(&f, &x, &ts, false, true);
+            prop_assert_eq!(out.output(0).data(), ftau.as_slice());
+            let y: Vec<f32> = (0..rows).map(|j| interpolate(&out, j, ts[j])).collect();
+            prop_assert_eq!(y, fy);
         }
     }
 
@@ -178,19 +196,13 @@ proptest! {
     #[test]
     fn plan_survives_tape_reset_and_pooled_interleaving(seed in 0u64..10_000) {
         let f = fixture(seed ^ 0x9e5e7);
-        let x = Matrix::from_fn(1, 5, |_, j| (j as f32) * 0.21 - 0.4);
-        let probe_ts = Matrix::col_vector(&[0.1, 0.6, 1.1]);
         let mut g = Graph::new();
-        let (xv, tv, y, _, _) = record_selnet_like(&mut g, &f, &x, &probe_ts, false);
-        let plan = InferencePlan::compile(&g, &[(xv, false), (tv, true)], &[y]).expect("compiles");
+        let (xv, tau, p) = record_curves(&mut g, &f, &probe_x(), false, false);
+        let plan = InferencePlan::compile(&g, &[xv], &[tau, p]).expect("compiles");
         // reference BEFORE any interference
+        let x = batch_x(seed, 4);
         let ts = [0.05f32, 0.5, 0.95, 1.4];
-        let reference: Vec<f32> = {
-            let mut fresh = Graph::new();
-            let tm = Matrix::col_vector(&ts);
-            let (_, _, fy, _, _) = record_selnet_like(&mut fresh, &f, &x, &tm, false);
-            fresh.value(fy).data().to_vec()
-        };
+        let (_, _, reference) = tape_oracle(&f, &x, &ts, false, false);
         // trash the source tape and exercise the pooled tape in between
         g.reset();
         Graph::with_pooled(|pg| {
@@ -200,11 +212,9 @@ proptest! {
         });
         let mut bufs = PlanBuffers::new();
         for _ in 0..3 {
-            let out = plan.run(&mut bufs, ts.len(), |k, m| match k {
-                0 => m.data_mut().copy_from_slice(x.data()),
-                _ => m.data_mut().copy_from_slice(&ts),
-            });
-            prop_assert_eq!(out.output(0).data(), reference.as_slice());
+            let out = plan.run(&mut bufs, ts.len(), |_, m| m.data_mut().copy_from_slice(x.data()));
+            let y: Vec<f32> = (0..ts.len()).map(|j| interpolate(&out, j, ts[j])).collect();
+            prop_assert_eq!(&y, &reference);
         }
     }
 
@@ -214,29 +224,26 @@ proptest! {
     /// because every batch-scaled kernel is per-row and chunk boundaries
     /// are deterministic.
     #[test]
-    fn chunked_replay_matches_serial_at_every_thread_count(seed in 0u64..10_000) {
+    fn chunked_replay_matches_serial_at_every_thread_count(
+        seed in 0u64..10_000,
+        query_dependent_pick in 0usize..2,
+    ) {
         let f = fixture(seed ^ 0xc4a11);
-        let probe_x = Matrix::from_fn(2, 5, |i, j| ((i * 5 + j) as f32).cos());
-        let probe_t = Matrix::col_vector(&[0.4, 1.2]);
         let mut g = Graph::new();
-        let (xv, tv, y) = record_batch_like(&mut g, &f, &probe_x, &probe_t);
-        let plan = InferencePlan::compile(&g, &[(xv, true), (tv, true)], &[y])
+        let (xv, tau, p) = record_curves(&mut g, &f, &probe_x(), false, query_dependent_pick == 1);
+        let plan = InferencePlan::compile(&g, &[xv], &[tau, p])
             .expect("batch tape must compile");
-        prop_assert!(plan.chunkable(), "no cross-row reduction in this tape");
         prop_assert!(plan.flops_per_row() > 0);
 
         // uneven row counts on purpose: primes, rows < threads, rows = 1
         for rows in [1usize, 3, 5, 13, 64, 67] {
-            let x = Matrix::from_fn(rows, 5, |i, j| ((seed as usize + i * 5 + j) as f32).sin());
-            let ts: Vec<f32> = (0..rows).map(|i| 2.0 * (i as f32 + 0.3) / rows as f32).collect();
+            let x = batch_x(seed, rows);
+            let ts = thresholds(rows);
             // serial reference through the plain replay path
             let reference: Vec<f32> = {
                 let mut bufs = PlanBuffers::new();
-                let out = plan.run(&mut bufs, rows, |k, m| match k {
-                    0 => m.data_mut().copy_from_slice(x.data()),
-                    _ => m.data_mut().copy_from_slice(&ts),
-                });
-                out.output(0).data().to_vec()
+                let out = plan.run(&mut bufs, rows, |_, m| m.data_mut().copy_from_slice(x.data()));
+                (0..rows).map(|j| interpolate(&out, j, ts[j])).collect()
             };
             // ragged ownership: row r owns 1 + r % 3 output slots (a query
             // row owns one slot per threshold), each holding the row's value
@@ -253,22 +260,17 @@ proptest! {
                     &offsets,
                     threads,
                     &mut got,
-                    |k, first_row, m| match k {
-                        0 => {
-                            let take = m.rows() * 5;
-                            m.data_mut()
-                                .copy_from_slice(&x.data()[first_row * 5..first_row * 5 + take]);
-                        }
-                        _ => {
-                            let take = m.rows();
-                            m.data_mut().copy_from_slice(&ts[first_row..first_row + take]);
-                        }
+                    |_, first_row, m| {
+                        let take = m.rows() * 5;
+                        m.data_mut()
+                            .copy_from_slice(&x.data()[first_row * 5..first_row * 5 + take]);
                     },
                     |first_row, run, chunk| {
                         let base = offsets[first_row];
-                        for (j, &v) in run.output(0).data().iter().enumerate() {
+                        for j in 0..run.rows() {
                             let r = first_row + j;
-                            chunk[offsets[r] - base..offsets[r + 1] - base].fill(v);
+                            chunk[offsets[r] - base..offsets[r + 1] - base]
+                                .fill(interpolate(&run, j, ts[r]));
                         }
                     },
                 );
@@ -277,52 +279,6 @@ proptest! {
                     "rows {} threads {} diverged", rows, threads
                 );
             }
-        }
-    }
-
-    /// A plan with a cross-row reduction (`sum` over the batch) reports
-    /// `chunkable() == false`, and `run_chunked` still answers correctly
-    /// (it degrades to one serial chunk rather than splitting rows a
-    /// reduction spans).
-    #[test]
-    fn non_chunkable_plans_fall_back_to_serial(seed in 0u64..10_000) {
-        let f = fixture(seed ^ 0x5ca1a);
-        let probe_x = Matrix::from_fn(2, 5, |i, j| ((i * 5 + j) as f32).cos());
-        let mut g = Graph::new();
-        let xv = g.leaf_ref(&probe_x);
-        let h = f.net.forward(&mut g, &f.store, xv);
-        let s = g.square(h);
-        let total = g.sum(s);
-        let plan = InferencePlan::compile(&g, &[(xv, true)], &[total])
-            .expect("reduction tape must compile");
-        prop_assert!(!plan.chunkable(), "batch sum must disable chunking");
-        prop_assert_eq!(plan.replay_threads(64, 8), 1);
-
-        for rows in [1usize, 4, 19] {
-            let x = Matrix::from_fn(rows, 5, |i, j| ((seed as usize + i * 5 + j) as f32).sin());
-            let reference: Vec<f32> = {
-                let mut bufs = PlanBuffers::new();
-                let out = plan.run(&mut bufs, rows, |_, m| {
-                    m.data_mut().copy_from_slice(x.data());
-                });
-                out.output(0).data().to_vec()
-            };
-            // run_chunked's out slice is per-row even though the output is
-            // a scalar: consume sees the whole (single) chunk
-            let mut got = vec![f32::NAN; rows];
-            plan.run_chunked(
-                &(0..=rows).collect::<Vec<_>>(),
-                8,
-                &mut got,
-                |_, first_row, m| {
-                    assert_eq!(first_row, 0, "non-chunkable ⇒ one chunk");
-                    m.data_mut().copy_from_slice(x.data());
-                },
-                |_, run, chunk| {
-                    chunk[0] = run.output(0).data()[0];
-                },
-            );
-            prop_assert_eq!(got[0], reference[0]);
         }
     }
 }
