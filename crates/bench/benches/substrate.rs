@@ -18,7 +18,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use selnet_core::PiecewiseLinear;
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
 use selnet_index::CoverTree;
-use selnet_metric::vectors::{squared_euclidean, LaneBlocks, LANES};
+use selnet_metric::vectors::{squared_euclidean, LaneBlocks, LANES, ROWS};
 use selnet_metric::DistanceKind;
 use selnet_tensor::{Activation, Adam, Graph, Matrix, Mlp, Optimizer, ParamStore, Sgd, Var};
 use std::hint::black_box;
@@ -186,6 +186,39 @@ fn block_scan(blocks: &LaneBlocks, x: &[f32]) -> f32 {
         .sum()
 }
 
+/// One query against every vector through the bounded kernel, under
+/// limits that every lane is beyond after the first stride of
+/// coordinates (`0.0`: an indicator probe far from a block of small
+/// balls) or that nothing is ever beyond (`+∞`: what the looks cost a
+/// call that finishes).
+fn bounded_scan(blocks: &LaneBlocks, x: &[f32], limit: f32) -> f32 {
+    let limits = [limit; LANES];
+    let mut sq = [0.0f32; LANES];
+    (0..blocks.blocks())
+        .map(|b| match blocks.sqdist_within(b, x, &limits, &mut sq) {
+            true => sq.iter().sum::<f32>(),
+            false => 0.0,
+        })
+        .sum()
+}
+
+/// [`ROWS`] queries against every vector, sixteen vectors and all the
+/// queries per kernel call: the labelling scan's full-distance shape.
+fn rows_scan(blocks: &LaneBlocks, xs: [&[f32]; ROWS]) -> f32 {
+    let mut sq = [[0.0f32; LANES]; ROWS];
+    (0..blocks.blocks())
+        .map(|b| {
+            blocks.sqdist_rows_into(b, xs, &mut sq);
+            sq.iter().flatten().sum::<f32>()
+        })
+        .sum()
+}
+
+/// [`ROWS`] queries for [`rows_scan`], `x` among them.
+fn rows_fixture(x: &[f32]) -> [Vec<f32>; ROWS] {
+    std::array::from_fn(|r| x.iter().map(|v| v + r as f32 * 0.125).collect())
+}
+
 /// The shapes of the `distance` group: the two fixture dimensions of
 /// `benchmark/`, each over 32 vectors (in cache) and over 60 MB of them
 /// (streamed from memory, as a labelling pass or an indicator sweep over
@@ -208,6 +241,17 @@ fn bench_distance(c: &mut Criterion) {
         group.bench_function(format!("block_d{dim}_{residency}_x{count}"), |b| {
             b.iter(|| black_box(block_scan(black_box(&blocks), black_box(&x))))
         });
+        for (name, limit) in [("first_stride", 0.0), ("never", f32::INFINITY)] {
+            let name = format!("bounded_{name}_d{dim}_{residency}_x{count}");
+            group.bench_function(name, |b| {
+                b.iter(|| black_box(bounded_scan(black_box(&blocks), black_box(&x), limit)))
+            });
+        }
+        let xs = rows_fixture(&x);
+        group.bench_function(format!("rows4_d{dim}_{residency}_x{count}"), |b| {
+            let xs = std::array::from_fn(|r| xs[r].as_slice());
+            b.iter(|| black_box(rows_scan(black_box(&blocks), black_box(xs))))
+        });
     }
     group.finish();
 }
@@ -221,6 +265,10 @@ fn bench_cover_tree(c: &mut Criterion) {
             b.iter(|| black_box(CoverTree::build_with_workers(&ds, workers)))
         });
     }
+    // down to the partitioner's ratio cut (0.05 · |D|) only
+    group.bench_function("build_5k_ratio", |b| {
+        b.iter(|| black_box(CoverTree::build_for_regions(&ds, 250)))
+    });
     let tree = CoverTree::build(&ds);
     let q = ds.row(17).to_vec();
     group.bench_function("range_count", |b| {
@@ -749,8 +797,18 @@ fn bench_record(_c: &mut Criterion) {
             let block = per_distance(time_ms(5, iters, || {
                 black_box(block_scan(black_box(&blocks), &x));
             }));
+            let [first, never] = [0.0, f32::INFINITY].map(|limit| {
+                per_distance(time_ms(5, iters, || {
+                    black_box(bounded_scan(black_box(&blocks), &x, limit));
+                }))
+            });
+            let xs = rows_fixture(&x);
+            let xs: [&[f32]; ROWS] = std::array::from_fn(|r| xs[r].as_slice());
+            let rows4 = per_distance(time_ms(5, iters.div_ceil(ROWS), || {
+                black_box(rows_scan(black_box(&blocks), xs));
+            })) / ROWS as f64;
             format!(
-                r#"    "d{dim}_{residency}": {{ "vectors": {count}, "pair_ns": {pair:.2}, "block_ns": {block:.2}, "pair_vs_block": {ratio:.2} }}"#,
+                r#"    "d{dim}_{residency}": {{ "vectors": {count}, "pair_ns": {pair:.2}, "block_ns": {block:.2}, "pair_vs_block": {ratio:.2}, "bounded_first_stride_ns": {first:.2}, "bounded_never_ns": {never:.2}, "rows4_ns": {rows4:.2} }}"#,
                 ratio = pair / block
             )
         })
@@ -763,6 +821,17 @@ fn bench_record(_c: &mut Criterion) {
     let build_5k_2w = time_ms(10, 2, || {
         black_box(CoverTree::build_with_workers(&ds5k, 2));
     });
+    // the benchmark's paper fixture, to full depth and to the ratio cut
+    // the partitioner passes (0.05 · |D|), on the default workers: a
+    // build is most of a second, so best of three
+    let ds50k = fasttext_like(&GeneratorConfig::new(50_000, 300, 16, 7));
+    let build_50k = time_ms(3, 1, || {
+        black_box(CoverTree::build(&ds50k));
+    });
+    let build_50k_ratio = time_ms(3, 1, || {
+        black_box(CoverTree::build_for_regions(&ds50k, 2500));
+    });
+    drop(ds50k);
 
     // the §5.3 joint step: full sweep vs parameters-only, in microseconds,
     // and the Adam loop per parameter, before (zip) and after (indexed)
@@ -864,7 +933,9 @@ fn bench_record(_c: &mut Criterion) {
     "build_5k_insertion_ms": 4.1826,
     "build_5k_ms": {build_5k:.4},
     "build_5k_2w_ms": {build_5k_2w:.4},
-    "speedup_vs_insertion": {speedup_ct:.2}
+    "speedup_vs_insertion": {speedup_ct:.2},
+    "build_50k_d300_ms": {build_50k:.1},
+    "build_50k_d300_ratio_ms": {build_50k_ratio:.1}
   }},
   "label_column": {{
     "records": {column_n},
@@ -877,7 +948,7 @@ fn bench_record(_c: &mut Criterion) {
 {train_step_block},
     "adam_ns_per_param": {{ "params": {adam_params}, "zip_before": {adam_before:.2}, "indexed": {adam_after:.2}, "before_vs_after": {adam_ratio:.2} }}
   }},
-  "notes": "seed/pr2 numbers were taken on a single-vCPU container; the 4t entries only show parallel gains on multi-core hosts (the kernels are bit-identical across thread counts either way). The tape_* pair isolates per-step tape overhead: same model, same data, fresh Graph per step vs one reused arena. The scaling block is the parallel matmul dispatcher's per-thread curve at the 256² control shape; the gemm block is the hand-tiled kernel vs the naive ikj reference per serving shape (hand_vs_naive > 1 means the hand kernel wins), recorded on machine_cpus cores. The distance block is nanoseconds per distance of one query against `vectors` vectors, `vectors::squared_euclidean` pair by pair vs `LaneBlocks::sqdist_into` sixteen at a time (bit-identical lanes), over 32 vectors (cached) and over 60 MB of them (streamed). cover_tree.build_5k_insertion_ms is frozen: sequential insertion on the pair kernel, the build before PR 14, best of 10 on the host that recorded build_5k_ms; build_5k_ms is the batch build on one worker, build_5k_2w_ms the same tree routed by two (80 000 coordinates: far below the size `CoverTree::build` goes parallel at). The parallel block is one empty two-way `parallel::fork_join` (a scope, one spawn, one join) in microseconds, back to back and after 2 ms of sleep each (the second vCPU has to be woken), beside the gate derived from it: `parallel::FORK_MIN_WORK` elementary operations per engaged worker. Under it the 256² scaling curve (2^24 multiply-adds in all) never forks and is flat by construction; 512² is eight workers' worth and does fork — where speedup_512_2t_vs_1t reads about 1.0 the recording host's two vCPUs share one core's vector units, so a compute-bound kernel gains nothing from the second while a latency-bound scan (the N=50 000 cover-tree build, 1.25 → 0.67 s) halves. The label_column block is one column of `records` distances fully sorted (labelling before PR 15) against `select_nth_unstable` at `rank`, a sort of that prefix and a tie count over the rest (`NearestColumns::finish`), the copy that refills the column subtracted from both. The train_step block is one §5.3 joint step (forward, backward sweep, Adam with clip) on a reused tape, K = 3 local models, at the benchmark's paper shape (d = 300, default widths, 256 rows) and its small one (d = 24, tiny(), 96 rows), in microseconds: `Graph::backward` (every leaf live — what training ran before PR 16) against `Graph::backward_params` (only what a parameter needs; same parameter bits); adam_ns_per_param is one clipped Adam update of `params` parameters per parameter, the four-way zip that reads its hyper-parameters and the clip decision through `self` per element (before, kept verbatim in the bench) against the indexed loop (after; same bits)."
+  "notes": "seed/pr2 numbers were taken on a single-vCPU container; the 4t entries only show parallel gains on multi-core hosts (the kernels are bit-identical across thread counts either way). The tape_* pair isolates per-step tape overhead: same model, same data, fresh Graph per step vs one reused arena. The scaling block is the parallel matmul dispatcher's per-thread curve at the 256² control shape; the gemm block is the hand-tiled kernel vs the naive ikj reference per serving shape (hand_vs_naive > 1 means the hand kernel wins), recorded on machine_cpus cores. The distance block is nanoseconds per distance of one query against `vectors` vectors, `vectors::squared_euclidean` pair by pair vs `LaneBlocks::sqdist_into` sixteen at a time (bit-identical lanes), over 32 vectors (cached) and over 60 MB of them (streamed); bounded_first_stride_ns and bounded_never_ns are `LaneBlocks::sqdist_within` under limits every lane is beyond after the first 32 coordinates, and limits nothing is ever beyond (at d = 24, a single stride, the kernel never looks and both are the block kernel), rows4_ns is `LaneBlocks::sqdist_rows_into`, four queries per pass over a block, per distance. cover_tree.build_5k_insertion_ms is frozen: sequential insertion on the pair kernel, the build before PR 14, best of 10 on the host that recorded build_5k_ms; build_5k_ms is the batch build on one worker, build_5k_2w_ms the same tree routed by two (80 000 coordinates: far below the size `CoverTree::build` goes parallel at); build_50k_d300_ms and build_50k_d300_ratio_ms are the best of three builds each of the benchmark's paper fixture (50 000 x 300) on the default workers, to full depth (`CoverTree::build`) and down to the partitioner's ratio cut (`build_for_regions`, subtrees of at most 2 500 points left flat). The parallel block is one empty two-way `parallel::fork_join` (a scope, one spawn, one join) in microseconds, back to back and after 2 ms of sleep each (the second vCPU has to be woken), beside the gate derived from it: `parallel::FORK_MIN_WORK` elementary operations per engaged worker. Under it the 256² scaling curve (2^24 multiply-adds in all) never forks and is flat by construction; 512² is eight workers' worth and does fork — where speedup_512_2t_vs_1t reads about 1.0 the recording host's two vCPUs share one core's vector units, so a compute-bound kernel gains nothing from the second while a latency-bound scan (the N=50 000 cover-tree build, 1.25 → 0.67 s) halves. The label_column block is one column of `records` distances fully sorted (labelling before PR 15) against `select_nth_unstable` at `rank`, a sort of that prefix and a tie count over the rest (`NearestColumns::finish`), the copy that refills the column subtracted from both. The train_step block is one §5.3 joint step (forward, backward sweep, Adam with clip) on a reused tape, K = 3 local models, at the benchmark's paper shape (d = 300, default widths, 256 rows) and its small one (d = 24, tiny(), 96 rows), in microseconds: `Graph::backward` (every leaf live — what training ran before PR 16) against `Graph::backward_params` (only what a parameter needs; same parameter bits); adam_ns_per_param is one clipped Adam update of `params` parameters per parameter, the four-way zip that reads its hyper-parameters and the clip decision through `self` per element (before, kept verbatim in the bench) against the indexed loop (after; same bits)."
 }}
 "#,
         mm1 = mm_scaling[0],

@@ -8,6 +8,7 @@
 //! fasttext, unit-sphere clusters for face, and very high-dimensional
 //! normalized vectors for YouTube.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dataset;

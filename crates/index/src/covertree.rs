@@ -58,6 +58,9 @@ pub struct Region {
 pub struct CoverTree<'a> {
     ds: &'a Dataset,
     nodes: Vec<CtNode>,
+    /// The build's stop size (see [`CoverTree::build_for_regions`]); 1
+    /// for a tree built to full depth.
+    stop: usize,
     stats: BuildStats,
 }
 
@@ -98,11 +101,12 @@ struct Child {
 }
 
 /// The children of the node being routed below, their centres in one
-/// lane-major buffer beside their cover distances `2^level`. Reused from
-/// node to node.
+/// lane-major buffer beside their cover distances `2^level`, block for
+/// block (`-∞` in a lane that holds no child yet: no point lies within
+/// it). Reused from node to node.
 struct Routing {
     centres: LaneBlocks,
-    cover: Vec<f32>,
+    cover: Vec<[f32; LANES]>,
     children: Vec<Child>,
 }
 
@@ -121,8 +125,9 @@ impl Routing {
 /// or else becomes a new child at `child_level(x)`. That is what inserting
 /// the points one at a time does at this node — a point only ever meets
 /// the children created by earlier points — but sixteen children are
-/// tested per kernel call. `child_level` is called once per point, before
-/// it is routed.
+/// tested per kernel call, and only as far as it takes to see the point
+/// outside all sixteen balls (the cover distances are the kernel's
+/// limits). `child_level` is called once per point, before it is routed.
 fn route_below(
     ds: &Dataset,
     points: &[u32],
@@ -137,22 +142,26 @@ fn route_below(
     centres.clear();
     cover.clear();
     children.clear();
-    let mut sq = [0.0f32; LANES];
+    let mut dists = [0.0f32; LANES];
     'points: for &p in points {
         let x = ds.row(p as usize);
         let level = child_level(x);
-        for (b, cover) in cover.chunks(LANES).enumerate() {
-            centres.sqdist_into(b, x, &mut sq);
-            let dists = sq.iter().map(|s| s.sqrt()).zip(cover);
-            if let Some((l, (d, _))) = dists.enumerate().find(|&(_, (d, &cover))| d <= cover) {
+        for (b, cover) in cover.iter().enumerate() {
+            if !centres.dist_within(b, x, cover, &mut dists) {
+                continue;
+            }
+            if let Some(l) = (0..LANES).find(|&l| dists[l] <= cover[l]) {
                 let child = &mut children[b * LANES + l];
                 child.below.push(p);
-                child.max_dist = child.max_dist.max(d);
+                child.max_dist = child.max_dist.max(dists[l]);
                 continue 'points;
             }
         }
+        if children.len() % LANES == 0 {
+            cover.push([f32::NEG_INFINITY; LANES]);
+        }
+        cover[children.len() / LANES][children.len() % LANES] = covdist(level);
         centres.push(x);
-        cover.push(covdist(level));
         children.push(Child {
             point: p,
             level,
@@ -181,6 +190,8 @@ struct Job {
 /// build's workers.
 struct Building {
     nodes: Vec<CtNode>,
+    /// A child with a subtree of at most this many points is not routed.
+    stop: usize,
     jobs: BinaryHeap<Job>,
     /// Jobs taken and not yet adopted; the build is over when there are
     /// none of these and none in `jobs`.
@@ -193,23 +204,34 @@ struct Building {
 
 impl Building {
     /// Records the children [`route_below`] created under `node` and
-    /// queues those that received points of their own.
+    /// queues those whose subtree is larger than the stop size. A smaller
+    /// one is left flat — the points that fell into the child's ball become
+    /// its leaf children one level down, which the ball's cover distance
+    /// permits: a valid tree with the same points, size and `max_dist`
+    /// under the child, and nothing left to route. (At stop size 1 that is
+    /// the childless child, the only kind a full build leaves alone.)
     fn adopt(&mut self, node: u32, routing: &mut Routing) {
         self.nodes[node as usize].children = routing.children.iter().map(|c| c.point).collect();
         for child in routing.children.drain(..) {
+            let subtree_size = 1 + child.below.len();
             self.nodes[child.point as usize] = CtNode {
                 level: child.level,
                 children: Vec::new(),
-                subtree_size: 1 + child.below.len(),
+                subtree_size,
                 max_dist: child.max_dist,
             };
-            if !child.below.is_empty() {
+            if subtree_size > self.stop {
                 self.jobs.push(Job {
                     size: child.below.len(),
                     node: child.point,
                     child_level: child.level - 1,
                     points: child.below,
                 });
+            } else {
+                for &p in &child.below {
+                    self.nodes[p as usize].level = child.level - 1;
+                }
+                self.nodes[child.point as usize].children = child.below;
             }
         }
         self.adopted += 1;
@@ -248,6 +270,16 @@ impl<'a> CoverTree<'a> {
         Self::build_with_workers(ds, Self::workers_for(ds))
     }
 
+    /// [`CoverTree::build`] only as deep as [`CoverTree::regions`] looks
+    /// for any `max_region_size >= stop`: a node whose subtree holds at
+    /// most `stop` points is exported whole, so its subtree is not routed
+    /// (`adopt` leaves it flat). Above the cut the tree is the full one,
+    /// node for node; below it, it still holds every point and answers
+    /// every query, but `regions` refuses a size under `stop`.
+    pub fn build_for_regions(ds: &'a Dataset, stop: usize) -> Self {
+        Self::build_stopping(ds, Self::workers_for(ds), stop)
+    }
+
     fn workers_for(ds: &Dataset) -> usize {
         if ds.len() * ds.dim() < PARALLEL_MIN_COORDS {
             1
@@ -273,9 +305,17 @@ impl<'a> CoverTree<'a> {
     /// lock. Which thread routes a node, and when, cannot show in the
     /// tree.
     pub fn build_with_workers(ds: &'a Dataset, workers: usize) -> Self {
+        Self::build_stopping(ds, workers, 1)
+    }
+
+    /// The build routine: [`CoverTree::build_with_workers`] down to
+    /// subtrees of at most `stop` points (1 = full depth).
+    pub(crate) fn build_stopping(ds: &'a Dataset, workers: usize, stop: usize) -> Self {
         let n = u32::try_from(ds.len()).expect("cover tree indexes at most 2^32 points");
+        let stop = stop.max(1);
         let mut building = Building {
             nodes: vec![CtNode::leaf(0); ds.len()],
+            stop,
             jobs: BinaryHeap::new(),
             in_flight: 0,
             adopted: 0,
@@ -285,6 +325,7 @@ impl<'a> CoverTree<'a> {
             return CoverTree {
                 ds,
                 nodes: building.nodes,
+                stop,
                 stats: BuildStats::SERIAL,
             };
         }
@@ -350,6 +391,7 @@ impl<'a> CoverTree<'a> {
         CoverTree {
             ds,
             nodes: building.nodes,
+            stop,
             stats: BuildStats {
                 workers,
                 subtree_jobs: building.adopted - 1,
@@ -465,21 +507,34 @@ impl<'a> CoverTree<'a> {
     /// Exports maximal ball regions whose subtree size is at most
     /// `max_region_size` — this is the paper's partition-ratio cut: "cover
     /// tree will not expand its nodes if the number of data inside is
-    /// smaller than r·|D|" (§5.3).
+    /// smaller than r·|D|" (§5.3). Members come in dataset order, the
+    /// centre first.
+    ///
+    /// # Panics
+    /// Panics if the tree was built with a stop size
+    /// ([`CoverTree::build_for_regions`]) above `max_region_size`: the
+    /// nodes this would expand were never routed.
     pub fn regions(&self, max_region_size: usize) -> Vec<Region> {
         let Some(root) = self.root() else {
             return Vec::new();
         };
         let max_region_size = max_region_size.max(1);
+        assert!(
+            max_region_size >= self.stop,
+            "regions({max_region_size}) on a tree built down to subtrees of {}",
+            self.stop
+        );
         let mut regions = Vec::new();
         let mut stack = vec![root];
         while let Some(n) = stack.pop() {
             let node = &self.nodes[n];
             if node.subtree_size <= max_region_size || node.children.is_empty() {
+                let mut members = self.subtree_points(n);
+                members.sort_unstable();
                 regions.push(Region {
                     center: n,
                     radius: node.max_dist,
-                    members: self.subtree_points(n),
+                    members,
                 });
             } else {
                 // the node's own point becomes a singleton region; children
@@ -631,36 +686,63 @@ mod tests {
     }
 
     /// Structure, levels, sizes, `max_dist` bits and the exported regions,
-    /// whatever the number of build workers.
+    /// whatever the number of build workers — of the whole tree at stop
+    /// size 1, and of everything above the cut at a larger one, where a
+    /// node at the cut keeps its level, size and `max_dist` bits and holds
+    /// the rest of its subtree flat.
     fn assert_same_tree_as_insertion(ds: &Dataset, what: &str) {
         let oracle = InsertionOracle::build(ds);
         let reference = CoverTree {
             ds,
             nodes: oracle,
+            stop: 1,
             stats: BuildStats::SERIAL,
         };
-        for workers in [1, 2, 3, 8] {
-            let what = format!("{what}, {workers} workers");
-            let tree = CoverTree::build_with_workers(ds, workers);
+        let sizes = [1, 3, ds.len() / 20 + 1, ds.len()];
+        for (workers, stop) in [1, 2, 3, 8].into_iter().flat_map(|w| sizes.map(|s| (w, s))) {
+            let what = format!("{what}, {workers} workers, stop {stop}");
+            let tree = CoverTree::build_stopping(ds, workers, stop);
             assert_eq!(tree.nodes.len(), reference.nodes.len(), "{what}");
+            let mut at_cut = vec![false; ds.len()];
             for (i, (got, want)) in tree.nodes.iter().zip(&reference.nodes).enumerate() {
-                assert_eq!(got, want, "{what}: node {i}");
+                if want.subtree_size > stop || i == 0 {
+                    assert_eq!(got, want, "{what}: node {i}");
+                    want.children
+                        .iter()
+                        .for_each(|&c| at_cut[c as usize] = true);
+                }
+            }
+            for (i, (got, want)) in tree.nodes.iter().zip(&reference.nodes).enumerate() {
+                if !at_cut[i] {
+                    continue; // below the cut: a leaf of the flat subtree
+                }
                 assert_eq!(
-                    got.max_dist.to_bits(),
-                    want.max_dist.to_bits(),
+                    (got.level, got.subtree_size, got.max_dist.to_bits()),
+                    (want.level, want.subtree_size, want.max_dist.to_bits()),
                     "{what}: node {i}"
                 );
+                if want.subtree_size <= stop {
+                    let mut rest = reference.subtree_points(i);
+                    rest.sort_unstable();
+                    let flat: Vec<usize> = got.children.iter().map(|&c| c as usize).collect();
+                    assert_eq!(flat, rest[1..], "{what}: node {i}");
+                }
             }
             assert!(tree.check_invariants(), "{what}");
-            for max_region in [1, 3, ds.len() / 20 + 1, ds.len()] {
+            for max_region in sizes.into_iter().chain([stop, stop + 1]) {
+                if max_region.max(1) < stop {
+                    continue; // refused, see `regions_below_the_stop_size_are_refused`
+                }
                 assert_eq!(
                     tree.regions(max_region),
                     reference.regions(max_region),
                     "{what}: regions({max_region})"
                 );
             }
-            // one job per node with a subtree below it, the root's aside
-            let parents = tree.nodes.iter().filter(|n| !n.children.is_empty()).count();
+            // one job per node with a subtree above the cut, the root's aside
+            let parents = (tree.nodes.iter())
+                .filter(|n| !n.children.is_empty() && n.subtree_size > stop)
+                .count();
             let stats = tree.build_stats();
             assert_eq!(stats.subtree_jobs, parents.saturating_sub(1), "{what}");
             assert!((1..=workers).contains(&stats.workers), "{what}");
@@ -668,8 +750,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "regions(9) on a tree built down to subtrees of 10")]
+    fn regions_below_the_stop_size_are_refused() {
+        let ds = fasttext_like(&GeneratorConfig::new(200, 4, 3, 6));
+        let tree = CoverTree::build_for_regions(&ds, 10);
+        assert_eq!(tree.regions(10), CoverTree::build(&ds).regions(10));
+        tree.regions(9);
+    }
+
+    #[test]
     fn batch_build_equals_sequential_insertion() {
-        for (n, dim, clusters, seed) in [(700, 6, 5, 1), (400, 40, 3, 2), (33, 3, 2, 3)] {
+        // one stride of coordinates, two, and several
+        for (n, dim, clusters, seed) in [
+            (700, 6, 5, 1),
+            (400, 40, 3, 2),
+            (33, 3, 2, 3),
+            (250, 150, 4, 5),
+        ] {
             let ds = fasttext_like(&GeneratorConfig::new(n, dim, clusters, seed));
             assert_same_tree_as_insertion(&ds, &format!("clustered n={n} d={dim}"));
         }
@@ -750,13 +847,13 @@ mod tests {
         for break_it in breakages {
             let mut nodes = tree.nodes.clone();
             break_it(&mut nodes[parent]);
-            let stats = tree.stats;
-            assert!(!CoverTree {
+            let broken = CoverTree {
                 ds: &ds,
                 nodes,
-                stats
-            }
-            .check_invariants());
+                stop: 1,
+                stats: tree.stats,
+            };
+            assert!(!broken.check_invariants());
         }
     }
 

@@ -5,6 +5,7 @@
 //! and the dataset partitioners of §5.3 / §7.8 together with the
 //! query-to-cluster intersection indicator `f_c(x, t)`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod covertree;

@@ -85,6 +85,11 @@ impl Cluster {
     }
 }
 
+/// The paper's ratio cut in points: regions stop expanding at `ratio·|D|`.
+fn max_region(n: usize, ratio: f64) -> usize {
+    ((n as f64 * ratio).ceil() as usize).max(1)
+}
+
 /// The order a cluster's balls are probed in: **decreasing radius** under
 /// a stable sort (ties keep their build order). The indicator then usually
 /// hits in the first block — the biggest balls are the likeliest
@@ -146,7 +151,8 @@ impl Partitioning {
         };
         match method {
             PartitionMethod::CoverTree { ratio } => {
-                let tree = CoverTree::build(geo_ref);
+                // no deeper than the ratio cut looks
+                let tree = CoverTree::build_for_regions(geo_ref, max_region(geo_ref.len(), ratio));
                 (
                     Self::from_cover_tree(&tree, geo_ref, kind, k, ratio),
                     tree.build_stats(),
@@ -170,8 +176,7 @@ impl Partitioning {
         k: usize,
         ratio: f64,
     ) -> Partitioning {
-        let max_region = ((geo.len() as f64 * ratio).ceil() as usize).max(1);
-        let mut regions = tree.regions(max_region);
+        let mut regions = tree.regions(max_region(geo.len(), ratio));
         // Greedy merge (§5.3): sort regions by decreasing size, then assign
         // each to the currently-smallest cluster.
         regions.sort_by_key(|r| std::cmp::Reverse(r.members.len()));
@@ -309,14 +314,16 @@ impl Partitioning {
             write_u64(w, a as u64)?;
         }
         write_u64(w, self.regions.len() as u64)?;
+        // one write per ball: dimension, centre, radius
+        let mut ball = Vec::new();
         for cluster in &self.regions {
             write_u64(w, cluster.radii.len() as u64)?;
             for (i, radius) in cluster.radii.iter().enumerate() {
-                write_u64(w, cluster.centres.dim() as u64)?;
-                for c in cluster.centres.vector(i) {
-                    w.write_all(&c.to_le_bytes())?;
-                }
-                w.write_all(&radius.to_le_bytes())?;
+                ball.clear();
+                ball.extend((cluster.centres.dim() as u64).to_le_bytes());
+                ball.extend(cluster.centres.vector(i).flat_map(f32::to_le_bytes));
+                ball.extend(radius.to_le_bytes());
+                w.write_all(&ball)?;
             }
         }
         Ok(())
@@ -372,8 +379,10 @@ impl Partitioning {
             )));
         }
         let mut regions: Vec<Cluster> = Vec::with_capacity(clusters.min(1 << 12));
-        // every centre must have the dimension of the first one read
+        // every centre must have the dimension of the first one read; a
+        // ball's centre and radius are read at once
         let mut centre: Option<Vec<f32>> = None;
+        let mut bytes = Vec::new();
         for _ in 0..clusters {
             let m = read_checked_len(r, MAX_POINTS, "region count")?;
             let mut cluster = Cluster::with_capacity(0, 0);
@@ -392,13 +401,14 @@ impl Partitioning {
                     let room = m.min(MAX_PREALLOC_FLOATS / dim.max(1));
                     cluster = Cluster::with_capacity(dim, room);
                 }
-                let mut b = [0u8; 4];
-                for c in centre.iter_mut() {
-                    r.read_exact(&mut b)?;
-                    *c = f32::from_le_bytes(b);
+                bytes.resize((dim + 1) * 4, 0u8);
+                r.read_exact(&mut bytes)?;
+                let float = |b: &[u8]| f32::from_le_bytes(b.try_into().expect("four bytes"));
+                let (coordinates, radius) = bytes.split_at(dim * 4);
+                for (c, b) in centre.iter_mut().zip(coordinates.chunks_exact(4)) {
+                    *c = float(b);
                 }
-                r.read_exact(&mut b)?;
-                cluster.push(centre, f32::from_le_bytes(b));
+                cluster.push(centre, float(radius));
             }
             cluster.sort_for_probing();
             regions.push(cluster);
@@ -490,8 +500,10 @@ impl Partitioning {
     /// flags of `ts[j]` at `flags[j * K..(j + 1) * K]`.
     ///
     /// Each block of sixteen region centres has its squared distances to
-    /// `x` computed once, whatever the number of thresholds, and a cluster
-    /// is left as soon as every threshold has found an intersecting ball.
+    /// `x` computed once, whatever the number of thresholds — and only as
+    /// far as it takes to see all sixteen balls out of the reach of every
+    /// threshold still looking — and a cluster is left as soon as every
+    /// threshold has found an intersecting ball.
     /// For Euclidean partitionings this evaluates with no allocation at
     /// all, so serving hot paths reuse one buffer across an entire batch.
     /// The ball test compares **squared** distances
@@ -520,18 +532,37 @@ impl Partitioning {
                 &normalized
             }
         };
+        // How far the thresholds still open in a cluster reach: the largest
+        // of them (a NaN one reaches nothing), every one to begin with. Its
+        // bound is the largest any open threshold gives a lane, float
+        // rounding being monotone, so a lane beyond it matches no open
+        // threshold and the block's distances are needed only that far.
+        let reach_of_all = (ts.iter())
+            .map(|&t| self.kind.to_euclidean_threshold(t))
+            .fold(f32::NEG_INFINITY, f32::max);
         let mut sq = [0.0f32; LANES];
         for (c, cluster) in self.regions.iter().enumerate() {
             let mut open = ts.len();
+            let mut reach = reach_of_all;
             for (b, chunk) in cluster.radii.chunks(LANES).enumerate() {
                 if open == 0 {
                     break;
                 }
-                cluster.centres.sqdist_into(b, q, &mut sq);
                 // a lane past the end of the last block has no ball: its
                 // bound is −∞, which the guard below rejects
                 let mut radii = [f32::NEG_INFINITY; LANES];
                 radii[..chunk.len()].copy_from_slice(chunk);
+                let mut limits = [f32::NEG_INFINITY; LANES];
+                for (limit, &r) in limits.iter_mut().zip(&radii) {
+                    let bound = reach + r + 1e-6;
+                    if bound >= 0.0 {
+                        *limit = bound * bound;
+                    }
+                }
+                if !cluster.centres.sqdist_within(b, q, &limits, &mut sq) {
+                    continue;
+                }
+                reach = f32::NEG_INFINITY;
                 for (j, &t) in ts.iter().enumerate() {
                     let flag = &mut flags[j * self.k + c];
                     if *flag {
@@ -544,7 +575,11 @@ impl Partitioning {
                         let bound = te + r + 1e-6;
                         hit | (bound >= 0.0 && d2 <= bound * bound)
                     });
-                    open -= usize::from(*flag);
+                    if *flag {
+                        open -= 1;
+                    } else {
+                        reach = reach.max(te);
+                    }
                 }
             }
         }
@@ -622,28 +657,42 @@ mod tests {
     }
 
     /// The snapshot of a cover-tree partitioning does not depend on how
-    /// many workers built the tree, under either distance.
+    /// many workers built the tree, nor on whether the build stopped at
+    /// the ratio cut (or anywhere above full depth and not past it),
+    /// under either distance.
     #[test]
     fn snapshot_bytes_are_equal_across_build_workers() {
         let ds = fasttext_like(&GeneratorConfig::new(900, 7, 5, 3));
+        let cut = max_region(ds.len(), 0.03);
+        assert_eq!(cut, 27);
         for kind in [DistanceKind::Euclidean, DistanceKind::Cosine] {
             let mut geo = ds.clone();
             if kind == DistanceKind::Cosine {
                 geo.normalize_rows();
             }
-            let built = |workers: usize| {
-                let tree = CoverTree::build_with_workers(&geo, workers);
+            let built = |workers: usize, stop: usize| {
+                let tree = CoverTree::build_stopping(&geo, workers, stop);
                 // the parallel path is taken, not just asked for
                 assert!((workers.min(2)..=workers).contains(&tree.build_stats().workers));
                 saved(&Partitioning::from_cover_tree(&tree, &geo, kind, 4, 0.03))
             };
-            let one = built(1);
-            for workers in [2, 3, 8] {
-                assert!(built(workers) == one, "{kind:?}, {workers} workers");
+            let one = built(1, 1);
+            for workers in [1, 2, 3, 8] {
+                for stop in [1, 3, cut] {
+                    assert!(
+                        built(workers, stop) == one,
+                        "{kind:?}, {workers} workers, stop {stop}"
+                    );
+                }
             }
             let method = PartitionMethod::CoverTree { ratio: 0.03 };
-            let whole = Partitioning::build(&ds, kind, method, 4, 0);
+            let (whole, stats) = Partitioning::build_reporting(&ds, kind, method, 4, 0);
             assert!(saved(&whole) == one, "{kind:?}, the default build");
+            // the default build is the one that stops at the cut
+            let full = CoverTree::build_with_workers(&geo, 1).build_stats();
+            assert!(stats.subtree_jobs < full.subtree_jobs, "{kind:?}");
+            let stopped = CoverTree::build_stopping(&geo, 1, cut).build_stats();
+            assert_eq!(stats.subtree_jobs, stopped.subtree_jobs, "{kind:?}");
         }
     }
 
@@ -820,26 +869,38 @@ mod tests {
     /// (whose squared bound used to switch every partition on).
     #[test]
     fn indicator_is_monotone_from_far_below_zero() {
-        let ds = fasttext_like(&GeneratorConfig::new(600, 6, 5, 1));
-        let p = Partitioning::build(
-            &ds,
-            DistanceKind::Euclidean,
-            PartitionMethod::CoverTree { ratio: 0.05 },
-            3,
-            0,
-        );
-        let far = [40.0f32; 6];
-        let grid = [
-            -1000.0f32, -100.0, -10.0, -1.0, 0.0, 1.0, 10.0, 100.0, 1000.0,
-        ];
-        for q in [ds.row(0), ds.row(300), &far] {
-            let active: Vec<usize> = grid
-                .iter()
-                .map(|&t| p.indicator(q, t).iter().filter(|&&on| on).count())
-                .collect();
-            assert_eq!(active[0], 0, "t = -1000 reaches no ball: {active:?}");
-            assert!(active.windows(2).all(|w| w[0] <= w[1]), "{active:?}");
-            assert_eq!(*active.last().unwrap(), p.k());
+        // one stride of coordinates, and the paper fixture's ten
+        for dim in [6, 300] {
+            let ds = fasttext_like(&GeneratorConfig::new(600, dim, 5, 1));
+            let p = Partitioning::build(
+                &ds,
+                DistanceKind::Euclidean,
+                PartitionMethod::CoverTree { ratio: 0.05 },
+                3,
+                0,
+            );
+            let far = vec![40.0f32; dim];
+            let grid = [
+                -1000.0f32, -100.0, -10.0, -1.0, 0.0, 1.0, 10.0, 100.0, 1000.0,
+            ];
+            for q in [ds.row(0), ds.row(300), &far] {
+                let active: Vec<usize> = grid
+                    .iter()
+                    .map(|&t| p.indicator(q, t).iter().filter(|&&on| on).count())
+                    .collect();
+                assert_eq!(active[0], 0, "t = -1000 reaches no ball: {active:?}");
+                assert!(active.windows(2).all(|w| w[0] <= w[1]), "{active:?}");
+                assert_eq!(*active.last().unwrap(), p.k());
+                // the whole grid at once, in any order, says the same
+                let mut flags = Vec::new();
+                let backwards: Vec<f32> = grid.iter().rev().copied().collect();
+                p.indicator_many_into(q, &backwards, &mut flags);
+                let at_once = flags.chunks(p.k()).rev();
+                let at_once: Vec<usize> = at_once
+                    .map(|f| f.iter().filter(|&&on| on).count())
+                    .collect();
+                assert_eq!(at_once, active, "dim {dim}");
+            }
         }
     }
 
@@ -849,27 +910,41 @@ mod tests {
     #[test]
     fn indicator_is_unchanged_for_nonnegative_thresholds() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        let ds = fasttext_like(&GeneratorConfig::new(500, 5, 4, 8));
-        let tmax = 6.0f32;
         let mut rng = StdRng::seed_from_u64(11);
-        for method in [
-            PartitionMethod::CoverTree { ratio: 0.05 },
-            PartitionMethod::KMeans,
-        ] {
-            let p = Partitioning::build(&ds, DistanceKind::Euclidean, method, 3, 5);
-            for _ in 0..400 {
-                let x: Vec<f32> = (0..5).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
-                let t = rng.gen_range(0.0f32..2.0 * tmax);
-                let old: Vec<bool> = balls(&p)
-                    .iter()
-                    .map(|cluster| {
-                        cluster.iter().any(|(center, radius)| {
-                            let bound = t + radius + 1e-6;
-                            vectors::squared_euclidean(&x, center) <= bound * bound
+        // one stride of coordinates, and several (thresholds scaled to the
+        // distances there)
+        for (dim, tmax) in [(5, 6.0f32), (300, 60.0)] {
+            let ds = fasttext_like(&GeneratorConfig::new(500, dim, 4, 8));
+            for method in [
+                PartitionMethod::CoverTree { ratio: 0.05 },
+                PartitionMethod::KMeans,
+            ] {
+                let p = Partitioning::build(&ds, DistanceKind::Euclidean, method, 3, 5);
+                let (mut on, mut off) = (0, 0);
+                for round in 0..400 {
+                    // far from every ball, or (in the wide case) inside one
+                    let x: Vec<f32> = match round % 2 {
+                        1 if dim > 5 => ds.row(rng.gen_range(0..ds.len())).to_vec(),
+                        _ => (0..dim).map(|_| rng.gen_range(-4.0f32..4.0)).collect(),
+                    };
+                    let t = rng.gen_range(0.0f32..2.0 * tmax);
+                    let old: Vec<bool> = balls(&p)
+                        .iter()
+                        .map(|cluster| {
+                            cluster.iter().any(|(center, radius)| {
+                                let bound = t + radius + 1e-6;
+                                vectors::squared_euclidean(&x, center) <= bound * bound
+                            })
                         })
-                    })
-                    .collect();
-                assert_eq!(p.indicator(&x, t), old, "x {x:?} t {t}");
+                        .collect();
+                    assert_eq!(p.indicator(&x, t), old, "dim {dim} t {t}");
+                    on += old.iter().filter(|&&f| f).count();
+                    off += old.iter().filter(|&&f| !f).count();
+                }
+                assert!(
+                    on > 0 && off > 0,
+                    "dim {dim} {method:?}: {on} on, {off} off"
+                );
             }
         }
     }
@@ -882,39 +957,85 @@ mod tests {
     fn indicator_many_equals_per_threshold_and_per_region_predicate() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(23);
-        let ds = fasttext_like(&GeneratorConfig::new(900, 7, 5, 12));
-        for (kind, method, k) in [
+        let narrow = fasttext_like(&GeneratorConfig::new(900, 7, 5, 12));
+        // the paper fixture's ten strides of coordinates, distances to match
+        let wide = fasttext_like(&GeneratorConfig::new(500, 300, 5, 12));
+        for (ds, scale, kind, method, k) in [
             // more regions per cluster than one block holds, and fewer
             (
+                &narrow,
+                1.0f32,
                 DistanceKind::Euclidean,
                 PartitionMethod::CoverTree { ratio: 0.002 },
                 4,
             ),
             (
+                &narrow,
+                1.0,
                 DistanceKind::Euclidean,
                 PartitionMethod::CoverTree { ratio: 0.2 },
                 3,
             ),
-            (DistanceKind::Euclidean, PartitionMethod::KMeans, 5),
             (
+                &narrow,
+                1.0,
+                DistanceKind::Euclidean,
+                PartitionMethod::KMeans,
+                5,
+            ),
+            (
+                &narrow,
+                1.0,
                 DistanceKind::Cosine,
                 PartitionMethod::CoverTree { ratio: 0.01 },
                 3,
             ),
-            (DistanceKind::Euclidean, PartitionMethod::Random, 3),
+            (
+                &narrow,
+                1.0,
+                DistanceKind::Euclidean,
+                PartitionMethod::Random,
+                3,
+            ),
+            (
+                &wide,
+                8.0,
+                DistanceKind::Euclidean,
+                PartitionMethod::CoverTree { ratio: 0.004 },
+                3,
+            ),
+            (
+                &wide,
+                0.25,
+                DistanceKind::Cosine,
+                PartitionMethod::CoverTree { ratio: 0.05 },
+                3,
+            ),
         ] {
-            let p = Partitioning::build(&ds, kind, method, k, 4);
+            let p = Partitioning::build(ds, kind, method, k, 4);
             let balls = balls(&p);
             let mut flags = Vec::new();
+            let (mut on, mut off) = (0, 0);
             for round in 0..120 {
-                let x: Vec<f32> = match round % 3 {
+                let mut x: Vec<f32> = match round % 3 {
                     0 => ds.row(rng.gen_range(0..ds.len())).to_vec(),
-                    _ => (0..7).map(|_| rng.gen_range(-4.0f32..4.0)).collect(),
+                    _ => (0..ds.dim()).map(|_| rng.gen_range(-4.0f32..4.0)).collect(),
                 };
+                if round % 40 == 39 {
+                    // a NaN coordinate: no distance compares, no ball matches
+                    let at = rng.gen_range(0..x.len());
+                    x[at] = f32::NAN;
+                }
+                // unsorted, with repeats, reaching far below zero, and
+                // sometimes one that is no number at all
                 let mut ts: Vec<f32> = (0..rng.gen_range(0..9))
-                    .map(|_| rng.gen_range(-1.0f32..8.0))
+                    .map(|_| rng.gen_range(-1.0f32..8.0) * scale)
                     .collect();
                 ts.extend([-1e6, 0.0, -0.5, 1e6].iter().take(round % 5));
+                if round % 4 == 1 && !ts.is_empty() {
+                    ts.push(ts[rng.gen_range(0..ts.len())]);
+                    ts.insert(rng.gen_range(0..ts.len()), f32::NAN);
+                }
                 p.indicator_many_into(&x, &ts, &mut flags);
                 assert_eq!(flags.len(), ts.len() * p.k());
                 for (&t, got) in ts.iter().zip(flags.chunks(p.k())) {
@@ -939,7 +1060,16 @@ mod tests {
                         })
                         .collect();
                     assert_eq!(got, want, "{method:?} x {x:?} t {t}");
+                    let nan_threshold = t.is_nan() && kind == DistanceKind::Euclidean;
+                    if nan_threshold || x.iter().any(|c| c.is_nan()) {
+                        assert!(got.iter().all(|&on| !on), "{method:?} x {x:?} t {t}");
+                    }
+                    on += got.iter().filter(|&&f| f).count();
+                    off += got.iter().filter(|&&f| !f).count();
                 }
+            }
+            if !balls.is_empty() {
+                assert!(on > 0 && off > 0, "{kind:?} {method:?}: {on} on, {off} off");
             }
         }
     }

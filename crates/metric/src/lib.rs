@@ -7,6 +7,7 @@
 //! `‖u - v‖² = 2·(1 - cos(u, v))`, which the partitioning layer uses to run
 //! the cover tree (a metric structure) under cosine workloads (§5.3).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod distance;

@@ -311,6 +311,16 @@ mod tests {
         Dataset::from_rows(6, &rows)
     }
 
+    /// The same at three strides of coordinates, with three rows a fifth
+    /// time: the scan's last kernel call is short of records, and at rank
+    /// 6 a lane re-selects its candidates every eighteen it takes in, over
+    /// and over inside runs of equal distances.
+    fn wide_duplicated_ds() -> Dataset {
+        let base = fasttext_like(&GeneratorConfig::new(130, 72, 4, 2));
+        let rows: Vec<Vec<f32>> = (0..523).map(|i| base.row(i % 130).to_vec()).collect();
+        Dataset::from_rows(72, &rows)
+    }
+
     /// The labels are those a full sort of every query's pair-by-pair
     /// distances gives — thresholds, selectivities (ties included) and
     /// `tmax` bit for bit — across group and worker boundaries, under both
@@ -323,7 +333,11 @@ mod tests {
             beta: 2.5,
         };
         let geometric = ThresholdScheme::GeometricSelectivity;
-        for (ds, what) in [(small_ds(), "distinct"), (duplicated_ds(), "duplicated")] {
+        for (ds, what) in [
+            (small_ds(), "distinct"),
+            (duplicated_ds(), "duplicated"),
+            (wide_duplicated_ds(), "wide duplicated"),
+        ] {
             for (kind, scheme, threads) in [
                 (DistanceKind::Euclidean, geometric, 1),
                 (DistanceKind::Euclidean, geometric, 3),
@@ -369,10 +383,11 @@ mod tests {
             }
         }
         // the duplicated data does put ties across the top rank (6 of 520)
-        let ds = duplicated_ds();
-        let sorted = sorted_distances(&ds, ds.row(0), DistanceKind::Euclidean);
-        assert_eq!(sorted[5], sorted[6]);
-        assert!(selectivity_from_sorted(&sorted, sorted[5]) > 6.0);
+        for ds in [duplicated_ds(), wide_duplicated_ds()] {
+            let sorted = sorted_distances(&ds, ds.row(0), DistanceKind::Euclidean);
+            assert_eq!(sorted[5], sorted[6]);
+            assert!(selectivity_from_sorted(&sorted, sorted[5]) > 6.0);
+        }
     }
 
     #[test]

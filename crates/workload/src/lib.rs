@@ -12,6 +12,7 @@
 //! * per-partition labels (for the §5.3 joint loss) and update streams with
 //!   incremental label maintenance (§5.4 / §7.6).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod drift;

@@ -81,14 +81,21 @@ mod tests {
     /// partition's records, under both distances.
     #[test]
     fn partition_labels_equal_the_per_pair_count() {
-        let ds = fasttext_like(&GeneratorConfig::new(300, 6, 3, 8));
-        for kind in [DistanceKind::Euclidean, DistanceKind::Cosine] {
+        // one stride of coordinates, and three with a record count that is
+        // no multiple of the rows a kernel call takes
+        let narrow = fasttext_like(&GeneratorConfig::new(300, 6, 3, 8));
+        let wide = fasttext_like(&GeneratorConfig::new(301, 75, 3, 8));
+        for (ds, kind) in [
+            (&narrow, DistanceKind::Euclidean),
+            (&narrow, DistanceKind::Cosine),
+            (&wide, DistanceKind::Euclidean),
+            (&wide, DistanceKind::Cosine),
+        ] {
             let mut cfg = WorkloadConfig::new(30, kind, 4);
             cfg.thresholds_per_query = 7;
-            let w = generate_workload(&ds, &cfg);
-            let p =
-                Partitioning::build(&ds, kind, PartitionMethod::CoverTree { ratio: 0.05 }, 4, 0);
-            let pl = label_partitions(&ds, &p, &w.train, kind, 2);
+            let w = generate_workload(ds, &cfg);
+            let p = Partitioning::build(ds, kind, PartitionMethod::CoverTree { ratio: 0.05 }, 4, 0);
+            let pl = label_partitions(ds, &p, &w.train, kind, 2);
             for (q, parts) in w.train.iter().zip(&pl.labels) {
                 for (part, row) in parts.iter().enumerate() {
                     let want: Vec<f64> = q
