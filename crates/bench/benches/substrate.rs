@@ -6,8 +6,9 @@
 //! counting, the fork-join primitive itself, a label column fully sorted
 //! against rank-selected, PWL head evaluation, workload ground-truth
 //! labeling, one end-to-end training epoch, and the §5.3 joint training
-//! step (full backward sweep against the parameters-only one, the scalar
-//! Adam loop against the vectorised one).
+//! step (full backward sweep against the parameters-only one, a batch of
+//! shuffled pairs against a batch of whole objects, the scalar Adam loop
+//! against the vectorised one).
 //!
 //! With `SELNET_BENCH_RECORD=1` the run re-times the key kernels with a
 //! plain `Instant` loop and rewrites `BENCH_substrate.json` at the repo
@@ -396,6 +397,11 @@ fn bench_train_epoch(c: &mut Criterion) {
 /// (`core::partitioned::joint_step` is private): the shared code `z_x`,
 /// `K = 3` control-point networks on `[x; z_x]`, the PWL heads, the local
 /// losses, the indicator-masked global loss and the reconstruction term.
+///
+/// Two batches of it: `record` is the step as training assembled it up to
+/// PR 19, one network row per `(x, t)` pair — kept verbatim as the
+/// "before"; `record_curves` is the step training runs now, one network
+/// row per object and `gather_rows` out to its `JOINT_LADDER` pairs.
 struct JointStep {
     cfg: selnet_core::SelNetConfig,
     store: ParamStore,
@@ -404,10 +410,18 @@ struct JointStep {
     x: Matrix,
     /// Thresholds, log labels and one indicator column per partition.
     columns: Vec<Matrix>,
+    /// The curve batch: one row per object ...
+    objects: Matrix,
+    /// ... the row of `objects` each of its pairs expands from ...
+    pair_rows: Vec<usize>,
+    /// ... and `columns` again, one row per pair of the curve batch.
+    pair_columns: Vec<Matrix>,
 }
 
 const JOINT_K: usize = 3;
 const JOINT_TMAX: f32 = 4.0;
+/// Thresholds per object in the curve batch: the benchmark fixtures' ladder.
+const JOINT_LADDER: usize = 20;
 
 impl JointStep {
     fn new(cfg: selnet_core::SelNetConfig, dim: usize) -> Self {
@@ -441,11 +455,23 @@ impl JointStep {
         let column = |scale: f32| Matrix::from_fn(rows, 1, |i, _| (i % 17) as f32 * scale);
         let mut columns = vec![column(JOINT_TMAX / 17.0), column(0.3)];
         columns.extend((0..JOINT_K).map(|k| Matrix::from_fn(rows, 1, |i, _| ((i + k) % 2) as f32)));
+        // the objects `SelNetConfig::batch_size` works out to on this ladder
+        let objects = (rows as f64 / JOINT_LADDER as f64).round() as usize;
+        let pair_rows: Vec<usize> = (0..objects * JOINT_LADDER)
+            .map(|pair| pair / JOINT_LADDER)
+            .collect();
+        let pair_columns = columns
+            .iter()
+            .map(|c| Matrix::from_fn(pair_rows.len(), 1, |i, _| c.get(i % rows, 0)))
+            .collect();
         JointStep {
             cfg,
             store,
             ae,
             locals,
+            objects: x.slice_rows(0, objects),
+            pair_rows,
+            pair_columns,
             x,
             columns,
         }
@@ -487,6 +513,51 @@ impl JointStep {
         loss
     }
 
+    /// `record` on a batch of whole objects: encoder, local models and
+    /// reconstruction run on the object rows, `gather_rows` hands every
+    /// pair its object's `(τ, p)`, and heads, losses and masks are per pair
+    /// as in `record`.
+    fn record_curves(&self, g: &mut Graph) -> Var {
+        let cfg = &self.cfg;
+        g.reset();
+        let xv = g.leaf_ref(&self.objects);
+        let tv = g.leaf_ref(&self.pair_columns[0]);
+        let yv = g.leaf_ref(&self.pair_columns[1]);
+        let z = self.ae.encode(g, &self.store, xv);
+        let input = g.concat_cols(xv, z);
+        let log_residual_loss = |g: &mut Graph, pred: Var| {
+            let pl = g.ln_eps(pred, cfg.log_eps);
+            let r = g.sub(pl, yv);
+            let h = g.huber(r, cfg.huber_delta);
+            g.mean(h)
+        };
+        let mut loss: Option<Var> = None;
+        let mut global: Option<Var> = None;
+        for (nets, ind) in self.locals.iter().zip(&self.pair_columns[2..]) {
+            let (tau, p) = nets.control_points(g, &self.store, input, JOINT_TMAX, true);
+            let tau = g.gather_rows(tau, &self.pair_rows);
+            let p = g.gather_rows(p, &self.pair_rows);
+            let pred = g.pwl_interp(tau, p, tv);
+            let local = log_residual_loss(g, pred);
+            loss = Some(loss.map_or(local, |acc| g.add(acc, local)));
+            let iv = g.leaf_ref(ind);
+            let masked = g.mul(pred, iv);
+            global = Some(global.map_or(masked, |acc| g.add(acc, masked)));
+        }
+        let global_loss = log_residual_loss(g, global.expect("k > 0"));
+        let mut loss = g.add(global_loss, loss.expect("k > 0"));
+        let recon = self.ae.decode(g, &self.store, z);
+        let dx = g.sub(recon, xv);
+        let sq = g.square(dx);
+        // every object's share of the pairs: equal ladders, all ones
+        let weight = g.leaf_with(self.objects.rows(), 1, |w| w.fill(1.0));
+        let sq = g.mul_col_vec(sq, weight);
+        let ae = g.mean(sq);
+        let ae = g.scale(ae, cfg.lambda_ae);
+        loss = g.add(loss, ae);
+        loss
+    }
+
     /// Forward, one of the two sweeps, Adam.
     fn step(&mut self, g: &mut Graph, opt: &mut Adam, params_only: bool) -> f32 {
         let loss = self.record(g);
@@ -495,6 +566,17 @@ impl JointStep {
         } else {
             g.backward(loss);
         }
+        let val = g.value(loss).get(0, 0);
+        let grads = g.param_grad_refs();
+        opt.step_refs(&mut self.store, &grads);
+        val
+    }
+
+    /// `step` on the curve batch, as training runs it: parameters-only
+    /// sweep.
+    fn step_curves(&mut self, g: &mut Graph, opt: &mut Adam) -> f32 {
+        let loss = self.record_curves(g);
+        g.backward_params(loss);
         let val = g.value(loss).get(0, 0);
         let grads = g.param_grad_refs();
         opt.step_refs(&mut self.store, &grads);
@@ -605,6 +687,11 @@ fn bench_train_step(c: &mut Criterion) {
                 b.iter(|| black_box(fx.step(&mut g, &mut opt, params_only)))
             });
         }
+        let mut g = Graph::new();
+        let mut opt = Adam::new(1e-3).with_clip(1.0);
+        group.bench_function(format!("curves_{name}_params_only"), |b| {
+            b.iter(|| black_box(fx.step_curves(&mut g, &mut opt)))
+        });
     }
     let (mut store, id, grad) = adam_fixture();
     let mut zip_store = store.clone();
@@ -833,8 +920,9 @@ fn bench_record(_c: &mut Criterion) {
     });
     drop(ds50k);
 
-    // the §5.3 joint step: full sweep vs parameters-only, in microseconds,
-    // and the Adam loop per parameter, before (zip) and after (indexed)
+    // the §5.3 joint step: full sweep vs parameters-only, the pair batch vs
+    // the curve batch, in microseconds, and the Adam loop per parameter,
+    // before (zip) and after (indexed)
     let train_step_lines: Vec<String> = joint_fixtures()
         .into_iter()
         .map(|(name, mut fx)| {
@@ -846,11 +934,22 @@ fn bench_record(_c: &mut Criterion) {
                     black_box(fx.step(&mut g, &mut opt, params_only));
                 }) * 1e3
             });
+            let curves = {
+                let mut g = Graph::new();
+                let mut opt = Adam::new(1e-3).with_clip(1.0);
+                time_ms(7, iters * 4, || {
+                    black_box(fx.step_curves(&mut g, &mut opt));
+                }) * 1e3
+            };
+            let (rows, pairs) = (fx.cfg.batch_size, fx.pair_rows.len());
+            let (per_pair_before, per_pair) = (only / rows as f64, curves / pairs as f64);
             format!(
-                r#"    "joint_{name}_k3": {{ "rows": {rows}, "params": {params}, "full_sweep_us": {full:.1}, "params_only_us": {only:.1}, "full_vs_params_only": {ratio:.2} }}"#,
-                rows = fx.cfg.batch_size,
+                r#"    "joint_{name}_k3": {{ "rows": {rows}, "params": {params}, "full_sweep_us": {full:.1}, "params_only_us": {only:.1}, "full_vs_params_only": {ratio:.2} }},
+    "curves_{name}_k3": {{ "objects": {objects}, "pairs": {pairs}, "step_us": {curves:.1}, "us_per_pair": {per_pair:.2}, "pair_step_us_per_pair": {per_pair_before:.2}, "pair_vs_curves_per_pair": {gain:.1} }}"#,
                 params = fx.store.num_scalars(),
-                ratio = full / only
+                ratio = full / only,
+                objects = fx.objects.rows(),
+                gain = per_pair_before / per_pair
             )
         })
         .collect();
@@ -948,7 +1047,7 @@ fn bench_record(_c: &mut Criterion) {
 {train_step_block},
     "adam_ns_per_param": {{ "params": {adam_params}, "zip_before": {adam_before:.2}, "indexed": {adam_after:.2}, "before_vs_after": {adam_ratio:.2} }}
   }},
-  "notes": "seed/pr2 numbers were taken on a single-vCPU container; the 4t entries only show parallel gains on multi-core hosts (the kernels are bit-identical across thread counts either way). The tape_* pair isolates per-step tape overhead: same model, same data, fresh Graph per step vs one reused arena. The scaling block is the parallel matmul dispatcher's per-thread curve at the 256² control shape; the gemm block is the hand-tiled kernel vs the naive ikj reference per serving shape (hand_vs_naive > 1 means the hand kernel wins), recorded on machine_cpus cores. The distance block is nanoseconds per distance of one query against `vectors` vectors, `vectors::squared_euclidean` pair by pair vs `LaneBlocks::sqdist_into` sixteen at a time (bit-identical lanes), over 32 vectors (cached) and over 60 MB of them (streamed); bounded_first_stride_ns and bounded_never_ns are `LaneBlocks::sqdist_within` under limits every lane is beyond after the first 32 coordinates, and limits nothing is ever beyond (at d = 24, a single stride, the kernel never looks and both are the block kernel), rows4_ns is `LaneBlocks::sqdist_rows_into`, four queries per pass over a block, per distance. cover_tree.build_5k_insertion_ms is frozen: sequential insertion on the pair kernel, the build before PR 14, best of 10 on the host that recorded build_5k_ms; build_5k_ms is the batch build on one worker, build_5k_2w_ms the same tree routed by two (80 000 coordinates: far below the size `CoverTree::build` goes parallel at); build_50k_d300_ms and build_50k_d300_ratio_ms are the best of three builds each of the benchmark's paper fixture (50 000 x 300) on the default workers, to full depth (`CoverTree::build`) and down to the partitioner's ratio cut (`build_for_regions`, subtrees of at most 2 500 points left flat). The parallel block is one empty two-way `parallel::fork_join` (a scope, one spawn, one join) in microseconds, back to back and after 2 ms of sleep each (the second vCPU has to be woken), beside the gate derived from it: `parallel::FORK_MIN_WORK` elementary operations per engaged worker. Under it the 256² scaling curve (2^24 multiply-adds in all) never forks and is flat by construction; 512² is eight workers' worth and does fork — where speedup_512_2t_vs_1t reads about 1.0 the recording host's two vCPUs share one core's vector units, so a compute-bound kernel gains nothing from the second while a latency-bound scan (the N=50 000 cover-tree build, 1.25 → 0.67 s) halves. The label_column block is one column of `records` distances fully sorted (labelling before PR 15) against `select_nth_unstable` at `rank`, a sort of that prefix and a tie count over the rest (`NearestColumns::finish`), the copy that refills the column subtracted from both. The train_step block is one §5.3 joint step (forward, backward sweep, Adam with clip) on a reused tape, K = 3 local models, at the benchmark's paper shape (d = 300, default widths, 256 rows) and its small one (d = 24, tiny(), 96 rows), in microseconds: `Graph::backward` (every leaf live — what training ran before PR 16) against `Graph::backward_params` (only what a parameter needs; same parameter bits); adam_ns_per_param is one clipped Adam update of `params` parameters per parameter, the four-way zip that reads its hyper-parameters and the clip decision through `self` per element (before, kept verbatim in the bench) against the indexed loop (after; same bits)."
+  "notes": "seed/pr2 numbers were taken on a single-vCPU container; the 4t entries only show parallel gains on multi-core hosts (the kernels are bit-identical across thread counts either way). The tape_* pair isolates per-step tape overhead: same model, same data, fresh Graph per step vs one reused arena. The scaling block is the parallel matmul dispatcher's per-thread curve at the 256² control shape; the gemm block is the hand-tiled kernel vs the naive ikj reference per serving shape (hand_vs_naive > 1 means the hand kernel wins), recorded on machine_cpus cores. The distance block is nanoseconds per distance of one query against `vectors` vectors, `vectors::squared_euclidean` pair by pair vs `LaneBlocks::sqdist_into` sixteen at a time (bit-identical lanes), over 32 vectors (cached) and over 60 MB of them (streamed); bounded_first_stride_ns and bounded_never_ns are `LaneBlocks::sqdist_within` under limits every lane is beyond after the first 32 coordinates, and limits nothing is ever beyond (at d = 24, a single stride, the kernel never looks and both are the block kernel), rows4_ns is `LaneBlocks::sqdist_rows_into`, four queries per pass over a block, per distance. cover_tree.build_5k_insertion_ms is frozen: sequential insertion on the pair kernel, the build before PR 14, best of 10 on the host that recorded build_5k_ms; build_5k_ms is the batch build on one worker, build_5k_2w_ms the same tree routed by two (80 000 coordinates: far below the size `CoverTree::build` goes parallel at); build_50k_d300_ms and build_50k_d300_ratio_ms are the best of three builds each of the benchmark's paper fixture (50 000 x 300) on the default workers, to full depth (`CoverTree::build`) and down to the partitioner's ratio cut (`build_for_regions`, subtrees of at most 2 500 points left flat). The parallel block is one empty two-way `parallel::fork_join` (a scope, one spawn, one join) in microseconds, back to back and after 2 ms of sleep each (the second vCPU has to be woken), beside the gate derived from it: `parallel::FORK_MIN_WORK` elementary operations per engaged worker. Under it the 256² scaling curve (2^24 multiply-adds in all) never forks and is flat by construction; 512² is eight workers' worth and does fork — where speedup_512_2t_vs_1t reads about 1.0 the recording host's two vCPUs share one core's vector units, so a compute-bound kernel gains nothing from the second while a latency-bound scan (the N=50 000 cover-tree build, 1.25 → 0.67 s) halves. The label_column block is one column of `records` distances fully sorted (labelling before PR 15) against `select_nth_unstable` at `rank`, a sort of that prefix and a tie count over the rest (`NearestColumns::finish`), the copy that refills the column subtracted from both. The train_step block is one §5.3 joint step (forward, backward sweep, Adam with clip) on a reused tape, K = 3 local models, at the benchmark's paper shape (d = 300, default widths, 256 rows) and its small one (d = 24, tiny(), 96 rows), in microseconds: `Graph::backward` (every leaf live — what training ran before PR 16) against `Graph::backward_params` (only what a parameter needs; same parameter bits); adam_ns_per_param is one clipped Adam update of `params` parameters per parameter, the four-way zip that reads its hyper-parameters and the clip decision through `self` per element (before, kept verbatim in the bench) against the indexed loop (after; same bits). The curves_* rows are that joint step on the batch training assembles since PR 21: `objects` whole query objects with 20 thresholds each (what `batch_size` works out to on the benchmark's ladder), the encoder, the local models and the reconstruction term on the object rows, `Graph::gather_rows` out to `pairs` rows for the PWL heads, losses and masks, parameters-only sweep, Adam; `us_per_pair` is `step_us / pairs` and `pair_step_us_per_pair` is `params_only_us / rows` of the pair batch above it — one network row per (x, t), kept verbatim in the bench as the before; training no longer builds it. Not the 20x the row count suggests: at 13 rows the first-layer GEMMs are skinny, and the Adam update of `params` parameters, the per-pair heads and the tape's fixed costs do not shrink with the rows."
 }}
 "#,
         mm1 = mm_scaling[0],

@@ -3,7 +3,7 @@
 //! settings.
 
 use selnet_bench::harness::{build_setting, train_models, ModelKind, Scale, Setting};
-use selnet_eval::{evaluate, render_accuracy_table, AccuracyRow};
+use selnet_eval::{evaluate, median_scales, render_accuracy_table, AccuracyRow};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,10 +30,7 @@ fn main() {
                 test: evaluate(m.as_ref(), &w.test),
             })
             .collect();
-        let mse_scale =
-            10f64.powi((rows.iter().map(|r| r.test.mse).fold(1.0, f64::max)).log10() as i32);
-        let mae_scale =
-            10f64.powi((rows.iter().map(|r| r.test.mae).fold(1.0, f64::max)).log10() as i32);
+        let (mse_scale, mae_scale) = median_scales(&rows);
         println!(
             "{}",
             render_accuracy_table(setting.label(), &rows, mse_scale, mae_scale)

@@ -7,7 +7,7 @@
 //! ```
 
 use selnet_bench::harness::{build_setting, train_models, ModelKind, Scale, Setting};
-use selnet_eval::{accuracy_csv, evaluate, render_accuracy_table, AccuracyRow};
+use selnet_eval::{accuracy_csv, evaluate, median_scales, render_accuracy_table, AccuracyRow};
 use selnet_workload::ThresholdScheme;
 
 fn main() {
@@ -71,10 +71,7 @@ fn main() {
     };
     // scale factors mirror the paper's column headers, adapted to our
     // smaller label range
-    let mse_scale =
-        10f64.powi((rows.iter().map(|r| r.test.mse).fold(1.0, f64::max)).log10() as i32);
-    let mae_scale =
-        10f64.powi((rows.iter().map(|r| r.test.mae).fold(1.0, f64::max)).log10() as i32);
+    let (mse_scale, mae_scale) = median_scales(&rows);
     let title = format!(
         "{table_no}: accuracy on {}{}",
         setting.label(),

@@ -53,7 +53,12 @@ pub struct SelNetConfig {
     pub learning_rate: f32,
     /// Training epochs (model with smallest validation error is kept).
     pub epochs: usize,
-    /// Mini-batch size.
+    /// Mini-batch size in labelled `(x, t)` pairs. A training step takes
+    /// whole query objects with all their thresholds —
+    /// `max(1, round(batch_size / mean thresholds per object))` of them —
+    /// so the network runs once per object and the loss once per pair:
+    /// 256 is 13 objects on 20-threshold ladders. (Autoencoder
+    /// pretraining has no thresholds and takes `batch_size` vectors.)
     pub batch_size: usize,
     /// Weight `λ` of the autoencoder reconstruction loss (Eq. 4).
     pub lambda_ae: f32,

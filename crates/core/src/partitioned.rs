@@ -13,7 +13,9 @@ use crate::autoencoder::Autoencoder;
 use crate::config::{PartitionConfig, SelNetConfig};
 use crate::model::ControlPointNets;
 use crate::plans::{control_points, replay_curves, PlanCell};
-use crate::train::TrainReport;
+use crate::train::{
+    ae_term, flatten_pairs, gather_leaf, interp_pairs, log_loss, CurveBatch, FlatPairs, TrainReport,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selnet_data::Dataset;
@@ -260,11 +262,10 @@ impl SelectivityEstimator for PartitionedSelNet {
     }
 }
 
-/// Flattened training pairs with per-part labels and indicators.
+/// A training split laid out for curve batches ([`FlatPairs`]) with the
+/// per-part labels and indicators of every pair.
 pub(crate) struct JointPairs<'a> {
-    x: Vec<&'a [f32]>,
-    t: Vec<f32>,
-    ylog: Vec<f32>,
+    flat: FlatPairs<'a>,
     /// `ylog_local[part][pair]`
     ylog_local: Vec<Vec<f32>>,
     /// `indicator[part][pair]` as 0/1
@@ -279,21 +280,16 @@ fn build_joint_pairs<'a>(
 ) -> JointPairs<'a> {
     let k = partitioning.k();
     let mut out = JointPairs {
-        x: Vec::new(),
-        t: Vec::new(),
-        ylog: Vec::new(),
+        flat: flatten_pairs(train, log_eps),
         ylog_local: vec![Vec::new(); k],
         indicator: vec![Vec::new(); k],
     };
     let mut on = Vec::new();
-    for (qi, q) in train.iter().enumerate() {
+    for (q, labels) in train.iter().zip(part_labels) {
         partitioning.indicator_many_into(&q.x, &q.thresholds, &mut on);
-        for (j, (&t, on)) in q.thresholds.iter().zip(on.chunks_exact(k)).enumerate() {
-            out.x.push(q.x.as_slice());
-            out.t.push(t);
-            out.ylog.push((q.selectivities[j] as f32 + log_eps).ln());
+        for (j, on) in on.chunks_exact(k).enumerate() {
             for part in 0..k {
-                out.ylog_local[part].push((part_labels[qi][part][j] as f32 + log_eps).ln());
+                out.ylog_local[part].push((labels[part][j] as f32 + log_eps).ln());
                 out.indicator[part].push(if on[part] { 1.0 } else { 0.0 });
             }
         }
@@ -314,16 +310,6 @@ fn label_partitions_traced(
     let labels = label_partitions(ds, partitioning, queries, kind, 0);
     span.set_detail(labels.workers as u64, queries.len() as u64);
     labels
-}
-
-/// Records a column-vector leaf gathering `values[order[i]]` directly into
-/// the tape's recycled buffer.
-fn gather_leaf(g: &mut Graph, values: &[f32], order: &[usize]) -> Var {
-    g.leaf_with(order.len(), 1, |data| {
-        for (o, &i) in data.iter_mut().zip(order) {
-            *o = values[i];
-        }
-    })
 }
 
 /// One local-pretraining step (§5.3 phase 1). The `K` local estimation
@@ -348,9 +334,7 @@ fn gather_leaf(g: &mut Graph, values: &[f32], order: &[usize]) -> Var {
 fn local_pretrain_step(
     model: &PartitionedSelNet,
     pairs: &JointPairs<'_>,
-    chunk: &[usize],
-    x: &Matrix,
-    t: &Matrix,
+    batch: &CurveBatch,
     tapes: &mut [Graph],
 ) -> Vec<f64> {
     let cfg = &model.cfg;
@@ -359,10 +343,10 @@ fn local_pretrain_step(
     // jobs 0..k: per-partition estimation losses; job k: the AE term
     selnet_tensor::parallel::par_map_states(tapes, threads, |job, g| {
         g.reset();
-        let xv = g.leaf_ref(x);
-        if job < k {
-            let tv = g.leaf_ref(t);
-            let z = model.ae.encode(g, &model.store, xv);
+        let xv = g.leaf_ref(&batch.x);
+        let z = model.ae.encode(g, &model.store, xv);
+        let loss = if job < k {
+            let tv = gather_leaf(g, &pairs.flat.t, &batch.pairs);
             let input = g.concat_cols(xv, z);
             let (tau, p) = model.locals[job].control_points(
                 g,
@@ -371,51 +355,40 @@ fn local_pretrain_step(
                 model.tmax,
                 cfg.query_dependent_tau,
             );
-            let pred = g.pwl_interp(tau, p, tv);
-            let yl = gather_leaf(g, &pairs.ylog_local[job], chunk);
-            let pl = g.ln_eps(pred, cfg.log_eps);
-            let r = g.sub(pl, yl);
-            let h = crate::train::apply_loss(g, r, cfg.loss, cfg.huber_delta);
-            let m = g.mean(h);
-            g.backward_params(m);
-            g.value(m).get(0, 0) as f64
+            let pred = interp_pairs(g, tau, p, &batch.rows, tv);
+            let yl = gather_leaf(g, &pairs.ylog_local[job], &batch.pairs);
+            log_loss(g, pred, yl, cfg)
         } else {
-            let loss = model.ae.reconstruction_loss(g, &model.store, xv);
-            let scaled = g.scale(loss, cfg.lambda_ae);
-            g.backward_params(scaled);
-            g.value(scaled).get(0, 0) as f64
-        }
+            ae_term(g, &model.ae, &model.store, xv, z, batch, cfg.lambda_ae)
+        };
+        g.backward_params(loss);
+        g.value(loss).get(0, 0) as f64
     })
 }
 
-/// One joint-training step (§5.3 phase 2): the global estimate couples
-/// every partition through the indicator sum, so this stays a single
-/// (reused) tape. Returns the batch loss and the parameter gradients as
-/// borrows into the tape.
-fn joint_step<'g>(
+/// Records the joint objective of §5.3 phase 2 for `batch` on `g`:
+/// `J_est(f*) + β Σ_i J_est(f^(i)) + λ J_AE`. The encoder and the `K`
+/// local models run on the batch's object rows; predictions, labels and
+/// the indicator mask are per pair.
+fn joint_loss(
     model: &PartitionedSelNet,
     pairs: &JointPairs<'_>,
-    chunk: &[usize],
-    x: &Matrix,
-    t: &Matrix,
-    g: &'g mut Graph,
-) -> (f64, Vec<(selnet_tensor::ParamId, &'g Matrix)>) {
+    batch: &CurveBatch,
+    g: &mut Graph,
+) -> Var {
     let cfg = &model.cfg;
     let beta = model.pcfg.beta;
-    g.reset();
-    let xv = g.leaf_ref(x);
-    let tv = g.leaf_ref(t);
-    let yv = gather_leaf(g, &pairs.ylog, chunk);
-    let (z, local_preds) = model.forward_locals(g, xv, |g, tau, p| g.pwl_interp(tau, p, tv));
+    let xv = g.leaf_ref(&batch.x);
+    let tv = gather_leaf(g, &pairs.flat.t, &batch.pairs);
+    let yv = gather_leaf(g, &pairs.flat.ylog, &batch.pairs);
+    let (z, local_preds) =
+        model.forward_locals(g, xv, |g, tau, p| interp_pairs(g, tau, p, &batch.rows, tv));
 
     // local losses: beta * sum_i J_est(f^(i))
     let mut loss_acc: Option<Var> = None;
     for (part, &local_pred) in local_preds.iter().enumerate() {
-        let yl = gather_leaf(g, &pairs.ylog_local[part], chunk);
-        let pl = g.ln_eps(local_pred, cfg.log_eps);
-        let r = g.sub(pl, yl);
-        let h = crate::train::apply_loss(g, r, cfg.loss, cfg.huber_delta);
-        let m = g.mean(h);
+        let yl = gather_leaf(g, &pairs.ylog_local[part], &batch.pairs);
+        let m = log_loss(g, local_pred, yl, cfg);
         let weighted = g.scale(m, beta);
         loss_acc = Some(match loss_acc {
             Some(acc) => g.add(acc, weighted),
@@ -427,31 +400,66 @@ fn joint_step<'g>(
     // global estimate: sum of indicator-masked local predictions
     let mut global: Option<Var> = None;
     for (part, &local_pred) in local_preds.iter().enumerate() {
-        let ind = gather_leaf(g, &pairs.indicator[part], chunk);
+        let ind = gather_leaf(g, &pairs.indicator[part], &batch.pairs);
         let masked = g.mul(local_pred, ind);
         global = Some(match global {
             Some(acc) => g.add(acc, masked),
             None => masked,
         });
     }
-    let global = global.expect("k > 0");
-    let gl = g.ln_eps(global, cfg.log_eps);
-    let r = g.sub(gl, yv);
-    let h = crate::train::apply_loss(g, r, cfg.loss, cfg.huber_delta);
-    let global_loss = g.mean(h);
+    let global_loss = log_loss(g, global.expect("k > 0"), yv, cfg);
     loss = g.add(global_loss, loss);
 
     // lambda * J_AE
-    let recon = model.ae.decode(g, &model.store, z);
-    let dx = g.sub(recon, xv);
-    let sq = g.square(dx);
-    let ae = g.mean(sq);
-    let ae_scaled = g.scale(ae, cfg.lambda_ae);
-    loss = g.add(loss, ae_scaled);
+    let ae = ae_term(g, &model.ae, &model.store, xv, z, batch, cfg.lambda_ae);
+    g.add(loss, ae)
+}
 
+/// One joint-training step: the global estimate couples every partition
+/// through the indicator sum, so this stays a single (reused) tape.
+/// Returns the batch loss and the parameter gradients as borrows into the
+/// tape.
+fn joint_step<'g>(
+    model: &PartitionedSelNet,
+    pairs: &JointPairs<'_>,
+    batch: &CurveBatch,
+    g: &'g mut Graph,
+) -> (f64, Vec<(selnet_tensor::ParamId, &'g Matrix)>) {
+    g.reset();
+    let loss = joint_loss(model, pairs, batch, g);
     g.backward_params(loss);
     let loss_val = g.value(loss).get(0, 0) as f64;
     (loss_val, g.param_grad_refs())
+}
+
+impl PartitionedSelNet {
+    /// Records on `g` the joint objective a training step minimises when
+    /// `objects` are its batch, and returns the scalar loss node.
+    /// `part_labels[object][part][threshold]` are the per-partition
+    /// selectivities ([`label_partitions`]); objects without a threshold
+    /// are left out.
+    ///
+    /// # Panics
+    /// Panics if no object has a threshold.
+    pub fn training_loss(
+        &self,
+        g: &mut Graph,
+        objects: &[LabeledQuery],
+        part_labels: &[Vec<Vec<f64>>],
+    ) -> Var {
+        assert_eq!(
+            objects.len(),
+            part_labels.len(),
+            "training_loss: one label set per object"
+        );
+        let pairs = build_joint_pairs(objects, part_labels, &self.partitioning, self.cfg.log_eps);
+        assert!(
+            !pairs.flat.t.is_empty(),
+            "training_loss: no labelled threshold"
+        );
+        let batch = CurveBatch::of_all(&pairs.flat, self.dim);
+        joint_loss(self, &pairs, &batch, g)
+    }
 }
 
 /// Runs `epochs` of training. `joint = false` gives the pretraining phase
@@ -461,9 +469,10 @@ fn joint_step<'g>(
 ///
 /// All tape state is persistent across batches: the pretraining phase owns
 /// one arena tape per job (`K` locals + 1 AE) plus fixed-order gradient
-/// merge buffers, the joint phase owns a single arena tape, and the batch
-/// matrices are reused allocations — after the first batch a training step
-/// performs no per-op matrix allocations.
+/// merge buffers, the joint phase owns a single arena tape, and a step's
+/// batch — whole query objects with all their thresholds, shuffled per
+/// epoch ([`CurveBatch`]) — is assembled in reused buffers: after the
+/// first batch a training step performs no per-op matrix allocations.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_training_phase(
     model: &mut PartitionedSelNet,
@@ -489,7 +498,7 @@ pub(crate) fn run_training_phase(
     );
     let epochs_before = report.epoch_val_mae.len();
     let cfg = model.cfg.clone();
-    let n = pairs.t.len();
+    let n = pairs.flat.x.len();
     let mut order: Vec<usize> = (0..n).collect();
     let mut best_mae = model.reference_val_mae;
     let mut best_store = model.store.clone();
@@ -501,37 +510,28 @@ pub(crate) fn run_training_phase(
         tapes.resize_with(k + 1, Graph::new);
     }
     let mut joint_tape = Graph::new();
-    let mut x = Matrix::default();
-    let mut t = Matrix::default();
+    let mut batch = CurveBatch::default();
     // per-parameter accumulators for the fixed-order pretraining merge
     let mut merged: Vec<Matrix> = Vec::new();
     merged.resize_with(model.store.len(), Matrix::default);
     let mut merged_seen = vec![false; model.store.len()];
 
     for _ in 0..epochs {
+        // shuffle the objects
         for i in (1..n).rev() {
             let j = rng.gen_range(0..=i);
             order.swap(i, j);
         }
         let mut epoch_loss = 0.0f64;
         let mut batches = 0usize;
-        for chunk in order.chunks(cfg.batch_size.max(1)) {
-            let b = chunk.len();
-            let threads = selnet_tensor::parallel::configured_threads();
-            x.reset_shape(b, model.dim);
-            selnet_tensor::parallel::par_fill_rows(x.data_mut(), model.dim, threads, |bi, row| {
-                row.copy_from_slice(pairs.x[chunk[bi]])
-            });
-            t.reset_shape(b, 1);
-            for (o, &i) in t.data_mut().iter_mut().zip(chunk) {
-                *o = pairs.t[i];
-            }
+        for chunk in order.chunks(pairs.flat.objects_per_step(cfg.batch_size)) {
+            batch.assemble(&pairs.flat, chunk, model.dim);
             let batch_loss = if joint {
-                let (loss, grads) = joint_step(model, pairs, chunk, &x, &t, &mut joint_tape);
+                let (loss, grads) = joint_step(model, pairs, &batch, &mut joint_tape);
                 opt.step_refs(&mut model.store, &grads);
                 loss
             } else {
-                let losses = local_pretrain_step(model, pairs, chunk, &x, &t, &mut tapes);
+                let losses = local_pretrain_step(model, pairs, &batch, &mut tapes);
                 // deterministic merge: job order, then injection order
                 // within a tape, then parameter order for the update
                 merged_seen.fill(false);
@@ -890,25 +890,40 @@ mod tests {
     }
 
     /// Parallel per-partition pretraining merges gradients in fixed job
-    /// order, so training is fully reproducible: same seed + same thread
-    /// count => identical model. (The kernels and the gradient merge are
-    /// in fact thread-count independent; the second fit runs under a
-    /// different worker count to pin that stronger property too.)
+    /// order, the kernels accumulate per row and `gather_rows` scatters on
+    /// the caller in index order, so a model does not depend on the worker
+    /// count: the snapshot bytes after a fit, and again after a §5.4
+    /// retrain, are the same on one thread and on three.
     #[test]
     fn partitioned_training_is_deterministic() {
         let (ds, w) = fixture();
         let mut cfg = SelNetConfig::tiny();
         cfg.epochs = 5;
-        let (m1, r1) = fit_partitioned(&ds, &w, &cfg, &tiny_pcfg());
-        selnet_tensor::parallel::set_threads(4);
-        let (m2, r2) = fit_partitioned(&ds, &w, &cfg, &tiny_pcfg());
+        let always_retrain = crate::UpdatePolicy {
+            mae_tolerance: -1.0,
+            patience: 2,
+            max_epochs: 3,
+        };
+        let run = |threads: usize| {
+            selnet_tensor::parallel::set_threads(threads);
+            let (mut model, report) = fit_partitioned(&ds, &w, &cfg, &tiny_pcfg());
+            let mut fitted = Vec::new();
+            model.save(&mut fitted).expect("save to memory");
+            let decision = model.check_and_update(&ds, w.kind, &w.train, &w.valid, &always_retrain);
+            assert!(decision.retrained());
+            let mut updated = Vec::new();
+            model.save(&mut updated).expect("save to memory");
+            (report, fitted, updated)
+        };
+        let (r1, fitted1, updated1) = run(1);
+        let (r3, fitted3, updated3) = run(3);
         selnet_tensor::parallel::set_threads(0);
-        assert_eq!(r1.epoch_train_loss, r2.epoch_train_loss);
-        assert_eq!(r1.epoch_val_mae, r2.epoch_val_mae);
-        let q = &w.test[0];
-        assert_eq!(
-            m1.predict_many(&q.x, &q.thresholds),
-            m2.predict_many(&q.x, &q.thresholds)
+        assert_eq!(r1.epoch_train_loss, r3.epoch_train_loss);
+        assert_eq!(r1.epoch_val_mae, r3.epoch_val_mae);
+        assert!(fitted1 == fitted3, "fitted snapshots differ across threads");
+        assert!(
+            updated1 == updated3,
+            "retrained snapshots differ across threads"
         );
     }
 

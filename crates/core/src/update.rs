@@ -17,8 +17,10 @@
 //!
 //! Both variants run on the reused-arena training loops (`train_loop` /
 //! `run_training_phase`), so an incremental retrain pays no per-batch tape
-//! allocation — the property that keeps the §5.4 loop cheap enough to
-//! trigger frequently.
+//! allocation, and a step's batch is whole query objects (the network runs
+//! once per object, not once per threshold), so an epoch over a few
+//! hundred objects is a few dozen small steps — the properties that keep
+//! the §5.4 loop cheap enough to trigger frequently.
 
 use crate::model::SelNetModel;
 use crate::partitioned::{continue_training, partitioned_validation_mae, PartitionedSelNet};

@@ -14,5 +14,5 @@ pub mod timing;
 
 pub use estimator::{SelectivityEstimator, SimilarityView};
 pub use metrics::{empirical_monotonicity, evaluate, ErrorMetrics, MetricsAccumulator};
-pub use table::{accuracy_csv, render_accuracy_table, AccuracyRow};
+pub use table::{accuracy_csv, median_scales, render_accuracy_table, AccuracyRow};
 pub use timing::average_estimate_ms;

@@ -56,6 +56,21 @@ pub fn render_accuracy_table(
     out
 }
 
+/// The `(mse_scale, mae_scale)` a table of `rows` reads best under: the
+/// power of ten at or below the **median** row's test MSE and MAE (at
+/// least 1). One model orders of magnitude worse than the rest then prints
+/// a large cell of its own; scaled by the largest row instead, every other
+/// row prints `0.00`.
+pub fn median_scales(rows: &[AccuracyRow]) -> (f64, f64) {
+    let scale = |metric: fn(&ErrorMetrics) -> f64| {
+        let mut values: Vec<f64> = rows.iter().map(|r| metric(&r.test)).collect();
+        values.sort_by(f64::total_cmp);
+        let median = values.get(values.len() / 2).map_or(1.0, |v| v.max(1.0));
+        10f64.powi(median.log10() as i32)
+    };
+    (scale(|m| m.mse), scale(|m| m.mae))
+}
+
 /// Writes rows as CSV (for `results/*.csv` artifacts).
 pub fn accuracy_csv(rows: &[AccuracyRow]) -> String {
     let mut out = String::from(
@@ -106,6 +121,33 @@ mod tests {
         assert!(s.contains("SelNet *"));
         assert!(s.contains("4.95"));
         assert!(s.contains("0.61"));
+    }
+
+    /// Eight models around MSE 3·10⁴ and one at 10¹¹ (`repro_accuracy`'s
+    /// DNN row): scaled by the worst, eight of nine MSE cells read `0.00`.
+    #[test]
+    fn scales_come_from_the_median_row_not_the_worst() {
+        let mut rows: Vec<AccuracyRow> = (0..8)
+            .map(|i| {
+                let mut r = row();
+                r.test.mse = 3.1e4 + 1e3 * i as f64;
+                r.test.mae = 41.0 + i as f64;
+                r
+            })
+            .collect();
+        let mut outlier = row();
+        outlier.test.mse = 1.2e11;
+        outlier.test.mae = 2.4e5;
+        rows.insert(3, outlier);
+        assert_eq!(median_scales(&rows), (1e4, 1e1));
+        let (mse_scale, mae_scale) = median_scales(&rows);
+        let table = render_accuracy_table("t", &rows, mse_scale, mae_scale);
+        assert!(table.contains("3.10") && table.contains("3.80"), "{table}");
+        assert!(table.contains("12000000.00"), "{table}");
+        // nothing to scale by, and values under one, leave the columns raw
+        assert_eq!(median_scales(&[]), (1.0, 1.0));
+        rows.iter_mut().for_each(|r| r.test.mse = 0.02);
+        assert_eq!(median_scales(&rows).0, 1.0);
     }
 
     #[test]

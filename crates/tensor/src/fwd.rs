@@ -148,6 +148,13 @@ pub(crate) fn slice_cols(a: &Matrix, start: usize, end: usize, out: &mut Matrix)
     }
 }
 
+/// `out` row `r` = `a` row `idx[r]`; the caller has checked the indices.
+pub(crate) fn gather_rows(a: &Matrix, idx: &[usize], out: &mut Matrix) {
+    for (r, &src) in idx.iter().enumerate() {
+        out.row_mut(r).copy_from_slice(a.row(src));
+    }
+}
+
 /// Per-row prefix sum (the paper's `M_psum` operator).
 pub(crate) fn cumsum_cols(a: &Matrix, out: &mut Matrix) {
     for i in 0..a.rows() {

@@ -54,6 +54,8 @@
 //! * [`Graph::pwl_interp`] — evaluation of the continuous piece-wise linear
 //!   estimator (Eq. 1) with gradients to both control-point vectors,
 //! * [`Graph::block_linear`] — the per-control-point decoder of model M,
+//! * [`Graph::gather_rows`] — one row per `(x, t)` pair out of one row per
+//!   query object, so a training step runs the network once per object,
 //! * [`Graph::lattice`] — multilinear lattice interpolation (used by the
 //!   DLN baseline),
 //! * [`Graph::huber`] — the robust Huber loss (δ = 1.345 by default).
@@ -136,6 +138,8 @@ pub(crate) enum Op {
         input: usize,
         params: usize,
     },
+    /// Row `r` of the output is row `Node::gather[r]` of the input.
+    GatherRows(usize),
 }
 
 impl Op {
@@ -175,7 +179,8 @@ impl Op {
             | Op::SliceCols(a, _, _)
             | Op::CumsumCols(a)
             | Op::Norml2(a, _)
-            | Op::Huber(a, _) => f(a),
+            | Op::Huber(a, _)
+            | Op::GatherRows(a) => f(a),
             Op::PwlInterp { tau, p, t } => {
                 f(tau);
                 f(p);
@@ -222,6 +227,9 @@ pub(crate) struct Node {
     /// range, `-2` above); replayed by the backward sweep. Kept on the node
     /// (not in [`Op`]) so the buffer is recycled across batches.
     seg: Vec<i64>,
+    /// Source row of each output row of a `GatherRows`; the backward sweep
+    /// scatters along it. On the node for the same reason as `seg`.
+    gather: Vec<usize>,
 }
 
 /// A reusable autodiff tape. Build the computation with the op methods,
@@ -301,6 +309,7 @@ impl Graph {
                 op,
                 param: None,
                 seg: Vec::new(),
+                gather: Vec::new(),
             });
         }
         self.live = idx + 1;
@@ -686,6 +695,31 @@ impl Graph {
         let (pre, out) = self.out_split(idx);
         fwd::slice_cols(&pre[a.0].value, start, end, &mut out.value);
         self.done(idx)
+    }
+
+    /// Row `r` of the result is row `idx[r]` of `v`: rows may repeat, be
+    /// left out, or come in any order, and an empty `idx` gives a `0 x C`
+    /// node. Training uses it to expand one `(τ, p)` row per query object
+    /// to one row per labelled threshold.
+    ///
+    /// The backward sweep adds row `r` of the incoming gradient to row
+    /// `idx[r]` of `v`'s, for `r` in increasing order on the calling thread
+    /// — a repeated row's gradient is one fixed sequence of additions, so
+    /// it has the same bits at every thread count.
+    ///
+    /// # Panics
+    /// Panics if an index is not a row of `v`.
+    pub fn gather_rows(&mut self, v: Var, idx: &[usize]) -> Var {
+        let (rows, cols) = self.nodes[v.0].value.shape();
+        if let Some(&bad) = idx.iter().find(|&&i| i >= rows) {
+            panic!("gather_rows: index {bad} out of range for {rows} rows");
+        }
+        let out_idx = self.alloc(idx.len(), cols, Op::GatherRows(v.0));
+        let (pre, out) = self.out_split(out_idx);
+        out.gather.clear();
+        out.gather.extend_from_slice(idx);
+        fwd::gather_rows(&pre[v.0].value, idx, &mut out.value);
+        self.done(out_idx)
     }
 
     /// Per-row prefix sum: `out[i][j] = sum_{k <= j} in[i][k]`.
@@ -1259,6 +1293,22 @@ impl Graph {
                     for i in 0..gout.rows() {
                         let gr = gout.row(i);
                         out.row_mut(i)[start..start + gr.len()].copy_from_slice(gr);
+                    }
+                });
+                self.put_scratch(tmp);
+            }
+            Op::GatherRows(a) => {
+                let mut tmp = self.take_scratch();
+                let (pre, rest) = self.nodes.split_at_mut(idx);
+                let node = &rest[0];
+                let shape = pre[a].value.shape();
+                let (grad, seen) = grad_mut(pre, a);
+                acc_with(grad, seen, &mut tmp, |out| {
+                    out.reset_zero(shape.0, shape.1);
+                    for (r, &src) in node.gather.iter().enumerate() {
+                        for (o, &g) in out.row_mut(src).iter_mut().zip(node.grad.row(r)) {
+                            *o += g;
+                        }
                     }
                 });
                 self.put_scratch(tmp);

@@ -37,12 +37,13 @@
 //!
 //! Every instruction is **row-independent** over the batch dimension, which
 //! is what lets [`InferencePlan::run_chunked`] split a wave anywhere. The
-//! tape ops that are not — the `sum` / `mean` batch reductions — have no
-//! instruction, and neither do `pwl_interp` (the served program stops at
-//! the control points; interpolation runs outside the plan on
-//! [`crate::pwl_interp_row`]) and `lattice` (no served model has one):
-//! compiling a tape that reaches one of them is a [`PlanError`] naming the
-//! op.
+//! tape ops that are not — the `sum` / `mean` batch reductions and
+//! `gather_rows`, whose output row reads another row of its input (it
+//! exists for training batches) — have no instruction, and neither do
+//! `pwl_interp` (the served program stops at the control points;
+//! interpolation runs outside the plan on [`crate::pwl_interp_row`]) and
+//! `lattice` (no served model has one): compiling a tape that reaches one
+//! of them is a [`PlanError`] naming the op.
 //!
 //! ## Row scaling
 //!
@@ -427,7 +428,8 @@ impl InferencePlan {
     ///
     /// Errors when a referenced `Var` is stale, an input is not a plain
     /// constant leaf, inputs disagree on the probe row count, a reachable
-    /// op has no instruction (`pwl_interp`, `lattice`, `sum`, `mean`), or
+    /// op has no instruction (`pwl_interp`, `lattice`, `sum`, `mean`,
+    /// `gather_rows`), or
     /// row scaling cannot be propagated consistently (e.g. an elementwise
     /// op mixing a batch-scaled and a fixed operand).
     pub fn compile(g: &Graph, inputs: &[Var], outputs: &[Var]) -> Result<InferencePlan, PlanError> {
@@ -1272,6 +1274,7 @@ fn emit_op(
         Op::Lattice { .. } => return no_instruction("lattice"),
         Op::Sum(_) => return no_instruction("sum"),
         Op::Mean(_) => return no_instruction("mean"),
+        Op::GatherRows(_) => return no_instruction("gather_rows"),
         // every elementwise unary was handled by `unop_of` above
         _ => unreachable!("unary ops handled above"),
     };
@@ -1399,6 +1402,11 @@ mod tests {
     #[test]
     fn mean_is_refused_by_name() {
         assert_refused("mean", |g, x| g.mean(x));
+    }
+
+    #[test]
+    fn gather_rows_is_refused_by_name() {
+        assert_refused("gather_rows", |g, x| g.gather_rows(x, &[1, 0, 1]));
     }
 
     /// Shared tape fixture for the chunked-replay tests: a two-layer MLP
