@@ -11,6 +11,7 @@
 //! * [`isotonic`](mod@isotonic) — PAVA isotonic regression (related-work
 //!   utility).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gbdt;

@@ -31,7 +31,8 @@ fn main() {
     for (qi, q) in w.test.iter().take(2).enumerate() {
         let sorted = sorted_distances(&ds, &q.x, w.kind);
         for (label, model) in [("SelNet-ct", &ct), ("SelNet-ad-ct", &ad)] {
-            let (tau, p) = model.control_points_for(&q.x);
+            // a `K = 1` model: its one curve
+            let (tau, p) = model.control_points_for(&q.x).swap_remove(0);
             println!("\nquery {} — {label}:", qi + 1);
             for (t, pv) in tau.iter().zip(&p) {
                 let truth = sorted.partition_point(|&d| d <= *t);

@@ -43,7 +43,7 @@ fn run_setting(setting: Setting, scale: &Scale, num_ops: usize) -> String {
             ];
             sim.step(&mut ds, &mut splits, kind);
         }
-        let decision = model.check_and_update(&train, &valid, &policy);
+        let decision = model.check_and_update(&ds, kind, &train, &valid, &policy);
         let m = evaluate(&model, &test);
         let retrained = usize::from(decision.retrained());
         csv.push_str(&format!(

@@ -4,9 +4,7 @@
 use selnet_baselines::{
     GbdtConfig, GbdtEstimator, KdeConfig, KdeEstimator, LshConfig, LshEstimator,
 };
-use selnet_core::{
-    fit_named, fit_partitioned, PartitionConfig, PartitionedSelNet, SelNetConfig, SelNetModel,
-};
+use selnet_core::{fit_named, fit_partitioned, PartitionConfig, PartitionedSelNet, SelNetConfig};
 use selnet_data::generators::{face_like, fasttext_like, youtube_like, GeneratorConfig};
 use selnet_data::Dataset;
 use selnet_eval::SelectivityEstimator;
@@ -405,7 +403,7 @@ pub fn train_models(
 
 /// Trains a standalone SelNet variant (typed accessors for the
 /// figure/sweep binaries).
-pub fn train_selnet_ct(ds: &Dataset, w: &Workload, scale: &Scale) -> SelNetModel {
+pub fn train_selnet_ct(ds: &Dataset, w: &Workload, scale: &Scale) -> PartitionedSelNet {
     fit_named(ds, w, &selnet_config(scale), "SelNet-ct").0
 }
 

@@ -33,6 +33,7 @@
 //! # Ok::<(), selnet_client::ClientError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use selnet_serve::protocol::{ErrorReply, Frame, Hello, HelloAck, Response};

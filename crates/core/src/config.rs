@@ -175,6 +175,24 @@ impl Default for PartitionConfig {
     }
 }
 
+impl PartitionConfig {
+    /// The partition configuration that *is* the un-partitioned model
+    /// ([`crate::fit`]): one part; no regions, so the indicator answers
+    /// all-ones without a distance; no local pretraining; no local loss
+    /// term. §5.3's `f* = Σ_i f_c[i]·f^(i)` is then the one curve, and the
+    /// joint objective `J_est(f*) + β Σ_i J_est(f^(i)) + λ J_AE` is
+    /// Eq. (2) + `λ`·Eq. (4) to the bit (`·1.0`, `0·J` and `+ 0.0` are
+    /// exact).
+    pub(crate) fn single() -> Self {
+        PartitionConfig {
+            k: 1,
+            method: selnet_index::PartitionMethod::Random,
+            pretrain_epochs: 0,
+            beta: 0.0,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

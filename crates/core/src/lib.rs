@@ -36,6 +36,7 @@
 //! println!("estimated selectivity: {sel:.1}");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod autoencoder;
@@ -50,7 +51,7 @@ pub mod update;
 
 pub use autoencoder::Autoencoder;
 pub use config::{LossKind, PartitionConfig, SelNetConfig, TauNormalization};
-pub use model::{ControlPointNets, SelNetModel};
+pub use model::ControlPointNets;
 pub use partitioned::{fit_partitioned, PartitionedSelNet};
 pub use pwl::{fit_fixed_grid, fit_selnet_head, PiecewiseLinear, PwlFit};
 pub use train::{fit, fit_named, TrainReport};

@@ -3,13 +3,9 @@
 //! ordinates (encoder FFN → per-control-point linear decoder → ReLU →
 //! prefix sum), and the piece-wise linear head of Eq. (1).
 
-use crate::autoencoder::Autoencoder;
 use crate::config::{SelNetConfig, TauNormalization};
-use crate::plans::{control_points, replay_curves, PlanCell};
 use rand::Rng;
-use selnet_eval::SelectivityEstimator;
-use selnet_tensor::{Activation, Graph, InferencePlan, Matrix, Mlp, ParamId, ParamStore, Var};
-use std::sync::Arc;
+use selnet_tensor::{Activation, Graph, Matrix, Mlp, ParamId, ParamStore, Var};
 
 /// The per-model networks that generate the control points for one
 /// (local or global) SelNet model. Shared across the partitioned variant:
@@ -134,178 +130,57 @@ impl ControlPointNets {
     }
 }
 
-/// A trained single (non-partitioned) SelNet model — `SelNet-ct` in the
-/// paper's ablation naming.
-#[derive(Clone)]
-pub struct SelNetModel {
-    pub(crate) cfg: SelNetConfig,
-    pub(crate) dim: usize,
-    pub(crate) tmax: f32,
-    pub(crate) store: ParamStore,
-    pub(crate) ae: Autoencoder,
-    pub(crate) nets: ControlPointNets,
-    pub(crate) name: String,
-    /// Validation MAE recorded when the model was (re)trained; the §5.4
-    /// update rule compares fresh MAE against this.
-    pub(crate) reference_val_mae: f64,
-    /// The compiled curve plan, keyed on the parameter-store version (see
-    /// [`crate::plans`]). Rebuilt lazily after any retrain.
-    pub(crate) plans: PlanCell<InferencePlan>,
-}
-
-impl SelNetModel {
-    /// The curve plan `x [B × d] → (τ, p)` for the current parameters
-    /// (compiled on first use or after a parameter mutation).
-    fn plan(&self) -> Arc<InferencePlan> {
-        self.plans.get_or(self.store.version(), || {
-            // probe with two rows so batch scaling is unambiguous
-            let mut g = Graph::new();
-            let xv = g.leaf_with(2, self.dim, |_| {});
-            let (tau, p, _z) = self.forward_control_points(&mut g, &self.store, xv);
-            InferencePlan::compile(&g, &[xv], &[tau, p])
-                .expect("the SelNet control-point forward is plan-compilable")
-        })
-    }
-
-    /// Records the full forward pass for a batch of query vectors.
-    /// Returns `(tau, p, z)`.
-    pub(crate) fn forward_control_points(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        x: Var,
-    ) -> (Var, Var, Var) {
-        let z = self.ae.encode(g, store, x);
-        let input = g.concat_cols(x, z);
-        let (tau, p) =
-            self.nets
-                .control_points(g, store, input, self.tmax, self.cfg.query_dependent_tau);
-        (tau, p, z)
-    }
-
-    /// The learned control points for a single query — used by the
-    /// Figure 4 experiment to visualize where the model places them.
-    pub fn control_points_for(&self, x: &[f32]) -> (Vec<f32>, Vec<f32>) {
-        assert_eq!(x.len(), self.dim, "query dimension mismatch");
-        control_points(&self.plan(), x).swap_remove(0)
-    }
-
-    /// Reference tape implementation of [`SelNetModel::control_points_for`]
-    /// — pinned bit-identical to the plan path by the property suite.
-    pub fn tape_control_points_for(&self, x: &[f32]) -> (Vec<f32>, Vec<f32>) {
-        assert_eq!(x.len(), self.dim, "query dimension mismatch");
-        Graph::with_pooled(|g| {
-            let xv = g.leaf_with(1, x.len(), |row| row.copy_from_slice(x));
-            let (tau, p, _) = self.forward_control_points(g, &self.store, xv);
-            (g.value(tau).row(0).to_vec(), g.value(p).row(0).to_vec())
-        })
-    }
-
-    /// Maximum supported threshold.
-    pub fn tmax(&self) -> f32 {
-        self.tmax
-    }
-
-    /// The configuration the model was trained with.
-    pub fn config(&self) -> &SelNetConfig {
-        &self.cfg
-    }
-
-    /// Input dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Direct access to the parameter store (checkpointing).
-    pub fn params(&self) -> &ParamStore {
-        &self.store
-    }
-
-    /// Predicts selectivities for one query at many thresholds with a
-    /// single network evaluation (control points are query-only): one row
-    /// of the compiled curve plan, one interpolation per threshold.
-    pub fn predict_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(ts.len());
-        self.estimate_into(&[(x, ts)], 1, &mut out);
-        out
-    }
-
-    /// Reference tape implementation of [`SelNetModel::predict_many`] —
-    /// pinned bit-identical to the plan path by the property suite, and
-    /// the baseline the `plan_*` bench group compares against.
-    pub fn tape_predict_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
-        assert_eq!(x.len(), self.dim, "query dimension mismatch");
-        Graph::with_pooled(|g| {
-            let xv = g.leaf_with(1, x.len(), |row| row.copy_from_slice(x));
-            let (tau, p, _) = self.forward_control_points(g, &self.store, xv);
-            let t = g.leaf_with(ts.len(), 1, |col| col.copy_from_slice(ts));
-            let y = g.pwl_interp(tau, p, t);
-            g.value(y).data().iter().map(|&v| v as f64).collect()
-        })
-    }
-}
-
-impl SelectivityEstimator for SelNetModel {
-    fn estimate(&self, x: &[f32], t: f32) -> f64 {
-        self.predict_many(x, &[t])[0]
-    }
-
-    fn estimate_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
-        self.predict_many(x, ts)
-    }
-
-    /// One network pass over the wave's query objects; `threads` never
-    /// changes a bit.
-    fn estimate_into(&self, queries: &[(&[f32], &[f32])], threads: usize, out: &mut Vec<f64>) {
-        replay_curves(&self.plan(), self.dim, queries, threads, None, out)
-    }
-
-    fn query_dim(&self) -> Option<usize> {
-        Some(self.dim)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn guarantees_consistency(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PartitionConfig;
+    use crate::partitioned::{register_networks, PartitionedSelNet};
+    use crate::plans::PlanCell;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use selnet_data::Dataset;
+    use selnet_eval::SelectivityEstimator;
+    use selnet_index::Partitioning;
+    use selnet_metric::DistanceKind;
 
-    fn make_model(query_dep: bool) -> SelNetModel {
-        let cfg = SelNetConfig {
-            query_dependent_tau: query_dep,
-            ..SelNetConfig::tiny()
-        };
-        let mut rng = StdRng::seed_from_u64(3);
+    /// An untrained `K = 1` model over six dimensions: what these tests
+    /// pin is the network's structure, which training does not change.
+    fn untrained(cfg: SelNetConfig, seed: u64, name: &str) -> PartitionedSelNet {
+        let pcfg = PartitionConfig::single();
+        let ds = Dataset::from_rows(6, &[vec![0.0; 6]]);
+        let partitioning =
+            Partitioning::build(&ds, DistanceKind::Euclidean, pcfg.method, pcfg.k, seed);
         let mut store = ParamStore::new();
-        let ae = Autoencoder::new(
-            &mut store,
-            "ae",
-            6,
-            &cfg.ae_hidden,
-            cfg.latent_dim,
-            &mut rng,
-        );
-        let nets = ControlPointNets::new(&mut store, "m", 6 + cfg.latent_dim, &cfg, &mut rng);
-        SelNetModel {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (ae, locals) = register_networks(&mut store, 6, &cfg, pcfg.k, &mut rng);
+        PartitionedSelNet {
             cfg,
+            pcfg,
             dim: 6,
             tmax: 2.0,
             store,
             ae,
-            nets,
-            name: "SelNet-ct".into(),
+            locals,
+            partitioning,
+            name: name.into(),
             reference_val_mae: 0.0,
             plans: PlanCell::new(),
         }
+    }
+
+    fn make_model(query_dep: bool) -> PartitionedSelNet {
+        let cfg = SelNetConfig {
+            query_dependent_tau: query_dep,
+            ..SelNetConfig::tiny()
+        };
+        untrained(cfg, 3, "SelNet-ct")
+    }
+
+    /// The one curve of a `K = 1` model.
+    fn curve(model: &PartitionedSelNet, x: &[f32]) -> (Vec<f32>, Vec<f32>) {
+        let mut curves = model.control_points_for(x);
+        assert_eq!(curves.len(), 1);
+        curves.swap_remove(0)
     }
 
     #[test]
@@ -326,7 +201,7 @@ mod tests {
     fn control_points_cover_threshold_range() {
         let model = make_model(true);
         let x = vec![0.0; 6];
-        let (tau, p) = model.control_points_for(&x);
+        let (tau, p) = curve(&model, &x);
         assert_eq!(tau.len(), model.cfg.control_points + 2);
         assert_eq!(p.len(), tau.len());
         assert_eq!(tau[0], 0.0);
@@ -342,16 +217,16 @@ mod tests {
     #[test]
     fn ablated_tau_is_query_independent() {
         let model = make_model(false);
-        let (tau_a, _) = model.control_points_for(&[0.0; 6]);
-        let (tau_b, _) = model.control_points_for(&[1.0, -1.0, 0.5, 0.3, -0.7, 0.2]);
+        let (tau_a, _) = curve(&model, &[0.0; 6]);
+        let (tau_b, _) = curve(&model, &[1.0, -1.0, 0.5, 0.3, -0.7, 0.2]);
         assert_eq!(tau_a, tau_b, "SelNet-ad-ct must share tau across queries");
     }
 
     #[test]
     fn adaptive_tau_is_query_dependent() {
         let model = make_model(true);
-        let (tau_a, _) = model.control_points_for(&[0.0; 6]);
-        let (tau_b, _) = model.control_points_for(&[1.0, -1.0, 0.5, 0.3, -0.7, 0.2]);
+        let (tau_a, _) = curve(&model, &[0.0; 6]);
+        let (tau_b, _) = curve(&model, &[1.0, -1.0, 0.5, 0.3, -0.7, 0.2]);
         assert_ne!(
             tau_a, tau_b,
             "query-dependent tau should differ across queries"
@@ -366,35 +241,14 @@ mod tests {
             tau_normalization: crate::config::TauNormalization::Softmax,
             ..SelNetConfig::tiny()
         };
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut store = ParamStore::new();
-        let ae = Autoencoder::new(
-            &mut store,
-            "ae",
-            6,
-            &cfg.ae_hidden,
-            cfg.latent_dim,
-            &mut rng,
-        );
-        let nets = ControlPointNets::new(&mut store, "m", 6 + cfg.latent_dim, &cfg, &mut rng);
-        let model = SelNetModel {
-            cfg,
-            dim: 6,
-            tmax: 2.0,
-            store,
-            ae,
-            nets,
-            name: "SelNet-softmax".into(),
-            reference_val_mae: 0.0,
-            plans: PlanCell::new(),
-        };
+        let model = untrained(cfg, 9, "SelNet-softmax");
         let ts: Vec<f32> = (0..60).map(|i| 2.0 * i as f32 / 59.0).collect();
         let preds = model.predict_many(&[0.2, -0.4, 0.1, 0.7, -0.3, 0.0], &ts);
         for w in preds.windows(2) {
             assert!(w[1] >= w[0] - 1e-6);
         }
         // tau still ends exactly at tmax (softmax rows sum to 1 as well)
-        let (tau, _) = model.control_points_for(&[0.0; 6]);
+        let (tau, _) = curve(&model, &[0.0; 6]);
         assert!((tau.last().unwrap() - 2.0).abs() < 1e-4);
     }
 
@@ -405,5 +259,23 @@ mod tests {
         let many = model.estimate_many(&x, &[0.5, 1.0]);
         assert_eq!(model.estimate(&x, 0.5), many[0]);
         assert_eq!(model.estimate(&x, 1.0), many[1]);
+    }
+
+    /// `K = 1` is "the one curve": with one part and no regions the
+    /// indicator is all-ones, so an estimate is Eq. (1) on the model's
+    /// only `(τ, p)` — to the bit, at thresholds on, off and beyond the
+    /// ladder.
+    #[test]
+    fn a_single_model_estimate_is_its_one_curve_interpolated() {
+        for query_dep in [true, false] {
+            let model = make_model(query_dep);
+            for x in [[0.3f32; 6], [1.0, -1.0, 0.5, 0.3, -0.7, 0.2]] {
+                let (tau, p) = curve(&model, &x);
+                for t in [-1.0f32, 0.0, 0.37, 1.0, 2.0, 5.0] {
+                    let want = selnet_tensor::pwl_interp_row(&tau, &p, t) as f64;
+                    assert_eq!(model.estimate(&x, t).to_bits(), want.to_bits(), "t = {t}");
+                }
+            }
+        }
     }
 }

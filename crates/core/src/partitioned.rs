@@ -77,6 +77,14 @@ impl PartitionedSelNet {
         self.tmax
     }
 
+    /// The learned control points `(τ, p)` for a single query, one pair
+    /// per curve (`K` of them; a model from [`crate::fit`] has one) — used
+    /// by the Figure 4 experiment to visualize where the model places them.
+    pub fn control_points_for(&self, x: &[f32]) -> Vec<(Vec<f32>, Vec<f32>)> {
+        assert_eq!(x.len(), self.dim, "query dimension mismatch");
+        control_points(&self.plan(), x)
+    }
+
     /// Records the shared encoder and every local model's control points
     /// for a batch; `head` is recorded right after each model's `(τ, p)`
     /// and chooses what the caller keeps of it (training interpolates at
@@ -218,8 +226,7 @@ impl PartitionedSelNet {
     /// Per-part predictions for one `(x, t)`, before the indicator
     /// (diagnostics / tests).
     pub fn local_estimates(&self, x: &[f32], t: f32) -> Vec<f64> {
-        assert_eq!(x.len(), self.dim, "query dimension mismatch");
-        control_points(&self.plan(), x)
+        self.control_points_for(x)
             .iter()
             .map(|(tau, p)| pwl_interp_row(tau, p, t) as f64)
             .collect()
@@ -244,7 +251,7 @@ impl SelectivityEstimator for PartitionedSelNet {
             self.dim,
             queries,
             threads,
-            Some(&self.partitioning),
+            &self.partitioning,
             out,
         )
     }
@@ -560,10 +567,11 @@ pub(crate) fn run_training_phase(
         }
         let mean_train_loss = epoch_loss / batches.max(1) as f64;
         report.epoch_train_loss.push(mean_train_loss);
-        let mae = partitioned_validation_mae(model, valid);
+        let mae = validation_mae(model, valid);
         report.epoch_val_mae.push(mae);
-        // empty validation split: select on training loss (see
-        // `train_loop` for the rationale)
+        // With an empty validation split the MAE is infinite every epoch;
+        // fall back to selecting on training loss so "best" tracks
+        // learning instead of freezing the earliest parameters.
         let selection = if valid.is_empty() {
             mean_train_loss
         } else {
@@ -603,8 +611,26 @@ pub(crate) fn run_training_phase(
 /// Validation MAE of the partitioned model (see
 /// [`crate::train::mean_abs_error`] for the parallel reduction and the
 /// empty-split `INFINITY` contract).
-pub(crate) fn partitioned_validation_mae(model: &PartitionedSelNet, split: &[LabeledQuery]) -> f64 {
+pub(crate) fn validation_mae(model: &PartitionedSelNet, split: &[LabeledQuery]) -> f64 {
     crate::train::mean_abs_error(split, |q| model.predict_many(&q.x, &q.thresholds))
+}
+
+/// Registers the shared autoencoder and the `k` control-point networks in
+/// `store` — the one registration (and initialization-draw) order that
+/// [`fit_partitioned`] trains and [`PartitionedSelNet::load`] rebuilds
+/// before copying a checkpoint's weights in.
+pub(crate) fn register_networks(
+    store: &mut ParamStore,
+    dim: usize,
+    cfg: &SelNetConfig,
+    k: usize,
+    rng: &mut StdRng,
+) -> (Autoencoder, Vec<ControlPointNets>) {
+    let ae = Autoencoder::new(store, "ae", dim, &cfg.ae_hidden, cfg.latent_dim, rng);
+    let locals = (0..k)
+        .map(|i| ControlPointNets::new(store, &format!("local{i}"), dim + cfg.latent_dim, cfg, rng))
+        .collect();
+    (ae, locals)
 }
 
 /// Trains the full partitioned SelNet: partition, pretrain local models for
@@ -628,27 +654,9 @@ pub fn fit_partitioned(
     let k = partitioning.k();
 
     let mut store = ParamStore::new();
-    let ae = Autoencoder::new(
-        &mut store,
-        "ae",
-        dim,
-        &cfg.ae_hidden,
-        cfg.latent_dim,
-        &mut rng,
-    );
-    let locals: Vec<ControlPointNets> = (0..k)
-        .map(|i| {
-            ControlPointNets::new(
-                &mut store,
-                &format!("local{i}"),
-                dim + cfg.latent_dim,
-                cfg,
-                &mut rng,
-            )
-        })
-        .collect();
+    let (ae, locals) = register_networks(&mut store, dim, cfg, k, &mut rng);
 
-    // AE pretraining (database, then training queries), as in the single model
+    // AE pretraining: database objects, then training queries
     ae.pretrain(
         &mut store,
         ds,
@@ -764,7 +772,7 @@ pub(crate) fn continue_training(
     // beat what the model already had — incremental training can never
     // leave the model worse than it found it. (Empty split: INFINITY, and
     // the phase falls back to training-loss selection.)
-    model.reference_val_mae = partitioned_validation_mae(model, valid);
+    model.reference_val_mae = validation_mae(model, valid);
     run_training_phase(
         model,
         &pairs,
@@ -777,7 +785,8 @@ pub(crate) fn continue_training(
         &mut report,
     );
     if valid.is_empty() {
-        // keep the "no measurable reference" sentinel (see `train_loop`)
+        // only a real validation MAE may serve as the §5.4 drift
+        // reference: keep the "no measurable reference" sentinel
         model.reference_val_mae = f64::MAX;
     }
     report

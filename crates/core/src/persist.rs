@@ -1,24 +1,21 @@
 //! Checkpointing of trained models.
 //!
-//! Two self-contained little-endian binary formats, no serialization
-//! dependency:
-//!
-//! * `SELNETM1` — a single [`SelNetModel`] (configuration + parameters);
-//! * `SELNETP1` — a **versioned whole-model snapshot** of a
-//!   [`PartitionedSelNet`]: hyper-parameters, partition configuration, the
-//!   partitioning itself (assignments + ball regions), the shared
-//!   autoencoder and every per-partition network (one parameter stream),
-//!   and the §5.4 update-policy state (`reference_val_mae`). This is the
-//!   format the `selnet-serve` subsystem ships between trainer and server.
+//! One self-contained little-endian binary format, no serialization
+//! dependency: `SELNETP1`, a **versioned whole-model snapshot** of a
+//! [`PartitionedSelNet`] — hyper-parameters, partition configuration, the
+//! partitioning itself (assignments + ball regions), the shared
+//! autoencoder and every per-partition network (one parameter stream),
+//! and the §5.4 update-policy state (`reference_val_mae`). This is the
+//! format the `selnet-serve` subsystem ships between trainer and server.
+//! A model from [`crate::fit`] is the `K = 1` case and saves the same way
+//! (its partitioning is one assignment column and no regions).
 //!
 //! Loaders return typed [`io::Error`]s — truncated streams surface as
 //! [`io::ErrorKind::UnexpectedEof`], bad magic/version/structure as
 //! [`io::ErrorKind::InvalidData`] — and never panic on corrupt input.
 
-use crate::autoencoder::Autoencoder;
 use crate::config::{LossKind, PartitionConfig, SelNetConfig, TauNormalization};
-use crate::model::{ControlPointNets, SelNetModel};
-use crate::partitioned::PartitionedSelNet;
+use crate::partitioned::{register_networks, PartitionedSelNet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selnet_index::Partitioning;
@@ -28,7 +25,6 @@ use selnet_tensor::bytes::{
 use selnet_tensor::ParamStore;
 use std::io::{self, Read, Write};
 
-const MAGIC: &[u8; 8] = b"SELNETM1";
 const PARTITIONED_MAGIC: &[u8; 8] = b"SELNETP1";
 /// Current `SELNETP1` snapshot version. Bump when the layout changes; the
 /// loader accepts `1..=SNAPSHOT_VERSION` (v2 added one reserved 64-bit
@@ -239,60 +235,6 @@ fn read_pconfig(r: &mut impl Read) -> io::Result<PartitionConfig> {
     })
 }
 
-impl SelNetModel {
-    /// Serializes the model (config + parameters).
-    pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(MAGIC)?;
-        write_config(w, &self.cfg)?;
-        write_usize(w, self.dim)?;
-        write_f32(w, self.tmax)?;
-        write_f64(w, self.reference_val_mae)?;
-        write_string(w, &self.name)?;
-        self.store.save(w)
-    }
-
-    /// Deserializes a model previously written by [`SelNetModel::save`].
-    pub fn load(r: &mut impl Read) -> io::Result<SelNetModel> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(invalid("bad model magic"));
-        }
-        let cfg = read_config(r)?;
-        let dim = read_len(r, 1 << 20, "input dimension")?;
-        let tmax = read_f32(r)?;
-        let reference_val_mae = read_f64(r)?;
-        let name = read_string(r)?;
-        let loaded_store = ParamStore::load(r)?;
-
-        // rebuild the architecture with the same registration order, then
-        // copy the trained weights in
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut store = ParamStore::new();
-        let ae = Autoencoder::new(
-            &mut store,
-            "ae",
-            dim,
-            &cfg.ae_hidden,
-            cfg.latent_dim,
-            &mut rng,
-        );
-        let nets = ControlPointNets::new(&mut store, "net", dim + cfg.latent_dim, &cfg, &mut rng);
-        store.try_copy_from(&loaded_store).map_err(invalid)?;
-        Ok(SelNetModel {
-            cfg,
-            dim,
-            tmax,
-            store,
-            ae,
-            nets,
-            name,
-            reference_val_mae,
-            plans: crate::plans::PlanCell::new(),
-        })
-    }
-}
-
 impl PartitionedSelNet {
     /// Serializes the whole partitioned model as a versioned `SELNETP1`
     /// snapshot: hyper-parameters, partition configuration, the
@@ -365,25 +307,7 @@ impl PartitionedSelNet {
         // order, then copy the trained weights in
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut store = ParamStore::new();
-        let ae = Autoencoder::new(
-            &mut store,
-            "ae",
-            dim,
-            &cfg.ae_hidden,
-            cfg.latent_dim,
-            &mut rng,
-        );
-        let locals: Vec<ControlPointNets> = (0..k)
-            .map(|i| {
-                ControlPointNets::new(
-                    &mut store,
-                    &format!("local{i}"),
-                    dim + cfg.latent_dim,
-                    &cfg,
-                    &mut rng,
-                )
-            })
-            .collect();
+        let (ae, locals) = register_networks(&mut store, dim, &cfg, k, &mut rng);
         store.try_copy_from(&loaded_store).map_err(invalid)?;
         span.set_detail(k as u64, dim as u64);
         Ok(PartitionedSelNet {
@@ -425,12 +349,14 @@ mod tests {
 
         let mut buf = Vec::new();
         model.save(&mut buf).unwrap();
-        let loaded = SelNetModel::load(&mut buf.as_slice()).unwrap();
+        assert_eq!(&buf[..8], PARTITIONED_MAGIC, "one format, K = 1 included");
+        let loaded = PartitionedSelNet::load(&mut buf.as_slice()).unwrap();
 
         let q = &w.test[0];
         let a = model.predict_many(&q.x, &q.thresholds);
         let b = loaded.predict_many(&q.x, &q.thresholds);
         assert_eq!(a, b);
+        assert_eq!(loaded.k(), 1);
         assert_eq!(model.name(), loaded.name());
         assert_eq!(model.tmax(), loaded.tmax());
     }
@@ -438,7 +364,7 @@ mod tests {
     #[test]
     fn load_rejects_garbage() {
         let buf = vec![1u8; 64];
-        assert!(SelNetModel::load(&mut buf.as_slice()).is_err());
+        assert!(PartitionedSelNet::load(&mut buf.as_slice()).is_err());
     }
 
     /// Loads expecting failure (`PartitionedSelNet` has no `Debug` impl,
@@ -553,9 +479,43 @@ mod tests {
         let err = load_err(&buf);
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("magic"), "got: {err}");
-        // a single-model stream is also rejected up front
-        let err = load_err(b"SELNETM1garbage");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// The retired single-model format (magic `SELNETM` + `1`, then a
+    /// configuration with no version word before it) is refused at the
+    /// magic, whatever follows it: a typed error, never a panic and never
+    /// a mis-parse of the old layout as a version number.
+    #[test]
+    fn a_retired_single_model_stream_is_a_typed_bad_magic_error() {
+        let (model, _) = partitioned_fixture(44);
+        // the snapshot magic with `M` for `P`
+        let mut retired_magic = *PARTITIONED_MAGIC;
+        retired_magic[6] = b'M';
+        // what the old writer put after its magic, followed by a real
+        // parameter stream
+        let mut old = retired_magic.to_vec();
+        write_config(&mut old, &model.cfg).unwrap();
+        write_usize(&mut old, model.dim).unwrap();
+        write_f32(&mut old, model.tmax()).unwrap();
+        write_f64(&mut old, model.reference_val_mae()).unwrap();
+        write_string(&mut old, "SelNet-ct").unwrap();
+        model.store.save(&mut old).unwrap();
+        // and a valid snapshot with only its magic swapped
+        let mut swapped = Vec::new();
+        model.save(&mut swapped).unwrap();
+        swapped[..8].copy_from_slice(&retired_magic);
+        for (what, bytes) in [
+            ("old layout", &old),
+            ("swapped magic", &swapped),
+            (
+                "magic and garbage",
+                &[&retired_magic[..], b"garbage"].concat(),
+            ),
+        ] {
+            let err = load_err(bytes);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().contains("magic"), "{what}: {err}");
+        }
     }
 
     /// The v2 reserved word: `save` writes zero; the codes earlier builds

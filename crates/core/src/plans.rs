@@ -6,8 +6,8 @@
 //! and the threshold `t` enters only at the interpolation of Eq. (1) and
 //! at the partition indicator. The compiled program is split at exactly
 //! that boundary. A model compiles **one** plan per parameter version,
-//! `x [B × d] → (τ_k, p_k)` for each of its `K` curves (one for the
-//! single model, one per partition otherwise) — no threshold input, no
+//! `x [B × d] → (τ_k, p_k)` for each of its `K` curves (one per
+//! partition; a model from [`crate::fit`] has one) — no threshold input, no
 //! interpolation instruction — and [`replay_curves`] applies the rest
 //! with [`selnet_tensor::pwl_interp_row`], the row body of the tape's own
 //! `pwl_interp` op, so bit-identity with the tape is structural — see
@@ -33,17 +33,16 @@ use std::sync::{Arc, RwLock};
 /// The plan runs once over the queries' objects — row-chunked across up
 /// to `threads` workers by [`InferencePlan::run_chunked`], each chunk
 /// owning the output slots of its rows' thresholds — then every `(x_i,
-/// t_ij)` interpolates its row's curves. With `mask`, the estimate is the
-/// partitioned model's `Σ_k f_c(x, t)[k] · f^(k)(x, t)`: curves the
-/// indicator switches off are never interpolated and contribute the same
-/// `0.0` term the tape sums. Without it the plan has one curve, which is
-/// the estimate.
+/// t_ij)` interpolates its row's curves. The estimate is §5.3's
+/// `Σ_k f_c(x, t)[k] · f^(k)(x, t)` with `partitioning`'s indicator as
+/// `f_c`: curves it switches off are never interpolated and contribute the
+/// same `0.0` term the tape sums.
 pub(crate) fn replay_curves(
     plan: &InferencePlan,
     dim: usize,
     queries: &[(&[f32], &[f32])],
     threads: usize,
-    mask: Option<&Partitioning>,
+    partitioning: &Partitioning,
     out: &mut Vec<f64>,
 ) {
     let mut offsets = Vec::with_capacity(queries.len() + 1);
@@ -81,24 +80,19 @@ pub(crate) fn replay_curves(
                 knots.extend((0..curves).map(|k| (row_of(2 * k, j), row_of(2 * k + 1, j))));
                 // one indicator pass per query object: the distances to
                 // the region centres do not depend on the threshold
-                if let Some(partitioning) = mask {
-                    partitioning.indicator_many_into(x, ts, &mut on);
-                }
+                partitioning.indicator_many_into(x, ts, &mut on);
                 for (i, &t) in ts.iter().enumerate() {
-                    chunk[slot] = match mask {
-                        None => pwl_interp_row(knots[0].0, knots[0].1, t) as f64,
-                        Some(_) => knots
-                            .iter()
-                            .zip(&on[i * curves..(i + 1) * curves])
-                            .map(|(&(tau, p), &on)| {
-                                if on {
-                                    pwl_interp_row(tau, p, t) as f64
-                                } else {
-                                    0.0
-                                }
-                            })
-                            .sum(),
-                    };
+                    chunk[slot] = knots
+                        .iter()
+                        .zip(&on[i * curves..(i + 1) * curves])
+                        .map(|(&(tau, p), &on)| {
+                            if on {
+                                pwl_interp_row(tau, p, t) as f64
+                            } else {
+                                0.0
+                            }
+                        })
+                        .sum();
                     slot += 1;
                 }
             }

@@ -1,15 +1,16 @@
-//! Training of the single (non-partitioned) SelNet model: the estimation
-//! loss of Eq. (2) (Huber on log-selectivities) combined with the
-//! autoencoder term of Eq. (4), minimized with Adam; the parameters with
-//! the smallest validation error are kept (Appendix B.2).
+//! What every training step is made of — a batch of whole query objects
+//! (`CurveBatch`), the estimation loss of Eq. (2) (Huber on
+//! log-selectivities), the autoencoder term of Eq. (4), the validation MAE
+//! the best parameters are kept by (Appendix B.2) — and [`fit`], the
+//! un-partitioned SelNet-ct, which is the `K = 1` case of
+//! [`fit_partitioned`]. The epochs themselves run in one place:
+//! `partitioned::run_training_phase`.
 
 use crate::autoencoder::Autoencoder;
-use crate::config::{LossKind, SelNetConfig};
-use crate::model::{ControlPointNets, SelNetModel};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::config::{LossKind, PartitionConfig, SelNetConfig};
+use crate::partitioned::{fit_partitioned, PartitionedSelNet};
 use selnet_data::Dataset;
-use selnet_tensor::{Adam, Graph, Matrix, Optimizer, ParamStore, Var};
+use selnet_tensor::{Graph, Matrix, ParamStore, Var};
 use selnet_workload::{LabeledQuery, Workload};
 
 /// Per-epoch training diagnostics.
@@ -168,40 +169,6 @@ pub(crate) fn ae_term(
     g.scale(mean, lambda)
 }
 
-/// Records one step's objective for `batch` on `g`: Eq. (2) over the
-/// batch's pairs plus `λ` times Eq. (4) over its objects.
-fn record_loss(
-    model: &SelNetModel,
-    g: &mut Graph,
-    pairs: &FlatPairs<'_>,
-    batch: &CurveBatch,
-) -> Var {
-    let cfg = &model.cfg;
-    let xv = g.leaf_ref(&batch.x);
-    let tv = gather_leaf(g, &pairs.t, &batch.pairs);
-    let yv = gather_leaf(g, &pairs.ylog, &batch.pairs);
-    let (tau, p, z) = model.forward_control_points(g, &model.store, xv);
-    let yhat = interp_pairs(g, tau, p, &batch.rows, tv);
-    let est_loss = log_loss(g, yhat, yv, cfg);
-    let ae_loss = ae_term(g, &model.ae, &model.store, xv, z, batch, cfg.lambda_ae);
-    g.add(est_loss, ae_loss)
-}
-
-impl SelNetModel {
-    /// Records on `g` the objective a training step minimises when
-    /// `objects` are its batch, and returns the scalar loss node: the
-    /// network runs once per object, the loss is taken per labelled
-    /// threshold. Objects without a threshold are left out.
-    ///
-    /// # Panics
-    /// Panics if no object has a threshold.
-    pub fn training_loss(&self, g: &mut Graph, objects: &[LabeledQuery]) -> Var {
-        let pairs = flatten_pairs(objects, self.cfg.log_eps);
-        assert!(!pairs.t.is_empty(), "training_loss: no labelled threshold");
-        record_loss(self, g, &pairs, &CurveBatch::of_all(&pairs, self.dim))
-    }
-}
-
 /// Records the configured loss (§5.1 design choice) on log residuals.
 fn apply_loss(g: &mut Graph, residual: Var, loss: LossKind, delta: f32) -> Var {
     match loss {
@@ -216,12 +183,11 @@ fn apply_loss(g: &mut Graph, residual: Var, loss: LossKind, delta: f32) -> Var {
 
 /// Mean absolute error of `predict` over a labeled split, parallelized
 /// over queries (per-query sums are reduced in query order, so the result
-/// is independent of the thread count). Shared by the single-model and
-/// partitioned validation paths.
+/// is independent of the thread count).
 ///
 /// Returns `f64::INFINITY` for an empty split: the seed returned `0.0`,
-/// which made the training loops lock in the earliest parameters as
-/// "best" and store a bogus drift reference of 0.
+/// which made training lock in the earliest parameters as "best" and
+/// store a bogus drift reference of 0.
 pub(crate) fn mean_abs_error<F>(split: &[LabeledQuery], predict: F) -> f64
 where
     F: Fn(&LabeledQuery) -> Vec<f64> + Sync,
@@ -248,15 +214,17 @@ where
     abs / n.max(1) as f64
 }
 
-/// [`mean_abs_error`] of the current parameters on a validation split.
-pub(crate) fn validation_mae(model: &SelNetModel, split: &[LabeledQuery]) -> f64 {
-    mean_abs_error(split, |q| model.predict_many(&q.x, &q.thresholds))
-}
-
-/// Trains a fresh SelNet model (no data partitioning — the `SelNet-ct`
+/// Trains a fresh SelNet model without data partitioning — the `SelNet-ct`
 /// configuration, or `SelNet-ad-ct` when
-/// [`SelNetConfig::query_dependent_tau`] is off).
-pub fn fit(ds: &Dataset, workload: &Workload, cfg: &SelNetConfig) -> (SelNetModel, TrainReport) {
+/// [`SelNetConfig::query_dependent_tau`] is off. This is
+/// [`fit_partitioned`] at `PartitionConfig { k: 1, method: Random,
+/// pretrain_epochs: 0, beta: 0.0 }`: one curve under an all-ones indicator,
+/// trained on Eq. (2) + `λ`·Eq. (4).
+pub fn fit(
+    ds: &Dataset,
+    workload: &Workload,
+    cfg: &SelNetConfig,
+) -> (PartitionedSelNet, TrainReport) {
     let name = if cfg.query_dependent_tau {
         "SelNet-ct"
     } else {
@@ -271,147 +239,10 @@ pub fn fit_named(
     workload: &Workload,
     cfg: &SelNetConfig,
     name: &str,
-) -> (SelNetModel, TrainReport) {
-    let dim = ds.dim();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut store = ParamStore::new();
-    let ae = Autoencoder::new(
-        &mut store,
-        "ae",
-        dim,
-        &cfg.ae_hidden,
-        cfg.latent_dim,
-        &mut rng,
-    );
-    let nets = ControlPointNets::new(&mut store, "net", dim + cfg.latent_dim, cfg, &mut rng);
-
-    // ---- AE pretraining: database objects, then training queries ----
-    ae.pretrain(
-        &mut store,
-        ds,
-        cfg.ae_pretrain_epochs,
-        cfg.batch_size,
-        cfg.ae_pretrain_sample,
-        cfg.learning_rate,
-        cfg.seed ^ 0x5e1f,
-    );
-    if !workload.train.is_empty() {
-        let queries = Dataset::from_rows(
-            dim,
-            &workload
-                .train
-                .iter()
-                .map(|q| q.x.clone())
-                .collect::<Vec<_>>(),
-        );
-        ae.pretrain(
-            &mut store,
-            &queries,
-            (cfg.ae_pretrain_epochs / 2).max(1),
-            cfg.batch_size,
-            cfg.ae_pretrain_sample,
-            cfg.learning_rate,
-            cfg.seed ^ 0xae,
-        );
-    }
-
-    let mut model = SelNetModel {
-        cfg: cfg.clone(),
-        dim,
-        tmax: workload.tmax,
-        store,
-        ae,
-        nets,
-        name: name.to_string(),
-        reference_val_mae: f64::MAX,
-        plans: crate::plans::PlanCell::new(),
-    };
-
-    let report = train_loop(
-        &mut model,
-        &workload.train,
-        &workload.valid,
-        cfg.epochs,
-        &mut rng,
-    );
+) -> (PartitionedSelNet, TrainReport) {
+    let (mut model, report) = fit_partitioned(ds, workload, cfg, &PartitionConfig::single());
+    model.name = name.to_string();
     (model, report)
-}
-
-/// The core mini-batch loop, shared by initial training and the §5.4
-/// incremental update. Keeps the parameters with the smallest validation
-/// MAE and stores that MAE as the model's reference.
-///
-/// A step's batch is whole query objects with all their thresholds
-/// ([`CurveBatch`], [`FlatPairs::objects_per_step`] of them, shuffled per
-/// epoch): the network sees each object once and the loss every pair.
-///
-/// One arena tape is reused for every batch of every epoch
-/// ([`Graph::reset`] keeps the buffers), and gradients flow to Adam as
-/// borrows — after the first batch a step performs no per-op matrix
-/// allocations.
-pub(crate) fn train_loop(
-    model: &mut SelNetModel,
-    train: &[LabeledQuery],
-    valid: &[LabeledQuery],
-    epochs: usize,
-    rng: &mut StdRng,
-) -> TrainReport {
-    let cfg = model.cfg.clone();
-    let pairs = flatten_pairs(train, cfg.log_eps);
-    let n = pairs.x.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut batch = CurveBatch::default();
-    let mut opt = Adam::new(cfg.learning_rate).with_clip(1.0);
-    let mut report = TrainReport::default();
-    let mut best_mae = f64::MAX;
-    let mut best_store = model.store.clone();
-    let mut g = Graph::new();
-
-    for epoch in 0..epochs {
-        // shuffle the objects
-        for i in (1..n).rev() {
-            let j = rng.gen_range(0..=i);
-            order.swap(i, j);
-        }
-        let mut epoch_loss = 0.0f64;
-        let mut batches = 0usize;
-        for chunk in order.chunks(pairs.objects_per_step(cfg.batch_size)) {
-            batch.assemble(&pairs, chunk, model.dim);
-            g.reset();
-            let loss = record_loss(model, &mut g, &pairs, &batch);
-            g.backward_params(loss);
-            epoch_loss += g.value(loss).get(0, 0) as f64;
-            batches += 1;
-            let grads = g.param_grad_refs();
-            opt.step_refs(&mut model.store, &grads);
-        }
-        let mean_train_loss = epoch_loss / batches.max(1) as f64;
-        report.epoch_train_loss.push(mean_train_loss);
-        let mae = validation_mae(model, valid);
-        report.epoch_val_mae.push(mae);
-        // With an empty validation split the MAE is infinite every epoch;
-        // fall back to selecting on training loss so "best" tracks
-        // learning instead of freezing the earliest parameters.
-        let selection = if valid.is_empty() {
-            mean_train_loss
-        } else {
-            mae
-        };
-        if selection < best_mae {
-            best_mae = selection;
-            best_store = model.store.clone();
-            report.best_epoch = epoch;
-        }
-    }
-    if best_mae.is_finite() {
-        model.store = best_store;
-        if !valid.is_empty() {
-            // only a real validation MAE may serve as the §5.4 drift
-            // reference
-            model.reference_val_mae = best_mae;
-        }
-    }
-    report
 }
 
 #[cfg(test)]
@@ -496,8 +327,8 @@ mod tests {
         );
     }
 
-    /// Regression: with an empty validation split, `validation_mae`
-    /// returned 0.0, so the loop froze the epoch-0 parameters as "best"
+    /// Regression: with an empty validation split the validation MAE
+    /// read 0.0, so the loop froze the epoch-0 parameters as "best"
     /// and stored a bogus drift reference of 0.
     #[test]
     fn empty_validation_split_selects_on_training_loss() {
@@ -524,9 +355,10 @@ mod tests {
         assert_eq!(model.reference_val_mae, f64::MAX);
     }
 
-    /// The single-model twin of `partitioned_training_is_deterministic`:
-    /// snapshot bytes after a fit and after a §5.4 retrain are the same on
-    /// one thread and on three.
+    /// `partitioned_training_is_deterministic` at `K = 1`, where a retrain
+    /// takes the label shortcut and no pretraining tape runs: snapshot
+    /// bytes after a fit, and after a forced §5.4 retrain that may run all
+    /// four epochs, are the same on one thread and on three.
     #[test]
     fn single_model_training_is_deterministic() {
         let (ds, w) = fixture();
@@ -534,16 +366,16 @@ mod tests {
         cfg.epochs = 4;
         let always_retrain = crate::UpdatePolicy {
             mae_tolerance: -1.0,
-            patience: 2,
-            max_epochs: 3,
+            patience: 4,
+            max_epochs: 4,
         };
         let run = |threads: usize| {
             selnet_tensor::parallel::set_threads(threads);
             let (mut model, report) = fit(&ds, &w, &cfg);
             let mut fitted = Vec::new();
             model.save(&mut fitted).expect("save to memory");
-            let decision = model.check_and_update(&w.train, &w.valid, &always_retrain);
-            assert!(decision.retrained());
+            let decision = model.check_and_update(&ds, w.kind, &w.train, &w.valid, &always_retrain);
+            assert_eq!(decision.epochs_run(), 4);
             let mut updated = Vec::new();
             model.save(&mut updated).expect("save to memory");
             (report, fitted, updated)
@@ -552,6 +384,7 @@ mod tests {
         let (r3, fitted3, updated3) = run(3);
         selnet_tensor::parallel::set_threads(0);
         assert_eq!(r1.epoch_train_loss, r3.epoch_train_loss);
+        assert_eq!(r1.epoch_val_mae, r3.epoch_val_mae);
         assert!(fitted1 == fitted3, "fitted snapshots differ across threads");
         assert!(
             updated1 == updated3,

@@ -15,16 +15,15 @@
 //!    `selnet-serve` hot-swap path relies on: a published post-update
 //!    generation is at least as good as the one it replaces).
 //!
-//! Both variants run on the reused-arena training loops (`train_loop` /
-//! `run_training_phase`), so an incremental retrain pays no per-batch tape
-//! allocation, and a step's batch is whole query objects (the network runs
-//! once per object, not once per threshold), so an epoch over a few
+//! A retrain is one more joint phase of the reused-arena training loop
+//! (`run_training_phase`) under one optimizer, so it pays no per-batch
+//! tape allocation, and a step's batch is whole query objects (the network
+//! runs once per object, not once per threshold), so an epoch over a few
 //! hundred objects is a few dozen small steps — the properties that keep
 //! the §5.4 loop cheap enough to trigger frequently.
 
-use crate::model::SelNetModel;
-use crate::partitioned::{continue_training, partitioned_validation_mae, PartitionedSelNet};
-use crate::train::{train_loop, validation_mae, TrainReport};
+use crate::partitioned::{continue_training, validation_mae, PartitionedSelNet};
+use crate::train::TrainReport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selnet_data::Dataset;
@@ -110,81 +109,9 @@ impl UpdateDecision {
     }
 }
 
-impl SelNetModel {
-    /// Applies the §5.4 rule after the labels in `train` / `valid` have
-    /// been refreshed for a database update.
-    pub fn check_and_update(
-        &mut self,
-        train: &[LabeledQuery],
-        valid: &[LabeledQuery],
-        policy: &UpdatePolicy,
-    ) -> UpdateDecision {
-        // flight-recorder hook (inert unless the global recorder is
-        // armed): a = epochs run (0 = skipped), b = resulting val-MAE
-        // bits (skip: the measured drift's bits)
-        let mut span = selnet_obs::trace::global().span("retrain_decision", 0);
-        // With an empty validation split the MAE is infinite, so drift is
-        // unmeasurable — retrain conservatively and track training loss
-        // for the patience rule (mirroring `train_loop`'s fallback).
-        let fresh = validation_mae(self, valid);
-        let drift = (fresh - self.reference_val_mae).abs();
-        if !valid.is_empty() && drift <= policy.mae_tolerance {
-            span.set_detail(0, drift.to_bits());
-            return UpdateDecision::Skipped { mae_drift: drift };
-        }
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x0badf00d);
-        // Continue from the current parameters with patience-based
-        // stopping, *with restore*: the pre-retrain parameters (whose MAE
-        // on the drifted split is `fresh`) stay the fallback, so
-        // incremental training can never leave the model worse than it
-        // found it. With an empty split the starting point is
-        // unmeasurable, so selection falls back to training loss and the
-        // first epoch always adopts.
-        let mut report = TrainReport::default();
-        let mut best = if valid.is_empty() { f64::MAX } else { fresh };
-        let mut best_store = self.store.clone();
-        let mut since = 0usize;
-        let mut epochs_run = 0usize;
-        self.reference_val_mae = f64::MAX;
-        for _ in 0..policy.max_epochs {
-            let r = train_loop(self, train, valid, 1, &mut rng);
-            let mae = r.epoch_val_mae[0];
-            let train_loss = r.epoch_train_loss[0];
-            report.epoch_train_loss.extend(r.epoch_train_loss);
-            report.epoch_val_mae.push(mae);
-            epochs_run += 1;
-            let selection = if valid.is_empty() { train_loss } else { mae };
-            if selection < best {
-                best = selection;
-                best_store = self.store.clone();
-                report.best_epoch = epochs_run - 1;
-                since = 0;
-            } else {
-                since += 1;
-                if since >= policy.patience {
-                    break;
-                }
-            }
-        }
-        self.store = best_store;
-        // only a real validation MAE may serve as the next drift reference
-        self.reference_val_mae = if valid.is_empty() { f64::MAX } else { best };
-        span.set_detail(epochs_run as u64, self.reference_val_mae.to_bits());
-        UpdateDecision::Retrained {
-            epochs_run,
-            new_val_mae: self.reference_val_mae,
-            report,
-        }
-    }
-
-    /// Stored reference validation MAE.
-    pub fn reference_val_mae(&self) -> f64 {
-        self.reference_val_mae
-    }
-}
-
 impl PartitionedSelNet {
-    /// Partitioned variant of the §5.4 rule. `ds` is the *updated*
+    /// Applies the §5.4 rule after the labels in `train` / `valid` have
+    /// been refreshed for a database update. `ds` is the *updated*
     /// database (needed to refresh per-partition labels).
     pub fn check_and_update(
         &mut self,
@@ -194,11 +121,13 @@ impl PartitionedSelNet {
         valid: &[LabeledQuery],
         policy: &UpdatePolicy,
     ) -> UpdateDecision {
-        // flight-recorder hook, same detail convention as the flat model
+        // flight-recorder hook (inert unless the global recorder is
+        // armed): a = epochs run (0 = skipped), b = resulting val-MAE
+        // bits (skip: the measured drift's bits)
         let mut span = selnet_obs::trace::global().span("retrain_decision", 0);
         // empty validation split: drift is unmeasurable, retrain
         // conservatively (`continue_training` selects on training loss)
-        let fresh = partitioned_validation_mae(self, valid);
+        let fresh = validation_mae(self, valid);
         let drift = (fresh - self.reference_val_mae).abs();
         if !valid.is_empty() && drift <= policy.mae_tolerance {
             span.set_detail(0, drift.to_bits());
@@ -258,11 +187,11 @@ mod tests {
             mae_tolerance: 1e9,
             ..Default::default()
         };
-        let decision = model.check_and_update(&w.train, &w.valid, &policy);
+        let decision = model.check_and_update(&ds, w.kind, &w.train, &w.valid, &policy);
         assert!(!decision.retrained());
     }
 
-    /// Regression (follow-on to the empty-split `validation_mae` fix):
+    /// Regression (follow-on to the empty-split validation-MAE fix):
     /// with an empty validation split, the update rule must still make
     /// progress — retrain conservatively, select on training loss, and
     /// never store an infinite/bogus drift reference as if it were real.
@@ -286,7 +215,7 @@ mod tests {
             patience: 2,
             max_epochs: 4,
         };
-        let decision = model.check_and_update(&w.train, &[], &policy);
+        let decision = model.check_and_update(&ds, w.kind, &w.train, &[], &policy);
         assert!(decision.retrained(), "unmeasurable drift must retrain");
         if let UpdateDecision::Retrained { report, .. } = &decision {
             // patience ran on finite training losses, not on infinite MAE
@@ -329,10 +258,10 @@ mod tests {
             patience: 2,
             max_epochs: 6,
         };
-        let mae_before = crate::train::validation_mae(&model, &valid);
-        let decision = model.check_and_update(&train, &valid, &policy);
+        let mae_before = validation_mae(&model, &valid);
+        let decision = model.check_and_update(&ds, w.kind, &train, &valid, &policy);
         assert!(decision.retrained());
-        let mae_after = crate::train::validation_mae(&model, &valid);
+        let mae_after = validation_mae(&model, &valid);
         // structural since the restore semantics: the pre-retrain
         // parameters are the fallback, so an update can never hurt
         assert!(

@@ -6,12 +6,12 @@
 //! per pair); and one pair at a time, each on a tape of its own, where
 //! nothing is gathered, indexed or weighted — the oracle, since a batch's
 //! objective is by definition the mean of its pairs'. Loss and every
-//! parameter gradient must agree to rounding — for the single model and
-//! the partitioned one, τ query-dependent and shared (the one-row τ that
-//! is broadcast, never gathered), on full, ragged and empty threshold
-//! ladders.
+//! parameter gradient must agree to rounding — for the single model
+//! (`fit`, `K = 1`) and a three-part one, τ query-dependent and shared
+//! (the one-row τ that is broadcast, never gathered), on full, ragged and
+//! empty threshold ladders.
 
-use selnet_core::{fit, fit_partitioned, PartitionConfig, SelNetConfig};
+use selnet_core::{fit, fit_partitioned, PartitionConfig, PartitionedSelNet, SelNetConfig};
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
 use selnet_data::Dataset;
 use selnet_index::PartitionMethod;
@@ -144,22 +144,42 @@ fn assert_agree(label: &str, got: &LossAndGrads, want: &LossAndGrads) {
     assert!(nonzero > grads.len() / 2, "{label}: gradients vanished");
 }
 
+/// The three-way comparison on every ladder, for one trained model.
+fn assert_curves_equal_pair_rows(
+    model: &PartitionedSelNet,
+    ds: &Dataset,
+    w: &Workload,
+    what: &str,
+) {
+    for (name, objects) in ladders(&w.train) {
+        let rows = pair_rows(&objects);
+        let labels = |split: &[LabeledQuery]| {
+            label_partitions(ds, model.partitioning(), split, w.kind, 1).labels
+        };
+        let (object_labels, row_labels) = (labels(&objects), labels(&rows));
+        let label = format!("{what}, {name}");
+        let oracle = mean_over_pairs(rows.len(), |j, g| {
+            model.training_loss(
+                g,
+                std::slice::from_ref(&rows[j]),
+                std::slice::from_ref(&row_labels[j]),
+            )
+        });
+        let curves = loss_and_grads(|g| model.training_loss(g, &objects, &object_labels));
+        assert_agree(&format!("{label}, as curves"), &curves, &oracle);
+        let pair_batch = loss_and_grads(|g| model.training_loss(g, &rows, &row_labels));
+        assert_agree(&format!("{label}, as pair rows"), &pair_batch, &oracle);
+    }
+}
+
 #[test]
 fn single_model_curve_batch_equals_its_pair_rows() {
     let (ds, w) = fixture();
     for query_dependent_tau in [true, false] {
         let (model, _) = fit(&ds, &w, &net_config(query_dependent_tau));
-        for (name, objects) in ladders(&w.train) {
-            let rows = pair_rows(&objects);
-            let label = format!("single, query-dependent τ {query_dependent_tau}, {name}");
-            let oracle = mean_over_pairs(rows.len(), |j, g| {
-                model.training_loss(g, std::slice::from_ref(&rows[j]))
-            });
-            let curves = loss_and_grads(|g| model.training_loss(g, &objects));
-            assert_agree(&format!("{label}, as curves"), &curves, &oracle);
-            let pair_batch = loss_and_grads(|g| model.training_loss(g, &rows));
-            assert_agree(&format!("{label}, as pair rows"), &pair_batch, &oracle);
-        }
+        assert_eq!(model.k(), 1);
+        let what = format!("single, query-dependent τ {query_dependent_tau}");
+        assert_curves_equal_pair_rows(&model, &ds, &w, &what);
     }
 }
 
@@ -174,25 +194,8 @@ fn partitioned_curve_batch_equals_its_pair_rows() {
     };
     for query_dependent_tau in [true, false] {
         let (model, _) = fit_partitioned(&ds, &w, &net_config(query_dependent_tau), &pcfg);
-        for (name, objects) in ladders(&w.train) {
-            let rows = pair_rows(&objects);
-            let labels = |split: &[LabeledQuery]| {
-                label_partitions(&ds, model.partitioning(), split, w.kind, 1).labels
-            };
-            let (object_labels, row_labels) = (labels(&objects), labels(&rows));
-            let label = format!("partitioned, query-dependent τ {query_dependent_tau}, {name}");
-            let oracle = mean_over_pairs(rows.len(), |j, g| {
-                model.training_loss(
-                    g,
-                    std::slice::from_ref(&rows[j]),
-                    std::slice::from_ref(&row_labels[j]),
-                )
-            });
-            let curves = loss_and_grads(|g| model.training_loss(g, &objects, &object_labels));
-            assert_agree(&format!("{label}, as curves"), &curves, &oracle);
-            let pair_batch = loss_and_grads(|g| model.training_loss(g, &rows, &row_labels));
-            assert_agree(&format!("{label}, as pair rows"), &pair_batch, &oracle);
-        }
+        let what = format!("partitioned, query-dependent τ {query_dependent_tau}");
+        assert_curves_equal_pair_rows(&model, &ds, &w, &what);
     }
 }
 
@@ -201,5 +204,7 @@ fn partitioned_curve_batch_equals_its_pair_rows() {
 fn a_batch_without_a_threshold_is_refused() {
     let (ds, w) = fixture();
     let (model, _) = fit(&ds, &w, &net_config(true));
-    model.training_loss(&mut Graph::new(), &cut(&w.train, |_| 0));
+    let objects = cut(&w.train, |_| 0);
+    let labels = label_partitions(&ds, model.partitioning(), &objects, w.kind, 1).labels;
+    model.training_loss(&mut Graph::new(), &objects, &labels);
 }

@@ -19,6 +19,7 @@ use selnet_data::Dataset;
 use selnet_eval::SelectivityEstimator;
 use selnet_index::PartitionMethod;
 use selnet_metric::DistanceKind;
+use selnet_tensor::pwl_interp_row;
 use selnet_workload::{generate_workload, Workload, WorkloadConfig};
 
 /// The network variants every `repro_*` binary's `SelNetConfig` is drawn
@@ -189,9 +190,10 @@ proptest! {
         }
     }
 
-    /// Single (non-partitioned) model: the hook, `predict_many` and
+    /// Single model (`fit`, `K = 1`): the hook, `predict_many` and
     /// `control_points_for` ride one plan and match the tape bit for bit,
-    /// for every τ variant.
+    /// for every τ variant — the estimate being the model's one curve
+    /// interpolated, with no indicator in the way.
     #[test]
     fn single_model_plan_paths_are_bit_identical(
         seed in 0u64..1000,
@@ -200,19 +202,15 @@ proptest! {
     ) {
         let (ds, w) = fixture(seed ^ 0x51);
         let (model, _) = fit(&ds, &w, &net_config(seed, query_dependent, softmax));
-        let wave = ragged_wave(&w, seed);
-        let queries: Vec<(&[f32], &[f32])> =
-            wave.iter().map(|(x, ts)| (x.as_slice(), ts.as_slice())).collect();
-        let tape: Vec<f64> = queries
-            .iter()
-            .flat_map(|&(x, ts)| model.tape_predict_many(x, ts))
-            .collect();
-        for threads in [1usize, 2, 4, 8] {
-            prop_assert_eq!(&wave_at(&model, &queries, threads), &tape);
-        }
-        for &(x, ts) in &queries {
-            prop_assert_eq!(model.predict_many(x, ts), model.tape_predict_many(x, ts));
-            prop_assert_eq!(model.control_points_for(x), model.tape_control_points_for(x));
+        prop_assert_eq!(model.k(), 1);
+        assert_one_path(&model, &w, seed, "single");
+        for (x, ts) in ragged_wave(&w, seed) {
+            let curves = model.control_points_for(&x);
+            prop_assert_eq!(curves.len(), 1);
+            let (tau, p) = &curves[0];
+            let interpolated: Vec<f64> =
+                ts.iter().map(|&t| pwl_interp_row(tau, p, t) as f64).collect();
+            prop_assert_eq!(interpolated, model.tape_predict_many(&x, &ts));
         }
     }
 }

@@ -5,6 +5,7 @@
 //! metrics of Appendix B.3 (MSE/MAE/MAPE), the empirical monotonicity
 //! measure of §7.3, per-query timing (Table 7), and table/CSV rendering.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod estimator;

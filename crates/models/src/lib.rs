@@ -12,6 +12,7 @@
 //! * [`umnn`] — Unconstrained Monotonic NN via Clenshaw–Curtis quadrature
 //!   (consistent by construction).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod common;

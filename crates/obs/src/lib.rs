@@ -26,6 +26,7 @@
 //! consumers rely on: observability never perturbs served results, and a
 //! disabled recorder costs one relaxed atomic load per probe.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod expo;

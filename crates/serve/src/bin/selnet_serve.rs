@@ -1,5 +1,5 @@
 //! The `selnet-serve` binary: loads one or more `SELNETP1` snapshots and
-//! serves them as named tenants over TCP (binary protocols v1 and v2) or
+//! serves them as named tenants over TCP (binary protocol v2) or
 //! stdin (text protocol), plus the small train/replay/check subcommands
 //! the CI smoke pipeline is built from.
 //!
@@ -336,7 +336,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         let addr = opts.get("addr").unwrap_or("127.0.0.1:7878");
         let listener =
             std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-        eprintln!("serving binary protocol (v1 + v2) on {addr} (send a stats frame for counters)");
+        eprintln!("serving binary protocol v2 on {addr} (send a stats frame for counters)");
         let stop = Arc::new(AtomicBool::new(false));
         let result = server::serve_tcp(Arc::clone(&engine), listener, stop)
             .map_err(|e| format!("serve failed: {e}"));

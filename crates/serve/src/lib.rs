@@ -21,10 +21,10 @@
 //!   and generation, and **sheds load** with
 //!   [`SubmitError::Overloaded`] when
 //!   its bounded queues saturate;
-//! * [`protocol`] — the versioned binary wire format (v2: handshake,
-//!   opcode-tagged frames, model routing, typed error replies; v1 kept
-//!   as a compat decode path) and the line-oriented text format spoken by
-//!   the `selnet-serve` binary over TCP and stdin respectively;
+//! * [`protocol`] — the versioned binary wire format (handshake,
+//!   opcode-tagged frames, model routing, typed error replies) and the
+//!   line-oriented text format spoken by the `selnet-serve` binary over
+//!   TCP and stdin respectively;
 //! * [`stats`] — per-tenant and fleet-wide telemetry on `selnet-obs`
 //!   primitives: lock-free latency / batch-occupancy / retrain
 //!   histograms (unbounded, zero dropped samples), throughput / cache /
@@ -42,9 +42,10 @@
 //! observability on vs off serves bit-identical answers, and CI bounds
 //! the armed engine's hot-path overhead at 3%.
 //!
-//! The `selnet-client` crate speaks the v2 protocol over persistent
-//! pipelined connections; [`server`] hosts both dialects behind one
-//! listener, sniffing the version from the first four bytes.
+//! The `selnet-client` crate speaks the binary protocol over persistent
+//! pipelined connections; [`server`] hosts it behind one listener and
+//! closes, with a typed error, a connection that does not open with the
+//! handshake.
 //!
 //! Model snapshots travel as `SELNETP1` streams (see
 //! `selnet_core::persist`): `selnet-serve train-tiny` writes one, the
@@ -71,6 +72,7 @@
 //!   or a saturated queue answers with a v2 error frame (or a text-mode
 //!   `!error` line) before a worker thread ever sees the request.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
@@ -82,6 +84,6 @@ pub mod stats;
 
 pub use cache::LruCache;
 pub use engine::{Engine, EngineConfig, Request, SubmitError, TenantStats};
-pub use protocol::{ErrorCode, ErrorReply, Frame, Response, TextQuery, WireVersion};
+pub use protocol::{ErrorCode, ErrorReply, Frame, Response, TextQuery};
 pub use registry::{ModelRegistry, SwapRecord, Tenant, UpdateHandle};
 pub use stats::{ServeStats, StatsSnapshot};

@@ -1,18 +1,19 @@
-//! The `selnet-serve` wire formats: versioned, type-tagged frames (v2)
-//! with a compatibility decode path for the original sentinel-based v1.
+//! The `selnet-serve` wire formats: versioned, type-tagged binary frames
+//! and the line-oriented text protocol.
 //!
 //! ## Version negotiation
 //!
-//! A v2 client opens the connection with a [`Hello`] — the 4-byte magic
+//! A client opens the connection with a [`Hello`] — the 4-byte magic
 //! `"SNV2"` followed by the lowest and highest protocol version it
 //! speaks — and the server answers with a [`HelloAck`] carrying the
-//! version it chose (the highest both sides support). The magic decodes
-//! as a little-endian `u32` far above [`MAX_FRAME_LEN`], so it can never
-//! be confused with a v1 length prefix: a connection whose first four
-//! bytes are *not* the magic is served as v1, sight unseen. That is the
-//! whole back-compat story — old clients never learn v2 exists.
+//! version it chose (the highest both sides support). A connection whose
+//! first four bytes are *not* the magic is closed with `InvalidData`: the
+//! handshake-less v1 framing of earlier builds is no longer served. The
+//! magic decodes as a little-endian `u32` far above [`MAX_FRAME_LEN`], so
+//! a length-prefixed frame sent without a handshake can never be taken
+//! for one.
 //!
-//! ## v2 frames (after the handshake)
+//! ## Frames (after the handshake)
 //!
 //! Little-endian, length-prefixed, opcode-tagged:
 //!
@@ -40,18 +41,6 @@
 //! `4` shutting down. An error reply answers exactly one request — the
 //! connection stays open and later pipelined requests still get their
 //! own replies.
-//!
-//! ## v1 frames (legacy, no handshake)
-//!
-//! ```text
-//! request  := u32 payload_len | u32 dim | dim x f32 query | u32 m | m x f32 thresholds
-//! response := u32 payload_len | u32 m | m x f64 estimates
-//! ```
-//!
-//! A v1 request with `dim == 0xFFFF_FFFF` (and no further payload) asks
-//! for server statistics; the response payload is `u32 0xFFFF_FFFF`
-//! followed by `u32 len | len` bytes of UTF-8 counter text. v1 has no
-//! error frame: a refused request closes the connection.
 //!
 //! ## Text protocol (stdin mode, used by CI)
 //!
@@ -82,18 +71,12 @@ pub const MAX_FRAME_LEN: u32 = 16 << 20;
 /// human-chosen labels; anything longer is a corrupt frame.
 pub const MAX_MODEL_LEN: u16 = 256;
 
-/// v1 sentinel `dim` requesting a statistics report instead of an
-/// estimate. Retired from the primary protocol in v2 (where `Stats` is
-/// its own opcode) but still honoured on v1 connections.
-pub const V1_STATS_SENTINEL: u32 = u32::MAX;
-
-/// The 4 bytes a v2 client leads with. As a little-endian `u32` this is
-/// `0x3256_4E53`, orders of magnitude above [`MAX_FRAME_LEN`] — a v1
-/// frame can never begin with it.
+/// The 4 bytes a client leads with. As a little-endian `u32` this is
+/// `0x3256_4E53`, orders of magnitude above [`MAX_FRAME_LEN`] — a
+/// length-prefixed frame can never begin with it.
 pub const HELLO_MAGIC: [u8; 4] = *b"SNV2";
 
-/// Lowest protocol version this build speaks (v1 is implicit — it has no
-/// handshake).
+/// Lowest protocol version this build speaks.
 pub const MIN_VERSION: u16 = 2;
 /// Highest protocol version this build speaks.
 pub const MAX_VERSION: u16 = 2;
@@ -109,16 +92,6 @@ mod opcode {
     pub const METRICS_REPLY: u8 = 0x83;
     pub const ESTIMATES_TRACED: u8 = 0x84;
     pub const ERROR: u8 = 0xEE;
-}
-
-/// The wire dialect a connection speaks, fixed at accept time: v2 when
-/// the client led with [`HELLO_MAGIC`], v1 otherwise.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireVersion {
-    /// The legacy sentinel protocol (no model routing, no typed errors).
-    V1,
-    /// The versioned, type-tagged protocol.
-    V2,
 }
 
 fn invalid(msg: impl Into<String>) -> io::Error {
@@ -183,8 +156,7 @@ fn read_payload(r: &mut impl Read, min_len: u32) -> io::Result<Option<Vec<u8>>> 
 
 /// One parsed request frame. `Frame` is the protocol's primary request
 /// type: a type-tagged enum on the wire (opcode byte under the length
-/// prefix) in v2, with a v1-compat decode path ([`Frame::read_v1`]) that
-/// maps the legacy sentinel format onto the same enum (`model: None`).
+/// prefix).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
     /// An estimation request: query object + threshold grid, routed to
@@ -204,12 +176,11 @@ pub enum Frame {
         model: Option<String>,
     },
     /// A metrics scrape: asks for the whole fleet's telemetry in
-    /// Prometheus text exposition format ([v2 only](WireVersion::V2)).
+    /// Prometheus text exposition format.
     Metrics,
     /// A [`Frame::Query`] carrying the client's own trace ID, echoed
     /// back on the paired [`Response::EstimatesTraced`] reply and
-    /// attached to the server's slow-query log ([v2
-    /// only](WireVersion::V2)).
+    /// attached to the server's slow-query log.
     QueryTraced {
         /// The client-chosen trace ID (`0` lets the server mint one, but
         /// then the echo is the only place the client learns it).
@@ -224,26 +195,6 @@ pub enum Frame {
 }
 
 impl Frame {
-    /// Writes this request in the given wire dialect. v1 cannot express
-    /// model routing: writing a routed frame as v1 is an error rather
-    /// than a silent misroute.
-    pub fn write(&self, w: &mut impl Write, ver: WireVersion) -> io::Result<()> {
-        match ver {
-            WireVersion::V2 => self.write_v2(w),
-            WireVersion::V1 => self.write_v1(w),
-        }
-    }
-
-    /// Reads one request frame in the given wire dialect. `Ok(None)`
-    /// means the peer closed the connection cleanly (EOF before any
-    /// frame byte); EOF *inside* a frame is `UnexpectedEof`.
-    pub fn read(r: &mut impl Read, ver: WireVersion) -> io::Result<Option<Frame>> {
-        match ver {
-            WireVersion::V2 => Frame::read_v2(r),
-            WireVersion::V1 => Frame::read_v1(r),
-        }
-    }
-
     /// Writes this request as a v2 opcode-tagged frame.
     pub fn write_v2(&self, w: &mut impl Write) -> io::Result<()> {
         let mut buf = Vec::new();
@@ -289,7 +240,9 @@ impl Frame {
         write_frame(w, &buf)
     }
 
-    /// Reads one v2 request frame.
+    /// Reads one v2 request frame. `Ok(None)` means the peer closed the
+    /// connection cleanly (EOF before any frame byte); EOF *inside* a
+    /// frame is `UnexpectedEof`.
     pub fn read_v2(r: &mut impl Read) -> io::Result<Option<Frame>> {
         let Some(payload) = read_payload(r, 1)? else {
             return Ok(None);
@@ -329,56 +282,6 @@ impl Frame {
             return Err(invalid("trailing bytes in request frame"));
         }
         Ok(Some(frame))
-    }
-
-    /// Writes this request in the legacy v1 format. Routed frames
-    /// (`model: Some`) cannot be expressed in v1 and are refused.
-    pub fn write_v1(&self, w: &mut impl Write) -> io::Result<()> {
-        match self {
-            Frame::Stats { model: None } => {
-                w.write_all(&4u32.to_le_bytes())?;
-                w.write_all(&V1_STATS_SENTINEL.to_le_bytes())
-            }
-            Frame::Query { model: None, x, ts } => {
-                let payload_len = 4 + 4 * x.len() + 4 + 4 * ts.len();
-                w.write_all(&(payload_len as u32).to_le_bytes())?;
-                w.write_all(&(x.len() as u32).to_le_bytes())?;
-                for &v in x {
-                    w.write_all(&v.to_le_bytes())?;
-                }
-                w.write_all(&(ts.len() as u32).to_le_bytes())?;
-                for &v in ts {
-                    w.write_all(&v.to_le_bytes())?;
-                }
-                Ok(())
-            }
-            _ => Err(invalid(
-                "v1 cannot express model routing, tracing, or metrics",
-            )),
-        }
-    }
-
-    /// Reads one legacy v1 request frame, mapping it onto the v2 enum
-    /// (`model: None`, i.e. the default tenant).
-    pub fn read_v1(r: &mut impl Read) -> io::Result<Option<Frame>> {
-        let Some(payload) = read_payload(r, 4)? else {
-            return Ok(None);
-        };
-        let mut p = payload.as_slice();
-        let dim = read_u32(&mut p)?;
-        if dim == V1_STATS_SENTINEL {
-            if !p.is_empty() {
-                return Err(invalid("trailing bytes in v1 stats frame"));
-            }
-            return Ok(Some(Frame::Stats { model: None }));
-        }
-        let x = read_f32s(&mut p, dim, "query")?;
-        let m = read_u32(&mut p)?;
-        let ts = read_f32s(&mut p, m, "threshold grid")?;
-        if !p.is_empty() {
-            return Err(invalid("trailing bytes in request frame"));
-        }
-        Ok(Some(Frame::Query { model: None, x, ts }))
     }
 }
 
@@ -572,11 +475,10 @@ pub enum Response {
     Estimates(Vec<f64>),
     /// Counter text from a [`Frame::Stats`] request.
     Stats(String),
-    /// Prometheus text exposition from a [`Frame::Metrics`] request
-    /// ([v2 only](WireVersion::V2)).
+    /// Prometheus text exposition from a [`Frame::Metrics`] request.
     Metrics(String),
     /// Estimates answering a [`Frame::QueryTraced`], echoing the trace
-    /// ID the server used ([v2 only](WireVersion::V2)).
+    /// ID the server used.
     EstimatesTraced {
         /// The trace ID of the request this answers (the client's, or a
         /// server-minted one when the client sent `0`).
@@ -584,20 +486,11 @@ pub enum Response {
         /// Estimates, one per requested threshold, in request order.
         values: Vec<f64>,
     },
-    /// A typed refusal ([v2 only](WireVersion::V2); v1 closes instead).
+    /// A typed refusal.
     Error(ErrorReply),
 }
 
 impl Response {
-    /// Writes this response in the given wire dialect. v1 cannot express
-    /// typed errors — the caller must close the connection instead.
-    pub fn write(&self, w: &mut impl Write, ver: WireVersion) -> io::Result<()> {
-        match ver {
-            WireVersion::V2 => self.write_v2(w),
-            WireVersion::V1 => self.write_v1(w),
-        }
-    }
-
     /// Writes this response as a v2 opcode-tagged frame.
     pub fn write_v2(&self, w: &mut impl Write) -> io::Result<()> {
         let mut buf = Vec::new();
@@ -694,62 +587,6 @@ impl Response {
             return Err(invalid("trailing bytes in response frame"));
         }
         Ok(Some(resp))
-    }
-
-    /// Writes this response in the legacy v1 format. Typed errors cannot
-    /// be expressed — v1 signals refusal by closing the connection.
-    pub fn write_v1(&self, w: &mut impl Write) -> io::Result<()> {
-        match self {
-            Response::Estimates(values) => {
-                let payload_len = 4 + 8 * values.len();
-                w.write_all(&(payload_len as u32).to_le_bytes())?;
-                w.write_all(&(values.len() as u32).to_le_bytes())?;
-                for &v in values {
-                    w.write_all(&v.to_le_bytes())?;
-                }
-                Ok(())
-            }
-            Response::Stats(text) => {
-                let bytes = text.as_bytes();
-                let payload_len = 4 + 4 + bytes.len();
-                w.write_all(&(payload_len as u32).to_le_bytes())?;
-                w.write_all(&V1_STATS_SENTINEL.to_le_bytes())?;
-                w.write_all(&(bytes.len() as u32).to_le_bytes())?;
-                w.write_all(bytes)
-            }
-            Response::Metrics(_) | Response::EstimatesTraced { .. } => {
-                Err(invalid("v1 cannot express metrics or traced replies"))
-            }
-            Response::Error(_) => Err(invalid("v1 cannot express typed errors")),
-        }
-    }
-
-    /// Reads one legacy v1 response frame (client side). `Ok(None)` on
-    /// clean EOF.
-    pub fn read_v1(r: &mut impl Read) -> io::Result<Option<Response>> {
-        let Some(payload) = read_payload(r, 4)? else {
-            return Ok(None);
-        };
-        let mut p = payload.as_slice();
-        let m = read_u32(&mut p)?;
-        if m == V1_STATS_SENTINEL {
-            let len = read_u32(&mut p)? as usize;
-            if p.len() != len {
-                return Err(invalid("stats text length mismatch"));
-            }
-            let text = String::from_utf8(p.to_vec()).map_err(|_| invalid("stats text not utf8"))?;
-            return Ok(Some(Response::Stats(text)));
-        }
-        if (p.len() as u64) != m as u64 * 8 {
-            return Err(invalid("estimate payload length mismatch"));
-        }
-        let mut out = Vec::with_capacity(m as usize);
-        for _ in 0..m {
-            let mut b = [0u8; 8];
-            p.read_exact(&mut b)?;
-            out.push(f64::from_le_bytes(b));
-        }
-        Ok(Some(Response::Estimates(out)))
     }
 }
 
@@ -939,81 +776,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_roundtrip_and_enum_mapping() {
-        let frame = Frame::Query {
-            model: None,
-            x: vec![0.25, -1.5, 3.0],
-            ts: vec![0.1, 0.2],
-        };
-        let mut buf = Vec::new();
-        frame.write_v1(&mut buf).unwrap();
-        assert_eq!(Frame::read_v1(&mut buf.as_slice()).unwrap(), Some(frame));
-
-        let mut buf = Vec::new();
-        Frame::Stats { model: None }.write_v1(&mut buf).unwrap();
-        assert_eq!(
-            Frame::read_v1(&mut buf.as_slice()).unwrap(),
-            Some(Frame::Stats { model: None })
-        );
-
-        let mut rbuf = Vec::new();
-        Response::Estimates(vec![13.0, 12.5])
-            .write_v1(&mut rbuf)
-            .unwrap();
-        assert_eq!(
-            Response::read_v1(&mut rbuf.as_slice()).unwrap(),
-            Some(Response::Estimates(vec![13.0, 12.5]))
-        );
-        let mut rbuf = Vec::new();
-        Response::Stats("requests=1".into())
-            .write_v1(&mut rbuf)
-            .unwrap();
-        assert_eq!(
-            Response::read_v1(&mut rbuf.as_slice()).unwrap(),
-            Some(Response::Stats("requests=1".into()))
-        );
-    }
-
-    #[test]
-    fn v1_cannot_express_routing_or_typed_errors() {
-        let routed = Frame::Query {
-            model: Some("alpha".into()),
-            x: vec![1.0],
-            ts: vec![1.0],
-        };
-        assert!(routed.write_v1(&mut Vec::new()).is_err());
-        assert!(Frame::Stats {
-            model: Some("alpha".into())
-        }
-        .write_v1(&mut Vec::new())
-        .is_err());
-        let err = Response::Error(ErrorReply {
-            code: ErrorCode::Overloaded,
-            message: "busy".into(),
-        });
-        assert!(err.write_v1(&mut Vec::new()).is_err());
-        // the observability frames are v2-only too
-        assert!(Frame::Metrics.write_v1(&mut Vec::new()).is_err());
-        assert!(Frame::QueryTraced {
-            trace_id: 1,
-            model: None,
-            x: vec![1.0],
-            ts: vec![1.0],
-        }
-        .write_v1(&mut Vec::new())
-        .is_err());
-        assert!(Response::Metrics("x".into())
-            .write_v1(&mut Vec::new())
-            .is_err());
-        assert!(Response::EstimatesTraced {
-            trace_id: 1,
-            values: vec![1.0],
-        }
-        .write_v1(&mut Vec::new())
-        .is_err());
-    }
-
-    #[test]
     fn handshake_roundtrip_and_negotiation() {
         let hello = Hello::default();
         let mut buf = Vec::new();
@@ -1052,9 +814,16 @@ mod tests {
         assert!(HelloAck::read(&mut bad.as_slice()).is_err());
     }
 
+    /// A handshake-less (v1-style) connection starts with a length
+    /// prefix; no admissible one reads as the magic, so the server's
+    /// refusal of such a connection is never ambiguous — and a stray
+    /// hello fed to a frame reader is refused by the length cap.
     #[test]
     fn hello_magic_can_never_be_a_v1_length_prefix() {
         assert!(u32::from_le_bytes(HELLO_MAGIC) > MAX_FRAME_LEN);
+        let mut hello = Vec::new();
+        Hello::default().write(&mut hello).unwrap();
+        assert!(Frame::read_v2(&mut hello.as_slice()).is_err());
     }
 
     /// The PR 4 corruption-hardening standard, applied to v2: every
@@ -1126,24 +895,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_truncation_sweep_still_errors() {
-        assert_eq!(Frame::read_v1(&mut [].as_slice()).unwrap(), None);
-        let frame = Frame::Query {
-            model: None,
-            x: vec![1.0],
-            ts: vec![2.0],
-        };
-        let mut buf = Vec::new();
-        frame.write_v1(&mut buf).unwrap();
-        for cut in 1..buf.len() {
-            assert!(
-                Frame::read_v1(&mut &buf[..cut]).is_err(),
-                "prefix of {cut} bytes must be an error"
-            );
-        }
-    }
-
-    #[test]
     fn v2_bad_opcode_is_rejected() {
         for op in [0x00u8, 0x05, 0x7F, 0x80, 0x83, 0xFF] {
             let mut buf = Vec::new();
@@ -1174,15 +925,10 @@ mod tests {
 
     #[test]
     fn hostile_lengths_are_rejected() {
-        // huge frame length, v1 and v2
-        type FrameReader = fn(&mut &[u8]) -> io::Result<Option<Frame>>;
-        let readers: [FrameReader; 2] = [|r| Frame::read_v1(r), |r| Frame::read_v2(r)];
-        for reader in readers {
-            let mut buf: Vec<u8> = Vec::new();
-            buf.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
-            let mut slice = buf.as_slice();
-            assert!(reader(&mut slice).is_err());
-        }
+        // huge frame length
+        let huge = (MAX_FRAME_LEN + 1).to_le_bytes();
+        assert!(Frame::read_v2(&mut huge.as_slice()).is_err());
+        assert!(Response::read_v2(&mut huge.as_slice()).is_err());
         // inner float count larger than the payload (v2 query)
         let mut buf = Vec::new();
         buf.extend_from_slice(&11u32.to_le_bytes());

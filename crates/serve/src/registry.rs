@@ -48,7 +48,7 @@ pub struct SwapRecord {
 }
 
 /// The name under which [`ModelRegistry::new`] registers its single
-/// model, and the tenant unrouted (v1 / `model: None`) requests reach.
+/// model, and the tenant unrouted (`model: None`) requests reach.
 pub const DEFAULT_MODEL: &str = "default";
 
 /// Reads a lock, recovering the last published value if a panicking
@@ -252,8 +252,7 @@ impl<M> ModelRegistry<M> {
     }
 
     /// Creates a registry serving `model` as the default tenant
-    /// ([`DEFAULT_MODEL`]), generation 0 — the single-model shape every
-    /// v1 deployment has.
+    /// ([`DEFAULT_MODEL`]), generation 0 — the single-tenant shape.
     pub fn new(model: M) -> Self {
         let reg = ModelRegistry::empty();
         reg.register(DEFAULT_MODEL, model)
@@ -315,7 +314,7 @@ impl<M> ModelRegistry<M> {
     }
 
     /// The default tenant's `(generation, model)` snapshot — the
-    /// single-model convenience every v1-era call site uses.
+    /// single-tenant convenience.
     ///
     /// # Panics
     /// Panics if the registry is empty (use

@@ -1,22 +1,19 @@
 //! Connection handling: the TCP accept loop and the stdin (text) loop,
 //! both draining into one shared [`Engine`].
 //!
-//! The TCP loop speaks **both wire dialects**. The first four bytes of a
-//! connection decide: [`HELLO_MAGIC`](protocol::HELLO_MAGIC) starts a v2
-//! handshake, anything else is served as v1, sight unseen (the magic can
-//! never be a v1 length prefix). A v2 connection is **pipelined**: a
-//! reader loop submits frames to the engine as fast as they arrive while
-//! a writer thread answers in FIFO order, so one client with several
-//! requests in flight exercises the engine's cross-request coalescing all
-//! by itself. Refusals travel as typed [`Response::Error`] frames that
-//! answer exactly one request — the connection survives. A v1 connection
-//! keeps the legacy contract: one frame at a time, refusals close the
-//! connection.
+//! The TCP loop speaks one wire dialect. A connection opens with the
+//! [`HELLO_MAGIC`](protocol::HELLO_MAGIC) handshake; first bytes that are
+//! anything else (the retired handshake-less v1 framing included) close
+//! that connection with `InvalidData` and leave the engine serving. After
+//! the handshake the connection is **pipelined**: a reader loop submits
+//! frames to the engine as fast as they arrive while a writer thread
+//! answers in FIFO order, so one client with several requests in flight
+//! exercises the engine's cross-request coalescing all by itself.
+//! Refusals travel as typed [`Response::Error`] frames that answer
+//! exactly one request — the connection survives.
 
 use crate::engine::{Engine, ReplyHandle, Request, SubmitError};
-use crate::protocol::{
-    self, ErrorCode, ErrorReply, Frame, Hello, HelloAck, Response, TextLine, WireVersion,
-};
+use crate::protocol::{self, ErrorCode, ErrorReply, Frame, Hello, HelloAck, Response, TextLine};
 use selnet_eval::SelectivityEstimator;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -53,7 +50,7 @@ fn max_inflight() -> usize {
     MAX_INFLIGHT.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-/// Maps an engine refusal onto the v1/text loops' `io::Error`
+/// Maps an engine refusal onto the text loop's `io::Error`
 /// vocabulary: shutdown reads as a broken pipe, anything else (a
 /// mis-routed or mis-shaped query) as invalid data.
 fn submit_err_to_io(e: SubmitError) -> io::Error {
@@ -84,7 +81,7 @@ fn unknown_model_reply(model: Option<&str>) -> ErrorReply {
     }
 }
 
-/// Serves the binary protocols on `listener` until `stop` is set (checked
+/// Serves the binary protocol on `listener` until `stop` is set (checked
 /// between accepts; the listener must be non-blocking for prompt
 /// shutdown) or the listener errors. Each connection gets its own thread;
 /// all of them share `engine`, so concurrent connections coalesce into
@@ -119,8 +116,8 @@ where
     })
 }
 
-/// One binary-protocol connection: sniffs the dialect from the first
-/// four bytes, then runs the matching loop until EOF.
+/// One binary-protocol connection: the handshake, then the pipelined
+/// loop until EOF.
 pub fn serve_connection<M>(engine: &Engine<M>, stream: TcpStream) -> io::Result<()>
 where
     M: SelectivityEstimator + Send + Sync + 'static,
@@ -132,69 +129,22 @@ where
     if !protocol::read_exact_or_clean_eof(&mut reader, &mut first)? {
         return Ok(()); // closed before a single byte: nothing to serve
     }
-    if first == protocol::HELLO_MAGIC {
-        let hello = Hello::read_after_magic(&mut reader)?;
-        let Some(version) = hello.negotiate() else {
-            // no common version: say so (version 0) and close
-            HelloAck { version: 0 }.write(&mut writer)?;
-            writer.flush()?;
-            return Ok(());
-        };
-        HelloAck { version }.write(&mut writer)?;
+    if first != protocol::HELLO_MAGIC {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("connection opened with {first:02x?}, not the handshake magic"),
+        ));
+    }
+    let hello = Hello::read_after_magic(&mut reader)?;
+    let Some(version) = hello.negotiate() else {
+        // no common version: say so (version 0) and close
+        HelloAck { version: 0 }.write(&mut writer)?;
         writer.flush()?;
-        serve_v2(engine, &mut reader, writer)
-    } else {
-        // not the magic: these four bytes are the first v1 length prefix
-        let mut reader = io::Cursor::new(first).chain(reader);
-        serve_v1(engine, &mut reader, &mut writer)
-    }
-}
-
-/// The legacy one-frame-at-a-time loop. v1 has no error frame, so a
-/// refusal closes the connection (and routed requests cannot exist — the
-/// v1 decoder always yields `model: None`).
-fn serve_v1<M>(
-    engine: &Engine<M>,
-    reader: &mut impl Read,
-    writer: &mut impl Write,
-) -> io::Result<()>
-where
-    M: SelectivityEstimator + Send + Sync + 'static,
-{
-    while let Some(frame) = Frame::read_v1(reader)? {
-        let response = match frame {
-            Frame::Stats { model } => {
-                let text = engine
-                    .stats_report(model.as_deref())
-                    .ok_or_else(|| submit_err_to_io(unknown_model_err(model.as_deref())))?;
-                Response::Stats(text)
-            }
-            Frame::Query { model, x, ts } => {
-                let req = Request::new(x).thresholds(ts).model_opt(model);
-                // blocking callers are never shed; a refusal here is a
-                // routing/shape/shutdown error and closes the connection
-                let estimates = engine.serve_blocking(&req).map_err(submit_err_to_io)?;
-                Response::Estimates(estimates)
-            }
-            // the v1 decoder can't produce these; if it ever did, refuse
-            // loudly rather than answer in a dialect the client can't read
-            Frame::Metrics | Frame::QueryTraced { .. } => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "v1 cannot carry metrics or traced queries",
-                ));
-            }
-        };
-        response.write(writer, WireVersion::V1)?;
-        writer.flush()?;
-    }
-    Ok(())
-}
-
-fn unknown_model_err(model: Option<&str>) -> SubmitError {
-    SubmitError::UnknownModel {
-        model: model.unwrap_or("<default>").to_string(),
-    }
+        return Ok(());
+    };
+    HelloAck { version }.write(&mut writer)?;
+    writer.flush()?;
+    serve_v2(engine, &mut reader, writer)
 }
 
 /// What the v2 reader loop hands the writer thread for one request:
@@ -528,81 +478,56 @@ mod tests {
         eng.shutdown();
     }
 
-    /// A well-formed v1 frame with the wrong query dimension must close
-    /// that connection with an error — and leave the engine alive for
-    /// other connections (no worker panic, no hang).
+    /// A connection whose first word is not the handshake magic — here a
+    /// frame in the retired v1 layout (`u32 len | u32 dim | x | u32 m |
+    /// ts`), mis-dimensioned on top — is closed without a reply, and the
+    /// engine stays alive for other connections (no worker panic, no hang).
     #[test]
     fn mis_dimensioned_v1_frame_closes_connection_but_not_engine() {
         let eng = engine();
         let server = spawn_server(&eng);
 
-        // hostile client: dim 3 against a dim-1 model
+        // hostile client: no handshake, dim 3 against a dim-1 model
         let mut bad = TcpStream::connect(server.addr).unwrap();
-        Frame::Query {
-            model: None,
-            x: vec![1.0, 2.0, 3.0],
-            ts: vec![1.0],
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&24u32.to_le_bytes());
+        frame.extend_from_slice(&3u32.to_le_bytes());
+        for v in [1.0f32, 2.0, 3.0] {
+            frame.extend_from_slice(&v.to_le_bytes());
         }
-        .write(&mut bad, WireVersion::V1)
-        .unwrap();
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.extend_from_slice(&1.0f32.to_le_bytes());
+        bad.write_all(&frame).unwrap();
         bad.flush().unwrap();
-        // connection is closed without a response frame
+        // the connection is closed without a response frame
         let mut reader = BufReader::new(bad);
-        assert!(Response::read_v1(&mut reader).unwrap().is_none());
+        assert!(!matches!(Response::read_v2(&mut reader), Ok(Some(_))));
+        // and the same bytes through the connection entry point are a
+        // typed refusal
+        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(probe.local_addr().unwrap()).unwrap();
+        client.write_all(&frame).unwrap();
+        let (accepted, _) = probe.accept().unwrap();
+        let err = serve_connection(&eng, accepted)
+            .expect_err("a first word that is not the magic is refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // the engine still serves a healthy connection
-        let mut good = TcpStream::connect(server.addr).unwrap();
+        let good = TcpStream::connect(server.addr).unwrap();
+        let (mut reader, mut writer) = handshake(&good);
         Frame::Query {
             model: None,
             x: vec![2.0],
             ts: vec![1.0],
         }
-        .write(&mut good, WireVersion::V1)
+        .write_v2(&mut writer)
         .unwrap();
-        good.flush().unwrap();
-        let mut reader = BufReader::new(good.try_clone().unwrap());
-        match Response::read_v1(&mut reader).unwrap().unwrap() {
+        writer.flush().unwrap();
+        match Response::read_v2(&mut reader).unwrap().unwrap() {
             Response::Estimates(e) => assert_eq!(e, vec![3.0]),
             other => panic!("expected estimates, got {other:?}"),
         }
-        drop(good);
-        drop(reader);
-        server.shutdown();
-        eng.shutdown();
-    }
-
-    /// The back-compat acceptance criterion: a v1 client (no handshake,
-    /// sentinel stats) round-trips against the v2 server unchanged.
-    #[test]
-    fn v1_client_roundtrips_against_v2_server() {
-        let eng = engine();
-        let server = spawn_server(&eng);
-
-        let mut client = TcpStream::connect(server.addr).unwrap();
-        Frame::Query {
-            model: None,
-            x: vec![2.0],
-            ts: vec![1.0, 2.0],
-        }
-        .write(&mut client, WireVersion::V1)
-        .unwrap();
-        Frame::Stats { model: None }
-            .write(&mut client, WireVersion::V1)
-            .unwrap();
-        client.flush().unwrap();
-        let mut reader = BufReader::new(client.try_clone().unwrap());
-        match Response::read_v1(&mut reader).unwrap().unwrap() {
-            Response::Estimates(e) => assert_eq!(e, vec![3.0, 4.0]),
-            other => panic!("expected estimates, got {other:?}"),
-        }
-        match Response::read_v1(&mut reader).unwrap().unwrap() {
-            Response::Stats(text) => {
-                assert!(text.contains("requests="), "stats: {text}")
-            }
-            other => panic!("expected stats, got {other:?}"),
-        }
-        drop(client);
-        drop(reader);
+        drop((good, reader, writer));
         server.shutdown();
         eng.shutdown();
     }

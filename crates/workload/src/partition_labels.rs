@@ -18,7 +18,9 @@ const WORKER_MIN_WORK: usize = 1 << 28;
 
 /// Computes `labels[query][part][threshold]` — the exact selectivity of
 /// each query/threshold pair restricted to each partition. The per-part
-/// counts always sum to the global label (Observation 1 of the paper).
+/// counts always sum to the global label (Observation 1 of the paper),
+/// so with one part they *are* the queries' own labels — exact for `ds`
+/// by the workload's contract — and no record is scanned.
 /// `threads` caps the labelling workers (0 = all cores).
 pub fn label_partitions(
     ds: &Dataset,
@@ -29,6 +31,13 @@ pub fn label_partitions(
 ) -> PartitionedLabels {
     let assignments = partitioning.assignments();
     assert_eq!(assignments.len(), ds.len(), "one assignment per record");
+    if partitioning.k() == 1 {
+        let own = |q: &LabeledQuery| vec![q.selectivities[..q.thresholds.len()].to_vec()];
+        return PartitionedLabels {
+            labels: queries.iter().map(own).collect(),
+            workers: 1,
+        };
+    }
     let xs: Vec<&[f32]> = queries.iter().map(|q| q.x.as_slice()).collect();
     let thresholds: Vec<&[f32]> = queries.iter().map(|q| q.thresholds.as_slice()).collect();
     let counter = || ThresholdCounts::per_part(assignments, partitioning.k(), &thresholds);
@@ -73,6 +82,31 @@ mod tests {
             for (j, &global) in q.selectivities.iter().enumerate() {
                 let sum: f64 = parts.iter().map(|row| row[j]).sum();
                 assert_eq!(sum, global, "Observation 1 violated");
+            }
+        }
+    }
+
+    /// One part: the labels returned are the queries' own, and a real scan
+    /// agrees — the per-threshold sum over the parts of a scanned two-part
+    /// Random partitioning of the same data is that label (Observation 1).
+    #[test]
+    fn one_part_labels_are_the_queries_own_and_a_scan_agrees() {
+        let ds = fasttext_like(&GeneratorConfig::new(400, 5, 3, 2));
+        for kind in [DistanceKind::Euclidean, DistanceKind::Cosine] {
+            let mut cfg = WorkloadConfig::new(12, kind, 1);
+            cfg.thresholds_per_query = 8;
+            let w = generate_workload(&ds, &cfg);
+            let one = Partitioning::build(&ds, kind, PartitionMethod::Random, 1, 0);
+            let two = Partitioning::build(&ds, kind, PartitionMethod::Random, 2, 0);
+            assert_eq!((one.k(), two.k()), (1, 2));
+            let own = label_partitions(&ds, &one, &w.train, kind, 2).labels;
+            let scanned = label_partitions(&ds, &two, &w.train, kind, 2).labels;
+            for ((q, own), scanned) in w.train.iter().zip(&own).zip(&scanned) {
+                assert_eq!(own.as_slice(), std::slice::from_ref(&q.selectivities));
+                let summed: Vec<f64> = (0..q.thresholds.len())
+                    .map(|j| scanned[0][j] + scanned[1][j])
+                    .collect();
+                assert_eq!(own[0], summed, "{kind:?}");
             }
         }
     }

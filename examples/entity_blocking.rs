@@ -15,7 +15,7 @@
 //! cargo run --release -p selnet-examples --bin entity_blocking
 //! ```
 
-use selnet_core::{fit_named, SelNetConfig, SelNetModel};
+use selnet_core::{fit_named, PartitionedSelNet, SelNetConfig};
 use selnet_data::generators::{face_like, fasttext_like, GeneratorConfig};
 use selnet_data::Dataset;
 use selnet_eval::SelectivityEstimator;
@@ -25,7 +25,7 @@ use selnet_workload::{generate_workload, WorkloadConfig};
 struct Attribute {
     name: &'static str,
     data: Dataset,
-    model: SelNetModel,
+    model: PartitionedSelNet,
 }
 
 fn train_attribute(name: &'static str, data: Dataset, seed: u64) -> Attribute {

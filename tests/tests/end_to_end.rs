@@ -211,7 +211,7 @@ fn update_stream_keeps_model_healthy() {
             ];
             sim.step(&mut ds, &mut splits, DistanceKind::Euclidean);
         }
-        model.check_and_update(&train, &valid, &policy);
+        model.check_and_update(&ds, w.kind, &train, &valid, &policy);
     }
     let metrics = evaluate(&model, &test);
     assert!(metrics.mse.is_finite());
@@ -249,7 +249,7 @@ fn model_checkpoint_roundtrip() {
     let (model, _) = selnet_core::fit(&ds, &w, &cfg);
     let mut buf = Vec::new();
     model.save(&mut buf).expect("save");
-    let loaded = selnet_core::SelNetModel::load(&mut buf.as_slice()).expect("load");
+    let loaded = selnet_core::PartitionedSelNet::load(&mut buf.as_slice()).expect("load");
     for q in w.test.iter().take(3) {
         assert_eq!(
             model.predict_many(&q.x, &q.thresholds),

@@ -5,7 +5,7 @@
 //! hot-swap registry.
 
 use selnet_baselines::{GbdtEstimator, KdeEstimator, LshEstimator};
-use selnet_core::{PartitionedSelNet, SelNetModel};
+use selnet_core::PartitionedSelNet;
 use selnet_eval::SelectivityEstimator;
 use selnet_models::{DlnEstimator, DnnEstimator, MoeEstimator, RmiEstimator, UmnnEstimator};
 
@@ -26,8 +26,7 @@ fn assert_estimator_send_sync<T: SelectivityEstimator + Send + Sync + 'static>()
 
 #[test]
 fn every_estimator_is_send_sync_object_safe() {
-    // the paper's models
-    assert_estimator_send_sync::<SelNetModel>();
+    // the paper's model (`fit` and `fit_partitioned` return the one type)
     assert_estimator_send_sync::<PartitionedSelNet>();
     // baselines
     assert_estimator_send_sync::<KdeEstimator>();
