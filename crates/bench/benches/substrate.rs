@@ -3,7 +3,8 @@
 //! arena reuse — the allocation-sensitive benchmark), the distance layer
 //! (pair kernel against the 16-lane block kernel, in cache and streamed),
 //! cover-tree construction (one and two build workers) and range
-//! counting, the fork-join primitive itself, a label column fully sorted
+//! counting, the partitioning's ball store (every region's ball against
+//! the uncovered ones only), the fork-join primitive itself, a label column fully sorted
 //! against rank-selected, PWL head evaluation, workload ground-truth
 //! labeling, one end-to-end training epoch, and the §5.3 joint training
 //! step (full backward sweep against the parameters-only one, a batch of
@@ -18,7 +19,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use selnet_core::PiecewiseLinear;
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
-use selnet_index::CoverTree;
+use selnet_data::Dataset;
+use selnet_index::{CoverTree, PartitionMethod, Partitioning};
 use selnet_metric::vectors::{squared_euclidean, LaneBlocks, LANES, ROWS};
 use selnet_metric::DistanceKind;
 use selnet_tensor::{Activation, Adam, Graph, Matrix, Mlp, Optimizer, ParamStore, Sgd, Var};
@@ -278,6 +280,147 @@ fn bench_cover_tree(c: &mut Criterion) {
     group.bench_function("nearest", |b| {
         b.iter(|| black_box(tree.nearest(black_box(&q))))
     });
+    group.finish();
+}
+
+/// The benchmark's partitioning of a fixture: K = 3 clusters of cover-tree
+/// regions cut at 0.05 · |D|, Euclidean.
+const BALL_STORE_K: usize = 3;
+const BALL_STORE_RATIO: f64 = 0.05;
+
+/// One dataset's cover-tree ball store two ways: `compact` as
+/// `Partitioning::build` makes it — a region's ball that a bigger ball of
+/// its cluster covers is not stored — and `every`, the store before that,
+/// with the ball of every region.
+struct BallStores {
+    ds: Dataset,
+    compact: Partitioning,
+    every: Partitioning,
+}
+
+fn ball_store_build(ds: &Dataset) -> Partitioning {
+    let method = PartitionMethod::CoverTree {
+        ratio: BALL_STORE_RATIO,
+    };
+    Partitioning::build(ds, DistanceKind::Euclidean, method, BALL_STORE_K, 42)
+}
+
+/// The frozen "before": every region's ball, the regions merged greedily
+/// as the partitioner merges them (largest first, each into the cluster
+/// that is smallest so far), laid out by hand as `Partitioning::save`
+/// lays a snapshot out and loaded — `load` stores what it is given.
+fn every_region_stored(ds: &Dataset) -> Partitioning {
+    let cut = ((ds.len() as f64 * BALL_STORE_RATIO).ceil() as usize).max(1);
+    let tree = CoverTree::build_for_regions(ds, cut);
+    let mut regions = tree.regions(cut);
+    regions.sort_by_key(|r| std::cmp::Reverse(r.members.len()));
+    let k = BALL_STORE_K.min(regions.len().max(1));
+    let mut sizes = vec![0usize; k];
+    let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); k];
+    let mut assignments = vec![0u64; ds.len()];
+    for (r, region) in regions.iter().enumerate() {
+        let target = (0..k).min_by_key(|&c| sizes[c]).expect("k > 0");
+        sizes[target] += region.members.len();
+        for &m in &region.members {
+            assignments[m] = target as u64;
+        }
+        clusters[target].push(r);
+    }
+    let mut s = Vec::new();
+    s.extend((k as u64).to_le_bytes());
+    s.extend([0u8, 0u8]); // Euclidean, cover tree
+    s.extend(BALL_STORE_RATIO.to_le_bytes());
+    s.extend((assignments.len() as u64).to_le_bytes());
+    assignments.iter().for_each(|a| s.extend(a.to_le_bytes()));
+    s.extend((k as u64).to_le_bytes());
+    for cluster in &clusters {
+        s.extend((cluster.len() as u64).to_le_bytes());
+        for &r in cluster {
+            s.extend((ds.dim() as u64).to_le_bytes());
+            let centre = ds.row(regions[r].center);
+            centre.iter().for_each(|c| s.extend(c.to_le_bytes()));
+            s.extend(regions[r].radius.to_le_bytes());
+        }
+    }
+    Partitioning::load(&mut s.as_slice()).expect("a well-formed stream")
+}
+
+fn ball_stores(ds: Dataset) -> BallStores {
+    let (compact, every) = (ball_store_build(&ds), every_region_stored(&ds));
+    assert_eq!(compact.assignments(), every.assignments());
+    BallStores { ds, compact, every }
+}
+
+impl BallStores {
+    /// The two stores by name, the frozen one first.
+    fn sides(&self) -> [(&'static str, &Partitioning); 2] {
+        [("every", &self.every), ("compact", &self.compact)]
+    }
+
+    /// A query whose ball meets the first (biggest) ball of every
+    /// cluster, and one that meets none, so every block is walked.
+    fn hit_and_miss(&self) -> [(&'static str, Vec<f32>, f32); 2] {
+        [
+            ("hit", self.ds.row(17).to_vec(), 1e4),
+            ("miss", vec![1e3; self.ds.dim()], 0.1),
+        ]
+    }
+
+    /// The first `rows` records: what a refresh is timed over.
+    fn head(&self, rows: usize) -> Dataset {
+        let dim = self.ds.dim();
+        Dataset::from_flat(dim, self.ds.flat()[..rows * dim].to_vec())
+    }
+}
+
+fn save_load(p: &Partitioning) -> usize {
+    let mut bytes = Vec::new();
+    p.save(&mut bytes).expect("write to memory");
+    let back = Partitioning::load(&mut bytes.as_slice()).expect("own bytes load");
+    black_box(back.k());
+    bytes.len()
+}
+
+/// `refresh_assignments` on a copy of `p`. Over no records it is the pass
+/// that decides which balls a store keeps and nothing else: on the store
+/// of every region, the work the partitioner's store phase does.
+fn refreshed(p: &Partitioning, records: &Dataset) -> usize {
+    let mut p = p.clone();
+    p.refresh_assignments(records);
+    p.region_counts().iter().sum()
+}
+
+/// Rows a `ball_store` refresh runs over.
+const REFRESH_ROWS: usize = 2000;
+
+fn bench_ball_store(c: &mut Criterion) {
+    // the benchmark's small fixture; the paper one is the recorder's
+    let stores = ball_stores(fasttext_like(&GeneratorConfig::new(20_000, 24, 16, 7)));
+    let mut group = c.benchmark_group("ball_store");
+    group.sample_size(10);
+    group.bench_function("build_small", |b| {
+        b.iter(|| black_box(ball_store_build(&stores.ds)))
+    });
+    let (none, head) = (stores.head(0), stores.head(REFRESH_ROWS));
+    let mut flags = Vec::new();
+    for (side, p) in stores.sides() {
+        group.bench_function(format!("save_load_small_{side}"), |b| {
+            b.iter(|| black_box(save_load(p)))
+        });
+        for (query, x, t) in stores.hit_and_miss() {
+            group.bench_function(format!("indicator_{query}_small_{side}"), |b| {
+                b.iter(|| {
+                    p.indicator_into(black_box(&x), t, &mut flags);
+                    black_box(flags.len())
+                })
+            });
+        }
+        for (what, records) in [("compaction", &none), ("refresh", &head)] {
+            group.bench_function(format!("{what}_small_{side}"), |b| {
+                b.iter(|| black_box(refreshed(p, records)))
+            });
+        }
+    }
     group.finish();
 }
 
@@ -918,7 +1061,56 @@ fn bench_record(_c: &mut Criterion) {
     let build_50k_ratio = time_ms(3, 1, || {
         black_box(CoverTree::build_for_regions(&ds50k, 2500));
     });
-    drop(ds50k);
+
+    // the ball store at the benchmark's two fixtures: every region's ball
+    // (before, from the hand-written stream) against the uncovered ones
+    let small = fasttext_like(&GeneratorConfig::new(20_000, 24, 16, 7));
+    let ball_store_lines: Vec<String> = [("paper", ds50k, 3), ("small", small, 10)]
+        .into_iter()
+        .map(|(name, ds, samples)| {
+            let build = time_ms(samples, 1, || {
+                black_box(ball_store_build(&ds));
+            });
+            let stores = ball_stores(ds);
+            let (none, head) = (stores.head(0), stores.head(REFRESH_ROWS));
+            let mut flags = Vec::new();
+            let sides: Vec<String> = stores
+                .sides()
+                .into_iter()
+                .map(|(side, p)| {
+                    let balls: usize = p.region_counts().iter().sum();
+                    let bytes = save_load(p);
+                    let save_load_ms = time_ms(5, 2, || {
+                        black_box(save_load(p));
+                    });
+                    let [hit, miss] = stores.hit_and_miss().map(|(_, x, t)| {
+                        time_ms(5, 2000, || {
+                            p.indicator_into(black_box(&x), t, &mut flags);
+                            black_box(flags.len());
+                        }) * 1e6
+                    });
+                    let [compaction, refresh] = [&none, &head].map(|records| {
+                        time_ms(samples, 1, || {
+                            black_box(refreshed(p, records));
+                        })
+                    });
+                    format!(
+                        r#""{side}": {{ "balls": {balls}, "snapshot_bytes": {bytes}, "save_load_ms": {save_load_ms:.2}, "indicator_hit_ns": {hit:.0}, "indicator_miss_ns": {miss:.0}, "compaction_ms": {compaction:.2}, "refresh_{REFRESH_ROWS}_rows_ms": {refresh:.1} }}"#
+                    )
+                })
+                .collect();
+            format!(
+                r#"    "{name}": {{ "records": {n}, "dim": {dim}, "build_ms": {build:.1},
+      {every},
+      {compact} }}"#,
+                n = stores.ds.len(),
+                dim = stores.ds.dim(),
+                every = sides[0],
+                compact = sides[1],
+            )
+        })
+        .collect();
+    let ball_store_block = ball_store_lines.join(",\n");
 
     // the §5.3 joint step: full sweep vs parameters-only, the pair batch vs
     // the curve batch, in microseconds, and the Adam loop per parameter,
@@ -1036,6 +1228,9 @@ fn bench_record(_c: &mut Criterion) {
     "build_50k_d300_ms": {build_50k:.1},
     "build_50k_d300_ratio_ms": {build_50k_ratio:.1}
   }},
+  "ball_store": {{
+{ball_store_block}
+  }},
   "label_column": {{
     "records": {column_n},
     "rank": {column_rank},
@@ -1047,7 +1242,7 @@ fn bench_record(_c: &mut Criterion) {
 {train_step_block},
     "adam_ns_per_param": {{ "params": {adam_params}, "zip_before": {adam_before:.2}, "indexed": {adam_after:.2}, "before_vs_after": {adam_ratio:.2} }}
   }},
-  "notes": "seed/pr2 numbers were taken on a single-vCPU container; the 4t entries only show parallel gains on multi-core hosts (the kernels are bit-identical across thread counts either way). The tape_* pair isolates per-step tape overhead: same model, same data, fresh Graph per step vs one reused arena. The scaling block is the parallel matmul dispatcher's per-thread curve at the 256² control shape; the gemm block is the hand-tiled kernel vs the naive ikj reference per serving shape (hand_vs_naive > 1 means the hand kernel wins), recorded on machine_cpus cores. The distance block is nanoseconds per distance of one query against `vectors` vectors, `vectors::squared_euclidean` pair by pair vs `LaneBlocks::sqdist_into` sixteen at a time (bit-identical lanes), over 32 vectors (cached) and over 60 MB of them (streamed); bounded_first_stride_ns and bounded_never_ns are `LaneBlocks::sqdist_within` under limits every lane is beyond after the first 32 coordinates, and limits nothing is ever beyond (at d = 24, a single stride, the kernel never looks and both are the block kernel), rows4_ns is `LaneBlocks::sqdist_rows_into`, four queries per pass over a block, per distance. cover_tree.build_5k_insertion_ms is frozen: sequential insertion on the pair kernel, the build before PR 14, best of 10 on the host that recorded build_5k_ms; build_5k_ms is the batch build on one worker, build_5k_2w_ms the same tree routed by two (80 000 coordinates: far below the size `CoverTree::build` goes parallel at); build_50k_d300_ms and build_50k_d300_ratio_ms are the best of three builds each of the benchmark's paper fixture (50 000 x 300) on the default workers, to full depth (`CoverTree::build`) and down to the partitioner's ratio cut (`build_for_regions`, subtrees of at most 2 500 points left flat). The parallel block is one empty two-way `parallel::fork_join` (a scope, one spawn, one join) in microseconds, back to back and after 2 ms of sleep each (the second vCPU has to be woken), beside the gate derived from it: `parallel::FORK_MIN_WORK` elementary operations per engaged worker. Under it the 256² scaling curve (2^24 multiply-adds in all) never forks and is flat by construction; 512² is eight workers' worth and does fork — where speedup_512_2t_vs_1t reads about 1.0 the recording host's two vCPUs share one core's vector units, so a compute-bound kernel gains nothing from the second while a latency-bound scan (the N=50 000 cover-tree build, 1.25 → 0.67 s) halves. The label_column block is one column of `records` distances fully sorted (labelling before PR 15) against `select_nth_unstable` at `rank`, a sort of that prefix and a tie count over the rest (`NearestColumns::finish`), the copy that refills the column subtracted from both. The train_step block is one §5.3 joint step (forward, backward sweep, Adam with clip) on a reused tape, K = 3 local models, at the benchmark's paper shape (d = 300, default widths, 256 rows) and its small one (d = 24, tiny(), 96 rows), in microseconds: `Graph::backward` (every leaf live — what training ran before PR 16) against `Graph::backward_params` (only what a parameter needs; same parameter bits); adam_ns_per_param is one clipped Adam update of `params` parameters per parameter, the four-way zip that reads its hyper-parameters and the clip decision through `self` per element (before, kept verbatim in the bench) against the indexed loop (after; same bits). The curves_* rows are that joint step on the batch training assembles since PR 21: `objects` whole query objects with 20 thresholds each (what `batch_size` works out to on the benchmark's ladder), the encoder, the local models and the reconstruction term on the object rows, `Graph::gather_rows` out to `pairs` rows for the PWL heads, losses and masks, parameters-only sweep, Adam; `us_per_pair` is `step_us / pairs` and `pair_step_us_per_pair` is `params_only_us / rows` of the pair batch above it — one network row per (x, t), kept verbatim in the bench as the before; training no longer builds it. Not the 20x the row count suggests: at 13 rows the first-layer GEMMs are skinny, and the Adam update of `params` parameters, the per-pair heads and the tape's fixed costs do not shrink with the rows."
+  "notes": "seed/pr2 numbers were taken on a single-vCPU container; the 4t entries only show parallel gains on multi-core hosts (the kernels are bit-identical across thread counts either way). The tape_* pair isolates per-step tape overhead: same model, same data, fresh Graph per step vs one reused arena. The scaling block is the parallel matmul dispatcher's per-thread curve at the 256² control shape; the gemm block is the hand-tiled kernel vs the naive ikj reference per serving shape (hand_vs_naive > 1 means the hand kernel wins), recorded on machine_cpus cores. The distance block is nanoseconds per distance of one query against `vectors` vectors, `vectors::squared_euclidean` pair by pair vs `LaneBlocks::sqdist_into` sixteen at a time (bit-identical lanes), over 32 vectors (cached) and over 60 MB of them (streamed); bounded_first_stride_ns and bounded_never_ns are `LaneBlocks::sqdist_within` under limits every lane is beyond after the first 32 coordinates, and limits nothing is ever beyond (at d = 24, a single stride, the kernel never looks and both are the block kernel), rows4_ns is `LaneBlocks::sqdist_rows_into`, four queries per pass over a block, per distance. cover_tree.build_5k_insertion_ms is frozen: sequential insertion on the pair kernel, the build before PR 14, best of 10 on the host that recorded build_5k_ms; build_5k_ms is the batch build on one worker, build_5k_2w_ms the same tree routed by two (80 000 coordinates: far below the size `CoverTree::build` goes parallel at); build_50k_d300_ms and build_50k_d300_ratio_ms are the best of three builds each of the benchmark's paper fixture (50 000 x 300) on the default workers, to full depth (`CoverTree::build`) and down to the partitioner's ratio cut (`build_for_regions`, subtrees of at most 2 500 points left flat). The parallel block is one empty two-way `parallel::fork_join` (a scope, one spawn, one join) in microseconds, back to back and after 2 ms of sleep each (the second vCPU has to be woken), beside the gate derived from it: `parallel::FORK_MIN_WORK` elementary operations per engaged worker. Under it the 256² scaling curve (2^24 multiply-adds in all) never forks and is flat by construction; 512² is eight workers' worth and does fork — where speedup_512_2t_vs_1t reads about 1.0 the recording host's two vCPUs share one core's vector units, so a compute-bound kernel gains nothing from the second while a latency-bound scan (the N=50 000 cover-tree build, 1.25 → 0.67 s) halves. The label_column block is one column of `records` distances fully sorted (labelling before PR 15) against `select_nth_unstable` at `rank`, a sort of that prefix and a tie count over the rest (`NearestColumns::finish`), the copy that refills the column subtracted from both. The train_step block is one §5.3 joint step (forward, backward sweep, Adam with clip) on a reused tape, K = 3 local models, at the benchmark's paper shape (d = 300, default widths, 256 rows) and its small one (d = 24, tiny(), 96 rows), in microseconds: `Graph::backward` (every leaf live — what training ran before PR 16) against `Graph::backward_params` (only what a parameter needs; same parameter bits); adam_ns_per_param is one clipped Adam update of `params` parameters per parameter, the four-way zip that reads its hyper-parameters and the clip decision through `self` per element (before, kept verbatim in the bench) against the indexed loop (after; same bits). The curves_* rows are that joint step on the batch training assembles since PR 21: `objects` whole query objects with 20 thresholds each (what `batch_size` works out to on the benchmark's ladder), the encoder, the local models and the reconstruction term on the object rows, `Graph::gather_rows` out to `pairs` rows for the PWL heads, losses and masks, parameters-only sweep, Adam; `us_per_pair` is `step_us / pairs` and `pair_step_us_per_pair` is `params_only_us / rows` of the pair batch above it — one network row per (x, t), kept verbatim in the bench as the before; training no longer builds it. Not the 20x the row count suggests: at 13 rows the first-layer GEMMs are skinny, and the Adam update of `params` parameters, the per-pair heads and the tape's fixed costs do not shrink with the rows. The ball_store block is a cover-tree partitioning's ball store (K = 3, ratio 0.05, Euclidean) at the benchmark's two fixtures, two ways: `every` holds the ball of every region the ratio cut exports — the store before PR 23, written in the bench as a snapshot stream by hand (the partitioner's greedy merge kept verbatim) and loaded, since `Partitioning::load` stores what it is given — and `compact` is what `Partitioning::build` stores since: no ball that a bigger ball of its own cluster covers (same indicator flags, same refreshed assignments). build_ms is `Partitioning::build`, tree included; save_load_ms one `save` into a fresh Vec plus one `load` of it; indicator_hit_ns one `indicator_into` whose query ball meets the first (biggest) ball of every cluster, indicator_miss_ns one that meets no ball, so that every block of every cluster is walked (abandoned after the first 32 coordinates at d = 300); compaction_ms is `refresh_assignments` over no records on a copy of the store — the pass that decides which balls a store keeps, and on `every` the work the partitioner's store phase does (52-68 ms inside the build by a scratch timer; the plain copy it replaced 24 ms); refresh_2000_rows_ms is `refresh_assignments` over the first 2 000 records on a copy (on `every` that is the scan before PR 23 plus one compaction_ms)."
 }}
 "#,
         mm1 = mm_scaling[0],
@@ -1083,6 +1278,7 @@ criterion_group!(
     bench_tape,
     bench_distance,
     bench_cover_tree,
+    bench_ball_store,
     bench_parallel,
     bench_label_column,
     bench_pwl,

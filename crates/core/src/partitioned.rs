@@ -644,11 +644,17 @@ pub fn fit_partitioned(
     let dim = ds.dim();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let partitioning = {
-        // flight-recorder hook: a = build workers, b = subtree jobs
+        // flight-recorder hook, two counts a word: a = build workers, and
+        // above bit 32 the balls stored; b = subtree jobs, and above bit 32
+        // the covered balls left out
         let mut span = selnet_obs::trace::global().span("partition_build", 0);
         let (partitioning, built) =
             Partitioning::build_reporting(ds, workload.kind, pcfg.method, pcfg.k, cfg.seed);
-        span.set_detail(built.workers as u64, built.subtree_jobs as u64);
+        let stored: usize = partitioning.region_counts().iter().sum();
+        span.set_detail(
+            (stored as u64) << 32 | built.workers as u64,
+            (built.covered_balls as u64) << 32 | built.subtree_jobs as u64,
+        );
         partitioning
     };
     let k = partitioning.k();

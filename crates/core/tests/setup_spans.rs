@@ -55,9 +55,25 @@ fn fit_and_retrain_record_the_setup_spans() {
         unreachable!("four spans")
     };
     // a = workers engaged (a 300-point tree builds inline, a small
-    // labelling pass stays on the caller), b = subtree jobs / queries
-    assert_eq!(build.a, 1);
-    assert!(build.b > 0 && build.b < ds.len() as u64, "{build:?}");
+    // labelling pass stays on the caller), b = subtree jobs / queries;
+    // the build's words carry the ball store above bit 32: balls stored,
+    // covered balls left out
+    let low = |word: u64| word & 0xffff_ffff;
+    assert_eq!(low(build.a), 1);
+    assert!(
+        low(build.b) > 0 && low(build.b) < ds.len() as u64,
+        "{build:?}"
+    );
+    let stored: usize = model.partitioning().region_counts().iter().sum();
+    assert_eq!(build.a >> 32, stored as u64);
+    assert!(
+        build.b >> 32 > 0,
+        "no region ball of 300 clustered points covered: {build:?}"
+    );
+    assert!(
+        (stored as u64 + (build.b >> 32)) <= ds.len() as u64,
+        "{build:?}"
+    );
     assert_eq!((label.a, label.b), (1, w.train.len() as u64));
     // a = epochs run, b = threads a step fans out over
     assert_eq!(pretrain.a, 1);

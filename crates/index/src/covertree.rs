@@ -74,6 +74,10 @@ pub struct BuildStats {
     pub workers: usize,
     /// Nodes below the root whose subtree was routed as a job of its own.
     pub subtree_jobs: usize,
+    /// Region balls a partitioning built on the tree left out of its store
+    /// because a bigger ball of their cluster covers them: filled in by
+    /// `Partitioning::build_reporting`, 0 from the tree itself.
+    pub covered_balls: usize,
 }
 
 impl BuildStats {
@@ -82,6 +86,7 @@ impl BuildStats {
     pub const SERIAL: BuildStats = BuildStats {
         workers: 1,
         subtree_jobs: 0,
+        covered_balls: 0,
     };
 }
 
@@ -395,6 +400,7 @@ impl<'a> CoverTree<'a> {
             stats: BuildStats {
                 workers,
                 subtree_jobs: building.adopted - 1,
+                covered_balls: 0,
             },
         }
     }

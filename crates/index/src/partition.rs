@@ -42,7 +42,8 @@ pub enum PartitionMethod {
 /// One cluster's ball regions for the intersection test, probed biggest
 /// ball first: `radii[i]` (Euclidean space, non-increasing) belongs to
 /// centre `i` of the lane-major block store (already normalized for cosine
-/// workloads).
+/// workloads). A store this crate builds or refreshes holds no ball that a
+/// bigger one of the same cluster covers ([`Cluster::covers`]).
 #[derive(Clone, Debug)]
 struct Cluster {
     radii: Vec<f32>,
@@ -61,6 +62,72 @@ impl Cluster {
     fn push(&mut self, centre: &[f32], radius: f32) {
         self.centres.push(centre);
         self.radii.push(radius);
+    }
+
+    /// Whether the ball `(centre, radius)` lies wholly inside a strictly
+    /// bigger ball `l` of this store (in probe order), with a margin:
+    /// `‖centre − c_l‖ + radius ≤ r_l·(1 − 2⁻¹⁰)`.
+    ///
+    /// Such a ball is redundant, exactly. It cannot change the indicator's
+    /// OR — a query ball that meets it meets `l`:
+    /// `d(x, c_l) ≤ d(x, c) + d(c, c_l) ≤ t + radius + d(c, c_l) ≤ t + r_l` —
+    /// and it cannot win [`Partitioning::refresh_assignments`]' arg-min:
+    /// `d(x, c_l) − r_l < d(x, c) − radius` for every `x`. Both hold in
+    /// real arithmetic without the margin; the 2⁻¹⁰ is there to absorb the
+    /// f32 rounding of the distances compared (≲ 2·10⁻⁵ relative for a sum
+    /// of 300 squares), which it does while the threshold, or a record's
+    /// distance, stays below about fifty times `r_l`.
+    ///
+    /// Only blocks with a ball that could cover are looked at — radii only
+    /// fall along the store, so the walk ends at the first block without
+    /// one — and each only as far as it takes to see every such ball too
+    /// far away. A NaN radius neither covers nor is covered (every
+    /// comparison with it is false), and only a ball of positive radius
+    /// covers anything.
+    fn covers(&self, centre: &[f32], radius: f32) -> bool {
+        let mut dist = [0.0f32; LANES];
+        for (b, chunk) in self.radii.chunks(LANES).enumerate() {
+            // −∞ for a lane with no ball, or none that could cover
+            let mut limits = [f32::NEG_INFINITY; LANES];
+            let mut candidates = false;
+            for (limit, &r) in limits.iter_mut().zip(chunk) {
+                if r > radius && r > 0.0 {
+                    *limit = r * COVER_MARGIN - radius;
+                    candidates = true;
+                }
+            }
+            if !candidates {
+                return false;
+            }
+            if self.centres.dist_within(b, centre, &limits, &mut dist)
+                && dist.iter().zip(&limits).any(|(d, limit)| d <= limit)
+            {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Rebuilds the store without the balls its bigger ones have come to
+    /// cover; left alone when there is none.
+    fn drop_covered(&mut self) {
+        let dim = self.centres.dim();
+        let gather = |i: usize, centre: &mut Vec<f32>| {
+            centre.clear();
+            centre.extend(self.centres.vector(i));
+            self.radii[i]
+        };
+        let kept = uncovered(dim, self.radii.len(), gather);
+        if kept.len() == self.radii.len() {
+            return;
+        }
+        let mut compact = Cluster::with_capacity(dim, kept.len());
+        let mut centre = Vec::with_capacity(dim);
+        for i in kept {
+            let radius = gather(i, &mut centre);
+            compact.push(&centre, radius);
+        }
+        *self = compact;
     }
 
     /// Restores the probe order after `load` (snapshots written before
@@ -83,6 +150,31 @@ impl Cluster {
             order[at] = at;
         }
     }
+}
+
+/// The share of a ball's radius another ball must fit inside to count as
+/// covered by it: see [`Cluster::covers`].
+const COVER_MARGIN: f32 = 1.0 - 1.0 / 1024.0;
+
+/// Which of `n` balls in probe order a store keeps: the indices, ascending,
+/// of those no kept bigger ball covers. `ball(i, centre)` writes ball `i`'s
+/// centre over `centre` and returns its radius.
+fn uncovered(dim: usize, n: usize, ball: impl Fn(usize, &mut Vec<f32>) -> f32) -> Vec<usize> {
+    // the kept balls that can cover another: those of positive radius
+    let mut coverers = Cluster::with_capacity(dim, 0);
+    let mut centre = Vec::with_capacity(dim);
+    let mut kept = Vec::new();
+    for i in 0..n {
+        let radius = ball(i, &mut centre);
+        if coverers.covers(&centre, radius) {
+            continue;
+        }
+        if radius > 0.0 {
+            coverers.push(&centre, radius);
+        }
+        kept.push(i);
+    }
+    kept
 }
 
 /// The paper's ratio cut in points: regions stop expanding at `ratio·|D|`.
@@ -126,8 +218,9 @@ impl Partitioning {
     }
 
     /// [`Partitioning::build`], also reporting how the cover tree under a
-    /// [`PartitionMethod::CoverTree`] partitioning was built (one worker
-    /// and no jobs for the other methods): what a caller's
+    /// [`PartitionMethod::CoverTree`] partitioning was built and how many
+    /// of its regions' balls the store left out as covered (one worker, no
+    /// jobs and none left out for the other methods): what a caller's
     /// instrumentation records beside the build's wall time.
     pub fn build_reporting(
         ds: &Dataset,
@@ -153,10 +246,13 @@ impl Partitioning {
             PartitionMethod::CoverTree { ratio } => {
                 // no deeper than the ratio cut looks
                 let tree = CoverTree::build_for_regions(geo_ref, max_region(geo_ref.len(), ratio));
-                (
-                    Self::from_cover_tree(&tree, geo_ref, kind, k, ratio),
-                    tree.build_stats(),
-                )
+                let (partitioning, covered_balls) =
+                    Self::from_cover_tree(&tree, geo_ref, kind, k, ratio);
+                let stats = BuildStats {
+                    covered_balls,
+                    ..tree.build_stats()
+                };
+                (partitioning, stats)
             }
             PartitionMethod::Random => (
                 Self::build_random(ds.len(), kind, k, seed),
@@ -175,7 +271,7 @@ impl Partitioning {
         kind: DistanceKind,
         k: usize,
         ratio: f64,
-    ) -> Partitioning {
+    ) -> (Partitioning, usize) {
         let mut regions = tree.regions(max_region(geo.len(), ratio));
         // Greedy merge (§5.3): sort regions by decreasing size, then assign
         // each to the currently-smallest cluster.
@@ -197,25 +293,35 @@ impl Partitioning {
             }
             cluster_regions[target].push(region);
         }
-        // every centre is copied once, into a store sized for its cluster
+        // a region's ball is stored unless a bigger one of its cluster
+        // covers it; every centre kept is copied once, into a store sized
+        // for what its cluster keeps
+        let mut covered_balls = 0;
         let clusters = cluster_regions
             .into_iter()
             .map(|mut regions| {
                 regions.sort_by(|a, b| probe_order(a.radius, b.radius));
-                let mut cluster = Cluster::with_capacity(geo.dim(), regions.len());
-                for region in regions {
-                    cluster.push(geo.row(region.center), region.radius);
+                let kept = uncovered(geo.dim(), regions.len(), |i, centre| {
+                    centre.clear();
+                    centre.extend_from_slice(geo.row(regions[i].center));
+                    regions[i].radius
+                });
+                covered_balls += regions.len() - kept.len();
+                let mut cluster = Cluster::with_capacity(geo.dim(), kept.len());
+                for i in kept {
+                    cluster.push(geo.row(regions[i].center), regions[i].radius);
                 }
                 cluster
             })
             .collect();
-        Partitioning {
+        let partitioning = Partitioning {
             k,
             kind,
             method: PartitionMethod::CoverTree { ratio },
             assignments,
             regions: clusters,
-        }
+        };
+        (partitioning, covered_balls)
     }
 
     fn build_random(n: usize, kind: DistanceKind, k: usize, seed: u64) -> Partitioning {
@@ -282,6 +388,11 @@ impl Partitioning {
             .collect()
     }
 
+    /// Ball regions stored per cluster; empty for the all-ones indicator.
+    pub fn region_counts(&self) -> Vec<usize> {
+        self.regions.iter().map(|c| c.radii.len()).collect()
+    }
+
     /// Part sizes.
     pub fn sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.k];
@@ -334,8 +445,12 @@ impl Partitioning {
     /// Returns a typed [`io::Error`] (never panics) on truncated input or
     /// structurally invalid data: unknown distance/method tags, assignments
     /// out of range, a region table whose length matches neither `k`
-    /// (per-cluster regions) nor `0` (the all-ones indicator), or region
-    /// centres that disagree in dimension.
+    /// (per-cluster regions) nor `0` (the all-ones indicator), region
+    /// centres that disagree in dimension, a centre coordinate that is not
+    /// finite, or a radius that is negative or not finite (the probe order
+    /// needs comparable radii, and a NaN one would match no query). The
+    /// balls are stored as streamed: a snapshot written before covered
+    /// balls were left out answers as it did.
     pub fn load(r: &mut impl Read) -> io::Result<Partitioning> {
         let k = read_checked_len(r, MAX_PARTS, "partition count")?;
         if k == 0 {
@@ -408,7 +523,14 @@ impl Partitioning {
                 for (c, b) in centre.iter_mut().zip(coordinates.chunks_exact(4)) {
                     *c = float(b);
                 }
-                cluster.push(centre, float(radius));
+                if !centre.iter().all(|c| c.is_finite()) {
+                    return Err(invalid("non-finite region centre coordinate"));
+                }
+                let radius = float(radius);
+                if !(radius.is_finite() && radius >= 0.0) {
+                    return Err(invalid(format!("region radius {radius}")));
+                }
+                cluster.push(centre, radius);
             }
             cluster.sort_for_probing();
             regions.push(cluster);
@@ -434,7 +556,9 @@ impl Partitioning {
     /// grows to cover the record: the intersection indicator therefore
     /// stays **sound** under drift — a cluster holding an in-range record
     /// can never be pruned — at the price of looser pruning as drifted
-    /// mass leaves the original regions. Random partitionings (all-ones
+    /// mass leaves the original regions. A ball that a grown one has come
+    /// to cover is then dropped, so the store shrinks as it loosens: no
+    /// flag and no later assignment depends on it. Random partitionings (all-ones
     /// indicator, no geometry) re-assign by a deterministic hash of the
     /// record bits, so refreshing is reproducible there too.
     pub fn refresh_assignments(&mut self, ds: &Dataset) {
@@ -476,8 +600,12 @@ impl Partitioning {
             *radius = radius.max(d);
             self.assignments.push(c);
         }
-        // radii may have grown: restore the big-ball-first probe order
-        self.regions.iter_mut().for_each(Cluster::sort_for_probing);
+        // radii may have grown: restore the big-ball-first probe order, and
+        // drop the balls the grown ones now cover
+        for cluster in &mut self.regions {
+            cluster.sort_for_probing();
+            cluster.drop_covered();
+        }
     }
 
     /// The intersection indicator `f_c(x, t)`: `true` for every cluster the
@@ -656,6 +784,30 @@ mod tests {
         assert_eq!(total, n);
     }
 
+    /// Soundness of `f_c`: the indicator never prunes a cluster that holds
+    /// a record within the query ball, for the query objects `queries` of
+    /// `ds` at the thresholds `ts`.
+    fn assert_sound(
+        p: &Partitioning,
+        ds: &Dataset,
+        kind: DistanceKind,
+        queries: &[usize],
+        ts: &[f32],
+    ) {
+        for &qi in queries {
+            let q = ds.row(qi);
+            for &t in ts {
+                let ind = p.indicator(q, t);
+                for (i, row) in ds.iter().enumerate() {
+                    if kind.eval(q, row) <= t {
+                        let c = p.assignments()[i];
+                        assert!(ind[c], "cluster {c} pruned but holds in-range record {i}");
+                    }
+                }
+            }
+        }
+    }
+
     /// The snapshot of a cover-tree partitioning does not depend on how
     /// many workers built the tree, nor on whether the build stopped at
     /// the ratio cut (or anywhere above full depth and not past it),
@@ -674,7 +826,7 @@ mod tests {
                 let tree = CoverTree::build_stopping(&geo, workers, stop);
                 // the parallel path is taken, not just asked for
                 assert!((workers.min(2)..=workers).contains(&tree.build_stats().workers));
-                saved(&Partitioning::from_cover_tree(&tree, &geo, kind, 4, 0.03))
+                saved(&Partitioning::from_cover_tree(&tree, &geo, kind, 4, 0.03).0)
             };
             let one = built(1, 1);
             for workers in [1, 2, 3, 8] {
@@ -738,18 +890,8 @@ mod tests {
             PartitionMethod::KMeans,
         ] {
             let p = Partitioning::build(&ds, DistanceKind::Euclidean, method, 3, 5);
-            for qi in [0usize, 111, 222] {
-                let q = ds.row(qi);
-                for t in [0.3f32, 1.0, 3.0] {
-                    let ind = p.indicator(q, t);
-                    for (i, row) in ds.iter().enumerate() {
-                        if DistanceKind::Euclidean.eval(q, row) <= t {
-                            let c = p.assignments()[i];
-                            assert!(ind[c], "cluster {c} pruned but contains in-range point {i}");
-                        }
-                    }
-                }
-            }
+            let queries = [0, 111, 222];
+            assert_sound(&p, &ds, DistanceKind::Euclidean, &queries, &[0.3, 1.0, 3.0]);
         }
     }
 
@@ -763,17 +905,7 @@ mod tests {
             3,
             7,
         );
-        for qi in [5usize, 150] {
-            let q = ds.row(qi);
-            for t in [0.05f32, 0.2, 0.6] {
-                let ind = p.indicator(q, t);
-                for (i, row) in ds.iter().enumerate() {
-                    if DistanceKind::Cosine.eval(q, row) <= t {
-                        assert!(ind[p.assignments()[i]]);
-                    }
-                }
-            }
-        }
+        assert_sound(&p, &ds, DistanceKind::Cosine, &[5, 150], &[0.05, 0.2, 0.6]);
     }
 
     /// After a §5.4-style mutation (inserts past the build-time length plus
@@ -803,18 +935,8 @@ mod tests {
             p.refresh_assignments(&ds);
             check_valid_partitioning(&p, ds.len());
             // soundness on the mutated dataset, including drifted records
-            for qi in [0usize, ds.len() - 1] {
-                let q = ds.row(qi).to_vec();
-                for t in [0.5f32, 2.0] {
-                    let ind = p.indicator(&q, t);
-                    for (i, row) in ds.iter().enumerate() {
-                        if DistanceKind::Euclidean.eval(&q, row) <= t {
-                            let c = p.assignments()[i];
-                            assert!(ind[c], "cluster {c} pruned but holds in-range record {i}");
-                        }
-                    }
-                }
-            }
+            let queries = [0, ds.len() - 1];
+            assert_sound(&p, &ds, DistanceKind::Euclidean, &queries, &[0.5, 2.0]);
         }
     }
 
@@ -851,17 +973,8 @@ mod tests {
         }
         p.refresh_assignments(&ds);
         check_valid_partitioning(&p, ds.len());
-        for qi in [0usize, ds.len() - 1] {
-            let q = ds.row(qi).to_vec();
-            for t in [0.1f32, 0.4] {
-                let ind = p.indicator(&q, t);
-                for (i, row) in ds.iter().enumerate() {
-                    if DistanceKind::Cosine.eval(&q, row) <= t {
-                        assert!(ind[p.assignments()[i]]);
-                    }
-                }
-            }
-        }
+        let queries = [0, ds.len() - 1];
+        assert_sound(&p, &ds, DistanceKind::Cosine, &queries, &[0.1, 0.4]);
     }
 
     /// Lemma 1 from the wire: the active-partition count never drops as
@@ -949,93 +1062,80 @@ mod tests {
         }
     }
 
+    /// The datasets of the differential tests: a narrow one, and one with
+    /// the paper fixture's ten strides of coordinates.
+    fn narrow_and_wide() -> (Dataset, Dataset) {
+        (
+            fasttext_like(&GeneratorConfig::new(900, 7, 5, 12)),
+            fasttext_like(&GeneratorConfig::new(500, 300, 5, 12)),
+        )
+    }
+
+    /// Every method and both distances as `(dataset, threshold scale —
+    /// distances to match —, distance, method, k)`: cover trees with more
+    /// regions per cluster than one block holds, and fewer.
+    fn differential_cases<'a>(
+        narrow: &'a Dataset,
+        wide: &'a Dataset,
+    ) -> [(&'a Dataset, f32, DistanceKind, PartitionMethod, usize); 7] {
+        use DistanceKind::{Cosine, Euclidean};
+        let tree = |ratio| PartitionMethod::CoverTree { ratio };
+        [
+            (narrow, 1.0, Euclidean, tree(0.002), 4),
+            (narrow, 1.0, Euclidean, tree(0.2), 3),
+            (narrow, 1.0, Euclidean, PartitionMethod::KMeans, 5),
+            (narrow, 1.0, Cosine, tree(0.01), 3),
+            (narrow, 1.0, Euclidean, PartitionMethod::Random, 3),
+            (wide, 8.0, Euclidean, tree(0.004), 3),
+            (wide, 0.25, Cosine, tree(0.05), 3),
+        ]
+    }
+
+    /// Query object and thresholds of one round of a differential test: a
+    /// data row or a random point, now and then with a NaN coordinate (no
+    /// distance compares, no ball matches); thresholds unsorted, with
+    /// repeats, reaching far below zero, and sometimes one that is no
+    /// number at all.
+    fn query_round(
+        rng: &mut StdRng,
+        ds: &Dataset,
+        round: usize,
+        scale: f32,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let mut x: Vec<f32> = match round % 3 {
+            0 => ds.row(rng.gen_range(0..ds.len())).to_vec(),
+            _ => (0..ds.dim()).map(|_| rng.gen_range(-4.0f32..4.0)).collect(),
+        };
+        if round % 40 == 39 {
+            let at = rng.gen_range(0..x.len());
+            x[at] = f32::NAN;
+        }
+        let mut ts: Vec<f32> = (0..rng.gen_range(0..9))
+            .map(|_| rng.gen_range(-1.0f32..8.0) * scale)
+            .collect();
+        ts.extend([-1e6, 0.0, -0.5, 1e6].iter().take(round % 5));
+        if round % 4 == 1 && !ts.is_empty() {
+            ts.push(ts[rng.gen_range(0..ts.len())]);
+            ts.insert(rng.gen_range(0..ts.len()), f32::NAN);
+        }
+        (x, ts)
+    }
+
     /// `indicator_many_into` ≡ one `indicator` call per threshold ≡ the
     /// per-region predicate this crate evaluated pair by pair before the
     /// block store (kept here verbatim), over unsorted thresholds that
     /// reach far below zero, on every method and both distances.
     #[test]
     fn indicator_many_equals_per_threshold_and_per_region_predicate() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(23);
-        let narrow = fasttext_like(&GeneratorConfig::new(900, 7, 5, 12));
-        // the paper fixture's ten strides of coordinates, distances to match
-        let wide = fasttext_like(&GeneratorConfig::new(500, 300, 5, 12));
-        for (ds, scale, kind, method, k) in [
-            // more regions per cluster than one block holds, and fewer
-            (
-                &narrow,
-                1.0f32,
-                DistanceKind::Euclidean,
-                PartitionMethod::CoverTree { ratio: 0.002 },
-                4,
-            ),
-            (
-                &narrow,
-                1.0,
-                DistanceKind::Euclidean,
-                PartitionMethod::CoverTree { ratio: 0.2 },
-                3,
-            ),
-            (
-                &narrow,
-                1.0,
-                DistanceKind::Euclidean,
-                PartitionMethod::KMeans,
-                5,
-            ),
-            (
-                &narrow,
-                1.0,
-                DistanceKind::Cosine,
-                PartitionMethod::CoverTree { ratio: 0.01 },
-                3,
-            ),
-            (
-                &narrow,
-                1.0,
-                DistanceKind::Euclidean,
-                PartitionMethod::Random,
-                3,
-            ),
-            (
-                &wide,
-                8.0,
-                DistanceKind::Euclidean,
-                PartitionMethod::CoverTree { ratio: 0.004 },
-                3,
-            ),
-            (
-                &wide,
-                0.25,
-                DistanceKind::Cosine,
-                PartitionMethod::CoverTree { ratio: 0.05 },
-                3,
-            ),
-        ] {
+        let (narrow, wide) = narrow_and_wide();
+        for (ds, scale, kind, method, k) in differential_cases(&narrow, &wide) {
             let p = Partitioning::build(ds, kind, method, k, 4);
             let balls = balls(&p);
             let mut flags = Vec::new();
             let (mut on, mut off) = (0, 0);
             for round in 0..120 {
-                let mut x: Vec<f32> = match round % 3 {
-                    0 => ds.row(rng.gen_range(0..ds.len())).to_vec(),
-                    _ => (0..ds.dim()).map(|_| rng.gen_range(-4.0f32..4.0)).collect(),
-                };
-                if round % 40 == 39 {
-                    // a NaN coordinate: no distance compares, no ball matches
-                    let at = rng.gen_range(0..x.len());
-                    x[at] = f32::NAN;
-                }
-                // unsorted, with repeats, reaching far below zero, and
-                // sometimes one that is no number at all
-                let mut ts: Vec<f32> = (0..rng.gen_range(0..9))
-                    .map(|_| rng.gen_range(-1.0f32..8.0) * scale)
-                    .collect();
-                ts.extend([-1e6, 0.0, -0.5, 1e6].iter().take(round % 5));
-                if round % 4 == 1 && !ts.is_empty() {
-                    ts.push(ts[rng.gen_range(0..ts.len())]);
-                    ts.insert(rng.gen_range(0..ts.len()), f32::NAN);
-                }
+                let (x, ts) = query_round(&mut rng, ds, round, scale);
                 p.indicator_many_into(&x, &ts, &mut flags);
                 assert_eq!(flags.len(), ts.len() * p.k());
                 for (&t, got) in ts.iter().zip(flags.chunks(p.k())) {
@@ -1074,10 +1174,151 @@ mod tests {
         }
     }
 
-    /// `refresh_assignments` runs its arg-min over blocks; the pair-by-pair
-    /// scan it replaced (kept here verbatim over the same balls) must give
-    /// the same assignments, the same grown radii and the same probe order
-    /// bit for bit.
+    type Balls = Vec<(Vec<f32>, f32)>;
+
+    fn ball_bits(balls: Vec<Balls>) -> Vec<Vec<(Vec<u32>, u32)>> {
+        let ball =
+            |(c, r): (Vec<f32>, f32)| (c.into_iter().map(f32::to_bits).collect(), r.to_bits());
+        let cluster = |c: Balls| c.into_iter().map(ball).collect();
+        balls.into_iter().map(cluster).collect()
+    }
+
+    /// What a store keeps of one cluster's balls in probe order, decided
+    /// pair by pair: a ball stays unless a kept, strictly bigger one holds
+    /// it with the margin.
+    fn uncovered_per_pair(balls: &Balls) -> Balls {
+        let mut kept: Balls = Vec::new();
+        for (centre, radius) in balls {
+            let covered = kept.iter().any(|(big, r)| {
+                r > radius
+                    && *r > 0.0
+                    && vectors::squared_euclidean(centre, big).sqrt() <= r * COVER_MARGIN - radius
+            });
+            if !covered {
+                kept.push((centre.clone(), *radius));
+            }
+        }
+        kept
+    }
+
+    /// A store without its covered balls answers as the store of every
+    /// region (the partitioning before this compaction, loaded from a
+    /// hand-written stream): the same flags over the rounds of the
+    /// indicator differential, the same assignments after a refresh under
+    /// drift, the same radii on the balls that survive — and what is
+    /// missing from it is, pair by pair, inside a ball it kept.
+    #[test]
+    fn covered_balls_are_not_stored_and_no_answer_moves() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let (narrow, wide) = narrow_and_wide();
+        let mut shrunk_somewhere = 0;
+        for (ds, scale, kind, method, k) in differential_cases(&narrow, &wide) {
+            let PartitionMethod::CoverTree { ratio } = method else {
+                continue;
+            };
+            let what = format!("{kind:?} dim {} ratio {ratio}", ds.dim());
+            let (mut p, stats) = Partitioning::build_reporting(ds, kind, method, k, 4);
+            let mut full = every_region_stored(ds, kind, ratio, k);
+            assert_eq!(p.assignments(), full.assignments(), "{what}");
+            let every: usize = full.region_counts().iter().sum();
+            let kept: usize = p.region_counts().iter().sum();
+            assert_eq!(every - kept, stats.covered_balls, "{what}");
+            assert!(kept < every, "{what}: every one of {every} balls kept");
+            // the store is the per-pair compaction of the full one, in order
+            let compacted = |full: &Partitioning| -> Vec<Balls> {
+                balls(full).iter().map(uncovered_per_pair).collect()
+            };
+            assert_eq!(ball_bits(balls(&p)), ball_bits(compacted(&full)), "{what}");
+
+            let (mut flags, mut full_flags) = (Vec::new(), Vec::new());
+            for round in 0..120 {
+                let (x, ts) = query_round(&mut rng, ds, round, scale);
+                p.indicator_many_into(&x, &ts, &mut flags);
+                full.indicator_many_into(&x, &ts, &mut full_flags);
+                assert_eq!(flags, full_flags, "{what} x {x:?} ts {ts:?}");
+            }
+
+            // drift: both refresh alike, and the smaller store shrinks on
+            let mut drifted = (*ds).clone();
+            let drift = |ds: &mut Dataset, step: f32| {
+                for i in 0..60 {
+                    let mut row = ds.row(i * 3).to_vec();
+                    row.iter_mut().for_each(|v| *v += step * i as f32);
+                    ds.push(&row);
+                    ds.swap_remove(i);
+                }
+            };
+            drift(&mut drifted, 0.01);
+            p.refresh_assignments(&drifted);
+            full.refresh_assignments(&drifted);
+            assert_eq!(p.assignments(), full.assignments(), "{what}");
+            assert_eq!(ball_bits(balls(&p)), ball_bits(compacted(&full)), "{what}");
+            let sound_at = [0.3 * scale, 1.5 * scale];
+            for step in [0.02, 0.05] {
+                let before: usize = p.region_counts().iter().sum();
+                drift(&mut drifted, step);
+                p.refresh_assignments(&drifted);
+                let after: usize = p.region_counts().iter().sum();
+                assert!(after <= before, "{what}: {before} balls became {after}");
+                let queries = [0, drifted.len() / 2, drifted.len() - 1];
+                assert_sound(&p, &drifted, kind, &queries, &sound_at);
+            }
+            let shrunk: usize = p.region_counts().iter().sum();
+            shrunk_somewhere += (shrunk < kept) as usize;
+        }
+        assert!(shrunk_somewhere >= 3, "{shrunk_somewhere} of 5 trees");
+    }
+
+    /// The benchmark's `paper` fixture (N = 50 000, d = 300, K = 3, ratio
+    /// 0.05; release builds only): of 19 202 exported regions the store
+    /// keeps the 8 331 no bigger ball of their cluster covers, answers as
+    /// the store of all of them, and is the same bytes whatever number of
+    /// workers built the tree.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn paper_shape_stores_the_uncovered_balls_only() {
+        let ds = fasttext_like(&GeneratorConfig::new(50_000, 300, 16, 7));
+        let kind = DistanceKind::Euclidean;
+        let method = PartitionMethod::CoverTree { ratio: 0.05 };
+        let (p, stats) = Partitioning::build_reporting(&ds, kind, method, 3, 42);
+        let full = every_region_stored(&ds, kind, 0.05, 3);
+        assert_eq!(full.region_counts(), [6401, 6401, 6400]);
+        assert_eq!(p.region_counts(), [4370, 3951, 10]);
+        assert_eq!(stats.covered_balls, 19_202 - 8_331);
+        assert_eq!(p.assignments(), full.assignments());
+
+        // queries like the fixture's: a data row, a threshold on the scale
+        // of its distances to other rows
+        let mut rng = StdRng::seed_from_u64(31);
+        let (mut flags, mut full_flags) = (Vec::new(), Vec::new());
+        let (mut on, mut off) = (0, 0);
+        for _ in 0..2000 {
+            let x = ds.row(rng.gen_range(0..ds.len()));
+            let other = ds.row(rng.gen_range(0..ds.len()));
+            let t = kind.eval(x, other) * rng.gen_range(0.0f32..1.2);
+            p.indicator_into(x, t, &mut flags);
+            full.indicator_into(x, t, &mut full_flags);
+            assert_eq!(flags, full_flags, "t {t}");
+            on += flags.iter().filter(|&&f| f).count();
+            off += flags.iter().filter(|&&f| !f).count();
+        }
+        assert!(on > 0 && off > 0, "{on} on, {off} off");
+
+        let bytes = saved(&p);
+        let cut = max_region(ds.len(), 0.05);
+        for workers in [1, 3] {
+            let tree = CoverTree::build_stopping(&ds, workers, cut);
+            let (built, covered) = Partitioning::from_cover_tree(&tree, &ds, kind, 3, 0.05);
+            assert!(saved(&built) == bytes, "{workers} workers");
+            assert_eq!(covered, stats.covered_balls);
+        }
+    }
+
+    /// `refresh_assignments` runs its arg-min over blocks and then drops
+    /// the balls the grown ones cover; the pair-by-pair scan it replaced
+    /// (kept here verbatim over the same balls), with the covered balls
+    /// then removed pair by pair, must give the same assignments, the same
+    /// grown radii and the same probe order bit for bit.
     #[test]
     fn refresh_assignments_equals_the_per_pair_scan() {
         let mut ds = fasttext_like(&GeneratorConfig::new(500, 6, 4, 13));
@@ -1112,17 +1353,11 @@ mod tests {
             }
             for cluster in &mut regions {
                 cluster.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite radii"));
+                *cluster = uncovered_per_pair(cluster);
             }
             p.refresh_assignments(&ds);
             assert_eq!(p.assignments(), assignments);
-            let bits = |balls: Vec<Vec<(Vec<f32>, f32)>>| -> Vec<Vec<(Vec<u32>, u32)>> {
-                let ball = |(c, r): (Vec<f32>, f32)| {
-                    (c.into_iter().map(f32::to_bits).collect(), r.to_bits())
-                };
-                let cluster = |c: Vec<(Vec<f32>, f32)>| c.into_iter().map(ball).collect();
-                balls.into_iter().map(cluster).collect()
-            };
-            assert_eq!(bits(balls(&p)), bits(regions), "{method:?}");
+            assert_eq!(ball_bits(balls(&p)), ball_bits(regions), "{method:?}");
         }
     }
 
@@ -1167,13 +1402,55 @@ mod tests {
         s.extend([0u8, 2u8]); // Euclidean, KMeans
         s.extend(0u64.to_le_bytes()); // assignments
         s.extend(1u64.to_le_bytes()); // clusters
+        cluster_stream(&mut s, regions);
+        s
+    }
+
+    /// One cluster's `(centre, radius)` regions as `save` lays them out.
+    fn cluster_stream(s: &mut Vec<u8>, regions: &[(Vec<f32>, f32)]) {
         s.extend((regions.len() as u64).to_le_bytes());
         for (centre, radius) in regions {
             s.extend((centre.len() as u64).to_le_bytes());
             centre.iter().for_each(|c| s.extend(c.to_le_bytes()));
             s.extend(radius.to_le_bytes());
         }
-        s
+    }
+
+    /// The cover-tree partitioning as it was before covered balls were
+    /// left out — the ball of **every** region the ratio cut exports, the
+    /// regions merged greedily as `from_cover_tree` merges them — written
+    /// by hand as a snapshot stream and loaded: `load` stores what it is
+    /// given.
+    fn every_region_stored(ds: &Dataset, kind: DistanceKind, ratio: f64, k: usize) -> Partitioning {
+        let mut geo = ds.clone();
+        if kind == DistanceKind::Cosine {
+            geo.normalize_rows();
+        }
+        let cut = max_region(geo.len(), ratio);
+        let tree = CoverTree::build_for_regions(&geo, cut);
+        let mut regions = tree.regions(cut);
+        regions.sort_by_key(|r| std::cmp::Reverse(r.members.len()));
+        let k = k.min(regions.len().max(1));
+        let mut sizes = vec![0usize; k];
+        let mut clusters: Vec<Vec<(Vec<f32>, f32)>> = vec![Vec::new(); k];
+        let mut assignments = vec![0u64; geo.len()];
+        for region in &regions {
+            let target = (0..k).min_by_key(|&c| sizes[c]).expect("k > 0");
+            sizes[target] += region.members.len();
+            for &m in &region.members {
+                assignments[m] = target as u64;
+            }
+            clusters[target].push((geo.row(region.center).to_vec(), region.radius));
+        }
+        let mut s = Vec::new();
+        s.extend((k as u64).to_le_bytes());
+        s.extend([(kind == DistanceKind::Cosine) as u8, 0u8]); // cover tree
+        s.extend(ratio.to_le_bytes());
+        s.extend((assignments.len() as u64).to_le_bytes());
+        assignments.iter().for_each(|a| s.extend(a.to_le_bytes()));
+        s.extend((k as u64).to_le_bytes());
+        clusters.iter().for_each(|c| cluster_stream(&mut s, c));
+        Partitioning::load(&mut s.as_slice()).expect("a well-formed stream")
     }
 
     /// Centres of different lengths used to load, and the release-build
@@ -1184,6 +1461,59 @@ mod tests {
         let err = Partitioning::load(&mut stream.as_slice()).expect_err("mixed dimensions");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("dimension 2, expected 3"), "{err}");
+    }
+
+    /// The rule by hand: a ball goes when it fits inside a strictly bigger
+    /// one with the margin to spare — not when it only touches the rim
+    /// from inside, not for a ball of its own size, never for a point
+    /// under a point.
+    #[test]
+    fn refresh_drops_exactly_the_covered_balls() {
+        let every = [
+            (vec![0.0, 0.0], 2.0),
+            (vec![9.0, 0.0], 1.0),
+            (vec![1.0, 0.0], 0.5),  // inside the first
+            (vec![1.5, 0.0], 0.5),  // touches its rim: 1.5 + 0.5 = 2
+            (vec![9.0, 0.5], 0.25), // inside the second
+            (vec![0.0, 1.9], 0.0),  // a point inside the first
+            (vec![0.0, 2.0], 0.0),  // a point on its rim
+            (vec![5.0, 5.0], 0.0),  // a point outside both, twice
+            (vec![5.0, 5.0], 0.0),
+        ];
+        let mut p = Partitioning::load(&mut region_stream(&every).as_slice()).expect("loads");
+        assert_eq!(
+            p.region_counts(),
+            [every.len()],
+            "load stores what it reads"
+        );
+        p.refresh_assignments(&Dataset::new(2));
+        let kept: Balls = [0, 1, 3, 6, 7, 8].map(|i| every[i].clone()).into();
+        assert_eq!(balls(&p), vec![kept]);
+    }
+
+    /// A radius the probe order cannot compare, or one that matches no
+    /// query (an indicator that under-estimates without a word), used to
+    /// load.
+    #[test]
+    fn load_rejects_a_radius_that_is_negative_or_not_finite() {
+        for radius in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -1.0] {
+            let stream = region_stream(&[(vec![1.0, 0.0], 1.0), (vec![2.0, 0.0], radius)]);
+            let err = Partitioning::load(&mut stream.as_slice()).expect_err("bad radius");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{radius}");
+            assert!(err.to_string().contains("region radius"), "{err}");
+        }
+        let stream = region_stream(&[(vec![1.0, 0.0], 0.0), (vec![2.0, 0.0], f32::MAX)]);
+        Partitioning::load(&mut stream.as_slice()).expect("zero and large radii are radii");
+    }
+
+    #[test]
+    fn load_rejects_a_centre_coordinate_that_is_not_finite() {
+        for coordinate in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let stream = region_stream(&[(vec![1.0, 0.0], 1.0), (vec![2.0, coordinate], 1.0)]);
+            let err = Partitioning::load(&mut stream.as_slice()).expect_err("bad centre");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{coordinate}");
+            assert!(err.to_string().contains("centre coordinate"), "{err}");
+        }
     }
 
     #[test]
