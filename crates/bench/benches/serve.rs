@@ -75,7 +75,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
             shards: 1,
             max_batch_rows: BATCH,
             cache_entries: 0,
-            auto_batch_min_rows: 0,
             max_queue_rows: 0, // unbounded: the bench measures service, not shedding
             slow_query_us: 0,
             trace_buffer: 0,
@@ -159,7 +158,6 @@ fn bench_record(_c: &mut Criterion) {
             shards: 1,
             max_batch_rows: BATCH,
             cache_entries: 0,
-            auto_batch_min_rows: 0,
             max_queue_rows: 0,
             slow_query_us: 0,
             trace_buffer: 0,
@@ -198,7 +196,6 @@ fn bench_record(_c: &mut Criterion) {
                 shards: 1,
                 max_batch_rows: BATCH,
                 cache_entries: 0,
-                auto_batch_min_rows: 0,
                 max_queue_rows: 0,
                 slow_query_us: 0,
                 trace_buffer: 0,

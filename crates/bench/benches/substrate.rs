@@ -133,7 +133,7 @@ const GEMM_SHAPES: [(usize, usize, usize); 5] = [
     (64, 10, 64),    // wave × input dim → trunk
     (64, 64, 64),    // trunk → trunk
     (64, 64, 16),    // trunk → head
-    (16, 64, 64),    // light wave (auto-batch floor)
+    (16, 64, 64),    // light wave (a quarter-full batch)
     (256, 256, 256), // control: the square shape the tiling was built for
 ];
 

@@ -7,7 +7,10 @@ use selnet_eval::{evaluate, median_scales, render_accuracy_table, AccuracyRow};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("repro_ablation: {e}");
+        std::process::exit(2);
+    });
     let settings = [
         Setting::FasttextCos,
         Setting::FasttextL2,

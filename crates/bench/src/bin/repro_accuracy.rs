@@ -10,15 +10,27 @@ use selnet_bench::harness::{build_setting, train_models, ModelKind, Scale, Setti
 use selnet_eval::{accuracy_csv, evaluate, median_scales, render_accuracy_table, AccuracyRow};
 use selnet_workload::ThresholdScheme;
 
+fn refuse(message: String) -> ! {
+    eprintln!("repro_accuracy: {message}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let setting = args
-        .iter()
-        .position(|a| a == "--setting")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| Setting::parse(s))
-        .unwrap_or(Setting::FasttextCos);
-    let scale = Scale::from_args(&args);
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    // `--setting NAME` is this binary's own; the rest is the scale
+    let setting = match args.iter().position(|a| a == "--setting") {
+        None => Setting::FasttextCos,
+        Some(i) => {
+            args.remove(i);
+            if i == args.len() {
+                refuse("--setting needs a value".into());
+            }
+            let name = args.remove(i);
+            Setting::parse(&name)
+                .unwrap_or_else(|| refuse(format!("bad value {name:?} for --setting")))
+        }
+    };
+    let scale = Scale::from_args(&args).unwrap_or_else(|e| refuse(e));
     let beta = matches!(scale.scheme, ThresholdScheme::Beta { .. });
 
     eprintln!(

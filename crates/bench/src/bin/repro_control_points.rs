@@ -7,7 +7,10 @@ use selnet_eval::evaluate;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("repro_control_points: {e}");
+        std::process::exit(2);
+    });
     let (ds, w) = build_setting(Setting::FasttextL2, &scale);
     let ls = [10usize, 50, 90, 130];
 

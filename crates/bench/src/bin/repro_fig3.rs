@@ -10,7 +10,12 @@ use selnet_core::{fit_fixed_grid, fit_selnet_head};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    // the one binary without a `Scale`: `--quick` is all it takes
+    if let Some(unknown) = args.iter().find(|a| *a != "--quick") {
+        eprintln!("repro_fig3: unknown option {unknown}");
+        std::process::exit(2);
+    }
+    let quick = !args.is_empty();
     let epochs = if quick { 1000 } else { 6000 };
 
     // 80 (t, f(t)) samples with t ~ U[0, 10], as in §6.2

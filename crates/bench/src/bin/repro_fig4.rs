@@ -8,7 +8,10 @@ use selnet_workload::sorted_distances;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("repro_fig4: {e}");
+        std::process::exit(2);
+    });
     let (ds, w) = build_setting(Setting::FasttextCos, &scale);
 
     let (ct, ad) = std::thread::scope(|scope| {

@@ -74,7 +74,10 @@ fn run_setting(setting: Setting, scale: &Scale, num_ops: usize) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("repro_fig5: {e}");
+        std::process::exit(2);
+    });
     let num_ops = if args.iter().any(|a| a == "--quick") {
         20
     } else {

@@ -9,7 +9,10 @@ use selnet_eval::evaluate;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("repro_loss_ablation: {e}");
+        std::process::exit(2);
+    });
     let (ds, w) = build_setting(Setting::FasttextCos, &scale);
     let variants = [
         ("Huber", LossKind::Huber),

@@ -6,7 +6,10 @@ use selnet_eval::empirical_monotonicity;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("repro_monotonicity: {e}");
+        std::process::exit(2);
+    });
     eprintln!(
         "[repro_monotonicity] setting=face-cos n={} queries={}",
         scale.n, scale.queries

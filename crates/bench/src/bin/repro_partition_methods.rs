@@ -21,7 +21,10 @@ struct Row {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("repro_partition_methods: {e}");
+        std::process::exit(2);
+    });
     let (ds, w) = build_setting(Setting::FasttextL2, &scale);
     let methods = [
         ("CT", PartitionMethod::CoverTree { ratio: 0.05 }),

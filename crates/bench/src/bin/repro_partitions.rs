@@ -10,7 +10,10 @@ type SweepRow = (usize, f64, f64, f64, f64);
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("repro_partitions: {e}");
+        std::process::exit(2);
+    });
     let (ds, w) = build_setting(Setting::FasttextL2, &scale);
     let ks = [1usize, 3, 6, 9];
 

@@ -9,7 +9,10 @@ use selnet_eval::evaluate;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("repro_tau_norm: {e}");
+        std::process::exit(2);
+    });
     let (ds, w) = build_setting(Setting::FasttextL2, &scale);
     let variants = [
         ("Norml2", TauNormalization::Norml2),

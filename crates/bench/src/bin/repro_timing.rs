@@ -6,7 +6,10 @@ use selnet_eval::average_estimate_ms;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("repro_timing: {e}");
+        std::process::exit(2);
+    });
     let settings = [
         Setting::FaceCos,
         Setting::FasttextCos,

@@ -9,6 +9,10 @@
 //! regression (a plan silently falling back to the tape, a batching
 //! pessimization) still trips it.
 //!
+//! Ratios whose floor sits within this host's noise of the recorded
+//! figure are medians of paired, alternating rounds ([`paired_ratios`]),
+//! not quotients of two independent timings.
+//!
 //! It also bounds the flight recorder (`obs_overhead_max` /
 //! `obs_slowpath_max`, see [`check_obs_overhead`]), validates the
 //! recorded multi-core `scaling` block (shape + the ≥1.5x@4t requirement
@@ -149,10 +153,47 @@ fn check_scaling_artifact(blob: &str) -> Result<(), ()> {
     }
 }
 
-/// The observability overhead guards, timed as medians of per-round
-/// paired ratios against an engine with every knob off —
-/// frequency/thermal drift and scheduler luck are common-mode within a
-/// round, so pairing cancels what independent timings cannot. Two
+/// Rounds per paired comparison: at ~1 ms a round the loop outlasts a
+/// burst of host noise several times over, so the burst moves a minority
+/// of the rounds and not their median.
+const ROUNDS: usize = 400;
+
+/// Times each of `sides` once per round — forwards in one round,
+/// backwards in the next, so no side always goes first — and returns, for
+/// every side after the first, its per-round time over the first side's,
+/// sorted. Frequency/thermal drift and scheduler luck are common-mode
+/// within a round, so the median of a side's ratios resolves what two
+/// independent timings cannot.
+fn paired_ratios(sides: &mut [&mut dyn FnMut()]) -> Vec<Vec<f64>> {
+    let mut ratios = vec![Vec::with_capacity(ROUNDS); sides.len() - 1];
+    let mut order: Vec<usize> = (0..sides.len()).collect();
+    let mut ms = vec![0.0f64; sides.len()];
+    for _ in 0..ROUNDS {
+        for &i in &order {
+            ms[i] = time_ms(1, 4, &mut *sides[i]);
+        }
+        order.reverse();
+        for (ratios, ms_side) in ratios.iter_mut().zip(&ms[1..]) {
+            ratios.push(ms_side / ms[0]);
+        }
+    }
+    for side in &mut ratios {
+        side.sort_by(f64::total_cmp);
+    }
+    ratios
+}
+
+/// The `q`-th quartile (2 = the median) of sorted values.
+fn quartile(sorted: &[f64], q: usize) -> f64 {
+    sorted[sorted.len() * q / 4]
+}
+
+/// The observability overhead guards: [`paired_ratios`] against an engine
+/// with every knob off. What pairing cannot cancel is measured — a
+/// **control**, a second engine with every knob off, is timed in the same
+/// rounds. Its ratio is 1 by construction, so the spread of its rounds
+/// (the inter-quartile distance) is what this host does to the ratio of
+/// two equal engines, and the armed floor is held only beyond it. Two
 /// configurations, two floors:
 ///
 /// * **armed** (`obs_overhead_max`, the ≤ 3% contract): span ring on,
@@ -161,7 +202,8 @@ fn check_scaling_artifact(blob: &str) -> Result<(), ()> {
 ///   the flight recorder fully armed — histograms, counters, batch-stage
 ///   spans, trace minting, and the per-request slow check. Per-request
 ///   spans are deliberately absent: those are sampled, paid only by
-///   requests that bring a trace ID.
+///   requests that bring a trace ID. Fails when the median exceeds the
+///   floor by more than the control's inter-quartile distance.
 /// * **stress** (`obs_slowpath_max`): a 1µs threshold routes **every**
 ///   reply through the slow path (a bounded Mutex log push per request —
 ///   at 600k+ req/s, a rate no real threshold produces). Not part of the
@@ -182,7 +224,6 @@ fn check_obs_overhead(
                 shards: 1,
                 max_batch_rows: BATCH,
                 cache_entries: 0,
-                auto_batch_min_rows: 0,
                 max_queue_rows: 0,
                 slow_query_us,
                 trace_buffer,
@@ -191,6 +232,7 @@ fn check_obs_overhead(
         )
     };
     let off = start(0, 0);
+    let control = start(0, 0);
     let armed = start(50_000, 4096);
     let stress = start(1, 4096);
 
@@ -206,32 +248,34 @@ fn check_obs_overhead(
             black_box(h.wait().expect("served"));
         }
     };
+    let engines = [&off, &control, &armed, &stress];
     for _ in 0..8 {
-        wave(&armed);
-        wave(&stress);
-        wave(&off);
+        engines.into_iter().for_each(&wave);
     }
-    let mut armed_ratios = Vec::with_capacity(48);
-    let mut stress_ratios = Vec::with_capacity(48);
-    for _ in 0..48 {
-        let t_off = time_ms(1, 4, || wave(&off));
-        armed_ratios.push(time_ms(1, 4, || wave(&armed)) / t_off);
-        stress_ratios.push(time_ms(1, 4, || wave(&stress)) / t_off);
-    }
-    armed_ratios.sort_by(f64::total_cmp);
-    stress_ratios.sort_by(f64::total_cmp);
-    let m_armed = armed_ratios[armed_ratios.len() / 2];
-    let m_stress = stress_ratios[stress_ratios.len() / 2];
-    off.shutdown();
-    armed.shutdown();
-    stress.shutdown();
+    let ratios = paired_ratios(&mut [
+        &mut || wave(&off),
+        &mut || wave(&control),
+        &mut || wave(&armed),
+        &mut || wave(&stress),
+    ]);
+    engines.into_iter().for_each(|engine| engine.shutdown());
+    let (m_control, m_armed, m_stress) = (
+        quartile(&ratios[0], 2),
+        quartile(&ratios[1], 2),
+        quartile(&ratios[2], 2),
+    );
+    let iqr_control = quartile(&ratios[0], 3) - quartile(&ratios[0], 1);
     println!(
-        "serve_bench_guard: obs_overhead armed {m_armed:.4} (floor <= {floor_armed:.2}), \
-         every-request-slow stress {m_stress:.4} (floor <= {floor_stress:.2})"
+        "serve_bench_guard: obs_overhead armed {m_armed:.4} (floor <= {floor_armed:.2} + the \
+         control's inter-quartile distance), off-vs-off control {m_control:.4} \
+         (inter-quartile distance {iqr_control:.4}), every-request-slow stress {m_stress:.4} \
+         (floor <= {floor_stress:.2})"
     );
     let mut ok = true;
-    if m_armed > floor_armed {
-        eprintln!("serve_bench_guard: FAIL obs overhead {m_armed:.4} > {floor_armed:.2}");
+    if m_armed > floor_armed + iqr_control {
+        eprintln!(
+            "serve_bench_guard: FAIL obs overhead {m_armed:.4} > {floor_armed:.2} + {iqr_control:.4}"
+        );
         ok = false;
     }
     if m_stress > floor_stress {
@@ -275,16 +319,25 @@ fn main() -> ExitCode {
     let batched = time_ms(8, 8, || {
         black_box(model.predict_batch(&x_refs, &ts));
     });
-    let tape_batched = time_ms(8, 8, || {
-        black_box(model.tape_predict_batch(&x_refs, &ts));
-    });
     let speedup_batched = single / batched;
-    let plan_vs_tape = tape_batched / batched;
+    // 1.14 recorded against a floor of 1.05: two independent timings do
+    // not resolve that on a shared host, the median of paired rounds does
+    let plan_vs_tape = quartile(
+        &paired_ratios(&mut [
+            &mut || {
+                black_box(model.predict_batch(&x_refs, &ts));
+            },
+            &mut || {
+                black_box(model.tape_predict_batch(&x_refs, &ts));
+            },
+        ])[0],
+        2,
+    );
     println!(
         "serve_bench_guard: single={single:.4}ms batched={batched:.4}ms \
-         tape_batched={tape_batched:.4}ms \
          -> speedup_batched_vs_single={speedup_batched:.2} (floor {floor_batched:.2}), \
-         plan_vs_tape={plan_vs_tape:.2} (floor {floor_plan:.2})"
+         plan_vs_tape={plan_vs_tape:.2} (tape over plan, median of {ROUNDS} paired rounds; \
+         floor {floor_plan:.2})"
     );
 
     let mut ok = drift_ok && scaling_ok;

@@ -182,7 +182,6 @@ impl GauntletConfig {
             shards: 1,
             max_batch_rows: 16,
             cache_entries: 32,
-            auto_batch_min_rows: 0,
             max_queue_rows: 4096,
             slow_query_us: 0,
             trace_buffer: 0,

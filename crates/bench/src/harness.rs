@@ -111,46 +111,46 @@ impl Scale {
         }
     }
 
-    /// Parses CLI overrides like `--n 30000 --queries 800 --quick`.
-    pub fn from_args(args: &[String]) -> Scale {
+    /// Parses CLI overrides like `--n 30000 --queries 800 --quick`. A flag
+    /// this does not know, a flag without its value and a value that does
+    /// not parse are errors: a run never falls back to the default scale
+    /// behind the caller's back.
+    pub fn from_args(args: &[String]) -> Result<Scale, String> {
+        fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+            value
+                .parse()
+                .map_err(|_| format!("bad value {value:?} for {flag}"))
+        }
         let mut scale = if args.iter().any(|a| a == "--quick") {
             Scale::quick()
         } else {
             Scale::default()
         };
         let mut it = args.iter();
-        while let Some(a) = it.next() {
-            let mut next_usize = |field: &mut usize| {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    *field = v;
-                }
-            };
-            match a.as_str() {
-                "--n" => next_usize(&mut scale.n),
-                "--dim" => next_usize(&mut scale.dim),
-                "--clusters" => next_usize(&mut scale.clusters),
-                "--queries" => next_usize(&mut scale.queries),
-                "--w" => next_usize(&mut scale.w),
-                "--epochs" => next_usize(&mut scale.epochs),
-                "--seed" => {
-                    if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                        scale.seed = v;
-                    }
-                }
-                "--thresholds" => {
-                    if let Some(v) = it.next() {
-                        if v == "beta" {
-                            scale.scheme = ThresholdScheme::Beta {
-                                alpha: 3.0,
-                                beta: 2.5,
-                            };
+        while let Some(flag) = it.next() {
+            let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--quick" => {}
+                "--n" => scale.n = parsed(flag, value()?)?,
+                "--dim" => scale.dim = parsed(flag, value()?)?,
+                "--clusters" => scale.clusters = parsed(flag, value()?)?,
+                "--queries" => scale.queries = parsed(flag, value()?)?,
+                "--w" => scale.w = parsed(flag, value()?)?,
+                "--epochs" => scale.epochs = parsed(flag, value()?)?,
+                "--seed" => scale.seed = parsed(flag, value()?)?,
+                "--thresholds" => match value()?.as_str() {
+                    "beta" => {
+                        scale.scheme = ThresholdScheme::Beta {
+                            alpha: 3.0,
+                            beta: 2.5,
                         }
                     }
-                }
-                _ => {}
+                    other => return Err(format!("bad value {other:?} for {flag}")),
+                },
+                unknown => return Err(format!("unknown option {unknown}")),
             }
         }
-        scale
+        Ok(scale)
     }
 }
 
@@ -448,10 +448,26 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let s = Scale::from_args(&args);
+        let s = Scale::from_args(&args).unwrap();
         assert_eq!(s.n, 1234);
         assert_eq!(s.queries, 55);
         assert!(matches!(s.scheme, ThresholdScheme::Beta { .. }));
+        // nothing is swallowed: an unknown flag, a missing value and a
+        // value that does not parse each refuse the run
+        let refused = |line: &[&str]| {
+            let args: Vec<String> = line.iter().map(|s| s.to_string()).collect();
+            Scale::from_args(&args).unwrap_err()
+        };
+        assert_eq!(
+            refused(&["--quick", "--epoch", "200"]),
+            "unknown option --epoch"
+        );
+        assert_eq!(refused(&["--n", "900", "--seed"]), "--seed needs a value");
+        assert_eq!(refused(&["--n", "5e4"]), "bad value \"5e4\" for --n");
+        assert_eq!(
+            refused(&["--thresholds", "gamma"]),
+            "bad value \"gamma\" for --thresholds"
+        );
     }
 
     #[test]

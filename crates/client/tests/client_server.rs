@@ -81,7 +81,6 @@ fn four_pipelined_connections_two_tenants_match_direct_estimation() {
             shards: 2,
             max_batch_rows: 16,
             cache_entries: 32,
-            auto_batch_min_rows: 0,
             max_queue_rows: 0, // unbounded: this test is about identity, not shedding
             slow_query_us: 0,
             trace_buffer: 0,
@@ -191,7 +190,6 @@ fn saturated_server_sheds_overloaded_and_stats_count_it() {
             shards: 1,
             max_batch_rows: 4,
             cache_entries: 0,
-            auto_batch_min_rows: 0,
             max_queue_rows: 4,
             slow_query_us: 0,
             trace_buffer: 0,
@@ -258,7 +256,6 @@ fn traced_queries_and_metrics_scrape_round_trip() {
             shards: 1,
             max_batch_rows: 4,
             cache_entries: 0,
-            auto_batch_min_rows: 0,
             max_queue_rows: 0,
             slow_query_us: 1, // every 2ms Slow reply is a slow query
             trace_buffer: 0,

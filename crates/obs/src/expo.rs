@@ -1,8 +1,9 @@
 //! Prometheus text exposition format helpers.
 //!
-//! Free functions so both the [`MetricsRegistry`](crate::MetricsRegistry)
-//! and callers with ad-hoc scrape-time values (per-tenant generation,
-//! queue depth) render through one escaping and formatting path.
+//! Free functions: a scrape walks its own table of families and writes
+//! each one — header, then one sample or histogram per label set — so
+//! counters, histograms and scrape-time values (per-tenant generation,
+//! queue depth) all render through one escaping and formatting path.
 
 use crate::hist::HistogramSnapshot;
 use std::fmt::Write;

@@ -1,15 +1,11 @@
-//! Typed metric handles and the [`MetricsRegistry`].
+//! The [`Counter`]: a relaxed atomic that only goes up.
 //!
-//! Handles ([`Counter`], [`Gauge`], shared [`Histogram`]s) are plain
-//! atomics behind `Arc`s: the hot path clones a handle once at wiring
-//! time and then updates it lock-free forever. The registry itself is
-//! only locked at registration and render time — a scrape walks the
-//! families and renders Prometheus text exposition format.
+//! A counter (like a [`Histogram`](crate::Histogram)) is a plain field of
+//! whatever owns the events it counts; an exposition reads it with
+//! [`Counter::get`] at scrape time and writes it through [`crate::expo`].
+//! There is no registry to wire it into.
 
-use crate::expo;
-use crate::hist::Histogram;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A monotonically increasing counter.
 #[derive(Default)]
@@ -38,258 +34,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Saturating decrement — for the rare "counted, then revoked" shape
-    /// (a shed converted into an inline serve). Never underflows.
-    pub fn uncount(&self) {
-        let _ = self
-            .0
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1))
-            });
-    }
-}
-
-/// A gauge: a value that goes up and down (queue depth, occupancy).
-#[derive(Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub fn new() -> Self {
-        Gauge(AtomicI64::new(0))
-    }
-
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `n` (may be negative).
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// One registered time series: a label set and its typed handle.
-enum Series {
-    Counter(Vec<(String, String)>, Arc<Counter>),
-    Gauge(Vec<(String, String)>, Arc<Gauge>),
-    Histogram(Vec<(String, String)>, Arc<Histogram>),
-}
-
-/// One metric family: a name, a help line, and its series.
-struct Family {
-    name: String,
-    help: String,
-    kind: &'static str,
-    series: Vec<Series>,
-}
-
-/// A typed registry of metric families, rendered in Prometheus text
-/// exposition format by [`MetricsRegistry::render`].
-///
-/// Registration hands back `Arc` handles; updating a handle never takes
-/// the registry lock. Registering the same `(family, labels)` series
-/// twice returns the existing handle, so wiring is idempotent.
-#[derive(Default)]
-pub struct MetricsRegistry {
-    families: Mutex<Vec<Family>>,
-}
-
-fn labels_of(s: &Series) -> &[(String, String)] {
-    match s {
-        Series::Counter(l, _) | Series::Gauge(l, _) | Series::Histogram(l, _) => l,
-    }
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn series_handle<T>(
-        &self,
-        name: &str,
-        help: &str,
-        kind: &'static str,
-        labels: &[(&str, &str)],
-        extract: impl Fn(&Series) -> Option<Arc<T>>,
-        build: impl FnOnce(Vec<(String, String)>) -> (Series, Arc<T>),
-    ) -> Arc<T> {
-        let labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        let mut families = self.families.lock().expect("metrics registry poisoned");
-        let family = match families.iter_mut().find(|f| f.name == name) {
-            Some(f) => {
-                assert_eq!(
-                    f.kind, kind,
-                    "metric family {name:?} re-registered as {kind}"
-                );
-                f
-            }
-            None => {
-                families.push(Family {
-                    name: name.to_string(),
-                    help: help.to_string(),
-                    kind,
-                    series: Vec::new(),
-                });
-                families.last_mut().expect("just pushed")
-            }
-        };
-        if let Some(existing) = family
-            .series
-            .iter()
-            .find(|s| labels_of(s) == labels.as_slice())
-        {
-            if let Some(handle) = extract(existing) {
-                return handle;
-            }
-            unreachable!("family kind is checked above");
-        }
-        let (series, handle) = build(labels);
-        family.series.push(series);
-        handle
-    }
-
-    /// Registers (or finds) a counter series.
-    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        self.series_handle(
-            name,
-            help,
-            "counter",
-            labels,
-            |s| match s {
-                Series::Counter(_, c) => Some(Arc::clone(c)),
-                _ => None,
-            },
-            |labels| {
-                let c = Arc::new(Counter::new());
-                (Series::Counter(labels, Arc::clone(&c)), c)
-            },
-        )
-    }
-
-    /// Registers (or finds) a gauge series.
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        self.series_handle(
-            name,
-            help,
-            "gauge",
-            labels,
-            |s| match s {
-                Series::Gauge(_, g) => Some(Arc::clone(g)),
-                _ => None,
-            },
-            |labels| {
-                let g = Arc::new(Gauge::new());
-                (Series::Gauge(labels, Arc::clone(&g)), g)
-            },
-        )
-    }
-
-    /// Registers (or finds) a histogram series.
-    pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        self.series_handle(
-            name,
-            help,
-            "histogram",
-            labels,
-            |s| match s {
-                Series::Histogram(_, h) => Some(Arc::clone(h)),
-                _ => None,
-            },
-            |labels| {
-                let h = Arc::new(Histogram::new());
-                (Series::Histogram(labels, Arc::clone(&h)), h)
-            },
-        )
-    }
-
-    /// Registers an existing handle as a counter series — how a caller
-    /// threads counters it already owns (e.g. serving stats) into the
-    /// exposition without double-counting.
-    pub fn link_counter(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        handle: &Arc<Counter>,
-    ) {
-        let h = Arc::clone(handle);
-        self.series_handle(
-            name,
-            help,
-            "counter",
-            labels,
-            |s| match s {
-                Series::Counter(_, c) => Some(Arc::clone(c)),
-                _ => None,
-            },
-            move |labels| (Series::Counter(labels, Arc::clone(&h)), h),
-        );
-    }
-
-    /// Registers an existing handle as a histogram series (see
-    /// [`MetricsRegistry::link_counter`]).
-    pub fn link_histogram(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        handle: &Arc<Histogram>,
-    ) {
-        let h = Arc::clone(handle);
-        self.series_handle(
-            name,
-            help,
-            "histogram",
-            labels,
-            |s| match s {
-                Series::Histogram(_, hh) => Some(Arc::clone(hh)),
-                _ => None,
-            },
-            move |labels| (Series::Histogram(labels, Arc::clone(&h)), h),
-        );
-    }
-
-    /// Renders every family in Prometheus text exposition format:
-    /// `# HELP` / `# TYPE` headers, one sample line per series, and for
-    /// histograms the cumulative `_bucket{le=...}` / `_sum` / `_count`
-    /// convention (only non-empty buckets are emitted, plus `+Inf`).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let families = self.families.lock().expect("metrics registry poisoned");
-        for f in families.iter() {
-            expo::write_header(&mut out, &f.name, &f.help, f.kind);
-            for s in &f.series {
-                match s {
-                    Series::Counter(labels, c) => {
-                        expo::write_sample(&mut out, &f.name, labels, &c.get().to_string());
-                    }
-                    Series::Gauge(labels, g) => {
-                        expo::write_sample(&mut out, &f.name, labels, &g.get().to_string());
-                    }
-                    Series::Histogram(labels, h) => {
-                        expo::write_histogram(&mut out, &f.name, labels, &h.snapshot());
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -297,84 +41,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let c = Counter::new();
+        assert_eq!(c.get(), 0);
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        c.uncount();
-        assert_eq!(c.get(), 4);
-        let fresh = Counter::new();
-        fresh.uncount();
-        assert_eq!(fresh.get(), 0, "uncount never underflows");
-        let g = Gauge::new();
-        g.set(7);
-        g.add(-10);
-        assert_eq!(g.get(), -3);
-    }
-
-    #[test]
-    fn registration_is_idempotent_and_handles_are_live() {
-        let reg = MetricsRegistry::new();
-        let a = reg.counter("selnet_requests_total", "Requests", &[("tenant", "alpha")]);
-        let b = reg.counter("selnet_requests_total", "Requests", &[("tenant", "alpha")]);
-        assert!(Arc::ptr_eq(&a, &b), "same series must share its handle");
-        let other = reg.counter("selnet_requests_total", "Requests", &[("tenant", "beta")]);
-        assert!(!Arc::ptr_eq(&a, &other));
-        a.add(3);
-        other.inc();
-        let text = reg.render();
-        assert!(
-            text.contains("# TYPE selnet_requests_total counter"),
-            "{text}"
-        );
-        assert!(
-            text.contains("selnet_requests_total{tenant=\"alpha\"} 3"),
-            "{text}"
-        );
-        assert!(
-            text.contains("selnet_requests_total{tenant=\"beta\"} 1"),
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn render_covers_all_three_kinds() {
-        let reg = MetricsRegistry::new();
-        reg.counter("c_total", "a counter", &[]).add(2);
-        reg.gauge("g", "a gauge", &[("shard", "0")]).set(-5);
-        let h = reg.histogram("lat_us", "latency", &[("tenant", "t")]);
-        h.record(10);
-        h.record(200);
-        let text = reg.render();
-        assert!(text.contains("# HELP c_total a counter"), "{text}");
-        assert!(text.contains("c_total 2"), "{text}");
-        assert!(text.contains("g{shard=\"0\"} -5"), "{text}");
-        assert!(text.contains("# TYPE lat_us histogram"), "{text}");
-        assert!(
-            text.contains("lat_us_bucket{tenant=\"t\",le=\"+Inf\"} 2"),
-            "{text}"
-        );
-        assert!(text.contains("lat_us_sum{tenant=\"t\"} 210"), "{text}");
-        assert!(text.contains("lat_us_count{tenant=\"t\"} 2"), "{text}");
-    }
-
-    #[test]
-    fn linked_handles_share_state() {
-        let reg = MetricsRegistry::new();
-        let owned = Arc::new(Counter::new());
-        owned.add(9);
-        reg.link_counter("ext_total", "externally owned", &[], &owned);
-        assert!(reg.render().contains("ext_total 9"));
-        owned.inc();
-        assert!(reg.render().contains("ext_total 10"));
-    }
-
-    #[test]
-    #[should_panic(expected = "re-registered")]
-    fn kind_conflicts_are_rejected() {
-        let reg = MetricsRegistry::new();
-        reg.counter("m", "as counter", &[]);
-        reg.gauge("m", "as gauge", &[]);
     }
 }

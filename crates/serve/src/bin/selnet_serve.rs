@@ -29,8 +29,7 @@ const USAGE: &str = "usage:
   selnet-serve serve (--snapshot SNAPSHOT | --model NAME=SNAPSHOT ...)
                      (--stdin | --addr HOST:PORT)
                      [--workers N] [--shards N] [--batch ROWS] [--cache ENTRIES]
-                     [--auto-batch-min ROWS] [--queue ROWS]
-                     [--slow-query-us MICROS] [--trace-buffer SPANS]
+                     [--queue ROWS] [--slow-query-us MICROS] [--trace-buffer SPANS]
                      [--replay-threads N] [--inflight N]
   selnet-serve check-monotone [--expect non-increasing|non-decreasing]";
 
@@ -139,7 +138,6 @@ const SERVE_OPTIONS: &[&str] = &[
     "shards",
     "batch",
     "cache",
-    "auto-batch-min",
     "queue",
     "slow-query-us",
     "trace-buffer",
@@ -266,7 +264,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         shards: opts.num("shards", 0)?,
         max_batch_rows: opts.num("batch", 64)?,
         cache_entries: opts.num("cache", 256)?,
-        auto_batch_min_rows: opts.num("auto-batch-min", 0)?,
         max_queue_rows: opts.num("queue", 4096)?,
         slow_query_us: opts.num("slow-query-us", 0)?,
         trace_buffer: opts.num("trace-buffer", 0)?,

@@ -14,10 +14,7 @@
 //!    a worker;
 //! 2. a worker drains up to `max_batch_rows` `(x, t)` rows from its home
 //!    shard (stealing from other shards when idle), **never splitting a
-//!    request across batches** — with batch-size auto-tuning enabled
-//!    ([`EngineConfig::auto_batch_min_rows`]), the drain cap follows an
-//!    EWMA of the observed queue depth, so light load gets small
-//!    low-latency batches and heavy load fills up to `max_batch_rows`;
+//!    request across batches**;
 //! 3. the worker groups the drained requests **per tenant**, binds each
 //!    tenant's model generation once, answers cache hits, hands the
 //!    misses — un-expanded, one `(x, ts)` per request — to one
@@ -26,8 +23,10 @@
 //!    network row however many thresholds it carries), writing into a
 //!    per-worker scratch buffer, scatters the estimates back per request,
 //!    fills the LRU cache (keyed by tenant id + generation), and replies;
-//!    latency samples land in both the fleet record and the tenant's own
-//!    record under one lock per batch.
+//!    counters and latency samples land in the tenant's own
+//!    [`ServeStats`] and nowhere else — the fleet view is the fold of the
+//!    tenants', taken when somebody asks ([`Engine::stats_snapshot`],
+//!    [`Engine::metrics_text`]).
 //!
 //! Blocking callers ([`Engine::serve_blocking`] / [`Engine::estimate_many`]
 //! and the TCP/stdin connection loops) additionally get a **same-thread
@@ -48,11 +47,11 @@
 //! keyed on tenant and generation), a hot swap can never tear a response,
 //! replay a stale answer, or bleed across tenants.
 
-use crate::cache::{CacheShardStats, LruCache, QueryKey};
+use crate::cache::{LruCache, QueryKey};
 use crate::registry::{ModelRegistry, Tenant};
 use crate::stats::{ServeStats, StatsSnapshot};
 use selnet_eval::SelectivityEstimator;
-use selnet_obs::{expo, next_trace_id, MetricsRegistry, SlowQuery, Span, SpanRecorder};
+use selnet_obs::{expo, next_trace_id, HistogramSnapshot, SlowQuery, Span, SpanRecorder};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -270,13 +269,6 @@ pub struct EngineConfig {
     pub max_batch_rows: usize,
     /// LRU entries per cache shard (`0` disables response caching).
     pub cache_entries: usize,
-    /// Batch-size auto-tuning floor (`0` disables auto-tuning). When set,
-    /// each worker caps its drain at an EWMA of the queue depth it has
-    /// been observing, clamped to `[auto_batch_min_rows, max_batch_rows]`:
-    /// under light load batches stay small (latency), under bursts they
-    /// grow to `max_batch_rows` (throughput). Coalescing semantics are
-    /// unchanged — requests are never split, answers are bit-identical.
-    pub auto_batch_min_rows: usize,
     /// Admission-control bound: maximum `(x, t)` rows queued per shard
     /// before [`Engine::submit`] sheds with [`SubmitError::Overloaded`]
     /// (`0` = unbounded, the pre-admission-control behaviour). The bound
@@ -287,8 +279,8 @@ pub struct EngineConfig {
     pub max_queue_rows: usize,
     /// Slow-query threshold in microseconds (`0` disables the slow-query
     /// log). A request whose end-to-end latency reaches the threshold is
-    /// counted and appended — with its trace ID and row count — to both
-    /// the fleet's and its tenant's bounded slow-query log.
+    /// counted and appended — with its trace ID and row count — to its
+    /// tenant's bounded slow-query log.
     pub slow_query_us: u64,
     /// Capacity of the engine's span ring (`0` disables span recording
     /// entirely — the flight recorder then costs one relaxed load per
@@ -319,48 +311,12 @@ impl Default for EngineConfig {
             shards: 0,
             max_batch_rows: 64,
             cache_entries: 256,
-            auto_batch_min_rows: 0,
             max_queue_rows: 4096,
             slow_query_us: 0,
             trace_buffer: 0,
             replay_threads: 1,
         }
     }
-}
-
-/// Per-worker batch-size auto-tuner: an EWMA of observed queue depth
-/// (in rows), clamped to the configured window at drain time.
-struct AutoBatch {
-    ewma_rows: f64,
-}
-
-impl AutoBatch {
-    fn new(max: usize) -> Self {
-        AutoBatch {
-            ewma_rows: max as f64,
-        }
-    }
-
-    /// Folds an observed pre-drain queue depth (rows) into the EWMA.
-    fn observe(&mut self, depth_rows: usize, max: usize) {
-        // cap the sample so one burst can't pin the EWMA above the window
-        let sample = depth_rows.min(max * 2) as f64;
-        self.ewma_rows = 0.7 * self.ewma_rows + 0.3 * sample;
-    }
-
-    /// The drain cap for the next batch.
-    fn cap(&self, min: usize, max: usize) -> usize {
-        auto_batch_cap(self.ewma_rows, min, max)
-    }
-}
-
-/// Pure cap computation: the EWMA rounded into `[min, max]` (`min == 0`
-/// means auto-tuning is off and the cap is always `max`).
-fn auto_batch_cap(ewma_rows: f64, min: usize, max: usize) -> usize {
-    if min == 0 {
-        return max;
-    }
-    (ewma_rows.round() as usize).clamp(min.min(max), max)
 }
 
 /// Per-worker scratch reused across batches: the wave's flat estimates
@@ -455,6 +411,69 @@ struct Shard<M> {
     rows: AtomicUsize,
 }
 
+/// How [`Engine::metrics_text`] reads one metric family off a tenant's
+/// [`ServeStats`]; the variant is the family's Prometheus `# TYPE`.
+enum Read {
+    Counter(fn(&ServeStats) -> u64),
+    Histogram(fn(&ServeStats) -> HistogramSnapshot),
+}
+
+/// Every family of the exposition that is counted per tenant — name,
+/// `# HELP` text, reader — in exposition order. A new family is one
+/// [`ServeStats`] field and one row here.
+const FAMILIES: [(&str, &str, Read); 10] = [
+    (
+        "selnet_requests_total",
+        "Requests answered (cache hits included; shed refusals excluded).",
+        Read::Counter(|s| s.requests.get()),
+    ),
+    (
+        "selnet_rows_total",
+        "(x, t) rows evaluated or served from cache.",
+        Read::Counter(|s| s.rows.get()),
+    ),
+    (
+        "selnet_batches_total",
+        "Coalesced batch evaluations run.",
+        Read::Counter(|s| s.batches.get()),
+    ),
+    (
+        "selnet_cache_hits_total",
+        "Requests served from the response cache.",
+        Read::Counter(|s| s.cache_hits.get()),
+    ),
+    (
+        "selnet_inline_requests_total",
+        "Requests served synchronously on the submitting thread.",
+        Read::Counter(|s| s.inline_requests.get()),
+    ),
+    (
+        "selnet_shed_requests_total",
+        "Requests refused by admission control.",
+        Read::Counter(|s| s.shed_requests.get()),
+    ),
+    (
+        "selnet_slow_requests_total",
+        "Requests at or past the slow-query threshold.",
+        Read::Counter(|s| s.slow_requests.get()),
+    ),
+    (
+        "selnet_request_latency_us",
+        "End-to-end request latency (enqueue to reply), microseconds.",
+        Read::Histogram(ServeStats::latency_histogram),
+    ),
+    (
+        "selnet_batch_rows",
+        "Rows per coalesced batch evaluation (batch occupancy).",
+        Read::Histogram(ServeStats::batch_size_histogram),
+    ),
+    (
+        "selnet_retrain_us",
+        "Background retrain / publish latency, microseconds.",
+        Read::Histogram(ServeStats::retrain_histogram),
+    ),
+];
+
 /// Per-tenant stats view: name, served generation, and this tenant's own
 /// counters — the scrapeable unit of fleet telemetry.
 #[derive(Clone, Debug)]
@@ -488,18 +507,15 @@ pub struct Engine<M> {
     /// Whether the caches can ever hold anything; `false` skips key
     /// construction and cache locks entirely on the batch path.
     cache_enabled: bool,
-    stats: Arc<ServeStats>,
+    /// When the engine started: the `elapsed` of the fleet report (the
+    /// engine holds no counters of its own — see [`Engine::stats_snapshot`]).
+    started: Instant,
     /// This engine's own flight recorder (never the process-global one,
     /// so two engines — say an instrumented and an uninstrumented one in
     /// the same benchmark — cannot contaminate each other's rings).
     recorder: SpanRecorder,
-    /// Prometheus families for [`Engine::metrics_text`]; stats handles
-    /// are linked in lazily (idempotently) at scrape time so tenants
-    /// registered after startup still appear.
-    metrics: MetricsRegistry,
     slow_query_us: u64,
     max_batch_rows: usize,
-    auto_batch_min_rows: usize,
     /// Worker budget for row-chunked parallel replay of one coalesced
     /// batch (see [`EngineConfig::replay_threads`]).
     replay_threads: usize,
@@ -537,12 +553,10 @@ where
             shards,
             caches,
             cache_enabled: cfg.cache_entries > 0,
-            stats: Arc::new(ServeStats::new()),
+            started: Instant::now(),
             recorder: SpanRecorder::with_capacity(cfg.trace_buffer),
-            metrics: MetricsRegistry::new(),
             slow_query_us: cfg.slow_query_us,
             max_batch_rows: cfg.max_batch_rows.max(1),
-            auto_batch_min_rows: cfg.auto_batch_min_rows,
             replay_threads: cfg.replay_threads,
             max_queue_rows: cfg.max_queue_rows,
             next_shard: AtomicUsize::new(0),
@@ -605,7 +619,12 @@ where
         let trace = self.mint_trace(req.trace);
         let _span = sampled.then(|| self.recorder.span("submit", trace));
         let tenant = self.route(&req)?;
-        self.enqueue(tenant, req.x, req.ts, trace, sampled)
+        // a refusal is final here (a blocking caller serves itself instead),
+        // so this is where a shed is counted
+        let shard = self
+            .admit(req.rows())
+            .inspect_err(|_| tenant.stats().record_shed())?;
+        self.enqueue(shard, tenant, req.x, req.ts, trace, sampled)
     }
 
     /// The request's trace ID: the caller's if it brought one, a freshly
@@ -618,8 +637,37 @@ where
         }
     }
 
+    /// Admission control: probes round-robin for a shard with room for
+    /// `rows` more and returns its index, or [`SubmitError::Overloaded`]
+    /// when every shard is at the bound. The gauge is read without the
+    /// queue lock, so the bound is approximate under submit races — by
+    /// design; shedding exists to stop unbounded growth, not to enforce an
+    /// exact ceiling.
+    fn admit(&self, rows: usize) -> Result<usize, SubmitError> {
+        let n = self.shards.len();
+        let start = self.next_shard.fetch_add(1, Ordering::Relaxed);
+        let mut fullest = 0usize;
+        for offset in 0..n {
+            let idx = (start + offset) % n;
+            let queued = self.shards[idx].rows.load(Ordering::Relaxed);
+            fullest = fullest.max(queued);
+            if self.max_queue_rows == 0
+                || queued == 0 // an empty shard always admits (oversized single requests)
+                || queued + rows <= self.max_queue_rows
+            {
+                return Ok(idx);
+            }
+        }
+        Err(SubmitError::Overloaded {
+            queued_rows: fullest,
+            limit: self.max_queue_rows,
+        })
+    }
+
+    /// Queues an admitted request on shard `idx` and wakes a worker.
     fn enqueue(
         &self,
+        idx: usize,
         tenant: Arc<Tenant<M>>,
         x: Vec<f32>,
         ts: Vec<f32>,
@@ -627,34 +675,6 @@ where
         sampled: bool,
     ) -> Result<ReplyHandle, SubmitError> {
         let rows = ts.len().max(1);
-        let n = self.shards.len();
-        let start = self.next_shard.fetch_add(1, Ordering::Relaxed);
-        // admission control: probe round-robin for a shard with room. The
-        // gauge is read without the queue lock, so the bound is
-        // approximate under submit races — by design; shedding exists to
-        // stop unbounded growth, not to enforce an exact ceiling.
-        let mut fullest = 0usize;
-        let mut chosen = None;
-        for offset in 0..n {
-            let idx = (start + offset) % n;
-            let queued = self.shards[idx].rows.load(Ordering::Relaxed);
-            fullest = fullest.max(queued);
-            let admit = self.max_queue_rows == 0
-                || queued == 0 // an empty shard always admits (oversized single requests)
-                || queued + rows <= self.max_queue_rows;
-            if admit {
-                chosen = Some(idx);
-                break;
-            }
-        }
-        let Some(idx) = chosen else {
-            tenant.stats().record_shed();
-            self.stats.record_shed();
-            return Err(SubmitError::Overloaded {
-                queued_rows: fullest,
-                limit: self.max_queue_rows,
-            });
-        };
         let (tx, rx) = reply_pair();
         let req = Queued {
             tenant,
@@ -701,32 +721,19 @@ where
         if self.stop.load(Ordering::SeqCst) {
             return Err(SubmitError::ShutDown);
         }
+        let (x, ts) = (req.query(), req.threshold_grid());
         if self.queues_idle() {
-            return Ok(self.serve_inline(
-                &tenant,
-                trace,
-                sampled,
-                req.query(),
-                req.threshold_grid(),
-            ));
+            return Ok(self.serve_inline(&tenant, trace, sampled, x, ts));
         }
-        match self.enqueue(
-            tenant.clone(),
-            req.query().to_vec(),
-            req.threshold_grid().to_vec(),
-            trace,
-            sampled,
-        ) {
-            Ok(handle) => handle.wait().map_err(|Disconnected| SubmitError::ShutDown),
+        match self.admit(req.rows()) {
+            Ok(shard) => self
+                .enqueue(shard, tenant, x.to_vec(), ts.to_vec(), trace, sampled)?
+                .wait()
+                .map_err(|Disconnected| SubmitError::ShutDown),
             // saturated: evaluate on the caller's own thread instead of
-            // shedding a blocking caller (the shed was already counted by
-            // enqueue; un-count it — the request IS being served)
-            Err(SubmitError::Overloaded { .. }) => {
-                tenant.stats().uncount_shed();
-                self.stats.uncount_shed();
-                Ok(self.serve_inline(&tenant, trace, sampled, req.query(), req.threshold_grid()))
-            }
-            Err(other) => Err(other),
+            // shedding a blocking caller (nothing was refused, so nothing
+            // is counted as shed)
+            Err(_) => Ok(self.serve_inline(&tenant, trace, sampled, x, ts)),
         }
     }
 
@@ -759,50 +766,42 @@ where
         let key = self
             .cache_enabled
             .then(|| QueryKey::new(tenant.id(), generation, x, ts));
-        if let Some(key) = &key {
-            let cached = self.caches[self.cache_shard(key)]
+        let cached = key.as_ref().and_then(|key| {
+            self.caches[self.cache_shard(key)]
                 .lock()
                 .expect("cache lock poisoned")
-                .get(key);
-            if let Some(values) = cached {
-                let us = started.elapsed().as_micros() as u64;
-                for stats in [self.stats.as_ref(), tenant.stats().as_ref()] {
-                    stats.record_cache_hit();
-                    stats.record_inline();
-                    stats.record_request(ts.len() as u64, us);
-                }
-                self.note_slow(tenant, trace, ts.len() as u64, us);
-                return values;
+                .get(key)
+        });
+        let values = match cached {
+            Some(values) => {
+                tenant.stats().record_cache_hit();
+                values
             }
-        }
-        let mut values = Vec::new();
-        model.estimate_into(&[(x, ts)], self.replay_threads, &mut values);
-        if let Some(key) = key {
-            self.caches[self.cache_shard(&key)]
-                .lock()
-                .expect("cache lock poisoned")
-                .insert(key, values.clone());
-        }
+            None => {
+                let mut values = Vec::new();
+                model.estimate_into(&[(x, ts)], self.replay_threads, &mut values);
+                if let Some(key) = key {
+                    self.caches[self.cache_shard(&key)]
+                        .lock()
+                        .expect("cache lock poisoned")
+                        .insert(key, values.clone());
+                }
+                values
+            }
+        };
         let us = started.elapsed().as_micros() as u64;
-        for stats in [self.stats.as_ref(), tenant.stats().as_ref()] {
-            stats.record_inline();
-            stats.record_request(ts.len() as u64, us);
-        }
+        tenant.stats().record_inline();
+        tenant.stats().record_request(ts.len() as u64, us);
         self.note_slow(tenant, trace, ts.len() as u64, us);
         values
     }
 
-    /// Appends a request to the fleet's and its tenant's slow-query log
-    /// when it crossed the configured threshold (no-op when disabled).
+    /// Counts a request that crossed the configured threshold and
+    /// appends it to its tenant's slow-query log (no-op when disabled).
+    /// The fleet's log is the per-tenant merge ([`Engine::slow_queries`]).
     #[inline]
     fn note_slow(&self, tenant: &Tenant<M>, trace: u64, rows: u64, us: u64) {
         if self.slow_query_us > 0 && us >= self.slow_query_us {
-            // fleet-wide: count only. The log entry goes into the tenant's
-            // bounded log alone — a second, fleet-global Mutex push per
-            // slow request would be cross-tenant contention on the hot
-            // path, and the fleet view is reconstructible as the
-            // per-tenant merge ([`Engine::slow_queries`]).
-            self.stats.count_slow();
             tenant.stats().record_slow(trace, rows, us);
         }
     }
@@ -818,16 +817,15 @@ where
             .expect("engine stopped while serving")
     }
 
-    /// The engine's fleet-wide telemetry (every tenant combined).
-    pub fn stats(&self) -> &ServeStats {
-        &self.stats
-    }
-
-    /// A fleet stats snapshot with the per-shard cache counters filled in
-    /// — what the TCP fleet-stats frame and the stdin-mode stderr report
-    /// render.
+    /// The fleet stats snapshot — every tenant's counters folded into
+    /// one (counters summed, latency histograms merged, `elapsed` since
+    /// the engine started), with the per-shard cache counters filled in:
+    /// what the TCP fleet-stats frame and the stdin-mode stderr report
+    /// render. A tenant registered after start is in the next call.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let mut snap = self.stats.snapshot();
+        let tenants = self.registry.tenants();
+        let stats: Vec<&ServeStats> = tenants.iter().map(|t| t.stats().as_ref()).collect();
+        let mut snap = StatsSnapshot::fold(&stats, self.started.elapsed().as_secs_f64());
         snap.cache_shards = self
             .caches
             .iter()
@@ -840,15 +838,16 @@ where
     /// fleet telemetry (p50/p99, hit rates, batch-row mean, shed count,
     /// generation per tenant).
     pub fn tenant_stats(&self) -> Vec<TenantStats> {
-        self.registry
-            .tenants()
-            .iter()
-            .map(|t| TenantStats {
-                name: t.name().to_string(),
-                generation: t.generation(),
-                stats: t.stats().snapshot(),
-            })
-            .collect()
+        let tenants = self.registry.tenants();
+        tenants.iter().map(|t| Self::tenant_view(t)).collect()
+    }
+
+    fn tenant_view(tenant: &Tenant<M>) -> TenantStats {
+        TenantStats {
+            name: tenant.name().to_string(),
+            generation: tenant.generation(),
+            stats: tenant.stats().snapshot(),
+        }
     }
 
     /// Renders the stats report a [`Stats`](crate::protocol::Frame::Stats)
@@ -857,17 +856,7 @@ where
     /// model id.
     pub fn stats_report(&self, model: Option<&str>) -> Option<String> {
         match model {
-            Some(name) => {
-                let tenant = self.registry.get(name)?;
-                Some(
-                    TenantStats {
-                        name: tenant.name().to_string(),
-                        generation: tenant.generation(),
-                        stats: tenant.stats().snapshot(),
-                    }
-                    .to_string(),
-                )
-            }
+            Some(name) => Some(Self::tenant_view(&*self.registry.get(name)?).to_string()),
             None => {
                 let mut out = format!("fleet {}", self.stats_snapshot());
                 for t in self.tenant_stats() {
@@ -912,122 +901,54 @@ where
             .collect()
     }
 
-    /// Links one stats instance's counters and histograms into the
-    /// metric families under `labels` (idempotent — the registry dedups
-    /// on family + label set, and handles are shared, not copied).
-    fn link_stats(&self, stats: &ServeStats, labels: &[(&str, &str)]) {
-        let m = &self.metrics;
-        m.link_counter(
-            "selnet_requests_total",
-            "Requests answered (cache hits included; shed refusals excluded).",
-            labels,
-            &stats.requests,
-        );
-        m.link_counter(
-            "selnet_rows_total",
-            "(x, t) rows evaluated or served from cache.",
-            labels,
-            &stats.rows,
-        );
-        m.link_counter(
-            "selnet_batches_total",
-            "Coalesced batch evaluations run.",
-            labels,
-            &stats.batches,
-        );
-        m.link_counter(
-            "selnet_cache_hits_total",
-            "Requests served from the response cache.",
-            labels,
-            &stats.cache_hits,
-        );
-        m.link_counter(
-            "selnet_inline_requests_total",
-            "Requests served synchronously on the submitting thread.",
-            labels,
-            &stats.inline_requests,
-        );
-        m.link_counter(
-            "selnet_shed_requests_total",
-            "Requests refused by admission control.",
-            labels,
-            &stats.shed_requests,
-        );
-        m.link_counter(
-            "selnet_slow_requests_total",
-            "Requests at or past the slow-query threshold.",
-            labels,
-            &stats.slow_requests,
-        );
-        m.link_histogram(
-            "selnet_request_latency_us",
-            "End-to-end request latency (enqueue to reply), microseconds.",
-            labels,
-            &stats.latency_us,
-        );
-        m.link_histogram(
-            "selnet_batch_rows",
-            "Rows per coalesced batch evaluation (batch occupancy).",
-            labels,
-            &stats.batch_size_rows,
-        );
-        m.link_histogram(
-            "selnet_retrain_us",
-            "Background retrain / publish latency, microseconds.",
-            labels,
-            &stats.retrain_us,
-        );
-    }
-
     /// Renders the whole fleet's telemetry in Prometheus text exposition
-    /// format: fleet-wide families (unlabeled), every tenant's families
-    /// (`tenant="<name>"`), and scrape-time gauges (queue depth,
-    /// per-tenant generation). Served by the v2 `Metrics` frame and the
-    /// `?metrics` text command.
+    /// format: per family of the `FAMILIES` table, the fleet sample
+    /// (unlabeled — the tenants' counters summed, their histograms merged)
+    /// then every tenant's (`tenant="<name>"`), and after them the
+    /// scrape-time gauges (queue depth, per-tenant generation). Served by
+    /// the v2 `Metrics` frame and the `?metrics` text command.
     pub fn metrics_text(&self) -> String {
-        self.link_stats(&self.stats, &[]);
         let tenants = self.registry.tenants();
-        for t in tenants.iter() {
-            self.link_stats(t.stats(), &[("tenant", t.name())]);
+        let labels: Vec<[(String, String); 1]> = tenants
+            .iter()
+            .map(|t| [("tenant".to_string(), t.name().to_string())])
+            .collect();
+        let mut out = String::new();
+        for (name, help, read) in FAMILIES {
+            match read {
+                Read::Counter(read) => {
+                    expo::write_header(&mut out, name, help, "counter");
+                    let values: Vec<u64> = tenants.iter().map(|t| read(t.stats())).collect();
+                    let fleet: u64 = values.iter().sum();
+                    expo::write_sample(&mut out, name, &[], &fleet.to_string());
+                    for (labels, v) in labels.iter().zip(values) {
+                        expo::write_sample(&mut out, name, labels, &v.to_string());
+                    }
+                }
+                Read::Histogram(read) => {
+                    expo::write_header(&mut out, name, help, "histogram");
+                    let snaps: Vec<HistogramSnapshot> =
+                        tenants.iter().map(|t| read(t.stats())).collect();
+                    let mut fleet = HistogramSnapshot::empty();
+                    snaps.iter().for_each(|snap| fleet.merge(snap));
+                    expo::write_histogram(&mut out, name, &[], &fleet);
+                    for (labels, snap) in labels.iter().zip(&snaps) {
+                        expo::write_histogram(&mut out, name, labels, snap);
+                    }
+                }
+            }
         }
-        let mut out = self.metrics.render();
-        // volatile values are rendered at scrape time rather than kept in
-        // registered gauges
-        expo::write_header(
-            &mut out,
-            "selnet_queue_rows",
-            "(x, t) rows currently queued across every shard.",
-            "gauge",
-        );
-        expo::write_sample(
-            &mut out,
-            "selnet_queue_rows",
-            &[],
-            &self.queued_rows_total().to_string(),
-        );
-        expo::write_header(
-            &mut out,
-            "selnet_tenant_generation",
-            "Model generation currently served, per tenant.",
-            "gauge",
-        );
-        for t in tenants.iter() {
-            expo::write_sample(
-                &mut out,
-                "selnet_tenant_generation",
-                &[("tenant".to_string(), t.name().to_string())],
-                &t.generation().to_string(),
-            );
+        // volatile values are read at scrape time, not kept in counters
+        let (queue, generation) = ("selnet_queue_rows", "selnet_tenant_generation");
+        let help = "(x, t) rows currently queued across every shard.";
+        expo::write_header(&mut out, queue, help, "gauge");
+        expo::write_sample(&mut out, queue, &[], &self.queued_rows_total().to_string());
+        let help = "Model generation currently served, per tenant.";
+        expo::write_header(&mut out, generation, help, "gauge");
+        for (labels, t) in labels.iter().zip(tenants.iter()) {
+            expo::write_sample(&mut out, generation, labels, &t.generation().to_string());
         }
         out
-    }
-
-    /// Per-shard LRU cache counters.
-    pub fn cache_stats(&self) -> Vec<CacheShardStats> {
-        self.caches
-            .iter()
-            .map(|c| c.lock().expect("cache lock poisoned").counters())
-            .collect()
     }
 
     /// The registry this engine serves from (for hot swaps and tenant
@@ -1060,9 +981,8 @@ where
     fn worker_loop(self: &Arc<Self>, worker: usize) {
         let home = worker % self.shards.len();
         let mut scratch = BatchScratch::default();
-        let mut auto = AutoBatch::new(self.max_batch_rows);
         loop {
-            match self.collect_batch(home, &mut auto) {
+            match self.collect_batch(home) {
                 Some(batch) => self.serve_batch(batch, &mut scratch),
                 None => {
                     if self.stop.load(Ordering::SeqCst) && self.all_queues_empty() {
@@ -1079,25 +999,16 @@ where
             .all(|s| s.queue.lock().expect("queue lock poisoned").is_empty())
     }
 
-    /// Pops up to the current drain cap's rows of requests, preferring the
-    /// home shard and stealing from the others, without ever splitting one
-    /// request across batches. With auto-tuning on, the cap follows the
-    /// worker's queue-depth EWMA; otherwise it is `max_batch_rows`.
-    /// Returns `None` after an idle wait so the caller can re-check for
-    /// shutdown.
-    fn collect_batch(&self, home: usize, auto: &mut AutoBatch) -> Option<Vec<Queued<M>>> {
+    /// Pops up to `max_batch_rows` rows of requests, preferring the home
+    /// shard and stealing from the others, without ever splitting one
+    /// request across batches. Returns `None` after an idle wait so the
+    /// caller can re-check for shutdown.
+    fn collect_batch(&self, home: usize) -> Option<Vec<Queued<M>>> {
         let n = self.shards.len();
-        let cap = auto.cap(self.auto_batch_min_rows, self.max_batch_rows);
         for offset in 0..n {
             let shard = &self.shards[(home + offset) % n];
             let mut q = shard.queue.lock().expect("queue lock poisoned");
-            if !q.is_empty() {
-                auto.observe(
-                    Self::queued_rows(&q, self.max_batch_rows),
-                    self.max_batch_rows,
-                );
-            }
-            if let Some(batch) = Self::drain_requests(shard, &mut q, cap) {
+            if let Some(batch) = Self::drain_requests(shard, &mut q, self.max_batch_rows) {
                 return Some(batch);
             }
         }
@@ -1108,26 +1019,7 @@ where
             .signal
             .wait_timeout(q, Duration::from_millis(5))
             .expect("queue lock poisoned");
-        if !q.is_empty() {
-            auto.observe(
-                Self::queued_rows(&q, self.max_batch_rows),
-                self.max_batch_rows,
-            );
-        }
-        Self::drain_requests(shard, &mut q, cap)
-    }
-
-    /// Total `(x, t)` rows waiting in a queue, counted up to `2 * max`
-    /// (beyond that the EWMA sample is capped anyway).
-    fn queued_rows(q: &VecDeque<Queued<M>>, max: usize) -> usize {
-        let mut rows = 0usize;
-        for r in q {
-            rows += r.ts.len().max(1);
-            if rows >= max * 2 {
-                break;
-            }
-        }
-        rows
+        Self::drain_requests(shard, &mut q, self.max_batch_rows)
     }
 
     /// Drains up to `max_rows` rows of requests (called with the queue
@@ -1238,10 +1130,8 @@ where
                         // client, so a snapshot taken right after a client
                         // returns always counts its request
                         let us = req.enqueued.elapsed().as_micros() as u64;
-                        for stats in [self.stats.as_ref(), tenant.stats().as_ref()] {
-                            stats.record_cache_hit();
-                            stats.record_request(req.ts.len() as u64, us);
-                        }
+                        tenant.stats().record_cache_hit();
+                        tenant.stats().record_request(req.ts.len() as u64, us);
                         self.note_slow(tenant, req.trace, req.ts.len() as u64, us);
                         req.reply.send(values);
                     }
@@ -1267,7 +1157,6 @@ where
                 .detail(total_rows as u64, generation);
             model.estimate_into(&queries, self.replay_threads, &mut scratch.flat);
         }
-        self.stats.record_batch(total_rows as u64);
         tenant.stats().record_batch(total_rows as u64);
         let mut offset = 0usize;
         // slice the results and record the stats BEFORE any reply becomes
@@ -1289,7 +1178,6 @@ where
             scratch.served.push((m as u64, us));
             replies.push((req.reply, values));
         }
-        self.stats.record_requests(&scratch.served);
         tenant.stats().record_requests(&scratch.served);
         // stage every reply, then wake the waiters: a woken client then
         // drains its whole batch without sleeping again per reply
@@ -1389,7 +1277,7 @@ mod tests {
         assert_eq!(stats.len(), 2);
         assert!(stats.iter().all(|t| t.stats.requests > 0));
         let total: u64 = stats.iter().map(|t| t.stats.requests).sum();
-        assert_eq!(total, eng.stats().snapshot().requests);
+        assert_eq!(total, eng.stats_snapshot().requests);
         eng.shutdown();
     }
 
@@ -1493,9 +1381,9 @@ mod tests {
     }
 
     /// An estimator slow enough that a tiny bounded queue saturates:
-    /// admission control must shed with `Overloaded` (counted in both
-    /// fleet and tenant stats) instead of queueing without bound, while
-    /// accepted requests still serve correctly.
+    /// admission control must shed with `Overloaded` (counted in the
+    /// tenant's stats, and so in the fleet's) instead of queueing without
+    /// bound, while accepted requests still serve correctly.
     struct Slow;
     impl SelectivityEstimator for Slow {
         fn estimate(&self, _x: &[f32], t: f32) -> f64 {
@@ -1516,7 +1404,6 @@ mod tests {
                 shards: 1,
                 max_batch_rows: 1,
                 cache_entries: 0,
-                auto_batch_min_rows: 0,
                 max_queue_rows: 2,
                 slow_query_us: 0,
                 trace_buffer: 0,
@@ -1540,7 +1427,7 @@ mod tests {
         for handle in accepted {
             assert_eq!(handle.wait().expect("served"), vec![1.0]);
         }
-        let fleet = eng.stats().snapshot();
+        let fleet = eng.stats_snapshot();
         assert_eq!(fleet.shed_requests, shed as u64, "fleet shed count");
         let tenants = eng.tenant_stats();
         assert_eq!(tenants[0].stats.shed_requests, shed as u64);
@@ -1571,7 +1458,7 @@ mod tests {
         for h in handles {
             h.wait().expect("served");
         }
-        assert_eq!(eng.stats().snapshot().shed_requests, 0);
+        assert_eq!(eng.stats_snapshot().shed_requests, 0);
         eng.shutdown();
     }
 
@@ -1596,7 +1483,7 @@ mod tests {
         let b = eng.estimate_many(&[0.5], &[1.0]);
         assert_eq!(a, b);
         assert!(
-            eng.stats().snapshot().cache_hits >= 1,
+            eng.stats_snapshot().cache_hits >= 1,
             "second identical request should hit the cache"
         );
         // swap the model: same query must now be recomputed (new answer)
@@ -1645,7 +1532,7 @@ mod tests {
         // and is served on the calling thread
         assert_eq!(eng.estimate_many(&[1.0], &[0.5, 1.0]), vec![2.0, 3.0]);
         assert_eq!(eng.estimate_many(&[0.0], &[2.0]), vec![4.0]);
-        let snap = eng.stats().snapshot();
+        let snap = eng.stats_snapshot();
         assert_eq!(snap.requests, 2);
         assert!(
             snap.inline_requests >= 1,
@@ -1653,35 +1540,10 @@ mod tests {
             snap.inline_requests
         );
         // inline serves still fill the cache: an identical repeat hits
-        let before = eng.stats().snapshot().cache_hits;
+        let before = eng.stats_snapshot().cache_hits;
         assert_eq!(eng.estimate_many(&[1.0], &[0.5, 1.0]), vec![2.0, 3.0]);
-        assert!(eng.stats().snapshot().cache_hits > before);
+        assert!(eng.stats_snapshot().cache_hits > before);
         eng.shutdown();
-    }
-
-    #[test]
-    fn auto_batch_cap_clamps_to_window() {
-        // disabled: always the max
-        assert_eq!(auto_batch_cap(3.0, 0, 64), 64);
-        // enabled: EWMA rounded into [min, max]
-        assert_eq!(auto_batch_cap(3.4, 8, 64), 8);
-        assert_eq!(auto_batch_cap(23.6, 8, 64), 24);
-        assert_eq!(auto_batch_cap(900.0, 8, 64), 64);
-        // degenerate window
-        assert_eq!(auto_batch_cap(10.0, 64, 16), 16);
-    }
-
-    #[test]
-    fn auto_batch_ewma_tracks_depth() {
-        let mut auto = AutoBatch::new(64);
-        for _ in 0..32 {
-            auto.observe(2, 64);
-        }
-        assert_eq!(auto.cap(4, 64), 4, "light load should shrink the cap");
-        for _ in 0..32 {
-            auto.observe(500, 64);
-        }
-        assert_eq!(auto.cap(4, 64), 64, "bursts should restore the max cap");
     }
 
     #[test]
@@ -1776,7 +1638,7 @@ mod tests {
         assert!(slow.len() >= 2, "both requests crossed the threshold");
         assert!(slow.iter().any(|q| q.trace_id == 7777));
         assert!(slow.iter().all(|q| q.trace_id != 0));
-        assert_eq!(eng.stats().snapshot().slow_requests, slow.len() as u64);
+        assert_eq!(eng.stats_snapshot().slow_requests, slow.len() as u64);
         // the tenant's own log saw the same traffic
         assert_eq!(eng.tenant_stats()[0].stats.slow_requests, slow.len() as u64);
         // the flight recorder captured the inline spans

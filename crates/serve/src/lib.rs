@@ -25,10 +25,11 @@
 //!   opcode-tagged frames, model routing, typed error replies) and the
 //!   line-oriented text format spoken by the `selnet-serve` binary over
 //!   TCP and stdin respectively;
-//! * [`stats`] — per-tenant and fleet-wide telemetry on `selnet-obs`
-//!   primitives: lock-free latency / batch-occupancy / retrain
-//!   histograms (unbounded, zero dropped samples), throughput / cache /
-//!   shed / slow-request counters, and the bounded slow-query log.
+//! * [`stats`] — per-tenant telemetry on `selnet-obs` primitives:
+//!   lock-free latency / batch-occupancy / retrain histograms (unbounded,
+//!   zero dropped samples), throughput / cache / shed / slow-request
+//!   counters, and the bounded slow-query log. An event is counted once,
+//!   in its tenant's record; the fleet view is their fold at read time.
 //!
 //! On top of those, the engine is a **flight recorder**: per-request
 //! trace IDs (client-supplied or server-minted, echoed on v2

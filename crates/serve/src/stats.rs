@@ -7,42 +7,46 @@
 //! sample cap. Percentiles are exact-to-bucket (within `1/64` relative
 //! error, exact below 128 µs) over **unbounded** runs with zero dropped
 //! samples, replacing the old `Mutex<Vec<u64>>` record that stopped
-//! sampling after 1M requests. The handles are `Arc`-shared so the
-//! engine's Prometheus exposition renders the same atomics the workers
-//! update.
+//! sampling after 1M requests.
+//!
+//! An event is counted **once**, in its tenant's [`ServeStats`]. Every
+//! wider view is derived at read time by one fold
+//! (`StatsSnapshot::fold`): counters summed, latency histograms merged
+//! bucket by bucket — exactly what a fleet-wide set of counters would
+//! have held, without a second write on the hot path. A tenant's own
+//! [`ServeStats::snapshot`] is that fold over one.
 
 use crate::cache::CacheShardStats;
 use selnet_obs::{Counter, Histogram, HistogramSnapshot, SlowQuery, SlowQueryLog};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Slow queries each stats instance retains (newest win); the total ever
 /// seen is counted separately and never truncates.
 const SLOW_LOG_CAP: usize = 128;
 
-/// Shared serving counters. All methods take `&self` and are lock-free —
-/// engine workers never contend on telemetry.
+/// One tenant's serving counters. All methods take `&self` and are
+/// lock-free — engine workers never contend on telemetry.
 pub struct ServeStats {
     started: Instant,
-    pub(crate) requests: Arc<Counter>,
-    pub(crate) rows: Arc<Counter>,
-    pub(crate) batches: Arc<Counter>,
+    pub(crate) requests: Counter,
+    pub(crate) rows: Counter,
+    pub(crate) batches: Counter,
     /// Rows that went through coalesced batch evaluations only (the
     /// numerator of `mean_batch_rows`; inline and cache-hit rows are
     /// excluded).
-    pub(crate) batch_rows: Arc<Counter>,
-    pub(crate) cache_hits: Arc<Counter>,
-    pub(crate) inline_requests: Arc<Counter>,
-    pub(crate) shed_requests: Arc<Counter>,
-    pub(crate) slow_requests: Arc<Counter>,
+    batch_rows: Counter,
+    pub(crate) cache_hits: Counter,
+    pub(crate) inline_requests: Counter,
+    pub(crate) shed_requests: Counter,
+    pub(crate) slow_requests: Counter,
     /// End-to-end request latency (enqueue → reply), microseconds.
-    pub(crate) latency_us: Arc<Histogram>,
+    latency_us: Histogram,
     /// Rows per coalesced batch evaluation — the batch-occupancy
     /// distribution behind `mean_batch_rows`.
-    pub(crate) batch_size_rows: Arc<Histogram>,
+    batch_size_rows: Histogram,
     /// Background retrain / traced-publish latency, microseconds
     /// (recorded by [`Tenant::publish_traced`](crate::registry::Tenant)).
-    pub(crate) retrain_us: Arc<Histogram>,
+    retrain_us: Histogram,
     slow_log: SlowQueryLog,
 }
 
@@ -57,17 +61,17 @@ impl ServeStats {
     pub fn new() -> Self {
         ServeStats {
             started: Instant::now(),
-            requests: Arc::new(Counter::new()),
-            rows: Arc::new(Counter::new()),
-            batches: Arc::new(Counter::new()),
-            batch_rows: Arc::new(Counter::new()),
-            cache_hits: Arc::new(Counter::new()),
-            inline_requests: Arc::new(Counter::new()),
-            shed_requests: Arc::new(Counter::new()),
-            slow_requests: Arc::new(Counter::new()),
-            latency_us: Arc::new(Histogram::new()),
-            batch_size_rows: Arc::new(Histogram::new()),
-            retrain_us: Arc::new(Histogram::new()),
+            requests: Counter::new(),
+            rows: Counter::new(),
+            batches: Counter::new(),
+            batch_rows: Counter::new(),
+            cache_hits: Counter::new(),
+            inline_requests: Counter::new(),
+            shed_requests: Counter::new(),
+            slow_requests: Counter::new(),
+            latency_us: Histogram::new(),
+            batch_size_rows: Histogram::new(),
+            retrain_us: Histogram::new(),
             slow_log: SlowQueryLog::new(SLOW_LOG_CAP),
         }
     }
@@ -122,14 +126,6 @@ impl ServeStats {
         self.shed_requests.inc();
     }
 
-    /// Reverts one [`ServeStats::record_shed`]: the blocking path counts
-    /// a shed inside the shared enqueue routine, then serves the request
-    /// inline anyway (blocking callers are backpressure, not shed), so
-    /// the refusal never actually happened.
-    pub fn uncount_shed(&self) {
-        self.shed_requests.uncount();
-    }
-
     /// Records one traced publish / background retrain that took
     /// `update_ms` wall-clock milliseconds.
     pub fn record_retrain_ms(&self, update_ms: f64) {
@@ -145,16 +141,6 @@ impl ServeStats {
             rows,
             latency_us,
         });
-    }
-
-    /// Counts one slow request without logging it. The engine's
-    /// fleet-wide stats count every tenant's slow requests this way: the
-    /// log entries live in the per-tenant logs alone, so a slow request
-    /// costs one push into its own tenant's lock instead of contending
-    /// on a second, fleet-global one (the fleet view is the per-tenant
-    /// merge, [`Engine::slow_queries`](crate::engine::Engine::slow_queries)).
-    pub fn count_slow(&self) {
-        self.slow_requests.inc();
     }
 
     /// The retained slow queries, oldest first.
@@ -180,35 +166,7 @@ impl ServeStats {
     /// A consistent copy of the counters with percentiles computed from
     /// the latency histogram — no lock, no sort, O(buckets).
     pub fn snapshot(&self) -> StatsSnapshot {
-        let lat = self.latency_us.snapshot();
-        let elapsed = self.started.elapsed().as_secs_f64();
-        let requests = self.requests.get();
-        let rows = self.rows.get();
-        let batches = self.batches.get();
-        let batch_rows = self.batch_rows.get();
-        StatsSnapshot {
-            requests,
-            rows,
-            batches,
-            cache_hits: self.cache_hits.get(),
-            inline_requests: self.inline_requests.get(),
-            shed_requests: self.shed_requests.get(),
-            slow_requests: self.slow_requests.get(),
-            p50_latency_us: lat.quantile(0.50),
-            p99_latency_us: lat.quantile(0.99),
-            max_latency_us: lat.max,
-            elapsed_secs: elapsed,
-            requests_per_sec: requests as f64 / elapsed.max(1e-9),
-            rows_per_sec: rows as f64 / elapsed.max(1e-9),
-            // only batch-evaluated rows count, so inline serves and cache
-            // hits cannot inflate the reported coalescing win
-            mean_batch_rows: if batches == 0 {
-                0.0
-            } else {
-                batch_rows as f64 / batches as f64
-            },
-            cache_shards: Vec::new(),
-        }
+        StatsSnapshot::fold(&[self], self.started.elapsed().as_secs_f64())
     }
 }
 
@@ -265,6 +223,47 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
+    /// The one way counters become a report: every counter summed over
+    /// `stats`, the latency histograms merged (same buckets, counts add —
+    /// so p50 / p99 / max are those of all the samples together), rates
+    /// over `elapsed_secs`. One tenant's snapshot is this over one; the
+    /// fleet's is this over every tenant.
+    pub(crate) fn fold(stats: &[&ServeStats], elapsed_secs: f64) -> StatsSnapshot {
+        let sum = |counter: fn(&ServeStats) -> &Counter| -> u64 {
+            stats.iter().map(|s| counter(s).get()).sum()
+        };
+        let mut lat = HistogramSnapshot::empty();
+        for s in stats {
+            lat.merge(&s.latency_us.snapshot());
+        }
+        let requests = sum(|s| &s.requests);
+        let rows = sum(|s| &s.rows);
+        let batches = sum(|s| &s.batches);
+        StatsSnapshot {
+            requests,
+            rows,
+            batches,
+            cache_hits: sum(|s| &s.cache_hits),
+            inline_requests: sum(|s| &s.inline_requests),
+            shed_requests: sum(|s| &s.shed_requests),
+            slow_requests: sum(|s| &s.slow_requests),
+            p50_latency_us: lat.quantile(0.50),
+            p99_latency_us: lat.quantile(0.99),
+            max_latency_us: lat.max,
+            elapsed_secs,
+            requests_per_sec: requests as f64 / elapsed_secs.max(1e-9),
+            rows_per_sec: rows as f64 / elapsed_secs.max(1e-9),
+            // only batch-evaluated rows count, so inline serves and cache
+            // hits cannot inflate the reported coalescing win
+            mean_batch_rows: if batches == 0 {
+                0.0
+            } else {
+                sum(|s| &s.batch_rows) as f64 / batches as f64
+            },
+            cache_shards: Vec::new(),
+        }
+    }
+
     /// Cache misses summed across shards.
     pub fn cache_misses(&self) -> u64 {
         self.cache_shards.iter().map(|s| s.misses).sum()
@@ -328,11 +327,7 @@ mod tests {
         }
         s.record_batch(12);
         s.record_cache_hit();
-        // two refusals, one of which a blocking caller converted into an
-        // inline serve (so it is un-counted)
         s.record_shed();
-        s.record_shed();
-        s.uncount_shed();
         // one coalesced batch of three requests (3 + 5 + 4 = 12 rows)
         s.record_requests(&[(3, 101), (5, 102), (4, 103)]);
         let snap = s.snapshot();
@@ -362,13 +357,6 @@ mod tests {
         assert_eq!(snap.mean_batch_rows, 0.0);
         assert_eq!(snap.shed_requests, 0);
         assert_eq!(snap.slow_requests, 0);
-    }
-
-    #[test]
-    fn uncount_shed_never_underflows() {
-        let s = ServeStats::new();
-        s.uncount_shed();
-        assert_eq!(s.snapshot().shed_requests, 0);
     }
 
     /// The headline fix of the histogram swap: percentiles over a run

@@ -75,7 +75,6 @@ fn concurrent_serving_is_bit_identical_to_sequential() {
             cache_entries: 32,
             // auto-tuning on: the drain cap follows queue depth, and must
             // not change a single answer
-            auto_batch_min_rows: 2,
             ..Default::default()
         },
     );
@@ -128,7 +127,7 @@ fn concurrent_serving_is_bit_identical_to_sequential() {
             });
         }
     });
-    let stats = engine.stats().snapshot();
+    let stats = engine.stats_snapshot();
     assert_eq!(stats.requests, (clients * rounds * pool.len()) as u64);
     assert!(
         stats.mean_batch_rows > 1.0,
@@ -170,7 +169,6 @@ fn hot_swap_mid_traffic_never_tears_a_response() {
             shards: 2,
             max_batch_rows: 16,
             cache_entries: 16,
-            auto_batch_min_rows: 0,
             ..Default::default()
         },
     );
@@ -259,7 +257,6 @@ fn plans_stay_generation_consistent_across_retrain_swap() {
             shards: 2,
             max_batch_rows: 16,
             cache_entries: 16,
-            auto_batch_min_rows: 4,
             ..Default::default()
         },
     );

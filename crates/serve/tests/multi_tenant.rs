@@ -9,10 +9,11 @@ use selnet_data::generators::{fasttext_like, GeneratorConfig};
 use selnet_data::Dataset;
 use selnet_eval::SelectivityEstimator;
 use selnet_metric::DistanceKind;
-use selnet_serve::engine::{Engine, EngineConfig, Request};
+use selnet_obs::HistogramSnapshot;
+use selnet_serve::engine::{Engine, EngineConfig, Request, SubmitError};
 use selnet_serve::registry::ModelRegistry;
 use selnet_workload::{generate_workload, Workload, WorkloadConfig};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 fn data_fixture(seed: u64) -> (Dataset, Workload) {
     let ds = fasttext_like(&GeneratorConfig::new(300, 4, 3, seed));
@@ -87,7 +88,6 @@ fn concurrent_two_tenant_traffic_is_bit_identical_per_tenant() {
             shards: 2,
             max_batch_rows: 16,
             cache_entries: 32,
-            auto_batch_min_rows: 2,
             max_queue_rows: 0,
             slow_query_us: 0,
             trace_buffer: 0,
@@ -162,7 +162,7 @@ fn concurrent_two_tenant_traffic_is_bit_identical_per_tenant() {
     assert_eq!(per_tenant.len(), 2);
     let tenant_requests: u64 = per_tenant.iter().map(|t| t.stats.requests).sum();
     assert_eq!(tenant_requests, (clients * rounds * pool.len()) as u64);
-    assert_eq!(engine.stats().snapshot().requests, tenant_requests);
+    assert_eq!(engine.stats_snapshot().requests, tenant_requests);
     for t in &per_tenant {
         assert!(
             t.stats.requests > 0,
@@ -207,7 +207,6 @@ fn parallel_replay_serves_bit_identical_answers_under_multi_tenant_traffic() {
                 shards: 1,
                 max_batch_rows: 128,
                 cache_entries: 0,
-                auto_batch_min_rows: 0,
                 max_queue_rows: 0,
                 slow_query_us: 0,
                 trace_buffer: 0,
@@ -296,7 +295,6 @@ fn hot_swapping_one_tenant_never_perturbs_the_other() {
             shards: 2,
             max_batch_rows: 16,
             cache_entries: 16,
-            auto_batch_min_rows: 0,
             max_queue_rows: 0,
             slow_query_us: 0,
             trace_buffer: 0,
@@ -381,7 +379,6 @@ fn observability_on_and_off_serve_bit_identical_answers() {
                 shards: 2,
                 max_batch_rows: 16,
                 cache_entries: 32,
-                auto_batch_min_rows: 0,
                 max_queue_rows: 0,
                 slow_query_us,
                 trace_buffer,
@@ -426,22 +423,374 @@ fn observability_on_and_off_serve_bit_identical_answers() {
     );
     assert_eq!(
         traced.slow_queries().len().min(pool.len()),
-        traced
-            .stats()
-            .snapshot()
-            .slow_requests
-            .min(pool.len() as u64) as usize,
+        traced.stats_snapshot().slow_requests.min(pool.len() as u64) as usize,
         "slow-query log and counter disagree"
     );
     assert!(
-        traced.stats().snapshot().slow_requests >= pool.len() as u64,
+        traced.stats_snapshot().slow_requests >= pool.len() as u64,
         "a 1µs threshold must flag every request as slow"
     );
     // ...and the plain engine really was inert
     assert!(plain.spans().is_empty());
     assert!(plain.slow_queries().is_empty());
-    assert_eq!(plain.stats().snapshot().slow_requests, 0);
+    assert_eq!(plain.stats_snapshot().slow_requests, 0);
 
     traced.shutdown();
     plain.shutdown();
+}
+
+/// A gate the test holds shut to park the engine's workers: a query
+/// whose first coordinate is negative waits at it, any other passes.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    changed: Condvar,
+}
+
+impl Gate {
+    fn set(&self, open: bool) {
+        *self.open.lock().unwrap() = open;
+        self.changed.notify_all();
+    }
+}
+
+struct Gated {
+    scale: f64,
+    gate: Arc<Gate>,
+}
+
+impl SelectivityEstimator for Gated {
+    fn estimate(&self, x: &[f32], t: f32) -> f64 {
+        if x[0] < 0.0 {
+            let mut open = self.gate.open.lock().unwrap();
+            while !*open {
+                open = self.gate.changed.wait(open).unwrap();
+            }
+        }
+        self.scale * t as f64 + x[0] as f64
+    }
+    fn name(&self) -> &str {
+        "gated"
+    }
+}
+
+/// The fleet view is nothing but the fold of its tenants: after mixed
+/// pipelined + blocking traffic over three tenants — one of them
+/// registered after the engine started —, a forced shed and a slow
+/// query, `stats_snapshot()` is the field-by-field sum of
+/// `tenant_stats()` and its percentiles are those of the tenants' merged
+/// latency histograms. And counting happens before the reply: a client
+/// returning from `wait()` finds its request in the next snapshot.
+#[test]
+fn fleet_stats_are_the_fold_of_the_tenants() {
+    let gate = Arc::new(Gate::default());
+    gate.set(true);
+    let model = |scale: f64| Gated {
+        scale,
+        gate: Arc::clone(&gate),
+    };
+    let registry = Arc::new(ModelRegistry::empty());
+    registry.register("alpha", model(1.0)).unwrap();
+    registry.register("beta", model(2.0)).unwrap();
+    let engine = Engine::start(
+        Arc::clone(&registry),
+        &EngineConfig {
+            workers: 2,
+            shards: 1,
+            max_batch_rows: 8,
+            cache_entries: 16,
+            max_queue_rows: 12,
+            slow_query_us: 2_000,
+            trace_buffer: 0,
+            replay_threads: 1,
+        },
+    );
+    // a tenant registered after start must be in the fold too
+    registry.register("gamma", model(3.0)).unwrap();
+    let names = ["alpha", "beta", "gamma"];
+
+    std::thread::scope(|scope| {
+        for c in 0..3usize {
+            let engine = &engine;
+            scope.spawn(move || {
+                let mut burst = Vec::new();
+                for i in 0..60usize {
+                    let name = names[(i + c) % 3];
+                    let m = 1 + i % 4;
+                    let ts: Vec<f32> = (1..=m).map(|j| j as f32).collect();
+                    // repeats across clients, so the cache answers some
+                    let x = [(i % 20) as f32];
+                    if (i + c) % 2 == 0 {
+                        let got = engine.serve_blocking(&req(name, &x, &ts)).unwrap();
+                        assert_eq!(got.len(), m);
+                    } else {
+                        // a shed here is fine (and counted): go on
+                        match engine.submit(req(name, &x, &ts)) {
+                            Ok(handle) => burst.push((m, handle)),
+                            Err(SubmitError::Overloaded { .. }) => {}
+                            Err(other) => panic!("unexpected submit error: {other}"),
+                        }
+                        if burst.len() >= 6 {
+                            for (m, handle) in burst.drain(..) {
+                                assert_eq!(handle.wait().expect("served").len(), m);
+                            }
+                        }
+                    }
+                }
+                for (m, handle) in burst {
+                    assert_eq!(handle.wait().expect("served").len(), m);
+                }
+            });
+        }
+    });
+
+    // the forced shed: with the gate shut both workers park on the first
+    // gated batch they drain, the 12-row queue fills behind them, and the
+    // next submit is refused — at the latest the 15th (2 × 8 rows drained,
+    // 12 queued, 2 rows each)
+    gate.set(false);
+    let mut accepted = Vec::new();
+    let mut shed = 0u64;
+    for i in 0..16 {
+        match engine.submit(req("gamma", &[-1.0 - i as f32], &[1.0, 2.0])) {
+            Ok(handle) => accepted.push(handle),
+            Err(SubmitError::Overloaded { limit, .. }) => {
+                assert_eq!(limit, 12);
+                shed += 1;
+            }
+            Err(other) => panic!("unexpected submit error: {other}"),
+        }
+    }
+    assert!(
+        shed > 0,
+        "16 gated submits against a 12-row bound must shed"
+    );
+    // the slow queries: everything parked at the gate has by now waited
+    // longer than the 2 ms bar
+    let before = engine.stats_snapshot();
+    std::thread::sleep(std::time::Duration::from_millis(3));
+    gate.set(true);
+
+    // counted before the reply: each client returning from wait() finds
+    // its request in the next snapshot (the others may be in it already)
+    let mut returned = 0u64;
+    for handle in accepted {
+        handle.wait().expect("served");
+        returned += 1;
+        assert!(
+            engine.stats_snapshot().requests >= before.requests + returned,
+            "a reply was observable before its request was counted"
+        );
+    }
+    let after = engine.stats_snapshot();
+    assert_eq!(after.requests, before.requests + returned);
+    assert_eq!(after.slow_requests, before.slow_requests + returned);
+    assert_eq!(after.shed_requests, before.shed_requests);
+    // a blocking call on the now idle engine: served inline
+    engine
+        .serve_blocking(&req("alpha", &[-0.5], &[1.0]))
+        .unwrap();
+
+    // quiescent: the fleet is the sum of the tenants, field by field
+    let fleet = engine.stats_snapshot();
+    let tenants = engine.tenant_stats();
+    assert_eq!(
+        tenants.iter().map(|t| t.name.as_str()).collect::<Vec<_>>(),
+        names
+    );
+    let sum = |field: fn(&selnet_serve::StatsSnapshot) -> u64| -> u64 {
+        tenants.iter().map(|t| field(&t.stats)).sum()
+    };
+    assert_eq!(fleet.requests, sum(|s| s.requests));
+    assert_eq!(fleet.rows, sum(|s| s.rows));
+    assert_eq!(fleet.batches, sum(|s| s.batches));
+    assert_eq!(fleet.cache_hits, sum(|s| s.cache_hits));
+    assert_eq!(fleet.inline_requests, sum(|s| s.inline_requests));
+    assert_eq!(fleet.shed_requests, sum(|s| s.shed_requests));
+    assert_eq!(fleet.slow_requests, sum(|s| s.slow_requests));
+    for t in &tenants {
+        assert!(t.stats.requests > 0, "tenant {} saw no traffic", t.name);
+    }
+    assert!(fleet.batches > 0 && fleet.inline_requests > 0 && fleet.shed_requests > 0);
+    assert_eq!(fleet.slow_requests as usize, engine.slow_queries().len());
+    // mean_batch_rows from the summed numerators, not a mean of means
+    let batch_rows: f64 = tenants
+        .iter()
+        .map(|t| t.stats.mean_batch_rows * t.stats.batches as f64)
+        .sum();
+    assert!((fleet.mean_batch_rows - batch_rows / fleet.batches as f64).abs() < 1e-9);
+
+    // the fleet's quantiles are exactly those of the merged histograms
+    let mut merged = HistogramSnapshot::empty();
+    for name in names {
+        merged.merge(&registry.get(name).unwrap().stats().latency_histogram());
+    }
+    assert_eq!(merged.count, fleet.requests);
+    assert_eq!(fleet.p50_latency_us, merged.quantile(0.50));
+    assert_eq!(fleet.p99_latency_us, merged.quantile(0.99));
+    assert_eq!(fleet.max_latency_us, merged.max);
+    engine.shutdown();
+}
+
+/// The exposition's structure — family order, `# HELP` / `# TYPE` lines,
+/// the label set of every series — frozen from the output of the commit
+/// before the fleet became a fold of its tenants (PR 23): values and
+/// `le` bounds move with traffic, this list must not.
+const METRICS_STRUCTURE: &str = r#"# HELP selnet_requests_total Requests answered (cache hits included; shed refusals excluded).
+# TYPE selnet_requests_total counter
+selnet_requests_total
+selnet_requests_total{tenant="alpha"}
+selnet_requests_total{tenant="beta"}
+# HELP selnet_rows_total (x, t) rows evaluated or served from cache.
+# TYPE selnet_rows_total counter
+selnet_rows_total
+selnet_rows_total{tenant="alpha"}
+selnet_rows_total{tenant="beta"}
+# HELP selnet_batches_total Coalesced batch evaluations run.
+# TYPE selnet_batches_total counter
+selnet_batches_total
+selnet_batches_total{tenant="alpha"}
+selnet_batches_total{tenant="beta"}
+# HELP selnet_cache_hits_total Requests served from the response cache.
+# TYPE selnet_cache_hits_total counter
+selnet_cache_hits_total
+selnet_cache_hits_total{tenant="alpha"}
+selnet_cache_hits_total{tenant="beta"}
+# HELP selnet_inline_requests_total Requests served synchronously on the submitting thread.
+# TYPE selnet_inline_requests_total counter
+selnet_inline_requests_total
+selnet_inline_requests_total{tenant="alpha"}
+selnet_inline_requests_total{tenant="beta"}
+# HELP selnet_shed_requests_total Requests refused by admission control.
+# TYPE selnet_shed_requests_total counter
+selnet_shed_requests_total
+selnet_shed_requests_total{tenant="alpha"}
+selnet_shed_requests_total{tenant="beta"}
+# HELP selnet_slow_requests_total Requests at or past the slow-query threshold.
+# TYPE selnet_slow_requests_total counter
+selnet_slow_requests_total
+selnet_slow_requests_total{tenant="alpha"}
+selnet_slow_requests_total{tenant="beta"}
+# HELP selnet_request_latency_us End-to-end request latency (enqueue to reply), microseconds.
+# TYPE selnet_request_latency_us histogram
+selnet_request_latency_us_bucket
+selnet_request_latency_us_sum
+selnet_request_latency_us_count
+selnet_request_latency_us_bucket{tenant="alpha"}
+selnet_request_latency_us_sum{tenant="alpha"}
+selnet_request_latency_us_count{tenant="alpha"}
+selnet_request_latency_us_bucket{tenant="beta"}
+selnet_request_latency_us_sum{tenant="beta"}
+selnet_request_latency_us_count{tenant="beta"}
+# HELP selnet_batch_rows Rows per coalesced batch evaluation (batch occupancy).
+# TYPE selnet_batch_rows histogram
+selnet_batch_rows_bucket
+selnet_batch_rows_sum
+selnet_batch_rows_count
+selnet_batch_rows_bucket{tenant="alpha"}
+selnet_batch_rows_sum{tenant="alpha"}
+selnet_batch_rows_count{tenant="alpha"}
+selnet_batch_rows_bucket{tenant="beta"}
+selnet_batch_rows_sum{tenant="beta"}
+selnet_batch_rows_count{tenant="beta"}
+# HELP selnet_retrain_us Background retrain / publish latency, microseconds.
+# TYPE selnet_retrain_us histogram
+selnet_retrain_us_bucket
+selnet_retrain_us_sum
+selnet_retrain_us_count
+selnet_retrain_us_bucket{tenant="alpha"}
+selnet_retrain_us_sum{tenant="alpha"}
+selnet_retrain_us_count{tenant="alpha"}
+selnet_retrain_us_bucket{tenant="beta"}
+selnet_retrain_us_sum{tenant="beta"}
+selnet_retrain_us_count{tenant="beta"}
+# HELP selnet_queue_rows (x, t) rows currently queued across every shard.
+# TYPE selnet_queue_rows gauge
+selnet_queue_rows
+# HELP selnet_tenant_generation Model generation currently served, per tenant.
+# TYPE selnet_tenant_generation gauge
+selnet_tenant_generation{tenant="alpha"}
+selnet_tenant_generation{tenant="beta"}
+"#;
+
+/// One sample line of the exposition without what traffic decides: the
+/// value goes, and so does a bucket's `le` bound (always the last label).
+fn series_of(line: &str) -> String {
+    let series = line.rsplit_once(' ').expect("name, space, value").0;
+    match series.find("le=\"") {
+        None => series.to_string(),
+        Some(at) => match series[..at].trim_end_matches(',') {
+            unlabeled if unlabeled.ends_with('{') => unlabeled.trim_end_matches('{').to_string(),
+            labeled => format!("{labeled}}}"),
+        },
+    }
+}
+
+#[test]
+fn metrics_text_keeps_its_structure() {
+    // no query here is negative, so none ever looks at the gate
+    let model = |scale: f64| Gated {
+        scale,
+        gate: Arc::default(),
+    };
+    let registry = Arc::new(ModelRegistry::empty());
+    registry.register("alpha", model(1.0)).unwrap();
+    registry.register("beta", model(2.0)).unwrap();
+    let engine = Engine::start(
+        Arc::clone(&registry),
+        &EngineConfig {
+            slow_query_us: 1,
+            ..Default::default()
+        },
+    );
+    for i in 0..3 {
+        engine
+            .serve_blocking(&req("alpha", &[i as f32], &[1.0, 2.0]))
+            .unwrap();
+    }
+    let handles: Vec<_> = (0..5)
+        .map(|i| engine.submit(req("beta", &[i as f32], &[1.0])).unwrap())
+        .collect();
+    for handle in handles {
+        handle.wait().unwrap();
+    }
+    registry
+        .get("beta")
+        .unwrap()
+        .publish_traced(model(3.0), "golden", 2.5);
+
+    let text = engine.metrics_text();
+    let mut structure: Vec<String> = Vec::new();
+    for line in text.lines() {
+        let entry = if line.starts_with('#') {
+            line.to_string()
+        } else {
+            series_of(line)
+        };
+        if structure.last() != Some(&entry) {
+            structure.push(entry);
+        }
+    }
+    let frozen: Vec<&str> = METRICS_STRUCTURE.lines().collect();
+    assert_eq!(structure, frozen, "exposition:\n{text}");
+    // and on these counters, the values the parent printed: the fleet
+    // sample of a family is the sum (or the merge) of its tenants'
+    for sample in [
+        "selnet_requests_total 8",
+        "selnet_requests_total{tenant=\"alpha\"} 3",
+        "selnet_requests_total{tenant=\"beta\"} 5",
+        "selnet_rows_total 11",
+        "selnet_inline_requests_total 3",
+        "selnet_slow_requests_total 8",
+        "selnet_request_latency_us_count 8",
+        "selnet_request_latency_us_bucket{tenant=\"beta\",le=\"+Inf\"} 5",
+        "selnet_retrain_us_sum{tenant=\"beta\"} 2500",
+        "selnet_tenant_generation{tenant=\"beta\"} 1",
+    ] {
+        assert!(
+            text.lines().any(|line| line == sample),
+            "missing {sample:?} in:\n{text}"
+        );
+    }
+    engine.shutdown();
 }

@@ -66,7 +66,7 @@ fn main() {
     });
     println!(
         "served 800 concurrent requests: {}",
-        engine.stats().snapshot()
+        engine.stats_snapshot()
     );
 
     // 5. hot swap: retrain off-thread (§5.4) and publish atomically —
