@@ -1,6 +1,6 @@
 //! Criterion benchmark for Table 7's subject: single-query estimation
 //! latency of every model family, measured on small pre-trained models so
-//! `cargo bench` completes quickly. The `repro_timing` binary produces the
+//! `cargo bench` completes quickly. `repro timing` produces the
 //! paper-style table at full scale.
 
 use criterion::{criterion_group, criterion_main, Criterion};

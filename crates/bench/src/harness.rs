@@ -1,10 +1,11 @@
 //! Shared experiment harness: dataset settings, model zoo, CLI parsing,
-//! and CSV output. Every `repro_*` binary builds on this module.
+//! side-by-side training and result tables. Every experiment of the
+//! `repro` binary builds on this module.
 
 use selnet_baselines::{
     GbdtConfig, GbdtEstimator, KdeConfig, KdeEstimator, LshConfig, LshEstimator,
 };
-use selnet_core::{fit_named, fit_partitioned, PartitionConfig, PartitionedSelNet, SelNetConfig};
+use selnet_core::{fit_named, fit_partitioned, PartitionConfig, SelNetConfig};
 use selnet_data::generators::{face_like, fasttext_like, youtube_like, GeneratorConfig};
 use selnet_data::Dataset;
 use selnet_eval::SelectivityEstimator;
@@ -14,7 +15,9 @@ use selnet_models::{
     RmiEstimator, UmnnConfig, UmnnEstimator,
 };
 use selnet_workload::{generate_workload, ThresholdScheme, Workload, WorkloadConfig};
-use std::path::Path;
+use std::fmt;
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// The four evaluation settings of §7.1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,8 +63,10 @@ impl Setting {
     }
 }
 
-/// Scale knobs for an experiment run (paper scale is reachable by raising
-/// these; defaults are CPU-friendly, see DESIGN.md §1).
+/// Scale knobs for an experiment run. Paper scale is reachable by raising
+/// these; the defaults are CPU-friendly (the paper's datasets hold 0.35–2
+/// million vectors of 128–1 770 dimensions, see
+/// `selnet_data::generators`).
 #[derive(Clone, Debug)]
 pub struct Scale {
     /// Database size.
@@ -286,7 +291,7 @@ pub fn train_model(
         }
         // KDE keeps the paper's absolute 2000-sample budget (its error
         // comes from smoothing, not sampling); LSH keeps a *relative*
-        // budget so it stays in the sampling-error regime (see DESIGN.md)
+        // budget so it stays in the sampling-error regime (`sample_budget`)
         ModelKind::Kde => Box::new(KdeEstimator::fit(
             ds,
             w.kind,
@@ -377,52 +382,106 @@ pub fn partition_config(scale: &Scale) -> PartitionConfig {
     }
 }
 
-/// Trains many models concurrently (one thread per model).
+/// Runs `f` on every item, each on a thread of its own, and returns the
+/// results in the order of `items`. A panic in `f` is re-raised here.
+pub fn side_by_side<I: Sync, R: Send>(items: &[I], f: impl Fn(&I) -> R + Sync) -> Vec<R> {
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .iter()
+            .map(|item| scope.spawn(move || f(item)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
+}
+
+/// Trains many models side by side; a model that does not apply to the
+/// setting is left out.
 pub fn train_models(
     kinds: &[ModelKind],
     ds: &Dataset,
     w: &Workload,
     scale: &Scale,
 ) -> Vec<Box<dyn SelectivityEstimator + Send + Sync>> {
-    let mut out: Vec<Option<Box<dyn SelectivityEstimator + Send + Sync>>> =
-        Vec::with_capacity(kinds.len());
-    for _ in kinds {
-        out.push(None);
+    side_by_side(kinds, |&kind| train_model(kind, ds, w, scale))
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
+/// One result table of an experiment: printed on stdout, and written cell
+/// for cell as a CSV by [`write_results`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct Table {
+    /// File name of the CSV.
+    pub file: String,
+    /// Heading: the paper artifact the table reproduces.
+    pub title: String,
+    /// The CSV's first line: column names joined by commas.
+    pub header: &'static str,
+    /// Cells, `{}`-formatted, one row per line of the CSV.
+    pub rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    /// The CSV: the header, then one line per row, cells joined by commas.
+    pub fn csv(&self) -> String {
+        let mut out = format!("{}\n", self.header);
+        for row in &self.rows {
+            out.push_str(&row.join(","));
+            out.push('\n');
+        }
+        out
     }
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for &kind in kinds {
-            handles.push(scope.spawn(move || train_model(kind, ds, w, scale)));
-        }
-        for (slot, h) in out.iter_mut().zip(handles) {
-            *slot = h.join().expect("training thread panicked");
-        }
-    });
-    out.into_iter().flatten().collect()
 }
 
-/// Trains a standalone SelNet variant (typed accessors for the
-/// figure/sweep binaries).
-pub fn train_selnet_ct(ds: &Dataset, w: &Workload, scale: &Scale) -> PartitionedSelNet {
-    fit_named(ds, w, &selnet_config(scale), "SelNet-ct").0
-}
-
-/// Trains the full partitioned SelNet.
-pub fn train_selnet(ds: &Dataset, w: &Workload, scale: &Scale) -> PartitionedSelNet {
-    fit_partitioned(ds, w, &selnet_config(scale), &partition_config(scale)).0
-}
-
-/// Writes a CSV artifact under `results/`.
-pub fn write_results(name: &str, contents: &str) {
-    let dir = Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(name);
-        if let Err(e) = std::fs::write(&path, contents) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("[results written to {}]", path.display());
+impl fmt::Display for Table {
+    /// The title, then the columns aligned. A number with a fraction shows
+    /// four decimals here; the CSV keeps every digit.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let shown = |cell: &String| match cell.parse::<f64>() {
+            Ok(v) if v.fract() != 0.0 => format!("{v:.4}"),
+            _ => cell.clone(),
+        };
+        let header: Vec<String> = self.header.split(',').map(String::from).collect();
+        let mut widths = vec![0; header.len()];
+        let lines: Vec<Vec<String>> = std::iter::once(header)
+            .chain(self.rows.iter().map(|row| row.iter().map(shown).collect()))
+            .collect();
+        for line in &lines {
+            for (width, cell) in widths.iter_mut().zip(line) {
+                *width = (*width).max(cell.chars().count());
+            }
         }
+        writeln!(f, "## {}", self.title)?;
+        for line in &lines {
+            for (i, (cell, &width)) in line.iter().zip(&widths).enumerate() {
+                if i == 0 {
+                    write!(f, "{cell:<width$}")?;
+                } else {
+                    write!(f, "  {cell:>width$}")?;
+                }
+            }
+            writeln!(f)?;
+        }
+        Ok(())
     }
+}
+
+/// Writes `table`'s CSV as `dir/<table.file>`, creating `dir` if needed,
+/// and returns the path written. The error names the path.
+pub fn write_results(dir: &Path, table: &Table) -> io::Result<PathBuf> {
+    let path = dir.join(&table.file);
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, table.csv()))
+        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+    Ok(path)
 }
 
 #[cfg(test)]
@@ -483,5 +542,49 @@ mod tests {
         };
         let (ds, w) = build_setting(Setting::FasttextL2, &scale);
         assert!(train_model(ModelKind::Lsh, &ds, &w, &scale).is_none());
+    }
+
+    #[test]
+    fn side_by_side_keeps_input_order() {
+        assert_eq!(side_by_side(&[3, 1, 2], |&x| x * 10), [30, 10, 20]);
+    }
+
+    #[test]
+    fn table_prints_four_decimals_and_its_csv_every_digit() {
+        let table = Table {
+            file: "t.csv".into(),
+            title: "T".into(),
+            header: "model,mse",
+            rows: vec![
+                vec!["SelNet".into(), 31234.567891.to_string()],
+                vec!["KDE".into(), 7.0.to_string()],
+            ],
+        };
+        let printed = format!(
+            "## T\nmodel{}mse\nSelNet  31234.5679\nKDE{}7\n",
+            " ".repeat(10),
+            " ".repeat(14)
+        );
+        assert_eq!(table.to_string(), printed);
+        assert_eq!(table.csv(), "model,mse\nSelNet,31234.567891\nKDE,7\n");
+    }
+
+    /// A CSV that cannot be written is an error naming its path, never a
+    /// warning and a successful run.
+    #[test]
+    fn write_results_refuses_a_directory_that_is_a_file() {
+        let table = Table {
+            file: "t.csv".into(),
+            title: "t".into(),
+            header: "a,b",
+            rows: vec![vec!["1".into(), "x".into()]],
+        };
+        let dir = std::env::temp_dir().join(format!("selnet-bench-results-{}", std::process::id()));
+        let path = write_results(&dir, &table).expect("a directory it can create");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,x\n");
+        let err = write_results(&path, &table).unwrap_err();
+        let inner = path.join("t.csv").display().to_string();
+        assert!(err.to_string().starts_with(&inner), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,8 +1,10 @@
 //! # selnet-bench
 //!
-//! The benchmark harness of the SelNet reproduction. One `repro_*` binary
-//! per table/figure of the paper (see `DESIGN.md` §3 for the index), plus
-//! Criterion microbenchmarks (`cargo bench -p selnet-bench`).
+//! The benchmark harness of the SelNet reproduction. The `repro` binary
+//! runs the paper's tables and figures, one experiment each (`repro` with
+//! no argument prints the index), on [`harness`]; beside it the drift
+//! gauntlet, the serving guard and Criterion microbenchmarks
+//! (`cargo bench -p selnet-bench`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

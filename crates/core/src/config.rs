@@ -5,7 +5,7 @@
 /// exponential makes softmax hypersensitive to small input changes and
 /// biased toward highlighting a few coordinates instead of partitioning
 /// the range. Both are implemented so the claim is testable
-/// (`repro_tau_norm`).
+/// (`repro tau_norm`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TauNormalization {
     /// The paper's normalized-square map (default).
@@ -17,7 +17,7 @@ pub enum TauNormalization {
 /// Loss applied to `log(ŷ+ε) − log(y+ε)`. The paper motivates Huber as the
 /// robust middle ground between L2 (dominated by large selectivities) and
 /// L1 (dominated by small ones) — §5.1. All three are implemented so the
-/// claim is testable (`repro_loss_ablation`).
+/// claim is testable (`repro loss_ablation`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LossKind {
     /// Huber with δ = `huber_delta` (default).
@@ -32,8 +32,8 @@ pub enum LossKind {
 ///
 /// Paper defaults: `L = 50` control points, `|h_i| = 100`, three FFNs with
 /// 512/1024-wide first layers, batch 512, 1500 epochs. The defaults here
-/// are scaled down for pure-CPU training (see DESIGN.md §1); every field is
-/// public so the paper-scale setting is reachable.
+/// are scaled down for pure-CPU training; every field is public so the
+/// paper-scale setting is reachable.
 #[derive(Clone, Debug)]
 pub struct SelNetConfig {
     /// Number of learnable interior control points `L` (the function has

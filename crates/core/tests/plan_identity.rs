@@ -22,7 +22,7 @@ use selnet_metric::DistanceKind;
 use selnet_tensor::pwl_interp_row;
 use selnet_workload::{generate_workload, Workload, WorkloadConfig};
 
-/// The network variants every `repro_*` binary's `SelNetConfig` is drawn
+/// The network variants every `repro` experiment's `SelNetConfig` is drawn
 /// from: τ shared or query-dependent, normalized by `Norml2` or softmax.
 fn net_config(seed: u64, query_dependent: usize, softmax: usize) -> SelNetConfig {
     SelNetConfig {
