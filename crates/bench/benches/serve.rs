@@ -78,7 +78,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
             max_queue_rows: 0, // unbounded: the bench measures service, not shedding
             slow_query_us: 0,
             trace_buffer: 0,
-            replay_threads: 1,
         },
     );
     let mut group = c.benchmark_group("serve_engine");
@@ -150,7 +149,6 @@ fn bench_record(_c: &mut Criterion) {
         })
         .collect();
 
-    let sweep_model = model.clone();
     let engine = Engine::start(
         Arc::new(ModelRegistry::new(model)),
         &EngineConfig {
@@ -161,7 +159,6 @@ fn bench_record(_c: &mut Criterion) {
             max_queue_rows: 0,
             slow_query_us: 0,
             trace_buffer: 0,
-            replay_threads: 1,
         },
     );
     let engine_batch = time_ms(10, 10, || {
@@ -177,68 +174,6 @@ fn bench_record(_c: &mut Criterion) {
         }
     });
     engine.shutdown();
-
-    // client-window × server-in-flight-cap sweep over real TCP (the PR 6
-    // remainder): one pipelined connection pumps the same wave per
-    // setting; window 1 is the no-pipelining control the coalescing win
-    // is measured against
-    let windows = [1usize, 8, 32, 128];
-    let caps = [64usize, 256];
-    let mut sweep_lines = Vec::new();
-    let mut best = (f64::MAX, 0usize, 0usize);
-    let mut w1_ms = f64::MAX;
-    for &cap in &caps {
-        selnet_serve::server::set_max_inflight(cap);
-        let engine = Engine::start(
-            Arc::new(ModelRegistry::new(sweep_model.clone())),
-            &EngineConfig {
-                workers: 1,
-                shards: 1,
-                max_batch_rows: BATCH,
-                cache_entries: 0,
-                max_queue_rows: 0,
-                slow_query_us: 0,
-                trace_buffer: 0,
-                replay_threads: 1,
-            },
-        );
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind sweep listener");
-        let addr = listener.local_addr().expect("sweep listener addr");
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let srv = {
-            let engine = Arc::clone(&engine);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || selnet_serve::server::serve_tcp(engine, listener, stop))
-        };
-        for &window in &windows {
-            let cfg = selnet_client::ClientConfig { window };
-            let mut conn =
-                selnet_client::Connection::connect_with(addr, &cfg).expect("sweep connect");
-            let ms = time_ms(5, 5, || {
-                for i in 0..BATCH {
-                    conn.send_query(None, &xs[i], &[ts[i]]).expect("send");
-                }
-                for _ in 0..BATCH {
-                    black_box(conn.recv().expect("recv"));
-                }
-            });
-            if window == 1 {
-                w1_ms = w1_ms.min(ms);
-            }
-            if ms < best.0 {
-                best = (ms, window, cap);
-            }
-            sweep_lines.push(format!(r#"    "w{window}_cap{cap}_ms": {ms:.4}"#));
-        }
-        stop.store(true, std::sync::atomic::Ordering::SeqCst);
-        srv.join()
-            .expect("sweep server thread")
-            .expect("sweep server");
-        engine.shutdown();
-    }
-    selnet_serve::server::set_max_inflight(0);
-    let sweep_block = sweep_lines.join(",\n");
-    let (best_ms, best_window, best_cap) = best;
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
     // floors survive re-recording: read them back from the existing file
@@ -300,14 +235,6 @@ fn bench_record(_c: &mut Criterion) {
     "speedup_4t_vs_1t": {s_speedup:.2},
     "note": "estimate_into over the same {BATCH} point queries at threads = 1/2/4/8 (row-chunked parallel plan replay, bit-identical answers at every count; one thread is the serial path itself). speedup_4t_vs_1t only shows a parallel win when machine_cpus >= 4; on a smaller recorder the curve is flat and the guard skips the 4t floor."
   }},
-  "client_sweep": {{
-{sweep_block},
-    "best_window": {best_window},
-    "best_inflight_cap": {best_cap},
-    "best_ms": {best_ms:.4},
-    "pipelining_win_vs_w1": {sweep_win:.2},
-    "note": "client per-connection window x server per-connection in-flight cap over real TCP (one pipelined connection, {BATCH}-query wave, workers=1). Window 1 is the no-pipelining control; pipelining_win_vs_w1 = w1 time / best time, the coalescing win pipelining buys. On this recording host the curve saturates once window >= the coalescing batch; the shipped defaults (window 32, cap 256) sit on the flat part, so they stay."
-  }},
   "floors": {{
     "speedup_batched_vs_single": {floor_batched:.2},
     "plan_vs_tape": {floor_plan:.2},
@@ -331,7 +258,6 @@ fn bench_record(_c: &mut Criterion) {
         s4 = scaling_ms[2],
         s8 = scaling_ms[3],
         s_speedup = scaling_ms[0] / scaling_ms[2],
-        sweep_win = w1_ms / best_ms,
     );
     std::fs::write(path, json).expect("write BENCH_serve.json");
     println!("\nrecorded serving numbers to {path}");

@@ -227,7 +227,6 @@ fn check_obs_overhead(
                 max_queue_rows: 0,
                 slow_query_us,
                 trace_buffer,
-                replay_threads: 1,
             },
         )
     };

@@ -185,7 +185,6 @@ impl GauntletConfig {
             max_queue_rows: 4096,
             slow_query_us: 0,
             trace_buffer: 0,
-            replay_threads: 1,
         }
     }
 

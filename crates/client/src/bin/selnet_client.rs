@@ -2,18 +2,16 @@
 //! the command line. `replay` streams a text-protocol query file through
 //! N persistent pipelined connections and prints the answers in input
 //! order (so the output feeds straight into `selnet-serve
-//! check-monotone`); `stats` scrapes one tenant's counters or the fleet
-//! report.
+//! check-monotone`); `metrics` scrapes the fleet's counters.
 //!
 //! ```text
 //! selnet-client replay --addr 127.0.0.1:7878 --connections 4 < queries.txt
 //! selnet-client replay --addr 127.0.0.1:7878 --model alpha < queries.txt
-//! selnet-client stats --addr 127.0.0.1:7878 [--model NAME]
 //! selnet-client metrics --addr 127.0.0.1:7878
 //! ```
 //!
-//! `metrics` scrapes the fleet's Prometheus text exposition — pipe it to
-//! a node exporter's textfile collector or grep families directly.
+//! `metrics` prints the Prometheus text exposition — pipe it to a node
+//! exporter's textfile collector or grep families directly.
 
 use selnet_client::{ClientConfig, Connection, Reply};
 use selnet_serve::protocol::{render_text_error, TextQuery};
@@ -23,14 +21,12 @@ use std::process::ExitCode;
 const USAGE: &str = "usage:
   selnet-client replay --addr HOST:PORT [--connections N] [--window W]
                        [--model NAME] [--input FILE]
-  selnet-client stats --addr HOST:PORT [--model NAME]
   selnet-client metrics --addr HOST:PORT";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("replay") => cmd_replay(&args[1..]),
-        Some("stats") => cmd_stats(&args[1..]),
         Some("metrics") => cmd_metrics(&args[1..]),
         Some("--help") | Some("-h") | None => {
             eprintln!("{USAGE}");
@@ -47,19 +43,23 @@ fn main() -> ExitCode {
     }
 }
 
-/// Tiny positional-free flag parser: every option is `--key value`.
+/// Tiny positional-free flag parser: every option is `--key value` with
+/// `key` one of the subcommand's `names`. Anything else is refused.
 struct Options {
     pairs: Vec<(String, String)>,
 }
 
 impl Options {
-    fn parse(args: &[String]) -> Result<Options, String> {
+    fn parse(args: &[String], names: &[&str]) -> Result<Options, String> {
         let mut pairs = Vec::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             let key = arg
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --option, got {arg:?}"))?;
+            if !names.contains(&key) {
+                return Err(format!("unknown option --{key}\n{USAGE}"));
+            }
             let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
             pairs.push((key.to_string(), value.clone()));
         }
@@ -82,6 +82,10 @@ impl Options {
     }
 }
 
+const REPLAY_OPTIONS: &[&str] = &["addr", "connections", "window", "model", "input"];
+
+const METRICS_OPTIONS: &[&str] = &["addr"];
+
 /// Reads text-protocol query lines (blank lines and `#` comments skipped).
 fn read_queries(input: &mut impl BufRead) -> Result<Vec<TextQuery>, String> {
     let mut queries = Vec::new();
@@ -97,7 +101,7 @@ fn read_queries(input: &mut impl BufRead) -> Result<Vec<TextQuery>, String> {
 }
 
 fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let opts = Options::parse(args)?;
+    let opts = Options::parse(args, REPLAY_OPTIONS)?;
     let addr = opts.get("addr").ok_or("replay needs --addr HOST:PORT")?;
     let connections: usize = opts.num("connections", 4)?;
     let connections = connections.max(1);
@@ -164,24 +168,64 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let opts = Options::parse(args)?;
-    let addr = opts.get("addr").ok_or("stats needs --addr HOST:PORT")?;
-    let mut conn = Connection::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let report = conn
-        .stats(opts.get("model"))
-        .map_err(|e| format!("stats: {e}"))?;
-    for line in report.lines() {
-        println!("{line}");
-    }
-    Ok(())
-}
-
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
-    let opts = Options::parse(args)?;
+    let opts = Options::parse(args, METRICS_OPTIONS)?;
     let addr = opts.get("addr").ok_or("metrics needs --addr HOST:PORT")?;
     let mut conn = Connection::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let text = conn.metrics().map_err(|e| format!("metrics: {e}"))?;
     print!("{text}");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str], names: &[&str]) -> Result<Options, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Options::parse(&args, names)
+    }
+
+    /// A misspelt option, or one another subcommand takes, is refused
+    /// with the usage text, not filed away and ignored.
+    #[test]
+    fn unknown_options_are_refused_with_usage() {
+        for (args, names, key) in [
+            (&["--conections", "8"][..], REPLAY_OPTIONS, "--conections"),
+            (
+                &["--addr", "x:1", "--windows", "4"][..],
+                REPLAY_OPTIONS,
+                "--windows",
+            ),
+            (
+                &["--addr", "x:1", "--model", "a"][..],
+                METRICS_OPTIONS,
+                "--model",
+            ),
+        ] {
+            let err = parse(args, names).err().expect("must be refused");
+            assert!(err.starts_with(&format!("unknown option {key}\n")), "{err}");
+            assert!(err.ends_with(USAGE), "{err}");
+        }
+    }
+
+    #[test]
+    fn known_options_parse_and_the_last_value_wins() {
+        let opts = parse(
+            &["--connections", "8", "--addr", "x:1", "--connections", "2"],
+            REPLAY_OPTIONS,
+        )
+        .expect("known options");
+        assert_eq!(opts.num("connections", 4usize), Ok(2));
+        assert_eq!(opts.num("window", 32usize), Ok(32), "absent: the default");
+        assert_eq!(opts.get("addr"), Some("x:1"));
+        assert!(
+            parse(&["--addr"], METRICS_OPTIONS).is_err(),
+            "a value is required"
+        );
+        // every documented option is one its subcommand accepts
+        for key in REPLAY_OPTIONS.iter().chain(METRICS_OPTIONS) {
+            assert!(USAGE.contains(&format!("--{key} ")), "--{key} undocumented");
+        }
+    }
 }

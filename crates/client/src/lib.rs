@@ -10,7 +10,7 @@
 //! over a network: a client that writes its next query before reading the
 //! previous answer keeps the server's queue non-empty, so worker threads
 //! drain multi-row batches instead of one row at a time. The
-//! [`Connection::estimate`] / [`Connection::stats`] conveniences cover
+//! [`Connection::estimate`] / [`Connection::metrics`] conveniences cover
 //! the blocking one-at-a-time case; [`Connection::send_query`] +
 //! [`Connection::recv`] are the pipelined pair.
 //!
@@ -27,9 +27,9 @@
 //! // blocking convenience: one routed request, one answer
 //! let estimates = conn.estimate(Some("alpha"), &[0.1, 0.2], &[1.0, 0.5])?;
 //! assert_eq!(estimates.len(), 2);
-//! // scrape one tenant's counters
-//! let report = conn.stats(Some("alpha"))?;
-//! println!("{report}");
+//! // scrape the fleet's counters (Prometheus text exposition)
+//! let exposition = conn.metrics()?;
+//! print!("{exposition}");
 //! # Ok::<(), selnet_client::ClientError>(())
 //! ```
 
@@ -70,8 +70,6 @@ pub enum Reply {
         /// Estimates, one per requested threshold, in request order.
         values: Vec<f64>,
     },
-    /// A stats report (from [`Connection::send_stats`]).
-    Stats(String),
     /// A Prometheus-text metrics scrape (from
     /// [`Connection::send_metrics`]).
     Metrics(String),
@@ -186,7 +184,6 @@ impl Connection {
             Some(Response::EstimatesTraced { trace_id, values }) => {
                 Ok(Reply::EstimatesTraced { trace_id, values })
             }
-            Some(Response::Stats(s)) => Ok(Reply::Stats(s)),
             Some(Response::Metrics(s)) => Ok(Reply::Metrics(s)),
             Some(Response::Error(e)) => Ok(Reply::Denied(e)),
             None => Err(io::Error::new(
@@ -237,13 +234,6 @@ impl Connection {
             model: model.map(str::to_string),
             x: x.to_vec(),
             ts: ts.to_vec(),
-        })
-    }
-
-    /// Pipelines one stats request (`model: None` = the fleet report).
-    pub fn send_stats(&mut self, model: Option<&str>) -> io::Result<()> {
-        self.send_frame(&Frame::Stats {
-            model: model.map(str::to_string),
         })
     }
 
@@ -329,22 +319,6 @@ impl Connection {
             other => Err(ClientError::Io(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("mismatched reply to a traced query (FIFO order violated): {other:?}"),
-            ))),
-        }
-    }
-
-    /// Blocking convenience: scrape one tenant's counters, or the fleet
-    /// report (`None`).
-    pub fn stats(&mut self, model: Option<&str>) -> Result<String, ClientError> {
-        let reply = self.call(&Frame::Stats {
-            model: model.map(str::to_string),
-        })?;
-        match reply {
-            Reply::Stats(text) => Ok(text),
-            Reply::Denied(e) => Err(ClientError::Denied(e)),
-            other => Err(ClientError::Io(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("mismatched reply to a stats frame (FIFO order violated): {other:?}"),
             ))),
         }
     }

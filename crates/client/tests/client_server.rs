@@ -2,7 +2,7 @@
 //! pipelined traffic from several connections across two trained tenants
 //! must be **bit-identical** to calling each tenant's model directly, and
 //! a saturated server must answer with typed `Overloaded` refusals that
-//! show up in the scraped fleet stats.
+//! show up in the scraped fleet counters.
 
 use selnet_client::{ClientConfig, Connection, Reply};
 use selnet_core::{fit_partitioned, PartitionConfig, PartitionedSelNet, SelNetConfig};
@@ -84,7 +84,6 @@ fn four_pipelined_connections_two_tenants_match_direct_estimation() {
             max_queue_rows: 0, // unbounded: this test is about identity, not shedding
             slow_query_us: 0,
             trace_buffer: 0,
-            replay_threads: 1,
         },
     );
     let server = spawn_server(&engine);
@@ -131,12 +130,19 @@ fn four_pipelined_connections_two_tenants_match_direct_estimation() {
         }
     }
 
-    // Per-tenant and fleet scrapes over the same connections.
-    let alpha = conns[0].stats(Some("alpha")).unwrap();
-    assert!(alpha.contains("tenant=alpha"), "got: {alpha}");
-    let fleet = conns[1].stats(None).unwrap();
-    assert!(fleet.starts_with("fleet "), "got: {fleet}");
-    assert!(fleet.contains("tenant=alpha") && fleet.contains("tenant=beta"));
+    // A fleet scrape over the same connections: every answered request is
+    // counted, under its own tenant.
+    let text = conns[1].metrics().unwrap();
+    for sample in [
+        "selnet_requests_total 48",
+        "selnet_requests_total{tenant=\"alpha\"} 24",
+        "selnet_requests_total{tenant=\"beta\"} 24",
+    ] {
+        assert!(
+            text.lines().any(|l| l == sample),
+            "missing {sample:?} in:\n{text}"
+        );
+    }
     match conns[2].estimate(Some("ghost"), &[0.0; 4], &[1.0]) {
         Err(selnet_client::ClientError::Denied(e)) => {
             assert_eq!(e.code, ErrorCode::UnknownModel)
@@ -179,7 +185,7 @@ impl SelectivityEstimator for Slow {
 
 /// Acceptance criterion: under saturation the server sheds with typed
 /// `Overloaded` replies — per request, on a connection that stays healthy
-/// — and the scraped fleet stats count exactly the refusals the client
+/// — and the scraped fleet counters hold exactly the refusals the client
 /// observed.
 #[test]
 fn saturated_server_sheds_overloaded_and_stats_count_it() {
@@ -193,7 +199,6 @@ fn saturated_server_sheds_overloaded_and_stats_count_it() {
             max_queue_rows: 4,
             slow_query_us: 0,
             trace_buffer: 0,
-            replay_threads: 1,
         },
     );
     let server = spawn_server(&engine);
@@ -225,17 +230,16 @@ fn saturated_server_sheds_overloaded_and_stats_count_it() {
 
     // The same connection survives and the fleet counters agree with what
     // we observed on the wire.
-    let fleet = conn.stats(None).unwrap();
-    let fleet_line = fleet.lines().next().unwrap();
-    let counted: usize = fleet_line
-        .split_whitespace()
-        .find_map(|tok| tok.strip_prefix("shed="))
-        .expect("fleet line reports shed=")
+    let text = conn.metrics().unwrap();
+    let counted: usize = text
+        .lines()
+        .find_map(|l| l.strip_prefix("selnet_shed_requests_total "))
+        .expect("the exposition has the unlabeled shed sample")
         .parse()
         .unwrap();
     assert_eq!(
         counted, shed,
-        "stats disagree with observed refusals: {fleet_line}"
+        "counters disagree with observed refusals:\n{text}"
     );
 
     drop(conn);
@@ -259,7 +263,6 @@ fn traced_queries_and_metrics_scrape_round_trip() {
             max_queue_rows: 0,
             slow_query_us: 1, // every 2ms Slow reply is a slow query
             trace_buffer: 0,
-            replay_threads: 1,
         },
     );
     let server = spawn_server(&engine);

@@ -30,7 +30,6 @@ const USAGE: &str = "usage:
                      (--stdin | --addr HOST:PORT)
                      [--workers N] [--shards N] [--batch ROWS] [--cache ENTRIES]
                      [--queue ROWS] [--slow-query-us MICROS] [--trace-buffer SPANS]
-                     [--replay-threads N] [--inflight N]
   selnet-serve check-monotone [--expect non-increasing|non-decreasing]";
 
 fn main() -> ExitCode {
@@ -141,8 +140,6 @@ const SERVE_OPTIONS: &[&str] = &[
     "queue",
     "slow-query-us",
     "trace-buffer",
-    "replay-threads",
-    "inflight",
 ];
 
 fn cmd_train_tiny(args: &[String]) -> Result<(), String> {
@@ -267,7 +264,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         max_queue_rows: opts.num("queue", 4096)?,
         slow_query_us: opts.num("slow-query-us", 0)?,
         trace_buffer: opts.num("trace-buffer", 0)?,
-        replay_threads: opts.num("replay-threads", 1)?,
     };
     // the engine keeps its own span ring; the global recorder picks up
     // plan-compile / snapshot / retrain spans from the library crates
@@ -305,10 +301,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         return Err("serve needs --snapshot or at least one --model NAME=PATH".into());
     }
 
-    // per-connection pipelining depth for the TCP loops (0 keeps the
-    // built-in default; see `server::set_max_inflight`)
-    server::set_max_inflight(opts.num("inflight", 0)?);
-
     let engine = Engine::start(registry, &cfg);
 
     if opts.flag("stdin") {
@@ -317,15 +309,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         let mut out = BufWriter::new(stdout.lock());
         let served = server::serve_lines(&engine, &mut stdin.lock(), &mut out)
             .map_err(|e| format!("stdin serving failed: {e}"))?;
-        // the fleet report: combined counters plus one line per tenant
-        // (generation, p50/p99, hit rate, shed count)
-        let report = engine
-            .stats_report(None)
-            .expect("fleet report always renders");
+        // counters are a `?metrics` line away, in-band
         eprintln!("served {served} queries");
-        for line in report.lines() {
-            eprintln!("{line}");
-        }
         dump_flight_recorder(&engine);
         engine.shutdown();
         Ok(())
@@ -333,7 +318,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         let addr = opts.get("addr").unwrap_or("127.0.0.1:7878");
         let listener =
             std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-        eprintln!("serving binary protocol v2 on {addr} (send a stats frame for counters)");
+        eprintln!("serving binary protocol v2 on {addr} (send a metrics frame for counters)");
         let stop = Arc::new(AtomicBool::new(false));
         let result = server::serve_tcp(Arc::clone(&engine), listener, stop)
             .map_err(|e| format!("serve failed: {e}"));
@@ -447,7 +432,8 @@ mod tests {
     #[test]
     fn unknown_options_are_refused_with_usage() {
         for (args, key) in [
-            (&["--replay-thread", "4"][..], "--replay-thread"),
+            (&["--replay-threads", "4"][..], "--replay-threads"),
+            (&["--stdin", "--inflight", "64"][..], "--inflight"),
             (
                 &["--snapshot", "a", "--precision", "beta=int8"][..],
                 "--precision",
@@ -462,9 +448,9 @@ mod tests {
 
     #[test]
     fn known_options_parse_and_the_last_value_wins() {
-        let opts = parse_serve(&["--replay-threads", "4", "--stdin", "--replay-threads", "2"])
-            .expect("known options");
-        assert_eq!(opts.num("replay-threads", 1usize), Ok(2));
+        let opts =
+            parse_serve(&["--batch", "32", "--stdin", "--batch", "16"]).expect("known options");
+        assert_eq!(opts.num("batch", 64usize), Ok(16));
         assert_eq!(opts.num("workers", 7usize), Ok(7), "absent: the default");
         assert!(opts.flag("stdin"));
         assert!(parse_serve(&["--workers"]).is_err(), "a value is required");

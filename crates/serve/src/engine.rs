@@ -292,16 +292,6 @@ pub struct EngineConfig {
     /// client, so untraced traffic only pays the amortized batch-stage
     /// cost. The ring keeps the newest `trace_buffer` spans.
     pub trace_buffer: usize,
-    /// Worker budget for row-chunked parallel plan replay *inside* one
-    /// coalesced batch (`1` = serial replay, the default; `0` = the
-    /// tensor dispatcher's configured thread count; `n > 1` = up to `n`
-    /// threads). When a worker drains a large batch it fans the compiled
-    /// plan's replay across idle cores (the `threads` argument of
-    /// `estimate_into`); the model's FLOP-derived
-    /// engagement threshold keeps small batches serial, and answers are
-    /// bit-identical at every setting. Worth raising when workers are few
-    /// and cores are many; with one engine worker per core, leave at 1.
-    pub replay_threads: usize,
 }
 
 impl Default for EngineConfig {
@@ -314,7 +304,6 @@ impl Default for EngineConfig {
             max_queue_rows: 4096,
             slow_query_us: 0,
             trace_buffer: 0,
-            replay_threads: 1,
         }
     }
 }
@@ -474,29 +463,6 @@ const FAMILIES: [(&str, &str, Read); 10] = [
     ),
 ];
 
-/// Per-tenant stats view: name, served generation, and this tenant's own
-/// counters — the scrapeable unit of fleet telemetry.
-#[derive(Clone, Debug)]
-pub struct TenantStats {
-    /// The tenant's registered name.
-    pub name: String,
-    /// The generation currently being served.
-    pub generation: u64,
-    /// The tenant's counters (requests, p50/p99, hit rate, batch-row
-    /// mean, shed count).
-    pub stats: StatsSnapshot,
-}
-
-impl std::fmt::Display for TenantStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "tenant={} generation={} {}",
-            self.name, self.generation, self.stats
-        )
-    }
-}
-
 /// The serving engine. Create with [`Engine::start`]; submit work with
 /// [`Engine::submit`] / [`Engine::estimate_many`]; stop with
 /// [`Engine::shutdown`] (queued requests are drained first).
@@ -507,18 +473,12 @@ pub struct Engine<M> {
     /// Whether the caches can ever hold anything; `false` skips key
     /// construction and cache locks entirely on the batch path.
     cache_enabled: bool,
-    /// When the engine started: the `elapsed` of the fleet report (the
-    /// engine holds no counters of its own — see [`Engine::stats_snapshot`]).
-    started: Instant,
     /// This engine's own flight recorder (never the process-global one,
     /// so two engines — say an instrumented and an uninstrumented one in
     /// the same benchmark — cannot contaminate each other's rings).
     recorder: SpanRecorder,
     slow_query_us: u64,
     max_batch_rows: usize,
-    /// Worker budget for row-chunked parallel replay of one coalesced
-    /// batch (see [`EngineConfig::replay_threads`]).
-    replay_threads: usize,
     max_queue_rows: usize,
     next_shard: AtomicUsize,
     stop: AtomicBool,
@@ -553,11 +513,9 @@ where
             shards,
             caches,
             cache_enabled: cfg.cache_entries > 0,
-            started: Instant::now(),
             recorder: SpanRecorder::with_capacity(cfg.trace_buffer),
             slow_query_us: cfg.slow_query_us,
             max_batch_rows: cfg.max_batch_rows.max(1),
-            replay_threads: cfg.replay_threads,
             max_queue_rows: cfg.max_queue_rows,
             next_shard: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
@@ -779,7 +737,7 @@ where
             }
             None => {
                 let mut values = Vec::new();
-                model.estimate_into(&[(x, ts)], self.replay_threads, &mut values);
+                model.estimate_into(&[(x, ts)], 1, &mut values);
                 if let Some(key) = key {
                     self.caches[self.cache_shard(&key)]
                         .lock()
@@ -818,54 +776,20 @@ where
     }
 
     /// The fleet stats snapshot — every tenant's counters folded into
-    /// one (counters summed, latency histograms merged, `elapsed` since
-    /// the engine started), with the per-shard cache counters filled in:
-    /// what the TCP fleet-stats frame and the stdin-mode stderr report
-    /// render. A tenant registered after start is in the next call.
+    /// one (counters summed, latency histograms merged), with the
+    /// per-shard cache counters filled in. A tenant registered after
+    /// start is in the next call; one tenant's own view is
+    /// [`ServeStats::snapshot`] of its [`Tenant::stats`].
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         let tenants = self.registry.tenants();
         let stats: Vec<&ServeStats> = tenants.iter().map(|t| t.stats().as_ref()).collect();
-        let mut snap = StatsSnapshot::fold(&stats, self.started.elapsed().as_secs_f64());
+        let mut snap = StatsSnapshot::fold(&stats);
         snap.cache_shards = self
             .caches
             .iter()
             .map(|c| c.lock().expect("cache lock poisoned").counters())
             .collect();
         snap
-    }
-
-    /// Per-tenant stats views, in registration order — the scrapeable
-    /// fleet telemetry (p50/p99, hit rates, batch-row mean, shed count,
-    /// generation per tenant).
-    pub fn tenant_stats(&self) -> Vec<TenantStats> {
-        let tenants = self.registry.tenants();
-        tenants.iter().map(|t| Self::tenant_view(t)).collect()
-    }
-
-    fn tenant_view(tenant: &Tenant<M>) -> TenantStats {
-        TenantStats {
-            name: tenant.name().to_string(),
-            generation: tenant.generation(),
-            stats: tenant.stats().snapshot(),
-        }
-    }
-
-    /// Renders the stats report a [`Stats`](crate::protocol::Frame::Stats)
-    /// frame asks for: one tenant's line, or the fleet header plus every
-    /// tenant's line (`None`). `None` is returned only for an unknown
-    /// model id.
-    pub fn stats_report(&self, model: Option<&str>) -> Option<String> {
-        match model {
-            Some(name) => Some(Self::tenant_view(&*self.registry.get(name)?).to_string()),
-            None => {
-                let mut out = format!("fleet {}", self.stats_snapshot());
-                for t in self.tenant_stats() {
-                    out.push('\n');
-                    out.push_str(&t.to_string());
-                }
-                Some(out)
-            }
-        }
     }
 
     /// `(x, t)` rows currently waiting across every queue shard — the
@@ -1155,7 +1079,7 @@ where
                 .recorder
                 .span("plan_replay", 0)
                 .detail(total_rows as u64, generation);
-            model.estimate_into(&queries, self.replay_threads, &mut scratch.flat);
+            model.estimate_into(&queries, 1, &mut scratch.flat);
         }
         tenant.stats().record_batch(total_rows as u64);
         let mut offset = 0usize;
@@ -1273,10 +1197,14 @@ mod tests {
             assert_eq!(h.wait().expect("served"), vec![want]);
         }
         // per-tenant stats saw their own traffic only
-        let stats = eng.tenant_stats();
+        let stats: Vec<StatsSnapshot> = registry
+            .tenants()
+            .iter()
+            .map(|t| t.stats().snapshot())
+            .collect();
         assert_eq!(stats.len(), 2);
-        assert!(stats.iter().all(|t| t.stats.requests > 0));
-        let total: u64 = stats.iter().map(|t| t.stats.requests).sum();
+        assert!(stats.iter().all(|s| s.requests > 0));
+        let total: u64 = stats.iter().map(|s| s.requests).sum();
         assert_eq!(total, eng.stats_snapshot().requests);
         eng.shutdown();
     }
@@ -1407,7 +1335,6 @@ mod tests {
                 max_queue_rows: 2,
                 slow_query_us: 0,
                 trace_buffer: 0,
-                replay_threads: 1,
             },
         );
         let mut accepted = Vec::new();
@@ -1429,8 +1356,8 @@ mod tests {
         }
         let fleet = eng.stats_snapshot();
         assert_eq!(fleet.shed_requests, shed as u64, "fleet shed count");
-        let tenants = eng.tenant_stats();
-        assert_eq!(tenants[0].stats.shed_requests, shed as u64);
+        let tenants = eng.registry().tenants();
+        assert_eq!(tenants[0].stats().snapshot().shed_requests, shed as u64);
         // shed requests are refusals, not answers: they never count as
         // served requests
         assert_eq!(fleet.requests as usize + shed, 64);
@@ -1568,8 +1495,6 @@ mod tests {
             "a 1-entry cache under 4 distinct queries must evict, got {}",
             snap.cache_evictions()
         );
-        let line = snap.to_string();
-        assert!(line.contains("cache_shards=["), "display: {line}");
         eng.shutdown();
     }
 
@@ -1587,33 +1512,6 @@ mod tests {
         let got = eng.estimate_many(&[0.0], &ts);
         assert_eq!(got.len(), 17);
         assert_eq!(got[16], 16.0);
-        eng.shutdown();
-    }
-
-    #[test]
-    fn stats_report_renders_fleet_and_tenant_views() {
-        let registry = Arc::new(ModelRegistry::empty());
-        registry.register("alpha", Affine { scale: 1.0 }).unwrap();
-        registry.register("beta", Affine { scale: 2.0 }).unwrap();
-        let eng = Engine::start(Arc::clone(&registry), &EngineConfig::default());
-        let _ = eng
-            .serve_blocking(&req(vec![0.0], vec![1.0]).model("alpha"))
-            .unwrap();
-        let fleet = eng.stats_report(None).unwrap();
-        assert!(fleet.starts_with("fleet "), "fleet report: {fleet}");
-        assert!(fleet.contains("tenant=alpha generation=0 requests=1"));
-        assert!(fleet.contains("tenant=beta generation=0 requests=0"));
-        let alpha = eng.stats_report(Some("alpha")).unwrap();
-        assert!(alpha.starts_with("tenant=alpha"), "tenant report: {alpha}");
-        assert!(alpha.contains("requests=1"), "tenant report: {alpha}");
-        assert_eq!(eng.stats_report(Some("gamma")), None);
-        // a hot swap shows up in the next report
-        registry.get("beta").unwrap().publish(Affine { scale: 3.0 });
-        let beta = eng.stats_report(Some("beta")).unwrap();
-        assert!(
-            beta.starts_with("tenant=beta generation=1 "),
-            "tenant report: {beta}"
-        );
         eng.shutdown();
     }
 
@@ -1640,7 +1538,8 @@ mod tests {
         assert!(slow.iter().all(|q| q.trace_id != 0));
         assert_eq!(eng.stats_snapshot().slow_requests, slow.len() as u64);
         // the tenant's own log saw the same traffic
-        assert_eq!(eng.tenant_stats()[0].stats.slow_requests, slow.len() as u64);
+        let tenant = &eng.registry().tenants()[0];
+        assert_eq!(tenant.stats().snapshot().slow_requests, slow.len() as u64);
         // the flight recorder captured the inline spans
         let spans = eng.spans();
         assert!(

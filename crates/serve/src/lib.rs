@@ -29,7 +29,8 @@
 //!   lock-free latency / batch-occupancy / retrain histograms (unbounded,
 //!   zero dropped samples), throughput / cache / shed / slow-request
 //!   counters, and the bounded slow-query log. An event is counted once,
-//!   in its tenant's record; the fleet view is their fold at read time.
+//!   in its tenant's record; the fleet view is their fold at read time,
+//!   and the Prometheus exposition below is the one report of both.
 //!
 //! On top of those, the engine is a **flight recorder**: per-request
 //! trace IDs (client-supplied or server-minted, echoed on v2
@@ -84,7 +85,7 @@ pub mod server;
 pub mod stats;
 
 pub use cache::LruCache;
-pub use engine::{Engine, EngineConfig, Request, SubmitError, TenantStats};
+pub use engine::{Engine, EngineConfig, Request, SubmitError};
 pub use protocol::{ErrorCode, ErrorReply, Frame, Response, TextQuery};
 pub use registry::{ModelRegistry, SwapRecord, Tenant, UpdateHandle};
 pub use stats::{ServeStats, StatsSnapshot};

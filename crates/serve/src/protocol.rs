@@ -23,18 +23,21 @@
 //! requests (client -> server)
 //!   0x01 Query       : u16 model_len | model utf8 | u32 dim | dim x f32 query
 //!                      | u32 m | m x f32 thresholds (model_len 0 = default)
-//!   0x02 Stats       : u16 model_len | model utf8   (model_len 0 = fleet)
 //!   0x03 Metrics     : (empty body — asks for the fleet's Prometheus text)
 //!   0x04 QueryTraced : u64 trace_id | then the Query body — the client's
 //!                      trace ID is echoed back on the paired 0x84 reply
 //!
 //! responses (server -> client, one per request, in request order)
 //!   0x81 Estimates       : u32 m | m x f64
-//!   0x82 Stats           : u32 len | len bytes utf8
 //!   0x83 MetricsReply    : u32 len | len bytes utf8 (Prometheus text format)
 //!   0x84 EstimatesTraced : u64 trace_id | u32 m | m x f64
 //!   0xEE Error           : u8 code | u16 len | len bytes utf8 message
 //! ```
+//!
+//! Opcodes `0x02` and `0x82` (a hand-formatted `key=value` stats report
+//! and its reply) are retired and never reused: a frame carrying either
+//! is refused like any unknown opcode. The Prometheus exposition is the
+//! one counter report.
 //!
 //! Error codes are typed ([`ErrorCode`]): `1` unknown model, `2` bad
 //! query dimension, `3` overloaded (admission control shed the request),
@@ -46,17 +49,14 @@
 //!
 //! One query per line: an optional `@model` routing token, the query
 //! vector, a `|` separator, then the threshold grid; the response is one
-//! line of estimates. `?stats` (optionally `?stats model`) requests a
-//! counter report, written as a `#`-prefixed comment line; `?metrics`
-//! requests the fleet's Prometheus text exposition, written as one `# `
-//! comment line per metric line. Blank lines and `#` comments are
-//! ignored. Refusals are mirrored as typed `!error <code> <message>`
+//! line of estimates. The one other command, `?metrics`, requests the
+//! fleet's Prometheus text exposition, written as one `# ` comment line
+//! per metric line. Blank lines and `#` comments are ignored. Refusals are mirrored as typed `!error <code> <message>`
 //! lines.
 //!
 //! ```text
 //! 0.12 -0.3 0.5 | 2.0 1.5 1.0 0.5
 //! @alpha 0.12 -0.3 0.5 | 2.0 1.5 1.0 0.5
-//! ?stats alpha
 //! ?metrics
 //! ```
 
@@ -84,11 +84,9 @@ pub const MAX_VERSION: u16 = 2;
 /// Request opcodes (client to server).
 mod opcode {
     pub const QUERY: u8 = 0x01;
-    pub const STATS: u8 = 0x02;
     pub const METRICS: u8 = 0x03;
     pub const QUERY_TRACED: u8 = 0x04;
     pub const ESTIMATES: u8 = 0x81;
-    pub const STATS_REPLY: u8 = 0x82;
     pub const METRICS_REPLY: u8 = 0x83;
     pub const ESTIMATES_TRACED: u8 = 0x84;
     pub const ERROR: u8 = 0xEE;
@@ -169,12 +167,6 @@ pub enum Frame {
         /// The thresholds to estimate at, in the client's order.
         ts: Vec<f32>,
     },
-    /// A statistics request: one tenant's counters, or the whole fleet's
-    /// (`None`).
-    Stats {
-        /// The tenant to report on; `None` is the fleet report.
-        model: Option<String>,
-    },
     /// A metrics scrape: asks for the whole fleet's telemetry in
     /// Prometheus text exposition format.
     Metrics,
@@ -210,10 +202,6 @@ impl Frame {
                 for &v in ts {
                     buf.extend_from_slice(&v.to_le_bytes());
                 }
-            }
-            Frame::Stats { model } => {
-                buf.push(opcode::STATS);
-                write_model(&mut buf, model.as_deref())?;
             }
             Frame::Metrics => {
                 buf.push(opcode::METRICS);
@@ -258,9 +246,6 @@ impl Frame {
                 let ts = read_f32s(&mut p, m, "threshold grid")?;
                 Frame::Query { model, x, ts }
             }
-            opcode::STATS => Frame::Stats {
-                model: read_model(&mut p)?,
-            },
             opcode::METRICS => Frame::Metrics,
             opcode::QUERY_TRACED => {
                 let trace_id = read_u64(&mut p)?;
@@ -473,8 +458,6 @@ impl std::error::Error for ErrorReply {}
 pub enum Response {
     /// Estimates, one per requested threshold, in request order.
     Estimates(Vec<f64>),
-    /// Counter text from a [`Frame::Stats`] request.
-    Stats(String),
     /// Prometheus text exposition from a [`Frame::Metrics`] request.
     Metrics(String),
     /// Estimates answering a [`Frame::QueryTraced`], echoing the trace
@@ -501,11 +484,6 @@ impl Response {
                 for &v in values {
                     buf.extend_from_slice(&v.to_le_bytes());
                 }
-            }
-            Response::Stats(text) => {
-                buf.push(opcode::STATS_REPLY);
-                buf.extend_from_slice(&(text.len() as u32).to_le_bytes());
-                buf.extend_from_slice(text.as_bytes());
             }
             Response::Metrics(text) => {
                 buf.push(opcode::METRICS_REPLY);
@@ -542,16 +520,6 @@ impl Response {
         let op = read_u8(&mut p)?;
         let resp = match op {
             opcode::ESTIMATES => Response::Estimates(read_f64s(&mut p)?),
-            opcode::STATS_REPLY => {
-                let len = read_u32(&mut p)? as usize;
-                if p.len() != len {
-                    return Err(invalid("stats text length mismatch"));
-                }
-                let text =
-                    String::from_utf8(p.to_vec()).map_err(|_| invalid("stats text not utf8"))?;
-                p = &[];
-                Response::Stats(text)
-            }
             opcode::METRICS_REPLY => {
                 let len = read_u32(&mut p)? as usize;
                 if p.len() != len {
@@ -609,9 +577,6 @@ fn read_f64s(p: &mut &[u8]) -> io::Result<Vec<f64>> {
 pub enum TextLine {
     /// An estimation request.
     Query(TextQuery),
-    /// A statistics request (`?stats` / `?stats model`): one tenant's
-    /// counters, or the fleet report (`None`).
-    Stats(Option<String>),
     /// A metrics scrape (`?metrics`): the fleet's Prometheus text,
     /// written back as `# `-prefixed comment lines.
     Metrics,
@@ -630,17 +595,6 @@ impl TextLine {
                 return Err(format!("?metrics takes no arguments: {trimmed:?}"));
             }
             return Ok(Some(TextLine::Metrics));
-        }
-        if let Some(rest) = trimmed.strip_prefix("?stats") {
-            let rest = rest.trim();
-            let model = if rest.is_empty() {
-                None
-            } else if rest.split_whitespace().count() == 1 {
-                Some(rest.to_string())
-            } else {
-                return Err(format!("?stats takes at most one model name: {trimmed:?}"));
-            };
-            return Ok(Some(TextLine::Stats(model)));
         }
         Ok(TextQuery::parse(trimmed)?.map(TextLine::Query))
     }
@@ -737,15 +691,9 @@ mod tests {
                 ts: vec![0.1, 0.2],
             };
             assert_eq!(roundtrip_v2(&q), q);
-            let s = Frame::Stats {
-                model: model.clone(),
-            };
-            assert_eq!(roundtrip_v2(&s), s);
         }
         let e = Response::Estimates(vec![13.0, 12.5]);
         assert_eq!(roundtrip_resp_v2(&e), e);
-        let s = Response::Stats("requests=1".into());
-        assert_eq!(roundtrip_resp_v2(&s), s);
         assert_eq!(roundtrip_v2(&Frame::Metrics), Frame::Metrics);
         let tq = Frame::QueryTraced {
             trace_id: 0xDEAD_BEEF_0042,
@@ -842,10 +790,6 @@ mod tests {
                 x: vec![1.0],
                 ts: vec![],
             },
-            Frame::Stats {
-                model: Some("beta".into()),
-            },
-            Frame::Stats { model: None },
             Frame::Metrics,
             Frame::QueryTraced {
                 trace_id: 42,
@@ -867,7 +811,6 @@ mod tests {
         }
         let responses = [
             Response::Estimates(vec![1.0, 2.0]),
-            Response::Stats("requests=1".into()),
             Response::Metrics("# TYPE m counter\nm 1\n".into()),
             Response::EstimatesTraced {
                 trace_id: 42,
@@ -914,6 +857,18 @@ mod tests {
                 "response opcode {op:#04x} must be rejected"
             );
         }
+        // the retired stats pair, well formed as it once was: a fleet
+        // request (`u16 0` = no model) and an empty report
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&3u32.to_le_bytes());
+        buf.push(0x02);
+        buf.extend_from_slice(&0u16.to_le_bytes());
+        assert!(Frame::read_v2(&mut buf.as_slice()).is_err());
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&5u32.to_le_bytes());
+        buf.push(0x82);
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        assert!(Response::read_v2(&mut buf.as_slice()).is_err());
         // unknown error code inside an otherwise well-formed error frame
         let mut buf = Vec::new();
         buf.extend_from_slice(&4u32.to_le_bytes());
@@ -941,28 +896,29 @@ mod tests {
         let mut buf = Vec::new();
         let huge = MAX_MODEL_LEN + 1;
         buf.extend_from_slice(&(3u32 + huge as u32).to_le_bytes());
-        buf.push(opcode::STATS);
+        buf.push(opcode::QUERY);
         buf.extend_from_slice(&huge.to_le_bytes());
         buf.extend(std::iter::repeat_n(b'a', huge as usize));
         assert!(Frame::read_v2(&mut buf.as_slice()).is_err());
         // model id claiming more bytes than the payload holds
         let mut buf = Vec::new();
         buf.extend_from_slice(&3u32.to_le_bytes());
-        buf.push(opcode::STATS);
+        buf.push(opcode::QUERY);
         buf.extend_from_slice(&200u16.to_le_bytes());
         assert!(Frame::read_v2(&mut buf.as_slice()).is_err());
         // non-utf8 model id
         let mut buf = Vec::new();
-        buf.extend_from_slice(&5u32.to_le_bytes());
-        buf.push(opcode::STATS);
+        buf.extend_from_slice(&13u32.to_le_bytes());
+        buf.push(opcode::QUERY);
         buf.extend_from_slice(&2u16.to_le_bytes());
         buf.extend_from_slice(&[0xFF, 0xFE]);
+        buf.extend_from_slice(&0u32.to_le_bytes()); // dim 0
+        buf.extend_from_slice(&0u32.to_le_bytes()); // no thresholds
         assert!(Frame::read_v2(&mut buf.as_slice()).is_err());
-        // trailing garbage after a well-formed stats request
+        // trailing garbage after a well-formed metrics request
         let mut buf = Vec::new();
-        buf.extend_from_slice(&4u32.to_le_bytes());
-        buf.push(opcode::STATS);
-        buf.extend_from_slice(&0u16.to_le_bytes());
+        buf.extend_from_slice(&2u32.to_le_bytes());
+        buf.push(opcode::METRICS);
         buf.push(0x00);
         assert!(Frame::read_v2(&mut buf.as_slice()).is_err());
     }
@@ -995,15 +951,10 @@ mod tests {
 
     #[test]
     fn text_stats_lines_parse() {
-        assert_eq!(
-            TextLine::parse("?stats").unwrap(),
-            Some(TextLine::Stats(None))
-        );
-        assert_eq!(
-            TextLine::parse("?stats alpha").unwrap(),
-            Some(TextLine::Stats(Some("alpha".into())))
-        );
-        assert!(TextLine::parse("?stats a b").is_err());
+        // `?metrics` is the one stats command: any other `?` word is
+        // neither a command nor a query
+        assert!(TextLine::parse("?counters").is_err());
+        assert!(TextLine::parse("?counters alpha").is_err());
         assert_eq!(
             TextLine::parse("?metrics").unwrap(),
             Some(TextLine::Metrics)

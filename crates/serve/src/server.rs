@@ -21,34 +21,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, TryRecvError};
 use std::sync::Arc;
 
-/// Default bound on unanswered pipelined requests per v2 connection: the
-/// reader loop stops pulling new frames off the socket once this many
-/// replies are pending, so one connection cannot queue unbounded work
-/// (TCP backpressure does the rest). The sweep recorded in
-/// `BENCH_serve.json` found throughput flat from 64 through 256 once the
-/// client window is ≥ the coalescing batch, so the default stays 256 —
-/// deep enough for any sane client window, shallow enough to bound a
-/// misbehaving one. Override per process with [`set_max_inflight`].
+/// Bound on unanswered pipelined requests per v2 connection: the reader
+/// loop stops pulling new frames off the socket once this many replies
+/// are pending, so one connection cannot queue unbounded work (TCP
+/// backpressure does the rest). A client sweep over caps 64 and 256
+/// found throughput flat once the client window is ≥ the coalescing
+/// batch — 256 is deep enough for any sane client window, shallow enough
+/// to bound a misbehaving one.
 pub const MAX_INFLIGHT_PER_CONNECTION: usize = 256;
-
-static MAX_INFLIGHT: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(MAX_INFLIGHT_PER_CONNECTION);
-
-/// Sets the process-wide per-connection in-flight cap (`0` restores the
-/// default). Applies to connections accepted after the call; the bench
-/// sweep uses this to measure cap sensitivity without rebuilding.
-pub fn set_max_inflight(cap: usize) {
-    let cap = if cap == 0 {
-        MAX_INFLIGHT_PER_CONNECTION
-    } else {
-        cap
-    };
-    MAX_INFLIGHT.store(cap, std::sync::atomic::Ordering::Relaxed);
-}
-
-fn max_inflight() -> usize {
-    MAX_INFLIGHT.load(std::sync::atomic::Ordering::Relaxed)
-}
 
 /// Maps an engine refusal onto the text loop's `io::Error`
 /// vocabulary: shutdown reads as a broken pipe, anything else (a
@@ -71,13 +51,6 @@ fn submit_err_to_reply(e: &SubmitError) -> ErrorReply {
     ErrorReply {
         code,
         message: e.to_string(),
-    }
-}
-
-fn unknown_model_reply(model: Option<&str>) -> ErrorReply {
-    ErrorReply {
-        code: ErrorCode::UnknownModel,
-        message: format!("unknown model {:?}", model.unwrap_or("<default>")),
     }
 }
 
@@ -148,7 +121,7 @@ where
 }
 
 /// What the v2 reader loop hands the writer thread for one request:
-/// either an answer it could produce immediately (stats, refusals) or a
+/// either an answer it could produce immediately (metrics, refusals) or a
 /// handle the engine will fulfill.
 enum PendingReply {
     Ready(Response),
@@ -182,7 +155,7 @@ where
     M: SelectivityEstimator + Send + Sync + 'static,
     W: Write + Send,
 {
-    let (tx, rx) = mpsc::sync_channel::<PendingReply>(max_inflight());
+    let (tx, rx) = mpsc::sync_channel::<PendingReply>(MAX_INFLIGHT_PER_CONNECTION);
     std::thread::scope(|scope| {
         let writer_thread = scope.spawn(move || -> io::Result<()> {
             let mut writer = writer;
@@ -204,12 +177,6 @@ where
         let read_result: io::Result<()> = (|| {
             while let Some(frame) = Frame::read_v2(reader)? {
                 let pending = match frame {
-                    Frame::Stats { model } => {
-                        PendingReply::Ready(match engine.stats_report(model.as_deref()) {
-                            Some(text) => Response::Stats(text),
-                            None => Response::Error(unknown_model_reply(model.as_deref())),
-                        })
-                    }
                     Frame::Query { model, x, ts } => {
                         let req = Request::new(x).thresholds(ts).model_opt(model);
                         match engine.submit(req) {
@@ -264,8 +231,9 @@ where
 /// a broken generator), but **engine refusals** — an unknown `@model`, a
 /// mis-shaped query, admission control — are mirrored as typed
 /// `!error <code> <message>` lines and the loop continues, matching the
-/// v2 wire contract. `?stats [model]` lines answer with `#`-prefixed
-/// report lines (comments to any downstream parser).
+/// v2 wire contract. A `?metrics` line answers with the Prometheus
+/// exposition, one `# `-prefixed line per metric line (comments to any
+/// downstream parser).
 pub fn serve_lines<M>(
     engine: &Engine<M>,
     input: &mut impl BufRead,
@@ -281,20 +249,7 @@ where
             TextLine::parse(&line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         match parsed {
             None => continue,
-            Some(TextLine::Stats(model)) => match engine.stats_report(model.as_deref()) {
-                Some(report) => {
-                    for rline in report.lines() {
-                        writeln!(output, "# stats {rline}")?;
-                    }
-                }
-                None => {
-                    let reply = unknown_model_reply(model.as_deref());
-                    writeln!(output, "{}", protocol::render_text_error(&reply))?;
-                }
-            },
             Some(TextLine::Metrics) => {
-                // metrics lines are `#`-prefixed for the same reason stats
-                // lines are: comments to any downstream estimate parser
                 for mline in engine.metrics_text().lines() {
                     writeln!(output, "# {mline}")?;
                 }
@@ -434,8 +389,7 @@ mod tests {
         registry.register("one", Scaled(1.0)).unwrap();
         registry.register("ten", Scaled(10.0)).unwrap();
         let eng = Engine::start(Arc::clone(&registry), &EngineConfig::default());
-        let input =
-            "@ten 1.0 | 2.0\n@one 1.0 | 2.0\n@ghost 1.0 | 2.0\n?stats ten\n?stats\n?stats ghost\n";
+        let input = "@ten 1.0 | 2.0\n@one 1.0 | 2.0\n@ghost 1.0 | 2.0\n?metrics\n";
         let mut out = Vec::new();
         let served = serve_lines(&eng, &mut input.as_bytes(), &mut out).unwrap();
         assert_eq!(served, 2, "the ghost query is refused, not served");
@@ -448,33 +402,17 @@ mod tests {
             "line: {}",
             lines[2]
         );
-        assert!(
-            lines[3].starts_with("# stats tenant=ten generation=0"),
-            "line: {}",
-            lines[3]
-        );
-        // the fleet report: a fleet line plus one line per tenant, all
-        // comment-prefixed so downstream parsers skip them
-        assert!(
-            lines[4].starts_with("# stats fleet requests="),
-            "line: {}",
-            lines[4]
-        );
-        assert!(
-            lines[5].starts_with("# stats tenant=one"),
-            "line: {}",
-            lines[5]
-        );
-        assert!(
-            lines[6].starts_with("# stats tenant=ten"),
-            "line: {}",
-            lines[6]
-        );
-        assert!(
-            lines[7].starts_with("!error unknown-model"),
-            "line: {}",
-            lines[7]
-        );
+        // the exposition: every line comment-prefixed so downstream
+        // parsers skip it, the fleet and each tenant counted apart
+        assert!(lines[3..].iter().all(|l| l.starts_with("# ")), "{text}");
+        for sample in [
+            "# selnet_requests_total 2",
+            "# selnet_requests_total{tenant=\"one\"} 1",
+            "# selnet_requests_total{tenant=\"ten\"} 1",
+            "# selnet_tenant_generation{tenant=\"ten\"} 0",
+        ] {
+            assert!(lines.contains(&sample), "missing {sample:?} in:\n{text}");
+        }
         eng.shutdown();
     }
 
@@ -532,7 +470,7 @@ mod tests {
         eng.shutdown();
     }
 
-    /// The v2 contract: handshake, routed queries, per-tenant stats, and
+    /// The v2 contract: handshake, routed queries, a metrics scrape, and
     /// typed errors that answer one request while the connection (and the
     /// requests pipelined behind it) keep going.
     #[test]
@@ -553,7 +491,7 @@ mod tests {
         let (mut reader, mut writer) = handshake(&stream);
 
         // pipeline a burst before reading anything: queries to both
-        // tenants, a refusal in the middle, and a stats scrape at the end
+        // tenants, a refusal in the middle, and a metrics scrape at the end
         for i in 0..4 {
             Frame::Query {
                 model: Some(if i % 2 == 0 { "one" } else { "ten" }.into()),
@@ -584,11 +522,7 @@ mod tests {
         }
         .write_v2(&mut writer)
         .unwrap();
-        Frame::Stats {
-            model: Some("ten".into()),
-        }
-        .write_v2(&mut writer)
-        .unwrap();
+        Frame::Metrics.write_v2(&mut writer).unwrap();
         writer.flush().unwrap();
 
         // replies arrive in request order
@@ -612,10 +546,15 @@ mod tests {
             other => panic!("expected estimates after refusals, got {other:?}"),
         }
         match Response::read_v2(&mut reader).unwrap().unwrap() {
-            Response::Stats(text) => {
-                assert!(text.starts_with("tenant=ten generation=0"), "stats: {text}");
+            // answered as it is read, so the queries ahead of it may not
+            // be counted yet: only the tenant set is certain
+            Response::Metrics(text) => {
+                assert!(
+                    text.contains("selnet_tenant_generation{tenant=\"ten\"} 0"),
+                    "metrics: {text}"
+                );
             }
-            other => panic!("expected stats, got {other:?}"),
+            other => panic!("expected metrics, got {other:?}"),
         }
         drop(writer);
         drop(reader);
@@ -624,7 +563,7 @@ mod tests {
         eng.shutdown();
     }
 
-    /// A fleet stats scrape over v2 lists every tenant.
+    /// A fleet metrics scrape over v2 lists every tenant.
     #[test]
     fn v2_fleet_stats_lists_all_tenants() {
         let registry = Arc::new(ModelRegistry::empty());
@@ -635,15 +574,20 @@ mod tests {
 
         let stream = TcpStream::connect(server.addr).unwrap();
         let (mut reader, mut writer) = handshake(&stream);
-        Frame::Stats { model: None }.write_v2(&mut writer).unwrap();
+        Frame::Metrics.write_v2(&mut writer).unwrap();
         writer.flush().unwrap();
         match Response::read_v2(&mut reader).unwrap().unwrap() {
-            Response::Stats(text) => {
-                assert!(text.starts_with("fleet "), "stats: {text}");
-                assert!(text.contains("tenant=one "), "stats: {text}");
-                assert!(text.contains("tenant=ten "), "stats: {text}");
+            Response::Metrics(text) => {
+                assert!(
+                    text.contains("selnet_requests_total 0\n"),
+                    "metrics: {text}"
+                );
+                for name in ["one", "ten"] {
+                    let sample = format!("selnet_tenant_generation{{tenant=\"{name}\"}} 0\n");
+                    assert!(text.contains(&sample), "metrics: {text}");
+                }
             }
-            other => panic!("expected stats, got {other:?}"),
+            other => panic!("expected metrics, got {other:?}"),
         }
         drop(writer);
         drop(reader);

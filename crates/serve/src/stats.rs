@@ -18,7 +18,6 @@
 
 use crate::cache::CacheShardStats;
 use selnet_obs::{Counter, Histogram, HistogramSnapshot, SlowQuery, SlowQueryLog};
-use std::time::Instant;
 
 /// Slow queries each stats instance retains (newest win); the total ever
 /// seen is counted separately and never truncates.
@@ -27,7 +26,6 @@ const SLOW_LOG_CAP: usize = 128;
 /// One tenant's serving counters. All methods take `&self` and are
 /// lock-free — engine workers never contend on telemetry.
 pub struct ServeStats {
-    started: Instant,
     pub(crate) requests: Counter,
     pub(crate) rows: Counter,
     pub(crate) batches: Counter,
@@ -57,10 +55,9 @@ impl Default for ServeStats {
 }
 
 impl ServeStats {
-    /// Fresh counters; `started` is now.
+    /// Fresh counters, all zero.
     pub fn new() -> Self {
         ServeStats {
-            started: Instant::now(),
             requests: Counter::new(),
             rows: Counter::new(),
             batches: Counter::new(),
@@ -166,7 +163,7 @@ impl ServeStats {
     /// A consistent copy of the counters with percentiles computed from
     /// the latency histogram — no lock, no sort, O(buckets).
     pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot::fold(&[self], self.started.elapsed().as_secs_f64())
+        StatsSnapshot::fold(&[self])
     }
 }
 
@@ -204,12 +201,6 @@ pub struct StatsSnapshot {
     pub p99_latency_us: u64,
     /// Largest end-to-end request latency observed, microseconds.
     pub max_latency_us: u64,
-    /// Seconds since the counters were created.
-    pub elapsed_secs: f64,
-    /// Mean request throughput over the whole run.
-    pub requests_per_sec: f64,
-    /// Mean row throughput over the whole run.
-    pub rows_per_sec: f64,
     /// Mean **batch-evaluated** rows per coalesced batch — the coalescing
     /// win in one number (inline serves and cache hits are excluded from
     /// the numerator; `0` when no batch has run).
@@ -223,12 +214,12 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// The one way counters become a report: every counter summed over
+    /// The one way counters become a snapshot: every counter summed over
     /// `stats`, the latency histograms merged (same buckets, counts add —
-    /// so p50 / p99 / max are those of all the samples together), rates
-    /// over `elapsed_secs`. One tenant's snapshot is this over one; the
-    /// fleet's is this over every tenant.
-    pub(crate) fn fold(stats: &[&ServeStats], elapsed_secs: f64) -> StatsSnapshot {
+    /// so p50 / p99 / max are those of all the samples together). One
+    /// tenant's snapshot is this over one; the fleet's is this over every
+    /// tenant.
+    pub(crate) fn fold(stats: &[&ServeStats]) -> StatsSnapshot {
         let sum = |counter: fn(&ServeStats) -> &Counter| -> u64 {
             stats.iter().map(|s| counter(s).get()).sum()
         };
@@ -236,12 +227,10 @@ impl StatsSnapshot {
         for s in stats {
             lat.merge(&s.latency_us.snapshot());
         }
-        let requests = sum(|s| &s.requests);
-        let rows = sum(|s| &s.rows);
         let batches = sum(|s| &s.batches);
         StatsSnapshot {
-            requests,
-            rows,
+            requests: sum(|s| &s.requests),
+            rows: sum(|s| &s.rows),
             batches,
             cache_hits: sum(|s| &s.cache_hits),
             inline_requests: sum(|s| &s.inline_requests),
@@ -250,9 +239,6 @@ impl StatsSnapshot {
             p50_latency_us: lat.quantile(0.50),
             p99_latency_us: lat.quantile(0.99),
             max_latency_us: lat.max,
-            elapsed_secs,
-            requests_per_sec: requests as f64 / elapsed_secs.max(1e-9),
-            rows_per_sec: rows as f64 / elapsed_secs.max(1e-9),
             // only batch-evaluated rows count, so inline serves and cache
             // hits cannot inflate the reported coalescing win
             mean_batch_rows: if batches == 0 {
@@ -272,46 +258,6 @@ impl StatsSnapshot {
     /// Cache evictions summed across shards.
     pub fn cache_evictions(&self) -> u64 {
         self.cache_shards.iter().map(|s| s.evictions).sum()
-    }
-}
-
-impl std::fmt::Display for StatsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "requests={} rows={} batches={} mean_batch_rows={:.2} inline={} cache_hits={} \
-             shed={} slow={} p50_us={} p99_us={} max_us={} req_per_s={:.1} rows_per_s={:.1} \
-             elapsed_s={:.2}{}",
-            self.requests,
-            self.rows,
-            self.batches,
-            self.mean_batch_rows,
-            self.inline_requests,
-            self.cache_hits,
-            self.shed_requests,
-            self.slow_requests,
-            self.p50_latency_us,
-            self.p99_latency_us,
-            self.max_latency_us,
-            self.requests_per_sec,
-            self.rows_per_sec,
-            self.elapsed_secs,
-            if self.cache_shards.is_empty() {
-                String::new()
-            } else {
-                let shards: Vec<String> = self
-                    .cache_shards
-                    .iter()
-                    .map(|s| format!("{}h/{}m/{}e/{}r", s.hits, s.misses, s.evictions, s.entries))
-                    .collect();
-                format!(
-                    " cache_misses={} cache_evictions={} cache_shards=[{}]",
-                    self.cache_misses(),
-                    self.cache_evictions(),
-                    shards.join(" ")
-                )
-            },
-        )
     }
 }
 
@@ -344,9 +290,6 @@ mod tests {
         // only the batch's 12 rows count toward the coalescing mean — the
         // 200 rows recorded one request at a time (the inline path) do not
         assert_eq!(snap.mean_batch_rows, 12.0);
-        let line = snap.to_string();
-        assert!(line.contains("p99_us=102"), "display: {line}");
-        assert!(line.contains("shed=1"), "display: {line}");
     }
 
     #[test]
@@ -399,7 +342,6 @@ mod tests {
         let log = s.slow_queries();
         assert_eq!(log.len(), 128, "the log is bounded");
         assert_eq!(log.last().unwrap().trace_id, 200, "newest kept");
-        assert!(s.snapshot().to_string().contains("slow=200"));
     }
 
     #[test]

@@ -11,7 +11,8 @@ use selnet_eval::SelectivityEstimator;
 use selnet_metric::DistanceKind;
 use selnet_obs::HistogramSnapshot;
 use selnet_serve::engine::{Engine, EngineConfig, Request, SubmitError};
-use selnet_serve::registry::ModelRegistry;
+use selnet_serve::registry::{ModelRegistry, Tenant};
+use selnet_serve::StatsSnapshot;
 use selnet_workload::{generate_workload, Workload, WorkloadConfig};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -91,7 +92,6 @@ fn concurrent_two_tenant_traffic_is_bit_identical_per_tenant() {
             max_queue_rows: 0,
             slow_query_us: 0,
             trace_buffer: 0,
-            replay_threads: 1,
         },
     );
     let clients = 4;
@@ -158,104 +158,20 @@ fn concurrent_two_tenant_traffic_is_bit_identical_per_tenant() {
         }
     });
     // both tenants saw traffic, and the fleet counters are the sum
-    let per_tenant = engine.tenant_stats();
+    let per_tenant = engine.registry().tenants();
     assert_eq!(per_tenant.len(), 2);
-    let tenant_requests: u64 = per_tenant.iter().map(|t| t.stats.requests).sum();
+    let requests = |t: &Tenant<PartitionedSelNet>| t.stats().snapshot().requests;
+    let tenant_requests: u64 = per_tenant.iter().map(|t| requests(t)).sum();
     assert_eq!(tenant_requests, (clients * rounds * pool.len()) as u64);
     assert_eq!(engine.stats_snapshot().requests, tenant_requests);
     for t in &per_tenant {
         assert!(
-            t.stats.requests > 0,
+            requests(t) > 0,
             "tenant {} must have served traffic",
-            t.name
+            t.name()
         );
     }
     engine.shutdown();
-}
-
-/// `replay_threads > 1` (row-chunked parallel replay inside each drained
-/// batch) must be invisible in the answers: under concurrent multi-tenant
-/// traffic, every reply is bit-identical to the routed tenant's model
-/// served alone single-threaded. Large coalesced batches plus a tiny
-/// worker count make the chunked path actually engage, and a serial
-/// control engine double-checks the equivalence end to end.
-#[test]
-fn parallel_replay_serves_bit_identical_answers_under_multi_tenant_traffic() {
-    let (ds, w) = data_fixture(77);
-    let model_a = train(&ds, &w, 77, 2);
-    let model_b = train(&ds, &w, 178, 3);
-    let pool = query_pool(&ds, model_a.tmax(), 24);
-    let expected_a: Vec<Vec<f64>> = pool
-        .iter()
-        .map(|(x, ts)| model_a.estimate_many(x, ts))
-        .collect();
-    let expected_b: Vec<Vec<f64>> = pool
-        .iter()
-        .map(|(x, ts)| model_b.estimate_many(x, ts))
-        .collect();
-
-    let mk_engine = |replay_threads: usize| {
-        let registry = Arc::new(ModelRegistry::empty());
-        registry.register("alpha", model_a.clone()).unwrap();
-        registry.register("beta", model_b.clone()).unwrap();
-        Engine::start(
-            registry,
-            &EngineConfig {
-                // one worker + deep batches: drained batches are large, so
-                // the replay fan-out is the only parallelism in play
-                workers: 1,
-                shards: 1,
-                max_batch_rows: 128,
-                cache_entries: 0,
-                max_queue_rows: 0,
-                slow_query_us: 0,
-                trace_buffer: 0,
-                replay_threads,
-            },
-        )
-    };
-
-    for replay_threads in [2usize, 4] {
-        let engine = mk_engine(replay_threads);
-        std::thread::scope(|scope| {
-            for c in 0..3usize {
-                let engine = &engine;
-                let pool = &pool;
-                let expected_a = &expected_a;
-                let expected_b = &expected_b;
-                scope.spawn(move || {
-                    // pipelined bursts keep the queue deep so coalesced
-                    // batches span many requests and both tenants
-                    let handles: Vec<(usize, &str, _)> = (0..pool.len())
-                        .map(|i| {
-                            let idx = (i + c * 11) % pool.len();
-                            let (x, ts) = &pool[idx];
-                            let name = if (idx + c).is_multiple_of(2) {
-                                "alpha"
-                            } else {
-                                "beta"
-                            };
-                            (idx, name, engine.submit(req(name, x, ts)).expect("running"))
-                        })
-                        .collect();
-                    for (idx, name, handle) in handles {
-                        let expected = if name == "alpha" {
-                            &expected_a[idx]
-                        } else {
-                            &expected_b[idx]
-                        };
-                        assert_eq!(
-                            &handle.wait().expect("served"),
-                            expected,
-                            "client {c} query {idx}: replay_threads={replay_threads} answer \
-                             for tenant {name} differs from its model served alone"
-                        );
-                    }
-                });
-            }
-        });
-        engine.shutdown();
-    }
 }
 
 /// Hot-swapping one tenant mid-traffic must leave the other tenant
@@ -298,7 +214,6 @@ fn hot_swapping_one_tenant_never_perturbs_the_other() {
             max_queue_rows: 0,
             slow_query_us: 0,
             trace_buffer: 0,
-            replay_threads: 1,
         },
     );
     std::thread::scope(|scope| {
@@ -382,7 +297,6 @@ fn observability_on_and_off_serve_bit_identical_answers() {
                 max_queue_rows: 0,
                 slow_query_us,
                 trace_buffer,
-                replay_threads: 1,
             },
         )
     };
@@ -477,8 +391,8 @@ impl SelectivityEstimator for Gated {
 /// The fleet view is nothing but the fold of its tenants: after mixed
 /// pipelined + blocking traffic over three tenants — one of them
 /// registered after the engine started —, a forced shed and a slow
-/// query, `stats_snapshot()` is the field-by-field sum of
-/// `tenant_stats()` and its percentiles are those of the tenants' merged
+/// query, `stats_snapshot()` is the field-by-field sum of the tenants'
+/// own snapshots and its percentiles are those of the tenants' merged
 /// latency histograms. And counting happens before the reply: a client
 /// returning from `wait()` finds its request in the next snapshot.
 #[test]
@@ -502,7 +416,6 @@ fn fleet_stats_are_the_fold_of_the_tenants() {
             max_queue_rows: 12,
             slow_query_us: 2_000,
             trace_buffer: 0,
-            replay_threads: 1,
         },
     );
     // a tenant registered after start must be in the fold too
@@ -593,14 +506,10 @@ fn fleet_stats_are_the_fold_of_the_tenants() {
 
     // quiescent: the fleet is the sum of the tenants, field by field
     let fleet = engine.stats_snapshot();
-    let tenants = engine.tenant_stats();
-    assert_eq!(
-        tenants.iter().map(|t| t.name.as_str()).collect::<Vec<_>>(),
-        names
-    );
-    let sum = |field: fn(&selnet_serve::StatsSnapshot) -> u64| -> u64 {
-        tenants.iter().map(|t| field(&t.stats)).sum()
-    };
+    let tenants = registry.tenants();
+    assert_eq!(tenants.iter().map(|t| t.name()).collect::<Vec<_>>(), names);
+    let tenants: Vec<StatsSnapshot> = tenants.iter().map(|t| t.stats().snapshot()).collect();
+    let sum = |field: fn(&StatsSnapshot) -> u64| -> u64 { tenants.iter().map(field).sum() };
     assert_eq!(fleet.requests, sum(|s| s.requests));
     assert_eq!(fleet.rows, sum(|s| s.rows));
     assert_eq!(fleet.batches, sum(|s| s.batches));
@@ -608,15 +517,15 @@ fn fleet_stats_are_the_fold_of_the_tenants() {
     assert_eq!(fleet.inline_requests, sum(|s| s.inline_requests));
     assert_eq!(fleet.shed_requests, sum(|s| s.shed_requests));
     assert_eq!(fleet.slow_requests, sum(|s| s.slow_requests));
-    for t in &tenants {
-        assert!(t.stats.requests > 0, "tenant {} saw no traffic", t.name);
+    for (t, name) in tenants.iter().zip(names) {
+        assert!(t.requests > 0, "tenant {name} saw no traffic");
     }
     assert!(fleet.batches > 0 && fleet.inline_requests > 0 && fleet.shed_requests > 0);
     assert_eq!(fleet.slow_requests as usize, engine.slow_queries().len());
     // mean_batch_rows from the summed numerators, not a mean of means
     let batch_rows: f64 = tenants
         .iter()
-        .map(|t| t.stats.mean_batch_rows * t.stats.batches as f64)
+        .map(|t| t.mean_batch_rows * t.batches as f64)
         .sum();
     assert!((fleet.mean_batch_rows - batch_rows / fleet.batches as f64).abs() < 1e-9);
 

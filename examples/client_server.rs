@@ -1,7 +1,7 @@
 //! Multi-tenant serving over TCP with the persistent-connection client:
 //! train two tiny estimators, register them as named tenants behind one
 //! v2 server, then drive them with pipelined `selnet-client` connections
-//! — routed queries, typed refusals, and per-tenant stats scrapes.
+//! — routed queries, typed refusals, and a Prometheus metrics scrape.
 //!
 //! ```text
 //! cargo run --release -p selnet-examples --example client_server
@@ -108,12 +108,15 @@ fn main() {
         other => panic!("expected a typed refusal, got {other:?}"),
     }
 
-    // 6. the same connection scrapes per-tenant and fleet telemetry
-    for (name, _, _) in &tenants {
-        println!("{}", conn.stats(Some(name)).expect("tenant stats"));
+    // 6. the same connection scrapes the fleet's telemetry: one
+    // Prometheus exposition, each family's fleet sample then one per tenant
+    let metrics = conn.metrics().expect("metrics scrape");
+    for line in metrics
+        .lines()
+        .filter(|l| l.starts_with("selnet_requests_total"))
+    {
+        println!("{line}");
     }
-    println!("--- fleet ---");
-    println!("{}", conn.stats(None).expect("fleet stats"));
 
     drop(conn);
     stop.store(true, Ordering::SeqCst);

@@ -64,9 +64,10 @@ fn main() {
             });
         }
     });
+    let stats = engine.stats_snapshot();
     println!(
-        "served 800 concurrent requests: {}",
-        engine.stats_snapshot()
+        "served {} concurrent requests: {} batches of {:.1} rows, p99 {} us",
+        stats.requests, stats.batches, stats.mean_batch_rows, stats.p99_latency_us
     );
 
     // 5. hot swap: retrain off-thread (§5.4) and publish atomically —
