@@ -17,11 +17,14 @@ use selnet_bench::harness::{
 };
 use selnet_core::{
     fit_fixed_grid, fit_named, fit_partitioned, fit_selnet_head, LossKind, PartitionConfig,
-    SelNetConfig, TauNormalization, UpdatePolicy,
+    PartitionedSelNet, SelNetConfig, TauNormalization, UpdatePolicy,
 };
+use selnet_data::Dataset;
 use selnet_eval::{average_estimate_ms, empirical_monotonicity, evaluate, SelectivityEstimator};
 use selnet_index::PartitionMethod;
-use selnet_workload::{sorted_distances, ThresholdScheme, UpdateSimulator, Workload};
+use selnet_workload::{
+    sorted_distances, DriftSchedule, ThresholdScheme, UpdateSimulator, Workload,
+};
 use std::fmt::Display;
 use std::path::Path;
 
@@ -458,27 +461,72 @@ fn fig4(run: &Run) -> Vec<Table> {
 }
 
 /// A stream of update operations (each ±5 records) on face-cos and
-/// fasttext-cos, the §5.4 rule deciding after each one whether to retrain.
+/// fasttext-cos, the §5.4 rule deciding after each one whether to retrain;
+/// then the fasttext-cos stream again from the same trained model, once
+/// per `DriftSchedule` family, its inserts placed by the schedule.
 fn fig5(run: &Run) -> Vec<Table> {
+    let (scale, seed) = (&run.scale, run.scale.seed);
     let num_ops = if run.quick { 20 } else { 100 };
-    let rows = [Setting::FaceCos, Setting::FasttextCos]
-        .into_iter()
-        .flat_map(|setting| update_stream(setting, &run.scale, num_ops));
-    vec![Table {
-        file: "fig5_updates.csv".into(),
-        title: format!("Figure 5: data update stream ({num_ops} ops, ±5 records each)"),
-        header: "setting,op,action,mse,mape,retrained",
-        rows: rows.collect(),
-    }]
+    let start = |setting: Setting| -> Start {
+        eprintln!("[repro fig5] {}", setting.label());
+        let (ds, w) = build_setting(setting, scale);
+        let model = fit_named(&ds, &w, &selnet_config(scale), "SelNet-ct").0;
+        (ds, w, model)
+    };
+    let (face, ft) = (Setting::FaceCos, Setting::FasttextCos);
+    let mut updates = update_stream(face.label(), &start(face), seed, num_ops, None);
+    let trained = start(ft);
+    updates.extend(update_stream(ft.label(), &trained, seed, num_ops, None));
+    let drift = drift_schedules(&trained, seed, num_ops)
+        .iter()
+        .flat_map(|s| update_stream(s.label(), &trained, seed, num_ops, Some(s)))
+        .collect();
+    vec![
+        Table {
+            file: "fig5_updates.csv".into(),
+            title: format!("Figure 5: data update stream ({num_ops} ops, ±5 records each)"),
+            header: "setting,op,action,mse,mape,retrained",
+            rows: updates,
+        },
+        Table {
+            file: "fig5_drift.csv".into(),
+            title: format!("Figure 5 under drift: fasttext-cos, {num_ops} ops per schedule"),
+            header: "schedule,op,action,mse,mape,retrained",
+            rows: drift,
+        },
+    ]
 }
 
-fn update_stream(setting: Setting, scale: &Scale, num_ops: usize) -> Vec<Vec<String>> {
-    let label = setting.label();
-    eprintln!("[repro fig5] {label}");
-    let (mut ds, w) = build_setting(setting, scale);
-    let mut model = fit_named(&ds, &w, &selnet_config(scale), "SelNet-ct").0;
+/// Where a `fig5` stream starts: a setting's data and workload, and the
+/// SelNet-ct trained on them.
+type Start = (Dataset, Workload, PartitionedSelNet);
+
+/// The four drift families, sized by the model's threshold range so a
+/// magnitude means the same at every scale; the adversarial shell
+/// surrounds the first test query.
+fn drift_schedules((ds, w, model): &Start, seed: u64, num_ops: usize) -> [DriftSchedule; 4] {
+    let (dim, tmax, period) = (ds.dim(), model.tmax(), (num_ops / 2).max(2));
+    let center = w.test.first().map_or(ds.row(0), |q| &q.x[..]).to_vec();
+    [
+        DriftSchedule::gradual(dim, seed ^ 1, 0.5 * tmax / num_ops as f32),
+        DriftSchedule::abrupt(dim, seed ^ 2, 0.5 * tmax, num_ops / 3),
+        DriftSchedule::cyclical(dim, seed ^ 3, 0.4 * tmax, period),
+        DriftSchedule::adversarial(center, 0.3 * tmax, 0.9 * tmax, period),
+    ]
+}
+
+/// `num_ops` updates from a trained start, undrifted (`sim.step`) or
+/// placed by `drift`, one row per operation.
+fn update_stream(
+    label: &str,
+    (ds, w, model): &Start,
+    seed: u64,
+    num_ops: usize,
+    drift: Option<&DriftSchedule>,
+) -> Vec<Vec<String>> {
+    let (mut ds, mut model) = (ds.clone(), model.clone());
     let (mut train, mut valid, mut test) = (w.train.clone(), w.valid.clone(), w.test.clone());
-    let mut sim = UpdateSimulator::new(scale.seed ^ 0xf1f5);
+    let mut sim = UpdateSimulator::new(seed ^ 0xf1f5);
     // tolerance relative to the trained model's validation MAE
     let policy = UpdatePolicy {
         mae_tolerance: (model.reference_val_mae() * 0.15).max(0.5),
@@ -489,7 +537,10 @@ fn update_stream(setting: Setting, scale: &Scale, num_ops: usize) -> Vec<Vec<Str
     let mut rows = vec![row![label, 0, "init", m0.mse, m0.mape, 0]];
     for op in 1..=num_ops {
         let mut splits = [&mut train[..], &mut valid[..], &mut test[..]];
-        sim.step(&mut ds, &mut splits, w.kind);
+        match drift {
+            None => sim.step(&mut ds, &mut splits, w.kind),
+            Some(schedule) => sim.step_drifted(&mut ds, &mut splits, w.kind, &schedule.at(op - 1)),
+        };
         let update = model.check_and_update(&ds, w.kind, &train, &valid, &policy);
         let (m, retrained) = (evaluate(&model, &test), update.retrained());
         let action = if retrained { "retrain" } else { "skip" };
@@ -567,5 +618,22 @@ mod tests {
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].rows.len(), 2);
         assert_eq!(first, tau_norm(&run));
+    }
+
+    /// `fig5` returns the update stream and, beside it, one block of
+    /// `ops + 1` rows per drift family, in order — the same on every run.
+    #[test]
+    fn fig5_has_one_drift_block_per_family() {
+        let (_, fig5, run) = parsed(&format!("fig5 --quick {TINY}")).unwrap();
+        let first = fig5(&run);
+        assert_eq!(first.len(), 2);
+        assert_eq!(first[1].file, "fig5_drift.csv");
+        assert_eq!(first[1].rows.len(), 4 * 21);
+        let families = ["gradual", "abrupt", "cyclical", "adversarial"];
+        for (block, family) in first[1].rows.chunks(21).zip(families) {
+            assert_eq!(block[0][..3], [family, "0", "init"]);
+            assert!(block.iter().all(|row| row[0] == family));
+        }
+        assert_eq!(first, fig5(&run));
     }
 }

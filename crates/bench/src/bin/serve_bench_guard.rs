@@ -13,21 +13,19 @@
 //! figure are medians of paired, alternating rounds ([`paired_ratios`]),
 //! not quotients of two independent timings.
 //!
-//! It also bounds the flight recorder (`obs_overhead_max` /
-//! `obs_slowpath_max`, see [`check_obs_overhead`]), validates the
-//! recorded multi-core `scaling` block (shape + the ≥1.5x@4t requirement
-//! when recorded on a ≥4-core host, see [`check_scaling_artifact`]), and
-//! validates the recorded `BENCH_drift.json` (when present):
-//! every schedule block must satisfy the floors the artifact itself
-//! carries — zero monotonicity violations, zero bit mismatches, at least
-//! one hot swap, and a bounded post-swap MAPE ratio. That check is pure
-//! (no re-run; the live re-proof is the CI `selnet-drift --assert` smoke
-//! job), so a hand-edited or stale artifact is caught cheaply.
+//! The four floors are read from the `floors` block of `BENCH_serve.json`
+//! ([`read_floors`]); a block that lacks one fails the guard rather than
+//! falling back to a constant. It also bounds the flight recorder
+//! (`obs_overhead_max` / `obs_slowpath_max`, see [`check_obs_overhead`])
+//! and validates the recorded multi-core `scaling` block (shape + the
+//! ≥1.5x@4t requirement when recorded on a ≥4-core host, see
+//! [`check_scaling_artifact`]).
 //!
 //! Run manually: `cargo run --release -p selnet-bench --bin serve_bench_guard`
 
-use selnet_bench::driftbench::{check_drift_block, json_section, DriftFloors, ScheduleSpec};
-use selnet_bench::servebench::{json_number, model_fixture, query_batch, time_ms, BATCH};
+use selnet_bench::servebench::{
+    json_number, json_section, model_fixture, query_batch, time_ms, BATCH,
+};
 use selnet_core::PartitionedSelNet;
 use selnet_eval::SelectivityEstimator;
 use selnet_serve::engine::{Engine, EngineConfig, Request};
@@ -36,65 +34,29 @@ use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-/// Validates the recorded `BENCH_drift.json` against the floors it
-/// carries. Missing file = skip (the artifact is recorded by
-/// `selnet-drift --scale full --out BENCH_drift.json`); a present but
-/// invalid artifact fails the guard.
-fn check_drift_artifact() -> Result<(), ()> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_drift.json");
-    let blob = match std::fs::read_to_string(path) {
-        Ok(b) => b,
-        Err(_) => {
-            eprintln!("serve_bench_guard: no BENCH_drift.json recorded; skipping drift floors");
-            return Ok(());
-        }
-    };
-    let mut floors = DriftFloors::default();
-    if let Some(block) = json_section(&blob, "floors") {
-        if let Some(v) = json_number(block, "max_monotonicity_violations") {
-            floors.max_monotonicity_violations = v;
-        }
-        if let Some(v) = json_number(block, "max_bit_mismatches") {
-            floors.max_bit_mismatches = v;
-        }
-        if let Some(v) = json_number(block, "min_hot_swaps") {
-            floors.min_hot_swaps = v;
-        }
-        if let Some(v) = json_number(block, "max_post_swap_mape_ratio") {
-            floors.max_post_swap_mape_ratio = v;
-        }
-        if let Some(v) = json_number(block, "min_queue_depth_samples") {
-            floors.min_queue_depth_samples = v;
-        }
+/// Reads the `floors` block of `BENCH_serve.json`:
+/// `speedup_batched_vs_single`, `plan_vs_tape`, `obs_overhead_max`,
+/// `obs_slowpath_max`, in that order. A missing key is an error.
+fn read_floors(blob: &str) -> Result<[f64; 4], String> {
+    let block = json_section(blob, "floors").ok_or("BENCH_serve.json has no floors block")?;
+    let keys = [
+        "speedup_batched_vs_single",
+        "plan_vs_tape",
+        "obs_overhead_max",
+        "obs_slowpath_max",
+    ];
+    let mut floors = [0.0; 4];
+    for (floor, key) in floors.iter_mut().zip(keys) {
+        *floor = json_number(block, key).ok_or(format!("the floors block lacks {key}"))?;
     }
-    let mut ok = true;
-    for spec in ScheduleSpec::all() {
-        let label = spec.label();
-        let Some(block) = json_section(&blob, label) else {
-            eprintln!("serve_bench_guard: FAIL BENCH_drift.json is missing the {label} block");
-            ok = false;
-            continue;
-        };
-        let failures = check_drift_block(block, &floors);
-        for f in &failures {
-            eprintln!("serve_bench_guard: FAIL drift[{label}]: {f}");
-        }
-        ok &= failures.is_empty();
-    }
-    if ok {
-        println!("serve_bench_guard: drift floors OK (4 schedules)");
-        Ok(())
-    } else {
-        Err(())
-    }
+    Ok(floors)
 }
 
 /// Validates the recorded `scaling` block in `BENCH_serve.json`: the
 /// 1/2/4/8-thread batched-replay entries must all be present and
 /// positive and — when the block was recorded on a host with ≥ 4 cores —
-/// the 4-thread speedup must reach 1.5x. Pure artifact check (no re-run),
-/// same shape as [`check_drift_artifact`]: the live re-proof of
-/// bit-identity is the test suite.
+/// the 4-thread speedup must reach 1.5x. Pure artifact check (no re-run):
+/// the live re-proof of bit-identity is the test suite.
 fn check_scaling_artifact(blob: &str) -> Result<(), ()> {
     let Some(block) = json_section(blob, "scaling") else {
         eprintln!("serve_bench_guard: FAIL BENCH_serve.json is missing the scaling block");
@@ -289,7 +251,6 @@ fn check_obs_overhead(
 }
 
 fn main() -> ExitCode {
-    let drift_ok = check_drift_artifact().is_ok();
     let floors_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
     let blob = match std::fs::read_to_string(floors_path) {
         Ok(b) => b,
@@ -298,11 +259,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let floors = blob.find("\"floors\"").map(|i| &blob[i..]).unwrap_or("");
-    let floor_batched = json_number(floors, "speedup_batched_vs_single").unwrap_or(2.0);
-    let floor_plan = json_number(floors, "plan_vs_tape").unwrap_or(1.05);
-    let floor_obs = json_number(floors, "obs_overhead_max").unwrap_or(1.03);
-    let floor_slowpath = json_number(floors, "obs_slowpath_max").unwrap_or(1.25);
+    let [floor_batched, floor_plan, floor_obs, floor_slowpath] = match read_floors(&blob) {
+        Ok(floors) => floors,
+        Err(e) => {
+            eprintln!("serve_bench_guard: FAIL {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let scaling_ok = check_scaling_artifact(&blob).is_ok();
 
     eprintln!("serve_bench_guard: training fixture...");
@@ -339,7 +302,7 @@ fn main() -> ExitCode {
          floor {floor_plan:.2})"
     );
 
-    let mut ok = drift_ok && scaling_ok;
+    let mut ok = scaling_ok;
     if speedup_batched < floor_batched {
         eprintln!(
             "serve_bench_guard: FAIL speedup_batched_vs_single {speedup_batched:.2} \
@@ -357,5 +320,25 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn read_floors_refuses_a_missing_key() {
+        let recorded = include_str!("../../../../BENCH_serve.json");
+        assert_eq!(read_floors(recorded), Ok([2.0, 1.05, 1.03, 1.25]));
+        let misspelt = recorded.replace("\"plan_vs_tape\"", "\"plan_vs_tap\"");
+        assert_eq!(
+            read_floors(&misspelt),
+            Err("the floors block lacks plan_vs_tape".into())
+        );
+        // a key outside the floors block does not stand in for it
+        let outside = r#"{ "plan": { "obs_slowpath_max": 1 }, "floors": {
+            "speedup_batched_vs_single": 2, "plan_vs_tape": 1, "obs_overhead_max": 1 } }"#;
+        assert!(read_floors(outside).is_err());
     }
 }

@@ -79,6 +79,30 @@ pub fn json_number(blob: &str, key: &str) -> Option<f64> {
     tail[..end].parse().ok()
 }
 
+/// Extracts the balanced `{ ... }` object that follows `"key":` — enough
+/// to scope [`json_number`] lookups to one block of `BENCH_serve.json`
+/// (`floors`, `scaling`) without a JSON dependency.
+pub fn json_section<'a>(blob: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\"");
+    let at = blob.find(&needle)?;
+    let rest = &blob[at + needle.len()..];
+    let open = rest.find('{')?;
+    let mut depth = 0usize;
+    for (i, c) in rest[open..].char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(&rest[open..open + i + 1]);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,5 +113,17 @@ mod tests {
         assert_eq!(json_number(blob, "speedup_batched_vs_single"), Some(2.5));
         assert_eq!(json_number(blob, "plan_vs_tape"), Some(1.2));
         assert_eq!(json_number(blob, "missing"), None);
+    }
+
+    #[test]
+    fn json_section_scopes_lookups_per_block() {
+        let blob = r#"{ "current": { "machine_cpus": 2, "inner": { "x": 1 } },
+                        "scaling": { "machine_cpus": 8 }, "floors": { "plan_vs_tape": 1 } }"#;
+        let current = json_section(blob, "current").unwrap();
+        let scaling = json_section(blob, "scaling").unwrap();
+        assert_eq!(json_number(current, "machine_cpus"), Some(2.0));
+        assert_eq!(json_number(scaling, "machine_cpus"), Some(8.0));
+        assert_eq!(json_number(current, "plan_vs_tape"), None);
+        assert!(json_section(blob, "missing").is_none());
     }
 }

@@ -95,7 +95,7 @@ impl UpdateDecision {
         }
     }
 
-    /// One-line outcome summary for swap lineage / gauntlet logs, e.g.
+    /// One-line outcome summary for update logs, e.g.
     /// `skipped(drift=0.42)` or `retrained(epochs=5, val_mae=1.73)`.
     pub fn summary(&self) -> String {
         match self {

@@ -87,5 +87,5 @@ pub mod stats;
 pub use cache::LruCache;
 pub use engine::{Engine, EngineConfig, Request, SubmitError};
 pub use protocol::{ErrorCode, ErrorReply, Frame, Response, TextQuery};
-pub use registry::{ModelRegistry, SwapRecord, Tenant, UpdateHandle};
+pub use registry::{ModelRegistry, Tenant, UpdateHandle};
 pub use stats::{ServeStats, StatsSnapshot};

@@ -27,26 +27,6 @@ use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Most-recent swap records a tenant keeps ([`Tenant::swap_log`]); older
-/// entries are dropped so a long-lived server's lineage stays bounded.
-const SWAP_LOG_CAP: usize = 512;
-
-/// One hot-swap observation: which generation was published, what
-/// published it, and how long the producing update ran. Wall-clock is
-/// *recorded* for reporting (the drift gauntlet's swap-latency series) —
-/// deterministic tests assert on generations and labels only.
-#[derive(Clone, Debug)]
-pub struct SwapRecord {
-    /// Generation number this swap published.
-    pub generation: u64,
-    /// Who published: `"spawn_update"` for background retrains, or the
-    /// caller-supplied label for explicit traced publishes.
-    pub label: String,
-    /// Wall-clock milliseconds the producing update ran (clone + retrain
-    /// + publish for background updates; 0 when unknown).
-    pub update_ms: f64,
-}
-
 /// The name under which [`ModelRegistry::new`] registers its single
 /// model, and the tenant unrouted (`model: None`) requests reach.
 pub const DEFAULT_MODEL: &str = "default";
@@ -74,9 +54,6 @@ pub struct Tenant<M> {
     id: u64,
     slot: RwLock<(u64, Arc<M>)>,
     stats: Arc<ServeStats>,
-    /// Generation lineage: one [`SwapRecord`] per traced publish, newest
-    /// last, capped at [`SWAP_LOG_CAP`].
-    swap_log: RwLock<Vec<SwapRecord>>,
 }
 
 impl<M> Tenant<M> {
@@ -86,7 +63,6 @@ impl<M> Tenant<M> {
             id,
             slot: RwLock::new((0, Arc::new(model))),
             stats: Arc::new(ServeStats::new()),
-            swap_log: RwLock::new(Vec::new()),
         }
     }
 
@@ -130,14 +106,13 @@ impl<M> Tenant<M> {
         guard.0
     }
 
-    /// [`Tenant::publish`] plus a [`SwapRecord`] in the tenant's lineage
-    /// log — how the gauntlet (and `spawn_update`) make hot swaps
-    /// observable. `update_ms` is the wall-clock cost of producing the
-    /// new model; pass 0 when unknown.
-    pub fn publish_traced(&self, model: M, label: &str, update_ms: f64) -> u64 {
+    /// [`Tenant::publish`] plus the swap's cost in the tenant's retrain
+    /// histogram (`selnet_retrain_us`) and, when the global recorder is
+    /// armed, a `retrain_publish` span — how `spawn_update` makes a hot
+    /// swap observable. `update_ms` is the wall-clock cost of producing
+    /// the new model; pass 0 when unknown.
+    pub fn publish_traced(&self, model: M, update_ms: f64) -> u64 {
         let generation = self.publish(model);
-        // the swap's cost also lands in the tenant's retrain histogram,
-        // joined to the lineage record below by its generation
         self.stats.record_retrain_ms(update_ms);
         let recorder = selnet_obs::trace::global();
         if recorder.is_enabled() {
@@ -152,24 +127,7 @@ impl<M> Tenant<M> {
                 0,
             );
         }
-        let mut log = write_recover(&self.swap_log);
-        if log.len() >= SWAP_LOG_CAP {
-            let excess = log.len() + 1 - SWAP_LOG_CAP;
-            log.drain(..excess);
-        }
-        log.push(SwapRecord {
-            generation,
-            label: label.to_string(),
-            update_ms,
-        });
         generation
-    }
-
-    /// The tenant's generation lineage: every traced publish since start
-    /// (or the most recent 512 of them), oldest first. Plain
-    /// [`Tenant::publish`] calls are not traced.
-    pub fn swap_log(&self) -> Vec<SwapRecord> {
-        read_recover(&self.swap_log).clone()
     }
 }
 
@@ -194,7 +152,7 @@ impl<M: Clone + Send + Sync + 'static> Tenant<M> {
             let mut model = (*tenant.current().1).clone();
             let report = update(&mut model);
             let update_ms = started.elapsed().as_secs_f64() * 1e3;
-            let generation = tenant.publish_traced(model, "spawn_update", update_ms);
+            let generation = tenant.publish_traced(model, update_ms);
             (report, generation)
         });
         UpdateHandle { join }
@@ -503,25 +461,15 @@ mod tests {
     }
 
     #[test]
-    fn swap_log_records_lineage_in_order() {
+    fn traced_publishes_land_in_the_retrain_histogram() {
         let reg = Arc::new(ModelRegistry::new(0u32));
         let tenant = reg.default_tenant().unwrap();
-        assert!(tenant.swap_log().is_empty());
-        tenant.publish(1); // untraced: must not appear in the lineage
-        tenant.publish_traced(2, "reload", 3.5);
+        tenant.publish(1); // untraced: not a retrain
+        assert_eq!(tenant.publish_traced(2, 3.5), 2);
         let handle = tenant.spawn_update(|m| *m += 10);
         let ((), generation) = handle.wait();
         assert_eq!(generation, 3);
-        let log = tenant.swap_log();
-        assert_eq!(log.len(), 2);
-        assert_eq!((log[0].generation, log[0].label.as_str()), (2, "reload"));
-        assert!((log[0].update_ms - 3.5).abs() < 1e-9);
-        assert_eq!(
-            (log[1].generation, log[1].label.as_str()),
-            (3, "spawn_update")
-        );
-        assert!(log[1].update_ms >= 0.0);
-        // both traced publishes also landed in the retrain histogram
+        // the traced publish and the spawn_update, not the plain publish
         let retrain = tenant.stats().retrain_histogram();
         assert_eq!(retrain.count, 2);
         assert!(
@@ -529,20 +477,6 @@ mod tests {
             "3.5 ms is 3500 µs, got {}",
             retrain.max
         );
-    }
-
-    #[test]
-    fn swap_log_is_capped() {
-        let reg = Arc::new(ModelRegistry::new(0u64));
-        let tenant = reg.default_tenant().unwrap();
-        for i in 0..(SWAP_LOG_CAP as u64 + 40) {
-            tenant.publish_traced(i, "churn", 0.0);
-        }
-        let log = tenant.swap_log();
-        assert_eq!(log.len(), SWAP_LOG_CAP);
-        // newest records survive, oldest are dropped
-        assert_eq!(log.last().unwrap().generation, SWAP_LOG_CAP as u64 + 40);
-        assert_eq!(log[0].generation, 41);
     }
 
     /// Same for the tenant-map lock: a panic during lookup must not wedge

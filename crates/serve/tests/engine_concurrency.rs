@@ -10,7 +10,9 @@ use selnet_eval::SelectivityEstimator;
 use selnet_metric::DistanceKind;
 use selnet_serve::engine::{Engine, EngineConfig, Request};
 use selnet_serve::registry::ModelRegistry;
-use selnet_workload::{generate_workload, Workload, WorkloadConfig};
+use selnet_workload::{
+    generate_workload, DriftSchedule, UpdateSimulator, Workload, WorkloadConfig,
+};
 use std::sync::Arc;
 
 fn data_fixture(seed: u64) -> (Dataset, Workload) {
@@ -73,8 +75,8 @@ fn concurrent_serving_is_bit_identical_to_sequential() {
             shards: 2,
             max_batch_rows: 16,
             cache_entries: 32,
-            // auto-tuning on: the drain cap follows queue depth, and must
-            // not change a single answer
+            // workers drain up to max_batch_rows across two shards,
+            // stealing when idle: none of it may change a single answer
             ..Default::default()
         },
     );
@@ -229,12 +231,13 @@ fn hot_swap_mid_traffic_never_tears_a_response() {
 /// plan and fresh parameters — and stays monotone in an ascending
 /// threshold grid. This drives a real §5.4 `spawn_update` retrain (which
 /// mutates a clone's `ParamStore`, exercising the version-keyed recompile)
-/// while clients hammer the engine.
+/// on drifted data while clients hammer the engine.
 #[test]
 fn plans_stay_generation_consistent_across_retrain_swap() {
-    let (ds, w) = data_fixture(97);
+    let (mut ds, w) = data_fixture(97);
     let model = train(&ds, &w, 97, 2);
-    let pool = query_pool(&ds, model.tmax(), 16);
+    let tmax = model.tmax();
+    let pool = query_pool(&ds, tmax, 16);
     // pre-swap truth from the plan path AND the tape path (they must agree
     // before we can attribute any served answer to a generation)
     let answers_old: Vec<Vec<f64>> = pool
@@ -260,6 +263,16 @@ fn plans_stay_generation_consistent_across_retrain_swap() {
             ..Default::default()
         },
     );
+    // drift the database first: a dozen ops of an adversarial shell around
+    // a pool query, the labels kept exact, so the retrain (K = 2) refreshes
+    // partition assignments over records the model was never built on
+    let (mut train_split, mut valid_split, kind) = (w.train.clone(), w.valid.clone(), w.kind);
+    let shell = DriftSchedule::adversarial(pool[0].0.clone(), 0.3 * tmax, 0.9 * tmax, 6);
+    let mut sim = UpdateSimulator::new(97);
+    for op in 0..12 {
+        let mut splits = [&mut train_split[..], &mut valid_split[..]];
+        sim.step_drifted(&mut ds, &mut splits, kind, &shell.at(op));
+    }
     // retrain a clone off-thread (negative tolerance: always retrains) and
     // publish it while traffic runs
     let policy = selnet_core::UpdatePolicy {
@@ -267,7 +280,6 @@ fn plans_stay_generation_consistent_across_retrain_swap() {
         patience: 1,
         max_epochs: 2,
     };
-    let (train_split, valid_split, kind) = (w.train.clone(), w.valid.clone(), w.kind);
     let handle = registry.spawn_update(move |m: &mut PartitionedSelNet| {
         m.check_and_update(&ds, kind, &train_split, &valid_split, &policy)
     });

@@ -666,7 +666,7 @@ fn metrics_text_keeps_its_structure() {
     registry
         .get("beta")
         .unwrap()
-        .publish_traced(model(3.0), "golden", 2.5);
+        .publish_traced(model(3.0), 2.5);
 
     let text = engine.metrics_text();
     let mut structure: Vec<String> = Vec::new();

@@ -1,14 +1,13 @@
-//! Step-counted drift schedules for the §5.4 drift gauntlet.
+//! Step-counted drift schedules for §5.4 update streams (`repro fig5`'s
+//! drift table, `fig5_drift.csv`).
 //!
 //! A [`DriftSchedule`] is a *pure function of the operation index*: given
 //! op `i` it yields the [`DriftStep`] the simulator applies for that
 //! operation. There is no wall clock and no RNG inside a schedule — all
-//! randomness lives in [`crate::UpdateSimulator`], whose state is
-//! snapshottable — so the same schedule replays bit-for-bit at any scale,
-//! which is what lets one gauntlet double as a tier-1 test (tiny) and a
-//! recorded benchmark (full).
+//! randomness lives in the seeded [`crate::UpdateSimulator`] — so the
+//! same schedule and seed replay bit-for-bit at any scale.
 //!
-//! Four families cover the drift taxonomy the gauntlet measures:
+//! Four families cover the drift taxonomy:
 //!
 //! * **Gradual** — the insertion distribution slides along a fixed
 //!   direction at a constant per-op rate (slow covariate drift).
@@ -35,7 +34,7 @@ pub enum Placement {
     /// uniformly random unit direction `u` (plus a sliver of noise so the
     /// shell has nonzero thickness).
     Shell {
-        /// Shell center — typically a probe query the gauntlet also serves.
+        /// Shell center — typically a query the stream is scored on.
         center: Vec<f32>,
         /// Shell radius; the true selectivity surface of queries near
         /// `center` develops a knee at this threshold.

@@ -29,4 +29,4 @@ pub use generate::{
 };
 pub use partition_labels::label_partitions;
 pub use query::{LabeledQuery, PartitionedLabels, Workload};
-pub use update::{SimulatorSnapshot, UpdateOp, UpdateSimulator};
+pub use update::{UpdateOp, UpdateSimulator};

@@ -46,22 +46,6 @@ pub struct UpdateSimulator {
     pub noise: f32,
 }
 
-/// A resumable snapshot of an [`UpdateSimulator`]: the full RNG state
-/// plus the op-generation knobs. [`UpdateSimulator::restore`] rebuilds a
-/// simulator whose op stream continues **bit-for-bit** where the snapshot
-/// was taken — how an interrupted drift gauntlet replays exactly.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SimulatorSnapshot {
-    /// Opaque RNG state words (see `StdRng::state`).
-    pub rng_state: [u64; 4],
-    /// Records per operation.
-    pub batch: usize,
-    /// Probability an operation is an insertion.
-    pub insert_prob: f64,
-    /// Noise scale for synthesized insertions.
-    pub noise: f32,
-}
-
 impl UpdateSimulator {
     /// Creates a simulator matching the paper's §7.6 setting: 5 records per
     /// op, balanced inserts/deletes.
@@ -71,35 +55,6 @@ impl UpdateSimulator {
             batch: 5,
             insert_prob: 0.5,
             noise: 0.05,
-        }
-    }
-
-    /// The simulator's RNG state at this instant. Pair with the op index
-    /// to checkpoint a gauntlet (drift schedules are pure functions of the
-    /// op index and carry no RNG of their own).
-    pub fn rng_state(&self) -> [u64; 4] {
-        self.rng.state()
-    }
-
-    /// Captures a resumable snapshot of the simulator.
-    pub fn snapshot(&self) -> SimulatorSnapshot {
-        SimulatorSnapshot {
-            rng_state: self.rng.state(),
-            batch: self.batch,
-            insert_prob: self.insert_prob,
-            noise: self.noise,
-        }
-    }
-
-    /// Rebuilds a simulator from a [`SimulatorSnapshot`]; the resumed op
-    /// stream is bit-identical to the one the snapshotted simulator would
-    /// have produced.
-    pub fn restore(snap: &SimulatorSnapshot) -> Self {
-        UpdateSimulator {
-            rng: StdRng::from_state(snap.rng_state),
-            batch: snap.batch,
-            insert_prob: snap.insert_prob,
-            noise: snap.noise,
         }
     }
 

@@ -1,7 +1,6 @@
 //! Property tests for the §5.4 update simulator: per-seed determinism,
-//! size conservation, label finiteness over long streams, and bit-exact
-//! snapshot/resume — the guarantees the drift gauntlet's reproducibility
-//! rests on.
+//! size conservation and label finiteness over long streams — the
+//! guarantees `repro fig5`'s drift table rests on.
 
 use proptest::prelude::*;
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
@@ -28,17 +27,16 @@ fn fixture(seed: u64) -> (Dataset, Vec<LabeledQuery>) {
     (ds, w.train)
 }
 
-/// Runs `steps` ops under a gradual schedule, returning the applied ops.
+/// Runs ops `0..steps` under `schedule`, returning the applied ops.
 fn drive(
     sim: &mut UpdateSimulator,
     ds: &mut Dataset,
     queries: &mut [LabeledQuery],
     schedule: &DriftSchedule,
-    start_op: usize,
     steps: usize,
 ) -> Vec<UpdateOp> {
     let mut ops = Vec::with_capacity(steps);
-    for op in start_op..start_op + steps {
+    for op in 0..steps {
         let spec = schedule.at(op);
         let mut splits: Vec<&mut [LabeledQuery]> = vec![&mut *queries];
         ops.push(sim.step_drifted(ds, &mut splits, KIND, &spec));
@@ -59,12 +57,11 @@ proptest! {
         let (mut ds_b, mut qs_b) = (ds0, qs0);
         let mut sim_a = UpdateSimulator::new(seed);
         let mut sim_b = UpdateSimulator::new(seed);
-        let ops_a = drive(&mut sim_a, &mut ds_a, &mut qs_a, &schedule, 0, steps);
-        let ops_b = drive(&mut sim_b, &mut ds_b, &mut qs_b, &schedule, 0, steps);
+        let ops_a = drive(&mut sim_a, &mut ds_a, &mut qs_a, &schedule, steps);
+        let ops_b = drive(&mut sim_b, &mut ds_b, &mut qs_b, &schedule, steps);
         prop_assert_eq!(ops_a, ops_b);
         prop_assert_eq!(ds_a.flat(), ds_b.flat());
         prop_assert_eq!(qs_a, qs_b);
-        prop_assert_eq!(sim_a.rng_state(), sim_b.rng_state());
     }
 
     /// Dataset length always equals the initial length plus applied
@@ -75,7 +72,7 @@ proptest! {
         let (mut ds, mut qs) = fixture(5);
         let initial = ds.len();
         let mut sim = UpdateSimulator::new(seed);
-        let ops = drive(&mut sim, &mut ds, &mut qs, &schedule, 0, steps);
+        let ops = drive(&mut sim, &mut ds, &mut qs, &schedule, steps);
         let mut expected = initial as i64;
         for op in &ops {
             match op {
@@ -99,7 +96,7 @@ proptest! {
         let schedule = DriftSchedule::abrupt(4, seed ^ 11, 0.5, 40);
         let (mut ds, mut qs) = fixture(7);
         let mut sim = UpdateSimulator::new(seed);
-        drive(&mut sim, &mut ds, &mut qs, &schedule, 0, 80);
+        drive(&mut sim, &mut ds, &mut qs, &schedule, 80);
         prop_assert!(ds.flat().iter().all(|v| v.is_finite()));
         for q in &qs {
             for &y in &q.selectivities {
@@ -107,49 +104,4 @@ proptest! {
             }
         }
     }
-
-    /// Snapshot mid-stream, keep going; a simulator restored from the
-    /// snapshot replays the remainder bit-for-bit (ops, dataset, labels).
-    #[test]
-    fn snapshot_resume_replays_exactly(
-        seed in 0u64..1_000_000,
-        prefix in 3usize..15,
-        suffix in 3usize..15,
-    ) {
-        let schedule = DriftSchedule::gradual(4, seed ^ 5, 0.02);
-        let (mut ds, mut qs) = fixture(9);
-        let mut sim = UpdateSimulator::new(seed);
-        drive(&mut sim, &mut ds, &mut qs, &schedule, 0, prefix);
-
-        let snap = sim.snapshot();
-        let (ds_at_snap, qs_at_snap) = (ds.clone(), qs.clone());
-
-        let ops_live = drive(&mut sim, &mut ds, &mut qs, &schedule, prefix, suffix);
-
-        let mut resumed = UpdateSimulator::restore(&snap);
-        let (mut ds_r, mut qs_r) = (ds_at_snap, qs_at_snap);
-        let ops_resumed = drive(&mut resumed, &mut ds_r, &mut qs_r, &schedule, prefix, suffix);
-
-        prop_assert_eq!(ops_live, ops_resumed);
-        prop_assert_eq!(ds.flat(), ds_r.flat());
-        prop_assert_eq!(qs, qs_r);
-        prop_assert_eq!(sim.rng_state(), resumed.rng_state());
-    }
-}
-
-/// The snapshot round-trips through its public fields (a gauntlet can
-/// persist it as four u64s plus the knobs).
-#[test]
-fn snapshot_fields_round_trip() {
-    let mut sim = UpdateSimulator::new(42);
-    sim.batch = 7;
-    sim.insert_prob = 0.8;
-    sim.noise = 0.1;
-    let snap = sim.snapshot();
-    assert_eq!(snap.batch, 7);
-    assert_eq!(snap.insert_prob, 0.8);
-    assert_eq!(snap.noise, 0.1);
-    assert_eq!(snap.rng_state, sim.rng_state());
-    let restored = UpdateSimulator::restore(&snap);
-    assert_eq!(restored.snapshot(), snap);
 }
