@@ -7,19 +7,15 @@
 //! * [`lsh`] — SimHash importance sampling (Wu et al.), cosine-only,
 //!   consistent;
 //! * [`gbdt`] — LightGBM-style gradient-boosted trees, with
-//!   (`LightGBM-m`) and without monotone constraints;
-//! * [`isotonic`](mod@isotonic) — PAVA isotonic regression (related-work
-//!   utility).
+//!   (`LightGBM-m`) and without monotone constraints.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gbdt;
-pub mod isotonic;
 pub mod kde;
 pub mod lsh;
 
 pub use gbdt::{GbdtConfig, GbdtEstimator};
-pub use isotonic::{isotonic, isotonic_regression};
 pub use kde::{KdeConfig, KdeEstimator};
 pub use lsh::{LshConfig, LshEstimator};

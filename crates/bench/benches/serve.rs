@@ -1,6 +1,6 @@
 //! Serving-path benchmarks: one-query-per-tape-call vs the batched
 //! coalesced entry point (`predict_batch`, now riding a compiled
-//! inference plan) vs the full engine (queue + workers + cache), plus the
+//! inference plan) vs the full engine (queue + workers), plus the
 //! `plan` group comparing plan replays against the reference tape paths
 //! on the same trained partitioned model.
 //!
@@ -66,15 +66,12 @@ fn bench_serve_throughput(c: &mut Criterion) {
     });
     group.finish();
 
-    // end-to-end engine: queue + worker + batched eval (cache disabled so
-    // it measures evaluation, not memoization)
+    // end-to-end engine: queue + worker + batched eval
     let engine = Engine::start(
         Arc::new(ModelRegistry::new(model)),
         &EngineConfig {
             workers: 1,
-            shards: 1,
             max_batch_rows: BATCH,
-            cache_entries: 0,
             max_queue_rows: 0, // unbounded: the bench measures service, not shedding
             slow_query_us: 0,
             trace_buffer: 0,
@@ -153,9 +150,7 @@ fn bench_record(_c: &mut Criterion) {
         Arc::new(ModelRegistry::new(model)),
         &EngineConfig {
             workers: 1,
-            shards: 1,
             max_batch_rows: BATCH,
-            cache_entries: 0,
             max_queue_rows: 0,
             slow_query_us: 0,
             trace_buffer: 0,
@@ -193,7 +188,7 @@ fn bench_record(_c: &mut Criterion) {
         .unwrap_or(1);
     let json = format!(
         r#"{{
-  "description": "Serving throughput at batch {BATCH} on a tiny()-architecture partitioned SelNet (K=3): one_query_per_call = {BATCH} separate single-query evaluations; batched_coalesced = one predict_batch curve-plan replay over all {BATCH} rows; engine_submit_collect = the same through the full engine (queue + worker thread + reply channels, cache off). The plan block compares the compiled grad-free inference plan against the reference autodiff-tape forward on identical inputs. Times in milliseconds per {BATCH}-query wave (best-of-samples mean); recorded by SELNET_BENCH_RECORD=1 cargo bench -p selnet-bench --bench serve.",
+  "description": "Serving throughput at batch {BATCH} on a tiny()-architecture partitioned SelNet (K=3): one_query_per_call = {BATCH} separate single-query evaluations; batched_coalesced = one predict_batch curve-plan replay over all {BATCH} rows; engine_submit_collect = the same through the full engine (queue + worker thread + reply channels). The plan block compares the compiled grad-free inference plan against the reference autodiff-tape forward on identical inputs. Times in milliseconds per {BATCH}-query wave (best-of-samples mean); recorded by SELNET_BENCH_RECORD=1 cargo bench -p selnet-bench --bench serve.",
   "baseline_pr4": {{
     "machine_cpus": 1,
     "one_query_per_call_{BATCH}_ms": 0.3047,

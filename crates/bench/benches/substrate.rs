@@ -277,9 +277,6 @@ fn bench_cover_tree(c: &mut Criterion) {
     group.bench_function("range_count", |b| {
         b.iter(|| black_box(tree.range_count(black_box(&q), black_box(2.0))))
     });
-    group.bench_function("nearest", |b| {
-        b.iter(|| black_box(tree.nearest(black_box(&q))))
-    });
     group.finish();
 }
 

@@ -183,9 +183,7 @@ fn check_obs_overhead(
             Arc::new(ModelRegistry::new(model.clone())),
             &EngineConfig {
                 workers: 1,
-                shards: 1,
                 max_batch_rows: BATCH,
-                cache_entries: 0,
                 max_queue_rows: 0,
                 slow_query_us,
                 trace_buffer,

@@ -78,9 +78,7 @@ fn four_pipelined_connections_two_tenants_match_direct_estimation() {
         Arc::clone(&registry),
         &EngineConfig {
             workers: 2,
-            shards: 2,
             max_batch_rows: 16,
-            cache_entries: 32,
             max_queue_rows: 0, // unbounded: this test is about identity, not shedding
             slow_query_us: 0,
             trace_buffer: 0,
@@ -193,9 +191,7 @@ fn saturated_server_sheds_overloaded_and_stats_count_it() {
         Arc::new(ModelRegistry::new(Slow)),
         &EngineConfig {
             workers: 1,
-            shards: 1,
             max_batch_rows: 4,
-            cache_entries: 0,
             max_queue_rows: 4,
             slow_query_us: 0,
             trace_buffer: 0,
@@ -257,9 +253,7 @@ fn traced_queries_and_metrics_scrape_round_trip() {
         Arc::new(ModelRegistry::new(Slow)),
         &EngineConfig {
             workers: 1,
-            shards: 1,
             max_batch_rows: 4,
-            cache_entries: 0,
             max_queue_rows: 0,
             slow_query_us: 1, // every 2ms Slow reply is a slow query
             trace_buffer: 0,

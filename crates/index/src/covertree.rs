@@ -465,51 +465,6 @@ impl<'a> CoverTree<'a> {
         count
     }
 
-    /// Exact indices of points within distance `t` of `q`.
-    pub fn range_query(&self, q: &[f32], t: f32) -> Vec<usize> {
-        let Some(root) = self.root() else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        let mut stack = vec![root];
-        while let Some(n) = stack.pop() {
-            let node = &self.nodes[n];
-            let d = self.dist_to(n, q);
-            if d + node.max_dist <= t {
-                out.extend(self.subtree_points(n));
-                continue;
-            }
-            if d - node.max_dist > t {
-                continue;
-            }
-            if d <= t {
-                out.push(n);
-            }
-            stack.extend(node.children.iter().map(|&c| c as usize));
-        }
-        out
-    }
-
-    /// Exact nearest neighbor of `q` (branch-and-bound). Returns
-    /// `(point index, distance)`, or `None` for an empty tree.
-    pub fn nearest(&self, q: &[f32]) -> Option<(usize, f32)> {
-        let root = self.root()?;
-        let mut best = (root, self.dist_to(root, q));
-        let mut stack = vec![root];
-        while let Some(n) = stack.pop() {
-            let node = &self.nodes[n];
-            let d = self.dist_to(n, q);
-            if d < best.1 {
-                best = (n, d);
-            }
-            if d - node.max_dist >= best.1 {
-                continue; // cannot contain anything closer
-            }
-            stack.extend(node.children.iter().map(|&c| c as usize));
-        }
-        Some(best)
-    }
-
     /// Exports maximal ball regions whose subtree size is at most
     /// `max_region_size` — this is the paper's partition-ratio cut: "cover
     /// tree will not expand its nodes if the number of data inside is
@@ -888,37 +843,6 @@ mod tests {
     }
 
     #[test]
-    fn range_query_returns_exact_indices() {
-        let ds = fasttext_like(&GeneratorConfig::new(200, 4, 3, 3));
-        let tree = CoverTree::build(&ds);
-        let q = ds.row(10).to_vec();
-        let t = 1.5;
-        let mut got = tree.range_query(&q, t);
-        got.sort_unstable();
-        let mut expected: Vec<usize> = (0..ds.len())
-            .filter(|&i| DistanceKind::Euclidean.eval(ds.row(i), &q) <= t)
-            .collect();
-        expected.sort_unstable();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn nearest_matches_brute_force() {
-        let ds = fasttext_like(&GeneratorConfig::new(250, 6, 4, 4));
-        let tree = CoverTree::build(&ds);
-        for qi in [3usize, 77, 150] {
-            // query slightly offset from a data point
-            let mut q = ds.row(qi).to_vec();
-            q[0] += 0.01;
-            let (_, d) = tree.nearest(&q).unwrap();
-            let best = (0..ds.len())
-                .map(|i| DistanceKind::Euclidean.eval(ds.row(i), &q))
-                .fold(f32::MAX, f32::min);
-            assert!((d - best).abs() < 1e-5);
-        }
-    }
-
-    #[test]
     fn regions_cover_every_point_exactly_once() {
         let ds = fasttext_like(&GeneratorConfig::new(500, 5, 6, 5));
         let tree = CoverTree::build(&ds);
@@ -944,7 +868,6 @@ mod tests {
         let tree = CoverTree::build(&ds);
         assert!(tree.is_empty());
         assert_eq!(tree.range_count(&[0.0, 0.0, 0.0], 10.0), 0);
-        assert!(tree.nearest(&[0.0, 0.0, 0.0]).is_none());
 
         let ds1 = Dataset::from_rows(2, &[vec![1.0, 1.0]]);
         let t1 = CoverTree::build(&ds1);

@@ -28,8 +28,8 @@ const USAGE: &str = "usage:
                           [--epochs E] [--seed S] [--thresholds M] [--order desc|asc]
   selnet-serve serve (--snapshot SNAPSHOT | --model NAME=SNAPSHOT ...)
                      (--stdin | --addr HOST:PORT)
-                     [--workers N] [--shards N] [--batch ROWS] [--cache ENTRIES]
-                     [--queue ROWS] [--slow-query-us MICROS] [--trace-buffer SPANS]
+                     [--workers N] [--batch ROWS] [--queue ROWS]
+                     [--slow-query-us MICROS] [--trace-buffer SPANS]
   selnet-serve check-monotone [--expect non-increasing|non-decreasing]";
 
 fn main() -> ExitCode {
@@ -134,9 +134,7 @@ const SERVE_OPTIONS: &[&str] = &[
     "model",
     "addr",
     "workers",
-    "shards",
     "batch",
-    "cache",
     "queue",
     "slow-query-us",
     "trace-buffer",
@@ -258,9 +256,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let opts = Options::parse(args, SERVE_OPTIONS, &["stdin"])?;
     let cfg = EngineConfig {
         workers: opts.num("workers", 0)?,
-        shards: opts.num("shards", 0)?,
         max_batch_rows: opts.num("batch", 64)?,
-        cache_entries: opts.num("cache", 256)?,
         max_queue_rows: opts.num("queue", 4096)?,
         slow_query_us: opts.num("slow-query-us", 0)?,
         trace_buffer: opts.num("trace-buffer", 0)?,
@@ -439,6 +435,8 @@ mod tests {
                 "--precision",
             ),
             (&["--stdinn"][..], "--stdinn"),
+            (&["--stdin", "--cache", "256"][..], "--cache"),
+            (&["--stdin", "--shards", "2"][..], "--shards"),
         ] {
             let err = parse_serve(args).err().expect("must be refused");
             assert!(err.starts_with(&format!("unknown option {key}\n")), "{err}");

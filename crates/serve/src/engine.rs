@@ -7,22 +7,23 @@
 //! 1. [`Engine::submit`] takes a [`Request`] (model id + query +
 //!    thresholds), resolves its tenant **before** anything is queued
 //!    ([`SubmitError::UnknownModel`] / [`SubmitError::DimensionMismatch`]
-//!    — a worker can never see a misrouted or mis-shaped row), applies
+//!    / [`SubmitError::NonFinite`] — a worker can never see a misrouted,
+//!    mis-shaped or non-finite row), applies
 //!    admission control (bounded per-shard queues; a saturated engine
 //!    sheds with [`SubmitError::Overloaded`] instead of queueing without
-//!    bound), then round-robins the request onto a queue shard and wakes
-//!    a worker;
+//!    bound), then round-robins the request onto a queue shard (one per
+//!    worker) and wakes a worker;
 //! 2. a worker drains up to `max_batch_rows` `(x, t)` rows from its home
 //!    shard (stealing from other shards when idle), **never splitting a
 //!    request across batches**;
 //! 3. the worker groups the drained requests **per tenant**, binds each
-//!    tenant's model generation once, answers cache hits, hands the
-//!    misses — un-expanded, one `(x, ts)` per request — to one
+//!    tenant's model generation once, hands its requests — un-expanded,
+//!    one `(x, ts)` per request — to one
 //!    [`estimate_into`](selnet_eval::SelectivityEstimator::estimate_into)
 //!    call over that tenant's compiled curve plan (a request costs one
 //!    network row however many thresholds it carries), writing into a
 //!    per-worker scratch buffer, scatters the estimates back per request,
-//!    fills the LRU cache (keyed by tenant id + generation), and replies;
+//!    and replies;
 //!    counters and latency samples land in the tenant's own
 //!    [`ServeStats`] and nowhere else — the fleet view is the fold of the
 //!    tenants', taken when somebody asks ([`Engine::stats_snapshot`],
@@ -43,17 +44,15 @@
 //! client threads yields exactly the results of a sequential
 //! `estimate_many` (pinned by the `engine_concurrency` stress test). And
 //! because a request is answered entirely by the one generation its
-//! tenant group bound (inline serving binds one too, and the cache is
-//! keyed on tenant and generation), a hot swap can never tear a response,
-//! replay a stale answer, or bleed across tenants.
+//! tenant group bound (inline serving binds one too), a hot swap can
+//! never tear a response, and one tenant's requests never ride another
+//! tenant's model.
 
-use crate::cache::{LruCache, QueryKey};
 use crate::registry::{ModelRegistry, Tenant};
 use crate::stats::{ServeStats, StatsSnapshot};
 use selnet_eval::SelectivityEstimator;
 use selnet_obs::{expo, next_trace_id, HistogramSnapshot, SlowQuery, Span, SpanRecorder};
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -85,10 +84,6 @@ enum SlotState {
 struct ReplySender(Option<Arc<ReplySlot>>);
 
 impl ReplySender {
-    fn send(self, values: Vec<f64>) {
-        self.stage(values).notify();
-    }
-
     /// Stores the value **without waking the waiter** — the worker stages
     /// a whole batch of replies first and notifies afterwards, so a woken
     /// client finds every other reply of its batch already in place
@@ -253,22 +248,17 @@ impl Request {
 }
 
 /// Engine knobs. `..Default::default()` gives a sensible server: one
-/// worker per configured tensor thread, one shard per worker, batches of
-/// 64 rows, 256 cached responses per shard, 4096 queued rows per shard
-/// before admission control sheds.
+/// worker per configured tensor thread, batches of 64 rows, 4096 queued
+/// rows per shard before admission control sheds. Every worker has one
+/// queue shard of its own and steals from the others when it is idle.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Worker threads draining the queue (`0` = the tensor dispatcher's
     /// configured thread count, see `selnet_tensor::parallel`).
     pub workers: usize,
-    /// Queue shards (`0` = one per worker). More shards cut submit-side
-    /// contention; workers steal across shards so no request starves.
-    pub shards: usize,
     /// Maximum `(x, t)` rows coalesced into one batched evaluation. A
     /// single request larger than this still runs (alone, unsplit).
     pub max_batch_rows: usize,
-    /// LRU entries per cache shard (`0` disables response caching).
-    pub cache_entries: usize,
     /// Admission-control bound: maximum `(x, t)` rows queued per shard
     /// before [`Engine::submit`] sheds with [`SubmitError::Overloaded`]
     /// (`0` = unbounded, the pre-admission-control behaviour). The bound
@@ -298,9 +288,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             workers: 0,
-            shards: 0,
             max_batch_rows: 64,
-            cache_entries: 256,
             max_queue_rows: 4096,
             slow_query_us: 0,
             trace_buffer: 0,
@@ -347,6 +335,12 @@ pub enum SubmitError {
         /// The configured per-shard bound.
         limit: usize,
     },
+    /// The query vector or the threshold grid holds a `NaN` or an
+    /// infinity — input no model can answer meaningfully.
+    NonFinite {
+        /// The tenant the request was routed to.
+        model: String,
+    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -371,6 +365,9 @@ impl std::fmt::Display for SubmitError {
                     f,
                     "overloaded: {queued_rows} rows queued against a per-shard bound of {limit}"
                 )
+            }
+            SubmitError::NonFinite { model } => {
+                write!(f, "a NaN or infinity in the query for model {model:?}")
             }
         }
     }
@@ -410,26 +407,21 @@ enum Read {
 /// Every family of the exposition that is counted per tenant — name,
 /// `# HELP` text, reader — in exposition order. A new family is one
 /// [`ServeStats`] field and one row here.
-const FAMILIES: [(&str, &str, Read); 10] = [
+const FAMILIES: [(&str, &str, Read); 9] = [
     (
         "selnet_requests_total",
-        "Requests answered (cache hits included; shed refusals excluded).",
+        "Requests answered (shed refusals excluded).",
         Read::Counter(|s| s.requests.get()),
     ),
     (
         "selnet_rows_total",
-        "(x, t) rows evaluated or served from cache.",
+        "(x, t) rows evaluated.",
         Read::Counter(|s| s.rows.get()),
     ),
     (
         "selnet_batches_total",
         "Coalesced batch evaluations run.",
         Read::Counter(|s| s.batches.get()),
-    ),
-    (
-        "selnet_cache_hits_total",
-        "Requests served from the response cache.",
-        Read::Counter(|s| s.cache_hits.get()),
     ),
     (
         "selnet_inline_requests_total",
@@ -468,11 +460,8 @@ const FAMILIES: [(&str, &str, Read); 10] = [
 /// [`Engine::shutdown`] (queued requests are drained first).
 pub struct Engine<M> {
     registry: Arc<ModelRegistry<M>>,
+    /// One queue shard per worker.
     shards: Vec<Shard<M>>,
-    caches: Vec<Mutex<LruCache>>,
-    /// Whether the caches can ever hold anything; `false` skips key
-    /// construction and cache locks entirely on the batch path.
-    cache_enabled: bool,
     /// This engine's own flight recorder (never the process-global one,
     /// so two engines — say an instrumented and an uninstrumented one in
     /// the same benchmark — cannot contaminate each other's rings).
@@ -497,22 +486,16 @@ where
             selnet_tensor::parallel::configured_threads()
         }
         .max(1);
-        let nshards = if cfg.shards > 0 { cfg.shards } else { workers }.max(1);
-        let shards = (0..nshards)
+        let shards = (0..workers)
             .map(|_| Shard {
                 queue: Mutex::new(VecDeque::new()),
                 signal: Condvar::new(),
                 rows: AtomicUsize::new(0),
             })
             .collect();
-        let caches = (0..nshards)
-            .map(|_| Mutex::new(LruCache::new(cfg.cache_entries)))
-            .collect();
         let engine = Arc::new(Engine {
             registry,
             shards,
-            caches,
-            cache_enabled: cfg.cache_entries > 0,
             recorder: SpanRecorder::with_capacity(cfg.trace_buffer),
             slow_query_us: cfg.slow_query_us,
             max_batch_rows: cfg.max_batch_rows.max(1),
@@ -535,9 +518,10 @@ where
         engine
     }
 
-    /// Resolves a request's tenant and validates its query dimension —
-    /// the routing checks both entry points share. Errors surface here so
-    /// a worker thread can never observe a misrouted or mis-shaped row.
+    /// Resolves a request's tenant and validates its query — dimension,
+    /// and every value finite — the routing checks both entry points
+    /// share. Errors surface here so a worker thread can never observe a
+    /// misrouted, mis-shaped or non-finite row.
     fn route(&self, req: &Request) -> Result<Arc<Tenant<M>>, SubmitError> {
         let tenant =
             self.registry
@@ -554,6 +538,12 @@ where
                 });
             }
         }
+        let mut values = req.query().iter().chain(req.threshold_grid());
+        if !values.all(|v| v.is_finite()) {
+            return Err(SubmitError::NonFinite {
+                model: tenant.name().to_string(),
+            });
+        }
         Ok(tenant)
     }
 
@@ -561,7 +551,8 @@ where
     /// estimates (one per threshold, in order) on [`ReplyHandle::wait`].
     ///
     /// Routing ([`SubmitError::UnknownModel`]), shape
-    /// ([`SubmitError::DimensionMismatch`]) and admission
+    /// ([`SubmitError::DimensionMismatch`], [`SubmitError::NonFinite`]) and
+    /// admission
     /// ([`SubmitError::Overloaded`]) are all decided **here**, before the
     /// request can reach a worker: the estimators assert on mis-shaped
     /// input, and a panicking worker must never be reachable from
@@ -665,9 +656,9 @@ where
     ///
     /// When every queue is idle there is nothing to coalesce with, so the
     /// request is evaluated **inline on this thread** against one bound
-    /// generation (cache consulted and filled as usual), skipping the
-    /// queue, the worker wake-up, and the reply channel. Under saturation
-    /// the request also evaluates inline rather than shedding — a
+    /// generation, skipping the queue, the worker wake-up, and the reply
+    /// channel. Under saturation the request also evaluates inline rather
+    /// than shedding — a
     /// blocking caller has at most one request in flight, so making it do
     /// its own work *is* the backpressure. Otherwise it falls back to
     /// queued submission, so concurrent load still coalesces.
@@ -705,7 +696,8 @@ where
     }
 
     /// Evaluates one request synchronously against one bound generation
-    /// of its tenant, with the same cache semantics as the worker path.
+    /// of its tenant, through the same `estimate_into` hook as the worker
+    /// path.
     fn serve_inline(
         &self,
         tenant: &Tenant<M>,
@@ -720,33 +712,8 @@ where
                 .span("inline_serve", trace)
                 .detail(ts.len() as u64, 0)
         });
-        let (generation, model) = tenant.current();
-        let key = self
-            .cache_enabled
-            .then(|| QueryKey::new(tenant.id(), generation, x, ts));
-        let cached = key.as_ref().and_then(|key| {
-            self.caches[self.cache_shard(key)]
-                .lock()
-                .expect("cache lock poisoned")
-                .get(key)
-        });
-        let values = match cached {
-            Some(values) => {
-                tenant.stats().record_cache_hit();
-                values
-            }
-            None => {
-                let mut values = Vec::new();
-                model.estimate_into(&[(x, ts)], 1, &mut values);
-                if let Some(key) = key {
-                    self.caches[self.cache_shard(&key)]
-                        .lock()
-                        .expect("cache lock poisoned")
-                        .insert(key, values.clone());
-                }
-                values
-            }
-        };
+        let mut values = Vec::new();
+        tenant.current().1.estimate_into(&[(x, ts)], 1, &mut values);
         let us = started.elapsed().as_micros() as u64;
         tenant.stats().record_inline();
         tenant.stats().record_request(ts.len() as u64, us);
@@ -776,20 +743,14 @@ where
     }
 
     /// The fleet stats snapshot — every tenant's counters folded into
-    /// one (counters summed, latency histograms merged), with the
-    /// per-shard cache counters filled in. A tenant registered after
+    /// one (counters summed, latency histograms merged). A tenant
+    /// registered after
     /// start is in the next call; one tenant's own view is
     /// [`ServeStats::snapshot`] of its [`Tenant::stats`].
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         let tenants = self.registry.tenants();
         let stats: Vec<&ServeStats> = tenants.iter().map(|t| t.stats().as_ref()).collect();
-        let mut snap = StatsSnapshot::fold(&stats);
-        snap.cache_shards = self
-            .caches
-            .iter()
-            .map(|c| c.lock().expect("cache lock poisoned").counters())
-            .collect();
-        snap
+        StatsSnapshot::fold(&stats)
     }
 
     /// `(x, t)` rows currently waiting across every queue shard — the
@@ -978,12 +939,6 @@ where
         Some(batch)
     }
 
-    fn cache_shard(&self, key: &QueryKey) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % self.caches.len()
-    }
-
     /// Answers a drained batch: requests are grouped **per tenant** (a
     /// batched evaluation can only ride one model), then each group is
     /// served from one bound generation of its tenant.
@@ -991,7 +946,7 @@ where
         type TenantGroup<M> = (Arc<Tenant<M>>, Vec<Queued<M>>);
         let mut groups: Vec<TenantGroup<M>> = Vec::new();
         for req in requests {
-            match groups.iter_mut().find(|(t, _)| t.id() == req.tenant.id()) {
+            match groups.iter_mut().find(|(t, _)| Arc::ptr_eq(t, &req.tenant)) {
                 Some((_, group)) => group.push(req),
                 None => {
                     let tenant = Arc::clone(&req.tenant);
@@ -1005,10 +960,8 @@ where
     }
 
     /// Answers one tenant's share of a batch from **one** generation of
-    /// that tenant's model: cache hits first (skipped wholesale when
-    /// caching is disabled), then a single coalesced `estimate_into` over
-    /// every remaining request, written into the worker's reusable
-    /// scratch.
+    /// that tenant's model: a single coalesced `estimate_into` over every
+    /// request, written into the worker's reusable scratch.
     fn serve_tenant_batch(
         &self,
         tenant: &Arc<Tenant<M>>,
@@ -1040,40 +993,12 @@ where
             tenant.current()
         };
         scratch.served.clear();
-        let mut pending: Vec<(Queued<M>, Option<QueryKey>)> = Vec::with_capacity(requests.len());
-        if self.cache_enabled {
-            for req in requests {
-                let key = QueryKey::new(tenant.id(), generation, &req.x, &req.ts);
-                let cached = self.caches[self.cache_shard(&key)]
-                    .lock()
-                    .expect("cache lock poisoned")
-                    .get(&key);
-                match cached {
-                    Some(values) => {
-                        // hits are recorded *before* their reply wakes the
-                        // client, so a snapshot taken right after a client
-                        // returns always counts its request
-                        let us = req.enqueued.elapsed().as_micros() as u64;
-                        tenant.stats().record_cache_hit();
-                        tenant.stats().record_request(req.ts.len() as u64, us);
-                        self.note_slow(tenant, req.trace, req.ts.len() as u64, us);
-                        req.reply.send(values);
-                    }
-                    None => pending.push((req, Some(key))),
-                }
-            }
-        } else {
-            pending.extend(requests.into_iter().map(|r| (r, None)));
-        }
-        if pending.is_empty() {
-            return;
-        }
-        let total_rows: usize = pending.iter().map(|(r, _)| r.ts.len()).sum();
-        coalesce.set_detail(pending.len() as u64, total_rows as u64);
+        let total_rows: usize = requests.iter().map(|r| r.ts.len()).sum();
+        coalesce.set_detail(requests.len() as u64, total_rows as u64);
         {
-            let queries: Vec<(&[f32], &[f32])> = pending
+            let queries: Vec<(&[f32], &[f32])> = requests
                 .iter()
-                .map(|(req, _)| (req.x.as_slice(), req.ts.as_slice()))
+                .map(|req| (req.x.as_slice(), req.ts.as_slice()))
                 .collect();
             let _replay = self
                 .recorder
@@ -1086,17 +1011,11 @@ where
         // slice the results and record the stats BEFORE any reply becomes
         // observable — a client returning from wait() must always find its
         // request already counted in a snapshot
-        let mut replies = Vec::with_capacity(pending.len());
-        for (req, key) in pending {
+        let mut replies = Vec::with_capacity(requests.len());
+        for req in requests {
             let m = req.ts.len();
             let values = scratch.flat[offset..offset + m].to_vec();
             offset += m;
-            if let Some(key) = key {
-                self.caches[self.cache_shard(&key)]
-                    .lock()
-                    .expect("cache lock poisoned")
-                    .insert(key, values.clone());
-            }
             let us = req.enqueued.elapsed().as_micros() as u64;
             self.note_slow(tenant, req.trace, m as u64, us);
             scratch.served.push((m as u64, us));
@@ -1329,9 +1248,7 @@ mod tests {
             Arc::new(ModelRegistry::new(Slow)),
             &EngineConfig {
                 workers: 1,
-                shards: 1,
                 max_batch_rows: 1,
-                cache_entries: 0,
                 max_queue_rows: 2,
                 slow_query_us: 0,
                 trace_buffer: 0,
@@ -1397,56 +1314,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_serves_repeats_and_invalidates_on_swap() {
-        let eng = engine(
-            2.0,
-            &EngineConfig {
-                workers: 1,
-                shards: 1,
-                ..Default::default()
-            },
-        );
-        let a = eng.estimate_many(&[0.5], &[1.0]);
-        let b = eng.estimate_many(&[0.5], &[1.0]);
-        assert_eq!(a, b);
-        assert!(
-            eng.stats_snapshot().cache_hits >= 1,
-            "second identical request should hit the cache"
-        );
-        // swap the model: same query must now be recomputed (new answer)
-        eng.registry().publish(Affine { scale: 10.0 });
-        let c = eng.estimate_many(&[0.5], &[1.0]);
-        assert_eq!(c, vec![10.5]);
-        eng.shutdown();
-    }
-
-    #[test]
-    fn cache_never_bleeds_across_tenants() {
-        // two tenants, same generation numbers, same query bits — only
-        // the tenant id distinguishes the cache keys
-        let registry = Arc::new(ModelRegistry::empty());
-        registry.register("alpha", Affine { scale: 2.0 }).unwrap();
-        registry.register("beta", Affine { scale: 5.0 }).unwrap();
-        let eng = Engine::start(
-            Arc::clone(&registry),
-            &EngineConfig {
-                workers: 1,
-                shards: 1,
-                ..Default::default()
-            },
-        );
-        let a = eng
-            .serve_blocking(&req(vec![0.5], vec![1.0]).model("alpha"))
-            .unwrap();
-        let b = eng
-            .serve_blocking(&req(vec![0.5], vec![1.0]).model("beta"))
-            .unwrap();
-        assert_eq!(a, vec![2.5]);
-        assert_eq!(b, vec![5.5], "beta must not see alpha's cached answer");
-        eng.shutdown();
-    }
-
-    #[test]
     fn inline_fast_path_serves_idle_queues() {
         let eng = engine(
             2.0,
@@ -1465,35 +1332,6 @@ mod tests {
             snap.inline_requests >= 1,
             "idle-queue blocking calls should take the inline path, got {}",
             snap.inline_requests
-        );
-        // inline serves still fill the cache: an identical repeat hits
-        let before = eng.stats_snapshot().cache_hits;
-        assert_eq!(eng.estimate_many(&[1.0], &[0.5, 1.0]), vec![2.0, 3.0]);
-        assert!(eng.stats_snapshot().cache_hits > before);
-        eng.shutdown();
-    }
-
-    #[test]
-    fn cache_telemetry_reports_misses_and_evictions_per_shard() {
-        let eng = engine(
-            1.0,
-            &EngineConfig {
-                workers: 1,
-                shards: 1,
-                cache_entries: 1, // single-entry cache: repeats evict
-                ..Default::default()
-            },
-        );
-        for i in 0..4 {
-            let _ = eng.estimate_many(&[i as f32], &[1.0]);
-        }
-        let snap = eng.stats_snapshot();
-        assert_eq!(snap.cache_shards.len(), 1);
-        assert!(snap.cache_misses() >= 4, "distinct queries must miss");
-        assert!(
-            snap.cache_evictions() >= 3,
-            "a 1-entry cache under 4 distinct queries must evict, got {}",
-            snap.cache_evictions()
         );
         eng.shutdown();
     }
@@ -1556,7 +1394,6 @@ mod tests {
             Arc::new(ModelRegistry::new(Slow)),
             &EngineConfig {
                 workers: 1,
-                shards: 1,
                 trace_buffer: 256,
                 ..Default::default()
             },

@@ -17,8 +17,7 @@
 //!   each [`Request`] to its tenant up front, coalesces
 //!   concurrent queries into **batched** plan replays (grouped per
 //!   tenant, one `estimate_into` call per group, bit-identical to
-//!   per-query evaluation), keeps a small per-shard LRU [`cache`] keyed by tenant
-//!   and generation, and **sheds load** with
+//!   per-query evaluation), and **sheds load** with
 //!   [`SubmitError::Overloaded`] when
 //!   its bounded queues saturate;
 //! * [`protocol`] — the versioned binary wire format (handshake,
@@ -27,7 +26,7 @@
 //!   TCP and stdin respectively;
 //! * [`stats`] — per-tenant telemetry on `selnet-obs` primitives:
 //!   lock-free latency / batch-occupancy / retrain histograms (unbounded,
-//!   zero dropped samples), throughput / cache / shed / slow-request
+//!   zero dropped samples), throughput / inline / shed / slow-request
 //!   counters, and the bounded slow-query log. An event is counted once,
 //!   in its tenant's record; the fleet view is their fold at read time,
 //!   and the Prometheus exposition below is the one report of both.
@@ -60,31 +59,29 @@
 //!
 //! * Every request is answered by exactly **one** generation of **its
 //!   own** tenant: routing happens before queueing, a batch binds each
-//!   tenant's snapshot once, a request is never split across batches, and
-//!   the cache is keyed by (tenant, generation). A hot swap mid-traffic
-//!   therefore can never produce a response that mixes two models — every
-//!   response is monotone in `t` (Lemma 1) no matter when the swap lands
-//!   — and can never perturb another tenant.
+//!   tenant's snapshot once, and a request is never split across batches.
+//!   A hot swap mid-traffic therefore can never produce a response that
+//!   mixes two models — every response is monotone in `t` (Lemma 1) no
+//!   matter when the swap lands — and can never perturb another tenant.
 //! * Batching never changes an answer: the batched forward is bit-identical
 //!   per row to single-query evaluation (pinned by
 //!   `predict_batch_matches_predict_many` in `selnet-core`), so results
 //!   under any concurrency are bit-identical to a sequential
 //!   `estimate_many` over the same generation.
 //! * Refusals are typed and cheap: an unknown model, a mis-shaped query,
-//!   or a saturated queue answers with a v2 error frame (or a text-mode
-//!   `!error` line) before a worker thread ever sees the request.
+//!   a `NaN` or infinite value, or a saturated queue answers with a v2
+//!   error frame (or a text-mode `!error` line) before a worker thread
+//!   ever sees the request.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod engine;
 pub mod protocol;
 pub mod registry;
 pub mod server;
 pub mod stats;
 
-pub use cache::LruCache;
 pub use engine::{Engine, EngineConfig, Request, SubmitError};
 pub use protocol::{ErrorCode, ErrorReply, Frame, Response, TextQuery};
 pub use registry::{ModelRegistry, Tenant, UpdateHandle};

@@ -41,9 +41,10 @@
 //!
 //! Error codes are typed ([`ErrorCode`]): `1` unknown model, `2` bad
 //! query dimension, `3` overloaded (admission control shed the request),
-//! `4` shutting down. An error reply answers exactly one request — the
-//! connection stays open and later pipelined requests still get their
-//! own replies.
+//! `4` shutting down, `5` non-finite query (a `NaN` or infinite value in
+//! the query vector or the threshold grid). An error reply answers
+//! exactly one request — the connection stays open and later pipelined
+//! requests still get their own replies.
 //!
 //! ## Text protocol (stdin mode, used by CI)
 //!
@@ -394,6 +395,9 @@ pub enum ErrorCode {
     Overloaded,
     /// The engine is shutting down; the connection is about to close.
     ShuttingDown,
+    /// The query vector or the threshold grid holds a `NaN` or an
+    /// infinity.
+    NonFinite,
 }
 
 impl ErrorCode {
@@ -404,6 +408,7 @@ impl ErrorCode {
             ErrorCode::BadDim => 2,
             ErrorCode::Overloaded => 3,
             ErrorCode::ShuttingDown => 4,
+            ErrorCode::NonFinite => 5,
         }
     }
 
@@ -414,6 +419,7 @@ impl ErrorCode {
             2 => Some(ErrorCode::BadDim),
             3 => Some(ErrorCode::Overloaded),
             4 => Some(ErrorCode::ShuttingDown),
+            5 => Some(ErrorCode::NonFinite),
             _ => None,
         }
     }
@@ -425,6 +431,7 @@ impl ErrorCode {
             ErrorCode::BadDim => "bad-dim",
             ErrorCode::Overloaded => "overloaded",
             ErrorCode::ShuttingDown => "shutting-down",
+            ErrorCode::NonFinite => "non-finite",
         }
     }
 }
@@ -714,6 +721,7 @@ mod tests {
             ErrorCode::BadDim,
             ErrorCode::Overloaded,
             ErrorCode::ShuttingDown,
+            ErrorCode::NonFinite,
         ] {
             let err = Response::Error(ErrorReply {
                 code,

@@ -22,7 +22,6 @@
 //! the last fully-published `(generation, model)` pair.
 
 use crate::stats::ServeStats;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -49,18 +48,14 @@ fn write_recover<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 /// estimator works — the tenant itself never calls into the model.
 pub struct Tenant<M> {
     name: String,
-    /// Registry-unique id, used to key caches (generation counters alone
-    /// are not unique across tenants).
-    id: u64,
     slot: RwLock<(u64, Arc<M>)>,
     stats: Arc<ServeStats>,
 }
 
 impl<M> Tenant<M> {
-    fn new(name: String, id: u64, model: M) -> Self {
+    fn new(name: String, model: M) -> Self {
         Tenant {
             name,
-            id,
             slot: RwLock::new((0, Arc::new(model))),
             stats: Arc::new(ServeStats::new()),
         }
@@ -69,11 +64,6 @@ impl<M> Tenant<M> {
     /// The tenant's registered name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The registry-unique tenant id (cache-key component).
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// This tenant's serving counters.
@@ -164,7 +154,6 @@ impl<M: Clone + Send + Sync + 'static> Tenant<M> {
 /// **default tenant** — the first one registered.
 pub struct ModelRegistry<M> {
     tenants: RwLock<Vec<Arc<Tenant<M>>>>,
-    next_id: AtomicU64,
 }
 
 /// Why [`ModelRegistry::register`] refused a tenant.
@@ -205,7 +194,6 @@ impl<M> ModelRegistry<M> {
     pub fn empty() -> Self {
         ModelRegistry {
             tenants: RwLock::new(Vec::new()),
-            next_id: AtomicU64::new(0),
         }
     }
 
@@ -229,8 +217,7 @@ impl<M> ModelRegistry<M> {
         if tenants.iter().any(|t| t.name == name) {
             return Err(RegisterError::DuplicateName(name.to_string()));
         }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let tenant = Arc::new(Tenant::new(name.to_string(), id, model));
+        let tenant = Arc::new(Tenant::new(name.to_string(), model));
         tenants.push(Arc::clone(&tenant));
         Ok(tenant)
     }
@@ -386,7 +373,6 @@ mod tests {
         let alpha = reg.register("alpha", 10u32).unwrap();
         let beta = reg.register("beta", 20u32).unwrap();
         assert_eq!(reg.len(), 2);
-        assert_ne!(alpha.id(), beta.id());
 
         // routing: by name, and unrouted -> first registered
         assert_eq!(*reg.get("alpha").unwrap().current().1, 10);

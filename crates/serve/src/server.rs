@@ -47,6 +47,7 @@ fn submit_err_to_reply(e: &SubmitError) -> ErrorReply {
         SubmitError::UnknownModel { .. } => ErrorCode::UnknownModel,
         SubmitError::DimensionMismatch { .. } => ErrorCode::BadDim,
         SubmitError::Overloaded { .. } => ErrorCode::Overloaded,
+        SubmitError::NonFinite { .. } => ErrorCode::NonFinite,
     };
     ErrorReply {
         code,
@@ -229,9 +230,10 @@ where
 /// answered with estimates. Parse errors abort with `InvalidData` (a
 /// replay file is trusted input; silently skipping a bad line would hide
 /// a broken generator), but **engine refusals** — an unknown `@model`, a
-/// mis-shaped query, admission control — are mirrored as typed
-/// `!error <code> <message>` lines and the loop continues, matching the
-/// v2 wire contract. A `?metrics` line answers with the Prometheus
+/// mis-shaped query, a non-finite value, admission control — are
+/// mirrored as typed `!error <code> <message>` lines and the loop
+/// continues, matching the v2 wire contract. A `?metrics` line answers
+/// with the Prometheus
 /// exposition, one `# `-prefixed line per metric line (comments to any
 /// downstream parser).
 pub fn serve_lines<M>(
@@ -743,6 +745,78 @@ mod tests {
         drop(reader);
         drop(stream);
         server.shutdown();
+        eng.shutdown();
+    }
+
+    /// A `NaN` or an infinity in the query vector or the threshold grid is
+    /// refused before it reaches a model — in process, over v2 and over
+    /// the text loop — and the connection keeps serving.
+    #[test]
+    fn non_finite_queries_are_refused_on_every_path() {
+        let eng = engine();
+        let bad = [
+            (vec![f32::NAN], vec![1.0]),
+            (vec![1.0], vec![f32::NAN]),
+            (vec![f32::INFINITY], vec![1.0]),
+            (vec![1.0], vec![0.5, f32::NEG_INFINITY]),
+        ];
+        for (x, ts) in &bad {
+            let req = Request::new(x.clone()).thresholds(ts.clone());
+            for err in [
+                eng.serve_blocking(&req).err(),
+                eng.submit(req.clone()).err(),
+            ] {
+                assert!(
+                    matches!(err, Some(SubmitError::NonFinite { .. })),
+                    "{x:?} | {ts:?}: {err:?}"
+                );
+            }
+        }
+
+        let server = spawn_server(&eng);
+        let stream = TcpStream::connect(server.addr).unwrap();
+        let (mut reader, mut writer) = handshake(&stream);
+        for (x, ts) in &bad {
+            Frame::Query {
+                model: None,
+                x: x.clone(),
+                ts: ts.clone(),
+            }
+            .write_v2(&mut writer)
+            .unwrap();
+        }
+        Frame::Query {
+            model: None,
+            x: vec![1.0],
+            ts: vec![2.0],
+        }
+        .write_v2(&mut writer)
+        .unwrap();
+        writer.flush().unwrap();
+        for _ in &bad {
+            match Response::read_v2(&mut reader).unwrap().unwrap() {
+                Response::Error(e) => assert_eq!(e.code, ErrorCode::NonFinite),
+                other => panic!("expected non-finite error, got {other:?}"),
+            }
+        }
+        match Response::read_v2(&mut reader).unwrap().unwrap() {
+            Response::Estimates(e) => assert_eq!(e, vec![3.0]),
+            other => panic!("expected estimates after refusals, got {other:?}"),
+        }
+        drop((stream, reader, writer));
+        server.shutdown();
+
+        let input = "NaN | 1.0\n1.0 | NaN\n1.0 | inf\n1.0 | 2.0\n";
+        let mut out = Vec::new();
+        let served = serve_lines(&eng, &mut input.as_bytes(), &mut out).unwrap();
+        assert_eq!(served, 1, "only the finite query is answered");
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4, "{text}");
+        for line in &lines[..3] {
+            assert!(line.starts_with("!error non-finite"), "line: {line}");
+        }
+        assert_eq!(lines[3], "3");
         eng.shutdown();
     }
 

@@ -16,7 +16,6 @@
 //! have held, without a second write on the hot path. A tenant's own
 //! [`ServeStats::snapshot`] is that fold over one.
 
-use crate::cache::CacheShardStats;
 use selnet_obs::{Counter, Histogram, HistogramSnapshot, SlowQuery, SlowQueryLog};
 
 /// Slow queries each stats instance retains (newest win); the total ever
@@ -30,10 +29,8 @@ pub struct ServeStats {
     pub(crate) rows: Counter,
     pub(crate) batches: Counter,
     /// Rows that went through coalesced batch evaluations only (the
-    /// numerator of `mean_batch_rows`; inline and cache-hit rows are
-    /// excluded).
+    /// numerator of `mean_batch_rows`; inline rows are excluded).
     batch_rows: Counter,
-    pub(crate) cache_hits: Counter,
     pub(crate) inline_requests: Counter,
     pub(crate) shed_requests: Counter,
     pub(crate) slow_requests: Counter,
@@ -62,7 +59,6 @@ impl ServeStats {
             rows: Counter::new(),
             batches: Counter::new(),
             batch_rows: Counter::new(),
-            cache_hits: Counter::new(),
             inline_requests: Counter::new(),
             shed_requests: Counter::new(),
             slow_requests: Counter::new(),
@@ -109,11 +105,6 @@ impl ServeStats {
     pub fn record_batch(&self, rows: u64) {
         self.batches.inc();
         self.batch_size_rows.record(rows);
-    }
-
-    /// Records a response served straight from the LRU cache.
-    pub fn record_cache_hit(&self) {
-        self.cache_hits.inc();
     }
 
     /// Records a request refused by admission control (`Overloaded`).
@@ -170,13 +161,15 @@ impl ServeStats {
 /// Point-in-time view of [`ServeStats`].
 #[derive(Clone, Debug)]
 pub struct StatsSnapshot {
-    /// Requests answered (cache hits included).
+    /// Requests answered.
     pub requests: u64,
-    /// `(x, t)` rows evaluated or served from cache.
+    /// `(x, t)` rows evaluated.
     pub rows: u64,
     /// Coalesced batch evaluations run.
     pub batches: u64,
-    /// Requests served from the LRU cache.
+    /// Always 0: the engine has no reply cache. Read only by
+    /// `benchmark/`; drop it with its `cache.*` rows in ROADMAP 4b's
+    /// `[benchmark]` PR.
     pub cache_hits: u64,
     /// Requests served synchronously on the submitting thread (idle-queue
     /// fast path); these bypass the queue, so they appear in `requests`
@@ -202,15 +195,9 @@ pub struct StatsSnapshot {
     /// Largest end-to-end request latency observed, microseconds.
     pub max_latency_us: u64,
     /// Mean **batch-evaluated** rows per coalesced batch — the coalescing
-    /// win in one number (inline serves and cache hits are excluded from
-    /// the numerator; `0` when no batch has run).
+    /// win in one number (inline serves are excluded from the numerator;
+    /// `0` when no batch has run).
     pub mean_batch_rows: f64,
-    /// Per-shard LRU cache counters (hits / misses / evictions /
-    /// resident entries). Filled by
-    /// [`Engine::stats_snapshot`](crate::engine::Engine::stats_snapshot);
-    /// empty in a raw [`ServeStats::snapshot`], which cannot see the
-    /// engine's caches.
-    pub cache_shards: Vec<CacheShardStats>,
 }
 
 impl StatsSnapshot {
@@ -232,32 +219,28 @@ impl StatsSnapshot {
             requests: sum(|s| &s.requests),
             rows: sum(|s| &s.rows),
             batches,
-            cache_hits: sum(|s| &s.cache_hits),
+            cache_hits: 0,
             inline_requests: sum(|s| &s.inline_requests),
             shed_requests: sum(|s| &s.shed_requests),
             slow_requests: sum(|s| &s.slow_requests),
             p50_latency_us: lat.quantile(0.50),
             p99_latency_us: lat.quantile(0.99),
             max_latency_us: lat.max,
-            // only batch-evaluated rows count, so inline serves and cache
-            // hits cannot inflate the reported coalescing win
+            // only batch-evaluated rows count, so inline serves cannot
+            // inflate the reported coalescing win
             mean_batch_rows: if batches == 0 {
                 0.0
             } else {
                 sum(|s| &s.batch_rows) as f64 / batches as f64
             },
-            cache_shards: Vec::new(),
         }
     }
 
-    /// Cache misses summed across shards.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_shards.iter().map(|s| s.misses).sum()
-    }
-
-    /// Cache evictions summed across shards.
+    /// Always 0: the engine has no reply cache. Read only by
+    /// `benchmark/`; drop it with its `cache.*` rows in ROADMAP 4b's
+    /// `[benchmark]` PR.
     pub fn cache_evictions(&self) -> u64 {
-        self.cache_shards.iter().map(|s| s.evictions).sum()
+        0
     }
 }
 
@@ -272,7 +255,6 @@ mod tests {
             s.record_request(2, i);
         }
         s.record_batch(12);
-        s.record_cache_hit();
         s.record_shed();
         // one coalesced batch of three requests (3 + 5 + 4 = 12 rows)
         s.record_requests(&[(3, 101), (5, 102), (4, 103)]);
@@ -280,7 +262,6 @@ mod tests {
         assert_eq!(snap.requests, 103);
         assert_eq!(snap.rows, 212);
         assert_eq!(snap.batches, 1);
-        assert_eq!(snap.cache_hits, 1);
         assert_eq!(snap.shed_requests, 1);
         // every latency here is below 128 µs, so the log-bucketed record
         // reproduces the nearest-rank percentiles exactly

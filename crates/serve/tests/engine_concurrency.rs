@@ -56,8 +56,8 @@ fn query_pool(ds: &Dataset, tmax: f32, n: usize) -> Vec<(Vec<f32>, Vec<f32>)> {
 
 /// N client threads x M queries against the engine must produce results
 /// **bit-identical** to a single-threaded `estimate_many` pass over the
-/// same model — coalescing, sharding, stealing, and the cache change
-/// nothing about any answer.
+/// same model — coalescing, sharding and stealing change nothing about
+/// any answer.
 #[test]
 fn concurrent_serving_is_bit_identical_to_sequential() {
     let (ds, _, model) = fixture(91, 3);
@@ -72,10 +72,8 @@ fn concurrent_serving_is_bit_identical_to_sequential() {
         Arc::new(ModelRegistry::new(model)),
         &EngineConfig {
             workers: 4,
-            shards: 2,
             max_batch_rows: 16,
-            cache_entries: 32,
-            // workers drain up to max_batch_rows across two shards,
+            // workers drain up to max_batch_rows from their own shard,
             // stealing when idle: none of it may change a single answer
             ..Default::default()
         },
@@ -168,9 +166,7 @@ fn hot_swap_mid_traffic_never_tears_a_response() {
         Arc::clone(&registry),
         &EngineConfig {
             workers: 3,
-            shards: 2,
             max_batch_rows: 16,
-            cache_entries: 16,
             ..Default::default()
         },
     );
@@ -257,9 +253,7 @@ fn plans_stay_generation_consistent_across_retrain_swap() {
         Arc::clone(&registry),
         &EngineConfig {
             workers: 3,
-            shards: 2,
             max_batch_rows: 16,
-            cache_entries: 16,
             ..Default::default()
         },
     );
@@ -417,8 +411,6 @@ fn worker_and_inline_answers_are_bit_identical() {
         Arc::new(ModelRegistry::new(model)),
         &EngineConfig {
             workers: 2,
-            // no reply cache: both paths must evaluate
-            cache_entries: 0,
             max_batch_rows: 256,
             ..Default::default()
         },

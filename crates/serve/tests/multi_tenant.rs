@@ -86,9 +86,7 @@ fn concurrent_two_tenant_traffic_is_bit_identical_per_tenant() {
         registry,
         &EngineConfig {
             workers: 3,
-            shards: 2,
             max_batch_rows: 16,
-            cache_entries: 32,
             max_queue_rows: 0,
             slow_query_us: 0,
             trace_buffer: 0,
@@ -208,9 +206,7 @@ fn hot_swapping_one_tenant_never_perturbs_the_other() {
         Arc::clone(&registry),
         &EngineConfig {
             workers: 3,
-            shards: 2,
             max_batch_rows: 16,
-            cache_entries: 16,
             max_queue_rows: 0,
             slow_query_us: 0,
             trace_buffer: 0,
@@ -291,9 +287,7 @@ fn observability_on_and_off_serve_bit_identical_answers() {
             Arc::new(ModelRegistry::new(model.clone())),
             &EngineConfig {
                 workers: 2,
-                shards: 2,
                 max_batch_rows: 16,
-                cache_entries: 32,
                 max_queue_rows: 0,
                 slow_query_us,
                 trace_buffer,
@@ -410,9 +404,7 @@ fn fleet_stats_are_the_fold_of_the_tenants() {
         Arc::clone(&registry),
         &EngineConfig {
             workers: 2,
-            shards: 1,
             max_batch_rows: 8,
-            cache_entries: 16,
             max_queue_rows: 12,
             slow_query_us: 2_000,
             trace_buffer: 0,
@@ -431,7 +423,6 @@ fn fleet_stats_are_the_fold_of_the_tenants() {
                     let name = names[(i + c) % 3];
                     let m = 1 + i % 4;
                     let ts: Vec<f32> = (1..=m).map(|j| j as f32).collect();
-                    // repeats across clients, so the cache answers some
                     let x = [(i % 20) as f32];
                     if (i + c) % 2 == 0 {
                         let got = engine.serve_blocking(&req(name, &x, &ts)).unwrap();
@@ -458,13 +449,13 @@ fn fleet_stats_are_the_fold_of_the_tenants() {
     });
 
     // the forced shed: with the gate shut both workers park on the first
-    // gated batch they drain, the 12-row queue fills behind them, and the
-    // next submit is refused — at the latest the 15th (2 × 8 rows drained,
-    // 12 queued, 2 rows each)
+    // gated batch they drain, the two 12-row shards (one per worker) fill
+    // behind them, and the next submit is refused — at the latest the 21st
+    // (2 × 8 rows drained, 2 × 12 queued, 2 rows each)
     gate.set(false);
     let mut accepted = Vec::new();
     let mut shed = 0u64;
-    for i in 0..16 {
+    for i in 0..24 {
         match engine.submit(req("gamma", &[-1.0 - i as f32], &[1.0, 2.0])) {
             Ok(handle) => accepted.push(handle),
             Err(SubmitError::Overloaded { limit, .. }) => {
@@ -476,7 +467,7 @@ fn fleet_stats_are_the_fold_of_the_tenants() {
     }
     assert!(
         shed > 0,
-        "16 gated submits against a 12-row bound must shed"
+        "24 gated submits against two 12-row shards must shed"
     );
     // the slow queries: everything parked at the gate has by now waited
     // longer than the 2 ms bar
@@ -513,7 +504,6 @@ fn fleet_stats_are_the_fold_of_the_tenants() {
     assert_eq!(fleet.requests, sum(|s| s.requests));
     assert_eq!(fleet.rows, sum(|s| s.rows));
     assert_eq!(fleet.batches, sum(|s| s.batches));
-    assert_eq!(fleet.cache_hits, sum(|s| s.cache_hits));
     assert_eq!(fleet.inline_requests, sum(|s| s.inline_requests));
     assert_eq!(fleet.shed_requests, sum(|s| s.shed_requests));
     assert_eq!(fleet.slow_requests, sum(|s| s.slow_requests));
@@ -545,12 +535,12 @@ fn fleet_stats_are_the_fold_of_the_tenants() {
 /// the label set of every series — frozen from the output of the commit
 /// before the fleet became a fold of its tenants (PR 23): values and
 /// `le` bounds move with traffic, this list must not.
-const METRICS_STRUCTURE: &str = r#"# HELP selnet_requests_total Requests answered (cache hits included; shed refusals excluded).
+const METRICS_STRUCTURE: &str = r#"# HELP selnet_requests_total Requests answered (shed refusals excluded).
 # TYPE selnet_requests_total counter
 selnet_requests_total
 selnet_requests_total{tenant="alpha"}
 selnet_requests_total{tenant="beta"}
-# HELP selnet_rows_total (x, t) rows evaluated or served from cache.
+# HELP selnet_rows_total (x, t) rows evaluated.
 # TYPE selnet_rows_total counter
 selnet_rows_total
 selnet_rows_total{tenant="alpha"}
@@ -560,11 +550,6 @@ selnet_rows_total{tenant="beta"}
 selnet_batches_total
 selnet_batches_total{tenant="alpha"}
 selnet_batches_total{tenant="beta"}
-# HELP selnet_cache_hits_total Requests served from the response cache.
-# TYPE selnet_cache_hits_total counter
-selnet_cache_hits_total
-selnet_cache_hits_total{tenant="alpha"}
-selnet_cache_hits_total{tenant="beta"}
 # HELP selnet_inline_requests_total Requests served synchronously on the submitting thread.
 # TYPE selnet_inline_requests_total counter
 selnet_inline_requests_total
@@ -690,7 +675,9 @@ fn metrics_text_keeps_its_structure() {
         "selnet_requests_total{tenant=\"beta\"} 5",
         "selnet_rows_total 11",
         "selnet_inline_requests_total 3",
-        "selnet_slow_requests_total 8",
+        // every queued request waits for a worker wake-up, past the 1 µs
+        // bar; an inline one can answer inside it
+        "selnet_slow_requests_total{tenant=\"beta\"} 5",
         "selnet_request_latency_us_count 8",
         "selnet_request_latency_us_bucket{tenant=\"beta\",le=\"+Inf\"} 5",
         "selnet_retrain_us_sum{tenant=\"beta\"} 2500",

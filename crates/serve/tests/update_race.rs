@@ -99,9 +99,7 @@ fn shutdown_racing_spawn_update_is_clean() {
         Arc::clone(&registry),
         &EngineConfig {
             workers: 2,
-            shards: 1,
             max_batch_rows: 16,
-            cache_entries: 16,
             ..Default::default()
         },
     );
@@ -167,9 +165,7 @@ fn clients_racing_shutdown_get_answers_or_typed_refusals() {
         Arc::clone(&registry),
         &EngineConfig {
             workers: 2,
-            shards: 1,
             max_batch_rows: 8,
-            cache_entries: 8,
             ..Default::default()
         },
     );

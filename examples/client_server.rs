@@ -37,7 +37,7 @@ fn main() {
         tenants.push((name, ds, model));
     }
 
-    // 2. one engine serves the whole fleet: shared worker pool and cache,
+    // 2. one engine serves the whole fleet: shared worker pool,
     // per-tenant generations and stats, bounded queues for admission
     let registry = Arc::new(ModelRegistry::empty());
     for (name, _, model) in &tenants {

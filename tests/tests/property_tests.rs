@@ -4,11 +4,9 @@
 //! * Norml2 rows are positive and sum to 1 for arbitrary inputs;
 //! * the cover tree counts exactly for arbitrary point sets;
 //! * partition labels always sum to the global label (Observation 1);
-//! * isotonic regression returns the monotone least-squares fit;
 //! * incremental label maintenance matches recomputation from scratch.
 
 use proptest::prelude::*;
-use selnet_baselines::isotonic;
 use selnet_core::PiecewiseLinear;
 use selnet_data::Dataset;
 use selnet_index::{CoverTree, PartitionMethod, Partitioning};
@@ -131,23 +129,6 @@ proptest! {
                 prop_assert!(ind[part], "part {part} pruned but holds {count} matches");
             }
         }
-    }
-
-    /// Isotonic regression output is monotone and never increases the
-    /// squared error relative to the best constant fit.
-    #[test]
-    fn isotonic_is_monotone_and_no_worse_than_constant(
-        ys in prop::collection::vec(-100.0f64..100.0, 1..50),
-    ) {
-        let g = isotonic(&ys);
-        prop_assert_eq!(g.len(), ys.len());
-        for w in g.windows(2) {
-            prop_assert!(w[0] <= w[1] + 1e-9);
-        }
-        let mean = ys.iter().sum::<f64>() / ys.len() as f64;
-        let sse_iso: f64 = ys.iter().zip(&g).map(|(y, v)| (y - v) * (y - v)).sum();
-        let sse_const: f64 = ys.iter().map(|y| (y - mean) * (y - mean)).sum();
-        prop_assert!(sse_iso <= sse_const + 1e-6);
     }
 
     /// The Huber loss tape op matches its closed form and its gradient is
