@@ -1,70 +1,84 @@
-//! Serving-path benchmarks: one-query-per-tape-call vs the batched
-//! coalesced entry point (`predict_batch`, now riding a compiled
-//! inference plan) vs the full engine (queue + workers), plus the
-//! `plan` group comparing plan replays against the reference tape paths
-//! on the same trained partitioned model.
+//! Serving-path benchmark: one-query-per-tape-call vs the batched
+//! coalesced entry point (`predict_batch`, riding a compiled inference
+//! plan) vs the full engine (queue + worker), plus plan replays against
+//! the reference tape paths on the same trained partitioned model and the
+//! replay-thread scaling curve.
 //!
-//! With `SELNET_BENCH_RECORD=1` the run re-times the key comparisons with
-//! a plain `Instant` loop and rewrites `BENCH_serve.json` at the repo
-//! root (PR 4's figures stay frozen in the `baseline_pr4` block). See
-//! `crates/bench/README.md` for the workflow.
+//! One timing pass: `cargo bench -p selnet-bench --bench serve` prints the
+//! JSON block it measured, `SELNET_BENCH_RECORD=1` also rewrites
+//! `BENCH_serve.json` at the repo root (PR 4's figures stay frozen in the
+//! `baseline_pr4` block, the `floors` are carried over), and `-- --test`
+//! runs each closure once and checks the block's keys against the file
+//! (see `selnet_bench::servebench::Pass`). See `crates/bench/README.md`
+//! for the workflow.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use selnet_bench::servebench::{
-    json_number, model_fixture, point_queries, query_batch, time_ms, BATCH,
+    model_fixture, point_queries, query_batch, read_floors, Pass, BATCH,
 };
 use selnet_eval::SelectivityEstimator;
 use selnet_serve::engine::{Engine, EngineConfig, Request};
 use selnet_serve::registry::ModelRegistry;
 use std::hint::black_box;
+use std::process::ExitCode;
 use std::sync::Arc;
 
-fn bench_serve_throughput(c: &mut Criterion) {
+fn main() -> ExitCode {
+    let pass = Pass::from_args();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
+    // the floors are carried over from the committed file, never invented:
+    // a file without all four fails the run as it fails the guard
+    let floors = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+        .and_then(|blob| read_floors(&blob));
+    let [floor_batched, floor_plan, floor_obs, floor_obs_slow] = match floors {
+        Ok(floors) => floors,
+        Err(e) => {
+            eprintln!("serve bench: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+
     let (ds, model) = model_fixture();
     let (xs, ts) = query_batch(&ds, model.tmax());
     let x_refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
     let queries = point_queries(&xs, &ts);
 
-    let mut group = c.benchmark_group("serve_throughput");
-    group.sample_size(20);
-    // the baseline the issue names: one evaluation per query
-    group.bench_function(format!("one_query_per_call/{BATCH}"), |b| {
-        b.iter(|| {
-            for i in 0..BATCH {
-                black_box(model.estimate(&xs[i], ts[i]));
-            }
-        })
+    // the baseline: one evaluation per query
+    let single = pass.time_ms(10, 10, || {
+        for i in 0..BATCH {
+            black_box(model.estimate(&xs[i], ts[i]));
+        }
     });
     // coalesced: every query a row of one batch matrix, one plan replay
-    group.bench_function(format!("batched_coalesced/{BATCH}"), |b| {
-        b.iter(|| black_box(model.predict_batch(&x_refs, &ts)))
+    let batched = pass.time_ms(10, 10, || {
+        black_box(model.predict_batch(&x_refs, &ts));
     });
-    group.finish();
-
     // plan vs tape: the same math, compiled replay vs autodiff tape walk
-    let mut group = c.benchmark_group("plan");
-    group.sample_size(20);
-    group.bench_function(format!("plan_batched/{BATCH}"), |b| {
-        let mut out = Vec::with_capacity(BATCH);
-        b.iter(|| {
-            model.estimate_into(&queries, 1, &mut out);
-            black_box(out.last().copied())
+    let tape_batched = pass.time_ms(10, 10, || {
+        black_box(model.tape_predict_batch(&x_refs, &ts));
+    });
+    let mut out = Vec::with_capacity(BATCH);
+    let plan_many = pass.time_ms(10, 10, || {
+        model.estimate_into(&[(&xs[0], &ts)], 1, &mut out);
+        black_box(out.last().copied());
+    });
+    let tape_many = pass.time_ms(10, 10, || {
+        black_box(model.tape_predict_many(&xs[0], &ts));
+    });
+
+    // row-chunked parallel replay: the same wave at 1/2/4/8 replay
+    // threads (on a 1-vCPU box the curve is flat by construction —
+    // answers are bit-identical either way, so the numbers are still
+    // honest)
+    let scaling_ms: Vec<f64> = [1usize, 2, 4, 8]
+        .iter()
+        .map(|&threads| {
+            pass.time_ms(10, 10, || {
+                model.estimate_into(&queries, threads, &mut out);
+                black_box(out.last().copied());
+            })
         })
-    });
-    group.bench_function(format!("tape_batched/{BATCH}"), |b| {
-        b.iter(|| black_box(model.tape_predict_batch(&x_refs, &ts)))
-    });
-    group.bench_function(format!("plan_many/{BATCH}"), |b| {
-        let mut out = Vec::with_capacity(BATCH);
-        b.iter(|| {
-            model.estimate_into(&[(&xs[0], &ts)], 1, &mut out);
-            black_box(out.last().copied())
-        })
-    });
-    group.bench_function(format!("tape_many/{BATCH}"), |b| {
-        b.iter(|| black_box(model.tape_predict_many(&xs[0], &ts)))
-    });
-    group.finish();
+        .collect();
 
     // end-to-end engine: queue + worker + batched eval
     let engine = Engine::start(
@@ -77,86 +91,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
             trace_buffer: 0,
         },
     );
-    let mut group = c.benchmark_group("serve_engine");
-    group.sample_size(20);
-    group.bench_function(format!("submit_collect/{BATCH}"), |b| {
-        b.iter(|| {
-            let receivers: Vec<_> = (0..BATCH)
-                .map(|i| {
-                    engine
-                        .submit(Request::new(xs[i].clone()).thresholds(vec![ts[i]]))
-                        .expect("engine running")
-                })
-                .collect();
-            for rx in receivers {
-                black_box(rx.wait().expect("served"));
-            }
-        })
-    });
-    group.finish();
-    engine.shutdown();
-}
-
-/// Rewrites `BENCH_serve.json` (repo root) with wall-clock numbers for
-/// the serving paths and the plan-vs-tape comparison, keeping PR 4's
-/// figures frozen as `baseline_pr4` and carrying the CI regression
-/// floors. Opt-in via `SELNET_BENCH_RECORD=1` so ordinary `cargo bench` /
-/// CI runs never touch the tree.
-fn bench_record(_c: &mut Criterion) {
-    if std::env::var("SELNET_BENCH_RECORD").as_deref() != Ok("1") {
-        return;
-    }
-    let (ds, model) = model_fixture();
-    let (xs, ts) = query_batch(&ds, model.tmax());
-    let x_refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
-    let queries = point_queries(&xs, &ts);
-
-    let single = time_ms(10, 10, || {
-        for i in 0..BATCH {
-            black_box(model.estimate(&xs[i], ts[i]));
-        }
-    });
-    let batched = time_ms(10, 10, || {
-        black_box(model.predict_batch(&x_refs, &ts));
-    });
-    let tape_batched = time_ms(10, 10, || {
-        black_box(model.tape_predict_batch(&x_refs, &ts));
-    });
-    let mut out = Vec::with_capacity(BATCH);
-    let plan_many = time_ms(10, 10, || {
-        model.estimate_into(&[(&xs[0], &ts)], 1, &mut out);
-        black_box(out.last().copied());
-    });
-    let tape_many = time_ms(10, 10, || {
-        black_box(model.tape_predict_many(&xs[0], &ts));
-    });
-
-    // row-chunked parallel replay: the same wave at 1/2/4/8 replay
-    // threads (on a 1-vCPU box the curve is flat by construction —
-    // answers are bit-identical either way, so the numbers are still
-    // honest)
-    let mut pout = Vec::with_capacity(BATCH);
-    let scaling_ms: Vec<f64> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&threads| {
-            time_ms(10, 10, || {
-                model.estimate_into(&queries, threads, &mut pout);
-                black_box(pout.last().copied());
-            })
-        })
-        .collect();
-
-    let engine = Engine::start(
-        Arc::new(ModelRegistry::new(model)),
-        &EngineConfig {
-            workers: 1,
-            max_batch_rows: BATCH,
-            max_queue_rows: 0,
-            slow_query_us: 0,
-            trace_buffer: 0,
-        },
-    );
-    let engine_batch = time_ms(10, 10, || {
+    let engine_batch = pass.time_ms(10, 10, || {
         let receivers: Vec<_> = (0..BATCH)
             .map(|i| {
                 engine
@@ -169,19 +104,6 @@ fn bench_record(_c: &mut Criterion) {
         }
     });
     engine.shutdown();
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    // floors survive re-recording: read them back from the existing file
-    // (falling back to the shipped defaults)
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let floors_blob = existing
-        .find("\"floors\"")
-        .map(|i| &existing[i..])
-        .unwrap_or("");
-    let floor_batched = json_number(floors_blob, "speedup_batched_vs_single").unwrap_or(2.0);
-    let floor_plan = json_number(floors_blob, "plan_vs_tape").unwrap_or(1.05);
-    let floor_obs = json_number(floors_blob, "obs_overhead_max").unwrap_or(1.03);
-    let floor_obs_slow = json_number(floors_blob, "obs_slowpath_max").unwrap_or(1.25);
 
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -235,7 +157,7 @@ fn bench_record(_c: &mut Criterion) {
     "plan_vs_tape": {floor_plan:.2},
     "obs_overhead_max": {floor_obs:.2},
     "obs_slowpath_max": {floor_obs_slow:.2},
-    "note": "CI floors enforced by serve_bench_guard; conservative next to the recorded figures to ride out machine noise. obs_overhead_max bounds the median paired-round ratio of obs-armed (span ring + slow-query log at a tail-calibrated threshold) over obs-disabled engine submit/collect waves: the always-on observability cost of untraced traffic must stay under 3% on the batched hot path (per-request spans are sampled, paid only by trace-ID-carrying requests). obs_slowpath_max separately bounds the pathological every-request-slow configuration (1us threshold, one bounded log push per request at 600k+ req/s) so the slow path can never silently grow a syscall, an allocation, or an O(n) push."
+    "note": "CI floors enforced by serve_bench_guard; conservative next to the recorded figures to ride out machine noise. obs_overhead_max bounds the median paired-round ratio of obs-armed (span ring + slow-query log at a tail-calibrated threshold) over obs-disabled engine submit/collect waves on the batched hot path (per-request spans are sampled, paid only by trace-ID-carrying requests); the guard fails only when that median exceeds the floor by more than the inter-quartile distance of an off-vs-off control timed in the same rounds, so what it resolves is a slowdown of about that distance (0.07-0.25 over runs on a 2-vCPU host), not 3%. obs_slowpath_max separately bounds the pathological every-request-slow configuration (1us threshold, one bounded log push per request at 600k+ req/s) so the slow path can never silently grow a syscall, an allocation, or an O(n) push."
   }},
   "notes": "speedup_batched_vs_single is the coalescing win the serving engine exists for: a batch amortizes the forward pass and turns {BATCH} skinny 1-row matmuls into one {BATCH}-row matmul. plan_vs_tape_batched is the compiled-plan win on top: no grad buffers, no per-call parameter injection, fused affine+activation steps. engine_vs_batched is the remaining queue/channel overhead per request (1.0 = free)."
 }}
@@ -254,9 +176,5 @@ fn bench_record(_c: &mut Criterion) {
         s8 = scaling_ms[3],
         s_speedup = scaling_ms[0] / scaling_ms[2],
     );
-    std::fs::write(path, json).expect("write BENCH_serve.json");
-    println!("\nrecorded serving numbers to {path}");
+    pass.finish(path, &json)
 }
-
-criterion_group!(benches, bench_serve_throughput, bench_record);
-criterion_main!(benches);

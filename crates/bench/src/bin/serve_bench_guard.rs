@@ -24,7 +24,7 @@
 //! Run manually: `cargo run --release -p selnet-bench --bin serve_bench_guard`
 
 use selnet_bench::servebench::{
-    json_number, json_section, model_fixture, query_batch, time_ms, BATCH,
+    json_number, json_section, model_fixture, query_batch, read_floors, time_ms, BATCH,
 };
 use selnet_core::PartitionedSelNet;
 use selnet_eval::SelectivityEstimator;
@@ -33,24 +33,6 @@ use selnet_serve::registry::ModelRegistry;
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::Arc;
-
-/// Reads the `floors` block of `BENCH_serve.json`:
-/// `speedup_batched_vs_single`, `plan_vs_tape`, `obs_overhead_max`,
-/// `obs_slowpath_max`, in that order. A missing key is an error.
-fn read_floors(blob: &str) -> Result<[f64; 4], String> {
-    let block = json_section(blob, "floors").ok_or("BENCH_serve.json has no floors block")?;
-    let keys = [
-        "speedup_batched_vs_single",
-        "plan_vs_tape",
-        "obs_overhead_max",
-        "obs_slowpath_max",
-    ];
-    let mut floors = [0.0; 4];
-    for (floor, key) in floors.iter_mut().zip(keys) {
-        *floor = json_number(block, key).ok_or(format!("the floors block lacks {key}"))?;
-    }
-    Ok(floors)
-}
 
 /// Validates the recorded `scaling` block in `BENCH_serve.json`: the
 /// 1/2/4/8-thread batched-replay entries must all be present and
@@ -158,18 +140,20 @@ fn quartile(sorted: &[f64], q: usize) -> f64 {
 /// two equal engines, and the armed floor is held only beyond it. Two
 /// configurations, two floors:
 ///
-/// * **armed** (`obs_overhead_max`, the ≤ 3% contract): span ring on,
+/// * **armed** (`obs_overhead_max`, 1.03): span ring on,
 ///   slow-query log on at a tail-calibrated threshold no sub-millisecond
 ///   request crosses. This is what untraced production traffic pays with
 ///   the flight recorder fully armed — histograms, counters, batch-stage
 ///   spans, trace minting, and the per-request slow check. Per-request
 ///   spans are deliberately absent: those are sampled, paid only by
 ///   requests that bring a trace ID. Fails when the median exceeds the
-///   floor by more than the control's inter-quartile distance.
+///   floor by more than the control's inter-quartile distance — so what
+///   it resolves is a slowdown of about that distance (0.07–0.25 over
+///   runs on a 2-vCPU host), not the floor's 3%.
 /// * **stress** (`obs_slowpath_max`): a 1µs threshold routes **every**
 ///   reply through the slow path (a bounded Mutex log push per request —
 ///   at 600k+ req/s, a rate no real threshold produces). Not part of the
-///   3% contract, but bounded so the slow path can never silently grow a
+///   armed bound, but bounded so the slow path can never silently grow a
 ///   syscall, an allocation, or an O(n) push.
 fn check_obs_overhead(
     model: &PartitionedSelNet,
@@ -318,25 +302,5 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn read_floors_refuses_a_missing_key() {
-        let recorded = include_str!("../../../../BENCH_serve.json");
-        assert_eq!(read_floors(recorded), Ok([2.0, 1.05, 1.03, 1.25]));
-        let misspelt = recorded.replace("\"plan_vs_tape\"", "\"plan_vs_tap\"");
-        assert_eq!(
-            read_floors(&misspelt),
-            Err("the floors block lacks plan_vs_tape".into())
-        );
-        // a key outside the floors block does not stand in for it
-        let outside = r#"{ "plan": { "obs_slowpath_max": 1 }, "floors": {
-            "speedup_batched_vs_single": 2, "plan_vs_tape": 1, "obs_overhead_max": 1 } }"#;
-        assert!(read_floors(outside).is_err());
     }
 }
