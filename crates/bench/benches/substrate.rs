@@ -3,9 +3,10 @@
 //! kernel against the naive gemm per serving shape, the tape itself (fresh
 //! graph per step vs arena reuse — the allocation-sensitive benchmark), the
 //! distance layer (pair kernel against the 16-lane block kernel, in cache
-//! and streamed), cover-tree construction (one and two build workers, and
-//! the benchmark's paper fixture), the partitioning's ball store, the
-//! fork-join primitive itself, a label column rank-selected, one
+//! and streamed), the paper fixture's generator, cover-tree construction
+//! (one and two build workers, and the benchmark's paper fixture), the
+//! partitioning's ball store, the fork-join primitive itself, a label
+//! column rank-selected, one
 //! end-to-end training epoch, and the §5.3 joint training step on a curve
 //! batch beside the Adam loop.
 //!
@@ -17,6 +18,8 @@
 //! the `seed` and `pr2` kernels, the insertion-built cover tree, and the
 //! "befores" of PRs 15, 16, 21 and 23 — are literals in the block, frozen
 //! as last recorded; the ratios beside them are taken against this run.
+//! So are the row-by-row generator and the paper fixture's tree builds
+//! routing one point per kernel call.
 //! See `crates/bench/README.md` for the workflow.
 
 use selnet_bench::servebench::Pass;
@@ -591,10 +594,14 @@ fn main() -> ExitCode {
     let build_5k_2w = pass.time_ms(10, 2, || {
         black_box(CoverTree::build_with_workers(&ds5k, 2));
     });
-    // the benchmark's paper fixture, to full depth and to the ratio cut
-    // the partitioner passes (0.05 · |D|), on the default workers: a
-    // build is most of a second, so best of three
-    let ds50k = fasttext_like(&GeneratorConfig::new(50_000, 300, 16, 7));
+    // the benchmark's paper fixture: generated on the default workers,
+    // then its tree to full depth and to the ratio cut the partitioner
+    // passes (0.05 · |D|); a build is most of a second, so best of three
+    let paper = GeneratorConfig::new(50_000, 300, 16, 7);
+    let gen_50k = pass.time_ms(5, 1, || {
+        black_box(fasttext_like(&paper));
+    });
+    let ds50k = fasttext_like(&paper);
     let build_50k = pass.time_ms(3, 1, || {
         black_box(CoverTree::build(&ds50k));
     });
@@ -731,13 +738,23 @@ fn main() -> ExitCode {
   "distance": {{
 {distance_block}
   }},
+  "generator": {{
+    "records": 50000,
+    "dim": 300,
+    "row_by_row_ms": 516.7,
+    "fasttext_like_ms": {gen_50k:.1},
+    "row_by_row_vs_chunked": {gen_ratio:.2}
+  }},
   "cover_tree": {{
     "build_5k_insertion_ms": 4.1826,
     "build_5k_ms": {build_5k:.4},
     "build_5k_2w_ms": {build_5k_2w:.4},
     "speedup_vs_insertion": {speedup_ct:.2},
+    "build_50k_d300_one_point_ms": 546.0,
     "build_50k_d300_ms": {build_50k:.1},
-    "build_50k_d300_ratio_ms": {build_50k_ratio:.1}
+    "build_50k_d300_ratio_one_point_ms": 491.4,
+    "build_50k_d300_ratio_ms": {build_50k_ratio:.1},
+    "ratio_one_point_vs_four": {ct_four_ratio:.2}
   }},
   "ball_store": {{
 {ball_store_block}
@@ -753,7 +770,7 @@ fn main() -> ExitCode {
 {train_step_block},
     "adam_ns_per_param": {{ "params": {ADAM_PARAMS}, "zip_before": 3.02, "indexed": {adam_after:.2}, "before_vs_after": {adam_ratio:.2} }}
   }},
-  "notes": "seed/pr2 numbers were taken on a single-vCPU container; the 4t entries only show parallel gains on multi-core hosts (the kernels are bit-identical across thread counts either way). The tape_* pair isolates per-step tape overhead: same model, same data, fresh Graph per step vs one reused arena. The scaling block is the parallel matmul dispatcher's per-thread curve at the 256² control shape; the gemm block is the hand-tiled kernel vs the naive ikj reference per serving shape (hand_vs_naive > 1 means the hand kernel wins), recorded on machine_cpus cores. The distance block is nanoseconds per distance of one query against `vectors` vectors, `vectors::squared_euclidean` pair by pair vs `LaneBlocks::sqdist_into` sixteen at a time (bit-identical lanes), over 32 vectors (cached) and over 60 MB of them (streamed); bounded_first_stride_ns and bounded_never_ns are `LaneBlocks::sqdist_within` under limits every lane is beyond after the first 32 coordinates, and limits nothing is ever beyond (at d = 24, a single stride, the kernel never looks and both are the block kernel), rows4_ns is `LaneBlocks::sqdist_rows_into`, four queries per pass over a block, per distance. cover_tree.build_5k_insertion_ms is frozen: sequential insertion on the pair kernel, the build before PR 14, best of 10 on the host that recorded build_5k_ms; build_5k_ms is the batch build on one worker, build_5k_2w_ms the same tree routed by two (80 000 coordinates: far below the size `CoverTree::build` goes parallel at); build_50k_d300_ms and build_50k_d300_ratio_ms are the best of three builds each of the benchmark's paper fixture (50 000 x 300) on the default workers, to full depth (`CoverTree::build`) and down to the partitioner's ratio cut (`build_for_regions`, subtrees of at most 2 500 points left flat). The parallel block is one empty two-way `parallel::fork_join` (a scope, one spawn, one join) in microseconds, back to back and after 2 ms of sleep each (the second vCPU has to be woken), beside the gate derived from it: `parallel::FORK_MIN_WORK` elementary operations per engaged worker. Under it the 256² scaling curve (2^24 multiply-adds in all) never forks and is flat by construction; 512² is eight workers' worth and does fork — where speedup_512_2t_vs_1t reads about 1.0 the recording host's two vCPUs share one core's vector units, so a compute-bound kernel gains nothing from the second while a latency-bound scan (the N=50 000 cover-tree build, 1.25 → 0.67 s) halves. The label_column block is one column of `records` distances: select_ms is `select_nth_unstable` at `rank`, a sort of that prefix and a tie count over the rest (`NearestColumns::finish`), the copy that refills the column subtracted; sort_ms is frozen — the full sort of the column, labelling before PR 15 deleted it — and sort_vs_select divides it by the live select_ms. The train_step block is one §5.3 joint step (forward, backward sweep, Adam with clip) on a reused tape, K = 3 local models, at the benchmark's paper shape (d = 300, default widths, 256 rows) and its small one (d = 24, tiny(), 96 rows), in microseconds. The joint_*_k3 rows are frozen: the step on a batch of pair rows, one network row per (x, t), which PR 21 deleted from training, under `Graph::backward` (every leaf live — what training ran before PR 16) against `Graph::backward_params` (only what a parameter needs; same parameter bits). adam_ns_per_param is one clipped Adam update of `params` parameters per parameter: zip_before is frozen — the four-way zip that read its hyper-parameters and the clip decision through `self` per element, which PR 16 deleted — and before_vs_after divides it by the live indexed loop (same bits). The curves_* rows are that joint step on the batch training assembles since PR 21: `objects` whole query objects with 20 thresholds each (what `batch_size` works out to on the benchmark's ladder), the encoder, the local models and the reconstruction term on the object rows, `Graph::gather_rows` out to `pairs` rows for the PWL heads, losses and masks, parameters-only sweep, Adam; `us_per_pair` is `step_us / pairs`, `pair_step_us_per_pair` is frozen — `params_only_us / rows` of the pair batch above it — and pair_vs_curves_per_pair divides it by the live us_per_pair. Not the 20x the row count suggests: at 13 rows the first-layer GEMMs are skinny, and the Adam update of `params` parameters, the per-pair heads and the tape's fixed costs do not shrink with the rows. The ball_store block is a cover-tree partitioning's ball store (K = 3, ratio 0.05, Euclidean) at the benchmark's two fixtures, two ways: `every` is frozen — the ball of every region the ratio cut exports, the store PR 23 deleted, last recorded from a snapshot stream written by hand (the partitioner's greedy merge kept verbatim) and loaded, since `Partitioning::load` stores what it is given — and `compact` is what `Partitioning::build` stores since: no ball that a bigger ball of its own cluster covers (same indicator flags, same refreshed assignments). build_ms is `Partitioning::build`, tree included; save_load_ms one `save` into a fresh Vec plus one `load` of it; indicator_hit_ns one `indicator_into` whose query ball meets the first (biggest) ball of every cluster, indicator_miss_ns one that meets no ball, so that every block of every cluster is walked (abandoned after the first 32 coordinates at d = 300); compaction_ms is `refresh_assignments` over no records on a copy of the store — the pass that decides which balls a store keeps, and on `every` the work the partitioner's store phase does (52-68 ms inside the build by a scratch timer; the plain copy it replaced 24 ms); refresh_2000_rows_ms is `refresh_assignments` over the first 2 000 records on a copy (on `every` that is the scan before PR 23 plus one compaction_ms)."
+  "notes": "seed/pr2 numbers were taken on a single-vCPU container; the 4t entries only show parallel gains on multi-core hosts (the kernels are bit-identical across thread counts either way). The tape_* pair isolates per-step tape overhead: same model, same data, fresh Graph per step vs one reused arena. The scaling block is the parallel matmul dispatcher's per-thread curve at the 256² control shape; the gemm block is the hand-tiled kernel vs the naive ikj reference per serving shape (hand_vs_naive > 1 means the hand kernel wins), recorded on machine_cpus cores. The distance block is nanoseconds per distance of one query against `vectors` vectors, `vectors::squared_euclidean` pair by pair vs `LaneBlocks::sqdist_into` sixteen at a time (bit-identical lanes), over 32 vectors (cached) and over 60 MB of them (streamed); bounded_first_stride_ns and bounded_never_ns are `LaneBlocks::sqdist_within` under limits every lane is beyond after the first 32 coordinates, and limits nothing is ever beyond (at d = 24, a single stride, the kernel never looks and both are the block kernel), rows4_ns is `LaneBlocks::sqdist_rows_into`, four queries per pass over a block, per distance. The generator block is `fasttext_like` at the benchmark's paper fixture (50 000 x 300, seed 7), best of five on the default workers: fasttext_like_ms draws the RNG stream on the calling thread a chunk at a time and runs the chunk's Box-Muller transforms on the workers; row_by_row_ms is frozen — the loop that drew and transformed each normal in turn on one thread, which it replaced (same bytes), the best of the runs taken on the recording host just before and after the recording — and row_by_row_vs_chunked divides it by the live number. cover_tree.build_5k_insertion_ms is frozen: sequential insertion on the pair kernel, the build the batch build replaced, best of 10 on the host that recorded build_5k_ms; build_5k_ms is the batch build on one worker, build_5k_2w_ms the same tree routed by two (80 000 coordinates: far below the size `CoverTree::build` goes parallel at); build_50k_d300_ms and build_50k_d300_ratio_ms are the best of three builds each of the benchmark's paper fixture (50 000 x 300) on the default workers, to full depth (`CoverTree::build`) and down to the partitioner's ratio cut (`build_for_regions`, subtrees of at most 2 500 points left flat), with four arriving points routed per kernel call (`LaneBlocks::dist_rows_within`); the *_one_point_ms beside them are frozen — the same builds routing one point per call (`dist_within`), which that replaced (same tree), timed the same way — and ratio_one_point_vs_four divides the ratio-cut one by the live build_50k_d300_ratio_ms. The parallel block is one empty two-way `parallel::fork_join` (a scope, one spawn, one join) in microseconds, back to back and after 2 ms of sleep each (the second vCPU has to be woken), beside the gate derived from it: `parallel::FORK_MIN_WORK` elementary operations per engaged worker. Under it the 256² scaling curve (2^24 multiply-adds in all) never forks and is flat by construction; 512² is eight workers' worth and does fork — where speedup_512_2t_vs_1t reads about 1.0 the recording host's two vCPUs share one core's vector units, so a compute-bound kernel gains nothing from the second while a latency-bound scan (the N=50 000 cover-tree build, 1.25 → 0.67 s, or the generator's transforms) halves. The label_column block is one column of `records` distances: select_ms is `select_nth_unstable` at `rank`, a sort of that prefix and a tie count over the rest (`NearestColumns::finish`), the copy that refills the column subtracted; sort_ms is frozen — the full sort of the column, which rank selection replaced in labelling — and sort_vs_select divides it by the live select_ms. The train_step block is one §5.3 joint step (forward, backward sweep, Adam with clip) on a reused tape, K = 3 local models, at the benchmark's paper shape (d = 300, default widths, 256 rows) and its small one (d = 24, tiny(), 96 rows), in microseconds. The joint_*_k3 rows are frozen: the step on a batch of pair rows, one network row per (x, t), which training no longer assembles, under `Graph::backward` (every leaf live — what training ran before the parameters-only sweep) against `Graph::backward_params` (only what a parameter needs; same parameter bits). adam_ns_per_param is one clipped Adam update of `params` parameters per parameter: zip_before is frozen — the four-way zip that read its hyper-parameters and the clip decision through `self` per element, which the indexed loop replaced — and before_vs_after divides it by the live indexed loop (same bits). The curves_* rows are that joint step on the batch training assembles now: `objects` whole query objects with 20 thresholds each (what `batch_size` works out to on the benchmark's ladder), the encoder, the local models and the reconstruction term on the object rows, `Graph::gather_rows` out to `pairs` rows for the PWL heads, losses and masks, parameters-only sweep, Adam; `us_per_pair` is `step_us / pairs`, `pair_step_us_per_pair` is frozen — `params_only_us / rows` of the pair batch above it — and pair_vs_curves_per_pair divides it by the live us_per_pair. Not the 20x the row count suggests: at 13 rows the first-layer GEMMs are skinny, and the Adam update of `params` parameters, the per-pair heads and the tape's fixed costs do not shrink with the rows. The ball_store block is a cover-tree partitioning's ball store (K = 3, ratio 0.05, Euclidean) at the benchmark's two fixtures, two ways: `every` is frozen — the ball of every region the ratio cut exports, the store before covered balls were left out, last recorded from a snapshot stream written by hand (the partitioner's greedy merge kept verbatim) and loaded, since `Partitioning::load` stores what it is given — and `compact` is what `Partitioning::build` stores since: no ball that a bigger ball of its own cluster covers (same indicator flags, same refreshed assignments). build_ms is `Partitioning::build`, tree included; save_load_ms one `save` into a fresh Vec plus one `load` of it; indicator_hit_ns one `indicator_into` whose query ball meets the first (biggest) ball of every cluster, indicator_miss_ns one that meets no ball, so that every block of every cluster is walked (abandoned after the first 32 coordinates at d = 300); compaction_ms is `refresh_assignments` over no records on a copy of the store — the pass that decides which balls a store keeps, and on `every` the work the partitioner's store phase does (52-68 ms inside the build by a scratch timer; the plain copy it replaced 24 ms); refresh_2000_rows_ms is `refresh_assignments` over the first 2 000 records on a copy (on `every` that is the scan of the old store plus one compaction_ms)."
 }}
 "#,
         mm1 = mm_scaling[0],
@@ -775,6 +792,8 @@ fn main() -> ExitCode {
         speedup_pr2 = 1.3914 / train_epoch,
         speedup_tape = tape_fresh / tape_reused,
         speedup_ct = 4.1826 / build_5k,
+        gen_ratio = 516.7 / gen_50k,
+        ct_four_ratio = 491.4 / build_50k_ratio,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_substrate.json");
     pass.finish(path, &json)

@@ -7,22 +7,49 @@
 //! | YouTube (0.35M × 1770, normalized) | [`youtube_like`] | high-dimensional normalized mixture with per-cluster sparse support |
 //!
 //! All generators are deterministic given the seed.
+//!
+//! [`fasttext_like`], the generator of the benchmark's fixtures, draws its
+//! RNG stream on the calling thread, a chunk of rows at a time and in the
+//! order a row-by-row loop would, and then runs the chunk's transforms
+//! (each normal's `ln`, `sqrt` and `cos`, each row's `exp`) on the
+//! `selnet_tensor::parallel` workers. Drawing is about a fifth of the
+//! work and the transforms, calls into the maths library, are latency
+//! bound, so they gain from a second hardware thread even where it shares
+//! a core; the bits are the same on any number of workers.
 
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use selnet_tensor::parallel;
+
+/// The two uniforms of one Box–Muller normal, drawn in order: `u1` in
+/// `[f32::MIN_POSITIVE, 1)`, `u2` in `[0, 1)`.
+fn uniform_pair(rng: &mut impl Rng) -> [f32; 2] {
+    [
+        rng.gen_range(f32::MIN_POSITIVE..1.0),
+        rng.gen_range(0.0..1.0),
+    ]
+}
+
+/// The Box–Muller transform of a [`uniform_pair`]. Always finite: `u1 >=
+/// f32::MIN_POSITIVE` keeps `-2 ln u1` finite and non-negative.
+fn box_muller([u1, u2]: [f32; 2]) -> f32 {
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+}
 
 /// Standard-normal sample via Box–Muller (avoids a `rand_distr` dependency).
 fn randn(rng: &mut impl Rng) -> f32 {
-    loop {
-        let u1: f32 = rng.gen_range(f32::MIN_POSITIVE..1.0);
-        let u2: f32 = rng.gen_range(0.0..1.0);
-        let v = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
-        if v.is_finite() {
-            return v;
-        }
-    }
+    box_muller(uniform_pair(rng))
 }
+
+/// Coordinates [`fasttext_like`] draws the uniforms of before it
+/// transforms them: the buffer holds two `f32` per coordinate (2 MiB).
+/// At 50 000 × 300, chunks of 2^16 and 2^20 coordinates timed the same.
+const DRAW_CHUNK_COORDS: usize = 1 << 18;
+
+/// Coordinates each engaged worker transforms at least: ≈ 0.5 ms at the
+/// ≈ 30 ns a coordinate takes on one thread, far above one fork-join.
+const TRANSFORM_MIN_COORDS: usize = 1 << 14;
 
 /// Configuration shared by the dataset generators.
 #[derive(Clone, Debug)]
@@ -114,17 +141,43 @@ pub fn fasttext_like(cfg: &GeneratorConfig) -> Dataset {
         })
         .collect();
 
-    let mut data = Vec::with_capacity(cfg.n * cfg.dim);
-    for _ in 0..cfg.n {
-        let c = sample_cluster(&cum, &mut rng);
-        // log-normal magnitude: heavy tail of vector norms, as seen in
-        // real word-frequency-correlated embeddings
-        let mag = (randn(&mut rng) * 0.4).exp();
-        for j in 0..cfg.dim {
-            data.push((centers[c][j] + randn(&mut rng) * scales[c][j]) * mag);
+    // The rows come a chunk at a time: the RNG stream is drawn on this
+    // thread, in the order a row-by-row loop draws it, and the chunk's
+    // transforms then run on the parallel workers. Each value is the same
+    // expression of the same uniforms, so the bits do not depend on how
+    // many workers there are.
+    let dim = cfg.dim;
+    let chunk_rows = (DRAW_CHUNK_COORDS / dim.max(1)).max(1);
+    let min_rows = TRANSFORM_MIN_COORDS.div_ceil(dim.max(1));
+    let threads = parallel::fork_threads(0);
+    let mut data = vec![0.0f32; cfg.n * dim];
+    // per row its cluster and its magnitude's uniforms; per coordinate its
+    // noise's
+    let mut heads: Vec<(usize, [f32; 2])> = Vec::with_capacity(chunk_rows);
+    let mut noise: Vec<[f32; 2]> = Vec::with_capacity(chunk_rows * dim);
+    for rows in data.chunks_mut(chunk_rows * dim.max(1)) {
+        heads.clear();
+        noise.clear();
+        for _ in 0..rows.len() / dim {
+            heads.push((sample_cluster(&cum, &mut rng), uniform_pair(&mut rng)));
+            noise.extend((0..dim).map(|_| uniform_pair(&mut rng)));
         }
+        parallel::par_row_chunks_mut(rows, dim, threads, min_rows, |first, rows| {
+            for (i, row) in (first..).zip(rows.chunks_exact_mut(dim)) {
+                let (c, mag) = heads[i];
+                // log-normal magnitude: heavy tail of vector norms, as seen
+                // in real word-frequency-correlated embeddings
+                let mag = (box_muller(mag) * 0.4).exp();
+                let noise = &noise[i * dim..][..dim];
+                for (((v, &u), &centre), &scale) in
+                    row.iter_mut().zip(noise).zip(&centers[c]).zip(&scales[c])
+                {
+                    *v = (centre + box_muller(u) * scale) * mag;
+                }
+            }
+        });
     }
-    Dataset::from_flat(cfg.dim, data).with_name("fasttext-like")
+    Dataset::from_flat(dim, data).with_name("fasttext-like")
 }
 
 /// face-like: Gaussian clusters projected onto the unit sphere (stand-in
@@ -200,6 +253,62 @@ pub fn youtube_like(cfg: &GeneratorConfig) -> Dataset {
 mod tests {
     use super::*;
     use selnet_metric::vectors::norm;
+
+    /// [`fasttext_like`] as it was written before its transforms left the
+    /// drawing thread: one row at a time, each normal drawn and transformed
+    /// in place (the retry loop `randn` had then could never fire).
+    fn fasttext_like_row_by_row(cfg: &GeneratorConfig) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let k = cfg.clusters.max(1);
+        let cum = cumulative(&zipf_weights(k));
+        let centers: Vec<Vec<f32>> = (0..k)
+            .map(|_| (0..cfg.dim).map(|_| randn(&mut rng) * 2.0).collect())
+            .collect();
+        let scales: Vec<Vec<f32>> = (0..k)
+            .map(|_| {
+                (0..cfg.dim)
+                    .map(|_| 0.15 + rng.gen_range(0.0..0.85f32))
+                    .collect()
+            })
+            .collect();
+        let mut data = Vec::with_capacity(cfg.n * cfg.dim);
+        for _ in 0..cfg.n {
+            let c = sample_cluster(&cum, &mut rng);
+            let mag = (randn(&mut rng) * 0.4).exp();
+            for j in 0..cfg.dim {
+                data.push((centers[c][j] + randn(&mut rng) * scales[c][j]) * mag);
+            }
+        }
+        Dataset::from_flat(cfg.dim, data).with_name("fasttext-like")
+    }
+
+    /// The chunked generator has the row loop's bits on one worker and on
+    /// three: less than one draw chunk, a count that is no multiple of
+    /// it, and d = 1. One test, because the worker count is process-wide.
+    #[test]
+    fn fasttext_like_has_the_bits_of_the_row_loop() {
+        let chunk = |dim: usize| DRAW_CHUNK_COORDS / dim;
+        let shapes = [
+            (chunk(300) / 2, 300),
+            (2 * chunk(64) + 17, 64),
+            (chunk(1) + 5, 1),
+        ];
+        let bits = |ds: &Dataset| ds.flat().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for threads in [1, 3] {
+            parallel::set_threads(threads);
+            for (seed, &(n, dim)) in shapes.iter().enumerate() {
+                let cfg = GeneratorConfig::new(n, dim, 5, seed as u64);
+                let want = fasttext_like_row_by_row(&cfg);
+                let got = fasttext_like(&cfg);
+                assert_eq!((got.len(), got.dim()), (n, dim));
+                assert!(
+                    bits(&got) == bits(&want),
+                    "{threads} threads, n {n} d {dim}"
+                );
+            }
+        }
+        parallel::set_threads(0);
+    }
 
     #[test]
     fn generators_are_deterministic() {

@@ -9,10 +9,11 @@
 //! partitioner consumes.
 
 use selnet_data::Dataset;
-use selnet_metric::vectors::{LaneBlocks, LANES};
+use selnet_metric::vectors::{squared_euclidean, LaneBlocks, LANES, ROWS};
 use selnet_metric::DistanceKind;
+use selnet_tensor::parallel;
 use std::collections::BinaryHeap;
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex};
 
 /// One tree node. Node `i` holds dataset point `i`: every point becomes
 /// exactly one node, in dataset order.
@@ -129,10 +130,18 @@ impl Routing {
 /// first child, in creation order, whose ball `2^child.level` covers it,
 /// or else becomes a new child at `child_level(x)`. That is what inserting
 /// the points one at a time does at this node — a point only ever meets
-/// the children created by earlier points — but sixteen children are
-/// tested per kernel call, and only as far as it takes to see the point
-/// outside all sixteen balls (the cover distances are the kernel's
-/// limits). `child_level` is called once per point, before it is routed.
+/// the children created by earlier points. `child_level` is called once
+/// per point, in order, before the point is routed.
+///
+/// The points go [`ROWS`] to a pass. The children that existed before
+/// the pass are tested against all of its points at once, sixteen
+/// children per kernel call, and each point only as far as it takes to
+/// see it outside all sixteen balls (the cover distances are the kernel's
+/// limits; a point that has found its child gets `-∞` limits and no
+/// longer holds a block open). Then, in point order, a point that found
+/// none is tested against the children its batch-mates just created, on
+/// the pair kernel (`squared_euclidean(..).sqrt()`, a lane's bits), and
+/// becomes a child itself if none covers it either.
 fn route_below(
     ds: &Dataset,
     points: &[u32],
@@ -147,32 +156,64 @@ fn route_below(
     centres.clear();
     cover.clear();
     children.clear();
-    let mut dists = [0.0f32; LANES];
-    'points: for &p in points {
-        let x = ds.row(p as usize);
-        let level = child_level(x);
+    let mut dists = [[0.0f32; LANES]; ROWS];
+    for batch in points.chunks(ROWS) {
+        let levels: [i32; ROWS] =
+            std::array::from_fn(|r| batch.get(r).map_or(0, |&p| child_level(ds.row(p as usize))));
+        // a short last batch repeats its last point in rows that are done
+        let xs: [&[f32]; ROWS] =
+            std::array::from_fn(|r| ds.row(batch[r.min(batch.len() - 1)] as usize));
+        let mut done: [bool; ROWS] = std::array::from_fn(|r| r >= batch.len());
+        let mut hits: [Option<(usize, f32)>; ROWS] = [None; ROWS];
         for (b, cover) in cover.iter().enumerate() {
-            if !centres.dist_within(b, x, cover, &mut dists) {
+            if done == [true; ROWS] {
+                break;
+            }
+            let limits = done.map(|done| {
+                if done {
+                    [f32::NEG_INFINITY; LANES]
+                } else {
+                    *cover
+                }
+            });
+            let open = centres.dist_rows_within(b, xs, &limits, &mut dists);
+            for r in 0..ROWS {
+                if !open[r] || done[r] {
+                    continue;
+                }
+                if let Some(l) = (0..LANES).find(|&l| dists[r][l] <= cover[l]) {
+                    hits[r] = Some((b * LANES + l, dists[r][l]));
+                    done[r] = true;
+                }
+            }
+        }
+        let existing = children.len();
+        for (r, &p) in batch.iter().enumerate() {
+            let hit = hits[r].or_else(|| {
+                (existing..children.len()).find_map(|c| {
+                    let centre = ds.row(children[c].point as usize);
+                    let d = squared_euclidean(xs[r], centre).sqrt();
+                    (d <= cover[c / LANES][c % LANES]).then_some((c, d))
+                })
+            });
+            if let Some((c, d)) = hit {
+                let child = &mut children[c];
+                child.below.push(p);
+                child.max_dist = child.max_dist.max(d);
                 continue;
             }
-            if let Some(l) = (0..LANES).find(|&l| dists[l] <= cover[l]) {
-                let child = &mut children[b * LANES + l];
-                child.below.push(p);
-                child.max_dist = child.max_dist.max(dists[l]);
-                continue 'points;
+            if children.len() % LANES == 0 {
+                cover.push([f32::NEG_INFINITY; LANES]);
             }
+            cover[children.len() / LANES][children.len() % LANES] = covdist(levels[r]);
+            centres.push(xs[r]);
+            children.push(Child {
+                point: p,
+                level: levels[r],
+                below: Vec::new(),
+                max_dist: 0.0,
+            });
         }
-        if children.len() % LANES == 0 {
-            cover.push([f32::NEG_INFINITY; LANES]);
-        }
-        cover[children.len() / LANES][children.len() % LANES] = covdist(level);
-        centres.push(x);
-        children.push(Child {
-            point: p,
-            level,
-            below: Vec::new(),
-            max_dist: 0.0,
-        });
     }
 }
 
@@ -250,26 +291,9 @@ impl Building {
 /// paper-shaped one, 50 000 × 300, far above).
 const PARALLEL_MIN_COORDS: usize = 1 << 21;
 
-/// The worker count [`CoverTree::build`] uses when it is not told one:
-/// `SELNET_THREADS` if set to a positive number, else
-/// [`std::thread::available_parallelism`] — the order
-/// `selnet_tensor::parallel` resolves its default in, restated here
-/// because this crate sits below that one (the workspace test
-/// `index_and_tensor_agree_on_default_workers` holds the two together).
-/// Read once.
-pub fn default_workers() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("SELNET_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-    })
-}
-
 impl<'a> CoverTree<'a> {
-    /// [`CoverTree::build_with_workers`] on [`default_workers`] threads,
+    /// [`CoverTree::build_with_workers`] on as many threads as
+    /// `parallel::fork_threads(0)` allows (one inside a parallel region),
     /// or on the calling thread alone for a small dataset.
     pub fn build(ds: &'a Dataset) -> Self {
         Self::build_with_workers(ds, Self::workers_for(ds))
@@ -289,7 +313,7 @@ impl<'a> CoverTree<'a> {
         if ds.len() * ds.dim() < PARALLEL_MIN_COORDS {
             1
         } else {
-            default_workers()
+            parallel::fork_threads(0)
         }
     }
 
@@ -305,10 +329,11 @@ impl<'a> CoverTree<'a> {
     /// routing produces depends on nothing but the node's level and its
     /// point list, and it writes nothing but that node's child list and
     /// those children: the pending nodes are independent jobs, taken
-    /// largest first from one shared list by `workers` threads (the
-    /// caller is one of them), each adopting its result under the list's
-    /// lock. Which thread routes a node, and when, cannot show in the
-    /// tree.
+    /// largest first from one shared list by `workers` threads started as
+    /// the parts of one `parallel::fork_join` (the caller is one of them;
+    /// inside a parallel region it is the only one), each adopting its
+    /// result under the list's lock. Which thread routes a node, and when,
+    /// cannot show in the tree.
     pub fn build_with_workers(ds: &'a Dataset, workers: usize) -> Self {
         Self::build_stopping(ds, workers, 1)
     }
@@ -357,8 +382,10 @@ impl<'a> CoverTree<'a> {
         route_below(ds, &rest, below_root, &mut routing);
         building.adopt(0, &mut routing);
 
-        // no more threads than there are jobs to start them on
-        let workers = workers.clamp(1, building.jobs.len().max(1));
+        // no more threads than there are jobs to start them on, and one
+        // inside a parallel region, where `fork_join` runs its parts in
+        // turn: part 0 then drains the list alone, and never waits
+        let workers = parallel::fork_threads(workers.max(1)).min(building.jobs.len().max(1));
         let shared = (Mutex::new(building), Condvar::new());
         let work = |mut routing: Routing| {
             let (building, wake) = &shared;
@@ -386,12 +413,8 @@ impl<'a> CoverTree<'a> {
                 }
             }
         };
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(|| work(Routing::new(ds.dim())));
-            }
-            work(routing);
-        });
+        let parts = std::iter::once(routing).chain((1..workers).map(|_| Routing::new(ds.dim())));
+        parallel::fork_join(parts.collect(), work);
         let building = shared.0.into_inner().expect("a build worker panicked");
         CoverTree {
             ds,
@@ -761,12 +784,13 @@ mod tests {
         let zeros = |n: usize, dim: usize| Dataset::from_flat(dim, vec![0.0; n * dim]);
         assert_eq!(CoverTree::workers_for(&zeros(20_000, 24)), 1);
         assert_eq!(CoverTree::workers_for(&zeros(8191, 256)), 1);
-        assert_eq!(CoverTree::workers_for(&zeros(8192, 256)), default_workers());
-        assert_eq!(
-            CoverTree::workers_for(&zeros(50_000, 300)),
-            default_workers()
-        );
-        assert!(default_workers() >= 1);
+        let configured = parallel::configured_threads();
+        assert_eq!(CoverTree::workers_for(&zeros(8192, 256)), configured);
+        assert_eq!(CoverTree::workers_for(&zeros(50_000, 300)), configured);
+        // a build started from inside a parallel region stays on its thread
+        parallel::fork_join(vec![(), ()], |()| {
+            assert_eq!(CoverTree::workers_for(&zeros(8192, 256)), 1);
+        });
     }
 
     /// `build` takes the parallel path by itself once the dataset is large
@@ -789,7 +813,7 @@ mod tests {
         );
         assert_eq!(serial.build_stats().workers, 1);
         // enough root children here that every default worker gets a job
-        assert_eq!(tree.build_stats().workers, default_workers());
+        assert_eq!(tree.build_stats().workers, parallel::configured_threads());
     }
 
     #[test]

@@ -718,14 +718,14 @@ impl Partitioning {
 /// hash so [`Partitioning::refresh_assignments`] can re-assign records of
 /// a Random partitioning deterministically.
 fn hash_row(row: &[f32]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &v in row {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+    fnv1a(row.iter().flat_map(|v| v.to_bits().to_le_bytes()))
+}
+
+/// 64-bit FNV-1a of a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf29ce484222325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x100000001b3)
+    })
 }
 
 /// Size caps that keep `load` from allocating absurd buffers for a
@@ -1273,11 +1273,14 @@ mod tests {
     /// 0.05; release builds only): of 19 202 exported regions the store
     /// keeps the 8 331 no bigger ball of their cluster covers, answers as
     /// the store of all of them, and is the same bytes whatever number of
-    /// workers built the tree.
+    /// workers built the tree. The dataset's bytes and the saved
+    /// partitioning's are pinned by their FNV-1a hashes, as the row-by-row
+    /// generator and the one-point-per-call cover-tree routing made them.
     #[test]
     #[cfg_attr(debug_assertions, ignore)]
     fn paper_shape_stores_the_uncovered_balls_only() {
         let ds = fasttext_like(&GeneratorConfig::new(50_000, 300, 16, 7));
+        assert_eq!(hash_row(ds.flat()), 0x3aaf050773a75cdd, "dataset bytes");
         let kind = DistanceKind::Euclidean;
         let method = PartitionMethod::CoverTree { ratio: 0.05 };
         let (p, stats) = Partitioning::build_reporting(&ds, kind, method, 3, 42);
@@ -1305,6 +1308,12 @@ mod tests {
         assert!(on > 0 && off > 0, "{on} on, {off} off");
 
         let bytes = saved(&p);
+        assert_eq!(bytes.len(), 10_497_230);
+        assert_eq!(
+            fnv1a(bytes.iter().copied()),
+            0x86272dadfea57f4d,
+            "saved bytes"
+        );
         let cut = max_region(ds.len(), 0.05);
         for workers in [1, 3] {
             let tree = CoverTree::build_stopping(&ds, workers, cut);

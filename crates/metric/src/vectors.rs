@@ -63,7 +63,8 @@ pub const LANES: usize = 16;
 /// `small` fixture's d = 24 runs the unbounded loop.
 const STRIDE: usize = 32;
 
-/// Vectors per call of [`LaneBlocks::sqdist_rows_into`].
+/// Vectors per call of [`LaneBlocks::sqdist_rows_into`] and
+/// [`LaneBlocks::dist_rows_within`].
 pub const ROWS: usize = 4;
 
 /// Vectors of one dimension stored **lane-major**, [`LANES`] to a block:
@@ -292,6 +293,98 @@ impl LaneBlocks {
         }
         *out = acc;
     }
+
+    /// [`LaneBlocks::dist_within`] for [`ROWS`] vectors at once, each row
+    /// with its own sixteen limits: row `r` is looked at where
+    /// `dist_within(block, xs[r], &limits[r], ..)` would be, and once all
+    /// its lanes are beyond their limits at a look it is closed for good
+    /// — that call's early return. The call returns as soon as every row
+    /// is closed, and otherwise runs to the end. Returns which rows are
+    /// open: exactly those for which `dist_within` returns `true`, and an
+    /// open row's `out[r]` has the bits that call leaves in its `out`; a
+    /// closed row's is left as it was. One pass over the block feeds the
+    /// accumulator rows of the rows still open, as in
+    /// [`LaneBlocks::sqdist_rows_into`], and a closed row costs nothing
+    /// more: a row the caller is done with gets `-∞` limits and is dropped
+    /// at the first look.
+    ///
+    /// # Panics
+    /// Panics if `block` is out of range or an `x` has the wrong dimension.
+    #[inline]
+    pub fn dist_rows_within(
+        &self,
+        block: usize,
+        xs: [&[f32]; ROWS],
+        limits: &[[f32; LANES]; ROWS],
+        out: &mut [[f32; LANES]; ROWS],
+    ) -> [bool; ROWS] {
+        for x in xs {
+            assert_eq!(x.len(), self.dim, "vector dimension mismatch");
+        }
+        let rows = &self.data[block * self.dim * LANES..][..self.dim * LANES];
+        let strides = self.dim.div_ceil(STRIDE);
+        // the open rows, kept in order at the front: `acc[k]` and `xs[k]`
+        // belong to row `live[k]`, for `k < n`
+        let (mut xs, mut n) = (xs, ROWS);
+        let mut live: [usize; ROWS] = std::array::from_fn(|r| r);
+        let mut acc = [[0.0f32; LANES]; ROWS];
+        for (s, rows) in rows.chunks(STRIDE * LANES).enumerate() {
+            let start = s * STRIDE;
+            match n {
+                1 => add_stride::<1>(&mut acc, &xs, start, rows),
+                2 => add_stride::<2>(&mut acc, &xs, start, rows),
+                3 => add_stride::<3>(&mut acc, &xs, start, rows),
+                _ => add_stride::<ROWS>(&mut acc, &xs, start, rows),
+            }
+            if s + 1 < strides {
+                let mut kept = 0;
+                for k in 0..n {
+                    let beyond = (acc[k].iter().zip(&limits[live[k]]))
+                        .fold(true, |beyond, (&sum, &limit)| beyond & (sum.sqrt() > limit));
+                    if !beyond {
+                        (acc[kept], xs[kept], live[kept]) = (acc[k], xs[k], live[k]);
+                        kept += 1;
+                    }
+                }
+                n = kept;
+                if n == 0 {
+                    return [false; ROWS];
+                }
+            }
+        }
+        let mut open = [false; ROWS];
+        for k in 0..n {
+            open[live[k]] = true;
+            out[live[k]] = acc[k].map(f32::sqrt);
+        }
+        open
+    }
+}
+
+/// One stride of [`LaneBlocks::dist_rows_within`] for its first `N` open
+/// rows: adds `(x_i − v_i)²` to `acc[k][l]` for each coordinate row `i` of
+/// `rows` (lane-major, `v` the lane's coordinate) and `x = xs[k]` from
+/// coordinate `start` on, in index order. The rows' count is a constant
+/// here, and the sums are passed by value, so that they stay in registers.
+#[inline(always)]
+fn add_stride<const N: usize>(
+    acc: &mut [[f32; LANES]; ROWS],
+    xs: &[&[f32]; ROWS],
+    start: usize,
+    rows: &[f32],
+) {
+    let mut sums: [[f32; LANES]; N] = std::array::from_fn(|k| acc[k]);
+    let xs: [&[f32]; N] = std::array::from_fn(|k| &xs[k][start..][..rows.len() / LANES]);
+    for (i, row) in rows.chunks_exact(LANES).enumerate() {
+        for (sums, x) in sums.iter_mut().zip(&xs) {
+            let xi = x[i];
+            for (a, &v) in sums.iter_mut().zip(row) {
+                let d = xi - v;
+                *a += d * d;
+            }
+        }
+    }
+    acc[..N].copy_from_slice(&sums);
 }
 
 /// Normalizes `v` to unit length in place. Zero vectors are left unchanged.
@@ -557,6 +650,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every row of the four-row bounded kernel is open exactly when
+    /// `dist_within` on that row alone returns `true`, and leaves its
+    /// output as that call does (the same bits when open, untouched when
+    /// not), under limits mixed per row and lane: infinite, NaN, negative,
+    /// a lane's exact distance, the value just below it, and rows closed
+    /// from the start with `-∞`.
+    #[test]
+    fn the_rows_kernel_opens_a_row_exactly_when_dist_within_finishes() {
+        let mut rng = StdRng::seed_from_u64(0x4b0d);
+        let (mut open, mut closed) = (0, 0);
+        for dim in 1..=400 {
+            let count = [1, 7, LANES, LANES + 1, 3 * LANES - 1][dim % 5];
+            let mut blocks = LaneBlocks::new(dim);
+            (0..count).for_each(|_| blocks.push(&random_vector(&mut rng, dim)));
+            let xs: Vec<Vec<f32>> = (0..ROWS).map(|_| random_vector(&mut rng, dim)).collect();
+            let xs: [&[f32]; ROWS] = std::array::from_fn(|r| xs[r].as_slice());
+            for b in 0..blocks.blocks() {
+                let full = xs.map(|x| {
+                    let mut sq = [0.0f32; LANES];
+                    blocks.sqdist_into(b, x, &mut sq);
+                    sq.map(f32::sqrt)
+                });
+                for round in 0..8 {
+                    let limits: [[f32; LANES]; ROWS] = std::array::from_fn(|r| match round {
+                        // every row closed from the start but one
+                        0 if r != dim % ROWS => [f32::NEG_INFINITY; LANES],
+                        // every row beyond at the first look it gets
+                        1 => full[r].map(|d| d * 0.01),
+                        _ => full[r].map(|d| limit_around(&mut rng, d)),
+                    });
+                    let mut got = [[-1.0f32; LANES]; ROWS];
+                    let rows_open = blocks.dist_rows_within(b, xs, &limits, &mut got);
+                    for r in 0..ROWS {
+                        let mut want = [-1.0f32; LANES];
+                        let finished = blocks.dist_within(b, xs[r], &limits[r], &mut want);
+                        let what = format!("dim {dim} block {b} row {r} {:?}", limits[r]);
+                        assert_eq!(rows_open[r], finished, "{what}");
+                        if finished {
+                            open += 1;
+                        } else {
+                            closed += 1;
+                        }
+                        // a closed row's output is left as it was, as is
+                        // `dist_within`'s
+                        assert_eq!(got[r].map(f32::to_bits), want.map(f32::to_bits), "{what}");
+                    }
+                }
+            }
+        }
+        assert!(open > 1000 && closed > 1000, "{open} {closed}");
     }
 
     #[test]

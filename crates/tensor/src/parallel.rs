@@ -3,11 +3,13 @@
 //!
 //! ## The threading rule
 //!
-//! There is no persistent thread pool, and in this crate and the ones
-//! above it exactly one place that spawns: [`fork_join`]. Every helper here, the chunked plan replay
-//! ([`crate::InferencePlan::run_chunked`]) and the labelling scan in
-//! `selnet-workload` hand it a list of disjoint parts, and it obeys three
-//! rules:
+//! There is no persistent thread pool, and in this crate, the ones above
+//! it and the two below it that fork (`selnet-data`'s `fasttext_like`,
+//! `selnet-index`'s cover-tree build) exactly one place that spawns:
+//! [`fork_join`]. Every helper here, the chunked plan replay
+//! ([`crate::InferencePlan::run_chunked`]), the labelling scan in
+//! `selnet-workload`, the generator's transforms and the tree build's
+//! workers hand it a list of disjoint parts, and it obeys three rules:
 //!
 //! 1. **The caller works.** Part 0 runs on the calling thread; only parts
 //!    `1..` get a `std::thread::scope` thread, so a 2-way split costs one
@@ -44,9 +46,6 @@
 //! 2. a process-wide override set with [`set_threads`];
 //! 3. the `SELNET_THREADS` environment variable (read once);
 //! 4. [`std::thread::available_parallelism`].
-//!
-//! (`selnet-index` resolves steps 3–4 the same way for the cover-tree
-//! build, without depending on this crate.)
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
