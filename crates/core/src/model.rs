@@ -143,11 +143,15 @@ mod tests {
     use selnet_index::Partitioning;
     use selnet_metric::DistanceKind;
 
-    /// An untrained `K = 1` model over six dimensions: what these tests
-    /// pin is the network's structure, which training does not change.
-    fn untrained(cfg: SelNetConfig, seed: u64, name: &str) -> PartitionedSelNet {
-        let pcfg = PartitionConfig::single();
-        let ds = Dataset::from_rows(6, &[vec![0.0; 6]]);
+    /// An untrained model with `k` curves over six dimensions: what these
+    /// tests pin is the network's structure, which training does not
+    /// change.
+    fn untrained(cfg: SelNetConfig, k: usize, seed: u64, name: &str) -> PartitionedSelNet {
+        let pcfg = PartitionConfig {
+            k,
+            ..PartitionConfig::single()
+        };
+        let ds = Dataset::from_rows(6, &vec![vec![0.0; 6]; k]);
         let partitioning =
             Partitioning::build(&ds, DistanceKind::Euclidean, pcfg.method, pcfg.k, seed);
         let mut store = ParamStore::new();
@@ -173,7 +177,7 @@ mod tests {
             query_dependent_tau: query_dep,
             ..SelNetConfig::tiny()
         };
-        untrained(cfg, 3, "SelNet-ct")
+        untrained(cfg, 1, 3, "SelNet-ct")
     }
 
     /// The one curve of a `K = 1` model.
@@ -183,6 +187,46 @@ mod tests {
         curves.swap_remove(0)
     }
 
+    /// What `PartitionedSelNet` serves, instruction by instruction, for
+    /// K ∈ {1, 3} × τ shared or query-dependent × `Norml2` or softmax at
+    /// `tiny()` widths: the shared encoder and `[x; z]`, then per curve
+    /// the τ trunk and head (behind a batch-broadcast zero when τ is
+    /// query-dependent) and the p trunk and head.
+    #[test]
+    fn served_plans_compile_to_the_expected_instructions() {
+        for (k, query_dependent_tau, count) in
+            [(1, false, 15), (1, true, 16), (3, false, 39), (3, true, 42)]
+        {
+            for (tau_normalization, norm) in [
+                (TauNormalization::Norml2, "norml2"),
+                (TauNormalization::Softmax, "softmax_rows"),
+            ] {
+                let cfg = SelNetConfig {
+                    query_dependent_tau,
+                    tau_normalization,
+                    ..SelNetConfig::tiny()
+                };
+                let model = untrained(cfg, k, 3, "served");
+                let mut curve = vec!["affine_relu", "affine", norm, "scale", "cumsum_cols"];
+                if query_dependent_tau {
+                    curve.push("broadcast");
+                }
+                curve.extend(["concat_cols", "affine_relu", "affine_relu", "affine"]);
+                curve.extend(["block_linear", "relu", "cumsum_cols"]);
+                let mut want = vec!["affine_relu", "affine", "concat_cols"];
+                for _ in 0..k {
+                    want.extend(&curve);
+                }
+                let got: Vec<&str> = model.plan().instructions().collect();
+                assert_eq!(got.len(), count);
+                assert_eq!(
+                    got, want,
+                    "K = {k}, τ query-dependent {query_dependent_tau}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn untrained_model_is_already_consistent() {
         // Monotonicity is structural (Lemma 1), not learned: even an
@@ -190,7 +234,7 @@ mod tests {
         let model = make_model(true);
         let x = vec![0.1, -0.2, 0.3, 0.0, 0.5, -0.1];
         let ts: Vec<f32> = (0..100).map(|i| 2.0 * i as f32 / 99.0).collect();
-        let preds = model.predict_many(&x, &ts);
+        let preds = model.estimate_many(&x, &ts);
         for w in preds.windows(2) {
             assert!(w[1] >= w[0] - 1e-6, "violation: {} -> {}", w[0], w[1]);
         }
@@ -241,9 +285,9 @@ mod tests {
             tau_normalization: crate::config::TauNormalization::Softmax,
             ..SelNetConfig::tiny()
         };
-        let model = untrained(cfg, 9, "SelNet-softmax");
+        let model = untrained(cfg, 1, 9, "SelNet-softmax");
         let ts: Vec<f32> = (0..60).map(|i| 2.0 * i as f32 / 59.0).collect();
-        let preds = model.predict_many(&[0.2, -0.4, 0.1, 0.7, -0.3, 0.0], &ts);
+        let preds = model.estimate_many(&[0.2, -0.4, 0.1, 0.7, -0.3, 0.0], &ts);
         for w in preds.windows(2) {
             assert!(w[1] >= w[0] - 1e-6);
         }

@@ -50,14 +50,14 @@ impl PartitionedSelNet {
     /// The curve plan `x [B × d] → (τ_k, p_k)` over all `K` local models
     /// for the current parameters — compiled on first use or after a
     /// parameter mutation, once per version.
-    fn plan(&self) -> Arc<InferencePlan> {
+    pub(crate) fn plan(&self) -> Arc<InferencePlan> {
         self.plans.get_or(self.store.version(), || {
             // probe with 2 rows so batch scaling is unambiguous (a constant
             // leaf with probe-batch rows is broadcast; see InferencePlan docs)
             let mut g = Graph::new();
             let xv = g.leaf_with(2, self.dim, |_| {});
             let (_z, knots) = self.forward_locals(&mut g, xv, |_, tau, p| [tau, p]);
-            InferencePlan::compile(&g, &[xv], &knots.concat())
+            InferencePlan::compile(&g, xv, &knots.concat())
                 .expect("the partitioned SelNet control-point forward is plan-compilable")
         })
     }
@@ -112,115 +112,45 @@ impl PartitionedSelNet {
         (z, heads)
     }
 
-    /// Predicts selectivities for one query at many thresholds, applying
-    /// the intersection indicator per threshold: one network row, one
-    /// interpolation per threshold (see "The curve plan" in `ARCHITECTURE.md`).
-    pub fn predict_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(ts.len());
-        self.estimate_into(&[(x, ts)], 1, &mut out);
-        out
-    }
-
-    /// Reference tape implementation of
-    /// [`PartitionedSelNet::predict_many`] — pinned bit-identical to the
-    /// plan path by the property suite, and the baseline the `plan_*`
-    /// bench group compares against.
-    pub fn tape_predict_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
-        assert_eq!(x.len(), self.dim, "query dimension mismatch");
-        let local_preds: Vec<Vec<f64>> = Graph::with_pooled(|g| {
-            let xv = g.leaf_with(1, x.len(), |row| row.copy_from_slice(x));
-            let z = self.ae.encode(g, &self.store, xv);
-            let input = g.concat_cols(xv, z);
-            let tv = g.leaf_with(ts.len(), 1, |col| col.copy_from_slice(ts));
-            // local predictions over all thresholds (tau/p broadcast from
-            // 1 row)
-            self.locals
-                .iter()
-                .map(|nets| {
-                    let (tau, p) = nets.control_points(
-                        g,
-                        &self.store,
-                        input,
-                        self.tmax,
-                        self.cfg.query_dependent_tau,
-                    );
-                    let y = g.pwl_interp(tau, p, tv);
-                    g.value(y).data().iter().map(|&v| v as f64).collect()
-                })
-                .collect()
-        });
-        // indicator per threshold
-        ts.iter()
-            .enumerate()
-            .map(|(j, &t)| {
-                let ind = self.partitioning.indicator(x, t);
-                local_preds
-                    .iter()
-                    .zip(&ind)
-                    .map(|(pred, &on)| if on { pred[j] } else { 0.0 })
-                    .sum()
-            })
-            .collect()
-    }
-
-    /// Predicts selectivities for **many distinct queries in one network
-    /// pass**: query `i` is `(xs[i], ts[i])`, all query objects become rows
-    /// of a single batch matrix.
-    ///
-    /// Every forward op is row-wise (the blocked matmul kernels accumulate
-    /// each output row independently and in a fixed order), so the result
-    /// for query `i` is **bit-identical** to
-    /// `predict_many(xs[i], &[ts[i]])[0]` — the property that lets the
-    /// serving engine coalesce opportunistically without changing any
-    /// answer (pinned by `predict_batch_matches_predict_many`).
-    pub fn predict_batch(&self, xs: &[&[f32]], ts: &[f32]) -> Vec<f64> {
-        self.estimate_batch(xs, ts)
-    }
-
-    /// Reference tape implementation of
-    /// [`PartitionedSelNet::predict_batch`] — pinned bit-identical to the
-    /// plan path by the property suite, and the baseline the `plan_*`
-    /// bench group compares against.
-    pub fn tape_predict_batch(&self, xs: &[&[f32]], ts: &[f32]) -> Vec<f64> {
-        assert_eq!(xs.len(), ts.len(), "one threshold per query object");
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        for x in xs {
+    /// The reference tape implementation of
+    /// [`SelectivityEstimator::estimate_into`]: answers every `(x, ts)`
+    /// query into `out` (cleared first; flat, query order) from one tape
+    /// forward of the networks over the queries' objects, interpolated per
+    /// pair as a training step does (`forward_locals` + `interp_pairs`),
+    /// then summed under the indicator. Pinned bit-identical to the plan
+    /// path by `tests/plan_identity.rs`, and the baseline the `plan` block
+    /// of `BENCH_serve.json` compares against.
+    pub fn tape_estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+        out.clear();
+        let mut rows = Vec::new();
+        let mut ts = Vec::new();
+        for (i, &(x, qts)) in queries.iter().enumerate() {
             assert_eq!(x.len(), self.dim, "query dimension mismatch");
+            rows.extend(std::iter::repeat_n(i, qts.len()));
+            ts.extend_from_slice(qts);
         }
-        let b = xs.len();
-        let threads = selnet_tensor::parallel::configured_threads();
-        let local_preds: Vec<Vec<f64>> = Graph::with_pooled(|g| {
-            let xv = g.leaf_rows(b, self.dim, threads, |i, row| row.copy_from_slice(xs[i]));
-            let tv = g.leaf_with(b, 1, |col| col.copy_from_slice(ts));
-            let z = self.ae.encode(g, &self.store, xv);
-            let input = g.concat_cols(xv, z);
-            self.locals
-                .iter()
-                .map(|nets| {
-                    let (tau, p) = nets.control_points(
-                        g,
-                        &self.store,
-                        input,
-                        self.tmax,
-                        self.cfg.query_dependent_tau,
-                    );
-                    let y = g.pwl_interp(tau, p, tv);
-                    g.value(y).data().iter().map(|&v| v as f64).collect()
-                })
-                .collect()
+        if ts.is_empty() {
+            return;
+        }
+        let local_preds: Vec<Vec<f32>> = Graph::with_pooled(|g| {
+            let xv = g.leaf_with(queries.len(), self.dim, |data| {
+                for (row, (x, _)) in data.chunks_exact_mut(self.dim).zip(queries) {
+                    row.copy_from_slice(x);
+                }
+            });
+            let tv = g.leaf_with(ts.len(), 1, |col| col.copy_from_slice(&ts));
+            let (_z, preds) =
+                self.forward_locals(g, xv, |g, tau, p| interp_pairs(g, tau, p, &rows, tv));
+            preds.iter().map(|&y| g.value(y).data().to_vec()).collect()
         });
-        (0..b)
-            .map(|i| {
-                let ind = self.partitioning.indicator(xs[i], ts[i]);
-                local_preds
-                    .iter()
-                    .zip(&ind)
-                    .map(|(pred, &on)| if on { pred[i] } else { 0.0 })
-                    .sum()
-            })
-            .collect()
+        out.extend(rows.iter().zip(&ts).enumerate().map(|(pair, (&i, &t))| {
+            let ind = self.partitioning.indicator(queries[i].0, t);
+            local_preds
+                .iter()
+                .zip(&ind)
+                .map(|(pred, &on)| if on { pred[pair] as f64 } else { 0.0 })
+                .sum::<f64>()
+        }));
     }
 
     /// Per-part predictions for one `(x, t)`, before the indicator
@@ -235,11 +165,15 @@ impl PartitionedSelNet {
 
 impl SelectivityEstimator for PartitionedSelNet {
     fn estimate(&self, x: &[f32], t: f32) -> f64 {
-        self.predict_many(x, &[t])[0]
+        self.estimate_many(x, &[t])[0]
     }
 
+    /// One network row, one interpolation per threshold (see "The curve
+    /// plan" in `ARCHITECTURE.md`).
     fn estimate_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
-        self.predict_many(x, ts)
+        let mut out = Vec::with_capacity(ts.len());
+        self.estimate_into(&[(x, ts)], 1, &mut out);
+        out
     }
 
     /// One network pass over the wave's query objects, fanned across up
@@ -612,7 +546,7 @@ pub(crate) fn run_training_phase(
 /// [`crate::train::mean_abs_error`] for the parallel reduction and the
 /// empty-split `INFINITY` contract).
 pub(crate) fn validation_mae(model: &PartitionedSelNet, split: &[LabeledQuery]) -> f64 {
-    crate::train::mean_abs_error(split, |q| model.predict_many(&q.x, &q.thresholds))
+    crate::train::mean_abs_error(split, |q| model.estimate_many(&q.x, &q.thresholds))
 }
 
 /// Registers the shared autoencoder and the `k` control-point networks in
@@ -843,7 +777,7 @@ mod tests {
         // ... from thresholds far below zero too (the wire accepts any f32)
         let ts: Vec<f32> = (0..=44).map(|i| (i as f32 / 4.0 - 10.0) * w.tmax).collect();
         for q in w.test.iter().take(10) {
-            let preds = model.predict_many(&q.x, &ts);
+            let preds = model.estimate_many(&q.x, &ts);
             assert!(preds.windows(2).all(|p| p[0] <= p[1]), "{preds:?}");
         }
     }
@@ -862,8 +796,8 @@ mod tests {
         let mut out = Vec::new();
         for _ in 0..2 {
             model.estimate(&q.x, q.thresholds[0]);
-            model.predict_many(&q.x, &q.thresholds);
-            model.predict_batch(&[&q.x, &q.x], &q.thresholds[..2]);
+            model.estimate_many(&q.x, &q.thresholds);
+            model.estimate_batch(&[&q.x, &q.x], &q.thresholds[..2]);
             model.local_estimates(&q.x, q.thresholds[0]);
             model.estimate_into(&[(&q.x, &q.thresholds)], 4, &mut out);
             assert!(Arc::ptr_eq(&first_plan, &model.plan()));
@@ -879,7 +813,7 @@ mod tests {
             .next()
             .expect("a trained model has parameters");
         model.store.value_mut(first);
-        model.predict_many(&q.x, &q.thresholds);
+        model.estimate_many(&q.x, &q.thresholds);
         let second_plan = model.plan();
         assert!(!Arc::ptr_eq(&first_plan, &second_plan));
         assert!(Arc::ptr_eq(&second_plan, &model.plan()));
@@ -1004,9 +938,9 @@ mod tests {
         }
         for &b in &[1usize, 2, 5, 7, 64, xs.len()] {
             let b = b.min(xs.len());
-            let batch = model.predict_batch(&xs[..b], &ts[..b]);
+            let batch = model.estimate_batch(&xs[..b], &ts[..b]);
             for i in 0..b {
-                let single = model.predict_many(xs[i], &[ts[i]])[0];
+                let single = model.estimate_many(xs[i], &[ts[i]])[0];
                 assert_eq!(
                     batch[i].to_bits(),
                     single.to_bits(),
@@ -1016,9 +950,15 @@ mod tests {
                 );
             }
         }
-        // and the trait-level batched call agrees
-        let via_trait = model.estimate_batch(&xs, &ts);
-        assert_eq!(via_trait, model.predict_batch(&xs, &ts));
+        // and the tape reference agrees
+        let queries: Vec<(&[f32], &[f32])> = xs
+            .iter()
+            .zip(&ts)
+            .map(|(x, t)| (*x, std::slice::from_ref(t)))
+            .collect();
+        let mut tape = Vec::new();
+        model.tape_estimate_into(&queries, &mut tape);
+        assert_eq!(model.estimate_batch(&xs, &ts), tape);
     }
 
     #[test]

@@ -353,8 +353,8 @@ mod tests {
         let loaded = PartitionedSelNet::load(&mut buf.as_slice()).unwrap();
 
         let q = &w.test[0];
-        let a = model.predict_many(&q.x, &q.thresholds);
-        let b = loaded.predict_many(&q.x, &q.thresholds);
+        let a = model.estimate_many(&q.x, &q.thresholds);
+        let b = loaded.estimate_many(&q.x, &q.thresholds);
         assert_eq!(a, b);
         assert_eq!(loaded.k(), 1);
         assert_eq!(model.name(), loaded.name());

@@ -58,7 +58,7 @@ pub(crate) fn replay_curves(
         &offsets,
         threads,
         out.as_mut_slice(),
-        |_, first_row, m| {
+        |first_row, m| {
             let rows = m.data_mut().chunks_exact_mut(dim);
             for (row, (x, _)) in rows.zip(&queries[first_row..]) {
                 row.copy_from_slice(x);
@@ -105,7 +105,7 @@ pub(crate) fn replay_curves(
 /// interpolate.
 pub(crate) fn control_points(plan: &InferencePlan, x: &[f32]) -> Vec<(Vec<f32>, Vec<f32>)> {
     PlanBuffers::with_pooled(|bufs| {
-        let run = plan.run(bufs, 1, |_, m| m.data_mut().copy_from_slice(x));
+        let run = plan.run(bufs, 1, |m| m.data_mut().copy_from_slice(x));
         (0..plan.num_outputs() / 2)
             .map(|k| {
                 (

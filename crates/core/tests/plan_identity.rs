@@ -2,8 +2,8 @@
 //! untouched tape oracles: for randomly drawn data seeds, partition
 //! counts, methods and τ variants, `estimate_into` over random ragged
 //! query sets (empty grids, single thresholds, 40-point grids, repeated
-//! query objects) produces exactly the bits of `tape_predict_many` /
-//! `tape_predict_batch` and of per-query `estimate_many`, at every thread
+//! query objects) produces exactly the bits of the tape reference
+//! `tape_estimate_into` and of per-query `estimate_many`, at every thread
 //! count — before a retrain, after a §5.4 `check_and_update` retrain
 //! (plan cache invalidated by the parameter-version bump), and after a
 //! snapshot round-trip.
@@ -85,22 +85,29 @@ fn assert_one_path(model: &PartitionedSelNet, w: &Workload, seed: u64, label: &s
         .collect();
     let exact = wave_at(model, &queries, 1);
 
-    // the tape oracles: one query at many thresholds, and the flattened
-    // (x, t) rows in one batch
-    let tape: Vec<f64> = queries
+    // the tape oracle over the whole wave, over each query alone, and over
+    // the flattened (x, t) rows
+    let tape = |queries: &[(&[f32], &[f32])]| {
+        let mut out = vec![f64::NAN; 2];
+        model.tape_estimate_into(queries, &mut out);
+        out
+    };
+    assert_eq!(exact, tape(&queries), "{label}: wave vs tape wave");
+    let per_query_tape: Vec<f64> = queries
         .iter()
-        .flat_map(|&(x, ts)| model.tape_predict_many(x, ts))
+        .flat_map(|q| tape(std::slice::from_ref(q)))
         .collect();
-    assert_eq!(exact, tape, "{label}: wave vs tape_predict_many");
+    assert_eq!(exact, per_query_tape, "{label}: wave vs tape per query");
     let (xs, ts): (Vec<&[f32]>, Vec<f32>) = queries
         .iter()
         .flat_map(|&(x, ts)| ts.iter().map(move |&t| (x, t)))
         .unzip();
-    assert_eq!(
-        exact,
-        model.tape_predict_batch(&xs, &ts),
-        "{label}: wave vs tape_predict_batch"
-    );
+    let pairs: Vec<(&[f32], &[f32])> = xs
+        .iter()
+        .zip(&ts)
+        .map(|(x, t)| (*x, std::slice::from_ref(t)))
+        .collect();
+    assert_eq!(exact, tape(&pairs), "{label}: wave vs tape pairs");
 
     // the conveniences are the same path
     let per_query: Vec<f64> = queries
@@ -184,13 +191,13 @@ proptest! {
         assert_one_path(&loaded, &w, seed ^ 2, "after snapshot round-trip");
         for q in &w.test {
             prop_assert_eq!(
-                loaded.predict_many(&q.x, &q.thresholds),
-                model.predict_many(&q.x, &q.thresholds)
+                loaded.estimate_many(&q.x, &q.thresholds),
+                model.estimate_many(&q.x, &q.thresholds)
             );
         }
     }
 
-    /// Single model (`fit`, `K = 1`): the hook, `predict_many` and
+    /// Single model (`fit`, `K = 1`): the hook, `estimate_many` and
     /// `control_points_for` ride one plan and match the tape bit for bit,
     /// for every τ variant — the estimate being the model's one curve
     /// interpolated, with no indicator in the way.
@@ -210,7 +217,9 @@ proptest! {
             let (tau, p) = &curves[0];
             let interpolated: Vec<f64> =
                 ts.iter().map(|&t| pwl_interp_row(tau, p, t) as f64).collect();
-            prop_assert_eq!(interpolated, model.tape_predict_many(&x, &ts));
+            let mut tape = Vec::new();
+            model.tape_estimate_into(&[(&x, &ts)], &mut tape);
+            prop_assert_eq!(interpolated, tape);
         }
     }
 }

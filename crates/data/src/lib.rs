@@ -14,7 +14,6 @@
 
 pub mod dataset;
 pub mod generators;
-pub mod io;
 pub mod stats;
 
 pub use dataset::Dataset;

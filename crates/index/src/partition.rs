@@ -22,6 +22,7 @@ use rand::{Rng, SeedableRng};
 use selnet_data::Dataset;
 use selnet_metric::vectors::{self, LaneBlocks, LANES};
 use selnet_metric::DistanceKind;
+use selnet_tensor::bytes::{read_f64, read_u64, read_u8, write_f64, write_u64, write_u8};
 use std::io::{self, Read, Write};
 
 /// Partitioning strategy.
@@ -379,15 +380,6 @@ impl Partitioning {
         &self.assignments
     }
 
-    /// Dataset indices belonging to part `i`.
-    pub fn part_indices(&self, i: usize) -> Vec<usize> {
-        self.assignments
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, &c)| (c == i).then_some(idx))
-            .collect()
-    }
-
     /// Ball regions stored per cluster; empty for the all-ones indicator.
     pub fn region_counts(&self) -> Vec<usize> {
         self.regions.iter().map(|c| c.radii.len()).collect()
@@ -408,17 +400,20 @@ impl Partitioning {
     /// `selnet-core`'s persistence layer.
     pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
         write_u64(w, self.k as u64)?;
-        w.write_all(&[match self.kind {
-            DistanceKind::Euclidean => 0u8,
-            DistanceKind::Cosine => 1u8,
-        }])?;
+        write_u8(
+            w,
+            match self.kind {
+                DistanceKind::Euclidean => 0,
+                DistanceKind::Cosine => 1,
+            },
+        )?;
         match self.method {
             PartitionMethod::CoverTree { ratio } => {
-                w.write_all(&[0u8])?;
-                w.write_all(&ratio.to_le_bytes())?;
+                write_u8(w, 0)?;
+                write_f64(w, ratio)?;
             }
-            PartitionMethod::Random => w.write_all(&[1u8])?,
-            PartitionMethod::KMeans => w.write_all(&[2u8])?,
+            PartitionMethod::Random => write_u8(w, 1)?,
+            PartitionMethod::KMeans => write_u8(w, 2)?,
         }
         write_u64(w, self.assignments.len() as u64)?;
         for &a in &self.assignments {
@@ -456,19 +451,14 @@ impl Partitioning {
         if k == 0 {
             return Err(invalid("partition count must be positive"));
         }
-        let mut tag = [0u8; 1];
-        r.read_exact(&mut tag)?;
-        let kind = match tag[0] {
+        let kind = match read_u8(r)? {
             0 => DistanceKind::Euclidean,
             1 => DistanceKind::Cosine,
             v => return Err(invalid(format!("bad distance tag {v}"))),
         };
-        r.read_exact(&mut tag)?;
-        let method = match tag[0] {
+        let method = match read_u8(r)? {
             0 => {
-                let mut b = [0u8; 8];
-                r.read_exact(&mut b)?;
-                let ratio = f64::from_le_bytes(b);
+                let ratio = read_f64(r)?;
                 if !ratio.is_finite() {
                     return Err(invalid("non-finite cover-tree ratio"));
                 }
@@ -737,16 +727,6 @@ const MAX_PREALLOC_FLOATS: usize = 1 << 24;
 
 fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn write_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 fn read_checked_len(r: &mut impl Read, max: usize, what: &str) -> io::Result<usize> {

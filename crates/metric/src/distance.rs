@@ -20,12 +20,6 @@ impl DistanceKind {
         }
     }
 
-    /// Whether the distance satisfies the triangle inequality directly
-    /// (`Euclidean`) or only after the unit-vector conversion (`Cosine`).
-    pub fn is_metric(self) -> bool {
-        matches!(self, DistanceKind::Euclidean)
-    }
-
     /// Computes the distance between two vectors.
     #[inline]
     pub fn eval(self, a: &[f32], b: &[f32]) -> f32 {

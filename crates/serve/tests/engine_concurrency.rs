@@ -36,6 +36,13 @@ fn train(ds: &Dataset, w: &Workload, model_seed: u64, epochs: usize) -> Partitio
     model
 }
 
+/// The tape reference's answers to one `(x, ts)` query.
+fn tape_answers(model: &PartitionedSelNet, x: &[f32], ts: &[f32]) -> Vec<f64> {
+    let mut out = Vec::new();
+    model.tape_estimate_into(&[(x, ts)], &mut out);
+    out
+}
+
 fn fixture(seed: u64, epochs: usize) -> (Dataset, Workload, PartitionedSelNet) {
     let (ds, w) = data_fixture(seed);
     let model = train(&ds, &w, seed, epochs);
@@ -238,11 +245,11 @@ fn plans_stay_generation_consistent_across_retrain_swap() {
     // before we can attribute any served answer to a generation)
     let answers_old: Vec<Vec<f64>> = pool
         .iter()
-        .map(|(x, ts)| model.predict_many(x, ts))
+        .map(|(x, ts)| model.estimate_many(x, ts))
         .collect();
     for ((x, ts), expected) in pool.iter().zip(&answers_old) {
         assert_eq!(
-            &model.tape_predict_many(x, ts),
+            &tape_answers(&model, x, ts),
             expected,
             "plan path must equal tape path before serving"
         );
@@ -295,7 +302,7 @@ fn plans_stay_generation_consistent_across_retrain_swap() {
                         // (compared via its own plan path)
                         if got != answers_old[idx] {
                             let (_, current) = registry.current();
-                            let fresh = current.predict_many(x, ts);
+                            let fresh = current.estimate_many(x, ts);
                             assert_eq!(
                                 got, fresh,
                                 "query {idx}: response matches neither the old generation \
@@ -321,8 +328,8 @@ fn plans_stay_generation_consistent_across_retrain_swap() {
     let (_, current) = registry.current();
     for (x, ts) in &pool {
         let served = engine.estimate_many(x, ts);
-        assert_eq!(served, current.predict_many(x, ts));
-        assert_eq!(served, current.tape_predict_many(x, ts));
+        assert_eq!(served, current.estimate_many(x, ts));
+        assert_eq!(served, tape_answers(&current, x, ts));
     }
     engine.shutdown();
 }
@@ -405,7 +412,7 @@ fn worker_and_inline_answers_are_bit_identical() {
         .collect();
     let tape: Vec<Vec<f64>> = pool
         .iter()
-        .map(|(x, ts)| model.tape_predict_many(x, ts))
+        .map(|(x, ts)| tape_answers(&model, x, ts))
         .collect();
     let engine = Engine::start(
         Arc::new(ModelRegistry::new(model)),

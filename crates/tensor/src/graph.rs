@@ -101,7 +101,7 @@ pub(crate) enum Op {
     /// matrix (R x C) * column vector (R x 1) broadcast over columns
     MulColVec(usize, usize),
     Scale(usize, f32),
-    AddScalar(usize, f32),
+    AddScalar(usize),
     Relu(usize),
     LeakyRelu(usize, f32),
     /// `elu(x) + 1`, strictly positive; used by UMNN's integrand.
@@ -161,7 +161,7 @@ impl Op {
                 f(b);
             }
             Op::Scale(a, _)
-            | Op::AddScalar(a, _)
+            | Op::AddScalar(a)
             | Op::Relu(a)
             | Op::LeakyRelu(a, _)
             | Op::EluPlusOne(a)
@@ -268,7 +268,7 @@ impl Graph {
 
     /// Runs `f` on a freshly [`reset`](Graph::reset) **thread-local** tape
     /// whose arena persists for the life of the thread — the zero-setup way
-    /// to get tape reuse on inference paths (`predict_many` and friends)
+    /// to get tape reuse on inference paths (`tape_estimate_into`)
     /// that can't thread a `&mut Graph` through their signatures.
     ///
     /// The closure must not call `with_pooled` reentrantly (the tape is
@@ -368,20 +368,6 @@ impl Graph {
         self.nodes[idx].value.reset_zero(rows, cols);
         fill(self.nodes[idx].value.data_mut());
         self.done(idx)
-    }
-
-    /// Records a `rows x cols` constant leaf assembled row by row with
-    /// `fill(row_index, row)`, parallelized over row chunks on up to
-    /// `threads` workers (see [`crate::parallel::par_fill_rows`]) — the
-    /// batched entry point used by inference engines to coalesce many
-    /// queries into one tape pass without allocating a staging buffer.
-    pub fn leaf_rows<F>(&mut self, rows: usize, cols: usize, threads: usize, fill: F) -> Var
-    where
-        F: Fn(usize, &mut [f32]) + Sync,
-    {
-        self.leaf_with(rows, cols, |data| {
-            crate::parallel::par_fill_rows(data, cols, threads, fill)
-        })
     }
 
     /// Records a trainable-parameter leaf tagged with `id` so its gradient
@@ -581,7 +567,7 @@ impl Graph {
 
     /// Adds a constant to every element.
     pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        self.unary_map(a, Op::AddScalar(a.0, c), |x| x + c)
+        self.unary_map(a, Op::AddScalar(a.0), |x| x + c)
     }
 
     // ---- unary activations ----
@@ -1063,7 +1049,7 @@ impl Graph {
                 let (grad, seen) = grad_mut(pre, a);
                 acc_map(grad, seen, &rest[0].grad, |g| g * alpha);
             }
-            Op::AddScalar(a, _) => {
+            Op::AddScalar(a) => {
                 let (pre, rest) = self.nodes.split_at_mut(idx);
                 acc_matrix(pre, a, &rest[0].grad);
             }

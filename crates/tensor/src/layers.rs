@@ -77,16 +77,6 @@ impl Linear {
         self.out_dim
     }
 
-    /// Weight parameter id.
-    pub fn weight_id(&self) -> ParamId {
-        self.w
-    }
-
-    /// Bias parameter id.
-    pub fn bias_id(&self) -> ParamId {
-        self.b
-    }
-
     /// Records the forward pass.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var) -> Var {
         let w = store.inject(g, self.w);

@@ -33,12 +33,12 @@
 //! [`InferencePlan::run`] replays it allocation-free into a reusable
 //! [`PlanBuffers`] arena for any batch size — bit-identical to the tape
 //! forward pass (both execute the same shared kernels). See the
-//! [`InferencePlan`] docs for the compile/replay lifecycle. Every plan
-//! input is batch-scaled and every instruction is row-independent, so
-//! [`InferencePlan::run_chunked`] may split a wave's rows across threads
-//! without changing a bit; tape ops outside that contract (`pwl_interp`,
-//! `lattice`, `sum`, `mean`) are refused at compile time with a
-//! [`PlanError`].
+//! [`InferencePlan`] docs for the compile/replay lifecycle. A plan has one
+//! batch-scaled input and eight row-independent instructions — the
+//! program a SelNet model serves — so [`InferencePlan::run_chunked`] may
+//! split a wave's rows across threads without changing a bit; every other
+//! tape op (`pwl_interp`, `sum`, `gather_rows`, `sigmoid`, …) is refused
+//! at compile time with a [`PlanError`].
 //!
 //! ## Kernels and threading
 //!

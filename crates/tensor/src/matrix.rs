@@ -401,11 +401,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its row-major data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     // ---- allocation-reusing shape changes ----
     //
     // These are the primitives behind the tape arena: they never shrink the
@@ -762,15 +757,6 @@ impl Matrix {
             *o = self.row(i).iter().sum();
         }
         out
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|&x| (x as f64) * (x as f64))
-            .sum::<f64>()
-            .sqrt()
     }
 
     /// Maximum absolute element, or 0 for an empty matrix. NaN anywhere in

@@ -287,10 +287,9 @@ where
 /// Fills an existing `width`-column row-major buffer row by row with
 /// `fill(row_index, row)`, parallelized over row chunks of at least
 /// [`FORK_MIN_WORK`] elements — a training batch (a few hundred rows) is
-/// a plain loop on the caller. This is the allocation-free sibling of
-/// [`par_build_rows`] — the training loops call it on tape-owned leaf
-/// buffers (see `Graph::leaf_with`) so batch assembly recycles storage
-/// instead of building a fresh `Vec` per batch.
+/// a plain loop on the caller. The training loops call it on tape-owned
+/// leaf buffers (see `Graph::leaf_with`) so batch assembly recycles
+/// storage instead of building a fresh `Vec` per batch.
 pub fn par_fill_rows<F>(data: &mut [f32], width: usize, threads: usize, fill: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
@@ -304,17 +303,6 @@ where
             fill(first_row + off, row);
         }
     });
-}
-
-/// Builds a `count x width` row-major buffer by filling each row with
-/// `fill(row_index, row)`, parallelized over row chunks.
-pub fn par_build_rows<F>(count: usize, width: usize, threads: usize, fill: F) -> Vec<f32>
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    let mut data = vec![0.0f32; count * width];
-    par_fill_rows(&mut data, width, threads, fill);
-    data
 }
 
 /// Runs `f(i, &mut states[i])` for every state on up to `threads` workers
@@ -409,19 +397,18 @@ mod tests {
     }
 
     #[test]
-    fn par_build_rows_matches_serial() {
-        let serial = par_build_rows(11, 3, 1, |i, row| {
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = (i * 3 + j) as f32;
-            }
-        });
-        let parallel = par_build_rows(11, 3, 4, |i, row| {
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = (i * 3 + j) as f32;
-            }
-        });
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.len(), 33);
+    fn par_fill_rows_matches_serial() {
+        let fill = |threads: usize| {
+            let mut data = vec![0.0f32; 11 * 3];
+            par_fill_rows(&mut data, 3, threads, |i, row| {
+                for (j, v) in row.iter_mut().enumerate() {
+                    *v = (i * 3 + j) as f32;
+                }
+            });
+            data
+        };
+        assert_eq!(fill(1), fill(4));
+        assert_eq!(fill(1), (0..33).map(|v| v as f32).collect::<Vec<_>>());
     }
 
     /// Rule 1: part 0 runs on the calling thread, every other part on a
@@ -517,7 +504,7 @@ mod tests {
 
     #[test]
     fn zero_width_rows_are_harmless() {
-        assert!(par_build_rows(4, 0, 2, |_, _| unreachable!()).is_empty());
+        par_fill_rows(&mut [], 0, 2, |_, _| unreachable!());
     }
 
     #[test]

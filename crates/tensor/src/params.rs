@@ -14,6 +14,7 @@
 //! named f32 matrices, little-endian), so no serialization dependency is
 //! needed.
 
+use crate::bytes::{read_f32, read_u32, read_u64, write_f32, write_u32, write_u64};
 use crate::graph::{Graph, ParamId, Var};
 use crate::matrix::Matrix;
 use std::io::{self, Read, Write};
@@ -86,11 +87,6 @@ impl ParamStore {
         self.values.is_empty()
     }
 
-    /// Total number of scalar weights.
-    pub fn num_scalars(&self) -> usize {
-        self.values.iter().map(Matrix::len).sum()
-    }
-
     /// Parameter value by id.
     pub fn value(&self, id: ParamId) -> &Matrix {
         &self.values[id.0]
@@ -124,15 +120,15 @@ impl ParamStore {
     /// Writes all parameters to `w` in the checkpoint format.
     pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
         w.write_all(MAGIC)?;
-        w.write_all(&(self.values.len() as u64).to_le_bytes())?;
+        write_u64(w, self.values.len() as u64)?;
         for (name, m) in self.names.iter().zip(&self.values) {
             let bytes = name.as_bytes();
-            w.write_all(&(bytes.len() as u32).to_le_bytes())?;
+            write_u32(w, bytes.len() as u32)?;
             w.write_all(bytes)?;
-            w.write_all(&(m.rows() as u64).to_le_bytes())?;
-            w.write_all(&(m.cols() as u64).to_le_bytes())?;
+            write_u64(w, m.rows() as u64)?;
+            write_u64(w, m.cols() as u64)?;
             for &x in m.data() {
-                w.write_all(&x.to_le_bytes())?;
+                write_f32(w, x)?;
             }
         }
         Ok(())
@@ -168,10 +164,8 @@ impl ParamStore {
                 .filter(|&n| n <= MAX_MATRIX_SCALARS)
                 .ok_or_else(|| invalid_data(format!("implausible matrix shape {rows}x{cols}")))?;
             let mut data = vec![0.0f32; scalars as usize];
-            let mut buf = [0u8; 4];
             for x in &mut data {
-                r.read_exact(&mut buf)?;
-                *x = f32::from_le_bytes(buf);
+                *x = read_f32(r)?;
             }
             store.add(name, Matrix::from_vec(rows as usize, cols as usize, data));
         }
@@ -217,18 +211,6 @@ impl ParamStore {
 
 fn invalid_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
 }
 
 #[cfg(test)]

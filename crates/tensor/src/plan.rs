@@ -11,46 +11,50 @@
 //! * **compile once per model generation** — [`InferencePlan::compile`]
 //!   walks a recorded probe tape, dead-code-eliminates nodes the outputs
 //!   don't need, **bakes parameter and constant leaves into the plan**
-//!   (no per-call injection), and fuses adjacent
-//!   `matmul → add_row_vec → activation` triples into single affine
-//!   instructions;
+//!   (no per-call injection), and fuses each `matmul → add_row_vec`
+//!   pair, with the `relu` that follows it, into one affine instruction;
 //! * **replay allocation-free** — [`InferencePlan::run`] executes the
 //!   instruction list into a caller-provided [`PlanBuffers`] arena whose
 //!   matrices keep their capacity across calls, for any batch row count;
 //! * **bit-identical by construction** — every instruction calls the same
 //!   `fwd` kernels the tape ops call (and the fused affine performs exactly
-//!   the tape's `matmul`, `+bias`, `activation` scalar sequence), so a plan
+//!   the tape's `matmul`, `+bias`, `relu` scalar sequence), so a plan
 //!   replay produces the same bits as the tape forward pass. The property
 //!   suite (`tests/plan_properties.rs`) pins this over random networks,
 //!   shapes, and batch sizes.
 //!
+//! ## The instruction set
+//!
+//! The compiled program is the one a SelNet model serves: the networks
+//! map the query object `x` alone to control points `(τ, p)`, and the
+//! threshold enters only outside the plan (the interpolation of Eq. (1)
+//! runs on [`crate::pwl_interp_row`]). So a plan has **one input**, the
+//! batch of `x` rows, and eight instructions: `Affine` (with or without a
+//! fused ReLU), `Unary` (ReLU or `Scale`), `Norml2`, `SoftmaxRows`,
+//! `CumsumCols`, `ConcatCols`, `Broadcast` and `BlockLinear`. Compiling a
+//! tape that reaches any other op — the `sum` / `mean` batch reductions
+//! and `gather_rows` (whose output row reads another row of its input),
+//! `pwl_interp`, `lattice`, the other elementwise ops, or a `matmul` that
+//! does not fuse into an affine — is a [`PlanError`] naming the op. Every
+//! instruction is **row-independent** over the batch dimension, which is
+//! what lets [`InferencePlan::run_chunked`] split a wave anywhere.
+//!
 //! ## The pass pipeline
 //!
 //! Compilation is four passes over one lowering state (see
-//! [`InferencePlan::compile`]): **capture** validates the declared inputs
-//! against the probe tape; **DCE** computes reachability and use counts
-//! from the outputs; **lower/fuse** emits one symbolic instruction per
-//! surviving node, baking parameters and fusing
-//! `matmul → add_row_vec → activation` chains; **buffer assignment**
-//! resolves node ids to dense arena slots and counts the per-row work the
-//! replay-thread gate reads.
-//!
-//! Every instruction is **row-independent** over the batch dimension, which
-//! is what lets [`InferencePlan::run_chunked`] split a wave anywhere. The
-//! tape ops that are not — the `sum` / `mean` batch reductions and
-//! `gather_rows`, whose output row reads another row of its input (it
-//! exists for training batches) — have no instruction, and neither do
-//! `pwl_interp` (the served program stops at the control points;
-//! interpolation runs outside the plan on [`crate::pwl_interp_row`]) and
-//! `lattice` (no served model has one): compiling a tape that reaches one
-//! of them is a [`PlanError`] naming the op.
+//! [`InferencePlan::compile`]): **capture** validates the input and
+//! outputs against the probe tape; **DCE** computes reachability, use
+//! counts and the matmuls that fuse; **lower** emits one instruction per
+//! surviving node, named by node ids, baking parameters and fusing
+//! affines; **buffer assignment** resolves node ids to dense arena slots
+//! and counts the per-row work the replay-thread gate reads.
 //!
 //! ## Row scaling
 //!
 //! A plan is compiled from a probe tape recorded at some **probe batch
 //! size** `B0` and replayed at any row count: every slot is classified as
 //! *batch-scaled* (rows follow the run's row count) or *fixed* (rows are
-//! whatever the probe recorded). Every declared input is batch-scaled;
+//! whatever the probe recorded). The input is batch-scaled;
 //! classification propagates from there through the op semantics, baked
 //! parameters and constants are fixed, and a constant leaf whose row
 //! count equals `B0` (with `B0 >= 2`) is treated as a batch-broadcast
@@ -96,75 +100,19 @@ impl RowSpec {
     }
 }
 
-/// An instruction operand: either a run-time buffer slot or a baked
-/// constant (parameter / constant leaf).
+/// A resolved instruction operand: either a run-time buffer slot or a
+/// baked constant (parameter / constant leaf).
 #[derive(Clone, Copy, Debug)]
 enum Arg {
     Buf(u32),
     Const(u32),
 }
 
-/// Elementwise unary ops (also usable as the fused-affine activation).
+/// The elementwise ops the served program applies outside an affine.
 #[derive(Clone, Copy, Debug)]
 enum UnOp {
     Relu,
-    LeakyRelu(f32),
-    EluPlusOne,
-    Softplus,
-    Sigmoid,
-    Tanh,
-    Exp,
-    LnEps(f32),
-    Abs,
-    Square,
     Scale(f32),
-    AddScalar(f32),
-    Huber(f32),
-}
-
-impl UnOp {
-    /// `out = f(a)` elementwise, with the variant match resolved **once
-    /// per instruction**: each arm monomorphizes
-    /// [`fwd::unary_map`] with a concrete scalar closure, so the
-    /// per-element loop vectorizes exactly like the tape's closures do.
-    fn run(self, a: &Matrix, out: &mut Matrix) {
-        match self {
-            UnOp::Relu => fwd::unary_map(a, out, fwd::relu),
-            UnOp::LeakyRelu(al) => fwd::unary_map(a, out, |x| fwd::leaky_relu(x, al)),
-            UnOp::EluPlusOne => fwd::unary_map(a, out, fwd::elu_plus_one),
-            UnOp::Softplus => fwd::unary_map(a, out, fwd::softplus),
-            UnOp::Sigmoid => fwd::unary_map(a, out, fwd::sigmoid),
-            UnOp::Tanh => fwd::unary_map(a, out, f32::tanh),
-            UnOp::Exp => fwd::unary_map(a, out, fwd::exp_clamped),
-            UnOp::LnEps(eps) => fwd::unary_map(a, out, |x| fwd::ln_eps(x, eps)),
-            UnOp::Abs => fwd::unary_map(a, out, f32::abs),
-            UnOp::Square => fwd::unary_map(a, out, |x| x * x),
-            UnOp::Scale(al) => fwd::unary_map(a, out, |x| x * al),
-            UnOp::AddScalar(c) => fwd::unary_map(a, out, |x| x + c),
-            UnOp::Huber(d) => fwd::unary_map(a, out, |x| fwd::huber(x, d)),
-        }
-    }
-
-    /// In-place `out[i][j] = f(out[i][j] + bias[j])` — the fused affine
-    /// tail, monomorphized per variant like [`UnOp::run`]: a separate
-    /// cache-hot pass after `matmul_into`.
-    fn run_bias_act(self, bias: &Matrix, out: &mut Matrix) {
-        match self {
-            UnOp::Relu => bias_act(bias, out, fwd::relu),
-            UnOp::LeakyRelu(al) => bias_act(bias, out, |x| fwd::leaky_relu(x, al)),
-            UnOp::EluPlusOne => bias_act(bias, out, fwd::elu_plus_one),
-            UnOp::Softplus => bias_act(bias, out, fwd::softplus),
-            UnOp::Sigmoid => bias_act(bias, out, fwd::sigmoid),
-            UnOp::Tanh => bias_act(bias, out, f32::tanh),
-            UnOp::Exp => bias_act(bias, out, fwd::exp_clamped),
-            UnOp::LnEps(eps) => bias_act(bias, out, |x| fwd::ln_eps(x, eps)),
-            UnOp::Abs => bias_act(bias, out, f32::abs),
-            UnOp::Square => bias_act(bias, out, |x| x * x),
-            UnOp::Scale(al) => bias_act(bias, out, |x| x * al),
-            UnOp::AddScalar(c) => bias_act(bias, out, |x| x + c),
-            UnOp::Huber(d) => bias_act(bias, out, |x| fwd::huber(x, d)),
-        }
-    }
 }
 
 /// `out[i][j] = f(out[i][j] + bias[j])` over all rows — the second half of
@@ -179,112 +127,92 @@ fn bias_act(bias: &Matrix, out: &mut Matrix, f: impl Fn(f32) -> f32) {
     }
 }
 
-/// Elementwise binary ops.
+/// One compiled forward instruction, generic over its operand `A`: tape
+/// node ids while the tape is lowered, [`Arg`]s once buffers are assigned.
+/// Instruction `i` writes buffer `i + 1` (buffer 0 is the input), so every
+/// operand names an earlier buffer.
 #[derive(Clone, Copy, Debug)]
-enum BinOp {
-    Add,
-    Sub,
-    Mul,
-}
-
-/// One compiled forward instruction. Operands are [`Arg`]s; `out` is
-/// always a buffer slot written in execution order (so every operand's
-/// buffer index is strictly below `out`).
-#[derive(Clone, Copy, Debug)]
-enum Instr {
+enum Instr<A> {
     /// Replicates a baked single-row constant to the run's row count
     /// (batch-broadcast constant leaves, e.g. an all-zeros column).
     Broadcast {
         src: u32,
-        out: u32,
     },
-    /// Fused `act(x @ w + b)`; `act: None` is plain `x @ w + b`.
+    /// Fused `x @ w + b`, followed by ReLU when `relu` is set.
     Affine {
-        x: Arg,
-        w: Arg,
-        b: Arg,
-        act: Option<UnOp>,
-        out: u32,
-    },
-    MatMul {
-        a: Arg,
-        b: Arg,
-        out: u32,
-    },
-    AddRowVec {
-        m: Arg,
-        row: Arg,
-        out: u32,
-    },
-    MulColVec {
-        m: Arg,
-        col: Arg,
-        out: u32,
-    },
-    Binary {
-        op: BinOp,
-        a: Arg,
-        b: Arg,
-        out: u32,
+        x: A,
+        w: A,
+        b: A,
+        relu: bool,
     },
     Unary {
         op: UnOp,
-        a: Arg,
-        out: u32,
+        a: A,
     },
     SoftmaxRows {
-        a: Arg,
-        out: u32,
-    },
-    RowSum {
-        a: Arg,
-        out: u32,
+        a: A,
     },
     ConcatCols {
-        a: Arg,
-        b: Arg,
-        out: u32,
-    },
-    SliceCols {
-        a: Arg,
-        start: u32,
-        end: u32,
-        out: u32,
+        a: A,
+        b: A,
     },
     CumsumCols {
-        a: Arg,
-        out: u32,
+        a: A,
     },
     Norml2 {
-        a: Arg,
+        a: A,
         eps: f32,
-        out: u32,
     },
     BlockLinear {
-        input: Arg,
-        weight: Arg,
-        bias: Arg,
-        out: u32,
+        input: A,
+        weight: A,
+        bias: A,
     },
 }
 
-impl Instr {
-    fn out(&self) -> u32 {
-        match *self {
-            Instr::Broadcast { out, .. }
-            | Instr::Affine { out, .. }
-            | Instr::MatMul { out, .. }
-            | Instr::AddRowVec { out, .. }
-            | Instr::MulColVec { out, .. }
-            | Instr::Binary { out, .. }
-            | Instr::Unary { out, .. }
-            | Instr::SoftmaxRows { out, .. }
-            | Instr::RowSum { out, .. }
-            | Instr::ConcatCols { out, .. }
-            | Instr::SliceCols { out, .. }
-            | Instr::CumsumCols { out, .. }
-            | Instr::Norml2 { out, .. }
-            | Instr::BlockLinear { out, .. } => out,
+impl<A> Instr<A> {
+    /// The same instruction with every operand mapped through `f`.
+    fn map<B>(self, mut f: impl FnMut(A) -> B) -> Instr<B> {
+        match self {
+            Instr::Broadcast { src } => Instr::Broadcast { src },
+            Instr::Affine { x, w, b, relu } => Instr::Affine {
+                x: f(x),
+                w: f(w),
+                b: f(b),
+                relu,
+            },
+            Instr::Unary { op, a } => Instr::Unary { op, a: f(a) },
+            Instr::SoftmaxRows { a } => Instr::SoftmaxRows { a: f(a) },
+            Instr::ConcatCols { a, b } => Instr::ConcatCols { a: f(a), b: f(b) },
+            Instr::CumsumCols { a } => Instr::CumsumCols { a: f(a) },
+            Instr::Norml2 { a, eps } => Instr::Norml2 { a: f(a), eps },
+            Instr::BlockLinear {
+                input,
+                weight,
+                bias,
+            } => Instr::BlockLinear {
+                input: f(input),
+                weight: f(weight),
+                bias: f(bias),
+            },
+        }
+    }
+
+    /// The instruction's name in [`InferencePlan::instructions`].
+    fn name(&self) -> &'static str {
+        match self {
+            Instr::Broadcast { .. } => "broadcast",
+            Instr::Affine { relu: false, .. } => "affine",
+            Instr::Affine { relu: true, .. } => "affine_relu",
+            Instr::Unary { op: UnOp::Relu, .. } => "relu",
+            Instr::Unary {
+                op: UnOp::Scale(_), ..
+            } => "scale",
+            Instr::SoftmaxRows { .. } => "softmax_rows",
+            Instr::ConcatCols { .. } => "concat_cols",
+            Instr::CumsumCols { .. } => "cumsum_cols",
+            Instr::Norml2 { .. } => "norml2",
+            Instr::BlockLinear { .. } => "block_linear",
         }
     }
 }
@@ -387,67 +315,49 @@ impl PlanOutputs<'_> {
 /// [`ParamStore::version`](crate::ParamStore::version).
 #[derive(Debug)]
 pub struct InferencePlan {
-    instrs: Vec<Instr>,
+    instrs: Vec<Instr<Arg>>,
     /// Baked parameter/constant values (and single rows of batch-broadcast
     /// constants).
     consts: Vec<Matrix>,
-    /// `(RowSpec, cols)` per buffer slot, indexed by buffer id.
+    /// `(RowSpec, cols)` per buffer slot: the input at 0, instruction
+    /// `i`'s output at `i + 1`.
     buf_shapes: Vec<(RowSpec, usize)>,
-    /// Buffer ids of the run-time inputs (all batch-scaled), in
-    /// `compile`'s `inputs` order.
-    input_bufs: Vec<u32>,
     outputs: Vec<Arg>,
     /// Counted multiply-add estimate **per batch row** of one replay
-    /// (matmul/affine inner products dominate; elementwise ops count one
-    /// per output element). Drives the chunked-replay engagement
-    /// threshold — see [`InferencePlan::replay_threads`].
+    /// (affine inner products dominate; elementwise ops count one per
+    /// output element). Drives the chunked-replay engagement threshold —
+    /// see [`InferencePlan::replay_threads`].
     flops_per_row: usize,
 }
 
-/// Per-node classification produced during compilation.
-#[derive(Clone, Copy)]
-enum NodeVal {
-    /// Not yet assigned (unreached).
-    None,
-    /// Resolves to a baked constant.
-    Const(u32),
-    /// Resolves to a computed/bound buffer, identified by node id until
-    /// buffer ids are assigned in the final pass.
-    Node,
-}
-
 impl InferencePlan {
-    /// Compiles the live tape of `g` into a plan: capture → DCE →
-    /// lower/fuse → buffer assignment.
+    /// Compiles the live tape of `g` into a plan: capture → DCE → lower →
+    /// buffer assignment.
     ///
-    /// * `inputs` — leaves to re-bind on every run. Every input is
-    ///   batch-scaled (rows follow the run's row count); all must share
-    ///   the probe row count `B0`.
+    /// * `input` — the leaf re-bound on every run. It is batch-scaled
+    ///   (rows follow the run's row count); its probe row count is `B0`.
     /// * `outputs` — the nodes whose values [`PlanOutputs::output`]
     ///   exposes. Nodes no output depends on are eliminated.
     ///
-    /// Errors when a referenced `Var` is stale, an input is not a plain
-    /// constant leaf, inputs disagree on the probe row count, a reachable
-    /// op has no instruction (`pwl_interp`, `lattice`, `sum`, `mean`,
-    /// `gather_rows`), or
-    /// row scaling cannot be propagated consistently (e.g. an elementwise
-    /// op mixing a batch-scaled and a fixed operand).
-    pub fn compile(g: &Graph, inputs: &[Var], outputs: &[Var]) -> Result<InferencePlan, PlanError> {
+    /// Errors when a referenced `Var` is stale, the input is not a plain
+    /// constant leaf or no output reads it, a reachable op has no
+    /// instruction (see the module docs), or row scaling cannot be
+    /// propagated consistently (e.g. `concat_cols` of a batch-scaled and a
+    /// fixed operand).
+    pub fn compile(g: &Graph, input: Var, outputs: &[Var]) -> Result<InferencePlan, PlanError> {
         // flight-recorder hook: inert unless the process-global recorder
         // was armed (e.g. selnet-serve --trace-buffer)
         let mut span = selnet_obs::trace::global().span("plan_compile", 0);
         let nodes = g.live_nodes();
-        let b0 = pass_capture(nodes, inputs, outputs)?;
+        pass_capture(nodes, input, outputs)?;
         let dce = pass_dce(nodes, outputs);
-        let lowered = pass_lower(nodes, inputs, b0, &dce)?;
-        let plan = pass_assign_buffers(nodes, inputs, outputs, lowered)?;
+        if !dce.reachable[input.0] {
+            return err("the input is unreachable from the plan outputs");
+        }
+        let lowered = pass_lower(nodes, input.0, &dce)?;
+        let plan = pass_assign_buffers(nodes, input.0, outputs, lowered);
         span.set_detail(plan.instrs.len() as u64, plan.outputs.len() as u64);
         Ok(plan)
-    }
-
-    /// Number of run-time inputs.
-    pub fn num_inputs(&self) -> usize {
-        self.input_bufs.len()
     }
 
     /// Number of outputs.
@@ -455,23 +365,25 @@ impl InferencePlan {
         self.outputs.len()
     }
 
-    /// Number of compiled instructions (after dead-code elimination and
-    /// affine fusion) — diagnostics for tests and benches.
-    pub fn num_instructions(&self) -> usize {
-        self.instrs.len()
+    /// The compiled instruction stream by name, in execution order (after
+    /// dead-code elimination and affine fusion) — diagnostics for tests
+    /// and benches: `affine`, `affine_relu`, `relu`, `scale`, `norml2`,
+    /// `softmax_rows`, `cumsum_cols`, `concat_cols`, `broadcast`,
+    /// `block_linear`.
+    pub fn instructions(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.instrs.iter().map(Instr::name)
     }
 
     /// Replays the plan at `rows` batch rows.
     ///
-    /// `fill` is called once per input (in `compile` order) with the
-    /// input's zeroed, already-shaped buffer — write the batch data in
-    /// place. Returns an accessor over the output matrices, which borrow
-    /// `bufs` until dropped.
+    /// `fill` is called once with the input's zeroed, already-shaped
+    /// buffer — write the batch data in place. Returns an accessor over
+    /// the output matrices, which borrow `bufs` until dropped.
     pub fn run<'b>(
         &'b self,
         bufs: &'b mut PlanBuffers,
         rows: usize,
-        mut fill: impl FnMut(usize, &mut Matrix),
+        fill: impl FnOnce(&mut Matrix),
     ) -> PlanOutputs<'b> {
         let _span = selnet_obs::trace::global()
             .span("plan_replay", 0)
@@ -480,13 +392,11 @@ impl InferencePlan {
             bufs.bufs
                 .resize_with(self.buf_shapes.len(), Matrix::default);
         }
-        for (k, &b) in self.input_bufs.iter().enumerate() {
-            let m = &mut bufs.bufs[b as usize];
-            m.reset_zero(rows, self.buf_shapes[b as usize].1);
-            fill(k, m);
-        }
-        for instr in &self.instrs {
-            self.exec(instr, &mut bufs.bufs, rows);
+        let input = &mut bufs.bufs[0];
+        input.reset_zero(rows, self.buf_shapes[0].1);
+        fill(input);
+        for (i, instr) in self.instrs.iter().enumerate() {
+            self.exec(instr, i + 1, &mut bufs.bufs, rows);
         }
         PlanOutputs {
             plan: self,
@@ -536,8 +446,8 @@ impl InferencePlan {
     ///   batch row `r` owns `out[offsets[r]..offsets[r + 1]]` (a query row
     ///   owns one slot per threshold; `0..=rows` gives one slot per row).
     ///   Each chunk writes the disjoint sub-slice of its rows.
-    /// * `fill(input, first_row, m)` — like [`InferencePlan::run`]'s fill
-    ///   but with the chunk's first global row: copy rows
+    /// * `fill(first_row, m)` — like [`InferencePlan::run`]'s fill but
+    ///   with the chunk's first global row: copy rows
     ///   `first_row..first_row + m.rows()`.
     /// * `consume(first_row, outputs, chunk)` — scatter the chunk's
     ///   replay outputs (row `j` of a batch output is global row
@@ -560,7 +470,7 @@ impl InferencePlan {
         consume: Consume,
     ) where
         O: Send,
-        Fill: Fn(usize, usize, &mut Matrix) + Sync,
+        Fill: Fn(usize, &mut Matrix) + Sync,
         Consume: Fn(usize, PlanOutputs<'_>, &mut [O]) + Sync,
     {
         let rows = offsets.len().saturating_sub(1);
@@ -579,7 +489,7 @@ impl InferencePlan {
         consume: Consume,
     ) where
         O: Send,
-        Fill: Fn(usize, usize, &mut Matrix) + Sync,
+        Fill: Fn(usize, &mut Matrix) + Sync,
         Consume: Fn(usize, PlanOutputs<'_>, &mut [O]) + Sync,
     {
         let rows = offsets.len().saturating_sub(1);
@@ -594,7 +504,7 @@ impl InferencePlan {
         let ranges = crate::parallel::chunk_ranges(rows, chunks, 1);
         if ranges.len() <= 1 {
             PlanBuffers::with_pooled(|bufs| {
-                let run = self.run(bufs, rows, |k, m| fill(k, 0, m));
+                let run = self.run(bufs, rows, |m| fill(0, m));
                 consume(0, run, out);
             });
             return;
@@ -611,14 +521,14 @@ impl InferencePlan {
             .collect();
         crate::parallel::fork_join(chunks, |(start, end, head)| {
             PlanBuffers::with_shared(|bufs| {
-                let run = self.run(bufs, end - start, |k, m| fill(k, start, m));
+                let run = self.run(bufs, end - start, |m| fill(start, m));
                 consume(start, run, head);
             });
         });
     }
 
-    fn exec(&self, instr: &Instr, bufs: &mut [Matrix], rows: usize) {
-        let out_id = instr.out() as usize;
+    /// Runs `instr` into buffer `out_id`.
+    fn exec(&self, instr: &Instr<Arg>, out_id: usize, bufs: &mut [Matrix], rows: usize) {
         let (rspec, cols) = self.buf_shapes[out_id];
         let (lower, rest) = bufs.split_at_mut(out_id);
         let out = &mut rest[0];
@@ -630,7 +540,7 @@ impl InferencePlan {
             }
         };
         match *instr {
-            Instr::Broadcast { src, .. } => {
+            Instr::Broadcast { src } => {
                 let row = &self.consts[src as usize];
                 if row.cols() == 1 {
                     out.fill(row.get(0, 0));
@@ -640,172 +550,31 @@ impl InferencePlan {
                     }
                 }
             }
-            Instr::Affine { x, w, b, act, .. } => {
-                // exactly the tape's matmul → +bias → activation scalar
+            Instr::Affine { x, w, b, relu } => {
+                // exactly the tape's matmul → +bias → relu scalar
                 // sequence, in one output buffer (the epilogue runs as a
                 // cache-hot pass over the matmul result)
                 val(x).matmul_into(val(w), out);
-                let bias = val(b);
-                match act {
-                    None => bias_act(bias, out, |v| v),
-                    Some(a) => a.run_bias_act(bias, out),
+                if relu {
+                    bias_act(val(b), out, fwd::relu)
+                } else {
+                    bias_act(val(b), out, |v| v)
                 }
             }
-            Instr::MatMul { a, b, .. } => val(a).matmul_into(val(b), out),
-            Instr::AddRowVec { m, row, .. } => fwd::add_row_vec(val(m), val(row), out),
-            Instr::MulColVec { m, col, .. } => fwd::mul_col_vec(val(m), val(col), out),
-            Instr::Binary { op, a, b, .. } => {
-                let f = match op {
-                    BinOp::Add => |x: f32, y: f32| x + y,
-                    BinOp::Sub => |x: f32, y: f32| x - y,
-                    BinOp::Mul => |x: f32, y: f32| x * y,
-                };
-                fwd::binary_zip(val(a), val(b), out, f)
-            }
-            Instr::Unary { op, a, .. } => op.run(val(a), out),
-            Instr::SoftmaxRows { a, .. } => fwd::softmax_rows(val(a), out),
-            Instr::RowSum { a, .. } => fwd::row_sum(val(a), out),
-            Instr::ConcatCols { a, b, .. } => fwd::concat_cols(val(a), val(b), out),
-            Instr::SliceCols { a, start, end, .. } => {
-                fwd::slice_cols(val(a), start as usize, end as usize, out)
-            }
-            Instr::CumsumCols { a, .. } => fwd::cumsum_cols(val(a), out),
-            Instr::Norml2 { a, eps, .. } => fwd::norml2(val(a), eps, out),
+            Instr::Unary { op: UnOp::Relu, a } => fwd::unary_map(val(a), out, fwd::relu),
+            Instr::Unary {
+                op: UnOp::Scale(alpha),
+                a,
+            } => fwd::unary_map(val(a), out, |x| x * alpha),
+            Instr::SoftmaxRows { a } => fwd::softmax_rows(val(a), out),
+            Instr::ConcatCols { a, b } => fwd::concat_cols(val(a), val(b), out),
+            Instr::CumsumCols { a } => fwd::cumsum_cols(val(a), out),
+            Instr::Norml2 { a, eps } => fwd::norml2(val(a), eps, out),
             Instr::BlockLinear {
                 input,
                 weight,
                 bias,
-                ..
             } => fwd::block_linear(val(input), val(weight), val(bias), out),
-        }
-    }
-}
-
-/// A symbolic instruction: operands are still *node ids*; buffer ids are
-/// assigned after fusion.
-#[derive(Clone, Copy, Debug)]
-enum SymInstr {
-    Broadcast {
-        src: u32,
-    },
-    Affine {
-        x: usize,
-        w: usize,
-        b: usize,
-        act: Option<UnOp>,
-    },
-    MatMul {
-        a: usize,
-        b: usize,
-    },
-    AddRowVec {
-        m: usize,
-        row: usize,
-    },
-    MulColVec {
-        m: usize,
-        col: usize,
-    },
-    Binary {
-        op: BinOp,
-        a: usize,
-        b: usize,
-    },
-    Unary {
-        op: UnOp,
-        a: usize,
-    },
-    SoftmaxRows {
-        a: usize,
-    },
-    RowSum {
-        a: usize,
-    },
-    ConcatCols {
-        a: usize,
-        b: usize,
-    },
-    SliceCols {
-        a: usize,
-        start: u32,
-        end: u32,
-    },
-    CumsumCols {
-        a: usize,
-    },
-    Norml2 {
-        a: usize,
-        eps: f32,
-    },
-    BlockLinear {
-        input: usize,
-        weight: usize,
-        bias: usize,
-    },
-}
-
-impl SymInstr {
-    fn resolve(&self, out: u32, mut arg: impl FnMut(usize) -> Arg) -> Instr {
-        match *self {
-            SymInstr::Broadcast { src } => Instr::Broadcast { src, out },
-            SymInstr::Affine { x, w, b, act } => Instr::Affine {
-                x: arg(x),
-                w: arg(w),
-                b: arg(b),
-                act,
-                out,
-            },
-            SymInstr::MatMul { a, b } => Instr::MatMul {
-                a: arg(a),
-                b: arg(b),
-                out,
-            },
-            SymInstr::AddRowVec { m, row } => Instr::AddRowVec {
-                m: arg(m),
-                row: arg(row),
-                out,
-            },
-            SymInstr::MulColVec { m, col } => Instr::MulColVec {
-                m: arg(m),
-                col: arg(col),
-                out,
-            },
-            SymInstr::Binary { op, a, b } => Instr::Binary {
-                op,
-                a: arg(a),
-                b: arg(b),
-                out,
-            },
-            SymInstr::Unary { op, a } => Instr::Unary { op, a: arg(a), out },
-            SymInstr::SoftmaxRows { a } => Instr::SoftmaxRows { a: arg(a), out },
-            SymInstr::RowSum { a } => Instr::RowSum { a: arg(a), out },
-            SymInstr::ConcatCols { a, b } => Instr::ConcatCols {
-                a: arg(a),
-                b: arg(b),
-                out,
-            },
-            SymInstr::SliceCols { a, start, end } => Instr::SliceCols {
-                a: arg(a),
-                start,
-                end,
-                out,
-            },
-            SymInstr::CumsumCols { a } => Instr::CumsumCols { a: arg(a), out },
-            SymInstr::Norml2 { a, eps } => Instr::Norml2 {
-                a: arg(a),
-                eps,
-                out,
-            },
-            SymInstr::BlockLinear {
-                input,
-                weight,
-                bias,
-            } => Instr::BlockLinear {
-                input: arg(input),
-                weight: arg(weight),
-                bias: arg(bias),
-                out,
-            },
         }
     }
 }
@@ -816,61 +585,46 @@ impl SymInstr {
 // ---------------------------------------------------------------------
 
 /// DCE facts shared by the later passes: which nodes any output depends
-/// on, how many reachable consumers each node has (fusion legality), and
-/// which nodes are plan outputs (fusion must not swallow them).
+/// on, which nodes are plan outputs, and which matmuls fuse — those whose
+/// one consumer is an `add_row_vec` of them.
 struct Dce {
     reachable: Vec<bool>,
     uses: Vec<usize>,
     is_output: Vec<bool>,
+    fused_matmul: Vec<bool>,
 }
 
 /// The lowering pass's product: per-node classification plus the fused
-/// symbolic program, with operands still named by node id.
+/// program, operands still named by node id, each instruction beside the
+/// node whose value it computes.
 struct Lowered {
     spec: Vec<Option<RowSpec>>,
-    vals: Vec<NodeVal>,
+    /// The baked constant a node resolves to, if it is one.
+    konst: Vec<Option<u32>>,
     consts: Vec<Matrix>,
-    sym: Vec<Option<(SymInstr, usize)>>,
+    instrs: Vec<(Instr<usize>, usize)>,
 }
 
 /// Capture pass: validates the probe tape against the requested
-/// interface (live `Var`s, inputs are plain constant leaves) and reads
-/// the probe batch row count `B0` off the inputs.
-fn pass_capture(
-    nodes: &[Node],
-    inputs: &[Var],
-    outputs: &[Var],
-) -> Result<Option<usize>, PlanError> {
-    let n = nodes.len();
-    for v in inputs.iter().chain(outputs) {
-        if v.0 >= n {
-            return err("stale Var (recorded before the last reset?)");
-        }
+/// interface (live `Var`s, the input is a plain constant leaf).
+fn pass_capture(nodes: &[Node], input: Var, outputs: &[Var]) -> Result<(), PlanError> {
+    if std::iter::once(&input)
+        .chain(outputs)
+        .any(|v| v.0 >= nodes.len())
+    {
+        return err("stale Var (recorded before the last reset?)");
     }
-    let mut b0: Option<usize> = None;
-    for v in inputs {
-        if !matches!(nodes[v.0].op, Op::Leaf) {
-            return err("plan inputs must be constant leaves");
-        }
-        if nodes[v.0].param.is_some() {
-            return err("a parameter leaf cannot be a plan input");
-        }
-        let rows = nodes[v.0].value.rows();
-        match b0 {
-            None => b0 = Some(rows),
-            Some(r) if r == rows => {}
-            Some(r) => {
-                return err(format!(
-                    "batch inputs disagree on probe rows: {r} vs {rows}"
-                ))
-            }
-        }
+    if !matches!(nodes[input.0].op, Op::Leaf) {
+        return err("the plan input must be a constant leaf");
     }
-    Ok(b0)
+    if nodes[input.0].param.is_some() {
+        return err("a parameter leaf cannot be the plan input");
+    }
+    Ok(())
 }
 
 /// Dead-code-elimination pass: reachability from the outputs, use counts
-/// among reachable consumers, and the output set.
+/// among reachable consumers, the output set and the fusing matmuls.
 fn pass_dce(nodes: &[Node], outputs: &[Var]) -> Dce {
     let n = nodes.len();
     let mut reachable = vec![false; n];
@@ -892,194 +646,134 @@ fn pass_dce(nodes: &[Node], outputs: &[Var]) -> Dce {
     for v in outputs {
         is_output[v.0] = true;
     }
+    let mut fused_matmul = vec![false; n];
+    for (i, node) in nodes.iter().enumerate() {
+        if let (true, Op::AddRowVec(m, _)) = (reachable[i], node.op) {
+            fused_matmul[m] =
+                matches!(nodes[m].op, Op::MatMul(..)) && uses[m] == 1 && !is_output[m];
+        }
+    }
     Dce {
         reachable,
         uses,
         is_output,
+        fused_matmul,
     }
 }
 
 /// Lowering pass: row-spec propagation, constant baking / batch
-/// broadcasting, and symbolic instruction emission with affine +
-/// activation fusion (via [`emit_op`]). The node-id → sym-index producer
-/// map the fusion peephole needs is local to this pass.
-fn pass_lower(
-    nodes: &[Node],
-    inputs: &[Var],
-    b0: Option<usize>,
-    dce: &Dce,
-) -> Result<Lowered, PlanError> {
+/// broadcasting, and instruction emission with affine fusion (via
+/// [`emit_op`]).
+fn pass_lower(nodes: &[Node], input: usize, dce: &Dce) -> Result<Lowered, PlanError> {
     let n = nodes.len();
-    let mut spec: Vec<Option<RowSpec>> = vec![None; n];
-    let mut vals: Vec<NodeVal> = vec![NodeVal::None; n];
-    let mut consts: Vec<Matrix> = Vec::new();
-    // symbolic instrs: op template + output *node* id (buffer ids are
-    // assigned after fusion)
-    let mut sym: Vec<Option<(SymInstr, usize)>> = Vec::new();
-    // node id -> index into `sym` (for fusion lookups)
-    let mut producer: Vec<Option<usize>> = vec![None; n];
-    let mut is_input = vec![false; n];
-    for v in inputs {
-        is_input[v.0] = true;
-    }
-
-    for i in 0..n {
+    let b0 = nodes[input].value.rows();
+    let mut lowered = Lowered {
+        spec: vec![None; n],
+        konst: vec![None; n],
+        consts: Vec::new(),
+        instrs: Vec::new(),
+    };
+    for (i, node) in nodes.iter().enumerate() {
         if !dce.reachable[i] {
             continue;
         }
-        let node = &nodes[i];
         let (rows, cols) = node.value.shape();
-        match node.op {
+        let spec = match node.op {
+            Op::Leaf if i == input => RowSpec::Batch,
+            Op::Leaf if node.param.is_some() || rows != b0 || rows <= 1 => {
+                // parameter or genuine fixed constant: bake it
+                lowered.konst[i] = Some(lowered.consts.len() as u32);
+                lowered.consts.push(node.value.clone());
+                RowSpec::Fixed(rows)
+            }
             Op::Leaf => {
-                if is_input[i] {
-                    spec[i] = Some(RowSpec::Batch);
-                    vals[i] = NodeVal::Node;
-                } else if node.param.is_some() || Some(rows) != b0 || rows <= 1 {
-                    // parameter or genuine fixed constant: bake it
-                    spec[i] = Some(RowSpec::Fixed(rows));
-                    let c = consts.len() as u32;
-                    consts.push(node.value.clone());
-                    vals[i] = NodeVal::Const(c);
-                } else {
-                    // constant leaf with the probe batch row count:
-                    // batch-broadcast — rows must be bit-identical
-                    let first = node.value.row(0);
-                    for r in 1..rows {
-                        if node.value.row(r) != first {
-                            return err(
-                                "constant leaf has probe-batch rows but non-identical row \
-                                 contents; cannot batch-broadcast it",
-                            );
-                        }
-                    }
-                    spec[i] = Some(RowSpec::Batch);
-                    let c = consts.len() as u32;
-                    let mut row = Matrix::default();
-                    row.reset_shape(1, cols);
-                    row.data_mut().copy_from_slice(first);
-                    consts.push(row);
-                    vals[i] = NodeVal::Node;
-                    producer[i] = Some(sym.len());
-                    sym.push(Some((SymInstr::Broadcast { src: c }, i)));
+                // constant leaf with the probe batch row count:
+                // batch-broadcast — rows must be bit-identical
+                let first = node.value.row(0);
+                if (1..rows).any(|r| node.value.row(r) != first) {
+                    return err("constant leaf has probe-batch rows but non-identical row \
+                         contents; cannot batch-broadcast it");
                 }
+                let src = lowered.consts.len() as u32;
+                lowered
+                    .consts
+                    .push(Matrix::from_vec(1, cols, first.to_vec()));
+                lowered.instrs.push((Instr::Broadcast { src }, i));
+                RowSpec::Batch
             }
-            ref op => {
-                let s = emit_op(
-                    op,
-                    i,
-                    &spec,
-                    &mut sym,
-                    &mut producer,
-                    &dce.uses,
-                    &dce.is_output,
-                )?;
-                spec[i] = Some(s);
-                vals[i] = NodeVal::Node;
-            }
-        }
+            ref op => emit_op(op, i, nodes, dce, &mut lowered)?,
+        };
+        lowered.spec[i] = Some(spec);
     }
-    Ok(Lowered {
-        spec,
-        vals,
-        consts,
-        sym,
-    })
+    Ok(lowered)
 }
 
-/// Buffer-assignment pass: gives inputs then surviving instruction
-/// outputs dense buffer ids in execution order (so operand < out) and
-/// resolves the symbolic program into the final [`InferencePlan`].
+/// Buffer-assignment pass: gives the input buffer 0 and instruction `i`'s
+/// output buffer `i + 1` (so operand < out), and resolves the node-id
+/// program into the final [`InferencePlan`].
 fn pass_assign_buffers(
     nodes: &[Node],
-    inputs: &[Var],
+    input: usize,
     outputs: &[Var],
     lowered: Lowered,
-) -> Result<InferencePlan, PlanError> {
+) -> InferencePlan {
     let Lowered {
         spec,
-        vals,
+        konst,
         consts,
-        sym,
-    } = lowered;
-    let n = nodes.len();
-    let mut buf_of: Vec<Option<u32>> = vec![None; n];
-    let mut buf_shapes: Vec<(RowSpec, usize)> = Vec::new();
-    let mut input_bufs = Vec::with_capacity(inputs.len());
-    for (k, v) in inputs.iter().enumerate() {
-        if matches!(vals[v.0], NodeVal::None) {
-            return err(format!("input {k} is unreachable from the plan outputs"));
-        }
-        let id = buf_shapes.len() as u32;
-        buf_of[v.0] = Some(id);
-        buf_shapes.push((RowSpec::Batch, nodes[v.0].value.cols()));
-        input_bufs.push(id);
-    }
-    let mut instrs = Vec::with_capacity(sym.len());
-    let arg_of = |i: usize, vals: &[NodeVal], buf_of: &[Option<u32>]| -> Arg {
-        match vals[i] {
-            NodeVal::Const(c) => Arg::Const(c),
-            _ => Arg::Buf(buf_of[i].expect("operand buffer assigned before use")),
-        }
-    };
-    for entry in sym.iter().flatten() {
-        let (template, out_node) = entry;
-        let id = buf_shapes.len() as u32;
-        buf_of[*out_node] = Some(id);
-        buf_shapes.push((
-            spec[*out_node].expect("output classified"),
-            nodes[*out_node].value.cols(),
-        ));
-        instrs.push(template.resolve(id, |i| arg_of(i, &vals, &buf_of)));
-    }
-
-    let outputs = outputs
-        .iter()
-        .map(|v| arg_of(v.0, &vals, &buf_of))
-        .collect();
-
-    let flops_per_row = pass_cost(&instrs, &buf_shapes, &consts);
-    Ok(InferencePlan {
         instrs,
+    } = lowered;
+    let mut buf_of: Vec<Option<u32>> = vec![None; nodes.len()];
+    buf_of[input] = Some(0);
+    let mut buf_shapes = vec![(RowSpec::Batch, nodes[input].value.cols())];
+    let arg_of = |i: usize, buf_of: &[Option<u32>]| match konst[i] {
+        Some(c) => Arg::Const(c),
+        None => Arg::Buf(buf_of[i].expect("operand buffer assigned before use")),
+    };
+    let mut resolved = Vec::with_capacity(instrs.len());
+    for (instr, out_node) in instrs {
+        resolved.push(instr.map(|i| arg_of(i, &buf_of)));
+        buf_of[out_node] = Some(buf_shapes.len() as u32);
+        buf_shapes.push((
+            spec[out_node].expect("output classified"),
+            nodes[out_node].value.cols(),
+        ));
+    }
+    let outputs = outputs.iter().map(|v| arg_of(v.0, &buf_of)).collect();
+    let flops_per_row = pass_cost(&resolved, &buf_shapes, &consts);
+    InferencePlan {
+        instrs: resolved,
         consts,
         buf_shapes,
-        input_bufs,
         outputs,
         flops_per_row,
-    })
+    }
 }
 
 /// Cost analysis over the resolved instruction stream: the counted
-/// multiply-add estimate of one batch row. Inner-product ops count
+/// multiply-add estimate of one batch row. An affine counts
 /// `inner × out_cols`, block-linear its weight elements, everything
 /// elementwise one per output element. It is an engagement heuristic (the
 /// replay-threads derivation above), not an exact FLOP audit — constants
 /// chosen so the skinny serving shapes land where measurement says they
 /// should.
-fn pass_cost(instrs: &[Instr], buf_shapes: &[(RowSpec, usize)], consts: &[Matrix]) -> usize {
+fn pass_cost(instrs: &[Instr<Arg>], buf_shapes: &[(RowSpec, usize)], consts: &[Matrix]) -> usize {
     let arg_cols = |a: Arg| match a {
         Arg::Buf(b) => buf_shapes[b as usize].1,
         Arg::Const(c) => consts[c as usize].cols(),
     };
     let arg_elems = |a: Arg| match a {
-        Arg::Buf(b) => {
-            let (spec, cols) = buf_shapes[b as usize];
-            match spec {
-                RowSpec::Fixed(r) => r * cols,
-                RowSpec::Batch => cols,
-            }
-        }
-        Arg::Const(c) => {
-            let (r, cl) = consts[c as usize].shape();
-            r * cl
-        }
+        Arg::Buf(b) => match buf_shapes[b as usize] {
+            (RowSpec::Fixed(r), cols) => r * cols,
+            (RowSpec::Batch, cols) => cols,
+        },
+        Arg::Const(c) => consts[c as usize].data().len(),
     };
     let mut flops = 0usize;
-    for instr in instrs {
-        let (out_spec, out_cols) = buf_shapes[instr.out() as usize];
+    for (instr, &(out_spec, out_cols)) in instrs.iter().zip(&buf_shapes[1..]) {
         if out_spec == RowSpec::Batch {
             flops += match *instr {
                 Instr::Affine { x, .. } => arg_cols(x) * out_cols,
-                Instr::MatMul { a, .. } => arg_cols(a) * out_cols,
                 Instr::BlockLinear { weight, .. } => arg_elems(weight),
                 _ => out_cols,
             };
@@ -1088,166 +782,90 @@ fn pass_cost(instrs: &[Instr], buf_shapes: &[(RowSpec, usize)], consts: &[Matrix
     flops
 }
 
-fn no_instruction<T>(op: &str) -> Result<T, PlanError> {
-    err(format!("tape op `{op}` has no plan instruction"))
+/// The refusal of a tape op without an instruction, naming the graph
+/// method that records it (`Op::GatherRows` → `gather_rows`).
+fn no_instruction<T>(op: &Op) -> Result<T, PlanError> {
+    let debug = format!("{op:?}");
+    let variant = debug.split(['(', ' ']).next().unwrap_or_default();
+    let mut name = String::new();
+    for c in variant.chars() {
+        if c.is_uppercase() && !name.is_empty() {
+            name.push('_');
+        }
+        name.push(c.to_ascii_lowercase());
+    }
+    err(format!("tape op `{name}` has no plan instruction"))
 }
 
-/// The unary-op template for a tape op, if it is elementwise.
-fn unop_of(op: &Op) -> Option<(UnOp, usize)> {
-    Some(match *op {
-        Op::Relu(a) => (UnOp::Relu, a),
-        Op::LeakyRelu(a, alpha) => (UnOp::LeakyRelu(alpha), a),
-        Op::EluPlusOne(a) => (UnOp::EluPlusOne, a),
-        Op::Softplus(a) => (UnOp::Softplus, a),
-        Op::Sigmoid(a) => (UnOp::Sigmoid, a),
-        Op::Tanh(a) => (UnOp::Tanh, a),
-        Op::Exp(a) => (UnOp::Exp, a),
-        Op::LnEps(a, eps) => (UnOp::LnEps(eps), a),
-        Op::Abs(a) => (UnOp::Abs, a),
-        Op::Square(a) => (UnOp::Square, a),
-        Op::Scale(a, alpha) => (UnOp::Scale(alpha), a),
-        Op::AddScalar(a, c) => (UnOp::AddScalar(c), a),
-        Op::Huber(a, delta) => (UnOp::Huber(delta), a),
-        _ => return None,
-    })
-}
-
-/// Appends a symbolic instruction for `node_id`.
-fn push_sym(
-    sym: &mut Vec<Option<(SymInstr, usize)>>,
-    producer: &mut [Option<usize>],
-    node_id: usize,
-    instr: SymInstr,
-) {
-    producer[node_id] = Some(sym.len());
-    sym.push(Some((instr, node_id)));
-}
-
-/// Emits the symbolic instruction for a non-leaf tape op, fusing
-/// `matmul → add_row_vec → activation` chains, and returns the node's
-/// [`RowSpec`].
+/// Emits the instruction for a non-leaf tape op, fusing `matmul →
+/// add_row_vec → relu` chains, and returns the node's [`RowSpec`].
 fn emit_op(
     op: &Op,
     node_id: usize,
-    spec: &[Option<RowSpec>],
-    sym: &mut Vec<Option<(SymInstr, usize)>>,
-    producer: &mut [Option<usize>],
-    uses: &[usize],
-    is_output: &[bool],
+    nodes: &[Node],
+    dce: &Dce,
+    lowered: &mut Lowered,
 ) -> Result<RowSpec, PlanError> {
+    let spec = &lowered.spec;
     let sp = |i: usize| -> Result<RowSpec, PlanError> {
         spec[i].ok_or_else(|| PlanError("operand of an op was eliminated or unclassified".into()))
     };
-    // elementwise shape rule: same rows spec on both sides
-    let same = |a: usize, b: usize| -> Result<RowSpec, PlanError> {
-        let (sa, sb) = (sp(a)?, sp(b)?);
-        if sa != sb {
-            return err(format!(
-                "elementwise op mixes batch-scaled and fixed operands ({sa:?} vs {sb:?}); \
-                 this tape cannot scale with the batch size"
-            ));
-        }
-        Ok(sa)
-    };
-    // activation fusion first: any elementwise unary riding a single-use
-    // affine collapses into its `act`
-    if let Some((unop, a)) = unop_of(op) {
-        let rspec = sp(a)?;
-        if uses[a] == 1 && !is_output[a] {
-            if let Some(site) = producer[a] {
-                if let Some((SymInstr::Affine { x, w, b, act: None }, _)) = sym[site] {
-                    sym[site] = None;
-                    push_sym(
-                        sym,
-                        producer,
-                        node_id,
-                        SymInstr::Affine {
-                            x,
-                            w,
-                            b,
-                            act: Some(unop),
-                        },
-                    );
-                    return Ok(rspec);
-                }
-            }
-        }
-        push_sym(sym, producer, node_id, SymInstr::Unary { op: unop, a });
-        return Ok(rspec);
-    }
     let (instr, rspec) = match *op {
-        Op::Leaf => unreachable!("leaves handled by the caller"),
-        Op::MatMul(a, b) => {
-            if sp(b)? == RowSpec::Batch {
+        Op::MatMul(x, w) => {
+            // no instruction of its own: the add_row_vec that consumes it
+            // emits the affine
+            if !dce.fused_matmul[node_id] {
+                return err(
+                    "tape op `matmul` has no plan instruction unless an add_row_vec fuses it \
+                     into an affine",
+                );
+            }
+            if sp(w)? == RowSpec::Batch {
                 return err("matmul right-hand side cannot be batch-scaled");
             }
-            (SymInstr::MatMul { a, b }, sp(a)?)
+            return sp(x);
         }
-        Op::Add(a, b) => (
-            SymInstr::Binary {
-                op: BinOp::Add,
-                a,
-                b,
-            },
-            same(a, b)?,
-        ),
-        Op::Sub(a, b) => (
-            SymInstr::Binary {
-                op: BinOp::Sub,
-                a,
-                b,
-            },
-            same(a, b)?,
-        ),
-        Op::Mul(a, b) => (
-            SymInstr::Binary {
-                op: BinOp::Mul,
-                a,
-                b,
-            },
-            same(a, b)?,
-        ),
-        Op::AddRowVec(m, row) => {
-            if sp(row)? == RowSpec::Batch {
+        Op::AddRowVec(m, b) => {
+            let (Op::MatMul(x, w), true) = (nodes[m].op, dce.fused_matmul[m]) else {
+                return no_instruction(op);
+            };
+            if sp(b)? == RowSpec::Batch {
                 return err("add_row_vec bias cannot be batch-scaled");
             }
-            let rspec = sp(m)?;
-            // fuse onto a single-use matmul producing `m`
-            if uses[m] == 1 && !is_output[m] {
-                if let Some(site) = producer[m] {
-                    if let Some((SymInstr::MatMul { a, b }, _)) = sym[site] {
-                        sym[site] = None;
-                        push_sym(
-                            sym,
-                            producer,
-                            node_id,
-                            SymInstr::Affine {
-                                x: a,
-                                w: b,
-                                b: row,
-                                act: None,
-                            },
-                        );
-                        return Ok(rspec);
-                    }
+            let relu = false;
+            (Instr::Affine { x, w, b, relu }, sp(m)?)
+        }
+        Op::Relu(a) => {
+            // a single-use affine just emitted takes the relu as its tail
+            if let Some((Instr::Affine { relu, .. }, out)) = lowered.instrs.last_mut() {
+                if *out == a && !*relu && dce.uses[a] == 1 && !dce.is_output[a] {
+                    *relu = true;
+                    *out = node_id;
+                    return sp(a);
                 }
             }
-            (SymInstr::AddRowVec { m, row }, rspec)
+            (Instr::Unary { op: UnOp::Relu, a }, sp(a)?)
         }
-        Op::MulColVec(m, col) => (SymInstr::MulColVec { m, col }, same(m, col)?),
-        Op::SoftmaxRows(a) => (SymInstr::SoftmaxRows { a }, sp(a)?),
-        Op::RowSum(a) => (SymInstr::RowSum { a }, sp(a)?),
-        Op::ConcatCols(a, b) => (SymInstr::ConcatCols { a, b }, same(a, b)?),
-        Op::SliceCols(a, start, end) => (
-            SymInstr::SliceCols {
+        Op::Scale(a, alpha) => (
+            Instr::Unary {
+                op: UnOp::Scale(alpha),
                 a,
-                start: start as u32,
-                end: end as u32,
             },
             sp(a)?,
         ),
-        Op::CumsumCols(a) => (SymInstr::CumsumCols { a }, sp(a)?),
-        Op::Norml2(a, eps) => (SymInstr::Norml2 { a, eps }, sp(a)?),
+        Op::SoftmaxRows(a) => (Instr::SoftmaxRows { a }, sp(a)?),
+        Op::ConcatCols(a, b) => {
+            let (sa, sb) = (sp(a)?, sp(b)?);
+            if sa != sb {
+                return err(format!(
+                    "concat_cols mixes batch-scaled and fixed operands ({sa:?} vs {sb:?}); \
+                     this tape cannot scale with the batch size"
+                ));
+            }
+            (Instr::ConcatCols { a, b }, sa)
+        }
+        Op::CumsumCols(a) => (Instr::CumsumCols { a }, sp(a)?),
+        Op::Norml2(a, eps) => (Instr::Norml2 { a, eps }, sp(a)?),
         Op::BlockLinear {
             input,
             weight,
@@ -1257,28 +875,16 @@ fn emit_op(
             if sp(weight)? == RowSpec::Batch || sp(bias)? == RowSpec::Batch {
                 return err("block_linear weight/bias cannot be batch-scaled");
             }
-            (
-                SymInstr::BlockLinear {
-                    input,
-                    weight,
-                    bias,
-                },
-                sp(input)?,
-            )
+            let instr = Instr::BlockLinear {
+                input,
+                weight,
+                bias,
+            };
+            (instr, sp(input)?)
         }
-        // No instruction: the served program stops at the control points
-        // (interpolation runs outside the plan), no served model has a
-        // lattice, and a batch reduction would tie together rows that
-        // `run_chunked` splits.
-        Op::PwlInterp { .. } => return no_instruction("pwl_interp"),
-        Op::Lattice { .. } => return no_instruction("lattice"),
-        Op::Sum(_) => return no_instruction("sum"),
-        Op::Mean(_) => return no_instruction("mean"),
-        Op::GatherRows(_) => return no_instruction("gather_rows"),
-        // every elementwise unary was handled by `unop_of` above
-        _ => unreachable!("unary ops handled above"),
+        _ => return no_instruction(op),
     };
-    push_sym(sym, producer, node_id, instr);
+    lowered.instrs.push((instr, node_id));
     Ok(rspec)
 }
 
@@ -1301,15 +907,17 @@ mod tests {
         let mm = g.matmul(xv, wv);
         let aff = g.add_row_vec(mm, bv);
         let y = g.relu(aff);
-        let plan = InferencePlan::compile(&g, &[xv], &[y]).expect("compilable");
-        assert_eq!(plan.num_instructions(), 1, "matmul+bias+relu must fuse");
+        let plan = InferencePlan::compile(&g, xv, &[y]).expect("compilable");
+        assert_eq!(
+            plan.instructions().collect::<Vec<_>>(),
+            ["affine_relu"],
+            "matmul+bias+relu must fuse"
+        );
 
         let mut bufs = PlanBuffers::new();
         for rows in [1usize, 2, 5, 64] {
             let x = Matrix::from_fn(rows, 3, |i, j| ((i * 7 + j) as f32).sin());
-            let got = plan.run(&mut bufs, rows, |_, m| {
-                m.data_mut().copy_from_slice(x.data())
-            });
+            let got = plan.run(&mut bufs, rows, |m| m.data_mut().copy_from_slice(x.data()));
             let mut fresh = Graph::new();
             let xv = fresh.leaf_ref(&x);
             let wv = fresh.leaf_ref(&w);
@@ -1338,14 +946,12 @@ mod tests {
         let mut g = Graph::new();
         let probe = Matrix::from_fn(2, 2, |i, j| (i + 2 * j) as f32);
         let (xv, shared_tau, tau) = record(&mut g, &probe);
-        let plan = InferencePlan::compile(&g, &[xv], &[shared_tau, tau]).expect("compiles");
+        let plan = InferencePlan::compile(&g, xv, &[shared_tau, tau]).expect("compiles");
 
         let mut bufs = PlanBuffers::new();
         for rows in [1usize, 2, 5] {
             let x = Matrix::from_fn(rows, 2, |i, j| ((i * 2 + j) as f32).cos());
-            let out = plan.run(&mut bufs, rows, |_, m| {
-                m.data_mut().copy_from_slice(x.data())
-            });
+            let out = plan.run(&mut bufs, rows, |m| m.data_mut().copy_from_slice(x.data()));
             let mut fresh = Graph::new();
             let (_, fshared, ftau) = record(&mut fresh, &x);
             assert_eq!(out.output(0).shape(), (1, 3), "rows {rows}");
@@ -1355,17 +961,19 @@ mod tests {
         }
     }
 
+    /// `concat_cols` of the batch and a constant is refused when the
+    /// constant cannot follow the batch: probe rows that differ, or a
+    /// one-row probe, where a one-row constant is fixed.
     #[test]
     fn mixed_scaling_is_rejected() {
-        let mut g = Graph::new();
-        let a = g.leaf_with(2, 2, |d| d.fill(1.0)); // batch input
-        let b = g.leaf_with(2, 2, |d| {
-            d.copy_from_slice(&[1.0, 2.0, 3.0, 4.0]) // fixed const, 2 rows,
-                                                     // rows differ => no broadcast
-        });
-        let c = g.add(a, b);
-        let e = InferencePlan::compile(&g, &[a], &[c]).unwrap_err();
-        assert!(e.to_string().contains("cannot"), "{e}");
+        for (rows, constant) in [(2, [1.0, 2.0, 3.0, 4.0].as_slice()), (1, &[1.0, 2.0])] {
+            let mut g = Graph::new();
+            let a = g.leaf_with(rows, 2, |d| d.fill(1.0)); // batch input
+            let b = g.leaf_with(rows, 2, |d| d.copy_from_slice(constant));
+            let c = g.concat_cols(a, b);
+            let e = InferencePlan::compile(&g, a, &[c]).unwrap_err();
+            assert!(e.to_string().contains("cannot"), "{e}");
+        }
     }
 
     /// Compiling `op(x)` must be refused with an error naming `name`.
@@ -1373,7 +981,7 @@ mod tests {
         let mut g = Graph::new();
         let xv = g.leaf_with(2, 3, |d| d.fill(0.25));
         let y = op(&mut g, xv);
-        let e = InferencePlan::compile(&g, &[xv], &[y]).unwrap_err();
+        let e = InferencePlan::compile(&g, xv, &[y]).unwrap_err();
         assert!(e.to_string().contains(&format!("`{name}`")), "{e}");
     }
 
@@ -1409,6 +1017,25 @@ mod tests {
         assert_refused("gather_rows", |g, x| g.gather_rows(x, &[1, 0, 1]));
     }
 
+    /// The training ops the served program never records are refused by
+    /// name, and so is a matmul no `add_row_vec` fuses into an affine.
+    #[test]
+    fn unserved_ops_are_refused_by_name() {
+        assert_refused("add", |g, x| g.add(x, x));
+        assert_refused("mul_col_vec", |g, x| {
+            let col = g.leaf_with(2, 1, |d| d.fill(0.5));
+            g.mul_col_vec(x, col)
+        });
+        assert_refused("row_sum", |g, x| g.row_sum(x));
+        assert_refused("slice_cols", |g, x| g.slice_cols(x, 0, 2));
+        assert_refused("sigmoid", |g, x| g.sigmoid(x));
+        assert_refused("matmul", |g, x| {
+            let w = g.leaf_with(3, 2, |d| d.fill(0.5));
+            let y = g.matmul(x, w);
+            g.relu(y)
+        });
+    }
+
     /// Shared tape fixture for the chunked-replay tests: a two-layer MLP
     /// `relu(x@w1+b1)@w2+b2`.
     fn mlp_fixture() -> (Graph, Var, Var) {
@@ -1439,7 +1066,7 @@ mod tests {
 
     fn run_plan(plan: &InferencePlan, x: &Matrix) -> Vec<f32> {
         let mut bufs = PlanBuffers::new();
-        let out = plan.run(&mut bufs, x.rows(), |_, m| {
+        let out = plan.run(&mut bufs, x.rows(), |m| {
             m.data_mut().copy_from_slice(x.data())
         });
         out.output(0).data().to_vec()
@@ -1453,7 +1080,7 @@ mod tests {
     #[test]
     fn forced_chunks_replay_bit_identically_with_chunk_zero_on_the_caller() {
         let (g, xv, y) = mlp_fixture();
-        let plan = InferencePlan::compile(&g, &[xv], &[y]).unwrap();
+        let plan = InferencePlan::compile(&g, xv, &[y]).unwrap();
         assert_eq!(plan.replay_threads(64, 8), 1, "a tiny wave stays serial");
         let caller = std::thread::current().id();
         for rows in [1usize, 2, 7, 64] {
@@ -1473,7 +1100,7 @@ mod tests {
                     &offsets,
                     chunks,
                     &mut got,
-                    |_, first_row, m| {
+                    |first_row, m| {
                         let take = m.rows() * 6;
                         m.data_mut()
                             .copy_from_slice(&x.data()[first_row * 6..first_row * 6 + take]);
@@ -1515,7 +1142,7 @@ mod tests {
             &offsets,
             chunks,
             &mut got,
-            |_, first_row, m| {
+            |first_row, m| {
                 let take = m.rows() * 6;
                 m.data_mut()
                     .copy_from_slice(&x.data()[first_row * 6..first_row * 6 + take]);
@@ -1539,7 +1166,7 @@ mod tests {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let compile = || {
             let (g, xv, y) = mlp_fixture();
-            InferencePlan::compile(&g, &[xv], &[y]).unwrap()
+            InferencePlan::compile(&g, xv, &[y]).unwrap()
         };
         let x = Matrix::from_fn(7, 6, |i, j| ((i * 6 + j) as f32).sin());
         for _ in 0..200 {

@@ -25,6 +25,7 @@ fn matrix_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
 struct Fixture {
     store: ParamStore,
     net: Mlp,
+    tau_net: Mlp,
     dec_w: ParamId,
     dec_b: ParamId,
 }
@@ -32,12 +33,20 @@ struct Fixture {
 fn fixture(seed: u64) -> Fixture {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut store = ParamStore::new();
-    // trunk out width 8: the τ head takes the first half, and the
-    // block-linear decoder splits all 8 into 4 blocks of width 2
+    // trunk out width 8: the block-linear decoder splits it into 4 blocks
+    // of width 2, and the τ trunk places the 3 knots after the zero
     let net = Mlp::new(
         &mut store,
         "net",
         &[5, 7, 8],
+        Activation::Relu,
+        Activation::Linear,
+        &mut rng,
+    );
+    let tau_net = Mlp::new(
+        &mut store,
+        "tau",
+        &[5, 7, 3],
         Activation::Relu,
         Activation::Linear,
         &mut rng,
@@ -47,18 +56,20 @@ fn fixture(seed: u64) -> Fixture {
     Fixture {
         store,
         net,
+        tau_net,
         dec_w,
         dec_b,
     }
 }
 
-/// Records a small SelNet-shaped control-point forward over a batch `x`:
-/// an MLP trunk (whose matmul+bias+relu layers exercise affine fusion), a
-/// `Norml2`-or-softmax → scale → cumsum τ head behind a zeros column, and
-/// a block-linear + relu + cumsum p head. With `query_dependent_tau` the τ
-/// head reads the batch and its zeros column has the batch's rows (a
-/// batch-broadcast constant); without, it reads a constant one-row vector
-/// and τ is one shared row behind a one-row zero. Returns `(xv, tau, p)`.
+/// Records a small SelNet-shaped control-point forward over a batch `x`,
+/// as `ControlPointNets` does: MLP trunks (whose matmul+bias+relu layers
+/// exercise affine fusion), a τ trunk with a `Norml2`-or-softmax → scale →
+/// cumsum head behind a zeros column, and a p trunk with a block-linear +
+/// relu + cumsum head. With `query_dependent_tau` the τ trunk reads the
+/// batch and its zeros column has the batch's rows (a batch-broadcast
+/// constant); without, it reads a constant one-row vector and τ is one
+/// shared row behind a one-row zero. Returns `(xv, tau, p)`.
 fn record_curves(
     g: &mut Graph,
     f: &Fixture,
@@ -67,15 +78,12 @@ fn record_curves(
     query_dependent_tau: bool,
 ) -> (Var, Var, Var) {
     let xv = g.leaf_ref(x);
-    let h = f.net.forward(g, &f.store, xv);
-    let (tau_h, tau_rows) = if query_dependent_tau {
-        (h, x.rows())
+    let (tau_in, tau_rows) = if query_dependent_tau {
+        (xv, x.rows())
     } else {
-        let ones = g.leaf_with(1, x.cols(), |d| d.fill(1.0));
-        (f.net.forward(g, &f.store, ones), 1)
+        (g.leaf_with(1, x.cols(), |d| d.fill(1.0)), 1)
     };
-    let cols = g.value(tau_h).cols();
-    let tau_raw = g.slice_cols(tau_h, 0, cols / 2 - 1);
+    let tau_raw = f.tau_net.forward(g, &f.store, tau_in);
     let norm = if softmax_tau {
         g.softmax_rows(tau_raw)
     } else {
@@ -85,6 +93,7 @@ fn record_curves(
     let tail = g.cumsum_cols(scaled);
     let zeros = g.leaf_with(tau_rows, 1, |_| {});
     let tau = g.concat_cols(zeros, tail);
+    let h = f.net.forward(g, &f.store, xv);
     let w = f.store.inject(g, f.dec_w);
     let b = f.store.inject(g, f.dec_b);
     let k_raw = g.block_linear(h, w, b);
@@ -152,14 +161,14 @@ proptest! {
         let f = fixture(seed);
         let mut g = Graph::new();
         let (xv, tau, p) = record_curves(&mut g, &f, &probe, softmax_tau, query_dependent_tau);
-        let plan = InferencePlan::compile(&g, &[xv], &[tau, p])
+        let plan = InferencePlan::compile(&g, xv, &[tau, p])
             .expect("SelNet-shaped tape must compile");
 
         let mut bufs = PlanBuffers::new();
         for rows in [1usize, 2, 3, 9, 33] {
             let x = batch_x(seed, rows);
             let ts = thresholds(rows);
-            let out = plan.run(&mut bufs, rows, |_, m| m.data_mut().copy_from_slice(x.data()));
+            let out = plan.run(&mut bufs, rows, |m| m.data_mut().copy_from_slice(x.data()));
             let (ftau, fp, fy) = tape_oracle(&f, &x, &ts, softmax_tau, query_dependent_tau);
             prop_assert_eq!(out.output(0).data(), ftau.as_slice());
             prop_assert_eq!(out.output(1).data(), fp.as_slice());
@@ -175,14 +184,14 @@ proptest! {
         let f = fixture(seed ^ 0xb47c4);
         let mut g = Graph::new();
         let (xv, tau, p) = record_curves(&mut g, &f, &probe_x(), false, true);
-        let plan = InferencePlan::compile(&g, &[xv], &[tau, p])
+        let plan = InferencePlan::compile(&g, xv, &[tau, p])
             .expect("batch tape must compile");
 
         let mut bufs = PlanBuffers::new();
         for rows in [1usize, 2, 7, 64] {
             let x = batch_x(seed, rows);
             let ts = thresholds(rows);
-            let out = plan.run(&mut bufs, rows, |_, m| m.data_mut().copy_from_slice(x.data()));
+            let out = plan.run(&mut bufs, rows, |m| m.data_mut().copy_from_slice(x.data()));
             let (ftau, _, fy) = tape_oracle(&f, &x, &ts, false, true);
             prop_assert_eq!(out.output(0).data(), ftau.as_slice());
             let y: Vec<f32> = (0..rows).map(|j| interpolate(&out, j, ts[j])).collect();
@@ -198,7 +207,7 @@ proptest! {
         let f = fixture(seed ^ 0x9e5e7);
         let mut g = Graph::new();
         let (xv, tau, p) = record_curves(&mut g, &f, &probe_x(), false, false);
-        let plan = InferencePlan::compile(&g, &[xv], &[tau, p]).expect("compiles");
+        let plan = InferencePlan::compile(&g, xv, &[tau, p]).expect("compiles");
         // reference BEFORE any interference
         let x = batch_x(seed, 4);
         let ts = [0.05f32, 0.5, 0.95, 1.4];
@@ -212,7 +221,7 @@ proptest! {
         });
         let mut bufs = PlanBuffers::new();
         for _ in 0..3 {
-            let out = plan.run(&mut bufs, ts.len(), |_, m| m.data_mut().copy_from_slice(x.data()));
+            let out = plan.run(&mut bufs, ts.len(), |m| m.data_mut().copy_from_slice(x.data()));
             let y: Vec<f32> = (0..ts.len()).map(|j| interpolate(&out, j, ts[j])).collect();
             prop_assert_eq!(&y, &reference);
         }
@@ -231,7 +240,7 @@ proptest! {
         let f = fixture(seed ^ 0xc4a11);
         let mut g = Graph::new();
         let (xv, tau, p) = record_curves(&mut g, &f, &probe_x(), false, query_dependent_pick == 1);
-        let plan = InferencePlan::compile(&g, &[xv], &[tau, p])
+        let plan = InferencePlan::compile(&g, xv, &[tau, p])
             .expect("batch tape must compile");
         prop_assert!(plan.flops_per_row() > 0);
 
@@ -242,7 +251,7 @@ proptest! {
             // serial reference through the plain replay path
             let reference: Vec<f32> = {
                 let mut bufs = PlanBuffers::new();
-                let out = plan.run(&mut bufs, rows, |_, m| m.data_mut().copy_from_slice(x.data()));
+                let out = plan.run(&mut bufs, rows, |m| m.data_mut().copy_from_slice(x.data()));
                 (0..rows).map(|j| interpolate(&out, j, ts[j])).collect()
             };
             // ragged ownership: row r owns 1 + r % 3 output slots (a query
@@ -260,7 +269,7 @@ proptest! {
                     &offsets,
                     threads,
                     &mut got,
-                    |_, first_row, m| {
+                    |first_row, m| {
                         let take = m.rows() * 5;
                         m.data_mut()
                             .copy_from_slice(&x.data()[first_row * 5..first_row * 5 + take]);

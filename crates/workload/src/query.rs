@@ -43,13 +43,6 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Total number of `(x, t, y)` triples across all splits.
-    pub fn num_pairs(&self) -> usize {
-        self.train.iter().map(LabeledQuery::len).sum::<usize>()
-            + self.valid.iter().map(LabeledQuery::len).sum::<usize>()
-            + self.test.iter().map(LabeledQuery::len).sum::<usize>()
-    }
-
     /// Flattens a split into `(x, t, y)` triples (borrowing the query).
     pub fn flatten(split: &[LabeledQuery]) -> Vec<(&[f32], f32, f64)> {
         let mut out = Vec::new();

@@ -252,8 +252,8 @@ fn model_checkpoint_roundtrip() {
     let loaded = selnet_core::PartitionedSelNet::load(&mut buf.as_slice()).expect("load");
     for q in w.test.iter().take(3) {
         assert_eq!(
-            model.predict_many(&q.x, &q.thresholds),
-            loaded.predict_many(&q.x, &q.thresholds)
+            model.estimate_many(&q.x, &q.thresholds),
+            loaded.estimate_many(&q.x, &q.thresholds)
         );
     }
 }
