@@ -14,7 +14,7 @@
 //! the JSON block it measured, `SELNET_BENCH_RECORD=1` also rewrites
 //! `BENCH_substrate.json` at the repo root, and `-- --test` runs each
 //! closure once and checks the block's keys against the file (see
-//! `selnet_bench::servebench::Pass`). The numbers of code that is gone —
+//! `selnet_bench::timing::Pass`). The numbers of code that is gone —
 //! the `seed` and `pr2` kernels, the insertion-built cover tree, and the
 //! "befores" of PRs 15, 16, 21 and 23 — are literals in the block, frozen
 //! as last recorded; the ratios beside them are taken against this run.
@@ -22,7 +22,7 @@
 //! routing one point per kernel call.
 //! See `crates/bench/README.md` for the workflow.
 
-use selnet_bench::servebench::Pass;
+use selnet_bench::timing::Pass;
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
 use selnet_data::Dataset;
 use selnet_index::{CoverTree, PartitionMethod, Partitioning};

@@ -117,9 +117,8 @@ impl PartitionedSelNet {
     /// query into `out` (cleared first; flat, query order) from one tape
     /// forward of the networks over the queries' objects, interpolated per
     /// pair as a training step does (`forward_locals` + `interp_pairs`),
-    /// then summed under the indicator. Pinned bit-identical to the plan
-    /// path by `tests/plan_identity.rs`, and the baseline the `plan` block
-    /// of `BENCH_serve.json` compares against.
+    /// then summed under the indicator. The tests' reference for the plan
+    /// path: `tests/plan_identity.rs` pins the two bit-identical.
     pub fn tape_estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
         out.clear();
         let mut rows = Vec::new();

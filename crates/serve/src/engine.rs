@@ -562,8 +562,8 @@ where
         // per-request spans are sampled, not blanket: only a request that
         // arrived with a caller-supplied trace ID pays for one. Batch-stage
         // spans, histograms, counters, and the slow-query log stay on for
-        // every request — that always-on remainder is what the CI overhead
-        // guard holds under its floor.
+        // every request — that always-on remainder is what the benchmark's
+        // `obs.trace_overhead_ratio` measures.
         let sampled = req.trace != 0;
         let trace = self.mint_trace(req.trace);
         let _span = sampled.then(|| self.recorder.span("submit", trace));

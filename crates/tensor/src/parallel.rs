@@ -70,8 +70,7 @@ static CONFIGURED: AtomicUsize = AtomicUsize::new(0);
 /// multiply-adds *in total* (≈ 50 µs), sat below the fork itself: on the
 /// paper fixture a joint training step ran 25–29 ms at two threads
 /// against 19–23 ms at one, and a 64-row serving wave replayed in 0.095 ms
-/// at two threads against 0.045 ms at one (`BENCH_serve.json`, `scaling`,
-/// before this gate). Now the 256-row training products (≤ `2^23.3`
+/// at two threads against 0.045 ms at one (before this gate). Now the 256-row training products (≤ `2^23.3`
 /// multiply-adds) and every test-sized wave stay on the calling thread,
 /// and default threads never train slower than `SELNET_THREADS=1`.
 pub const FORK_MIN_WORK: usize = 1 << 24;

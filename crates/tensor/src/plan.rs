@@ -455,8 +455,7 @@ impl InferencePlan {
     ///   `offsets[first_row]`.
     ///
     /// With one engaged thread this *is* the serial path:
-    /// [`PlanBuffers::with_pooled`] arena, one `run`, one consume — the
-    /// single-thread floors in `BENCH_serve.json` time this exact route.
+    /// [`PlanBuffers::with_pooled`] arena, one `run`, one consume.
     /// Engaged chunks (the first on the calling thread, see
     /// [`crate::parallel::fork_join`]) draw arenas from the process-wide
     /// free list instead, since scoped workers die at wave end and
