@@ -28,7 +28,7 @@ use selnet_data::Dataset;
 use selnet_index::{CoverTree, PartitionMethod, Partitioning};
 use selnet_metric::vectors::{squared_euclidean, LaneBlocks, LANES, ROWS};
 use selnet_metric::DistanceKind;
-use selnet_tensor::{Activation, Adam, Graph, Matrix, Mlp, Optimizer, ParamStore, Sgd, Var};
+use selnet_tensor::{Activation, Adam, Graph, Matrix, Mlp, ParamStore, Var};
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -40,7 +40,7 @@ use std::time::Instant;
 fn tape_step(
     g: &mut Graph,
     store: &mut ParamStore,
-    opt: &mut Sgd,
+    opt: &mut Adam,
     net: &Mlp,
     x: &Matrix,
     y: &Matrix,
@@ -458,13 +458,13 @@ fn main() -> ExitCode {
     // tape overhead at batch 16 (the small-batch regime the ROADMAP
     // flags): fresh graph per step vs reused arena
     let (mut store, net, bx, by) = tape_fixture();
-    let mut opt = Sgd::new(1e-3);
+    let mut opt = Adam::new(1e-3);
     let tape_fresh = pass.time_ms(10, 50, || {
         let mut g = Graph::new();
         black_box(tape_step(&mut g, &mut store, &mut opt, &net, &bx, &by));
     });
     let (mut store, net, bx, by) = tape_fixture();
-    let mut opt = Sgd::new(1e-3);
+    let mut opt = Adam::new(1e-3);
     let mut g = Graph::new();
     let tape_reused = pass.time_ms(10, 50, || {
         black_box(tape_step(&mut g, &mut store, &mut opt, &net, &bx, &by));

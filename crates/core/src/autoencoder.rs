@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selnet_data::Dataset;
-use selnet_tensor::{Activation, Adam, Graph, Mlp, Optimizer, ParamStore, Var};
+use selnet_tensor::{Activation, Adam, Graph, Mlp, ParamStore, Var};
 
 /// Encoder/decoder MLP pair.
 #[derive(Clone, Debug)]

@@ -21,9 +21,7 @@ use rand::{Rng, SeedableRng};
 use selnet_data::Dataset;
 use selnet_eval::SelectivityEstimator;
 use selnet_index::Partitioning;
-use selnet_tensor::{
-    pwl_interp_row, Adam, Graph, InferencePlan, Matrix, Optimizer, ParamStore, Var,
-};
+use selnet_tensor::{pwl_interp_row, Adam, Graph, InferencePlan, Matrix, ParamStore, Var};
 use selnet_workload::{label_partitions, LabeledQuery, PartitionedLabels, Workload};
 use std::sync::Arc;
 

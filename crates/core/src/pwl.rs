@@ -5,7 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use selnet_tensor::{init, Adam, Graph, Matrix, Optimizer, ParamStore};
+use selnet_tensor::{init, Adam, Graph, Matrix, ParamStore};
 
 /// A concrete PWL function `Θ = {(τ_i, p_i)}` (Eq. 1).
 #[derive(Clone, Debug, PartialEq)]
@@ -115,10 +115,10 @@ pub fn fit_selnet_head(
         let diff = g.sub(pred, y);
         let sq = g.square(diff);
         let loss = g.mean(sq);
-        g.backward(loss);
+        g.backward_params(loss);
         last_mse = g.value(loss).get(0, 0) as f64;
-        let grads = g.param_grads();
-        opt.step(&mut store, &grads);
+        let grads = g.param_grad_refs();
+        opt.step_refs(&mut store, &grads);
     }
 
     // extract the fitted control points
@@ -170,10 +170,10 @@ pub fn fit_fixed_grid(
         let diff = g.sub(pred, y);
         let sq = g.square(diff);
         let loss = g.mean(sq);
-        g.backward(loss);
+        g.backward_params(loss);
         last_mse = g.value(loss).get(0, 0) as f64;
-        let grads = g.param_grads();
-        opt.step(&mut store, &grads);
+        let grads = g.param_grad_refs();
+        opt.step_refs(&mut store, &grads);
     }
 
     let mut g = Graph::new();

@@ -102,16 +102,6 @@ fn cumulative(weights: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// i.i.d. uniform vectors in `[lo, hi]^dim` — a structureless control.
-pub fn uniform(n: usize, dim: usize, lo: f32, hi: f32, seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut data = Vec::with_capacity(n * dim);
-    for _ in 0..n * dim {
-        data.push(rng.gen_range(lo..hi));
-    }
-    Dataset::from_flat(dim, data).with_name("uniform")
-}
-
 /// i.i.d. standard Gaussian vectors — a structureless control.
 pub fn gaussian(n: usize, dim: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);

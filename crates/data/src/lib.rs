@@ -17,4 +17,4 @@ pub mod generators;
 pub mod stats;
 
 pub use dataset::Dataset;
-pub use generators::{face_like, fasttext_like, gaussian, uniform, youtube_like, GeneratorConfig};
+pub use generators::{face_like, fasttext_like, gaussian, youtube_like, GeneratorConfig};

@@ -1,10 +1,6 @@
-//! Summary statistics used for bandwidth selection, threshold ranges, and
-//! sanity reporting.
+//! Per-dimension summary statistics of a dataset.
 
 use crate::dataset::Dataset;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use selnet_metric::DistanceKind;
 
 /// Per-dimension mean and standard deviation.
 #[derive(Clone, Debug)]
@@ -41,54 +37,9 @@ pub fn column_stats(ds: &Dataset) -> ColumnStats {
     }
 }
 
-/// Statistics of pairwise distances estimated from a random sample.
-#[derive(Clone, Debug)]
-pub struct DistanceStats {
-    /// Sample mean distance.
-    pub mean: f64,
-    /// Sample standard deviation.
-    pub std: f64,
-    /// Smallest sampled distance.
-    pub min: f64,
-    /// Largest sampled distance.
-    pub max: f64,
-}
-
-/// Estimates the pairwise-distance distribution from `pairs` random pairs.
-/// Used to pick `tmax` and KDE bandwidths.
-pub fn distance_stats(ds: &Dataset, kind: DistanceKind, pairs: usize, seed: u64) -> DistanceStats {
-    assert!(ds.len() >= 2, "need at least two vectors");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut sum = 0.0f64;
-    let mut sumsq = 0.0f64;
-    let mut min = f64::MAX;
-    let mut max = 0.0f64;
-    for _ in 0..pairs {
-        let i = rng.gen_range(0..ds.len());
-        let mut j = rng.gen_range(0..ds.len());
-        while j == i {
-            j = rng.gen_range(0..ds.len());
-        }
-        let d = kind.eval(ds.row(i), ds.row(j)) as f64;
-        sum += d;
-        sumsq += d * d;
-        min = min.min(d);
-        max = max.max(d);
-    }
-    let mean = sum / pairs as f64;
-    let var = (sumsq / pairs as f64 - mean * mean).max(0.0);
-    DistanceStats {
-        mean,
-        std: var.sqrt(),
-        min,
-        max,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{face_like, GeneratorConfig};
 
     #[test]
     fn column_stats_on_known_data() {
@@ -96,13 +47,5 @@ mod tests {
         let s = column_stats(&ds);
         assert_eq!(s.mean, vec![1.0, 3.0]);
         assert_eq!(s.std, vec![1.0, 1.0]);
-    }
-
-    #[test]
-    fn cosine_distance_stats_bounded() {
-        let ds = face_like(&GeneratorConfig::new(200, 8, 4, 3));
-        let s = distance_stats(&ds, DistanceKind::Cosine, 500, 7);
-        assert!(s.min >= 0.0 && s.max <= 2.0 + 1e-6);
-        assert!(s.mean > 0.0 && s.std > 0.0);
     }
 }

@@ -70,34 +70,6 @@ pub trait SelectivityEstimator {
     }
 }
 
-/// Definition 1's similarity variant: for a *similarity* function `sim`
-/// with `sim = 1 - d` (e.g. cosine similarity vs cosine distance), the
-/// selectivity `|{o : sim(x, o) >= s}|` equals `|{o : d(x, o) <= 1 - s}|`.
-/// This view adapts any distance-threshold estimator to similarity
-/// thresholds; estimates are monotonically non-increasing in `s` whenever
-/// the inner estimator is consistent.
-pub struct SimilarityView<'a, E: SelectivityEstimator + ?Sized> {
-    inner: &'a E,
-}
-
-impl<'a, E: SelectivityEstimator + ?Sized> SimilarityView<'a, E> {
-    /// Wraps a distance-based estimator.
-    pub fn new(inner: &'a E) -> Self {
-        SimilarityView { inner }
-    }
-
-    /// Estimates `|{o : sim(x, o) >= s}|`.
-    pub fn estimate(&self, x: &[f32], s: f32) -> f64 {
-        self.inner.estimate(x, 1.0 - s)
-    }
-
-    /// Batched similarity estimates.
-    pub fn estimate_many(&self, x: &[f32], sims: &[f32]) -> Vec<f64> {
-        let ts: Vec<f32> = sims.iter().map(|&s| 1.0 - s).collect();
-        self.inner.estimate_many(x, &ts)
-    }
-}
-
 impl<T: SelectivityEstimator + ?Sized> SelectivityEstimator for Box<T> {
     fn estimate(&self, x: &[f32], t: f32) -> f64 {
         (**self).estimate(x, t)
@@ -125,27 +97,6 @@ impl<T: SelectivityEstimator + ?Sized> SelectivityEstimator for Box<T> {
 
     fn guarantees_consistency(&self) -> bool {
         (**self).guarantees_consistency()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::test_util::LinearInT;
-    use super::*;
-
-    #[test]
-    fn similarity_view_flips_monotonicity() {
-        let model = LinearInT { scale: 10.0 };
-        let view = SimilarityView::new(&model);
-        // estimates decrease as the similarity threshold rises
-        let e_low = view.estimate(&[0.0], 0.2);
-        let e_high = view.estimate(&[0.0], 0.8);
-        assert!(e_low > e_high);
-        // and match the distance-space equivalent
-        assert_eq!(view.estimate(&[0.0], 0.3), model.estimate(&[0.0], 0.7));
-        let many = view.estimate_many(&[0.0], &[0.1, 0.5]);
-        assert_eq!(many[0], model.estimate(&[0.0], 0.9));
-        assert_eq!(many[1], model.estimate(&[0.0], 0.5));
     }
 }
 

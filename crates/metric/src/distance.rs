@@ -41,14 +41,6 @@ impl DistanceKind {
             DistanceKind::Cosine => (2.0 * t.max(0.0)).sqrt(),
         }
     }
-
-    /// Inverse of [`DistanceKind::to_euclidean_threshold`].
-    pub fn from_euclidean_threshold(self, d: f32) -> f32 {
-        match self {
-            DistanceKind::Euclidean => d,
-            DistanceKind::Cosine => 0.5 * d * d,
-        }
-    }
 }
 
 /// Cosine distance `1 - cos(u, v)`, safe for zero vectors (distance 1).
@@ -135,8 +127,7 @@ mod tests {
     fn threshold_conversion_roundtrip() {
         for t in [0.0f32, 0.1, 0.5, 1.0, 1.7] {
             let d = DistanceKind::Cosine.to_euclidean_threshold(t);
-            let back = DistanceKind::Cosine.from_euclidean_threshold(d);
-            assert!((back - t).abs() < 1e-6);
+            assert!((0.5 * d * d - t).abs() < 1e-6);
         }
         assert_eq!(DistanceKind::Euclidean.to_euclidean_threshold(0.7), 0.7);
     }

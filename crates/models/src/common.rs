@@ -5,7 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use selnet_tensor::{Adam, Graph, Matrix, Optimizer, ParamStore, Var};
+use selnet_tensor::{Adam, Graph, Matrix, ParamStore, Var};
 use selnet_workload::LabeledQuery;
 
 /// One arena-tape training step shared by the baseline trainers: reset the

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selnet_data::Dataset;
 use selnet_eval::SelectivityEstimator;
-use selnet_tensor::{Activation, Adam, Graph, Matrix, Mlp, Optimizer, ParamStore};
+use selnet_tensor::{Activation, Adam, Graph, Matrix, Mlp, ParamStore};
 use selnet_workload::Workload;
 
 /// RMI hyper-parameters.

@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selnet_models::common::{batch, flatten, from_log, train_minibatch, NeuralConfig, TEmbedding};
-use selnet_tensor::{Activation, Adam, Graph, Matrix, Mlp, Optimizer, ParamStore};
+use selnet_tensor::{Activation, Adam, Graph, Matrix, Mlp, ParamStore};
 use selnet_workload::LabeledQuery;
 
 fn fixture_queries() -> Vec<LabeledQuery> {
@@ -70,8 +70,8 @@ fn predict(
         .collect()
 }
 
-/// The seed trainer, verbatim: a fresh `Graph` per batch, allocated batch
-/// matrices, cloned gradients, owned-gradient optimizer steps.
+/// The seed trainer: a fresh `Graph` per batch, allocated batch matrices,
+/// cloned gradients.
 #[allow(clippy::too_many_arguments)]
 fn reference_train(
     store: &mut ParamStore,
@@ -109,7 +109,8 @@ fn reference_train(
             let loss = g.mean(h);
             g.backward(loss);
             let grads = g.param_grads();
-            opt.step(store, &grads);
+            let refs: Vec<_> = grads.iter().map(|(id, m)| (*id, m)).collect();
+            opt.step_refs(store, &refs);
         }
         let mut abs = 0.0f64;
         let mut cnt = 0usize;

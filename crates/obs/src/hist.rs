@@ -102,18 +102,6 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Records `n` occurrences of `value` in one round of atomics.
-    #[inline]
-    pub fn record_n(&self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[bucket_index(value)].fetch_add(n, Ordering::Relaxed);
-        self.sum
-            .fetch_add(value.saturating_mul(n), Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
     /// Total samples recorded so far (sum over buckets — consistent with
     /// what a concurrent [`Histogram::snapshot`] would count).
     pub fn count(&self) -> u64 {
@@ -352,17 +340,5 @@ mod tests {
         assert_eq!(snap, before);
         assert_eq!(HistogramSnapshot::empty().quantile(0.5), 0);
         assert_eq!(HistogramSnapshot::empty().mean(), 0.0);
-    }
-
-    #[test]
-    fn record_n_matches_repeated_record() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record_n(123_456, 7);
-        a.record_n(3, 0);
-        for _ in 0..7 {
-            b.record(123_456);
-        }
-        assert_eq!(a.snapshot(), b.snapshot());
     }
 }

@@ -17,15 +17,6 @@ pub(crate) fn relu(x: f32) -> f32 {
 }
 
 #[inline]
-pub(crate) fn leaky_relu(x: f32, alpha: f32) -> f32 {
-    if x > 0.0 {
-        x
-    } else {
-        alpha * x
-    }
-}
-
-#[inline]
 pub(crate) fn elu_plus_one(x: f32) -> f32 {
     if x > 0.0 {
         x + 1.0

@@ -86,7 +86,7 @@ mod tests {
             let a = g.leaf(xs[0].clone());
             let b = g.leaf(xs[1].clone());
             let c = g.matmul(a, b);
-            let t = g.tanh(c);
+            let t = g.sigmoid(c);
             let loss = g.mean(t);
             (vec![a, b], loss)
         });

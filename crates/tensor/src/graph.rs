@@ -101,14 +101,11 @@ pub(crate) enum Op {
     /// matrix (R x C) * column vector (R x 1) broadcast over columns
     MulColVec(usize, usize),
     Scale(usize, f32),
-    AddScalar(usize),
     Relu(usize),
-    LeakyRelu(usize, f32),
     /// `elu(x) + 1`, strictly positive; used by UMNN's integrand.
     EluPlusOne(usize),
     Softplus(usize),
     Sigmoid(usize),
-    Tanh(usize),
     Exp(usize),
     /// `ln(max(x, 0) + eps)`
     LnEps(usize, f32),
@@ -161,13 +158,10 @@ impl Op {
                 f(b);
             }
             Op::Scale(a, _)
-            | Op::AddScalar(a)
             | Op::Relu(a)
-            | Op::LeakyRelu(a, _)
             | Op::EluPlusOne(a)
             | Op::Softplus(a)
             | Op::Sigmoid(a)
-            | Op::Tanh(a)
             | Op::Exp(a)
             | Op::LnEps(a, _)
             | Op::Abs(a)
@@ -462,7 +456,7 @@ impl Graph {
 
     /// Collects `(ParamId, &gradient)` pairs for every parameter leaf
     /// **without cloning** — feed these straight to
-    /// [`Optimizer::step_refs`](crate::optim::Optimizer::step_refs).
+    /// [`Adam::step_refs`](crate::optim::Adam::step_refs).
     /// Parameters the backward sweep never reached get a zero gradient
     /// (materialized in their recycled buffer).
     pub fn param_grad_refs(&mut self) -> Vec<(ParamId, &Matrix)> {
@@ -565,21 +559,11 @@ impl Graph {
         self.unary_map(a, Op::Scale(a.0, alpha), |x| x * alpha)
     }
 
-    /// Adds a constant to every element.
-    pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        self.unary_map(a, Op::AddScalar(a.0), |x| x + c)
-    }
-
     // ---- unary activations ----
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
         self.unary_map(a, Op::Relu(a.0), fwd::relu)
-    }
-
-    /// Leaky ReLU with negative slope `alpha`.
-    pub fn leaky_relu(&mut self, a: Var, alpha: f32) -> Var {
-        self.unary_map(a, Op::LeakyRelu(a.0, alpha), |x| fwd::leaky_relu(x, alpha))
     }
 
     /// `elu(x) + 1 = exp(x)` for `x <= 0`, `x + 1` for `x > 0`; strictly
@@ -596,11 +580,6 @@ impl Graph {
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
         self.unary_map(a, Op::Sigmoid(a.0), fwd::sigmoid)
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        self.unary_map(a, Op::Tanh(a.0), f32::tanh)
     }
 
     /// Elementwise exponential (inputs are clamped to 30 to stay finite).
@@ -1049,10 +1028,6 @@ impl Graph {
                 let (grad, seen) = grad_mut(pre, a);
                 acc_map(grad, seen, &rest[0].grad, |g| g * alpha);
             }
-            Op::AddScalar(a) => {
-                let (pre, rest) = self.nodes.split_at_mut(idx);
-                acc_matrix(pre, a, &rest[0].grad);
-            }
             Op::Relu(a) => {
                 let (pre, rest) = self.nodes.split_at_mut(idx);
                 let n = &mut pre[a];
@@ -1062,17 +1037,6 @@ impl Graph {
                     &rest[0].grad,
                     &n.value,
                     |g, x| if x > 0.0 { g } else { 0.0 },
-                );
-            }
-            Op::LeakyRelu(a, alpha) => {
-                let (pre, rest) = self.nodes.split_at_mut(idx);
-                let n = &mut pre[a];
-                acc_zip(
-                    &mut n.grad,
-                    &mut n.grad_seen,
-                    &rest[0].grad,
-                    &n.value,
-                    |g, x| if x > 0.0 { g } else { alpha * g },
                 );
             }
             Op::EluPlusOne(a) => {
@@ -1107,18 +1071,6 @@ impl Graph {
                     &node.grad,
                     &node.value,
                     |g, y| g * y * (1.0 - y),
-                );
-            }
-            Op::Tanh(a) => {
-                let (pre, rest) = self.nodes.split_at_mut(idx);
-                let node = &rest[0];
-                let n = &mut pre[a];
-                acc_zip(
-                    &mut n.grad,
-                    &mut n.grad_seen,
-                    &node.grad,
-                    &node.value,
-                    |g, y| g * (1.0 - y * y),
                 );
             }
             Op::Exp(a) => {

@@ -15,14 +15,6 @@ pub enum Activation {
     Linear,
     /// Rectified linear unit.
     Relu,
-    /// Leaky ReLU with slope 0.01.
-    LeakyRelu,
-    /// Logistic sigmoid.
-    Sigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Softplus.
-    Softplus,
 }
 
 impl Activation {
@@ -31,10 +23,6 @@ impl Activation {
         match self {
             Activation::Linear => x,
             Activation::Relu => g.relu(x),
-            Activation::LeakyRelu => g.leaky_relu(x, 0.01),
-            Activation::Sigmoid => g.sigmoid(x),
-            Activation::Tanh => g.tanh(x),
-            Activation::Softplus => g.softplus(x),
         }
     }
 }
@@ -158,7 +146,7 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -205,8 +193,8 @@ mod tests {
             let sq = g.square(diff);
             let loss = g.mean(sq);
             g.backward(loss);
-            let grads = g.param_grads();
-            opt.step(&mut store, &grads);
+            let grads = g.param_grad_refs();
+            opt.step_refs(&mut store, &grads);
             final_loss = g.value(loss).get(0, 0);
         }
         assert!(final_loss < 0.01, "final loss {final_loss}");

@@ -16,7 +16,7 @@
 //! [`ParamStore::inject`] rebinds parameter values by copy instead of
 //! cloning, the backward sweep accumulates gradients in place — and, as
 //! [`Graph::backward_params`], only into nodes a parameter feeds — and
-//! [`Graph::param_grad_refs`] + [`Optimizer::step_refs`] carry borrowed
+//! [`Graph::param_grad_refs`] + [`Adam::step_refs`] carry borrowed
 //! gradients to the optimizer — after the first batch a training step
 //! performs **no per-op matrix allocations** (only a few small
 //! bookkeeping `Vec`s, e.g. the gradient-ref list, remain per step).
@@ -54,7 +54,7 @@
 //! ## Quick tour
 //!
 //! ```
-//! use selnet_tensor::{Graph, Matrix, ParamStore, Adam, Optimizer, Mlp, Activation};
+//! use selnet_tensor::{Graph, Matrix, ParamStore, Adam, Mlp, Activation};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
@@ -99,6 +99,6 @@ pub use fwd::pwl_interp_row;
 pub use graph::{Graph, ParamId, Var};
 pub use layers::{Activation, Linear, Mlp};
 pub use matrix::Matrix;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use params::ParamStore;
 pub use plan::{InferencePlan, PlanBuffers, PlanError, PlanOutputs};

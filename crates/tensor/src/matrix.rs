@@ -469,18 +469,6 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Iterator over row slices. Yields exactly [`Matrix::rows`] items,
-    /// including (empty) rows of a zero-column matrix.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
-        let cols = self.cols;
-        (0..self.rows).map(move |i| &self.data[i * cols..(i + 1) * cols])
-    }
-
-    /// Copies column `j` into a new `Vec`.
-    pub fn col(&self, j: usize) -> Vec<f32> {
-        (0..self.rows).map(|i| self.get(i, j)).collect()
-    }
-
     /// Matrix product `self * other` (blocked kernel, row-parallel above
     /// the size threshold; see the module docs).
     ///
@@ -686,41 +674,11 @@ impl Matrix {
         }
     }
 
-    /// Elementwise combination with another matrix of identical shape.
-    pub fn zip_map(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "zip_map shape mismatch");
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        }
-    }
-
     /// `self += other`.
     pub fn add_assign(&mut self, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "add_assign shape mismatch");
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
-        }
-    }
-
-    /// `self += alpha * other` (axpy).
-    pub fn scaled_add(&mut self, alpha: f32, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "scaled_add shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
-    /// Multiplies every element by `alpha` in place.
-    pub fn scale_in_place(&mut self, alpha: f32) {
-        for a in &mut self.data {
-            *a *= alpha;
         }
     }
 
@@ -738,27 +696,6 @@ impl Matrix {
         }
     }
 
-    /// Column sums as a `1 x cols` matrix.
-    pub fn col_sums(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        for i in 0..self.rows {
-            let row = self.row(i);
-            for (o, &v) in out.data.iter_mut().zip(row) {
-                *o += v;
-            }
-        }
-        out
-    }
-
-    /// Row sums as a `rows x 1` matrix.
-    pub fn row_sums(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, 1);
-        for (i, o) in out.data.iter_mut().enumerate() {
-            *o = self.row(i).iter().sum();
-        }
-        out
-    }
-
     /// Maximum absolute element, or 0 for an empty matrix. NaN anywhere in
     /// the matrix propagates to the result (unlike `f32::max`, which would
     /// silently drop it).
@@ -773,16 +710,6 @@ impl Matrix {
         })
     }
 
-    /// Extracts rows `[start, end)` into a new matrix.
-    pub fn slice_rows(&self, start: usize, end: usize) -> Matrix {
-        assert!(start <= end && end <= self.rows, "slice_rows out of range");
-        Matrix {
-            rows: end - start,
-            cols: self.cols,
-            data: self.data[start * self.cols..end * self.cols].to_vec(),
-        }
-    }
-
     /// Gathers the given rows into a new matrix.
     pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
         let mut data = Vec::with_capacity(indices.len() * self.cols);
@@ -791,34 +718,6 @@ impl Matrix {
         }
         Matrix {
             rows: indices.len(),
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Horizontally concatenates `self` and `other` (same row count).
-    pub fn hstack(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "hstack row mismatch");
-        let cols = self.cols + other.cols;
-        let mut data = Vec::with_capacity(self.rows * cols);
-        for i in 0..self.rows {
-            data.extend_from_slice(self.row(i));
-            data.extend_from_slice(other.row(i));
-        }
-        Matrix {
-            rows: self.rows,
-            cols,
-            data,
-        }
-    }
-
-    /// Vertically concatenates `self` and `other` (same column count).
-    pub fn vstack(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "vstack col mismatch");
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Matrix {
-            rows: self.rows + other.rows,
             cols: self.cols,
             data,
         }
@@ -885,36 +784,15 @@ mod tests {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(a.sum(), 10.0);
         assert_eq!(a.mean(), 2.5);
-        assert_eq!(a.col_sums().data(), &[4.0, 6.0]);
-        assert_eq!(a.row_sums().data(), &[3.0, 7.0]);
     }
 
     #[test]
     fn stacking_and_slicing() {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let b = Matrix::from_vec(2, 1, vec![5.0, 6.0]);
-        let h = a.hstack(&b);
-        assert_eq!(h.shape(), (2, 3));
-        assert_eq!(h.row(0), &[1.0, 2.0, 5.0]);
-        assert_eq!(h.row(1), &[3.0, 4.0, 6.0]);
-
-        let v = a.vstack(&a);
-        assert_eq!(v.shape(), (4, 2));
-        assert_eq!(v.slice_rows(2, 4), a);
-
-        let g = v.gather_rows(&[0, 3]);
+        let g = a.gather_rows(&[0, 1, 1]);
         assert_eq!(g.row(0), &[1.0, 2.0]);
         assert_eq!(g.row(1), &[3.0, 4.0]);
-    }
-
-    #[test]
-    fn axpy_and_scaling() {
-        let mut a = Matrix::full(2, 2, 1.0);
-        let b = Matrix::full(2, 2, 2.0);
-        a.scaled_add(0.5, &b);
-        assert_eq!(a.data(), &[2.0, 2.0, 2.0, 2.0]);
-        a.scale_in_place(0.25);
-        assert_eq!(a.data(), &[0.5, 0.5, 0.5, 0.5]);
+        assert_eq!(g.row(2), &[3.0, 4.0]);
     }
 
     #[test]
@@ -976,21 +854,6 @@ mod tests {
         assert_eq!(a.matmul_at_b_threaded(&c, 1), a.matmul_at_b_threaded(&c, 4));
         let d = Matrix::from_fn(27, 31, |i, j| ((i + 2 * j) % 13) as f32 * 0.09);
         assert_eq!(a.matmul_a_bt_threaded(&d, 1), a.matmul_a_bt_threaded(&d, 4));
-    }
-
-    /// Regression: `rows_iter` used `chunks_exact(cols.max(1))`, yielding
-    /// zero rows for a `3 x 0` matrix instead of three empty rows.
-    #[test]
-    fn rows_iter_handles_zero_columns() {
-        let m = Matrix::zeros(3, 0);
-        let rows: Vec<&[f32]> = m.rows_iter().collect();
-        assert_eq!(rows.len(), 3);
-        assert!(rows.iter().all(|r| r.is_empty()));
-        // and the ordinary case still walks every row once
-        let m = Matrix::from_fn(4, 2, |i, j| (i * 2 + j) as f32);
-        let rows: Vec<&[f32]> = m.rows_iter().collect();
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[3], &[6.0, 7.0]);
     }
 
     /// Regression: `max_abs` folded through `f32::max`, which drops NaN.

@@ -23,7 +23,7 @@ fn bits(values: &[f32]) -> Vec<u32> {
 fn head(g: &mut Graph, e: Var, weights: &Matrix) -> Var {
     let w = g.leaf_ref(weights);
     let scaled = g.mul_col_vec(e, w);
-    let act = g.tanh(scaled);
+    let act = g.sigmoid(scaled);
     let sq = g.square(act);
     g.mean(sq)
 }
@@ -58,7 +58,7 @@ fn gradients_match_finite_differences() {
         let w = g.leaf(xs[1].clone());
         let e = g.gather_rows(v, &idx);
         let y = g.matmul(e, w);
-        let t = g.tanh(y);
+        let t = g.sigmoid(y);
         let sq = g.square(t);
         let loss = g.mean(sq);
         (vec![v, w], loss)

@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use selnet_tensor::{Activation, Adam, Graph, Matrix, Mlp, Optimizer, ParamStore, Var};
+use selnet_tensor::{Activation, Adam, Graph, Matrix, Mlp, ParamStore, Var};
 
 /// A forward pass exercising a representative op mix (matmul + bias +
 /// activations + the SelNet head ops) ending in a scalar loss.
@@ -47,7 +47,7 @@ fn fixture() -> (ParamStore, Mlp) {
         "net",
         &[5, 12, 6],
         Activation::Relu,
-        Activation::Tanh,
+        Activation::Linear,
         &mut rng,
     );
     (store, net)
@@ -144,7 +144,8 @@ fn param_grads_bit_identical_across_two_reused_batches() {
         let (_, loss) = build_net_loss(&mut g, &store_b, &net, x, y);
         g.backward(loss);
         let grads = g.param_grads();
-        opt_b.step(&mut store_b, &grads);
+        let refs: Vec<_> = grads.iter().map(|(id, m)| (*id, m)).collect();
+        opt_b.step_refs(&mut store_b, &refs);
     }
 
     for id in store_a.ids() {
