@@ -1,17 +1,18 @@
 //! The `selnet-client` binary: drives a `selnet-serve` v2 endpoint from
-//! the command line. `replay` streams a text-protocol query file through
-//! N persistent pipelined connections and prints the answers in input
+//! the command line. `replay` streams replay lines from stdin through N
+//! persistent pipelined connections and prints the answers in input
 //! order (so the output feeds straight into `selnet-serve
-//! check-monotone`); `metrics` scrapes the fleet's counters.
+//! check-monotone`); a line's `@model` token routes it. `metrics`
+//! scrapes the fleet's counters and the flight recorder.
 //!
 //! ```text
 //! selnet-client replay --addr 127.0.0.1:7878 --connections 4 < queries.txt
-//! selnet-client replay --addr 127.0.0.1:7878 --model alpha < queries.txt
 //! selnet-client metrics --addr 127.0.0.1:7878
 //! ```
 //!
-//! `metrics` prints the Prometheus text exposition — pipe it to a node
-//! exporter's textfile collector or grep families directly.
+//! `metrics` prints the Prometheus text exposition, then the span rings
+//! and the slow-query log as `# span` / `# slow` comment lines — pipe it
+//! to a node exporter's textfile collector or grep families directly.
 
 use selnet_client::{ClientConfig, Connection, Reply};
 use selnet_serve::protocol::{render_text_error, TextQuery};
@@ -20,7 +21,6 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage:
   selnet-client replay --addr HOST:PORT [--connections N] [--window W]
-                       [--model NAME] [--input FILE]
   selnet-client metrics --addr HOST:PORT";
 
 fn main() -> ExitCode {
@@ -82,11 +82,11 @@ impl Options {
     }
 }
 
-const REPLAY_OPTIONS: &[&str] = &["addr", "connections", "window", "model", "input"];
+const REPLAY_OPTIONS: &[&str] = &["addr", "connections", "window"];
 
 const METRICS_OPTIONS: &[&str] = &["addr"];
 
-/// Reads text-protocol query lines (blank lines and `#` comments skipped).
+/// Reads replay lines (blank lines and `#` comments skipped).
 fn read_queries(input: &mut impl BufRead) -> Result<Vec<TextQuery>, String> {
     let mut queries = Vec::new();
     for (lineno, line) in input.lines().enumerate() {
@@ -108,15 +108,8 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     let cfg = ClientConfig {
         window: opts.num("window", 32)?,
     };
-    let default_model = opts.get("model");
 
-    let queries = match opts.get("input") {
-        Some(path) => {
-            let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-            read_queries(&mut io::BufReader::new(file))?
-        }
-        None => read_queries(&mut io::stdin().lock())?,
-    };
+    let queries = read_queries(&mut io::stdin().lock())?;
     if queries.is_empty() {
         return Err("no query lines on input".into());
     }
@@ -132,9 +125,8 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     // connection's replies are FIFO, so draining in the same round-robin
     // order reassembles the answers in input order.
     for (i, q) in queries.iter().enumerate() {
-        let model = q.model.as_deref().or(default_model);
         conns[i % connections]
-            .send_query(model, &q.x, &q.ts)
+            .send_query(q.model.as_deref(), &q.x, &q.ts)
             .map_err(|e| format!("send query {}: {e}", i + 1))?;
     }
     let stdout = io::stdout();
@@ -186,8 +178,8 @@ mod tests {
         Options::parse(&args, names)
     }
 
-    /// A misspelt option, or one another subcommand takes, is refused
-    /// with the usage text, not filed away and ignored.
+    /// A misspelt or retired option, or one another subcommand takes, is
+    /// refused with the usage text, not filed away and ignored.
     #[test]
     fn unknown_options_are_refused_with_usage() {
         for (args, names, key) in [
@@ -202,6 +194,8 @@ mod tests {
                 METRICS_OPTIONS,
                 "--model",
             ),
+            (&["--model", "alpha"][..], REPLAY_OPTIONS, "--model"),
+            (&["--input", "q.txt"][..], REPLAY_OPTIONS, "--input"),
         ] {
             let err = parse(args, names).err().expect("must be refused");
             assert!(err.starts_with(&format!("unknown option {key}\n")), "{err}");

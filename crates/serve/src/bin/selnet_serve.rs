@@ -1,13 +1,11 @@
 //! The `selnet-serve` binary: loads one or more `SELNETP1` snapshots and
-//! serves them as named tenants over TCP (binary protocol v2) or
-//! stdin (text protocol), plus the small train/replay/check subcommands
-//! the CI smoke pipeline is built from.
+//! serves them as named tenants over TCP (binary protocol v2), plus the
+//! small train/check subcommands the CI smoke pipeline is built from.
 //!
 //! ```text
-//! selnet-serve train-tiny --out snap.selnet --replay-out queries.txt
-//! selnet-serve serve --snapshot snap.selnet --stdin < queries.txt
+//! selnet-serve train-tiny --out a.selnet --replay-out queries.txt --replay-model alpha
 //! selnet-serve serve --model alpha=a.selnet --model beta=b.selnet --addr 127.0.0.1:7878
-//! selnet-serve check-monotone --expect non-increasing < responses.txt
+//! selnet-client replay --addr 127.0.0.1:7878 < queries.txt | selnet-serve check-monotone
 //! ```
 
 use selnet_core::{fit_partitioned, PartitionConfig, PartitionedSelNet, SelNetConfig};
@@ -24,13 +22,11 @@ use std::sync::Arc;
 
 const USAGE: &str = "usage:
   selnet-serve train-tiny --out SNAPSHOT [--replay-out FILE] [--replay-count N]
-                          [--replay-model NAME] [--n N] [--dim D] [--queries Q]
-                          [--epochs E] [--seed S] [--thresholds M] [--order desc|asc]
-  selnet-serve serve (--snapshot SNAPSHOT | --model NAME=SNAPSHOT ...)
-                     (--stdin | --addr HOST:PORT)
+                          [--replay-model NAME] [--seed S]
+  selnet-serve serve --model NAME=SNAPSHOT ... [--addr HOST:PORT]
                      [--workers N] [--batch ROWS] [--queue ROWS]
                      [--slow-query-us MICROS] [--trace-buffer SPANS]
-  selnet-serve check-monotone [--expect non-increasing|non-decreasing]";
+  selnet-serve check-monotone";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -54,36 +50,26 @@ fn main() -> ExitCode {
 }
 
 /// Tiny positional-free flag parser: every option is `--key value` with
-/// `key` one of the subcommand's `value_names`, except boolean flags,
-/// which are listed in `flag_names`. Anything else is refused.
+/// `key` one of the subcommand's `names`. Anything else is refused.
 struct Options {
     pairs: Vec<(String, String)>,
-    flags: Vec<String>,
 }
 
 impl Options {
-    fn parse(
-        args: &[String],
-        value_names: &[&str],
-        flag_names: &[&str],
-    ) -> Result<Options, String> {
+    fn parse(args: &[String], names: &[&str]) -> Result<Options, String> {
         let mut pairs = Vec::new();
-        let mut flags = Vec::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             let key = arg
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --option, got {arg:?}"))?;
-            if flag_names.contains(&key) {
-                flags.push(key.to_string());
-            } else if value_names.contains(&key) {
-                let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-                pairs.push((key.to_string(), value.clone()));
-            } else {
+            if !names.contains(&key) {
                 return Err(format!("unknown option --{key}\n{USAGE}"));
             }
+            let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
+            pairs.push((key.to_string(), value.clone()));
         }
-        Ok(Options { pairs, flags })
+        Ok(Options { pairs })
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -103,10 +89,6 @@ impl Options {
             .collect()
     }
 
-    fn flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
-    }
-
     fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.get(key) {
             None => Ok(default),
@@ -115,22 +97,9 @@ impl Options {
     }
 }
 
-const TRAIN_TINY_OPTIONS: &[&str] = &[
-    "out",
-    "replay-out",
-    "replay-count",
-    "replay-model",
-    "n",
-    "dim",
-    "queries",
-    "epochs",
-    "seed",
-    "thresholds",
-    "order",
-];
+const TRAIN_TINY_OPTIONS: &[&str] = &["out", "replay-out", "replay-count", "replay-model", "seed"];
 
 const SERVE_OPTIONS: &[&str] = &[
-    "snapshot",
     "model",
     "addr",
     "workers",
@@ -140,33 +109,33 @@ const SERVE_OPTIONS: &[&str] = &[
     "trace-buffer",
 ];
 
+/// Upper bound on `--trace-buffer`. It sizes both span rings, and a
+/// metrics reply carries both as text (≈ 140 B a span): two rings of
+/// this size stay under 10 MB, well inside one frame
+/// ([`MAX_FRAME_LEN`](selnet_serve::protocol::MAX_FRAME_LEN)).
+const MAX_TRACE_BUFFER: usize = 1 << 15;
+
+/// Thresholds per replay query: an evenly spaced grid over
+/// `(0, 1.1 * tmax]`.
+const REPLAY_THRESHOLDS: usize = 8;
+
 fn cmd_train_tiny(args: &[String]) -> Result<(), String> {
-    let opts = Options::parse(args, TRAIN_TINY_OPTIONS, &[])?;
+    let opts = Options::parse(args, TRAIN_TINY_OPTIONS)?;
     let out = opts.get("out").ok_or("train-tiny needs --out")?;
-    let n: usize = opts.num("n", 600)?;
-    let dim: usize = opts.num("dim", 5)?;
-    let queries: usize = opts.num("queries", 24)?;
-    let epochs: usize = opts.num("epochs", 6)?;
     let seed: u64 = opts.num("seed", 17)?;
     let replay_count: usize = opts.num("replay-count", 100)?;
-    let thresholds: usize = opts.num("thresholds", 8)?;
-    let descending = match opts.get("order").unwrap_or("desc") {
-        "desc" => true,
-        "asc" => false,
-        v => return Err(format!("bad --order {v:?} (desc|asc)")),
-    };
 
-    eprintln!("training tiny partitioned SelNet (n={n}, dim={dim}, epochs={epochs})...");
-    let ds = fasttext_like(&GeneratorConfig::new(n, dim, 3, seed));
-    let mut wcfg = WorkloadConfig::new(queries, DistanceKind::Euclidean, seed ^ 1);
+    eprintln!("training tiny partitioned SelNet (n=600, dim=5, epochs=6)...");
+    let ds = fasttext_like(&GeneratorConfig::new(600, 5, 3, seed));
+    let mut wcfg = WorkloadConfig::new(24, DistanceKind::Euclidean, seed ^ 1);
     wcfg.thresholds_per_query = 8;
     let workload = generate_workload(&ds, &wcfg);
     let mut cfg = SelNetConfig::tiny();
-    cfg.epochs = epochs;
+    cfg.epochs = 6;
     cfg.seed = seed;
     let pcfg = PartitionConfig {
         k: 3,
-        pretrain_epochs: (epochs / 3).max(1),
+        pretrain_epochs: 2,
         ..Default::default()
     };
     let (model, report) = fit_partitioned(&ds, &workload, &cfg, &pcfg);
@@ -192,50 +161,38 @@ fn cmd_train_tiny(args: &[String]) -> Result<(), String> {
             &ds,
             model.tmax(),
             replay_count,
-            thresholds,
-            descending,
             opts.get("replay-model"),
         )
         .map_err(|e| format!("write {replay}: {e}"))?;
         eprintln!(
-            "{replay_count} replay queries written to {replay} ({} thresholds each, {})",
-            thresholds,
-            if descending {
-                "descending"
-            } else {
-                "ascending"
-            }
+            "{replay_count} replay queries written to {replay} \
+             ({REPLAY_THRESHOLDS} thresholds each, descending)"
         );
     }
     Ok(())
 }
 
-/// Emits `count` text-protocol lines: database rows as query objects with
-/// an evenly spaced threshold grid over `(0, 1.1 * tmax]`, optionally
-/// routed to `@model`. Descending grids make each *response* line
-/// monotone non-increasing — what the CI checker asserts.
-#[allow(clippy::too_many_arguments)]
+/// Emits `count` replay lines: database rows as query objects with a
+/// descending threshold grid over `(0, 1.1 * tmax]`, optionally routed
+/// to `@model`. Descending grids make each *response* line monotone
+/// non-increasing — what `check-monotone` asserts.
 fn write_replay(
     w: &mut impl Write,
     ds: &selnet_data::Dataset,
     tmax: f32,
     count: usize,
-    thresholds: usize,
-    descending: bool,
     model: Option<&str>,
 ) -> io::Result<()> {
     writeln!(
         w,
-        "# selnet-serve replay: {count} queries, {thresholds} thresholds, tmax {tmax}"
+        "# selnet-serve replay: {count} queries, {REPLAY_THRESHOLDS} thresholds, tmax {tmax}"
     )?;
     for i in 0..count {
         let row = ds.row(i % ds.len());
-        let mut grid: Vec<f32> = (1..=thresholds)
-            .map(|j| tmax * 1.1 * j as f32 / thresholds as f32)
+        let grid: Vec<f32> = (1..=REPLAY_THRESHOLDS)
+            .rev()
+            .map(|j| tmax * 1.1 * j as f32 / REPLAY_THRESHOLDS as f32)
             .collect();
-        if descending {
-            grid.reverse();
-        }
         let q = selnet_serve::protocol::TextQuery {
             model: model.map(str::to_string),
             x: row.to_vec(),
@@ -253,7 +210,7 @@ fn load_snapshot(path: &str) -> Result<PartitionedSelNet, String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let opts = Options::parse(args, SERVE_OPTIONS, &["stdin"])?;
+    let opts = Options::parse(args, SERVE_OPTIONS)?;
     let cfg = EngineConfig {
         workers: opts.num("workers", 0)?,
         max_batch_rows: opts.num("batch", 64)?,
@@ -261,26 +218,21 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         slow_query_us: opts.num("slow-query-us", 0)?,
         trace_buffer: opts.num("trace-buffer", 0)?,
     };
+    if cfg.trace_buffer > MAX_TRACE_BUFFER {
+        return Err(format!(
+            "--trace-buffer {} is above {MAX_TRACE_BUFFER}: both span rings ride one metrics reply",
+            cfg.trace_buffer
+        ));
+    }
     // the engine keeps its own span ring; the global recorder picks up
     // plan-compile / snapshot / retrain spans from the library crates
     if cfg.trace_buffer > 0 {
         selnet_obs::trace::global().enable(cfg.trace_buffer);
     }
 
-    // tenants: repeated --model NAME=PATH, plus the legacy --snapshot PATH
-    // (registered as the default tenant)
+    // tenants: repeated --model NAME=PATH; the first one registered
+    // answers requests that name no tenant
     let registry = Arc::new(ModelRegistry::empty());
-    if let Some(snapshot) = opts.get("snapshot") {
-        let model = load_snapshot(snapshot)?;
-        eprintln!(
-            "loaded snapshot {snapshot}: {} partitions, tmax {:.3}",
-            model.k(),
-            model.tmax()
-        );
-        registry
-            .register(selnet_serve::registry::DEFAULT_MODEL, model)
-            .map_err(|e| e.to_string())?;
-    }
     for spec in opts.get_all("model") {
         let (name, path) = spec
             .split_once('=')
@@ -294,81 +246,25 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         registry.register(name, model).map_err(|e| e.to_string())?;
     }
     if registry.is_empty() {
-        return Err("serve needs --snapshot or at least one --model NAME=PATH".into());
+        return Err("serve needs at least one --model NAME=PATH".into());
     }
 
     let engine = Engine::start(registry, &cfg);
-
-    if opts.flag("stdin") {
-        let stdin = io::stdin();
-        let stdout = io::stdout();
-        let mut out = BufWriter::new(stdout.lock());
-        let served = server::serve_lines(&engine, &mut stdin.lock(), &mut out)
-            .map_err(|e| format!("stdin serving failed: {e}"))?;
-        // counters are a `?metrics` line away, in-band
-        eprintln!("served {served} queries");
-        dump_flight_recorder(&engine);
-        engine.shutdown();
-        Ok(())
-    } else {
-        let addr = opts.get("addr").unwrap_or("127.0.0.1:7878");
-        let listener =
-            std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-        eprintln!("serving binary protocol v2 on {addr} (send a metrics frame for counters)");
-        let stop = Arc::new(AtomicBool::new(false));
-        let result = server::serve_tcp(Arc::clone(&engine), listener, stop)
-            .map_err(|e| format!("serve failed: {e}"));
-        dump_flight_recorder(&engine);
-        result
-    }
+    let addr = opts.get("addr").unwrap_or("127.0.0.1:7878");
+    let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+    eprintln!(
+        "serving binary protocol v2 on {addr} \
+         (send a metrics frame for counters and the flight recorder)"
+    );
+    let stop = Arc::new(AtomicBool::new(false));
+    server::serve_tcp(engine, listener, stop).map_err(|e| format!("serve failed: {e}"))
 }
 
-/// Dumps the span ring and slow-query log to stderr on shutdown — the
-/// flight-recorder readout. Silent when tracing and the slow-query
-/// threshold are both disabled.
-fn dump_flight_recorder(engine: &Engine<PartitionedSelNet>) {
-    let spans = engine.spans();
-    // the engine ring holds request-path spans; the global ring holds
-    // plan-compile / snapshot / retrain spans from the library crates
-    let global: Vec<selnet_obs::Span> = selnet_obs::trace::global().snapshot();
-    if !spans.is_empty() || !global.is_empty() {
-        eprintln!(
-            "flight recorder: {} request spans, {} system spans (newest last)",
-            spans.len(),
-            global.len()
-        );
-        for span in spans.iter().chain(global.iter()) {
-            eprintln!(
-                "  span {} trace={} start_us={} dur_us={} a={} b={}",
-                span.kind,
-                span.trace_id,
-                span.start_ns / 1_000,
-                span.dur_ns / 1_000,
-                span.a,
-                span.b
-            );
-        }
-    }
-    let slow = engine.slow_queries();
-    if !slow.is_empty() {
-        eprintln!("slow queries (fleet, newest last):");
-        for q in &slow {
-            eprintln!(
-                "  trace={} rows={} latency_us={}",
-                q.trace_id, q.rows, q.latency_us
-            );
-        }
-    }
-}
-
+/// Reads response lines on stdin and checks every one is monotone
+/// non-increasing in `t`, the order of `train-tiny`'s descending replay
+/// grids. A `!` refusal line fails the check.
 fn cmd_check_monotone(args: &[String]) -> Result<(), String> {
-    let opts = Options::parse(args, &["expect"], &[])?;
-    let expect = opts.get("expect").unwrap_or("non-increasing");
-    let non_increasing = match expect {
-        "non-increasing" => true,
-        "non-decreasing" => false,
-        v => return Err(format!("bad --expect {v:?}")),
-    };
+    Options::parse(args, &[])?;
     let stdin = io::stdin();
     let mut lines = 0u64;
     for (lineno, line) in stdin.lock().lines().enumerate() {
@@ -391,14 +287,9 @@ fn cmd_check_monotone(args: &[String]) -> Result<(), String> {
             return Err(format!("line {}: non-finite estimate", lineno + 1));
         }
         for pair in values.windows(2) {
-            let ok = if non_increasing {
-                pair[1] <= pair[0]
-            } else {
-                pair[1] >= pair[0]
-            };
-            if !ok {
+            if pair[1] > pair[0] {
                 return Err(format!(
-                    "line {}: response not {expect}: {} then {}",
+                    "line {}: response not non-increasing: {} then {}",
                     lineno + 1,
                     pair[0],
                     pair[1]
@@ -410,7 +301,7 @@ fn cmd_check_monotone(args: &[String]) -> Result<(), String> {
     if lines == 0 {
         return Err("no response lines on stdin".into());
     }
-    println!("OK: {lines} response streams are monotone {expect} in t");
+    println!("OK: {lines} response streams are monotone non-increasing in t");
     Ok(())
 }
 
@@ -418,39 +309,48 @@ fn cmd_check_monotone(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn parse_serve(args: &[&str]) -> Result<Options, String> {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        Options::parse(&args, SERVE_OPTIONS, &["stdin"])
+    fn args(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    fn parse_serve(a: &[&str]) -> Result<Options, String> {
+        Options::parse(&args(a), SERVE_OPTIONS)
     }
 
     /// A misspelt or retired option is refused with the usage text, not
-    /// filed away and ignored.
+    /// filed away and ignored — first or after a known option.
     #[test]
     fn unknown_options_are_refused_with_usage() {
-        for (args, key) in [
-            (&["--replay-threads", "4"][..], "--replay-threads"),
-            (&["--stdin", "--inflight", "64"][..], "--inflight"),
+        let serve = "replay-threads inflight precision stdinn cache shards stdin snapshot";
+        for (names, known, keys) in [
+            (SERVE_OPTIONS, "--model a=a", serve),
             (
-                &["--snapshot", "a", "--precision", "beta=int8"][..],
-                "--precision",
+                TRAIN_TINY_OPTIONS,
+                "--seed 1",
+                "n dim queries epochs thresholds order",
             ),
-            (&["--stdinn"][..], "--stdinn"),
-            (&["--stdin", "--cache", "256"][..], "--cache"),
-            (&["--stdin", "--shards", "2"][..], "--shards"),
+            (&[], "", "expect"),
         ] {
-            let err = parse_serve(args).err().expect("must be refused");
-            assert!(err.starts_with(&format!("unknown option {key}\n")), "{err}");
-            assert!(err.ends_with(USAGE), "{err}");
+            let known: Vec<&str> = known.split_whitespace().collect();
+            for key in keys.split(' ').map(|k| format!("--{k}")) {
+                for a in [
+                    args(&[&key, "1"]),
+                    args(&[&known[..], &[&key, "1"]].concat()),
+                ] {
+                    let err = Options::parse(&a, names).err().expect("must be refused");
+                    assert!(err.starts_with(&format!("unknown option {key}\n")), "{err}");
+                    assert!(err.ends_with(USAGE), "{err}");
+                }
+            }
         }
     }
 
     #[test]
     fn known_options_parse_and_the_last_value_wins() {
-        let opts =
-            parse_serve(&["--batch", "32", "--stdin", "--batch", "16"]).expect("known options");
+        let opts = parse_serve(&["--batch", "32", "--addr", "x:1", "--batch", "16"])
+            .expect("known options");
         assert_eq!(opts.num("batch", 64usize), Ok(16));
         assert_eq!(opts.num("workers", 7usize), Ok(7), "absent: the default");
-        assert!(opts.flag("stdin"));
         assert!(parse_serve(&["--workers"]).is_err(), "a value is required");
         // every documented option is one its subcommand accepts
         for key in SERVE_OPTIONS.iter().chain(TRAIN_TINY_OPTIONS) {
@@ -464,5 +364,27 @@ mod tests {
             .expect("known options");
         assert_eq!(opts.get_all("model"), ["alpha=a", "beta=b"]);
         assert_eq!(opts.get("model"), Some("beta=b"));
+    }
+
+    /// A span ring too large for one metrics reply is refused before any
+    /// snapshot is read; the bound itself gets as far as the snapshot.
+    #[test]
+    fn an_oversized_trace_buffer_is_refused_before_loading() {
+        for (spans, error) in [
+            (
+                MAX_TRACE_BUFFER + 1,
+                "--trace-buffer 32769 is above 32768: ",
+            ),
+            (MAX_TRACE_BUFFER, "open no-such.selnet: "),
+        ] {
+            let spans = spans.to_string();
+            let err = cmd_serve(&args(&[
+                "--model",
+                "a=no-such.selnet",
+                "--trace-buffer",
+                &spans,
+            ]));
+            assert!(err.as_ref().is_err_and(|e| e.starts_with(error)), "{err:?}");
+        }
     }
 }

@@ -29,15 +29,15 @@
 //!    tenants', taken when somebody asks ([`Engine::stats_snapshot`],
 //!    [`Engine::metrics_text`]).
 //!
-//! Blocking callers ([`Engine::serve_blocking`] / [`Engine::estimate_many`]
-//! and the TCP/stdin connection loops) additionally get a **same-thread
-//! fast path**: when every queue is idle there is nothing to coalesce
-//! with, so the submitting thread binds a generation and evaluates the
-//! single request itself, through the same `estimate_into` hook. Blocking
-//! callers are also never shed — when
-//! the queues are saturated they evaluate inline as well, which *is*
+//! Blocking callers ([`Engine::serve_blocking`] / [`Engine::estimate_many`])
+//! additionally get a **same-thread fast path**: when every queue is idle
+//! there is nothing to coalesce with, so the submitting thread binds a
+//! generation and evaluates the single request itself, through the same
+//! `estimate_into` hook. Blocking callers are also never shed — when the
+//! queues are saturated they evaluate inline as well, which *is*
 //! backpressure (one in-flight request per caller); only the pipelined
-//! [`Engine::submit`] path sheds.
+//! [`Engine::submit`] path sheds. The TCP connection loop takes that
+//! path, so its requests can be shed.
 //!
 //! Because the batched forward is bit-identical per row to single-query
 //! evaluation, coalescing never changes an answer — any interleaving of
@@ -791,7 +791,7 @@ where
     /// (unlabeled — the tenants' counters summed, their histograms merged)
     /// then every tenant's (`tenant="<name>"`), and after them the
     /// scrape-time gauges (queue depth, per-tenant generation). Served by
-    /// the v2 `Metrics` frame and the `?metrics` text command.
+    /// the v2 `Metrics` frame.
     pub fn metrics_text(&self) -> String {
         let tenants = self.registry.tenants();
         let labels: Vec<[(String, String); 1]> = tenants

@@ -20,10 +20,10 @@
 //!   per-query evaluation), and **sheds load** with
 //!   [`SubmitError::Overloaded`] when
 //!   its bounded queues saturate;
-//! * [`protocol`] — the versioned binary wire format (handshake,
-//!   opcode-tagged frames, model routing, typed error replies) and the
-//!   line-oriented text format spoken by the `selnet-serve` binary over
-//!   TCP and stdin respectively;
+//! * [`protocol`] — the versioned binary wire format the `selnet-serve`
+//!   binary speaks over TCP (handshake, opcode-tagged frames, model
+//!   routing, typed error replies) and the line-oriented replay format
+//!   `selnet-client replay` reads;
 //! * [`stats`] — per-tenant telemetry on `selnet-obs` primitives:
 //!   lock-free latency / batch-occupancy / retrain histograms (unbounded,
 //!   zero dropped samples), throughput / inline / shed / slow-request
@@ -37,11 +37,12 @@
 //! request pipeline (batch-stage spans `coalesce` → `generation_bind` →
 //! `plan_replay` → `reply` for every batch; per-request spans sampled —
 //! paid only by requests that bring a trace ID), and a Prometheus text
-//! exposition
-//! ([`Engine::metrics_text`], served by the v2 `Metrics` frame and the
-//! `?metrics` text command). All of it is contractually free:
-//! observability on vs off serves bit-identical answers, and CI bounds
-//! the armed engine's hot-path overhead at 3%.
+//! exposition ([`Engine::metrics_text`]). A v2 `Metrics` frame reads all of it:
+//! the exposition, then the span rings and the slow-query log as `# `
+//! comment lines. Observability never changes an answer: on vs off
+//! serves bit-identical answers (pinned by
+//! `observability_on_and_off_serve_bit_identical_answers`); its cost is
+//! recorded, not guarded, as the benchmark's `obs.trace_overhead_ratio`.
 //!
 //! The `selnet-client` crate speaks the binary protocol over persistent
 //! pipelined connections; [`server`] hosts it behind one listener and
@@ -70,8 +71,7 @@
 //!   `estimate_many` over the same generation.
 //! * Refusals are typed and cheap: an unknown model, a mis-shaped query,
 //!   a `NaN` or infinite value, or a saturated queue answers with a v2
-//!   error frame (or a text-mode `!error` line) before a worker thread
-//!   ever sees the request.
+//!   error frame before a worker thread ever sees the request.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

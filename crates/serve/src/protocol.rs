@@ -1,5 +1,5 @@
 //! The `selnet-serve` wire formats: versioned, type-tagged binary frames
-//! and the line-oriented text protocol.
+//! and the line-oriented replay format.
 //!
 //! ## Version negotiation
 //!
@@ -46,19 +46,21 @@
 //! exactly one request — the connection stays open and later pipelined
 //! requests still get their own replies.
 //!
-//! ## Text protocol (stdin mode, used by CI)
+//! An armed flight recorder appends `# span …` and `# slow …` comment
+//! lines (the span rings, the slow-query log) to the `0x83` text.
 //!
-//! One query per line: an optional `@model` routing token, the query
-//! vector, a `|` separator, then the threshold grid; the response is one
-//! line of estimates. The one other command, `?metrics`, requests the
-//! fleet's Prometheus text exposition, written as one `# ` comment line
-//! per metric line. Blank lines and `#` comments are ignored. Refusals are mirrored as typed `!error <code> <message>`
-//! lines.
+//! ## Replay lines
+//!
+//! The text format `selnet-serve train-tiny --replay-out` writes and
+//! `selnet-client replay` reads and answers ([`TextQuery`]): one query
+//! per line, an optional `@model` routing token, the query vector, a `|`
+//! separator, then the threshold grid. Blank lines and `#` comments are
+//! skipped. Each answer is one line of estimates, or a typed refusal
+//! rendered as `!error <code> <message>` ([`render_text_error`]).
 //!
 //! ```text
 //! 0.12 -0.3 0.5 | 2.0 1.5 1.0 0.5
 //! @alpha 0.12 -0.3 0.5 | 2.0 1.5 1.0 0.5
-//! ?metrics
 //! ```
 
 use selnet_tensor::bytes::{read_u16, read_u32, read_u64, read_u8};
@@ -424,7 +426,7 @@ impl ErrorCode {
         }
     }
 
-    /// The token used by the text protocol's `!error` lines.
+    /// The token used by `!error` answer lines.
     pub fn as_str(self) -> &'static str {
         match self {
             ErrorCode::UnknownModel => "unknown-model",
@@ -579,35 +581,7 @@ fn read_f64s(p: &mut &[u8]) -> io::Result<Vec<f64>> {
     Ok(out)
 }
 
-/// One parsed line of the text protocol.
-#[derive(Clone, Debug, PartialEq)]
-pub enum TextLine {
-    /// An estimation request.
-    Query(TextQuery),
-    /// A metrics scrape (`?metrics`): the fleet's Prometheus text,
-    /// written back as `# `-prefixed comment lines.
-    Metrics,
-}
-
-impl TextLine {
-    /// Parses one text-protocol line. Returns `Ok(None)` for blank lines
-    /// and `#` comments.
-    pub fn parse(line: &str) -> Result<Option<TextLine>, String> {
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            return Ok(None);
-        }
-        if let Some(rest) = trimmed.strip_prefix("?metrics") {
-            if !rest.trim().is_empty() {
-                return Err(format!("?metrics takes no arguments: {trimmed:?}"));
-            }
-            return Ok(Some(TextLine::Metrics));
-        }
-        Ok(TextQuery::parse(trimmed)?.map(TextLine::Query))
-    }
-}
-
-/// One parsed query line of the text protocol.
+/// One parsed replay line.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TextQuery {
     /// The tenant to route to (`@model` token); `None` is the default
@@ -657,7 +631,7 @@ impl TextQuery {
         Ok(Some(TextQuery { model, x, ts }))
     }
 
-    /// Renders this query as a text-protocol line.
+    /// Renders this query as a replay line.
     pub fn render(&self) -> String {
         let xs: Vec<String> = self.x.iter().map(|v| v.to_string()).collect();
         let ts: Vec<String> = self.ts.iter().map(|v| v.to_string()).collect();
@@ -668,7 +642,7 @@ impl TextQuery {
     }
 }
 
-/// Renders a typed refusal as a text-protocol `!error` line.
+/// Renders a typed refusal as an `!error` answer line.
 pub fn render_text_error(e: &ErrorReply) -> String {
     format!("!error {} {}", e.code, e.message)
 }
@@ -955,28 +929,6 @@ mod tests {
         assert_eq!(back, q);
         assert!(TextQuery::parse("@ 0.5 | 1").is_err(), "empty model");
         assert!(TextQuery::parse("@alpha").is_err(), "model without query");
-    }
-
-    #[test]
-    fn text_stats_lines_parse() {
-        // `?metrics` is the one stats command: any other `?` word is
-        // neither a command nor a query
-        assert!(TextLine::parse("?counters").is_err());
-        assert!(TextLine::parse("?counters alpha").is_err());
-        assert_eq!(
-            TextLine::parse("?metrics").unwrap(),
-            Some(TextLine::Metrics)
-        );
-        assert_eq!(
-            TextLine::parse("  ?metrics  ").unwrap(),
-            Some(TextLine::Metrics)
-        );
-        assert!(TextLine::parse("?metrics alpha").is_err());
-        assert_eq!(TextLine::parse("# comment").unwrap(), None);
-        match TextLine::parse("@beta 1 | 2").unwrap() {
-            Some(TextLine::Query(q)) => assert_eq!(q.model.as_deref(), Some("beta")),
-            other => panic!("expected query, got {other:?}"),
-        }
     }
 
     #[test]

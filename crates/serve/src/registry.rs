@@ -178,7 +178,7 @@ impl std::fmt::Display for RegisterError {
 impl std::error::Error for RegisterError {}
 
 /// Whether `name` is usable as a tenant id across the binary protocol
-/// (u16-length field), the text protocol (`@name` token), and the CLI
+/// (u16-length field), replay lines (`@name` token), and the CLI
 /// (`--model name=path`).
 pub fn valid_model_name(name: &str) -> bool {
     !name.is_empty()

@@ -1,5 +1,5 @@
-//! Connection handling: the TCP accept loop and the stdin (text) loop,
-//! both draining into one shared [`Engine`].
+//! Connection handling: the TCP accept loop, draining every connection
+//! into one shared [`Engine`].
 //!
 //! The TCP loop speaks one wire dialect. A connection opens with the
 //! [`HELLO_MAGIC`](protocol::HELLO_MAGIC) handshake; first bytes that are
@@ -10,12 +10,14 @@
 //! answers in FIFO order, so one client with several requests in flight
 //! exercises the engine's cross-request coalescing all by itself.
 //! Refusals travel as typed [`Response::Error`] frames that answer
-//! exactly one request — the connection survives.
+//! exactly one request — the connection survives. A [`Frame::Metrics`]
+//! scrape is also the flight-recorder readout: the exposition, then the
+//! span rings and the slow-query log as `# ` comment lines.
 
 use crate::engine::{Engine, ReplyHandle, Request, SubmitError};
-use crate::protocol::{self, ErrorCode, ErrorReply, Frame, Hello, HelloAck, Response, TextLine};
+use crate::protocol::{self, ErrorCode, ErrorReply, Frame, Hello, HelloAck, Response};
 use selnet_eval::SelectivityEstimator;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, TryRecvError};
@@ -29,16 +31,6 @@ use std::sync::Arc;
 /// batch — 256 is deep enough for any sane client window, shallow enough
 /// to bound a misbehaving one.
 pub const MAX_INFLIGHT_PER_CONNECTION: usize = 256;
-
-/// Maps an engine refusal onto the text loop's `io::Error`
-/// vocabulary: shutdown reads as a broken pipe, anything else (a
-/// mis-routed or mis-shaped query) as invalid data.
-fn submit_err_to_io(e: SubmitError) -> io::Error {
-    match e {
-        SubmitError::ShutDown => io::Error::new(io::ErrorKind::BrokenPipe, "engine shut down"),
-        other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-    }
-}
 
 /// Maps an engine refusal onto the v2 typed error vocabulary.
 fn submit_err_to_reply(e: &SubmitError) -> ErrorReply {
@@ -188,7 +180,7 @@ where
                             Err(e) => PendingReply::Ready(Response::Error(submit_err_to_reply(&e))),
                         }
                     }
-                    Frame::Metrics => PendingReply::Ready(Response::Metrics(engine.metrics_text())),
+                    Frame::Metrics => PendingReply::Ready(Response::Metrics(metrics_reply(engine))),
                     Frame::QueryTraced {
                         trace_id,
                         model,
@@ -225,62 +217,34 @@ where
     })
 }
 
-/// The CI-friendly text loop: parses [`TextLine`]s from `input`, answers
-/// each on one line of `output`, and returns the number of queries
-/// answered with estimates. Parse errors abort with `InvalidData` (a
-/// replay file is trusted input; silently skipping a bad line would hide
-/// a broken generator), but **engine refusals** — an unknown `@model`, a
-/// mis-shaped query, a non-finite value, admission control — are
-/// mirrored as typed `!error <code> <message>` lines and the loop
-/// continues, matching the v2 wire contract. A `?metrics` line answers
-/// with the Prometheus
-/// exposition, one `# `-prefixed line per metric line (comments to any
-/// downstream parser).
-pub fn serve_lines<M>(
-    engine: &Engine<M>,
-    input: &mut impl BufRead,
-    output: &mut impl Write,
-) -> io::Result<u64>
+/// The reply to a [`Frame::Metrics`] scrape: [`Engine::metrics_text`],
+/// then the flight recorder as `# ` comment lines that exposition parsers
+/// skip — the engine's span ring, the global one (plan compile, snapshot,
+/// retrain), then the slow-query log. Disarmed, they add nothing.
+fn metrics_reply<M>(engine: &Engine<M>) -> String
 where
     M: SelectivityEstimator + Send + Sync + 'static,
 {
-    let mut served = 0u64;
-    for line in input.lines() {
-        let line = line?;
-        let parsed =
-            TextLine::parse(&line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        match parsed {
-            None => continue,
-            Some(TextLine::Metrics) => {
-                for mline in engine.metrics_text().lines() {
-                    writeln!(output, "# {mline}")?;
-                }
-            }
-            Some(TextLine::Query(q)) => {
-                let req = Request::new(q.x).thresholds(q.ts).model_opt(q.model);
-                match engine.serve_blocking(&req) {
-                    Ok(estimates) => {
-                        let rendered: Vec<String> =
-                            estimates.iter().map(|v| v.to_string()).collect();
-                        writeln!(output, "{}", rendered.join(" "))?;
-                        served += 1;
-                    }
-                    Err(SubmitError::ShutDown) => {
-                        return Err(submit_err_to_io(SubmitError::ShutDown))
-                    }
-                    Err(e) => {
-                        writeln!(
-                            output,
-                            "{}",
-                            protocol::render_text_error(&submit_err_to_reply(&e))
-                        )?;
-                    }
-                }
-            }
-        }
+    let mut text = engine.metrics_text();
+    let global = selnet_obs::trace::global().snapshot();
+    for span in engine.spans().iter().chain(&global) {
+        text.push_str(&format!(
+            "# span {} trace={} start_us={} dur_us={} a={} b={}\n",
+            span.kind,
+            span.trace_id,
+            span.start_ns / 1_000,
+            span.dur_ns / 1_000,
+            span.a,
+            span.b
+        ));
     }
-    output.flush()?;
-    Ok(served)
+    for q in engine.slow_queries() {
+        text.push_str(&format!(
+            "# slow trace={} rows={} latency_us={}\n",
+            q.trace_id, q.rows, q.latency_us
+        ));
+    }
+    text
 }
 
 #[cfg(test)]
@@ -360,62 +324,6 @@ mod tests {
         let ack = HelloAck::read(&mut reader).unwrap();
         assert_eq!(ack.version, 2);
         (reader, writer)
-    }
-
-    #[test]
-    fn text_loop_answers_queries_and_skips_comments() {
-        let eng = engine();
-        let input = "# header\n1.0 | 0.5 1.5\n\n2.0 | 3.0\n";
-        let mut out = Vec::new();
-        let served = serve_lines(&eng, &mut input.as_bytes(), &mut out).unwrap();
-        assert_eq!(served, 2);
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines, vec!["1.5 2.5", "5"]);
-        eng.shutdown();
-    }
-
-    #[test]
-    fn text_loop_rejects_malformed_lines() {
-        let eng = engine();
-        let mut out = Vec::new();
-        let err =
-            serve_lines(&eng, &mut "not a query\n".as_bytes(), &mut out).expect_err("must reject");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        eng.shutdown();
-    }
-
-    #[test]
-    fn text_loop_routes_models_reports_stats_and_mirrors_errors() {
-        let registry = Arc::new(ModelRegistry::empty());
-        registry.register("one", Scaled(1.0)).unwrap();
-        registry.register("ten", Scaled(10.0)).unwrap();
-        let eng = Engine::start(Arc::clone(&registry), &EngineConfig::default());
-        let input = "@ten 1.0 | 2.0\n@one 1.0 | 2.0\n@ghost 1.0 | 2.0\n?metrics\n";
-        let mut out = Vec::new();
-        let served = serve_lines(&eng, &mut input.as_bytes(), &mut out).unwrap();
-        assert_eq!(served, 2, "the ghost query is refused, not served");
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "20");
-        assert_eq!(lines[1], "2");
-        assert!(
-            lines[2].starts_with("!error unknown-model"),
-            "line: {}",
-            lines[2]
-        );
-        // the exposition: every line comment-prefixed so downstream
-        // parsers skip it, the fleet and each tenant counted apart
-        assert!(lines[3..].iter().all(|l| l.starts_with("# ")), "{text}");
-        for sample in [
-            "# selnet_requests_total 2",
-            "# selnet_requests_total{tenant=\"one\"} 1",
-            "# selnet_requests_total{tenant=\"ten\"} 1",
-            "# selnet_tenant_generation{tenant=\"ten\"} 0",
-        ] {
-            assert!(lines.contains(&sample), "missing {sample:?} in:\n{text}");
-        }
-        eng.shutdown();
     }
 
     /// A connection whose first word is not the handshake magic — here a
@@ -614,7 +522,7 @@ mod tests {
     }
 
     /// A v2 metrics scrape returns Prometheus text with fleet and
-    /// per-tenant families, and `?metrics` mirrors it over the text loop.
+    /// per-tenant families.
     #[test]
     fn v2_metrics_frame_returns_prometheus_text() {
         let registry = Arc::new(ModelRegistry::empty());
@@ -659,6 +567,7 @@ mod tests {
                     text.contains("selnet_tenant_generation{tenant=\"alpha\"} 0"),
                     "metrics: {text}"
                 );
+                assert!(!(text.contains("# span") || text.contains("# slow")));
             }
             other => panic!("expected metrics, got {other:?}"),
         }
@@ -667,23 +576,12 @@ mod tests {
         drop(stream);
         server.shutdown();
         eng.shutdown();
-
-        // the text protocol exposes the same text, comment-prefixed
-        let eng = engine();
-        let mut out = Vec::new();
-        serve_lines(&eng, &mut "?metrics\n".as_bytes(), &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(
-            text.lines().all(|l| l.starts_with("# ")),
-            "metrics lines must be comments: {text}"
-        );
-        assert!(text.contains("selnet_requests_total"), "text: {text}");
-        eng.shutdown();
     }
 
     /// The tracing acceptance criterion: a trace ID submitted over TCP is
     /// echoed in the v2 reply and appears in the slow-query log; a zero
-    /// trace ID is minted server-side and echoed nonzero.
+    /// trace ID is minted server-side and echoed nonzero. A metrics scrape
+    /// reads both back, with the traced request's spans.
     #[test]
     fn v2_traced_query_echoes_trace_id_and_lands_in_slow_log() {
         let eng = Engine::start(
@@ -691,6 +589,7 @@ mod tests {
             &EngineConfig {
                 workers: 1,
                 slow_query_us: 1,
+                trace_buffer: 64,
                 ..Default::default()
             },
         );
@@ -732,15 +631,20 @@ mod tests {
             other => panic!("expected traced estimates, got {other:?}"),
         };
 
-        let slow = eng.slow_queries();
-        assert!(
-            slow.iter().any(|q| q.trace_id == 0xC0FFEE),
-            "client trace ID missing from slow-query log: {slow:?}"
-        );
-        assert!(
-            slow.iter().any(|q| q.trace_id == minted),
-            "minted trace ID missing from slow-query log: {slow:?}"
-        );
+        Frame::Metrics.write_v2(&mut writer).unwrap();
+        writer.flush().unwrap();
+        match Response::read_v2(&mut reader).unwrap().unwrap() {
+            Response::Metrics(text) => {
+                for line in [
+                    "# slow trace=12648430 rows=1 ".to_string(),
+                    format!("# slow trace={minted} rows=1 "),
+                    "# span submit trace=12648430 ".to_string(),
+                ] {
+                    assert!(text.contains(&format!("\n{line}")), "{line:?}: {text}");
+                }
+            }
+            other => panic!("expected metrics, got {other:?}"),
+        }
         drop(writer);
         drop(reader);
         drop(stream);
@@ -749,8 +653,8 @@ mod tests {
     }
 
     /// A `NaN` or an infinity in the query vector or the threshold grid is
-    /// refused before it reaches a model — in process, over v2 and over
-    /// the text loop — and the connection keeps serving.
+    /// refused before it reaches a model — in process and over v2 — and
+    /// the connection keeps serving.
     #[test]
     fn non_finite_queries_are_refused_on_every_path() {
         let eng = engine();
@@ -805,18 +709,6 @@ mod tests {
         }
         drop((stream, reader, writer));
         server.shutdown();
-
-        let input = "NaN | 1.0\n1.0 | NaN\n1.0 | inf\n1.0 | 2.0\n";
-        let mut out = Vec::new();
-        let served = serve_lines(&eng, &mut input.as_bytes(), &mut out).unwrap();
-        assert_eq!(served, 1, "only the finite query is answered");
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4, "{text}");
-        for line in &lines[..3] {
-            assert!(line.starts_with("!error non-finite"), "line: {line}");
-        }
-        assert_eq!(lines[3], "3");
         eng.shutdown();
     }
 
