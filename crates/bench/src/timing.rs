@@ -119,7 +119,7 @@ mod tests {
         assert_eq!(json_keys(r#"{ "cut"#), Vec::<&str>::new());
         // the committed artifact scans from its first key to its last
         let keys = json_keys(include_str!("../../../BENCH_substrate.json"));
-        assert_eq!(keys[..3], ["description", "seed", "machine_cpus"]);
+        assert_eq!(keys[..3], ["description", "parallel", "machine_cpus"]);
         assert_eq!(keys.last(), Some(&"notes"));
     }
 }

@@ -49,9 +49,7 @@ pub mod pwl;
 pub mod train;
 pub mod update;
 
-pub use autoencoder::Autoencoder;
 pub use config::{LossKind, PartitionConfig, SelNetConfig, TauNormalization};
-pub use model::ControlPointNets;
 pub use partitioned::{fit_partitioned, PartitionedSelNet};
 pub use pwl::{fit_fixed_grid, fit_selnet_head, PiecewiseLinear, PwlFit};
 pub use train::{fit, fit_named, TrainReport};

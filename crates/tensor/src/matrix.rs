@@ -520,7 +520,8 @@ impl Matrix {
 
     /// Reference naive `ikj` matrix product, kept as the ground truth for
     /// the blocked kernels (property tests assert `matmul` is bit-identical
-    /// to it) and as the "before" baseline in the substrate benchmark.
+    /// to it) and as the reference of the `gemm` yardstick in the substrate
+    /// benchmark.
     /// Unlike the seed kernel it does **not** skip `a == 0.0` entries, so
     /// `0 * NaN` and `0 * Inf` propagate as IEEE 754 demands.
     pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
