@@ -164,7 +164,7 @@ impl SelectivityEstimator for Slow {
     }
 
     /// Sleeps once per wave, not once per threshold.
-    fn estimate_into(&self, queries: &[(&[f32], &[f32])], _: usize, out: &mut Vec<f64>) {
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
         std::thread::sleep(std::time::Duration::from_millis(2));
         out.clear();
         for &(x, ts) in queries {

@@ -169,22 +169,14 @@ impl SelectivityEstimator for PartitionedSelNet {
     /// plan" in `ARCHITECTURE.md`).
     fn estimate_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
         let mut out = Vec::with_capacity(ts.len());
-        self.estimate_into(&[(x, ts)], 1, &mut out);
+        self.estimate_into(&[(x, ts)], &mut out);
         out
     }
 
-    /// One network pass over the wave's query objects, fanned across up
-    /// to `threads` workers: the tape forward bit for bit, at every thread
-    /// count.
-    fn estimate_into(&self, queries: &[(&[f32], &[f32])], threads: usize, out: &mut Vec<f64>) {
-        replay_curves(
-            &self.plan(),
-            self.dim,
-            queries,
-            threads,
-            &self.partitioning,
-            out,
-        )
+    /// One network pass over the wave's query objects: the tape forward
+    /// bit for bit.
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+        replay_curves(&self.plan(), self.dim, queries, &self.partitioning, out)
     }
 
     fn query_dim(&self) -> Option<usize> {
@@ -796,7 +788,7 @@ mod tests {
             model.estimate_many(&q.x, &q.thresholds);
             model.estimate_batch(&[&q.x, &q.x], &q.thresholds[..2]);
             model.local_estimates(&q.x, q.thresholds[0]);
-            model.estimate_into(&[(&q.x, &q.thresholds)], 4, &mut out);
+            model.estimate_into(&[(&q.x, &q.thresholds)], &mut out);
             assert!(Arc::ptr_eq(&first_plan, &model.plan()));
         }
         assert!(
@@ -873,42 +865,33 @@ mod tests {
         );
     }
 
-    /// The fork gate keeps every test-sized wave on one thread, so the
-    /// chunked replay's bookkeeping (a chunk's first row, its slice of the
-    /// ragged output, the indicator on the chunk's own queries) would go
-    /// unexercised: build the smallest wave the gate splits three ways
-    /// and compare it with the serial replay bit for bit.
+    /// No other test replays a wave of thousands of ragged rows: 4 096
+    /// query objects with one to three thresholds each, in one
+    /// `estimate_into`, are per-query `estimate_many` bit for bit, every
+    /// row's estimates in its own slice of the flat output.
     #[test]
-    fn a_wave_past_the_fork_gate_is_chunked_and_bit_identical() {
+    fn a_large_ragged_wave_is_per_query_estimate_many() {
         let (ds, w) = fixture();
         let mut cfg = SelNetConfig::tiny();
         cfg.epochs = 2;
         let (model, _) = fit_partitioned(&ds, &w, &cfg, &tiny_pcfg());
-        let plan = model.plan();
-        let rows = (3 * selnet_tensor::parallel::FORK_MIN_WORK).div_ceil(plan.flops_per_row());
-        assert_eq!(plan.replay_threads(rows, 3), 3);
-        assert_eq!(plan.replay_threads(rows - 1, 3), 2);
-        assert_eq!(plan.replay_threads(64, 8), 1, "a serving wave stays serial");
-        let queries: Vec<(&[f32], &[f32])> = (0..rows)
+        let queries: Vec<(&[f32], &[f32])> = (0..4096)
             .map(|i| {
                 let q = &w.train[i % w.train.len()];
                 (q.x.as_slice(), &q.thresholds[i % 4..i % 4 + 1 + i % 3])
             })
             .collect();
-        let wave = |threads: usize| {
-            let mut out = Vec::new();
-            model.estimate_into(&queries, threads, &mut out);
-            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        };
-        let serial = wave(1);
-        assert_eq!(serial.len(), queries.iter().map(|(_, ts)| ts.len()).sum());
+        let mut wave = Vec::new();
+        model.estimate_into(&queries, &mut wave);
+        assert_eq!(wave.len(), queries.iter().map(|(_, ts)| ts.len()).sum());
+        let per_query: Vec<f64> = queries
+            .iter()
+            .flat_map(|&(x, ts)| model.estimate_many(x, ts))
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert!(
-            wave(3) == serial,
-            "three chunks diverged from the serial replay"
-        );
-        assert!(
-            wave(2) == serial,
-            "two chunks diverged from the serial replay"
+            bits(&wave) == bits(&per_query),
+            "the wave diverged from per-query estimate_many"
         );
     }
 

@@ -30,9 +30,7 @@ use std::sync::{Arc, RwLock};
 /// first; flat, query order) from a curve plan whose outputs are
 /// `[τ_0, p_0, τ_1, p_1, …]`.
 ///
-/// The plan runs once over the queries' objects — row-chunked across up
-/// to `threads` workers by [`InferencePlan::run_chunked`], each chunk
-/// owning the output slots of its rows' thresholds — then every `(x_i,
+/// The plan runs once over the queries' objects, then every `(x_i,
 /// t_ij)` interpolates its row's curves. The estimate is §5.3's
 /// `Σ_k f_c(x, t)[k] · f^(k)(x, t)` with `partitioning`'s indicator as
 /// `f_c`: curves it switches off are never interpolated and contribute the
@@ -41,63 +39,52 @@ pub(crate) fn replay_curves(
     plan: &InferencePlan,
     dim: usize,
     queries: &[(&[f32], &[f32])],
-    threads: usize,
     partitioning: &Partitioning,
     out: &mut Vec<f64>,
 ) {
-    let mut offsets = Vec::with_capacity(queries.len() + 1);
-    offsets.push(0usize);
-    for (x, ts) in queries {
-        assert_eq!(x.len(), dim, "query dimension mismatch");
-        offsets.push(offsets[offsets.len() - 1] + ts.len());
-    }
     out.clear();
-    out.resize(offsets[queries.len()], 0.0);
+    for (x, _) in queries {
+        assert_eq!(x.len(), dim, "query dimension mismatch");
+    }
+    if queries.is_empty() {
+        return;
+    }
     let curves = plan.num_outputs() / 2;
-    plan.run_chunked(
-        &offsets,
-        threads,
-        out.as_mut_slice(),
-        |first_row, m| {
-            let rows = m.data_mut().chunks_exact_mut(dim);
-            for (row, (x, _)) in rows.zip(&queries[first_row..]) {
+    PlanBuffers::with_pooled(|bufs| {
+        let run = plan.run(bufs, queries.len(), |m| {
+            for (row, (x, _)) in m.data_mut().chunks_exact_mut(dim).zip(queries) {
                 row.copy_from_slice(x);
             }
-        },
-        |first_row, run, chunk| {
-            // τ is one shared row when the model was trained without
-            // query-dependent knots
-            let row_of = |output: usize, j: usize| {
-                let m = run.output(output);
-                m.row(if m.rows() == 1 { 0 } else { j })
-            };
-            let mut knots: Vec<(&[f32], &[f32])> = Vec::with_capacity(curves);
-            let mut on: Vec<bool> = Vec::new();
-            let mut slot = 0;
-            let chunk_queries = &queries[first_row..first_row + run.rows()];
-            for (j, &(x, ts)) in chunk_queries.iter().enumerate() {
-                knots.clear();
-                knots.extend((0..curves).map(|k| (row_of(2 * k, j), row_of(2 * k + 1, j))));
-                // one indicator pass per query object: the distances to
-                // the region centres do not depend on the threshold
-                partitioning.indicator_many_into(x, ts, &mut on);
-                for (i, &t) in ts.iter().enumerate() {
-                    chunk[slot] = knots
-                        .iter()
-                        .zip(&on[i * curves..(i + 1) * curves])
-                        .map(|(&(tau, p), &on)| {
-                            if on {
-                                pwl_interp_row(tau, p, t) as f64
-                            } else {
-                                0.0
-                            }
-                        })
-                        .sum();
-                    slot += 1;
-                }
-            }
-        },
-    );
+        });
+        // τ is one shared row when the model was trained without
+        // query-dependent knots
+        let row_of = |output: usize, j: usize| {
+            let m = run.output(output);
+            m.row(if m.rows() == 1 { 0 } else { j })
+        };
+        let mut knots: Vec<(&[f32], &[f32])> = Vec::with_capacity(curves);
+        let mut on: Vec<bool> = Vec::new();
+        for (j, &(x, ts)) in queries.iter().enumerate() {
+            knots.clear();
+            knots.extend((0..curves).map(|k| (row_of(2 * k, j), row_of(2 * k + 1, j))));
+            // one indicator pass per query object: the distances to the
+            // region centres do not depend on the threshold
+            partitioning.indicator_many_into(x, ts, &mut on);
+            out.extend(ts.iter().enumerate().map(|(i, &t)| {
+                knots
+                    .iter()
+                    .zip(&on[i * curves..(i + 1) * curves])
+                    .map(|(&(tau, p), &on)| {
+                        if on {
+                            pwl_interp_row(tau, p, t) as f64
+                        } else {
+                            0.0
+                        }
+                    })
+                    .sum::<f64>()
+            }));
+        }
+    });
 }
 
 /// The control points `(τ_k, p_k)` a curve plan places for one query —

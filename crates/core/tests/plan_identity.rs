@@ -3,8 +3,8 @@
 //! counts, methods and τ variants, `estimate_into` over random ragged
 //! query sets (empty grids, single thresholds, 40-point grids, repeated
 //! query objects) produces exactly the bits of the tape reference
-//! `tape_estimate_into` and of per-query `estimate_many`, at every thread
-//! count — before a retrain, after a §5.4 `check_and_update` retrain
+//! `tape_estimate_into` and of per-query `estimate_many` — before a
+//! retrain, after a §5.4 `check_and_update` retrain
 //! (plan cache invalidated by the parameter-version bump), and after a
 //! snapshot round-trip.
 
@@ -67,13 +67,9 @@ fn ragged_wave(w: &Workload, seed: u64) -> Vec<(Vec<f32>, Vec<f32>)> {
         .collect()
 }
 
-fn wave_at<M: SelectivityEstimator>(
-    model: &M,
-    queries: &[(&[f32], &[f32])],
-    threads: usize,
-) -> Vec<f64> {
+fn wave_at<M: SelectivityEstimator>(model: &M, queries: &[(&[f32], &[f32])]) -> Vec<f64> {
     let mut out = vec![f64::NAN; 3]; // stale contents must be cleared
-    model.estimate_into(queries, threads, &mut out);
+    model.estimate_into(queries, &mut out);
     out
 }
 
@@ -83,7 +79,7 @@ fn assert_one_path(model: &PartitionedSelNet, w: &Workload, seed: u64, label: &s
         .iter()
         .map(|(x, ts)| (x.as_slice(), ts.as_slice()))
         .collect();
-    let exact = wave_at(model, &queries, 1);
+    let exact = wave_at(model, &queries);
 
     // the tape oracle over the whole wave, over each query alone, and over
     // the flattened (x, t) rows
@@ -120,16 +116,7 @@ fn assert_one_path(model: &PartitionedSelNet, w: &Workload, seed: u64, label: &s
         model.estimate_batch(&xs, &ts),
         "{label}: wave vs estimate_batch"
     );
-    assert_eq!(wave_at(model, &[], 4), Vec::<f64>::new());
-
-    // threads never change a bit
-    for threads in [2usize, 4, 8] {
-        assert_eq!(
-            exact,
-            wave_at(model, &queries, threads),
-            "{label}: at {threads} threads"
-        );
-    }
+    assert_eq!(wave_at(model, &[]), Vec::<f64>::new());
 
     // local estimates: the indicator-masked sum of the per-part values
     // equals the global estimate bit for bit

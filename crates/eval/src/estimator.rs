@@ -25,27 +25,20 @@ pub trait SelectivityEstimator {
             .map(|(x, t)| (*x, std::slice::from_ref(t)))
             .collect();
         let mut out = Vec::with_capacity(queries.len());
-        self.estimate_into(&queries, 1, &mut out);
+        self.estimate_into(&queries, &mut out);
         out
     }
 
     /// The serving hook: answers every `(x, ts)` query of a wave into
     /// `out` (cleared first), flat in query order — query `i`'s estimates
-    /// follow query `i - 1`'s, one per threshold. `threads` is the worker
-    /// budget one wave may fan its evaluation across (`0` = the
-    /// process-wide `selnet_tensor::parallel` configuration, `1` =
-    /// serial).
+    /// follow query `i - 1`'s, one per threshold.
     ///
-    /// The default ignores `threads` and loops
-    /// [`SelectivityEstimator::estimate_many`] — correct for estimators
-    /// without compiled plans (histograms, samplers, reference tapes),
-    /// which have nothing to fan out. Plan-backed models override it with
-    /// one network pass over the wave's query objects; an override must
-    /// produce exactly the values `estimate_many` returns per query, and
-    /// `threads` must never change a bit (parallelism is a latency knob,
-    /// never an accuracy knob).
-    fn estimate_into(&self, queries: &[(&[f32], &[f32])], threads: usize, out: &mut Vec<f64>) {
-        let _ = threads;
+    /// The default loops [`SelectivityEstimator::estimate_many`] — correct
+    /// for estimators without compiled plans (histograms, samplers,
+    /// reference tapes). Plan-backed models override it with one network
+    /// pass over the wave's query objects; an override must produce
+    /// exactly the values `estimate_many` returns per query.
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
         out.clear();
         for &(x, ts) in queries {
             out.extend(self.estimate_many(x, ts));
@@ -83,8 +76,8 @@ impl<T: SelectivityEstimator + ?Sized> SelectivityEstimator for Box<T> {
         (**self).estimate_batch(xs, ts)
     }
 
-    fn estimate_into(&self, queries: &[(&[f32], &[f32])], threads: usize, out: &mut Vec<f64>) {
-        (**self).estimate_into(queries, threads, out)
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+        (**self).estimate_into(queries, out)
     }
 
     fn query_dim(&self) -> Option<usize> {

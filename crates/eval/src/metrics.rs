@@ -93,7 +93,7 @@ pub fn empirical_monotonicity(
         .collect();
     let mut preds = Vec::with_capacity(num_thresholds);
     for q in queries.iter().take(take) {
-        model.estimate_into(&[(&q.x, &ts)], 1, &mut preds);
+        model.estimate_into(&[(&q.x, &ts)], &mut preds);
         let mut ok = 0usize;
         let mut pairs = 0usize;
         for i in 0..preds.len() {

@@ -713,7 +713,7 @@ where
                 .detail(ts.len() as u64, 0)
         });
         let mut values = Vec::new();
-        tenant.current().1.estimate_into(&[(x, ts)], 1, &mut values);
+        tenant.current().1.estimate_into(&[(x, ts)], &mut values);
         let us = started.elapsed().as_micros() as u64;
         tenant.stats().record_inline();
         tenant.stats().record_request(ts.len() as u64, us);
@@ -1004,7 +1004,7 @@ where
                 .recorder
                 .span("plan_replay", 0)
                 .detail(total_rows as u64, generation);
-            model.estimate_into(&queries, 1, &mut scratch.flat);
+            model.estimate_into(&queries, &mut scratch.flat);
         }
         tenant.stats().record_batch(total_rows as u64);
         let mut offset = 0usize;

@@ -35,10 +35,9 @@
 //! forward pass (both execute the same shared kernels). See the
 //! [`InferencePlan`] docs for the compile/replay lifecycle. A plan has one
 //! batch-scaled input and eight row-independent instructions — the
-//! program a SelNet model serves — so [`InferencePlan::run_chunked`] may
-//! split a wave's rows across threads without changing a bit; every other
-//! tape op (`pwl_interp`, `sum`, `gather_rows`, `sigmoid`, …) is refused
-//! at compile time with a [`PlanError`].
+//! program a SelNet model serves; every other tape op (`pwl_interp`,
+//! `sum`, `gather_rows`, `sigmoid`, …) is refused at compile time with a
+//! [`PlanError`].
 //!
 //! ## Kernels and threading
 //!

@@ -6,8 +6,7 @@
 //! There is no persistent thread pool, and in this crate, the ones above
 //! it and the two below it that fork (`selnet-data`'s `fasttext_like`,
 //! `selnet-index`'s cover-tree build) exactly one place that spawns:
-//! [`fork_join`]. Every helper here, the chunked plan replay
-//! ([`crate::InferencePlan::run_chunked`]), the labelling scan in
+//! [`fork_join`]. Every helper here, the labelling scan in
 //! `selnet-workload`, the generator's transforms and the tree build's
 //! workers hand it a list of disjoint parts, and it obeys three rules:
 //!
@@ -21,11 +20,11 @@
 //!    per-partition pretraining tapes therefore never stack matmul forks
 //!    on top of their own fan-out, and the machine never runs more
 //!    threads than the outermost fork asked for.
-//! 3. **One gate.** Where the work is countable — a matmul, a plan
-//!    replay, a row copy — a fork is only taken when every engaged worker
-//!    gets at least [`FORK_MIN_WORK`] elementary operations
-//!    ([`gated_threads`]); the constant is derived from the measured cost
-//!    of one fork-join (see its docs). [`par_map_indexed`] and
+//! 3. **One gate.** Where the work is countable — a matmul, a row copy —
+//!    a fork is only taken when every engaged worker gets at least
+//!    [`FORK_MIN_WORK`] elementary operations (`gated_threads`); the
+//!    constant is derived from the measured cost of one fork-join (see
+//!    its docs). [`par_map_indexed`] and
 //!    [`par_map_states`] run opaque closures and take their minimum items
 //!    per worker from the caller, who knows what one item costs.
 //!
@@ -53,9 +52,8 @@ use std::sync::OnceLock;
 
 static CONFIGURED: AtomicUsize = AtomicUsize::new(0);
 
-/// Elementary operations (one multiply-add of a matmul or a plan replay,
-/// one copied element) each engaged worker must receive before a fork is
-/// taken.
+/// Elementary operations (one multiply-add of a matmul, one copied
+/// element) each engaged worker must receive before a fork is taken.
 ///
 /// Derivation, from `BENCH_substrate.json` on the 2-vCPU recording host:
 /// one empty two-way [`fork_join`] — a scope, one spawn, one join — is
@@ -69,10 +67,11 @@ static CONFIGURED: AtomicUsize = AtomicUsize::new(0);
 /// twenty times the usual one. The gate this replaces, `2^21`
 /// multiply-adds *in total* (≈ 50 µs), sat below the fork itself: on the
 /// paper fixture a joint training step ran 25–29 ms at two threads
-/// against 19–23 ms at one, and a 64-row serving wave replayed in 0.095 ms
-/// at two threads against 0.045 ms at one (before this gate). Now the 256-row training products (≤ `2^23.3`
-/// multiply-adds) and every test-sized wave stay on the calling thread,
-/// and default threads never train slower than `SELNET_THREADS=1`.
+/// against 19–23 ms at one, and a 64-row serving wave, when plan replay
+/// still forked, replayed in 0.095 ms at two threads against 0.045 ms at
+/// one. Now the 256-row training products (≤ `2^23.3` multiply-adds)
+/// stay on the calling thread, and default threads never train slower
+/// than `SELNET_THREADS=1`.
 pub const FORK_MIN_WORK: usize = 1 << 24;
 
 fn default_threads() -> usize {
@@ -141,8 +140,8 @@ impl Drop for Region {
 /// Workers a fork taken from the calling thread may engage:
 /// [`effective_threads`]`(requested)`, or 1 inside a parallel region
 /// (rule 2 of the module docs). Callers that size their own split —
-/// the matmul gate, [`crate::InferencePlan::replay_threads`], the
-/// labelling scans — resolve their thread count through this.
+/// the matmul gate, the labelling scans — resolve their thread count
+/// through this.
 pub fn fork_threads(requested: usize) -> usize {
     if IN_REGION.get() {
         1
@@ -154,7 +153,7 @@ pub fn fork_threads(requested: usize) -> usize {
 /// Workers worth engaging for `work` elementary operations: at most
 /// [`fork_threads`]`(requested)`, each with at least [`FORK_MIN_WORK`] of
 /// them (rule 3 of the module docs).
-pub fn gated_threads(requested: usize, work: usize) -> usize {
+pub(crate) fn gated_threads(requested: usize, work: usize) -> usize {
     fork_threads(requested).min(work / FORK_MIN_WORK).max(1)
 }
 
@@ -194,11 +193,10 @@ where
 /// least `min_per_chunk` items (the final range takes the remainder).
 ///
 /// The boundaries depend only on `(total, threads, min_per_chunk)` —
-/// never on scheduling — which is what makes every consumer here (and
-/// the chunked plan replay in [`crate::InferencePlan::run_chunked`])
-/// deterministic: the same
-/// inputs and the same thread count always produce the same partition.
-pub fn chunk_ranges(total: usize, threads: usize, min_per_chunk: usize) -> Vec<(usize, usize)> {
+/// never on scheduling — which is what makes every consumer here
+/// deterministic: the same inputs and the same thread count always
+/// produce the same partition.
+fn chunk_ranges(total: usize, threads: usize, min_per_chunk: usize) -> Vec<(usize, usize)> {
     if total == 0 {
         return Vec::new();
     }
@@ -212,7 +210,7 @@ pub fn chunk_ranges(total: usize, threads: usize, min_per_chunk: usize) -> Vec<(
 }
 
 /// Cuts `data` into one `&mut` slice per range, `unit` elements to a
-/// range item; the ranges are contiguous from 0 (as [`chunk_ranges`]
+/// range item; the ranges are contiguous from 0 (as `chunk_ranges`
 /// returns them).
 fn split_ranges<'a, T>(
     mut data: &'a mut [T],
@@ -228,7 +226,7 @@ fn split_ranges<'a, T>(
     parts
 }
 
-/// [`chunk_ranges`] for a fork from the calling thread: one range inside
+/// `chunk_ranges` for a fork from the calling thread: one range inside
 /// a parallel region.
 fn fork_ranges(total: usize, threads: usize, min_per_chunk: usize) -> Vec<(usize, usize)> {
     let threads = if IN_REGION.get() { 1 } else { threads };

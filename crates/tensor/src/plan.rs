@@ -36,8 +36,8 @@
 //! and `gather_rows` (whose output row reads another row of its input),
 //! `pwl_interp`, `lattice`, the other elementwise ops, or a `matmul` that
 //! does not fuse into an affine — is a [`PlanError`] naming the op. Every
-//! instruction is **row-independent** over the batch dimension, which is
-//! what lets [`InferencePlan::run_chunked`] split a wave anywhere.
+//! instruction is **row-independent** over the batch dimension: a row's
+//! outputs read that row of the input and nothing else.
 //!
 //! ## The pass pipeline
 //!
@@ -46,8 +46,7 @@
 //! outputs against the probe tape; **DCE** computes reachability, use
 //! counts and the matmuls that fuse; **lower** emits one instruction per
 //! surviving node, named by node ids, baking parameters and fusing
-//! affines; **buffer assignment** resolves node ids to dense arena slots
-//! and counts the per-row work the replay-thread gate reads.
+//! affines; **buffer assignment** resolves node ids to dense arena slots.
 //!
 //! ## Row scaling
 //!
@@ -247,55 +246,15 @@ impl PlanBuffers {
             f(&mut b)
         })
     }
-
-    /// Runs `f` with an arena drawn from the **process-global free list**
-    /// behind [`InferencePlan::run_chunked`].
-    ///
-    /// Chunked replay workers are `std::thread::scope` threads that die at
-    /// the end of every wave, so [`PlanBuffers::with_pooled`]'s
-    /// thread-local arenas can never survive from one wave to the next.
-    /// This pool survives instead: an arena is popped under a brief lock
-    /// (or freshly created when the list is empty), used lock-free for the
-    /// whole replay, and pushed back afterwards. Any arena serves any plan
-    /// ([`InferencePlan::run`] reshapes the buffers and keeps their
-    /// capacity), so the list is one `Vec` for the whole process: a plan
-    /// retired by a hot swap leaves nothing behind, and steady-state chunk
-    /// replays stay allocation-free like the thread-local path. If `f`
-    /// panics the arena is simply dropped, never returned poisoned.
-    fn with_shared<R>(f: impl FnOnce(&mut PlanBuffers) -> R) -> R {
-        let mut arena = SHARED_ARENAS
-            .lock()
-            .expect("arena pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        let r = f(&mut arena);
-        let mut pool = SHARED_ARENAS.lock().expect("arena pool poisoned");
-        if pool.len() < SHARED_ARENA_CAP {
-            pool.push(arena);
-        }
-        r
-    }
 }
-
-/// Arenas [`PlanBuffers::with_shared`] retains; beyond this, returns are
-/// dropped so a one-off wide fan-out can't pin memory forever.
-const SHARED_ARENA_CAP: usize = 64;
-static SHARED_ARENAS: std::sync::Mutex<Vec<PlanBuffers>> = std::sync::Mutex::new(Vec::new());
 
 /// Read-only view of a finished replay's outputs, borrowing the arena.
 pub struct PlanOutputs<'a> {
     plan: &'a InferencePlan,
     bufs: &'a PlanBuffers,
-    rows: usize,
 }
 
 impl PlanOutputs<'_> {
-    /// The batch row count this replay ran at (a chunk's rows under
-    /// [`InferencePlan::run_chunked`]).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// The `i`-th output matrix (same order as the `outputs` slice given
     /// to [`InferencePlan::compile`]).
     pub fn output(&self, i: usize) -> &Matrix {
@@ -323,11 +282,6 @@ pub struct InferencePlan {
     /// `i`'s output at `i + 1`.
     buf_shapes: Vec<(RowSpec, usize)>,
     outputs: Vec<Arg>,
-    /// Counted multiply-add estimate **per batch row** of one replay
-    /// (affine inner products dominate; elementwise ops count one per
-    /// output element). Drives the chunked-replay engagement threshold —
-    /// see [`InferencePlan::replay_threads`].
-    flops_per_row: usize,
 }
 
 impl InferencePlan {
@@ -386,7 +340,7 @@ impl InferencePlan {
         fill: impl FnOnce(&mut Matrix),
     ) -> PlanOutputs<'b> {
         let _span = selnet_obs::trace::global()
-            .span("plan_replay", 0)
+            .span("plan_run", 0)
             .detail(rows as u64, self.instrs.len() as u64);
         if bufs.bufs.len() < self.buf_shapes.len() {
             bufs.bufs
@@ -398,132 +352,7 @@ impl InferencePlan {
         for (i, instr) in self.instrs.iter().enumerate() {
             self.exec(instr, i + 1, &mut bufs.bufs, rows);
         }
-        PlanOutputs {
-            plan: self,
-            bufs,
-            rows,
-        }
-    }
-
-    /// Counted multiply-add estimate per batch row of one replay — the
-    /// quantity [`InferencePlan::replay_threads`] derives its engagement
-    /// threshold from.
-    pub fn flops_per_row(&self) -> usize {
-        self.flops_per_row
-    }
-
-    /// Worker threads a chunked replay of `rows` batch rows would engage:
-    /// the resolved thread count (`requested` through
-    /// [`crate::parallel::gated_threads`]: 1 inside a parallel region),
-    /// capped so every engaged worker has at least
-    /// [`crate::parallel::FORK_MIN_WORK`] counted muladds of work — the
-    /// wave's total, since a wave is a whole plan of skinny products none
-    /// of which would pass the gate alone — and at least one row.
-    pub fn replay_threads(&self, rows: usize, requested: usize) -> usize {
-        if rows < 2 {
-            return 1;
-        }
-        let work = rows.saturating_mul(self.flops_per_row.max(1));
-        crate::parallel::gated_threads(requested, work).min(rows)
-    }
-
-    /// Replays the plan with the batch rows split into contiguous chunks
-    /// across up to `threads` scoped worker threads (resolved via
-    /// [`InferencePlan::replay_threads`]), **bit-identical to
-    /// [`InferencePlan::run`] at every thread count**.
-    ///
-    /// Why bit-identity holds: chunk boundaries come from
-    /// [`crate::parallel::chunk_ranges`] and depend only on `(rows,
-    /// engaged threads)`; every chunk runs the same per-row kernels the
-    /// serial replay runs (each output element's reduction order is
-    /// unchanged — the kernels accumulate strictly in index order and
-    /// never across rows); and no instruction crosses rows (the tape's
-    /// batch reductions do not compile). Fixed-shape (non-batch)
-    /// instructions are recomputed per chunk from identical inputs —
-    /// redundant arithmetic, identical bits.
-    ///
-    /// * `offsets` — `rows + 1` non-decreasing prefix offsets into `out`:
-    ///   batch row `r` owns `out[offsets[r]..offsets[r + 1]]` (a query row
-    ///   owns one slot per threshold; `0..=rows` gives one slot per row).
-    ///   Each chunk writes the disjoint sub-slice of its rows.
-    /// * `fill(first_row, m)` — like [`InferencePlan::run`]'s fill but
-    ///   with the chunk's first global row: copy rows
-    ///   `first_row..first_row + m.rows()`.
-    /// * `consume(first_row, outputs, chunk)` — scatter the chunk's
-    ///   replay outputs (row `j` of a batch output is global row
-    ///   `first_row + j`) into `chunk`, which starts at
-    ///   `offsets[first_row]`.
-    ///
-    /// With one engaged thread this *is* the serial path:
-    /// [`PlanBuffers::with_pooled`] arena, one `run`, one consume.
-    /// Engaged chunks (the first on the calling thread, see
-    /// [`crate::parallel::fork_join`]) draw arenas from the process-wide
-    /// free list instead, since scoped workers die at wave end and
-    /// thread-local arenas would never be reused.
-    pub fn run_chunked<O, Fill, Consume>(
-        &self,
-        offsets: &[usize],
-        threads: usize,
-        out: &mut [O],
-        fill: Fill,
-        consume: Consume,
-    ) where
-        O: Send,
-        Fill: Fn(usize, &mut Matrix) + Sync,
-        Consume: Fn(usize, PlanOutputs<'_>, &mut [O]) + Sync,
-    {
-        let rows = offsets.len().saturating_sub(1);
-        let engaged = self.replay_threads(rows, threads);
-        self.run_in_chunks(offsets, engaged, out, fill, consume)
-    }
-
-    /// [`InferencePlan::run_chunked`] on exactly `chunks` row chunks
-    /// (fewer when there are fewer rows), whatever the gate would say.
-    fn run_in_chunks<O, Fill, Consume>(
-        &self,
-        offsets: &[usize],
-        chunks: usize,
-        out: &mut [O],
-        fill: Fill,
-        consume: Consume,
-    ) where
-        O: Send,
-        Fill: Fn(usize, &mut Matrix) + Sync,
-        Consume: Fn(usize, PlanOutputs<'_>, &mut [O]) + Sync,
-    {
-        let rows = offsets.len().saturating_sub(1);
-        if rows == 0 {
-            return;
-        }
-        assert_eq!(
-            out.len(),
-            offsets[rows] - offsets[0],
-            "run_chunked: out must span the rows' offsets"
-        );
-        let ranges = crate::parallel::chunk_ranges(rows, chunks, 1);
-        if ranges.len() <= 1 {
-            PlanBuffers::with_pooled(|bufs| {
-                let run = self.run(bufs, rows, |m| fill(0, m));
-                consume(0, run, out);
-            });
-            return;
-        }
-        let mut rest = out;
-        let chunks: Vec<_> = ranges
-            .iter()
-            .map(|&(start, end)| {
-                let (head, tail) =
-                    std::mem::take(&mut rest).split_at_mut(offsets[end] - offsets[start]);
-                rest = tail;
-                (start, end, head)
-            })
-            .collect();
-        crate::parallel::fork_join(chunks, |(start, end, head)| {
-            PlanBuffers::with_shared(|bufs| {
-                let run = self.run(bufs, end - start, |m| fill(start, m));
-                consume(start, run, head);
-            });
-        });
+        PlanOutputs { plan: self, bufs }
     }
 
     /// Runs `instr` into buffer `out_id`.
@@ -739,46 +568,12 @@ fn pass_assign_buffers(
         ));
     }
     let outputs = outputs.iter().map(|v| arg_of(v.0, &buf_of)).collect();
-    let flops_per_row = pass_cost(&resolved, &buf_shapes, &consts);
     InferencePlan {
         instrs: resolved,
         consts,
         buf_shapes,
         outputs,
-        flops_per_row,
     }
-}
-
-/// Cost analysis over the resolved instruction stream: the counted
-/// multiply-add estimate of one batch row. An affine counts
-/// `inner × out_cols`, block-linear its weight elements, everything
-/// elementwise one per output element. It is an engagement heuristic (the
-/// replay-threads derivation above), not an exact FLOP audit — constants
-/// chosen so the skinny serving shapes land where measurement says they
-/// should.
-fn pass_cost(instrs: &[Instr<Arg>], buf_shapes: &[(RowSpec, usize)], consts: &[Matrix]) -> usize {
-    let arg_cols = |a: Arg| match a {
-        Arg::Buf(b) => buf_shapes[b as usize].1,
-        Arg::Const(c) => consts[c as usize].cols(),
-    };
-    let arg_elems = |a: Arg| match a {
-        Arg::Buf(b) => match buf_shapes[b as usize] {
-            (RowSpec::Fixed(r), cols) => r * cols,
-            (RowSpec::Batch, cols) => cols,
-        },
-        Arg::Const(c) => consts[c as usize].data().len(),
-    };
-    let mut flops = 0usize;
-    for (instr, &(out_spec, out_cols)) in instrs.iter().zip(&buf_shapes[1..]) {
-        if out_spec == RowSpec::Batch {
-            flops += match *instr {
-                Instr::Affine { x, .. } => arg_cols(x) * out_cols,
-                Instr::BlockLinear { weight, .. } => arg_elems(weight),
-                _ => out_cols,
-            };
-        }
-    }
-    flops
 }
 
 /// The refusal of a tape op without an instruction, naming the graph
@@ -1033,158 +828,5 @@ mod tests {
             let y = g.matmul(x, w);
             g.relu(y)
         });
-    }
-
-    /// Shared tape fixture for the chunked-replay tests: a two-layer MLP
-    /// `relu(x@w1+b1)@w2+b2`.
-    fn mlp_fixture() -> (Graph, Var, Var) {
-        let mut g = Graph::new();
-        let xv = g.leaf_with(4, 6, |d| {
-            for (i, v) in d.iter_mut().enumerate() {
-                *v = ((i * 13 % 17) as f32 - 8.0) * 0.21;
-            }
-        });
-        let w1 = Matrix::from_fn(6, 8, |i, j| {
-            let v = ((i * 8 + j) as f32 * 0.7).sin();
-            v * if (i + j) % 3 == 0 { 1.0 } else { 0.02 }
-        });
-        let b1 = Matrix::from_fn(1, 8, |_, j| j as f32 * 0.05 - 0.2);
-        let w2 = Matrix::from_fn(8, 3, |i, j| ((i * 3 + j) as f32 * 1.3).cos() * 0.6);
-        let b2 = Matrix::from_fn(1, 3, |_, j| 0.1 - j as f32 * 0.04);
-        let w1v = g.leaf_ref(&w1);
-        let b1v = g.leaf_ref(&b1);
-        let w2v = g.leaf_ref(&w2);
-        let b2v = g.leaf_ref(&b2);
-        let mm1 = g.matmul(xv, w1v);
-        let a1 = g.add_row_vec(mm1, b1v);
-        let h = g.relu(a1);
-        let mm2 = g.matmul(h, w2v);
-        let y = g.add_row_vec(mm2, b2v);
-        (g, xv, y)
-    }
-
-    fn run_plan(plan: &InferencePlan, x: &Matrix) -> Vec<f32> {
-        let mut bufs = PlanBuffers::new();
-        let out = plan.run(&mut bufs, x.rows(), |m| {
-            m.data_mut().copy_from_slice(x.data())
-        });
-        out.output(0).data().to_vec()
-    }
-
-    /// The fork gate keeps small waves serial, so `run_chunked` on a test
-    /// plan never splits; forced to 1, 2, 3, 5 and more-than-rows chunks,
-    /// the replay is the serial one bit for bit, every row's outputs
-    /// landing in its own ragged slice of `out`, and the first chunk runs
-    /// on the calling thread.
-    #[test]
-    fn forced_chunks_replay_bit_identically_with_chunk_zero_on_the_caller() {
-        let (g, xv, y) = mlp_fixture();
-        let plan = InferencePlan::compile(&g, xv, &[y]).unwrap();
-        assert_eq!(plan.replay_threads(64, 8), 1, "a tiny wave stays serial");
-        let caller = std::thread::current().id();
-        for rows in [1usize, 2, 7, 64] {
-            let x = Matrix::from_fn(rows, 6, |i, j| ((i * 6 + j) as f32).sin());
-            let serial = run_plan(&plan, &x);
-            // row r owns its 3 outputs, 1 + r % 2 times over
-            let mut offsets = vec![0usize];
-            for r in 0..rows {
-                offsets.push(offsets[r] + 3 * (1 + r % 2));
-            }
-            let want: Vec<f32> = (0..rows)
-                .flat_map(|r| serial[r * 3..r * 3 + 3].repeat(1 + r % 2))
-                .collect();
-            for chunks in [1usize, 2, 3, 5, 100] {
-                let mut got = vec![0.0f32; want.len()];
-                plan.run_in_chunks(
-                    &offsets,
-                    chunks,
-                    &mut got,
-                    |first_row, m| {
-                        let take = m.rows() * 6;
-                        m.data_mut()
-                            .copy_from_slice(&x.data()[first_row * 6..first_row * 6 + take]);
-                    },
-                    |first_row, run, chunk| {
-                        if first_row == 0 {
-                            assert_eq!(std::thread::current().id(), caller);
-                        }
-                        let base = offsets[first_row];
-                        for j in 0..run.rows() {
-                            let r = first_row + j;
-                            let values = &run.output(0).data()[j * 3..j * 3 + 3];
-                            for copy in
-                                chunk[offsets[r] - base..offsets[r + 1] - base].chunks_exact_mut(3)
-                            {
-                                copy.copy_from_slice(values);
-                            }
-                        }
-                    },
-                );
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&want), "rows {rows} chunks {chunks}");
-            }
-        }
-    }
-
-    /// Replays `x` through `plan` in `chunks` forced row chunks, one output
-    /// row (3 values) per batch row; `held` runs in every chunk while it
-    /// still holds its arena.
-    fn run_forced(
-        plan: &InferencePlan,
-        x: &Matrix,
-        chunks: usize,
-        held: impl Fn() + Sync,
-    ) -> Vec<f32> {
-        let offsets: Vec<usize> = (0..=x.rows()).map(|r| 3 * r).collect();
-        let mut got = vec![0.0f32; 3 * x.rows()];
-        plan.run_in_chunks(
-            &offsets,
-            chunks,
-            &mut got,
-            |first_row, m| {
-                let take = m.rows() * 6;
-                m.data_mut()
-                    .copy_from_slice(&x.data()[first_row * 6..first_row * 6 + take]);
-            },
-            |_, run, chunk| {
-                held();
-                chunk.copy_from_slice(run.output(0).data());
-            },
-        );
-        got
-    }
-
-    /// A hot swap compiles a new plan; the arenas the retired one used must
-    /// not pile up behind it. 200 plans chunk-replayed in turn share one
-    /// free list that never outgrows its cap — not even after a wave that
-    /// holds more arenas at once than the cap — and every chunked answer
-    /// is the serial one bit for bit.
-    #[test]
-    fn arena_pool_stays_bounded_across_many_plans() {
-        let pooled = || SHARED_ARENAS.lock().expect("arena pool poisoned").len();
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let compile = || {
-            let (g, xv, y) = mlp_fixture();
-            InferencePlan::compile(&g, xv, &[y]).unwrap()
-        };
-        let x = Matrix::from_fn(7, 6, |i, j| ((i * 6 + j) as f32).sin());
-        for _ in 0..200 {
-            let plan = compile();
-            assert_eq!(
-                bits(&run_forced(&plan, &x, 3, || {})),
-                bits(&run_plan(&plan, &x))
-            );
-            assert!(pooled() <= SHARED_ARENA_CAP);
-        }
-        // every chunk waits for all the others with its arena in hand
-        let wide = SHARED_ARENA_CAP + 8;
-        let plan = compile();
-        let x = Matrix::from_fn(wide, 6, |i, j| ((i * 6 + j) as f32).cos());
-        let all_out = std::sync::Barrier::new(wide);
-        let got = run_forced(&plan, &x, wide, || {
-            all_out.wait();
-        });
-        assert_eq!(bits(&got), bits(&run_plan(&plan, &x)));
-        assert!(pooled() <= SHARED_ARENA_CAP);
     }
 }

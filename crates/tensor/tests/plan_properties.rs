@@ -226,68 +226,4 @@ proptest! {
             prop_assert_eq!(&y, &reference);
         }
     }
-
-    /// Row-chunked parallel replay is **bit-identical** to single-threaded
-    /// replay at every thread count — including uneven splits and more
-    /// threads than rows. The chunk boundary can never change a bit
-    /// because every batch-scaled kernel is per-row and chunk boundaries
-    /// are deterministic.
-    #[test]
-    fn chunked_replay_matches_serial_at_every_thread_count(
-        seed in 0u64..10_000,
-        query_dependent_pick in 0usize..2,
-    ) {
-        let f = fixture(seed ^ 0xc4a11);
-        let mut g = Graph::new();
-        let (xv, tau, p) = record_curves(&mut g, &f, &probe_x(), false, query_dependent_pick == 1);
-        let plan = InferencePlan::compile(&g, xv, &[tau, p])
-            .expect("batch tape must compile");
-        prop_assert!(plan.flops_per_row() > 0);
-
-        // uneven row counts on purpose: primes, rows < threads, rows = 1
-        for rows in [1usize, 3, 5, 13, 64, 67] {
-            let x = batch_x(seed, rows);
-            let ts = thresholds(rows);
-            // serial reference through the plain replay path
-            let reference: Vec<f32> = {
-                let mut bufs = PlanBuffers::new();
-                let out = plan.run(&mut bufs, rows, |m| m.data_mut().copy_from_slice(x.data()));
-                (0..rows).map(|j| interpolate(&out, j, ts[j])).collect()
-            };
-            // ragged ownership: row r owns 1 + r % 3 output slots (a query
-            // row owns one slot per threshold), each holding the row's value
-            let mut offsets = vec![0usize];
-            for r in 0..rows {
-                offsets.push(offsets[r] + 1 + r % 3);
-            }
-            let want: Vec<f32> = (0..rows)
-                .flat_map(|r| std::iter::repeat_n(reference[r], 1 + r % 3))
-                .collect();
-            for threads in [1usize, 2, 4, 8] {
-                let mut got = vec![0.0f32; want.len()];
-                plan.run_chunked(
-                    &offsets,
-                    threads,
-                    &mut got,
-                    |first_row, m| {
-                        let take = m.rows() * 5;
-                        m.data_mut()
-                            .copy_from_slice(&x.data()[first_row * 5..first_row * 5 + take]);
-                    },
-                    |first_row, run, chunk| {
-                        let base = offsets[first_row];
-                        for j in 0..run.rows() {
-                            let r = first_row + j;
-                            chunk[offsets[r] - base..offsets[r + 1] - base]
-                                .fill(interpolate(&run, j, ts[r]));
-                        }
-                    },
-                );
-                prop_assert_eq!(
-                    &got, &want,
-                    "rows {} threads {} diverged", rows, threads
-                );
-            }
-        }
-    }
 }
