@@ -4,9 +4,9 @@
 //!
 //! Every node holds one data point and a level `l`; children lie within
 //! `covdist = 2^l` of their parent, so the whole subtree of a node lies
-//! within `2 * covdist` of it. The tree supports exact range counting /
-//! reporting, nearest-neighbor search, and exporting the ball regions the
-//! partitioner consumes.
+//! within `2 * covdist` of it. The tree answers exact range counts
+//! ([`CoverTree::range_count`]) and exports the ball regions the
+//! partitioner consumes ([`CoverTree::regions`]).
 
 use selnet_data::Dataset;
 use selnet_metric::vectors::{squared_euclidean, LaneBlocks, LANES, ROWS};
@@ -532,20 +532,6 @@ impl<'a> CoverTree<'a> {
             }
         }
         regions
-    }
-
-    /// Maximum node depth (for structural tests/diagnostics).
-    pub fn depth(&self) -> usize {
-        let Some(root) = self.root() else { return 0 };
-        let mut max_depth = 0usize;
-        let mut stack = vec![(root, 1usize)];
-        while let Some((n, d)) = stack.pop() {
-            max_depth = max_depth.max(d);
-            for &c in &self.nodes[n].children {
-                stack.push((c as usize, d + 1));
-            }
-        }
-        max_depth
     }
 
     /// Verifies the tree against pair distances, independently of the

@@ -1,4 +1,4 @@
-//! The batched inference engine: a sharded request queue drained by
+//! The batched inference engine: one request queue drained by
 //! worker threads that coalesce concurrent queries into single batched
 //! plan replays, routed across a multi-tenant model registry.
 //!
@@ -9,13 +9,11 @@
 //!    ([`SubmitError::UnknownModel`] / [`SubmitError::DimensionMismatch`]
 //!    / [`SubmitError::NonFinite`] — a worker can never see a misrouted,
 //!    mis-shaped or non-finite row), applies
-//!    admission control (bounded per-shard queues; a saturated engine
-//!    sheds with [`SubmitError::Overloaded`] instead of queueing without
-//!    bound), then round-robins the request onto a queue shard (one per
-//!    worker) and wakes a worker;
-//! 2. a worker drains up to `max_batch_rows` `(x, t)` rows from its home
-//!    shard (stealing from other shards when idle), **never splitting a
-//!    request across batches**;
+//!    admission control (a bounded queue; a saturated engine sheds with
+//!    [`SubmitError::Overloaded`] instead of queueing without bound),
+//!    then queues the request and wakes one parked worker;
+//! 2. a worker drains up to `max_batch_rows` `(x, t)` rows from the
+//!    queue, **never splitting a request across batches**;
 //! 3. the worker groups the drained requests **per tenant**, binds each
 //!    tenant's model generation once, hands its requests — un-expanded,
 //!    one `(x, ts)` per request — to one
@@ -30,11 +28,11 @@
 //!    [`Engine::metrics_text`]).
 //!
 //! Blocking callers ([`Engine::serve_blocking`] / [`Engine::estimate_many`])
-//! additionally get a **same-thread fast path**: when every queue is idle
+//! additionally get a **same-thread fast path**: when the queue is idle
 //! there is nothing to coalesce with, so the submitting thread binds a
 //! generation and evaluates the single request itself, through the same
 //! `estimate_into` hook. Blocking callers are also never shed — when the
-//! queues are saturated they evaluate inline as well, which *is*
+//! queue is saturated they evaluate inline as well, which *is*
 //! backpressure (one in-flight request per caller); only the pipelined
 //! [`Engine::submit`] path sheds. The TCP connection loop takes that
 //! path, so its requests can be shed.
@@ -56,7 +54,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One-shot reply cell: a single `Arc` allocation per request, replacing
 /// the `mpsc` channel a request used to carry (channel creation plus its
@@ -249,8 +247,8 @@ impl Request {
 
 /// Engine knobs. `..Default::default()` gives a sensible server: one
 /// worker per configured tensor thread, batches of 64 rows, 4096 queued
-/// rows per shard before admission control sheds. Every worker has one
-/// queue shard of its own and steals from the others when it is idle.
+/// rows per worker before admission control sheds. The workers drain one
+/// shared queue.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Worker threads draining the queue (`0` = the tensor dispatcher's
@@ -259,12 +257,13 @@ pub struct EngineConfig {
     /// Maximum `(x, t)` rows coalesced into one batched evaluation. A
     /// single request larger than this still runs (alone, unsplit).
     pub max_batch_rows: usize,
-    /// Admission-control bound: maximum `(x, t)` rows queued per shard
-    /// before [`Engine::submit`] sheds with [`SubmitError::Overloaded`]
-    /// (`0` = unbounded, the pre-admission-control behaviour). The bound
-    /// is approximate under submit races, and an oversized single request
-    /// is always admitted to an **empty** shard so it cannot be starved
-    /// by its own size. Blocking callers are never shed — they fall back
+    /// Admission-control bound: maximum `(x, t)` rows queued per worker —
+    /// the one queue holds at most `max_queue_rows × workers` — before
+    /// [`Engine::submit`] sheds with [`SubmitError::Overloaded`] (`0` =
+    /// unbounded, the pre-admission-control behaviour). The bound is
+    /// approximate under submit races, and an oversized single request is
+    /// always admitted to an **empty** queue so it cannot be starved by
+    /// its own size. Blocking callers are never shed — they fall back
     /// to inline evaluation, which is its own backpressure.
     pub max_queue_rows: usize,
     /// Slow-query threshold in microseconds (`0` disables the slow-query
@@ -327,12 +326,13 @@ pub enum SubmitError {
         /// The dimension the request carried.
         got: usize,
     },
-    /// Admission control shed the request: every queue shard is at
-    /// [`EngineConfig::max_queue_rows`]. Retry after backing off.
+    /// Admission control shed the request: the queue holds
+    /// [`EngineConfig::max_queue_rows`] rows per worker. Retry after
+    /// backing off.
     Overloaded {
-        /// Rows waiting on the fullest shard probed.
+        /// Rows waiting in the queue.
         queued_rows: usize,
-        /// The configured per-shard bound.
+        /// The queue's bound: `max_queue_rows × workers`.
         limit: usize,
     },
     /// The query vector or the threshold grid holds a `NaN` or an
@@ -363,7 +363,7 @@ impl std::fmt::Display for SubmitError {
             SubmitError::Overloaded { queued_rows, limit } => {
                 write!(
                     f,
-                    "overloaded: {queued_rows} rows queued against a per-shard bound of {limit}"
+                    "overloaded: {queued_rows} rows queued against a bound of {limit}"
                 )
             }
             SubmitError::NonFinite { model } => {
@@ -387,14 +387,6 @@ struct Queued<M> {
     sampled: bool,
     enqueued: Instant,
     reply: ReplySender,
-}
-
-struct Shard<M> {
-    queue: Mutex<VecDeque<Queued<M>>>,
-    signal: Condvar,
-    /// `(x, t)` rows currently queued — the admission-control gauge,
-    /// updated under the queue lock.
-    rows: AtomicUsize,
 }
 
 /// How [`Engine::metrics_text`] reads one metric family off a tenant's
@@ -460,16 +452,22 @@ const FAMILIES: [(&str, &str, Read); 9] = [
 /// [`Engine::shutdown`] (queued requests are drained first).
 pub struct Engine<M> {
     registry: Arc<ModelRegistry<M>>,
-    /// One queue shard per worker.
-    shards: Vec<Shard<M>>,
+    queue: Mutex<VecDeque<Queued<M>>>,
+    /// Wakes a parked worker: a request was queued, or the engine stopped.
+    signal: Condvar,
+    /// `(x, t)` rows currently queued — the admission-control gauge,
+    /// updated under the queue lock.
+    queued_rows: AtomicUsize,
     /// This engine's own flight recorder (never the process-global one,
     /// so two engines — say an instrumented and an uninstrumented one in
     /// the same benchmark — cannot contaminate each other's rings).
     recorder: SpanRecorder,
     slow_query_us: u64,
     max_batch_rows: usize,
-    max_queue_rows: usize,
-    next_shard: AtomicUsize,
+    /// The queue's admission bound in rows (`0` = unbounded).
+    queue_limit: usize,
+    /// Set under the queue lock, so a worker parked on an empty queue
+    /// cannot miss it.
     stop: AtomicBool,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -486,21 +484,15 @@ where
             selnet_tensor::parallel::configured_threads()
         }
         .max(1);
-        let shards = (0..workers)
-            .map(|_| Shard {
-                queue: Mutex::new(VecDeque::new()),
-                signal: Condvar::new(),
-                rows: AtomicUsize::new(0),
-            })
-            .collect();
         let engine = Arc::new(Engine {
             registry,
-            shards,
+            queue: Mutex::new(VecDeque::new()),
+            signal: Condvar::new(),
+            queued_rows: AtomicUsize::new(0),
             recorder: SpanRecorder::with_capacity(cfg.trace_buffer),
             slow_query_us: cfg.slow_query_us,
             max_batch_rows: cfg.max_batch_rows.max(1),
-            max_queue_rows: cfg.max_queue_rows,
-            next_shard: AtomicUsize::new(0),
+            queue_limit: cfg.max_queue_rows.saturating_mul(workers),
             stop: AtomicBool::new(false),
             workers: Mutex::new(Vec::new()),
         });
@@ -510,7 +502,7 @@ where
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("selnet-serve-{w}"))
-                    .spawn(move || eng.worker_loop(w))
+                    .spawn(move || eng.worker_loop())
                     .expect("spawn worker"),
             );
         }
@@ -570,10 +562,9 @@ where
         let tenant = self.route(&req)?;
         // a refusal is final here (a blocking caller serves itself instead),
         // so this is where a shed is counted
-        let shard = self
-            .admit(req.rows())
+        self.admit(req.rows())
             .inspect_err(|_| tenant.stats().record_shed())?;
-        self.enqueue(shard, tenant, req.x, req.ts, trace, sampled)
+        self.enqueue(tenant, req.x, req.ts, trace, sampled)
     }
 
     /// The request's trace ID: the caller's if it brought one, a freshly
@@ -586,37 +577,28 @@ where
         }
     }
 
-    /// Admission control: probes round-robin for a shard with room for
-    /// `rows` more and returns its index, or [`SubmitError::Overloaded`]
-    /// when every shard is at the bound. The gauge is read without the
+    /// Admission control: whether the queue has room for `rows` more,
+    /// else [`SubmitError::Overloaded`]. The gauge is read without the
     /// queue lock, so the bound is approximate under submit races — by
     /// design; shedding exists to stop unbounded growth, not to enforce an
     /// exact ceiling.
-    fn admit(&self, rows: usize) -> Result<usize, SubmitError> {
-        let n = self.shards.len();
-        let start = self.next_shard.fetch_add(1, Ordering::Relaxed);
-        let mut fullest = 0usize;
-        for offset in 0..n {
-            let idx = (start + offset) % n;
-            let queued = self.shards[idx].rows.load(Ordering::Relaxed);
-            fullest = fullest.max(queued);
-            if self.max_queue_rows == 0
-                || queued == 0 // an empty shard always admits (oversized single requests)
-                || queued + rows <= self.max_queue_rows
-            {
-                return Ok(idx);
-            }
+    fn admit(&self, rows: usize) -> Result<(), SubmitError> {
+        let queued = self.queued_rows.load(Ordering::Relaxed);
+        if self.queue_limit == 0
+            || queued == 0 // an empty queue always admits (oversized single requests)
+            || queued + rows <= self.queue_limit
+        {
+            return Ok(());
         }
         Err(SubmitError::Overloaded {
-            queued_rows: fullest,
-            limit: self.max_queue_rows,
+            queued_rows: queued,
+            limit: self.queue_limit,
         })
     }
 
-    /// Queues an admitted request on shard `idx` and wakes a worker.
+    /// Queues an admitted request and wakes a parked worker.
     fn enqueue(
         &self,
-        idx: usize,
         tenant: Arc<Tenant<M>>,
         x: Vec<f32>,
         ts: Vec<f32>,
@@ -634,19 +616,18 @@ where
             enqueued: Instant::now(),
             reply: tx,
         };
-        let shard = &self.shards[idx];
         {
             // the stop re-check happens under the queue lock: a worker's
             // exit decision (stop && queue empty) takes the same lock, so
             // a request pushed here is guaranteed to be drained
-            let mut q = shard.queue.lock().expect("queue lock poisoned");
+            let mut q = self.queue.lock().expect("queue lock poisoned");
             if self.stop.load(Ordering::SeqCst) {
                 return Err(SubmitError::ShutDown);
             }
-            shard.rows.fetch_add(rows, Ordering::Relaxed);
+            self.queued_rows.fetch_add(rows, Ordering::Relaxed);
             q.push_back(req);
         }
-        shard.signal.notify_one();
+        self.signal.notify_one();
         Ok(rx)
     }
 
@@ -654,7 +635,7 @@ where
     /// point for callers that wait anyway (connection loops, synchronous
     /// clients).
     ///
-    /// When every queue is idle there is nothing to coalesce with, so the
+    /// When the queue is idle there is nothing to coalesce with, so the
     /// request is evaluated **inline on this thread** against one bound
     /// generation, skipping the queue, the worker wake-up, and the reply
     /// channel. Under saturation the request also evaluates inline rather
@@ -671,12 +652,12 @@ where
             return Err(SubmitError::ShutDown);
         }
         let (x, ts) = (req.query(), req.threshold_grid());
-        if self.queues_idle() {
+        if self.queue_idle() {
             return Ok(self.serve_inline(&tenant, trace, sampled, x, ts));
         }
         match self.admit(req.rows()) {
-            Ok(shard) => self
-                .enqueue(shard, tenant, x.to_vec(), ts.to_vec(), trace, sampled)?
+            Ok(()) => self
+                .enqueue(tenant, x.to_vec(), ts.to_vec(), trace, sampled)?
                 .wait()
                 .map_err(|Disconnected| SubmitError::ShutDown),
             // saturated: evaluate on the caller's own thread instead of
@@ -686,13 +667,10 @@ where
         }
     }
 
-    /// Whether every shard queue is currently observably empty (a busy
-    /// lock counts as non-idle — a worker is draining it).
-    fn queues_idle(&self) -> bool {
-        self.shards.iter().all(|s| match s.queue.try_lock() {
-            Ok(q) => q.is_empty(),
-            Err(_) => false,
-        })
+    /// Whether the queue is currently observably empty (a busy lock
+    /// counts as non-idle — a worker is draining it).
+    fn queue_idle(&self) -> bool {
+        self.queue.try_lock().is_ok_and(|q| q.is_empty())
     }
 
     /// Evaluates one request synchronously against one bound generation
@@ -753,18 +731,15 @@ where
         StatsSnapshot::fold(&stats)
     }
 
-    /// `(x, t)` rows currently waiting across every queue shard — the
+    /// `(x, t)` rows currently waiting in the queue — the
     /// admission-control gauge the metrics exposition scrapes.
     pub fn queued_rows_total(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.rows.load(Ordering::Relaxed) as u64)
-            .sum()
+        self.queued_rows.load(Ordering::Relaxed) as u64
     }
 
     /// The engine's flight recorder (enabled by
-    /// [`EngineConfig::trace_buffer`]; the returned snapshot of
-    /// [`Engine::spans`] is what the binary dumps on shutdown).
+    /// [`EngineConfig::trace_buffer`]; its snapshot, [`Engine::spans`],
+    /// rides the metrics scrape after the exposition).
     pub fn recorder(&self) -> &SpanRecorder {
         &self.recorder
     }
@@ -825,7 +800,7 @@ where
         }
         // volatile values are read at scrape time, not kept in counters
         let (queue, generation) = ("selnet_queue_rows", "selnet_tenant_generation");
-        let help = "(x, t) rows currently queued across every shard.";
+        let help = "(x, t) rows currently queued.";
         expo::write_header(&mut out, queue, help, "gauge");
         expo::write_sample(&mut out, queue, &[], &self.queued_rows_total().to_string());
         let help = "Model generation currently served, per tenant.";
@@ -845,10 +820,13 @@ where
     /// Stops accepting new requests, drains everything already queued,
     /// and joins the workers. Idempotent.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for s in &self.shards {
-            s.signal.notify_all();
+        {
+            // under the queue lock: a worker checks `stop` under it before
+            // parking, so it either sees the flag or is woken below
+            let _q = self.queue.lock().expect("queue lock poisoned");
+            self.stop.store(true, Ordering::SeqCst);
         }
+        self.signal.notify_all();
         let mut workers = self.workers.lock().expect("worker list poisoned");
         for h in workers.drain(..) {
             let _ = h.join();
@@ -857,85 +835,42 @@ where
         // request can land after the workers exit, but if that invariant
         // ever broke, dropping the stragglers (and their reply senders)
         // turns a would-be infinite `recv()` hang into a recv error.
-        for s in &self.shards {
-            s.queue.lock().expect("queue lock poisoned").clear();
-            s.rows.store(0, Ordering::Relaxed);
-        }
+        self.queue.lock().expect("queue lock poisoned").clear();
+        self.queued_rows.store(0, Ordering::Relaxed);
     }
 
-    fn worker_loop(self: &Arc<Self>, worker: usize) {
-        let home = worker % self.shards.len();
+    fn worker_loop(self: &Arc<Self>) {
         let mut scratch = BatchScratch::default();
-        loop {
-            match self.collect_batch(home) {
-                Some(batch) => self.serve_batch(batch, &mut scratch),
-                None => {
-                    if self.stop.load(Ordering::SeqCst) && self.all_queues_empty() {
-                        return;
-                    }
-                }
-            }
+        while let Some(batch) = self.collect_batch() {
+            self.serve_batch(batch, &mut scratch);
         }
     }
 
-    fn all_queues_empty(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.queue.lock().expect("queue lock poisoned").is_empty())
-    }
-
-    /// Pops up to `max_batch_rows` rows of requests, preferring the home
-    /// shard and stealing from the others, without ever splitting one
-    /// request across batches. Returns `None` after an idle wait so the
-    /// caller can re-check for shutdown.
-    fn collect_batch(&self, home: usize) -> Option<Vec<Queued<M>>> {
-        let n = self.shards.len();
-        for offset in 0..n {
-            let shard = &self.shards[(home + offset) % n];
-            let mut q = shard.queue.lock().expect("queue lock poisoned");
-            if let Some(batch) = Self::drain_requests(shard, &mut q, self.max_batch_rows) {
-                return Some(batch);
+    /// Pops up to `max_batch_rows` rows of requests, without ever
+    /// splitting one request across batches, parking on the condvar while
+    /// the queue is empty. `None` once the engine is stopped and drained.
+    fn collect_batch(&self) -> Option<Vec<Queued<M>>> {
+        let mut q = self.queue.lock().expect("queue lock poisoned");
+        while q.is_empty() {
+            if self.stop.load(Ordering::SeqCst) {
+                return None;
             }
-        }
-        // nothing anywhere: park briefly on the home shard
-        let shard = &self.shards[home];
-        let q = shard.queue.lock().expect("queue lock poisoned");
-        let (mut q, _) = shard
-            .signal
-            .wait_timeout(q, Duration::from_millis(5))
-            .expect("queue lock poisoned");
-        Self::drain_requests(shard, &mut q, self.max_batch_rows)
-    }
-
-    /// Drains up to `max_rows` rows of requests (called with the queue
-    /// lock held), keeping the shard's admission gauge in step.
-    fn drain_requests(
-        shard: &Shard<M>,
-        q: &mut VecDeque<Queued<M>>,
-        max_rows: usize,
-    ) -> Option<Vec<Queued<M>>> {
-        if q.is_empty() {
-            return None;
+            q = self.signal.wait(q).expect("queue lock poisoned");
         }
         let mut batch = Vec::new();
         let mut rows = 0usize;
         while let Some(front) = q.front() {
             let r = front.ts.len().max(1);
-            if !batch.is_empty() && rows + r > max_rows {
+            if !batch.is_empty() && rows + r > self.max_batch_rows {
                 break;
             }
             rows += r;
             batch.push(q.pop_front().expect("front exists"));
-            if rows >= max_rows {
+            if rows >= self.max_batch_rows {
                 break;
             }
         }
-        // saturating: shutdown's gauge reset can race a final drain
-        let _ = shard
-            .rows
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(rows))
-            });
+        self.queued_rows.fetch_sub(rows, Ordering::Relaxed);
         Some(batch)
     }
 
@@ -1041,6 +976,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     /// Deterministic estimator: `scale * t`, ignoring `x` except for its
     /// first coordinate which is added in — enough to distinguish both

@@ -13,13 +13,14 @@
 //!   background-update handle, and [`stats`] record; readers grab an
 //!   `Arc` snapshot, a publisher replaces it without blocking in-flight
 //!   requests;
-//! * [`engine`] — a sharded, multi-threaded request queue that resolves
-//!   each [`Request`] to its tenant up front, coalesces
-//!   concurrent queries into **batched** plan replays (grouped per
+//! * [`engine`] — a multi-threaded engine that resolves each [`Request`]
+//!   to its tenant up front, queues it on the one request queue its
+//!   workers drain, coalesces concurrent queries into **batched** plan
+//!   replays (grouped per
 //!   tenant, one `estimate_into` call per group, bit-identical to
 //!   per-query evaluation), and **sheds load** with
 //!   [`SubmitError::Overloaded`] when
-//!   its bounded queues saturate;
+//!   its bounded queue saturates;
 //! * [`protocol`] — the versioned binary wire format the `selnet-serve`
 //!   binary speaks over TCP (handshake, opcode-tagged frames, model
 //!   routing, typed error replies) and the line-oriented replay format

@@ -13,7 +13,8 @@ use selnet_serve::registry::ModelRegistry;
 use selnet_workload::{
     generate_workload, DriftSchedule, UpdateSimulator, Workload, WorkloadConfig,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 fn data_fixture(seed: u64) -> (Dataset, Workload) {
     let ds = fasttext_like(&GeneratorConfig::new(300, 4, 3, seed));
@@ -63,8 +64,8 @@ fn query_pool(ds: &Dataset, tmax: f32, n: usize) -> Vec<(Vec<f32>, Vec<f32>)> {
 
 /// N client threads x M queries against the engine must produce results
 /// **bit-identical** to a single-threaded `estimate_many` pass over the
-/// same model — coalescing, sharding and stealing change nothing about
-/// any answer.
+/// same model — coalescing and the workers' interleaving change nothing
+/// about any answer.
 #[test]
 fn concurrent_serving_is_bit_identical_to_sequential() {
     let (ds, _, model) = fixture(91, 3);
@@ -80,8 +81,8 @@ fn concurrent_serving_is_bit_identical_to_sequential() {
         &EngineConfig {
             workers: 4,
             max_batch_rows: 16,
-            // workers drain up to max_batch_rows from their own shard,
-            // stealing when idle: none of it may change a single answer
+            // workers drain up to max_batch_rows each from the one queue:
+            // none of it may change a single answer
             ..Default::default()
         },
     );
@@ -451,4 +452,60 @@ fn worker_and_inline_answers_are_bit_identical() {
     assert_eq!(queued, inline);
     assert_eq!(queued, tape);
     engine.shutdown();
+}
+
+/// A model that holds the worker answering a query with a negative first
+/// coordinate at a barrier the test shares; any other query answers `t`.
+struct Held(Arc<Barrier>);
+
+impl SelectivityEstimator for Held {
+    fn estimate(&self, x: &[f32], t: f32) -> f64 {
+        if x[0] < 0.0 {
+            self.0.wait(); // the worker has the held request...
+            self.0.wait(); // ...and keeps it until the test lets go
+        }
+        t as f64
+    }
+    fn name(&self) -> &str {
+        "held"
+    }
+}
+
+/// A request is picked up by whichever worker is idle: with one of two
+/// workers held on a request, 32 submits sent one at a time are each
+/// answered by the other at once, not after an idle poll's timeout.
+#[test]
+fn an_idle_worker_answers_while_another_is_held() {
+    let barrier = Arc::new(Barrier::new(2));
+    let engine = Engine::start(
+        Arc::new(ModelRegistry::new(Held(Arc::clone(&barrier)))),
+        &EngineConfig {
+            workers: 2,
+            max_batch_rows: 1,
+            ..Default::default()
+        },
+    );
+    let held = engine
+        .submit(Request::new(vec![-1.0]).thresholds(vec![1.0]))
+        .expect("engine running");
+    barrier.wait(); // one worker now sits in the held request
+    let slow = (0..32)
+        .filter(|&i| {
+            let started = Instant::now();
+            let got = engine
+                .submit(Request::new(vec![i as f32]).thresholds(vec![2.0]))
+                .expect("engine running")
+                .wait()
+                .expect("served");
+            assert_eq!(got, vec![2.0]);
+            started.elapsed() >= Duration::from_millis(4)
+        })
+        .count();
+    barrier.wait();
+    assert_eq!(held.wait().expect("served"), vec![1.0]);
+    engine.shutdown();
+    assert!(
+        slow < 4,
+        "{slow} of 32 requests waited 4 ms or more beside an idle worker"
+    );
 }

@@ -449,9 +449,9 @@ fn fleet_stats_are_the_fold_of_the_tenants() {
     });
 
     // the forced shed: with the gate shut both workers park on the first
-    // gated batch they drain, the two 12-row shards (one per worker) fill
-    // behind them, and the next submit is refused — at the latest the 21st
-    // (2 × 8 rows drained, 2 × 12 queued, 2 rows each)
+    // gated batch they drain, the queue (12 rows per worker, 24 in all)
+    // fills behind them, and the next submit is refused — at the latest
+    // the 21st (2 × 8 rows drained, 24 queued, 2 rows each)
     gate.set(false);
     let mut accepted = Vec::new();
     let mut shed = 0u64;
@@ -459,7 +459,7 @@ fn fleet_stats_are_the_fold_of_the_tenants() {
         match engine.submit(req("gamma", &[-1.0 - i as f32], &[1.0, 2.0])) {
             Ok(handle) => accepted.push(handle),
             Err(SubmitError::Overloaded { limit, .. }) => {
-                assert_eq!(limit, 12);
+                assert_eq!(limit, 24);
                 shed += 1;
             }
             Err(other) => panic!("unexpected submit error: {other}"),
@@ -467,7 +467,7 @@ fn fleet_stats_are_the_fold_of_the_tenants() {
     }
     assert!(
         shed > 0,
-        "24 gated submits against two 12-row shards must shed"
+        "24 gated submits against a 24-row queue must shed"
     );
     // the slow queries: everything parked at the gate has by now waited
     // longer than the 2 ms bar
@@ -598,7 +598,7 @@ selnet_retrain_us_count{tenant="alpha"}
 selnet_retrain_us_bucket{tenant="beta"}
 selnet_retrain_us_sum{tenant="beta"}
 selnet_retrain_us_count{tenant="beta"}
-# HELP selnet_queue_rows (x, t) rows currently queued across every shard.
+# HELP selnet_queue_rows (x, t) rows currently queued.
 # TYPE selnet_queue_rows gauge
 selnet_queue_rows
 # HELP selnet_tenant_generation Model generation currently served, per tenant.

@@ -42,11 +42,6 @@ pub(crate) fn sigmoid(x: f32) -> f32 {
 }
 
 #[inline]
-pub(crate) fn exp_clamped(x: f32) -> f32 {
-    x.min(30.0).exp()
-}
-
-#[inline]
 pub(crate) fn ln_eps(x: f32, eps: f32) -> f32 {
     (x.max(0.0) + eps).ln()
 }

@@ -106,7 +106,6 @@ pub(crate) enum Op {
     EluPlusOne(usize),
     Softplus(usize),
     Sigmoid(usize),
-    Exp(usize),
     /// `ln(max(x, 0) + eps)`
     LnEps(usize, f32),
     Abs(usize),
@@ -162,7 +161,6 @@ impl Op {
             | Op::EluPlusOne(a)
             | Op::Softplus(a)
             | Op::Sigmoid(a)
-            | Op::Exp(a)
             | Op::LnEps(a, _)
             | Op::Abs(a)
             | Op::Square(a)
@@ -580,11 +578,6 @@ impl Graph {
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
         self.unary_map(a, Op::Sigmoid(a.0), fwd::sigmoid)
-    }
-
-    /// Elementwise exponential (inputs are clamped to 30 to stay finite).
-    pub fn exp(&mut self, a: Var) -> Var {
-        self.unary_map(a, Op::Exp(a.0), fwd::exp_clamped)
     }
 
     /// `ln(max(x, 0) + eps)` — the log-space mapping used by the paper's
@@ -1071,18 +1064,6 @@ impl Graph {
                     &node.grad,
                     &node.value,
                     |g, y| g * y * (1.0 - y),
-                );
-            }
-            Op::Exp(a) => {
-                let (pre, rest) = self.nodes.split_at_mut(idx);
-                let node = &rest[0];
-                let n = &mut pre[a];
-                acc_zip(
-                    &mut n.grad,
-                    &mut n.grad_seen,
-                    &node.grad,
-                    &node.value,
-                    |g, y| g * y,
                 );
             }
             Op::LnEps(a, eps) => {
