@@ -388,7 +388,6 @@ mod tests {
             kind: DistanceKind::Euclidean,
             scheme: ThresholdScheme::GeometricSelectivity,
             seed: 11,
-            threads: 4,
         };
         (ds.clone(), generate_workload(&ds, &cfg))
     }

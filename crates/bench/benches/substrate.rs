@@ -134,13 +134,17 @@ fn main() -> ExitCode {
         .sum::<f64>()
         / 40.0;
 
-    // gemm yardstick: hand kernel vs naive reference per serving shape
+    // gemm yardstick: hand kernel vs naive reference per serving shape,
+    // both on one thread
+    selnet_tensor::parallel::set_threads(1);
     let gemm_lines: Vec<String> = GEMM_SHAPES
         .iter()
         .map(|&(m, k, n)| {
             let (ga, gb) = gemm_fixture(m, k, n);
+            let mut out = Matrix::default();
             let hand = pass.time_ms(10, 50, || {
-                black_box(ga.matmul_threaded(&gb, 1));
+                ga.matmul_into(&gb, &mut out);
+                black_box(&out);
             });
             let naive_ref = pass.time_ms(10, 50, || {
                 black_box(ga.matmul_naive(&gb));
@@ -151,6 +155,7 @@ fn main() -> ExitCode {
             )
         })
         .collect();
+    selnet_tensor::parallel::set_threads(0);
     let gemm_block = gemm_lines.join(",\n");
 
     // distance layer: nanoseconds per distance, pair kernel (the "before"
@@ -203,7 +208,7 @@ fn main() -> ExitCode {
   "distance": {{
 {distance_block}
   }},
-  "notes": "The parallel block is one empty two-way `parallel::fork_join` (a scope, one spawn, one join) in microseconds, back to back and after 2 ms of sleep each (the second vCPU has to be woken), beside the gate derived from it: `parallel::FORK_MIN_WORK` elementary operations per engaged worker (the derivation is the constant's doc comment). The gemm block is the hand-tiled kernel (`Matrix::matmul_threaded` on one thread) vs the naive ikj reference (`Matrix::matmul_naive`, bit-identical) per serving shape m x k x n (hand_vs_naive > 1 means the hand kernel wins), recorded on machine_cpus cores; 256x256x256 is the control shape the tiling was built for, the multiply-adds per nanosecond FORK_MIN_WORK is derived from. The distance block is nanoseconds per distance of one query against `vectors` vectors, `vectors::squared_euclidean` pair by pair vs `LaneBlocks::sqdist_into` sixteen at a time (bit-identical lanes), over 32 vectors (cached) and over 60 MB of them (streamed); bounded_first_stride_ns and bounded_never_ns are `LaneBlocks::sqdist_within` under limits every lane is beyond after the first 32 coordinates, and limits nothing is ever beyond (at d = 24, a single stride, the kernel never looks and both are the block kernel), rows4_ns is `LaneBlocks::sqdist_rows_into`, four queries per pass over a block, per distance."
+  "notes": "The parallel block is one empty two-way `parallel::fork_join` (a scope, one spawn, one join) in microseconds, back to back and after 2 ms of sleep each (the second vCPU has to be woken), beside the gate derived from it: `parallel::FORK_MIN_WORK` elementary operations per engaged worker (the derivation is the constant's doc comment). The gemm block is the hand-tiled kernel (`Matrix::matmul_into` under `parallel::set_threads(1)`) vs the naive ikj reference (`Matrix::matmul_naive`, bit-identical) per serving shape m x k x n (hand_vs_naive > 1 means the hand kernel wins), recorded on machine_cpus cores; 256x256x256 is the control shape the tiling was built for, the multiply-adds per nanosecond FORK_MIN_WORK is derived from. The distance block is nanoseconds per distance of one query against `vectors` vectors, `vectors::squared_euclidean` pair by pair vs `LaneBlocks::sqdist_into` sixteen at a time (bit-identical lanes), over 32 vectors (cached) and over 60 MB of them (streamed); bounded_first_stride_ns and bounded_never_ns are `LaneBlocks::sqdist_within` under limits every lane is beyond after the first 32 coordinates, and limits nothing is ever beyond (at d = 24, a single stride, the kernel never looks and both are the block kernel), rows4_ns is `LaneBlocks::sqdist_rows_into`, four queries per pass over a block, per distance."
 }}
 "#,
         fork_min_work = selnet_tensor::parallel::FORK_MIN_WORK,

@@ -182,7 +182,6 @@ pub fn build_setting(setting: Setting, scale: &Scale) -> (Dataset, Workload) {
         kind: setting.kind(),
         scheme: scale.scheme,
         seed: scale.seed ^ 0x776f_726b, // "work"
-        threads: 0,
     };
     let w = generate_workload(&ds, &wcfg);
     (ds, w)

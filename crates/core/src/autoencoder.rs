@@ -113,7 +113,6 @@ impl Autoencoder {
         let mut opt = Adam::new(lr);
         let mut last = f64::MAX;
         let mut g = Graph::new();
-        let threads = selnet_tensor::parallel::configured_threads();
         for _ in 0..epochs {
             // shuffle each epoch
             for i in (1..indices.len()).rev() {
@@ -123,7 +122,7 @@ impl Autoencoder {
             for chunk in indices.chunks(batch_size.max(1)) {
                 g.reset();
                 let x = g.leaf_with(chunk.len(), ds.dim(), |data| {
-                    selnet_tensor::parallel::par_fill_rows(data, ds.dim(), threads, |bi, row| {
+                    selnet_tensor::parallel::par_fill_rows(data, ds.dim(), |bi, row| {
                         row.copy_from_slice(ds.row(chunk[bi]))
                     });
                 });

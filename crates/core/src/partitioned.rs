@@ -237,7 +237,7 @@ fn label_partitions_traced(
     kind: selnet_metric::DistanceKind,
 ) -> PartitionedLabels {
     let mut span = selnet_obs::trace::global().span("label_partitions", 0);
-    let labels = label_partitions(ds, partitioning, queries, kind, 0);
+    let labels = label_partitions(ds, partitioning, queries, kind);
     span.set_detail(labels.workers as u64, queries.len() as u64);
     labels
 }
@@ -269,9 +269,8 @@ fn local_pretrain_step(
 ) -> Vec<f64> {
     let cfg = &model.cfg;
     let k = model.locals.len();
-    let threads = selnet_tensor::parallel::configured_threads();
     // jobs 0..k: per-partition estimation losses; job k: the AE term
-    selnet_tensor::parallel::par_map_states(tapes, threads, |job, g| {
+    selnet_tensor::parallel::par_map_states(tapes, |job, g| {
         g.reset();
         let xv = g.leaf_ref(&batch.x);
         let z = model.ae.encode(g, &model.store, xv);
@@ -523,7 +522,7 @@ pub(crate) fn run_training_phase(
     let fan_out = if joint {
         1
     } else {
-        selnet_tensor::parallel::configured_threads().min(k + 1)
+        selnet_tensor::parallel::fork_threads().min(k + 1)
     };
     span.set_detail(
         (report.epoch_val_mae.len() - epochs_before) as u64,
@@ -554,6 +553,30 @@ pub(crate) fn register_networks(
         .map(|i| ControlPointNets::new(store, &format!("local{i}"), dim + cfg.latent_dim, cfg, rng))
         .collect();
     (ae, locals)
+}
+
+/// The parameter shapes [`register_networks`] registers, in its order,
+/// without allocating a matrix: the autoencoder's, then one local
+/// network's (registered `k` times). `None` if a width overflows.
+pub(crate) fn network_shapes(dim: usize, cfg: &SelNetConfig) -> Option<[Vec<(usize, usize)>; 2]> {
+    fn mlp(widths: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
+        widths.windows(2).flat_map(|w| [(w[0], w[1]), (1, w[1])])
+    }
+    let (l, h) = (cfg.control_points, cfg.embed_dim);
+    let in_dim = dim.checked_add(cfg.latent_dim)?;
+    let mut widths = [&[dim][..], &cfg.ae_hidden, &[cfg.latent_dim]].concat();
+    let mut ae: Vec<_> = mlp(&widths).collect();
+    widths.reverse();
+    ae.extend(mlp(&widths));
+    let tau = [&[in_dim][..], &cfg.tau_hidden, &[l.checked_add(1)?]].concat();
+    let p = [
+        &[in_dim][..],
+        &cfg.p_hidden,
+        &[l.checked_add(2)?.checked_mul(h)?],
+    ]
+    .concat();
+    let local = mlp(&tau).chain(mlp(&p)).chain([(l + 2, h), (1, l + 2)]);
+    Some([ae, local.collect()])
 }
 
 /// Trains the full partitioned SelNet: partition, pretrain local models for
@@ -737,7 +760,6 @@ mod tests {
             kind: DistanceKind::Euclidean,
             scheme: ThresholdScheme::GeometricSelectivity,
             seed: 2,
-            threads: 4,
         };
         let w = generate_workload(&ds, &cfg);
         (ds, w)

@@ -15,7 +15,7 @@
 //! [`io::ErrorKind::InvalidData`] — and never panic on corrupt input.
 
 use crate::config::{LossKind, PartitionConfig, SelNetConfig, TauNormalization};
-use crate::partitioned::{register_networks, PartitionedSelNet};
+use crate::partitioned::{network_shapes, register_networks, PartitionedSelNet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selnet_index::Partitioning;
@@ -201,6 +201,30 @@ fn read_config(r: &mut impl Read) -> io::Result<SelNetConfig> {
     })
 }
 
+/// Checks the architecture a header claims — `dim`, `cfg`'s widths and
+/// `k` local networks — against the parameter shapes the stream carries,
+/// in registration order. The loaded store is no larger than the stream,
+/// so a header that passes cannot make [`register_networks`] allocate
+/// more than the stream already held.
+fn check_architecture(
+    store: &ParamStore,
+    dim: usize,
+    cfg: &SelNetConfig,
+    k: usize,
+) -> io::Result<()> {
+    let [ae, local] = network_shapes(dim, cfg).ok_or_else(|| invalid("architecture overflows"))?;
+    let claimed = ae.iter().chain(std::iter::repeat_n(&local, k).flatten());
+    if !claimed
+        .copied()
+        .eq(store.ids().map(|id| store.value(id).shape()))
+    {
+        return Err(invalid(
+            "shape mismatch: the header's architecture is not the parameters'",
+        ));
+    }
+    Ok(())
+}
+
 fn write_pconfig(w: &mut impl Write, p: &PartitionConfig) -> io::Result<()> {
     write_usize(w, p.k)?;
     match p.method {
@@ -267,8 +291,10 @@ impl PartitionedSelNet {
     /// `load(save(m))` reproduces `m`'s predictions bit for bit: the
     /// network architecture is re-registered in the exact order
     /// [`crate::fit_partitioned`] used, then the checkpointed weights are
-    /// copied in (a count/shape mismatch is [`io::ErrorKind::InvalidData`],
-    /// not a panic).
+    /// copied in. The header's architecture is checked against the
+    /// weights' shapes before any of it is allocated: a count/shape
+    /// mismatch is [`io::ErrorKind::InvalidData`], not a panic or an
+    /// abort.
     pub fn load(r: &mut impl Read) -> io::Result<PartitionedSelNet> {
         // a = local-model count, b = input dimension (0/0 on parse failure)
         let mut span = selnet_obs::trace::global().span("snapshot_load", 0);
@@ -302,6 +328,7 @@ impl PartitionedSelNet {
             )));
         }
         let loaded_store = ParamStore::load(r)?;
+        check_architecture(&loaded_store, dim, &cfg, k)?;
 
         // rebuild the architecture in `fit_partitioned`'s registration
         // order, then copy the trained weights in
@@ -468,6 +495,35 @@ mod tests {
                 err.kind()
             );
         }
+    }
+
+    /// A header may claim a network far larger than the weights that
+    /// follow it: here the first autoencoder layer becomes 2^20 x 2^14
+    /// (64 GiB of `f32`) in a stream of the same length. The loader
+    /// refuses it before allocating the claimed architecture.
+    #[test]
+    fn a_header_claiming_a_huge_network_is_refused_before_allocating() {
+        let (model, _) = partitioned_fixture(41);
+        let mut buf = Vec::new();
+        model.save(&mut buf).unwrap();
+        let header = |cfg: &SelNetConfig, dim: usize| {
+            let mut h = PARTITIONED_MAGIC.to_vec();
+            write_u32(&mut h, SNAPSHOT_VERSION).unwrap();
+            write_config(&mut h, cfg).unwrap();
+            write_pconfig(&mut h, &model.pcfg).unwrap();
+            write_usize(&mut h, dim).unwrap();
+            h
+        };
+        let real = header(&model.cfg, model.dim);
+        assert!(buf.starts_with(&real));
+        let mut cfg = model.cfg.clone();
+        cfg.ae_hidden = vec![1 << 14];
+        let mut hostile = header(&cfg, 1 << 20);
+        hostile.extend_from_slice(&buf[real.len()..]);
+        assert_eq!(hostile.len(), buf.len());
+        let err = load_err(&hostile);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("shape mismatch"), "got: {err}");
     }
 
     #[test]

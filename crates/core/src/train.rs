@@ -195,8 +195,7 @@ where
     if split.is_empty() {
         return f64::INFINITY;
     }
-    let threads = selnet_tensor::parallel::configured_threads();
-    let per_query = selnet_tensor::parallel::par_map_indexed(split.len(), threads, 4, |qi| {
+    let per_query = selnet_tensor::parallel::par_map_indexed(split.len(), 4, |qi| {
         let q = &split[qi];
         let abs: f64 = predict(q)
             .iter()
@@ -261,7 +260,6 @@ mod tests {
             kind: DistanceKind::Euclidean,
             scheme: selnet_workload::ThresholdScheme::GeometricSelectivity,
             seed: 1,
-            threads: 4,
         };
         let w = generate_workload(&ds, &cfg);
         (ds, w)

@@ -176,7 +176,6 @@ mod tests {
             kind: DistanceKind::Euclidean,
             scheme: ThresholdScheme::GeometricSelectivity,
             seed: 3,
-            threads: 4,
         };
         let w = generate_workload(&ds, &cfg);
         let mut scfg = SelNetConfig::tiny();
@@ -204,7 +203,6 @@ mod tests {
             kind: DistanceKind::Euclidean,
             scheme: ThresholdScheme::GeometricSelectivity,
             seed: 5,
-            threads: 2,
         };
         let w = generate_workload(&ds, &cfg);
         let mut scfg = SelNetConfig::tiny();
@@ -235,7 +233,6 @@ mod tests {
             kind: DistanceKind::Euclidean,
             scheme: ThresholdScheme::GeometricSelectivity,
             seed: 4,
-            threads: 4,
         };
         let w = generate_workload(&ds, &cfg);
         let mut scfg = SelNetConfig::tiny();

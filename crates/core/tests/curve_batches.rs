@@ -154,7 +154,7 @@ fn assert_curves_equal_pair_rows(
     for (name, objects) in ladders(&w.train) {
         let rows = pair_rows(&objects);
         let labels = |split: &[LabeledQuery]| {
-            label_partitions(ds, model.partitioning(), split, w.kind, 1).labels
+            label_partitions(ds, model.partitioning(), split, w.kind).labels
         };
         let (object_labels, row_labels) = (labels(&objects), labels(&rows));
         let label = format!("{what}, {name}");
@@ -205,6 +205,6 @@ fn a_batch_without_a_threshold_is_refused() {
     let (ds, w) = fixture();
     let (model, _) = fit(&ds, &w, &net_config(true));
     let objects = cut(&w.train, |_| 0);
-    let labels = label_partitions(&ds, model.partitioning(), &objects, w.kind, 1).labels;
+    let labels = label_partitions(&ds, model.partitioning(), &objects, w.kind).labels;
     model.training_loss(&mut Graph::new(), &objects, &labels);
 }

@@ -139,7 +139,7 @@ pub fn fasttext_like(cfg: &GeneratorConfig) -> Dataset {
     let dim = cfg.dim;
     let chunk_rows = (DRAW_CHUNK_COORDS / dim.max(1)).max(1);
     let min_rows = TRANSFORM_MIN_COORDS.div_ceil(dim.max(1));
-    let threads = parallel::fork_threads(0);
+    let threads = parallel::fork_threads();
     let mut data = vec![0.0f32; cfg.n * dim];
     // per row its cluster and its magnitude's uniforms; per coordinate its
     // noise's
@@ -274,7 +274,7 @@ mod tests {
 
     /// The chunked generator has the row loop's bits on one worker and on
     /// three: less than one draw chunk, a count that is no multiple of
-    /// it, and d = 1. One test, because the worker count is process-wide.
+    /// it, and d = 1.
     #[test]
     fn fasttext_like_has_the_bits_of_the_row_loop() {
         let chunk = |dim: usize| DRAW_CHUNK_COORDS / dim;

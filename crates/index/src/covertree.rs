@@ -292,11 +292,26 @@ impl Building {
 const PARALLEL_MIN_COORDS: usize = 1 << 21;
 
 impl<'a> CoverTree<'a> {
-    /// [`CoverTree::build_with_workers`] on as many threads as
-    /// `parallel::fork_threads(0)` allows (one inside a parallel region),
-    /// or on the calling thread alone for a small dataset.
+    /// Builds the tree that inserting the dataset's points one at a time,
+    /// in order, would build — the same children in the same order, the
+    /// same levels, sizes and `max_dist` bits, whatever the number of
+    /// workers — top-down: a node receives all the points of its subtree
+    /// at once and `route_below` hands them on to its children. Each
+    /// point's distance to the node it is routed into is computed on the
+    /// way, so subtree sizes and the exact `max_dist` need no second pass.
+    ///
+    /// The root is routed on the calling thread. Below it, what a node's
+    /// routing produces depends on nothing but the node's level and its
+    /// point list, and it writes nothing but that node's child list and
+    /// those children: the pending nodes are independent jobs, taken
+    /// largest first from one shared list by the workers, started as the
+    /// parts of one `parallel::fork_join` (the caller is one of them),
+    /// each adopting its result under the list's lock. Which thread
+    /// routes a node, and when, cannot show in the tree. There are as
+    /// many workers as `parallel::fork_threads()` allows (one inside a
+    /// parallel region), or the calling thread alone for a small dataset.
     pub fn build(ds: &'a Dataset) -> Self {
-        Self::build_with_workers(ds, Self::workers_for(ds))
+        Self::build_stopping(ds, Self::workers_for(ds), 1)
     }
 
     /// [`CoverTree::build`] only as deep as [`CoverTree::regions`] looks
@@ -313,33 +328,12 @@ impl<'a> CoverTree<'a> {
         if ds.len() * ds.dim() < PARALLEL_MIN_COORDS {
             1
         } else {
-            parallel::fork_threads(0)
+            parallel::fork_threads()
         }
     }
 
-    /// Builds the tree that inserting the dataset's points one at a time,
-    /// in order, would build — the same children in the same order, the
-    /// same levels, sizes and `max_dist` bits, for every `workers` —
-    /// top-down: a node receives all the points of its subtree at once
-    /// and `route_below` hands them on to its children. Each point's
-    /// distance to the node it is routed into is computed on the way, so
-    /// subtree sizes and the exact `max_dist` need no second pass.
-    ///
-    /// The root is routed on the calling thread. Below it, what a node's
-    /// routing produces depends on nothing but the node's level and its
-    /// point list, and it writes nothing but that node's child list and
-    /// those children: the pending nodes are independent jobs, taken
-    /// largest first from one shared list by `workers` threads started as
-    /// the parts of one `parallel::fork_join` (the caller is one of them;
-    /// inside a parallel region it is the only one), each adopting its
-    /// result under the list's lock. Which thread routes a node, and when,
-    /// cannot show in the tree.
-    pub fn build_with_workers(ds: &'a Dataset, workers: usize) -> Self {
-        Self::build_stopping(ds, workers, 1)
-    }
-
-    /// The build routine: [`CoverTree::build_with_workers`] down to
-    /// subtrees of at most `stop` points (1 = full depth).
+    /// [`CoverTree::build`] on `workers` workers (tests force a count below
+    /// the size gate) down to subtrees of at most `stop` points (1 = all).
     pub(crate) fn build_stopping(ds: &'a Dataset, workers: usize, stop: usize) -> Self {
         let n = u32::try_from(ds.len()).expect("cover tree indexes at most 2^32 points");
         let stop = stop.max(1);
@@ -382,10 +376,10 @@ impl<'a> CoverTree<'a> {
         route_below(ds, &rest, below_root, &mut routing);
         building.adopt(0, &mut routing);
 
-        // no more threads than there are jobs to start them on, and one
-        // inside a parallel region, where `fork_join` runs its parts in
-        // turn: part 0 then drains the list alone, and never waits
-        let workers = parallel::fork_threads(workers.max(1)).min(building.jobs.len().max(1));
+        // no more threads than there are jobs to start them on; inside a
+        // parallel region `workers_for` answers 1, and a forced count there
+        // runs its parts in turn: part 0 drains the list alone, never waits
+        let workers = workers.max(1).min(building.jobs.len().max(1));
         let shared = (Mutex::new(building), Condvar::new());
         let work = |mut routing: Routing| {
             let (building, wake) = &shared;
@@ -770,7 +764,7 @@ mod tests {
         let zeros = |n: usize, dim: usize| Dataset::from_flat(dim, vec![0.0; n * dim]);
         assert_eq!(CoverTree::workers_for(&zeros(20_000, 24)), 1);
         assert_eq!(CoverTree::workers_for(&zeros(8191, 256)), 1);
-        let configured = parallel::configured_threads();
+        let configured = parallel::fork_threads();
         assert_eq!(CoverTree::workers_for(&zeros(8192, 256)), configured);
         assert_eq!(CoverTree::workers_for(&zeros(50_000, 300)), configured);
         // a build started from inside a parallel region stays on its thread
@@ -791,7 +785,7 @@ mod tests {
     fn build_goes_parallel_by_itself_on_a_large_dataset() {
         let large = fasttext_like(&GeneratorConfig::new(8192, 256, 6, 11));
         let tree = CoverTree::build(&large);
-        let serial = CoverTree::build_with_workers(&large, 1);
+        let serial = CoverTree::build_stopping(&large, 1, 1);
         assert!(tree.nodes == serial.nodes);
         assert_eq!(
             tree.build_stats().subtree_jobs,
@@ -799,7 +793,31 @@ mod tests {
         );
         assert_eq!(serial.build_stats().workers, 1);
         // enough root children here that every default worker gets a job
-        assert_eq!(tree.build_stats().workers, parallel::configured_threads());
+        assert_eq!(tree.build_stats().workers, parallel::fork_threads());
+    }
+
+    /// Above the size gate (2^21 coordinates) `build` takes as many
+    /// workers as the calling thread is pinned to, whatever the machine
+    /// has.
+    #[test]
+    fn set_threads_sets_the_build_workers() {
+        // two rows in each of four far-apart places, 2^21 coordinates: the
+        // root gets a child in each place, three of them with a subtree
+        let dim = 1 << 18;
+        let rows: Vec<Vec<f32>> = (0..8)
+            .map(|i| vec![(i % 4) as f32 * 8.0 + i as f32 * 0.01; dim])
+            .collect();
+        let ds = Dataset::from_rows(dim, &rows);
+        let serial = CoverTree::build_stopping(&ds, 1, 1);
+        assert_eq!(serial.build_stats().subtree_jobs, 3);
+        for threads in [1, 2] {
+            parallel::set_threads(threads);
+            let tree = CoverTree::build(&ds);
+            assert_eq!(tree.build_stats().workers, threads);
+            assert_eq!(tree.build_stats().subtree_jobs, 3);
+            assert_eq!(tree.regions(1), serial.regions(1));
+        }
+        parallel::set_threads(0);
     }
 
     #[test]

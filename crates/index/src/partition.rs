@@ -821,7 +821,7 @@ mod tests {
             let (whole, stats) = Partitioning::build_reporting(&ds, kind, method, 4, 0);
             assert!(saved(&whole) == one, "{kind:?}, the default build");
             // the default build is the one that stops at the cut
-            let full = CoverTree::build_with_workers(&geo, 1).build_stats();
+            let full = CoverTree::build_stopping(&geo, 1, 1).build_stats();
             assert!(stats.subtree_jobs < full.subtree_jobs, "{kind:?}");
             let stopped = CoverTree::build_stopping(&geo, 1, cut).build_stats();
             assert_eq!(stats.subtree_jobs, stopped.subtree_jobs, "{kind:?}");

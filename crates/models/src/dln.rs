@@ -426,7 +426,6 @@ mod tests {
         let ds = fasttext_like(&GeneratorConfig::new(800, 5, 3, 29));
         let mut wcfg = WorkloadConfig::new(40, DistanceKind::Euclidean, 11);
         wcfg.thresholds_per_query = 8;
-        wcfg.threads = 4;
         let w = generate_workload(&ds, &wcfg);
         let mut cfg = DlnConfig::tiny();
         cfg.base.epochs = 6;
@@ -440,7 +439,6 @@ mod tests {
         let ds = fasttext_like(&GeneratorConfig::new(600, 5, 3, 31));
         let mut wcfg = WorkloadConfig::new(30, DistanceKind::Euclidean, 13);
         wcfg.thresholds_per_query = 6;
-        wcfg.threads = 2;
         let w = generate_workload(&ds, &wcfg);
         let mut cfg = DlnConfig::tiny();
         cfg.base.epochs = 5;

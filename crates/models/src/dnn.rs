@@ -127,7 +127,6 @@ mod tests {
         let ds = fasttext_like(&GeneratorConfig::new(1200, 6, 4, 9));
         let mut wcfg = WorkloadConfig::new(60, DistanceKind::Euclidean, 3);
         wcfg.thresholds_per_query = 10;
-        wcfg.threads = 4;
         let w = generate_workload(&ds, &wcfg);
         let model = DnnEstimator::fit(&ds, &w, &NeuralConfig::tiny());
         let m = evaluate(&model, &w.test);

@@ -235,7 +235,6 @@ mod tests {
         let ds = fasttext_like(&GeneratorConfig::new(1000, 6, 4, 13));
         let mut wcfg = WorkloadConfig::new(50, DistanceKind::Euclidean, 5);
         wcfg.thresholds_per_query = 8;
-        wcfg.threads = 4;
         let w = generate_workload(&ds, &wcfg);
         let model = MoeEstimator::fit(&ds, &w, &MoeConfig::tiny());
         assert_eq!(model.num_experts(), 4);

@@ -290,7 +290,6 @@ mod tests {
         let ds = fasttext_like(&GeneratorConfig::new(1000, 6, 4, 19));
         let mut wcfg = WorkloadConfig::new(50, DistanceKind::Euclidean, 7);
         wcfg.thresholds_per_query = 8;
-        wcfg.threads = 4;
         let w = generate_workload(&ds, &wcfg);
         let model = RmiEstimator::fit(&ds, &w, &RmiConfig::tiny());
         let m = evaluate(&model, &w.test);
@@ -309,7 +308,6 @@ mod tests {
         let ds = fasttext_like(&GeneratorConfig::new(400, 5, 3, 23));
         let mut wcfg = WorkloadConfig::new(20, DistanceKind::Euclidean, 9);
         wcfg.thresholds_per_query = 6;
-        wcfg.threads = 2;
         let w = generate_workload(&ds, &wcfg);
         let mut cfg = RmiConfig::tiny();
         cfg.base.epochs = 4;

@@ -204,7 +204,6 @@ mod tests {
         let ds = fasttext_like(&GeneratorConfig::new(200, 5, 3, 37));
         let mut wcfg = WorkloadConfig::new(10, DistanceKind::Euclidean, 15);
         wcfg.thresholds_per_query = 5;
-        wcfg.threads = 2;
         let w = generate_workload(&ds, &wcfg);
         let mut cfg = UmnnConfig::tiny();
         cfg.base.epochs = 0; // untrained
@@ -221,7 +220,6 @@ mod tests {
         let ds = fasttext_like(&GeneratorConfig::new(800, 5, 3, 41));
         let mut wcfg = WorkloadConfig::new(40, DistanceKind::Euclidean, 17);
         wcfg.thresholds_per_query = 8;
-        wcfg.threads = 4;
         let w = generate_workload(&ds, &wcfg);
         let mut cfg = UmnnConfig::tiny();
         cfg.base.epochs = 8;
@@ -237,7 +235,6 @@ mod tests {
         let ds = fasttext_like(&GeneratorConfig::new(300, 4, 2, 43));
         let mut wcfg = WorkloadConfig::new(10, DistanceKind::Euclidean, 19);
         wcfg.thresholds_per_query = 5;
-        wcfg.threads = 2;
         let w = generate_workload(&ds, &wcfg);
         let mut cfg = UmnnConfig::tiny();
         cfg.base.epochs = 2;

@@ -251,8 +251,8 @@ impl Request {
 /// shared queue.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Worker threads draining the queue (`0` = the tensor dispatcher's
-    /// configured thread count, see `selnet_tensor::parallel`).
+    /// Worker threads draining the queue (`0` = the count every fork
+    /// reads, `selnet_tensor::parallel::fork_threads`).
     pub workers: usize,
     /// Maximum `(x, t)` rows coalesced into one batched evaluation. A
     /// single request larger than this still runs (alone, unsplit).
@@ -481,7 +481,7 @@ where
         let workers = if cfg.workers > 0 {
             cfg.workers
         } else {
-            selnet_tensor::parallel::configured_threads()
+            selnet_tensor::parallel::fork_threads()
         }
         .max(1);
         let engine = Arc::new(Engine {

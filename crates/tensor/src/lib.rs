@@ -42,13 +42,14 @@
 //! ## Kernels and threading
 //!
 //! The matmul kernels are cache-blocked/register-tiled and split output
-//! rows across scoped threads above a size threshold. The worker count
-//! resolves, in order, from: an explicit per-call argument
-//! ([`Matrix::matmul_threaded`]), the process-wide
-//! [`parallel::set_threads`], the `SELNET_THREADS` environment variable,
-//! then `std::thread::available_parallelism`. Results are **bit-identical
-//! for every thread count** — each output element is computed by one
-//! thread in the serial arithmetic order; see [`parallel`].
+//! rows across scoped threads above a size threshold. No call takes a
+//! worker count: every fork reads [`parallel::fork_threads`], which
+//! resolves, in order, from: 1 inside a parallel region, the calling
+//! thread's [`parallel::set_threads`] pin, the `SELNET_THREADS`
+//! environment variable, then `std::thread::available_parallelism`.
+//! Results are **bit-identical for every thread count** — each output
+//! element is computed by one thread in the serial arithmetic order; see
+//! [`parallel`].
 //!
 //! ## Quick tour
 //!

@@ -224,13 +224,12 @@ fn saxpy_dispatch(
     m: usize,
     steps: usize,
     n: usize,
-    threads: usize,
 ) {
     if n == 0 || m == 0 {
         return;
     }
     let work = m.saturating_mul(steps).saturating_mul(n);
-    let t = parallel::gated_threads(threads, work);
+    let t = parallel::gated_threads(work);
     if t <= 1 {
         saxpy_kernel(a, lda, b, out, m, steps, n);
         return;
@@ -475,15 +474,8 @@ impl Matrix {
     /// # Panics
     /// Panics on an inner-dimension mismatch.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        self.matmul_threaded(other, 0)
-    }
-
-    /// [`Matrix::matmul`] with an explicit worker count (`0` = configured;
-    /// see [`crate::parallel::effective_threads`]). The result is
-    /// bit-identical for every thread count.
-    pub fn matmul_threaded(&self, other: &Matrix, threads: usize) -> Matrix {
         let mut out = Matrix::default();
-        self.matmul_into_threaded(other, &mut out, threads);
+        self.matmul_into(other, &mut out);
         out
     }
 
@@ -491,12 +483,6 @@ impl Matrix {
     /// (`out` is reshaped and fully overwritten). Bit-identical to
     /// [`Matrix::matmul`].
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        self.matmul_into_threaded(other, out, 0);
-    }
-
-    /// [`Matrix::matmul_into`] with an explicit worker count (`0` =
-    /// configured).
-    pub fn matmul_into_threaded(&self, other: &Matrix, out: &mut Matrix, threads: usize) {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
@@ -514,7 +500,6 @@ impl Matrix {
             self.rows,
             self.cols,
             other.cols,
-            threads,
         );
     }
 
@@ -551,18 +536,12 @@ impl Matrix {
     /// reduction thrashes the cache and measured ~16x slower. Bit-identical
     /// to `self.transpose().matmul(other)`.
     pub fn matmul_at_b(&self, other: &Matrix) -> Matrix {
-        self.matmul_at_b_threaded(other, 0)
-    }
-
-    /// [`Matrix::matmul_at_b`] with an explicit worker count (`0` =
-    /// configured). Bit-identical for every thread count.
-    pub fn matmul_at_b_threaded(&self, other: &Matrix, threads: usize) -> Matrix {
         assert_eq!(
             self.rows, other.rows,
             "matmul_at_b shape mismatch: ({}x{})^T * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        self.transpose().matmul_threaded(other, threads)
+        self.transpose().matmul(other)
     }
 
     /// Computes `self^T * other` into `out`, packing the transpose of
@@ -583,18 +562,12 @@ impl Matrix {
     /// reuses the blocked row-major kernel (see [`Matrix::matmul_at_b`]).
     /// Bit-identical to `self.matmul(&other.transpose())`.
     pub fn matmul_a_bt(&self, other: &Matrix) -> Matrix {
-        self.matmul_a_bt_threaded(other, 0)
-    }
-
-    /// [`Matrix::matmul_a_bt`] with an explicit worker count (`0` =
-    /// configured). Bit-identical for every thread count.
-    pub fn matmul_a_bt_threaded(&self, other: &Matrix, threads: usize) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
             "matmul_a_bt shape mismatch: {}x{} * ({}x{})^T",
             self.rows, self.cols, other.rows, other.cols
         );
-        self.matmul_threaded(&other.transpose(), threads)
+        self.matmul(&other.transpose())
     }
 
     /// Computes `self * other^T` into `out`, packing the transpose of
@@ -844,17 +817,6 @@ mod tests {
         let a = Matrix::from_fn(37, 29, |i, j| ((i * 31 + j * 17) % 97) as f32 * 0.013 - 0.5);
         let b = Matrix::from_fn(29, 43, |i, j| ((i * 13 + j * 29) % 89) as f32 * 0.011 - 0.4);
         assert_eq!(a.matmul(&b), a.matmul_naive(&b));
-    }
-
-    #[test]
-    fn threaded_kernels_match_serial_bit_for_bit() {
-        let a = Matrix::from_fn(53, 31, |i, j| ((i * 7 + j * 3) % 23) as f32 * 0.07 - 0.7);
-        let b = Matrix::from_fn(31, 41, |i, j| ((i * 5 + j * 11) % 19) as f32 * 0.05 - 0.3);
-        assert_eq!(a.matmul_threaded(&b, 1), a.matmul_threaded(&b, 4));
-        let c = Matrix::from_fn(53, 41, |i, j| (i as f32 - j as f32) * 0.01);
-        assert_eq!(a.matmul_at_b_threaded(&c, 1), a.matmul_at_b_threaded(&c, 4));
-        let d = Matrix::from_fn(27, 31, |i, j| ((i + 2 * j) % 13) as f32 * 0.09);
-        assert_eq!(a.matmul_a_bt_threaded(&d, 1), a.matmul_a_bt_threaded(&d, 4));
     }
 
     /// Regression: `max_abs` folded through `f32::max`, which drops NaN.

@@ -38,19 +38,19 @@
 //!
 //! ## The threading knob
 //!
-//! The worker count is resolved, in order, from:
+//! There is one worker count, and every fork reads it through
+//! [`fork_threads`], which resolves it, in order, from:
 //!
-//! 1. an explicit per-call request (`Matrix::matmul_threaded(_, n)` with
-//!    `n > 0`);
-//! 2. a process-wide override set with [`set_threads`];
+//! 1. inside a parallel region: 1 (rule 2);
+//! 2. a pin on the calling thread, set with [`set_threads`];
 //! 3. the `SELNET_THREADS` environment variable (read once);
 //! 4. [`std::thread::available_parallelism`].
+//!
+//! No call takes a worker count of its own: every artifact is
+//! bit-identical at any count, so a count moves time, never an answer.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-static CONFIGURED: AtomicUsize = AtomicUsize::new(0);
 
 /// Elementary operations (one multiply-add of a matmul, one copied
 /// element) each engaged worker must receive before a fork is taken.
@@ -89,35 +89,18 @@ fn default_threads() -> usize {
     })
 }
 
-/// Sets the process-wide worker count (`0` restores the automatic
-/// `SELNET_THREADS` / `available_parallelism` resolution).
-pub fn set_threads(n: usize) {
-    CONFIGURED.store(n, Ordering::Relaxed);
-}
-
-/// Resolves a requested worker count: `requested > 0` wins, otherwise the
-/// process-wide configuration (see the module docs for the full order).
-pub fn effective_threads(requested: usize) -> usize {
-    if requested > 0 {
-        requested
-    } else {
-        let configured = CONFIGURED.load(Ordering::Relaxed);
-        if configured > 0 {
-            configured
-        } else {
-            default_threads()
-        }
-    }
-}
-
-/// The process-wide worker count currently in effect.
-pub fn configured_threads() -> usize {
-    effective_threads(0)
-}
-
 thread_local! {
     /// Whether this thread is running a part of some [`fork_join`].
     static IN_REGION: Cell<bool> = const { Cell::new(false) };
+    /// This thread's pinned worker count (0 = none), see [`set_threads`].
+    static PINNED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Pins the worker count of the forks the calling thread takes to `n`
+/// (`0` removes the pin, restoring the `SELNET_THREADS` /
+/// `available_parallelism` resolution). Other threads do not see it.
+pub fn set_threads(n: usize) {
+    PINNED.set(n);
 }
 
 /// Marks the current thread as inside a parallel region until dropped
@@ -137,24 +120,22 @@ impl Drop for Region {
     }
 }
 
-/// Workers a fork taken from the calling thread may engage:
-/// [`effective_threads`]`(requested)`, or 1 inside a parallel region
-/// (rule 2 of the module docs). Callers that size their own split —
-/// the matmul gate, the labelling scans — resolve their thread count
-/// through this.
-pub fn fork_threads(requested: usize) -> usize {
-    if IN_REGION.get() {
-        1
-    } else {
-        effective_threads(requested)
+/// Workers a fork taken from the calling thread may engage, in the order
+/// of the module docs: 1 inside a parallel region, else this thread's
+/// [`set_threads`] pin, else `SELNET_THREADS`, else the machine's cores.
+pub fn fork_threads() -> usize {
+    match (IN_REGION.get(), PINNED.get()) {
+        (true, _) => 1,
+        (false, 0) => default_threads(),
+        (false, pinned) => pinned,
     }
 }
 
 /// Workers worth engaging for `work` elementary operations: at most
-/// [`fork_threads`]`(requested)`, each with at least [`FORK_MIN_WORK`] of
-/// them (rule 3 of the module docs).
-pub(crate) fn gated_threads(requested: usize, work: usize) -> usize {
-    fork_threads(requested).min(work / FORK_MIN_WORK).max(1)
+/// [`fork_threads`], each with at least [`FORK_MIN_WORK`] of them (rule 3
+/// of the module docs).
+pub(crate) fn gated_threads(work: usize) -> usize {
+    fork_threads().min(work / FORK_MIN_WORK).max(1)
 }
 
 /// The one fork-join: runs `work(part)` for every part, the first on the
@@ -226,16 +207,11 @@ fn split_ranges<'a, T>(
     parts
 }
 
-/// `chunk_ranges` for a fork from the calling thread: one range inside
-/// a parallel region.
-fn fork_ranges(total: usize, threads: usize, min_per_chunk: usize) -> Vec<(usize, usize)> {
-    let threads = if IN_REGION.get() { 1 } else { threads };
-    chunk_ranges(total, threads, min_per_chunk)
-}
-
 /// Runs `f(first_row, rows)` over disjoint row-aligned chunks of a
-/// row-major buffer, on up to `threads` workers (the caller being one).
-/// With one chunk the call runs inline on the caller's thread.
+/// row-major buffer, on up to `threads` workers (the caller being one;
+/// one chunk inside a parallel region). Its callers size `threads` with
+/// a gate of their own. With one chunk the call runs inline on the
+/// caller's thread.
 pub fn par_row_chunks_mut<F>(
     data: &mut [f32],
     row_width: usize,
@@ -246,7 +222,8 @@ pub fn par_row_chunks_mut<F>(
     F: Fn(usize, &mut [f32]) + Sync,
 {
     let width = row_width.max(1);
-    let ranges = fork_ranges(data.len() / width, threads, min_rows);
+    let threads = if IN_REGION.get() { 1 } else { threads };
+    let ranges = chunk_ranges(data.len() / width, threads, min_rows);
     if ranges.len() <= 1 {
         if !data.is_empty() {
             f(0, data);
@@ -258,14 +235,14 @@ pub fn par_row_chunks_mut<F>(
     });
 }
 
-/// Maps `f` over `0..count` on up to `threads` workers, returning the
-/// results in index order (scheduling never affects the output).
-pub fn par_map_indexed<R, F>(count: usize, threads: usize, min_per_chunk: usize, f: F) -> Vec<R>
+/// Maps `f` over `0..count` on up to [`fork_threads`] workers, returning
+/// the results in index order (scheduling never affects the output).
+pub fn par_map_indexed<R, F>(count: usize, min_per_chunk: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let ranges = fork_ranges(count, threads, min_per_chunk);
+    let ranges = chunk_ranges(count, fork_threads(), min_per_chunk);
     if ranges.len() <= 1 {
         return (0..count).map(f).collect();
     }
@@ -287,7 +264,7 @@ where
 /// a plain loop on the caller. The training loops call it on tape-owned
 /// leaf buffers (see `Graph::leaf_with`) so batch assembly recycles
 /// storage instead of building a fresh `Vec` per batch.
-pub fn par_fill_rows<F>(data: &mut [f32], width: usize, threads: usize, fill: F)
+pub fn par_fill_rows<F>(data: &mut [f32], width: usize, fill: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
@@ -295,27 +272,27 @@ where
         return;
     }
     let min_rows = FORK_MIN_WORK.div_ceil(width);
-    par_row_chunks_mut(data, width, threads, min_rows, |first_row, chunk| {
+    par_row_chunks_mut(data, width, fork_threads(), min_rows, |first_row, chunk| {
         for (off, row) in chunk.chunks_exact_mut(width).enumerate() {
             fill(first_row + off, row);
         }
     });
 }
 
-/// Runs `f(i, &mut states[i])` for every state on up to `threads` workers
-/// and returns the results in index order. States are split into
+/// Runs `f(i, &mut states[i])` for every state on up to [`fork_threads`]
+/// workers and returns the results in index order. States are split into
 /// contiguous, disjoint chunks whose boundaries depend only on the input
 /// size and thread count, so scheduling never affects the output — the
 /// per-partition training tapes ride this to stay deterministic while each
 /// job mutates (resets and rebuilds) its own persistent `Graph`.
-pub fn par_map_states<S, R, F>(states: &mut [S], threads: usize, f: F) -> Vec<R>
+pub fn par_map_states<S, R, F>(states: &mut [S], f: F) -> Vec<R>
 where
     S: Send,
     R: Send,
     F: Fn(usize, &mut S) -> R + Sync,
 {
     let count = states.len();
-    let ranges = fork_ranges(count, threads, 1);
+    let ranges = chunk_ranges(count, fork_threads(), 1);
     if ranges.len() <= 1 {
         return states
             .iter_mut()
@@ -343,10 +320,18 @@ where
 mod tests {
     use super::*;
 
+    /// A pin holds on the thread that set it only, and `0` clears it.
     #[test]
-    fn effective_threads_prefers_explicit_request() {
-        assert_eq!(effective_threads(3), 3);
-        assert!(effective_threads(0) >= 1);
+    fn set_threads_pins_the_calling_thread_only() {
+        let unpinned = default_threads();
+        let pin = unpinned + 2;
+        set_threads(pin);
+        assert_eq!(fork_threads(), pin);
+        let elsewhere = std::thread::spawn(fork_threads).join().unwrap();
+        assert_eq!(elsewhere, unpinned);
+        assert_eq!(fork_threads(), pin);
+        set_threads(0);
+        assert_eq!(fork_threads(), unpinned);
     }
 
     #[test]
@@ -388,16 +373,19 @@ mod tests {
     #[test]
     fn par_map_indexed_is_ordered() {
         for threads in [1usize, 2, 5] {
-            let out = par_map_indexed(23, threads, 1, |i| i * i);
+            set_threads(threads);
+            let out = par_map_indexed(23, 1, |i| i * i);
             assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>());
         }
+        set_threads(0);
     }
 
     #[test]
     fn par_fill_rows_matches_serial() {
         let fill = |threads: usize| {
+            set_threads(threads);
             let mut data = vec![0.0f32; 11 * 3];
-            par_fill_rows(&mut data, 3, threads, |i, row| {
+            par_fill_rows(&mut data, 3, |i, row| {
                 for (j, v) in row.iter_mut().enumerate() {
                     *v = (i * 3 + j) as f32;
                 }
@@ -406,6 +394,7 @@ mod tests {
         };
         assert_eq!(fill(1), fill(4));
         assert_eq!(fill(1), (0..33).map(|v| v as f32).collect::<Vec<_>>());
+        set_threads(0);
     }
 
     /// Rule 1: part 0 runs on the calling thread, every other part on a
@@ -417,11 +406,12 @@ mod tests {
         use std::sync::Mutex;
         use std::thread::{current, ThreadId};
         let caller = current().id();
-        assert_eq!(fork_threads(4), 4);
+        set_threads(4);
+        assert_eq!(fork_threads(), 4);
         let seen: Mutex<Vec<(usize, ThreadId)>> = Mutex::new(Vec::new());
         fork_join(vec![0usize, 1, 2], |i| {
             let me = current().id();
-            assert_eq!(fork_threads(4), 1);
+            assert_eq!(fork_threads(), 1);
             let nested = Mutex::new(Vec::new());
             fork_join(vec![(); 3], |()| {
                 nested.lock().unwrap().push(current().id())
@@ -430,11 +420,11 @@ mod tests {
             nested
                 .lock()
                 .unwrap()
-                .extend(par_map_states(&mut states, 4, |_, _| current().id()));
+                .extend(par_map_states(&mut states, |_, _| current().id()));
             nested
                 .lock()
                 .unwrap()
-                .extend(par_map_indexed(6, 4, 1, |_| current().id()));
+                .extend(par_map_indexed(6, 1, |_| current().id()));
             let mut rows = [0.0f32; 8];
             par_row_chunks_mut(&mut rows, 1, 4, 1, |_, _| {
                 nested.lock().unwrap().push(current().id())
@@ -450,26 +440,29 @@ mod tests {
         assert_eq!(seen[0], (0, caller));
         assert!(seen[1].1 != caller && seen[2].1 != caller && seen[1].1 != seen[2].1);
         // the region ends with the fork
-        assert_eq!(fork_threads(4), 4);
+        assert_eq!(fork_threads(), 4);
         // a helper reached from inside `par_map_states` spawns nothing
         let mut tapes = [(); 3];
-        let inner = par_map_states(&mut tapes, 3, |_, _| {
+        let inner = par_map_states(&mut tapes, |_, _| {
             let me = current().id();
-            par_map_indexed(8, 4, 1, |_| current().id())
+            par_map_indexed(8, 1, |_| current().id())
                 .into_iter()
                 .all(|t| t == me)
         });
         assert_eq!(inner, [true; 3]);
+        set_threads(0);
     }
 
     /// An unwinding part leaves the caller outside the region again.
     #[test]
     fn a_panicking_part_propagates_and_ends_the_region() {
+        set_threads(3);
         let outcome = std::panic::catch_unwind(|| {
             fork_join(vec![0, 1], |i| assert!(i != 0, "part 0 fails"));
         });
         assert!(outcome.is_err());
-        assert_eq!(fork_threads(3), 3);
+        assert_eq!(fork_threads(), 3);
+        set_threads(0);
     }
 
     /// Float results do not depend on how many workers computed them.
@@ -493,27 +486,32 @@ mod tests {
 
     #[test]
     fn the_gate_gives_every_engaged_worker_its_minimum() {
-        assert_eq!(gated_threads(8, 0), 1);
-        assert_eq!(gated_threads(8, 2 * FORK_MIN_WORK - 1), 1);
-        assert_eq!(gated_threads(8, 2 * FORK_MIN_WORK), 2);
-        assert_eq!(gated_threads(2, 100 * FORK_MIN_WORK), 2);
+        set_threads(8);
+        assert_eq!(gated_threads(0), 1);
+        assert_eq!(gated_threads(2 * FORK_MIN_WORK - 1), 1);
+        assert_eq!(gated_threads(2 * FORK_MIN_WORK), 2);
+        set_threads(2);
+        assert_eq!(gated_threads(100 * FORK_MIN_WORK), 2);
+        set_threads(0);
     }
 
     #[test]
     fn zero_width_rows_are_harmless() {
-        par_fill_rows(&mut [], 0, 2, |_, _| unreachable!());
+        par_fill_rows(&mut [], 0, |_, _| unreachable!());
     }
 
     #[test]
     fn par_map_states_mutates_each_state_once_in_order() {
         for threads in [1usize, 2, 5] {
+            set_threads(threads);
             let mut states: Vec<u64> = (0..13).map(|i| i as u64).collect();
-            let out = par_map_states(&mut states, threads, |i, s| {
+            let out = par_map_states(&mut states, |i, s| {
                 *s += 100;
                 (i as u64) * 2
             });
             assert_eq!(out, (0..13).map(|i| i * 2).collect::<Vec<u64>>());
             assert_eq!(states, (100..113).collect::<Vec<u64>>());
         }
+        set_threads(0);
     }
 }

@@ -6,7 +6,7 @@
 //! loop on equivalent operands and to themselves under any thread count.
 
 use proptest::prelude::*;
-use selnet_tensor::Matrix;
+use selnet_tensor::{parallel, Matrix};
 
 fn matrix_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-2.0f32..2.0, rows * cols)
@@ -52,35 +52,11 @@ proptest! {
     ) {
         prop_assert_eq!(a.matmul_a_bt(&b), a.matmul_naive(&b.transpose()));
     }
-
-    /// Serial and parallel dispatch agree bit for bit on every kernel for
-    /// every thread count.
-    #[test]
-    fn parallel_kernels_bit_identical_to_serial(
-        m in 1usize..64,
-        k in 1usize..48,
-        n in 1usize..64,
-        threads in 2usize..8,
-    ) {
-        let a = Matrix::from_fn(m, k, |i, j| ((i * 7 + j * 13) % 37) as f32 * 0.05 - 0.8);
-        let b = Matrix::from_fn(k, n, |i, j| ((i * 11 + j * 5) % 41) as f32 * 0.04 - 0.7);
-        prop_assert_eq!(a.matmul_threaded(&b, 1), a.matmul_threaded(&b, threads));
-        let c = Matrix::from_fn(m, n, |i, j| ((i + 3 * j) % 29) as f32 * 0.06 - 0.6);
-        prop_assert_eq!(
-            a.matmul_at_b_threaded(&c, 1),
-            a.matmul_at_b_threaded(&c, threads)
-        );
-        let d = Matrix::from_fn(n, k, |i, j| ((5 * i + j) % 31) as f32 * 0.03 - 0.4);
-        prop_assert_eq!(
-            a.matmul_a_bt_threaded(&d, 1),
-            a.matmul_a_bt_threaded(&d, threads)
-        );
-    }
 }
 
-/// The parallel path must also engage for matrices above the fork gate
-/// (the proptest shapes above all stay on the serial path, so force a
-/// large product once).
+/// The parallel path engages for matrices above the fork gate and agrees
+/// with one thread bit for bit on every kernel (the proptest shapes above
+/// all stay on the serial path, so force a large product once).
 #[test]
 fn large_parallel_matmul_bit_identical_to_serial() {
     let a = Matrix::from_fn(288, 400, |i, j| {
@@ -91,13 +67,19 @@ fn large_parallel_matmul_bit_identical_to_serial() {
     });
     // 288*400*296 ≈ 34.1M mul-adds: two workers' worth under the gate, so
     // the 4-thread run splits its rows in two
-    const { assert!(288 * 400 * 296 >= 2 * selnet_tensor::parallel::FORK_MIN_WORK) };
-    let serial = a.matmul_threaded(&b, 1);
-    assert_eq!(serial, a.matmul_threaded(&b, 4));
-    assert_eq!(serial, a.matmul_naive(&b));
+    const { assert!(288 * 400 * 296 >= 2 * parallel::FORK_MIN_WORK) };
     let c = Matrix::from_fn(288, 296, |i, j| ((i * 7 + j * 3) % 83) as f32 * 0.01 - 0.3);
-    let atb = a.matmul_at_b_threaded(&c, 1); // 400 x 296 over 288 steps
-    assert_eq!(atb, a.matmul_at_b_threaded(&c, 4));
-    let abt = a.matmul_a_bt_threaded(&b.transpose(), 1);
-    assert_eq!(abt, a.matmul_a_bt_threaded(&b.transpose(), 4));
+    let all = || {
+        (
+            a.matmul(&b),
+            a.matmul_at_b(&c), // 400 x 296 over 288 steps
+            a.matmul_a_bt(&b.transpose()),
+        )
+    };
+    parallel::set_threads(1);
+    let serial = all();
+    parallel::set_threads(4);
+    assert!(all() == serial);
+    parallel::set_threads(0);
+    assert_eq!(serial.0, a.matmul_naive(&b));
 }

@@ -32,7 +32,10 @@ pub enum ThresholdScheme {
     },
 }
 
-/// Workload generation parameters.
+/// Workload generation parameters. The labelling scan's worker count is
+/// not one of them: it is [`fork_threads`] (1 inside a parallel region,
+/// else the calling thread's `set_threads` pin, else `SELNET_THREADS`,
+/// else every core), and the labels are the same at any count.
 #[derive(Clone, Debug)]
 pub struct WorkloadConfig {
     /// Number of distinct query objects.
@@ -45,8 +48,6 @@ pub struct WorkloadConfig {
     pub scheme: ThresholdScheme,
     /// RNG seed.
     pub seed: u64,
-    /// Number of worker threads for labeling (0 = all cores).
-    pub threads: usize,
 }
 
 impl WorkloadConfig {
@@ -58,7 +59,6 @@ impl WorkloadConfig {
             kind,
             scheme: ThresholdScheme::GeometricSelectivity,
             seed,
-            threads: 0,
         }
     }
 }
@@ -110,11 +110,12 @@ fn label_geometric(x: &[f32], nearest: &Nearest<'_>, ladder: &[f64], n: usize) -
 
 /// Generates a fully-labeled workload with an 80:10:10 query split.
 ///
-/// Ground truth is exact: a multi-threaded brute-force scan (the dataset
-/// streamed once per sixteen queries). The geometric ladder reads each
-/// query's distances up to its top rank only, so a column is
+/// Ground truth is exact: a brute-force scan on [`fork_threads`] workers
+/// (the dataset streamed once per sixteen queries). The geometric ladder
+/// reads each query's distances up to its top rank only, so a column is
 /// rank-selected there and just that prefix sorted; Beta thresholds are
-/// counted on the fly. Either way the labels are those of a full sort.
+/// counted on the fly. Either way the labels are those of a full sort,
+/// whatever the worker count.
 pub fn generate_workload(ds: &Dataset, cfg: &WorkloadConfig) -> Workload {
     assert!(ds.len() >= 2, "dataset too small");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -127,7 +128,7 @@ pub fn generate_workload(ds: &Dataset, cfg: &WorkloadConfig) -> Workload {
     }
     indices.truncate(num_queries);
     let xs: Vec<&[f32]> = indices.iter().map(|&qi| ds.row(qi)).collect();
-    let workers = fork_threads(cfg.threads);
+    let workers = fork_threads();
 
     let w = cfg.thresholds_per_query;
     let ladder = selectivity_ladder(ds.len(), w);
@@ -207,6 +208,7 @@ pub fn generate_workload(ds: &Dataset, cfg: &WorkloadConfig) -> Workload {
 mod tests {
     use super::*;
     use selnet_data::generators::{fasttext_like, GeneratorConfig};
+    use selnet_tensor::parallel;
 
     fn small_ds() -> Dataset {
         fasttext_like(&GeneratorConfig::new(500, 6, 4, 1))
@@ -234,7 +236,6 @@ mod tests {
             kind: DistanceKind::Euclidean,
             scheme: ThresholdScheme::GeometricSelectivity,
             seed: 3,
-            threads: 2,
         };
         let w = generate_workload(&ds, &cfg);
         assert_eq!(w.train.len(), 16);
@@ -267,7 +268,6 @@ mod tests {
             kind: DistanceKind::Euclidean,
             scheme: ThresholdScheme::GeometricSelectivity,
             seed: 5,
-            threads: 1,
         };
         let w = generate_workload(&ds, &cfg);
         for q in &w.train {
@@ -290,7 +290,6 @@ mod tests {
                 beta: 2.5,
             },
             seed: 7,
-            threads: 2,
         };
         let w = generate_workload(&ds, &cfg);
         for q in w.train.iter().chain(&w.valid).chain(&w.test) {
@@ -352,9 +351,10 @@ mod tests {
                         kind,
                         scheme,
                         seed: 13,
-                        threads,
                     };
+                    parallel::set_threads(threads);
                     let w = generate_workload(&ds, &cfg);
+                    parallel::set_threads(0);
                     let ladder = selectivity_ladder(ds.len(), 9);
                     let labeled = || w.train.iter().chain(&w.valid).chain(&w.test);
                     assert_eq!(labeled().count(), num_queries);

@@ -21,13 +21,17 @@ const WORKER_MIN_WORK: usize = 1 << 28;
 /// counts always sum to the global label (Observation 1 of the paper),
 /// so with one part they *are* the queries' own labels — exact for `ds`
 /// by the workload's contract — and no record is scanned.
-/// `threads` caps the labelling workers (0 = all cores).
+///
+/// The scan runs on up to [`fork_threads`] workers (1 inside a parallel
+/// region, else the calling thread's `set_threads` pin, else
+/// `SELNET_THREADS`, else every core), each with at least
+/// `WORKER_MIN_WORK` coordinate differences; the labels do not depend on
+/// how many.
 pub fn label_partitions(
     ds: &Dataset,
     partitioning: &Partitioning,
     queries: &[LabeledQuery],
     kind: DistanceKind,
-    threads: usize,
 ) -> PartitionedLabels {
     let assignments = partitioning.assignments();
     assert_eq!(assignments.len(), ds.len(), "one assignment per record");
@@ -42,7 +46,7 @@ pub fn label_partitions(
     let thresholds: Vec<&[f32]> = queries.iter().map(|q| q.thresholds.as_slice()).collect();
     let counter = || ThresholdCounts::per_part(assignments, partitioning.k(), &thresholds);
     let work = ds.len() * ds.dim() * queries.len();
-    let workers = fork_threads(threads).min(work / WORKER_MIN_WORK).max(1);
+    let workers = fork_threads().min(work / WORKER_MIN_WORK).max(1);
     PartitionedLabels {
         labels: scan_distances(ds, &xs, kind, workers, counter),
         workers,
@@ -65,7 +69,6 @@ mod tests {
             kind: DistanceKind::Euclidean,
             scheme: crate::generate::ThresholdScheme::GeometricSelectivity,
             seed: 1,
-            threads: 2,
         };
         let w = generate_workload(&ds, &cfg);
         let p = Partitioning::build(
@@ -75,7 +78,7 @@ mod tests {
             3,
             0,
         );
-        let pl = label_partitions(&ds, &p, &w.train, DistanceKind::Euclidean, 2);
+        let pl = label_partitions(&ds, &p, &w.train, DistanceKind::Euclidean);
         assert_eq!(pl.labels.len(), w.train.len());
         for (q, parts) in w.train.iter().zip(&pl.labels) {
             assert_eq!(parts.len(), p.k());
@@ -99,8 +102,8 @@ mod tests {
             let one = Partitioning::build(&ds, kind, PartitionMethod::Random, 1, 0);
             let two = Partitioning::build(&ds, kind, PartitionMethod::Random, 2, 0);
             assert_eq!((one.k(), two.k()), (1, 2));
-            let own = label_partitions(&ds, &one, &w.train, kind, 2).labels;
-            let scanned = label_partitions(&ds, &two, &w.train, kind, 2).labels;
+            let own = label_partitions(&ds, &one, &w.train, kind).labels;
+            let scanned = label_partitions(&ds, &two, &w.train, kind).labels;
             for ((q, own), scanned) in w.train.iter().zip(&own).zip(&scanned) {
                 assert_eq!(own.as_slice(), std::slice::from_ref(&q.selectivities));
                 let summed: Vec<f64> = (0..q.thresholds.len())
@@ -129,7 +132,7 @@ mod tests {
             cfg.thresholds_per_query = 7;
             let w = generate_workload(ds, &cfg);
             let p = Partitioning::build(ds, kind, PartitionMethod::CoverTree { ratio: 0.05 }, 4, 0);
-            let pl = label_partitions(ds, &p, &w.train, kind, 2);
+            let pl = label_partitions(ds, &p, &w.train, kind);
             for (q, parts) in w.train.iter().zip(&pl.labels) {
                 for (part, row) in parts.iter().enumerate() {
                     let want: Vec<f64> = q

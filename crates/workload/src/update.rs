@@ -187,7 +187,6 @@ mod tests {
             kind: DistanceKind::Euclidean,
             scheme: crate::generate::ThresholdScheme::GeometricSelectivity,
             seed: 2,
-            threads: 1,
         };
         let w = generate_workload(&ds, &cfg);
         let mut train = w.train.clone();

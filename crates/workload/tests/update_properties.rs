@@ -21,7 +21,6 @@ fn fixture(seed: u64) -> (Dataset, Vec<LabeledQuery>) {
         kind: KIND,
         scheme: ThresholdScheme::GeometricSelectivity,
         seed: seed ^ 0x9e37,
-        threads: 1,
     };
     let w = generate_workload(&ds, &cfg);
     (ds, w.train)

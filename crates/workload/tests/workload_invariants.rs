@@ -3,26 +3,29 @@
 
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
 use selnet_metric::DistanceKind;
+use selnet_tensor::parallel;
 use selnet_workload::{
     generate_workload, selectivity_ladder, sorted_distances, ThresholdScheme, WorkloadConfig,
 };
 
-fn cfg(threads: usize) -> WorkloadConfig {
+fn cfg() -> WorkloadConfig {
     WorkloadConfig {
         num_queries: 24,
         thresholds_per_query: 9,
         kind: DistanceKind::Euclidean,
         scheme: ThresholdScheme::GeometricSelectivity,
         seed: 77,
-        threads,
     }
 }
 
 #[test]
 fn labeling_is_thread_count_invariant() {
     let ds = fasttext_like(&GeneratorConfig::new(600, 5, 4, 31));
-    let w1 = generate_workload(&ds, &cfg(1));
-    let w8 = generate_workload(&ds, &cfg(8));
+    parallel::set_threads(1);
+    let w1 = generate_workload(&ds, &cfg());
+    parallel::set_threads(8);
+    let w8 = generate_workload(&ds, &cfg());
+    parallel::set_threads(0);
     assert_eq!(w1.train, w8.train);
     assert_eq!(w1.valid, w8.valid);
     assert_eq!(w1.test, w8.test);
@@ -32,7 +35,7 @@ fn labeling_is_thread_count_invariant() {
 #[test]
 fn splits_are_disjoint_by_query() {
     let ds = fasttext_like(&GeneratorConfig::new(600, 5, 4, 32));
-    let w = generate_workload(&ds, &cfg(4));
+    let w = generate_workload(&ds, &cfg());
     let mut seen: Vec<&[f32]> = Vec::new();
     for q in w.train.iter().chain(&w.valid).chain(&w.test) {
         assert!(
@@ -68,7 +71,7 @@ fn sorted_distances_include_self_zero() {
 #[test]
 fn tmax_covers_every_generated_threshold() {
     let ds = fasttext_like(&GeneratorConfig::new(800, 6, 4, 34));
-    let w = generate_workload(&ds, &cfg(0));
+    let w = generate_workload(&ds, &cfg());
     for q in w.train.iter().chain(&w.valid).chain(&w.test) {
         for &t in &q.thresholds {
             assert!(t <= w.tmax, "threshold {t} above tmax {}", w.tmax);

@@ -19,7 +19,6 @@ fn euclidean_fixture() -> (selnet_data::Dataset, Workload) {
         kind: DistanceKind::Euclidean,
         scheme: ThresholdScheme::GeometricSelectivity,
         seed: 5,
-        threads: 0,
     };
     let w = generate_workload(&ds, &cfg);
     (ds, w)
@@ -33,7 +32,6 @@ fn cosine_fixture() -> (selnet_data::Dataset, Workload) {
         kind: DistanceKind::Cosine,
         scheme: ThresholdScheme::GeometricSelectivity,
         seed: 6,
-        threads: 0,
     };
     let w = generate_workload(&ds, &cfg);
     (ds, w)
@@ -231,7 +229,6 @@ fn beta_threshold_pipeline() {
             beta: 2.5,
         },
         seed: 9,
-        threads: 0,
     };
     let w = generate_workload(&ds, &cfg);
     let (model, _) = fit_named(&ds, &w, &tiny_selnet(), "SelNet-ct");
