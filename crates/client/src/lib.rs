@@ -70,8 +70,7 @@ pub enum Reply {
         /// Estimates, one per requested threshold, in request order.
         values: Vec<f64>,
     },
-    /// A Prometheus-text metrics scrape (from
-    /// [`Connection::send_metrics`]).
+    /// A Prometheus-text metrics scrape (from [`Connection::metrics`]).
     Metrics(String),
     /// A typed refusal — this request was denied; the connection is fine.
     Denied(ErrorReply),
@@ -235,12 +234,6 @@ impl Connection {
             x: x.to_vec(),
             ts: ts.to_vec(),
         })
-    }
-
-    /// Pipelines one metrics scrape (Prometheus text exposition: fleet
-    /// aggregates plus per-tenant families).
-    pub fn send_metrics(&mut self) -> io::Result<()> {
-        self.send_frame(&Frame::Metrics)
     }
 
     /// Receives the oldest outstanding reply (FIFO). Errors if nothing is

@@ -121,10 +121,11 @@ impl Autoencoder {
             }
             for chunk in indices.chunks(batch_size.max(1)) {
                 g.reset();
-                let x = g.leaf_with(chunk.len(), ds.dim(), |data| {
-                    selnet_tensor::parallel::par_fill_rows(data, ds.dim(), |bi, row| {
-                        row.copy_from_slice(ds.row(chunk[bi]))
-                    });
+                let d = ds.dim();
+                let x = g.leaf_with(chunk.len(), d, |data| {
+                    for (bi, &i) in chunk.iter().enumerate() {
+                        data[bi * d..(bi + 1) * d].copy_from_slice(ds.row(i));
+                    }
                 });
                 let loss = self.reconstruction_loss(&mut g, store, x);
                 g.backward_params(loss);

@@ -86,15 +86,6 @@ impl UpdateDecision {
         }
     }
 
-    /// The post-decision reference validation MAE, if a retrain produced
-    /// one (`None` for skipped updates, which keep the old reference).
-    pub fn new_val_mae(&self) -> Option<f64> {
-        match self {
-            UpdateDecision::Skipped { .. } => None,
-            UpdateDecision::Retrained { new_val_mae, .. } => Some(*new_val_mae),
-        }
-    }
-
     /// One-line outcome summary for update logs, e.g.
     /// `skipped(drift=0.42)` or `retrained(epochs=5, val_mae=1.73)`.
     pub fn summary(&self) -> String {

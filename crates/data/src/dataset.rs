@@ -122,18 +122,6 @@ impl Dataset {
         removed
     }
 
-    /// Restricts the dataset to the given row indices (used to materialize
-    /// partitions).
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
-        let mut out = Dataset::new(self.dim);
-        out.name = self.name.clone();
-        out.data.reserve(indices.len() * self.dim);
-        for &i in indices {
-            out.data.extend_from_slice(self.row(i));
-        }
-        out
-    }
-
     /// Normalizes every row to unit length in place.
     pub fn normalize_rows(&mut self) {
         selnet_metric::vectors::normalize_all(&mut self.data, self.dim);
@@ -170,14 +158,6 @@ mod tests {
         assert_eq!(ds.swap_remove(1), vec![2.0]);
         assert_eq!(ds.len(), 1);
         assert_eq!(ds.row(0), &[1.0]);
-    }
-
-    #[test]
-    fn subset_extracts_rows() {
-        let ds = Dataset::from_rows(1, &[vec![0.0], vec![1.0], vec![2.0], vec![3.0]]);
-        let sub = ds.subset(&[3, 1]);
-        assert_eq!(sub.row(0), &[3.0]);
-        assert_eq!(sub.row(1), &[1.0]);
     }
 
     #[test]

@@ -56,42 +56,6 @@ pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
     1.0 - cos
 }
 
-/// Object-safe distance interface for generic code.
-pub trait Distance: Send + Sync {
-    /// Distance between two vectors.
-    fn eval(&self, a: &[f32], b: &[f32]) -> f32;
-    /// The distance family.
-    fn kind(&self) -> DistanceKind;
-}
-
-/// Euclidean distance as a [`Distance`] object.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EuclideanDistance;
-
-impl Distance for EuclideanDistance {
-    fn eval(&self, a: &[f32], b: &[f32]) -> f32 {
-        squared_euclidean(a, b).sqrt()
-    }
-
-    fn kind(&self) -> DistanceKind {
-        DistanceKind::Euclidean
-    }
-}
-
-/// Cosine distance as a [`Distance`] object.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CosineDistance;
-
-impl Distance for CosineDistance {
-    fn eval(&self, a: &[f32], b: &[f32]) -> f32 {
-        cosine_distance(a, b)
-    }
-
-    fn kind(&self) -> DistanceKind {
-        DistanceKind::Cosine
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,5 +13,5 @@
 pub mod distance;
 pub mod vectors;
 
-pub use distance::{CosineDistance, Distance, DistanceKind, EuclideanDistance};
+pub use distance::DistanceKind;
 pub use vectors::{dot, norm, normalize, normalize_all};

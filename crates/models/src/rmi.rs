@@ -3,7 +3,7 @@
 //! input to one model of the next stage; the leaf model's prediction is the
 //! answer. Trained in log space like the other regressors.
 
-use crate::common::{flatten, from_log, NeuralConfig, TEmbedding};
+use crate::common::{arena_train_step, flatten, from_log, NeuralConfig, TEmbedding};
 use crate::dnn::replicate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -184,9 +184,9 @@ fn predict_submodel(store: &ParamStore, emb: &TEmbedding, net: &Mlp, x: &[f32], 
     g.value(out).get(0, 0)
 }
 
-/// Trains one sub-model on a subset of pairs (Huber on logs). One arena
-/// tape is reused across all batches and epochs (the PR 3 lifecycle):
-/// leaves gather in place, gradients reach Adam as borrows.
+/// Trains one sub-model on a subset of pairs (Huber on logs): the
+/// baselines' one training step, [`arena_train_step`], over one arena
+/// tape reused across all batches and epochs.
 #[allow(clippy::too_many_arguments)]
 fn train_pairs_subset(
     store: &mut ParamStore,
@@ -202,23 +202,28 @@ fn train_pairs_subset(
     let mut order: Vec<usize> = subset.to_vec();
     let mut opt = Adam::new(cfg.learning_rate).with_clip(1.0);
     let mut g = Graph::new();
+    // the network predicts the log label directly
+    let mut forward = |g: &mut Graph, store: &ParamStore, xv, tv| {
+        let te = emb.forward(g, store, tv);
+        let input = g.concat_cols(xv, te);
+        (net.forward(g, store, input), true)
+    };
     for _ in 0..epochs {
         for i in (1..order.len()).rev() {
             let j = rng.gen_range(0..=i);
             order.swap(i, j);
         }
         for chunk in order.chunks(cfg.batch_size.max(1)) {
-            g.reset();
-            let (xv, tv, yv) = crate::common::batch_leaves(&mut g, pairs, chunk, dim);
-            let te = emb.forward(&mut g, store, tv);
-            let input = g.concat_cols(xv, te);
-            let pred = net.forward(&mut g, store, input);
-            let r = g.sub(pred, yv);
-            let h = g.huber(r, cfg.huber_delta);
-            let loss = g.mean(h);
-            g.backward_params(loss);
-            let grads = g.param_grad_refs();
-            opt.step_refs(store, &grads);
+            arena_train_step(
+                &mut g,
+                store,
+                &mut opt,
+                pairs,
+                chunk,
+                dim,
+                cfg,
+                &mut forward,
+            );
         }
     }
 }

@@ -11,7 +11,11 @@
 //!    mis-shaped or non-finite row), applies
 //!    admission control (a bounded queue; a saturated engine sheds with
 //!    [`SubmitError::Overloaded`] instead of queueing without bound),
-//!    then queues the request and wakes one parked worker;
+//!    then queues the request and wakes one parked worker.
+//!    [`Engine::serve_blocking`] (and [`Engine::estimate_many`] over it)
+//!    takes the same way in and waits for its own reply; it differs only
+//!    in never being shed — a blocking caller has at most one request in
+//!    flight, so its own wait is the backpressure;
 //! 2. a worker drains up to `max_batch_rows` `(x, t)` rows from the
 //!    queue, **never splitting a request across batches**;
 //! 3. the worker groups the drained requests **per tenant**, binds each
@@ -27,24 +31,13 @@
 //!    tenants', taken when somebody asks ([`Engine::stats_snapshot`],
 //!    [`Engine::metrics_text`]).
 //!
-//! Blocking callers ([`Engine::serve_blocking`] / [`Engine::estimate_many`])
-//! additionally get a **same-thread fast path**: when the queue is idle
-//! there is nothing to coalesce with, so the submitting thread binds a
-//! generation and evaluates the single request itself, through the same
-//! `estimate_into` hook. Blocking callers are also never shed — when the
-//! queue is saturated they evaluate inline as well, which *is*
-//! backpressure (one in-flight request per caller); only the pipelined
-//! [`Engine::submit`] path sheds. The TCP connection loop takes that
-//! path, so its requests can be shed.
-//!
 //! Because the batched forward is bit-identical per row to single-query
 //! evaluation, coalescing never changes an answer — any interleaving of
 //! client threads yields exactly the results of a sequential
 //! `estimate_many` (pinned by the `engine_concurrency` stress test). And
 //! because a request is answered entirely by the one generation its
-//! tenant group bound (inline serving binds one too), a hot swap can
-//! never tear a response, and one tenant's requests never ride another
-//! tenant's model.
+//! tenant group bound, a hot swap can never tear a response, and one
+//! tenant's requests never ride another tenant's model.
 
 use crate::registry::{ModelRegistry, Tenant};
 use crate::stats::{ServeStats, StatsSnapshot};
@@ -263,8 +256,8 @@ pub struct EngineConfig {
     /// unbounded, the pre-admission-control behaviour). The bound is
     /// approximate under submit races, and an oversized single request is
     /// always admitted to an **empty** queue so it cannot be starved by
-    /// its own size. Blocking callers are never shed — they fall back
-    /// to inline evaluation, which is its own backpressure.
+    /// its own size. [`Engine::serve_blocking`] is never shed: it queues
+    /// past the bound and waits, which is its own backpressure.
     pub max_queue_rows: usize,
     /// Slow-query threshold in microseconds (`0` disables the slow-query
     /// log). A request whose end-to-end latency reaches the threshold is
@@ -276,7 +269,7 @@ pub struct EngineConfig {
     /// probe). When set, the engine records batch-stage spans
     /// (`coalesce` / `generation_bind` / `plan_replay` / `reply`) for
     /// every drained batch, plus per-request spans (`submit` /
-    /// `queue_wait` / `inline_serve`) for requests that arrived with a
+    /// `queue_wait`) for requests that arrived with a
     /// caller-supplied trace ID — per-request tracing is sampled by the
     /// client, so untraced traffic only pays the amortized batch-stage
     /// cost. The ring keeps the newest `trace_buffer` spans.
@@ -399,7 +392,7 @@ enum Read {
 /// Every family of the exposition that is counted per tenant — name,
 /// `# HELP` text, reader — in exposition order. A new family is one
 /// [`ServeStats`] field and one row here.
-const FAMILIES: [(&str, &str, Read); 9] = [
+const FAMILIES: [(&str, &str, Read); 8] = [
     (
         "selnet_requests_total",
         "Requests answered (shed refusals excluded).",
@@ -414,11 +407,6 @@ const FAMILIES: [(&str, &str, Read); 9] = [
         "selnet_batches_total",
         "Coalesced batch evaluations run.",
         Read::Counter(|s| s.batches.get()),
-    ),
-    (
-        "selnet_inline_requests_total",
-        "Requests served synchronously on the submitting thread.",
-        Read::Counter(|s| s.inline_requests.get()),
     ),
     (
         "selnet_shed_requests_total",
@@ -511,9 +499,8 @@ where
     }
 
     /// Resolves a request's tenant and validates its query — dimension,
-    /// and every value finite — the routing checks both entry points
-    /// share. Errors surface here so a worker thread can never observe a
-    /// misrouted, mis-shaped or non-finite row.
+    /// and every value finite. Errors surface here so a worker thread can
+    /// never observe a misrouted, mis-shaped or non-finite row.
     fn route(&self, req: &Request) -> Result<Arc<Tenant<M>>, SubmitError> {
         let tenant =
             self.registry
@@ -551,30 +538,66 @@ where
     /// untrusted wire bytes; likewise a saturated engine must refuse
     /// cheaply rather than grow its queues without bound.
     pub fn submit(&self, req: Request) -> Result<ReplyHandle, SubmitError> {
+        self.enqueue(req, true)
+    }
+
+    /// Serves one request, blocking until the answer is ready — the entry
+    /// point for callers that wait anyway (synchronous clients, tests).
+    ///
+    /// The request rides the one queue exactly as a [`Engine::submit`]ted
+    /// one does, routed the same way, but it is **never shed**: a blocking
+    /// caller has at most one request in flight, so admitting it past the
+    /// bound overshoots the queue by at most one request per blocking
+    /// caller — its own wait is the backpressure.
+    pub fn serve_blocking(&self, req: &Request) -> Result<Vec<f64>, SubmitError> {
+        self.enqueue(req.clone(), false)?
+            .wait()
+            .map_err(|Disconnected| SubmitError::ShutDown)
+    }
+
+    /// The one way into the engine: routes the request, applies admission
+    /// control when `shed` is set, queues it and wakes a parked worker.
+    fn enqueue(&self, req: Request, shed: bool) -> Result<ReplyHandle, SubmitError> {
         // per-request spans are sampled, not blanket: only a request that
         // arrived with a caller-supplied trace ID pays for one. Batch-stage
         // spans, histograms, counters, and the slow-query log stay on for
         // every request — that always-on remainder is what the benchmark's
         // `obs.trace_overhead_ratio` measures.
         let sampled = req.trace != 0;
-        let trace = self.mint_trace(req.trace);
+        // every served request has a nonzero trace ID: the caller's if it
+        // brought one, a freshly minted one otherwise
+        let trace = if sampled { req.trace } else { next_trace_id() };
         let _span = sampled.then(|| self.recorder.span("submit", trace));
         let tenant = self.route(&req)?;
-        // a refusal is final here (a blocking caller serves itself instead),
-        // so this is where a shed is counted
-        self.admit(req.rows())
-            .inspect_err(|_| tenant.stats().record_shed())?;
-        self.enqueue(tenant, req.x, req.ts, trace, sampled)
-    }
-
-    /// The request's trace ID: the caller's if it brought one, a freshly
-    /// minted one otherwise (every served request has a nonzero ID).
-    fn mint_trace(&self, trace: u64) -> u64 {
-        if trace != 0 {
-            trace
-        } else {
-            next_trace_id()
+        if shed {
+            // a refusal is final, so this is where a shed is counted
+            self.admit(req.rows())
+                .inspect_err(|_| tenant.stats().record_shed())?;
         }
+        let rows = req.rows();
+        let (tx, rx) = reply_pair();
+        let queued = Queued {
+            tenant,
+            x: req.x,
+            ts: req.ts,
+            trace,
+            sampled,
+            enqueued: Instant::now(),
+            reply: tx,
+        };
+        {
+            // the stop re-check happens under the queue lock: a worker's
+            // exit decision (stop && queue empty) takes the same lock, so
+            // a request pushed here is guaranteed to be drained
+            let mut q = self.queue.lock().expect("queue lock poisoned");
+            if self.stop.load(Ordering::SeqCst) {
+                return Err(SubmitError::ShutDown);
+            }
+            self.queued_rows.fetch_add(rows, Ordering::Relaxed);
+            q.push_back(queued);
+        }
+        self.signal.notify_one();
+        Ok(rx)
     }
 
     /// Admission control: whether the queue has room for `rows` more,
@@ -594,119 +617,6 @@ where
             queued_rows: queued,
             limit: self.queue_limit,
         })
-    }
-
-    /// Queues an admitted request and wakes a parked worker.
-    fn enqueue(
-        &self,
-        tenant: Arc<Tenant<M>>,
-        x: Vec<f32>,
-        ts: Vec<f32>,
-        trace: u64,
-        sampled: bool,
-    ) -> Result<ReplyHandle, SubmitError> {
-        let rows = ts.len().max(1);
-        let (tx, rx) = reply_pair();
-        let req = Queued {
-            tenant,
-            x,
-            ts,
-            trace,
-            sampled,
-            enqueued: Instant::now(),
-            reply: tx,
-        };
-        {
-            // the stop re-check happens under the queue lock: a worker's
-            // exit decision (stop && queue empty) takes the same lock, so
-            // a request pushed here is guaranteed to be drained
-            let mut q = self.queue.lock().expect("queue lock poisoned");
-            if self.stop.load(Ordering::SeqCst) {
-                return Err(SubmitError::ShutDown);
-            }
-            self.queued_rows.fetch_add(rows, Ordering::Relaxed);
-            q.push_back(req);
-        }
-        self.signal.notify_one();
-        Ok(rx)
-    }
-
-    /// Serves one request, blocking until the answer is ready — the entry
-    /// point for callers that wait anyway (connection loops, synchronous
-    /// clients).
-    ///
-    /// When the queue is idle there is nothing to coalesce with, so the
-    /// request is evaluated **inline on this thread** against one bound
-    /// generation, skipping the queue, the worker wake-up, and the reply
-    /// channel. Under saturation the request also evaluates inline rather
-    /// than shedding — a
-    /// blocking caller has at most one request in flight, so making it do
-    /// its own work *is* the backpressure. Otherwise it falls back to
-    /// queued submission, so concurrent load still coalesces.
-    pub fn serve_blocking(&self, req: &Request) -> Result<Vec<f64>, SubmitError> {
-        // same span-sampling rule as `submit`
-        let sampled = req.trace_id() != 0;
-        let trace = self.mint_trace(req.trace_id());
-        let tenant = self.route(req)?;
-        if self.stop.load(Ordering::SeqCst) {
-            return Err(SubmitError::ShutDown);
-        }
-        let (x, ts) = (req.query(), req.threshold_grid());
-        if self.queue_idle() {
-            return Ok(self.serve_inline(&tenant, trace, sampled, x, ts));
-        }
-        match self.admit(req.rows()) {
-            Ok(()) => self
-                .enqueue(tenant, x.to_vec(), ts.to_vec(), trace, sampled)?
-                .wait()
-                .map_err(|Disconnected| SubmitError::ShutDown),
-            // saturated: evaluate on the caller's own thread instead of
-            // shedding a blocking caller (nothing was refused, so nothing
-            // is counted as shed)
-            Err(_) => Ok(self.serve_inline(&tenant, trace, sampled, x, ts)),
-        }
-    }
-
-    /// Whether the queue is currently observably empty (a busy lock
-    /// counts as non-idle — a worker is draining it).
-    fn queue_idle(&self) -> bool {
-        self.queue.try_lock().is_ok_and(|q| q.is_empty())
-    }
-
-    /// Evaluates one request synchronously against one bound generation
-    /// of its tenant, through the same `estimate_into` hook as the worker
-    /// path.
-    fn serve_inline(
-        &self,
-        tenant: &Tenant<M>,
-        trace: u64,
-        sampled: bool,
-        x: &[f32],
-        ts: &[f32],
-    ) -> Vec<f64> {
-        let started = Instant::now();
-        let _span = sampled.then(|| {
-            self.recorder
-                .span("inline_serve", trace)
-                .detail(ts.len() as u64, 0)
-        });
-        let mut values = Vec::new();
-        tenant.current().1.estimate_into(&[(x, ts)], &mut values);
-        let us = started.elapsed().as_micros() as u64;
-        tenant.stats().record_inline();
-        tenant.stats().record_request(ts.len() as u64, us);
-        self.note_slow(tenant, trace, ts.len() as u64, us);
-        values
-    }
-
-    /// Counts a request that crossed the configured threshold and
-    /// appends it to its tenant's slow-query log (no-op when disabled).
-    /// The fleet's log is the per-tenant merge ([`Engine::slow_queries`]).
-    #[inline]
-    fn note_slow(&self, tenant: &Tenant<M>, trace: u64, rows: u64, us: u64) {
-        if self.slow_query_us > 0 && us >= self.slow_query_us {
-            tenant.stats().record_slow(trace, rows, us);
-        }
     }
 
     /// Blocking convenience wrapper around [`Engine::serve_blocking`] for
@@ -952,7 +862,11 @@ where
             let values = scratch.flat[offset..offset + m].to_vec();
             offset += m;
             let us = req.enqueued.elapsed().as_micros() as u64;
-            self.note_slow(tenant, req.trace, m as u64, us);
+            // a request at or past the threshold goes to its tenant's
+            // slow-query log; the fleet's is the merge (`slow_queries`)
+            if self.slow_query_us > 0 && us >= self.slow_query_us {
+                tenant.stats().record_slow(req.trace, m as u64, us);
+            }
             scratch.served.push((m as u64, us));
             replies.push((req.reply, values));
         }
@@ -1214,8 +1128,29 @@ mod tests {
         // shed requests are refusals, not answers: they never count as
         // served requests
         assert_eq!(fleet.requests as usize + shed, 64);
-        // blocking callers are never shed, even while saturated
+        // a blocking caller is never shed, even while the queue is full:
+        // it queues past the bound and a worker answers it
+        let mut full = Vec::new();
+        let shed_before = loop {
+            match eng.submit(req(vec![0.0], vec![1.0])) {
+                Ok(handle) => full.push(handle),
+                Err(SubmitError::Overloaded { .. }) => break eng.stats_snapshot().shed_requests,
+                Err(other) => panic!("unexpected submit error: {other}"),
+            }
+        };
         assert_eq!(eng.estimate_many(&[0.0], &[3.0]), vec![3.0]);
+        for handle in full {
+            assert_eq!(handle.wait().expect("served"), vec![1.0]);
+        }
+        let after = eng.stats_snapshot();
+        assert_eq!(
+            after.shed_requests, shed_before,
+            "a blocking call is not shed"
+        );
+        assert!(after.batches > fleet.batches);
+        // one-row batches: every answered request, the blocking one
+        // included, was a worker's batch
+        assert_eq!(after.batches, after.requests);
         eng.shutdown();
     }
 
@@ -1249,8 +1184,10 @@ mod tests {
         eng.shutdown();
     }
 
+    /// On an idle engine there is nothing to coalesce with, and still
+    /// every blocking call is answered by a worker: one batch each.
     #[test]
-    fn inline_fast_path_serves_idle_queues() {
+    fn blocking_calls_ride_the_queue() {
         let eng = engine(
             2.0,
             &EngineConfig {
@@ -1258,17 +1195,13 @@ mod tests {
                 ..Default::default()
             },
         );
-        // with no concurrent load every blocking call finds idle queues
-        // and is served on the calling thread
         assert_eq!(eng.estimate_many(&[1.0], &[0.5, 1.0]), vec![2.0, 3.0]);
         assert_eq!(eng.estimate_many(&[0.0], &[2.0]), vec![4.0]);
         let snap = eng.stats_snapshot();
         assert_eq!(snap.requests, 2);
-        assert!(
-            snap.inline_requests >= 1,
-            "idle-queue blocking calls should take the inline path, got {}",
-            snap.inline_requests
-        );
+        assert_eq!(snap.batches, snap.requests, "one worker batch per call");
+        assert_eq!(snap.mean_batch_rows, 1.5);
+        assert_eq!(snap.inline_requests, 0);
         eng.shutdown();
     }
 
@@ -1314,13 +1247,14 @@ mod tests {
         // the tenant's own log saw the same traffic
         let tenant = &eng.registry().tenants()[0];
         assert_eq!(tenant.stats().snapshot().slow_requests, slow.len() as u64);
-        // the flight recorder captured the inline spans
+        // the flight recorder captured the traced request's wait in the queue
         let spans = eng.spans();
         assert!(
-            spans.iter().any(|s| s.kind == "inline_serve"),
+            spans
+                .iter()
+                .any(|s| s.kind == "queue_wait" && s.trace_id == 7777),
             "spans: {spans:?}"
         );
-        assert!(spans.iter().any(|s| s.trace_id == 7777), "spans: {spans:?}");
         eng.shutdown();
     }
 

@@ -27,7 +27,7 @@
 //!   `selnet-client replay` reads;
 //! * [`stats`] — per-tenant telemetry on `selnet-obs` primitives:
 //!   lock-free latency / batch-occupancy / retrain histograms (unbounded,
-//!   zero dropped samples), throughput / inline / shed / slow-request
+//!   zero dropped samples), throughput / shed / slow-request
 //!   counters, and the bounded slow-query log. An event is counted once,
 //!   in its tenant's record; the fleet view is their fold at read time,
 //!   and the Prometheus exposition below is the one report of both.

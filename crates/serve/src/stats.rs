@@ -28,10 +28,6 @@ pub struct ServeStats {
     pub(crate) requests: Counter,
     pub(crate) rows: Counter,
     pub(crate) batches: Counter,
-    /// Rows that went through coalesced batch evaluations only (the
-    /// numerator of `mean_batch_rows`; inline rows are excluded).
-    batch_rows: Counter,
-    pub(crate) inline_requests: Counter,
     pub(crate) shed_requests: Counter,
     pub(crate) slow_requests: Counter,
     /// End-to-end request latency (enqueue → reply), microseconds.
@@ -58,8 +54,6 @@ impl ServeStats {
             requests: Counter::new(),
             rows: Counter::new(),
             batches: Counter::new(),
-            batch_rows: Counter::new(),
-            inline_requests: Counter::new(),
             shed_requests: Counter::new(),
             slow_requests: Counter::new(),
             latency_us: Histogram::new(),
@@ -69,36 +63,17 @@ impl ServeStats {
         }
     }
 
-    /// Records one answered request with its `(x, t)` row count and
-    /// end-to-end latency (enqueue → reply).
-    pub fn record_request(&self, rows: u64, latency_us: u64) {
-        self.requests.inc();
-        self.rows.add(rows);
-        self.latency_us.record(latency_us);
-    }
-
-    /// Records a whole coalesced batch of answered requests —
-    /// `(rows, latency_us)` per request. Purely lock-free (kept as the
-    /// worker-path entry point so the batch's rows count toward the
-    /// coalescing mean, which inline serving's
-    /// [`ServeStats::record_request`] must not).
+    /// Records the answered requests of one coalesced batch —
+    /// `(rows, latency_us)` per request, latency from enqueue to reply.
+    /// Every answered request is recorded here, by the worker that
+    /// answered it. Purely lock-free.
     pub fn record_requests(&self, served: &[(u64, u64)]) {
-        if served.is_empty() {
-            return;
-        }
         let total_rows: u64 = served.iter().map(|&(r, _)| r).sum();
         self.requests.add(served.len() as u64);
         self.rows.add(total_rows);
-        self.batch_rows.add(total_rows);
         for &(_, us) in served {
             self.latency_us.record(us);
         }
-    }
-
-    /// Records a request served synchronously on the submitting thread
-    /// (the idle-queue fast path), bypassing the queue and workers.
-    pub fn record_inline(&self) {
-        self.inline_requests.inc();
     }
 
     /// Records one coalesced batch evaluation of `rows` total rows.
@@ -168,13 +143,12 @@ pub struct StatsSnapshot {
     /// Coalesced batch evaluations run.
     pub batches: u64,
     /// Always 0: the engine has no reply cache. Read only by
-    /// `benchmark/`; drop it with its `cache.*` rows in ROADMAP 4b's
+    /// `benchmark/`; drop it with its `cache.*` rows in ROADMAP 6a's
     /// `[benchmark]` PR.
     pub cache_hits: u64,
-    /// Requests served synchronously on the submitting thread (idle-queue
-    /// fast path); these bypass the queue, so they appear in `requests`
-    /// and `rows` but are excluded from `batches` and `mean_batch_rows`
-    /// (whose numerator counts only batch-evaluated rows).
+    /// Always 0: every request rides the queue and is answered by a
+    /// worker. Read only by `benchmark/`; drop it with `cache_hits` in
+    /// ROADMAP 6a's `[benchmark]` PR.
     pub inline_requests: u64,
     /// Requests refused by admission control (`Overloaded` replies).
     /// Refusals are not answers: they are excluded from `requests`,
@@ -194,9 +168,8 @@ pub struct StatsSnapshot {
     pub p99_latency_us: u64,
     /// Largest end-to-end request latency observed, microseconds.
     pub max_latency_us: u64,
-    /// Mean **batch-evaluated** rows per coalesced batch — the coalescing
-    /// win in one number (inline serves are excluded from the numerator;
-    /// `0` when no batch has run).
+    /// Mean rows per coalesced batch, `rows / batches` — the coalescing
+    /// win in one number (`0` when no batch has run).
     pub mean_batch_rows: f64,
 }
 
@@ -214,30 +187,28 @@ impl StatsSnapshot {
         for s in stats {
             lat.merge(&s.latency_us.snapshot());
         }
-        let batches = sum(|s| &s.batches);
+        let (rows, batches) = (sum(|s| &s.rows), sum(|s| &s.batches));
         StatsSnapshot {
             requests: sum(|s| &s.requests),
-            rows: sum(|s| &s.rows),
+            rows,
             batches,
             cache_hits: 0,
-            inline_requests: sum(|s| &s.inline_requests),
+            inline_requests: 0,
             shed_requests: sum(|s| &s.shed_requests),
             slow_requests: sum(|s| &s.slow_requests),
             p50_latency_us: lat.quantile(0.50),
             p99_latency_us: lat.quantile(0.99),
             max_latency_us: lat.max,
-            // only batch-evaluated rows count, so inline serves cannot
-            // inflate the reported coalescing win
             mean_batch_rows: if batches == 0 {
                 0.0
             } else {
-                sum(|s| &s.batch_rows) as f64 / batches as f64
+                rows as f64 / batches as f64
             },
         }
     }
 
     /// Always 0: the engine has no reply cache. Read only by
-    /// `benchmark/`; drop it with its `cache.*` rows in ROADMAP 4b's
+    /// `benchmark/`; drop it with its `cache.*` rows in ROADMAP 6a's
     /// `[benchmark]` PR.
     pub fn cache_evictions(&self) -> u64 {
         0
@@ -251,26 +222,27 @@ mod tests {
     #[test]
     fn percentiles_and_counters() {
         let s = ServeStats::new();
+        // a hundred one-request batches of two rows each
         for i in 1..=100u64 {
-            s.record_request(2, i);
+            s.record_batch(2);
+            s.record_requests(&[(2, i)]);
         }
-        s.record_batch(12);
         s.record_shed();
         // one coalesced batch of three requests (3 + 5 + 4 = 12 rows)
+        s.record_batch(12);
         s.record_requests(&[(3, 101), (5, 102), (4, 103)]);
         let snap = s.snapshot();
         assert_eq!(snap.requests, 103);
         assert_eq!(snap.rows, 212);
-        assert_eq!(snap.batches, 1);
+        assert_eq!(snap.batches, 101);
         assert_eq!(snap.shed_requests, 1);
         // every latency here is below 128 µs, so the log-bucketed record
         // reproduces the nearest-rank percentiles exactly
         assert_eq!(snap.p50_latency_us, 52);
         assert_eq!(snap.p99_latency_us, 102);
         assert_eq!(snap.max_latency_us, 103);
-        // only the batch's 12 rows count toward the coalescing mean — the
-        // 200 rows recorded one request at a time (the inline path) do not
-        assert_eq!(snap.mean_batch_rows, 12.0);
+        // the coalescing mean is rows over batches: 212 / 101
+        assert_eq!(snap.mean_batch_rows, 212.0 / 101.0);
     }
 
     #[test]
@@ -296,7 +268,7 @@ mod tests {
         // sample 2^20 vanished from the percentiles entirely
         for i in 0..N {
             let us = if i < 1_100_000 { 10 } else { 5_000 };
-            s.record_request(1, us);
+            s.record_requests(&[(1, us)]);
         }
         let snap = s.snapshot();
         assert_eq!(snap.requests, N);

@@ -95,10 +95,9 @@ fn concurrent_serving_is_bit_identical_to_sequential() {
             let expected = &expected;
             scope.spawn(move || {
                 // each client walks the pool from its own offset so the
-                // queue interleaving differs per thread; traffic mixes the
-                // blocking path (which may serve inline when queues are
-                // idle) with pipelined submit bursts (which always queue
-                // and therefore coalesce)
+                // queue interleaving differs per thread; traffic mixes
+                // blocking calls (one request in flight per client) with
+                // pipelined submit bursts (which pile up and coalesce)
                 for r in 0..rounds {
                     let mut burst: Vec<(usize, _)> = Vec::new();
                     for i in 0..pool.len() {
@@ -396,13 +395,13 @@ fn background_update_publishes_without_blocking_serving() {
     engine.shutdown();
 }
 
-/// The engine evaluates a model at two sites, both through the one
-/// `estimate_into` hook on un-expanded requests: a multi-threshold request
-/// answered by a worker (pipelined `submit`, coalesced with its
-/// neighbours) equals the same request answered inline (blocking caller
-/// on an idle engine), bit for bit — and both equal the tape oracle.
+/// A multi-threshold request answered alone, in a batch of one (a
+/// blocking call on an idle engine), equals the same request coalesced
+/// with its eleven neighbours into one `estimate_into`, bit for bit — and
+/// both equal the tape oracle. A pipelined burst through the engine, which
+/// coalesces as the workers find it queued, answers the same.
 #[test]
-fn worker_and_inline_answers_are_bit_identical() {
+fn single_and_coalesced_answers_are_bit_identical() {
     let (ds, _, model) = fixture(95, 2);
     let tmax = model.tmax();
     let pool: Vec<(Vec<f32>, Vec<f32>)> = (0..12)
@@ -415,6 +414,15 @@ fn worker_and_inline_answers_are_bit_identical() {
         .iter()
         .map(|(x, ts)| tape_answers(&model, x, ts))
         .collect();
+    let coalesced: Vec<Vec<f64>> = {
+        let queries: Vec<(&[f32], &[f32])> = pool
+            .iter()
+            .map(|(x, ts)| (x.as_slice(), ts.as_slice()))
+            .collect();
+        let mut flat = Vec::new();
+        model.estimate_into(&queries, &mut flat);
+        flat.chunks(40).map(<[f64]>::to_vec).collect()
+    };
     let engine = Engine::start(
         Arc::new(ModelRegistry::new(model)),
         &EngineConfig {
@@ -423,15 +431,14 @@ fn worker_and_inline_answers_are_bit_identical() {
             ..Default::default()
         },
     );
-    let inline: Vec<Vec<f64>> = pool
+    let single: Vec<Vec<f64>> = pool
         .iter()
         .map(|(x, ts)| engine.estimate_many(x, ts))
         .collect();
-    let stats = engine.stats_snapshot();
     assert_eq!(
-        stats.inline_requests,
+        engine.stats_snapshot().batches,
         pool.len() as u64,
-        "idle engine serves inline"
+        "one batch per blocking call"
     );
     let handles: Vec<_> = pool
         .iter()
@@ -441,16 +448,13 @@ fn worker_and_inline_answers_are_bit_identical() {
                 .expect("engine running")
         })
         .collect();
-    let queued: Vec<Vec<f64>> = handles
+    let burst: Vec<Vec<f64>> = handles
         .into_iter()
         .map(|h| h.wait().expect("served"))
         .collect();
-    assert!(
-        engine.stats_snapshot().batches > stats.batches,
-        "workers served the burst"
-    );
-    assert_eq!(queued, inline);
-    assert_eq!(queued, tape);
+    assert_eq!(single, coalesced);
+    assert_eq!(single, tape);
+    assert_eq!(burst, single);
     engine.shutdown();
 }
 

@@ -490,7 +490,7 @@ fn fleet_stats_are_the_fold_of_the_tenants() {
     assert_eq!(after.requests, before.requests + returned);
     assert_eq!(after.slow_requests, before.slow_requests + returned);
     assert_eq!(after.shed_requests, before.shed_requests);
-    // a blocking call on the now idle engine: served inline
+    // a blocking call on the now idle engine: answered by a worker too
     engine
         .serve_blocking(&req("alpha", &[-0.5], &[1.0]))
         .unwrap();
@@ -504,13 +504,12 @@ fn fleet_stats_are_the_fold_of_the_tenants() {
     assert_eq!(fleet.requests, sum(|s| s.requests));
     assert_eq!(fleet.rows, sum(|s| s.rows));
     assert_eq!(fleet.batches, sum(|s| s.batches));
-    assert_eq!(fleet.inline_requests, sum(|s| s.inline_requests));
     assert_eq!(fleet.shed_requests, sum(|s| s.shed_requests));
     assert_eq!(fleet.slow_requests, sum(|s| s.slow_requests));
     for (t, name) in tenants.iter().zip(names) {
         assert!(t.requests > 0, "tenant {name} saw no traffic");
     }
-    assert!(fleet.batches > 0 && fleet.inline_requests > 0 && fleet.shed_requests > 0);
+    assert!(fleet.batches > 0 && fleet.shed_requests > 0);
     assert_eq!(fleet.slow_requests as usize, engine.slow_queries().len());
     // mean_batch_rows from the summed numerators, not a mean of means
     let batch_rows: f64 = tenants
@@ -533,8 +532,9 @@ fn fleet_stats_are_the_fold_of_the_tenants() {
 
 /// The exposition's structure — family order, `# HELP` / `# TYPE` lines,
 /// the label set of every series — frozen from the output of the commit
-/// before the fleet became a fold of its tenants (PR 23): values and
-/// `le` bounds move with traffic, this list must not.
+/// before the fleet became a fold of its tenants (PR 23), less the
+/// inline-request counter that left with the engine's same-thread path:
+/// values and `le` bounds move with traffic, this list must not.
 const METRICS_STRUCTURE: &str = r#"# HELP selnet_requests_total Requests answered (shed refusals excluded).
 # TYPE selnet_requests_total counter
 selnet_requests_total
@@ -550,11 +550,6 @@ selnet_rows_total{tenant="beta"}
 selnet_batches_total
 selnet_batches_total{tenant="alpha"}
 selnet_batches_total{tenant="beta"}
-# HELP selnet_inline_requests_total Requests served synchronously on the submitting thread.
-# TYPE selnet_inline_requests_total counter
-selnet_inline_requests_total
-selnet_inline_requests_total{tenant="alpha"}
-selnet_inline_requests_total{tenant="beta"}
 # HELP selnet_shed_requests_total Requests refused by admission control.
 # TYPE selnet_shed_requests_total counter
 selnet_shed_requests_total
@@ -674,10 +669,10 @@ fn metrics_text_keeps_its_structure() {
         "selnet_requests_total{tenant=\"alpha\"} 3",
         "selnet_requests_total{tenant=\"beta\"} 5",
         "selnet_rows_total 11",
-        "selnet_inline_requests_total 3",
-        // every queued request waits for a worker wake-up, past the 1 µs
-        // bar; an inline one can answer inside it
-        "selnet_slow_requests_total{tenant=\"beta\"} 5",
+        // the three blocking calls, one after another, are a batch each
+        "selnet_batches_total{tenant=\"alpha\"} 3",
+        // every request waits for a worker wake-up, past the 1 µs bar
+        "selnet_slow_requests_total 8",
         "selnet_request_latency_us_count 8",
         "selnet_request_latency_us_bucket{tenant=\"beta\",le=\"+Inf\"} 5",
         "selnet_retrain_us_sum{tenant=\"beta\"} 2500",

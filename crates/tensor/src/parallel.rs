@@ -20,8 +20,8 @@
 //!    per-partition pretraining tapes therefore never stack matmul forks
 //!    on top of their own fan-out, and the machine never runs more
 //!    threads than the outermost fork asked for.
-//! 3. **One gate.** Where the work is countable — a matmul, a row copy —
-//!    a fork is only taken when every engaged worker gets at least
+//! 3. **One gate.** Where the work is countable — a matmul — a fork is
+//!    only taken when every engaged worker gets at least
 //!    [`FORK_MIN_WORK`] elementary operations (`gated_threads`); the
 //!    constant is derived from the measured cost of one fork-join (see
 //!    its docs). [`par_map_indexed`] and
@@ -52,8 +52,8 @@
 use std::cell::Cell;
 use std::sync::OnceLock;
 
-/// Elementary operations (one multiply-add of a matmul, one copied
-/// element) each engaged worker must receive before a fork is taken.
+/// Elementary operations (multiply-adds of a matmul) each engaged worker
+/// must receive before a fork is taken.
 ///
 /// Derivation, from `BENCH_substrate.json` on the 2-vCPU recording host:
 /// one empty two-way [`fork_join`] — a scope, one spawn, one join — is
@@ -258,27 +258,6 @@ where
         .collect()
 }
 
-/// Fills an existing `width`-column row-major buffer row by row with
-/// `fill(row_index, row)`, parallelized over row chunks of at least
-/// [`FORK_MIN_WORK`] elements — a training batch (a few hundred rows) is
-/// a plain loop on the caller. The training loops call it on tape-owned
-/// leaf buffers (see `Graph::leaf_with`) so batch assembly recycles
-/// storage instead of building a fresh `Vec` per batch.
-pub fn par_fill_rows<F>(data: &mut [f32], width: usize, fill: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    if width == 0 || data.is_empty() {
-        return;
-    }
-    let min_rows = FORK_MIN_WORK.div_ceil(width);
-    par_row_chunks_mut(data, width, fork_threads(), min_rows, |first_row, chunk| {
-        for (off, row) in chunk.chunks_exact_mut(width).enumerate() {
-            fill(first_row + off, row);
-        }
-    });
-}
-
 /// Runs `f(i, &mut states[i])` for every state on up to [`fork_threads`]
 /// workers and returns the results in index order. States are split into
 /// contiguous, disjoint chunks whose boundaries depend only on the input
@@ -380,23 +359,6 @@ mod tests {
         set_threads(0);
     }
 
-    #[test]
-    fn par_fill_rows_matches_serial() {
-        let fill = |threads: usize| {
-            set_threads(threads);
-            let mut data = vec![0.0f32; 11 * 3];
-            par_fill_rows(&mut data, 3, |i, row| {
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = (i * 3 + j) as f32;
-                }
-            });
-            data
-        };
-        assert_eq!(fill(1), fill(4));
-        assert_eq!(fill(1), (0..33).map(|v| v as f32).collect::<Vec<_>>());
-        set_threads(0);
-    }
-
     /// Rule 1: part 0 runs on the calling thread, every other part on a
     /// thread of its own. Rule 2: inside a part — the caller's included —
     /// `fork_threads` answers 1 and every helper, and `fork_join` itself,
@@ -493,11 +455,6 @@ mod tests {
         set_threads(2);
         assert_eq!(gated_threads(100 * FORK_MIN_WORK), 2);
         set_threads(0);
-    }
-
-    #[test]
-    fn zero_width_rows_are_harmless() {
-        par_fill_rows(&mut [], 0, |_, _| unreachable!());
     }
 
     #[test]
