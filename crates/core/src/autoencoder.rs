@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selnet_data::Dataset;
-use selnet_tensor::{Activation, Adam, Graph, Mlp, ParamStore, Var};
+use selnet_tensor::{Activation, Adam, Graph, Matrix, Mlp, ParamStore, Var};
 
 /// Encoder/decoder MLP pair.
 #[derive(Clone, Debug)]
@@ -69,6 +69,17 @@ impl Autoencoder {
     /// Records the encoder forward pass.
     pub fn encode(&self, g: &mut Graph, store: &ParamStore, x: Var) -> Var {
         self.encoder.forward(g, store, x)
+    }
+
+    /// The encoder forward without a tape ([`Mlp::infer`]): the bits of
+    /// [`Autoencoder::encode`]'s value, in the last of `bufs`.
+    pub(crate) fn infer<'b>(
+        &self,
+        store: &ParamStore,
+        x: &Matrix,
+        bufs: &'b mut Vec<Matrix>,
+    ) -> &'b Matrix {
+        self.encoder.infer(store, x, bufs)
     }
 
     /// Records the decoder forward pass.

@@ -41,10 +41,10 @@
 
 pub mod autoencoder;
 pub mod config;
+mod curves;
 pub mod model;
 pub mod partitioned;
 pub mod persist;
-mod plans;
 pub mod pwl;
 pub mod train;
 pub mod update;

@@ -5,7 +5,21 @@
 
 use crate::config::{SelNetConfig, TauNormalization};
 use rand::Rng;
-use selnet_tensor::{Activation, Graph, Matrix, Mlp, ParamId, ParamStore, Var};
+use selnet_tensor::{fwd, Activation, Graph, Matrix, Mlp, ParamId, ParamStore, Var};
+
+/// Work buffers of a tapeless forward, owned by the call that runs it and
+/// reused from one network to the next within it.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// One buffer per MLP layer ([`Mlp::infer`]).
+    pub(crate) layers: Vec<Matrix>,
+    a: Matrix,
+    b: Matrix,
+    /// The constant τ input (all ones) when τ is not query-dependent.
+    ones: Matrix,
+    /// The zero column in front of τ's prefix sum.
+    zeros: Matrix,
+}
 
 /// The per-model networks that generate the control points for one
 /// (local or global) SelNet model. Shared across the partitioned variant:
@@ -119,6 +133,52 @@ impl ControlPointNets {
         (tau, p)
     }
 
+    /// [`ControlPointNets::control_points`] without a tape: the same
+    /// kernels in the same order, reading the weights in place from
+    /// `store`, so `out` receives the tape's `(τ, p)` bit for bit.
+    pub(crate) fn infer(
+        &self,
+        store: &ParamStore,
+        input: &Matrix,
+        tmax: f32,
+        query_dependent_tau: bool,
+        s: &mut Scratch,
+        out: &mut (Matrix, Matrix),
+    ) {
+        let (rows, in_dim) = input.shape();
+        // ---- tau: Norml2(g_tau(input)) * tmax, prefix-summed ----
+        let tau_in = if query_dependent_tau {
+            input
+        } else {
+            s.ones.reset_shape(1, in_dim);
+            s.ones.fill(1.0);
+            &s.ones
+        };
+        let raw = self.tau_net.infer(store, tau_in, &mut s.layers);
+        s.a.reset_shape(raw.rows(), raw.cols());
+        match self.tau_normalization {
+            TauNormalization::Norml2 => fwd::norml2(raw, 1e-6, &mut s.a),
+            TauNormalization::Softmax => fwd::softmax_rows(raw, &mut s.a),
+        }
+        s.b.reset_shape(raw.rows(), raw.cols());
+        fwd::unary_map(&s.a, &mut s.b, |x| x * tmax);
+        fwd::cumsum_cols(&s.b, &mut s.a);
+        s.zeros.reset_zero(s.a.rows(), 1);
+        out.0.reset_shape(s.a.rows(), s.a.cols() + 1);
+        fwd::concat_cols(&s.zeros, &s.a, &mut out.0);
+
+        // ---- p: model M — encoder embeddings, block-linear decoder,
+        // ReLU increments, prefix sum ----
+        let enc = self.p_encoder.infer(store, input, &mut s.layers);
+        let (w, b) = (store.value(self.dec_w), store.value(self.dec_b));
+        s.a.reset_shape(rows, w.rows());
+        fwd::block_linear(enc, w, b, &mut s.a);
+        s.b.reset_shape(rows, w.rows());
+        fwd::unary_map(&s.a, &mut s.b, fwd::relu);
+        out.1.reset_shape(rows, w.rows());
+        fwd::cumsum_cols(&s.b, &mut out.1);
+    }
+
     /// Number of interior control points `L`.
     pub fn num_control_points(&self) -> usize {
         self.control_points
@@ -135,7 +195,6 @@ mod tests {
     use super::*;
     use crate::config::PartitionConfig;
     use crate::partitioned::{register_networks, PartitionedSelNet};
-    use crate::plans::PlanCell;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use selnet_data::Dataset;
@@ -168,7 +227,6 @@ mod tests {
             partitioning,
             name: name.into(),
             reference_val_mae: 0.0,
-            plans: PlanCell::new(),
         }
     }
 
@@ -185,46 +243,6 @@ mod tests {
         let mut curves = model.control_points_for(x);
         assert_eq!(curves.len(), 1);
         curves.swap_remove(0)
-    }
-
-    /// What `PartitionedSelNet` serves, instruction by instruction, for
-    /// K ∈ {1, 3} × τ shared or query-dependent × `Norml2` or softmax at
-    /// `tiny()` widths: the shared encoder and `[x; z]`, then per curve
-    /// the τ trunk and head (behind a batch-broadcast zero when τ is
-    /// query-dependent) and the p trunk and head.
-    #[test]
-    fn served_plans_compile_to_the_expected_instructions() {
-        for (k, query_dependent_tau, count) in
-            [(1, false, 15), (1, true, 16), (3, false, 39), (3, true, 42)]
-        {
-            for (tau_normalization, norm) in [
-                (TauNormalization::Norml2, "norml2"),
-                (TauNormalization::Softmax, "softmax_rows"),
-            ] {
-                let cfg = SelNetConfig {
-                    query_dependent_tau,
-                    tau_normalization,
-                    ..SelNetConfig::tiny()
-                };
-                let model = untrained(cfg, k, 3, "served");
-                let mut curve = vec!["affine_relu", "affine", norm, "scale", "cumsum_cols"];
-                if query_dependent_tau {
-                    curve.push("broadcast");
-                }
-                curve.extend(["concat_cols", "affine_relu", "affine_relu", "affine"]);
-                curve.extend(["block_linear", "relu", "cumsum_cols"]);
-                let mut want = vec!["affine_relu", "affine", "concat_cols"];
-                for _ in 0..k {
-                    want.extend(&curve);
-                }
-                let got: Vec<&str> = model.plan().instructions().collect();
-                assert_eq!(got.len(), count);
-                assert_eq!(
-                    got, want,
-                    "K = {k}, τ query-dependent {query_dependent_tau}"
-                );
-            }
-        }
     }
 
     #[test]

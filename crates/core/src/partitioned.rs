@@ -11,8 +11,8 @@
 
 use crate::autoencoder::Autoencoder;
 use crate::config::{PartitionConfig, SelNetConfig};
+use crate::curves::{control_points, replay_curves};
 use crate::model::ControlPointNets;
-use crate::plans::{control_points, replay_curves, PlanCell};
 use crate::train::{
     ae_term, flatten_pairs, gather_leaf, interp_pairs, log_loss, CurveBatch, FlatPairs, TrainReport,
 };
@@ -21,9 +21,8 @@ use rand::{Rng, SeedableRng};
 use selnet_data::Dataset;
 use selnet_eval::SelectivityEstimator;
 use selnet_index::Partitioning;
-use selnet_tensor::{pwl_interp_row, Adam, Graph, InferencePlan, Matrix, ParamStore, Var};
+use selnet_tensor::{pwl_interp_row, Adam, Graph, Matrix, ParamStore, Var};
 use selnet_workload::{label_partitions, LabeledQuery, PartitionedLabels, Workload};
-use std::sync::Arc;
 
 /// A trained partitioned SelNet (the paper's headline model).
 #[derive(Clone)]
@@ -38,28 +37,9 @@ pub struct PartitionedSelNet {
     pub(crate) partitioning: Partitioning,
     pub(crate) name: String,
     pub(crate) reference_val_mae: f64,
-    /// The compiled curve plan, keyed on the parameter-store version (see
-    /// [`crate::plans`]). Rebuilt lazily after any retrain; a clone (the
-    /// hot-swap `spawn_update` path) starts with an empty cell.
-    pub(crate) plans: PlanCell<InferencePlan>,
 }
 
 impl PartitionedSelNet {
-    /// The curve plan `x [B × d] → (τ_k, p_k)` over all `K` local models
-    /// for the current parameters — compiled on first use or after a
-    /// parameter mutation, once per version.
-    pub(crate) fn plan(&self) -> Arc<InferencePlan> {
-        self.plans.get_or(self.store.version(), || {
-            // probe with 2 rows so batch scaling is unambiguous (a constant
-            // leaf with probe-batch rows is broadcast; see InferencePlan docs)
-            let mut g = Graph::new();
-            let xv = g.leaf_with(2, self.dim, |_| {});
-            let (_z, knots) = self.forward_locals(&mut g, xv, |_, tau, p| [tau, p]);
-            InferencePlan::compile(&g, xv, &knots.concat())
-                .expect("the partitioned SelNet control-point forward is plan-compilable")
-        })
-    }
-
     /// Number of partitions.
     pub fn k(&self) -> usize {
         self.locals.len()
@@ -80,13 +60,13 @@ impl PartitionedSelNet {
     /// by the Figure 4 experiment to visualize where the model places them.
     pub fn control_points_for(&self, x: &[f32]) -> Vec<(Vec<f32>, Vec<f32>)> {
         assert_eq!(x.len(), self.dim, "query dimension mismatch");
-        control_points(&self.plan(), x)
+        control_points(self, x)
     }
 
     /// Records the shared encoder and every local model's control points
     /// for a batch; `head` is recorded right after each model's `(τ, p)`
-    /// and chooses what the caller keeps of it (training interpolates at
-    /// the batch's thresholds, plan compilation keeps the knots).
+    /// and chooses what the caller keeps of it (training and the tape
+    /// reference interpolate at the batch's thresholds).
     /// Returns `(z, [head_i])`.
     fn forward_locals<T>(
         &self,
@@ -115,8 +95,8 @@ impl PartitionedSelNet {
     /// query into `out` (cleared first; flat, query order) from one tape
     /// forward of the networks over the queries' objects, interpolated per
     /// pair as a training step does (`forward_locals` + `interp_pairs`),
-    /// then summed under the indicator. The tests' reference for the plan
-    /// path: `tests/plan_identity.rs` pins the two bit-identical.
+    /// then summed under the indicator. The tests' reference for the curve
+    /// forward: `tests/plan_identity.rs` pins the two bit-identical.
     pub fn tape_estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
         out.clear();
         let mut rows = Vec::new();
@@ -129,17 +109,16 @@ impl PartitionedSelNet {
         if ts.is_empty() {
             return;
         }
-        let local_preds: Vec<Vec<f32>> = Graph::with_pooled(|g| {
-            let xv = g.leaf_with(queries.len(), self.dim, |data| {
-                for (row, (x, _)) in data.chunks_exact_mut(self.dim).zip(queries) {
-                    row.copy_from_slice(x);
-                }
-            });
-            let tv = g.leaf_with(ts.len(), 1, |col| col.copy_from_slice(&ts));
-            let (_z, preds) =
-                self.forward_locals(g, xv, |g, tau, p| interp_pairs(g, tau, p, &rows, tv));
-            preds.iter().map(|&y| g.value(y).data().to_vec()).collect()
+        let mut g = Graph::new();
+        let xv = g.leaf_with(queries.len(), self.dim, |data| {
+            for (row, (x, _)) in data.chunks_exact_mut(self.dim).zip(queries) {
+                row.copy_from_slice(x);
+            }
         });
+        let tv = g.leaf_with(ts.len(), 1, |col| col.copy_from_slice(&ts));
+        let (_z, preds) =
+            self.forward_locals(&mut g, xv, |g, tau, p| interp_pairs(g, tau, p, &rows, tv));
+        let local_preds: Vec<&[f32]> = preds.iter().map(|&y| g.value(y).data()).collect();
         out.extend(rows.iter().zip(&ts).enumerate().map(|(pair, (&i, &t))| {
             let ind = self.partitioning.indicator(queries[i].0, t);
             local_preds
@@ -166,7 +145,7 @@ impl SelectivityEstimator for PartitionedSelNet {
     }
 
     /// One network row, one interpolation per threshold (see "The curve
-    /// plan" in `ARCHITECTURE.md`).
+    /// forward" in `ARCHITECTURE.md`).
     fn estimate_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
         let mut out = Vec::with_capacity(ts.len());
         self.estimate_into(&[(x, ts)], &mut out);
@@ -176,7 +155,7 @@ impl SelectivityEstimator for PartitionedSelNet {
     /// One network pass over the wave's query objects: the tape forward
     /// bit for bit.
     fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
-        replay_curves(&self.plan(), self.dim, queries, &self.partitioning, out)
+        replay_curves(self, queries, out)
     }
 
     fn query_dim(&self) -> Option<usize> {
@@ -649,7 +628,6 @@ pub fn fit_partitioned(
         partitioning,
         name: "SelNet".into(),
         reference_val_mae: f64::MAX,
-        plans: PlanCell::new(),
     };
 
     // per-partition ground truth (precomputed, as in the paper)
@@ -791,43 +769,6 @@ mod tests {
             let preds = model.estimate_many(&q.x, &ts);
             assert!(preds.windows(2).all(|p| p[0] <= p[1]), "{preds:?}");
         }
-    }
-
-    /// Every entry point rides the one curve plan: whatever mix of calls
-    /// arrives, a version is compiled exactly once, and a retrain's
-    /// version bump replaces the stale plan.
-    #[test]
-    fn one_plan_compile_per_version() {
-        let (ds, w) = fixture();
-        let mut cfg = SelNetConfig::tiny();
-        cfg.epochs = 2;
-        let (mut model, _) = fit_partitioned(&ds, &w, &cfg, &tiny_pcfg());
-        let q = &w.test[0];
-        let first_plan = model.plan();
-        let mut out = Vec::new();
-        for _ in 0..2 {
-            model.estimate(&q.x, q.thresholds[0]);
-            model.estimate_many(&q.x, &q.thresholds);
-            model.estimate_batch(&[&q.x, &q.x], &q.thresholds[..2]);
-            model.local_estimates(&q.x, q.thresholds[0]);
-            model.estimate_into(&[(&q.x, &q.thresholds)], &mut out);
-            assert!(Arc::ptr_eq(&first_plan, &model.plan()));
-        }
-        assert!(
-            !Arc::ptr_eq(&first_plan, &model.clone().plan()),
-            "a clone compiles its own plan"
-        );
-        // a parameter mutation bumps the version: next use recompiles once
-        let first = model
-            .store
-            .ids()
-            .next()
-            .expect("a trained model has parameters");
-        model.store.value_mut(first);
-        model.estimate_many(&q.x, &q.thresholds);
-        let second_plan = model.plan();
-        assert!(!Arc::ptr_eq(&first_plan, &second_plan));
-        assert!(Arc::ptr_eq(&second_plan, &model.plan()));
     }
 
     #[test]

@@ -348,7 +348,6 @@ impl PartitionedSelNet {
             partitioning,
             name,
             reference_val_mae,
-            plans: crate::plans::PlanCell::new(),
         })
     }
 }

@@ -5,7 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use selnet_tensor::{init, Adam, Graph, Matrix, ParamStore};
+use selnet_tensor::{init, pwl_interp_row, Adam, Graph, Matrix, ParamStore, Var};
 
 /// A concrete PWL function `Θ = {(τ_i, p_i)}` (Eq. 1).
 #[derive(Clone, Debug, PartialEq)]
@@ -43,25 +43,11 @@ impl PiecewiseLinear {
         self.p.windows(2).all(|w| w[1] >= w[0] - 1e-9)
     }
 
-    /// Evaluates the function at `t`, clamping outside `[τ_0, τ_{L+1}]`.
-    /// `t = NaN` returns NaN (the seed panicked: both clamp comparisons
-    /// were false, `partition_point` returned 0, and `hi - 1` underflowed).
+    /// Evaluates the function at `t`, clamping outside `[τ_0, τ_{L+1}]`
+    /// and returning NaN at `t = NaN`: the tape's and the served
+    /// interpolation, [`pwl_interp_row`].
     pub fn eval(&self, t: f32) -> f32 {
-        if t.is_nan() {
-            return f32::NAN;
-        }
-        let m = self.tau.len();
-        if t < self.tau[0] {
-            return self.p[0];
-        }
-        if t >= self.tau[m - 1] {
-            return self.p[m - 1];
-        }
-        let hi = self.tau.partition_point(|&x| x <= t).min(m - 1);
-        let lo = hi - 1;
-        let denom = (self.tau[hi] - self.tau[lo]).max(1e-12);
-        let alpha = (t - self.tau[lo]) / denom;
-        self.p[lo] + alpha * (self.p[hi] - self.p[lo])
+        pwl_interp_row(&self.tau, &self.p, t)
     }
 }
 
@@ -97,18 +83,23 @@ pub fn fit_selnet_head(
 
     let ts = Matrix::col_vector(&samples.iter().map(|s| s.0).collect::<Vec<_>>());
     let ys = Matrix::col_vector(&samples.iter().map(|s| s.1).collect::<Vec<_>>());
-    let mut last_mse = f64::MAX;
-    for _ in 0..epochs {
-        let mut g = Graph::new();
-        let rt = store.inject(&mut g, raw_tau);
-        let rp = store.inject(&mut g, raw_p);
+    // τ from Norml2 + prefix sum behind a zero knot, p from softplus
+    // increments
+    let curve = |g: &mut Graph, store: &ParamStore| -> (Var, Var) {
+        let rt = store.inject(g, raw_tau);
+        let rp = store.inject(g, raw_p);
         let norm = g.norml2(rt, 1e-6);
         let scaled = g.scale(norm, tmax);
         let tau_tail = g.cumsum_cols(scaled);
         let zero = g.leaf(Matrix::zeros(1, 1));
         let tau = g.concat_cols(zero, tau_tail);
         let inc = g.softplus(rp);
-        let p = g.cumsum_cols(inc);
+        (tau, g.cumsum_cols(inc))
+    };
+    let mut last_mse = f64::MAX;
+    for _ in 0..epochs {
+        let mut g = Graph::new();
+        let (tau, p) = curve(&mut g, &store);
         let t = g.leaf(ts.clone());
         let y = g.leaf(ys.clone());
         let pred = g.pwl_interp(tau, p, t);
@@ -123,15 +114,7 @@ pub fn fit_selnet_head(
 
     // extract the fitted control points
     let mut g = Graph::new();
-    let rt = store.inject(&mut g, raw_tau);
-    let rp = store.inject(&mut g, raw_p);
-    let norm = g.norml2(rt, 1e-6);
-    let scaled = g.scale(norm, tmax);
-    let tau_tail = g.cumsum_cols(scaled);
-    let zero = g.leaf(Matrix::zeros(1, 1));
-    let tau = g.concat_cols(zero, tau_tail);
-    let inc = g.softplus(rp);
-    let p = g.cumsum_cols(inc);
+    let (tau, p) = curve(&mut g, &store);
     let pwl = PiecewiseLinear::new(g.value(tau).data().to_vec(), g.value(p).data().to_vec());
     PwlFit { pwl, mse: last_mse }
 }
@@ -157,12 +140,16 @@ pub fn fit_fixed_grid(
 
     let ts = Matrix::col_vector(&samples.iter().map(|s| s.0).collect::<Vec<_>>());
     let ys = Matrix::col_vector(&samples.iter().map(|s| s.1).collect::<Vec<_>>());
+    // p from softplus increments, τ fixed
+    let curve = |g: &mut Graph, store: &ParamStore| -> Var {
+        let rp = store.inject(g, raw_p);
+        let inc = g.softplus(rp);
+        g.cumsum_cols(inc)
+    };
     let mut last_mse = f64::MAX;
     for _ in 0..epochs {
         let mut g = Graph::new();
-        let rp = store.inject(&mut g, raw_p);
-        let inc = g.softplus(rp);
-        let p = g.cumsum_cols(inc);
+        let p = curve(&mut g, &store);
         let tau = g.leaf(Matrix::row_vector(&tau_fixed));
         let t = g.leaf(ts.clone());
         let y = g.leaf(ys.clone());
@@ -177,9 +164,7 @@ pub fn fit_fixed_grid(
     }
 
     let mut g = Graph::new();
-    let rp = store.inject(&mut g, raw_p);
-    let inc = g.softplus(rp);
-    let p = g.cumsum_cols(inc);
+    let p = curve(&mut g, &store);
     let pwl = PiecewiseLinear::new(tau_fixed, g.value(p).data().to_vec());
     PwlFit { pwl, mse: last_mse }
 }

@@ -4,8 +4,8 @@
 //! query sets (empty grids, single thresholds, 40-point grids, repeated
 //! query objects) produces exactly the bits of the tape reference
 //! `tape_estimate_into` and of per-query `estimate_many` — before a
-//! retrain, after a §5.4 `check_and_update` retrain
-//! (plan cache invalidated by the parameter-version bump), and after a
+//! retrain, after a §5.4 `check_and_update` retrain (the curve forward
+//! reads the retrained weights where the model keeps them), and after a
 //! snapshot round-trip.
 
 use proptest::prelude::*;
@@ -141,8 +141,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// Partitioned model: the one hook matches the tape bit for bit —
-    /// including after a retrain (version-keyed recompile) and after a
-    /// snapshot round-trip (fresh plan cell).
+    /// including after a retrain and after a snapshot round-trip.
     #[test]
     fn partitioned_plan_paths_are_bit_identical(
         seed in 0u64..1000,
@@ -163,15 +162,15 @@ proptest! {
 
         assert_one_path(&model, &w, seed, "fresh");
 
-        // §5.4 retrain mutates the store; the version bump must invalidate
-        // the cached plans so post-retrain predictions still match the tape
+        // §5.4 retrain mutates the store; post-retrain predictions must
+        // still match the tape
         let policy = UpdatePolicy { mae_tolerance: -1.0, patience: 1, max_epochs: 1 };
         let decision = model.check_and_update(&ds, w.kind, &w.train, &w.valid, &policy);
         prop_assert!(decision.retrained(), "negative tolerance must retrain");
         assert_one_path(&model, &w, seed ^ 1, "after retrain");
 
-        // snapshot round-trip: the loaded model compiles its own plan and
-        // must agree with the original bit for bit
+        // snapshot round-trip: the loaded model must agree with the
+        // original bit for bit
         let mut buf = Vec::new();
         model.save(&mut buf).expect("save");
         let loaded = PartitionedSelNet::load(&mut buf.as_slice()).expect("load");
@@ -185,7 +184,7 @@ proptest! {
     }
 
     /// Single model (`fit`, `K = 1`): the hook, `estimate_many` and
-    /// `control_points_for` ride one plan and match the tape bit for bit,
+    /// `control_points_for` ride one forward and match the tape bit for bit,
     /// for every τ variant — the estimate being the model's one curve
     /// interpolated, with no indicator in the way.
     #[test]

@@ -3,7 +3,7 @@
 //! `partition_build`, `label_partitions`, `pretrain_phase` and
 //! `joint_phase` span each, in that order, and a §5.4 retrain records
 //! `label_partitions` and `joint_phase` again. A served query records the
-//! tensor-level `plan_run` kind, never the engine's `plan_replay`, so a
+//! model's `curve_forward` kind, never the engine's `plan_replay`, so a
 //! scrape that prints both rings can tell them apart. This file is a test
 //! binary of its own because it arms the process-global recorder.
 
@@ -98,15 +98,14 @@ fn fit_and_retrain_record_the_setup_spans() {
     let kinds: Vec<&str> = setup_spans().iter().map(|s| s.kind).collect();
     assert_eq!(kinds, ["label_partitions", "joint_phase"]);
 
-    // one query object replays the plan once: a = rows, b = instructions
+    // one query object runs the networks once: a = rows, b = curves
     selnet_obs::trace::global().enable(1024);
     let q = &w.train[0];
     model.estimate_many(&q.x, &q.thresholds);
     let spans = selnet_obs::trace::global().snapshot();
-    let runs: Vec<&Span> = spans.iter().filter(|s| s.kind == "plan_run").collect();
+    let runs: Vec<&Span> = spans.iter().filter(|s| s.kind == "curve_forward").collect();
     assert_eq!(runs.len(), 1, "{spans:?}");
-    assert_eq!(runs[0].a, 1);
-    assert!(runs[0].b > 0, "{:?}", runs[0]);
+    assert_eq!((runs[0].a, runs[0].b), (1, 3), "{:?}", runs[0]);
     assert!(
         spans.iter().all(|s| s.kind != "plan_replay"),
         "the engine's span kind in the global ring: {spans:?}"

@@ -34,10 +34,10 @@ pub trait SelectivityEstimator {
     /// follow query `i - 1`'s, one per threshold.
     ///
     /// The default loops [`SelectivityEstimator::estimate_many`] — correct
-    /// for estimators without compiled plans (histograms, samplers,
-    /// reference tapes). Plan-backed models override it with one network
-    /// pass over the wave's query objects; an override must produce
-    /// exactly the values `estimate_many` returns per query.
+    /// for estimators without a batched forward (histograms, samplers,
+    /// reference tapes). SelNet overrides it with one network pass over
+    /// the wave's query objects; an override must produce exactly the
+    /// values `estimate_many` returns per query.
     fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
         out.clear();
         for &(x, ts) in queries {

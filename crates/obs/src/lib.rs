@@ -14,7 +14,7 @@
 //!   RAII [`span!`]-style guards and nanosecond timestamps, per-request
 //!   trace IDs ([`next_trace_id`]), and a bounded [`SlowQueryLog`]
 //!   ([`trace`]). A process-global recorder ([`trace::global`]) lets
-//!   library stages (plan compile/replay, retrain decisions, snapshot
+//!   library stages (the curve forward, retrain decisions, snapshot
 //!   IO) record without plumbing.
 //! * **Exposition** — Prometheus text format rendering ([`expo`]):
 //!   `# HELP`/`# TYPE` headers, labeled sample lines, and the cumulative

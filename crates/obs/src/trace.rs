@@ -253,9 +253,9 @@ macro_rules! span {
     };
 }
 
-/// The process-global recorder that instrumented library stages (plan
-/// compile/replay in `selnet-tensor`, retrain decisions in
-/// `selnet-core`, snapshot IO) record into. Disabled until someone —
+/// The process-global recorder that instrumented library stages (the
+/// curve forward, retrain decisions and snapshot IO in `selnet-core`)
+/// record into. Disabled until someone —
 /// normally the `selnet-serve` binary's `--trace-buffer` knob — calls
 /// [`SpanRecorder::enable`] on it.
 pub fn global() -> &'static SpanRecorder {

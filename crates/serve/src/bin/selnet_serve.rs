@@ -225,7 +225,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         ));
     }
     // the engine keeps its own span ring; the global recorder picks up
-    // plan-compile / snapshot / retrain spans from the library crates
+    // curve-forward / snapshot / retrain spans from the library crates
     if cfg.trace_buffer > 0 {
         selnet_obs::trace::global().enable(cfg.trace_buffer);
     }

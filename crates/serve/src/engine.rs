@@ -1,6 +1,6 @@
 //! The batched inference engine: one request queue drained by
 //! worker threads that coalesce concurrent queries into single batched
-//! plan replays, routed across a multi-tenant model registry.
+//! curve forwards, routed across a multi-tenant model registry.
 //!
 //! ## Request lifecycle
 //!
@@ -22,7 +22,7 @@
 //!    tenant's model generation once, hands its requests — un-expanded,
 //!    one `(x, ts)` per request — to one
 //!    [`estimate_into`](selnet_eval::SelectivityEstimator::estimate_into)
-//!    call over that tenant's compiled curve plan (a request costs one
+//!    call over that tenant's model — one curve forward (a request costs one
 //!    network row however many thresholds it carries), writing into a
 //!    per-worker scratch buffer, scatters the estimates back per request,
 //!    and replies;

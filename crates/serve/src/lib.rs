@@ -15,8 +15,8 @@
 //!   requests;
 //! * [`engine`] — a multi-threaded engine that resolves each [`Request`]
 //!   to its tenant up front, queues it on the one request queue its
-//!   workers drain, coalesces concurrent queries into **batched** plan
-//!   replays (grouped per
+//!   workers drain, coalesces concurrent queries into **batched** curve
+//!   forwards (grouped per
 //!   tenant, one `estimate_into` call per group, bit-identical to
 //!   per-query evaluation), and **sheds load** with
 //!   [`SubmitError::Overloaded`] when

@@ -219,7 +219,7 @@ where
 
 /// The reply to a [`Frame::Metrics`] scrape: [`Engine::metrics_text`],
 /// then the flight recorder as `# ` comment lines that exposition parsers
-/// skip — the engine's span ring, the global one (plan compile, snapshot,
+/// skip — the engine's span ring, the global one (curve forward, snapshot,
 /// retrain), then the slow-query log. Disarmed, they add nothing.
 fn metrics_reply<M>(engine: &Engine<M>) -> String
 where

@@ -227,21 +227,19 @@ fn hot_swap_mid_traffic_never_tears_a_response() {
     engine.shutdown();
 }
 
-/// Plan-cache invalidation under hot swap: with compiled inference plans
-/// now backing every prediction path, a hot swap mid-traffic must still
+/// Generation consistency under hot swap: a hot swap mid-traffic must
 /// produce **exactly-one-generation** answers — each response equals one
-/// model's (plan-backed) output bit for bit, never a mixture of a stale
-/// plan and fresh parameters — and stays monotone in an ascending
-/// threshold grid. This drives a real §5.4 `spawn_update` retrain (which
-/// mutates a clone's `ParamStore`, exercising the version-keyed recompile)
-/// on drifted data while clients hammer the engine.
+/// model's output bit for bit, never a mixture of two generations'
+/// parameters — and stays monotone in an ascending threshold grid. This
+/// drives a real §5.4 `spawn_update` retrain (which mutates a clone's
+/// `ParamStore`) on drifted data while clients hammer the engine.
 #[test]
 fn plans_stay_generation_consistent_across_retrain_swap() {
     let (mut ds, w) = data_fixture(97);
     let model = train(&ds, &w, 97, 2);
     let tmax = model.tmax();
     let pool = query_pool(&ds, tmax, 16);
-    // pre-swap truth from the plan path AND the tape path (they must agree
+    // pre-swap truth from the served path AND the tape path (they must agree
     // before we can attribute any served answer to a generation)
     let answers_old: Vec<Vec<f64>> = pool
         .iter()
@@ -251,7 +249,7 @@ fn plans_stay_generation_consistent_across_retrain_swap() {
         assert_eq!(
             &tape_answers(&model, x, ts),
             expected,
-            "plan path must equal tape path before serving"
+            "served path must equal tape path before serving"
         );
     }
 
@@ -299,14 +297,14 @@ fn plans_stay_generation_consistent_across_retrain_swap() {
                         // every answer is one complete generation's output:
                         // either the pre-swap model's pinned answers, or
                         // whatever the currently-published model computes
-                        // (compared via its own plan path)
+                        // (compared via its own served path)
                         if got != answers_old[idx] {
                             let (_, current) = registry.current();
                             let fresh = current.estimate_many(x, ts);
                             assert_eq!(
                                 got, fresh,
                                 "query {idx}: response matches neither the old generation \
-                                 nor the current one — a stale plan leaked across a swap"
+                                 nor the current one — stale weights leaked across a swap"
                             );
                         }
                         for pair in got.windows(2) {
@@ -323,8 +321,8 @@ fn plans_stay_generation_consistent_across_retrain_swap() {
     let (decision, generation) = handle.wait();
     assert!(decision.retrained(), "negative tolerance must retrain");
     assert_eq!(generation, 1);
-    // after the swap: served answers equal the new model's plan path,
-    // which in turn equals its tape path (version-keyed recompile worked)
+    // after the swap: served answers equal the new model's served path,
+    // which in turn equals its tape path
     let (_, current) = registry.current();
     for (x, ts) in &pool {
         let served = engine.estimate_many(x, ts);

@@ -1,7 +1,8 @@
-//! Forward-pass kernels shared by the autodiff tape ([`crate::Graph`]) and
-//! the compiled inference plans ([`crate::InferencePlan`]).
+//! Forward-pass kernels: the arithmetic of every tape op, shared by the
+//! autodiff tape ([`crate::Graph`]) and by tapeless forwards such as
+//! [`crate::Mlp::infer`] and SelNet's curve forward.
 //!
-//! Both execution engines call these exact functions, so a plan replay is
+//! A forward that calls these functions in the tape's order is
 //! **bit-identical** to the tape forward pass by construction: there is one
 //! implementation of every op's arithmetic, not two that merely agree. Each
 //! kernel fully overwrites its output (which arrives pre-shaped with
@@ -11,8 +12,9 @@ use crate::matrix::Matrix;
 
 // ---- scalar maps (the elementwise op set) ----
 
+/// Rectified linear unit, the scalar map of [`crate::Graph::relu`].
 #[inline]
-pub(crate) fn relu(x: f32) -> f32 {
+pub fn relu(x: f32) -> f32 {
     x.max(0.0)
 }
 
@@ -58,7 +60,7 @@ pub(crate) fn huber(r: f32, delta: f32) -> f32 {
 // ---- elementwise drivers ----
 
 /// `out[i] = f(a[i])` over the flat data, in data order.
-pub(crate) fn unary_map(a: &Matrix, out: &mut Matrix, f: impl Fn(f32) -> f32) {
+pub fn unary_map(a: &Matrix, out: &mut Matrix, f: impl Fn(f32) -> f32) {
     for (o, &x) in out.data_mut().iter_mut().zip(a.data()) {
         *o = f(x);
     }
@@ -82,6 +84,25 @@ pub(crate) fn add_row_vec(m: &Matrix, row: &Matrix, out: &mut Matrix) {
     }
 }
 
+/// `out[i][j] = act(out[i][j] + bias[j])` over all rows, `act` being ReLU
+/// when `relu` is set and the identity otherwise: the tape's
+/// `add_row_vec` → `relu` scalar sequence, run in place on a matmul
+/// result while it is cache-hot.
+pub(crate) fn bias_act(bias: &Matrix, out: &mut Matrix, relu: bool) {
+    fn each(bias: &Matrix, out: &mut Matrix, act: impl Fn(f32) -> f32) {
+        for row in out.data_mut().chunks_exact_mut(bias.cols()) {
+            for (o, &b) in row.iter_mut().zip(bias.data()) {
+                *o = act(*o + b);
+            }
+        }
+    }
+    if relu {
+        each(bias, out, self::relu)
+    } else {
+        each(bias, out, |v| v)
+    }
+}
+
 /// Matrix (`R x C`) times an `R x 1` column vector broadcast over columns.
 pub(crate) fn mul_col_vec(m: &Matrix, col: &Matrix, out: &mut Matrix) {
     for i in 0..m.rows() {
@@ -93,7 +114,7 @@ pub(crate) fn mul_col_vec(m: &Matrix, col: &Matrix, out: &mut Matrix) {
 }
 
 /// Row-wise softmax.
-pub(crate) fn softmax_rows(a: &Matrix, out: &mut Matrix) {
+pub fn softmax_rows(a: &Matrix, out: &mut Matrix) {
     for i in 0..a.rows() {
         let row = out.row_mut(i);
         row.copy_from_slice(a.row(i));
@@ -118,7 +139,7 @@ pub(crate) fn row_sum(a: &Matrix, out: &mut Matrix) {
 }
 
 /// Column concatenation of two same-row-count matrices.
-pub(crate) fn concat_cols(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+pub fn concat_cols(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     let ca = a.cols();
     for i in 0..a.rows() {
         let dst = out.row_mut(i);
@@ -142,7 +163,7 @@ pub(crate) fn gather_rows(a: &Matrix, idx: &[usize], out: &mut Matrix) {
 }
 
 /// Per-row prefix sum (the paper's `M_psum` operator).
-pub(crate) fn cumsum_cols(a: &Matrix, out: &mut Matrix) {
+pub fn cumsum_cols(a: &Matrix, out: &mut Matrix) {
     for i in 0..a.rows() {
         let mut acc = 0.0f32;
         for (o, &x) in out.row_mut(i).iter_mut().zip(a.row(i)) {
@@ -153,7 +174,7 @@ pub(crate) fn cumsum_cols(a: &Matrix, out: &mut Matrix) {
 }
 
 /// The paper's `Norml2` normalized-square map (§5.2).
-pub(crate) fn norml2(a: &Matrix, eps: f32, out: &mut Matrix) {
+pub fn norml2(a: &Matrix, eps: f32, out: &mut Matrix) {
     let d = a.cols() as f32;
     for i in 0..a.rows() {
         let src = a.row(i);
@@ -238,7 +259,7 @@ pub(crate) fn pwl_interp(
 /// order — bit-identical to the straightforward loop), but four
 /// *independent* chains run interleaved, so the CPU overlaps their FMA
 /// latencies instead of serializing on one accumulator.
-pub(crate) fn block_linear(input: &Matrix, weight: &Matrix, bias: &Matrix, out: &mut Matrix) {
+pub fn block_linear(input: &Matrix, weight: &Matrix, bias: &Matrix, out: &mut Matrix) {
     let blocks = weight.rows();
     let h = weight.cols();
     let rows = input.rows();

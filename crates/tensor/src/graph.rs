@@ -86,11 +86,9 @@ impl ParamId {
 
 /// The recorded operation of a tape node. Plain indices only — per-node
 /// auxiliary state (the PWL segment choice) lives on the [`Node`] so slot
-/// reuse recycles its allocation too. `pub(crate)` so
-/// [`InferencePlan::compile`](crate::InferencePlan::compile) can translate
-/// a recorded tape into a grad-free instruction list.
+/// reuse recycles its allocation too.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum Op {
+enum Op {
     Leaf,
     MatMul(usize, usize),
     Add(usize, usize),
@@ -140,10 +138,8 @@ pub(crate) enum Op {
 
 impl Op {
     /// Visits the tape-node inputs of the op, operands in declaration
-    /// order. The one enumerator behind the plan compiler's DCE / use-count
-    /// passes and the backward sweep's liveness pass, so a new op cannot be
-    /// known to one and not the other.
-    pub(crate) fn for_each_input(&self, mut f: impl FnMut(usize)) {
+    /// order — the backward sweep's liveness pass walks the tape with it.
+    fn for_each_input(&self, mut f: impl FnMut(usize)) {
         match *self {
             Op::Leaf => {}
             Op::MatMul(a, b)
@@ -198,8 +194,8 @@ impl Op {
 
 /// One tape slot. `value` and `grad` keep their allocations across
 /// [`Graph::reset`] so later batches recycle them.
-pub(crate) struct Node {
-    pub(crate) value: Matrix,
+struct Node {
+    value: Matrix,
     /// In-place gradient accumulator; meaningful only while `grad_seen`.
     grad: Matrix,
     /// Whether `grad` holds this backward sweep's accumulated gradient.
@@ -213,8 +209,8 @@ pub(crate) struct Node {
     /// a `ConcatCols(dead, live)` whose every consumer is a `MatMul` left
     /// operand.
     dead_cols: usize,
-    pub(crate) op: Op,
-    pub(crate) param: Option<ParamId>,
+    op: Op,
+    param: Option<ParamId>,
     /// Per-row segment chosen by a `PwlInterp` forward pass (`-1` below
     /// range, `-2` above); replayed by the backward sweep. Kept on the node
     /// (not in [`Op`]) so the buffer is recycled across batches.
@@ -256,25 +252,6 @@ impl Graph {
     /// become stale.
     pub fn reset(&mut self) {
         self.live = 0;
-    }
-
-    /// Runs `f` on a freshly [`reset`](Graph::reset) **thread-local** tape
-    /// whose arena persists for the life of the thread — the zero-setup way
-    /// to get tape reuse on inference paths (`tape_estimate_into`)
-    /// that can't thread a `&mut Graph` through their signatures.
-    ///
-    /// The closure must not call `with_pooled` reentrantly (the tape is
-    /// exclusively borrowed while `f` runs; nesting panics).
-    pub fn with_pooled<R>(f: impl FnOnce(&mut Graph) -> R) -> R {
-        use std::cell::RefCell;
-        thread_local! {
-            static POOLED: RefCell<Graph> = RefCell::new(Graph::new());
-        }
-        POOLED.with(|tape| {
-            let mut g = tape.borrow_mut();
-            g.reset();
-            f(&mut g)
-        })
     }
 
     /// Allocates the next tape slot (recycling a spare one when available)
@@ -424,11 +401,6 @@ impl Graph {
     /// across steady-state reuse.
     pub fn node_capacity(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// The live portion of the tape, for the plan compiler.
-    pub(crate) fn live_nodes(&self) -> &[Node] {
-        &self.nodes[..self.live]
     }
 
     /// Collects `(ParamId, gradient)` pairs for every parameter leaf,

@@ -1,7 +1,9 @@
 //! Reusable network building blocks: dense layers and multi-layer
 //! perceptrons. A layer owns [`ParamId`]s into a shared [`ParamStore`] and
-//! records its forward pass onto a caller-provided [`Graph`].
+//! records its forward pass onto a caller-provided [`Graph`], or runs it
+//! without a tape ([`Mlp::infer`]).
 
+use crate::fwd;
 use crate::graph::{Graph, ParamId, Var};
 use crate::init;
 use crate::matrix::Matrix;
@@ -140,6 +142,37 @@ impl Mlp {
             };
         }
         h
+    }
+
+    /// The forward pass without a tape, bit for bit [`Mlp::forward`]'s
+    /// value: per layer `x W` into a buffer of `bufs`, then the bias and
+    /// the activation in place, in one pass. The weights are read
+    /// where `store` keeps them. `bufs` holds one buffer per layer and
+    /// keeps its allocations from call to call; the result is the last.
+    pub fn infer<'b>(
+        &self,
+        store: &ParamStore,
+        x: &Matrix,
+        bufs: &'b mut Vec<Matrix>,
+    ) -> &'b Matrix {
+        let last = self.layers.len() - 1;
+        if bufs.len() <= last {
+            bufs.resize_with(last + 1, Matrix::default);
+        }
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = bufs.split_at_mut(i);
+            let out = &mut rest[0];
+            done.last()
+                .unwrap_or(x)
+                .matmul_into(store.value(layer.w), out);
+            let act = if i == last {
+                self.output_activation
+            } else {
+                self.hidden_activation
+            };
+            fwd::bias_act(store.value(layer.b), out, act == Activation::Relu);
+        }
+        &bufs[last]
     }
 }
 

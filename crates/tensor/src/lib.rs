@@ -22,22 +22,15 @@
 //! bookkeeping `Vec`s, e.g. the gradient-ref list, remain per step).
 //! Reuse is bit-identical to a fresh graph
 //! (property-tested); see the [`graph`](Graph) module docs for the full
-//! lifecycle and determinism contract. Inference paths without a handy
-//! `&mut Graph` can use the thread-local pool, [`Graph::with_pooled`].
+//! lifecycle and determinism contract.
 //!
-//! ## Compiled inference plans
+//! ## Forwards without a tape
 //!
-//! Serving doesn't need the tape at all: [`InferencePlan::compile`] turns a
-//! recorded forward pass into a flat, grad-free instruction list with baked
-//! parameters and fused affine+activation steps, and
-//! [`InferencePlan::run`] replays it allocation-free into a reusable
-//! [`PlanBuffers`] arena for any batch size — bit-identical to the tape
-//! forward pass (both execute the same shared kernels). See the
-//! [`InferencePlan`] docs for the compile/replay lifecycle. A plan has one
-//! batch-scaled input and eight row-independent instructions — the
-//! program a SelNet model serves; every other tape op (`pwl_interp`,
-//! `sum`, `gather_rows`, `sigmoid`, …) is refused at compile time with a
-//! [`PlanError`].
+//! Serving doesn't need the tape at all. Every tape op's arithmetic is one
+//! function in [`fwd`], and a forward that calls those kernels in the
+//! tape's order has the tape's bits without its weight copies and node
+//! bookkeeping: [`Mlp::infer`] is an MLP's, and SelNet's curve forward in
+//! `selnet-core` is built from it and the other [`fwd`] kernels.
 //!
 //! ## Kernels and threading
 //!
@@ -82,13 +75,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod fwd;
 mod graph;
 mod matrix;
 mod params;
-mod plan;
 
 pub mod bytes;
+pub mod fwd;
 pub mod gradcheck;
 pub mod init;
 pub mod layers;
@@ -101,4 +93,3 @@ pub use layers::{Activation, Linear, Mlp};
 pub use matrix::Matrix;
 pub use optim::Adam;
 pub use params::ParamStore;
-pub use plan::{InferencePlan, PlanBuffers, PlanError, PlanOutputs};

@@ -152,8 +152,8 @@ fn saxpy_kernel(
 ) {
     // pack the `< VW` column tail of `b` once, zero-padded to full width,
     // so the tail FMA loop of every row band stays vectorized. The pack
-    // buffer is thread-local: small-matrix products (the inference-plan
-    // hot path) would otherwise pay an allocation per call.
+    // buffer is thread-local: small-matrix products (the serving
+    // forward's hot path) would otherwise pay an allocation per call.
     use std::cell::RefCell;
     thread_local! {
         static TAIL_PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };

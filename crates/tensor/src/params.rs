@@ -36,19 +36,6 @@ const MAX_MATRIX_SCALARS: u64 = 1 << 31;
 pub struct ParamStore {
     names: Vec<String>,
     values: Vec<Matrix>,
-    /// Mutation stamp; see [`ParamStore::version`].
-    version: u64,
-}
-
-/// Source of globally-unique version stamps. A process-global counter (not
-/// a per-store one) means two stores can never carry the same version with
-/// different contents — e.g. a store cloned at version `v`, assigned back
-/// over a further-trained original, and then trained to the same *count*
-/// of mutations still ends at a fresh stamp.
-static NEXT_VERSION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-fn fresh_version() -> u64 {
-    NEXT_VERSION.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1
 }
 
 impl ParamStore {
@@ -57,23 +44,10 @@ impl ParamStore {
         Self::default()
     }
 
-    /// A stamp that changes on every mutation of the store (parameter
-    /// registration, [`ParamStore::value_mut`] access, or a bulk
-    /// [`ParamStore::copy_from`]). Cloning preserves the stamp — a clone
-    /// holds identical values, so anything derived from the original (a
-    /// compiled [`InferencePlan`](crate::InferencePlan), say) is equally
-    /// valid for it. Caches keyed on this value never serve stale
-    /// derivations: stamps are drawn from a process-global counter, so no
-    /// two distinct mutation states ever share one.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     /// Registers a parameter and returns its id.
     pub fn add(&mut self, name: impl Into<String>, value: Matrix) -> ParamId {
         self.names.push(name.into());
         self.values.push(value);
-        self.version = fresh_version();
         ParamId(self.values.len() - 1)
     }
 
@@ -93,10 +67,7 @@ impl ParamStore {
     }
 
     /// Mutable parameter value by id (used by optimizers and projections).
-    /// Bumps [`ParamStore::version`]: handing out mutable access counts as
-    /// a mutation.
     pub fn value_mut(&mut self, id: ParamId) -> &mut Matrix {
-        self.version = fresh_version();
         &mut self.values[id.0]
     }
 
@@ -204,7 +175,6 @@ impl ParamStore {
         for (a, b) in self.values.iter_mut().zip(&other.values) {
             a.data_mut().copy_from_slice(b.data());
         }
-        self.version = fresh_version();
         Ok(())
     }
 }
