@@ -10,7 +10,7 @@ use selnet_tensor::{fwd, Activation, Graph, Matrix, Mlp, ParamId, ParamStore, Va
 /// Work buffers of a tapeless forward, owned by the call that runs it and
 /// reused from one network to the next within it.
 #[derive(Default)]
-pub(crate) struct Scratch {
+pub struct Scratch {
     /// One buffer per MLP layer ([`Mlp::infer`]).
     pub(crate) layers: Vec<Matrix>,
     a: Matrix,
@@ -136,7 +136,7 @@ impl ControlPointNets {
     /// [`ControlPointNets::control_points`] without a tape: the same
     /// kernels in the same order, reading the weights in place from
     /// `store`, so `out` receives the tape's `(τ, p)` bit for bit.
-    pub(crate) fn infer(
+    pub fn infer(
         &self,
         store: &ParamStore,
         input: &Matrix,
