@@ -10,17 +10,21 @@
 //!
 //! [`fasttext_like`], the generator of the benchmark's fixtures, draws its
 //! RNG stream on the calling thread, a chunk of rows at a time and in the
-//! order a row-by-row loop would, and then runs the chunk's transforms
-//! (each normal's `ln`, `sqrt` and `cos`, each row's `exp`) on the
-//! `selnet_tensor::parallel` workers. Drawing is about a fifth of the
-//! work and the transforms, calls into the maths library, are latency
-//! bound, so they gain from a second hardware thread even where it shares
-//! a core; the bits are the same on any number of workers.
+//! order a row-by-row loop would, while the `selnet_tensor::parallel`
+//! workers run the transforms of the chunk drawn before (each normal's
+//! `ln`, `sqrt` and `cos`, each row's `exp`), a block of rows at a time
+//! from a shared queue; once its draw is done, the calling thread takes
+//! blocks from the same queue. Drawing is about a fifth of the work and
+//! the transforms, calls into the maths library, are latency bound, so
+//! both gain from a second hardware thread even where it shares a core,
+//! and no split between the two has to be tuned. The bits are the same
+//! on any number of workers.
 
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selnet_tensor::parallel;
+use std::sync::Mutex;
 
 /// The two uniforms of one Box–Muller normal, drawn in order: `u1` in
 /// `[f32::MIN_POSITIVE, 1)`, `u2` in `[0, 1)`.
@@ -42,14 +46,17 @@ fn randn(rng: &mut impl Rng) -> f32 {
     box_muller(uniform_pair(rng))
 }
 
-/// Coordinates [`fasttext_like`] draws the uniforms of before it
-/// transforms them: the buffer holds two `f32` per coordinate (2 MiB).
-/// At 50 000 × 300, chunks of 2^16 and 2^20 coordinates timed the same.
-const DRAW_CHUNK_COORDS: usize = 1 << 18;
+/// Coordinates [`fasttext_like`] draws the uniforms of at a time: two
+/// buffers, the chunk being drawn and the one being transformed, each of
+/// two `f32` per coordinate (1 MiB each). At 50 000 × 300, chunks of
+/// 2^16, 2^17 and 2^18 coordinates timed the same.
+const DRAW_CHUNK_COORDS: usize = 1 << 17;
 
-/// Coordinates each engaged worker transforms at least: ≈ 0.5 ms at the
-/// ≈ 30 ns a coordinate takes on one thread, far above one fork-join.
-const TRANSFORM_MIN_COORDS: usize = 1 << 14;
+/// Coordinates a worker transforms per block it takes from a chunk's
+/// queue: ≈ 0.1 ms at the ≈ 30 ns a coordinate takes on one thread, far
+/// above the lock that hands the block out, and 32 blocks to a chunk, so
+/// that the workers finish a chunk within a block of each other.
+const TRANSFORM_BLOCK_COORDS: usize = 1 << 12;
 
 /// Configuration shared by the dataset generators.
 #[derive(Clone, Debug)]
@@ -132,42 +139,75 @@ pub fn fasttext_like(cfg: &GeneratorConfig) -> Dataset {
         .collect();
 
     // The rows come a chunk at a time: the RNG stream is drawn on this
-    // thread, in the order a row-by-row loop draws it, and the chunk's
-    // transforms then run on the parallel workers. Each value is the same
-    // expression of the same uniforms, so the bits do not depend on how
-    // many workers there are.
+    // thread, in the order a row-by-row loop draws it, while the workers
+    // transform the chunk drawn before; this thread then joins them. Each
+    // value is the same expression of the same uniforms, so the bits do
+    // not depend on how many workers there are or which block each takes.
     let dim = cfg.dim;
-    let chunk_rows = (DRAW_CHUNK_COORDS / dim.max(1)).max(1);
-    let min_rows = TRANSFORM_MIN_COORDS.div_ceil(dim.max(1));
+    let width = dim.max(1);
+    let chunk_rows = (DRAW_CHUNK_COORDS / width).max(1);
+    let block_rows = (TRANSFORM_BLOCK_COORDS / width).max(1);
     let threads = parallel::fork_threads();
     let mut data = vec![0.0f32; cfg.n * dim];
-    // per row its cluster and its magnitude's uniforms; per coordinate its
-    // noise's
-    let mut heads: Vec<(usize, [f32; 2])> = Vec::with_capacity(chunk_rows);
-    let mut noise: Vec<[f32; 2]> = Vec::with_capacity(chunk_rows * dim);
-    for rows in data.chunks_mut(chunk_rows * dim.max(1)) {
-        heads.clear();
-        noise.clear();
-        for _ in 0..rows.len() / dim {
-            heads.push((sample_cluster(&cum, &mut rng), uniform_pair(&mut rng)));
-            noise.extend((0..dim).map(|_| uniform_pair(&mut rng)));
-        }
-        parallel::par_row_chunks_mut(rows, dim, threads, min_rows, |first, rows| {
-            for (i, row) in (first..).zip(rows.chunks_exact_mut(dim)) {
-                let (c, mag) = heads[i];
+    let (mut drawn, mut next) = (Uniforms::default(), Uniforms::default());
+    let mut chunks = data.chunks_mut(chunk_rows * width).peekable();
+    if let Some(first) = chunks.peek() {
+        drawn.draw(first.len() / width, dim, &cum, &mut rng);
+    }
+    while let Some(rows) = chunks.next() {
+        let upcoming = chunks.peek().map_or(0, |rows| rows.len() / width);
+        let blocks = Mutex::new(rows.chunks_mut(block_rows * width).enumerate());
+        let transform = || loop {
+            let Some((b, rows)) = blocks.lock().expect("no transform panicked").next() else {
+                return;
+            };
+            for (i, row) in (b * block_rows..).zip(rows.chunks_exact_mut(width)) {
+                let (c, mag) = drawn.heads[i];
                 // log-normal magnitude: heavy tail of vector norms, as seen
                 // in real word-frequency-correlated embeddings
                 let mag = (box_muller(mag) * 0.4).exp();
-                let noise = &noise[i * dim..][..dim];
+                let noise = &drawn.noise[i * dim..][..dim];
                 for (((v, &u), &centre), &scale) in
                     row.iter_mut().zip(noise).zip(&centers[c]).zip(&scales[c])
                 {
                     *v = (centre + box_muller(u) * scale) * mag;
                 }
             }
+        };
+        // part 0, the calling thread, draws the next chunk first
+        let draw = Some((&mut next, &mut rng));
+        let parts = std::iter::once(draw).chain((1..threads).map(|_| None));
+        parallel::fork_join(parts.collect(), |part| {
+            if let Some((next, rng)) = part {
+                next.draw(upcoming, dim, &cum, rng);
+            }
+            transform();
         });
+        std::mem::swap(&mut drawn, &mut next);
     }
     Dataset::from_flat(dim, data).with_name("fasttext-like")
+}
+
+/// One chunk of [`fasttext_like`]'s RNG stream: per row its cluster and
+/// its magnitude's uniforms, per coordinate its noise's.
+#[derive(Default)]
+struct Uniforms {
+    heads: Vec<(usize, [f32; 2])>,
+    noise: Vec<[f32; 2]>,
+}
+
+impl Uniforms {
+    /// Draws `rows` rows of `dim` coordinates over what was there, in the
+    /// order the row-by-row loop draws them.
+    fn draw(&mut self, rows: usize, dim: usize, cum: &[f64], rng: &mut impl Rng) {
+        self.heads.clear();
+        self.noise.clear();
+        for _ in 0..rows {
+            self.heads
+                .push((sample_cluster(cum, rng), uniform_pair(rng)));
+            self.noise.extend((0..dim).map(|_| uniform_pair(rng)));
+        }
+    }
 }
 
 /// face-like: Gaussian clusters projected onto the unit sphere (stand-in
@@ -272,19 +312,21 @@ mod tests {
         Dataset::from_flat(cfg.dim, data).with_name("fasttext-like")
     }
 
-    /// The chunked generator has the row loop's bits on one worker and on
-    /// three: less than one draw chunk, a count that is no multiple of
-    /// it, and d = 1.
+    /// The pipelined generator has the row loop's bits on one, two and
+    /// three workers: one row, fewer coordinates than one transform block,
+    /// less than one draw chunk, a partial last chunk, and d = 1.
     #[test]
     fn fasttext_like_has_the_bits_of_the_row_loop() {
         let chunk = |dim: usize| DRAW_CHUNK_COORDS / dim;
         let shapes = [
+            (1, 300),
+            (TRANSFORM_BLOCK_COORDS / 64 - 5, 64),
             (chunk(300) / 2, 300),
             (2 * chunk(64) + 17, 64),
             (chunk(1) + 5, 1),
         ];
         let bits = |ds: &Dataset| ds.flat().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for threads in [1, 3] {
+        for threads in [1, 2, 3] {
             parallel::set_threads(threads);
             for (seed, &(n, dim)) in shapes.iter().enumerate() {
                 let cfg = GeneratorConfig::new(n, dim, 5, seed as u64);

@@ -23,6 +23,7 @@ use selnet_data::Dataset;
 use selnet_metric::vectors::{self, LaneBlocks, LANES};
 use selnet_metric::DistanceKind;
 use selnet_tensor::bytes::{read_f64, read_u64, read_u8, write_f64, write_u64, write_u8};
+use selnet_tensor::parallel;
 use std::io::{self, Read, Write};
 
 /// Partitioning strategy.
@@ -296,25 +297,25 @@ impl Partitioning {
         }
         // a region's ball is stored unless a bigger one of its cluster
         // covers it; every centre kept is copied once, into a store sized
-        // for what its cluster keeps
-        let mut covered_balls = 0;
-        let clusters = cluster_regions
-            .into_iter()
-            .map(|mut regions| {
-                regions.sort_by(|a, b| probe_order(a.radius, b.radius));
-                let kept = uncovered(geo.dim(), regions.len(), |i, centre| {
-                    centre.clear();
-                    centre.extend_from_slice(geo.row(regions[i].center));
-                    regions[i].radius
-                });
-                covered_balls += regions.len() - kept.len();
-                let mut cluster = Cluster::with_capacity(geo.dim(), kept.len());
-                for i in kept {
-                    cluster.push(geo.row(regions[i].center), regions[i].radius);
-                }
-                cluster
-            })
-            .collect();
+        // for what its cluster keeps. The clusters are independent: one
+        // per worker at a time, on the parallel workers.
+        let stores = parallel::par_map_indexed(k, 1, |c| {
+            let mut regions = cluster_regions[c].clone();
+            regions.sort_by(|a, b| probe_order(a.radius, b.radius));
+            let kept = uncovered(geo.dim(), regions.len(), |i, centre| {
+                centre.clear();
+                centre.extend_from_slice(geo.row(regions[i].center));
+                regions[i].radius
+            });
+            let covered = regions.len() - kept.len();
+            let mut cluster = Cluster::with_capacity(geo.dim(), kept.len());
+            for i in kept {
+                cluster.push(geo.row(regions[i].center), regions[i].radius);
+            }
+            (cluster, covered)
+        });
+        let covered_balls = stores.iter().map(|(_, covered)| covered).sum();
+        let clusters = stores.into_iter().map(|(cluster, _)| cluster).collect();
         let partitioning = Partitioning {
             k,
             kind,

@@ -28,13 +28,15 @@
 //!    [`par_map_states`] run opaque closures and take their minimum items
 //!    per worker from the caller, who knows what one item costs.
 //!
-//! Work is always split into **contiguous, disjoint** chunks whose
-//! boundaries depend only on the input size and the worker count — never
-//! on scheduling — and no kernel combines values across chunks, so every
-//! helper is deterministic and the row-partitioned kernels are
-//! bit-identical to their serial counterparts for *any* thread count,
-//! including the inline (nested) execution: bit-identity is structural,
-//! not something the gate or the schedule could disturb.
+//! Work is split into **contiguous, disjoint** chunks whose boundaries
+//! depend only on the input size and the worker count — never on
+//! scheduling — or, in [`par_map_indexed`], handed out one index at a
+//! time with each result stored at its index; no kernel combines values
+//! across chunks, so every helper is deterministic and the
+//! row-partitioned kernels are bit-identical to their serial counterparts
+//! for *any* thread count, including the inline (nested) execution:
+//! bit-identity is structural, not something the gate or the schedule
+//! could disturb.
 //!
 //! ## The threading knob
 //!
@@ -50,6 +52,7 @@
 //! bit-identical at any count, so a count moves time, never an answer.
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Elementary operations (multiply-adds of a matmul) each engaged worker
@@ -235,26 +238,37 @@ pub fn par_row_chunks_mut<F>(
     });
 }
 
-/// Maps `f` over `0..count` on up to [`fork_threads`] workers, returning
-/// the results in index order (scheduling never affects the output).
-pub fn par_map_indexed<R, F>(count: usize, min_per_chunk: usize, f: F) -> Vec<R>
+/// Maps `f` over `0..count` on up to [`fork_threads`] workers, at most
+/// one per `min_per_worker` items, returning the results in index order.
+/// Each worker takes the next index from a shared counter, so items of
+/// uneven cost (a partitioning's clusters) spread over the workers as they
+/// free up; `f(i)` lands at `i` whoever ran it, so scheduling never
+/// affects the output.
+pub fn par_map_indexed<R, F>(count: usize, min_per_worker: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let ranges = chunk_ranges(count, fork_threads(), min_per_chunk);
-    if ranges.len() <= 1 {
+    let workers = fork_threads().min(count.div_ceil(min_per_worker.max(1)));
+    if workers <= 1 {
         return (0..count).map(f).collect();
     }
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<Vec<(usize, R)>> = (0..workers).map(|_| Vec::new()).collect();
+    fork_join(done.iter_mut().collect(), |done| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= count {
+            return;
+        }
+        done.push((i, f(i)));
+    });
     let mut out: Vec<Option<R>> = Vec::with_capacity(count);
     out.resize_with(count, || None);
-    fork_join(split_ranges(&mut out, 1, &ranges), |(start, slots)| {
-        for (off, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(f(start + off));
-        }
-    });
+    for (i, r) in done.into_iter().flatten() {
+        out[i] = Some(r);
+    }
     out.into_iter()
-        .map(|r| r.expect("all chunks filled"))
+        .map(|r| r.expect("every index mapped"))
         .collect()
 }
 
@@ -357,6 +371,34 @@ mod tests {
             assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>());
         }
         set_threads(0);
+    }
+
+    /// A worker that is done takes the next item, whatever the other
+    /// worker holds: item 0 waits for items 1 and 2, which a split into
+    /// contiguous ranges would have queued behind it on the same worker.
+    #[test]
+    fn par_map_indexed_hands_out_items_as_workers_free_up() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        let done = [AtomicBool::new(false), AtomicBool::new(false)];
+        set_threads(2);
+        let out = par_map_indexed(3, 1, |i| {
+            if i == 0 {
+                let start = Instant::now();
+                while !done.iter().all(|d| d.load(Ordering::Acquire)) {
+                    assert!(
+                        start.elapsed() < Duration::from_secs(10),
+                        "items 1 and 2 never ran"
+                    );
+                    std::thread::yield_now();
+                }
+            } else {
+                done[i - 1].store(true, Ordering::Release);
+            }
+            i
+        });
+        set_threads(0);
+        assert_eq!(out, [0, 1, 2]);
     }
 
     /// Rule 1: part 0 runs on the calling thread, every other part on a

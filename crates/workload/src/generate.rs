@@ -110,12 +110,15 @@ fn label_geometric(x: &[f32], nearest: &Nearest<'_>, ladder: &[f64], n: usize) -
 
 /// Generates a fully-labeled workload with an 80:10:10 query split.
 ///
-/// Ground truth is exact: a brute-force scan on [`fork_threads`] workers
-/// (the dataset streamed once per sixteen queries). The geometric ladder
-/// reads each query's distances up to its top rank only, so a column is
-/// rank-selected there and just that prefix sorted; Beta thresholds are
-/// counted on the fly. Either way the labels are those of a full sort,
-/// whatever the worker count.
+/// Ground truth is exact: a brute-force scan on [`fork_threads`] workers,
+/// each reading a tile of records once for a band of its queries, grouped
+/// sixteen to a block by locality. The geometric ladder reads each
+/// query's distances up to its top rank only, so a column is rank-selected
+/// there and just that prefix sorted, and a record beyond every lane's
+/// rank distance so far is abandoned unfinished; Beta thresholds are
+/// counted on the fly, a record beyond every lane's largest one abandoned
+/// too. Either way the labels are those of a full sort, whatever the
+/// worker count.
 pub fn generate_workload(ds: &Dataset, cfg: &WorkloadConfig) -> Workload {
     assert!(ds.len() >= 2, "dataset too small");
     let mut rng = StdRng::seed_from_u64(cfg.seed);

@@ -26,7 +26,9 @@ const WORKER_MIN_WORK: usize = 1 << 28;
 /// region, else the calling thread's `set_threads` pin, else
 /// `SELNET_THREADS`, else every core), each with at least
 /// `WORKER_MIN_WORK` coordinate differences; the labels do not depend on
-/// how many.
+/// how many. A worker reads each tile of records once for a band of its
+/// queries, grouped sixteen to a block by locality, and abandons a record
+/// as soon as it is beyond every lane's largest threshold.
 pub fn label_partitions(
     ds: &Dataset,
     partitioning: &Partitioning,

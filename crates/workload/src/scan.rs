@@ -5,26 +5,26 @@ use selnet_data::Dataset;
 use selnet_metric::vectors::{LaneBlocks, LANES, ROWS};
 use selnet_metric::DistanceKind;
 use selnet_tensor::parallel::fork_join;
-use std::ops::Range;
 
 /// What a labelling pass does with the distances [`scan_distances`]
-/// computes, one group of up to [`LANES`] queries at a time. A worker owns
-/// one labeller for all its groups, so whatever it allocates is reused.
+/// computes, one group of up to [`LANES`] queries at a time. A worker
+/// holds one labeller per group of its band and reuses each for the
+/// groups of the bands that follow, so whatever it allocates is reused.
 pub(crate) trait Labeller {
     /// What is known about one query after the pass.
     type Label: Send;
 
-    /// Lanes `0..queries.len()` hold these queries in the pass that
-    /// follows.
-    fn begin(&mut self, queries: Range<usize>);
+    /// Lanes `0..queries.len()` hold the queries with these indices (into
+    /// the scan's query list) in the pass that follows.
+    fn begin(&mut self, queries: &[usize]);
 
     /// Per lane, the distance beyond which [`Labeller::record`] has no use
-    /// for a record (`-∞` in a lane without a query), if the labeller
-    /// knows one before the pass: the scan then computes a record's
-    /// distances only as far as it takes to see it beyond every lane's
-    /// limit, and does not report such a record at all. `None` if every
-    /// distance is needed.
-    fn limits(&self) -> Option<[f32; LANES]>;
+    /// for a record (`+∞` where every distance is needed, `-∞` in a lane
+    /// without a query): the scan reads it once per tile of records,
+    /// computes a record's distances only as far as it takes to see it
+    /// beyond every lane's limit, and does not report such a record at
+    /// all. A limit may fall as records arrive, never rise.
+    fn limits(&self) -> [f32; LANES];
 
     /// Record `i` lies at `dists[l]` from the query in lane `l`; records
     /// arrive in dataset order.
@@ -32,20 +32,47 @@ pub(crate) trait Labeller {
 
     /// The label of the query in lane `l`, every record having been seen.
     fn finish(&mut self, l: usize) -> Self::Label;
+
+    /// Bytes the labeller keeps for one group: what [`BAND_BYTES`] counts
+    /// besides the group's packed queries.
+    fn footprint(&self) -> usize;
 }
+
+/// Records a worker reads before it moves on to the next ones: every group
+/// of its band runs over a tile while the tile is in cache (64 records of
+/// d = 300 are 77 KB), so the dataset streams from memory once per band,
+/// not once per group. A multiple of [`ROWS`], so that only the dataset's
+/// last tile can leave a kernel call short of records. Tiles of 16, 64
+/// and 256 records labelled the paper fixture in the same time.
+const TILE: usize = 64;
+
+/// Bytes of packed queries and labeller state a worker holds at once (a
+/// band of groups). A group of the paper fixture holds 19 KB of packed
+/// queries and, under the geometric ladder, 128 KB of candidates (sixteen
+/// lanes of `4 · 500`): fourteen groups to a band, so each of two workers
+/// takes its share of the 300 queries in one band. Holding every group of
+/// an 8 000-query workload would keep ≈ 32 MB of candidates per worker;
+/// the budget caps that at about one core's L2. Budgets of 1, 2 and 4 MiB
+/// labelled 300 and 2 000 queries of the paper fixture in the same time.
+const BAND_BYTES: usize = 2 << 20;
 
 /// Labels every query object from its exact distances to every record;
 /// the labels come back in query order.
 ///
-/// The queries are split contiguously over `workers` threads (at least
-/// one, at most one per group of [`LANES`] queries; the calling thread is
-/// the first of them, see `selnet_tensor::parallel::fork_join`). A worker
-/// takes its queries [`LANES`] at a time, packs them into one lane-major
-/// block and streams the dataset **once per group**: one kernel call
-/// gives a record's distance to all sixteen, each with the bits of
-/// `kind.eval(x, record)` — bounded by the labeller's limits if it has
-/// any, else in full and [`ROWS`] records to a call. Cosine has no block
-/// kernel and evaluates pair by pair behind the same interface.
+/// The queries are put in [`locality_order`] and that order is split
+/// contiguously over `workers` threads (at least one, at most one per
+/// group of [`LANES`] queries; the calling thread is the first of them,
+/// see `selnet_tensor::parallel::fork_join`). A worker packs its queries
+/// [`LANES`] at a time into lane-major blocks, holds as many groups as
+/// [`BAND_BYTES`] allows (a band) and streams the dataset **once per
+/// band**, a [`TILE`] of records at a time, running every group of the
+/// band over a tile before it reads the next. One kernel call gives
+/// [`ROWS`] records' distances to a group's sixteen queries, each with the
+/// bits of `kind.eval(x, record)`, bounded by the limits the labeller has
+/// at the start of the tile. Cosine has no
+/// block kernel and evaluates pair by pair behind the same interface. No
+/// label depends on the order, the split or the band: each group sees
+/// every record it has a use for, in dataset order.
 pub(crate) fn scan_distances<L: Labeller>(
     ds: &Dataset,
     xs: &[&[f32]],
@@ -53,64 +80,144 @@ pub(crate) fn scan_distances<L: Labeller>(
     workers: usize,
     labeller: impl Fn() -> L + Sync,
 ) -> Vec<L::Label> {
-    let mut labels: Vec<Option<L::Label>> = xs.iter().map(|_| None).collect();
-    let label_from = |first: usize, slots: &mut [Option<L::Label>]| {
-        let mut labeller = labeller();
-        let mut block = LaneBlocks::new(ds.dim());
-        let mut dists = [[0.0f32; LANES]; ROWS];
-        for (g, group) in slots.chunks_mut(LANES).enumerate() {
-            let first = first + g * LANES;
-            let group_xs = &xs[first..first + group.len()];
-            block.clear();
-            group_xs.iter().for_each(|x| block.push(x));
-            labeller.begin(first..first + group.len());
-            match (kind, labeller.limits()) {
-                (DistanceKind::Cosine, _) => {
-                    for (i, row) in ds.iter().enumerate() {
-                        for (d, x) in dists[0].iter_mut().zip(group_xs) {
-                            *d = kind.eval(x, row);
-                        }
-                        labeller.record(i, &dists[0][..group.len()]);
-                    }
-                }
-                (DistanceKind::Euclidean, Some(limits)) => {
-                    for (i, row) in ds.iter().enumerate() {
-                        if block.dist_within(0, row, &limits, &mut dists[0]) {
-                            labeller.record(i, &dists[0][..group.len()]);
-                        }
-                    }
-                }
-                (DistanceKind::Euclidean, None) => {
-                    for i in (0..ds.len()).step_by(ROWS) {
-                        let rows = ROWS.min(ds.len() - i);
-                        if rows == ROWS {
-                            let rows = std::array::from_fn(|r| ds.row(i + r));
-                            block.sqdist_rows_into(0, rows, &mut dists);
-                        } else {
-                            // the last records, fewer than a call takes
-                            for (r, dists) in dists[..rows].iter_mut().enumerate() {
-                                block.sqdist_into(0, ds.row(i + r), dists);
-                            }
-                        }
-                        for (r, dists) in dists[..rows].iter_mut().enumerate() {
-                            dists.iter_mut().for_each(|d| *d = d.sqrt());
-                            labeller.record(i + r, &dists[..group.len()]);
-                        }
-                    }
+    let order = locality_order(xs, ds.dim());
+    let label_from = |queries: &[usize]| {
+        let first = labeller();
+        let group_bytes = LANES * ds.dim() * size_of::<f32>() + first.footprint();
+        let band_groups = (BAND_BYTES / group_bytes).max(1);
+        let mut band = vec![(LaneBlocks::new(ds.dim()), first)];
+        let mut labels = Vec::with_capacity(queries.len());
+        for queries in queries.chunks(band_groups * LANES) {
+            let groups = queries.len().div_ceil(LANES);
+            band.resize_with(groups.max(band.len()), || {
+                (LaneBlocks::new(ds.dim()), labeller())
+            });
+            let band = &mut band[..groups];
+            for ((block, labeller), queries) in band.iter_mut().zip(queries.chunks(LANES)) {
+                block.clear();
+                queries.iter().for_each(|&q| block.push(xs[q]));
+                labeller.begin(queries);
+            }
+            for tile in (0..ds.len()).step_by(TILE) {
+                let tile = tile..ds.len().min(tile + TILE);
+                for ((block, labeller), queries) in band.iter_mut().zip(queries.chunks(LANES)) {
+                    scan_tile(ds, tile.clone(), xs, queries, kind, block, labeller);
                 }
             }
-            for (l, slot) in group.iter_mut().enumerate() {
-                *slot = Some(labeller.finish(l));
+            for ((_, labeller), queries) in band.iter_mut().zip(queries.chunks(LANES)) {
+                labels.extend((0..queries.len()).map(|l| labeller.finish(l)));
             }
         }
+        labels
     };
     let per_worker = queries_per_worker(xs.len(), workers);
-    let parts: Vec<_> = labels.chunks_mut(per_worker).enumerate().collect();
-    fork_join(parts, |(w, slots)| label_from(w * per_worker, slots));
+    let mut by_worker: Vec<Vec<L::Label>> = order.chunks(per_worker).map(|_| Vec::new()).collect();
+    let parts: Vec<_> = order.chunks(per_worker).zip(&mut by_worker).collect();
+    fork_join(parts, |(queries, labels)| *labels = label_from(queries));
+    let mut labels: Vec<Option<L::Label>> = xs.iter().map(|_| None).collect();
+    for (&q, label) in order.iter().zip(by_worker.into_iter().flatten()) {
+        labels[q] = Some(label);
+    }
     labels
         .into_iter()
         .map(|l| l.expect("every query labelled"))
         .collect()
+}
+
+/// One group's pass over the records of `tile`, in dataset order: the
+/// group's `queries` (indices into `xs`) are packed in `block`.
+fn scan_tile<L: Labeller>(
+    ds: &Dataset,
+    tile: std::ops::Range<usize>,
+    xs: &[&[f32]],
+    queries: &[usize],
+    kind: DistanceKind,
+    block: &LaneBlocks,
+    labeller: &mut L,
+) {
+    let lanes = queries.len();
+    let mut dists = [[0.0f32; LANES]; ROWS];
+    match kind {
+        DistanceKind::Cosine => {
+            for i in tile {
+                let row = ds.row(i);
+                for (d, &q) in dists[0].iter_mut().zip(queries) {
+                    *d = kind.eval(xs[q], row);
+                }
+                labeller.record(i, &dists[0][..lanes]);
+            }
+        }
+        DistanceKind::Euclidean => {
+            let limits = [labeller.limits(); ROWS];
+            for i in tile.step_by(ROWS) {
+                let rows = ROWS.min(ds.len() - i);
+                let open = if rows == ROWS {
+                    let rows = std::array::from_fn(|r| ds.row(i + r));
+                    block.dist_rows_within(0, rows, &limits, &mut dists)
+                } else {
+                    // the last records, fewer than a call takes
+                    std::array::from_fn(|r| {
+                        r < rows && block.dist_within(0, ds.row(i + r), &limits[r], &mut dists[r])
+                    })
+                };
+                for (r, dists) in dists.iter().enumerate().filter(|&(r, _)| open[r]) {
+                    labeller.record(i + r, &dists[..lanes]);
+                }
+            }
+        }
+    }
+}
+
+/// The order the scan takes its queries in: blocks of [`LANES`] that
+/// share a neighbourhood, so that a record far from one query is usually
+/// far from all sixteen, and a bounded scan abandons it at its first look.
+///
+/// One pivot per group, chosen farthest first: the first query, then
+/// each time the query farthest from every pivot so far. Every query
+/// goes to its nearest pivot (the earliest of equals), and the queries
+/// are ordered by pivot and, within one, by their distance to it (index
+/// order among equals): on the paper fixture that leaves 26 % of the
+/// rank scan's (group, record) pairs open against 29 % in index order
+/// within a pivot, and 10 % of the per-part count's against 15 %.
+/// `Q · ⌈Q / 16⌉` squared distances on the block kernel; ties and NaNs
+/// only move a query between groups, which no label depends on.
+fn locality_order(xs: &[&[f32]], dim: usize) -> Vec<usize> {
+    let groups = xs.len().div_ceil(LANES);
+    if groups <= 1 {
+        return (0..xs.len()).collect();
+    }
+    let mut block = LaneBlocks::with_capacity(dim, xs.len());
+    xs.iter().for_each(|x| block.push(x));
+    // per query: squared distance to its nearest pivot so far, and which
+    let mut nearest = vec![(f32::INFINITY, 0usize); xs.len()];
+    let mut dists = [0.0f32; LANES];
+    let mut pivot = 0;
+    for p in 0..groups {
+        for (b, nearest) in nearest.chunks_mut(LANES).enumerate() {
+            block.sqdist_into(b, xs[pivot], &mut dists);
+            for (nearest, &d) in nearest.iter_mut().zip(&dists) {
+                if d < nearest.0 {
+                    *nearest = (d, p);
+                }
+            }
+        }
+        let farthest = nearest.iter().enumerate();
+        pivot = farthest
+            .fold((0, f32::NEG_INFINITY), |best, (q, &(d, _))| {
+                if d > best.1 {
+                    (q, d)
+                } else {
+                    best
+                }
+            })
+            .0;
+    }
+    let mut order: Vec<usize> = (0..xs.len()).collect();
+    order.sort_by(|&a, &b| {
+        let ((da, pa), (db, pb)) = (nearest[a], nearest[b]);
+        pa.cmp(&pb).then(da.total_cmp(&db))
+    });
+    order
 }
 
 /// Queries each of `workers` labelling workers takes: an even share
@@ -158,8 +265,8 @@ impl Nearest<'_> {
 /// the query index with that [`Nearest`].
 pub(crate) struct NearestColumns<F> {
     lanes: Vec<Candidates>,
-    /// The query in lane 0.
-    first: usize,
+    /// The query in each lane of the group.
+    queries: Vec<usize>,
     keep: usize,
     label: F,
 }
@@ -223,7 +330,7 @@ impl<F> NearestColumns<F> {
         };
         NearestColumns {
             lanes: vec![lane; LANES],
-            first: 0,
+            queries: Vec::with_capacity(LANES),
             keep,
             label,
         }
@@ -233,15 +340,22 @@ impl<F> NearestColumns<F> {
 impl<R: Send, F: Fn(usize, Nearest<'_>) -> R> Labeller for NearestColumns<F> {
     type Label = R;
 
-    fn begin(&mut self, queries: Range<usize>) {
-        self.first = queries.start;
+    fn begin(&mut self, queries: &[usize]) {
+        self.queries.clear();
+        self.queries.extend_from_slice(queries);
         self.lanes.iter_mut().for_each(Candidates::reset);
     }
 
-    /// The bound falls during the pass; a limit fixed before it would be
-    /// `+∞`.
-    fn limits(&self) -> Option<[f32; LANES]> {
-        None
+    /// Each lane's `bound` (`+∞` before its first selection): it only
+    /// falls, so a record beyond every lane's bound as the scan reads it
+    /// is one that [`NearestColumns::record`] would drop unseen — no
+    /// candidate, no tie and no label changes.
+    fn limits(&self) -> [f32; LANES] {
+        let mut limits = [f32::NEG_INFINITY; LANES];
+        for (limit, lane) in limits.iter_mut().zip(&self.lanes[..self.queries.len()]) {
+            *limit = lane.bound;
+        }
+        limits
     }
 
     fn record(&mut self, _i: usize, dists: &[f32]) {
@@ -264,7 +378,12 @@ impl<R: Send, F: Fn(usize, Nearest<'_>) -> R> Labeller for NearestColumns<F> {
             sorted: &lane.dists,
             ties_beyond: lane.ties_dropped,
         };
-        (self.label)(self.first + l, nearest)
+        (self.label)(self.queries[l], nearest)
+    }
+
+    /// Sixteen lanes of candidates at their most.
+    fn footprint(&self) -> usize {
+        LANES * CANDIDATES_PER_KEPT * self.keep * size_of::<f32>()
     }
 }
 
@@ -326,9 +445,10 @@ impl Labeller for ThresholdCounts<'_> {
 
     /// Exactly one lane per query of the group: a shorter last group
     /// leaves no lane of the group before it behind.
-    fn begin(&mut self, queries: Range<usize>) {
+    fn begin(&mut self, queries: &[usize]) {
         self.lanes.resize(queries.len(), Lane::default());
-        for (lane, &thresholds) in self.lanes.iter_mut().zip(&self.thresholds[queries]) {
+        for (lane, &q) in self.lanes.iter_mut().zip(queries) {
+            let thresholds = self.thresholds[q];
             lane.thresholds = thresholds;
             // the maximum, not `last()`: nothing here requires a sorted ladder
             lane.top = thresholds.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -338,12 +458,12 @@ impl Labeller for ThresholdCounts<'_> {
     }
 
     /// Each lane's `top`, which [`ThresholdCounts::record`] tests first.
-    fn limits(&self) -> Option<[f32; LANES]> {
+    fn limits(&self) -> [f32; LANES] {
         let mut limits = [f32::NEG_INFINITY; LANES];
         for (limit, lane) in limits.iter_mut().zip(&self.lanes) {
             *limit = lane.top;
         }
-        Some(limits)
+        limits
     }
 
     fn record(&mut self, i: usize, dists: &[f32]) {
@@ -370,28 +490,35 @@ impl Labeller for ThresholdCounts<'_> {
             .map(|part| part.iter().map(|&c| c as f64).collect())
             .collect()
     }
+
+    /// Sixteen lanes of counts for the longest ladder.
+    fn footprint(&self) -> usize {
+        let longest = self.thresholds.iter().map(|ts| ts.len()).max();
+        LANES * self.k * longest.unwrap_or(0) * size_of::<u64>()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use selnet_data::generators::{face_like, GeneratorConfig};
+    use selnet_tensor::parallel;
 
     /// Reports each query's distances as it received them, asking for
     /// them in full or within the given limits.
     struct Echo {
         lanes: Vec<(usize, Vec<u32>)>,
-        limits: Option<[f32; LANES]>,
+        limits: [f32; LANES],
     }
 
     impl Labeller for Echo {
         type Label = (usize, Vec<u32>);
 
-        fn begin(&mut self, queries: Range<usize>) {
-            self.lanes = queries.map(|q| (q, Vec::new())).collect();
+        fn begin(&mut self, queries: &[usize]) {
+            self.lanes = queries.iter().map(|&q| (q, Vec::new())).collect();
         }
 
-        fn limits(&self) -> Option<[f32; LANES]> {
+        fn limits(&self) -> [f32; LANES] {
             self.limits
         }
 
@@ -406,28 +533,27 @@ mod tests {
         fn finish(&mut self, l: usize) -> Self::Label {
             std::mem::take(&mut self.lanes[l])
         }
+
+        fn footprint(&self) -> usize {
+            0
+        }
     }
 
     /// Every distance has the bits of the pair-by-pair evaluation, whatever
-    /// the group and worker boundaries, on the four-row path (with its
-    /// last records, fewer than four) and on the bounded one, under one
+    /// the group and worker boundaries, on the four-row kernel (and the
+    /// one-row one for the last records, fewer than four), under one
     /// stride of coordinates and over several; labels come back in query
-    /// order.
+    /// order. Cosine ignores the limits.
     #[test]
     fn distances_equal_pair_evaluation_bit_for_bit() {
         let narrow = face_like(&GeneratorConfig::new(70, 9, 3, 5));
         let wide = face_like(&GeneratorConfig::new(45, 77, 3, 5));
+        let everything = [f32::INFINITY; LANES];
         for (ds, kind, limits) in [
-            (&narrow, DistanceKind::Euclidean, None),
-            (
-                &narrow,
-                DistanceKind::Euclidean,
-                Some([f32::INFINITY; LANES]),
-            ),
-            (&narrow, DistanceKind::Cosine, None),
-            (&wide, DistanceKind::Euclidean, None),
-            (&wide, DistanceKind::Euclidean, Some([f32::INFINITY; LANES])),
-            (&wide, DistanceKind::Cosine, Some([0.0; LANES])),
+            (&narrow, DistanceKind::Euclidean, everything),
+            (&narrow, DistanceKind::Cosine, everything),
+            (&wide, DistanceKind::Euclidean, everything),
+            (&wide, DistanceKind::Cosine, [0.0; LANES]),
         ] {
             assert_ne!(ds.len() % ROWS, 0);
             for (queries, threads) in [(0, 2), (1, 1), (16, 1), (17, 1), (37, 2), (70, 3)] {
@@ -455,12 +581,12 @@ mod tests {
     impl Labeller for Seen {
         type Label = Vec<usize>;
 
-        fn begin(&mut self, _queries: Range<usize>) {
+        fn begin(&mut self, _queries: &[usize]) {
             self.seen.clear();
         }
 
-        fn limits(&self) -> Option<[f32; LANES]> {
-            Some(self.limits)
+        fn limits(&self) -> [f32; LANES] {
+            self.limits
         }
 
         fn record(&mut self, i: usize, _dists: &[f32]) {
@@ -469,6 +595,10 @@ mod tests {
 
         fn finish(&mut self, _l: usize) -> Vec<usize> {
             self.seen.clone()
+        }
+
+        fn footprint(&self) -> usize {
+            0
         }
     }
 
@@ -567,7 +697,7 @@ mod tests {
         for upto in 1..=stream.len() {
             let label = |_, nearest: Nearest<'_>| (nearest.sorted.to_vec(), nearest.ties_beyond);
             let mut columns = NearestColumns::new(upto, keep, label);
-            columns.begin(0..1);
+            columns.begin(&[0]);
             for (i, d) in stream[..upto].iter().enumerate() {
                 columns.record(i, &[*d]);
                 assert!(columns.lanes[0].dists.len() < CANDIDATES_PER_KEPT * keep);
@@ -629,18 +759,167 @@ mod tests {
         }
     }
 
+    /// A labeller whose band holds `groups` groups, or as many as its own
+    /// footprint allows (`None`); everything else is `inner`'s.
+    struct Banded<L> {
+        inner: L,
+        bytes: usize,
+    }
+
+    impl<L: Labeller> Banded<L> {
+        fn new(inner: L, groups: Option<usize>, dim: usize) -> Self {
+            let packed = LANES * dim * size_of::<f32>();
+            let bytes = groups.map_or(inner.footprint(), |groups| BAND_BYTES / groups - packed);
+            Banded { inner, bytes }
+        }
+    }
+
+    impl<L: Labeller> Labeller for Banded<L> {
+        type Label = L::Label;
+
+        fn begin(&mut self, queries: &[usize]) {
+            self.inner.begin(queries);
+        }
+
+        fn limits(&self) -> [f32; LANES] {
+            self.inner.limits()
+        }
+
+        fn record(&mut self, i: usize, dists: &[f32]) {
+            self.inner.record(i, dists);
+        }
+
+        fn finish(&mut self, l: usize) -> Self::Label {
+            self.inner.finish(l)
+        }
+
+        fn footprint(&self) -> usize {
+            self.bytes
+        }
+    }
+
+    /// Every labeller's labels equal the pair-by-pair reference: the rank
+    /// scan's kept distances and ties against a full sort, the global and
+    /// per-part threshold counts against a count per pair. Both distances;
+    /// d = 5, 24 and 70 (above one stride of the bounded kernel, so its
+    /// looks happen); records four times over, so that the queries, which
+    /// are records, tie at the top rank and a falling bound drops ties.
+    /// At d = 70 also 523 records whose rows differ in their first
+    /// coordinates only: as far apart at the first look as they will ever
+    /// be, with the last copies of each row six tiles in or later, when a
+    /// rank bound has come down close to the final one — a limit below
+    /// what a labeller may hand over then drops a record its label needs.
+    /// Query counts that leave a partial last group, in bands of the
+    /// budget's size and of one and three groups (several bands per
+    /// worker); one worker and three.
+    #[test]
+    fn every_labeller_equals_the_per_pair_reference() {
+        let base = face_like(&GeneratorConfig::new(130, 70, 2, 6));
+        let rows: Vec<Vec<f32>> = (0..523)
+            .map(|i| {
+                let mut row = base.row(i % 130).to_vec();
+                row[20..].fill(0.5);
+                row
+            })
+            .collect();
+        let front_loaded = Dataset::from_rows(70, &rows);
+        let sets = [5, 24, 70].map(duplicated_rows);
+        for ds in sets.iter().chain([&front_loaded]) {
+            let dim = ds.dim();
+            let parts: Vec<usize> = (0..ds.len()).map(|i| (i * 7) % 3).collect();
+            for kind in [DistanceKind::Euclidean, DistanceKind::Cosine] {
+                for queries in [21, 53] {
+                    let xs: Vec<&[f32]> =
+                        (0..queries).map(|i| ds.row((i * 5) % ds.len())).collect();
+                    let sorted: Vec<Vec<f32>> = (xs.iter())
+                        .map(|x| {
+                            let mut d: Vec<f32> = ds.iter().map(|r| kind.eval(x, r)).collect();
+                            sort_distances(&mut d);
+                            d
+                        })
+                        .collect();
+                    // distances themselves as thresholds: `<=` counts ties
+                    let thresholds: Vec<Vec<f32>> = (sorted.iter())
+                        .map(|d| vec![d[0], d[3], d[6], d[40]])
+                        .collect();
+                    let by_query: Vec<&[f32]> = thresholds.iter().map(Vec::as_slice).collect();
+                    let within = |x: &[f32], t: f32, part: Option<usize>| {
+                        let members = ds.iter().zip(&parts);
+                        let members = members.filter(|&(_, &p)| part.is_none_or(|part| p == part));
+                        members.filter(|(r, _)| kind.eval(x, r) <= t).count() as f64
+                    };
+                    for (threads, band) in [(1, None), (3, None), (1, Some(3)), (3, Some(1))] {
+                        let case = format!(
+                            "d {dim} {kind:?} {queries} queries, {threads} workers, band {band:?}"
+                        );
+                        parallel::set_threads(threads);
+                        let workers = parallel::fork_threads();
+                        for keep in [2, 6] {
+                            let label = |q, nearest: Nearest<'_>| {
+                                (q, nearest.sorted.to_vec(), nearest.ties_beyond)
+                            };
+                            let columns = || {
+                                Banded::new(NearestColumns::new(ds.len(), keep, label), band, dim)
+                            };
+                            let got = scan_distances(ds, &xs, kind, workers, columns);
+                            for (q, (index, nearest, ties)) in got.into_iter().enumerate() {
+                                let sorted = &sorted[q];
+                                let top = sorted[keep - 1];
+                                let want_ties =
+                                    sorted[keep..].iter().filter(|&&d| d == top).count();
+                                let bits =
+                                    |d: &[f32]| d.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                                assert_eq!(index, q, "{case}");
+                                assert_eq!(
+                                    bits(&nearest),
+                                    bits(&sorted[..keep]),
+                                    "{case}, keep {keep}"
+                                );
+                                assert_eq!(ties, want_ties, "{case}, keep {keep}, query {q}");
+                            }
+                        }
+                        let global = || Banded::new(ThresholdCounts::global(&by_query), band, dim);
+                        let got = scan_distances(ds, &xs, kind, workers, global);
+                        for ((x, ts), counts) in xs.iter().zip(&thresholds).zip(got) {
+                            let want: Vec<f64> = ts.iter().map(|&t| within(x, t, None)).collect();
+                            assert_eq!(counts, [want], "{case}");
+                        }
+                        let per_part = || {
+                            Banded::new(ThresholdCounts::per_part(&parts, 3, &by_query), band, dim)
+                        };
+                        let got = scan_distances(ds, &xs, kind, workers, per_part);
+                        for ((x, ts), counts) in xs.iter().zip(&thresholds).zip(got) {
+                            let want: Vec<Vec<f64>> = (0..3)
+                                .map(|part| ts.iter().map(|&t| within(x, t, Some(part))).collect())
+                                .collect();
+                            assert_eq!(counts, want, "{case}");
+                        }
+                    }
+                    parallel::set_threads(0);
+                }
+            }
+            // the queries do tie with another record at both ranks kept
+            let mut sorted: Vec<f32> = ds
+                .iter()
+                .map(|r| DistanceKind::Euclidean.eval(ds.row(0), r))
+                .collect();
+            sort_distances(&mut sorted);
+            assert_eq!((sorted[1], sorted[5]), (sorted[2], sorted[6]));
+        }
+    }
+
     /// Reports the size of the group each query was scanned in.
     struct GroupSizes(usize);
 
     impl Labeller for GroupSizes {
         type Label = usize;
 
-        fn begin(&mut self, queries: Range<usize>) {
+        fn begin(&mut self, queries: &[usize]) {
             self.0 = queries.len();
         }
 
-        fn limits(&self) -> Option<[f32; LANES]> {
-            None
+        fn limits(&self) -> [f32; LANES] {
+            [f32::INFINITY; LANES]
         }
 
         fn record(&mut self, _i: usize, dists: &[f32]) {
@@ -650,37 +929,57 @@ mod tests {
         fn finish(&mut self, _l: usize) -> usize {
             self.0
         }
+
+        fn footprint(&self) -> usize {
+            0
+        }
     }
 
-    /// Worker ranges are cut at group boundaries: whatever the worker
-    /// count, only the very last group of the scan can be partial — and
-    /// a partial group after a full one inherits nothing from it: no lane,
-    /// and so no limit, of a query that is no longer there.
+    /// Worker ranges and bands are cut at group boundaries: whatever the
+    /// worker count, only the very last group of the scan's order can be
+    /// partial — and a partial group after a full one inherits nothing
+    /// from it: no lane, and so no limit, of a query that is no longer
+    /// there.
     #[test]
     fn only_the_last_group_of_a_scan_is_partial() {
         let ds = face_like(&GeneratorConfig::new(40, 3, 2, 7));
         for (queries, workers) in [(300, 2), (300, 3), (37, 2), (37, 8), (16, 4), (5, 3)] {
-            let xs: Vec<&[f32]> = (0..queries).map(|i| ds.row(i % ds.len())).collect();
+            let xs: Vec<&[f32]> = (0..queries).map(|i| ds.row((i * 7) % ds.len())).collect();
             let sizes =
                 scan_distances(&ds, &xs, DistanceKind::Euclidean, workers, || GroupSizes(0));
+            let in_order: Vec<usize> = (locality_order(&xs, ds.dim()).iter())
+                .map(|&q| sizes[q])
+                .collect();
             let full = queries / LANES * LANES;
             assert!(
-                sizes[..full].iter().all(|&s| s == LANES),
+                in_order[..full].iter().all(|&s| s == LANES),
                 "{queries}/{workers}"
             );
-            assert!(sizes[full..].iter().all(|&s| s == queries - full));
+            assert!(in_order[full..].iter().all(|&s| s == queries - full));
         }
         assert_eq!(queries_per_worker(300, 2), 160);
         assert_eq!(queries_per_worker(0, 0), LANES);
 
         let ladders: Vec<&[f32]> = vec![&[1.0, 2.0]; 21];
+        let all: Vec<usize> = (0..21).collect();
         let mut counts = ThresholdCounts::global(&ladders);
-        counts.begin(0..LANES);
-        assert_eq!(counts.limits(), Some([2.0; LANES]));
-        counts.begin(LANES..21);
+        counts.begin(&all[..LANES]);
+        assert_eq!(counts.limits(), [2.0; LANES]);
+        counts.begin(&all[LANES..]);
         assert_eq!(counts.lanes.len(), 5);
-        let limits = counts.limits().expect("a threshold count has limits");
+        let limits = counts.limits();
         assert_eq!(limits[..5], [2.0; 5]);
         assert!(limits[5..].iter().all(|&l| l == f32::NEG_INFINITY));
+
+        // a rank scan's limits are its lanes' bounds: `+∞` before the
+        // first selection, `-∞` past the group
+        let mut columns = NearestColumns::new(10, 1, |q, _: Nearest<'_>| q);
+        columns.begin(&all[..3]);
+        let limits = columns.limits();
+        assert_eq!(limits[..3], [f32::INFINITY; 3]);
+        assert!(limits[3..].iter().all(|&l| l == f32::NEG_INFINITY));
+        (0..CANDIDATES_PER_KEPT).for_each(|i| columns.record(i, &[i as f32 + 1.0, 0.5, 7.0]));
+        let limits = columns.limits();
+        assert_eq!(limits[..3], [1.0, 0.5, 7.0]);
     }
 }

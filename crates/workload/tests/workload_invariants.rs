@@ -1,11 +1,14 @@
 //! Additional invariant tests for workload generation: determinism across
-//! thread counts, split disjointness, and ladder coverage.
+//! thread counts, split disjointness, ladder coverage, and the labels of
+//! the benchmark's paper fixture pinned.
 
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
+use selnet_index::{PartitionMethod, Partitioning};
 use selnet_metric::DistanceKind;
 use selnet_tensor::parallel;
 use selnet_workload::{
-    generate_workload, selectivity_ladder, sorted_distances, ThresholdScheme, WorkloadConfig,
+    generate_workload, label_partitions, selectivity_ladder, sorted_distances, ThresholdScheme,
+    WorkloadConfig,
 };
 
 fn cfg() -> WorkloadConfig {
@@ -77,4 +80,45 @@ fn tmax_covers_every_generated_threshold() {
             assert!(t <= w.tmax, "threshold {t} above tmax {}", w.tmax);
         }
     }
+}
+
+/// FNV-1a 64 over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The benchmark's paper fixture (50 000 × 300, 300 queries, 20 rungs):
+/// its labels, and its training split's labels per part of the cover-tree
+/// partitioning, hash to what the scan that streamed the dataset once per
+/// sixteen queries produced. Per query, its thresholds' `f32` bits, then
+/// its selectivities' `f64` bits, little-endian, in train / valid / test
+/// order; per training query, part and threshold, the per-part count's
+/// `f64` bits. Optimized code only: unoptimized, the fixture alone takes
+/// minutes.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn paper_fixture_labels_are_pinned() {
+    let kind = DistanceKind::Euclidean;
+    let ds = fasttext_like(&GeneratorConfig::new(50_000, 300, 16, 7));
+    let mut cfg = WorkloadConfig::new(300, kind, 8);
+    cfg.thresholds_per_query = 20;
+    let w = generate_workload(&ds, &cfg);
+    let queries = w.train.iter().chain(&w.valid).chain(&w.test);
+    let labels = queries.flat_map(|q| {
+        let thresholds = q.thresholds.iter().flat_map(|t| t.to_le_bytes());
+        thresholds.chain(q.selectivities.iter().flat_map(|s| s.to_le_bytes()))
+    });
+    assert_eq!(fnv1a(labels), 0xe904_4cbf_bd68_21f9, "workload labels");
+
+    let method = PartitionMethod::CoverTree { ratio: 0.05 };
+    let p = Partitioning::build(&ds, kind, method, 3, 42);
+    let per_part = label_partitions(&ds, &p, &w.train, kind).labels;
+    let counts = per_part.iter().flatten().flatten();
+    assert_eq!(
+        fnv1a(counts.flat_map(|c| c.to_le_bytes())),
+        0xd119_20da_e8c4_3c5c,
+        "per-part labels"
+    );
 }
