@@ -15,6 +15,7 @@
 //! to a node exporter's textfile collector or grep families directly.
 
 use selnet_client::{ClientConfig, Connection, Reply};
+use selnet_serve::cli::Options;
 use selnet_serve::protocol::{render_text_error, TextQuery};
 use std::io::{self, BufRead, BufWriter, Write};
 use std::process::ExitCode;
@@ -43,45 +44,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Tiny positional-free flag parser: every option is `--key value` with
-/// `key` one of the subcommand's `names`. Anything else is refused.
-struct Options {
-    pairs: Vec<(String, String)>,
-}
-
-impl Options {
-    fn parse(args: &[String], names: &[&str]) -> Result<Options, String> {
-        let mut pairs = Vec::new();
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let key = arg
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected --option, got {arg:?}"))?;
-            if !names.contains(&key) {
-                return Err(format!("unknown option --{key}\n{USAGE}"));
-            }
-            let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-            pairs.push((key.to_string(), value.clone()));
-        }
-        Ok(Options { pairs })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("bad --{key} value {v:?}")),
-        }
-    }
-}
-
 const REPLAY_OPTIONS: &[&str] = &["addr", "connections", "window"];
 
 const METRICS_OPTIONS: &[&str] = &["addr"];
@@ -101,7 +63,7 @@ fn read_queries(input: &mut impl BufRead) -> Result<Vec<TextQuery>, String> {
 }
 
 fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let opts = Options::parse(args, REPLAY_OPTIONS)?;
+    let opts = Options::parse(args, REPLAY_OPTIONS, USAGE)?;
     let addr = opts.get("addr").ok_or("replay needs --addr HOST:PORT")?;
     let connections: usize = opts.num("connections", 4)?;
     let connections = connections.max(1);
@@ -161,7 +123,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
-    let opts = Options::parse(args, METRICS_OPTIONS)?;
+    let opts = Options::parse(args, METRICS_OPTIONS, USAGE)?;
     let addr = opts.get("addr").ok_or("metrics needs --addr HOST:PORT")?;
     let mut conn = Connection::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let text = conn.metrics().map_err(|e| format!("metrics: {e}"))?;
@@ -173,13 +135,9 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str], names: &[&str]) -> Result<Options, String> {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        Options::parse(&args, names)
-    }
-
     /// A misspelt or retired option, or one another subcommand takes, is
-    /// refused with the usage text, not filed away and ignored.
+    /// refused with the usage text, not filed away and ignored; and every
+    /// option a subcommand accepts is in the usage text.
     #[test]
     fn unknown_options_are_refused_with_usage() {
         for (args, names, key) in [
@@ -197,14 +155,26 @@ mod tests {
             (&["--model", "alpha"][..], REPLAY_OPTIONS, "--model"),
             (&["--input", "q.txt"][..], REPLAY_OPTIONS, "--input"),
         ] {
-            let err = parse(args, names).err().expect("must be refused");
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let err = Options::parse(&args, names, USAGE)
+                .err()
+                .expect("must be refused");
             assert!(err.starts_with(&format!("unknown option {key}\n")), "{err}");
             assert!(err.ends_with(USAGE), "{err}");
         }
+        for key in REPLAY_OPTIONS.iter().chain(METRICS_OPTIONS) {
+            assert!(USAGE.contains(&format!("--{key} ")), "--{key} undocumented");
+        }
     }
 
+    /// Each subcommand's own options parse; a repeated one keeps its last
+    /// value and an absent one falls back to the default.
     #[test]
     fn known_options_parse_and_the_last_value_wins() {
+        let parse = |args: &[&str], names| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            Options::parse(&args, names, USAGE)
+        };
         let opts = parse(
             &["--connections", "8", "--addr", "x:1", "--connections", "2"],
             REPLAY_OPTIONS,
@@ -213,13 +183,12 @@ mod tests {
         assert_eq!(opts.num("connections", 4usize), Ok(2));
         assert_eq!(opts.num("window", 32usize), Ok(32), "absent: the default");
         assert_eq!(opts.get("addr"), Some("x:1"));
-        assert!(
-            parse(&["--addr"], METRICS_OPTIONS).is_err(),
-            "a value is required"
+        let opts =
+            parse(&["--addr", "x:1", "--addr", "y:2"], METRICS_OPTIONS).expect("known options");
+        assert_eq!(opts.get("addr"), Some("y:2"));
+        assert_eq!(
+            parse(&["--addr"], METRICS_OPTIONS).err().as_deref(),
+            Some("--addr needs a value")
         );
-        // every documented option is one its subcommand accepts
-        for key in REPLAY_OPTIONS.iter().chain(METRICS_OPTIONS) {
-            assert!(USAGE.contains(&format!("--{key} ")), "--{key} undocumented");
-        }
     }
 }

@@ -12,11 +12,13 @@ use selnet_metric::DistanceKind;
 use selnet_serve::protocol::ErrorCode;
 use selnet_serve::registry::ModelRegistry;
 use selnet_serve::server::serve_tcp;
-use selnet_serve::{Engine, EngineConfig};
+use selnet_serve::{Engine, EngineConfig, Request};
+use selnet_tensor::parallel;
 use selnet_workload::{generate_workload, WorkloadConfig};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 struct Server {
     addr: std::net::SocketAddr,
@@ -74,16 +76,7 @@ fn four_pipelined_connections_two_tenants_match_direct_estimation() {
     let direct_a = registry.get("alpha").unwrap().current().1;
     let direct_b = registry.get("beta").unwrap().current().1;
 
-    let engine = Engine::start(
-        Arc::clone(&registry),
-        &EngineConfig {
-            workers: 2,
-            max_batch_rows: 16,
-            max_queue_rows: 0, // unbounded: this test is about identity, not shedding
-            slow_query_us: 0,
-            trace_buffer: 0,
-        },
-    );
+    let engine = Engine::start(Arc::clone(&registry), &EngineConfig::default());
     let server = spawn_server(&engine);
 
     // 48 queries over a descending threshold grid, even ones routed to
@@ -153,23 +146,16 @@ fn four_pipelined_connections_two_tenants_match_direct_estimation() {
     engine.shutdown();
 }
 
-/// A deterministic estimator slow enough that a bounded queue saturates
-/// under a pipelined burst.
-struct Slow;
+/// Answers `x[0] + t`; a query whose first coordinate is negative first
+/// takes the gate, a mutex the test holds to park the engine's worker.
+struct Gated(Arc<Mutex<()>>);
 
-impl SelectivityEstimator for Slow {
+impl SelectivityEstimator for Gated {
     fn estimate(&self, x: &[f32], t: f32) -> f64 {
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        f64::from(x[0]) + f64::from(t)
-    }
-
-    /// Sleeps once per wave, not once per threshold.
-    fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        out.clear();
-        for &(x, ts) in queries {
-            out.extend(ts.iter().map(|&t| f64::from(x[0]) + f64::from(t)));
+        if x[0] < 0.0 {
+            drop(self.0.lock().unwrap());
         }
+        f64::from(x[0]) + f64::from(t)
     }
 
     fn query_dim(&self) -> Option<usize> {
@@ -177,7 +163,7 @@ impl SelectivityEstimator for Slow {
     }
 
     fn name(&self) -> &str {
-        "slow"
+        "gated"
     }
 }
 
@@ -187,42 +173,43 @@ impl SelectivityEstimator for Slow {
 /// observed.
 #[test]
 fn saturated_server_sheds_overloaded_and_stats_count_it() {
-    let engine = Engine::start(
-        Arc::new(ModelRegistry::new(Slow)),
-        &EngineConfig {
-            workers: 1,
-            max_batch_rows: 4,
-            max_queue_rows: 4,
-            slow_query_us: 0,
-            trace_buffer: 0,
-        },
-    );
+    let gate = Arc::new(Mutex::new(()));
+    let held_gate = gate.lock().unwrap();
+    let registry = Arc::new(ModelRegistry::new(Gated(Arc::clone(&gate))));
+    parallel::set_threads(1); // the engine starts one worker per thread
+    let engine = Engine::start(registry, &EngineConfig::default());
+    parallel::set_threads(0);
     let server = spawn_server(&engine);
+    // in process: the one worker parks at the gate, then a 4096-row
+    // request fills the empty queue to its bound (4096 rows per worker)
+    let held = engine
+        .submit(Request::new(vec![-1.0, 0.0]).thresholds(vec![0.5]))
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while engine.queued_rows_total() > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let fill = engine
+        .submit(Request::new(vec![0.0, 0.0]).thresholds(vec![0.5; 4096]))
+        .unwrap();
 
+    // so every query pipelined over the wire is shed, one reply each
     let cfg = ClientConfig { window: 128 };
     let mut conn = Connection::connect_with(server.addr, &cfg).unwrap();
     let total = 96usize;
     for i in 0..total {
         conn.send_query(None, &[i as f32, 0.0], &[0.5]).unwrap();
     }
-    let mut served = 0usize;
-    let mut shed = 0usize;
     for i in 0..total {
         match conn.recv().unwrap() {
-            Reply::Estimates(v) => {
-                assert_eq!(v, vec![i as f64 + 0.5], "query {i} answered wrong");
-                served += 1;
-            }
-            Reply::Denied(e) => {
-                assert_eq!(e.code, ErrorCode::Overloaded, "query {i}: {e}");
-                shed += 1;
-            }
-            other => panic!("query {i}: mismatched reply {other:?}"),
+            Reply::Denied(e) => assert_eq!(e.code, ErrorCode::Overloaded, "query {i}: {e}"),
+            other => panic!("query {i}: expected a shed, got {other:?}"),
         }
     }
-    assert!(shed > 0, "a 96-request burst into a 4-row queue must shed");
-    assert!(served > 0, "admission control must still admit some work");
-    assert_eq!(served + shed, total);
+    drop(held_gate);
+    assert_eq!(held.wait().unwrap(), vec![-0.5]);
+    assert_eq!(fill.wait().unwrap(), vec![0.5; 4096]);
+    assert_eq!(conn.estimate(None, &[1.0, 0.0], &[0.5]).unwrap(), vec![1.5]);
 
     // The same connection survives and the fleet counters agree with what
     // we observed on the wire.
@@ -234,7 +221,7 @@ fn saturated_server_sheds_overloaded_and_stats_count_it() {
         .parse()
         .unwrap();
     assert_eq!(
-        counted, shed,
+        counted, total,
         "counters disagree with observed refusals:\n{text}"
     );
 
@@ -250,12 +237,9 @@ fn saturated_server_sheds_overloaded_and_stats_count_it() {
 #[test]
 fn traced_queries_and_metrics_scrape_round_trip() {
     let engine = Engine::start(
-        Arc::new(ModelRegistry::new(Slow)),
+        Arc::new(ModelRegistry::new(Gated(Arc::default()))),
         &EngineConfig {
-            workers: 1,
-            max_batch_rows: 4,
-            max_queue_rows: 0,
-            slow_query_us: 1, // every 2ms Slow reply is a slow query
+            slow_query_us: 1, // a worker's wake-up alone crosses 1 µs
             trace_buffer: 0,
         },
     );

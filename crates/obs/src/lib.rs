@@ -11,7 +11,7 @@
 //!   wider view (a fleet of tenants) is the sum of the counters and the
 //!   [`HistogramSnapshot::merge`] of the snapshots, taken at read time.
 //! * **Tracing** — a fixed-capacity ring-buffer [`SpanRecorder`] with
-//!   RAII [`span!`]-style guards and nanosecond timestamps, per-request
+//!   RAII [`SpanGuard`]s and nanosecond timestamps, per-request
 //!   trace IDs ([`next_trace_id`]), and a bounded [`SlowQueryLog`]
 //!   ([`trace`]). A process-global recorder ([`trace::global`]) lets
 //!   library stages (the curve forward, retrain decisions, snapshot

@@ -208,8 +208,7 @@ impl SpanRecorder {
 }
 
 /// RAII span: times from creation to drop, then records into its
-/// [`SpanRecorder`]. Created by [`SpanRecorder::span`] or the
-/// [`span!`](crate::span) macro.
+/// [`SpanRecorder`]. Created by [`SpanRecorder::span`].
 pub struct SpanGuard<'a> {
     recorder: &'a SpanRecorder,
     kind: &'static str,
@@ -244,15 +243,6 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// Opens a RAII span on a recorder: `span!(recorder, "stage", trace_id)`.
-/// Sugar for [`SpanRecorder::span`].
-#[macro_export]
-macro_rules! span {
-    ($recorder:expr, $kind:expr, $trace_id:expr) => {
-        $recorder.span($kind, $trace_id)
-    };
-}
-
 /// The process-global recorder that instrumented library stages (the
 /// curve forward, retrain decisions and snapshot IO in `selnet-core`)
 /// record into. Disabled until someone —
@@ -275,11 +265,10 @@ pub struct SlowQuery {
 }
 
 /// A bounded ring of the most recent slow queries. The caller owns the
-/// threshold decision; the log just keeps the newest `capacity` entries
-/// (and a total count of everything ever pushed).
+/// threshold decision (and counts the slow requests); the log just keeps
+/// the newest `capacity` entries.
 pub struct SlowQueryLog {
     capacity: usize,
-    total: AtomicU64,
     entries: Mutex<Vec<SlowQuery>>,
     head: AtomicU64,
 }
@@ -289,7 +278,6 @@ impl SlowQueryLog {
     pub fn new(capacity: usize) -> Self {
         SlowQueryLog {
             capacity,
-            total: AtomicU64::new(0),
             entries: Mutex::new(Vec::with_capacity(capacity)),
             head: AtomicU64::new(0),
         }
@@ -297,7 +285,6 @@ impl SlowQueryLog {
 
     /// Pushes one slow query, evicting the oldest entry when full.
     pub fn push(&self, entry: SlowQuery) {
-        self.total.fetch_add(1, Ordering::Relaxed);
         if self.capacity == 0 {
             return;
         }
@@ -309,11 +296,6 @@ impl SlowQueryLog {
             entries[idx] = entry;
         }
         self.head.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Every slow query ever pushed (including evicted ones).
-    pub fn total(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
     }
 
     /// The retained entries, oldest first.
@@ -375,7 +357,7 @@ mod tests {
             let _g = rec.span("plan_replay", 42).detail(64, 3);
         }
         {
-            let mut g = span!(rec, "queue_wait", 43);
+            let mut g = rec.span("queue_wait", 43);
             g.set_detail(1, 0);
         }
         let spans = rec.snapshot();
@@ -433,7 +415,6 @@ mod tests {
                 latency_us: i * 100,
             });
         }
-        assert_eq!(log.total(), 5);
         let entries = log.snapshot();
         let ids: Vec<u64> = entries.iter().map(|e| e.trace_id).collect();
         assert_eq!(ids, vec![3, 4, 5]);
@@ -443,7 +424,6 @@ mod tests {
             rows: 1,
             latency_us: 1,
         });
-        assert_eq!(empty.total(), 1);
         assert!(empty.snapshot().is_empty());
     }
 

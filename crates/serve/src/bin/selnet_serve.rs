@@ -11,6 +11,7 @@
 use selnet_core::{fit_partitioned, PartitionConfig, PartitionedSelNet, SelNetConfig};
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
 use selnet_metric::DistanceKind;
+use selnet_serve::cli::Options;
 use selnet_serve::engine::{Engine, EngineConfig};
 use selnet_serve::registry::ModelRegistry;
 use selnet_serve::server;
@@ -24,8 +25,8 @@ const USAGE: &str = "usage:
   selnet-serve train-tiny --out SNAPSHOT [--replay-out FILE] [--replay-count N]
                           [--replay-model NAME] [--seed S]
   selnet-serve serve --model NAME=SNAPSHOT ... [--addr HOST:PORT]
-                     [--workers N] [--batch ROWS] [--queue ROWS]
                      [--slow-query-us MICROS] [--trace-buffer SPANS]
+                     (engine workers: SELNET_THREADS, default one per core)
   selnet-serve check-monotone";
 
 fn main() -> ExitCode {
@@ -49,65 +50,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// Tiny positional-free flag parser: every option is `--key value` with
-/// `key` one of the subcommand's `names`. Anything else is refused.
-struct Options {
-    pairs: Vec<(String, String)>,
-}
-
-impl Options {
-    fn parse(args: &[String], names: &[&str]) -> Result<Options, String> {
-        let mut pairs = Vec::new();
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let key = arg
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected --option, got {arg:?}"))?;
-            if !names.contains(&key) {
-                return Err(format!("unknown option --{key}\n{USAGE}"));
-            }
-            let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-            pairs.push((key.to_string(), value.clone()));
-        }
-        Ok(Options { pairs })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Every value given for a repeatable option, in order.
-    fn get_all(&self, key: &str) -> Vec<&str> {
-        self.pairs
-            .iter()
-            .filter(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-            .collect()
-    }
-
-    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("bad --{key} value {v:?}")),
-        }
-    }
-}
-
 const TRAIN_TINY_OPTIONS: &[&str] = &["out", "replay-out", "replay-count", "replay-model", "seed"];
 
-const SERVE_OPTIONS: &[&str] = &[
-    "model",
-    "addr",
-    "workers",
-    "batch",
-    "queue",
-    "slow-query-us",
-    "trace-buffer",
-];
+const SERVE_OPTIONS: &[&str] = &["model", "addr", "slow-query-us", "trace-buffer"];
 
 /// Upper bound on `--trace-buffer`. It sizes both span rings, and a
 /// metrics reply carries both as text (≈ 140 B a span): two rings of
@@ -120,7 +65,7 @@ const MAX_TRACE_BUFFER: usize = 1 << 15;
 const REPLAY_THRESHOLDS: usize = 8;
 
 fn cmd_train_tiny(args: &[String]) -> Result<(), String> {
-    let opts = Options::parse(args, TRAIN_TINY_OPTIONS)?;
+    let opts = Options::parse(args, TRAIN_TINY_OPTIONS, USAGE)?;
     let out = opts.get("out").ok_or("train-tiny needs --out")?;
     let seed: u64 = opts.num("seed", 17)?;
     let replay_count: usize = opts.num("replay-count", 100)?;
@@ -210,11 +155,8 @@ fn load_snapshot(path: &str) -> Result<PartitionedSelNet, String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let opts = Options::parse(args, SERVE_OPTIONS)?;
+    let opts = Options::parse(args, SERVE_OPTIONS, USAGE)?;
     let cfg = EngineConfig {
-        workers: opts.num("workers", 0)?,
-        max_batch_rows: opts.num("batch", 64)?,
-        max_queue_rows: opts.num("queue", 4096)?,
         slow_query_us: opts.num("slow-query-us", 0)?,
         trace_buffer: opts.num("trace-buffer", 0)?,
     };
@@ -264,7 +206,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// non-increasing in `t`, the order of `train-tiny`'s descending replay
 /// grids. A `!` refusal line fails the check.
 fn cmd_check_monotone(args: &[String]) -> Result<(), String> {
-    Options::parse(args, &[])?;
+    Options::parse(args, &[], USAGE)?;
     let stdin = io::stdin();
     let mut lines = 0u64;
     for (lineno, line) in stdin.lock().lines().enumerate() {
@@ -313,15 +255,13 @@ mod tests {
         args.iter().map(|a| a.to_string()).collect()
     }
 
-    fn parse_serve(a: &[&str]) -> Result<Options, String> {
-        Options::parse(&args(a), SERVE_OPTIONS)
-    }
-
     /// A misspelt or retired option is refused with the usage text, not
-    /// filed away and ignored — first or after a known option.
+    /// filed away and ignored — first or after a known option; and every
+    /// option a subcommand accepts is in the usage text.
     #[test]
     fn unknown_options_are_refused_with_usage() {
-        let serve = "replay-threads inflight precision stdinn cache shards stdin snapshot";
+        let serve = "replay-threads inflight precision stdinn cache shards stdin snapshot \
+                     workers batch queue";
         for (names, known, keys) in [
             (SERVE_OPTIONS, "--model a=a", serve),
             (
@@ -332,38 +272,66 @@ mod tests {
             (&[], "", "expect"),
         ] {
             let known: Vec<&str> = known.split_whitespace().collect();
-            for key in keys.split(' ').map(|k| format!("--{k}")) {
+            for key in keys.split_whitespace().map(|k| format!("--{k}")) {
                 for a in [
                     args(&[&key, "1"]),
                     args(&[&known[..], &[&key, "1"]].concat()),
                 ] {
-                    let err = Options::parse(&a, names).err().expect("must be refused");
+                    let err = Options::parse(&a, names, USAGE)
+                        .err()
+                        .expect("must be refused");
                     assert!(err.starts_with(&format!("unknown option {key}\n")), "{err}");
                     assert!(err.ends_with(USAGE), "{err}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn known_options_parse_and_the_last_value_wins() {
-        let opts = parse_serve(&["--batch", "32", "--addr", "x:1", "--batch", "16"])
-            .expect("known options");
-        assert_eq!(opts.num("batch", 64usize), Ok(16));
-        assert_eq!(opts.num("workers", 7usize), Ok(7), "absent: the default");
-        assert!(parse_serve(&["--workers"]).is_err(), "a value is required");
-        // every documented option is one its subcommand accepts
         for key in SERVE_OPTIONS.iter().chain(TRAIN_TINY_OPTIONS) {
             assert!(USAGE.contains(&format!("--{key} ")), "--{key} undocumented");
         }
     }
 
+    /// Each subcommand's own options parse; a repeated one keeps its last
+    /// value and an absent one falls back to the default.
     #[test]
-    fn repeated_model_options_are_all_kept_in_order() {
-        let opts = parse_serve(&["--model", "alpha=a", "--addr", "x:1", "--model", "beta=b"])
-            .expect("known options");
-        assert_eq!(opts.get_all("model"), ["alpha=a", "beta=b"]);
-        assert_eq!(opts.get("model"), Some("beta=b"));
+    fn known_options_parse_and_the_last_value_wins() {
+        let opts = Options::parse(
+            &args(&[
+                "--slow-query-us",
+                "500",
+                "--addr",
+                "x:1",
+                "--slow-query-us",
+                "250",
+            ]),
+            SERVE_OPTIONS,
+            USAGE,
+        )
+        .expect("known options");
+        assert_eq!(opts.num("slow-query-us", 0u64), Ok(250));
+        assert_eq!(
+            opts.num("trace-buffer", 7usize),
+            Ok(7),
+            "absent: the default"
+        );
+        assert_eq!(opts.get("addr"), Some("x:1"));
+        let opts = Options::parse(
+            &args(&["--seed", "3", "--out", "a.selnet", "--seed", "5"]),
+            TRAIN_TINY_OPTIONS,
+            USAGE,
+        )
+        .expect("known options");
+        assert_eq!(opts.num("seed", 17u64), Ok(5));
+        assert_eq!(
+            opts.num("replay-count", 100usize),
+            Ok(100),
+            "absent: the default"
+        );
+        assert_eq!(
+            Options::parse(&args(&["--trace-buffer"]), SERVE_OPTIONS, USAGE)
+                .err()
+                .as_deref(),
+            Some("--trace-buffer needs a value")
+        );
     }
 
     /// A span ring too large for one metrics reply is refused before any

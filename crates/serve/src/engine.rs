@@ -9,15 +9,17 @@
 //!    ([`SubmitError::UnknownModel`] / [`SubmitError::DimensionMismatch`]
 //!    / [`SubmitError::NonFinite`] — a worker can never see a misrouted,
 //!    mis-shaped or non-finite row), applies
-//!    admission control (a bounded queue; a saturated engine sheds with
-//!    [`SubmitError::Overloaded`] instead of queueing without bound),
+//!    admission control (a queue bounded at 4096 `(x, t)` rows per
+//!    worker; a saturated engine sheds with [`SubmitError::Overloaded`]
+//!    instead of queueing without bound),
 //!    then queues the request and wakes one parked worker.
 //!    [`Engine::serve_blocking`] (and [`Engine::estimate_many`] over it)
 //!    takes the same way in and waits for its own reply; it differs only
 //!    in never being shed — a blocking caller has at most one request in
 //!    flight, so its own wait is the backpressure;
-//! 2. a worker drains up to `max_batch_rows` `(x, t)` rows from the
-//!    queue, **never splitting a request across batches**;
+//! 2. a worker drains a wave of at most 64 `(x, t)` rows from the queue,
+//!    **never splitting a request across batches** (one larger than the
+//!    budget rides alone);
 //! 3. the worker groups the drained requests **per tenant**, binds each
 //!    tenant's model generation once, hands its requests — un-expanded,
 //!    one `(x, ts)` per request — to one
@@ -238,27 +240,19 @@ impl Request {
     }
 }
 
-/// Engine knobs. `..Default::default()` gives a sensible server: one
-/// worker per configured tensor thread, batches of 64 rows, 4096 queued
-/// rows per worker before admission control sheds. The workers drain one
-/// shared queue.
-#[derive(Clone, Debug)]
+/// The most `(x, t)` rows a worker drains into one wave (`collect_batch`).
+const WAVE_ROWS: usize = 64;
+
+/// Admission control's bound: `(x, t)` rows queued per worker.
+const QUEUED_ROWS_PER_WORKER: usize = 4096;
+
+/// Engine settings; `..Default::default()` leaves both off. The engine
+/// sizes itself: one worker per `selnet_tensor::parallel::fork_threads()`
+/// (read by [`Engine::start`] on the calling thread), all draining one
+/// queue in waves of at most 64 `(x, t)` rows — never splitting a request
+/// — and shedding submits once 4096 rows per worker are queued.
+#[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
-    /// Worker threads draining the queue (`0` = the count every fork
-    /// reads, `selnet_tensor::parallel::fork_threads`).
-    pub workers: usize,
-    /// Maximum `(x, t)` rows coalesced into one batched evaluation. A
-    /// single request larger than this still runs (alone, unsplit).
-    pub max_batch_rows: usize,
-    /// Admission-control bound: maximum `(x, t)` rows queued per worker —
-    /// the one queue holds at most `max_queue_rows × workers` — before
-    /// [`Engine::submit`] sheds with [`SubmitError::Overloaded`] (`0` =
-    /// unbounded, the pre-admission-control behaviour). The bound is
-    /// approximate under submit races, and an oversized single request is
-    /// always admitted to an **empty** queue so it cannot be starved by
-    /// its own size. [`Engine::serve_blocking`] is never shed: it queues
-    /// past the bound and waits, which is its own backpressure.
-    pub max_queue_rows: usize,
     /// Slow-query threshold in microseconds (`0` disables the slow-query
     /// log). A request whose end-to-end latency reaches the threshold is
     /// counted and appended — with its trace ID and row count — to its
@@ -274,18 +268,6 @@ pub struct EngineConfig {
     /// client, so untraced traffic only pays the amortized batch-stage
     /// cost. The ring keeps the newest `trace_buffer` spans.
     pub trace_buffer: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            workers: 0,
-            max_batch_rows: 64,
-            max_queue_rows: 4096,
-            slow_query_us: 0,
-            trace_buffer: 0,
-        }
-    }
 }
 
 /// Per-worker scratch reused across batches: the wave's flat estimates
@@ -319,13 +301,14 @@ pub enum SubmitError {
         /// The dimension the request carried.
         got: usize,
     },
-    /// Admission control shed the request: the queue holds
-    /// [`EngineConfig::max_queue_rows`] rows per worker. Retry after
-    /// backing off.
+    /// Admission control shed the request: the queue holds its bound of
+    /// 4096 `(x, t)` rows per worker. The bound is approximate under
+    /// submit races, and an **empty** queue admits any request, however
+    /// large, so none is starved by its own size. Retry after backing off.
     Overloaded {
         /// Rows waiting in the queue.
         queued_rows: usize,
-        /// The queue's bound: `max_queue_rows × workers`.
+        /// The queue's bound: 4096 × workers.
         limit: usize,
     },
     /// The query vector or the threshold grid holds a `NaN` or an
@@ -451,8 +434,7 @@ pub struct Engine<M> {
     /// the same benchmark — cannot contaminate each other's rings).
     recorder: SpanRecorder,
     slow_query_us: u64,
-    max_batch_rows: usize,
-    /// The queue's admission bound in rows (`0` = unbounded).
+    /// The queue's admission bound in rows.
     queue_limit: usize,
     /// Set under the queue lock, so a worker parked on an empty queue
     /// cannot miss it.
@@ -464,14 +446,10 @@ impl<M> Engine<M>
 where
     M: SelectivityEstimator + Send + Sync + 'static,
 {
-    /// Spawns the worker threads and returns the running engine.
+    /// Spawns one worker per `selnet_tensor::parallel::fork_threads()`
+    /// of the calling thread and returns the running engine.
     pub fn start(registry: Arc<ModelRegistry<M>>, cfg: &EngineConfig) -> Arc<Engine<M>> {
-        let workers = if cfg.workers > 0 {
-            cfg.workers
-        } else {
-            selnet_tensor::parallel::fork_threads()
-        }
-        .max(1);
+        let workers = selnet_tensor::parallel::fork_threads().max(1);
         let engine = Arc::new(Engine {
             registry,
             queue: Mutex::new(VecDeque::new()),
@@ -479,8 +457,7 @@ where
             queued_rows: AtomicUsize::new(0),
             recorder: SpanRecorder::with_capacity(cfg.trace_buffer),
             slow_query_us: cfg.slow_query_us,
-            max_batch_rows: cfg.max_batch_rows.max(1),
-            queue_limit: cfg.max_queue_rows.saturating_mul(workers),
+            queue_limit: QUEUED_ROWS_PER_WORKER * workers,
             stop: AtomicBool::new(false),
             workers: Mutex::new(Vec::new()),
         });
@@ -607,10 +584,8 @@ where
     /// exact ceiling.
     fn admit(&self, rows: usize) -> Result<(), SubmitError> {
         let queued = self.queued_rows.load(Ordering::Relaxed);
-        if self.queue_limit == 0
-            || queued == 0 // an empty queue always admits (oversized single requests)
-            || queued + rows <= self.queue_limit
-        {
+        // an empty queue always admits (oversized single requests)
+        if queued == 0 || queued + rows <= self.queue_limit {
             return Ok(());
         }
         Err(SubmitError::Overloaded {
@@ -756,9 +731,12 @@ where
         }
     }
 
-    /// Pops up to `max_batch_rows` rows of requests, without ever
+    /// Pops up to [`WAVE_ROWS`] rows of requests, without ever
     /// splitting one request across batches, parking on the condvar while
     /// the queue is empty. `None` once the engine is stopped and drained.
+    /// The budget counts `(x, t)` rows, not requests: a wave stops before
+    /// a request that would take it past the budget (two 40-threshold
+    /// requests ride one wave each), and a larger request rides alone.
     fn collect_batch(&self) -> Option<Vec<Queued<M>>> {
         let mut q = self.queue.lock().expect("queue lock poisoned");
         while q.is_empty() {
@@ -771,12 +749,12 @@ where
         let mut rows = 0usize;
         while let Some(front) = q.front() {
             let r = front.ts.len().max(1);
-            if !batch.is_empty() && rows + r > self.max_batch_rows {
+            if !batch.is_empty() && rows + r > WAVE_ROWS {
                 break;
             }
             rows += r;
             batch.push(q.pop_front().expect("front exists"));
-            if rows >= self.max_batch_rows {
+            if rows >= WAVE_ROWS {
                 break;
             }
         }
@@ -890,6 +868,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use selnet_tensor::parallel;
     use std::time::Duration;
 
     /// Deterministic estimator: `scale * t`, ignoring `x` except for its
@@ -908,8 +887,20 @@ mod tests {
         }
     }
 
-    fn engine(scale: f64, cfg: &EngineConfig) -> Arc<Engine<Affine>> {
-        Engine::start(Arc::new(ModelRegistry::new(Affine { scale })), cfg)
+    /// Starts an engine on `workers` workers: `Engine::start` reads the
+    /// calling thread's `fork_threads()`, pinned here for the start only.
+    fn start<M>(model: M, workers: usize, cfg: &EngineConfig) -> Arc<Engine<M>>
+    where
+        M: SelectivityEstimator + Send + Sync + 'static,
+    {
+        parallel::set_threads(workers);
+        let eng = Engine::start(Arc::new(ModelRegistry::new(model)), cfg);
+        parallel::set_threads(0);
+        eng
+    }
+
+    fn engine(scale: f64, workers: usize) -> Arc<Engine<Affine>> {
+        start(Affine { scale }, workers, &EngineConfig::default())
     }
 
     fn req(x: Vec<f32>, ts: Vec<f32>) -> Request {
@@ -918,13 +909,7 @@ mod tests {
 
     #[test]
     fn answers_match_direct_evaluation() {
-        let eng = engine(
-            3.0,
-            &EngineConfig {
-                workers: 2,
-                ..Default::default()
-            },
-        );
+        let eng = engine(3.0, 2);
         let got = eng.estimate_many(&[1.0, 0.0], &[0.5, 1.0, 2.0]);
         assert_eq!(got, vec![2.5, 4.0, 7.0]);
         eng.shutdown();
@@ -935,13 +920,9 @@ mod tests {
         let registry = Arc::new(ModelRegistry::empty());
         registry.register("alpha", Affine { scale: 2.0 }).unwrap();
         registry.register("beta", Affine { scale: 5.0 }).unwrap();
-        let eng = Engine::start(
-            Arc::clone(&registry),
-            &EngineConfig {
-                workers: 2,
-                ..Default::default()
-            },
-        );
+        parallel::set_threads(2);
+        let eng = Engine::start(Arc::clone(&registry), &EngineConfig::default());
+        parallel::set_threads(0);
         // routed blocking requests
         let a = eng
             .serve_blocking(&req(vec![1.0], vec![1.0, 2.0]).model("alpha"))
@@ -980,7 +961,7 @@ mod tests {
 
     #[test]
     fn unknown_model_is_rejected_before_queueing() {
-        let eng = engine(1.0, &EngineConfig::default());
+        let eng = engine(1.0, 1);
         assert_eq!(
             eng.submit(req(vec![0.0], vec![1.0]).model("nope")).err(),
             Some(SubmitError::UnknownModel {
@@ -1016,13 +997,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_requests_then_rejects() {
-        let eng = engine(
-            1.0,
-            &EngineConfig {
-                workers: 1,
-                ..Default::default()
-            },
-        );
+        let eng = engine(1.0, 1);
         let receivers: Vec<_> = (0..32)
             .map(|i| {
                 eng.submit(req(vec![i as f32], vec![1.0]))
@@ -1057,13 +1032,7 @@ mod tests {
 
     #[test]
     fn mis_shaped_query_is_rejected_before_evaluation() {
-        let eng = Engine::start(
-            Arc::new(ModelRegistry::new(FixedDim)),
-            &EngineConfig {
-                workers: 1,
-                ..Default::default()
-            },
-        );
+        let eng = start(FixedDim, 1, &EngineConfig::default());
         assert_eq!(
             eng.submit(req(vec![0.0; 2], vec![1.0])).err(),
             Some(SubmitError::DimensionMismatch {
@@ -1077,109 +1046,129 @@ mod tests {
         eng.shutdown();
     }
 
-    /// An estimator slow enough that a tiny bounded queue saturates:
-    /// admission control must shed with `Overloaded` (counted in the
-    /// tenant's stats, and so in the fleet's) instead of queueing without
-    /// bound, while accepted requests still serve correctly.
-    struct Slow;
-    impl SelectivityEstimator for Slow {
-        fn estimate(&self, _x: &[f32], t: f32) -> f64 {
-            std::thread::sleep(Duration::from_millis(2));
+    /// Answers `t`; a query whose first coordinate is negative first
+    /// takes the gate, which a test holds to park the workers.
+    struct Gated(Arc<Mutex<()>>);
+    impl SelectivityEstimator for Gated {
+        fn estimate(&self, x: &[f32], t: f32) -> f64 {
+            if x[0] < 0.0 {
+                drop(self.0.lock().unwrap());
+            }
             t as f64
         }
         fn name(&self) -> &str {
-            "slow"
+            "gated"
         }
     }
 
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Parks `workers` workers at the held gate, one gated one-row
+    /// request each, sent one at a time once a worker has taken the one
+    /// before — so it times out if the engine has fewer workers.
+    fn park_workers(eng: &Engine<Gated>, workers: usize) -> Vec<ReplyHandle> {
+        (0..workers)
+            .map(|_| {
+                let held = eng.submit(req(vec![-1.0], vec![1.0])).unwrap();
+                wait_until("a worker to take a gated request", || {
+                    eng.queued_rows_total() == 0
+                });
+                held
+            })
+            .collect()
+    }
+
+    /// Admission control at its bound of 4096 rows per worker: behind a
+    /// parked worker, 64 submits of 128 rows are 32 admitted and 32 shed
+    /// with `Overloaded` (counted in the tenant's stats, and so in the
+    /// fleet's), while accepted requests still serve correctly and a
+    /// blocking caller is never shed.
     #[test]
     fn saturated_queue_sheds_overloaded_and_counts_it() {
-        let eng = Engine::start(
-            Arc::new(ModelRegistry::new(Slow)),
-            &EngineConfig {
-                workers: 1,
-                max_batch_rows: 1,
-                max_queue_rows: 2,
-                slow_query_us: 0,
-                trace_buffer: 0,
-            },
-        );
+        let gate = Arc::new(Mutex::new(()));
+        let shut = gate.lock().unwrap();
+        let eng = start(Gated(Arc::clone(&gate)), 1, &EngineConfig::default());
+        let held = park_workers(&eng, 1);
         let mut accepted = Vec::new();
         let mut shed = 0usize;
         for i in 0..64 {
-            match eng.submit(req(vec![i as f32], vec![1.0])) {
+            match eng.submit(req(vec![i as f32], vec![1.0; 128])) {
                 Ok(handle) => accepted.push(handle),
-                Err(SubmitError::Overloaded { limit, .. }) => {
-                    assert_eq!(limit, 2);
+                Err(SubmitError::Overloaded { queued_rows, limit }) => {
+                    assert_eq!((queued_rows, limit), (4096, 4096));
                     shed += 1;
                 }
                 Err(other) => panic!("unexpected submit error: {other}"),
             }
         }
-        assert!(shed > 0, "a 2-row bound under 64 instant submits must shed");
-        assert!(!accepted.is_empty(), "an empty queue must always admit");
-        for handle in accepted {
-            assert_eq!(handle.wait().expect("served"), vec![1.0]);
-        }
+        assert_eq!((accepted.len(), shed), (32, 32));
         let fleet = eng.stats_snapshot();
-        assert_eq!(fleet.shed_requests, shed as u64, "fleet shed count");
+        assert_eq!(fleet.shed_requests, 32, "fleet shed count");
         let tenants = eng.registry().tenants();
-        assert_eq!(tenants[0].stats().snapshot().shed_requests, shed as u64);
-        // shed requests are refusals, not answers: they never count as
-        // served requests
-        assert_eq!(fleet.requests as usize + shed, 64);
+        assert_eq!(tenants[0].stats().snapshot().shed_requests, 32);
         // a blocking caller is never shed, even while the queue is full:
         // it queues past the bound and a worker answers it
-        let mut full = Vec::new();
-        let shed_before = loop {
-            match eng.submit(req(vec![0.0], vec![1.0])) {
-                Ok(handle) => full.push(handle),
-                Err(SubmitError::Overloaded { .. }) => break eng.stats_snapshot().shed_requests,
-                Err(other) => panic!("unexpected submit error: {other}"),
-            }
-        };
-        assert_eq!(eng.estimate_many(&[0.0], &[3.0]), vec![3.0]);
-        for handle in full {
+        std::thread::scope(|scope| {
+            let blocking = scope.spawn(|| eng.estimate_many(&[0.0], &[3.0]));
+            wait_until("the blocking request to queue past the bound", || {
+                eng.queued_rows_total() == 4097
+            });
+            drop(shut);
+            assert_eq!(blocking.join().unwrap(), vec![3.0]);
+        });
+        for handle in held {
             assert_eq!(handle.wait().expect("served"), vec![1.0]);
         }
+        for handle in accepted {
+            assert_eq!(handle.wait().expect("served"), vec![1.0; 128]);
+        }
         let after = eng.stats_snapshot();
-        assert_eq!(
-            after.shed_requests, shed_before,
-            "a blocking call is not shed"
-        );
-        assert!(after.batches > fleet.batches);
-        // one-row batches: every answered request, the blocking one
-        // included, was a worker's batch
+        assert_eq!(after.shed_requests, 32, "a blocking call is not shed");
+        // shed requests are refusals, not answers: they never count as
+        // served requests
+        assert_eq!(after.requests, 1 + 32 + 1);
+        // a 128-row request fills a wave alone, and the blocking one is
+        // drained after the last of them: a wave each
         assert_eq!(after.batches, after.requests);
         eng.shutdown();
     }
 
+    /// The worker count is the one thread setting: under `set_threads(3)`
+    /// three workers park, and the queue's bound is 3 × 4096 rows.
     #[test]
-    fn unbounded_queue_never_sheds() {
-        let eng = engine(
-            1.0,
-            &EngineConfig {
-                workers: 1,
-                max_queue_rows: 0,
-                ..Default::default()
-            },
-        );
-        let handles: Vec<_> = (0..256)
-            .map(|i| {
-                eng.submit(req(vec![i as f32], vec![1.0]))
-                    .expect("unbounded queue must always admit")
+    fn workers_and_the_shed_bound_follow_the_thread_setting() {
+        let gate = Arc::new(Mutex::new(()));
+        let shut = gate.lock().unwrap();
+        let eng = start(Gated(Arc::clone(&gate)), 3, &EngineConfig::default());
+        let held = park_workers(&eng, 3);
+        let limit = 3 * 4096;
+        let fill = eng.submit(req(vec![0.0], vec![1.0; limit - 1])).unwrap();
+        let last = eng.submit(req(vec![0.0], vec![2.0])).unwrap();
+        assert_eq!(
+            eng.submit(req(vec![0.0], vec![3.0])).err(),
+            Some(SubmitError::Overloaded {
+                queued_rows: limit,
+                limit
             })
-            .collect();
-        for h in handles {
-            h.wait().expect("served");
+        );
+        drop(shut);
+        for handle in held {
+            assert_eq!(handle.wait().expect("served"), vec![1.0]);
         }
-        assert_eq!(eng.stats_snapshot().shed_requests, 0);
+        assert_eq!(fill.wait().expect("served").len(), limit - 1);
+        assert_eq!(last.wait().expect("served"), vec![2.0]);
         eng.shutdown();
     }
 
     #[test]
     fn empty_threshold_grid_yields_empty_response() {
-        let eng = engine(1.0, &EngineConfig::default());
+        let eng = engine(1.0, 1);
         assert_eq!(eng.estimate_many(&[0.0], &[]), Vec::<f64>::new());
         eng.shutdown();
     }
@@ -1188,13 +1177,7 @@ mod tests {
     /// every blocking call is answered by a worker: one batch each.
     #[test]
     fn blocking_calls_ride_the_queue() {
-        let eng = engine(
-            2.0,
-            &EngineConfig {
-                workers: 1,
-                ..Default::default()
-            },
-        );
+        let eng = engine(2.0, 1);
         assert_eq!(eng.estimate_many(&[1.0], &[0.5, 1.0]), vec![2.0, 3.0]);
         assert_eq!(eng.estimate_many(&[0.0], &[2.0]), vec![4.0]);
         let snap = eng.stats_snapshot();
@@ -1205,32 +1188,46 @@ mod tests {
         eng.shutdown();
     }
 
+    /// A wave holds at most 64 `(x, t)` rows and never splits a request:
+    /// behind a parked worker, two 40-row requests ride a wave each, a
+    /// 100-row one rides alone, and 70 one-row requests fill 64 + 6.
     #[test]
     fn oversized_request_is_served_unsplit() {
-        let eng = engine(
-            1.0,
-            &EngineConfig {
-                workers: 1,
-                max_batch_rows: 4,
-                ..Default::default()
-            },
-        );
-        let ts: Vec<f32> = (0..17).map(|i| i as f32).collect();
-        let got = eng.estimate_many(&[0.0], &ts);
-        assert_eq!(got.len(), 17);
-        assert_eq!(got[16], 16.0);
+        let gate = Arc::new(Mutex::new(()));
+        let shut = gate.lock().unwrap();
+        let eng = start(Gated(Arc::clone(&gate)), 1, &EngineConfig::default());
+        let held = park_workers(&eng, 1);
+        let sizes = [40, 40, 100].into_iter().chain([1; 70]);
+        let handles: Vec<_> = sizes
+            .map(|m| {
+                let ts: Vec<f32> = (0..m).map(|i| i as f32).collect();
+                (m, eng.submit(req(vec![0.0], ts)).unwrap())
+            })
+            .collect();
+        drop(shut);
+        for handle in held {
+            assert_eq!(handle.wait().expect("served"), vec![1.0]);
+        }
+        for (m, handle) in handles {
+            let got = handle.wait().expect("served");
+            assert_eq!(got.len(), m);
+            assert_eq!(got[m - 1], (m - 1) as f64);
+        }
+        let snap = eng.stats_snapshot();
+        assert_eq!(snap.rows, 1 + 40 + 40 + 100 + 70);
+        // the held row, 40, 40, 100, 64 and 6
+        assert_eq!(snap.batches, 6);
         eng.shutdown();
     }
 
     #[test]
     fn trace_ids_are_minted_and_slow_queries_logged() {
-        let eng = Engine::start(
-            Arc::new(ModelRegistry::new(Slow)),
+        let eng = start(
+            Affine { scale: 1.0 },
+            1,
             &EngineConfig {
-                workers: 1,
-                slow_query_us: 1, // a 2 ms estimator always crosses 1 µs
+                slow_query_us: 1, // a worker's wake-up alone crosses 1 µs
                 trace_buffer: 64,
-                ..Default::default()
             },
         );
         // a caller-supplied trace ID survives into the slow-query log
@@ -1260,10 +1257,10 @@ mod tests {
 
     #[test]
     fn queued_requests_record_pipeline_spans() {
-        let eng = Engine::start(
-            Arc::new(ModelRegistry::new(Slow)),
+        let eng = start(
+            Affine { scale: 1.0 },
+            1,
             &EngineConfig {
-                workers: 1,
                 trace_buffer: 256,
                 ..Default::default()
             },
@@ -1306,7 +1303,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_stays_empty() {
-        let eng = engine(1.0, &EngineConfig::default());
+        let eng = engine(1.0, 1);
         let _ = eng.estimate_many(&[0.0], &[1.0]);
         assert!(eng.spans().is_empty());
         assert!(eng.slow_queries().is_empty());

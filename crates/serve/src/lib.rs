@@ -20,7 +20,9 @@
 //!   tenant, one `estimate_into` call per group, bit-identical to
 //!   per-query evaluation), and **sheds load** with
 //!   [`SubmitError::Overloaded`] when
-//!   its bounded queue saturates;
+//!   its bounded queue saturates. It sizes itself: one worker per
+//!   `selnet_tensor::parallel::fork_threads()`, waves of at most 64
+//!   `(x, t)` rows, and a bound of 4096 queued rows per worker;
 //! * [`protocol`] — the versioned binary wire format the `selnet-serve`
 //!   binary speaks over TCP (handshake, opcode-tagged frames, model
 //!   routing, typed error replies) and the line-oriented replay format
@@ -48,7 +50,7 @@
 //! The `selnet-client` crate speaks the binary protocol over persistent
 //! pipelined connections; [`server`] hosts it behind one listener and
 //! closes, with a typed error, a connection that does not open with the
-//! handshake.
+//! handshake. Both binaries read their flags with [`cli::Options`].
 //!
 //! Model snapshots travel as `SELNETP1` streams (see
 //! `selnet_core::persist`): `selnet-serve train-tiny` writes one, the
@@ -77,6 +79,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod engine;
 pub mod protocol;
 pub mod registry;

@@ -221,22 +221,34 @@ where
 /// then the flight recorder as `# ` comment lines that exposition parsers
 /// skip — the engine's span ring, the global one (curve forward, snapshot,
 /// retrain), then the slow-query log. Disarmed, they add nothing.
+///
+/// Each ring stamps `start_ns` from its own epoch, and the global one is
+/// older than the engine's by however long the snapshots took to load;
+/// every `# span` line is rendered on the older of the two clocks, so a
+/// `curve_forward` line sits inside the `plan_replay` line that ran it.
 fn metrics_reply<M>(engine: &Engine<M>) -> String
 where
     M: SelectivityEstimator + Send + Sync + 'static,
 {
     let mut text = engine.metrics_text();
-    let global = selnet_obs::trace::global().snapshot();
-    for span in engine.spans().iter().chain(&global) {
-        text.push_str(&format!(
-            "# span {} trace={} start_us={} dur_us={} a={} b={}\n",
-            span.kind,
-            span.trace_id,
-            span.start_ns / 1_000,
-            span.dur_ns / 1_000,
-            span.a,
-            span.b
-        ));
+    let global = selnet_obs::trace::global();
+    let (engine_ns, global_ns) = (engine.recorder().now_ns(), global.now_ns());
+    let rings = [
+        (engine.spans(), global_ns.saturating_sub(engine_ns)),
+        (global.snapshot(), engine_ns.saturating_sub(global_ns)),
+    ];
+    for (spans, shift_ns) in &rings {
+        for span in spans {
+            text.push_str(&format!(
+                "# span {} trace={} start_us={} dur_us={} a={} b={}\n",
+                span.kind,
+                span.trace_id,
+                (span.start_ns + shift_ns) / 1_000,
+                span.dur_ns / 1_000,
+                span.a,
+                span.b
+            ));
+        }
     }
     for q in engine.slow_queries() {
         text.push_str(&format!(
@@ -284,10 +296,7 @@ mod tests {
     fn engine() -> Arc<Engine<Linear>> {
         Engine::start(
             Arc::new(ModelRegistry::new(Linear)),
-            &EngineConfig {
-                workers: 2,
-                ..Default::default()
-            },
+            &EngineConfig::default(),
         )
     }
 
@@ -388,13 +397,7 @@ mod tests {
         let registry = Arc::new(ModelRegistry::empty());
         registry.register("one", Scaled(1.0)).unwrap();
         registry.register("ten", Scaled(10.0)).unwrap();
-        let eng = Engine::start(
-            Arc::clone(&registry),
-            &EngineConfig {
-                workers: 2,
-                ..Default::default()
-            },
-        );
+        let eng = Engine::start(Arc::clone(&registry), &EngineConfig::default());
         let server = spawn_server(&eng);
 
         let stream = TcpStream::connect(server.addr).unwrap();
@@ -587,10 +590,8 @@ mod tests {
         let eng = Engine::start(
             Arc::new(ModelRegistry::new(Sleepy)),
             &EngineConfig {
-                workers: 1,
                 slow_query_us: 1,
                 trace_buffer: 64,
-                ..Default::default()
             },
         );
         let server = spawn_server(&eng);

@@ -10,6 +10,7 @@ use selnet_eval::SelectivityEstimator;
 use selnet_metric::DistanceKind;
 use selnet_serve::engine::{Engine, EngineConfig, Request};
 use selnet_serve::registry::ModelRegistry;
+use selnet_tensor::parallel;
 use selnet_workload::{
     generate_workload, DriftSchedule, UpdateSimulator, Workload, WorkloadConfig,
 };
@@ -76,16 +77,12 @@ fn concurrent_serving_is_bit_identical_to_sequential() {
         .map(|(x, ts)| model.estimate_many(x, ts))
         .collect();
 
+    parallel::set_threads(4); // the engine starts one worker per thread
     let engine = Engine::start(
         Arc::new(ModelRegistry::new(model)),
-        &EngineConfig {
-            workers: 4,
-            max_batch_rows: 16,
-            // workers drain up to max_batch_rows each from the one queue:
-            // none of it may change a single answer
-            ..Default::default()
-        },
+        &EngineConfig::default(),
     );
+    parallel::set_threads(0);
     let clients = 6;
     let rounds = 3;
     std::thread::scope(|scope| {
@@ -169,14 +166,9 @@ fn hot_swap_mid_traffic_never_tears_a_response() {
     );
 
     let registry = Arc::new(ModelRegistry::new(model_a.clone()));
-    let engine = Engine::start(
-        Arc::clone(&registry),
-        &EngineConfig {
-            workers: 3,
-            max_batch_rows: 16,
-            ..Default::default()
-        },
-    );
+    parallel::set_threads(3); // the engine starts one worker per thread
+    let engine = Engine::start(Arc::clone(&registry), &EngineConfig::default());
+    parallel::set_threads(0);
     std::thread::scope(|scope| {
         // swapper: alternate generations while traffic runs
         let swapper = {
@@ -254,14 +246,9 @@ fn plans_stay_generation_consistent_across_retrain_swap() {
     }
 
     let registry = Arc::new(ModelRegistry::new(model));
-    let engine = Engine::start(
-        Arc::clone(&registry),
-        &EngineConfig {
-            workers: 3,
-            max_batch_rows: 16,
-            ..Default::default()
-        },
-    );
+    parallel::set_threads(3); // the engine starts one worker per thread
+    let engine = Engine::start(Arc::clone(&registry), &EngineConfig::default());
+    parallel::set_threads(0);
     // drift the database first: a dozen ops of an adversarial shell around
     // a pool query, the labels kept exact, so the retrain (K = 2) refreshes
     // partition assignments over records the model was never built on
@@ -397,14 +384,15 @@ fn background_update_publishes_without_blocking_serving() {
 /// blocking call on an idle engine), equals the same request coalesced
 /// with its eleven neighbours into one `estimate_into`, bit for bit — and
 /// both equal the tape oracle. A pipelined burst through the engine, which
-/// coalesces as the workers find it queued, answers the same.
+/// coalesces as the workers find it queued (two 32-threshold requests
+/// fill a 64-row wave), answers the same.
 #[test]
 fn single_and_coalesced_answers_are_bit_identical() {
     let (ds, _, model) = fixture(95, 2);
     let tmax = model.tmax();
     let pool: Vec<(Vec<f32>, Vec<f32>)> = (0..12)
         .map(|i| {
-            let ts = (0..40).map(|j| tmax * (j as f32 / 32.0 - 0.1)).collect();
+            let ts = (0..32).map(|j| tmax * (j as f32 / 26.0 - 0.1)).collect();
             (ds.row(i * 7).to_vec(), ts)
         })
         .collect();
@@ -419,16 +407,14 @@ fn single_and_coalesced_answers_are_bit_identical() {
             .collect();
         let mut flat = Vec::new();
         model.estimate_into(&queries, &mut flat);
-        flat.chunks(40).map(<[f64]>::to_vec).collect()
+        flat.chunks(32).map(<[f64]>::to_vec).collect()
     };
+    parallel::set_threads(2); // the engine starts one worker per thread
     let engine = Engine::start(
         Arc::new(ModelRegistry::new(model)),
-        &EngineConfig {
-            workers: 2,
-            max_batch_rows: 256,
-            ..Default::default()
-        },
+        &EngineConfig::default(),
     );
+    parallel::set_threads(0);
     let single: Vec<Vec<f64>> = pool
         .iter()
         .map(|(x, ts)| engine.estimate_many(x, ts))
@@ -479,14 +465,12 @@ impl SelectivityEstimator for Held {
 #[test]
 fn an_idle_worker_answers_while_another_is_held() {
     let barrier = Arc::new(Barrier::new(2));
+    parallel::set_threads(2); // the engine starts one worker per thread
     let engine = Engine::start(
         Arc::new(ModelRegistry::new(Held(Arc::clone(&barrier)))),
-        &EngineConfig {
-            workers: 2,
-            max_batch_rows: 1,
-            ..Default::default()
-        },
+        &EngineConfig::default(),
     );
+    parallel::set_threads(0);
     let held = engine
         .submit(Request::new(vec![-1.0]).thresholds(vec![1.0]))
         .expect("engine running");

@@ -13,8 +13,10 @@ use selnet_obs::HistogramSnapshot;
 use selnet_serve::engine::{Engine, EngineConfig, Request, SubmitError};
 use selnet_serve::registry::{ModelRegistry, Tenant};
 use selnet_serve::StatsSnapshot;
+use selnet_tensor::parallel;
 use selnet_workload::{generate_workload, Workload, WorkloadConfig};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 fn data_fixture(seed: u64) -> (Dataset, Workload) {
     let ds = fasttext_like(&GeneratorConfig::new(300, 4, 3, seed));
@@ -82,16 +84,9 @@ fn concurrent_two_tenant_traffic_is_bit_identical_per_tenant() {
     let registry = Arc::new(ModelRegistry::empty());
     registry.register("alpha", model_a).unwrap();
     registry.register("beta", model_b).unwrap();
-    let engine = Engine::start(
-        registry,
-        &EngineConfig {
-            workers: 3,
-            max_batch_rows: 16,
-            max_queue_rows: 0,
-            slow_query_us: 0,
-            trace_buffer: 0,
-        },
-    );
+    parallel::set_threads(3); // the engine starts one worker per thread
+    let engine = Engine::start(registry, &EngineConfig::default());
+    parallel::set_threads(0);
     let clients = 4;
     let rounds = 3;
     std::thread::scope(|scope| {
@@ -202,16 +197,9 @@ fn hot_swapping_one_tenant_never_perturbs_the_other() {
     registry.register("hot", hot_v0.clone()).unwrap();
     registry.register("cold", cold).unwrap();
     let hot_tenant = registry.get("hot").unwrap();
-    let engine = Engine::start(
-        Arc::clone(&registry),
-        &EngineConfig {
-            workers: 3,
-            max_batch_rows: 16,
-            max_queue_rows: 0,
-            slow_query_us: 0,
-            trace_buffer: 0,
-        },
-    );
+    parallel::set_threads(3); // the engine starts one worker per thread
+    let engine = Engine::start(Arc::clone(&registry), &EngineConfig::default());
+    parallel::set_threads(0);
     std::thread::scope(|scope| {
         let swapper = {
             let hot_tenant = Arc::clone(&hot_tenant);
@@ -286,9 +274,6 @@ fn observability_on_and_off_serve_bit_identical_answers() {
         Engine::start(
             Arc::new(ModelRegistry::new(model.clone())),
             &EngineConfig {
-                workers: 2,
-                max_batch_rows: 16,
-                max_queue_rows: 0,
                 slow_query_us,
                 trace_buffer,
             },
@@ -347,33 +332,17 @@ fn observability_on_and_off_serve_bit_identical_answers() {
     plain.shutdown();
 }
 
-/// A gate the test holds shut to park the engine's workers: a query
-/// whose first coordinate is negative waits at it, any other passes.
-#[derive(Default)]
-struct Gate {
-    open: Mutex<bool>,
-    changed: Condvar,
-}
-
-impl Gate {
-    fn set(&self, open: bool) {
-        *self.open.lock().unwrap() = open;
-        self.changed.notify_all();
-    }
-}
-
+/// `scale * t + x[0]`; a query whose first coordinate is negative first
+/// takes the gate, a mutex the test holds to park the engine's workers.
 struct Gated {
     scale: f64,
-    gate: Arc<Gate>,
+    gate: Arc<Mutex<()>>,
 }
 
 impl SelectivityEstimator for Gated {
     fn estimate(&self, x: &[f32], t: f32) -> f64 {
         if x[0] < 0.0 {
-            let mut open = self.gate.open.lock().unwrap();
-            while !*open {
-                open = self.gate.changed.wait(open).unwrap();
-            }
+            drop(self.gate.lock().unwrap());
         }
         self.scale * t as f64 + x[0] as f64
     }
@@ -391,8 +360,7 @@ impl SelectivityEstimator for Gated {
 /// returning from `wait()` finds its request in the next snapshot.
 #[test]
 fn fleet_stats_are_the_fold_of_the_tenants() {
-    let gate = Arc::new(Gate::default());
-    gate.set(true);
+    let gate = Arc::new(Mutex::new(()));
     let model = |scale: f64| Gated {
         scale,
         gate: Arc::clone(&gate),
@@ -400,16 +368,15 @@ fn fleet_stats_are_the_fold_of_the_tenants() {
     let registry = Arc::new(ModelRegistry::empty());
     registry.register("alpha", model(1.0)).unwrap();
     registry.register("beta", model(2.0)).unwrap();
+    parallel::set_threads(2); // the engine starts one worker per thread
     let engine = Engine::start(
         Arc::clone(&registry),
         &EngineConfig {
-            workers: 2,
-            max_batch_rows: 8,
-            max_queue_rows: 12,
             slow_query_us: 2_000,
             trace_buffer: 0,
         },
     );
+    parallel::set_threads(0);
     // a tenant registered after start must be in the fold too
     registry.register("gamma", model(3.0)).unwrap();
     let names = ["alpha", "beta", "gamma"];
@@ -428,12 +395,7 @@ fn fleet_stats_are_the_fold_of_the_tenants() {
                         let got = engine.serve_blocking(&req(name, &x, &ts)).unwrap();
                         assert_eq!(got.len(), m);
                     } else {
-                        // a shed here is fine (and counted): go on
-                        match engine.submit(req(name, &x, &ts)) {
-                            Ok(handle) => burst.push((m, handle)),
-                            Err(SubmitError::Overloaded { .. }) => {}
-                            Err(other) => panic!("unexpected submit error: {other}"),
-                        }
+                        burst.push((m, engine.submit(req(name, &x, &ts)).unwrap()));
                         if burst.len() >= 6 {
                             for (m, handle) in burst.drain(..) {
                                 assert_eq!(handle.wait().expect("served").len(), m);
@@ -448,32 +410,40 @@ fn fleet_stats_are_the_fold_of_the_tenants() {
         }
     });
 
-    // the forced shed: with the gate shut both workers park on the first
-    // gated batch they drain, the queue (12 rows per worker, 24 in all)
-    // fills behind them, and the next submit is refused — at the latest
-    // the 21st (2 × 8 rows drained, 24 queued, 2 rows each)
-    gate.set(false);
+    // the forced shed: with the gate held, two gated requests park the
+    // two workers, each sent once a worker has taken the one before; an
+    // 8 192-row request is admitted to the empty queue, which fills it to
+    // its bound (4096 rows per worker), and every submit after it is
+    // refused, one per tenant
+    let held = gate.lock().unwrap();
     let mut accepted = Vec::new();
-    let mut shed = 0u64;
-    for i in 0..24 {
-        match engine.submit(req("gamma", &[-1.0 - i as f32], &[1.0, 2.0])) {
-            Ok(handle) => accepted.push(handle),
-            Err(SubmitError::Overloaded { limit, .. }) => {
-                assert_eq!(limit, 24);
-                shed += 1;
-            }
-            Err(other) => panic!("unexpected submit error: {other}"),
+    for i in 0..2 {
+        accepted.push(
+            engine
+                .submit(req("gamma", &[-1.0 - i as f32], &[1.0, 2.0]))
+                .unwrap(),
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while engine.queued_rows_total() > 0 {
+            assert!(Instant::now() < deadline, "no worker took a gated request");
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
-    assert!(
-        shed > 0,
-        "24 gated submits against a 24-row queue must shed"
-    );
+    accepted.push(engine.submit(req("gamma", &[-3.0], &[1.0; 8192])).unwrap());
+    for name in names {
+        assert_eq!(
+            engine.submit(req(name, &[1.0], &[1.0])).err(),
+            Some(SubmitError::Overloaded {
+                queued_rows: 8192,
+                limit: 8192
+            })
+        );
+    }
     // the slow queries: everything parked at the gate has by now waited
     // longer than the 2 ms bar
     let before = engine.stats_snapshot();
-    std::thread::sleep(std::time::Duration::from_millis(3));
-    gate.set(true);
+    std::thread::sleep(Duration::from_millis(3));
+    drop(held);
 
     // counted before the reply: each client returning from wait() finds
     // its request in the next snapshot (the others may be in it already)
@@ -509,7 +479,9 @@ fn fleet_stats_are_the_fold_of_the_tenants() {
     for (t, name) in tenants.iter().zip(names) {
         assert!(t.requests > 0, "tenant {name} saw no traffic");
     }
-    assert!(fleet.batches > 0 && fleet.shed_requests > 0);
+    assert!(fleet.batches > 0);
+    assert_eq!(fleet.shed_requests, 3);
+    assert!(tenants.iter().all(|t| t.shed_requests == 1));
     assert_eq!(fleet.slow_requests as usize, engine.slow_queries().len());
     // mean_batch_rows from the summed numerators, not a mean of means
     let batch_rows: f64 = tenants

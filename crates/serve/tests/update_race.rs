@@ -95,14 +95,7 @@ fn shutdown_racing_spawn_update_is_clean() {
     let tmax = model.tmax();
     let registry = Arc::new(ModelRegistry::new(model));
     let tenant = registry.get("default").expect("default tenant");
-    let engine = Engine::start(
-        Arc::clone(&registry),
-        &EngineConfig {
-            workers: 2,
-            max_batch_rows: 16,
-            ..Default::default()
-        },
-    );
+    let engine = Engine::start(Arc::clone(&registry), &EngineConfig::default());
 
     let x = ds.row(0).to_vec();
     let ts: Vec<f32> = (1..=5).map(|j| tmax * j as f32 / 5.0).collect();
@@ -161,14 +154,7 @@ fn clients_racing_shutdown_get_answers_or_typed_refusals() {
     let (ds, _, model) = fixture(23);
     let tmax = model.tmax();
     let registry = Arc::new(ModelRegistry::new(model));
-    let engine = Engine::start(
-        Arc::clone(&registry),
-        &EngineConfig {
-            workers: 2,
-            max_batch_rows: 8,
-            ..Default::default()
-        },
-    );
+    let engine = Engine::start(Arc::clone(&registry), &EngineConfig::default());
     let clients: Vec<_> = (0..4)
         .map(|c| {
             let engine = Arc::clone(&engine);

@@ -37,22 +37,15 @@ fn main() {
         tenants.push((name, ds, model));
     }
 
-    // 2. one engine serves the whole fleet: shared worker pool,
-    // per-tenant generations and stats, bounded queues for admission
+    // 2. one engine serves the whole fleet: shared worker pool (one per
+    // core), per-tenant generations and stats, a bounded queue for admission
     let registry = Arc::new(ModelRegistry::empty());
     for (name, _, model) in &tenants {
         registry
             .register(name, model.clone())
             .expect("register tenant");
     }
-    let engine = Engine::start(
-        Arc::clone(&registry),
-        &EngineConfig {
-            max_batch_rows: 64,
-            max_queue_rows: 4096,
-            ..Default::default()
-        },
-    );
+    let engine = Engine::start(Arc::clone(&registry), &EngineConfig::default());
 
     // 3. the v2 server on an OS-assigned port, stopped via a shared flag
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");

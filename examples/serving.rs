@@ -38,13 +38,7 @@ fn main() {
 
     // 3. serve it: a hot-swappable registry + the batched engine
     let registry = Arc::new(ModelRegistry::new(served));
-    let engine = Engine::start(
-        Arc::clone(&registry),
-        &EngineConfig {
-            max_batch_rows: 64,
-            ..Default::default()
-        },
-    );
+    let engine = Engine::start(Arc::clone(&registry), &EngineConfig::default());
 
     // 4. concurrent clients — the engine coalesces their queries into
     // shared batch evaluations; answers are bit-identical to sequential
