@@ -291,31 +291,6 @@ impl Connection {
         }
     }
 
-    /// Blocking convenience: one traced request, one answer — the echoed
-    /// trace ID (server-minted when `trace_id` is 0) and the estimates.
-    pub fn estimate_traced(
-        &mut self,
-        trace_id: u64,
-        model: Option<&str>,
-        x: &[f32],
-        ts: &[f32],
-    ) -> Result<(u64, Vec<f64>), ClientError> {
-        let reply = self.call(&Frame::QueryTraced {
-            trace_id,
-            model: model.map(str::to_string),
-            x: x.to_vec(),
-            ts: ts.to_vec(),
-        })?;
-        match reply {
-            Reply::EstimatesTraced { trace_id, values } => Ok((trace_id, values)),
-            Reply::Denied(e) => Err(ClientError::Denied(e)),
-            other => Err(ClientError::Io(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("mismatched reply to a traced query (FIFO order violated): {other:?}"),
-            ))),
-        }
-    }
-
     /// Blocking convenience: one Prometheus-text metrics scrape of the
     /// whole serving fleet.
     pub fn metrics(&mut self) -> Result<String, ClientError> {

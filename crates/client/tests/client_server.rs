@@ -231,7 +231,8 @@ fn saturated_server_sheds_overloaded_and_stats_count_it() {
 }
 
 /// The observability loop end-to-end: a traced query's ID round-trips
-/// through `estimate_traced`, a zero ID comes back server-minted, and a
+/// through `send_query_traced` and `recv`, a zero ID comes back
+/// server-minted, and a
 /// `metrics` scrape over the same connection shows the Prometheus
 /// families with the counts the client just generated.
 #[test]
@@ -246,14 +247,24 @@ fn traced_queries_and_metrics_scrape_round_trip() {
     let server = spawn_server(&engine);
 
     let mut conn = Connection::connect(server.addr).unwrap();
-    let (echoed, values) = conn
-        .estimate_traced(0xFEED, None, &[1.0, 0.0], &[0.5])
+    conn.send_query_traced(0xFEED, None, &[1.0, 0.0], &[0.5])
         .unwrap();
-    assert_eq!(echoed, 0xFEED);
-    assert_eq!(values, vec![1.5]);
-    let (minted, values) = conn.estimate_traced(0, None, &[2.0, 0.0], &[0.5]).unwrap();
-    assert_ne!(minted, 0, "a zero trace ID must come back server-minted");
-    assert_eq!(values, vec![2.5]);
+    conn.send_query_traced(0, None, &[2.0, 0.0], &[0.5])
+        .unwrap();
+    assert_eq!(
+        conn.recv().unwrap(),
+        Reply::EstimatesTraced {
+            trace_id: 0xFEED,
+            values: vec![1.5]
+        }
+    );
+    match conn.recv().unwrap() {
+        Reply::EstimatesTraced { trace_id, values } => {
+            assert_ne!(trace_id, 0, "a zero trace ID must come back server-minted");
+            assert_eq!(values, vec![2.5]);
+        }
+        other => panic!("expected traced estimates, got {other:?}"),
+    }
 
     let text = conn.metrics().unwrap();
     assert!(

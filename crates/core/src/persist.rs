@@ -27,8 +27,9 @@ use std::io::{self, Read, Write};
 
 const PARTITIONED_MAGIC: &[u8; 8] = b"SELNETP1";
 /// Current `SELNETP1` snapshot version. Bump when the layout changes; the
-/// loader accepts `1..=SNAPSHOT_VERSION` (v2 added one reserved 64-bit
-/// word, written as zero) and rejects anything newer with a typed error.
+/// loader reads exactly what [`PartitionedSelNet::save`] writes — this
+/// version, with its reserved 64-bit word zero — and refuses any other
+/// version (the v1 layout without the word included) with a typed error.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Caps on length fields read from untrusted bytes (see the loaders).
@@ -82,21 +83,6 @@ fn read_string(r: &mut impl Read) -> io::Result<String> {
     let mut buf = vec![0u8; len];
     r.read_exact(&mut buf)?;
     String::from_utf8(buf).map_err(|_| invalid("bad utf8 string"))
-}
-
-/// Validates the v2 reserved word. [`PartitionedSelNet::save`] writes `0`;
-/// earlier builds stored a serving-precision recommendation there (tag in
-/// the high half: 0 exact, 1 `bf16`, 2 `int8`, 3 `pruned` with the f32
-/// threshold bits in the low half). Every model serves exact now, so a
-/// word one of those builds could have written is accepted and ignored;
-/// anything else is corruption.
-fn check_reserved_word(word: u64) -> io::Result<()> {
-    match (word >> 32, word as u32) {
-        (0..=2, 0) | (3, _) => Ok(()),
-        _ => Err(invalid(format!(
-            "bad reserved word {word:#x} (no build wrote this precision code)"
-        ))),
-    }
 }
 
 fn write_config(w: &mut impl Write, c: &SelNetConfig) -> io::Result<()> {
@@ -304,9 +290,9 @@ impl PartitionedSelNet {
             return Err(invalid("bad snapshot magic (expected SELNETP1)"));
         }
         let version = read_u32(r)?;
-        if version == 0 || version > SNAPSHOT_VERSION {
+        if version != SNAPSHOT_VERSION {
             return Err(invalid(format!(
-                "unsupported snapshot version {version} (this build reads 1..={SNAPSHOT_VERSION})"
+                "unsupported snapshot version {version} (this build reads {SNAPSHOT_VERSION})"
             )));
         }
         let cfg = read_config(r)?;
@@ -315,9 +301,11 @@ impl PartitionedSelNet {
         let tmax = read_f32(r)?;
         let reference_val_mae = read_f64(r)?;
         let name = read_string(r)?;
-        // v1 snapshots predate the reserved word
-        if version >= 2 {
-            check_reserved_word(read_u64(r)?)?;
+        let reserved = read_u64(r)?;
+        if reserved != 0 {
+            return Err(invalid(format!(
+                "bad reserved word {reserved:#x} (save writes 0)"
+            )));
         }
         let k = read_len(r, MAX_LOCALS, "local model count")?;
         let partitioning = Partitioning::load(r)?;
@@ -573,13 +561,13 @@ mod tests {
         }
     }
 
-    /// The v2 reserved word: `save` writes zero; the codes earlier builds
-    /// stored there (`int8`, `pruned:0.05`, the retired `bf16`) still load
-    /// and answer exactly like the zero word; a word no build wrote is
-    /// refused; a v1 stream (no word at all) loads; and whatever loaded
-    /// saves back to the same bytes.
+    /// The loader reads exactly what `save` writes: the zero reserved
+    /// word loads, answers like the saved model and saves back to the same
+    /// bytes; the serving-precision codes older builds stored in the word
+    /// (`int8`, `pruned:0.05`, `bf16`), any other nonzero word, and the v1
+    /// layout (no word, version 1) are typed errors.
     #[test]
-    fn reserved_word_accepts_old_codes_refuses_garbage_and_v1_still_loads() {
+    fn only_a_v2_stream_with_a_zero_reserved_word_loads() {
         let (model, w) = partitioned_fixture(49);
         let mut buf = Vec::new();
         model.save(&mut buf).unwrap();
@@ -597,34 +585,32 @@ mod tests {
         let cut = prefix.len();
         assert_eq!(buf[cut..cut + 8], [0u8; 8], "save writes a zero word");
 
-        let same_model = |bytes: &[u8], what: &str| {
-            let loaded = PartitionedSelNet::load(&mut &*bytes)
-                .unwrap_or_else(|e| panic!("{what} must load: {e}"));
-            for q in &w.test {
-                assert_eq!(
-                    loaded.estimate_many(&q.x, &q.thresholds),
-                    model.estimate_many(&q.x, &q.thresholds),
-                    "{what} must answer like the model that was saved"
-                );
-            }
-            let mut again = Vec::new();
-            loaded.save(&mut again).unwrap();
-            assert!(again == buf, "{what}: save → load → save changed bytes");
-        };
-        same_model(&buf, "the zero word");
+        let loaded = PartitionedSelNet::load(&mut buf.as_slice()).unwrap();
+        for q in &w.test {
+            assert_eq!(
+                loaded.estimate_many(&q.x, &q.thresholds),
+                model.estimate_many(&q.x, &q.thresholds),
+                "the loaded model must answer like the one that was saved"
+            );
+        }
+        let mut again = Vec::new();
+        loaded.save(&mut again).unwrap();
+        assert!(again == buf, "save → load → save changed bytes");
+
         let with_word = |word: u64| {
             let mut bytes = buf.clone();
             bytes[cut..cut + 8].copy_from_slice(&word.to_le_bytes());
             bytes
         };
-        for (what, word) in [
-            ("int8", 2u64 << 32),
-            ("pruned:0.05", (3 << 32) | u64::from(0.05f32.to_bits())),
-            ("retired bf16", 1 << 32),
+        for word in [
+            2u64 << 32,                               // int8
+            (3 << 32) | u64::from(0.05f32.to_bits()), // pruned:0.05
+            1 << 32,                                  // bf16
+            u64::MAX,
+            99 << 32,
+            (2 << 32) | 1,
+            1,
         ] {
-            same_model(&with_word(word), what);
-        }
-        for word in [u64::MAX, 99 << 32, (2 << 32) | 1, 1] {
             let err = load_err(&with_word(word));
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{word:#x}");
             assert!(err.to_string().contains("reserved word"), "got: {err}");
@@ -634,7 +620,9 @@ mod tests {
         let mut v1 = buf.clone();
         v1.drain(cut..cut + 8);
         v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        same_model(&v1, "a v1 snapshot");
+        let err = load_err(&v1);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version 1 "), "got: {err}");
     }
 
     #[test]

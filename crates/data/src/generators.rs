@@ -109,16 +109,6 @@ fn cumulative(weights: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// i.i.d. standard Gaussian vectors — a structureless control.
-pub fn gaussian(n: usize, dim: usize, seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut data = Vec::with_capacity(n * dim);
-    for _ in 0..n * dim {
-        data.push(randn(&mut rng));
-    }
-    Dataset::from_flat(dim, data).with_name("gaussian")
-}
-
 /// fasttext-like: anisotropic Gaussian mixture with Zipfian cluster weights
 /// and log-normal norm scaling; **not** normalized.
 pub fn fasttext_like(cfg: &GeneratorConfig) -> Dataset {
@@ -379,6 +369,13 @@ mod tests {
         for r in ds.iter() {
             assert!((norm(r) - 1.0).abs() < 1e-4);
         }
+    }
+
+    /// i.i.d. standard Gaussian vectors — a structureless control.
+    fn gaussian(n: usize, dim: usize, seed: u64) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let data = (0..n * dim).map(|_| randn(&mut rng)).collect();
+        Dataset::from_flat(dim, data).with_name("gaussian")
     }
 
     #[test]

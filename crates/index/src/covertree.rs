@@ -4,9 +4,10 @@
 //!
 //! Every node holds one data point and a level `l`; children lie within
 //! `covdist = 2^l` of their parent, so the whole subtree of a node lies
-//! within `2 * covdist` of it. The tree answers exact range counts
-//! ([`CoverTree::range_count`]) and exports the ball regions the
-//! partitioner consumes ([`CoverTree::regions`]).
+//! within `2 * covdist` of it. The tree exports the ball regions the
+//! partitioner consumes ([`CoverTree::regions`]), built only as deep as
+//! the region size it will be asked for ([`CoverTree::build_for_regions`]).
+//! It answers no queries: labelling counts by scanning the records.
 
 use selnet_data::Dataset;
 use selnet_metric::vectors::{squared_euclidean, LaneBlocks, LANES, ROWS};
@@ -284,11 +285,12 @@ impl Building {
     }
 }
 
-/// Dataset coordinates (`n × dim`) below which [`CoverTree::build`] stays
-/// on the calling thread: a tree over fewer builds in a few tens of
-/// milliseconds and is typically one of several things a caller does at
-/// once (the small benchmark fixture, N = 20 000 × d = 24, is below; the
-/// paper-shaped one, 50 000 × 300, far above).
+/// Dataset coordinates (`n × dim`) below which
+/// [`CoverTree::build_for_regions`] stays on the calling thread: a tree
+/// over fewer builds in a few tens of milliseconds and is typically one of
+/// several things a caller does at once (the small benchmark fixture,
+/// N = 20 000 × d = 24, is below; the paper-shaped one, 50 000 × 300, far
+/// above).
 const PARALLEL_MIN_COORDS: usize = 1 << 21;
 
 impl<'a> CoverTree<'a> {
@@ -310,16 +312,13 @@ impl<'a> CoverTree<'a> {
     /// routes a node, and when, cannot show in the tree. There are as
     /// many workers as `parallel::fork_threads()` allows (one inside a
     /// parallel region), or the calling thread alone for a small dataset.
-    pub fn build(ds: &'a Dataset) -> Self {
-        Self::build_stopping(ds, Self::workers_for(ds), 1)
-    }
-
-    /// [`CoverTree::build`] only as deep as [`CoverTree::regions`] looks
-    /// for any `max_region_size >= stop`: a node whose subtree holds at
-    /// most `stop` points is exported whole, so its subtree is not routed
-    /// (`adopt` leaves it flat). Above the cut the tree is the full one,
-    /// node for node; below it, it still holds every point and answers
-    /// every query, but `regions` refuses a size under `stop`.
+    ///
+    /// The tree stops as deep as [`CoverTree::regions`] looks for any
+    /// `max_region_size >= stop`: a node whose subtree holds at most `stop`
+    /// points is exported whole, so its subtree is not routed (`adopt`
+    /// leaves it flat). Above the cut the tree is the full one, node for
+    /// node; below it, it still holds every point, but `regions` refuses a
+    /// size under `stop`. `stop = 1` builds the whole tree.
     pub fn build_for_regions(ds: &'a Dataset, stop: usize) -> Self {
         Self::build_stopping(ds, Self::workers_for(ds), stop)
     }
@@ -332,8 +331,9 @@ impl<'a> CoverTree<'a> {
         }
     }
 
-    /// [`CoverTree::build`] on `workers` workers (tests force a count below
-    /// the size gate) down to subtrees of at most `stop` points (1 = all).
+    /// [`CoverTree::build_for_regions`] on `workers` workers (tests force a
+    /// count below the size gate) down to subtrees of at most `stop` points
+    /// (1 = all).
     pub(crate) fn build_stopping(ds: &'a Dataset, workers: usize, stop: usize) -> Self {
         let n = u32::try_from(ds.len()).expect("cover tree indexes at most 2^32 points");
         let stop = stop.max(1);
@@ -422,17 +422,13 @@ impl<'a> CoverTree<'a> {
         }
     }
 
-    /// How [`CoverTree::build`] went about it.
+    /// How the build went about it.
     pub fn build_stats(&self) -> BuildStats {
         self.stats
     }
 
     fn dist(&self, a: usize, b: usize) -> f32 {
         DistanceKind::Euclidean.eval(self.ds.row(a), self.ds.row(b))
-    }
-
-    fn dist_to(&self, a: usize, q: &[f32]) -> f32 {
-        DistanceKind::Euclidean.eval(self.ds.row(a), q)
     }
 
     fn root(&self) -> Option<usize> {
@@ -457,29 +453,6 @@ impl<'a> CoverTree<'a> {
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Exact count of points within distance `t` of `q` (the selectivity).
-    pub fn range_count(&self, q: &[f32], t: f32) -> usize {
-        let Some(root) = self.root() else { return 0 };
-        let mut count = 0usize;
-        let mut stack = vec![root];
-        while let Some(n) = stack.pop() {
-            let node = &self.nodes[n];
-            let d = self.dist_to(n, q);
-            if d + node.max_dist <= t {
-                count += node.subtree_size; // whole subtree inside
-                continue;
-            }
-            if d - node.max_dist > t {
-                continue; // whole subtree outside
-            }
-            if d <= t {
-                count += 1;
-            }
-            stack.extend(node.children.iter().map(|&c| c as usize));
-        }
-        count
     }
 
     /// Exports maximal ball regions whose subtree size is at most
@@ -565,13 +538,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use selnet_data::generators::{fasttext_like, GeneratorConfig};
 
-    fn brute_count(ds: &Dataset, q: &[f32], t: f32) -> usize {
-        ds.iter()
-            .filter(|r| DistanceKind::Euclidean.eval(r, q) <= t)
-            .count()
-    }
-
-    /// The reference [`CoverTree::build`] must reproduce: sequential
+    /// The reference [`CoverTree::build_for_regions`] must reproduce: sequential
     /// insertion on pair distances, then a bottom-up pass for subtree
     /// sizes and exact `max_dist` — the construction this crate used
     /// before the batch build, kept as it was.
@@ -718,7 +685,8 @@ mod tests {
     fn regions_below_the_stop_size_are_refused() {
         let ds = fasttext_like(&GeneratorConfig::new(200, 4, 3, 6));
         let tree = CoverTree::build_for_regions(&ds, 10);
-        assert_eq!(tree.regions(10), CoverTree::build(&ds).regions(10));
+        let full = CoverTree::build_for_regions(&ds, 1);
+        assert_eq!(tree.regions(10), full.regions(10));
         tree.regions(9);
     }
 
@@ -773,7 +741,7 @@ mod tests {
         });
     }
 
-    /// `build` takes the parallel path by itself once the dataset is large
+    /// The build takes the parallel path by itself once the dataset is large
     /// enough, on as many workers as `SELNET_THREADS` or the machine give
     /// (CI runs this with `SELNET_THREADS=3`), and the tree is the
     /// one-worker tree.
@@ -784,7 +752,7 @@ mod tests {
     )]
     fn build_goes_parallel_by_itself_on_a_large_dataset() {
         let large = fasttext_like(&GeneratorConfig::new(8192, 256, 6, 11));
-        let tree = CoverTree::build(&large);
+        let tree = CoverTree::build_for_regions(&large, 1);
         let serial = CoverTree::build_stopping(&large, 1, 1);
         assert!(tree.nodes == serial.nodes);
         assert_eq!(
@@ -796,7 +764,7 @@ mod tests {
         assert_eq!(tree.build_stats().workers, parallel::fork_threads());
     }
 
-    /// Above the size gate (2^21 coordinates) `build` takes as many
+    /// Above the size gate (2^21 coordinates) the build takes as many
     /// workers as the calling thread is pinned to, whatever the machine
     /// has.
     #[test]
@@ -812,7 +780,7 @@ mod tests {
         assert_eq!(serial.build_stats().subtree_jobs, 3);
         for threads in [1, 2] {
             parallel::set_threads(threads);
-            let tree = CoverTree::build(&ds);
+            let tree = CoverTree::build_for_regions(&ds, 1);
             assert_eq!(tree.build_stats().workers, threads);
             assert_eq!(tree.build_stats().subtree_jobs, 3);
             assert_eq!(tree.regions(1), serial.regions(1));
@@ -823,7 +791,7 @@ mod tests {
     #[test]
     fn check_invariants_rejects_a_broken_cover_size_or_bound() {
         let ds = fasttext_like(&GeneratorConfig::new(200, 4, 3, 6));
-        let tree = CoverTree::build(&ds);
+        let tree = CoverTree::build_for_regions(&ds, 1);
         assert!(tree.check_invariants());
         let parent = (0..ds.len())
             .find(|&i| !tree.nodes[i].children.is_empty())
@@ -849,31 +817,15 @@ mod tests {
     #[test]
     fn indexes_all_points() {
         let ds = fasttext_like(&GeneratorConfig::new(300, 6, 4, 1));
-        let tree = CoverTree::build(&ds);
+        let tree = CoverTree::build_for_regions(&ds, 1);
         assert_eq!(tree.len(), 300);
         assert!(tree.check_invariants());
     }
 
     #[test]
-    fn range_count_matches_brute_force() {
-        let ds = fasttext_like(&GeneratorConfig::new(400, 5, 3, 2));
-        let tree = CoverTree::build(&ds);
-        for qi in [0usize, 57, 123, 399] {
-            let q = ds.row(qi).to_vec();
-            for t in [0.0f32, 0.5, 1.0, 2.0, 5.0, 50.0] {
-                assert_eq!(
-                    tree.range_count(&q, t),
-                    brute_count(&ds, &q, t),
-                    "qi={qi} t={t}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn regions_cover_every_point_exactly_once() {
         let ds = fasttext_like(&GeneratorConfig::new(500, 5, 6, 5));
-        let tree = CoverTree::build(&ds);
+        let tree = CoverTree::build_for_regions(&ds, 1);
         let regions = tree.regions(50);
         let mut seen = vec![false; ds.len()];
         for r in &regions {
@@ -893,13 +845,13 @@ mod tests {
     #[test]
     fn empty_and_singleton_trees() {
         let ds = Dataset::new(3);
-        let tree = CoverTree::build(&ds);
+        let tree = CoverTree::build_for_regions(&ds, 1);
         assert!(tree.is_empty());
-        assert_eq!(tree.range_count(&[0.0, 0.0, 0.0], 10.0), 0);
+        assert!(tree.regions(1).is_empty());
 
         let ds1 = Dataset::from_rows(2, &[vec![1.0, 1.0]]);
-        let t1 = CoverTree::build(&ds1);
+        let t1 = CoverTree::build_for_regions(&ds1, 1);
         assert_eq!(t1.len(), 1);
-        assert_eq!(t1.range_count(&[1.0, 1.0], 0.0), 1);
+        assert!(t1.check_invariants());
     }
 }

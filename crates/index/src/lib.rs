@@ -1,7 +1,7 @@
 //! # selnet-index
 //!
 //! Metric indexing substrate for the SelNet reproduction: a cover tree
-//! (exact range counting and ball-region export), k-means,
+//! (ball-region export), k-means,
 //! and the dataset partitioners of §5.3 / §7.8 together with the
 //! query-to-cluster intersection indicator `f_c(x, t)`.
 

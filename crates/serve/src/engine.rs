@@ -13,10 +13,11 @@
 //!    worker; a saturated engine sheds with [`SubmitError::Overloaded`]
 //!    instead of queueing without bound),
 //!    then queues the request and wakes one parked worker.
-//!    [`Engine::serve_blocking`] (and [`Engine::estimate_many`] over it)
-//!    takes the same way in and waits for its own reply; it differs only
-//!    in never being shed — a blocking caller has at most one request in
-//!    flight, so its own wait is the backpressure;
+//!    [`Engine::serve_blocking`] takes the same way in and waits for its
+//!    own reply; it differs only in never being shed — a blocking caller
+//!    has at most one request in flight, so its own wait is the
+//!    backpressure. There is no third way in: a request names its tenant
+//!    (or none, for the default), and a refusal is a typed error;
 //! 2. a worker drains a wave of at most 64 `(x, t)` rows from the queue,
 //!    **never splitting a request across batches** (one larger than the
 //!    budget rides alone);
@@ -35,7 +36,7 @@
 //!
 //! Because the batched forward is bit-identical per row to single-query
 //! evaluation, coalescing never changes an answer — any interleaving of
-//! client threads yields exactly the results of a sequential
+//! client threads yields exactly the results of the model's own sequential
 //! `estimate_many` (pinned by the `engine_concurrency` stress test). And
 //! because a request is answered entirely by the one generation its
 //! tenant group bound, a hot swap can never tear a response, and one
@@ -262,8 +263,10 @@ pub struct EngineConfig {
     /// entirely — the flight recorder then costs one relaxed load per
     /// probe). When set, the engine records batch-stage spans
     /// (`coalesce` / `generation_bind` / `plan_replay` / `reply`) for
-    /// every drained batch, plus per-request spans (`submit` /
-    /// `queue_wait`) for requests that arrived with a
+    /// every drained batch — `plan_replay` times the wave's
+    /// `estimate_into` call, and keeps its name because the benchmark
+    /// reads it as `engine.plan_replay_us_p50` — plus per-request spans
+    /// (`submit` / `queue_wait`) for requests that arrived with a
     /// caller-supplied trace ID — per-request tracing is sampled by the
     /// client, so untraced traffic only pays the amortized batch-stage
     /// cost. The ring keeps the newest `trace_buffer` spans.
@@ -419,7 +422,7 @@ const FAMILIES: [(&str, &str, Read); 8] = [
 ];
 
 /// The serving engine. Create with [`Engine::start`]; submit work with
-/// [`Engine::submit`] / [`Engine::estimate_many`]; stop with
+/// [`Engine::submit`] / [`Engine::serve_blocking`]; stop with
 /// [`Engine::shutdown`] (queued requests are drained first).
 pub struct Engine<M> {
     registry: Arc<ModelRegistry<M>>,
@@ -592,17 +595,6 @@ where
             queued_rows: queued,
             limit: self.queue_limit,
         })
-    }
-
-    /// Blocking convenience wrapper around [`Engine::serve_blocking`] for
-    /// the default tenant.
-    ///
-    /// # Panics
-    /// Panics if the engine has been shut down or the query is mis-shaped
-    /// (use [`Engine::serve_blocking`] to handle those as errors).
-    pub fn estimate_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
-        self.serve_blocking(&Request::new(x.to_vec()).thresholds(ts.to_vec()))
-            .expect("engine stopped while serving")
     }
 
     /// The fleet stats snapshot — every tenant's counters folded into
@@ -823,6 +815,8 @@ where
                 .iter()
                 .map(|req| (req.x.as_slice(), req.ts.as_slice()))
                 .collect();
+            // times the wave's `estimate_into`; the name stays because the
+            // benchmark reads it as `engine.plan_replay_us_p50`
             let _replay = self
                 .recorder
                 .span("plan_replay", 0)
@@ -910,7 +904,9 @@ mod tests {
     #[test]
     fn answers_match_direct_evaluation() {
         let eng = engine(3.0, 2);
-        let got = eng.estimate_many(&[1.0, 0.0], &[0.5, 1.0, 2.0]);
+        let got = eng
+            .serve_blocking(&req(vec![1.0, 0.0], vec![0.5, 1.0, 2.0]))
+            .unwrap();
         assert_eq!(got, vec![2.5, 4.0, 7.0]);
         eng.shutdown();
     }
@@ -933,7 +929,10 @@ mod tests {
         assert_eq!(a, vec![3.0, 5.0]);
         assert_eq!(b, vec![6.0, 11.0]);
         // unrouted goes to the first registered tenant
-        assert_eq!(eng.estimate_many(&[0.0], &[1.0]), vec![2.0]);
+        assert_eq!(
+            eng.serve_blocking(&req(vec![0.0], vec![1.0])).unwrap(),
+            vec![2.0]
+        );
         // routed pipelined requests interleave tenants in one queue
         let handles: Vec<_> = (0..16)
             .map(|i| {
@@ -976,7 +975,10 @@ mod tests {
             })
         );
         // the engine is unaffected
-        assert_eq!(eng.estimate_many(&[0.0], &[1.0]), vec![1.0]);
+        assert_eq!(
+            eng.serve_blocking(&req(vec![0.0], vec![1.0])).unwrap(),
+            vec![1.0]
+        );
         eng.shutdown();
     }
 
@@ -1042,7 +1044,11 @@ mod tests {
             })
         );
         // the engine is still healthy and serves well-shaped queries
-        assert_eq!(eng.estimate_many(&[1.0, 2.0, 3.0], &[1.0]), vec![7.0]);
+        assert_eq!(
+            eng.serve_blocking(&req(vec![1.0, 2.0, 3.0], vec![1.0]))
+                .unwrap(),
+            vec![7.0]
+        );
         eng.shutdown();
     }
 
@@ -1115,7 +1121,7 @@ mod tests {
         // a blocking caller is never shed, even while the queue is full:
         // it queues past the bound and a worker answers it
         std::thread::scope(|scope| {
-            let blocking = scope.spawn(|| eng.estimate_many(&[0.0], &[3.0]));
+            let blocking = scope.spawn(|| eng.serve_blocking(&req(vec![0.0], vec![3.0])).unwrap());
             wait_until("the blocking request to queue past the bound", || {
                 eng.queued_rows_total() == 4097
             });
@@ -1169,7 +1175,10 @@ mod tests {
     #[test]
     fn empty_threshold_grid_yields_empty_response() {
         let eng = engine(1.0, 1);
-        assert_eq!(eng.estimate_many(&[0.0], &[]), Vec::<f64>::new());
+        assert_eq!(
+            eng.serve_blocking(&req(vec![0.0], vec![])).unwrap(),
+            Vec::<f64>::new()
+        );
         eng.shutdown();
     }
 
@@ -1178,8 +1187,14 @@ mod tests {
     #[test]
     fn blocking_calls_ride_the_queue() {
         let eng = engine(2.0, 1);
-        assert_eq!(eng.estimate_many(&[1.0], &[0.5, 1.0]), vec![2.0, 3.0]);
-        assert_eq!(eng.estimate_many(&[0.0], &[2.0]), vec![4.0]);
+        assert_eq!(
+            eng.serve_blocking(&req(vec![1.0], vec![0.5, 1.0])).unwrap(),
+            vec![2.0, 3.0]
+        );
+        assert_eq!(
+            eng.serve_blocking(&req(vec![0.0], vec![2.0])).unwrap(),
+            vec![4.0]
+        );
         let snap = eng.stats_snapshot();
         assert_eq!(snap.requests, 2);
         assert_eq!(snap.batches, snap.requests, "one worker batch per call");
@@ -1304,7 +1319,7 @@ mod tests {
     #[test]
     fn disabled_recorder_stays_empty() {
         let eng = engine(1.0, 1);
-        let _ = eng.estimate_many(&[0.0], &[1.0]);
+        let _ = eng.serve_blocking(&req(vec![0.0], vec![1.0])).unwrap();
         assert!(eng.spans().is_empty());
         assert!(eng.slow_queries().is_empty());
         eng.shutdown();

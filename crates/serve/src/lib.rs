@@ -39,7 +39,9 @@
 //! `EstimatesTraced` replies), a ring-buffer span recorder covering the
 //! request pipeline (batch-stage spans `coalesce` → `generation_bind` →
 //! `plan_replay` → `reply` for every batch; per-request spans sampled —
-//! paid only by requests that bring a trace ID), and a Prometheus text
+//! paid only by requests that bring a trace ID; `plan_replay` times the
+//! wave's `estimate_into` call and keeps its name because the benchmark
+//! reads it as `engine.plan_replay_us_p50`), and a Prometheus text
 //! exposition ([`Engine::metrics_text`]). A v2 `Metrics` frame reads all of it:
 //! the exposition, then the span rings and the slow-query log as `# `
 //! comment lines. Observability never changes an answer: on vs off
@@ -70,8 +72,8 @@
 //! * Batching never changes an answer: the batched forward is bit-identical
 //!   per row to single-query evaluation (pinned by
 //!   `predict_batch_matches_predict_many` in `selnet-core`), so results
-//!   under any concurrency are bit-identical to a sequential
-//!   `estimate_many` over the same generation.
+//!   under any concurrency are bit-identical to the model's own
+//!   sequential `estimate_many` over the same generation.
 //! * Refusals are typed and cheap: an unknown model, a mis-shaped query,
 //!   a `NaN` or infinite value, or a saturated queue answers with a v2
 //!   error frame before a worker thread ever sees the request.

@@ -257,56 +257,6 @@ impl<M> ModelRegistry<M> {
     pub fn is_empty(&self) -> bool {
         read_recover(&self.tenants).is_empty()
     }
-
-    /// The default tenant's `(generation, model)` snapshot — the
-    /// single-tenant convenience.
-    ///
-    /// # Panics
-    /// Panics if the registry is empty (use
-    /// [`ModelRegistry::default_tenant`] to handle that case).
-    pub fn current(&self) -> (u64, Arc<M>) {
-        self.default_tenant()
-            .expect("registry has no tenants")
-            .current()
-    }
-
-    /// The default tenant's generation number.
-    ///
-    /// # Panics
-    /// Panics if the registry is empty.
-    pub fn generation(&self) -> u64 {
-        self.default_tenant()
-            .expect("registry has no tenants")
-            .generation()
-    }
-
-    /// Publishes a new model to the **default tenant**, returning its new
-    /// generation.
-    ///
-    /// # Panics
-    /// Panics if the registry is empty.
-    pub fn publish(&self, model: M) -> u64 {
-        self.default_tenant()
-            .expect("registry has no tenants")
-            .publish(model)
-    }
-}
-
-impl<M: Clone + Send + Sync + 'static> ModelRegistry<M> {
-    /// [`Tenant::spawn_update`] on the **default tenant** — the
-    /// single-model convenience.
-    ///
-    /// # Panics
-    /// Panics if the registry is empty.
-    pub fn spawn_update<R, F>(self: &Arc<Self>, update: F) -> UpdateHandle<R>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut M) -> R + Send + 'static,
-    {
-        self.default_tenant()
-            .expect("registry has no tenants")
-            .spawn_update(update)
-    }
 }
 
 /// Handle to a background update spawned with [`Tenant::spawn_update`].
@@ -334,35 +284,35 @@ mod tests {
 
     #[test]
     fn publish_bumps_generation_and_swaps() {
-        let reg = ModelRegistry::new(1u32);
-        assert_eq!(reg.current().0, 0);
-        assert_eq!(*reg.current().1, 1);
-        let generation = reg.publish(2);
+        let tenant = ModelRegistry::new(1u32).default_tenant().unwrap();
+        assert_eq!(tenant.current().0, 0);
+        assert_eq!(*tenant.current().1, 1);
+        let generation = tenant.publish(2);
         assert_eq!(generation, 1);
-        assert_eq!(*reg.current().1, 2);
+        assert_eq!(*tenant.current().1, 2);
     }
 
     #[test]
     fn readers_keep_their_snapshot_across_a_swap() {
-        let reg = ModelRegistry::new(10u32);
-        let (g0, before) = reg.current();
-        reg.publish(20);
+        let tenant = ModelRegistry::new(10u32).default_tenant().unwrap();
+        let (g0, before) = tenant.current();
+        tenant.publish(20);
         assert_eq!(*before, 10, "held Arc must still see the old model");
-        let (g1, after) = reg.current();
+        let (g1, after) = tenant.current();
         assert_eq!((*after, g0, g1), (20, 0, 1));
     }
 
     #[test]
     fn spawn_update_publishes_the_updated_clone() {
-        let reg = Arc::new(ModelRegistry::new(5u32));
-        let handle = reg.spawn_update(|m| {
+        let tenant = ModelRegistry::new(5u32).default_tenant().unwrap();
+        let handle = tenant.spawn_update(|m| {
             *m += 1;
             "done"
         });
         let (report, generation) = handle.wait();
         assert_eq!(report, "done");
         assert_eq!(generation, 1);
-        assert_eq!(*reg.current().1, 6);
+        assert_eq!(*tenant.current().1, 6);
     }
 
     #[test]
@@ -427,9 +377,8 @@ mod tests {
     /// must recover the last published generation, not panic themselves.
     #[test]
     fn poisoned_slot_recovers_last_generation() {
-        let reg = Arc::new(ModelRegistry::new(7u32));
-        reg.publish(8);
-        let tenant = reg.default_tenant().unwrap();
+        let tenant = ModelRegistry::new(7u32).default_tenant().unwrap();
+        tenant.publish(8);
         // poison the slot lock: panic while holding the read guard
         let t2 = Arc::clone(&tenant);
         let _ = std::thread::spawn(move || {
@@ -448,8 +397,7 @@ mod tests {
 
     #[test]
     fn traced_publishes_land_in_the_retrain_histogram() {
-        let reg = Arc::new(ModelRegistry::new(0u32));
-        let tenant = reg.default_tenant().unwrap();
+        let tenant = ModelRegistry::new(0u32).default_tenant().unwrap();
         tenant.publish(1); // untraced: not a retrain
         assert_eq!(tenant.publish_traced(2, 3.5), 2);
         let handle = tenant.spawn_update(|m| *m += 10);
@@ -483,27 +431,27 @@ mod tests {
 
     #[test]
     fn concurrent_publishers_and_readers_do_not_tear() {
-        let reg = Arc::new(ModelRegistry::new(0u64));
+        let tenant = ModelRegistry::new(0u64).default_tenant().unwrap();
         std::thread::scope(|s| {
             for _ in 0..2 {
-                let reg = &reg;
+                let tenant = &tenant;
                 s.spawn(move || {
                     for i in 1..=100u64 {
-                        reg.publish(i);
+                        tenant.publish(i);
                     }
                 });
             }
             for _ in 0..4 {
-                let reg = &reg;
+                let tenant = &tenant;
                 s.spawn(move || {
                     for _ in 0..200 {
-                        let (generation, v) = reg.current();
+                        let (generation, v) = tenant.current();
                         assert!(generation <= 200);
                         assert!(*v <= 100);
                     }
                 });
             }
         });
-        assert_eq!(reg.generation(), 200);
+        assert_eq!(tenant.generation(), 200);
     }
 }

@@ -139,6 +139,39 @@ fn resolve(pending: PendingReply) -> Response {
     }
 }
 
+/// Submits one query frame to the engine. `trace` is `Some` for a
+/// [`Frame::QueryTraced`], whose reply echoes the ID: a `0` is minted here
+/// (not in the engine), so the echo tells the client which ID to look for
+/// in the slow-query log.
+fn submit<M>(
+    engine: &Engine<M>,
+    trace: Option<u64>,
+    model: Option<String>,
+    x: Vec<f32>,
+    ts: Vec<f32>,
+) -> PendingReply
+where
+    M: SelectivityEstimator + Send + Sync + 'static,
+{
+    let trace = trace.map(|id| {
+        if id == 0 {
+            selnet_obs::next_trace_id()
+        } else {
+            id
+        }
+    });
+    let req = Request::new(x)
+        .thresholds(ts)
+        .model_opt(model)
+        .traced(trace.unwrap_or(0));
+    match engine.submit(req) {
+        Ok(handle) => PendingReply::Wait(handle, trace),
+        // a typed refusal answers this request only — the connection (and
+        // its other in-flight requests) keep going
+        Err(e) => PendingReply::Ready(Response::Error(submit_err_to_reply(&e))),
+    }
+}
+
 /// The pipelined v2 loop: this thread reads frames and submits them; a
 /// writer thread resolves the replies in FIFO order (matching the
 /// protocol's "responses in request order" contract) and batches its
@@ -170,40 +203,14 @@ where
         let read_result: io::Result<()> = (|| {
             while let Some(frame) = Frame::read_v2(reader)? {
                 let pending = match frame {
-                    Frame::Query { model, x, ts } => {
-                        let req = Request::new(x).thresholds(ts).model_opt(model);
-                        match engine.submit(req) {
-                            Ok(handle) => PendingReply::Wait(handle, None),
-                            // a typed refusal answers this request only —
-                            // the connection (and its other in-flight
-                            // requests) keep going
-                            Err(e) => PendingReply::Ready(Response::Error(submit_err_to_reply(&e))),
-                        }
-                    }
-                    Frame::Metrics => PendingReply::Ready(Response::Metrics(metrics_reply(engine))),
+                    Frame::Query { model, x, ts } => submit(engine, None, model, x, ts),
                     Frame::QueryTraced {
                         trace_id,
                         model,
                         x,
                         ts,
-                    } => {
-                        // mint here (not in the engine) when the client
-                        // sent 0, so the echo can tell the client which ID
-                        // to look for in the slow-query log
-                        let trace_id = if trace_id == 0 {
-                            selnet_obs::next_trace_id()
-                        } else {
-                            trace_id
-                        };
-                        let req = Request::new(x)
-                            .thresholds(ts)
-                            .model_opt(model)
-                            .traced(trace_id);
-                        match engine.submit(req) {
-                            Ok(handle) => PendingReply::Wait(handle, Some(trace_id)),
-                            Err(e) => PendingReply::Ready(Response::Error(submit_err_to_reply(&e))),
-                        }
-                    }
+                    } => submit(engine, Some(trace_id), model, x, ts),
+                    Frame::Metrics => PendingReply::Ready(Response::Metrics(metrics_reply(engine))),
                 };
                 if tx.send(pending).is_err() {
                     break; // writer hit an error and hung up

@@ -142,13 +142,14 @@ pub struct StatsSnapshot {
     pub rows: u64,
     /// Coalesced batch evaluations run.
     pub batches: u64,
-    /// Always 0: the engine has no reply cache. Read only by
-    /// `benchmark/`; drop it with its `cache.*` rows in ROADMAP 6a's
-    /// `[benchmark]` PR.
+    /// Always 0: the engine has no reply cache. Kept because the
+    /// benchmark still reads it (`benchmark/src/layers.rs:544–547`, with
+    /// `inline_requests` and [`StatsSnapshot::cache_evictions`]); it
+    /// leaves with its `cache.*` rows in ROADMAP item 20.
     pub cache_hits: u64,
     /// Always 0: every request rides the queue and is answered by a
-    /// worker. Read only by `benchmark/`; drop it with `cache_hits` in
-    /// ROADMAP 6a's `[benchmark]` PR.
+    /// worker. Kept for the same reader as `cache_hits`, and leaves with
+    /// it in ROADMAP item 20.
     pub inline_requests: u64,
     /// Requests refused by admission control (`Overloaded` replies).
     /// Refusals are not answers: they are excluded from `requests`,
@@ -207,9 +208,9 @@ impl StatsSnapshot {
         }
     }
 
-    /// Always 0: the engine has no reply cache. Read only by
-    /// `benchmark/`; drop it with its `cache.*` rows in ROADMAP 6a's
-    /// `[benchmark]` PR.
+    /// Always 0: the engine has no reply cache. Kept for the same reader
+    /// as `cache_hits` (`benchmark/src/layers.rs:544–547`), and leaves
+    /// with it in ROADMAP item 20.
     pub fn cache_evictions(&self) -> u64 {
         0
     }

@@ -51,6 +51,17 @@ fn fixture(seed: u64, epochs: usize) -> (Dataset, Workload, PartitionedSelNet) {
     (ds, w, model)
 }
 
+/// One blocking request for the default tenant, answered through the
+/// engine's queue.
+fn serve<M>(engine: &Engine<M>, x: &[f32], ts: &[f32]) -> Vec<f64>
+where
+    M: SelectivityEstimator + Send + Sync + 'static,
+{
+    engine
+        .serve_blocking(&Request::new(x.to_vec()).thresholds(ts.to_vec()))
+        .expect("engine running")
+}
+
 /// The query pool every client draws from: `(x, ascending thresholds)`.
 fn query_pool(ds: &Dataset, tmax: f32, n: usize) -> Vec<(Vec<f32>, Vec<f32>)> {
     (0..n)
@@ -101,7 +112,7 @@ fn concurrent_serving_is_bit_identical_to_sequential() {
                         let idx = (i + c * 7 + r * 13) % pool.len();
                         let (x, ts) = &pool[idx];
                         if (i + c) % 2 == 0 {
-                            let got = engine.estimate_many(x, ts);
+                            let got = serve(engine, x, ts);
                             assert_eq!(
                                 got, expected[idx],
                                 "client {c} round {r} query {idx}: blocking concurrent \
@@ -166,13 +177,14 @@ fn hot_swap_mid_traffic_never_tears_a_response() {
     );
 
     let registry = Arc::new(ModelRegistry::new(model_a.clone()));
+    let tenant = registry.default_tenant().expect("one tenant");
     parallel::set_threads(3); // the engine starts one worker per thread
-    let engine = Engine::start(Arc::clone(&registry), &EngineConfig::default());
+    let engine = Engine::start(registry, &EngineConfig::default());
     parallel::set_threads(0);
     std::thread::scope(|scope| {
         // swapper: alternate generations while traffic runs
         let swapper = {
-            let registry = Arc::clone(&registry);
+            let tenant = &tenant;
             let model_a = model_a.clone();
             let model_b = model_b.clone();
             scope.spawn(move || {
@@ -182,7 +194,7 @@ fn hot_swap_mid_traffic_never_tears_a_response() {
                     } else {
                         model_a.clone()
                     };
-                    registry.publish(next);
+                    tenant.publish(next);
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }
             })
@@ -197,7 +209,7 @@ fn hot_swap_mid_traffic_never_tears_a_response() {
                     for i in 0..pool.len() {
                         let idx = (i + c * 5 + r) % pool.len();
                         let (x, ts) = &pool[idx];
-                        let got = engine.estimate_many(x, ts);
+                        let got = serve(engine, x, ts);
                         // untorn: exactly one generation's answer
                         assert!(
                             got == answers_a[idx] || got == answers_b[idx],
@@ -246,8 +258,9 @@ fn plans_stay_generation_consistent_across_retrain_swap() {
     }
 
     let registry = Arc::new(ModelRegistry::new(model));
+    let tenant = registry.default_tenant().expect("one tenant");
     parallel::set_threads(3); // the engine starts one worker per thread
-    let engine = Engine::start(Arc::clone(&registry), &EngineConfig::default());
+    let engine = Engine::start(registry, &EngineConfig::default());
     parallel::set_threads(0);
     // drift the database first: a dozen ops of an adversarial shell around
     // a pool query, the labels kept exact, so the retrain (K = 2) refreshes
@@ -266,7 +279,7 @@ fn plans_stay_generation_consistent_across_retrain_swap() {
         patience: 1,
         max_epochs: 2,
     };
-    let handle = registry.spawn_update(move |m: &mut PartitionedSelNet| {
+    let handle = tenant.spawn_update(move |m: &mut PartitionedSelNet| {
         m.check_and_update(&ds, kind, &train_split, &valid_split, &policy)
     });
     std::thread::scope(|scope| {
@@ -274,19 +287,19 @@ fn plans_stay_generation_consistent_across_retrain_swap() {
             let engine = &engine;
             let pool = &pool;
             let answers_old = &answers_old;
-            let registry = &registry;
+            let tenant = &tenant;
             scope.spawn(move || {
                 for r in 0..6 {
                     for i in 0..pool.len() {
                         let idx = (i + c * 3 + r) % pool.len();
                         let (x, ts) = &pool[idx];
-                        let got = engine.estimate_many(x, ts);
+                        let got = serve(engine, x, ts);
                         // every answer is one complete generation's output:
                         // either the pre-swap model's pinned answers, or
                         // whatever the currently-published model computes
                         // (compared via its own served path)
                         if got != answers_old[idx] {
-                            let (_, current) = registry.current();
+                            let (_, current) = tenant.current();
                             let fresh = current.estimate_many(x, ts);
                             assert_eq!(
                                 got, fresh,
@@ -310,9 +323,9 @@ fn plans_stay_generation_consistent_across_retrain_swap() {
     assert_eq!(generation, 1);
     // after the swap: served answers equal the new model's served path,
     // which in turn equals its tape path
-    let (_, current) = registry.current();
+    let (_, current) = tenant.current();
     for (x, ts) in &pool {
-        let served = engine.estimate_many(x, ts);
+        let served = serve(&engine, x, ts);
         assert_eq!(served, current.estimate_many(x, ts));
         assert_eq!(served, tape_answers(&current, x, ts));
     }
@@ -331,7 +344,8 @@ fn background_update_publishes_without_blocking_serving() {
         .collect();
 
     let registry = Arc::new(ModelRegistry::new(model));
-    let engine = Engine::start(Arc::clone(&registry), &EngineConfig::default());
+    let tenant = registry.default_tenant().expect("one tenant");
+    let engine = Engine::start(registry, &EngineConfig::default());
     // negative tolerance: even zero drift retrains
     let policy = selnet_core::UpdatePolicy {
         mae_tolerance: -1.0,
@@ -341,14 +355,14 @@ fn background_update_publishes_without_blocking_serving() {
     let train = w.train.clone();
     let valid = w.valid.clone();
     let kind = w.kind;
-    let handle = registry.spawn_update(move |m: &mut PartitionedSelNet| {
+    let handle = tenant.spawn_update(move |m: &mut PartitionedSelNet| {
         m.check_and_update(&ds, kind, &train, &valid, &policy)
     });
     // keep serving while the retrain runs; every response is from a
     // complete generation, so it's monotone either way
     while !handle.is_finished() {
         for (x, ts) in &pool {
-            let got = engine.estimate_many(x, ts);
+            let got = serve(&engine, x, ts);
             for pair in got.windows(2) {
                 assert!(pair[1] >= pair[0], "non-monotone during retrain: {got:?}");
             }
@@ -357,15 +371,12 @@ fn background_update_publishes_without_blocking_serving() {
     let (decision, generation) = handle.wait();
     assert!(decision.retrained(), "negative tolerance must retrain");
     assert_eq!(generation, 1);
-    assert_eq!(engine.registry().generation(), 1);
+    assert_eq!(tenant.generation(), 1);
     // the new generation serves; answers come from one model and differ
     // from the old generation somewhere (weights moved)
-    let after: Vec<Vec<f64>> = pool
-        .iter()
-        .map(|(x, ts)| engine.estimate_many(x, ts))
-        .collect();
+    let after: Vec<Vec<f64>> = pool.iter().map(|(x, ts)| serve(&engine, x, ts)).collect();
     let direct: Vec<Vec<f64>> = {
-        let (_, m) = engine.registry().current();
+        let (_, m) = tenant.current();
         pool.iter().map(|(x, ts)| m.estimate_many(x, ts)).collect()
     };
     assert_eq!(after, direct, "served answers must match the new model");
@@ -415,10 +426,7 @@ fn single_and_coalesced_answers_are_bit_identical() {
         &EngineConfig::default(),
     );
     parallel::set_threads(0);
-    let single: Vec<Vec<f64>> = pool
-        .iter()
-        .map(|(x, ts)| engine.estimate_many(x, ts))
-        .collect();
+    let single: Vec<Vec<f64>> = pool.iter().map(|(x, ts)| serve(&engine, x, ts)).collect();
     assert_eq!(
         engine.stats_snapshot().batches,
         pool.len() as u64,

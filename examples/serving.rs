@@ -11,7 +11,7 @@ use selnet_core::{
 };
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
 use selnet_metric::DistanceKind;
-use selnet_serve::engine::{Engine, EngineConfig};
+use selnet_serve::engine::{Engine, EngineConfig, Request};
 use selnet_serve::registry::ModelRegistry;
 use selnet_workload::{generate_workload, WorkloadConfig};
 use std::sync::Arc;
@@ -38,7 +38,8 @@ fn main() {
 
     // 3. serve it: a hot-swappable registry + the batched engine
     let registry = Arc::new(ModelRegistry::new(served));
-    let engine = Engine::start(Arc::clone(&registry), &EngineConfig::default());
+    let tenant = registry.default_tenant().expect("one tenant");
+    let engine = Engine::start(registry, &EngineConfig::default());
 
     // 4. concurrent clients — the engine coalesces their queries into
     // shared batch evaluations; answers are bit-identical to sequential
@@ -49,9 +50,10 @@ fn main() {
             let ds = &ds;
             scope.spawn(move || {
                 for i in 0..200 {
-                    let x = ds.row((client * 211 + i * 17) % ds.len());
+                    let x = ds.row((client * 211 + i * 17) % ds.len()).to_vec();
                     let ts: Vec<f32> = (1..=8).map(|j| tmax * j as f32 / 8.0).collect();
-                    let estimates = engine.estimate_many(x, &ts);
+                    let req = Request::new(x).thresholds(ts);
+                    let estimates = engine.serve_blocking(&req).expect("engine running");
                     // consistency: monotone in t, always
                     assert!(estimates.windows(2).all(|p| p[1] >= p[0]));
                 }
@@ -69,7 +71,7 @@ fn main() {
     let policy = UpdatePolicy::default();
     let kind = workload.kind;
     let (train, valid) = (workload.train.clone(), workload.valid.clone());
-    let handle = registry.spawn_update(move |m: &mut PartitionedSelNet| {
+    let handle = tenant.spawn_update(move |m: &mut PartitionedSelNet| {
         m.check_and_update(&ds, kind, &train, &valid, &policy)
     });
     let (decision, generation) = handle.wait();

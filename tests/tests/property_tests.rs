@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use selnet_core::PiecewiseLinear;
 use selnet_data::Dataset;
-use selnet_index::{CoverTree, PartitionMethod, Partitioning};
+use selnet_index::{PartitionMethod, Partitioning};
 use selnet_metric::DistanceKind;
 use selnet_tensor::{Graph, Matrix};
 
@@ -75,23 +75,6 @@ proptest! {
             prop_assert!((sum - 1.0).abs() < 1e-4, "row {i} sums to {sum}");
             prop_assert!(row.iter().all(|&v| v > 0.0));
         }
-    }
-
-    /// Cover tree range counts match brute force on arbitrary point sets.
-    #[test]
-    fn cover_tree_counts_exactly(
-        points in point_set(60, 3),
-        qidx in 0usize..60,
-        t in 0.0f32..20.0,
-    ) {
-        let ds = Dataset::from_rows(3, &points);
-        let tree = CoverTree::build(&ds);
-        let q = ds.row(qidx % ds.len()).to_vec();
-        let expected = ds
-            .iter()
-            .filter(|r| DistanceKind::Euclidean.eval(&q, r) <= t)
-            .count();
-        prop_assert_eq!(tree.range_count(&q, t), expected);
     }
 
     /// Observation 1: partition labels sum to the global selectivity for
