@@ -12,6 +12,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use selnet_data::generators::randn;
 use selnet_data::Dataset;
 use selnet_eval::SelectivityEstimator;
 use selnet_metric::DistanceKind;
@@ -62,13 +63,7 @@ impl LshEstimator {
         assert!(!ds.is_empty(), "dataset must be non-empty");
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let dim = ds.dim();
-        let mut planes = Vec::with_capacity(cfg.num_bits * dim);
-        for _ in 0..cfg.num_bits * dim {
-            // Box–Muller normal
-            let u1: f32 = rng.gen_range(f32::MIN_POSITIVE..1.0);
-            let u2: f32 = rng.gen_range(0.0..1.0);
-            planes.push((-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos());
-        }
+        let planes = (0..cfg.num_bits * dim).map(|_| randn(&mut rng)).collect();
         let mut est = LshEstimator {
             planes,
             dim,

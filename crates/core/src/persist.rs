@@ -20,7 +20,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selnet_index::Partitioning;
 use selnet_tensor::bytes::{
-    read_f32, read_f64, read_u32, read_u64, write_f32, write_f64, write_u32, write_u64,
+    check_len, invalid, read_f32, read_f64, read_len, read_u32, read_u64, read_u64s, read_utf8,
+    write_f32, write_f64, write_u32, write_u64, write_u64s,
 };
 use selnet_tensor::ParamStore;
 use std::io::{self, Read, Write};
@@ -32,17 +33,12 @@ const PARTITIONED_MAGIC: &[u8; 8] = b"SELNETP1";
 /// version (the v1 layout without the word included) with a typed error.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// Caps on length fields read from untrusted bytes (see the loaders).
+/// Caps on this format's length fields, read by the rule of
+/// [`selnet_tensor::bytes`].
 const MAX_NAME_LEN: usize = 1 << 16;
 const MAX_HIDDEN_LAYERS: usize = 1 << 10;
 const MAX_LOCALS: usize = 1 << 16;
 
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-// scalar framing rides the workspace-shared little-endian helpers in
-// `selnet_tensor::bytes` (also used by the serving wire protocol)
 fn write_usize(w: &mut impl Write, v: usize) -> io::Result<()> {
     write_u64(w, v as u64)
 }
@@ -51,38 +47,19 @@ fn read_usize(r: &mut impl Read) -> io::Result<usize> {
     read_u64(r).map(|v| v as usize)
 }
 
-fn read_len(r: &mut impl Read, max: usize, what: &str) -> io::Result<usize> {
-    let v = read_usize(r)?;
-    if v > max {
-        return Err(invalid(format!("implausible {what}: {v}")));
-    }
-    Ok(v)
-}
-
 fn write_vec_usize(w: &mut impl Write, v: &[usize]) -> io::Result<()> {
     write_usize(w, v.len())?;
-    for &x in v {
-        write_usize(w, x)?;
-    }
-    Ok(())
+    write_u64s(w, v.iter().map(|&x| x as u64))
 }
 
 fn read_vec_usize(r: &mut impl Read) -> io::Result<Vec<usize>> {
     let n = read_len(r, MAX_HIDDEN_LAYERS, "layer count")?;
-    (0..n).map(|_| read_usize(r)).collect()
+    Ok(read_u64s(r, n)?.into_iter().map(|v| v as usize).collect())
 }
 
 fn write_string(w: &mut impl Write, s: &str) -> io::Result<()> {
-    let bytes = s.as_bytes();
-    write_usize(w, bytes.len())?;
-    w.write_all(bytes)
-}
-
-fn read_string(r: &mut impl Read) -> io::Result<String> {
-    let len = read_len(r, MAX_NAME_LEN, "string length")?;
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|_| invalid("bad utf8 string"))
+    write_usize(w, s.len())?;
+    w.write_all(s.as_bytes())
 }
 
 fn write_config(w: &mut impl Write, c: &SelNetConfig) -> io::Result<()> {
@@ -156,9 +133,7 @@ fn read_config(r: &mut impl Read) -> io::Result<SelNetConfig> {
         ("latent_dim", latent_dim),
         ("embed_dim", embed_dim),
     ] {
-        if v > MAX_WIDTH {
-            return Err(invalid(format!("implausible {what}: {v}")));
-        }
+        check_len(v as u64, MAX_WIDTH, what)?;
     }
     for widths in [&tau_hidden, &p_hidden, &ae_hidden] {
         if widths.iter().any(|&w| w > MAX_WIDTH) {
@@ -300,7 +275,8 @@ impl PartitionedSelNet {
         let dim = read_len(r, 1 << 20, "input dimension")?;
         let tmax = read_f32(r)?;
         let reference_val_mae = read_f64(r)?;
-        let name = read_string(r)?;
+        let name_len = read_len(r, MAX_NAME_LEN, "name length")?;
+        let name = read_utf8(r, name_len, "model name")?;
         let reserved = read_u64(r)?;
         if reserved != 0 {
             return Err(invalid(format!(
@@ -636,18 +612,102 @@ mod tests {
         assert!(err.to_string().contains("version 99"), "got: {err}");
     }
 
-    /// Random byte corruption anywhere in the stream must yield an error
-    /// or a loadable model — never a panic or abort.
+    /// `(offset, width, cap, value)` of the snapshot's length fields: the
+    /// header's three hidden-layer counts, input dimension, name length
+    /// and local-model count; the partitioning's part count, assignment
+    /// count, region-cluster count, first cluster's ball count and first
+    /// ball's dimension; the weight stream's parameter count, first name
+    /// length, rows and cols (whose product is capped).
+    fn length_fields(m: &PartitionedSelNet, len: usize) -> Vec<(usize, usize, u64, usize)> {
+        let mut h = PARTITIONED_MAGIC.to_vec();
+        write_u32(&mut h, SNAPSHOT_VERSION).unwrap();
+        let (tau, p, ae) = (&m.cfg.tau_hidden, &m.cfg.p_hidden, &m.cfg.ae_hidden);
+        let tau_at = h.len() + 3 * 8;
+        let p_at = tau_at + 8 * (1 + tau.len());
+        let ae_at = p_at + 8 * (1 + p.len());
+        write_config(&mut h, &m.cfg).unwrap();
+        write_pconfig(&mut h, &m.pcfg).unwrap();
+        let dim_at = h.len();
+        let name_at = dim_at + 8 + 4 + 8;
+        let k_at = name_at + 8 + m.name.len() + 8;
+        let part_at = k_at + 8;
+        let ratio = matches!(m.pcfg.method, PartitionMethod::CoverTree { .. });
+        let n_at = part_at + 8 + 2 + if ratio { 8 } else { 0 };
+        let assignments = m.partitioning.assignments().len();
+        let clusters_at = n_at + 8 * (1 + assignments);
+        let mut weights = Vec::new();
+        m.store.save(&mut weights).unwrap();
+        let w_at = len - weights.len();
+        let id = m.store.ids().next().expect("parameters");
+        let (first, first_name) = (m.store.value(id).shape(), m.store.name(id).len());
+        let (k, layers, names, scalars) = (m.k(), 1 << 10, 1 << 16, 1 << 31);
+        vec![
+            (tau_at, 8, layers, tau.len()),
+            (p_at, 8, layers, p.len()),
+            (ae_at, 8, layers, ae.len()),
+            (dim_at, 8, 1 << 20, m.dim),
+            (name_at, 8, names, m.name.len()),
+            (k_at, 8, 1 << 16, k),
+            (part_at, 8, 1 << 20, k),
+            (n_at, 8, 1 << 31, assignments),
+            (clusters_at, 8, 1 << 20, k),
+            (
+                clusters_at + 8,
+                8,
+                1 << 31,
+                m.partitioning.region_counts()[0],
+            ),
+            (clusters_at + 16, 8, 1 << 20, m.dim),
+            (w_at + 8, 8, 1 << 24, m.store.len()),
+            (w_at + 16, 4, names, first_name),
+            (w_at + 20 + first_name, 8, scalars, first.0),
+            (w_at + 28 + first_name, 8, scalars, first.1),
+        ]
+    }
+
+    /// Corrupt bytes must load or give a typed error — never a panic, an
+    /// abort or a hang: every header byte and bytes at a stride through
+    /// the partitioning and weight blocks XORed with seeded masks, and
+    /// each length field set to 0, to its cap + 1 and to all ones (a
+    /// field no cap checked would bound a loop or an allocation here).
     #[test]
     fn corrupt_bytes_never_panic() {
+        use rand::Rng;
         let (model, _) = partitioned_fixture(46);
         let mut clean = Vec::new();
         model.save(&mut clean).unwrap();
-        for (i, flip) in [(8usize, 0xffu8), (13, 0x80), (60, 0x41), (200, 0xff)] {
+        let fields = length_fields(&model, clean.len());
+        for &(at, width, _, value) in &fields {
+            let mut field = [0u8; 8];
+            field[..width].copy_from_slice(&clean[at..at + width]);
+            assert_eq!(u64::from_le_bytes(field), value as u64, "field at {at}");
+        }
+        let part_at = fields[6].0;
+        let load = |bytes: &[u8], what: &str| {
+            if let Err(e) = PartitionedSelNet::load(&mut &*bytes) {
+                assert!(
+                    matches!(
+                        e.kind(),
+                        io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                    ),
+                    "{what}: {e} ({:?})",
+                    e.kind()
+                );
+            }
+        };
+        let mut rng = StdRng::seed_from_u64(46);
+        let stride = (clean.len() - part_at) / 300;
+        let flips = (0..part_at).chain((part_at..clean.len()).step_by(stride));
+        for i in flips {
             let mut buf = clean.clone();
-            if i < buf.len() {
-                buf[i] ^= flip;
-                let _ = PartitionedSelNet::load(&mut buf.as_slice());
+            buf[i] ^= rng.gen_range(1..=255u8);
+            load(&buf, &format!("byte {i} flipped"));
+        }
+        for (at, width, cap, _) in fields {
+            for value in [0, cap + 1, u64::MAX] {
+                let mut buf = clean.clone();
+                buf[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+                load(&buf, &format!("length at {at} set to {value:#x}"));
             }
         }
     }

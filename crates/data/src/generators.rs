@@ -41,8 +41,9 @@ fn box_muller([u1, u2]: [f32; 2]) -> f32 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
-/// Standard-normal sample via Box–Muller (avoids a `rand_distr` dependency).
-fn randn(rng: &mut impl Rng) -> f32 {
+/// Standard-normal sample via Box–Muller (avoids a `rand_distr` dependency):
+/// the workspace's one `f32` normal draw, two uniforms from `rng` in order.
+pub fn randn(rng: &mut impl Rng) -> f32 {
     box_muller(uniform_pair(rng))
 }
 

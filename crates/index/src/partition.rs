@@ -22,7 +22,10 @@ use rand::{Rng, SeedableRng};
 use selnet_data::Dataset;
 use selnet_metric::vectors::{self, LaneBlocks, LANES};
 use selnet_metric::DistanceKind;
-use selnet_tensor::bytes::{read_f64, read_u64, read_u8, write_f64, write_u64, write_u8};
+use selnet_tensor::bytes::{
+    invalid, read_f32, read_f32s, read_f64, read_len, read_u64s, read_u8, write_f32, write_f32s,
+    write_f64, write_u64, write_u64s, write_u8,
+};
 use selnet_tensor::parallel;
 use std::io::{self, Read, Write};
 
@@ -417,20 +420,14 @@ impl Partitioning {
             PartitionMethod::KMeans => write_u8(w, 2)?,
         }
         write_u64(w, self.assignments.len() as u64)?;
-        for &a in &self.assignments {
-            write_u64(w, a as u64)?;
-        }
+        write_u64s(w, self.assignments.iter().map(|&a| a as u64))?;
         write_u64(w, self.regions.len() as u64)?;
-        // one write per ball: dimension, centre, radius
-        let mut ball = Vec::new();
         for cluster in &self.regions {
             write_u64(w, cluster.radii.len() as u64)?;
-            for (i, radius) in cluster.radii.iter().enumerate() {
-                ball.clear();
-                ball.extend((cluster.centres.dim() as u64).to_le_bytes());
-                ball.extend(cluster.centres.vector(i).flat_map(f32::to_le_bytes));
-                ball.extend(radius.to_le_bytes());
-                w.write_all(&ball)?;
+            for (i, &radius) in cluster.radii.iter().enumerate() {
+                write_u64(w, cluster.centres.dim() as u64)?;
+                write_f32s(w, cluster.centres.vector(i))?;
+                write_f32(w, radius)?;
             }
         }
         Ok(())
@@ -448,7 +445,7 @@ impl Partitioning {
     /// balls are stored as streamed: a snapshot written before covered
     /// balls were left out answers as it did.
     pub fn load(r: &mut impl Read) -> io::Result<Partitioning> {
-        let k = read_checked_len(r, MAX_PARTS, "partition count")?;
+        let k = read_len(r, MAX_PARTS, "partition count")?;
         if k == 0 {
             return Err(invalid("partition count must be positive"));
         }
@@ -469,59 +466,43 @@ impl Partitioning {
             2 => PartitionMethod::KMeans,
             v => return Err(invalid(format!("bad method tag {v}"))),
         };
-        let n = read_checked_len(r, MAX_POINTS, "assignment count")?;
-        let mut assignments = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let a = read_u64(r)? as usize;
-            if a >= k {
-                return Err(invalid(format!("assignment {a} out of range for k={k}")));
-            }
-            assignments.push(a);
+        let n = read_len(r, MAX_POINTS, "assignment count")?;
+        let assignments: Vec<usize> = read_u64s(r, n)?.into_iter().map(|a| a as usize).collect();
+        if let Some(a) = assignments.iter().find(|&&a| a >= k) {
+            return Err(invalid(format!("assignment {a} out of range for k={k}")));
         }
-        let clusters = read_checked_len(r, MAX_PARTS, "region cluster count")?;
+        let clusters = read_len(r, MAX_PARTS, "region cluster count")?;
         if clusters != 0 && clusters != k {
             return Err(invalid(format!(
                 "region table has {clusters} clusters, expected {k} or 0"
             )));
         }
-        let mut regions: Vec<Cluster> = Vec::with_capacity(clusters.min(1 << 12));
-        // every centre must have the dimension of the first one read; a
-        // ball's centre and radius are read at once
-        let mut centre: Option<Vec<f32>> = None;
-        let mut bytes = Vec::new();
+        let mut regions = Vec::new();
+        // every centre must have the dimension of the first one read
+        let mut dim = None;
         for _ in 0..clusters {
-            let m = read_checked_len(r, MAX_POINTS, "region count")?;
+            let m = read_len(r, MAX_POINTS, "region count")?;
             let mut cluster = Cluster::with_capacity(0, 0);
             for i in 0..m {
-                let dim = read_checked_len(r, MAX_DIM, "region dimension")?;
-                let centre = centre.get_or_insert_with(|| vec![0.0f32; dim]);
-                if dim != centre.len() {
+                let d = read_len(r, MAX_DIM, "region dimension")?;
+                let first = *dim.get_or_insert(d);
+                if d != first {
                     return Err(invalid(format!(
-                        "region centre of dimension {dim}, expected {}",
-                        centre.len()
+                        "region centre of dimension {d}, expected {first}"
                     )));
                 }
-                if i == 0 {
-                    // sized for the cluster, up to what a corrupted count
-                    // may make this allocate before the stream runs dry
-                    let room = m.min(MAX_PREALLOC_FLOATS / dim.max(1));
-                    cluster = Cluster::with_capacity(dim, room);
-                }
-                bytes.resize((dim + 1) * 4, 0u8);
-                r.read_exact(&mut bytes)?;
-                let float = |b: &[u8]| f32::from_le_bytes(b.try_into().expect("four bytes"));
-                let (coordinates, radius) = bytes.split_at(dim * 4);
-                for (c, b) in centre.iter_mut().zip(coordinates.chunks_exact(4)) {
-                    *c = float(b);
-                }
+                let centre = read_f32s(r, d)?;
                 if !centre.iter().all(|c| c.is_finite()) {
                     return Err(invalid("non-finite region centre coordinate"));
                 }
-                let radius = float(radius);
+                let radius = read_f32(r)?;
                 if !(radius.is_finite() && radius >= 0.0) {
                     return Err(invalid(format!("region radius {radius}")));
                 }
-                cluster.push(centre, radius);
+                if i == 0 {
+                    cluster = Cluster::with_capacity(d, 0);
+                }
+                cluster.push(&centre, radius);
             }
             cluster.sort_for_probing();
             regions.push(cluster);
@@ -719,24 +700,11 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     })
 }
 
-/// Size caps that keep `load` from allocating absurd buffers for a
-/// corrupted length field; generous next to anything this workspace builds.
+/// Caps on the length fields `load` reads; generous next to anything this
+/// workspace builds.
 const MAX_PARTS: usize = 1 << 20;
 const MAX_POINTS: usize = 1 << 31;
 const MAX_DIM: usize = 1 << 20;
-const MAX_PREALLOC_FLOATS: usize = 1 << 24;
-
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn read_checked_len(r: &mut impl Read, max: usize, what: &str) -> io::Result<usize> {
-    let v = read_u64(r)?;
-    if v > max as u64 {
-        return Err(invalid(format!("implausible {what}: {v}")));
-    }
-    Ok(v as usize)
-}
 
 #[cfg(test)]
 mod tests {

@@ -63,7 +63,10 @@
 //! @alpha 0.12 -0.3 0.5 | 2.0 1.5 1.0 0.5
 //! ```
 
-use selnet_tensor::bytes::{read_u16, read_u32, read_u64, read_u8};
+use selnet_tensor::bytes::{
+    check_len, invalid, read_f32s, read_f64s, read_u16, read_u32, read_u64, read_u8, read_utf8,
+    write_f32s, write_f64s, write_u16, write_u32, write_u64,
+};
 use std::io::{self, Read, Write};
 
 /// Upper bound on a frame payload (16 MiB) — a corrupt or hostile length
@@ -95,26 +98,15 @@ mod opcode {
     pub const ERROR: u8 = 0xEE;
 }
 
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Reads a `u16 len | len bytes` UTF-8 model-id field.
+/// Reads a `u16 len | len bytes` UTF-8 model-id field; `len` 0 is `None`.
 fn read_model(p: &mut &[u8]) -> io::Result<Option<String>> {
-    let len = read_u16(p)?;
-    if len > MAX_MODEL_LEN {
-        return Err(invalid(format!("model id of {len} bytes exceeds cap")));
-    }
-    if len == 0 {
-        return Ok(None);
-    }
-    if p.len() < len as usize {
-        return Err(invalid("model id truncated"));
-    }
-    let (head, tail) = p.split_at(len as usize);
-    let name = std::str::from_utf8(head).map_err(|_| invalid("model id not utf8"))?;
-    *p = tail;
-    Ok(Some(name.to_string()))
+    let len = read_u16(p)?.into();
+    let len = check_len(len, p.len().min(MAX_MODEL_LEN.into()), "model id length")?;
+    Ok(if len == 0 {
+        None
+    } else {
+        Some(read_utf8(p, len, "model id")?)
+    })
 }
 
 fn write_model(buf: &mut Vec<u8>, model: Option<&str>) -> io::Result<()> {
@@ -122,9 +114,8 @@ fn write_model(buf: &mut Vec<u8>, model: Option<&str>) -> io::Result<()> {
     if bytes.len() > MAX_MODEL_LEN as usize {
         return Err(invalid("model id too long"));
     }
-    buf.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-    buf.extend_from_slice(bytes);
-    Ok(())
+    write_u16(buf, bytes.len() as u16)?;
+    buf.write_all(bytes)
 }
 
 /// Writes a complete length-prefixed frame from an assembled payload.
@@ -132,7 +123,7 @@ fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() as u64 > MAX_FRAME_LEN as u64 {
         return Err(invalid("frame payload exceeds cap"));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    write_u32(w, payload.len() as u32)?;
     w.write_all(payload)
 }
 
@@ -208,7 +199,7 @@ impl Frame {
                 ts,
             } => {
                 buf.push(opcode::QUERY_TRACED);
-                buf.extend_from_slice(&trace_id.to_le_bytes());
+                write_u64(&mut buf, *trace_id)?;
                 write_query_body(&mut buf, model.as_deref(), x, ts)?;
             }
         }
@@ -281,35 +272,21 @@ fn write_query_body(
 ) -> io::Result<()> {
     write_model(buf, model)?;
     for values in [x, ts] {
-        buf.extend_from_slice(&(values.len() as u32).to_le_bytes());
-        for &v in values {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
+        write_u32(buf, values.len() as u32)?;
+        write_f32s(buf, values.iter().copied())?;
     }
     Ok(())
 }
 
-/// Reads what [`write_query_body`] writes: `(model, x, ts)`.
+/// Reads what [`write_query_body`] writes: `(model, x, ts)`. Each float
+/// count is capped by what the payload still holds.
 fn read_query_body(p: &mut &[u8]) -> io::Result<(Option<String>, Vec<f32>, Vec<f32>)> {
     let model = read_model(p)?;
-    let dim = read_u32(p)?;
-    let x = read_f32s(p, dim, "query")?;
-    let m = read_u32(p)?;
-    let ts = read_f32s(p, m, "threshold grid")?;
+    let dim = check_len(read_u32(p)?.into(), p.len() / 4, "query dimension")?;
+    let x = read_f32s(p, dim)?;
+    let m = check_len(read_u32(p)?.into(), p.len() / 4, "threshold count")?;
+    let ts = read_f32s(p, m)?;
     Ok((model, x, ts))
-}
-
-fn read_f32s(p: &mut &[u8], count: u32, what: &str) -> io::Result<Vec<f32>> {
-    if (p.len() as u64) < count as u64 * 4 {
-        return Err(invalid(format!("{what} truncated: {count} floats claimed")));
-    }
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let mut b = [0u8; 4];
-        p.read_exact(&mut b)?;
-        out.push(f32::from_le_bytes(b));
-    }
-    Ok(out)
 }
 
 /// The client half of the handshake: magic + the version range spoken.
@@ -334,8 +311,8 @@ impl Hello {
     /// Writes the magic + version range.
     pub fn write(&self, w: &mut impl Write) -> io::Result<()> {
         w.write_all(&HELLO_MAGIC)?;
-        w.write_all(&self.min_version.to_le_bytes())?;
-        w.write_all(&self.max_version.to_le_bytes())
+        write_u16(w, self.min_version)?;
+        write_u16(w, self.max_version)
     }
 
     /// Reads the version range, the magic having already been consumed
@@ -373,7 +350,7 @@ impl HelloAck {
     /// Writes the magic + chosen version.
     pub fn write(&self, w: &mut impl Write) -> io::Result<()> {
         w.write_all(&HELLO_MAGIC)?;
-        w.write_all(&self.version.to_le_bytes())
+        write_u16(w, self.version)
     }
 
     /// Reads and validates the server's acknowledgement (client side).
@@ -493,25 +470,25 @@ impl Response {
         match self {
             Response::Estimates(values) => {
                 buf.push(opcode::ESTIMATES);
-                write_f64s(&mut buf, values);
+                write_estimates(&mut buf, values)?;
             }
             Response::Metrics(text) => {
                 buf.push(opcode::METRICS_REPLY);
-                buf.extend_from_slice(&(text.len() as u32).to_le_bytes());
-                buf.extend_from_slice(text.as_bytes());
+                write_u32(&mut buf, text.len() as u32)?;
+                buf.write_all(text.as_bytes())?;
             }
             Response::EstimatesTraced { trace_id, values } => {
                 buf.push(opcode::ESTIMATES_TRACED);
-                buf.extend_from_slice(&trace_id.to_le_bytes());
-                write_f64s(&mut buf, values);
+                write_u64(&mut buf, *trace_id)?;
+                write_estimates(&mut buf, values)?;
             }
             Response::Error(e) => {
                 buf.push(opcode::ERROR);
                 buf.push(e.code.to_byte());
                 let msg = e.message.as_bytes();
                 let len = msg.len().min(u16::MAX as usize);
-                buf.extend_from_slice(&(len as u16).to_le_bytes());
-                buf.extend_from_slice(&msg[..len]);
+                write_u16(&mut buf, len as u16)?;
+                buf.write_all(&msg[..len])?;
             }
         }
         write_frame(w, &buf)
@@ -526,34 +503,23 @@ impl Response {
         let mut p = payload.as_slice();
         let op = read_u8(&mut p)?;
         let resp = match op {
-            opcode::ESTIMATES => Response::Estimates(read_f64s(&mut p)?),
+            opcode::ESTIMATES => Response::Estimates(read_estimates(&mut p)?),
             opcode::METRICS_REPLY => {
-                let len = read_u32(&mut p)? as usize;
-                if p.len() != len {
-                    return Err(invalid("metrics text length mismatch"));
-                }
-                let text =
-                    String::from_utf8(p.to_vec()).map_err(|_| invalid("metrics text not utf8"))?;
-                p = &[];
-                Response::Metrics(text)
+                let len = read_u32(&mut p)?;
+                Response::Metrics(read_rest_utf8(&mut p, len.into(), "metrics text")?)
             }
             opcode::ESTIMATES_TRACED => {
                 let trace_id = read_u64(&mut p)?;
                 Response::EstimatesTraced {
                     trace_id,
-                    values: read_f64s(&mut p)?,
+                    values: read_estimates(&mut p)?,
                 }
             }
             opcode::ERROR => {
                 let code = ErrorCode::from_byte(read_u8(&mut p)?)
                     .ok_or_else(|| invalid("unknown error code"))?;
-                let len = read_u16(&mut p)? as usize;
-                if p.len() != len {
-                    return Err(invalid("error message length mismatch"));
-                }
-                let message =
-                    String::from_utf8(p.to_vec()).map_err(|_| invalid("error text not utf8"))?;
-                p = &[];
+                let len = read_u16(&mut p)?;
+                let message = read_rest_utf8(&mut p, len.into(), "error message")?;
                 Response::Error(ErrorReply { code, message })
             }
             other => return Err(invalid(format!("unknown response opcode {other:#04x}"))),
@@ -567,27 +533,27 @@ impl Response {
 
 /// Writes the values `Estimates` and `EstimatesTraced` share: `u32 m |
 /// m x f64`.
-fn write_f64s(buf: &mut Vec<u8>, values: &[f64]) {
-    buf.extend_from_slice(&(values.len() as u32).to_le_bytes());
-    for &v in values {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
+fn write_estimates(buf: &mut Vec<u8>, values: &[f64]) -> io::Result<()> {
+    write_u32(buf, values.len() as u32)?;
+    write_f64s(buf, values.iter().copied())
 }
 
-/// Reads what [`write_f64s`] writes; the values must fill the rest of the
-/// payload.
-fn read_f64s(p: &mut &[u8]) -> io::Result<Vec<f64>> {
-    let m = read_u32(p)? as usize;
-    if (p.len() as u64) != m as u64 * 8 {
+/// Reads what [`write_estimates`] writes; the values must fill the rest
+/// of the payload.
+fn read_estimates(p: &mut &[u8]) -> io::Result<Vec<f64>> {
+    let m = u64::from(read_u32(p)?);
+    if p.len() as u64 != m * 8 {
         return Err(invalid("estimate payload length mismatch"));
     }
-    let mut out = Vec::with_capacity(m);
-    for _ in 0..m {
-        let mut b = [0u8; 8];
-        p.read_exact(&mut b)?;
-        out.push(f64::from_le_bytes(b));
+    read_f64s(p, m as usize)
+}
+
+/// Reads `len` bytes of UTF-8 that must fill the rest of the payload.
+fn read_rest_utf8(p: &mut &[u8], len: u64, what: &str) -> io::Result<String> {
+    if p.len() as u64 != len {
+        return Err(invalid(format!("{what} length mismatch")));
     }
-    Ok(out)
+    read_utf8(p, len as usize, what)
 }
 
 /// One parsed replay line.
@@ -830,9 +796,51 @@ mod tests {
         assert!(Frame::read_v2(&mut hello.as_slice()).is_err());
     }
 
+    /// Decodes every mutation of a valid frame `buf`: each byte XORed with
+    /// each of the 255 nonzero masks, and each `(offset, width, cap)`
+    /// length field set to 0, to its cap + 1 and to all ones. Each decode
+    /// must give a frame or a typed error — never a panic, and never a
+    /// loop or an allocation bounded by a field no cap checked.
+    fn assert_mutations_decode_typed<T>(
+        buf: &[u8],
+        fields: &[(usize, usize, u64)],
+        decode: impl Fn(&[u8]) -> io::Result<Option<T>>,
+    ) {
+        let check = |bytes: &[u8], what: String| {
+            if let Err(e) = decode(bytes) {
+                assert!(
+                    matches!(
+                        e.kind(),
+                        io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                    ),
+                    "{what}: {e} ({:?})",
+                    e.kind()
+                );
+            }
+        };
+        for i in 0..buf.len() {
+            for mask in 1..=255u8 {
+                let mut bytes = buf.to_vec();
+                bytes[i] ^= mask;
+                check(&bytes, format!("{buf:02x?}: byte {i} ^ {mask:#04x}"));
+            }
+        }
+        for &(at, width, cap) in fields {
+            let mut clean = [0u8; 8];
+            clean[..width].copy_from_slice(&buf[at..at + width]);
+            assert!(u64::from_le_bytes(clean) <= cap, "no length field at {at}");
+            for value in [0, cap + 1, u64::MAX] {
+                let mut bytes = buf.to_vec();
+                bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+                check(&bytes, format!("{buf:02x?}: length at {at} = {value:#x}"));
+            }
+        }
+    }
+
     /// The PR 4 corruption-hardening standard, applied to v2: every
     /// strict prefix of every valid frame must be a read error, never a
-    /// panic, never a silent partial parse.
+    /// panic, never a silent partial parse; and every mutation of
+    /// [`assert_mutations_decode_typed`] decodes or is a typed error.
     #[test]
     fn v2_truncation_sweep_every_prefix_errors() {
         let frames = [
@@ -854,7 +862,18 @@ mod tests {
                 ts: vec![0.5],
             },
         ];
-        for frame in &frames {
+        // the frame length, then each frame's own length fields: model id
+        // bytes, query floats, threshold floats (those two capped by the
+        // floats the rest of the payload holds)
+        let payload = (0, 4, u64::from(MAX_FRAME_LEN));
+        let model = |at| (at, 2, u64::from(MAX_MODEL_LEN));
+        let frame_fields = [
+            vec![payload, model(5), (12, 4, 4), (24, 4, 1)],
+            vec![payload, model(5), (7, 4, 2), (15, 4, 0)],
+            vec![payload],
+            vec![payload, model(13), (20, 4, 4), (32, 4, 1)],
+        ];
+        for (frame, fields) in frames.iter().zip(&frame_fields) {
             let mut buf = Vec::new();
             frame.write_v2(&mut buf).unwrap();
             for cut in 1..buf.len() {
@@ -864,6 +883,7 @@ mod tests {
                     buf.len()
                 );
             }
+            assert_mutations_decode_typed(&buf, fields, |b| Frame::read_v2(&mut &*b));
         }
         let responses = [
             Response::Estimates(vec![1.0, 2.0]),
@@ -877,7 +897,15 @@ mod tests {
                 message: "shed".into(),
             }),
         ];
-        for resp in &responses {
+        // the frame length, then the count or byte length that must fill
+        // the rest of the payload
+        let response_fields = [
+            vec![payload, (5, 4, 2)],
+            vec![payload, (5, 4, 21)],
+            vec![payload, (13, 4, 2)],
+            vec![payload, (6, 2, 4)],
+        ];
+        for (resp, fields) in responses.iter().zip(&response_fields) {
             let mut buf = Vec::new();
             resp.write_v2(&mut buf).unwrap();
             for cut in 1..buf.len() {
@@ -887,6 +915,7 @@ mod tests {
                     buf.len()
                 );
             }
+            assert_mutations_decode_typed(&buf, fields, |b| Response::read_v2(&mut &*b));
         }
         // clean EOF before any byte is not an error
         assert_eq!(Frame::read_v2(&mut [].as_slice()).unwrap(), None);

@@ -14,7 +14,10 @@
 //! named f32 matrices, little-endian), so no serialization dependency is
 //! needed.
 
-use crate::bytes::{read_f32, read_u32, read_u64, write_f32, write_u32, write_u64};
+use crate::bytes::{
+    check_len, invalid, read_f32s, read_len, read_u32, read_u64, read_utf8, write_f32s, write_u32,
+    write_u64,
+};
 use crate::graph::{Graph, ParamId, Var};
 use crate::matrix::Matrix;
 use std::io::{self, Read, Write};
@@ -27,8 +30,8 @@ const MAGIC: &[u8; 8] = b"SELNETW1";
 /// Caps on length fields read from untrusted checkpoint bytes, so a
 /// corrupted stream yields [`io::ErrorKind::InvalidData`] instead of an
 /// absurd allocation.
-const MAX_PARAMS: u64 = 1 << 24;
-const MAX_NAME_LEN: u32 = 1 << 16;
+const MAX_PARAMS: usize = 1 << 24;
+const MAX_NAME_LEN: usize = 1 << 16;
 const MAX_MATRIX_SCALARS: u64 = 1 << 31;
 
 /// Owns named trainable parameters.
@@ -93,51 +96,37 @@ impl ParamStore {
         w.write_all(MAGIC)?;
         write_u64(w, self.values.len() as u64)?;
         for (name, m) in self.names.iter().zip(&self.values) {
-            let bytes = name.as_bytes();
-            write_u32(w, bytes.len() as u32)?;
-            w.write_all(bytes)?;
+            write_u32(w, name.len() as u32)?;
+            w.write_all(name.as_bytes())?;
             write_u64(w, m.rows() as u64)?;
             write_u64(w, m.cols() as u64)?;
-            for &x in m.data() {
-                write_f32(w, x)?;
-            }
+            write_f32s(w, m.data().iter().copied())?;
         }
         Ok(())
     }
 
-    /// Reads a checkpoint previously written by [`ParamStore::save`].
+    /// Reads a checkpoint previously written by [`ParamStore::save`]. A
+    /// matrix is allocated as its bytes arrive ([`crate::bytes`]), so a
+    /// shape that passes the caps but outruns the stream costs a chunk,
+    /// not the shape.
     pub fn load(r: &mut impl Read) -> io::Result<Self> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
         if &magic != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad checkpoint magic",
-            ));
+            return Err(invalid("bad checkpoint magic"));
         }
-        let count = read_u64(r)?;
-        if count > MAX_PARAMS {
-            return Err(invalid_data(format!("implausible parameter count {count}")));
-        }
+        let count = read_len(r, MAX_PARAMS, "parameter count")?;
         let mut store = ParamStore::new();
         for _ in 0..count {
-            let name_len = read_u32(r)?;
-            if name_len > MAX_NAME_LEN {
-                return Err(invalid_data(format!("implausible name length {name_len}")));
-            }
-            let mut name = vec![0u8; name_len as usize];
-            r.read_exact(&mut name)?;
-            let name = String::from_utf8(name).map_err(|_| invalid_data("bad utf8 name"))?;
+            let name_len = check_len(read_u32(r)?.into(), MAX_NAME_LEN, "name length")?;
+            let name = read_utf8(r, name_len, "parameter name")?;
             let rows = read_u64(r)?;
             let cols = read_u64(r)?;
             let scalars = rows
                 .checked_mul(cols)
                 .filter(|&n| n <= MAX_MATRIX_SCALARS)
-                .ok_or_else(|| invalid_data(format!("implausible matrix shape {rows}x{cols}")))?;
-            let mut data = vec![0.0f32; scalars as usize];
-            for x in &mut data {
-                *x = read_f32(r)?;
-            }
+                .ok_or_else(|| invalid(format!("implausible matrix shape {rows}x{cols}")))?;
+            let data = read_f32s(r, scalars as usize)?;
             store.add(name, Matrix::from_vec(rows as usize, cols as usize, data));
         }
         Ok(store)
@@ -177,10 +166,6 @@ impl ParamStore {
         }
         Ok(())
     }
-}
-
-fn invalid_data(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@ use crate::drift::{DriftStep, Placement};
 use crate::query::LabeledQuery;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use selnet_data::generators::randn;
 use selnet_data::Dataset;
 use selnet_metric::DistanceKind;
 
@@ -110,13 +111,6 @@ impl UpdateSimulator {
         }
     }
 
-    /// One standard-normal draw (Box–Muller).
-    fn randn(&mut self) -> f32 {
-        let u1: f32 = self.rng.gen_range(f32::MIN_POSITIVE..1.0);
-        let u2: f32 = self.rng.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
-    }
-
     /// Synthesizes one inserted record according to the step's placement.
     fn synthesize(&mut self, ds: &Dataset, spec: &DriftStep) -> Vec<f32> {
         match &spec.placement {
@@ -124,7 +118,7 @@ impl UpdateSimulator {
                 let template = self.rng.gen_range(0..ds.len());
                 let mut v = ds.row(template).to_vec();
                 for (j, x) in v.iter_mut().enumerate() {
-                    *x += self.randn() * spec.noise + shift[j];
+                    *x += randn(&mut self.rng) * spec.noise + shift[j];
                 }
                 v
             }
@@ -133,7 +127,7 @@ impl UpdateSimulator {
                 // the §2401.06047-style inverse construction — mass placed
                 // at exact distance `radius` from the probe query makes the
                 // true selectivity surface jump sharply at t = radius
-                let mut dir: Vec<f32> = (0..center.len()).map(|_| self.randn()).collect();
+                let mut dir: Vec<f32> = (0..center.len()).map(|_| randn(&mut self.rng)).collect();
                 let norm = dir.iter().map(|d| d * d).sum::<f32>().sqrt().max(1e-12);
                 for d in &mut dir {
                     *d /= norm;
@@ -141,7 +135,7 @@ impl UpdateSimulator {
                 center
                     .iter()
                     .zip(&dir)
-                    .map(|(&c, &d)| c + d * radius + self.randn() * spec.noise * 0.01)
+                    .map(|(&c, &d)| c + d * radius + randn(&mut self.rng) * spec.noise * 0.01)
                     .collect()
             }
         }
