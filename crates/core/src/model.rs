@@ -70,11 +70,12 @@ impl ControlPointNets {
             Activation::Linear,
             rng,
         );
-        let dec_w = store.add(
-            format!("{name}.pdec.w"),
-            selnet_tensor::init::he(l + 2, h, rng),
-        );
-        let dec_b = store.add(format!("{name}.pdec.b"), Matrix::zeros(1, l + 2));
+        let dec_w = store.register(format!("{name}.pdec.w"), l + 2, h, || {
+            selnet_tensor::init::he(l + 2, h, rng)
+        });
+        let dec_b = store.register(format!("{name}.pdec.b"), 1, l + 2, || {
+            Matrix::zeros(1, l + 2)
+        });
         ControlPointNets {
             tau_net,
             p_encoder,
@@ -195,8 +196,6 @@ mod tests {
     use super::*;
     use crate::config::PartitionConfig;
     use crate::partitioned::{register_networks, PartitionedSelNet};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use selnet_data::Dataset;
     use selnet_eval::SelectivityEstimator;
     use selnet_index::Partitioning;
@@ -213,9 +212,9 @@ mod tests {
         let ds = Dataset::from_rows(6, &vec![vec![0.0; 6]; k]);
         let partitioning =
             Partitioning::build(&ds, DistanceKind::Euclidean, pcfg.method, pcfg.k, seed);
+        let cfg = SelNetConfig { seed, ..cfg };
         let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (ae, locals) = register_networks(&mut store, 6, &cfg, pcfg.k, &mut rng);
+        let (ae, locals, _) = register_networks(&mut store, 6, &cfg, pcfg.k);
         PartitionedSelNet {
             cfg,
             pcfg,

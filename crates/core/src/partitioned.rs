@@ -517,45 +517,31 @@ pub(crate) fn validation_mae(model: &PartitionedSelNet, split: &[LabeledQuery]) 
 }
 
 /// Registers the shared autoencoder and the `k` control-point networks in
-/// `store` — the one registration (and initialization-draw) order that
-/// [`fit_partitioned`] trains and [`PartitionedSelNet::load`] rebuilds
-/// before copying a checkpoint's weights in.
+/// `store`, the one description of the architecture. On a new store their
+/// weights are drawn, in the one order [`fit_partitioned`] trains, from
+/// the stream seeded by `cfg.seed`, which is returned for training to go
+/// on drawing from. On the store [`ParamStore::load`] returned they are
+/// the checkpoint's and nothing is drawn; the `k` loop stops at the first
+/// parameter the checkpoint refuses, so a header's `k` costs no more than
+/// its stream holds.
 pub(crate) fn register_networks(
     store: &mut ParamStore,
     dim: usize,
     cfg: &SelNetConfig,
     k: usize,
-    rng: &mut StdRng,
-) -> (Autoencoder, Vec<ControlPointNets>) {
-    let ae = Autoencoder::new(store, "ae", dim, &cfg.ae_hidden, cfg.latent_dim, rng);
+) -> (Autoencoder, Vec<ControlPointNets>, StdRng) {
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let ae = Autoencoder::new(store, "ae", dim, &cfg.ae_hidden, cfg.latent_dim, &mut rng);
+    let in_dim = dim + cfg.latent_dim;
     let locals = (0..k)
-        .map(|i| ControlPointNets::new(store, &format!("local{i}"), dim + cfg.latent_dim, cfg, rng))
+        .map_while(|i| {
+            let name = format!("local{i}");
+            store
+                .accepts()
+                .then(|| ControlPointNets::new(store, &name, in_dim, cfg, &mut rng))
+        })
         .collect();
-    (ae, locals)
-}
-
-/// The parameter shapes [`register_networks`] registers, in its order,
-/// without allocating a matrix: the autoencoder's, then one local
-/// network's (registered `k` times). `None` if a width overflows.
-pub(crate) fn network_shapes(dim: usize, cfg: &SelNetConfig) -> Option<[Vec<(usize, usize)>; 2]> {
-    fn mlp(widths: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
-        widths.windows(2).flat_map(|w| [(w[0], w[1]), (1, w[1])])
-    }
-    let (l, h) = (cfg.control_points, cfg.embed_dim);
-    let in_dim = dim.checked_add(cfg.latent_dim)?;
-    let mut widths = [&[dim][..], &cfg.ae_hidden, &[cfg.latent_dim]].concat();
-    let mut ae: Vec<_> = mlp(&widths).collect();
-    widths.reverse();
-    ae.extend(mlp(&widths));
-    let tau = [&[in_dim][..], &cfg.tau_hidden, &[l.checked_add(1)?]].concat();
-    let p = [
-        &[in_dim][..],
-        &cfg.p_hidden,
-        &[l.checked_add(2)?.checked_mul(h)?],
-    ]
-    .concat();
-    let local = mlp(&tau).chain(mlp(&p)).chain([(l + 2, h), (1, l + 2)]);
-    Some([ae, local.collect()])
+    (ae, locals, rng)
 }
 
 /// Trains the full partitioned SelNet: partition, pretrain local models for
@@ -567,7 +553,6 @@ pub fn fit_partitioned(
     pcfg: &PartitionConfig,
 ) -> (PartitionedSelNet, TrainReport) {
     let dim = ds.dim();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
     let partitioning = {
         // flight-recorder hook, two counts a word: a = build workers, and
         // above bit 32 the balls stored; b = subtree jobs, and above bit 32
@@ -585,7 +570,7 @@ pub fn fit_partitioned(
     let k = partitioning.k();
 
     let mut store = ParamStore::new();
-    let (ae, locals) = register_networks(&mut store, dim, cfg, k, &mut rng);
+    let (ae, locals, mut rng) = register_networks(&mut store, dim, cfg, k);
 
     // AE pretraining: database objects, then training queries
     ae.pretrain(

@@ -10,14 +10,16 @@
 //! A model from [`crate::fit`] is the `K = 1` case and saves the same way
 //! (its partitioning is one assignment column and no regions).
 //!
+//! The header's architecture is not checked on its own: the networks it
+//! describes are registered on the parameter stream as read, which must
+//! carry each of their matrices, by name and shape, in registration order.
+//!
 //! Loaders return typed [`io::Error`]s — truncated streams surface as
 //! [`io::ErrorKind::UnexpectedEof`], bad magic/version/structure as
 //! [`io::ErrorKind::InvalidData`] — and never panic on corrupt input.
 
 use crate::config::{LossKind, PartitionConfig, SelNetConfig, TauNormalization};
-use crate::partitioned::{network_shapes, register_networks, PartitionedSelNet};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::partitioned::{register_networks, PartitionedSelNet};
 use selnet_index::Partitioning;
 use selnet_tensor::bytes::{
     check_len, invalid, read_f32, read_f64, read_len, read_u32, read_u64, read_u64s, read_utf8,
@@ -124,9 +126,8 @@ fn read_config(r: &mut impl Read) -> io::Result<SelNetConfig> {
     let ae_pretrain_epochs = read_usize(r)?;
     let ae_pretrain_sample = read_usize(r)?;
     let seed = read_u64(r)?;
-    // Architecture sizes feed matrix allocations when the loader rebuilds
-    // the network, so corrupt bytes here must not request absurd buffers.
-    // 16384 is ~16x the paper's widest layer.
+    // Architecture sizes a model trains with: 16384 is ~16x the paper's
+    // widest layer. (A loaded model's weights must carry them too.)
     const MAX_WIDTH: usize = 1 << 14;
     for (what, v) in [
         ("control_points", control_points),
@@ -160,30 +161,6 @@ fn read_config(r: &mut impl Read) -> io::Result<SelNetConfig> {
         ae_pretrain_sample,
         seed,
     })
-}
-
-/// Checks the architecture a header claims — `dim`, `cfg`'s widths and
-/// `k` local networks — against the parameter shapes the stream carries,
-/// in registration order. The loaded store is no larger than the stream,
-/// so a header that passes cannot make [`register_networks`] allocate
-/// more than the stream already held.
-fn check_architecture(
-    store: &ParamStore,
-    dim: usize,
-    cfg: &SelNetConfig,
-    k: usize,
-) -> io::Result<()> {
-    let [ae, local] = network_shapes(dim, cfg).ok_or_else(|| invalid("architecture overflows"))?;
-    let claimed = ae.iter().chain(std::iter::repeat_n(&local, k).flatten());
-    if !claimed
-        .copied()
-        .eq(store.ids().map(|id| store.value(id).shape()))
-    {
-        return Err(invalid(
-            "shape mismatch: the header's architecture is not the parameters'",
-        ));
-    }
-    Ok(())
 }
 
 fn write_pconfig(w: &mut impl Write, p: &PartitionConfig) -> io::Result<()> {
@@ -250,12 +227,13 @@ impl PartitionedSelNet {
     /// Deserializes a snapshot written by [`PartitionedSelNet::save`].
     ///
     /// `load(save(m))` reproduces `m`'s predictions bit for bit: the
-    /// network architecture is re-registered in the exact order
-    /// [`crate::fit_partitioned`] used, then the checkpointed weights are
-    /// copied in. The header's architecture is checked against the
-    /// weights' shapes before any of it is allocated: a count/shape
-    /// mismatch is [`io::ErrorKind::InvalidData`], not a panic or an
-    /// abort.
+    /// networks are registered, in the one order [`crate::fit_partitioned`]
+    /// uses, on the weight store just read, which hands each registration
+    /// its checkpointed matrix; nothing is drawn and nothing is copied. A
+    /// parameter whose name or shape is not the one the header's
+    /// architecture registers next, a missing one or a leftover one is
+    /// [`io::ErrorKind::InvalidData`], not a panic or an abort, and no
+    /// registration allocates a weight.
     pub fn load(r: &mut impl Read) -> io::Result<PartitionedSelNet> {
         // a = local-model count, b = input dimension (0/0 on parse failure)
         let mut span = selnet_obs::trace::global().span("snapshot_load", 0);
@@ -291,15 +269,9 @@ impl PartitionedSelNet {
                 partitioning.k()
             )));
         }
-        let loaded_store = ParamStore::load(r)?;
-        check_architecture(&loaded_store, dim, &cfg, k)?;
-
-        // rebuild the architecture in `fit_partitioned`'s registration
-        // order, then copy the trained weights in
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut store = ParamStore::new();
-        let (ae, locals) = register_networks(&mut store, dim, &cfg, k, &mut rng);
-        store.try_copy_from(&loaded_store).map_err(invalid)?;
+        let mut store = ParamStore::load(r)?;
+        let (ae, locals, _) = register_networks(&mut store, dim, &cfg, k);
+        store.finish_load()?;
         span.set_detail(k as u64, dim as u64);
         Ok(PartitionedSelNet {
             cfg,
@@ -321,6 +293,8 @@ mod tests {
     use super::*;
     use crate::partitioned::fit_partitioned;
     use crate::train::fit;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use selnet_data::generators::{fasttext_like, GeneratorConfig};
     use selnet_eval::SelectivityEstimator;
     use selnet_index::PartitionMethod;
@@ -487,6 +461,24 @@ mod tests {
         let err = load_err(&hostile);
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("shape mismatch"), "got: {err}");
+    }
+
+    /// Names are part of the architecture: a snapshot whose first local
+    /// network's first τ weight is renamed to the second's (same length,
+    /// same shape) is refused, not served with the weights out of place.
+    #[test]
+    fn a_renamed_parameter_is_refused() {
+        let (model, _) = partitioned_fixture(41);
+        let mut buf = Vec::new();
+        model.save(&mut buf).unwrap();
+        let at = buf
+            .windows(15)
+            .position(|w| w == b"local0.tau.l0.w")
+            .expect("the first local network's first weight");
+        buf[at..at + 15].copy_from_slice(b"local1.tau.l0.w");
+        let err = load_err(&buf);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("name mismatch"), "got: {err}");
     }
 
     #[test]

@@ -60,42 +60,20 @@ pub struct PwlFit {
     pub mse: f64,
 }
 
-/// Fits the SelNet head (learnable τ via Norml2+prefix-sum, learnable p via
-/// ReLU increments) to one-dimensional samples — the §6.2 comparison where
-/// the model learns to place control points in the "interesting area".
-pub fn fit_selnet_head(
+/// The §6.2 fitters' one loop: `epochs` full-batch Adam steps on the MSE
+/// of the PWL function `curve` records from `store` (its `(τ, p)`) at the
+/// samples, then the fitted function.
+fn fit_curve(
     samples: &[(f32, f32)],
-    num_control_points: usize,
-    tmax: f32,
+    mut store: ParamStore,
     epochs: usize,
     lr: f32,
-    seed: u64,
+    curve: impl Fn(&mut Graph, &ParamStore) -> (Var, Var),
 ) -> PwlFit {
     assert!(!samples.is_empty(), "need samples");
-    let l = num_control_points.max(1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut store = ParamStore::new();
-    // raw parameters: tau increments (L+1 of them -> L interior points),
-    // and p increments (L+2)
-    let raw_tau = store.add("raw_tau", init::normal(1, l + 1, 0.5, &mut rng));
-    let raw_p = store.add("raw_p", init::normal(1, l + 2, 0.5, &mut rng));
     let mut opt = Adam::new(lr);
-
     let ts = Matrix::col_vector(&samples.iter().map(|s| s.0).collect::<Vec<_>>());
     let ys = Matrix::col_vector(&samples.iter().map(|s| s.1).collect::<Vec<_>>());
-    // τ from Norml2 + prefix sum behind a zero knot, p from softplus
-    // increments
-    let curve = |g: &mut Graph, store: &ParamStore| -> (Var, Var) {
-        let rt = store.inject(g, raw_tau);
-        let rp = store.inject(g, raw_p);
-        let norm = g.norml2(rt, 1e-6);
-        let scaled = g.scale(norm, tmax);
-        let tau_tail = g.cumsum_cols(scaled);
-        let zero = g.leaf(Matrix::zeros(1, 1));
-        let tau = g.concat_cols(zero, tau_tail);
-        let inc = g.softplus(rp);
-        (tau, g.cumsum_cols(inc))
-    };
     let mut last_mse = f64::MAX;
     for _ in 0..epochs {
         let mut g = Graph::new();
@@ -119,6 +97,39 @@ pub fn fit_selnet_head(
     PwlFit { pwl, mse: last_mse }
 }
 
+/// Fits the SelNet head (learnable τ via Norml2+prefix-sum, learnable p via
+/// ReLU increments) to one-dimensional samples — the §6.2 comparison where
+/// the model learns to place control points in the "interesting area".
+pub fn fit_selnet_head(
+    samples: &[(f32, f32)],
+    num_control_points: usize,
+    tmax: f32,
+    epochs: usize,
+    lr: f32,
+    seed: u64,
+) -> PwlFit {
+    let l = num_control_points.max(1);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut store = ParamStore::new();
+    // raw parameters: tau increments (L+1 of them -> L interior points),
+    // and p increments (L+2)
+    let raw_tau = store.add("raw_tau", init::normal(1, l + 1, 0.5, &mut rng));
+    let raw_p = store.add("raw_p", init::normal(1, l + 2, 0.5, &mut rng));
+    // τ from Norml2 + prefix sum behind a zero knot, p from softplus
+    // increments
+    fit_curve(samples, store, epochs, lr, |g, store| {
+        let rt = store.inject(g, raw_tau);
+        let rp = store.inject(g, raw_p);
+        let norm = g.norml2(rt, 1e-6);
+        let scaled = g.scale(norm, tmax);
+        let tau_tail = g.cumsum_cols(scaled);
+        let zero = g.leaf(Matrix::zeros(1, 1));
+        let tau = g.concat_cols(zero, tau_tail);
+        let inc = g.softplus(rp);
+        (tau, g.cumsum_cols(inc))
+    })
+}
+
 /// Fits a DLN-style calibrator to the same samples: `τ` values *fixed* and
 /// evenly spaced in `[0, tmax]`, only `p` learnable with a monotone
 /// parameterization (this is the §6.2 simplified-DLN comparison).
@@ -130,43 +141,18 @@ pub fn fit_fixed_grid(
     lr: f32,
     seed: u64,
 ) -> PwlFit {
-    assert!(!samples.is_empty(), "need samples");
     let m = num_control_points.max(2);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut store = ParamStore::new();
     let raw_p = store.add("raw_p", init::normal(1, m, 0.5, &mut rng));
-    let mut opt = Adam::new(lr);
     let tau_fixed: Vec<f32> = (0..m).map(|i| tmax * i as f32 / (m - 1) as f32).collect();
-
-    let ts = Matrix::col_vector(&samples.iter().map(|s| s.0).collect::<Vec<_>>());
-    let ys = Matrix::col_vector(&samples.iter().map(|s| s.1).collect::<Vec<_>>());
     // p from softplus increments, τ fixed
-    let curve = |g: &mut Graph, store: &ParamStore| -> Var {
+    fit_curve(samples, store, epochs, lr, |g, store| {
         let rp = store.inject(g, raw_p);
         let inc = g.softplus(rp);
-        g.cumsum_cols(inc)
-    };
-    let mut last_mse = f64::MAX;
-    for _ in 0..epochs {
-        let mut g = Graph::new();
-        let p = curve(&mut g, &store);
-        let tau = g.leaf(Matrix::row_vector(&tau_fixed));
-        let t = g.leaf(ts.clone());
-        let y = g.leaf(ys.clone());
-        let pred = g.pwl_interp(tau, p, t);
-        let diff = g.sub(pred, y);
-        let sq = g.square(diff);
-        let loss = g.mean(sq);
-        g.backward_params(loss);
-        last_mse = g.value(loss).get(0, 0) as f64;
-        let grads = g.param_grad_refs();
-        opt.step_refs(&mut store, &grads);
-    }
-
-    let mut g = Graph::new();
-    let p = curve(&mut g, &store);
-    let pwl = PiecewiseLinear::new(tau_fixed, g.value(p).data().to_vec());
-    PwlFit { pwl, mse: last_mse }
+        let p = g.cumsum_cols(inc);
+        (g.leaf(Matrix::row_vector(&tau_fixed)), p)
+    })
 }
 
 #[cfg(test)]

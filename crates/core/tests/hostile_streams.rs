@@ -54,26 +54,27 @@ static ALLOCATOR: Counting = Counting;
 const MIB: usize = 1 << 20;
 
 /// Runs `load` and asserts that it refused its stream with a typed error
-/// after asking for less than a mebibyte.
-fn assert_refused_cheaply<T>(what: &str, load: impl FnOnce() -> io::Result<T>) {
+/// after asking for less than a mebibyte; returns the error.
+fn assert_refused_cheaply<T>(what: &str, load: impl FnOnce() -> io::Result<T>) -> io::Error {
     REQUESTED.with(|r| r.set(0));
     let result = load();
     let requested = REQUESTED.with(|r| r.get());
-    match result {
-        Ok(_) => panic!("{what}: a hostile stream loaded"),
-        Err(e) => assert!(
-            matches!(
-                e.kind(),
-                io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
-            ),
-            "{what}: {e} ({:?})",
-            e.kind()
+    let Err(e) = result else {
+        panic!("{what}: a hostile stream loaded")
+    };
+    assert!(
+        matches!(
+            e.kind(),
+            io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
         ),
-    }
+        "{what}: {e} ({:?})",
+        e.kind()
+    );
     assert!(
         requested < MIB,
         "{what}: {requested} bytes requested while refusing the stream"
     );
+    e
 }
 
 /// A 36-byte `SELNETW1` weight stream: one parameter, unnamed, claiming
@@ -109,6 +110,68 @@ fn a_partitioning_claiming_2_31_balls_is_refused_without_allocating_them() {
     s.extend(16u64.to_le_bytes()); // the first ball's dimension
     assert_eq!(s.len(), 42);
     assert_refused_cheaply("partitioning", || Partitioning::load(&mut s.as_slice()));
+}
+
+/// The tiny fixture's model (`fit`, so one local network) and its
+/// snapshot.
+fn tiny_snapshot() -> (PartitionedSelNet, SelNetConfig, Vec<u8>) {
+    let ds = fasttext_like(&GeneratorConfig::new(200, 4, 2, 5));
+    let mut wcfg = WorkloadConfig::new(12, DistanceKind::Euclidean, 6);
+    wcfg.thresholds_per_query = 4;
+    let w = generate_workload(&ds, &wcfg);
+    let cfg = SelNetConfig {
+        epochs: 1,
+        ..SelNetConfig::tiny()
+    };
+    let (model, _) = fit(&ds, &w, &cfg);
+    let mut snapshot = Vec::new();
+    model.save(&mut snapshot).expect("save to memory");
+    (model, cfg, snapshot)
+}
+
+/// A valid snapshot whose header claims 65 536 local networks of
+/// 1 024-layer τ and p MLPs, then a 26-byte partitioning of 65 536 parts
+/// (random, so no assignments and no regions) and the real weight stream
+/// of one small network. Registration must stop at the first parameter
+/// the stream cannot answer, not walk the claimed architecture.
+#[test]
+fn a_snapshot_claiming_65_536_deep_networks_is_refused_within_its_stream() {
+    let (model, cfg, snapshot) = tiny_snapshot();
+    let w_at = snapshot
+        .windows(8)
+        .position(|m| m == b"SELNETW1")
+        .expect("a snapshot embeds one weight stream");
+    let mut partitioning = Vec::new();
+    model.partitioning().save(&mut partitioning).expect("save");
+    let k_at = w_at - partitioning.len() - 8;
+    assert_eq!(snapshot[k_at..k_at + 8], 1u64.to_le_bytes());
+    // magic, version, control points, latent and embedding widths
+    let tau_at = 8 + 4 + 3 * 8;
+    let p_at = tau_at + 8 * (1 + cfg.tau_hidden.len());
+    let ae_at = p_at + 8 * (1 + cfg.p_hidden.len());
+    assert_eq!(snapshot[tau_at..tau_at + 8], 1u64.to_le_bytes());
+
+    let deep = |s: &mut Vec<u8>, width: usize| {
+        s.extend(1024u64.to_le_bytes());
+        (0..1024).for_each(|_| s.extend((width as u64).to_le_bytes()));
+    };
+    let mut hostile = snapshot[..tau_at].to_vec();
+    deep(&mut hostile, cfg.tau_hidden[0]);
+    deep(&mut hostile, cfg.p_hidden[0]);
+    hostile.extend(&snapshot[ae_at..k_at]);
+    hostile.extend(65_536u64.to_le_bytes()); // local networks
+    let mut parts = 65_536u64.to_le_bytes().to_vec(); // k
+    parts.push(0); // Euclidean
+    parts.push(1); // random partitioning
+    parts.extend(0u64.to_le_bytes()); // assignments
+    parts.extend(0u64.to_le_bytes()); // region clusters
+    assert_eq!(parts.len(), 26);
+    hostile.extend(parts);
+    hostile.extend(&snapshot[w_at..]);
+    let err = assert_refused_cheaply("SELNETP1", || {
+        PartitionedSelNet::load(&mut hostile.as_slice())
+    });
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
 }
 
 /// A valid snapshot whose weight stream is swapped for the 36-byte one:

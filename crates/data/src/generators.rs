@@ -23,29 +23,10 @@
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+pub use selnet_tensor::init::randn;
+use selnet_tensor::init::{box_muller, uniform_pair};
 use selnet_tensor::parallel;
 use std::sync::Mutex;
-
-/// The two uniforms of one Box–Muller normal, drawn in order: `u1` in
-/// `[f32::MIN_POSITIVE, 1)`, `u2` in `[0, 1)`.
-fn uniform_pair(rng: &mut impl Rng) -> [f32; 2] {
-    [
-        rng.gen_range(f32::MIN_POSITIVE..1.0),
-        rng.gen_range(0.0..1.0),
-    ]
-}
-
-/// The Box–Muller transform of a [`uniform_pair`]. Always finite: `u1 >=
-/// f32::MIN_POSITIVE` keeps `-2 ln u1` finite and non-negative.
-fn box_muller([u1, u2]: [f32; 2]) -> f32 {
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
-}
-
-/// Standard-normal sample via Box–Muller (avoids a `rand_distr` dependency):
-/// the workspace's one `f32` normal draw, two uniforms from `rng` in order.
-pub fn randn(rng: &mut impl Rng) -> f32 {
-    box_muller(uniform_pair(rng))
-}
 
 /// Coordinates [`fasttext_like`] draws the uniforms of at a time: two
 /// buffers, the chunk being drawn and the one being transformed, each of

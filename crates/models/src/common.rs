@@ -259,7 +259,7 @@ pub fn train_minibatch(
         }
     }
     if best_mae.is_finite() && best_mae < f64::MAX {
-        store.copy_from(&best_store);
+        *store = best_store;
     }
     history
 }

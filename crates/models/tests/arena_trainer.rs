@@ -129,7 +129,7 @@ fn reference_train(
         }
     }
     if best_mae.is_finite() && best_mae < f64::MAX {
-        store.copy_from(&best_store);
+        *store = best_store;
     }
     history
 }

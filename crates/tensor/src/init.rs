@@ -4,17 +4,25 @@
 use crate::matrix::Matrix;
 use rand::Rng;
 
-/// Draws one standard-normal sample via Box–Muller.
+/// The two uniforms of one Box–Muller normal, drawn in order: `u1` in
+/// `[f32::MIN_POSITIVE, 1)`, `u2` in `[0, 1)`.
+pub fn uniform_pair(rng: &mut impl Rng) -> [f32; 2] {
+    [
+        rng.gen_range(f32::MIN_POSITIVE..1.0),
+        rng.gen_range(0.0..1.0),
+    ]
+}
+
+/// The Box–Muller transform of a [`uniform_pair`]. Always finite: `u1 >=
+/// f32::MIN_POSITIVE` keeps `-2 ln u1` finite and non-negative.
+pub fn box_muller([u1, u2]: [f32; 2]) -> f32 {
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+}
+
+/// Standard-normal sample via Box–Muller: the workspace's one `f32`
+/// normal draw, two uniforms from `rng` in order.
 pub fn randn(rng: &mut impl Rng) -> f32 {
-    loop {
-        let u1: f32 = rng.gen_range(f32::MIN_POSITIVE..1.0);
-        let u2: f32 = rng.gen_range(0.0..1.0);
-        let r = (-2.0 * u1.ln()).sqrt();
-        let v = r * (2.0 * std::f32::consts::PI * u2).cos();
-        if v.is_finite() {
-            return v;
-        }
-    }
+    box_muller(uniform_pair(rng))
 }
 
 /// Matrix with i.i.d. `N(0, std^2)` entries.

@@ -39,7 +39,8 @@ pub struct Linear {
 }
 
 impl Linear {
-    /// Registers a new dense layer in `store` with He initialization.
+    /// Registers a new dense layer in `store` ([`ParamStore::register`]),
+    /// He-initialized on a new store.
     pub fn new(
         store: &mut ParamStore,
         name: &str,
@@ -47,8 +48,12 @@ impl Linear {
         out_dim: usize,
         rng: &mut impl Rng,
     ) -> Self {
-        let w = store.add(format!("{name}.w"), init::he(in_dim, out_dim, rng));
-        let b = store.add(format!("{name}.b"), Matrix::zeros(1, out_dim));
+        let w = store.register(format!("{name}.w"), in_dim, out_dim, || {
+            init::he(in_dim, out_dim, rng)
+        });
+        let b = store.register(format!("{name}.b"), 1, out_dim, || {
+            Matrix::zeros(1, out_dim)
+        });
         Linear {
             w,
             b,

@@ -39,6 +39,10 @@ const MAX_MATRIX_SCALARS: u64 = 1 << 31;
 pub struct ParamStore {
     names: Vec<String>,
     values: Vec<Matrix>,
+    /// On the store [`ParamStore::load`] returned, until
+    /// [`ParamStore::finish_load`]: how many of its parameters registration
+    /// has claimed, or why the checkpoint refused a registration.
+    checkpoint: Option<Result<usize, String>>,
 }
 
 impl ParamStore {
@@ -47,11 +51,79 @@ impl ParamStore {
         Self::default()
     }
 
-    /// Registers a parameter and returns its id.
+    /// Registers a `rows x cols` parameter and returns its id. On a new
+    /// store its value is `init()`, called at once. On the store
+    /// [`ParamStore::load`] returned it is the checkpoint's next matrix,
+    /// which must carry this name and shape, and `init` is never called;
+    /// once the checkpoint refuses a registration, nothing more is claimed,
+    /// the ids returned name no parameter, and [`ParamStore::finish_load`]
+    /// reports why.
+    pub fn register(
+        &mut self,
+        name: impl Into<String>,
+        rows: usize,
+        cols: usize,
+        init: impl FnOnce() -> Matrix,
+    ) -> ParamId {
+        let name = name.into();
+        let i = match self.checkpoint {
+            None => {
+                let value = init();
+                debug_assert_eq!(value.shape(), (rows, cols), "{name}");
+                self.names.push(name);
+                self.values.push(value);
+                return ParamId(self.values.len() - 1);
+            }
+            Some(Ok(claimed)) => claimed,
+            Some(Err(_)) => return ParamId(self.values.len()),
+        };
+        let refusal = match self.values.get(i) {
+            None => format!("parameter {i} ({name}) is missing from the checkpoint"),
+            Some(_) if self.names[i] != name => format!(
+                "parameter {i} name mismatch: registered {name}, checkpoint has {}",
+                self.names[i]
+            ),
+            Some(m) if m.shape() != (rows, cols) => format!(
+                "parameter {i} ({name}) shape mismatch: registered {rows}x{cols}, \
+                 checkpoint has {}x{}",
+                m.rows(),
+                m.cols()
+            ),
+            Some(_) => {
+                self.checkpoint = Some(Ok(i + 1));
+                return ParamId(i);
+            }
+        };
+        self.checkpoint = Some(Err(refusal));
+        ParamId(self.values.len())
+    }
+
+    /// [`ParamStore::register`] with the value at hand.
     pub fn add(&mut self, name: impl Into<String>, value: Matrix) -> ParamId {
-        self.names.push(name.into());
-        self.values.push(value);
-        ParamId(self.values.len() - 1)
+        let (rows, cols) = value.shape();
+        self.register(name, rows, cols, || value)
+    }
+
+    /// Whether no registration has been refused: a caller registering a
+    /// claimed number of networks on a loaded store stops at the first
+    /// refusal, so a header buys no more work than its stream holds.
+    pub fn accepts(&self) -> bool {
+        !matches!(self.checkpoint, Some(Err(_)))
+    }
+
+    /// Ends registration on the store [`ParamStore::load`] returned: a
+    /// refused registration, or a parameter of the checkpoint that nothing
+    /// registered, is [`io::ErrorKind::InvalidData`]. The store is an
+    /// ordinary one afterwards.
+    pub fn finish_load(&mut self) -> io::Result<()> {
+        match self.checkpoint.take() {
+            Some(Err(why)) => Err(invalid(why)),
+            Some(Ok(claimed)) if claimed < self.values.len() => Err(invalid(format!(
+                "the checkpoint has {} parameters, the architecture registers {claimed}",
+                self.values.len()
+            ))),
+            _ => Ok(()),
+        }
     }
 
     /// Number of parameters.
@@ -108,7 +180,10 @@ impl ParamStore {
     /// Reads a checkpoint previously written by [`ParamStore::save`]. A
     /// matrix is allocated as its bytes arrive ([`crate::bytes`]), so a
     /// shape that passes the caps but outruns the stream costs a chunk,
-    /// not the shape.
+    /// not the shape. The network that owns the parameters is then
+    /// registered on the returned store, which hands out the checkpoint's
+    /// matrices in order ([`ParamStore::register`]), and
+    /// [`ParamStore::finish_load`] checks that it took them all.
     pub fn load(r: &mut impl Read) -> io::Result<Self> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
@@ -116,7 +191,10 @@ impl ParamStore {
             return Err(invalid("bad checkpoint magic"));
         }
         let count = read_len(r, MAX_PARAMS, "parameter count")?;
-        let mut store = ParamStore::new();
+        let mut store = ParamStore {
+            checkpoint: Some(Ok(0)),
+            ..ParamStore::default()
+        };
         for _ in 0..count {
             let name_len = check_len(read_u32(r)?.into(), MAX_NAME_LEN, "name length")?;
             let name = read_utf8(r, name_len, "parameter name")?;
@@ -127,44 +205,12 @@ impl ParamStore {
                 .filter(|&n| n <= MAX_MATRIX_SCALARS)
                 .ok_or_else(|| invalid(format!("implausible matrix shape {rows}x{cols}")))?;
             let data = read_f32s(r, scalars as usize)?;
-            store.add(name, Matrix::from_vec(rows as usize, cols as usize, data));
+            store.names.push(name);
+            store
+                .values
+                .push(Matrix::from_vec(rows as usize, cols as usize, data));
         }
         Ok(store)
-    }
-
-    /// Copies values from `other` into `self` by position.
-    ///
-    /// # Panics
-    /// Panics if the stores have different parameter counts or shapes.
-    pub fn copy_from(&mut self, other: &ParamStore) {
-        self.try_copy_from(other).expect("param store mismatch");
-    }
-
-    /// Fallible [`ParamStore::copy_from`]: returns a description of the
-    /// first count/shape mismatch instead of panicking. Model loaders use
-    /// this so a corrupted checkpoint surfaces as a typed error.
-    pub fn try_copy_from(&mut self, other: &ParamStore) -> Result<(), String> {
-        if self.values.len() != other.values.len() {
-            return Err(format!(
-                "param count mismatch: expected {}, checkpoint has {}",
-                self.values.len(),
-                other.values.len()
-            ));
-        }
-        for (i, (a, b)) in self.values.iter().zip(&other.values).enumerate() {
-            if a.shape() != b.shape() {
-                return Err(format!(
-                    "param {i} ({}) shape mismatch: expected {:?}, checkpoint has {:?}",
-                    self.names[i],
-                    a.shape(),
-                    b.shape()
-                ));
-            }
-        }
-        for (a, b) in self.values.iter_mut().zip(&other.values) {
-            a.data_mut().copy_from_slice(b.data());
-        }
-        Ok(())
     }
 }
 
@@ -188,6 +234,60 @@ mod tests {
         assert_eq!(loaded.value(w), store.value(w));
         assert_eq!(loaded.value(b), store.value(b));
         assert_eq!(loaded.name(w), "layer0.w");
+    }
+
+    /// On a loaded store, registration takes the checkpoint's matrices in
+    /// order and never calls `init`; a renamed, reshaped, missing or
+    /// leftover parameter is refused by `finish_load`.
+    #[test]
+    fn registration_on_a_loaded_store_claims_the_checkpoint() {
+        let mut store = ParamStore::new();
+        store.add("a", Matrix::from_fn(2, 3, |i, j| (i * 3 + j) as f32));
+        store.add("b", Matrix::row_vector(&[7.0, 8.0]));
+        let mut buf = Vec::new();
+        store.save(&mut buf).unwrap();
+        let never = || -> Matrix { panic!("a loaded store draws no value") };
+
+        let mut loaded = ParamStore::load(&mut buf.as_slice()).unwrap();
+        let a = loaded.register("a", 2, 3, never);
+        let b = loaded.register("b", 1, 2, never);
+        assert!(loaded.accepts());
+        loaded.finish_load().unwrap();
+        assert_eq!(loaded.value(a), store.value(a));
+        assert_eq!(loaded.value(b), store.value(b));
+        // an ordinary store afterwards
+        let c = loaded.register("c", 1, 1, || Matrix::zeros(1, 1));
+        assert_eq!(loaded.name(c), "c");
+
+        let refusal = |register: &dyn Fn(&mut ParamStore)| {
+            let mut loaded = ParamStore::load(&mut buf.as_slice()).unwrap();
+            register(&mut loaded);
+            let err = loaded.finish_load().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            err.to_string()
+        };
+        let renamed = refusal(&|s| {
+            s.register("a", 2, 3, never);
+            s.register("c", 1, 2, never);
+        });
+        assert!(renamed.contains("name mismatch"), "{renamed}");
+        let reshaped = refusal(&|s| {
+            s.register("a", 3, 2, never);
+            assert!(!s.accepts());
+            // nothing more is claimed once a registration was refused
+            s.register("b", 1, 2, never);
+        });
+        assert!(reshaped.contains("shape mismatch"), "{reshaped}");
+        let missing = refusal(&|s| {
+            s.register("a", 2, 3, never);
+            s.register("b", 1, 2, never);
+            s.register("c", 1, 1, never);
+        });
+        assert!(missing.contains("missing"), "{missing}");
+        let leftover = refusal(&|s| {
+            s.register("a", 2, 3, never);
+        });
+        assert!(leftover.contains("registers 1"), "{leftover}");
     }
 
     #[test]
