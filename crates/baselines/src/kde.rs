@@ -130,12 +130,7 @@ impl KdeEstimator {
 
 impl SelectivityEstimator for KdeEstimator {
     fn estimate(&self, x: &[f32], t: f32) -> f64 {
-        let mut acc = 0.0f64;
-        for (s, &h) in self.sample.iter().zip(&self.bandwidth) {
-            let d = self.kind.eval(x, s) as f64;
-            acc += std_normal_cdf((t as f64 - d) / h);
-        }
-        (acc * self.scale).max(0.0)
+        self.estimate_many(x, &[t])[0]
     }
 
     fn estimate_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {

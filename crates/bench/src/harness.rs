@@ -367,8 +367,9 @@ pub fn train_model(
     })
 }
 
-/// Sampling budget for the LSH/KDE baselines: the paper's 2000 samples on
-/// 1M vectors is 0.2%; we keep 1% (generous) with a floor of 150.
+/// Sampling budget for the LSH baseline: the paper's 2000 samples on 1M
+/// vectors is 0.2%; we keep 1% (generous) with a floor of 150. KDE keeps
+/// the paper's absolute 2000 samples (see [`train_model`]).
 pub fn sample_budget(n: usize) -> usize {
     (n / 100).max(150)
 }

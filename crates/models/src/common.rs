@@ -1,34 +1,58 @@
 //! Shared plumbing for the neural baselines: the learned threshold
 //! embedding `t ↦ ReLU(w t)` (Appendix B.2 — "DNN, MoE and RMI cannot
-//! directly handle the threshold t"), flattened training pairs, and a
-//! generic mini-batch trainer with validation-based model selection.
+//! directly handle the threshold t"), flattened training pairs, the
+//! [`Network`] trait each baseline implements with its architecture and
+//! forward, the one mini-batch trainer over it with validation-based
+//! model selection, and [`Regressor`], the one estimator that serves a
+//! trained [`Network`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use selnet_eval::SelectivityEstimator;
 use selnet_tensor::{Adam, Graph, Matrix, ParamStore, Var};
-use selnet_workload::LabeledQuery;
+use selnet_workload::{LabeledQuery, Workload};
+
+/// A neural baseline's architecture: parameter ids into a [`ParamStore`]
+/// and the one forward pass over them, which training, validation and
+/// serving all record.
+pub trait Network {
+    /// `forward` predicts `log(y + ε)`; otherwise it predicts the raw
+    /// selectivity, and training takes `ln(max(·, 0) + ε)` of it.
+    const LOG_SPACE: bool;
+    /// The estimate is monotone in `t` by construction (the paper's `*`).
+    const CONSISTENT: bool;
+
+    /// Dimensionality of the query vectors.
+    fn dim(&self) -> usize;
+
+    /// Records the forward pass: `x` is `R x dim`, `t` is `R x 1`, the
+    /// result `R x 1`.
+    fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var, t: Var) -> Var;
+
+    /// Runs after every optimizer step (parameter projections); does
+    /// nothing by default.
+    fn project(&self, _store: &mut ParamStore) {}
+}
 
 /// One arena-tape training step shared by the baseline trainers: reset the
-/// tape, gather the batch leaves in place, record `forward`, apply the
-/// Huber-on-(log-)residual loss, and feed Adam **borrowed** gradients.
-/// After the first batch this performs no per-op matrix allocations (the
-/// PR 3 tape lifecycle), and it is bit-identical to the old
-/// fresh-`Graph`-per-batch step (pinned by `tests/arena_trainer.rs`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn arena_train_step(
+/// tape, gather the batch leaves in place, record `net`'s forward, apply
+/// the Huber-on-(log-)residual loss, and feed Adam **borrowed** gradients.
+/// Returns the batch loss. After the first batch this performs no per-op
+/// matrix allocations, and it is bit-identical to a fresh-`Graph`-per-batch
+/// step (pinned by `tests/arena_trainer.rs`).
+pub(crate) fn arena_train_step<N: Network>(
     g: &mut Graph,
     store: &mut ParamStore,
     opt: &mut Adam,
     pairs: &Pairs<'_>,
     chunk: &[usize],
-    dim: usize,
     cfg: &NeuralConfig,
-    forward: &mut impl FnMut(&mut Graph, &ParamStore, Var, Var) -> (Var, bool),
-) {
+    net: &N,
+) -> f64 {
     g.reset();
-    let (xv, tv, yv) = batch_leaves(g, pairs, chunk, dim);
-    let (pred, is_log) = forward(g, store, xv, tv);
-    let pred_log = if is_log {
+    let (xv, tv, yv) = batch_leaves(g, pairs, chunk, net.dim());
+    let pred = net.forward(g, store, xv, tv);
+    let pred_log = if N::LOG_SPACE {
         pred
     } else {
         g.ln_eps(pred, cfg.log_eps)
@@ -39,8 +63,8 @@ pub(crate) fn arena_train_step(
     g.backward_params(loss);
     let grads = g.param_grad_refs();
     opt.step_refs(store, &grads);
+    g.value(loss).get(0, 0) as f64
 }
-
 /// Hyper-parameters shared by the neural baselines.
 #[derive(Clone, Debug)]
 pub struct NeuralConfig {
@@ -139,10 +163,10 @@ pub fn flatten<'a>(split: &'a [LabeledQuery], log_eps: f32) -> Pairs<'a> {
     p
 }
 
-/// Assembles batch matrices for the given pair indices (allocating; kept
-/// for callers outside a training loop). Hot loops use
-/// [`batch_leaves`], which gathers straight into a reused tape's recycled
-/// buffers instead.
+/// Assembles batch matrices for the given pair indices (allocating). Its
+/// one caller is the fresh-`Graph`-per-batch reference trainer in
+/// `tests/arena_trainer.rs`; the trainer uses [`batch_leaves`], which
+/// gathers straight into a reused tape's recycled buffers instead.
 pub fn batch(pairs: &Pairs<'_>, order: &[usize], dim: usize) -> (Matrix, Matrix, Matrix) {
     let b = order.len();
     let mut xb = Vec::with_capacity(b * dim);
@@ -190,28 +214,20 @@ pub fn batch_leaves(
     (xv, tv, yv)
 }
 
-/// Generic mini-batch trainer. `forward` records the model and returns the
-/// prediction; `pred_is_log` says whether it is already in log space (else
-/// `ln(max(·,0)+ε)` is applied before the Huber loss). `post_step` runs
-/// after every optimizer step (parameter projections). `predict` maps
-/// `(store, x, ts)` to selectivity predictions for validation. The
+/// Mini-batch trainer of `net`, whose parameters live in `store`. The
 /// parameters with the smallest validation MAE are kept; returns the
 /// per-epoch validation MAE history.
 ///
 /// One arena tape is reused across every batch of every epoch
 /// ([`Graph::reset`] keeps the buffers) and gradients reach Adam as
-/// borrows — the PR 3 tape lifecycle, bit-identical to the old
-/// fresh-`Graph`-per-batch loop (pinned by `tests/arena_trainer.rs`).
-#[allow(clippy::too_many_arguments)]
-pub fn train_minibatch(
+/// borrows, bit-identical to a fresh-`Graph`-per-batch loop (pinned by
+/// `tests/arena_trainer.rs`).
+pub fn train_minibatch<N: Network>(
     store: &mut ParamStore,
     train: &[LabeledQuery],
     valid: &[LabeledQuery],
     cfg: &NeuralConfig,
-    dim: usize,
-    mut forward: impl FnMut(&mut Graph, &ParamStore, Var, Var) -> (Var, bool),
-    predict: impl Fn(&ParamStore, &[f32], &[f32]) -> Vec<f64>,
-    mut post_step: impl FnMut(&mut ParamStore),
+    net: &N,
 ) -> Vec<f64> {
     let pairs = flatten(train, cfg.log_eps);
     let n = pairs.t.len();
@@ -229,23 +245,14 @@ pub fn train_minibatch(
             order.swap(i, j);
         }
         for chunk in order.chunks(cfg.batch_size.max(1)) {
-            arena_train_step(
-                &mut g,
-                store,
-                &mut opt,
-                &pairs,
-                chunk,
-                dim,
-                cfg,
-                &mut forward,
-            );
-            post_step(store);
+            arena_train_step(&mut g, store, &mut opt, &pairs, chunk, cfg, net);
+            net.project(store);
         }
         // validation MAE with current parameters
         let mut abs = 0.0f64;
         let mut cnt = 0usize;
         for q in valid {
-            let preds = predict(store, &q.x, &q.thresholds);
+            let preds = predict(net, store, &q.x, &q.thresholds, cfg.log_eps);
             for (p, &y) in preds.iter().zip(&q.selectivities) {
                 abs += (p - y).abs();
                 cnt += 1;
@@ -264,6 +271,95 @@ pub fn train_minibatch(
     history
 }
 
+/// Replicates one query row for batched threshold evaluation.
+fn replicate(x: &[f32], rows: usize) -> Matrix {
+    let mut m = Matrix::zeros(rows, x.len());
+    for i in 0..rows {
+        m.row_mut(i).copy_from_slice(x);
+    }
+    m
+}
+
+/// Records `net` on a fresh tape for one query object at every threshold
+/// of `ts`; returns its outputs, one per threshold.
+pub fn forward_rows<N: Network>(net: &N, store: &ParamStore, x: &[f32], ts: &[f32]) -> Vec<f32> {
+    let mut g = Graph::new();
+    let xv = g.leaf(replicate(x, ts.len()));
+    let tv = g.leaf(Matrix::col_vector(ts));
+    let out = net.forward(&mut g, store, xv, tv);
+    g.value(out).data().to_vec()
+}
+
+/// `net`'s selectivity estimates for one query object at every threshold
+/// of `ts`: [`forward_rows`] mapped back from log space
+/// ([`Network::LOG_SPACE`]) or clamped at zero.
+pub fn predict<N: Network>(
+    net: &N,
+    store: &ParamStore,
+    x: &[f32],
+    ts: &[f32],
+    log_eps: f32,
+) -> Vec<f64> {
+    forward_rows(net, store, x, ts)
+        .into_iter()
+        .map(|z| {
+            if N::LOG_SPACE {
+                from_log(z as f64, log_eps)
+            } else {
+                (z as f64).max(0.0)
+            }
+        })
+        .collect()
+}
+
+/// A trained neural baseline: DNN, MoE, DLN and UMNN are each a
+/// `Regressor` of their [`Network`].
+pub struct Regressor<N> {
+    store: ParamStore,
+    pub(crate) net: N,
+    log_eps: f32,
+    name: &'static str,
+}
+
+impl<N: Network> Regressor<N> {
+    /// Trains `net`, registered in `store`, on the workload's training
+    /// split, selecting on its validation split ([`train_minibatch`]).
+    pub(crate) fn train(
+        mut store: ParamStore,
+        net: N,
+        workload: &Workload,
+        cfg: &NeuralConfig,
+        name: &'static str,
+    ) -> Self {
+        train_minibatch(&mut store, &workload.train, &workload.valid, cfg, &net);
+        Regressor {
+            store,
+            net,
+            log_eps: cfg.log_eps,
+            name,
+        }
+    }
+}
+
+impl<N: Network> SelectivityEstimator for Regressor<N> {
+    fn estimate(&self, x: &[f32], t: f32) -> f64 {
+        self.estimate_many(x, &[t])[0]
+    }
+
+    fn estimate_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
+        assert_eq!(x.len(), self.net.dim(), "dimension mismatch");
+        predict(&self.net, &self.store, x, ts, self.log_eps)
+    }
+
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn guarantees_consistency(&self) -> bool {
+        N::CONSISTENT
+    }
+}
+
 /// Exponentiates a log-space prediction back to a selectivity.
 pub fn from_log(z: f64, log_eps: f32) -> f64 {
     (z.min(60.0).exp() - log_eps as f64).max(0.0)
@@ -272,7 +368,7 @@ pub fn from_log(z: f64, log_eps: f32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selnet_tensor::{Activation, Mlp};
+    use crate::dnn::Dnn;
 
     #[test]
     fn t_embedding_shapes() {
@@ -300,55 +396,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut store = ParamStore::new();
         let cfg = NeuralConfig {
+            hidden: vec![32],
             epochs: 250,
             learning_rate: 1e-2,
             ..NeuralConfig::tiny()
         };
         let emb = TEmbedding::new(&mut store, "t", cfg.t_embed, &mut rng);
-        let net = Mlp::new(
-            &mut store,
-            "net",
-            &[2 + cfg.t_embed, 32, 1],
-            Activation::Relu,
-            Activation::Linear,
-            &mut rng,
-        );
-        let log_eps = cfg.log_eps;
-        let emb2 = emb.clone();
-        let net2 = net.clone();
-        let history = train_minibatch(
-            &mut store,
-            &train,
-            &valid,
-            &cfg,
-            2,
-            |g, s, x, t| {
-                let te = emb.forward(g, s, t);
-                let input = g.concat_cols(x, te);
-                (net.forward(g, s, input), true)
-            },
-            |s, x, ts| {
-                let mut g = Graph::new();
-                let xv = g.leaf(Matrix::row_vector(x));
-                // broadcast x across thresholds
-                let mut xr = Matrix::zeros(ts.len(), x.len());
-                for i in 0..ts.len() {
-                    xr.row_mut(i).copy_from_slice(g.value(xv).row(0));
-                }
-                let mut g = Graph::new();
-                let xv = g.leaf(xr);
-                let tv = g.leaf(Matrix::col_vector(ts));
-                let te = emb2.forward(&mut g, s, tv);
-                let input = g.concat_cols(xv, te);
-                let out = net2.forward(&mut g, s, input);
-                g.value(out)
-                    .data()
-                    .iter()
-                    .map(|&z| from_log(z as f64, log_eps))
-                    .collect()
-            },
-            |_| {},
-        );
+        let net = Dnn::new(&mut store, "net", emb, 2, &cfg, &mut rng);
+        let history = train_minibatch(&mut store, &train, &valid, &cfg, &net);
         let first = history[0];
         let last = history.iter().cloned().fold(f64::MAX, f64::min);
         assert!(

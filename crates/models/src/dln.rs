@@ -18,12 +18,10 @@
 //! calibrator are *fixed and evenly spaced* — exactly the inflexibility the
 //! paper's §6.2 analysis (and our Figure 3 reproduction) exposes.
 
-use crate::common::{from_log, train_minibatch, NeuralConfig};
-use crate::dnn::replicate;
+use crate::common::{Network, NeuralConfig, Regressor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selnet_data::Dataset;
-use selnet_eval::SelectivityEstimator;
 use selnet_tensor::{init, Graph, Matrix, ParamId, ParamStore, Var};
 use selnet_workload::Workload;
 
@@ -164,18 +162,8 @@ pub fn project_lattice_monotone(params: &mut [f32], m: usize) {
     }
 }
 
-/// A trained DLN estimator.
-pub struct DlnEstimator {
-    store: ParamStore,
-    arch: DlnArch,
-    log_eps: f32,
-    name: String,
-}
-
-/// The architecture (parameter ids + shapes), separable from the store so
-/// the training closures can share it.
-#[derive(Clone)]
-struct DlnArch {
+/// The DLN's network: the six layers' parameter ids and shapes.
+pub struct Dln {
     input_cal: CalibratorBank,
     embed_w_free: ParamId,
     embed_w_t: ParamId,
@@ -189,7 +177,14 @@ struct DlnArch {
     dim: usize,
 }
 
-impl DlnArch {
+impl Network for Dln {
+    const LOG_SPACE: bool = true;
+    const CONSISTENT: bool = true;
+
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
     fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var, t: Var) -> Var {
         // layer 1: calibrate [x; t] (x dims free, t monotone)
         let input = g.concat_cols(x, t);
@@ -238,7 +233,17 @@ impl DlnArch {
         let z = g.matmul(cal5, ow);
         g.add_row_vec(z, ob)
     }
+
+    /// Projects every lattice back to monotone after an optimizer step.
+    fn project(&self, store: &mut ParamStore) {
+        for (&pid, dims) in self.lattice_params.iter().zip(&self.lattice_inputs) {
+            project_lattice_monotone(store.value_mut(pid).data_mut(), dims.len());
+        }
+    }
 }
+
+/// A trained DLN estimator.
+pub type DlnEstimator = Regressor<Dln>;
 
 impl DlnEstimator {
     /// Trains the DLN on a workload.
@@ -305,83 +310,20 @@ impl DlnEstimator {
         let out_w = store.add("out.w", init::normal(cfg.lattices.max(1), 1, 0.5, &mut rng));
         let out_b = store.add("out.b", Matrix::zeros(1, 1));
 
-        let arch = DlnArch {
+        let net = Dln {
             input_cal,
             embed_w_free,
             embed_w_t,
             embed_b,
             mid_cal,
-            lattice_params: lattice_params.clone(),
+            lattice_params,
             lattice_inputs,
             out_cal,
             out_w,
             out_b,
             dim,
         };
-
-        let log_eps = cfg.base.log_eps;
-        let arch_f = arch.clone();
-        let arch_p = arch.clone();
-        let lat_ids = lattice_params;
-        let lat_m = m;
-        train_minibatch(
-            &mut store,
-            &workload.train,
-            &workload.valid,
-            &cfg.base,
-            dim,
-            move |g, s, x, t| (arch_f.forward(g, s, x, t), true),
-            move |s, x, ts| {
-                let mut g = Graph::new();
-                let xv = g.leaf(replicate(x, ts.len()));
-                let tv = g.leaf(Matrix::col_vector(ts));
-                let out = arch_p.forward(&mut g, s, xv, tv);
-                g.value(out)
-                    .data()
-                    .iter()
-                    .map(|&z| from_log(z as f64, log_eps))
-                    .collect()
-            },
-            move |s| {
-                for &pid in &lat_ids {
-                    let p = s.value_mut(pid);
-                    project_lattice_monotone(p.data_mut(), lat_m);
-                }
-            },
-        );
-        DlnEstimator {
-            store,
-            arch,
-            log_eps,
-            name: "DLN".into(),
-        }
-    }
-}
-
-impl SelectivityEstimator for DlnEstimator {
-    fn estimate(&self, x: &[f32], t: f32) -> f64 {
-        self.estimate_many(x, &[t])[0]
-    }
-
-    fn estimate_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
-        assert_eq!(x.len(), self.arch.dim, "dimension mismatch");
-        let mut g = Graph::new();
-        let xv = g.leaf(replicate(x, ts.len()));
-        let tv = g.leaf(Matrix::col_vector(ts));
-        let out = self.arch.forward(&mut g, &self.store, xv, tv);
-        g.value(out)
-            .data()
-            .iter()
-            .map(|&z| from_log(z as f64, self.log_eps))
-            .collect()
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn guarantees_consistency(&self) -> bool {
-        true
+        Regressor::train(store, net, workload, &cfg.base, "DLN")
     }
 }
 
@@ -389,7 +331,7 @@ impl SelectivityEstimator for DlnEstimator {
 mod tests {
     use super::*;
     use selnet_data::generators::{fasttext_like, GeneratorConfig};
-    use selnet_eval::evaluate;
+    use selnet_eval::{evaluate, SelectivityEstimator};
     use selnet_metric::DistanceKind;
     use selnet_workload::{generate_workload, WorkloadConfig};
 

@@ -1,116 +1,73 @@
 //! Vanilla deep regression (the DNN baseline): an FFN over
 //! `[x; ReLU(W t)]` predicting `log(y + ε)`. No consistency guarantee.
 
-use crate::common::{from_log, train_minibatch, NeuralConfig, TEmbedding};
+use crate::common::{Network, NeuralConfig, Regressor, TEmbedding};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use selnet_data::Dataset;
-use selnet_eval::SelectivityEstimator;
-use selnet_tensor::{Activation, Graph, Matrix, Mlp, ParamStore};
+use selnet_tensor::{Activation, Graph, Mlp, ParamStore, Var};
 use selnet_workload::Workload;
 
-/// A trained DNN estimator.
-pub struct DnnEstimator {
-    store: ParamStore,
+/// The DNN's network: an FFN of `hidden` widths over `[x; emb(t)]`. RMI's
+/// stage models are DNNs sharing one embedding.
+pub struct Dnn {
     emb: TEmbedding,
     net: Mlp,
     dim: usize,
-    log_eps: f32,
-    name: String,
 }
 
-/// Replicates one query row for batched threshold evaluation.
-pub(crate) fn replicate(x: &[f32], rows: usize) -> Matrix {
-    let mut m = Matrix::zeros(rows, x.len());
-    for i in 0..rows {
-        m.row_mut(i).copy_from_slice(x);
-    }
-    m
-}
-
-impl DnnEstimator {
-    /// Trains the DNN on a workload.
-    pub fn fit(ds: &Dataset, workload: &Workload, cfg: &NeuralConfig) -> Self {
-        let dim = ds.dim();
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut store = ParamStore::new();
-        let emb = TEmbedding::new(&mut store, "temb", cfg.t_embed, &mut rng);
+impl Dnn {
+    /// Registers the FFN as `name` in `store`, over `emb` (already
+    /// registered).
+    pub(crate) fn new(
+        store: &mut ParamStore,
+        name: &str,
+        emb: TEmbedding,
+        dim: usize,
+        cfg: &NeuralConfig,
+        rng: &mut impl Rng,
+    ) -> Self {
         let mut widths = vec![dim + cfg.t_embed];
         widths.extend_from_slice(&cfg.hidden);
         widths.push(1);
         let net = Mlp::new(
-            &mut store,
-            "dnn",
+            store,
+            name,
             &widths,
             Activation::Relu,
             Activation::Linear,
-            &mut rng,
+            rng,
         );
-
-        let emb_f = emb.clone();
-        let net_f = net.clone();
-        let emb_p = emb.clone();
-        let net_p = net.clone();
-        let log_eps = cfg.log_eps;
-        train_minibatch(
-            &mut store,
-            &workload.train,
-            &workload.valid,
-            cfg,
-            dim,
-            move |g, s, x, t| {
-                let te = emb_f.forward(g, s, t);
-                let input = g.concat_cols(x, te);
-                (net_f.forward(g, s, input), true)
-            },
-            move |s, x, ts| {
-                let mut g = Graph::new();
-                let xv = g.leaf(replicate(x, ts.len()));
-                let tv = g.leaf(Matrix::col_vector(ts));
-                let te = emb_p.forward(&mut g, s, tv);
-                let input = g.concat_cols(xv, te);
-                let out = net_p.forward(&mut g, s, input);
-                g.value(out)
-                    .data()
-                    .iter()
-                    .map(|&z| from_log(z as f64, log_eps))
-                    .collect()
-            },
-            |_| {},
-        );
-        DnnEstimator {
-            store,
-            emb,
-            net,
-            dim,
-            log_eps,
-            name: "DNN".into(),
-        }
+        Dnn { emb, net, dim }
     }
 }
 
-impl SelectivityEstimator for DnnEstimator {
-    fn estimate(&self, x: &[f32], t: f32) -> f64 {
-        self.estimate_many(x, &[t])[0]
+impl Network for Dnn {
+    const LOG_SPACE: bool = true;
+    const CONSISTENT: bool = false;
+
+    fn dim(&self) -> usize {
+        self.dim
     }
 
-    fn estimate_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
-        assert_eq!(x.len(), self.dim, "dimension mismatch");
-        let mut g = Graph::new();
-        let xv = g.leaf(replicate(x, ts.len()));
-        let tv = g.leaf(Matrix::col_vector(ts));
-        let te = self.emb.forward(&mut g, &self.store, tv);
-        let input = g.concat_cols(xv, te);
-        let out = self.net.forward(&mut g, &self.store, input);
-        g.value(out)
-            .data()
-            .iter()
-            .map(|&z| from_log(z as f64, self.log_eps))
-            .collect()
+    fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var, t: Var) -> Var {
+        let te = self.emb.forward(g, store, t);
+        let input = g.concat_cols(x, te);
+        self.net.forward(g, store, input)
     }
+}
 
-    fn name(&self) -> &str {
-        &self.name
+/// A trained DNN estimator.
+pub type DnnEstimator = Regressor<Dnn>;
+
+impl DnnEstimator {
+    /// Trains the DNN on a workload.
+    pub fn fit(ds: &Dataset, workload: &Workload, cfg: &NeuralConfig) -> Self {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut store = ParamStore::new();
+        let emb = TEmbedding::new(&mut store, "temb", cfg.t_embed, &mut rng);
+        let net = Dnn::new(&mut store, "dnn", emb, ds.dim(), cfg, &mut rng);
+        Regressor::train(store, net, workload, cfg, "DNN")
     }
 }
 

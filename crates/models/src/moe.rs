@@ -2,12 +2,10 @@
 //! a gate picks the top-k experts per input; the output is the
 //! gate-weighted sum of the selected experts' predictions (log space).
 
-use crate::common::{from_log, train_minibatch, NeuralConfig, TEmbedding};
-use crate::dnn::replicate;
+use crate::common::{Network, NeuralConfig, Regressor, TEmbedding};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selnet_data::Dataset;
-use selnet_eval::SelectivityEstimator;
 use selnet_tensor::{Activation, Graph, Linear, Matrix, Mlp, ParamStore, Var};
 use selnet_workload::Workload;
 
@@ -47,18 +45,6 @@ impl MoeConfig {
     }
 }
 
-/// A trained MoE estimator.
-pub struct MoeEstimator {
-    store: ParamStore,
-    emb: TEmbedding,
-    gate: Linear,
-    experts: Vec<Mlp>,
-    top_k: usize,
-    dim: usize,
-    log_eps: f32,
-    name: String,
-}
-
 /// Builds the top-k mask (0 for selected logits, -1e30 otherwise) from the
 /// gate logits' forward values — the sparse gating of Shazeer et al.
 fn topk_mask(logits: &Matrix, k: usize) -> Matrix {
@@ -74,36 +60,48 @@ fn topk_mask(logits: &Matrix, k: usize) -> Matrix {
     mask
 }
 
-#[allow(clippy::too_many_arguments)]
-fn forward_moe(
-    g: &mut Graph,
-    store: &ParamStore,
-    emb: &TEmbedding,
-    gate: &Linear,
-    experts: &[Mlp],
+/// The MoE's network: a top-k gate over `[x; emb(t)]` and the experts it
+/// weighs.
+pub struct Moe {
+    emb: TEmbedding,
+    gate: Linear,
+    experts: Vec<Mlp>,
     top_k: usize,
-    x: Var,
-    t: Var,
-) -> Var {
-    let te = emb.forward(g, store, t);
-    let input = g.concat_cols(x, te);
-    let logits = gate.forward(g, store, input);
-    let mask = g.leaf(topk_mask(g.value(logits), top_k));
-    let masked = g.add(logits, mask);
-    let gates = g.softmax_rows(masked);
-    // all experts evaluated; unselected ones receive ~0 weight
-    let mut outs: Option<Var> = None;
-    for e in experts {
-        let o = e.forward(g, store, input);
-        outs = Some(match outs {
-            Some(acc) => g.concat_cols(acc, o),
-            None => o,
-        });
-    }
-    let outs = outs.expect("at least one expert");
-    let weighted = g.mul(gates, outs);
-    g.row_sum(weighted)
+    dim: usize,
 }
+
+impl Network for Moe {
+    const LOG_SPACE: bool = true;
+    const CONSISTENT: bool = false;
+
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var, t: Var) -> Var {
+        let te = self.emb.forward(g, store, t);
+        let input = g.concat_cols(x, te);
+        let logits = self.gate.forward(g, store, input);
+        let mask = g.leaf(topk_mask(g.value(logits), self.top_k));
+        let masked = g.add(logits, mask);
+        let gates = g.softmax_rows(masked);
+        // all experts evaluated; unselected ones receive ~0 weight
+        let mut outs: Option<Var> = None;
+        for e in &self.experts {
+            let o = e.forward(g, store, input);
+            outs = Some(match outs {
+                Some(acc) => g.concat_cols(acc, o),
+                None => o,
+            });
+        }
+        let outs = outs.expect("at least one expert");
+        let weighted = g.mul(gates, outs);
+        g.row_sum(weighted)
+    }
+}
+
+/// A trained MoE estimator.
+pub type MoeEstimator = Regressor<Moe>;
 
 impl MoeEstimator {
     /// Trains the MoE on a workload.
@@ -129,83 +127,19 @@ impl MoeEstimator {
                 )
             })
             .collect();
-
-        let log_eps = cfg.base.log_eps;
-        let (emb_f, gate_f, experts_f) = (emb.clone(), gate.clone(), experts.clone());
-        let (emb_p, gate_p, experts_p) = (emb.clone(), gate.clone(), experts.clone());
-        let k = cfg.top_k;
-        train_minibatch(
-            &mut store,
-            &workload.train,
-            &workload.valid,
-            &cfg.base,
-            dim,
-            move |g, s, x, t| {
-                (
-                    forward_moe(g, s, &emb_f, &gate_f, &experts_f, k, x, t),
-                    true,
-                )
-            },
-            move |s, x, ts| {
-                let mut g = Graph::new();
-                let xv = g.leaf(replicate(x, ts.len()));
-                let tv = g.leaf(Matrix::col_vector(ts));
-                let out = forward_moe(&mut g, s, &emb_p, &gate_p, &experts_p, k, xv, tv);
-                g.value(out)
-                    .data()
-                    .iter()
-                    .map(|&z| from_log(z as f64, log_eps))
-                    .collect()
-            },
-            |_| {},
-        );
-        MoeEstimator {
-            store,
+        let net = Moe {
             emb,
             gate,
             experts,
             top_k: cfg.top_k,
             dim,
-            log_eps,
-            name: "MoE".into(),
-        }
+        };
+        Regressor::train(store, net, workload, &cfg.base, "MoE")
     }
 
     /// Number of experts.
     pub fn num_experts(&self) -> usize {
-        self.experts.len()
-    }
-}
-
-impl SelectivityEstimator for MoeEstimator {
-    fn estimate(&self, x: &[f32], t: f32) -> f64 {
-        self.estimate_many(x, &[t])[0]
-    }
-
-    fn estimate_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
-        assert_eq!(x.len(), self.dim, "dimension mismatch");
-        let mut g = Graph::new();
-        let xv = g.leaf(replicate(x, ts.len()));
-        let tv = g.leaf(Matrix::col_vector(ts));
-        let out = forward_moe(
-            &mut g,
-            &self.store,
-            &self.emb,
-            &self.gate,
-            &self.experts,
-            self.top_k,
-            xv,
-            tv,
-        );
-        g.value(out)
-            .data()
-            .iter()
-            .map(|&z| from_log(z as f64, self.log_eps))
-            .collect()
-    }
-
-    fn name(&self) -> &str {
-        &self.name
+        self.net.experts.len()
     }
 }
 
@@ -213,7 +147,7 @@ impl SelectivityEstimator for MoeEstimator {
 mod tests {
     use super::*;
     use selnet_data::generators::{fasttext_like, GeneratorConfig};
-    use selnet_eval::evaluate;
+    use selnet_eval::{evaluate, SelectivityEstimator};
     use selnet_metric::DistanceKind;
     use selnet_workload::{generate_workload, WorkloadConfig};
 

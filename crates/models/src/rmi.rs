@@ -3,13 +3,15 @@
 //! input to one model of the next stage; the leaf model's prediction is the
 //! answer. Trained in log space like the other regressors.
 
-use crate::common::{arena_train_step, flatten, from_log, NeuralConfig, TEmbedding};
-use crate::dnn::replicate;
+use crate::common::{
+    arena_train_step, flatten, forward_rows, from_log, Network, NeuralConfig, Pairs, TEmbedding,
+};
+use crate::dnn::Dnn;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selnet_data::Dataset;
 use selnet_eval::SelectivityEstimator;
-use selnet_tensor::{Activation, Adam, Graph, Matrix, Mlp, ParamStore};
+use selnet_tensor::{Adam, Graph, ParamStore};
 use selnet_workload::Workload;
 
 /// RMI hyper-parameters.
@@ -40,17 +42,17 @@ impl RmiConfig {
     }
 }
 
-/// A trained RMI estimator.
+/// A trained RMI estimator. It serves itself rather than as a
+/// [`crate::common::Regressor`]: each threshold routes down the stages on
+/// its own.
 pub struct RmiEstimator {
     store: ParamStore,
-    emb: TEmbedding,
-    stages: Vec<Vec<Mlp>>,
+    /// The stage models: DNNs sharing one threshold embedding.
+    stages: Vec<Vec<Dnn>>,
     /// Log-space label range used for routing.
     zmin: f32,
     zmax: f32,
-    dim: usize,
     log_eps: f32,
-    name: String,
 }
 
 impl RmiEstimator {
@@ -60,22 +62,11 @@ impl RmiEstimator {
         ((frac * next_size as f32) as usize).min(next_size - 1)
     }
 
-    fn forward_one(&self, store: &ParamStore, x: &[f32], t: f32) -> f32 {
-        let mut g = Graph::new();
-        let xv = g.leaf(Matrix::row_vector(x));
-        let tv = g.leaf(Matrix::full(1, 1, t));
-        let te = self.emb.forward(&mut g, store, tv);
-        let input = g.concat_cols(xv, te);
-        let mut idx = 0usize;
-        let mut z = 0.0f32;
-        for (s, stage) in self.stages.iter().enumerate() {
-            let out = stage[idx].forward(&mut g, store, input);
-            z = g.value(out).get(0, 0);
-            if s + 1 < self.stages.len() {
-                idx = self.route(z, self.stages[s + 1].len());
-            }
-        }
-        z
+    /// Clamps a log-space prediction to the training label range (with a
+    /// small margin) — leaf models trained on tiny routing buckets can
+    /// otherwise extrapolate wildly.
+    fn clamp_z(&self, z: f32) -> f32 {
+        z.clamp(self.zmin - 1.0, self.zmax + 1.0)
     }
 
     /// Trains the hierarchy stage by stage.
@@ -84,25 +75,15 @@ impl RmiEstimator {
         let mut rng = StdRng::seed_from_u64(cfg.base.seed);
         let mut store = ParamStore::new();
         let emb = TEmbedding::new(&mut store, "temb", cfg.base.t_embed, &mut rng);
-        let in_dim = dim + cfg.base.t_embed;
-        let stages: Vec<Vec<Mlp>> = cfg
+        let stages: Vec<Vec<Dnn>> = cfg
             .stage_sizes
             .iter()
             .enumerate()
             .map(|(s, &size)| {
                 (0..size.max(1))
                     .map(|i| {
-                        let mut widths = vec![in_dim];
-                        widths.extend_from_slice(&cfg.base.hidden);
-                        widths.push(1);
-                        Mlp::new(
-                            &mut store,
-                            &format!("s{s}m{i}"),
-                            &widths,
-                            Activation::Relu,
-                            Activation::Linear,
-                            &mut rng,
-                        )
+                        let name = format!("s{s}m{i}");
+                        Dnn::new(&mut store, &name, emb.clone(), dim, &cfg.base, &mut rng)
                     })
                     .collect()
             })
@@ -115,13 +96,10 @@ impl RmiEstimator {
 
         let mut model = RmiEstimator {
             store,
-            emb,
             stages,
             zmin,
             zmax,
-            dim,
             log_eps: cfg.base.log_eps,
-            name: "RMI".into(),
         };
 
         // assignment of each pair to a model per stage; stage 0 -> model 0
@@ -141,11 +119,9 @@ impl RmiEstimator {
                 }
                 train_pairs_subset(
                     &mut model.store,
-                    &model.emb,
                     &model.stages[s][mi],
                     &pairs,
                     bucket,
-                    dim,
                     epochs_per_stage,
                     &cfg.base,
                     &mut rng,
@@ -155,46 +131,24 @@ impl RmiEstimator {
             if s + 1 < model.stages.len() {
                 let next = model.stages[s + 1].len();
                 for (i, a) in assignment.iter_mut().enumerate() {
-                    let pred = predict_submodel(
-                        &model.store,
-                        &model.emb,
-                        &model.stages[s][(*a).min(num_models - 1)],
-                        pairs.x[i],
-                        pairs.t[i],
-                    );
-                    *a = model.route_static(pred, next);
+                    let net = &model.stages[s][(*a).min(num_models - 1)];
+                    let z = forward_rows(net, &model.store, pairs.x[i], &[pairs.t[i]])[0];
+                    *a = model.route(z, next);
                 }
             }
         }
         model
     }
-
-    fn route_static(&self, z: f32, next_size: usize) -> usize {
-        self.route(z, next_size)
-    }
-}
-
-fn predict_submodel(store: &ParamStore, emb: &TEmbedding, net: &Mlp, x: &[f32], t: f32) -> f32 {
-    let mut g = Graph::new();
-    let xv = g.leaf(Matrix::row_vector(x));
-    let tv = g.leaf(Matrix::full(1, 1, t));
-    let te = emb.forward(&mut g, store, tv);
-    let input = g.concat_cols(xv, te);
-    let out = net.forward(&mut g, store, input);
-    g.value(out).get(0, 0)
 }
 
 /// Trains one sub-model on a subset of pairs (Huber on logs): the
 /// baselines' one training step, [`arena_train_step`], over one arena
 /// tape reused across all batches and epochs.
-#[allow(clippy::too_many_arguments)]
 fn train_pairs_subset(
     store: &mut ParamStore,
-    emb: &TEmbedding,
-    net: &Mlp,
-    pairs: &crate::common::Pairs<'_>,
+    net: &Dnn,
+    pairs: &Pairs<'_>,
     subset: &[usize],
-    dim: usize,
     epochs: usize,
     cfg: &NeuralConfig,
     rng: &mut StdRng,
@@ -202,75 +156,33 @@ fn train_pairs_subset(
     let mut order: Vec<usize> = subset.to_vec();
     let mut opt = Adam::new(cfg.learning_rate).with_clip(1.0);
     let mut g = Graph::new();
-    // the network predicts the log label directly
-    let mut forward = |g: &mut Graph, store: &ParamStore, xv, tv| {
-        let te = emb.forward(g, store, tv);
-        let input = g.concat_cols(xv, te);
-        (net.forward(g, store, input), true)
-    };
     for _ in 0..epochs {
         for i in (1..order.len()).rev() {
             let j = rng.gen_range(0..=i);
             order.swap(i, j);
         }
         for chunk in order.chunks(cfg.batch_size.max(1)) {
-            arena_train_step(
-                &mut g,
-                store,
-                &mut opt,
-                pairs,
-                chunk,
-                dim,
-                cfg,
-                &mut forward,
-            );
+            arena_train_step(&mut g, store, &mut opt, pairs, chunk, cfg, net);
         }
-    }
-}
-
-impl RmiEstimator {
-    /// Clamps a log-space prediction to the training label range (with a
-    /// small margin) — leaf models trained on tiny routing buckets can
-    /// otherwise extrapolate wildly.
-    fn clamp_z(&self, z: f32) -> f32 {
-        z.clamp(self.zmin - 1.0, self.zmax + 1.0)
     }
 }
 
 impl SelectivityEstimator for RmiEstimator {
     fn estimate(&self, x: &[f32], t: f32) -> f64 {
-        assert_eq!(x.len(), self.dim, "dimension mismatch");
-        let z = self.forward_one(&self.store, x, t);
-        from_log(self.clamp_z(z) as f64, self.log_eps)
+        self.estimate_many(x, &[t])[0]
     }
 
     fn estimate_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
-        // the leaf model can differ per threshold; batch per unique leaf
-        // is possible, but route-per-threshold stays simple and correct.
-        // Batch the first stage since it is shared:
-        let mut g = Graph::new();
-        let xv = g.leaf(replicate(x, ts.len()));
-        let tv = g.leaf(Matrix::col_vector(ts));
-        let te = self.emb.forward(&mut g, &self.store, tv);
-        let input = g.concat_cols(xv, te);
-        let out0 = self.stages[0][0].forward(&mut g, &self.store, input);
-        let z0: Vec<f32> = g.value(out0).data().to_vec();
-        if self.stages.len() == 1 {
-            return z0
-                .iter()
-                .map(|&z| from_log(self.clamp_z(z) as f64, self.log_eps))
-                .collect();
-        }
+        assert_eq!(x.len(), self.stages[0][0].dim(), "dimension mismatch");
+        // the first stage is shared: one forward over every threshold;
+        // each threshold then routes down the later stages on its own
+        let z0 = forward_rows(&self.stages[0][0], &self.store, x, ts);
         ts.iter()
-            .zip(&z0)
-            .map(|(&t, &z_first)| {
-                let mut idx = self.route(z_first, self.stages[1].len());
-                let mut z = z_first;
-                for s in 1..self.stages.len() {
-                    z = predict_submodel(&self.store, &self.emb, &self.stages[s][idx], x, t);
-                    if s + 1 < self.stages.len() {
-                        idx = self.route(z, self.stages[s + 1].len());
-                    }
+            .zip(z0)
+            .map(|(&t, mut z)| {
+                for stage in &self.stages[1..] {
+                    let net = &stage[self.route(z, stage.len())];
+                    z = forward_rows(net, &self.store, x, &[t])[0];
                 }
                 from_log(self.clamp_z(z) as f64, self.log_eps)
             })
@@ -278,7 +190,7 @@ impl SelectivityEstimator for RmiEstimator {
     }
 
     fn name(&self) -> &str {
-        &self.name
+        "RMI"
     }
 }
 

@@ -11,14 +11,12 @@
 //! points out, the quadrature nodes are the *same* for every query —
 //! the inflexibility SelNet's query-dependent control points remove.
 
-use crate::common::{train_minibatch, NeuralConfig};
-use crate::dnn::replicate;
+use crate::common::{Network, NeuralConfig, Regressor};
 use crate::quadrature::clenshaw_curtis;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selnet_data::Dataset;
-use selnet_eval::SelectivityEstimator;
-use selnet_tensor::{Activation, Graph, Matrix, Mlp, ParamStore, Var};
+use selnet_tensor::{Activation, Graph, Mlp, ParamStore, Var};
 use selnet_workload::Workload;
 
 /// UMNN hyper-parameters.
@@ -53,15 +51,9 @@ impl UmnnConfig {
     }
 }
 
-/// A trained UMNN estimator.
-pub struct UmnnEstimator {
-    store: ParamStore,
-    arch: UmnnArch,
-    name: String,
-}
-
-#[derive(Clone)]
-struct UmnnArch {
+/// The UMNN's network: the integrand and offset FFNs and the quadrature
+/// rule.
+pub struct Umnn {
     integrand: Mlp,
     offset: Mlp,
     /// CC node coefficients mapped to `[0, 1]`: `c_j = (ξ_j + 1) / 2`.
@@ -71,9 +63,15 @@ struct UmnnArch {
     dim: usize,
 }
 
-impl UmnnArch {
-    /// Records the forward pass; the output is the *raw* selectivity
-    /// (non-negative, monotone in `t`).
+impl Network for Umnn {
+    /// The output is the *raw* selectivity (non-negative, monotone in `t`).
+    const LOG_SPACE: bool = false;
+    const CONSISTENT: bool = true;
+
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
     fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var, t: Var) -> Var {
         // integral: (t/2) Σ_j w_j ĝ(x, c_j t)
         let mut acc: Option<Var> = None;
@@ -96,6 +94,9 @@ impl UmnnArch {
         g.add(integral, off)
     }
 }
+
+/// A trained UMNN estimator.
+pub type UmnnEstimator = Regressor<Umnn>;
 
 impl UmnnEstimator {
     /// Trains the UMNN on a workload.
@@ -126,68 +127,14 @@ impl UmnnEstimator {
             &mut rng,
         );
         let (nodes, weights) = clenshaw_curtis(cfg.nodes.max(1));
-        let arch = UmnnArch {
+        let net = Umnn {
             integrand,
             offset,
             node_coeff: nodes.iter().map(|&xi| ((xi + 1.0) / 2.0) as f32).collect(),
             half_weights: weights.iter().map(|&w| (w / 2.0) as f32).collect(),
             dim,
         };
-
-        let arch_f = arch.clone();
-        let arch_p = arch.clone();
-        train_minibatch(
-            &mut store,
-            &workload.train,
-            &workload.valid,
-            &cfg.base,
-            dim,
-            move |g, s, x, t| (arch_f.forward(g, s, x, t), false),
-            move |s, x, ts| {
-                let mut g = Graph::new();
-                let xv = g.leaf(replicate(x, ts.len()));
-                let tv = g.leaf(Matrix::col_vector(ts));
-                let out = arch_p.forward(&mut g, s, xv, tv);
-                g.value(out)
-                    .data()
-                    .iter()
-                    .map(|&v| (v as f64).max(0.0))
-                    .collect()
-            },
-            |_| {},
-        );
-        UmnnEstimator {
-            store,
-            arch,
-            name: "UMNN".into(),
-        }
-    }
-}
-
-impl SelectivityEstimator for UmnnEstimator {
-    fn estimate(&self, x: &[f32], t: f32) -> f64 {
-        self.estimate_many(x, &[t])[0]
-    }
-
-    fn estimate_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
-        assert_eq!(x.len(), self.arch.dim, "dimension mismatch");
-        let mut g = Graph::new();
-        let xv = g.leaf(replicate(x, ts.len()));
-        let tv = g.leaf(Matrix::col_vector(ts));
-        let out = self.arch.forward(&mut g, &self.store, xv, tv);
-        g.value(out)
-            .data()
-            .iter()
-            .map(|&v| (v as f64).max(0.0))
-            .collect()
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn guarantees_consistency(&self) -> bool {
-        true
+        Regressor::train(store, net, workload, &cfg.base, "UMNN")
     }
 }
 
@@ -195,7 +142,7 @@ impl SelectivityEstimator for UmnnEstimator {
 mod tests {
     use super::*;
     use selnet_data::generators::{fasttext_like, GeneratorConfig};
-    use selnet_eval::evaluate;
+    use selnet_eval::{evaluate, SelectivityEstimator};
     use selnet_metric::DistanceKind;
     use selnet_workload::{generate_workload, WorkloadConfig};
 

@@ -6,8 +6,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use selnet_models::common::{batch, flatten, from_log, train_minibatch, NeuralConfig, TEmbedding};
-use selnet_tensor::{Activation, Adam, Graph, Matrix, Mlp, ParamStore};
+use selnet_models::common::{
+    batch, flatten, from_log, train_minibatch, Network, NeuralConfig, TEmbedding,
+};
+use selnet_tensor::{Activation, Adam, Graph, Matrix, Mlp, ParamStore, Var};
 use selnet_workload::LabeledQuery;
 
 fn fixture_queries() -> Vec<LabeledQuery> {
@@ -68,6 +70,29 @@ fn predict(
         .iter()
         .map(|&z| from_log(z as f64, log_eps))
         .collect()
+}
+
+/// The shipped trainer's network: the MLP over `[x; emb(t)]`, predicting
+/// `log(y + ε)`.
+struct EmbeddedMlp {
+    emb: TEmbedding,
+    net: Mlp,
+    dim: usize,
+}
+
+impl Network for EmbeddedMlp {
+    const LOG_SPACE: bool = true;
+    const CONSISTENT: bool = false;
+
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var, t: Var) -> Var {
+        let te = self.emb.forward(g, store, t);
+        let input = g.concat_cols(x, te);
+        self.net.forward(g, store, input)
+    }
 }
 
 /// The seed trainer: a fresh `Graph` per batch, allocated batch matrices,
@@ -145,24 +170,9 @@ fn arena_trainer_is_bit_identical_to_fresh_graph_trainer() {
     let dim = 4;
 
     // arena path (the shipped trainer)
-    let (mut store_a, emb_a, net_a) = build_nets(&cfg, dim);
-    let (emb_f, net_f) = (emb_a.clone(), net_a.clone());
-    let (emb_p, net_p) = (emb_a.clone(), net_a.clone());
-    let log_eps = cfg.log_eps;
-    let hist_a = train_minibatch(
-        &mut store_a,
-        &queries,
-        &queries,
-        &cfg,
-        dim,
-        move |g, s, x, t| {
-            let te = emb_f.forward(g, s, t);
-            let input = g.concat_cols(x, te);
-            (net_f.forward(g, s, input), true)
-        },
-        move |s, x, ts| predict(&emb_p, &net_p, log_eps, s, x, ts),
-        |_| {},
-    );
+    let (mut store_a, emb, net) = build_nets(&cfg, dim);
+    let net_a = EmbeddedMlp { emb, net, dim };
+    let hist_a = train_minibatch(&mut store_a, &queries, &queries, &cfg, &net_a);
 
     // reference path (fresh graph per batch)
     let (mut store_b, emb_b, net_b) = build_nets(&cfg, dim);
