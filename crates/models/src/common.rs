@@ -65,6 +65,7 @@ pub(crate) fn arena_train_step<N: Network>(
     opt.step_refs(store, &grads);
     g.value(loss).get(0, 0) as f64
 }
+
 /// Hyper-parameters shared by the neural baselines.
 #[derive(Clone, Debug)]
 pub struct NeuralConfig {
@@ -215,8 +216,10 @@ pub fn batch_leaves(
 }
 
 /// Mini-batch trainer of `net`, whose parameters live in `store`. The
-/// parameters with the smallest validation MAE are kept; returns the
-/// per-epoch validation MAE history.
+/// parameters with the smallest validation MAE are kept (with an empty
+/// validation split, those of the epoch with the smallest mean training
+/// loss); returns the per-epoch validation MAE history (infinite with an
+/// empty split).
 ///
 /// One arena tape is reused across every batch of every epoch
 /// ([`Graph::reset`] keeps the buffers) and gradients reach Adam as
@@ -244,8 +247,11 @@ pub fn train_minibatch<N: Network>(
             let j = rng.gen_range(0..=i);
             order.swap(i, j);
         }
+        let mut epoch_loss = 0.0f64;
+        let mut batches = 0usize;
         for chunk in order.chunks(cfg.batch_size.max(1)) {
-            arena_train_step(&mut g, store, &mut opt, &pairs, chunk, cfg, net);
+            epoch_loss += arena_train_step(&mut g, store, &mut opt, &pairs, chunk, cfg, net);
+            batches += 1;
             net.project(store);
         }
         // validation MAE with current parameters
@@ -258,10 +264,18 @@ pub fn train_minibatch<N: Network>(
                 cnt += 1;
             }
         }
-        let mae = abs / cnt.max(1) as f64;
+        // With an empty validation split there is no MAE; select on the
+        // epoch's mean training loss so "best" tracks learning instead of
+        // freezing the first epoch's parameters.
+        let (mae, selection) = if valid.is_empty() {
+            (f64::INFINITY, epoch_loss / batches.max(1) as f64)
+        } else {
+            let mae = abs / cnt.max(1) as f64;
+            (mae, mae)
+        };
         history.push(mae);
-        if mae < best_mae {
-            best_mae = mae;
+        if selection < best_mae {
+            best_mae = selection;
             best_store = store.clone();
         }
     }
@@ -282,7 +296,12 @@ fn replicate(x: &[f32], rows: usize) -> Matrix {
 
 /// Records `net` on a fresh tape for one query object at every threshold
 /// of `ts`; returns its outputs, one per threshold.
-pub fn forward_rows<N: Network>(net: &N, store: &ParamStore, x: &[f32], ts: &[f32]) -> Vec<f32> {
+pub(crate) fn forward_rows<N: Network>(
+    net: &N,
+    store: &ParamStore,
+    x: &[f32],
+    ts: &[f32],
+) -> Vec<f32> {
     let mut g = Graph::new();
     let xv = g.leaf(replicate(x, ts.len()));
     let tv = g.leaf(Matrix::col_vector(ts));
@@ -293,7 +312,7 @@ pub fn forward_rows<N: Network>(net: &N, store: &ParamStore, x: &[f32], ts: &[f3
 /// `net`'s selectivity estimates for one query object at every threshold
 /// of `ts`: [`forward_rows`] mapped back from log space
 /// ([`Network::LOG_SPACE`]) or clamped at zero.
-pub fn predict<N: Network>(
+pub(crate) fn predict<N: Network>(
     net: &N,
     store: &ParamStore,
     x: &[f32],

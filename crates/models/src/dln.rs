@@ -67,7 +67,7 @@ impl DlnConfig {
 
 /// A bank of 1-D piece-wise-linear calibrators with fixed, evenly spaced
 /// keypoints and a per-dimension monotonicity flag.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct CalibratorBank {
     /// Raw parameters, `1 x (dims * keypoints)`.
     raw: ParamId,

@@ -75,7 +75,7 @@ impl DnnEstimator {
 mod tests {
     use super::*;
     use selnet_data::generators::{fasttext_like, GeneratorConfig};
-    use selnet_eval::evaluate;
+    use selnet_eval::{evaluate, SelectivityEstimator};
     use selnet_metric::DistanceKind;
     use selnet_workload::{generate_workload, WorkloadConfig};
 
@@ -99,5 +99,27 @@ mod tests {
             m.mse,
             zero_mse
         );
+    }
+
+    /// With an empty validation split the trainer selects on training
+    /// loss: more epochs move the answers instead of keeping the first
+    /// epoch's parameters for good.
+    #[test]
+    fn empty_validation_split_keeps_learning() {
+        let ds = fasttext_like(&GeneratorConfig::new(600, 5, 3, 9));
+        let mut wcfg = WorkloadConfig::new(30, DistanceKind::Euclidean, 3);
+        wcfg.thresholds_per_query = 6;
+        let mut w = generate_workload(&ds, &wcfg);
+        w.valid.clear();
+        let answers = |epochs| {
+            let cfg = NeuralConfig {
+                epochs,
+                ..NeuralConfig::tiny()
+            };
+            let model = DnnEstimator::fit(&ds, &w, &cfg);
+            let q = &w.test[0];
+            model.estimate_many(&q.x, &q.thresholds)
+        };
+        assert_ne!(answers(1), answers(10));
     }
 }

@@ -13,11 +13,12 @@
 //!   (consistent by construction).
 //!
 //! Each model writes its architecture and forward once, as a
-//! [`Network`]; [`common::train_minibatch`] trains it and [`Regressor`]
-//! serves it, so `DnnEstimator`, `MoeEstimator`, `DlnEstimator` and
-//! `UmnnEstimator` are `Regressor`s of their networks. RMI is the one
-//! neural baseline with an estimator of its own: its stage models are
-//! DNNs, and each threshold routes down the stages by its own prediction.
+//! [`common::Network`]; [`common::train_minibatch`] trains it and
+//! [`common::Regressor`] serves it, so `DnnEstimator`, `MoeEstimator`,
+//! `DlnEstimator` and `UmnnEstimator` are `Regressor`s of their networks.
+//! RMI is the one neural baseline with an estimator of its own: its stage
+//! models are DNNs, and each threshold routes down the stages by its own
+//! prediction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +31,7 @@ pub mod quadrature;
 pub mod rmi;
 pub mod umnn;
 
-pub use common::{Network, NeuralConfig, Regressor};
+pub use common::NeuralConfig;
 pub use dln::{DlnConfig, DlnEstimator};
 pub use dnn::DnnEstimator;
 pub use moe::{MoeConfig, MoeEstimator};
