@@ -12,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selnet_data::Dataset;
-use selnet_eval::SelectivityEstimator;
+use selnet_eval::{per_pair, SelectivityEstimator};
 use selnet_metric::DistanceKind;
 use selnet_workload::LabeledQuery;
 
@@ -355,13 +355,13 @@ impl GbdtEstimator {
 }
 
 impl SelectivityEstimator for GbdtEstimator {
-    fn estimate(&self, x: &[f32], t: f32) -> f64 {
-        assert_eq!(x.len(), self.dim, "dimension mismatch");
-        let mut features = Vec::with_capacity(self.dim + 1);
-        features.extend_from_slice(x);
-        features.push(t);
-        let z = self.predict_log(&features) as f64;
-        (z.exp() - self.cfg.log_eps as f64).max(0.0)
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+        per_pair(queries, out, |x, t| {
+            assert_eq!(x.len(), self.dim, "dimension mismatch");
+            let features: Vec<f32> = x.iter().copied().chain([t]).collect();
+            let z = self.predict_log(&features) as f64;
+            (z.exp() - self.cfg.log_eps as f64).max(0.0)
+        })
     }
 
     fn name(&self) -> &str {

@@ -104,7 +104,6 @@ impl KdeEstimator {
         let log_gm: f64 = knn.iter().map(|d| d.ln()).sum::<f64>() / m as f64;
         let gm = log_gm.exp();
         let h0 = 1.06 * gm * (m as f64).powf(-0.2);
-        let _ = &mut rng; // rng only used for sampling above
 
         let bandwidth = if cfg.adaptive {
             // per-point adaptive kernels: dense areas get narrower kernels
@@ -129,26 +128,21 @@ impl KdeEstimator {
 }
 
 impl SelectivityEstimator for KdeEstimator {
-    fn estimate(&self, x: &[f32], t: f32) -> f64 {
-        self.estimate_many(x, &[t])[0]
-    }
-
-    fn estimate_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
-        // compute distances once; reuse for all thresholds
-        let dists: Vec<f64> = self
-            .sample
-            .iter()
-            .map(|s| self.kind.eval(x, s) as f64)
-            .collect();
-        ts.iter()
-            .map(|&t| {
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+        out.clear();
+        let mut dists = Vec::with_capacity(self.sample.len());
+        for &(x, ts) in queries {
+            // distances once per object; reused for all its thresholds
+            dists.clear();
+            dists.extend(self.sample.iter().map(|s| self.kind.eval(x, s) as f64));
+            out.extend(ts.iter().map(|&t| {
                 let mut acc = 0.0f64;
                 for (&d, &h) in dists.iter().zip(&self.bandwidth) {
                     acc += std_normal_cdf((t as f64 - d) / h);
                 }
                 (acc * self.scale).max(0.0)
-            })
-            .collect()
+            }));
+        }
     }
 
     fn name(&self) -> &str {

@@ -94,46 +94,45 @@ impl LshEstimator {
 }
 
 impl SelectivityEstimator for LshEstimator {
-    fn estimate(&self, x: &[f32], t: f32) -> f64 {
-        self.estimate_many(x, &[t])[0]
-    }
-
-    fn estimate_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
-        let qsig = self.signature(x);
-        // stratify by hamming distance
-        let mut strata: Vec<Vec<usize>> = vec![Vec::new(); self.num_bits + 1];
-        for (i, &sig) in self.signatures.iter().enumerate() {
-            let h = (sig ^ qsig).count_ones() as usize;
-            strata[h].push(i);
-        }
-        // deterministic per-query sampling
-        let mut rng = StdRng::seed_from_u64(self.seed ^ qsig);
-        // proportional-with-floor allocation of the budget to non-empty strata
-        let nonempty: Vec<usize> = (0..strata.len())
-            .filter(|&h| !strata[h].is_empty())
-            .collect();
-        let per_floor = (self.budget / nonempty.len().max(1)).max(1);
-        let mut out = vec![0.0f64; ts.len()];
-        for &h in &nonempty {
-            let stratum = &strata[h];
-            let take = per_floor.min(stratum.len());
-            let weight = stratum.len() as f64 / take as f64;
-            // partial Fisher-Yates over a local index copy
-            let mut idx: Vec<usize> = stratum.clone();
-            for i in 0..take {
-                let j = rng.gen_range(i..idx.len());
-                idx.swap(i, j);
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+        out.clear();
+        for &(x, ts) in queries {
+            let qsig = self.signature(x);
+            // stratify by hamming distance
+            let mut strata: Vec<Vec<usize>> = vec![Vec::new(); self.num_bits + 1];
+            for (i, &sig) in self.signatures.iter().enumerate() {
+                let h = (sig ^ qsig).count_ones() as usize;
+                strata[h].push(i);
             }
-            for &pi in idx.iter().take(take) {
-                let d = DistanceKind::Cosine.eval(x, &self.points[pi]);
-                for (o, &t) in out.iter_mut().zip(ts) {
-                    if d <= t {
-                        *o += weight;
+            // deterministic per-query sampling
+            let mut rng = StdRng::seed_from_u64(self.seed ^ qsig);
+            // proportional-with-floor allocation of the budget to non-empty strata
+            let nonempty: Vec<usize> = (0..strata.len())
+                .filter(|&h| !strata[h].is_empty())
+                .collect();
+            let per_floor = (self.budget / nonempty.len().max(1)).max(1);
+            let mut answers = vec![0.0f64; ts.len()];
+            for &h in &nonempty {
+                let stratum = &strata[h];
+                let take = per_floor.min(stratum.len());
+                let weight = stratum.len() as f64 / take as f64;
+                // partial Fisher-Yates over a local index copy
+                let mut idx: Vec<usize> = stratum.clone();
+                for i in 0..take {
+                    let j = rng.gen_range(i..idx.len());
+                    idx.swap(i, j);
+                }
+                for &pi in idx.iter().take(take) {
+                    let d = DistanceKind::Cosine.eval(x, &self.points[pi]);
+                    for (o, &t) in answers.iter_mut().zip(ts) {
+                        if d <= t {
+                            *o += weight;
+                        }
                     }
                 }
             }
+            out.extend(answers);
         }
-        out
     }
 
     fn name(&self) -> &str {

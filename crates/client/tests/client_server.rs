@@ -7,7 +7,7 @@
 use selnet_client::{ClientConfig, Connection, Reply};
 use selnet_core::{fit_partitioned, PartitionConfig, PartitionedSelNet, SelNetConfig};
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
-use selnet_eval::SelectivityEstimator;
+use selnet_eval::{per_pair, SelectivityEstimator};
 use selnet_metric::DistanceKind;
 use selnet_serve::protocol::ErrorCode;
 use selnet_serve::registry::ModelRegistry;
@@ -151,11 +151,13 @@ fn four_pipelined_connections_two_tenants_match_direct_estimation() {
 struct Gated(Arc<Mutex<()>>);
 
 impl SelectivityEstimator for Gated {
-    fn estimate(&self, x: &[f32], t: f32) -> f64 {
-        if x[0] < 0.0 {
-            drop(self.0.lock().unwrap());
-        }
-        f64::from(x[0]) + f64::from(t)
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+        per_pair(queries, out, |x, t| {
+            if x[0] < 0.0 {
+                drop(self.0.lock().unwrap());
+            }
+            f64::from(x[0]) + f64::from(t)
+        })
     }
 
     fn query_dim(&self) -> Option<usize> {

@@ -140,20 +140,9 @@ impl PartitionedSelNet {
 }
 
 impl SelectivityEstimator for PartitionedSelNet {
-    fn estimate(&self, x: &[f32], t: f32) -> f64 {
-        self.estimate_many(x, &[t])[0]
-    }
-
-    /// One network row, one interpolation per threshold (see "The curve
-    /// forward" in `ARCHITECTURE.md`).
-    fn estimate_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(ts.len());
-        self.estimate_into(&[(x, ts)], &mut out);
-        out
-    }
-
-    /// One network pass over the wave's query objects: the tape forward
-    /// bit for bit.
+    /// One network pass over the wave's query objects, one interpolation
+    /// per threshold (see "The curve forward" in `ARCHITECTURE.md`): the
+    /// tape forward bit for bit.
     fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
         replay_curves(self, queries, out)
     }
@@ -509,11 +498,24 @@ pub(crate) fn run_training_phase(
     );
 }
 
-/// Validation MAE of the partitioned model (see
-/// [`crate::train::mean_abs_error`] for the parallel reduction and the
-/// empty-split `INFINITY` contract).
+/// Validation MAE of the partitioned model, the split asked as one wave:
+/// errors summed per query, the sums in query order. `f64::INFINITY` for
+/// an empty split (a `0.0` there made training keep its earliest
+/// parameters and stored a drift reference of 0).
 pub(crate) fn validation_mae(model: &PartitionedSelNet, split: &[LabeledQuery]) -> f64 {
-    crate::train::mean_abs_error(split, |q| model.estimate_many(&q.x, &q.thresholds))
+    if split.is_empty() {
+        return f64::INFINITY;
+    }
+    let wave: Vec<_> = split.iter().map(LabeledQuery::query).collect();
+    let mut preds = Vec::new();
+    model.estimate_into(&wave, &mut preds);
+    let mut unread = preds.iter();
+    let mut abs = 0.0f64;
+    for q in split {
+        let errors = unread.by_ref().take(q.len()).zip(&q.selectivities);
+        abs += errors.map(|(p, &y)| (p - y).abs()).sum::<f64>();
+    }
+    abs / preds.len().max(1) as f64
 }
 
 /// Registers the shared autoencoder and the `k` control-point networks in

@@ -181,38 +181,6 @@ fn apply_loss(g: &mut Graph, residual: Var, loss: LossKind, delta: f32) -> Var {
     }
 }
 
-/// Mean absolute error of `predict` over a labeled split, parallelized
-/// over queries (per-query sums are reduced in query order, so the result
-/// is independent of the thread count).
-///
-/// Returns `f64::INFINITY` for an empty split: the seed returned `0.0`,
-/// which made training lock in the earliest parameters as "best" and
-/// store a bogus drift reference of 0.
-pub(crate) fn mean_abs_error<F>(split: &[LabeledQuery], predict: F) -> f64
-where
-    F: Fn(&LabeledQuery) -> Vec<f64> + Sync,
-{
-    if split.is_empty() {
-        return f64::INFINITY;
-    }
-    let per_query = selnet_tensor::parallel::par_map_indexed(split.len(), 4, |qi| {
-        let q = &split[qi];
-        let abs: f64 = predict(q)
-            .iter()
-            .zip(&q.selectivities)
-            .map(|(p, &y)| (p - y).abs())
-            .sum();
-        (abs, q.thresholds.len())
-    });
-    let mut abs = 0.0f64;
-    let mut n = 0usize;
-    for (a, c) in per_query {
-        abs += a;
-        n += c;
-    }
-    abs / n.max(1) as f64
-}
-
 /// Trains a fresh SelNet model without data partitioning — the `SelNet-ct`
 /// configuration, or `SelNet-ad-ct` when
 /// [`SelNetConfig::query_dependent_tau`] is off. This is
@@ -248,7 +216,7 @@ pub fn fit_named(
 mod tests {
     use super::*;
     use selnet_data::generators::{fasttext_like, GeneratorConfig};
-    use selnet_eval::{evaluate, SelectivityEstimator};
+    use selnet_eval::{evaluate, per_pair, SelectivityEstimator};
     use selnet_metric::DistanceKind;
     use selnet_workload::{generate_workload, WorkloadConfig};
 
@@ -297,8 +265,8 @@ mod tests {
         };
         struct Const(f64);
         impl SelectivityEstimator for Const {
-            fn estimate(&self, _: &[f32], _: f32) -> f64 {
-                self.0
+            fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+                per_pair(queries, out, |_, _| self.0)
             }
             fn name(&self) -> &str {
                 "const"

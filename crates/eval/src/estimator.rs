@@ -1,22 +1,31 @@
-//! The estimator interface every model in this workspace implements.
+//! The estimator interface every model in this workspace implements: one
+//! answering method, [`SelectivityEstimator::estimate_into`], of which
+//! `estimate`, `estimate_many` and `estimate_batch` are fixed-shape waves
+//! that no model overrides.
 
 /// A trained selectivity estimator: answers "how many database objects are
 /// within distance `t` of `x`?" (Definition 1 of the paper).
 pub trait SelectivityEstimator {
+    /// Answers every `(x, ts)` query of a wave into `out` (cleared first),
+    /// flat in query order, one estimate per threshold. A query's answers
+    /// do not depend on the rest of the wave, to the bit
+    /// (`tests/tests/wave_identity.rs`).
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>);
+
     /// Estimates the selectivity of query `(x, t)`.
-    fn estimate(&self, x: &[f32], t: f32) -> f64;
+    fn estimate(&self, x: &[f32], t: f32) -> f64 {
+        self.estimate_many(x, std::slice::from_ref(&t))[0]
+    }
 
     /// Estimates selectivities of many thresholds for one query object.
-    ///
-    /// The default loops over [`SelectivityEstimator::estimate`]; batched
-    /// models override this with a single network evaluation.
     fn estimate_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
-        ts.iter().map(|&t| self.estimate(x, t)).collect()
+        let mut out = Vec::with_capacity(ts.len());
+        self.estimate_into(&[(x, ts)], &mut out);
+        out
     }
 
     /// Estimates selectivities of many **distinct** queries at once:
-    /// query `i` is `(xs[i], ts[i])`. Provided on top of
-    /// [`SelectivityEstimator::estimate_into`].
+    /// query `i` is `(xs[i], ts[i])`.
     fn estimate_batch(&self, xs: &[&[f32]], ts: &[f32]) -> Vec<f64> {
         assert_eq!(xs.len(), ts.len(), "one threshold per query object");
         let queries: Vec<(&[f32], &[f32])> = xs
@@ -27,22 +36,6 @@ pub trait SelectivityEstimator {
         let mut out = Vec::with_capacity(queries.len());
         self.estimate_into(&queries, &mut out);
         out
-    }
-
-    /// The serving hook: answers every `(x, ts)` query of a wave into
-    /// `out` (cleared first), flat in query order — query `i`'s estimates
-    /// follow query `i - 1`'s, one per threshold.
-    ///
-    /// The default loops [`SelectivityEstimator::estimate_many`] — correct
-    /// for estimators without a batched forward (histograms, samplers,
-    /// reference tapes). SelNet overrides it with one network pass over
-    /// the wave's query objects; an override must produce exactly the
-    /// values `estimate_many` returns per query.
-    fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
-        out.clear();
-        for &(x, ts) in queries {
-            out.extend(self.estimate_many(x, ts));
-        }
     }
 
     /// The query dimensionality this estimator accepts, when it has a
@@ -63,19 +56,20 @@ pub trait SelectivityEstimator {
     }
 }
 
+/// [`SelectivityEstimator::estimate_into`] for an estimator that answers
+/// one `(x, t)` pair at a time.
+pub fn per_pair(
+    queries: &[(&[f32], &[f32])],
+    out: &mut Vec<f64>,
+    mut estimate: impl FnMut(&[f32], f32) -> f64,
+) {
+    out.clear();
+    for &(x, ts) in queries {
+        out.extend(ts.iter().map(|&t| estimate(x, t)));
+    }
+}
+
 impl<T: SelectivityEstimator + ?Sized> SelectivityEstimator for Box<T> {
-    fn estimate(&self, x: &[f32], t: f32) -> f64 {
-        (**self).estimate(x, t)
-    }
-
-    fn estimate_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
-        (**self).estimate_many(x, ts)
-    }
-
-    fn estimate_batch(&self, xs: &[&[f32]], ts: &[f32]) -> Vec<f64> {
-        (**self).estimate_batch(xs, ts)
-    }
-
     fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
         (**self).estimate_into(queries, out)
     }
@@ -95,7 +89,7 @@ impl<T: SelectivityEstimator + ?Sized> SelectivityEstimator for Box<T> {
 
 #[cfg(test)]
 pub(crate) mod test_util {
-    use super::SelectivityEstimator;
+    use super::{per_pair, SelectivityEstimator};
 
     /// A deterministic fake estimator for metric tests: predicts
     /// `scale * t` regardless of the query.
@@ -104,8 +98,8 @@ pub(crate) mod test_util {
     }
 
     impl SelectivityEstimator for LinearInT {
-        fn estimate(&self, _x: &[f32], t: f32) -> f64 {
-            self.scale * t as f64
+        fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+            per_pair(queries, out, |_, t| self.scale * t as f64)
         }
 
         fn name(&self) -> &str {

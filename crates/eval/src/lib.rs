@@ -13,6 +13,6 @@ pub mod estimator;
 pub mod metrics;
 pub mod timing;
 
-pub use estimator::SelectivityEstimator;
+pub use estimator::{per_pair, SelectivityEstimator};
 pub use metrics::{empirical_monotonicity, evaluate, ErrorMetrics, MetricsAccumulator};
 pub use timing::average_estimate_ms;

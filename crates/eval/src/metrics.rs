@@ -56,14 +56,15 @@ impl MetricsAccumulator {
     }
 }
 
-/// Evaluates an estimator over a labeled split.
+/// Evaluates an estimator over a labeled split, asked as one wave.
 pub fn evaluate(model: &dyn SelectivityEstimator, split: &[LabeledQuery]) -> ErrorMetrics {
+    let wave: Vec<_> = split.iter().map(LabeledQuery::query).collect();
+    let mut preds = Vec::new();
+    model.estimate_into(&wave, &mut preds);
+    let truths = split.iter().flat_map(|q| &q.selectivities);
     let mut acc = MetricsAccumulator::new();
-    for q in split {
-        let preds = model.estimate_many(&q.x, &q.thresholds);
-        for (pred, &truth) in preds.iter().zip(&q.selectivities) {
-            acc.push(*pred, truth);
-        }
+    for (&pred, &truth) in preds.iter().zip(truths) {
+        acc.push(pred, truth);
     }
     acc.finish()
 }
@@ -83,17 +84,20 @@ pub fn empirical_monotonicity(
     if take == 0 || num_thresholds < 2 {
         return 100.0;
     }
-    let mut total = 0.0f64;
     // evenly spaced thresholds over [0, tmax], as the test samples 100
-    // thresholds per query; the grid and the prediction buffer are shared
-    // across queries (buffer-reuse API), so the sweep allocates nothing
-    // per query
+    // thresholds per query; every query is asked at the one grid, in one
+    // wave
     let ts: Vec<f32> = (0..num_thresholds)
         .map(|i| tmax * i as f32 / (num_thresholds - 1) as f32)
         .collect();
-    let mut preds = Vec::with_capacity(num_thresholds);
-    for q in queries.iter().take(take) {
-        model.estimate_into(&[(&q.x, &ts)], &mut preds);
+    let wave: Vec<_> = queries[..take]
+        .iter()
+        .map(|q| (&q.x[..], &ts[..]))
+        .collect();
+    let mut preds = Vec::with_capacity(take * num_thresholds);
+    model.estimate_into(&wave, &mut preds);
+    let mut total = 0.0f64;
+    for preds in preds.chunks_exact(num_thresholds) {
         let mut ok = 0usize;
         let mut pairs = 0usize;
         for i in 0..preds.len() {
@@ -113,7 +117,7 @@ pub fn empirical_monotonicity(
 mod tests {
     use super::*;
     use crate::estimator::test_util::LinearInT;
-    use crate::estimator::SelectivityEstimator;
+    use crate::estimator::{per_pair, SelectivityEstimator};
 
     fn fixture() -> Vec<LabeledQuery> {
         vec![LabeledQuery {
@@ -151,9 +155,9 @@ mod tests {
 
     struct Sawtooth;
     impl SelectivityEstimator for Sawtooth {
-        fn estimate(&self, _x: &[f32], t: f32) -> f64 {
+        fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
             // strictly decreasing: every pair violates monotonicity
-            -(t as f64)
+            per_pair(queries, out, |_, t| -(t as f64))
         }
         fn name(&self) -> &str {
             "sawtooth"

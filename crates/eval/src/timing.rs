@@ -7,7 +7,8 @@ use std::time::Instant;
 /// Average per-estimate latency in milliseconds over a split.
 ///
 /// Every `(x, t)` pair is timed through [`SelectivityEstimator::estimate`]
-/// (single-query path, matching the paper's per-query timing).
+/// (`estimate_into` at one object and one threshold, matching the paper's
+/// per-query timing).
 pub fn average_estimate_ms(
     model: &dyn SelectivityEstimator,
     split: &[LabeledQuery],

@@ -241,6 +241,8 @@ pub fn train_minibatch<N: Network>(
     let mut best_store = store.clone();
     let mut history = Vec::with_capacity(cfg.epochs);
     let mut g = Graph::new();
+    let valid_wave: Vec<_> = valid.iter().map(LabeledQuery::query).collect();
+    let mut preds = Vec::new();
 
     for _ in 0..cfg.epochs {
         for i in (1..n).rev() {
@@ -254,15 +256,12 @@ pub fn train_minibatch<N: Network>(
             batches += 1;
             net.project(store);
         }
-        // validation MAE with current parameters
+        // validation MAE with current parameters, the split as one wave
+        predict_into(net, store, cfg.log_eps, &valid_wave, &mut preds);
+        let truths = valid.iter().flat_map(|q| &q.selectivities);
         let mut abs = 0.0f64;
-        let mut cnt = 0usize;
-        for q in valid {
-            let preds = predict(net, store, &q.x, &q.thresholds, cfg.log_eps);
-            for (p, &y) in preds.iter().zip(&q.selectivities) {
-                abs += (p - y).abs();
-                cnt += 1;
-            }
+        for (p, &y) in preds.iter().zip(truths) {
+            abs += (p - y).abs();
         }
         // With an empty validation split there is no MAE; select on the
         // epoch's mean training loss so "best" tracks learning instead of
@@ -270,7 +269,7 @@ pub fn train_minibatch<N: Network>(
         let (mae, selection) = if valid.is_empty() {
             (f64::INFINITY, epoch_loss / batches.max(1) as f64)
         } else {
-            let mae = abs / cnt.max(1) as f64;
+            let mae = abs / preds.len().max(1) as f64;
             (mae, mae)
         };
         history.push(mae);
@@ -285,50 +284,54 @@ pub fn train_minibatch<N: Network>(
     history
 }
 
-/// Replicates one query row for batched threshold evaluation.
-fn replicate(x: &[f32], rows: usize) -> Matrix {
-    let mut m = Matrix::zeros(rows, x.len());
-    for i in 0..rows {
-        m.row_mut(i).copy_from_slice(x);
+/// A wave's `(x, t)` pairs stacked as rows `(xs[r], ts[r])` in query order;
+/// asserts every object has `dim` coordinates.
+pub(crate) fn stack<'a>(queries: &[(&'a [f32], &[f32])], dim: usize) -> (Vec<&'a [f32]>, Vec<f32>) {
+    let mut xs = Vec::new();
+    let mut ts = Vec::new();
+    for &(x, qts) in queries {
+        assert_eq!(x.len(), dim, "dimension mismatch");
+        xs.extend(std::iter::repeat_n(x, qts.len()));
+        ts.extend_from_slice(qts);
     }
-    m
+    (xs, ts)
 }
 
-/// Records `net` on a fresh tape for one query object at every threshold
-/// of `ts`; returns its outputs, one per threshold.
+/// Records `net` on one tape over the rows `(xs[r], ts[r])`; returns its
+/// outputs, one per row. Every op of a forward is row-wise, so a row's
+/// output does not depend on the rows beside it.
 pub(crate) fn forward_rows<N: Network>(
     net: &N,
     store: &ParamStore,
-    x: &[f32],
+    xs: &[&[f32]],
     ts: &[f32],
 ) -> Vec<f32> {
     let mut g = Graph::new();
-    let xv = g.leaf(replicate(x, ts.len()));
+    let xv = g.leaf(Matrix::from_vec(xs.len(), net.dim(), xs.concat()));
     let tv = g.leaf(Matrix::col_vector(ts));
     let out = net.forward(&mut g, store, xv, tv);
     g.value(out).data().to_vec()
 }
 
-/// `net`'s selectivity estimates for one query object at every threshold
-/// of `ts`: [`forward_rows`] mapped back from log space
-/// ([`Network::LOG_SPACE`]) or clamped at zero.
-pub(crate) fn predict<N: Network>(
+/// `net`'s answers to a wave into `out` (cleared first): one forward over
+/// its stacked rows ([`stack`], [`forward_rows`]), mapped back from log
+/// space ([`Network::LOG_SPACE`]) or clamped at zero.
+pub(crate) fn predict_into<N: Network>(
     net: &N,
     store: &ParamStore,
-    x: &[f32],
-    ts: &[f32],
     log_eps: f32,
-) -> Vec<f64> {
-    forward_rows(net, store, x, ts)
-        .into_iter()
-        .map(|z| {
-            if N::LOG_SPACE {
-                from_log(z as f64, log_eps)
-            } else {
-                (z as f64).max(0.0)
-            }
-        })
-        .collect()
+    queries: &[(&[f32], &[f32])],
+    out: &mut Vec<f64>,
+) {
+    let (xs, ts) = stack(queries, net.dim());
+    out.clear();
+    out.extend(forward_rows(net, store, &xs, &ts).into_iter().map(|z| {
+        if N::LOG_SPACE {
+            from_log(z as f64, log_eps)
+        } else {
+            (z as f64).max(0.0)
+        }
+    }));
 }
 
 /// A trained neural baseline: DNN, MoE, DLN and UMNN are each a
@@ -361,13 +364,9 @@ impl<N: Network> Regressor<N> {
 }
 
 impl<N: Network> SelectivityEstimator for Regressor<N> {
-    fn estimate(&self, x: &[f32], t: f32) -> f64 {
-        self.estimate_many(x, &[t])[0]
-    }
-
-    fn estimate_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
-        assert_eq!(x.len(), self.net.dim(), "dimension mismatch");
-        predict(&self.net, &self.store, x, ts, self.log_eps)
+    /// One forward over the wave's stacked `(x, t)` rows.
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+        predict_into(&self.net, &self.store, self.log_eps, queries, out)
     }
 
     fn name(&self) -> &str {

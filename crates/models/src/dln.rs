@@ -108,10 +108,12 @@ impl CalibratorBank {
         }
     }
 
-    /// Calibrates all dims of `inputs` (`R x dims`); returns `R x dims`.
+    /// Calibrates all dims of `inputs` (`R x dims`); returns `R x dims`,
+    /// its columns joined as a balanced tree of `concat_cols` (a chain
+    /// would copy `O(dims²)` floats per row, the tree `O(dims · log dims)`).
     fn calibrate_all(&self, g: &mut Graph, store: &ParamStore, inputs: Var) -> Var {
         let raw = store.inject(g, self.raw);
-        let mut out: Option<Var> = None;
+        let mut cols = Vec::with_capacity(self.dims);
         for d in 0..self.dims {
             let slice = g.slice_cols(raw, d * self.k, (d + 1) * self.k);
             let p = if self.monotone[d] {
@@ -124,13 +126,18 @@ impl CalibratorBank {
                 &self.keypoints[d * self.k..(d + 1) * self.k],
             ));
             let col = g.slice_cols(inputs, d, d + 1);
-            let c = g.pwl_interp(tau, p, col);
-            out = Some(match out {
-                Some(acc) => g.concat_cols(acc, c),
-                None => c,
-            });
+            cols.push(g.pwl_interp(tau, p, col));
         }
-        out.expect("dims > 0")
+        while cols.len() > 1 {
+            cols = cols
+                .chunks(2)
+                .map(|pair| match *pair {
+                    [a, b] => g.concat_cols(a, b),
+                    _ => pair[0],
+                })
+                .collect();
+        }
+        cols.pop().expect("dims > 0")
     }
 }
 

@@ -4,7 +4,8 @@
 //! answer. Trained in log space like the other regressors.
 
 use crate::common::{
-    arena_train_step, flatten, forward_rows, from_log, Network, NeuralConfig, Pairs, TEmbedding,
+    arena_train_step, flatten, forward_rows, from_log, stack, Network, NeuralConfig, Pairs,
+    TEmbedding,
 };
 use crate::dnn::Dnn;
 use rand::rngs::StdRng;
@@ -43,8 +44,8 @@ impl RmiConfig {
 }
 
 /// A trained RMI estimator. It serves itself rather than as a
-/// [`crate::common::Regressor`]: each threshold routes down the stages on
-/// its own.
+/// [`crate::common::Regressor`]: each `(x, t)` row routes down the stages
+/// on its own.
 pub struct RmiEstimator {
     store: ParamStore,
     /// The stage models: DNNs sharing one threshold embedding.
@@ -60,6 +61,38 @@ impl RmiEstimator {
         let span = (self.zmax - self.zmin).max(1e-6);
         let frac = ((z - self.zmin) / span).clamp(0.0, 1.0);
         ((frac * next_size as f32) as usize).min(next_size - 1)
+    }
+
+    /// The rows routed to each model of a stage of `size` models, by the
+    /// outputs `z` of the stage before, in row order.
+    fn route_rows(&self, z: &[f32], size: usize) -> Vec<Vec<usize>> {
+        let mut buckets = vec![Vec::new(); size];
+        for (r, &z) in z.iter().enumerate() {
+            buckets[self.route(z, size)].push(r);
+        }
+        buckets
+    }
+
+    /// Runs each model of `stage` with a non-empty bucket once, over the
+    /// rows `(xs[r], ts[r])` of its bucket (the buckets cover every row);
+    /// returns each row's output.
+    fn forward_stage(
+        &self,
+        stage: &[Dnn],
+        buckets: &[Vec<usize>],
+        xs: &[&[f32]],
+        ts: &[f32],
+    ) -> Vec<f32> {
+        let mut z = vec![0.0; ts.len()];
+        for (net, rows) in stage.iter().zip(buckets).filter(|(_, r)| !r.is_empty()) {
+            let sub_xs: Vec<&[f32]> = rows.iter().map(|&r| xs[r]).collect();
+            let sub_ts: Vec<f32> = rows.iter().map(|&r| ts[r]).collect();
+            let sub_z = forward_rows(net, &self.store, &sub_xs, &sub_ts);
+            for (&r, sub_z) in rows.iter().zip(sub_z) {
+                z[r] = sub_z;
+            }
+        }
+        z
     }
 
     /// Clamps a log-space prediction to the training label range (with a
@@ -102,24 +135,18 @@ impl RmiEstimator {
             log_eps: cfg.base.log_eps,
         };
 
-        // assignment of each pair to a model per stage; stage 0 -> model 0
-        let mut assignment: Vec<usize> = vec![0; n];
+        // the pairs each model of a stage trains on; stage 0's model 0
+        // takes them all
+        let mut buckets = vec![(0..n).collect::<Vec<usize>>()];
         let epochs_per_stage = (cfg.base.epochs / cfg.stage_sizes.len().max(1)).max(1);
         for s in 0..model.stages.len() {
-            let num_models = model.stages[s].len();
-            // gather pair indices per model of this stage
-            let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); num_models];
-            for (i, &m) in assignment.iter().enumerate() {
-                buckets[m.min(num_models - 1)].push(i);
-            }
-            // train each model of this stage on its bucket
-            for (mi, bucket) in buckets.iter().enumerate() {
+            for (net, bucket) in model.stages[s].iter().zip(&buckets) {
                 if bucket.is_empty() {
                     continue;
                 }
                 train_pairs_subset(
                     &mut model.store,
-                    &model.stages[s][mi],
+                    net,
                     &pairs,
                     bucket,
                     epochs_per_stage,
@@ -127,14 +154,10 @@ impl RmiEstimator {
                     &mut rng,
                 );
             }
-            // compute routing for the next stage
+            // route the pairs to the next stage
             if s + 1 < model.stages.len() {
-                let next = model.stages[s + 1].len();
-                for (i, a) in assignment.iter_mut().enumerate() {
-                    let net = &model.stages[s][(*a).min(num_models - 1)];
-                    let z = forward_rows(net, &model.store, pairs.x[i], &[pairs.t[i]])[0];
-                    *a = model.route(z, next);
-                }
+                let z = model.forward_stage(&model.stages[s], &buckets, &pairs.x, &pairs.t);
+                buckets = model.route_rows(&z, model.stages[s + 1].len());
             }
         }
         model
@@ -168,25 +191,20 @@ fn train_pairs_subset(
 }
 
 impl SelectivityEstimator for RmiEstimator {
-    fn estimate(&self, x: &[f32], t: f32) -> f64 {
-        self.estimate_many(x, &[t])[0]
-    }
-
-    fn estimate_many(&self, x: &[f32], ts: &[f32]) -> Vec<f64> {
-        assert_eq!(x.len(), self.stages[0][0].dim(), "dimension mismatch");
-        // the first stage is shared: one forward over every threshold;
-        // each threshold then routes down the later stages on its own
-        let z0 = forward_rows(&self.stages[0][0], &self.store, x, ts);
-        ts.iter()
-            .zip(z0)
-            .map(|(&t, mut z)| {
-                for stage in &self.stages[1..] {
-                    let net = &stage[self.route(z, stage.len())];
-                    z = forward_rows(net, &self.store, x, &[t])[0];
-                }
-                from_log(self.clamp_z(z) as f64, self.log_eps)
-            })
-            .collect()
+    /// Stage 0 runs once over the wave's stacked `(x, t)` rows; each
+    /// later-stage model then runs once, over the rows routed to it.
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+        let (xs, ts) = stack(queries, self.stages[0][0].dim());
+        let mut z = forward_rows(&self.stages[0][0], &self.store, &xs, &ts);
+        for stage in &self.stages[1..] {
+            let buckets = self.route_rows(&z, stage.len());
+            z = self.forward_stage(stage, &buckets, &xs, &ts);
+        }
+        out.clear();
+        out.extend(
+            z.into_iter()
+                .map(|z| from_log(self.clamp_z(z) as f64, self.log_eps)),
+        );
     }
 
     fn name(&self) -> &str {

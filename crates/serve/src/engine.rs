@@ -862,6 +862,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use selnet_eval::per_pair;
     use selnet_tensor::parallel;
     use std::time::Duration;
 
@@ -873,8 +874,8 @@ mod tests {
     }
 
     impl SelectivityEstimator for Affine {
-        fn estimate(&self, x: &[f32], t: f32) -> f64 {
-            self.scale * t as f64 + x[0] as f64
+        fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+            per_pair(queries, out, |x, t| self.scale * t as f64 + x[0] as f64)
         }
         fn name(&self) -> &str {
             "affine"
@@ -1021,8 +1022,8 @@ mod tests {
     /// rejected before they can reach (and panic) a worker.
     struct FixedDim;
     impl SelectivityEstimator for FixedDim {
-        fn estimate(&self, x: &[f32], t: f32) -> f64 {
-            x.iter().sum::<f32>() as f64 + t as f64
+        fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+            per_pair(queries, out, |x, t| x.iter().sum::<f32>() as f64 + t as f64)
         }
         fn query_dim(&self) -> Option<usize> {
             Some(3)
@@ -1056,11 +1057,13 @@ mod tests {
     /// takes the gate, which a test holds to park the workers.
     struct Gated(Arc<Mutex<()>>);
     impl SelectivityEstimator for Gated {
-        fn estimate(&self, x: &[f32], t: f32) -> f64 {
-            if x[0] < 0.0 {
-                drop(self.0.lock().unwrap());
-            }
-            t as f64
+        fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+            per_pair(queries, out, |x, t| {
+                if x[0] < 0.0 {
+                    drop(self.0.lock().unwrap());
+                }
+                t as f64
+            })
         }
         fn name(&self) -> &str {
             "gated"

@@ -271,11 +271,12 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use crate::registry::ModelRegistry;
+    use selnet_eval::per_pair;
 
     struct Linear;
     impl SelectivityEstimator for Linear {
-        fn estimate(&self, x: &[f32], t: f32) -> f64 {
-            x[0] as f64 + t as f64
+        fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+            per_pair(queries, out, |x, t| x[0] as f64 + t as f64)
         }
         fn query_dim(&self) -> Option<usize> {
             Some(1)
@@ -289,8 +290,8 @@ mod tests {
     /// show up in the numbers.
     struct Scaled(f64);
     impl SelectivityEstimator for Scaled {
-        fn estimate(&self, _x: &[f32], t: f32) -> f64 {
-            self.0 * t as f64
+        fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+            per_pair(queries, out, |_x, t| self.0 * t as f64)
         }
         fn query_dim(&self) -> Option<usize> {
             Some(1)
@@ -519,9 +520,11 @@ mod tests {
     /// Slow enough that any request trips a 1µs slow-query threshold.
     struct Sleepy;
     impl SelectivityEstimator for Sleepy {
-        fn estimate(&self, x: &[f32], t: f32) -> f64 {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            x[0] as f64 + t as f64
+        fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+            per_pair(queries, out, |x, t| {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                x[0] as f64 + t as f64
+            })
         }
         fn query_dim(&self) -> Option<usize> {
             Some(1)

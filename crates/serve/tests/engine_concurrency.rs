@@ -6,7 +6,7 @@
 use selnet_core::{fit_partitioned, PartitionConfig, PartitionedSelNet, SelNetConfig};
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
 use selnet_data::Dataset;
-use selnet_eval::SelectivityEstimator;
+use selnet_eval::{per_pair, SelectivityEstimator};
 use selnet_metric::DistanceKind;
 use selnet_serve::engine::{Engine, EngineConfig, Request};
 use selnet_serve::registry::ModelRegistry;
@@ -455,12 +455,14 @@ fn single_and_coalesced_answers_are_bit_identical() {
 struct Held(Arc<Barrier>);
 
 impl SelectivityEstimator for Held {
-    fn estimate(&self, x: &[f32], t: f32) -> f64 {
-        if x[0] < 0.0 {
-            self.0.wait(); // the worker has the held request...
-            self.0.wait(); // ...and keeps it until the test lets go
-        }
-        t as f64
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+        per_pair(queries, out, |x, t| {
+            if x[0] < 0.0 {
+                self.0.wait(); // the worker has the held request...
+                self.0.wait(); // ...and keeps it until the test lets go
+            }
+            t as f64
+        })
     }
     fn name(&self) -> &str {
         "held"

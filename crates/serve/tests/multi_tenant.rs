@@ -7,7 +7,7 @@
 use selnet_core::{fit_partitioned, PartitionConfig, PartitionedSelNet, SelNetConfig};
 use selnet_data::generators::{fasttext_like, GeneratorConfig};
 use selnet_data::Dataset;
-use selnet_eval::SelectivityEstimator;
+use selnet_eval::{per_pair, SelectivityEstimator};
 use selnet_metric::DistanceKind;
 use selnet_obs::HistogramSnapshot;
 use selnet_serve::engine::{Engine, EngineConfig, Request, SubmitError};
@@ -340,11 +340,13 @@ struct Gated {
 }
 
 impl SelectivityEstimator for Gated {
-    fn estimate(&self, x: &[f32], t: f32) -> f64 {
-        if x[0] < 0.0 {
-            drop(self.gate.lock().unwrap());
-        }
-        self.scale * t as f64 + x[0] as f64
+    fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+        per_pair(queries, out, |x, t| {
+            if x[0] < 0.0 {
+                drop(self.gate.lock().unwrap());
+            }
+            self.scale * t as f64 + x[0] as f64
+        })
     }
     fn name(&self) -> &str {
         "gated"

@@ -24,6 +24,11 @@ impl LabeledQuery {
     pub fn is_empty(&self) -> bool {
         self.thresholds.is_empty()
     }
+
+    /// The query as one `(x, ts)` entry of an estimator's wave.
+    pub fn query(&self) -> (&[f32], &[f32]) {
+        (&self.x, &self.thresholds)
+    }
 }
 
 /// A complete workload: distance function, threshold cap, and the

@@ -6,7 +6,7 @@ use selnet_baselines::{
 };
 use selnet_core::{fit_named, fit_partitioned, PartitionConfig, SelNetConfig};
 use selnet_data::generators::{face_like, fasttext_like, GeneratorConfig};
-use selnet_eval::{empirical_monotonicity, evaluate, SelectivityEstimator};
+use selnet_eval::{empirical_monotonicity, evaluate, per_pair, SelectivityEstimator};
 use selnet_index::PartitionMethod;
 use selnet_metric::DistanceKind;
 use selnet_workload::{generate_workload, ThresholdScheme, Workload, WorkloadConfig};
@@ -66,8 +66,8 @@ fn selnet_full_pipeline_euclidean() {
     };
     struct Mean(f64);
     impl SelectivityEstimator for Mean {
-        fn estimate(&self, _: &[f32], _: f32) -> f64 {
-            self.0
+        fn estimate_into(&self, queries: &[(&[f32], &[f32])], out: &mut Vec<f64>) {
+            per_pair(queries, out, |_, _| self.0)
         }
         fn name(&self) -> &str {
             "mean"
