@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selnet_data::Dataset;
-use selnet_tensor::{Activation, Adam, Graph, Matrix, Mlp, ParamStore, Var};
+use selnet_tensor::{Activation, Adam, Graph, Matrix, Mlp, ParamId, ParamStore, Var};
 
 /// Encoder/decoder MLP pair.
 #[derive(Clone, Debug)]
@@ -80,6 +80,16 @@ impl Autoencoder {
         bufs: &'b mut Vec<Matrix>,
     ) -> &'b Matrix {
         self.encoder.infer(store, x, bufs)
+    }
+
+    /// The encoder's parameters.
+    pub(crate) fn encoder_params(&self) -> Vec<ParamId> {
+        self.encoder.params().collect()
+    }
+
+    /// The decoder's parameters.
+    pub(crate) fn decoder_params(&self) -> Vec<ParamId> {
+        self.decoder.params().collect()
     }
 
     /// Records the decoder forward pass.

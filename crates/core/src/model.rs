@@ -105,14 +105,29 @@ impl ControlPointNets {
         tmax: f32,
         query_dependent_tau: bool,
     ) -> (Var, Var) {
+        let tau_in = query_dependent_tau.then_some(input);
+        self.control_points_from(g, store, tau_in, input, tmax)
+    }
+
+    /// [`ControlPointNets::control_points`] with the τ network's input
+    /// (`None`: the constant one of `query_dependent_tau = false`) and
+    /// model M's given apart: two nodes of one value, so that a tape can
+    /// keep the two input gradients apart.
+    pub(crate) fn control_points_from(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        tau_in: Option<Var>,
+        input: Var,
+        tmax: f32,
+    ) -> (Var, Var) {
         let rows = g.value(input).rows();
+        let query_dependent_tau = tau_in.is_some();
         // ---- tau: Norml2(g_tau(input)) * tmax, prefix-summed ----
-        let tau_in = if query_dependent_tau {
-            input
-        } else {
+        let tau_in = tau_in.unwrap_or_else(|| {
             let in_dim = g.value(input).cols();
             g.leaf_with(1, in_dim, |d| d.fill(1.0))
-        };
+        });
         let raw_tau = self.tau_net.forward(g, store, tau_in);
         let norm = match self.tau_normalization {
             TauNormalization::Norml2 => g.norml2(raw_tau, 1e-6),
@@ -178,6 +193,14 @@ impl ControlPointNets {
         fwd::unary_map(&s.a, &mut s.b, fwd::relu);
         out.1.reset_shape(rows, w.rows());
         fwd::cumsum_cols(&s.b, &mut out.1);
+    }
+
+    /// Every parameter of the networks.
+    pub(crate) fn params(&self) -> Vec<ParamId> {
+        let mut ids: Vec<ParamId> = self.tau_net.params().collect();
+        ids.extend(self.p_encoder.params());
+        ids.extend([self.dec_w, self.dec_b]);
+        ids
     }
 
     /// Number of interior control points `L`.

@@ -21,8 +21,10 @@ use rand::{Rng, SeedableRng};
 use selnet_data::Dataset;
 use selnet_eval::SelectivityEstimator;
 use selnet_index::Partitioning;
-use selnet_tensor::{pwl_interp_row, Adam, Graph, Matrix, ParamStore, Var};
+use selnet_tensor::parallel::{self, Crew};
+use selnet_tensor::{pwl_interp_row, Adam, Graph, Matrix, ParamId, ParamStore, Var};
 use selnet_workload::{label_partitions, LabeledQuery, PartitionedLabels, Workload};
+use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A trained partitioned SelNet (the paper's headline model).
 #[derive(Clone)]
@@ -210,59 +212,6 @@ fn label_partitions_traced(
     labels
 }
 
-/// One local-pretraining step (§5.3 phase 1). The `K` local estimation
-/// losses and the AE reconstruction term are independent given the current
-/// parameters, so each runs forward + backward on its **own tape** — on
-/// its own thread when the dispatcher has workers to spare. The tapes are
-/// persistent arenas owned by [`run_training_phase`]: each job resets and
-/// rebuilds its tape in place, so the fan-out's matrix traffic recycles
-/// warm buffers. The per-job losses come back in job order; the caller merges the
-/// per-tape gradients in that same fixed order, which is mathematically
-/// the same total loss the seed computed on one tape
-/// (`Σ_i J_est(f^(i)) + λ J_AE`) and keeps the step deterministic for any
-/// thread count.
-///
-/// This multi-tape split runs even with one worker, where it re-runs the
-/// (small) AE encoder per job instead of sharing one `z`. That modest
-/// single-thread overhead is deliberate: a serial single-tape fallback
-/// would produce *different float rounding* than the merged-tape path, so
-/// trained models would depend on the machine's thread count — breaking
-/// the reproducibility contract pinned by
-/// `partitioned_training_is_deterministic`.
-fn local_pretrain_step(
-    model: &PartitionedSelNet,
-    pairs: &JointPairs<'_>,
-    batch: &CurveBatch,
-    tapes: &mut [Graph],
-) -> Vec<f64> {
-    let cfg = &model.cfg;
-    let k = model.locals.len();
-    // jobs 0..k: per-partition estimation losses; job k: the AE term
-    selnet_tensor::parallel::par_map_states(tapes, |job, g| {
-        g.reset();
-        let xv = g.leaf_ref(&batch.x);
-        let z = model.ae.encode(g, &model.store, xv);
-        let loss = if job < k {
-            let tv = gather_leaf(g, &pairs.flat.t, &batch.pairs);
-            let input = g.concat_cols(xv, z);
-            let (tau, p) = model.locals[job].control_points(
-                g,
-                &model.store,
-                input,
-                model.tmax,
-                cfg.query_dependent_tau,
-            );
-            let pred = interp_pairs(g, tau, p, &batch.rows, tv);
-            let yl = gather_leaf(g, &pairs.ylog_local[job], &batch.pairs);
-            log_loss(g, pred, yl, cfg)
-        } else {
-            ae_term(g, &model.ae, &model.store, xv, z, batch, cfg.lambda_ae)
-        };
-        g.backward_params(loss);
-        g.value(loss).get(0, 0) as f64
-    })
-}
-
 /// Records the joint objective of §5.3 phase 2 for `batch` on `g`:
 /// `J_est(f*) + β Σ_i J_est(f^(i)) + λ J_AE`. The encoder and the `K`
 /// local models run on the batch's object rows; predictions, labels and
@@ -312,23 +261,6 @@ fn joint_loss(
     g.add(loss, ae)
 }
 
-/// One joint-training step: the global estimate couples every partition
-/// through the indicator sum, so this stays a single (reused) tape.
-/// Returns the batch loss and the parameter gradients as borrows into the
-/// tape.
-fn joint_step<'g>(
-    model: &PartitionedSelNet,
-    pairs: &JointPairs<'_>,
-    batch: &CurveBatch,
-    g: &'g mut Graph,
-) -> (f64, Vec<(selnet_tensor::ParamId, &'g Matrix)>) {
-    g.reset();
-    let loss = joint_loss(model, pairs, batch, g);
-    g.backward_params(loss);
-    let loss_val = g.value(loss).get(0, 0) as f64;
-    (loss_val, g.param_grad_refs())
-}
-
 impl PartitionedSelNet {
     /// Records on `g` the joint objective a training step minimises when
     /// `objects` are its batch, and returns the scalar loss node.
@@ -359,127 +291,538 @@ impl PartitionedSelNet {
     }
 }
 
-/// Runs `epochs` of training. `joint = false` gives the pretraining phase
-/// (local losses + AE only); `joint = true` adds the global term.
-/// With `patience = Some(p)`, stops once validation MAE has not improved
-/// for `p` consecutive epochs (the §5.4 incremental-update rule).
+/// Which training phase [`run_training_phase`] runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// §5.3 phase 1: the local losses and the AE term, each network on
+    /// its own, on up to [`parallel::fork_threads`] threads.
+    Pretrain,
+    /// §5.3 phase 2: the joint objective, on as many threads.
+    Joint,
+    /// A §5.4 retrain: the joint objective on the calling thread alone,
+    /// beside the engine workers serving the tenant, stopping once
+    /// validation MAE has not improved for `patience` epochs.
+    Retrain { patience: usize },
+}
+
+/// What one crew round asks of every job.
+#[derive(Clone, Copy)]
+enum Stage {
+    /// A pretraining step: the job's forward, backward and Adam step.
+    Pretrain,
+    /// The first half of a joint step: a local up to its prediction and
+    /// its loss term; the AE term whole.
+    Forward,
+    /// The second half: a local's backward from its seed and its loss
+    /// term, and its Adam step.
+    Backward,
+}
+
+/// One network's share of a training step, on a tape of its own: local
+/// model `which` (`which < K`) or, at `which == K`, the AE term. A job
+/// owns its network's parameters for the phase — their values and moment
+/// estimates — and makes their Adam step itself, with the constants every
+/// job's optimizer shares.
+struct Job {
+    tape: Graph,
+    /// The job's loss node: its whole pretraining loss; in a joint step
+    /// `β·J_est(f^(i))` or `λ·J_AE`.
+    loss: Option<Var>,
+    /// A local's prediction per pair (joint step).
+    pred: Option<Var>,
+    /// The code `z` as the τ network's input and as model M's (the
+    /// decoder's, for the AE term): their gradients are the job's
+    /// contributions to the encoder's (joint step).
+    z_in: [Option<Var>; 2],
+    /// `mask ⊙ ∂J_est(f*)/∂pred`, which the lead computes from every
+    /// local's prediction and the local's backward starts from.
+    seed: Matrix,
+    /// The network's parameters.
+    owned: Vec<ParamId>,
+    /// Their values, lent out of the model's store.
+    store: ParamStore,
+    /// Their moment estimates, lent out of the phase's optimizer.
+    opt: Adam,
+}
+
+impl Job {
+    /// The Adam step of the job's parameters from its tape's gradients
+    /// (the tape holds each of them once; a pretraining tape also holds
+    /// the encoder's, which the lead merges).
+    fn adam_step(&mut self) {
+        let Job {
+            tape,
+            owned,
+            store,
+            opt,
+            ..
+        } = self;
+        let grads: Vec<(ParamId, &Matrix)> = tape
+            .param_grad_refs()
+            .into_iter()
+            .filter(|(id, _)| owned.contains(id))
+            .collect();
+        opt.step_refs(store, &grads);
+    }
+}
+
+/// What the jobs of a phase's crew share with the lead: the networks, the
+/// split, the step's batch and code, the lead's store (the encoder's
+/// parameters, which pretraining jobs read) and the jobs themselves, each
+/// behind a lock that one thread takes at a time — the one running the
+/// job in a round, the lead between rounds.
+struct Bench<'a> {
+    ae: Autoencoder,
+    locals: Vec<ControlPointNets>,
+    cfg: SelNetConfig,
+    beta: f32,
+    tmax: f32,
+    pairs: &'a JointPairs<'a>,
+    batch: RwLock<CurveBatch>,
+    z: RwLock<Matrix>,
+    encoder: RwLock<ParamStore>,
+    /// `jobs[which]`.
+    jobs: Vec<Mutex<Job>>,
+}
+
+/// A poisoned lock means a job panicked in a round, which the crew has
+/// already propagated: the phase is over.
+const POISONED: &str = "a training job panicked";
+
+fn hold<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
+    lock.lock().expect(POISONED)
+}
+
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().expect(POISONED)
+}
+
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().expect(POISONED)
+}
+
+impl Bench<'_> {
+    /// Job `which`'s share of a round.
+    fn run(&self, which: usize, stage: Stage) {
+        let mut job = hold(&self.jobs[which]);
+        let job = &mut *job;
+        let batch = read(&self.batch);
+        let (cfg, pairs, k) = (&self.cfg, self.pairs, self.locals.len());
+        match stage {
+            Stage::Pretrain => {
+                let g = &mut job.tape;
+                g.reset();
+                let xv = g.leaf_ref(&batch.x);
+                let z = self.ae.encode(g, &read(&self.encoder), xv);
+                let loss = if which < k {
+                    let tv = gather_leaf(g, &pairs.flat.t, &batch.pairs);
+                    let input = g.concat_cols(xv, z);
+                    let (tau, p) = self.locals[which].control_points(
+                        g,
+                        &job.store,
+                        input,
+                        self.tmax,
+                        cfg.query_dependent_tau,
+                    );
+                    let pred = interp_pairs(g, tau, p, &batch.rows, tv);
+                    let yl = gather_leaf(g, &pairs.ylog_local[which], &batch.pairs);
+                    log_loss(g, pred, yl, cfg)
+                } else {
+                    ae_term(g, &self.ae, &job.store, xv, z, &batch, cfg.lambda_ae)
+                };
+                g.backward_params(loss);
+                job.loss = Some(loss);
+                job.adam_step();
+            }
+            Stage::Forward => {
+                let z = read(&self.z);
+                let g = &mut job.tape;
+                g.reset();
+                let xv = g.leaf_ref(&batch.x);
+                if which == k {
+                    let za = g.grad_leaf_ref(&z);
+                    let ae = ae_term(g, &self.ae, &job.store, xv, za, &batch, cfg.lambda_ae);
+                    g.backward_params(ae);
+                    job.loss = Some(ae);
+                    job.z_in = [None, Some(za)];
+                    job.adam_step();
+                } else {
+                    // `[x; z]` twice, once per network reading it, so the
+                    // two gradients reach the lead apart
+                    let tv = gather_leaf(g, &pairs.flat.t, &batch.pairs);
+                    let zt = cfg.query_dependent_tau.then(|| g.grad_leaf_ref(&z));
+                    let tau_in = zt.map(|zt| g.concat_cols(xv, zt));
+                    let zp = g.grad_leaf_ref(&z);
+                    let input = g.concat_cols(xv, zp);
+                    let (tau, p) = self.locals[which]
+                        .control_points_from(g, &job.store, tau_in, input, self.tmax);
+                    let pred = interp_pairs(g, tau, p, &batch.rows, tv);
+                    let yl = gather_leaf(g, &pairs.ylog_local[which], &batch.pairs);
+                    let m = log_loss(g, pred, yl, cfg);
+                    job.loss = Some(g.scale(m, self.beta));
+                    job.pred = Some(pred);
+                    job.z_in = [zt, Some(zp)];
+                }
+            }
+            Stage::Backward => {
+                if which < k {
+                    // the prediction's gradient is the seed first (the
+                    // product's gradient is the seed exactly), then the
+                    // local loss term's: the single tape's order
+                    let g = &mut job.tape;
+                    let seed = g.leaf_ref(&job.seed);
+                    let seeded = g.mul(job.pred.expect("forward ran"), seed);
+                    let seeded = g.sum(seeded);
+                    let root = g.add(job.loss.expect("forward ran"), seeded);
+                    g.backward_params(root);
+                    job.adam_step();
+                }
+            }
+        }
+    }
+
+    /// Job `which`, locked.
+    fn job(&self, which: usize) -> MutexGuard<'_, Job> {
+        hold(&self.jobs[which])
+    }
+
+    /// Moves the jobs' parameters into the lead's store and that into
+    /// `store`, which is then the whole model's.
+    fn gather(&self, store: &mut ParamStore) {
+        let mut encoder = write(&self.encoder);
+        for job in &self.jobs {
+            let mut job = hold(job);
+            let job = &mut *job;
+            encoder.swap_values(&mut job.store, &job.owned);
+        }
+        std::mem::swap(store, &mut encoder);
+    }
+
+    /// [`Bench::gather`] undone: the jobs' parameters go back to them.
+    fn lend(&self, store: &mut ParamStore) {
+        let mut encoder = write(&self.encoder);
+        std::mem::swap(store, &mut encoder);
+        for job in &self.jobs {
+            let mut job = hold(job);
+            let job = &mut *job;
+            encoder.swap_values(&mut job.store, &job.owned);
+        }
+    }
+}
+
+/// The lead's tapes and buffers, reused step after step.
+#[derive(Default)]
+struct Lead {
+    /// The encoder's forward and backward (joint step).
+    encoder: Graph,
+    /// The global term (joint step).
+    global: Graph,
+    /// Per parameter, the merged pretraining gradient of the encoder, and
+    /// whether this step has written it yet.
+    merged: Vec<Matrix>,
+    merged_seen: Vec<bool>,
+    /// The locals' contributions to the encoder's gradient, folded.
+    dz_locals: Matrix,
+    /// The encoder's whole output gradient.
+    dz: Matrix,
+    weighted: Vec<f32>,
+}
+
+impl Lead {
+    /// One pretraining step: the jobs, then the encoder's gradient merged
+    /// over every job's tape in job order (the first copies, the later
+    /// ones add) and its Adam step. Returns the batch loss, the jobs'
+    /// losses summed in job order.
+    fn pretrain_step(
+        &mut self,
+        bench: &Bench<'_>,
+        crew: &mut Crew<'_, Stage>,
+        encoder_ids: &[ParamId],
+        opt: &mut Adam,
+    ) -> f64 {
+        crew.round(Stage::Pretrain);
+        let mut loss = 0.0;
+        let seen = &mut self.merged_seen;
+        seen.fill(false);
+        for which in 0..bench.jobs.len() {
+            let mut job = bench.job(which);
+            loss += job.tape.value(job.loss.expect("the round ran")).get(0, 0) as f64;
+            for (id, grad) in job.tape.param_grad_refs() {
+                let Some(slot) = encoder_ids
+                    .contains(&id)
+                    .then(|| &mut self.merged[id.index()])
+                else {
+                    continue;
+                };
+                if std::mem::replace(&mut seen[id.index()], true) {
+                    slot.add_assign(grad);
+                } else {
+                    slot.copy_from(grad);
+                }
+            }
+        }
+        let grads: Vec<(ParamId, &Matrix)> = encoder_ids
+            .iter()
+            .filter(|id| seen[id.index()])
+            .map(|&id| (id, &self.merged[id.index()]))
+            .collect();
+        opt.step_refs(&mut write(&bench.encoder), &grads);
+        loss
+    }
+
+    /// One joint step. The encoder runs once, on the lead; the locals and
+    /// the AE term run as jobs on `z`; the global term is recorded on the
+    /// lead from the locals' predictions, and each local's backward
+    /// starts from its share of that term's gradient. The encoder's
+    /// backward goes on from its output gradient, folded from the jobs'
+    /// contributions in the order the one-tape sweep (`joint_loss`)
+    /// accumulates them: the AE term's first; then the locals', the last
+    /// local's first, model M's before the τ network's, added up on their
+    /// own before they join it. So every gradient, and the parameters,
+    /// are that tape's bit for bit. Returns the batch loss.
+    fn joint_step(&mut self, bench: &Bench<'_>, crew: &mut Crew<'_, Stage>, opt: &mut Adam) -> f64 {
+        let (cfg, pairs, k) = (&bench.cfg, bench.pairs, bench.locals.len());
+        let enc = &mut self.encoder;
+        enc.reset();
+        let z = {
+            let batch = read(&bench.batch);
+            let xv = enc.leaf_ref(&batch.x);
+            let z = bench.ae.encode(enc, &read(&bench.encoder), xv);
+            write(&bench.z).copy_from(enc.value(z));
+            z
+        };
+        crew.round(Stage::Forward);
+
+        // J_est(f*): the indicator-masked sum of the locals' predictions
+        let gt = &mut self.global;
+        gt.reset();
+        let global_loss = {
+            let batch = read(&bench.batch);
+            let preds: Vec<Var> = (0..k)
+                .map(|i| {
+                    let job = bench.job(i);
+                    gt.grad_leaf_ref(job.tape.value(job.pred.expect("the round ran")))
+                })
+                .collect();
+            let mut global: Option<Var> = None;
+            for (part, &pred) in preds.iter().enumerate() {
+                let ind = gather_leaf(gt, &pairs.indicator[part], &batch.pairs);
+                let masked = gt.mul(pred, ind);
+                global = Some(match global {
+                    Some(acc) => gt.add(acc, masked),
+                    None => masked,
+                });
+            }
+            let yv = gather_leaf(gt, &pairs.flat.ylog, &batch.pairs);
+            let global_loss = log_loss(gt, global.expect("k > 0"), yv, cfg);
+            gt.backward_params(global_loss);
+            for (i, &pred) in preds.iter().enumerate() {
+                let seed = gt
+                    .grad_ref(pred)
+                    .expect("every local feeds the global term");
+                bench.job(i).seed.copy_from(seed);
+            }
+            gt.value(global_loss).get(0, 0)
+        };
+        crew.round(Stage::Backward);
+
+        let mut folded = false;
+        self.weighted.clear();
+        self.weighted.resize(k, 0.0);
+        for i in (0..k).rev() {
+            let job = bench.job(i);
+            self.weighted[i] = job.tape.value(job.loss.expect("the round ran")).get(0, 0);
+            for v in job.z_in.iter().rev().flatten() {
+                let grad = job.tape.grad_ref(*v).expect("z feeds every local");
+                if std::mem::replace(&mut folded, true) {
+                    self.dz_locals.add_assign(grad);
+                } else {
+                    self.dz_locals.copy_from(grad);
+                }
+            }
+        }
+        let ae_loss = {
+            let job = bench.job(k);
+            let za = job.z_in[1].expect("the round ran");
+            self.dz
+                .copy_from(job.tape.grad_ref(za).expect("z feeds the decoder"));
+            job.tape.value(job.loss.expect("the round ran")).get(0, 0)
+        };
+        self.dz.add_assign(&self.dz_locals);
+        let seed = enc.leaf_ref(&self.dz);
+        let seeded = enc.mul(z, seed);
+        let seeded = enc.sum(seeded);
+        enc.backward_params(seeded);
+        opt.step_refs(&mut write(&bench.encoder), &enc.param_grad_refs());
+
+        // the one tape's loss: J_est(f*) + β Σ J_est(f^(i)), then + λ J_AE
+        let locals = self.weighted[1..]
+            .iter()
+            .fold(self.weighted[0], |acc, &w| acc + w);
+        ((global_loss + locals) + ae_loss) as f64
+    }
+}
+
+/// Runs `epochs` of one training phase. A retrain stops early as
+/// [`Phase::Retrain`] says.
 ///
-/// All tape state is persistent across batches: the pretraining phase owns
-/// one arena tape per job (`K` locals + 1 AE) plus fixed-order gradient
-/// merge buffers, the joint phase owns a single arena tape, and a step's
-/// batch — whole query objects with all their thresholds, shuffled per
-/// epoch ([`CurveBatch`]) — is assembled in reused buffers: after the
-/// first batch a training step performs no per-op matrix allocations.
+/// The phase is one [`parallel::crew`] whose parts are the `K + 1` jobs
+/// ([`Job`]: each local model, and the AE term; a retrain's one part runs
+/// them all), each on a persistent tape of its own. The lead (the calling thread) keeps the encoder; a job
+/// owns its network's parameters and moment estimates for the phase and
+/// makes their Adam step itself, with the constants every job's optimizer
+/// shares. Every gradient is reduced by one thread in one fixed order,
+/// whichever thread runs a job, so the trained model is the same bit for
+/// bit at any thread count. A step's batch — whole query objects with all
+/// their thresholds, shuffled per epoch ([`CurveBatch`]) — is assembled
+/// in reused buffers: after the first batch a training step performs no
+/// per-op matrix allocations.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_training_phase(
     model: &mut PartitionedSelNet,
     pairs: &JointPairs<'_>,
     valid: &[LabeledQuery],
     epochs: usize,
-    joint: bool,
-    patience: Option<usize>,
+    phase: Phase,
     opt: &mut Adam,
     rng: &mut StdRng,
     report: &mut TrainReport,
 ) {
     // flight-recorder hook (inert unless the global recorder is armed):
-    // a = epochs run, b = threads the phase's steps fan out over (the
-    // pretraining jobs ride `par_map_states`; a joint step is one tape)
+    // a = epochs run, b = threads the crew ran on
     let mut span = selnet_obs::trace::global().span(
-        if joint {
-            "joint_phase"
-        } else {
+        if phase == Phase::Pretrain {
             "pretrain_phase"
+        } else {
+            "joint_phase"
         },
         0,
     );
-    let epochs_before = report.epoch_val_mae.len();
-    let cfg = model.cfg.clone();
-    let n = pairs.flat.x.len();
-    let mut order: Vec<usize> = (0..n).collect();
+    if epochs == 0 {
+        return;
+    }
+    let k = model.locals.len();
     let mut best_mae = model.reference_val_mae;
     let mut best_store = model.store.clone();
-    let mut since_improvement = 0usize;
-    let k = model.locals.len();
-    // persistent tapes and batch buffers (see the function docs)
-    let mut tapes: Vec<Graph> = Vec::new();
-    if !joint {
-        tapes.resize_with(k + 1, Graph::new);
-    }
-    let mut joint_tape = Graph::new();
-    let mut batch = CurveBatch::default();
-    // per-parameter accumulators for the fixed-order pretraining merge
-    let mut merged: Vec<Matrix> = Vec::new();
-    merged.resize_with(model.store.len(), Matrix::default);
-    let mut merged_seen = vec![false; model.store.len()];
-
-    for _ in 0..epochs {
-        // shuffle the objects
-        for i in (1..n).rev() {
-            let j = rng.gen_range(0..=i);
-            order.swap(i, j);
-        }
-        let mut epoch_loss = 0.0f64;
-        let mut batches = 0usize;
-        for chunk in order.chunks(pairs.flat.objects_per_step(cfg.batch_size)) {
-            batch.assemble(&pairs.flat, chunk, model.dim);
-            let batch_loss = if joint {
-                let (loss, grads) = joint_step(model, pairs, &batch, &mut joint_tape);
-                opt.step_refs(&mut model.store, &grads);
-                loss
+    let jobs = (0..=k)
+        .map(|which| {
+            let owned = if which < k {
+                model.locals[which].params()
             } else {
-                let losses = local_pretrain_step(model, pairs, &batch, &mut tapes);
-                // deterministic merge: job order, then injection order
-                // within a tape, then parameter order for the update
-                merged_seen.fill(false);
-                for tape in tapes.iter_mut() {
-                    for (id, gm) in tape.param_grad_refs() {
-                        let slot = &mut merged[id.index()];
-                        if merged_seen[id.index()] {
-                            slot.add_assign(gm);
-                        } else {
-                            slot.copy_from(gm);
-                            merged_seen[id.index()] = true;
-                        }
+                model.ae.decoder_params()
+            };
+            Mutex::new(Job {
+                tape: Graph::new(),
+                loss: None,
+                pred: None,
+                z_in: [None, None],
+                seed: Matrix::default(),
+                store: model.store.lend(&owned),
+                opt: opt.lend(&owned),
+                owned,
+            })
+        })
+        .collect();
+    let encoder_ids = model.ae.encoder_params();
+    let bench = Bench {
+        ae: model.ae.clone(),
+        locals: model.locals.clone(),
+        cfg: model.cfg.clone(),
+        beta: model.pcfg.beta,
+        tmax: model.tmax,
+        pairs,
+        batch: RwLock::new(CurveBatch::default()),
+        z: RwLock::new(Matrix::default()),
+        encoder: RwLock::new(std::mem::take(&mut model.store)),
+        jobs,
+    };
+
+    let objects_per_step = pairs.flat.objects_per_step(model.cfg.batch_size);
+    let n = pairs.flat.x.len();
+    let dim = model.dim;
+    // crew part `p` is job `k - p`: the AE term, which rides with the
+    // lead's encoder, then the locals from the last, so two threads split
+    // `K = 3` into [AE, local 2] on the lead and [local 1, local 0]. A
+    // retrain is one part that runs every job in that order, on the
+    // calling thread.
+    let parts = if let Phase::Retrain { .. } = phase {
+        1
+    } else {
+        k + 1
+    };
+    let (epochs_run, threads) = parallel::crew(
+        parts,
+        |part, stage| {
+            if parts == 1 {
+                (0..=k).rev().for_each(|which| bench.run(which, stage));
+            } else {
+                bench.run(k - part, stage);
+            }
+        },
+        |crew| {
+            let params = read(&bench.encoder).len();
+            let mut lead = Lead {
+                merged: vec![Matrix::default(); params],
+                merged_seen: vec![false; params],
+                ..Lead::default()
+            };
+            let mut order: Vec<usize> = (0..n).collect();
+            let mut since_improvement = 0usize;
+            let mut epochs_run = 0;
+            for _ in 0..epochs {
+                epochs_run += 1;
+                // shuffle the objects
+                for i in (1..n).rev() {
+                    let j = rng.gen_range(0..=i);
+                    order.swap(i, j);
+                }
+                let mut epoch_loss = 0.0f64;
+                let mut batches = 0usize;
+                for chunk in order.chunks(objects_per_step) {
+                    write(&bench.batch).assemble(&pairs.flat, chunk, dim);
+                    epoch_loss += if phase == Phase::Pretrain {
+                        lead.pretrain_step(&bench, crew, &encoder_ids, opt)
+                    } else {
+                        lead.joint_step(&bench, crew, opt)
+                    };
+                    batches += 1;
+                }
+                let mean_train_loss = epoch_loss / batches.max(1) as f64;
+                report.epoch_train_loss.push(mean_train_loss);
+                bench.gather(&mut model.store);
+                let mae = validation_mae(model, valid);
+                report.epoch_val_mae.push(mae);
+                // With an empty validation split the MAE is infinite every
+                // epoch; fall back to selecting on training loss so "best"
+                // tracks learning instead of freezing the earliest
+                // parameters.
+                let selection = if valid.is_empty() {
+                    mean_train_loss
+                } else {
+                    mae
+                };
+                let improved = selection < best_mae;
+                if improved {
+                    best_mae = selection;
+                    best_store = model.store.clone();
+                    report.best_epoch = report.epoch_val_mae.len() - 1;
+                    since_improvement = 0;
+                } else {
+                    since_improvement += 1;
+                }
+                bench.lend(&mut model.store);
+                if let Phase::Retrain { patience } = phase {
+                    if since_improvement >= patience {
+                        break;
                     }
                 }
-                let grads: Vec<(selnet_tensor::ParamId, &Matrix)> = model
-                    .store
-                    .ids()
-                    .filter(|id| merged_seen[id.index()])
-                    .map(|id| (id, &merged[id.index()]))
-                    .collect();
-                opt.step_refs(&mut model.store, &grads);
-                losses.iter().sum()
-            };
-            epoch_loss += batch_loss;
-            batches += 1;
-        }
-        let mean_train_loss = epoch_loss / batches.max(1) as f64;
-        report.epoch_train_loss.push(mean_train_loss);
-        let mae = validation_mae(model, valid);
-        report.epoch_val_mae.push(mae);
-        // With an empty validation split the MAE is infinite every epoch;
-        // fall back to selecting on training loss so "best" tracks
-        // learning instead of freezing the earliest parameters.
-        let selection = if valid.is_empty() {
-            mean_train_loss
-        } else {
-            mae
-        };
-        if selection < best_mae {
-            best_mae = selection;
-            best_store = model.store.clone();
-            report.best_epoch = report.epoch_val_mae.len() - 1;
-            since_improvement = 0;
-        } else {
-            since_improvement += 1;
-            if let Some(p) = patience {
-                if since_improvement >= p {
-                    break;
-                }
             }
-        }
+            (epochs_run, crew.threads())
+        },
+    );
+    bench.gather(&mut model.store);
+    for job in bench.jobs {
+        opt.take_back(job.into_inner().expect(POISONED).opt);
     }
     if best_mae.is_finite() && best_mae < f64::MAX {
         model.store = best_store;
@@ -487,15 +830,7 @@ pub(crate) fn run_training_phase(
             model.reference_val_mae = best_mae;
         }
     }
-    let fan_out = if joint {
-        1
-    } else {
-        selnet_tensor::parallel::fork_threads().min(k + 1)
-    };
-    span.set_detail(
-        (report.epoch_val_mae.len() - epochs_before) as u64,
-        fan_out as u64,
-    );
+    span.set_detail(epochs_run as u64, threads as u64);
 }
 
 /// Validation MAE of the partitioned model, the split asked as one wave:
@@ -574,7 +909,15 @@ pub fn fit_partitioned(
     let mut store = ParamStore::new();
     let (ae, locals, mut rng) = register_networks(&mut store, dim, cfg, k);
 
-    // AE pretraining: database objects, then training queries
+    // AE pretraining: database objects, then training queries, under an
+    // `ae_pretrain` span: a = epochs over the database sample, b = epochs
+    // over the training queries
+    let mut span = selnet_obs::trace::global().span("ae_pretrain", 0);
+    let query_epochs = if workload.train.is_empty() {
+        0
+    } else {
+        (cfg.ae_pretrain_epochs / 2).max(1)
+    };
     ae.pretrain(
         &mut store,
         ds,
@@ -596,13 +939,15 @@ pub fn fit_partitioned(
         ae.pretrain(
             &mut store,
             &queries,
-            (cfg.ae_pretrain_epochs / 2).max(1),
+            query_epochs,
             cfg.batch_size,
             cfg.ae_pretrain_sample,
             cfg.learning_rate,
             cfg.seed ^ 0xae,
         );
     }
+    span.set_detail(cfg.ae_pretrain_epochs as u64, query_epochs as u64);
+    drop(span);
 
     let mut model = PartitionedSelNet {
         cfg: cfg.clone(),
@@ -635,8 +980,7 @@ pub fn fit_partitioned(
         &pairs,
         &workload.valid,
         pcfg.pretrain_epochs,
-        false,
-        None,
+        Phase::Pretrain,
         &mut opt,
         &mut rng,
         &mut report,
@@ -648,8 +992,7 @@ pub fn fit_partitioned(
         &pairs,
         &workload.valid,
         joint_epochs,
-        true,
-        None,
+        Phase::Joint,
         &mut opt,
         &mut rng,
         &mut report,
@@ -695,8 +1038,7 @@ pub(crate) fn continue_training(
         &pairs,
         valid,
         max_epochs,
-        true,
-        Some(patience),
+        Phase::Retrain { patience },
         &mut opt,
         rng,
         &mut report,
@@ -813,6 +1155,109 @@ mod tests {
             updated1 == updated3,
             "retrained snapshots differ across threads"
         );
+    }
+
+    /// A joint epoch on the phase's crew — the encoder on the lead, each
+    /// local and the AE term on a tape of its own, the gradient of the
+    /// global term and of `z` folded at the seam, Adam split by part — is
+    /// the one-tape step of `joint_loss` bit for bit: the same losses and
+    /// the same parameters, at one, two and three threads, with τ
+    /// query-dependent and shared.
+    #[test]
+    fn the_crew_joint_epoch_is_the_one_tape_epoch() {
+        let (ds, w) = fixture();
+        for query_dependent_tau in [true, false] {
+            let cfg = SelNetConfig {
+                epochs: 2,
+                query_dependent_tau,
+                ..SelNetConfig::tiny()
+            };
+            let (model, _) = fit_partitioned(&ds, &w, &cfg, &tiny_pcfg());
+            let labels = label_partitions(&ds, &model.partitioning, &w.train, w.kind);
+            let pairs =
+                build_joint_pairs(&w.train, &labels.labels, &model.partitioning, cfg.log_eps);
+            let adam = || Adam::new(cfg.learning_rate).with_clip(1.0);
+            let bytes = |m: &PartitionedSelNet| {
+                let mut out = Vec::new();
+                m.store.save(&mut out).expect("save to memory");
+                out
+            };
+
+            // the reference: one tape per step, as training used to run
+            let mut one_tape = model.clone();
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut opt = adam();
+            let n = pairs.flat.x.len();
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            let (mut g, mut batch, mut losses) = (Graph::new(), CurveBatch::default(), 0.0);
+            let chunks = order.chunks(pairs.flat.objects_per_step(cfg.batch_size));
+            let steps = chunks.len();
+            for chunk in chunks {
+                batch.assemble(&pairs.flat, chunk, one_tape.dim);
+                g.reset();
+                let loss = joint_loss(&one_tape, &pairs, &batch, &mut g);
+                g.backward_params(loss);
+                losses += g.value(loss).get(0, 0) as f64;
+                opt.step_refs(&mut one_tape.store, &g.param_grad_refs());
+            }
+
+            for threads in [1, 2, 3] {
+                selnet_tensor::parallel::set_threads(threads);
+                let mut crew = model.clone();
+                crew.reference_val_mae = f64::INFINITY;
+                let mut report = TrainReport::default();
+                run_training_phase(
+                    &mut crew,
+                    &pairs,
+                    &[],
+                    1,
+                    Phase::Joint,
+                    &mut adam(),
+                    &mut StdRng::seed_from_u64(5),
+                    &mut report,
+                );
+                selnet_tensor::parallel::set_threads(0);
+                assert_eq!(
+                    report.epoch_train_loss,
+                    [losses / steps as f64],
+                    "{threads} threads, τ query-dependent {query_dependent_tau}"
+                );
+                assert!(
+                    bytes(&crew) == bytes(&one_tape),
+                    "{threads} threads, τ query-dependent {query_dependent_tau}: \
+                     the parameters differ"
+                );
+            }
+        }
+    }
+
+    /// Four test threads, each fitting on a two-thread crew at once on
+    /// however many cores there are, all finish — no barrier waits
+    /// without end for a thread that is not scheduled — with the same
+    /// model.
+    #[test]
+    fn concurrent_fits_on_crews_all_finish_alike() {
+        let (ds, w) = fixture();
+        let mut cfg = SelNetConfig::tiny();
+        cfg.epochs = 3;
+        let snapshots: Vec<Vec<u8>> = std::thread::scope(|scope| {
+            let fits: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        selnet_tensor::parallel::set_threads(2);
+                        let (model, _) = fit_partitioned(&ds, &w, &cfg, &tiny_pcfg());
+                        let mut out = Vec::new();
+                        model.save(&mut out).expect("save to memory");
+                        out
+                    })
+                })
+                .collect();
+            fits.into_iter().map(|f| f.join().unwrap()).collect()
+        });
+        assert!(snapshots.windows(2).all(|s| s[0] == s[1]));
     }
 
     /// No other test replays a wave of thousands of ragged rows: 4 096

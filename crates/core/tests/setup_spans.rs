@@ -1,8 +1,8 @@
 //! The set-up ledger comes from the product's own instruments: with the
 //! global `selnet-obs` recorder armed, `fit_partitioned` records one
-//! `partition_build`, `label_partitions`, `pretrain_phase` and
-//! `joint_phase` span each, in that order, and a §5.4 retrain records
-//! `label_partitions` and `joint_phase` again. A served query records the
+//! `partition_build`, `ae_pretrain`, `label_partitions`, `pretrain_phase`
+//! and `joint_phase` span each, in that order, and a §5.4 retrain records
+//! `label_partitions` and `joint_phase` again, the latter on one part. A served query records the
 //! model's `curve_forward` kind, never the engine's `plan_replay`, so a
 //! scrape that prints both rings can tell them apart. This file is a test
 //! binary of its own because it arms the process-global recorder.
@@ -15,8 +15,9 @@ use selnet_metric::DistanceKind;
 use selnet_obs::Span;
 use selnet_workload::{generate_workload, WorkloadConfig};
 
-const SETUP_KINDS: [&str; 4] = [
+const SETUP_KINDS: [&str; 5] = [
     "partition_build",
+    "ae_pretrain",
     "label_partitions",
     "pretrain_phase",
     "joint_phase",
@@ -54,8 +55,8 @@ fn fit_and_retrain_record_the_setup_spans() {
     let spans = setup_spans();
     let kinds: Vec<&str> = spans.iter().map(|s| s.kind).collect();
     assert_eq!(kinds, SETUP_KINDS);
-    let [build, label, pretrain, joint] = &spans[..] else {
-        unreachable!("four spans")
+    let [build, ae, label, pretrain, joint] = &spans[..] else {
+        unreachable!("five spans")
     };
     // a = workers engaged (a 300-point tree builds inline, a small
     // labelling pass stays on the caller), b = subtree jobs / queries;
@@ -78,14 +79,21 @@ fn fit_and_retrain_record_the_setup_spans() {
         "{build:?}"
     );
     assert_eq!((label.a, label.b), (1, w.train.len() as u64));
-    // a = epochs run, b = threads a step fans out over
-    assert_eq!(pretrain.a, 1);
-    assert!((1..=4).contains(&pretrain.b), "{pretrain:?}");
-    assert_eq!((joint.a, joint.b), (2, 1));
+    // a = epochs over the database sample, b = over the training queries
+    assert_eq!((ae.a, ae.b), (cfg.ae_pretrain_epochs as u64, 1));
+    // a = epochs run, b = crew parts the steps ran on: one per thread, at
+    // most one per job (three locals and the AE term)
+    let parts = selnet_tensor::parallel::fork_threads().min(4) as u64;
+    assert_eq!((pretrain.a, pretrain.b), (1, parts));
+    assert_eq!((joint.a, joint.b), (2, parts));
     assert_eq!(report.epoch_val_mae.len(), 3);
     // the phases follow one another inside the fit
-    assert!(build.start_ns + build.dur_ns <= label.start_ns);
-    assert!(pretrain.start_ns + pretrain.dur_ns <= joint.start_ns);
+    for (before, after) in spans.iter().zip(&spans[1..]) {
+        assert!(
+            before.start_ns + before.dur_ns <= after.start_ns,
+            "{before:?} overlaps {after:?}"
+        );
+    }
 
     // a forced retrain relabels and runs the joint phase only
     selnet_obs::trace::global().enable(1024);
@@ -95,8 +103,11 @@ fn fit_and_retrain_record_the_setup_spans() {
         max_epochs: 2,
     };
     model.check_and_update(&ds, w.kind, &w.train, &w.valid, &policy);
-    let kinds: Vec<&str> = setup_spans().iter().map(|s| s.kind).collect();
+    let spans = setup_spans();
+    let kinds: Vec<&str> = spans.iter().map(|s| s.kind).collect();
     assert_eq!(kinds, ["label_partitions", "joint_phase"]);
+    // beside serving, a retrain keeps to its calling thread
+    assert_eq!(spans[1].b, 1, "{:?}", spans[1]);
 
     // one query object runs the networks once: a = rows, b = curves
     selnet_obs::trace::global().enable(1024);

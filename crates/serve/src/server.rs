@@ -22,6 +22,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, TryRecvError};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Bound on unanswered pipelined requests per v2 connection: the reader
 /// loop stops pulling new frames off the socket once this many replies
@@ -47,11 +48,21 @@ fn submit_err_to_reply(e: &SubmitError) -> ErrorReply {
     }
 }
 
+/// The accept loop's first nap when no client is waiting; each idle nap
+/// doubles it, up to [`ACCEPT_NAP_CAP`], and an accepted connection
+/// starts it over. So a client that follows another waits tens of µs, not
+/// a whole capped nap.
+const ACCEPT_NAP: Duration = Duration::from_micros(50);
+
+/// The longest nap of an idle accept loop, which is also how late it may
+/// see `stop`.
+const ACCEPT_NAP_CAP: Duration = Duration::from_millis(10);
+
 /// Serves the binary protocol on `listener` until `stop` is set (checked
-/// between accepts; the listener must be non-blocking for prompt
-/// shutdown) or the listener errors. Each connection gets its own thread;
-/// all of them share `engine`, so concurrent connections coalesce into
-/// the same batches.
+/// between accepts, at least every 10 ms; the listener is
+/// made non-blocking for prompt shutdown) or the listener errors. Each
+/// connection gets its own thread; all of them share `engine`, so
+/// concurrent connections coalesce into the same batches.
 pub fn serve_tcp<M>(
     engine: Arc<Engine<M>>,
     listener: TcpListener,
@@ -61,12 +72,14 @@ where
     M: SelectivityEstimator + Send + Sync + 'static,
 {
     listener.set_nonblocking(true)?;
+    let mut nap = ACCEPT_NAP;
     std::thread::scope(|scope| loop {
         if stop.load(Ordering::SeqCst) {
             return Ok(());
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
+                nap = ACCEPT_NAP;
                 let engine = Arc::clone(&engine);
                 scope.spawn(move || {
                     if let Err(e) = serve_connection(&engine, stream) {
@@ -75,7 +88,8 @@ where
                 });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(std::time::Duration::from_millis(10));
+                std::thread::sleep(nap);
+                nap = (nap * 2).min(ACCEPT_NAP_CAP);
             }
             Err(e) => return Err(e),
         }
@@ -746,6 +760,41 @@ mod tests {
         reader.read_to_end(&mut rest).unwrap();
         assert!(rest.is_empty());
         drop(writer);
+        server.shutdown();
+        eng.shutdown();
+    }
+
+    /// A client that follows another is accepted at once, not after a
+    /// whole idle nap: twenty connect-and-handshake round trips, one
+    /// after another, take well under twenty capped naps (≈ 200 ms).
+    #[test]
+    fn sequential_clients_are_accepted_without_a_capped_nap_each() {
+        let eng = engine();
+        let server = spawn_server(&eng);
+        let start = std::time::Instant::now();
+        for _ in 0..20 {
+            let stream = TcpStream::connect(server.addr).unwrap();
+            drop(handshake(&stream));
+        }
+        let took = start.elapsed();
+        server.shutdown();
+        eng.shutdown();
+        assert!(
+            took < Duration::from_millis(150),
+            "20 handshakes took {took:?}"
+        );
+    }
+
+    /// An accept loop that has backed off to its longest nap still serves
+    /// the next client.
+    #[test]
+    fn a_client_after_a_long_idle_stretch_is_served() {
+        let eng = engine();
+        let server = spawn_server(&eng);
+        std::thread::sleep(Duration::from_millis(100));
+        let stream = TcpStream::connect(server.addr).unwrap();
+        drop(handshake(&stream));
+        drop(stream);
         server.shutdown();
         eng.shutdown();
     }

@@ -204,6 +204,9 @@ struct Node {
     /// feeds the node (see [`Graph::mark_live`]). Dead nodes are never
     /// accumulated into, hence never visited.
     live: bool,
+    /// A constant leaf the parameters-only sweep differentiates anyway
+    /// ([`Graph::grad_leaf_ref`]).
+    tracked: bool,
     /// Leading gradient columns the sweep does not keep: `grad` holds
     /// columns `dead_cols..` of the node's full gradient. Non-zero only on
     /// a `ConcatCols(dead, live)` whose every consumer is a `MatMul` left
@@ -266,6 +269,7 @@ impl Graph {
             n.dead_cols = 0;
             n.op = op;
             n.param = None;
+            n.tracked = false;
         } else {
             let mut value = Matrix::default();
             value.reset_shape(rows, cols);
@@ -274,6 +278,7 @@ impl Graph {
                 grad: Matrix::default(),
                 grad_seen: false,
                 live: false,
+                tracked: false,
                 dead_cols: 0,
                 op,
                 param: None,
@@ -339,6 +344,17 @@ impl Graph {
         self.done(idx)
     }
 
+    /// Records a constant leaf by copy, as [`Graph::leaf_ref`] does, whose
+    /// gradient [`Graph::backward_params`] computes as if it were a
+    /// parameter's: the input of a computation whose earlier part another
+    /// tape recorded, which goes on from the gradient read here with
+    /// [`Graph::grad_ref`].
+    pub fn grad_leaf_ref(&mut self, value: &Matrix) -> Var {
+        let v = self.leaf_ref(value);
+        self.nodes[v.0].tracked = true;
+        v
+    }
+
     /// Records a trainable-parameter leaf tagged with `id` so its gradient
     /// can be collected after [`Graph::backward`]. The value is copied into
     /// recycled storage — parameters are *rebound* to the tape each batch,
@@ -375,6 +391,19 @@ impl Graph {
             }
         }
         out
+    }
+
+    /// The gradient the last sweep accumulated at `v`, in place, or `None`
+    /// if it did not reach `v`.
+    ///
+    /// # Panics
+    /// Panics if `v` is stale, or if `v` is a concat whose gradient the
+    /// sweep kept narrow (see [`Graph::backward_params`]).
+    pub fn grad_ref(&self, v: Var) -> Option<&Matrix> {
+        assert!(v.0 < self.live, "stale Var used after Graph::reset()");
+        let n = &self.nodes[v.0];
+        assert_eq!(n.dead_cols, 0, "grad_ref: a narrow concat gradient");
+        n.grad_seen.then_some(&n.grad)
     }
 
     /// Whether the last sweep accumulated a gradient at `v`. A
@@ -816,8 +845,9 @@ impl Graph {
         self.sweep(loss, true);
     }
 
-    /// The same sweep with **only parameter leaves live**: a node gets a
-    /// gradient iff a parameter feeds it, so nothing is computed for
+    /// The same sweep with **only parameter leaves live** (and the leaves
+    /// of [`Graph::grad_leaf_ref`]): a node gets a gradient iff one of
+    /// them feeds it, so nothing is computed for
     /// constant inputs (the batch `x` behind a first layer, targets,
     /// masks). Parameter gradients are **bit-identical** to
     /// [`Graph::backward`]'s: every kept element is the same reduction, and
@@ -876,7 +906,8 @@ impl Graph {
             let (pre, rest) = self.nodes.split_at_mut(idx);
             let node = &mut rest[0];
             let op = node.op;
-            node.live = matches!(op, Op::Leaf) && (every_leaf || node.param.is_some());
+            node.live =
+                matches!(op, Op::Leaf) && (every_leaf || node.param.is_some() || node.tracked);
             node.dead_cols = 0;
             op.for_each_input(|j| {
                 node.live |= pre[j].live;

@@ -134,6 +134,11 @@ impl Mlp {
         &self.layers
     }
 
+    /// Every parameter of the network, layer by layer (weight, bias).
+    pub fn params(&self) -> impl Iterator<Item = ParamId> + '_ {
+        self.layers.iter().flat_map(|l| [l.w, l.b])
+    }
+
     /// Records the forward pass.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var) -> Var {
         let mut h = x;

@@ -37,6 +37,44 @@ impl Adam {
         self
     }
 
+    /// Moves the moment estimates of `ids` into an optimizer with the same
+    /// constants and step count, for a worker that updates just those
+    /// parameters; [`Adam::take_back`] returns them. Both keep stepping
+    /// once per training step, so they share every step's constants.
+    pub fn lend(&mut self, ids: &[ParamId]) -> Adam {
+        let mut lent = Adam {
+            m: Vec::new(),
+            v: Vec::new(),
+            ..*self
+        };
+        lent.m.resize_with(self.m.len(), || None);
+        lent.v.resize_with(self.v.len(), || None);
+        let held = self.m.len();
+        for id in ids.iter().filter(|id| id.0 < held) {
+            std::mem::swap(&mut self.m[id.0], &mut lent.m[id.0]);
+            std::mem::swap(&mut self.v[id.0], &mut lent.v[id.0]);
+        }
+        lent
+    }
+
+    /// Takes back every moment estimate `lent` holds.
+    ///
+    /// # Panics
+    /// Panics if the two did not take the same number of steps.
+    pub fn take_back(&mut self, lent: Adam) {
+        assert_eq!(self.t, lent.t, "a lent optimizer stepped out of line");
+        for (i, (m, v)) in lent.m.into_iter().zip(lent.v).enumerate() {
+            if let (Some(m), Some(v)) = (m, v) {
+                if self.m.len() <= i {
+                    self.m.resize_with(i + 1, || None);
+                    self.v.resize_with(i + 1, || None);
+                }
+                self.m[i] = Some(m);
+                self.v[i] = Some(v);
+            }
+        }
+    }
+
     fn ensure_state(&mut self, id: ParamId, shape: (usize, usize)) {
         if self.m.len() <= id.0 {
             self.m.resize_with(id.0 + 1, || None);

@@ -16,17 +16,24 @@
 //! 2. **Nested runs inline.** A worker (and the caller, while it runs its
 //!    own part) is *inside a parallel region*; a `fork_join` reached from
 //!    there runs all its parts on that thread, in order, and
-//!    [`fork_threads`] answers 1 there so helpers do not even split. The
-//!    per-partition pretraining tapes therefore never stack matmul forks
-//!    on top of their own fan-out, and the machine never runs more
+//!    [`fork_threads`] answers 1 there so helpers do not even split. A
+//!    training step's per-network tapes therefore never stack matmul
+//!    forks on top of their own split, and the machine never runs more
 //!    threads than the outermost fork asked for.
 //! 3. **One gate.** Where the work is countable — a matmul — a fork is
 //!    only taken when every engaged worker gets at least
 //!    [`FORK_MIN_WORK`] elementary operations (`gated_threads`); the
 //!    constant is derived from the measured cost of one fork-join (see
-//!    its docs). [`par_map_indexed`] and
-//!    [`par_map_states`] run opaque closures and take their minimum items
-//!    per worker from the caller, who knows what one item costs.
+//!    its docs). [`par_map_indexed`] runs opaque closures and takes its
+//!    minimum items per worker from the caller, who knows what one item
+//!    costs.
+//!
+//! Work that is too small per step to pay for a fork each step — a
+//! SelNet training step is tens of µs — takes one fork for many steps: a
+//! [`crew`] is a single `fork_join` whose threads stay for a whole phase
+//! and meet at a step barrier ([`Crew::round`]) that spins briefly, then
+//! parks. It is still the one spawn site, and the whole crew is a
+//! parallel region (rule 2).
 //!
 //! Work is split into **contiguous, disjoint** chunks whose boundaries
 //! depend only on the input size and the worker count — never on
@@ -36,7 +43,8 @@
 //! row-partitioned kernels are bit-identical to their serial counterparts
 //! for *any* thread count, including the inline (nested) execution:
 //! bit-identity is structural, not something the gate or the schedule
-//! could disturb.
+//! could disturb. A crew's parts are the caller's to define; the trainer
+//! gives each of its values one part that computes it.
 //!
 //! ## The threading knob
 //!
@@ -52,8 +60,10 @@
 //! bit-identical at any count, so a count moves time, never an answer.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Elementary operations (multiply-adds of a matmul) each engaged worker
 /// must receive before a fork is taken.
@@ -68,13 +78,15 @@ use std::sync::OnceLock;
 /// 256³ in 0.40 ms), so `2^24` operations are ≈ 0.4 ms of work that a
 /// further worker takes off the caller: twice the worst fork observed,
 /// twenty times the usual one. The gate this replaces, `2^21`
-/// multiply-adds *in total* (≈ 50 µs), sat below the fork itself: on the
-/// paper fixture a joint training step ran 25–29 ms at two threads
-/// against 19–23 ms at one, and a 64-row serving wave, when plan replay
-/// still forked, replayed in 0.095 ms at two threads against 0.045 ms at
-/// one. Now the 256-row training products (≤ `2^23.3` multiply-adds)
-/// stay on the calling thread, and default threads never train slower
-/// than `SELNET_THREADS=1`.
+/// multiply-adds *in total* (≈ 50 µs), sat below the fork itself: a
+/// 64-row serving wave, when plan replay still forked, replayed in
+/// 0.095 ms at two threads against 0.045 ms at one. A training step's
+/// products stay far below the gate: a step runs the networks once per
+/// query object, and a paper joint step is ≈ 13 object rows, whose
+/// widest product (13 × 316 into 512) is ≈ `2^21` multiply-adds — the
+/// whole step ≈ 2.3 ms on one thread, 0.6 ms forward and 1.7 ms backward
+/// and Adam. Training's parallelism is therefore a [`crew`] over the
+/// networks, one fork for a whole phase, never a fork per product.
 pub const FORK_MIN_WORK: usize = 1 << 24;
 
 fn default_threads() -> usize {
@@ -272,41 +284,279 @@ where
         .collect()
 }
 
-/// Runs `f(i, &mut states[i])` for every state on up to [`fork_threads`]
-/// workers and returns the results in index order. States are split into
-/// contiguous, disjoint chunks whose boundaries depend only on the input
-/// size and thread count, so scheduling never affects the output — the
-/// per-partition training tapes ride this to stay deterministic while each
-/// job mutates (resets and rebuilds) its own persistent `Graph`.
-pub fn par_map_states<S, R, F>(states: &mut [S], f: F) -> Vec<R>
-where
-    S: Send,
-    R: Send,
-    F: Fn(usize, &mut S) -> R + Sync,
-{
-    let count = states.len();
-    let ranges = chunk_ranges(count, fork_threads(), 1);
-    if ranges.len() <= 1 {
-        return states
-            .iter_mut()
-            .enumerate()
-            .map(|(i, s)| f(i, s))
-            .collect();
-    }
-    let mut out: Vec<Option<R>> = Vec::with_capacity(count);
-    out.resize_with(count, || None);
-    let parts: Vec<_> = split_ranges(states, 1, &ranges)
-        .into_iter()
-        .zip(split_ranges(&mut out, 1, &ranges))
-        .collect();
-    fork_join(parts, |((start, states), (_, slots))| {
-        for (off, (slot, state)) in slots.iter_mut().zip(states).enumerate() {
-            *slot = Some(f(start + off, state));
+/// How long a waiting crew member spins before it parks: longer than the
+/// caller's serial stretch between two rounds of a joint training step
+/// (a few µs on the benchmark's fixtures), so a step's rounds meet
+/// without a system call, and short enough that a crew sharing its cores
+/// with other busy threads gives them the cores back.
+const CREW_SPIN: Duration = Duration::from_micros(50);
+
+/// Where the members of a crew wait for each other: spinning for at most
+/// [`CREW_SPIN`], then parked on a condition variable. Every change a
+/// waiter's condition reads is made with `SeqCst`, then [`Meeting::wake`]
+/// is called; a parking waiter counts itself among the sleepers before its
+/// last look at the condition, so either it sees the change or the waker
+/// sees it and notifies it under the lock.
+#[derive(Default)]
+struct Meeting {
+    lock: Mutex<()>,
+    bell: Condvar,
+    sleepers: AtomicUsize,
+}
+
+impl Meeting {
+    fn wait_until(&self, ready: impl Fn() -> bool) {
+        let start = Instant::now();
+        let mut spins = 0u32;
+        while !ready() {
+            spins = spins.wrapping_add(1);
+            if spins.is_multiple_of(64) && start.elapsed() >= CREW_SPIN {
+                let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+                self.sleepers.fetch_add(1, Ordering::SeqCst);
+                while !ready() {
+                    guard = self
+                        .bell
+                        .wait(guard)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                self.sleepers.fetch_sub(1, Ordering::SeqCst);
+                return;
+            }
+            std::hint::spin_loop();
         }
+    }
+
+    fn wake(&self) {
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+            self.bell.notify_all();
+        }
+    }
+}
+
+/// The state the threads of one crew share.
+struct Roster<M> {
+    /// Rounds released so far.
+    round: AtomicUsize,
+    /// The current round's message.
+    message: Mutex<Option<M>>,
+    /// Per part, the last round it was claimed in: whoever moves it from
+    /// the round before runs the part.
+    claimed: Vec<AtomicUsize>,
+    /// Parts finished in the current round.
+    done: AtomicUsize,
+    /// A part panicked in some round.
+    failed: AtomicBool,
+    /// The lead has returned (or is unwinding): no round follows.
+    stop: AtomicBool,
+    meeting: Meeting,
+}
+
+impl<M> Roster<M> {
+    /// Runs `part` in `round` unless someone claimed it first.
+    fn try_run(&self, part: usize, round: usize, message: M, work: &(dyn Fn(usize, M) + Sync)) {
+        let claim = self.claimed[part].compare_exchange(
+            round - 1,
+            round,
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        );
+        if claim.is_ok() {
+            let _finish = Finish(self);
+            work(part, message);
+        }
+    }
+}
+
+/// Ends a crew when dropped, on return or unwinding: the workers waiting
+/// for a round see `stop` and leave.
+struct Dismiss<'a, M>(&'a Roster<M>);
+
+impl<M> Drop for Dismiss<'_, M> {
+    fn drop(&mut self) {
+        self.0.stop.store(true, Ordering::SeqCst);
+        self.0.meeting.wake();
+    }
+}
+
+/// Counts a part as done when dropped — also when it panics, which it
+/// flags, so the lead never waits for a part that will not finish.
+struct Finish<'a, M>(&'a Roster<M>);
+
+impl<M> Drop for Finish<'_, M> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.failed.store(true, Ordering::SeqCst);
+        }
+        self.0.done.fetch_add(1, Ordering::SeqCst);
+        self.0.meeting.wake();
+    }
+}
+
+/// The lead's handle on a [`crew`]: each [`Crew::round`] runs every part
+/// once.
+pub struct Crew<'c, M> {
+    work: &'c (dyn Fn(usize, M) + Sync),
+    parts: usize,
+    /// The parts the lead runs each round, `0..own`.
+    own: usize,
+    /// Threads the parts run on, the lead's included.
+    threads: usize,
+    /// `None` when every part runs inline on the lead.
+    roster: Option<&'c Roster<M>>,
+}
+
+impl<M: Copy + Send> Crew<'_, M> {
+    /// Runs `work(part, message)` for every part and returns when all of
+    /// them have: the crew's step barrier. After its own parts the lead
+    /// runs any part that its thread has not yet started — one that is
+    /// parked, or not scheduled — so a round never waits for a thread to
+    /// wake, only for work in progress. A panic in any part propagates to
+    /// the caller.
+    pub fn round(&mut self, message: M) {
+        let Some(roster) = self.roster else {
+            (0..self.parts).for_each(|part| (self.work)(part, message));
+            return;
+        };
+        *roster
+            .message
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(message);
+        roster.done.store(0, Ordering::SeqCst);
+        let round = roster.round.fetch_add(1, Ordering::SeqCst) + 1;
+        roster.meeting.wake();
+        // the lead's own parts first, then, from the last, any part its
+        // thread has not started
+        let own = self.own;
+        for part in (0..own).chain((own..self.parts).rev()) {
+            roster.try_run(part, round, message, self.work);
+        }
+        roster
+            .meeting
+            .wait_until(|| roster.done.load(Ordering::SeqCst) == self.parts);
+        assert!(
+            !roster.failed.load(Ordering::SeqCst),
+            "a crew part panicked"
+        );
+    }
+
+    /// Threads the crew's parts run on, the caller's included: 1 when
+    /// they run inline.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+}
+
+/// A worker's side of a crew: each round, run those of its parts the lead
+/// has not taken, until dismissed.
+fn serve_rounds<M: Copy>(
+    roster: &Roster<M>,
+    parts: Range<usize>,
+    work: &(dyn Fn(usize, M) + Sync),
+) {
+    let mut seen = 0;
+    loop {
+        roster.meeting.wait_until(|| {
+            roster.stop.load(Ordering::SeqCst) || roster.round.load(Ordering::SeqCst) != seen
+        });
+        if roster.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        seen = roster.round.load(Ordering::SeqCst);
+        let message = roster
+            .message
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .expect("a released round has its message");
+        for part in parts.clone() {
+            roster.try_run(part, seen, message, work);
+        }
+    }
+}
+
+/// A phase-scoped crew: `parts` parts that run rounds in lockstep, with
+/// the calling thread — the *lead* — between rounds. `lead` gets the
+/// [`Crew`] and calls [`Crew::round`] as often as it likes; each round
+/// runs `work(part, message)` once for every part and returns when all
+/// are done, and in between the lead works alone.
+///
+/// The parts run on up to [`fork_threads`] threads (a one-part crew stays
+/// on the calling thread), spawned once, by one
+/// [`fork_join`], for the whole of `lead`: a contiguous run of parts to a
+/// thread, the runs' lengths at most one apart, the first and shortest
+/// run on the calling thread. Between rounds the
+/// other threads wait at the step barrier, spinning briefly, then parked;
+/// a part its thread has not started by the time the lead is done with
+/// its own, the lead runs itself. So a part must not care which thread
+/// runs it: its state goes with it (behind a lock), not with a thread.
+/// With one thread (a `set_threads(1)` pin, or a crew started inside a
+/// parallel region) every round runs its parts inline, in order. The
+/// whole crew is a parallel region: a fork inside a part, or in `lead`,
+/// runs inline.
+pub fn crew<M, W, L, R>(parts: usize, work: W, lead: L) -> R
+where
+    M: Copy + Send,
+    W: Fn(usize, M) + Sync,
+    L: FnOnce(&mut Crew<'_, M>) -> R + Send,
+    R: Send,
+{
+    let threads = fork_threads().clamp(1, parts.max(1));
+    if threads == 1 {
+        let _region = Region::enter();
+        return lead(&mut Crew {
+            work: &work,
+            parts,
+            own: parts,
+            threads: 1,
+            roster: None,
+        });
+    }
+    let roster = Roster {
+        round: AtomicUsize::new(0),
+        message: Mutex::new(None),
+        claimed: (0..parts).map(|_| AtomicUsize::new(0)).collect(),
+        done: AtomicUsize::new(0),
+        failed: AtomicBool::new(false),
+        stop: AtomicBool::new(false),
+        meeting: Meeting::default(),
+    };
+    // contiguous runs whose lengths differ by at most one, the shorter
+    // ones first: the lead, which also works between rounds, gets the
+    // fewest parts
+    let (base, longer) = (parts / threads, parts % threads);
+    let ranges: Vec<(usize, usize)> = (0..threads)
+        .scan(0, |start, t| {
+            let run = (*start, *start + base + usize::from(t >= threads - longer));
+            *start = run.1;
+            Some(run)
+        })
+        .collect();
+    let result = Mutex::new(None);
+    enum Seat<L> {
+        Lead(L),
+        Worker(Range<usize>),
+    }
+    let mut seats = vec![Seat::Lead(lead)];
+    seats.extend(ranges[1..].iter().map(|&(s, e)| Seat::Worker(s..e)));
+    let (roster, work) = (&roster, &work);
+    fork_join(seats, |seat| match seat {
+        Seat::Lead(lead) => {
+            let _dismiss = Dismiss(roster);
+            let out = lead(&mut Crew {
+                work,
+                parts,
+                own: ranges[0].1,
+                threads,
+                roster: Some(roster),
+            });
+            *result.lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
+        }
+        Seat::Worker(parts) => serve_rounds(roster, parts, work),
     });
-    out.into_iter()
-        .map(|r| r.expect("all chunks filled"))
-        .collect()
+    result
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .expect("the lead returned")
 }
 
 #[cfg(test)]
@@ -420,11 +670,11 @@ mod tests {
             fork_join(vec![(); 3], |()| {
                 nested.lock().unwrap().push(current().id())
             });
-            let mut states = [0u8; 4];
-            nested
-                .lock()
-                .unwrap()
-                .extend(par_map_states(&mut states, |_, _| current().id()));
+            crew(
+                4,
+                |_, ()| nested.lock().unwrap().push(current().id()),
+                |c| c.round(()),
+            );
             nested
                 .lock()
                 .unwrap()
@@ -445,15 +695,6 @@ mod tests {
         assert!(seen[1].1 != caller && seen[2].1 != caller && seen[1].1 != seen[2].1);
         // the region ends with the fork
         assert_eq!(fork_threads(), 4);
-        // a helper reached from inside `par_map_states` spawns nothing
-        let mut tapes = [(); 3];
-        let inner = par_map_states(&mut tapes, |_, _| {
-            let me = current().id();
-            par_map_indexed(8, 1, |_| current().id())
-                .into_iter()
-                .all(|t| t == me)
-        });
-        assert_eq!(inner, [true; 3]);
         set_threads(0);
     }
 
@@ -499,18 +740,119 @@ mod tests {
         set_threads(0);
     }
 
+    /// Every round runs each part once, and no part starts round `r + 1`
+    /// before every part has finished round `r`: part 1 sleeps through
+    /// its rounds, yet part 0 never sees a count from another round.
     #[test]
-    fn par_map_states_mutates_each_state_once_in_order() {
-        for threads in [1usize, 2, 5] {
-            set_threads(threads);
-            let mut states: Vec<u64> = (0..13).map(|i| i as u64).collect();
-            let out = par_map_states(&mut states, |i, s| {
-                *s += 100;
-                (i as u64) * 2
+    fn crew_parts_run_rounds_in_lockstep() {
+        use std::thread::sleep;
+        set_threads(2);
+        let ran = [AtomicUsize::new(0), AtomicUsize::new(0)];
+        let threads = crew(
+            2,
+            |part, round: usize| {
+                if part == 1 {
+                    sleep(Duration::from_millis(2));
+                }
+                let other = ran[1 - part].load(Ordering::SeqCst);
+                assert!(
+                    other == round || other == round + 1,
+                    "part {part} in round {round} saw the other part at {other}"
+                );
+                ran[part].fetch_add(1, Ordering::SeqCst);
+            },
+            |c| {
+                for round in 0..20 {
+                    c.round(round);
+                    assert_eq!(ran[0].load(Ordering::SeqCst), round + 1);
+                    assert_eq!(ran[1].load(Ordering::SeqCst), round + 1);
+                }
+                c.threads()
+            },
+        );
+        set_threads(0);
+        assert_eq!(threads, 2);
+    }
+
+    /// A part that panics ends the crew: the lead's round panics, the
+    /// other thread leaves its barrier, and nothing hangs — whether the
+    /// panic is on a worker or on the lead.
+    #[test]
+    fn a_panicking_crew_part_propagates_without_hanging_the_other() {
+        set_threads(2);
+        for failing in [0usize, 1] {
+            let rounds = AtomicUsize::new(0);
+            let outcome = std::panic::catch_unwind(|| {
+                crew(
+                    2,
+                    |part, round: usize| {
+                        assert!(!(part == failing && round == 3), "part {part} fails");
+                    },
+                    |c| {
+                        for round in 0..10 {
+                            c.round(round);
+                            rounds.fetch_add(1, Ordering::SeqCst);
+                        }
+                    },
+                )
             });
-            assert_eq!(out, (0..13).map(|i| i * 2).collect::<Vec<u64>>());
-            assert_eq!(states, (100..113).collect::<Vec<u64>>());
+            assert!(outcome.is_err(), "part {failing}'s panic was lost");
+            assert_eq!(rounds.load(Ordering::SeqCst), 3);
+            assert_eq!(fork_threads(), 2, "the region outlived the crew");
         }
         set_threads(0);
+    }
+
+    /// Inside a part, on the lead or a worker, and in the lead between
+    /// rounds, `fork_threads` is 1 and a fork runs on the thread that
+    /// took it.
+    #[test]
+    fn a_fork_inside_a_crew_part_runs_inline() {
+        use std::thread::current;
+        set_threads(2);
+        let inline = |_: usize| {
+            let me = current().id();
+            let seen = Mutex::new(Vec::new());
+            fork_join(vec![(); 3], |()| seen.lock().unwrap().push(current().id()));
+            fork_threads() == 1 && seen.into_inner().unwrap().iter().all(|&t| t == me)
+        };
+        let parts = [AtomicBool::new(false), AtomicBool::new(false)];
+        let lead_inline = crew(
+            2,
+            |part, ()| parts[part].store(inline(part), Ordering::SeqCst),
+            |c| {
+                c.round(());
+                inline(0)
+            },
+        );
+        set_threads(0);
+        assert!(lead_inline);
+        assert!(parts.iter().all(|p| p.load(Ordering::SeqCst)));
+    }
+
+    /// With one thread every round runs its parts on the caller, in part
+    /// order.
+    #[test]
+    fn a_one_thread_crew_runs_every_part_inline_in_order() {
+        use std::thread::current;
+        let caller = current().id();
+        set_threads(1);
+        let log = Mutex::new(Vec::new());
+        let threads = crew(
+            3,
+            |part, round: u8| {
+                assert_eq!(current().id(), caller);
+                log.lock().unwrap().push((round, part));
+            },
+            |c| {
+                c.round(0);
+                c.round(1);
+                c.threads()
+            },
+        );
+        set_threads(0);
+        assert_eq!(threads, 1);
+        let log = log.into_inner().unwrap();
+        assert_eq!(log, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]);
     }
 }

@@ -156,6 +156,27 @@ impl ParamStore {
         (0..self.values.len()).map(ParamId)
     }
 
+    /// Moves the values of `ids` into a store of the same parameters that
+    /// holds only those (every other value is empty): a worker that
+    /// updates just these parameters owns them for a while, and
+    /// [`ParamStore::swap_values`] trades them back.
+    pub fn lend(&mut self, ids: &[ParamId]) -> ParamStore {
+        let mut lent = ParamStore {
+            names: self.names.clone(),
+            values: vec![Matrix::default(); self.values.len()],
+            checkpoint: None,
+        };
+        lent.swap_values(self, ids);
+        lent
+    }
+
+    /// Swaps the values of `ids` between `self` and `other`.
+    pub fn swap_values(&mut self, other: &mut ParamStore, ids: &[ParamId]) {
+        for id in ids {
+            std::mem::swap(&mut self.values[id.0], &mut other.values[id.0]);
+        }
+    }
+
     /// Records this parameter's current value on the tape. The value is
     /// copied into the tape's recycled leaf buffer — no allocation once the
     /// (reused) tape has warmed up.
